@@ -1,13 +1,17 @@
 #!/usr/bin/env python
 """Micro-benchmarks for the chunked-execution hot paths.
 
-Four paths are timed and written in the unified ``benchutils`` row
+Six paths are timed and written in the unified ``benchutils`` row
 shape (``{path, config, seconds, reps_s, throughput_mb_s}`` — record
 with ``repro bench record`` to feed the regression history; see
 docs/PERFORMANCE.md for how to read the output):
 
 * ``huffman_decode``      — vectorized table-walk decoder vs the retained
   scalar ``_decode_reference`` on a peaked 1M-symbol stream;
+* ``huffman_encode``      — word-accumulating array encoder vs the scalar
+  oracle in ``tests/oracles`` on the same stream (identical bytes);
+* ``sz_compress``         — ``SZCompressor.compress`` on a smooth 3-D field
+  (predictor + quantizer + the encoder above);
 * ``bound_eval``          — a planner-style format x fraction sweep with
   cold caches vs warm caches;
 * ``pipeline_chunked``    — ``InferencePipeline.execute_chunked`` serial
@@ -27,11 +31,16 @@ from __future__ import annotations
 
 import argparse
 import os
+import sys
 import tempfile
 
 import numpy as np
 
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir))
+
 from benchutils import best_of, finalize_rows, make_row, write_rows
+from tests.oracles.entropy_reference import huffman_encode_reference
+from repro.compress import ErrorBoundMode
 from repro.compress.huffman import _decode_reference, huffman_decode, huffman_encode
 from repro.compress.sz import SZCompressor
 from repro.core.errorflow import ErrorFlowAnalyzer
@@ -45,6 +54,7 @@ from repro.quant.formats import STANDARD_FORMATS
 
 
 def bench_huffman(n_symbols: int, reps: int) -> list[dict]:
+    """Decode and encode rows, scalar reference vs vectorized, one stream."""
     rng = np.random.default_rng(0)
     # Peaked residual-like distribution: what the predictor stages emit.
     symbols = np.round(rng.normal(0.0, 0.7, size=n_symbols)).astype(np.int32)
@@ -52,31 +62,66 @@ def bench_huffman(n_symbols: int, reps: int) -> list[dict]:
     raw_mb = symbols.nbytes / 1e6
 
     assert np.array_equal(huffman_decode(blob), _decode_reference(blob))
+    assert blob == huffman_encode_reference(symbols)
 
     rows = []
-    for impl, fn in (("scalar_reference", _decode_reference), ("vectorized", huffman_decode)):
-        get_memo("huffman_tables").clear()
-        seconds, reps_s = best_of(lambda fn=fn: fn(blob), reps)
-        rows.append(
-            make_row(
-                "huffman_decode",
-                {
-                    "impl": impl,
-                    "n_symbols": n_symbols,
-                    "reps": reps,
-                    "compressed_bytes": len(blob),
-                },
-                seconds,
-                reps_s=reps_s,
-                throughput_mb_s=raw_mb / seconds,
+    for path, argument, scalar, vectorized in (
+        ("huffman_decode", blob, _decode_reference, huffman_decode),
+        ("huffman_encode", symbols, huffman_encode_reference, huffman_encode),
+    ):
+        pair = []
+        for impl, fn in (("scalar_reference", scalar), ("vectorized", vectorized)):
+            get_memo("huffman_tables").clear()
+            seconds, reps_s = best_of(lambda fn=fn: fn(argument), reps)
+            pair.append(
+                make_row(
+                    path,
+                    {
+                        "impl": impl,
+                        "n_symbols": n_symbols,
+                        "reps": reps,
+                        "compressed_bytes": len(blob),
+                    },
+                    seconds,
+                    reps_s=reps_s,
+                    throughput_mb_s=raw_mb / seconds,
+                )
             )
-        )
-    speedup = rows[0]["seconds"] / rows[1]["seconds"]
-    for row in rows:
-        row["config"]["speedup_vs_scalar"] = speedup
-    print(f"huffman_decode: scalar {rows[0]['seconds']*1e3:.1f} ms, "
-          f"vectorized {rows[1]['seconds']*1e3:.1f} ms -> {speedup:.1f}x")
+        speedup = pair[0]["seconds"] / pair[1]["seconds"]
+        for row in pair:
+            row["config"]["speedup_vs_scalar"] = speedup
+        print(f"{path}: scalar {pair[0]['seconds']*1e3:.1f} ms, "
+              f"vectorized {pair[1]['seconds']*1e3:.1f} ms -> {speedup:.1f}x")
+        rows += pair
     return rows
+
+
+def bench_sz_compress(side: int, reps: int) -> list[dict]:
+    x = np.linspace(0, 2 * np.pi, side)
+    xx, yy = np.meshgrid(x, x)
+    field = np.stack(
+        [np.sin((i + 1) * xx) * np.cos(yy) * 0.8 for i in range(9)]
+    ).astype(np.float32)
+    field += 1e-3 * np.random.default_rng(3).standard_normal(field.shape).astype(np.float32)
+    codec = SZCompressor()
+    blob = codec.compress(field, 1e-4, ErrorBoundMode.ABS)
+    seconds, reps_s = best_of(lambda: codec.compress(field, 1e-4, ErrorBoundMode.ABS), reps)
+    print(f"sz_compress: {seconds*1e3:.1f} ms for {field.nbytes/1e6:.2f} MB "
+          f"({len(blob.payload)} payload bytes)")
+    return [
+        make_row(
+            "sz_compress",
+            {
+                "field_shape": list(field.shape),
+                "tolerance": 1e-4,
+                "reps": reps,
+                "compressed_bytes": len(blob.payload),
+            },
+            seconds,
+            reps_s=reps_s,
+            throughput_mb_s=field.nbytes / 1e6 / seconds,
+        )
+    ]
 
 
 def bench_bound_eval(reps: int) -> list[dict]:
@@ -342,6 +387,7 @@ def main(argv=None) -> int:
 
     rows = []
     rows += bench_huffman(n_symbols, reps)
+    rows += bench_sz_compress(2 * side, reps)
     rows += bench_bound_eval(reps)
     rows += bench_pipeline_chunked(side, args.workers, reps)
     rows += bench_pipeline_checkpoint(side, args.workers, reps)

@@ -1,8 +1,11 @@
-"""Bit-level I/O used by the entropy coding stages of the codecs.
+"""Bit-level packing used by the entropy coding stages of the codecs.
 
-Writing is vectorized with numpy (codes are expanded into a flat bit array
-and packed with ``np.packbits``); reading keeps a cheap cursor-based
-interface for the canonical-Huffman decoder.
+Codes are accumulated straight into 64-bit big-endian destination words:
+every code is shifted to its place in the word it starts in and the codes
+of one word are summed (their bits are disjoint, so add = or).  A code is
+at most 32 bits long, so it crosses at most one word boundary and no
+boundary is crossed twice; the crossing tails are or-ed in by one masked
+pass.  No per-bit array is materialised.
 """
 
 from __future__ import annotations
@@ -11,12 +14,7 @@ import numpy as np
 
 from ..exceptions import CompressionError
 
-__all__ = ["pack_codes", "BitReader"]
-
-#: descending powers of two: _POW2[64 - k:] is [2^(k-1), ..., 2, 1], so a
-#: dot product against it assembles a k-bit big-endian integer in one
-#: vectorized pass instead of a per-bit Python loop.
-_POW2 = np.left_shift(np.uint64(1), np.arange(63, -1, -1, dtype=np.uint64))
+__all__ = ["pack_codes"]
 
 
 def pack_codes(values: np.ndarray, lengths: np.ndarray) -> tuple[bytes, int]:
@@ -25,7 +23,9 @@ def pack_codes(values: np.ndarray, lengths: np.ndarray) -> tuple[bytes, int]:
     Parameters
     ----------
     values:
-        Non-negative code values, one per symbol.
+        Non-negative code values, one per symbol.  Only the low
+        ``lengths[i]`` bits of ``values[i]`` are emitted; stray higher
+        bits are dropped.
     lengths:
         Bit length of each code (1..32).
 
@@ -43,84 +43,29 @@ def pack_codes(values: np.ndarray, lengths: np.ndarray) -> tuple[bytes, int]:
         return b"", 0
     if lengths.min() < 1 or lengths.max() > 32:
         raise CompressionError("code lengths must lie in [1, 32]")
-    ends = np.cumsum(lengths)
-    starts = ends - lengths
-    total_bits = int(ends[-1])
-    bits = np.zeros(total_bits, dtype=np.uint8)
-    max_len = int(lengths.max())
-    # One vectorized pass per bit position within a code (MSB first).
-    for j in range(max_len):
-        active = lengths > j
-        shift = (lengths[active] - 1 - j).astype(np.uint64)
-        bits[starts[active] + j] = (values[active] >> shift) & np.uint64(1)
-    return np.packbits(bits).tobytes(), total_bits
-
-
-class BitReader:
-    """Sequential MSB-first bit reader over packed bytes."""
-
-    def __init__(self, payload: bytes, total_bits: int) -> None:
-        self._bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8))
-        if total_bits > self._bits.size:
-            raise CompressionError(
-                f"bitstream declares {total_bits} bits but payload has {self._bits.size}"
-            )
-        self.total_bits = total_bits
-        self.position = 0
-
-    def read(self, n_bits: int) -> int:
-        """Read ``n_bits`` as an unsigned big-endian integer."""
-        end = self.position + n_bits
-        if end > self.total_bits:
-            raise CompressionError("bitstream exhausted")
-        chunk = self._bits[self.position : end]
-        self.position = end
-        if n_bits == 0:
-            return 0
-        if n_bits > 64:
-            # Beyond uint64 the dot product would overflow; assemble with
-            # the scalar loop (no caller reads codes this wide).
-            value = 0
-            for bit in chunk:
-                value = (value << 1) | int(bit)
-            return value
-        return int(chunk.astype(np.uint64) @ _POW2[64 - n_bits :])
-
-    def peek16(self) -> int:
-        """Peek up to 16 bits (zero padded past the end) without advancing."""
-        end = min(self.position + 16, self._bits.size)
-        chunk = self._bits[self.position : end]
-        if chunk.size == 0:
-            return 0
-        value = int(chunk.astype(np.uint64) @ _POW2[64 - chunk.size :])
-        return value << (16 - chunk.size)
-
-    def _read_reference(self, n_bits: int) -> int:
-        """Scalar ``read`` kept as ground truth for property tests."""
-        end = self.position + n_bits
-        if end > self.total_bits:
-            raise CompressionError("bitstream exhausted")
-        chunk = self._bits[self.position : end]
-        self.position = end
-        value = 0
-        for bit in chunk:
-            value = (value << 1) | int(bit)
-        return value
-
-    def _peek16_reference(self) -> int:
-        """Scalar ``peek16`` kept as ground truth for property tests."""
-        end = min(self.position + 16, self._bits.size)
-        chunk = self._bits[self.position : end]
-        value = 0
-        for bit in chunk:
-            value = (value << 1) | int(bit)
-        return value << (16 - len(chunk))
-
-    def skip(self, n_bits: int) -> None:
-        self.position += n_bits
-        if self.position > self.total_bits:
-            raise CompressionError("bitstream exhausted")
-
-    @property
-    def remaining(self) -> int:
-        return self.total_bits - self.position
+    values, lengths = values.ravel(), lengths.ravel()
+    # Each n-sized temporary is freshly paged-in memory, which costs more
+    # than the arithmetic: three are made here, the rest is done in place.
+    starts = np.cumsum(lengths)
+    total_bits = int(starts[-1])
+    starts -= lengths
+    offset = (starts & 63).view(np.uint64)
+    word = np.right_shift(starts, 6, out=starts)
+    # Left-justify each code in a 64-bit lane: bits above its declared
+    # length fall off the top, so they cannot bleed into a neighbour.
+    lane = (64 - lengths).view(np.uint64)
+    np.left_shift(values, lane, out=lane)
+    # Every word but a final tail-only one has a code starting in it (a
+    # code of <= 32 bits cannot span a whole word), so the words that own
+    # a group of codes are exactly 0..word[-1], in order.
+    group_starts = np.concatenate(([0], np.flatnonzero(word[1:] != word[:-1]) + 1))
+    # Only the last code of a group can cross into the next word.
+    last = np.append(group_starts[1:] - 1, lengths.size - 1)
+    over = offset[last] + lengths[last].view(np.uint64)
+    spill = last[over > 64]
+    tails = lane[spill] << (64 - offset[spill])
+    lane >>= offset
+    words = np.zeros((total_bits + 63) >> 6, dtype=np.uint64)
+    words[: group_starts.size] = np.add.reduceat(lane, group_starts)
+    words[word[spill] + 1] |= tails
+    return words.astype(">u8").tobytes()[: (total_bits + 7) >> 3], total_bits

@@ -11,6 +11,13 @@ Design points:
   sharply peaked distribution); rare symbols are emitted as an escape code
   followed by a raw 32-bit value, so pathological inputs cannot blow up
   the table;
+* **vectorized encode** — a ``bincount`` histogram (a sort when the value
+  span dwarfs the stream), code lengths from a two-queue merge over the
+  frequency-sorted alphabet, canonical codes by ``lexsort``/``cumsum``
+  and word-accumulated packing (:func:`~repro.compress.bitstream.pack_codes`).
+  The scalar encoder it replaced lives on in
+  ``tests/oracles/entropy_reference.py``; property tests assert the blobs
+  are byte-identical;
 * **vectorized decode** — instead of a per-symbol Python loop, the
   decoder gathers the 16-bit prefix window of *every* bit offset at once,
   turns the prefix table into a next-position function, composes it into
@@ -27,7 +34,6 @@ code table build it once.
 
 from __future__ import annotations
 
-import heapq
 import struct
 
 import numpy as np
@@ -47,40 +53,148 @@ _ESCAPE = -(2**31)  # sentinel symbol id for escaped values
 #: jumps from any in-stream position stay in bounds without clamping.
 _PAD = 64
 
+#: a dense ``bincount`` histogram is used while the observed value span is
+#: at most this many times the symbol count, which keeps every table
+#: O(n); wider spans (SZ's 2**30 outlier code in a short chunk) sort.
+_DENSE_SPAN_PER_SYMBOL = 4
 
-def _code_lengths(frequencies: dict[int, int]) -> dict[int, int]:
-    """Huffman code lengths per symbol, length-limited to 16 bits."""
-    if len(frequencies) == 1:
-        return {next(iter(frequencies)): 1}
-    heap: list[tuple[int, int, list[int]]] = []
-    for tiebreak, (symbol, freq) in enumerate(sorted(frequencies.items())):
-        heapq.heappush(heap, (freq, tiebreak, [symbol]))
-    lengths = {symbol: 0 for symbol in frequencies}
-    counter = len(frequencies)
-    while len(heap) > 1:
-        f1, __, group1 = heapq.heappop(heap)
-        f2, __, group2 = heapq.heappop(heap)
-        for symbol in group1 + group2:
-            lengths[symbol] += 1
-        counter += 1
-        heapq.heappush(heap, (f1 + f2, counter, group1 + group2))
-    # Length-limit: clamp overlong codes, then restore the Kraft sum by
-    # deepening the shallowest cheap symbols (zlib-style fix-up).
-    capped = {s: min(l, _MAX_CODE_LENGTH) for s, l in lengths.items()}
-    kraft = sum(2 ** (_MAX_CODE_LENGTH - l) for l in capped.values())
-    budget = 2**_MAX_CODE_LENGTH
-    if kraft > budget:
-        # Deepen symbols ordered by ascending frequency so common symbols
-        # keep short codes.
-        order = sorted(capped, key=lambda s: (frequencies[s], s))
-        index = 0
-        while kraft > budget:
-            symbol = order[index % len(order)]
-            index += 1
-            if capped[symbol] < _MAX_CODE_LENGTH:
-                kraft -= 2 ** (_MAX_CODE_LENGTH - capped[symbol] - 1)
-                capped[symbol] += 1
-    return capped
+#: one header table entry, ``struct.pack("<iB", symbol, length)``
+_ENTRY = np.dtype([("symbol", "<i4"), ("length", "u1")])
+
+
+def check_max_alphabet(max_alphabet: int) -> int:
+    """Validate an alphabet cap: the header counts its entries in 16 bits
+    and more than 65536 codes cannot all fit the 16-bit length limit."""
+    if not 1 <= max_alphabet <= 65535:
+        raise CompressionError(
+            f"max_alphabet must lie in [1, 65535], got {max_alphabet!r}"
+        )
+    return int(max_alphabet)
+
+
+def _code_lengths(frequencies: np.ndarray) -> np.ndarray:
+    """Length-limited Huffman code lengths for ascending ``frequencies``.
+
+    The alphabet must arrive sorted by ``(frequency, symbol)``.  The tree
+    is built with the two-queue merge: leaves are consumed in that order,
+    merged nodes queue FIFO (their weights are non-decreasing), and a leaf
+    wins a weight tie against a merged node - the tree a heap keyed by
+    ``(frequency, symbol rank, then creation counter)`` builds.
+    """
+    m = frequencies.size
+    if m == 1:
+        return np.ones(1, dtype=np.int64)
+    weight = frequencies.tolist() + [0] * (m - 1)
+    parent = [0] * (2 * m - 1)
+    leaf, merged = 0, m
+    for node in range(m, 2 * m - 1):
+        total = 0
+        for __ in range(2):
+            if leaf < m and (merged == node or weight[leaf] <= weight[merged]):
+                child, leaf = leaf, leaf + 1
+            else:
+                child, merged = merged, merged + 1
+            parent[child] = node
+            total += weight[child]
+        weight[node] = total
+    depth = [0] * (2 * m - 1)
+    for node in range(2 * m - 3, -1, -1):
+        depth[node] = depth[parent[node]] + 1
+    lengths = np.minimum(np.array(depth[:m], dtype=np.int64), _MAX_CODE_LENGTH)
+
+    # Clamping overlong codes overfills the Kraft sum; restore it by
+    # deepening codes in ascending-frequency order, one bit per visit,
+    # sweep after sweep, stopping at the first code that fits (zlib-style).
+    budget = 1 << _MAX_CODE_LENGTH
+    kraft = int(np.left_shift(1, _MAX_CODE_LENGTH - lengths).sum())
+    while kraft > budget:
+        # Kraft mass freed by one more bit: half the code's own, none at 16.
+        gain = np.left_shift(1, _MAX_CODE_LENGTH - lengths) >> 1
+        after = kraft - np.cumsum(gain)
+        stop = int(np.argmax(after <= budget)) if after[-1] <= budget else m - 1
+        lengths[: stop + 1] += gain[: stop + 1] > 0
+        kraft = int(after[stop])
+    return lengths
+
+
+def huffman_encode(symbols: np.ndarray, max_alphabet: int = 4096) -> bytes:
+    """Encode an integer array into a self-contained blob.
+
+    Symbols outside the ``max_alphabet`` most frequent values are escaped
+    (raw 32-bit two's complement after an escape code).
+    """
+    max_alphabet = check_max_alphabet(max_alphabet)
+    symbols = np.asarray(symbols, dtype=np.int64).ravel()
+    n = symbols.size
+    if n == 0:
+        return _MAGIC + struct.pack("<IH", 0, 0)
+    low, high = int(symbols.min()), int(symbols.max())
+    if low <= -(2**31) or high >= 2**31:
+        raise CompressionError("huffman symbols must fit in int32")
+
+    # Histogram.  ``slot`` sends every symbol to its row of the per-value
+    # code table: its offset from the minimum while the span is dense
+    # enough to tabulate, its rank among the distinct values otherwise.
+    n_slots = high - low + 1
+    if n_slots <= _DENSE_SPAN_PER_SYMBOL * n:
+        slot = symbols - low
+        histogram = np.bincount(slot, minlength=n_slots)
+        unique_slot = np.flatnonzero(histogram)
+        unique, counts = unique_slot + low, histogram[unique_slot]
+    else:
+        unique, slot, counts = np.unique(symbols, return_inverse=True, return_counts=True)
+        n_slots = unique.size
+        unique_slot = np.arange(n_slots)
+
+    # Alphabet: the most frequent values, plus the escape when any value
+    # was dropped (its symbol id sorts below every int32 value).
+    keep = np.argsort(counts)[::-1][: max_alphabet - 1]
+    alphabet, frequencies, kept_slot = unique[keep], counts[keep], unique_slot[keep]
+    n_escaped = n - int(frequencies.sum())
+    if n_escaped > 0:
+        alphabet = np.concatenate(([_ESCAPE], alphabet))
+        frequencies = np.concatenate(([n_escaped], frequencies))
+
+    by_frequency = np.lexsort((alphabet, frequencies))
+    lengths = np.empty(alphabet.size, dtype=np.int64)
+    lengths[by_frequency] = _code_lengths(frequencies[by_frequency])
+
+    # Canonical codes in (length, symbol) order: left-aligned to 16 bits,
+    # a code is the Kraft mass of every code before it.
+    canonical = np.lexsort((alphabet, lengths))
+    table = np.empty(alphabet.size, dtype=_ENTRY)
+    table["symbol"], table["length"] = alphabet[canonical], lengths[canonical]
+    mass = np.left_shift(1, _MAX_CODE_LENGTH - lengths[canonical])
+    codes = np.empty(alphabet.size, dtype=np.uint64)
+    codes[canonical] = (np.cumsum(mass) - mass) >> (_MAX_CODE_LENGTH - lengths[canonical])
+
+    # Per-slot (code, length).  Entry 0 is the escape whenever a value was
+    # dropped, so it is the fill; with nothing dropped every slot that
+    # occurs is overwritten.
+    first_kept = alphabet.size - keep.size
+    slot_code = np.full(n_slots, codes[0])
+    slot_length = np.full(n_slots, lengths[0])
+    slot_code[kept_slot], slot_length[kept_slot] = codes[first_kept:], lengths[first_kept:]
+    values, value_lengths = slot_code[slot], slot_length[slot]
+    if n_escaped > 0:
+        # The raw 32-bit value follows each escape code.
+        slot_dropped = np.ones(n_slots, dtype=bool)
+        slot_dropped[kept_slot] = False
+        escaped = np.flatnonzero(slot_dropped[slot])
+        raw = (symbols[escaped] & 0xFFFFFFFF).astype(np.uint64)
+        values = np.insert(values, escaped + 1, raw)
+        value_lengths = np.insert(value_lengths, escaped + 1, 32)
+
+    payload, total_bits = pack_codes(values, value_lengths)
+    return b"".join(
+        (
+            _MAGIC,
+            struct.pack("<IH", n, alphabet.size),
+            table.tobytes(),
+            struct.pack("<Q", total_bits),
+            payload,
+        )
+    )
 
 
 def _canonical_codes(lengths: dict[int, int]) -> dict[int, tuple[int, int]]:
@@ -94,66 +208,6 @@ def _canonical_codes(lengths: dict[int, int]) -> dict[int, tuple[int, int]]:
         code += 1
         previous_length = length
     return table
-
-
-def huffman_encode(symbols: np.ndarray, max_alphabet: int = 4096) -> bytes:
-    """Encode an integer array into a self-contained blob.
-
-    Symbols outside the ``max_alphabet`` most frequent values are escaped
-    (raw 32-bit two's complement after an escape code).
-    """
-    symbols = np.asarray(symbols, dtype=np.int64).ravel()
-    n = symbols.size
-    if n == 0:
-        return _MAGIC + struct.pack("<IH", 0, 0)
-    unique, inverse, counts = np.unique(symbols, return_inverse=True, return_counts=True)
-    if np.any(np.abs(unique) >= 2**31):
-        raise CompressionError("huffman symbols must fit in int32")
-    keep = np.argsort(counts)[::-1][: max_alphabet - 1]
-    kept_unique = np.zeros(unique.size, dtype=bool)
-    kept_unique[keep] = True
-    frequencies: dict[int, int] = {
-        int(unique[i]): int(counts[i]) for i in keep
-    }
-    n_escaped = n - sum(frequencies.values())
-    if n_escaped > 0:
-        frequencies[_ESCAPE] = n_escaped
-    lengths = _code_lengths(frequencies)
-    codes = _canonical_codes(lengths)
-
-    # Vectorized mapping: per-unique code/length, ESCAPE where dropped.
-    escape_code, escape_length = codes.get(_ESCAPE, (0, 0))
-    unique_code = np.empty(unique.size, dtype=np.uint64)
-    unique_length = np.empty(unique.size, dtype=np.int64)
-    for i, symbol in enumerate(unique):
-        entry = codes.get(int(symbol))
-        if entry is None:
-            unique_code[i], unique_length[i] = escape_code, escape_length
-        else:
-            unique_code[i], unique_length[i] = entry
-    values = unique_code[inverse]
-    value_lengths = unique_length[inverse]
-
-    if n_escaped > 0:
-        # Append the raw 32-bit value after each escape code.
-        escaped_mask = ~kept_unique[inverse]
-        raw = (symbols[escaped_mask].astype(np.int64) & 0xFFFFFFFF).astype(np.uint64)
-        merged_values = np.empty(n + int(escaped_mask.sum()), dtype=np.uint64)
-        merged_lengths = np.empty_like(merged_values, dtype=np.int64)
-        positions = np.arange(n) + np.cumsum(escaped_mask) - escaped_mask
-        merged_values[positions] = values
-        merged_lengths[positions] = value_lengths
-        raw_positions = positions[escaped_mask] + 1
-        merged_values[raw_positions] = raw
-        merged_lengths[raw_positions] = 32
-        values, value_lengths = merged_values, merged_lengths
-
-    payload, total_bits = pack_codes(values, value_lengths)
-    header = [_MAGIC, struct.pack("<IH", n, len(lengths))]
-    for symbol, length in sorted(lengths.items(), key=lambda item: (item[1], item[0])):
-        header.append(struct.pack("<iB", symbol, length))
-    header.append(struct.pack("<Q", total_bits))
-    return b"".join(header) + payload
 
 
 def _build_decode_tables(

@@ -29,7 +29,7 @@ from .base import (
     absolute_tolerance,
     guarded_pointwise_bound,
 )
-from .huffman import huffman_decode, huffman_encode
+from .huffman import check_max_alphabet, huffman_decode, huffman_encode
 from .metrics import achieved_error
 
 __all__ = ["MGARDCompressor"]
@@ -122,7 +122,7 @@ class MGARDCompressor(Compressor):
             raise CompressionError("n_levels must be >= 1")
         self.n_levels = int(n_levels)
         self.s_weight = float(s_weight)
-        self.max_alphabet = int(max_alphabet)
+        self.max_alphabet = check_max_alphabet(max_alphabet)
 
     # -- transform ---------------------------------------------------------
     def _forward(self, data: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int, int]]]:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..exceptions import CompressionError
-from .sz import SZCompressor, _predict, _refinement_plan
+from .sz import SZCompressor, _refinement_plan
 
 __all__ = ["RatioEstimator"]
 
@@ -42,22 +42,8 @@ def _exact_residuals(data: np.ndarray, codec: SZCompressor) -> tuple[np.ndarray,
     n_anchors = int(recon[anchor_sel].size)
     residual_parts: list[np.ndarray] = []
     for axis, stride in _refinement_plan(shape, codec.anchor_stride):
-        if codec.interpolation == "dynamic":
-            target, linear_pred = _predict(recon, axis, stride, cubic=False)
-            __, cubic_pred = _predict(recon, axis, stride, cubic=True)
-            truth = data[target]
-            if float(np.abs(truth - cubic_pred).sum()) < float(
-                np.abs(truth - linear_pred).sum()
-            ):
-                prediction = cubic_pred
-            else:
-                prediction = linear_pred
-        else:
-            target, prediction = _predict(
-                recon, axis, stride, cubic=codec.interpolation == "cubic"
-            )
-            truth = data[target]
-        residual_parts.append((truth - prediction).ravel())
+        target, prediction, __ = codec._choose_prediction(recon, data, axis, stride)
+        residual_parts.append((data[target] - prediction).ravel())
     residuals = (
         np.concatenate(residual_parts) if residual_parts else np.empty(0)
     )

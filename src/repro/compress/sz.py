@@ -26,7 +26,7 @@ from .base import (
     absolute_tolerance,
     guarded_pointwise_bound,
 )
-from .huffman import huffman_decode, huffman_encode
+from .huffman import check_max_alphabet, huffman_decode, huffman_encode
 
 __all__ = ["SZCompressor"]
 
@@ -104,15 +104,17 @@ def _axis_shape(ndim: int, axis: int, n: int) -> tuple[int, ...]:
     return tuple(shape)
 
 
-def _predict(
-    recon: np.ndarray, axis: int, stride: int, cubic: bool = False
-) -> tuple[tuple[slice, ...], np.ndarray]:
-    """Spline prediction for one refinement step.
+def _predict_both(
+    recon: np.ndarray, axis: int, stride: int, want_cubic: bool
+) -> tuple[tuple[slice, ...], np.ndarray, np.ndarray | None]:
+    """Linear and cubic spline predictions for one refinement step.
 
     Linear: midpoint average of the two reconstructed neighbours.
     Cubic (SZ3's dynamic-spline option, ref. [6]): the 4-point
     interpolating cubic ``(-f[-3s] + 9 f[-s] + 9 f[+s] - f[+3s]) / 16``,
-    falling back to linear (then to the left value) near boundaries.
+    falling back to linear (then to the left value) near boundaries;
+    ``None`` when not wanted or when no target has all four neighbours
+    (it would equal the linear prediction).
     """
     target, __, __ = _target_slices(recon.shape, axis, stride)
     size = recon.shape[axis]
@@ -125,21 +127,23 @@ def _predict(
     right = np.take(view, right_positions, axis=axis)
     mask_shape = _axis_shape(view.ndim, axis, positions.size)
     right_mask = has_right.reshape(mask_shape)
-    prediction = np.where(right_mask, 0.5 * (left + right), left)
+    linear = np.where(right_mask, 0.5 * (left + right), left)
 
-    if cubic:
-        cubic_ok = (positions - 3 * stride >= 0) & (positions + 3 * stride < size)
-        if np.any(cubic_ok):
-            far_left = np.take(
-                view, np.maximum(positions - 3 * stride, 0), axis=axis
-            )
-            far_right = np.take(
-                view, np.minimum(positions + 3 * stride, size - 1), axis=axis
-            )
-            cubic_pred = (-far_left + 9.0 * left + 9.0 * right - far_right) / 16.0
-            cubic_mask = cubic_ok.reshape(mask_shape)
-            prediction = np.where(cubic_mask, cubic_pred, prediction)
-    return target, prediction
+    cubic_ok = (positions - 3 * stride >= 0) & (positions + 3 * stride < size)
+    if not want_cubic or not np.any(cubic_ok):
+        return target, linear, None
+    far_left = np.take(view, np.maximum(positions - 3 * stride, 0), axis=axis)
+    far_right = np.take(view, np.minimum(positions + 3 * stride, size - 1), axis=axis)
+    cubic = (-far_left + 9.0 * left + 9.0 * right - far_right) / 16.0
+    return target, linear, np.where(cubic_ok.reshape(mask_shape), cubic, linear)
+
+
+def _predict(
+    recon: np.ndarray, axis: int, stride: int, cubic: bool = False
+) -> tuple[tuple[slice, ...], np.ndarray]:
+    """The linear or the cubic prediction of :func:`_predict_both`."""
+    target, linear, cubic_pred = _predict_both(recon, axis, stride, cubic)
+    return target, linear if cubic_pred is None else cubic_pred
 
 
 class SZCompressor(Compressor):
@@ -172,21 +176,20 @@ class SZCompressor(Compressor):
                 f"interpolation must be linear/cubic/dynamic, got {interpolation!r}"
             )
         self.anchor_stride = int(anchor_stride)
-        self.max_alphabet = int(max_alphabet)
+        self.max_alphabet = check_max_alphabet(max_alphabet)
         self.interpolation = interpolation
 
     def _choose_prediction(
         self, recon: np.ndarray, data: np.ndarray, axis: int, stride: int
     ) -> tuple[tuple[slice, ...], np.ndarray, bool]:
         """Pick the spline per step (SZ3's dynamic selection)."""
-        if self.interpolation == "linear":
-            target, prediction = _predict(recon, axis, stride, cubic=False)
-            return target, prediction, False
-        if self.interpolation == "cubic":
-            target, prediction = _predict(recon, axis, stride, cubic=True)
-            return target, prediction, True
-        target, linear_pred = _predict(recon, axis, stride, cubic=False)
-        __, cubic_pred = _predict(recon, axis, stride, cubic=True)
+        if self.interpolation != "dynamic":
+            cubic = self.interpolation == "cubic"
+            target, prediction = _predict(recon, axis, stride, cubic=cubic)
+            return target, prediction, cubic
+        target, linear_pred, cubic_pred = _predict_both(recon, axis, stride, True)
+        if cubic_pred is None:
+            return target, linear_pred, False
         truth = data[target]
         linear_cost = float(np.abs(truth - linear_pred).sum())
         cubic_cost = float(np.abs(truth - cubic_pred).sum())

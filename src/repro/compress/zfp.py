@@ -30,7 +30,7 @@ from .base import (
     absolute_tolerance,
     guarded_pointwise_bound,
 )
-from .huffman import huffman_decode, huffman_encode
+from .huffman import check_max_alphabet, huffman_decode, huffman_encode
 
 __all__ = ["ZFPCompressor"]
 
@@ -115,7 +115,7 @@ class ZFPCompressor(Compressor):
     supported_modes = frozenset({ErrorBoundMode.ABS, ErrorBoundMode.REL})
 
     def __init__(self, max_alphabet: int = 4096) -> None:
-        self.max_alphabet = int(max_alphabet)
+        self.max_alphabet = check_max_alphabet(max_alphabet)
 
     def compress_fixed_rate(
         self, data: np.ndarray, bits_per_value: float, tolerance_hint: float = 1e-1

@@ -1,0 +1,219 @@
+"""The scalar entropy coder the vectorized one must reproduce byte for byte.
+
+These are the encoder of ``repro.compress.huffman`` / ``bitstream`` as it
+was before it was rewritten as array code: a ``(freq, tiebreak)`` heap
+over symbol groups, dict-based canonical codes, per-symbol header packing
+and a per-bit ``pack_codes``.  They are kept verbatim (only the names
+gained a ``_reference`` suffix) because the blobs they write *are* the
+format: property tests assert the shipped encoder emits identical bytes.
+``BitReader`` is the cursor-based reader the tests use to pull codes back
+out of a packed stream; nothing in ``src/`` reads bit by bit any more.
+"""
+
+from __future__ import annotations
+
+import heapq
+import struct
+
+import numpy as np
+
+from repro.exceptions import CompressionError
+
+_MAX_CODE_LENGTH = 16
+_MAGIC = b"HUF1"
+_ESCAPE = -(2**31)
+
+#: descending powers of two: _POW2[64 - k:] is [2^(k-1), ..., 2, 1], so a
+#: dot product against it assembles a k-bit big-endian integer.
+_POW2 = np.left_shift(np.uint64(1), np.arange(63, -1, -1, dtype=np.uint64))
+
+
+def pack_codes_reference(values: np.ndarray, lengths: np.ndarray) -> tuple[bytes, int]:
+    """Per-bit ``pack_codes``: one scatter pass per bit position."""
+    values = np.asarray(values, dtype=np.uint64)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if values.shape != lengths.shape:
+        raise CompressionError("values and lengths must have the same shape")
+    if values.size == 0:
+        return b"", 0
+    if lengths.min() < 1 or lengths.max() > 32:
+        raise CompressionError("code lengths must lie in [1, 32]")
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    total_bits = int(ends[-1])
+    bits = np.zeros(total_bits, dtype=np.uint8)
+    max_len = int(lengths.max())
+    for j in range(max_len):
+        active = lengths > j
+        shift = (lengths[active] - 1 - j).astype(np.uint64)
+        bits[starts[active] + j] = (values[active] >> shift) & np.uint64(1)
+    return np.packbits(bits).tobytes(), total_bits
+
+
+def code_lengths_reference(frequencies: dict[int, int]) -> dict[int, int]:
+    """Huffman code lengths per symbol, length-limited to 16 bits."""
+    if len(frequencies) == 1:
+        return {next(iter(frequencies)): 1}
+    heap: list[tuple[int, int, list[int]]] = []
+    for tiebreak, (symbol, freq) in enumerate(sorted(frequencies.items())):
+        heapq.heappush(heap, (freq, tiebreak, [symbol]))
+    lengths = {symbol: 0 for symbol in frequencies}
+    counter = len(frequencies)
+    while len(heap) > 1:
+        f1, __, group1 = heapq.heappop(heap)
+        f2, __, group2 = heapq.heappop(heap)
+        for symbol in group1 + group2:
+            lengths[symbol] += 1
+        counter += 1
+        heapq.heappush(heap, (f1 + f2, counter, group1 + group2))
+    # Length-limit: clamp overlong codes, then restore the Kraft sum by
+    # deepening the shallowest cheap symbols (zlib-style fix-up).
+    capped = {s: min(l, _MAX_CODE_LENGTH) for s, l in lengths.items()}
+    kraft = sum(2 ** (_MAX_CODE_LENGTH - l) for l in capped.values())
+    budget = 2**_MAX_CODE_LENGTH
+    if kraft > budget:
+        order = sorted(capped, key=lambda s: (frequencies[s], s))
+        index = 0
+        while kraft > budget:
+            symbol = order[index % len(order)]
+            index += 1
+            if capped[symbol] < _MAX_CODE_LENGTH:
+                kraft -= 2 ** (_MAX_CODE_LENGTH - capped[symbol] - 1)
+                capped[symbol] += 1
+    return capped
+
+
+def canonical_codes_reference(lengths: dict[int, int]) -> dict[int, tuple[int, int]]:
+    """Assign canonical (code, length) pairs sorted by (length, symbol)."""
+    code = 0
+    previous_length = 0
+    table: dict[int, tuple[int, int]] = {}
+    for symbol, length in sorted(lengths.items(), key=lambda item: (item[1], item[0])):
+        code <<= length - previous_length
+        table[symbol] = (code, length)
+        code += 1
+        previous_length = length
+    return table
+
+
+def huffman_encode_reference(symbols: np.ndarray, max_alphabet: int = 4096) -> bytes:
+    """Dict-and-loop ``huffman_encode`` (no ``max_alphabet`` validation:
+    it hangs above 65536 symbols, which is why the shipped one checks)."""
+    symbols = np.asarray(symbols, dtype=np.int64).ravel()
+    n = symbols.size
+    if n == 0:
+        return _MAGIC + struct.pack("<IH", 0, 0)
+    unique, inverse, counts = np.unique(symbols, return_inverse=True, return_counts=True)
+    if np.any(np.abs(unique) >= 2**31):
+        raise CompressionError("huffman symbols must fit in int32")
+    keep = np.argsort(counts)[::-1][: max_alphabet - 1]
+    kept_unique = np.zeros(unique.size, dtype=bool)
+    kept_unique[keep] = True
+    frequencies: dict[int, int] = {int(unique[i]): int(counts[i]) for i in keep}
+    n_escaped = n - sum(frequencies.values())
+    if n_escaped > 0:
+        frequencies[_ESCAPE] = n_escaped
+    lengths = code_lengths_reference(frequencies)
+    codes = canonical_codes_reference(lengths)
+
+    escape_code, escape_length = codes.get(_ESCAPE, (0, 0))
+    unique_code = np.empty(unique.size, dtype=np.uint64)
+    unique_length = np.empty(unique.size, dtype=np.int64)
+    for i, symbol in enumerate(unique):
+        entry = codes.get(int(symbol))
+        if entry is None:
+            unique_code[i], unique_length[i] = escape_code, escape_length
+        else:
+            unique_code[i], unique_length[i] = entry
+    values = unique_code[inverse]
+    value_lengths = unique_length[inverse]
+
+    if n_escaped > 0:
+        escaped_mask = ~kept_unique[inverse]
+        raw = (symbols[escaped_mask].astype(np.int64) & 0xFFFFFFFF).astype(np.uint64)
+        merged_values = np.empty(n + int(escaped_mask.sum()), dtype=np.uint64)
+        merged_lengths = np.empty_like(merged_values, dtype=np.int64)
+        positions = np.arange(n) + np.cumsum(escaped_mask) - escaped_mask
+        merged_values[positions] = values
+        merged_lengths[positions] = value_lengths
+        raw_positions = positions[escaped_mask] + 1
+        merged_values[raw_positions] = raw
+        merged_lengths[raw_positions] = 32
+        values, value_lengths = merged_values, merged_lengths
+
+    payload, total_bits = pack_codes_reference(values, value_lengths)
+    header = [_MAGIC, struct.pack("<IH", n, len(lengths))]
+    for symbol, length in sorted(lengths.items(), key=lambda item: (item[1], item[0])):
+        header.append(struct.pack("<iB", symbol, length))
+    header.append(struct.pack("<Q", total_bits))
+    return b"".join(header) + payload
+
+
+class BitReader:
+    """Sequential MSB-first bit reader over packed bytes."""
+
+    def __init__(self, payload: bytes, total_bits: int) -> None:
+        self._bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8))
+        if total_bits > self._bits.size:
+            raise CompressionError(
+                f"bitstream declares {total_bits} bits but payload has {self._bits.size}"
+            )
+        self.total_bits = total_bits
+        self.position = 0
+
+    def read(self, n_bits: int) -> int:
+        """Read ``n_bits`` as an unsigned big-endian integer."""
+        end = self.position + n_bits
+        if end > self.total_bits:
+            raise CompressionError("bitstream exhausted")
+        chunk = self._bits[self.position : end]
+        self.position = end
+        if n_bits == 0:
+            return 0
+        if n_bits > 64:
+            # Beyond uint64 the dot product would overflow; assemble with
+            # the scalar loop (no caller reads codes this wide).
+            value = 0
+            for bit in chunk:
+                value = (value << 1) | int(bit)
+            return value
+        return int(chunk.astype(np.uint64) @ _POW2[64 - n_bits :])
+
+    def peek16(self) -> int:
+        """Peek up to 16 bits (zero padded past the end) without advancing."""
+        end = min(self.position + 16, self._bits.size)
+        chunk = self._bits[self.position : end]
+        if chunk.size == 0:
+            return 0
+        value = int(chunk.astype(np.uint64) @ _POW2[64 - chunk.size :])
+        return value << (16 - chunk.size)
+
+    def _read_reference(self, n_bits: int) -> int:
+        """Scalar ``read`` kept as ground truth for property tests."""
+        end = self.position + n_bits
+        if end > self.total_bits:
+            raise CompressionError("bitstream exhausted")
+        chunk = self._bits[self.position : end]
+        self.position = end
+        value = 0
+        for bit in chunk:
+            value = (value << 1) | int(bit)
+        return value
+
+    def _peek16_reference(self) -> int:
+        """Scalar ``peek16`` kept as ground truth for property tests."""
+        end = min(self.position + 16, self._bits.size)
+        chunk = self._bits[self.position : end]
+        value = 0
+        for bit in chunk:
+            value = (value << 1) | int(bit)
+        return value << (16 - len(chunk))
+
+    def skip(self, n_bits: int) -> None:
+        self.position += n_bits
+        if self.position > self.total_bits:
+            raise CompressionError("bitstream exhausted")
+
+    @property
+    def remaining(self) -> int:
+        return self.total_bits - self.position

@@ -1,5 +1,7 @@
 """Tests shared across the SZ/ZFP/MGARD codecs: the error-bound contract."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -172,3 +174,50 @@ def test_compression_ratio_metric(smooth_field_2d):
     assert compression_ratio(smooth_field_2d, blob) == pytest.approx(
         blob.compression_ratio, rel=1e-6
     )
+
+
+# -- stored bytes are pinned ----------------------------------------------------
+
+
+def _integer_walk(seed, shape):
+    """A seeded integer random walk scaled by a power of two: the field is
+    exact in float32 and has far fewer distinct codes than the alphabet
+    cap, so the bytes do not depend on the host's libm or sort kernel."""
+    steps = np.random.default_rng(seed).integers(-3, 4, size=shape)
+    for axis in range(len(shape)):
+        steps = np.cumsum(steps, axis=axis)
+    return (steps / 64.0).astype(np.float32)
+
+
+_PINNED_PAYLOADS = {
+    # (seed, shape, tolerance): {codec: (payload bytes, blake2b-128 of the payload)}
+    (0, (96, 96), 1 / 32): {
+        "sz": (4247, "fb41c01c8fd156da45f961827e030781"),
+        "zfp": (8538, "626649b9e84569a77fc6bcde1c981bde"),
+        "mgard": (8842, "a62ba3eb9b5aeb21642c34a4ff833e3f"),
+    },
+    (1, (5, 40, 40), 1 / 8): {
+        "sz": (2206, "f01599afb9dac1e0fc2e65f92572f6b8"),
+        "zfp": (7009, "56d3168f4ef6ba4ce78b495fc953ff80"),
+        "mgard": (7035, "ec1b6c2aa8955379323fa26bd749adab"),
+    },
+    (2, (4096,), 1 / 256): {
+        "sz": (2970, "7c9ec3c4f11bf7823b0b90e04f5d0688"),
+        "zfp": (5273, "4037b19818621a59927fee651c2de612"),
+        "mgard": (4552, "2769beb3064cbc5dcb27ebc9c65ed8df"),
+    },
+}
+
+
+@pytest.mark.parametrize("codec", _codec_instances(), ids=lambda c: c.name)
+@pytest.mark.parametrize("case", list(_PINNED_PAYLOADS), ids=lambda c: f"seed{c[0]}")
+def test_payload_bytes_are_pinned(codec, case):
+    # Recorded with the scalar encoder that preceded the vectorized one: a
+    # change to the entropy stage that moves a stored byte fails here, not
+    # only in the end-to-end benchmark.
+    seed, shape, tolerance = case
+    field = _integer_walk(seed, shape)
+    blob = codec.compress(field, tolerance, ErrorBoundMode.ABS)
+    digest = hashlib.blake2b(blob.payload, digest_size=16).hexdigest()
+    assert (len(blob.payload), digest) == _PINNED_PAYLOADS[case][codec.name]
+    assert achieved_error(field, codec.decompress(blob), ErrorBoundMode.ABS) <= tolerance

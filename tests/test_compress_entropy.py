@@ -1,13 +1,22 @@
 """Tests for the bitstream and Huffman entropy-coding stages."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compress.bitstream import BitReader, pack_codes
+from repro.compress.bitstream import pack_codes
+from repro.compress import MGARDCompressor, SZCompressor, ZFPCompressor
 from repro.compress.huffman import _decode_reference, huffman_decode, huffman_encode
 from repro.exceptions import CompressionError
+
+from .oracles.entropy_reference import (
+    BitReader,
+    huffman_encode_reference,
+    pack_codes_reference,
+)
 
 
 # -- bitstream ------------------------------------------------------------------
@@ -40,6 +49,55 @@ def test_pack_codes_rejects_bad_lengths():
         pack_codes(np.zeros(1, dtype=np.uint64), np.array([0]))
     with pytest.raises(CompressionError):
         pack_codes(np.zeros(1, dtype=np.uint64), np.array([40]))
+
+
+def test_pack_codes_drops_stray_high_bits():
+    # Only the low ``length`` bits of a value belong to its code; anything
+    # above must not bleed into the neighbouring code.
+    assert pack_codes([0b111, 0], [1, 3]) == (b"\x80", 4)
+    values = np.array([2**40 + 0b01, 2**63 + 0b110, 0xFFFFFFFFFF], dtype=np.uint64)
+    lengths = np.array([2, 3, 32])
+    assert pack_codes(values, lengths) == pack_codes_reference(values, lengths)
+    assert pack_codes(values, lengths) == pack_codes(values & ((1 << lengths) - 1).astype(np.uint64), lengths)
+
+
+@pytest.mark.parametrize("lead", [33, 40, 63])
+def test_pack_codes_straddles_word_boundary(lead):
+    # ``lead`` one-bits, then a 32-bit code crossing bit 64, then a tail.
+    lengths = np.array([lead - 32, 32, 32, 7])
+    values = np.array([2**63 - 1, 2**63 - 1, 0xDEADBEEF, 0b1010101], dtype=np.uint64)
+    payload, total_bits = pack_codes(values, lengths)
+    assert (payload, total_bits) == pack_codes_reference(values, lengths)
+    reader = BitReader(payload, total_bits)
+    assert reader.read(lead) == 2**lead - 1
+    assert reader.read(32) == 0xDEADBEEF
+    assert reader.read(7) == 0b1010101
+
+
+@pytest.mark.parametrize("n_words", [1, 2, 3])
+@pytest.mark.parametrize("extra_bits", [-1, 0, 1])
+def test_pack_codes_stream_ends_at_word_boundary(n_words, extra_bits):
+    # One bit short of, exactly on, and one bit past a 64-bit boundary
+    # (the last leaves a final word holding nothing but a crossing tail).
+    lengths = np.full(2 * n_words + 1, 32)
+    lengths[0], lengths[-1] = 16, 16 + extra_bits
+    values = np.arange(1, lengths.size + 1, dtype=np.uint64) * np.uint64(0x0101)
+    payload, total_bits = pack_codes(values, lengths)
+    assert total_bits == 64 * n_words + extra_bits
+    assert len(payload) == 8 * n_words + (extra_bits > 0)
+    assert (payload, total_bits) == pack_codes_reference(values, lengths)
+    reader = BitReader(payload, total_bits)
+    reader.skip(total_bits - int(lengths[-1]))
+    assert reader.read(int(lengths[-1])) == int(values[-1])
+
+
+@given(seed=st.integers(0, 2**31 - 1), n_codes=st.integers(1, 400), max_length=st.integers(1, 32))
+@settings(max_examples=80, deadline=None)
+def test_pack_codes_matches_reference(seed, n_codes, max_length):
+    rng = np.random.default_rng(seed)
+    lengths = rng.integers(1, max_length + 1, n_codes)
+    values = rng.integers(0, 2**63, n_codes).astype(np.uint64)  # stray bits included
+    assert pack_codes(values, lengths) == pack_codes_reference(values, lengths)
 
 
 def test_bitreader_exhaustion():
@@ -114,6 +172,106 @@ def test_huffman_many_distinct_lengths():
     # exercise the length-limiting fix-up.
     symbols = np.concatenate([np.full(2**i, i, dtype=np.int64) for i in range(18)])
     assert np.array_equal(huffman_decode(huffman_encode(symbols)), symbols)
+
+
+# -- vectorized encoder vs the scalar oracle: byte-identical blobs ----------------
+
+_INT32_EDGE = 2**31 - 1
+
+
+def _stream(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
+    if kind == "skewed":  # what the predictor stages emit
+        return np.round(rng.standard_normal(n) * rng.choice([0.6, 4.0, 300.0])).astype(np.int64)
+    if kind == "flat":
+        return rng.integers(-int(rng.integers(1, 600)), 600, n)
+    if kind == "escape_heavy":  # a narrow core plus wild values, SZ's outlier code among them
+        symbols = np.round(rng.standard_normal(n) * 2).astype(np.int64)
+        wild = rng.random(n) < 0.15
+        symbols[wild] = rng.choice([2**30, -_INT32_EDGE, _INT32_EDGE, 123456789], int(wild.sum()))
+        return symbols
+    if kind == "int32_edge":
+        return rng.choice([-_INT32_EDGE, _INT32_EDGE, -_INT32_EDGE + 1, 0], n)
+    if kind == "fibonacci":  # code lengths grow linearly: triggers the 16-bit limit
+        counts = [1, 1]
+        while sum(counts) < 40 * n:
+            counts.append(counts[-1] + counts[-2])
+        symbols = np.repeat(np.arange(len(counts)) - 5, counts)
+        return symbols[rng.permutation(symbols.size)]
+    assert kind == "single"
+    return np.full(n, int(rng.integers(-_INT32_EDGE, _INT32_EDGE)))
+
+
+@given(
+    kind=st.sampled_from(
+        ["skewed", "flat", "escape_heavy", "int32_edge", "fibonacci", "single"]
+    ),
+    n=st.integers(0, 1200),
+    max_alphabet=st.sampled_from([1, 2, 3, 16, 4096]),
+    seed=st.integers(0, 2**31 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_encode_is_byte_identical_to_reference(kind, n, max_alphabet, seed):
+    symbols = _stream(kind, n, np.random.default_rng(seed))
+    blob = huffman_encode(symbols, max_alphabet=max_alphabet)
+    assert blob == huffman_encode_reference(symbols, max_alphabet=max_alphabet)
+    assert np.array_equal(huffman_decode(blob), symbols)
+
+
+def test_encode_is_byte_identical_with_length_limit_and_escapes(rng):
+    # 6000 distinct values under a 4096 cap with a heavy tail of count-1
+    # symbols: escapes, the 16-bit limit and its Kraft fix-up all active.
+    symbols = np.concatenate(
+        [np.round(rng.standard_normal(200_000) * 3), rng.permutation(6000) - 3000]
+    ).astype(np.int64)
+    blob = huffman_encode(symbols)
+    assert blob == huffman_encode_reference(symbols)
+    table = np.frombuffer(blob, dtype=np.uint8, count=5 * 4096, offset=10).reshape(-1, 5)
+    assert table[:, 4].max() == 16 and table[:, 4].min() < 4
+
+
+@pytest.mark.parametrize("max_alphabet", [0, -1, 65536, 100_000])
+def test_max_alphabet_out_of_range_is_rejected(max_alphabet):
+    # 100_000 used to spin forever in the Kraft fix-up (70_000 codes cannot
+    # fit 16 bits) and 0 silently sliced ``[:-1]``.
+    with pytest.raises(CompressionError, match="max_alphabet"):
+        huffman_encode(np.arange(70_000), max_alphabet=max_alphabet)
+    for codec in (SZCompressor, ZFPCompressor, MGARDCompressor):
+        with pytest.raises(CompressionError, match="max_alphabet"):
+            codec(max_alphabet=max_alphabet)
+
+
+def test_max_alphabet_bounds_are_accepted():
+    symbols = np.arange(70_000) % 66_000
+    for max_alphabet in (1, 65535):
+        blob = huffman_encode(symbols, max_alphabet=max_alphabet)
+        assert np.array_equal(huffman_decode(blob), symbols)
+
+
+@pytest.mark.parametrize(
+    "span_per_symbol, outlier",
+    [(1, None), (4, None), (5, None), (1, 2**30), (1, -_INT32_EDGE)],
+    ids=["dense", "dense-limit", "sorted-just-past", "sorted-sz-outlier", "sorted-int32-edge"],
+)
+def test_histogram_memory_is_linear_on_both_sides_of_the_span_choice(
+    span_per_symbol, outlier, rng
+):
+    # The dense histogram is chosen from the observed span vs. n; a short
+    # chunk carrying SZ's 2**30 outlier code must not allocate its span.
+    n = 5000
+    symbols = rng.integers(0, n * span_per_symbol, n)
+    symbols[:2] = (0, n * span_per_symbol - 1)
+    if outlier is not None:
+        symbols[n // 2] = outlier
+    expected = huffman_encode_reference(symbols)
+    tracemalloc.start()
+    try:
+        blob = huffman_encode(symbols)
+        __, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert blob == expected
+    assert np.array_equal(huffman_decode(blob), symbols)
+    assert peak < 250 * (n + np.unique(symbols).size)
 
 
 # -- vectorized decoder vs retained scalar reference ----------------------------
