@@ -1,15 +1,17 @@
 #!/usr/bin/env python
 """Micro-benchmarks for the chunked-execution hot paths.
 
-Six paths are timed and written in the unified ``benchutils`` row
+Seven paths are timed and written in the unified ``benchutils`` row
 shape (``{path, config, seconds, reps_s, throughput_mb_s}`` — record
 with ``repro bench record`` to feed the regression history; see
 docs/PERFORMANCE.md for how to read the output):
 
-* ``huffman_decode``      — vectorized table-walk decoder vs the retained
-  scalar ``_decode_reference`` on a peaked 1M-symbol stream;
+* ``huffman_decode``      — lockstep lane decoder vs the scalar oracle in
+  ``tests/oracles`` on a peaked 1M-symbol stream;
+* ``huffman_decode_small`` — the same pair on an 18k-symbol stream, the
+  size of one pool chunk, where per-call and per-step overhead shows;
 * ``huffman_encode``      — word-accumulating array encoder vs the scalar
-  oracle in ``tests/oracles`` on the same stream (identical bytes);
+  oracle on the 1M-symbol stream (identical bytes);
 * ``sz_compress``         — ``SZCompressor.compress`` on a smooth 3-D field
   (predictor + quantizer + the encoder above);
 * ``bound_eval``          — a planner-style format x fraction sweep with
@@ -39,9 +41,8 @@ import numpy as np
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir))
 
 from benchutils import best_of, finalize_rows, make_row, write_rows
-from tests.oracles.entropy_reference import huffman_encode_reference
-from repro.compress import ErrorBoundMode
-from repro.compress.huffman import _decode_reference, huffman_decode, huffman_encode
+from tests.oracles.entropy_reference import huffman_decode_reference, huffman_encode_reference
+from repro.compress import ErrorBoundMode, huffman_decode, huffman_encode
 from repro.compress.sz import SZCompressor
 from repro.core.errorflow import ErrorFlowAnalyzer
 from repro.core.pipeline import InferencePipeline
@@ -49,49 +50,52 @@ from repro.core.planner import TolerancePlanner
 from repro.nn.activations import Tanh
 from repro.nn.linear import Linear, SpectralLinear
 from repro.nn.sequential import Sequential
-from repro.perf.cache import clear_all_caches, get_memo
+from repro.perf.cache import clear_all_caches
 from repro.quant.formats import STANDARD_FORMATS
 
 
-def bench_huffman(n_symbols: int, reps: int) -> list[dict]:
-    """Decode and encode rows, scalar reference vs vectorized, one stream."""
+def bench_huffman(n_symbols: int, n_small: int, reps: int) -> list[dict]:
+    """Decode and encode rows, scalar oracle vs vectorized."""
     rng = np.random.default_rng(0)
     # Peaked residual-like distribution: what the predictor stages emit.
     symbols = np.round(rng.normal(0.0, 0.7, size=n_symbols)).astype(np.int32)
-    blob = huffman_encode(symbols)
-    raw_mb = symbols.nbytes / 1e6
+    # One pool chunk: few symbols, a few hundred distinct values.
+    small = np.round(rng.normal(0.0, 40.0, size=n_small)).astype(np.int32)
+    blob, small_blob = huffman_encode(symbols), huffman_encode(small)
 
-    assert np.array_equal(huffman_decode(blob), _decode_reference(blob))
     assert blob == huffman_encode_reference(symbols)
+    for stream, encoded in ((symbols, blob), (small, small_blob)):
+        assert np.array_equal(huffman_decode(encoded), stream)
+        assert np.array_equal(huffman_decode_reference(encoded), stream)
 
     rows = []
-    for path, argument, scalar, vectorized in (
-        ("huffman_decode", blob, _decode_reference, huffman_decode),
-        ("huffman_encode", symbols, huffman_encode_reference, huffman_encode),
+    for path, stream, encoded, argument, scalar, vectorized in (
+        ("huffman_decode", symbols, blob, blob, huffman_decode_reference, huffman_decode),
+        ("huffman_decode_small", small, small_blob, small_blob, huffman_decode_reference, huffman_decode),
+        ("huffman_encode", symbols, blob, symbols, huffman_encode_reference, huffman_encode),
     ):
         pair = []
         for impl, fn in (("scalar_reference", scalar), ("vectorized", vectorized)):
-            get_memo("huffman_tables").clear()
             seconds, reps_s = best_of(lambda fn=fn: fn(argument), reps)
             pair.append(
                 make_row(
                     path,
                     {
                         "impl": impl,
-                        "n_symbols": n_symbols,
+                        "n_symbols": stream.size,
                         "reps": reps,
-                        "compressed_bytes": len(blob),
+                        "compressed_bytes": len(encoded),
                     },
                     seconds,
                     reps_s=reps_s,
-                    throughput_mb_s=raw_mb / seconds,
+                    throughput_mb_s=stream.nbytes / 1e6 / seconds,
                 )
             )
         speedup = pair[0]["seconds"] / pair[1]["seconds"]
         for row in pair:
             row["config"]["speedup_vs_scalar"] = speedup
         print(f"{path}: scalar {pair[0]['seconds']*1e3:.1f} ms, "
-              f"vectorized {pair[1]['seconds']*1e3:.1f} ms -> {speedup:.1f}x")
+              f"vectorized {pair[1]['seconds']*1e3:.2f} ms -> {speedup:.1f}x")
         rows += pair
     return rows
 
@@ -382,11 +386,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     reps = 2 if args.quick else 3
-    n_symbols = 1_000_000
+    n_symbols, n_small = 1_000_000, 18_432
     side = 64 if args.quick else 128
 
     rows = []
-    rows += bench_huffman(n_symbols, reps)
+    rows += bench_huffman(n_symbols, n_small, reps)
     rows += bench_sz_compress(2 * side, reps)
     rows += bench_bound_eval(reps)
     rows += bench_pipeline_chunked(side, args.workers, reps)

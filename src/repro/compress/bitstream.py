@@ -5,7 +5,9 @@ every code is shifted to its place in the word it starts in and the codes
 of one word are summed (their bits are disjoint, so add = or).  A code is
 at most 32 bits long, so it crosses at most one word boundary and no
 boundary is crossed twice; the crossing tails are or-ed in by one masked
-pass.  No per-bit array is materialised.
+pass.  Reading goes through an array of 32-bit words, one at every 16-bit
+offset, from which the 16 bits at any bit position are one gather and two
+shifts.  No per-bit array is materialised either way.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import numpy as np
 
 from ..exceptions import CompressionError
 
-__all__ = ["pack_codes"]
+__all__ = ["pack_codes", "peek16", "window_words"]
 
 
 def pack_codes(values: np.ndarray, lengths: np.ndarray) -> tuple[bytes, int]:
@@ -69,3 +71,31 @@ def pack_codes(values: np.ndarray, lengths: np.ndarray) -> tuple[bytes, int]:
     words[: group_starts.size] = np.add.reduceat(lane, group_starts)
     words[word[spill] + 1] |= tails
     return words.astype(">u8").tobytes()[: (total_bits + 7) >> 3], total_bits
+
+
+def window_words(buffer: bytes, offset: int, total_bits: int) -> np.ndarray:
+    """The 32 bits at every 16-bit offset of a packed stream, as uint32.
+
+    ``buffer[offset:]`` must hold ``total_bits`` bits; whatever follows
+    the stream's last byte reads as zero.  Costs two bytes of memory per
+    byte of stream.
+    """
+    n_bytes = (total_bits + 7) >> 3
+    padded = np.zeros((n_bytes + 5) & ~1, dtype=np.uint8)
+    padded[:n_bytes] = np.frombuffer(buffer, dtype=np.uint8, count=n_bytes, offset=offset)
+    halves = padded.view(">u2")
+    words = halves[:-1].astype(np.uint32)
+    words <<= 16
+    words |= halves[1:]
+    return words
+
+
+def peek16(words: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """The 16 bits starting at each bit position, as uint32.
+
+    Positions past the stream clamp to its last word.
+    """
+    window = np.take(words, positions >> 4, mode="clip")
+    window <<= (positions & 15).astype(np.uint32)
+    window >>= 16
+    return window

@@ -1,35 +1,45 @@
-"""Canonical Huffman coding over integer symbols.
+"""Canonical Huffman coding over integer symbols, with a lane index.
 
 This is the entropy stage shared by the SZ-, ZFP- and MGARD-like codecs.
 Design points:
 
-* **canonical codes** — only code lengths are stored; codes are re-derived
-  on decode, keeping headers small;
+* **canonical codes, written canonically** — the header carries how many
+  codes there are of each length and the symbols in ``(length, symbol)``
+  order (int16 when they fit); codes are re-derived on decode;
 * **length-limited to 16 bits** — decoding uses a single 65536-entry
   lookup table, one table hit per symbol;
 * **escape symbol** — alphabets are capped (quantization codes follow a
   sharply peaked distribution); rare symbols are emitted as an escape code
   followed by a raw 32-bit value, so pathological inputs cannot blow up
   the table;
+* **lane index** — the stream records the bit length of every run of
+  ``lane`` symbols, so the decoder knows where each run starts instead of
+  having to discover symbol boundaries bit by bit.  ``lane`` is about
+  ``sqrt(n) / 2``, which keeps the index near ``4 * sqrt(n)`` bytes;
 * **vectorized encode** — a ``bincount`` histogram (a sort when the value
   span dwarfs the stream), code lengths from a two-queue merge over the
   frequency-sorted alphabet, canonical codes by ``lexsort``/``cumsum``
-  and word-accumulated packing (:func:`~repro.compress.bitstream.pack_codes`).
-  The scalar encoder it replaced lives on in
-  ``tests/oracles/entropy_reference.py``; property tests assert the blobs
-  are byte-identical;
-* **vectorized decode** — instead of a per-symbol Python loop, the
-  decoder gathers the 16-bit prefix window of *every* bit offset at once,
-  turns the prefix table into a next-position function, composes it into
-  a 16-symbol jump table by pointer doubling, walks block starts
-  sequentially (``n/16`` cheap iterations) and expands within blocks
-  columnwise.  Escapes resolve in a masked second pass.  The original
-  scalar decoder is retained as :func:`_decode_reference`; property tests
-  assert bit-exact agreement.
+  and word-accumulated packing (:func:`~repro.compress.bitstream.pack_codes`);
+* **lockstep decode** — all lanes are walked together: ``lane`` steps of
+  *16-bit window gather, advance-table lookup, ``pos += advance``* over
+  vectors with one entry per lane, then one symbol-table gather and a
+  masked pass for the escapes.  Work and transient memory are O(symbols),
+  whatever the code lengths.  Every lane must end exactly where the index
+  says the next one starts, so a flipped bit anywhere is an error.
 
-Decode tables (65536-entry symbol/advance arrays) are memoized on the
-lengths header via :mod:`repro.perf.cache`, so chunked streams sharing a
-code table build it once.
+Stream layout (``HUF2``, little endian)::
+
+    4s  magic            I   n symbols          Q   total code bits
+    H   lane             B   escape code length (0: no escape)
+    B   bytes per stored symbol (2 or 4)
+    16H codes per length 1..16 (the escape included)
+    symbols in (length, symbol) order, the escape left out
+    ceil(n / lane) x H   bit length of each lane
+    packed code bits, MSB first
+
+The scalar coder in ``tests/oracles/entropy_reference.py`` writes and
+reads the same format one symbol at a time; property tests assert
+byte-identical blobs and equal decodes.
 """
 
 from __future__ import annotations
@@ -39,37 +49,41 @@ import struct
 import numpy as np
 
 from ..exceptions import CompressionError
-from ..perf.cache import get_memo
-from .bitstream import pack_codes
+from .bitstream import pack_codes, peek16, window_words
 
 __all__ = ["huffman_encode", "huffman_decode"]
 
 _MAX_CODE_LENGTH = 16
-_MAGIC = b"HUF1"
+_TABLE_SIZE = 1 << _MAX_CODE_LENGTH
+_MAGIC = b"HUF2"
 _ESCAPE = -(2**31)  # sentinel symbol id for escaped values
-
-#: slack past the end of the bit positions array: strictly larger than the
-#: largest single-symbol advance (16-bit code + 32 raw bits), so composed
-#: jumps from any in-stream position stay in bounds without clamping.
-_PAD = 64
+_HEADER = struct.Struct("<4sIQHBB")
+_COUNTS = np.dtype("<u2")  # per-length code counts and lane bit lengths
+_STORED_AT = _HEADER.size + _MAX_CODE_LENGTH * _COUNTS.itemsize
+#: a lane of 1024 symbols is at most 1024 * (16 + 32) bits, which fits
+#: the index's uint16 entries
+_MAX_LANE = 1024
 
 #: a dense ``bincount`` histogram is used while the observed value span is
 #: at most this many times the symbol count, which keeps every table
 #: O(n); wider spans (SZ's 2**30 outlier code in a short chunk) sort.
 _DENSE_SPAN_PER_SYMBOL = 4
 
-#: one header table entry, ``struct.pack("<iB", symbol, length)``
-_ENTRY = np.dtype([("symbol", "<i4"), ("length", "u1")])
-
 
 def check_max_alphabet(max_alphabet: int) -> int:
-    """Validate an alphabet cap: the header counts its entries in 16 bits
-    and more than 65536 codes cannot all fit the 16-bit length limit."""
+    """Validate an alphabet cap: more than 65536 codes cannot all fit the
+    16-bit length limit, and the escape takes one of them."""
     if not 1 <= max_alphabet <= 65535:
         raise CompressionError(
             f"max_alphabet must lie in [1, 65535], got {max_alphabet!r}"
         )
     return int(max_alphabet)
+
+
+def lane_size(n: int) -> int:
+    """Symbols per lane: the power of two nearest ``sqrt(n) / 2`` (on a
+    log scale), clamped to [16, 1024]."""
+    return 1 << min(max((n.bit_length() - 2) // 2, 4), 10)
 
 
 def _code_lengths(frequencies: np.ndarray) -> np.ndarray:
@@ -127,7 +141,7 @@ def huffman_encode(symbols: np.ndarray, max_alphabet: int = 4096) -> bytes:
     symbols = np.asarray(symbols, dtype=np.int64).ravel()
     n = symbols.size
     if n == 0:
-        return _MAGIC + struct.pack("<IH", 0, 0)
+        return _HEADER.pack(_MAGIC, 0, 0, 0, 0, 0)
     low, high = int(symbols.min()), int(symbols.max())
     if low <= -(2**31) or high >= 2**31:
         raise CompressionError("huffman symbols must fit in int32")
@@ -162,11 +176,13 @@ def huffman_encode(symbols: np.ndarray, max_alphabet: int = 4096) -> bytes:
     # Canonical codes in (length, symbol) order: left-aligned to 16 bits,
     # a code is the Kraft mass of every code before it.
     canonical = np.lexsort((alphabet, lengths))
-    table = np.empty(alphabet.size, dtype=_ENTRY)
-    table["symbol"], table["length"] = alphabet[canonical], lengths[canonical]
     mass = np.left_shift(1, _MAX_CODE_LENGTH - lengths[canonical])
     codes = np.empty(alphabet.size, dtype=np.uint64)
     codes[canonical] = (np.cumsum(mass) - mass) >> (_MAX_CODE_LENGTH - lengths[canonical])
+    # The escape is not stored: the decoder knows where it sorts.
+    stored = alphabet[canonical]
+    stored = stored[stored != _ESCAPE]
+    narrow = stored.size == 0 or (stored.min() >= -(2**15) and stored.max() < 2**15)
 
     # Per-slot (code, length).  Entry 0 is the escape whenever a value was
     # dropped, so it is the fill; with nothing dropped every slot that
@@ -176,11 +192,14 @@ def huffman_encode(symbols: np.ndarray, max_alphabet: int = 4096) -> bytes:
     slot_length = np.full(n_slots, lengths[0])
     slot_code[kept_slot], slot_length[kept_slot] = codes[first_kept:], lengths[first_kept:]
     values, value_lengths = slot_code[slot], slot_length[slot]
+    lane = lane_size(n)
+    lane_bits = np.add.reduceat(value_lengths, np.arange(0, n, lane))
     if n_escaped > 0:
         # The raw 32-bit value follows each escape code.
         slot_dropped = np.ones(n_slots, dtype=bool)
         slot_dropped[kept_slot] = False
         escaped = np.flatnonzero(slot_dropped[slot])
+        lane_bits += 32 * np.bincount(escaped // lane, minlength=lane_bits.size)
         raw = (symbols[escaped] & 0xFFFFFFFF).astype(np.uint64)
         values = np.insert(values, escaped + 1, raw)
         value_lengths = np.insert(value_lengths, escaped + 1, 32)
@@ -188,224 +207,114 @@ def huffman_encode(symbols: np.ndarray, max_alphabet: int = 4096) -> bytes:
     payload, total_bits = pack_codes(values, value_lengths)
     return b"".join(
         (
-            _MAGIC,
-            struct.pack("<IH", n, alphabet.size),
-            table.tobytes(),
-            struct.pack("<Q", total_bits),
+            _HEADER.pack(
+                _MAGIC, n, total_bits, lane, lengths[0] if n_escaped > 0 else 0, 2 if narrow else 4
+            ),
+            np.bincount(lengths, minlength=_MAX_CODE_LENGTH + 1)[1:].astype(_COUNTS).tobytes(),
+            stored.astype("<i2" if narrow else "<i4").tobytes(),
+            lane_bits.astype(_COUNTS).tobytes(),
             payload,
         )
     )
 
 
-def _canonical_codes(lengths: dict[int, int]) -> dict[int, tuple[int, int]]:
-    """Assign canonical (code, length) pairs sorted by (length, symbol)."""
-    code = 0
-    previous_length = 0
-    table: dict[int, tuple[int, int]] = {}
-    for symbol, length in sorted(lengths.items(), key=lambda item: (item[1], item[0])):
-        code <<= length - previous_length
-        table[symbol] = (code, length)
-        code += 1
-        previous_length = length
-    return table
+def _decode_tables(
+    counts: np.ndarray, stored: np.ndarray, escape_length: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """65536-entry prefix tables: symbol and fused position advance.
 
-
-def _build_decode_tables(
-    lengths: dict[int, int]
-) -> tuple[np.ndarray, np.ndarray, int | None]:
-    """65536-entry prefix tables: symbol, fused position advance, escape len.
-
-    ``advance`` folds the escape's trailing 32 raw bits into the code
-    length, so one gather per bit position yields the full next-position
-    function regardless of escapes.
+    In canonical order the code of length ``l`` covers the next
+    ``2**(16 - l)`` prefixes, so both tables are one ``np.repeat``.
+    ``advance`` folds the escape's trailing 32 raw bits into its code
+    length, so one lookup per symbol yields the next position.  Prefixes
+    no code covers (a single-symbol alphabet, a corrupt table) advance by
+    zero: a walk that reaches one stalls and fails the lane check.
     """
-    codes = _canonical_codes(lengths)
-    table_symbol = np.zeros(2**_MAX_CODE_LENGTH, dtype=np.int32)
-    advance = np.zeros(2**_MAX_CODE_LENGTH, dtype=np.int32)
-    escape_length: int | None = None
-    for symbol, (code, length) in codes.items():
-        start = code << (_MAX_CODE_LENGTH - length)
-        end = (code + 1) << (_MAX_CODE_LENGTH - length)
-        table_symbol[start:end] = symbol
-        if symbol == _ESCAPE:
-            escape_length = length
-            advance[start:end] = length + 32
-        else:
-            advance[start:end] = length
-    return table_symbol, advance, escape_length
-
-
-def _decode_tables_for_header(header: bytes, n_alphabet: int):
-    """Cached decode tables keyed by the raw lengths header bytes."""
-
-    def build():
-        lengths: dict[int, int] = {}
-        offset = 0
-        for __ in range(n_alphabet):
-            symbol, length = struct.unpack_from("<iB", header, offset)
-            lengths[symbol] = length
-            offset += 5
-        return _build_decode_tables(lengths)
-
-    return get_memo("huffman_tables", maxsize=64).get(bytes(header), build)
+    lengths = np.repeat(np.arange(1, _MAX_CODE_LENGTH + 1), counts)
+    span = np.left_shift(1, _MAX_CODE_LENGTH - lengths)
+    uncovered = _TABLE_SIZE - int(span.sum())
+    if uncovered < 0:
+        raise CompressionError("huffman code table is over-subscribed")
+    symbols = stored.astype(np.int64)
+    step = lengths.astype(np.uint8)
+    if escape_length:
+        # The escape id sorts below every symbol: first of its length.
+        at = int(counts[: escape_length - 1].sum())
+        symbols = np.insert(symbols, at, _ESCAPE)
+        step[at] += 32
+    span = np.append(span, uncovered)
+    return np.repeat(np.append(symbols, 0), span), np.repeat(np.append(step, 0), span)
 
 
 def huffman_decode(blob: bytes) -> np.ndarray:
-    """Decode a blob produced by :func:`huffman_encode` (vectorized)."""
+    """Decode a blob produced by :func:`huffman_encode`."""
+    if blob[:4] == b"HUF1":
+        raise CompressionError("HUF1 huffman streams are no longer supported")
     if blob[:4] != _MAGIC:
         raise CompressionError("bad huffman magic")
-    n, n_alphabet = struct.unpack_from("<IH", blob, 4)
+    if len(blob) < _HEADER.size:
+        raise CompressionError("huffman header truncated")
+    __, n, total_bits, lane, escape_length, symbol_bytes = _HEADER.unpack_from(blob)
     if n == 0:
         return np.empty(0, dtype=np.int64)
-    offset = 10 + 5 * n_alphabet
-    table_symbol, advance, escape_length = _decode_tables_for_header(
-        blob[10:offset], n_alphabet
-    )
-    (total_bits,) = struct.unpack_from("<Q", blob, offset)
-    offset += 8
-    if total_bits >= 2**31 - _PAD:
-        # int32 position arithmetic would overflow; take the scalar path.
-        return _decode_reference(blob)
-
-    payload = np.frombuffer(blob, dtype=np.uint8, offset=offset)
-    if payload.size * 8 < total_bits:
+    if not (
+        1 <= lane <= _MAX_LANE
+        and escape_length <= _MAX_CODE_LENGTH
+        and symbol_bytes in (2, 4)
+        and n <= total_bits  # every symbol takes at least one bit
+    ):
+        raise CompressionError("huffman header is corrupt")
+    if len(blob) < _STORED_AT:
+        raise CompressionError("huffman code table truncated")
+    counts = np.frombuffer(blob, _COUNTS, _MAX_CODE_LENGTH, _HEADER.size).astype(np.int64)
+    n_stored = int(counts.sum()) - (escape_length > 0)
+    if n_stored < 0 or (escape_length and counts[escape_length - 1] == 0):
+        raise CompressionError("huffman code table lacks its escape code")
+    n_lanes = -(-n // lane)
+    index_at = _STORED_AT + n_stored * symbol_bytes
+    payload_at = index_at + n_lanes * _COUNTS.itemsize
+    if len(blob) < payload_at + ((total_bits + 7) >> 3):
         raise CompressionError("huffman payload truncated")
+    stored = np.frombuffer(blob, f"<i{symbol_bytes}", n_stored, _STORED_AT)
+    lane_bits = np.frombuffer(blob, _COUNTS, n_lanes, index_at).astype(np.int64)
+    table_symbol, advance = _decode_tables(counts, stored, escape_length)
+    words = window_words(blob, payload_at, total_bits)
 
-    # 32-bit big-endian window at every byte offset; the 16-bit prefix at
-    # bit position p is then (V32[p >> 3] >> (16 - (p & 7))) & 0xFFFF.
-    padded = np.concatenate(
-        [payload, np.zeros(_PAD // 8 + 8, dtype=np.uint8)]
-    ).astype(np.uint32)
-    v32 = (
-        (padded[:-3] << np.uint32(24))
-        | (padded[1:-2] << np.uint32(16))
-        | (padded[2:-1] << np.uint32(8))
-        | padded[3:]
-    )
+    # Row j holds the bit position of symbol j of every lane; the last
+    # lane has ``tail`` symbols and sits out the remaining steps.
+    steps = min(lane, n)
+    tail = n - (n_lanes - 1) * lane
+    rows = np.empty((steps + 1, n_lanes), dtype=np.int64)
+    windows = np.empty((steps, n_lanes), dtype=np.uint32)
+    lane_ends = np.cumsum(lane_bits)
+    rows[0] = lane_ends - lane_bits
+    word = np.empty(n_lanes, dtype=np.int64)
+    shift = np.empty(n_lanes, dtype=np.uint32)
+    step = np.empty(n_lanes, dtype=np.uint8)
+    # Gathers use mode="clip": a corrupt stream may walk anywhere, and
+    # clamping keeps it in bounds (and is faster than bounds checking)
+    # until the lane check below rejects it.
+    for first, last, active in ((0, tail, n_lanes), (tail, steps, n_lanes - 1)):
+        word_a, shift_a, step_a = word[:active], shift[:active], step[:active]
+        for j in range(first, last):
+            position, window = rows[j, :active], windows[j, :active]
+            np.right_shift(position, 4, out=word_a)
+            np.bitwise_and(position, 15, out=shift_a, casting="unsafe")
+            words.take(word_a, out=window, mode="clip")
+            np.left_shift(window, shift_a, out=window)
+            np.right_shift(window, 16, out=window)
+            advance.take(window, out=step_a, mode="clip")
+            np.add(position, step_a, out=rows[j + 1, :active])
+    ends = rows[steps]
+    ends[-1] = rows[tail, -1]
+    if lane_ends[-1] != total_bits or not np.array_equal(ends, lane_ends):
+        raise CompressionError("huffman stream misaligned: a lane ends off its boundary")
 
-    length = int(total_bits) + _PAD
-    pos = np.arange(length, dtype=np.int32)
-    # All gathers below use mode="clip": indices are in bounds by
-    # construction (the absorbing state keeps composed jumps under
-    # length), and skipping numpy's per-element bounds check is ~30%
-    # faster; a corrupt stream clamps into the absorbing region and is
-    # caught by the final alignment check.
-    window = (
-        np.take(v32, pos >> 3, mode="clip")
-        >> (np.int32(16) - (pos & 7)).astype(np.uint32)
-    ) & np.uint32(0xFFFF)
-
-    # Next-position function over every bit offset; positions at or past
-    # the stream end collapse into an absorbing overrun state so corrupt
-    # walks terminate and fail the final alignment check.
-    nxt = pos + np.take(advance, window, mode="clip")
-    nxt[total_bits:] = total_bits + 1
-
-    # Pointer doubling: nxt -> nxt^2 -> nxt^4 -> nxt^8 -> nxt^16, ping-
-    # ponging between two buffers so each squaring is a single gather.
-    jump = np.take(nxt, nxt, mode="clip")
-    scratch = np.empty_like(jump)
-    for __ in range(3):
-        np.take(jump, jump, out=scratch, mode="clip")
-        jump, scratch = scratch, jump
-
-    # Sequential part, shrunk 16x: walk one block start per 16 symbols.
-    block = 16
-    n_blocks = (n + block - 1) // block
-    item = jump.item
-    start_list = [0] * n_blocks
-    p = 0
-    for k in range(n_blocks):
-        start_list[k] = p
-        p = item(p)
-
-    # Within-block expansion, one row per symbol offset (contiguous
-    # writes); row j holds the position of symbol 16*k + j for every k.
-    rows = np.empty((block, n_blocks), dtype=np.int32)
-    rows[0] = start_list
-    for j in range(1, block):
-        np.take(nxt, rows[j - 1], out=rows[j], mode="clip")
-    positions = rows.T.reshape(-1)[:n]
-
-    symbols = np.take(table_symbol, np.take(window, positions, mode="clip"), mode="clip")
-    out = symbols.astype(np.int64)
-
-    if escape_length is not None:
-        escaped = symbols == np.int32(_ESCAPE)
-        if escaped.any():
-            raw_start = positions[escaped].astype(np.int64) + escape_length
-            raw = (np.take(window, raw_start, mode="clip").astype(np.int64) << 16) | np.take(
-                window, raw_start + 16, mode="clip"
-            )
-            out[escaped] = np.where(raw >= 2**31, raw - 2**32, raw)
-
-    consumed = int(nxt[int(positions[-1])])
-    if consumed != total_bits:
-        raise CompressionError(
-            f"huffman stream misaligned: consumed {consumed} of {total_bits} bits"
-        )
-    return out
-
-
-def _decode_reference(blob: bytes) -> np.ndarray:
-    """The original scalar decoder, one table hit per symbol.
-
-    Kept as the ground truth for the vectorized path: property tests
-    assert :func:`huffman_decode` is bit-exact against it, and it serves
-    as the fallback for streams too large for int32 position arithmetic.
-    """
-    if blob[:4] != _MAGIC:
-        raise CompressionError("bad huffman magic")
-    n, n_alphabet = struct.unpack_from("<IH", blob, 4)
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    offset = 10
-    lengths: dict[int, int] = {}
-    for __ in range(n_alphabet):
-        symbol, length = struct.unpack_from("<iB", blob, offset)
-        lengths[symbol] = length
-        offset += 5
-    (total_bits,) = struct.unpack_from("<Q", blob, offset)
-    offset += 8
-    codes = _canonical_codes(lengths)
-
-    # 16-bit prefix lookup table: prefix -> (symbol, length).
-    table_symbol = np.zeros(2**_MAX_CODE_LENGTH, dtype=np.int64)
-    table_length = np.zeros(2**_MAX_CODE_LENGTH, dtype=np.int64)
-    for symbol, (code, length) in codes.items():
-        start = code << (_MAX_CODE_LENGTH - length)
-        end = (code + 1) << (_MAX_CODE_LENGTH - length)
-        table_symbol[start:end] = symbol
-        table_length[start:end] = length
-
-    bits = np.unpackbits(np.frombuffer(blob[offset:], dtype=np.uint8))
-    if bits.size < total_bits:
-        raise CompressionError("huffman payload truncated")
-    # Sliding 16-bit window values for every bit offset.
-    padded = np.concatenate([bits, np.zeros(_MAX_CODE_LENGTH, dtype=np.uint8)])
-    window = np.zeros(total_bits + 1, dtype=np.uint32)
-    for j in range(_MAX_CODE_LENGTH):
-        window[: total_bits + 1] |= padded[j : j + total_bits + 1].astype(np.uint32) << (
-            _MAX_CODE_LENGTH - 1 - j
-        )
-
-    out = np.empty(n, dtype=np.int64)
-    position = 0
-    symbols_view = table_symbol
-    lengths_view = table_length
-    for i in range(n):
-        prefix = window[position]
-        symbol = symbols_view[prefix]
-        position += lengths_view[prefix]
-        if symbol == _ESCAPE:
-            raw = (int(window[position]) << 16) | int(window[position + 16])
-            position += 32
-            if raw >= 2**31:
-                raw -= 2**32
-            symbol = raw
-        out[i] = symbol
-    if position != total_bits:
-        raise CompressionError(
-            f"huffman stream misaligned: consumed {position} of {total_bits} bits"
-        )
+    # A window is 16 bits wide, so plain indexing cannot leave the table.
+    out = table_symbol[windows.T.reshape(-1)[:n]]
+    if escape_length:
+        escaped = np.flatnonzero(out == _ESCAPE)
+        raw_at = rows[escaped % lane, escaped // lane] + escape_length
+        raw = (peek16(words, raw_at) << np.uint32(16)) | peek16(words, raw_at + 16)
+        out[escaped] = raw.view(np.int32)
     return out

@@ -50,58 +50,28 @@ def _refinement_plan(shape: tuple[int, ...], anchor_stride: int):
 
 def _target_slices(
     shape: tuple[int, ...], axis: int, stride: int
-) -> tuple[tuple[slice, ...], tuple[slice, ...], tuple[slice, ...] | None]:
+) -> tuple[tuple[slice, ...], tuple[slice, ...], tuple[slice, ...]]:
     """Slices selecting prediction targets and their +/- neighbours.
 
     Targets sit at odd multiples of ``stride`` along ``axis``; axes before
     ``axis`` are already refined to ``stride`` (select every multiple),
-    axes after are still at ``2 * stride``.
+    axes after are still at ``2 * stride``.  The right-neighbour selection
+    is one entry shorter along ``axis`` when the last target has none.
     """
     target: list[slice] = []
     left: list[slice] = []
-    right: list[slice] | None = []
+    right: list[slice] = []
     for d, size in enumerate(shape):
-        if d < axis:
-            step = stride
-            target.append(slice(0, size, step))
-            left.append(slice(0, size, step))
-            if right is not None:
-                right.append(slice(0, size, step))
-        elif d == axis:
+        if d == axis:
             target.append(slice(stride, size, 2 * stride))
-            left.append(slice(0, size - stride, 2 * stride))
-            n_targets = len(range(stride, size, 2 * stride))
-            n_right = len(range(2 * stride, size, 2 * stride))
-            if right is not None and n_right >= n_targets:
-                right.append(slice(2 * stride, size, 2 * stride))
-            else:
-                right = None  # last target lacks a right neighbour
+            left.append(slice(0, max(size - stride, 0), 2 * stride))
+            right.append(slice(2 * stride, size, 2 * stride))
         else:
-            step = 2 * stride
-            target.append(slice(0, size, step))
-            left.append(slice(0, size, step))
-            if right is not None:
-                right.append(slice(0, size, step))
-    return tuple(target), tuple(left), tuple(right) if right is not None else None
-
-
-def _gather_view(recon: np.ndarray, axis: int, stride: int) -> np.ndarray:
-    """View with non-target axes strided to the step's grid, target axis full."""
-    sel: list[slice] = []
-    for d, size in enumerate(recon.shape):
-        if d < axis:
-            sel.append(slice(0, size, stride))
-        elif d == axis:
-            sel.append(slice(None))
-        else:
-            sel.append(slice(0, size, 2 * stride))
-    return recon[tuple(sel)]
-
-
-def _axis_shape(ndim: int, axis: int, n: int) -> tuple[int, ...]:
-    shape = [1] * ndim
-    shape[axis] = n
-    return tuple(shape)
+            every = slice(0, size, stride if d < axis else 2 * stride)
+            target.append(every)
+            left.append(every)
+            right.append(every)
+    return tuple(target), tuple(left), tuple(right)
 
 
 def _predict_both(
@@ -116,26 +86,32 @@ def _predict_both(
     ``None`` when not wanted or when no target has all four neighbours
     (it would equal the linear prediction).
     """
-    target, __, __ = _target_slices(recon.shape, axis, stride)
-    size = recon.shape[axis]
-    positions = np.arange(stride, size, 2 * stride)
-    view = _gather_view(recon, axis, stride)
+    target, left_sel, right_sel = _target_slices(recon.shape, axis, stride)
+    left, right = recon[left_sel], recon[right_sel]
+    n_right = right.shape[axis]
 
-    left = np.take(view, positions - stride, axis=axis)
-    has_right = positions + stride < size
-    right_positions = np.minimum(positions + stride, size - 1)
-    right = np.take(view, right_positions, axis=axis)
-    mask_shape = _axis_shape(view.ndim, axis, positions.size)
-    right_mask = has_right.reshape(mask_shape)
-    linear = np.where(right_mask, 0.5 * (left + right), left)
+    def along(start: int, stop: int) -> tuple[slice, ...]:
+        return (slice(None),) * axis + (slice(start, stop),)
 
-    cubic_ok = (positions - 3 * stride >= 0) & (positions + 3 * stride < size)
-    if not want_cubic or not np.any(cubic_ok):
+    if n_right == left.shape[axis]:
+        linear = 0.5 * (left + right)
+    else:
+        linear = left.copy()
+        linear[along(0, n_right)] = 0.5 * (left[along(0, n_right)] + right)
+
+    # Target k lies between left[k] and right[k]; its outer neighbours
+    # are left[k - 1] and right[k + 1], which exist for 1 <= k <= n_right - 2.
+    if not want_cubic or n_right < 3:
         return target, linear, None
-    far_left = np.take(view, np.maximum(positions - 3 * stride, 0), axis=axis)
-    far_right = np.take(view, np.minimum(positions + 3 * stride, size - 1), axis=axis)
-    cubic = (-far_left + 9.0 * left + 9.0 * right - far_right) / 16.0
-    return target, linear, np.where(cubic_ok.reshape(mask_shape), cubic, linear)
+    inner = along(1, n_right - 1)
+    cubic = linear.copy()
+    cubic[inner] = (
+        -left[along(0, n_right - 2)]
+        + 9.0 * left[inner]
+        + 9.0 * right[inner]
+        - right[along(2, n_right)]
+    ) / 16.0
+    return target, linear, cubic
 
 
 def _predict(

@@ -1,11 +1,16 @@
 """The scalar entropy coder the vectorized one must reproduce byte for byte.
 
-These are the encoder of ``repro.compress.huffman`` / ``bitstream`` as it
+These are the coder of ``repro.compress.huffman`` / ``bitstream`` as it
 was before it was rewritten as array code: a ``(freq, tiebreak)`` heap
-over symbol groups, dict-based canonical codes, per-symbol header packing
-and a per-bit ``pack_codes``.  They are kept verbatim (only the names
-gained a ``_reference`` suffix) because the blobs they write *are* the
-format: property tests assert the shipped encoder emits identical bytes.
+over symbol groups, dict-based canonical codes, per-entry header packing,
+a per-bit ``pack_codes`` and a decoder that walks the stream one symbol at
+a time.  The code lengths, the codes and the packed bits are as they
+always were; the header around them is ``HUF2`` (per-length counts, the
+symbols in canonical order, a lane index - see ``repro.compress.huffman``),
+written here with ``struct`` one field at a time.  The blobs these write
+*are* the format: property tests assert the shipped encoder emits
+identical bytes and the shipped decoder returns what
+``huffman_decode_reference`` returns, which never looks at the lane index.
 ``BitReader`` is the cursor-based reader the tests use to pull codes back
 out of a packed stream; nothing in ``src/`` reads bit by bit any more.
 """
@@ -20,7 +25,8 @@ import numpy as np
 from repro.exceptions import CompressionError
 
 _MAX_CODE_LENGTH = 16
-_MAGIC = b"HUF1"
+_MAGIC = b"HUF2"
+_HEADER = "<4sIQHBB"
 _ESCAPE = -(2**31)
 
 #: descending powers of two: _POW2[64 - k:] is [2^(k-1), ..., 2, 1], so a
@@ -96,13 +102,21 @@ def canonical_codes_reference(lengths: dict[int, int]) -> dict[int, tuple[int, i
     return table
 
 
+def lane_size_reference(n: int) -> int:
+    """The power of two nearest ``sqrt(n) / 2`` on a log scale, in [16, 1024]."""
+    lane = 16
+    while lane < 1024 and 8 * lane * lane <= n:
+        lane *= 2
+    return lane
+
+
 def huffman_encode_reference(symbols: np.ndarray, max_alphabet: int = 4096) -> bytes:
     """Dict-and-loop ``huffman_encode`` (no ``max_alphabet`` validation:
     it hangs above 65536 symbols, which is why the shipped one checks)."""
     symbols = np.asarray(symbols, dtype=np.int64).ravel()
     n = symbols.size
     if n == 0:
-        return _MAGIC + struct.pack("<IH", 0, 0)
+        return struct.pack(_HEADER, _MAGIC, 0, 0, 0, 0, 0)
     unique, inverse, counts = np.unique(symbols, return_inverse=True, return_counts=True)
     if np.any(np.abs(unique) >= 2**31):
         raise CompressionError("huffman symbols must fit in int32")
@@ -127,9 +141,14 @@ def huffman_encode_reference(symbols: np.ndarray, max_alphabet: int = 4096) -> b
             unique_code[i], unique_length[i] = entry
     values = unique_code[inverse]
     value_lengths = unique_length[inverse]
+    escaped_mask = ~kept_unique[inverse]
+
+    # Lane index: the bits of every run of ``lane`` symbols, raw values included.
+    lane = lane_size_reference(n)
+    symbol_bits = value_lengths + 32 * escaped_mask
+    lane_bits = [int(symbol_bits[at : at + lane].sum()) for at in range(0, n, lane)]
 
     if n_escaped > 0:
-        escaped_mask = ~kept_unique[inverse]
         raw = (symbols[escaped_mask].astype(np.int64) & 0xFFFFFFFF).astype(np.uint64)
         merged_values = np.empty(n + int(escaped_mask.sum()), dtype=np.uint64)
         merged_lengths = np.empty_like(merged_values, dtype=np.int64)
@@ -142,11 +161,88 @@ def huffman_encode_reference(symbols: np.ndarray, max_alphabet: int = 4096) -> b
         values, value_lengths = merged_values, merged_lengths
 
     payload, total_bits = pack_codes_reference(values, value_lengths)
-    header = [_MAGIC, struct.pack("<IH", n, len(lengths))]
-    for symbol, length in sorted(lengths.items(), key=lambda item: (item[1], item[0])):
-        header.append(struct.pack("<iB", symbol, length))
-    header.append(struct.pack("<Q", total_bits))
+    stored = [
+        symbol
+        for symbol, __ in sorted(lengths.items(), key=lambda item: (item[1], item[0]))
+        if symbol != _ESCAPE
+    ]
+    narrow = all(-(2**15) <= symbol < 2**15 for symbol in stored)
+    header = [
+        struct.pack(_HEADER, _MAGIC, n, total_bits, lane, escape_length, 2 if narrow else 4)
+    ]
+    for length in range(1, _MAX_CODE_LENGTH + 1):
+        header.append(struct.pack("<H", sum(1 for l in lengths.values() if l == length)))
+    for symbol in stored:
+        header.append(struct.pack("<h" if narrow else "<i", symbol))
+    for bits in lane_bits:
+        header.append(struct.pack("<H", bits))
     return b"".join(header) + payload
+
+
+def huffman_decode_reference(blob: bytes) -> np.ndarray:
+    """The scalar decoder, one table hit per symbol, start to end.
+
+    It skips the lane index: where a symbol starts is where the previous
+    one ended, and the only check is that the last one ends on
+    ``total_bits``.
+    """
+    if blob[:4] != _MAGIC:
+        raise CompressionError("bad huffman magic")
+    __, n, total_bits, lane, escape_length, symbol_bytes = struct.unpack_from(_HEADER, blob, 0)
+    if n == 0:
+        return np.empty(0, dtype=np.int64)
+    offset = struct.calcsize(_HEADER)
+    lengths: dict[int, int] = {}
+    if escape_length:
+        lengths[_ESCAPE] = escape_length
+    per_length = struct.unpack_from("<16H", blob, offset)
+    offset += 32
+    for length, count in enumerate(per_length, start=1):
+        for __ in range(count - (length == escape_length)):
+            (symbol,) = struct.unpack_from("<h" if symbol_bytes == 2 else "<i", blob, offset)
+            lengths[symbol] = length
+            offset += symbol_bytes
+    offset += 2 * -(-n // lane)
+    codes = canonical_codes_reference(lengths)
+
+    # 16-bit prefix lookup table: prefix -> (symbol, length).
+    table_symbol = np.zeros(2**_MAX_CODE_LENGTH, dtype=np.int64)
+    table_length = np.zeros(2**_MAX_CODE_LENGTH, dtype=np.int64)
+    for symbol, (code, length) in codes.items():
+        start = code << (_MAX_CODE_LENGTH - length)
+        end = (code + 1) << (_MAX_CODE_LENGTH - length)
+        table_symbol[start:end] = symbol
+        table_length[start:end] = length
+
+    bits = np.unpackbits(np.frombuffer(blob[offset:], dtype=np.uint8))
+    if bits.size < total_bits:
+        raise CompressionError("huffman payload truncated")
+    # Sliding 16-bit window values for every bit offset.
+    padded = np.concatenate([bits, np.zeros(_MAX_CODE_LENGTH, dtype=np.uint8)])
+    window = np.zeros(total_bits + 1, dtype=np.uint32)
+    for j in range(_MAX_CODE_LENGTH):
+        window[: total_bits + 1] |= padded[j : j + total_bits + 1].astype(np.uint32) << (
+            _MAX_CODE_LENGTH - 1 - j
+        )
+
+    out = np.empty(n, dtype=np.int64)
+    position = 0
+    for i in range(n):
+        prefix = window[position]
+        symbol = table_symbol[prefix]
+        position += table_length[prefix]
+        if symbol == _ESCAPE:
+            raw = (int(window[position]) << 16) | int(window[position + 16])
+            position += 32
+            if raw >= 2**31:
+                raw -= 2**32
+            symbol = raw
+        out[i] = symbol
+    if position != total_bits:
+        raise CompressionError(
+            f"huffman stream misaligned: consumed {position} of {total_bits} bits"
+        )
+    return out
 
 
 class BitReader:

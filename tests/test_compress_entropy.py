@@ -1,5 +1,6 @@
 """Tests for the bitstream and Huffman entropy-coding stages."""
 
+import struct
 import tracemalloc
 
 import numpy as np
@@ -7,14 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compress.bitstream import pack_codes
+from repro.compress.bitstream import pack_codes, peek16, window_words
 from repro.compress import MGARDCompressor, SZCompressor, ZFPCompressor
-from repro.compress.huffman import _decode_reference, huffman_decode, huffman_encode
+from repro.compress.huffman import huffman_decode, huffman_encode, lane_size
 from repro.exceptions import CompressionError
 
 from .oracles.entropy_reference import (
     BitReader,
+    canonical_codes_reference,
+    huffman_decode_reference,
     huffman_encode_reference,
+    lane_size_reference,
     pack_codes_reference,
 )
 
@@ -114,7 +118,43 @@ def test_bitreader_peek_pads_with_zeros():
     assert reader.peek16() == 0b1000000000000000
 
 
+@given(seed=st.integers(0, 2**31 - 1), n_bytes=st.integers(0, 40), lead=st.integers(0, 7))
+@settings(max_examples=60, deadline=None)
+def test_peek16_matches_bitreader_at_every_position(seed, n_bytes, lead):
+    # ``lead`` bytes precede the stream in the buffer and junk follows it:
+    # neither may show, and past the stream's last byte everything is zero.
+    rng = np.random.default_rng(seed)
+    payload = rng.integers(0, 256, n_bytes, dtype=np.uint8).tobytes()
+    total_bits = 8 * n_bytes - int(rng.integers(0, 8)) if n_bytes else 0
+    words = window_words(b"\xff" * lead + payload + b"\xff" * 3, lead, total_bits)
+    reader = BitReader(payload, 8 * n_bytes)
+    expected = []
+    for position in range(8 * n_bytes):
+        reader.position = position
+        expected.append(reader.peek16())
+    assert np.array_equal(peek16(words, np.arange(8 * n_bytes)), expected)
+    assert not peek16(words, np.arange(8 * n_bytes, 8 * n_bytes + 100)).any()
+
+
 # -- huffman -------------------------------------------------------------------
+
+
+def _sections(blob: bytes) -> dict:
+    """Offsets of the HUF2 sections, parsed independently of the decoder."""
+    magic, n, total_bits, lane, escape_length, symbol_bytes = struct.unpack_from(
+        "<4sIQHBB", blob, 0
+    )
+    assert magic == b"HUF2"
+    counts = struct.unpack_from("<16H", blob, 20)
+    n_lanes = -(-n // lane) if n else 0
+    stored_at = 20 + 32
+    index_at = stored_at + (sum(counts) - (escape_length > 0)) * symbol_bytes
+    payload_at = index_at + 2 * n_lanes
+    return dict(
+        n=n, total_bits=total_bits, lane=lane, escape_length=escape_length,
+        symbol_bytes=symbol_bytes, counts=counts, n_lanes=n_lanes,
+        counts_at=20, stored_at=stored_at, index_at=index_at, payload_at=payload_at,
+    )
 
 
 @given(
@@ -201,6 +241,15 @@ def _stream(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
     return np.full(n, int(rng.integers(-_INT32_EDGE, _INT32_EDGE)))
 
 
+def _check_against_oracle(symbols, max_alphabet=4096):
+    blob = huffman_encode(symbols, max_alphabet=max_alphabet)
+    assert blob == huffman_encode_reference(symbols, max_alphabet=max_alphabet)
+    decoded = huffman_decode(blob)
+    assert decoded.dtype == np.int64 and np.array_equal(decoded, symbols)
+    assert np.array_equal(decoded, huffman_decode_reference(blob))
+    return blob
+
+
 @given(
     kind=st.sampled_from(
         ["skewed", "flat", "escape_heavy", "int32_edge", "fibonacci", "single"]
@@ -211,10 +260,7 @@ def _stream(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
 )
 @settings(max_examples=150, deadline=None)
 def test_encode_is_byte_identical_to_reference(kind, n, max_alphabet, seed):
-    symbols = _stream(kind, n, np.random.default_rng(seed))
-    blob = huffman_encode(symbols, max_alphabet=max_alphabet)
-    assert blob == huffman_encode_reference(symbols, max_alphabet=max_alphabet)
-    assert np.array_equal(huffman_decode(blob), symbols)
+    _check_against_oracle(_stream(kind, n, np.random.default_rng(seed)), max_alphabet)
 
 
 def test_encode_is_byte_identical_with_length_limit_and_escapes(rng):
@@ -225,8 +271,10 @@ def test_encode_is_byte_identical_with_length_limit_and_escapes(rng):
     ).astype(np.int64)
     blob = huffman_encode(symbols)
     assert blob == huffman_encode_reference(symbols)
-    table = np.frombuffer(blob, dtype=np.uint8, count=5 * 4096, offset=10).reshape(-1, 5)
-    assert table[:, 4].max() == 16 and table[:, 4].min() < 4
+    assert np.array_equal(huffman_decode(blob), huffman_decode_reference(blob))
+    sections = _sections(blob)
+    assert sum(sections["counts"]) == 4096 and sections["escape_length"] > 0
+    assert sections["counts"][15] > 0 and sum(sections["counts"][:3]) > 0
 
 
 @pytest.mark.parametrize("max_alphabet", [0, -1, 65536, 100_000])
@@ -274,14 +322,14 @@ def test_histogram_memory_is_linear_on_both_sides_of_the_span_choice(
     assert peak < 250 * (n + np.unique(symbols).size)
 
 
-# -- vectorized decoder vs retained scalar reference ----------------------------
+# -- lockstep decoder vs the scalar oracle --------------------------------------
 
 
 @given(data=st.lists(st.integers(-50, 50), min_size=0, max_size=500))
 @settings(max_examples=60, deadline=None)
 def test_vectorized_decode_matches_reference(data):
     blob = huffman_encode(np.asarray(data, dtype=np.int64))
-    assert np.array_equal(huffman_decode(blob), _decode_reference(blob))
+    assert np.array_equal(huffman_decode(blob), huffman_decode_reference(blob))
 
 
 @given(seed=st.integers(0, 2**31 - 1))
@@ -294,28 +342,227 @@ def test_vectorized_decode_matches_reference_escape_heavy(seed):
         -(2**31) + 1, 2**31 - 1, 150
     )
     blob = huffman_encode(symbols, max_alphabet=8)
-    assert np.array_equal(huffman_decode(blob), _decode_reference(blob))
+    assert np.array_equal(huffman_decode(blob), huffman_decode_reference(blob))
     assert np.array_equal(huffman_decode(blob), symbols)
 
 
 def test_vectorized_decode_matches_reference_empty():
     blob = huffman_encode(np.empty(0, dtype=np.int64))
-    assert np.array_equal(huffman_decode(blob), _decode_reference(blob))
+    assert np.array_equal(huffman_decode(blob), huffman_decode_reference(blob))
 
 
 def test_vectorized_decode_matches_reference_large_peaked(rng):
     symbols = np.round(rng.normal(0.0, 0.7, size=60_000)).astype(np.int64)
     blob = huffman_encode(symbols)
-    assert np.array_equal(huffman_decode(blob), _decode_reference(blob))
+    assert np.array_equal(huffman_decode(blob), huffman_decode_reference(blob))
 
 
 def test_vectorized_decode_shorter_than_one_block(rng):
-    # Fewer symbols than the 16-wide expansion block exercises the tail.
+    # Fewer symbols than the smallest lane: one lane, cut short.
     for n in (1, 2, 15, 16, 17):
         symbols = rng.integers(-3, 3, n)
         blob = huffman_encode(symbols)
         assert np.array_equal(huffman_decode(blob), symbols)
-        assert np.array_equal(huffman_decode(blob), _decode_reference(blob))
+        assert np.array_equal(huffman_decode(blob), huffman_decode_reference(blob))
+
+
+# -- the lane index ---------------------------------------------------------------
+
+
+def test_lane_size_follows_sqrt_n_and_its_clamps():
+    sizes = list(range(0, 3000)) + [2**k + d for k in range(11, 33) for d in (-1, 0, 1)]
+    for n in sizes:
+        lane = lane_size(n)
+        assert lane == lane_size_reference(n)
+        assert 16 <= lane <= 1024 and lane & (lane - 1) == 0
+        if 16 < lane < 1024:
+            assert lane / 2**0.5 <= n**0.5 / 2 < lane * 2**0.5
+    assert lane_size(18_432) == 64 and lane_size(589_808) == 512
+
+
+@pytest.mark.parametrize("lane_count", [1, 2, 7])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_stream_lengths_around_a_lane_boundary(lane_count, offset, rng):
+    # 5000 symbols is 32 to a lane: n = kB - 1, kB, kB + 1, and the same
+    # around the 16-symbol lanes of short streams (a single lane when k = 1).
+    for n in (16 * lane_count + offset, 5024 + 32 * lane_count + offset):
+        symbols = np.round(rng.standard_normal(n) * 3).astype(np.int64)
+        sections = _sections(_check_against_oracle(symbols))
+        assert sections["n_lanes"] == -(-n // sections["lane"])
+
+
+@pytest.mark.parametrize("where", [-1, 0, 1], ids=["lane-end", "lane-start", "second"])
+@pytest.mark.parametrize("value", [2**30, -(2**31) + 1, 2**31 - 1], ids=hex)
+def test_escapes_at_lane_edges(where, value, rng):
+    # The raw 32 bits belong to the lane of their escape code: as the last
+    # symbol of a lane they run up to the boundary, as the first they start
+    # on it.  2**30 is SZ's outlier code; the others are the int32 edges.
+    n = 5000
+    lane = lane_size(n)
+    symbols = np.round(rng.standard_normal(n) * 2).astype(np.int64)
+    at = np.arange(lane, n, lane) + where
+    symbols[at] = value
+    symbols[-1] = value  # and as the last symbol of the stream
+    blob = _check_against_oracle(symbols, max_alphabet=8)
+    sections = _sections(blob)
+    assert sections["escape_length"] > 0 and sections["symbol_bytes"] == 2
+    # every lane's bit length counts its escapes' raw bits
+    lane_bits = np.frombuffer(blob, "<u2", sections["n_lanes"], sections["index_at"])
+    assert int(lane_bits.sum()) == sections["total_bits"]
+
+
+def test_wide_symbols_are_stored_as_int32(rng):
+    symbols = rng.choice([2**30, -(2**31) + 1, 40_000, 0, 1], 300)
+    sections = _sections(_check_against_oracle(symbols))
+    assert sections["symbol_bytes"] == 4 and sections["escape_length"] == 0
+    narrow = _sections(_check_against_oracle(rng.choice([-(2**15), 2**15 - 1, 0], 300)))
+    assert narrow["symbol_bytes"] == 2
+
+
+def test_code_bits_are_pack_codes_of_the_canonical_codes(rng):
+    # The header changed with HUF2; the packed code bits are still the plain
+    # concatenation of each symbol's canonical code.
+    symbols = np.round(rng.standard_normal(3000) * 4).astype(np.int64)
+    blob = huffman_encode(symbols)
+    sections = _sections(blob)
+    stored = np.frombuffer(blob, "<i2", sum(sections["counts"]), sections["stored_at"])
+    lengths = np.repeat(np.arange(1, 17), sections["counts"])
+    codes = canonical_codes_reference(dict(zip(stored.tolist(), lengths.tolist())))
+    values, value_lengths = zip(*(codes[symbol] for symbol in symbols.tolist()))
+    payload, total_bits = pack_codes(np.array(values, dtype=np.uint64), np.array(value_lengths))
+    assert total_bits == sections["total_bits"]
+    assert blob[sections["payload_at"] :] == payload
+
+
+def test_decode_memory_is_linear_in_symbols_not_bits(rng):
+    # 14 bits per symbol: a decoder that tabulates every bit offset needs
+    # an order of magnitude more than one that tabulates every symbol.
+    n = 200_000
+    symbols = rng.integers(0, 2**14, n)
+    blob = huffman_encode(symbols, max_alphabet=2**14 + 1)
+    assert _sections(blob)["total_bits"] >= 13.9 * n
+    tables = 2**16 * (8 + 1)
+    tracemalloc.start()
+    try:
+        decoded = huffman_decode(blob)
+        __, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(decoded, symbols)
+    assert peak <= 32 * n + tables
+
+
+# -- corrupt and truncated streams ------------------------------------------------
+
+
+def _fuzz_blob(kind: str, seed: int) -> bytes:
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 700))
+    max_alphabet = int(rng.choice([1, 2, 3, 16, 4096]))
+    return huffman_encode(_stream(kind, n, rng), max_alphabet=max_alphabet)
+
+
+def _decodes_or_refuses(blob: bytes, n: int) -> bool:
+    """True when the blob decoded (to ``n`` int64 values), False when it was
+    refused with ``CompressionError``; anything else propagates."""
+    try:
+        decoded = huffman_decode(blob)
+    except CompressionError:
+        return False
+    assert decoded.dtype == np.int64 and decoded.shape == (n,)
+    return True
+
+
+@given(
+    kind=st.sampled_from(["skewed", "flat", "escape_heavy", "int32_edge", "single"]),
+    seed=st.integers(0, 2**31 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_every_truncation_is_refused(kind, seed):
+    blob = _fuzz_blob(kind, seed)
+    sections = _sections(blob)
+    edges = {sections[key] for key in ("counts_at", "stored_at", "index_at", "payload_at")}
+    cuts = edges | {edge - 1 for edge in edges} | {edge + 1 for edge in edges}
+    cuts |= set(range(0, 24)) | {len(blob) - 1, len(blob) - 2}
+    for cut in sorted(cut for cut in cuts if 0 <= cut < len(blob)):
+        with pytest.raises(CompressionError):
+            huffman_decode(blob[:cut])
+
+
+@given(
+    kind=st.sampled_from(["skewed", "flat", "escape_heavy", "int32_edge", "single"]),
+    seed=st.integers(0, 2**31 - 1),
+    section=st.sampled_from(["header", "counts", "stored", "index"]),
+    data=st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_bit_flips_before_the_payload_never_escape_as_other_errors(kind, seed, section, data):
+    # No checksum guards this layer, so a flipped symbol value decodes (to
+    # other symbols); what may never happen is an IndexError, a hang, or an
+    # output of the wrong length.
+    blob = _fuzz_blob(kind, seed)
+    sections = _sections(blob)
+    start, stop = {
+        "header": (0, sections["counts_at"]),
+        "counts": (sections["counts_at"], sections["stored_at"]),
+        "stored": (sections["stored_at"], sections["index_at"]),
+        "index": (sections["index_at"], sections["payload_at"]),
+    }[section]
+    if start == stop:  # an alphabet that is the escape alone stores no symbol
+        return
+    at = data.draw(st.integers(start, stop - 1))
+    bit = data.draw(st.integers(0, 7))
+    corrupt = bytearray(blob)
+    corrupt[at] ^= 1 << bit
+    n = struct.unpack_from("<I", corrupt, 4)[0]
+    decoded = _decodes_or_refuses(bytes(corrupt), n)
+    if section == "index":
+        # every lane must end where the index says: never a silent pass
+        assert not decoded
+
+
+def test_corrupt_lane_length_is_caught_by_the_boundary_check(rng):
+    symbols = np.round(rng.standard_normal(5000) * 3).astype(np.int64)
+    blob = huffman_encode(symbols)
+    sections = _sections(blob)
+    for lane in (0, 1, sections["n_lanes"] // 2, sections["n_lanes"] - 1):
+        for delta in (1, -1, 16):
+            corrupt = bytearray(blob)
+            at = sections["index_at"] + 2 * lane
+            (bits,) = struct.unpack_from("<H", corrupt, at)
+            struct.pack_into("<H", corrupt, at, bits + delta)
+            with pytest.raises(CompressionError, match="lane"):
+                huffman_decode(bytes(corrupt))
+
+
+def test_corrupt_headers_are_refused(rng):
+    symbols = np.round(rng.standard_normal(5000) * 3).astype(np.int64)
+    blob = huffman_encode(symbols, max_alphabet=8)
+    total_bits = _sections(blob)["total_bits"]
+    for at, fmt, values in (
+        (4, "<I", (4999, 5001, 0xFFFFFFFF, 1)),  # n
+        (8, "<Q", (0, 1, 2**63, total_bits + 1)),  # total_bits
+        (16, "<H", (0, 16, 64, 1025, 65535)),  # lane (32 here)
+        (18, "<B", (0, 17, 255)),  # escape code length
+        (19, "<B", (0, 1, 3, 4, 8)),  # bytes per stored symbol (2 here)
+    ):
+        for value in values:
+            corrupt = bytearray(blob)
+            struct.pack_into(fmt, corrupt, at, value)
+            with pytest.raises(CompressionError):
+                huffman_decode(bytes(corrupt))
+    # an over-subscribed code table
+    corrupt = bytearray(blob)
+    struct.pack_into("<H", corrupt, _sections(blob)["counts_at"], 3)
+    with pytest.raises(CompressionError):
+        huffman_decode(bytes(corrupt))
+
+
+def test_huf1_streams_are_refused_by_name():
+    # what PR 12's encoder wrote for [7, 7, 7]
+    huf1 = b"HUF1" + struct.pack("<IH", 3, 1) + struct.pack("<iB", 7, 1) + struct.pack("<Q", 3) + b"\x00"
+    with pytest.raises(CompressionError, match="HUF1"):
+        huffman_decode(huf1)
 
 
 # -- vectorized BitReader vs retained scalar reference --------------------------

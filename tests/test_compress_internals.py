@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compress.mgard import MGARDCompressor, _lift_forward, _lift_inverse, _plan
-from repro.compress.sz import SZCompressor, _refinement_plan, _target_slices
+from repro.compress.sz import SZCompressor, _predict_both, _refinement_plan, _target_slices
 from repro.compress.zfp import ZFPCompressor, _block_join, _block_split, _dct_matrix
 from repro.compress import ErrorBoundMode
 from repro.exceptions import CompressionError
+
+from .oracles.sz_reference import predict_both_reference
 
 
 # -- MGARD lifting --------------------------------------------------------------
@@ -96,6 +98,55 @@ def test_refinement_plan_covers_every_point():
         assert not region.any(), "a point was refined twice"
         covered[target] = True
     assert covered.all(), "some points were never coded"
+
+
+def _assert_predictions_match_gathers(shape, anchor_stride, seed):
+    """Every step of the plan, both splines, against the ``np.take`` oracle."""
+    recon = np.random.default_rng(seed).standard_normal(shape)
+    for axis, stride in _refinement_plan(shape, anchor_stride):
+        for want_cubic in (False, True):
+            target, linear, cubic = _predict_both(recon, axis, stride, want_cubic)
+            expected_linear, expected_cubic = predict_both_reference(
+                recon, axis, stride, want_cubic
+            )
+            assert linear.shape == recon[target].shape
+            assert not np.shares_memory(linear, recon)
+            assert np.array_equal(linear, expected_linear)
+            assert (cubic is None) == (expected_cubic is None)
+            if cubic is not None:
+                assert np.array_equal(cubic, expected_cubic)
+                assert not np.shares_memory(cubic, recon)
+
+
+@given(
+    shape=st.lists(st.integers(1, 21), min_size=1, max_size=3).map(tuple),
+    anchor_stride=st.sampled_from([2, 4, 8, 16]),
+    seed=st.integers(0, 2**31 - 1),
+)
+@settings(max_examples=120, deadline=None)
+def test_slice_predictor_is_bit_identical_to_gathers(shape, anchor_stride, seed):
+    _assert_predictions_match_gathers(shape, anchor_stride, seed)
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(8,), (9,), (10,), (12,), (17,), (3, 8), (5, 7), (9, 16, 16), (13, 24, 24), (1, 1), (2,)],
+    ids=str,
+)
+def test_slice_predictor_boundary_shapes(shape):
+    # Even sizes leave the last target without a right neighbour (it copies
+    # the left one); 2**k + 1 gives every target both; sizes below a stride
+    # have no target at all along that axis.
+    _assert_predictions_match_gathers(shape, 8, seed=len(shape))
+
+
+def test_last_target_without_right_neighbour_copies_the_left_one():
+    recon = np.arange(8, dtype=np.float64) ** 2
+    target, left, right = _target_slices(recon.shape, 0, 1)
+    assert recon[target].size == recon[left].size == recon[right].size + 1
+    __, linear, cubic = _predict_both(recon, 0, 1, True)
+    assert linear[-1] == recon[6] and cubic[-1] == recon[6]
+    assert np.array_equal(linear[:-1], 0.5 * (recon[0:6:2] + recon[2:8:2]))
 
 
 def test_sz_outlier_path(rng):
