@@ -21,12 +21,22 @@ regression history):
 * ``numba``           — only when the optional numba package is
   importable (skipped row otherwise).
 
-Two gates are asserted (and recorded in the rows) so CI catches
+A second pair, ``conv_forward``, times the EuroSAT QoI network (PSN
+ResNet18 up to the pooled feature map, one 30x13x24x24 batch):
+
+* ``gather_oracle`` — the forward as it was while every conv gathered
+  its patches through a 6-D ``as_strided`` view and multiplied
+  ``cols @ W.T`` (``tests/oracles/conv_reference.py``);
+* ``fused``         — the compiled channel-major kernel, warm.
+
+Three gates are asserted (and recorded in the rows) so CI catches
 regressions:
 
 * ``fused_warm`` must be >= 2x ``reference`` at batch 1;
 * the warm path must do exactly one lowering and one compile across all
-  timed calls and batch sizes (zero recompiles).
+  timed calls and batch sizes (zero recompiles);
+* the conv ``fused`` row must be >= 1.5x ``gather_oracle`` with no
+  fallback.
 
 Bit-exactness is asserted before timing: every backend output must be
 ``np.array_equal`` to the reference.  Usage::
@@ -38,13 +48,18 @@ from __future__ import annotations
 
 import argparse
 import os
+import sys
 import tempfile
 import time
 
 import numpy as np
 
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir))
+
 from benchutils import best_of, finalize_rows, make_row, write_rows
-from repro.models import build_mlp
+from tests.oracles.conv_reference import forward_reference
+from repro.models import build_mlp, model_flops, resnet18
+from repro.nn import Sequential
 from repro.nn.backend import CompiledForward, numba_available
 from repro.perf.compile_cache import CompileCache, get_compile_cache, reset_compile_cache
 
@@ -170,6 +185,47 @@ def bench_forward(reps: int, inner: int) -> list[dict]:
     return rows
 
 
+def bench_conv_forward(reps: int) -> list[dict]:
+    """Gather-based oracle forward vs the fused channel-major kernel."""
+    model = resnet18(
+        in_channels=13, base_width=16, alpha_init=0.8, rng=np.random.default_rng(7)
+    )
+    model = Sequential(*list(model)[:-1])  # the QoI: the pooled feature map
+    model.eval()
+    x = np.random.default_rng(11).standard_normal((30, 13, 24, 24)).astype(np.float32)
+    gflop = x.shape[0] * model_flops(model, x.shape[1:]) / 1e9
+    config = {"model": "resnet18_w16_psn_pooled", "batch": 30, "image": 24, "reps": reps}
+
+    expected = forward_reference(model, x)
+    os.environ["REPRO_COMPILE_CACHE_DIR"] = ""  # memory only: nothing to clean up
+    reset_compile_cache()
+    fused = CompiledForward(model, "fused")
+    actual = fused(x)
+    assert fused.last_fallback_reason is None, fused.last_fallback_reason
+    assert np.array_equal(actual, model(x)), "fused output not bit-exact"
+    # a different summation order, not different arithmetic
+    assert np.allclose(actual, expected, rtol=1e-4, atol=1e-5)
+
+    oracle_seconds, oracle_reps = best_of(lambda: forward_reference(model, x), reps)
+    fused_seconds, fused_reps = best_of(lambda: fused(x), reps)
+    assert fused.stats["fallbacks"] == 0 and fused.stats["compiles"] == 1, fused.stats
+    os.environ.pop("REPRO_COMPILE_CACHE_DIR", None)
+    reset_compile_cache()
+
+    speedup = oracle_seconds / fused_seconds
+    rows = [
+        _row("conv_forward", dict(config, impl="gather_oracle"), oracle_seconds,
+             x.shape[0], reps_s=oracle_reps),
+        _row("conv_forward", dict(config, impl="fused", speedup_vs_oracle=speedup),
+             fused_seconds, x.shape[0], reps_s=fused_reps),
+    ]
+    for row in rows:
+        print(f"conv_forward[{row['config']['impl']}]: {row['seconds']*1e3:.1f} ms/batch "
+              f"({gflop / row['seconds']:.1f} GFLOP/s of the modelled {gflop:.2f} GFLOP)")
+    assert speedup >= 1.5, f"fused conv speedup {speedup:.2f}x below the 1.5x gate"
+    return rows
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true",
@@ -180,7 +236,8 @@ def main(argv=None) -> int:
     reps = 3 if args.quick else 5
     inner = 200 if args.quick else 1000
 
-    rows = finalize_rows(bench_forward(reps, inner), args.quick)
+    rows = bench_forward(reps, inner) + bench_conv_forward(10 if args.quick else 30)
+    rows = finalize_rows(rows, args.quick)
     write_rows(rows, args.out)
     return 0
 

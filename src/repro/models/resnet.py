@@ -72,14 +72,20 @@ def resnet(
     n = (depth - 2) // 6
     if rng is None:
         rng = np.random.default_rng(0)
-    conv_cls = SpectralConv2d if spectral else Conv2d
     linear_cls = SpectralLinear if spectral else Linear
     widths = (base_width, base_width * 2, base_width * 4)
-    layers: list = [
-        conv_cls(in_channels, widths[0], 3, stride=1, padding=1, bias=False, rng=rng),
-        BatchNorm2d(widths[0]),
-        ReLU(),
-    ]
+    if spectral:
+        # PSN replaces batch norm throughout, stem included (as in resnet18)
+        layers: list = [
+            SpectralConv2d(in_channels, widths[0], 3, stride=1, padding=1, bias=True, rng=rng),
+            ReLU(),
+        ]
+    else:
+        layers = [
+            Conv2d(in_channels, widths[0], 3, stride=1, padding=1, bias=False, rng=rng),
+            BatchNorm2d(widths[0]),
+            ReLU(),
+        ]
     layers += _stage(widths[0], widths[0], n, 1, rng, spectral)
     layers += _stage(widths[0], widths[1], n, 2, rng, spectral)
     layers += _stage(widths[1], widths[2], n, 2, rng, spectral)

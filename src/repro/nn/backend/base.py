@@ -71,7 +71,7 @@ def _instrument_default() -> bool:
     return value.strip().lower() not in ("", "0", "false", "no", "off")
 
 #: binding names that are runtime support, not model constants
-_NON_CONSTANT_BINDINGS = frozenset({"np", "_GELU_C"})
+_NON_CONSTANT_BINDINGS = frozenset({"np", "_GELU_C", "_conv", "_global_avg_pool"})
 
 
 def resolve_backend_name(name: "str | None" = None) -> str:
@@ -226,6 +226,9 @@ class CompiledForward:
         kind, width = self._kernel.program.input_spec
         if kind == "2d":
             if x.ndim != 2 or (width is not None and x.shape[1] != width):
+                return "input-shape"
+        elif kind == "4d":
+            if x.ndim != 4 or (width is not None and x.shape[1] != width):
                 return "input-shape"
         elif kind == "flat":
             if x.ndim < 2 or (

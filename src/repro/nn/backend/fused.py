@@ -18,7 +18,19 @@ layer evaluates — same ufuncs, same operand order, same scalar types:
   ``np.add(v, b, out=v)`` vs ``v + b`` and ``np.tanh(v, out=v)`` vs
   ``np.tanh(v)``;
 * ReLU stays ``np.where(v > 0, v, 0.0)`` — ``np.maximum`` treats NaN
-  and ``-0.0`` differently and a mask-multiply breaks on ``±inf``;
+  and ``-0.0`` differently and a mask-multiply breaks on ``±inf`` — or,
+  where an in-place write is legal, ``np.fmax(v, 0.0, out=v)`` followed
+  by ``np.add(v, 0.0, out=v)``: ``fmax`` drops NaN like the failed
+  comparison does, and the add turns a surviving ``-0.0`` into the
+  ``+0.0`` ``np.where`` writes, so the bytes are the same on every input
+  at SIMD speed (a masked ``np.copyto`` mispredicts on every sign change:
+  1.5 ms against 0.08 ms on a 30x16x24x24 activation);
+* a conv is one call of :func:`repro.nn.functional.conv2d`, the kernel
+  ``Conv2d.forward`` itself runs, given a per-buffer-set
+  :class:`~repro.nn.functional.ConvWorkspace` (patch scratch, pad
+  buffers, one output buffer per conv) — activations stay channel-major
+  in memory from the first conv to the pool, and global average pooling
+  is the interpreter's :func:`~repro.nn.functional.global_avg_pool`;
 * PReLU binds the ``np.float32`` scalar the reference reads from its
   slope parameter; LeakyReLU inlines the Python-float slope literal via
   ``repr`` (round-trip exact).
@@ -39,6 +51,7 @@ from collections import OrderedDict
 import numpy as np
 
 from ...obs import get_metrics
+from ..functional import ConvWorkspace
 from .lowering import GELU_C, LoweredOp, LoweredProgram, constant_bindings
 
 __all__ = [
@@ -71,6 +84,8 @@ class _Codegen:
         self.instrument = bool(instrument)
         signature = "def _fused_forward(x, B, T):" if instrument else "def _fused_forward(x, B):"
         self.lines = [signature]
+        if program.has_conv:
+            self.lines.append("    S = B[-1]")
         self._counter = itertools.count()
         self.kind = {"x": "input"}
         self.protected: set = set()
@@ -131,14 +146,27 @@ class _Codegen:
             return r
         if op.kind == "linear":
             return self._emit_linear(op, var, tail)
+        if op.kind == "conv":
+            return self._emit_conv(op, var, tail)
+        if op.kind == "global_avg_pool":
+            timer = self._time_start(op.kind)
+            r = self.fresh()
+            self.line(f"{r} = _global_avg_pool({var})")
+            self.kind[r] = "fresh"
+            self._time_end(timer)
+            return r
         if op.kind == "residual":
             return self._emit_residual(op, var, tail)
         return self._emit_elementwise(op, var, tail)
 
     def _emit_elementwise(self, op: LoweredOp, var: str, tail: bool) -> str:
         timer = self._time_start(op.kind)
-        if op.kind == "tanh" and self._can_inplace(var, tail):
-            self.line(f"np.tanh({var}, out={var})")
+        if op.kind in ("tanh", "relu") and self._can_inplace(var, tail):
+            if op.kind == "tanh":
+                self.line(f"np.tanh({var}, out={var})")
+            else:
+                self.line(f"np.fmax({var}, 0.0, out={var})")
+                self.line(f"np.add({var}, 0.0, out={var})")
             self._time_end(timer)
             return var
         r = self.fresh()
@@ -189,6 +217,21 @@ class _Codegen:
         self._time_end(timer)
         return r
 
+    def _emit_conv(self, op: LoweredOp, var: str, tail: bool) -> str:
+        timer = self._time_start("conv")
+        size, stride, padding = op.geometry
+        bias = "None" if op.bias is None else f"b{op.index}"
+        # a tail conv reaches the caller: fresh output, no slot
+        slot = "None" if tail else op.index
+        r = self.fresh()
+        self.line(
+            f"{r}, _ = _conv({var}, W{op.index}, {bias}, ({size}, {size}), "
+            f"{stride}, {padding}, S, {slot})"
+        )
+        self.kind[r] = "fresh" if tail else "buffer"
+        self._time_end(timer)
+        return r
+
     def _emit_residual(self, op: LoweredOp, var: str, tail: bool) -> str:
         # the skip operand must survive body/shortcut emission unmutated;
         # an enclosing residual may already be protecting it
@@ -219,7 +262,8 @@ def generate_fused_source(program: LoweredProgram, instrument: bool = False) -> 
 
     ``instrument=True`` emits the same expressions bracketed by
     ``perf_counter_ns`` deltas accumulated into a ``T`` list, one slot
-    per timed op (linears, element-wise activations, residual adds).
+    per timed op (linears, convs, pools, element-wise activations,
+    residual adds).
     """
     return _Codegen(program, instrument=instrument).run()
 
@@ -285,7 +329,11 @@ def _propagate_dtypes(ops: "list[LoweredOp]", running: np.dtype, slots: list) ->
             running = np.result_type(branch, skip)
             if op.post is not None:
                 running = _propagate_dtypes(op.post, running, slots)
-        elif op.kind in ("identity", "flatten"):
+        elif op.kind == "conv":
+            running = np.result_type(running, op.weight.dtype)
+            if op.bias is not None:
+                running = np.result_type(running, op.bias.dtype)
+        elif op.kind in ("identity", "flatten", "global_avg_pool"):
             continue
         else:
             running = _elementwise_dtype(op, running)
@@ -307,7 +355,7 @@ def slot_dtypes(program: LoweredProgram, x_dtype) -> list:
 class FusedKernel:
     """A bound fused closure plus its per-thread buffer pool.
 
-    Buffers are keyed by ``(batch, input dtype)`` and held in
+    Buffers are keyed by ``(input shape, input dtype)`` and held in
     ``threading.local`` storage: concurrent pipeline threads never share
     scratch space, and fork-based pools inherit the compiled closure
     for free.
@@ -322,12 +370,12 @@ class FusedKernel:
         return self.fn(x, self._buffers(x))
 
     def _buffers(self, x: np.ndarray) -> list:
-        if not self.program.slot_widths:
+        if not self.program.slot_widths and not self.program.has_conv:
             return []
         cache = getattr(self._local, "buffers", None)
         if cache is None:
             cache = self._local.buffers = OrderedDict()
-        key = (x.shape[0], str(x.dtype))
+        key = (x.shape, str(x.dtype))
         buffers = cache.get(key)
         if buffers is None:
             n = x.shape[0]
@@ -336,6 +384,8 @@ class FusedKernel:
                 np.empty((n, width), dtype=dtype)
                 for width, dtype in zip(self.program.slot_widths, dtypes)
             ]
+            if self.program.has_conv:
+                buffers.append(ConvWorkspace())
             cache[key] = buffers
             while len(cache) > _BUFFER_SETS:
                 cache.popitem(last=False)

@@ -6,9 +6,10 @@ The interpreted forward pass walks the module tree on every call —
 backward pass inference never runs.  Lowering performs that walk *once*,
 producing a :class:`LoweredProgram`: a flat list of primitive ops plus
 the constant arrays they apply (weights bound exactly as the reference
-layers use them, e.g. the transposed view ``weight.data.T`` — never a
-contiguous copy, which could route BLAS through a different gemm kernel
-and change the rounding).
+layers use them, e.g. the transposed view ``weight.data.T`` of a linear
+— never a contiguous copy, which could route BLAS through a different
+gemm kernel and change the rounding — or the matricized ``(O, C*kh*kw)``
+kernel of a conv).
 
 Backends consume the program two ways:
 
@@ -21,14 +22,16 @@ Backends consume the program two ways:
   models with the same architecture share one generated source, while
   their weights stay in the per-process binding.
 
-Only the module set the paper's MLP workloads exercise is lowered:
-``Sequential``, ``Linear``, ``SpectralLinear`` (eval mode), the
-element-wise activations, ``Flatten``, ``Identity`` and
-``ResidualBlock``.  Anything else raises :class:`LoweringError` and the
-caller falls back to the interpreted reference path.  Batch norm is
-deliberately unsupported: its running statistics mutate without bumping
-parameter version counters, so a compiled kernel could silently go
-stale.
+The module set the paper's workloads exercise is lowered — the MLPs
+and the batch-norm-free (PSN) ResNets: ``Sequential``, ``Linear``,
+``SpectralLinear`` (eval mode), ``Conv2d``, ``SpectralConv2d`` (eval
+mode), ``GlobalAvgPool2d``, the element-wise activations, ``Flatten``,
+``Identity`` and ``ResidualBlock``/``BasicBlock``.  Anything else
+(windowed pooling, upsampling, the U-Net levels) raises
+:class:`LoweringError` naming the module and the caller falls back to
+the interpreted reference path.  Batch norm is deliberately
+unsupported: its running statistics mutate without bumping parameter
+version counters, so a compiled kernel could silently go stale.
 """
 
 from __future__ import annotations
@@ -48,9 +51,11 @@ from ..activations import (
     Sigmoid,
     Tanh,
 )
+from ..conv import Conv2d, SpectralConv2d
+from ..functional import conv2d, global_avg_pool
 from ..linear import Linear, SpectralLinear
 from ..module import Module
-from ..pooling import Flatten
+from ..pooling import Flatten, GlobalAvgPool2d
 from ..residual import ResidualBlock
 from ..sequential import Sequential
 
@@ -69,12 +74,17 @@ class LoweredOp:
     constant names (``W{index}_t``, ``b{index}``, ``s{index}``) derive
     from it, so source text and constant bindings stay aligned across
     processes.  ``slot`` is the preallocated-buffer slot of a linear op
-    (one per linear, in traversal order).
+    (one per linear, in traversal order).  A conv op carries its
+    matricized kernel in ``weight``, its channel counts in
+    ``width_in``/``width_out`` and ``(kernel_size, stride, padding)`` in
+    ``geometry``; its output buffer is keyed by ``index``.
     """
 
     kind: str
     index: int
     weight_t: "np.ndarray | None" = None
+    weight: "np.ndarray | None" = None
+    geometry: "tuple[int, int, int] | None" = None
     bias: "np.ndarray | None" = None
     width_in: "int | None" = None
     width_out: "int | None" = None
@@ -94,9 +104,13 @@ class LoweredProgram:
     signature: str
     slot_widths: "list[int]" = field(default_factory=list)
     weights_dtype: np.dtype = np.dtype(np.float32)
-    #: ("2d", width) / ("flat", width) / ("any", None): cheap per-call
-    #: input guard replacing the reference layers' ShapeError checks
+    #: ("2d", width) / ("flat", width) / ("4d", channels) / ("any", None):
+    #: cheap per-call input guard replacing the reference layers'
+    #: ShapeError checks
     input_spec: tuple = ("any", None)
+    #: whether any op runs the conv kernel (the buffer set then carries a
+    #: :class:`~repro.nn.functional.ConvWorkspace`)
+    has_conv: bool = False
 
     @property
     def n_linear(self) -> int:
@@ -132,17 +146,30 @@ def _lower_module(module: Module, counter, slots: "list[int]") -> "list[LoweredO
         return [LoweredOp(kind="prelu", index=index, slope=module.slope.data[0])]
     if isinstance(module, Flatten):
         return [LoweredOp(kind="flatten", index=index)]
+    if isinstance(module, GlobalAvgPool2d):
+        return [LoweredOp(kind="global_avg_pool", index=index)]
+    if isinstance(module, Conv2d):
+        if isinstance(module, SpectralConv2d):
+            _require_eval(module)
+        return [
+            LoweredOp(
+                kind="conv",
+                index=index,
+                # the matrix the reference forward applies (a spectral conv
+                # rebuilds it per call), materialized once
+                weight=module._forward_weight(),
+                bias=None if module.bias is None else module.bias.data,
+                width_in=module.in_channels,
+                width_out=module.out_channels,
+                geometry=(module.kernel_size, module.stride, module.padding),
+            )
+        ]
     if isinstance(module, Linear):
         weight_t = module.weight.data.T  # transposed VIEW, as the reference multiplies
         bias = None if module.bias is None else module.bias.data
         return [_linear_op(index, weight_t, bias, module.in_features, module.out_features, slots)]
     if isinstance(module, SpectralLinear):
-        if module.training:
-            raise LoweringError(
-                "SpectralLinear in training mode uses a power-iteration "
-                "sigma estimate that mutates per call; compiled backends "
-                "require eval()"
-            )
+        _require_eval(module)
         normalized, _sigma = module._sigma_and_normalized()
         # exactly the rhs the reference builds per call:
         # x @ (normalized.T * alpha) — materialized once at compile time
@@ -164,6 +191,15 @@ def _lower_module(module: Module, counter, slots: "list[int]") -> "list[LoweredO
         f"module {type(module).__name__} has no lowering rule; compiled "
         "backends fall back to the interpreted reference path"
     )
+
+
+def _require_eval(module: Module) -> None:
+    if module.training:
+        raise LoweringError(
+            f"{type(module).__name__} in training mode uses a power-iteration "
+            "sigma estimate that mutates per call; compiled backends "
+            "require eval()"
+        )
 
 
 def _linear_op(index, weight_t, bias, width_in, width_out, slots) -> LoweredOp:
@@ -189,6 +225,12 @@ def _op_signature(op: LoweredOp) -> str:
             f"linear({op.width_in}->{op.width_out},{op.weight_t.dtype},"
             f"bias={bias},inplace={int(op.inplace_bias_ok)})"
         )
+    if op.kind == "conv":
+        bias = "none" if op.bias is None else str(op.bias.dtype)
+        return (
+            f"conv({op.width_in}->{op.width_out},k{op.geometry[0]}s{op.geometry[1]}"
+            f"p{op.geometry[2]},{op.weight.dtype},bias={bias})"
+        )
     if op.kind == "leaky_relu":
         return f"leaky_relu({op.slope!r})"
     if op.kind == "residual":
@@ -209,6 +251,10 @@ def _input_spec(ops: "list[LoweredOp]") -> tuple:
     for op in ops:
         if op.kind == "linear":
             return ("flat" if seen_flatten else "2d", op.width_in)
+        if op.kind == "conv":
+            return ("4d", op.width_in)
+        if op.kind == "global_avg_pool":
+            return ("4d", None)
         if op.kind == "flatten":
             seen_flatten = True
             continue
@@ -234,7 +280,9 @@ def lower(model: Module) -> LoweredProgram:
     counter = itertools.count()
     slots: "list[int]" = []
     ops = _lower_module(model, counter, slots)
-    weights = [op.weight_t for op in _iter_ops(ops) if op.weight_t is not None]
+    weights = [
+        w for op in _iter_ops(ops) for w in (op.weight_t, op.weight) if w is not None
+    ]
     weights_dtype = (
         np.result_type(*(w.dtype for w in weights)) if weights else np.dtype(np.float32)
     )
@@ -244,6 +292,7 @@ def lower(model: Module) -> LoweredProgram:
         slot_widths=slots,
         weights_dtype=np.dtype(weights_dtype),
         input_spec=_input_spec(ops),
+        has_conv=any(op.kind == "conv" for op in _iter_ops(ops)),
     )
 
 
@@ -257,9 +306,18 @@ def _iter_ops(ops: "list[LoweredOp]"):
 
 def constant_bindings(program: LoweredProgram) -> dict:
     """Deterministic name → constant map a generated kernel closes over."""
-    bindings: dict = {"np": np, "_GELU_C": GELU_C}
+    bindings: dict = {
+        "np": np,
+        "_GELU_C": GELU_C,
+        "_conv": conv2d,
+        "_global_avg_pool": global_avg_pool,
+    }
     for op in _iter_ops(program.ops):
-        if op.kind == "linear":
+        if op.kind == "conv":
+            bindings[f"W{op.index}"] = op.weight
+            if op.bias is not None:
+                bindings[f"b{op.index}"] = op.bias
+        elif op.kind == "linear":
             bindings[f"W{op.index}_t"] = op.weight_t
             if op.bias is not None:
                 bindings[f"b{op.index}"] = op.bias

@@ -1,7 +1,9 @@
 """2-D convolution layers (plain and spectrally normalized).
 
-Convolutions run as a single matmul over im2col patch columns.  For the
-error-flow analysis, the layer exposes its matricized kernel
+Convolutions run as a single matmul of the matricized kernel against
+channel-major patch columns (:func:`repro.nn.functional.conv2d`, the
+kernel the fused backend runs too).  For the error-flow analysis, the
+layer exposes its matricized kernel
 ``(out_channels, in_channels * kh * kw)`` — the spectral norm of that
 matrix is the standard spectral-normalization surrogate for the conv
 operator norm (Miyato et al., paper ref. [19]) and is what the quantizer
@@ -12,8 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..exceptions import ShapeError
-from .functional import col2im, im2col
+from ..exceptions import ShapeError, TrainingError
+from .functional import conv2d, conv2d_input_grad
 from .init import kaiming_uniform
 from .module import Module, Parameter
 from .spectral import PowerIterationState, spectral_norm
@@ -61,7 +63,6 @@ class Conv2d(Module):
         self.bias = Parameter(np.zeros(out_channels, dtype=np.float32)) if bias else None
         self._cols: np.ndarray | None = None
         self._x_shape: tuple[int, int, int, int] | None = None
-        self._out_hw: tuple[int, int] | None = None
 
     def matricized_weight(self) -> np.ndarray:
         """Kernel reshaped to ``(out_channels, in_channels * kh * kw)``."""
@@ -81,32 +82,37 @@ class Conv2d(Module):
             self.weight.data.dtype
         )
 
+    def _forward_weight(self) -> np.ndarray:
+        """The ``(out_channels, in_channels * kh * kw)`` matrix forward applies."""
+        return self.matricized_weight()
+
     def forward(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim != 4 or x.shape[1] != self.in_channels:
-            raise ShapeError(
-                f"Conv2d expects (N, {self.in_channels}, H, W); got {x.shape}"
-            )
         kernel = (self.kernel_size, self.kernel_size)
-        cols, (out_h, out_w) = im2col(x, kernel, self.stride, self.padding)
-        self._cols = cols
+        bias = None if self.bias is None else self.bias.data
+        out, cols = conv2d(x, self._forward_weight(), bias, kernel, self.stride, self.padding)
+        # the patch columns are many times the input; only a backward
+        # pass needs them
+        self._cols = cols if self.training else None
         self._x_shape = x.shape
-        self._out_hw = (out_h, out_w)
-        out = cols @ self.matricized_weight().T
+        return out
+
+    def _backward(self, grad_output: np.ndarray, weight: np.ndarray) -> tuple:
+        """``(grad wrt weight, grad wrt input)`` for the matrix forward applied."""
+        if self._cols is None:
+            raise TrainingError("Conv2d.backward needs a training-mode forward first")
+        grad = grad_output.transpose(1, 0, 2, 3).reshape(self.out_channels, -1)
         if self.bias is not None:
-            out = out + self.bias.data
-        n = x.shape[0]
-        return out.reshape(n, out_h, out_w, self.out_channels).transpose(0, 3, 1, 2)
+            self.bias.grad += grad.sum(axis=1)
+        kernel = (self.kernel_size, self.kernel_size)
+        grad_input = conv2d_input_grad(
+            weight.T @ grad, self._x_shape, kernel, self.stride, self.padding
+        )
+        return grad @ self._cols.T, grad_input
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        n, __, out_h, out_w = grad_output.shape
-        grad_flat = grad_output.transpose(0, 2, 3, 1).reshape(-1, self.out_channels)
-        grad_kernel = grad_flat.T @ self._cols
+        grad_kernel, grad_input = self._backward(grad_output, self.matricized_weight())
         self.weight.grad += grad_kernel.reshape(self.weight.data.shape)
-        if self.bias is not None:
-            self.bias.grad += grad_flat.sum(axis=0)
-        grad_cols = grad_flat @ self.matricized_weight()
-        kernel = (self.kernel_size, self.kernel_size)
-        return col2im(grad_cols, self._x_shape, kernel, self.stride, self.padding)
+        return grad_input
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -167,32 +173,24 @@ class SpectralConv2d(Conv2d):
         if self.training:
             sigma = max(self._power.step(raw, n_steps=1), 1e-12)
             return raw / sigma, sigma
-        key = (id(self.weight.data), self.weight.data.shape)
+        # the version counter, not id(): a freed array's id can be reused
+        key = (self.weight.version, self.weight.data.shape)
         if self._eval_key != key:
             sigma = max(spectral_norm(raw), 1e-12)
             self._eval_cache = (raw / sigma, sigma)
             self._eval_key = key
         return self._eval_cache
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def _forward_weight(self) -> np.ndarray:
         normalized, sigma = self._sigma_and_normalized()
         self._cached = (normalized, sigma)
-        kernel = (self.kernel_size, self.kernel_size)
-        cols, (out_h, out_w) = im2col(x, kernel, self.stride, self.padding)
-        self._cols = cols
-        self._x_shape = x.shape
-        self._out_hw = (out_h, out_w)
-        out = cols @ (normalized.T * self.alpha.data[0])
-        if self.bias is not None:
-            out = out + self.bias.data
-        n = x.shape[0]
-        return out.reshape(n, out_h, out_w, self.out_channels).transpose(0, 3, 1, 2)
+        return normalized * self.alpha.data[0]
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         normalized, sigma = self._cached
         alpha = float(self.alpha.data[0])
-        grad_flat = grad_output.transpose(0, 2, 3, 1).reshape(-1, self.out_channels)
-        grad_w_eff = grad_flat.T @ self._cols  # wrt alpha * normalized
+        # gradient wrt alpha * normalized
+        grad_w_eff, grad_input = self._backward(grad_output, normalized * alpha)
         self.alpha.grad[0] += float(np.sum(grad_w_eff * normalized))
         grad_w_bar = alpha * grad_w_eff
         coupling = float(np.sum(grad_w_bar * normalized))
@@ -200,8 +198,4 @@ class SpectralConv2d(Conv2d):
         self.weight.grad += grad_raw.reshape(self.weight.data.shape).astype(
             self.weight.grad.dtype
         )
-        if self.bias is not None:
-            self.bias.grad += grad_flat.sum(axis=0)
-        grad_cols = grad_flat @ (normalized * alpha)
-        kernel = (self.kernel_size, self.kernel_size)
-        return col2im(grad_cols, self._x_shape, kernel, self.stride, self.padding)
+        return grad_input

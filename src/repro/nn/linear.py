@@ -155,7 +155,8 @@ class SpectralLinear(Module):
         if self.training:
             sigma = max(self._power.step(self.raw_weight.data, n_steps=1), 1e-12)
             return self.raw_weight.data / sigma, sigma
-        key = (id(self.raw_weight.data), self.raw_weight.data.shape)
+        # the version counter, not id(): a freed array's id can be reused
+        key = (self.raw_weight.version, self.raw_weight.data.shape)
         if self._eval_key != key:
             sigma = max(spectral_norm(self.raw_weight.data), 1e-12)
             self._eval_cache = (self.raw_weight.data / sigma, sigma)

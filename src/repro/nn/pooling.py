@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..exceptions import ShapeError
-from .functional import im2col
+from .functional import col2im, global_avg_pool, im2col
 from .module import Module
 
 __all__ = ["MaxPool2d", "AvgPool2d", "GlobalAvgPool2d", "Flatten"]
@@ -50,8 +50,6 @@ class MaxPool2d(Module):
         p = self.padding
         grad_cols = np.zeros((n * c * out_h * out_w, k * k), dtype=grad_output.dtype)
         grad_cols[np.arange(grad_cols.shape[0]), self._argmax] = grad_output.reshape(-1)
-        from .functional import col2im
-
         grad = col2im(
             grad_cols, (n * c, 1, h + 2 * p, w + 2 * p), (k, k), self.stride, 0
         )
@@ -91,8 +89,6 @@ class AvgPool2d(Module):
         grad_cols = np.repeat(
             grad_output.reshape(-1, 1) / (k * k), k * k, axis=1
         ).astype(grad_output.dtype)
-        from .functional import col2im
-
         grad = col2im(grad_cols, (n * c, 1, h, w), (k, k), self.stride, self.padding)
         return grad.reshape(n, c, h, w)
 
@@ -108,7 +104,7 @@ class GlobalAvgPool2d(Module):
         if x.ndim != 4:
             raise ShapeError(f"GlobalAvgPool2d expects (N, C, H, W); got {x.shape}")
         self._x_shape = x.shape
-        return x.mean(axis=(2, 3))
+        return global_avg_pool(x)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         n, c, h, w = self._x_shape

@@ -50,7 +50,8 @@ __all__ = [
     "structure_key",
 ]
 
-_FORMAT_VERSION = 1
+#: bumped whenever codegen emits different source for an unchanged signature
+_FORMAT_VERSION = 2
 _ENV_DIR = "REPRO_COMPILE_CACHE_DIR"
 _DEFAULT_DIR = Path.home() / ".cache" / "repro" / "kernels"
 

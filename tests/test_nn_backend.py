@@ -17,9 +17,19 @@ from hypothesis import strategies as st
 
 from repro.core import ErrorFlowAnalyzer, InferencePipeline, TolerancePlanner
 from repro.compress import SZCompressor
-from repro.exceptions import ConfigurationError, LoweringError
-from repro.models import build_mlp
-from repro.nn import Identity, Linear, Module, ReLU, Sequential, Tanh
+from repro.exceptions import ConfigurationError, LoweringError, ShapeError
+from repro.models import build_mlp, resnet, resnet18, unet
+from repro.nn import (
+    Conv2d,
+    GlobalAvgPool2d,
+    Identity,
+    Linear,
+    Module,
+    ReLU,
+    Sequential,
+    SpectralConv2d,
+    Tanh,
+)
 from repro.nn.backend import (
     BACKEND_NAMES,
     CompiledForward,
@@ -131,6 +141,179 @@ def test_numba_bit_exact_random_chain(widths, activation, seed):
     forward = CompiledForward(model, "numba")
     assert np.array_equal(forward(x), model(x))
     assert forward.last_fallback_reason is None
+
+
+# -- conv programs: PSN ResNets run compiled ----------------------------------
+
+
+def _psn_resnet18(rng):
+    return resnet18(in_channels=5, base_width=4, rng=rng)
+
+
+def _psn_resnet8(rng):
+    return resnet(8, in_channels=3, base_width=4, rng=rng, spectral=True)
+
+
+_CONV_MODELS = {"resnet18": (_psn_resnet18, 5), "resnet8": (_psn_resnet8, 3)}
+
+
+@pytest.mark.parametrize("name", sorted(_CONV_MODELS))
+@pytest.mark.parametrize("quantized", [False, True], ids=["psn", "conv2d-folded"])
+def test_fused_bit_exact_psn_resnets(name, quantized, rng):
+    """Both paths run ``functional.conv2d`` on the same operands: batch
+    sizes 1/7/30 and two image sizes through ONE kernel, each shape twice
+    so the second pass runs on recycled buffers."""
+    build, channels = _CONV_MODELS[name]
+    model = build(rng)
+    model.eval()
+    if quantized:
+        model = quantize_model(model, STANDARD_FORMATS["fp16"]).model
+    forward = _compiled(model)
+    shapes = [(1, 8), (7, 8), (30, 8), (7, 12), (1, 8), (7, 12), (30, 8)]
+    for batch, size in shapes:
+        x = rng.standard_normal((batch, channels, size, size)).astype(np.float32)
+        expected = model(x)
+        actual = forward(x)
+        assert forward.last_fallback_reason is None
+        assert actual.dtype == expected.dtype and actual.shape == (batch, 10)
+        assert np.array_equal(actual, expected)
+    assert forward.stats["lowerings"] == 1 and forward.stats["compiles"] == 1
+    assert forward.stats["fallbacks"] == 0
+
+
+def test_fused_conv_feature_map_is_fresh_and_contiguous(rng):
+    """The QoI model ends at the pool: the returned (N, C) array must not
+    alias a buffer the next call overwrites."""
+    model = Sequential(*list(_psn_resnet18(rng))[:-1])
+    forward = _compiled(model)
+    x = rng.standard_normal((3, 5, 8, 8)).astype(np.float32)
+    first = forward(x)
+    kept = first.copy()
+    second = forward(x + 1.0)
+    assert first.flags.c_contiguous and first.shape == (3, 32)
+    assert np.array_equal(first, kept) and not np.array_equal(first, second)
+    assert np.array_equal(first, model(x))
+
+
+def test_fused_tail_conv_returns_a_fresh_array(rng):
+    model = Sequential(Conv2d(2, 3, 3, padding=1, rng=rng), ReLU(), Conv2d(3, 2, 1, rng=rng))
+    forward = _compiled(model)
+    x = rng.standard_normal((2, 2, 5, 5)).astype(np.float32)
+    first = forward(x)
+    kept = first.copy()
+    forward(x * 2.0)
+    assert forward.last_fallback_reason is None
+    assert np.array_equal(first, kept) and np.array_equal(first, model(x))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_fused_conv_bit_exact_nonfinite_inputs(rng):
+    """NaN, both infinities and -0.0 through bias, in-place ReLU, residual
+    add and pool.  ReLU zeroes a NaN and inf - inf makes new ones, so the
+    prefixes of the network are compared as well as the whole."""
+    layers = list(_psn_resnet18(rng))
+    x = rng.standard_normal((4, 5, 8, 8)).astype(np.float32)
+    x[0, 0, 0, 0] = np.nan
+    x[1, 1, 2, 3] = np.inf
+    x[2, 2, 4, 4] = -np.inf
+    x[3, :, 1, 1] = -0.0
+    seen_nan = seen_inf = False
+    for depth in (1, 2, 3, len(layers)):
+        model = Sequential(*layers[:depth])
+        forward = _compiled(model)
+        expected = model(x)
+        seen_nan |= bool(np.isnan(expected).any())
+        seen_inf |= bool(np.isinf(expected).any())
+        assert np.array_equal(forward(x), expected, equal_nan=True)
+        assert forward.last_fallback_reason is None
+    assert seen_nan and seen_inf
+
+
+@pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+def test_inplace_relu_has_np_where_bytes(dtype):
+    """The in-place ReLU the codegen emits vs the reference expression,
+    byte for byte on every special value (sign of zero included)."""
+    tiny = np.finfo(dtype).tiny
+    v = np.array(
+        [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 1.5, -1.5, tiny / 2, -tiny / 2,
+         np.finfo(dtype).max, -np.finfo(dtype).max],
+        dtype=dtype,
+    )
+    expected = np.where(v > 0, v, 0.0)
+    # multiplying by one on both sides keeps every byte; the second
+    # linear makes the ReLU a non-tail op, where in-place is legal
+    model = Sequential(Linear(1, 1, bias=False), ReLU(), Linear(1, 1, bias=False))
+    for layer in (model.layers[0], model.layers[2]):
+        layer.weight.data = np.ones((1, 1), dtype=dtype)
+    actual = _compiled(model)(v[:, None])
+    assert "np.fmax" in generate_fused_source(lower(model))
+    assert actual.dtype == expected.dtype
+    assert actual[:, 0].tobytes() == expected.tobytes()
+
+
+def test_conv_input_guard_falls_back_with_input_shape(rng):
+    model = _psn_resnet18(rng)
+    forward = _compiled(model)
+    forward(rng.standard_normal((1, 5, 8, 8)).astype(np.float32))
+    assert lower(model).input_spec == ("4d", 5)
+    for shape in ((1, 4, 8, 8), (5, 8, 8), (2, 5)):
+        with pytest.raises(ShapeError):
+            forward(np.zeros(shape, dtype=np.float32))
+        assert forward.last_fallback_reason == "input-shape"
+    # right rank and channels, but no room for the kernel: the compiled
+    # kernel raises what the interpreter raises
+    tiny = Sequential(Conv2d(2, 2, 3, rng=rng))
+    with pytest.raises(ShapeError, match="does not fit"):
+        _compiled(tiny)(np.zeros((1, 2, 2, 2), dtype=np.float32))
+
+
+def test_instrumented_conv_labels(rng):
+    model = _psn_resnet18(rng)
+    model.eval()
+    timed = CompiledForward(model, "fused", instrument=True)
+    x = rng.standard_normal((2, 5, 8, 8)).astype(np.float32)
+    assert np.array_equal(timed(x), model(x))
+    labels = timed.op_labels
+    assert labels.count("conv") == 20 and labels.count("global_avg_pool") == 1
+    assert {"relu", "residual_add", "linear"} <= set(labels)
+    assert len(timed.last_op_seconds) == len(labels)
+
+
+@pytest.mark.parametrize(
+    "build, module_name",
+    [
+        (lambda rng: resnet18(in_channels=3, base_width=4, rng=rng, spectral=False), "BatchNorm2d"),
+        (lambda rng: resnet(8, base_width=4, rng=rng), "BatchNorm2d"),
+        (lambda rng: unet(base_width=4, depth=1, rng=rng), "UNetLevel"),
+    ],
+    ids=["bn-resnet18", "bn-resnet8", "unet"],
+)
+def test_unlowered_conv_models_name_the_first_unsupported_module(build, module_name, rng):
+    model = build(rng)
+    forward = _compiled(model)
+    channels = 1 if module_name == "UNetLevel" else 3
+    x = rng.standard_normal((2, channels, 8, 8)).astype(np.float32)
+    assert np.array_equal(forward(x), model(x))
+    assert forward.last_fallback_reason.startswith(f"module {module_name} has no lowering rule")
+
+
+def test_spectral_conv_in_training_mode_is_not_lowered(rng):
+    model = Sequential(SpectralConv2d(2, 2, 3, rng=rng))
+    model.train()
+    with pytest.raises(LoweringError, match="SpectralConv2d in training mode"):
+        lower(model)
+
+
+def test_numba_codegen_refuses_conv_ops(rng):
+    """No conv or pool lowering for numba: the program is refused at
+    codegen (so the caller falls back), whether or not numba is installed."""
+    from repro.nn.backend import generate_numba_source
+
+    for layers in ((Conv2d(2, 2, 3, rng=rng),), (GlobalAvgPool2d(),)):
+        model = Sequential(*layers)
+        model.eval()
+        with pytest.raises(LoweringError, match="no numba lowering"):
+            generate_numba_source(lower(model))
 
 
 # -- fallback matrix ---------------------------------------------------------
