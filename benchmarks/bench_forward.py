@@ -29,14 +29,25 @@ ResNet18 up to the pooled feature map, one 30x13x24x24 batch):
   ``cols @ W.T`` (``tests/oracles/conv_reference.py``);
 * ``fused``         — the compiled channel-major kernel, warm.
 
-Three gates are asserted (and recorded in the rows) so CI catches
+A third pair, ``prelu_forward``, times the Borghesi QoI network (the
+8-hidden-layer PSN PReLU MLP, one 16384x13 batch — a 128x128 field):
+
+* ``where_oracle`` — the forward as it was while every PReLU selected
+  with ``np.where(x > 0, x, s * x)``
+  (``tests/oracles/activation_reference.py``);
+* ``fused``        — the compiled kernel calling the branch-free
+  ``repro.nn.functional.prelu`` in place, warm.
+
+Four gates are asserted (and recorded in the rows) so CI catches
 regressions:
 
 * ``fused_warm`` must be >= 2x ``reference`` at batch 1;
 * the warm path must do exactly one lowering and one compile across all
   timed calls and batch sizes (zero recompiles);
 * the conv ``fused`` row must be >= 1.5x ``gather_oracle`` with no
-  fallback.
+  fallback;
+* the prelu ``fused`` row must be >= 2x ``where_oracle``, bit-exact to
+  it, with no fallback.
 
 Bit-exactness is asserted before timing: every backend output must be
 ``np.array_equal`` to the reference.  Usage::
@@ -57,8 +68,9 @@ import numpy as np
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir))
 
 from benchutils import best_of, finalize_rows, make_row, write_rows
+from tests.oracles.activation_reference import reference_forward
 from tests.oracles.conv_reference import forward_reference
-from repro.models import build_mlp, model_flops, resnet18
+from repro.models import borghesi_net, build_mlp, model_flops, resnet18
 from repro.nn import Sequential
 from repro.nn.backend import CompiledForward, numba_available
 from repro.perf.compile_cache import CompileCache, get_compile_cache, reset_compile_cache
@@ -226,6 +238,43 @@ def bench_conv_forward(reps: int) -> list[dict]:
     return rows
 
 
+def bench_prelu_forward(reps: int) -> list[dict]:
+    """``np.where`` oracle walk vs the fused kernel on the Borghesi net."""
+    model = borghesi_net(rng=np.random.default_rng(7))
+    model.eval()
+    x = np.random.default_rng(11).standard_normal((16384, 13)).astype(np.float32)
+    config = {"model": "borghesi_net_psn_prelu", "batch": x.shape[0], "reps": reps}
+
+    expected = reference_forward(model, x)
+    os.environ["REPRO_COMPILE_CACHE_DIR"] = ""  # memory only: nothing to clean up
+    reset_compile_cache()
+    fused = CompiledForward(model, "fused")
+    actual = fused(x)
+    assert fused.last_fallback_reason is None, fused.last_fallback_reason
+    assert np.array_equal(actual, model(x)), "fused output not bit-exact"
+    assert actual.dtype == expected.dtype and np.array_equal(actual, expected), (
+        "fused output not bit-exact to the np.where forward"
+    )
+
+    oracle_seconds, oracle_reps = best_of(lambda: reference_forward(model, x), reps)
+    fused_seconds, fused_reps = best_of(lambda: fused(x), reps)
+    assert fused.stats["fallbacks"] == 0 and fused.stats["compiles"] == 1, fused.stats
+    os.environ.pop("REPRO_COMPILE_CACHE_DIR", None)
+    reset_compile_cache()
+
+    speedup = oracle_seconds / fused_seconds
+    rows = [
+        _row("prelu_forward", dict(config, impl="where_oracle"), oracle_seconds,
+             x.shape[0], reps_s=oracle_reps),
+        _row("prelu_forward", dict(config, impl="fused", speedup_vs_oracle=speedup),
+             fused_seconds, x.shape[0], reps_s=fused_reps),
+    ]
+    for row in rows:
+        print(f"prelu_forward[{row['config']['impl']}]: {row['seconds']*1e3:.1f} ms/batch")
+    assert speedup >= 2.0, f"fused prelu speedup {speedup:.2f}x below the 2x gate"
+    return rows
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true",
@@ -236,7 +285,8 @@ def main(argv=None) -> int:
     reps = 3 if args.quick else 5
     inner = 200 if args.quick else 1000
 
-    rows = bench_forward(reps, inner) + bench_conv_forward(10 if args.quick else 30)
+    many = 10 if args.quick else 30
+    rows = bench_forward(reps, inner) + bench_conv_forward(many) + bench_prelu_forward(many)
     rows = finalize_rows(rows, args.quick)
     write_rows(rows, args.out)
     return 0

@@ -40,7 +40,7 @@ from ..nn.module import Module
 from ..obs import get_auditor, get_logger, get_metrics, get_profiler, get_tracer
 from ..obs.audit import AuditRecord
 from ..obs.prof import memory_snapshot, memory_top_diff
-from ..perf.parallel import resolve_workers
+from ..perf.parallel import resolve_workers, usable_cpus
 from ..quant.quantizer import QuantizedModel, quantize_model
 from ..resilience.guards import check_contract, screen_finite
 from ..resilience.inject import ChaosInjector
@@ -847,7 +847,10 @@ class InferencePipeline:
                 f"got {executor!r}"
             )
         if executor == "auto":
-            if n_workers <= 1:
+            # forked workers sharing one CPU only add their fixed cost
+            # (BENCH_pr6: 0.52x serial on one core); an explicit
+            # executor="process" is still honoured there
+            if n_workers <= 1 or usable_cpus() <= 1:
                 return "serial"
             # BENCH_pr4 showed the GIL-bound thread pool yields no
             # inference speedup, and it was removed as an executor in the

@@ -6,12 +6,19 @@ LeakyReLU (slope <= 1) the constant is 1 and is dropped from the bound.
 Each activation here carries its ``lipschitz`` constant so the error-flow
 analyzer can include it when it is not 1 (e.g. PReLU with a learned slope
 above 1, or a custom gain).
+
+Every forward is one call of the branch-free kernel of the same name in
+:mod:`repro.nn.functional`, which the fused backend calls too.  State for
+``backward`` is kept only in training mode: an eval forward pins nothing,
+and ``backward`` after one raises :class:`~repro.exceptions.TrainingError`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..exceptions import TrainingError
+from . import functional as F
 from .module import Module, Parameter
 
 __all__ = [
@@ -36,6 +43,14 @@ class Activation(Module):
         """Upper bound on ``|dphi/dz|`` over the activation's domain."""
         raise NotImplementedError
 
+    def _saved(self, state):
+        """The forward state ``backward`` needs, or a refusal without it."""
+        if state is None:
+            raise TrainingError(
+                f"{type(self).__name__}.backward needs a training-mode forward first"
+            )
+        return state
+
 
 class Identity(Activation):
     """Pass-through activation (used for the final layer of regressors)."""
@@ -59,11 +74,11 @@ class ReLU(Activation):
         self._mask: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
+        self._mask = x > 0 if self.training else None
+        return F.relu(x)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        return np.where(self._mask, grad_output, 0.0)
+        return np.where(self._saved(self._mask), grad_output, 0.0)
 
     @property
     def lipschitz(self) -> float:
@@ -79,11 +94,12 @@ class LeakyReLU(Activation):
         self._mask: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = x > 0
-        return np.where(self._mask, x, self.negative_slope * x)
+        self._mask = x > 0 if self.training else None
+        return F.leaky_relu(x, self.negative_slope)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        return np.where(self._mask, grad_output, self.negative_slope * grad_output)
+        mask = self._saved(self._mask)
+        return np.where(mask, grad_output, self.negative_slope * grad_output)
 
     @property
     def lipschitz(self) -> float:
@@ -103,12 +119,11 @@ class PReLU(Activation):
         self._x: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x = x
-        slope = self.slope.data[0]
-        return np.where(x > 0, x, slope * x)
+        self._x = x if self.training else None
+        return F.prelu(x, self.slope.data[0])
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        x = self._x
+        x = self._saved(self._x)
         negative = x <= 0
         self.slope.grad[0] += float(np.sum(grad_output[negative] * x[negative]))
         slope = self.slope.data[0]
@@ -127,11 +142,12 @@ class Tanh(Activation):
         self._y: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._y = np.tanh(x)
-        return self._y
+        y = F.tanh(x)
+        self._y = y if self.training else None
+        return y
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        return grad_output * (1.0 - self._y**2)
+        return grad_output * (1.0 - self._saved(self._y) ** 2)
 
     @property
     def lipschitz(self) -> float:
@@ -146,11 +162,13 @@ class Sigmoid(Activation):
         self._y: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._y = 1.0 / (1.0 + np.exp(-x))
-        return self._y
+        y = F.sigmoid(x)
+        self._y = y if self.training else None
+        return y
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        return grad_output * self._y * (1.0 - self._y)
+        y = self._saved(self._y)
+        return grad_output * y * (1.0 - y)
 
     @property
     def lipschitz(self) -> float:
@@ -170,19 +188,14 @@ class GELU(Activation):
         super().__init__()
         self._x: np.ndarray | None = None
 
-    @staticmethod
-    def _inner(x: np.ndarray) -> np.ndarray:
-        return np.sqrt(2.0 / np.pi) * (x + 0.044715 * x**3)
-
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x = x
-        return 0.5 * x * (1.0 + np.tanh(self._inner(x)))
+        self._x = x if self.training else None
+        return F.gelu(x)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        x = self._x
-        inner = self._inner(x)
-        tanh_inner = np.tanh(inner)
-        d_inner = np.sqrt(2.0 / np.pi) * (1.0 + 3 * 0.044715 * x**2)
+        x = self._saved(self._x)
+        tanh_inner = np.tanh(F.GELU_C * (x + 0.044715 * x**3))
+        d_inner = F.GELU_C * (1.0 + 3 * 0.044715 * x**2)
         derivative = 0.5 * (1.0 + tanh_inner) + 0.5 * x * (1.0 - tanh_inner**2) * d_inner
         return grad_output * derivative
 

@@ -42,7 +42,7 @@ from ...obs import get_metrics, get_tracer
 from ...perf.compile_cache import get_compile_cache, kernel_key, structure_key
 from ..module import Module
 from .fused import FusedBackend, InstrumentedFusedBackend
-from .lowering import constant_bindings, lower
+from .lowering import SUPPORT_BINDINGS, constant_bindings, lower
 from .numba_backend import NumbaBackend, numba_available
 
 __all__ = [
@@ -69,9 +69,6 @@ _ENV_INSTRUMENT = "REPRO_INSTRUMENT_OPS"
 def _instrument_default() -> bool:
     value = os.environ.get(_ENV_INSTRUMENT, "")
     return value.strip().lower() not in ("", "0", "false", "no", "off")
-
-#: binding names that are runtime support, not model constants
-_NON_CONSTANT_BINDINGS = frozenset({"np", "_GELU_C", "_conv", "_global_avg_pool"})
 
 
 def resolve_backend_name(name: "str | None" = None) -> str:
@@ -252,7 +249,7 @@ class CompiledForward:
         constants = sorted(
             (name, value)
             for name, value in constant_bindings(program).items()
-            if name not in _NON_CONSTANT_BINDINGS
+            if name not in SUPPORT_BINDINGS  # functions, not model constants
         )
         kkey = kernel_key(program.signature, cache_name, constants, version)
         kernel = cache.get_kernel(kkey)

@@ -4,27 +4,28 @@ The generated source replays the lowered program as straight-line code —
 no ``Sequential`` loop, no ``Module.__call__`` hook checks, no per-layer
 ``isinstance``/shape re-validation — and recycles preallocated matmul
 buffers (``np.matmul(..., out=B[slot])``) plus in-place bias adds and
-tanh where aliasing rules allow, eliminating most temporary churn.
+activations where aliasing rules allow, eliminating most temporary churn.
 
 Bit-exactness with the reference interpreter is the contract, so every
-emitted expression is the *identical* numpy expression the reference
-layer evaluates — same ufuncs, same operand order, same scalar types:
+emitted step is either the *identical* numpy expression the reference
+layer evaluates — same ufuncs, same operand order, same scalar types —
+or a call of the very function the reference layer calls:
 
 * weights stay the transposed **view** ``weight.data.T`` (F-contiguous);
   a contiguous copy would route BLAS through a different gemm kernel
   with different rounding;
 * ``np.matmul(x, Wt, out=buf)`` into a fresh C-contiguous buffer of the
   result dtype produces the same bytes as ``x @ Wt``; likewise
-  ``np.add(v, b, out=v)`` vs ``v + b`` and ``np.tanh(v, out=v)`` vs
-  ``np.tanh(v)``;
-* ReLU stays ``np.where(v > 0, v, 0.0)`` — ``np.maximum`` treats NaN
-  and ``-0.0`` differently and a mask-multiply breaks on ``±inf`` — or,
-  where an in-place write is legal, ``np.fmax(v, 0.0, out=v)`` followed
-  by ``np.add(v, 0.0, out=v)``: ``fmax`` drops NaN like the failed
-  comparison does, and the add turns a surviving ``-0.0`` into the
-  ``+0.0`` ``np.where`` writes, so the bytes are the same on every input
-  at SIMD speed (a masked ``np.copyto`` mispredicts on every sign change:
-  1.5 ms against 0.08 ms on a 30x16x24x24 activation);
+  ``np.add(v, b, out=v)`` vs ``v + b``;
+* an activation is one call of its kernel in
+  :mod:`repro.nn.functional` (``_relu``, ``_prelu``, ``_tanh`` ...), the
+  function the activation module's own ``forward`` runs: branch-free
+  (``fmax``/``add`` for ReLU, ``max``/``min`` against ``slope * x`` for
+  Leaky/PReLU — a select mispredicts on every sign change, ≈5 ns per
+  element on random-signed data) and given ``out=v`` wherever an
+  in-place write is legal.  The kernel honours ``out`` only when the
+  result has the operand's dtype (float16 activations times a float32
+  PReLU slope do not) and returns a fresh array otherwise;
 * a conv is one call of :func:`repro.nn.functional.conv2d`, the kernel
   ``Conv2d.forward`` itself runs, given a per-buffer-set
   :class:`~repro.nn.functional.ConvWorkspace` (patch scratch, pad
@@ -32,8 +33,9 @@ layer evaluates — same ufuncs, same operand order, same scalar types:
   in memory from the first conv to the pool, and global average pooling
   is the interpreter's :func:`~repro.nn.functional.global_avg_pool`;
 * PReLU binds the ``np.float32`` scalar the reference reads from its
-  slope parameter; LeakyReLU inlines the Python-float slope literal via
-  ``repr`` (round-trip exact).
+  slope parameter (the kernel chooses max or min from its value, so the
+  source stays structure-only); LeakyReLU inlines the Python-float slope
+  literal via ``repr`` (round-trip exact).
 
 In-place writes are only emitted into buffers or call-owned temporaries
 that are not a pending residual-skip operand, and the value returned to
@@ -51,8 +53,8 @@ from collections import OrderedDict
 import numpy as np
 
 from ...obs import get_metrics
-from ..functional import ConvWorkspace
-from .lowering import GELU_C, LoweredOp, LoweredProgram, constant_bindings
+from ..functional import ACTIVATION_KERNELS, ConvWorkspace
+from .lowering import LoweredOp, LoweredProgram, constant_bindings
 
 __all__ = [
     "FusedBackend",
@@ -160,34 +162,23 @@ class _Codegen:
         return self._emit_elementwise(op, var, tail)
 
     def _emit_elementwise(self, op: LoweredOp, var: str, tail: bool) -> str:
+        """One call of the interpreter's own kernel, in place where legal."""
         timer = self._time_start(op.kind)
-        if op.kind in ("tanh", "relu") and self._can_inplace(var, tail):
-            if op.kind == "tanh":
-                self.line(f"np.tanh({var}, out={var})")
-            else:
-                self.line(f"np.fmax({var}, 0.0, out={var})")
-                self.line(f"np.add({var}, 0.0, out={var})")
-            self._time_end(timer)
-            return var
-        r = self.fresh()
-        if op.kind == "relu":
-            self.line(f"{r} = np.where({var} > 0, {var}, 0.0)")
-        elif op.kind == "leaky_relu":
-            self.line(f"{r} = np.where({var} > 0, {var}, {op.slope!r} * {var})")
+        args = var
+        if op.kind == "leaky_relu":
+            args += f", {op.slope!r}"
         elif op.kind == "prelu":
-            self.line(f"{r} = np.where({var} > 0, {var}, s{op.index} * {var})")
-        elif op.kind == "tanh":
-            self.line(f"{r} = np.tanh({var})")
-        elif op.kind == "sigmoid":
-            self.line(f"{r} = 1.0 / (1.0 + np.exp(-{var}))")
-        elif op.kind == "gelu":
-            self.line(
-                f"{r} = 0.5 * {var} * (1.0 + np.tanh(_GELU_C * "
-                f"({var} + 0.044715 * {var}**3)))"
-            )
-        else:  # pragma: no cover - lowering emits only the kinds above
-            raise AssertionError(f"unknown op kind {op.kind!r}")
-        self.kind[r] = "fresh"
+            args += f", s{op.index}"
+        if self._can_inplace(var, tail):
+            # the kernel writes into its operand when the result dtype is
+            # the operand's and returns a fresh array otherwise; either
+            # way the name keeps its (conservative) buffer/fresh kind
+            self.line(f"{var} = _{op.kind}({args}, out={var})")
+            r = var
+        else:
+            r = self.fresh()
+            self.line(f"{r} = _{op.kind}({args})")
+            self.kind[r] = "fresh"
         self._time_end(timer)
         return r
 
@@ -287,27 +278,16 @@ def _elementwise_dtype(op: LoweredOp, running: np.dtype) -> np.dtype:
     """Output dtype of an element-wise op, measured, not assumed.
 
     Scalar/array promotion rules differ between numpy's legacy
-    value-based casting and NEP 50; evaluating the reference expression
-    on a one-element array gives the answer this interpreter actually
+    value-based casting and NEP 50; running the op's kernel on a
+    one-element array gives the answer this interpreter actually
     produces, whichever regime is active.
     """
-    key = (op.kind, repr(op.slope), str(running))
+    key = (op.kind, repr(op.slope), running)
     dtype = _PROBE_DTYPES.get(key)
     if dtype is None:
         z = np.ones(1, dtype=running)
-        if op.kind == "relu":
-            r = np.where(z > 0, z, 0.0)
-        elif op.kind in ("leaky_relu", "prelu"):
-            r = np.where(z > 0, z, op.slope * z)
-        elif op.kind == "tanh":
-            r = np.tanh(z)
-        elif op.kind == "sigmoid":
-            r = 1.0 / (1.0 + np.exp(-z))
-        elif op.kind == "gelu":
-            r = 0.5 * z * (1.0 + np.tanh(GELU_C * (z + 0.044715 * z**3)))
-        else:
-            r = z
-        dtype = _PROBE_DTYPES[key] = r.dtype
+        args = (z,) if op.slope is None else (z, op.slope)
+        dtype = _PROBE_DTYPES[key] = ACTIVATION_KERNELS[op.kind](*args).dtype
     return dtype
 
 
@@ -375,7 +355,7 @@ class FusedKernel:
         cache = getattr(self._local, "buffers", None)
         if cache is None:
             cache = self._local.buffers = OrderedDict()
-        key = (x.shape, str(x.dtype))
+        key = (x.shape, x.dtype)
         buffers = cache.get(key)
         if buffers is None:
             n = x.shape[0]

@@ -52,7 +52,7 @@ from ..activations import (
     Tanh,
 )
 from ..conv import Conv2d, SpectralConv2d
-from ..functional import conv2d, global_avg_pool
+from ..functional import ACTIVATION_KERNELS, conv2d, global_avg_pool
 from ..linear import Linear, SpectralLinear
 from ..module import Module
 from ..pooling import Flatten, GlobalAvgPool2d
@@ -61,9 +61,14 @@ from ..sequential import Sequential
 
 __all__ = ["LoweredOp", "LoweredProgram", "lower", "constant_bindings"]
 
-#: constant of the GELU tanh approximation, computed with the exact
-#: expression the reference layer evaluates per call
-GELU_C = np.sqrt(2.0 / np.pi)
+#: runtime support every generated kernel closes over — the kernels the
+#: interpreter modules run, not model constants (``_relu``, ``_prelu``, ...)
+SUPPORT_BINDINGS = {
+    "np": np,
+    "_conv": conv2d,
+    "_global_avg_pool": global_avg_pool,
+    **{f"_{kind}": kernel for kind, kernel in ACTIVATION_KERNELS.items()},
+}
 
 
 @dataclass
@@ -140,8 +145,9 @@ def _lower_module(module: Module, counter, slots: "list[int]") -> "list[LoweredO
     if isinstance(module, LeakyReLU):
         return [LoweredOp(kind="leaky_relu", index=index, slope=float(module.negative_slope))]
     if isinstance(module, PReLU):
-        # bind the np.float32 scalar exactly as the reference reads it;
-        # the slope Parameter is version-tracked, so a learned change
+        # bind the np.float32 scalar exactly as the reference reads it
+        # (the kernel picks max or min from its value at call time); the
+        # slope Parameter is version-tracked, so a learned change
         # invalidates the kernel
         return [LoweredOp(kind="prelu", index=index, slope=module.slope.data[0])]
     if isinstance(module, Flatten):
@@ -306,12 +312,7 @@ def _iter_ops(ops: "list[LoweredOp]"):
 
 def constant_bindings(program: LoweredProgram) -> dict:
     """Deterministic name → constant map a generated kernel closes over."""
-    bindings: dict = {
-        "np": np,
-        "_GELU_C": GELU_C,
-        "_conv": conv2d,
-        "_global_avg_pool": global_avg_pool,
-    }
+    bindings: dict = dict(SUPPORT_BINDINGS)
     for op in _iter_ops(program.ops):
         if op.kind == "conv":
             bindings[f"W{op.index}"] = op.weight

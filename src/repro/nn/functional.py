@@ -1,5 +1,6 @@
-"""Array helpers shared by layers and losses, and the channel-major
-convolution kernel shared by the conv layers and the fused backend."""
+"""Array helpers shared by layers and losses, and the kernels the
+interpreter modules and the fused backend both call: the element-wise
+activations and the channel-major convolution."""
 
 from __future__ import annotations
 
@@ -10,6 +11,13 @@ import numpy as np
 from ..exceptions import ShapeError
 
 __all__ = [
+    "relu",
+    "leaky_relu",
+    "prelu",
+    "tanh",
+    "sigmoid",
+    "gelu",
+    "ACTIVATION_KERNELS",
     "softmax",
     "log_softmax",
     "one_hot",
@@ -21,6 +29,118 @@ __all__ = [
     "im2col",
     "col2im",
 ]
+
+
+# -- element-wise activations ------------------------------------------
+#
+# One kernel per activation, shared by the interpreter modules and the
+# generated fused kernel.  ``x`` is a floating array (0-d and NumPy
+# scalars included).  Each kernel returns the bytes and dtype of the reference
+# expression in its docstring (tests/oracles/activation_reference.py
+# holds them verbatim) under whichever scalar promotion regime is
+# active: Python-float constants are weak against a float array in
+# legacy and NEP 50 casting alike, so those steps run in place; a step
+# involving a numpy scalar is computed fresh and its dtype read back.
+# ``out`` — which may be ``x`` itself — receives the result when its
+# shape and dtype are the result's; otherwise it is never written and a
+# fresh array is returned, so callers use the return value.
+
+
+def _fits(out: "np.ndarray | None", like: np.ndarray, default=None):
+    """``out`` if it has the shape and dtype of ``like``, else ``default``."""
+    if out is not None and out.dtype == like.dtype and out.shape == like.shape:
+        return out
+    return default
+
+
+def _array(result) -> np.ndarray:
+    """A ufunc result as something the next step can write into: for 0-d
+    input numpy returns a scalar, which ``out=`` refuses."""
+    return result if isinstance(result, np.ndarray) else np.asarray(result)
+
+
+def relu(x: np.ndarray, out: "np.ndarray | None" = None) -> np.ndarray:
+    """``np.where(x > 0, x, 0.0)`` without the select.
+
+    ``fmax`` drops NaN like the failed comparison does, and adding 0.0
+    turns a surviving ``-0.0`` into the ``+0.0`` the reference writes.
+    """
+    out = _array(np.fmax(x, 0.0, out=_fits(out, x)))
+    return np.add(out, 0.0, out=out)
+
+
+def leaky_relu(x: np.ndarray, slope, out: "np.ndarray | None" = None) -> np.ndarray:
+    """``np.where(x > 0, x, slope * x)`` without the select.
+
+    With ``t = slope * x``, rounding is monotone, so for ``0 < slope <= 1``
+    ``t <= x`` wherever ``x > 0`` and ``t >= x`` elsewhere: the answer is
+    ``max(x, t)``, and ``min(x, t)`` for ``1 < slope < inf``.  ``x`` and
+    ``t`` only compare equal with identical bits (a positive slope keeps
+    the sign of zero) and a NaN ``x`` gives the same NaN ``t``, so it
+    does not matter which operand a tie or a NaN returns.  Slopes that
+    are zero or negative (``t`` is the other zero at ``x = ±0``, and
+    numpy's strided and SIMD loops break that tie differently), NaN or
+    infinite (``0 * inf``) keep the masked copy.  One n-sized temporary
+    in every case.
+    """
+    t = _array(np.multiply(slope, x))
+    s = float(t.dtype.type(slope))  # the slope as the multiply saw it
+    if 0.0 < s <= 1.0:
+        return np.maximum(x, t, out=_fits(out, t, t))
+    if 1.0 < s < math.inf:
+        return np.minimum(x, t, out=_fits(out, t, t))
+    np.copyto(t, x, where=np.greater(x, 0))
+    out = _fits(out, t, t)
+    if out is not t:
+        np.copyto(out, t)
+    return out
+
+
+#: PReLU is the same map; its slope is the learned ``np.float32`` scalar
+prelu = leaky_relu
+
+
+def tanh(x: np.ndarray, out: "np.ndarray | None" = None) -> np.ndarray:
+    """``np.tanh(x)``."""
+    return np.tanh(x, out=_fits(out, x))
+
+
+def sigmoid(x: np.ndarray, out: "np.ndarray | None" = None) -> np.ndarray:
+    """``1.0 / (1.0 + np.exp(-x))`` in one array instead of four."""
+    out = _array(np.negative(x, out=_fits(out, x)))
+    np.exp(out, out=out)
+    np.add(out, 1.0, out=out)
+    return np.divide(1.0, out, out=out)
+
+
+#: constant of the GELU tanh approximation; a float64 *numpy* scalar, so
+#: its product with a float32 array is float64 under NEP 50
+GELU_C = np.sqrt(2.0 / np.pi)
+
+
+def gelu(x: np.ndarray, out: "np.ndarray | None" = None) -> np.ndarray:
+    """``0.5 * x * (1.0 + np.tanh(GELU_C * (x + 0.044715 * x**3)))``
+    in two arrays instead of seven."""
+    work = _array(np.power(x, 3))
+    np.multiply(work, 0.044715, out=work)
+    np.add(x, work, out=work)
+    gate = _array(GELU_C * work)
+    np.tanh(gate, out=gate)
+    np.add(gate, 1.0, out=gate)
+    np.multiply(x, 0.5, out=work)
+    # gate is at least as wide as x, so it has the result dtype
+    return np.multiply(work, gate, out=_fits(out, gate, gate))
+
+
+#: lowered op kind -> kernel; the kinds with a slope take it second
+ACTIVATION_KERNELS = {
+    "relu": relu,
+    "leaky_relu": leaky_relu,
+    "prelu": prelu,
+    "tanh": tanh,
+    "sigmoid": sigmoid,
+    "gelu": gelu,
+}
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -51,7 +51,7 @@ __all__ = [
 ]
 
 #: bumped whenever codegen emits different source for an unchanged signature
-_FORMAT_VERSION = 2
+_FORMAT_VERSION = 3
 _ENV_DIR = "REPRO_COMPILE_CACHE_DIR"
 _DEFAULT_DIR = Path.home() / ".cache" / "repro" / "kernels"
 

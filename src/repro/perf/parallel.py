@@ -31,20 +31,30 @@ from typing import Callable, Iterable
 
 from ..obs import get_metrics, get_tracer
 
-__all__ = ["resolve_workers", "parallel_map", "WorkerPool"]
+__all__ = ["usable_cpus", "resolve_workers", "parallel_map", "WorkerPool"]
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one (a container or ``taskset`` can grant fewer than the host
+    owns), the host's count otherwise."""
+    try:
+        return max(1, len(os.sched_getaffinity(0)))
+    except (AttributeError, OSError):
+        return max(1, os.cpu_count() or 1)
 
 
 def resolve_workers(workers: int | None) -> int:
     """Normalize a worker-count request.
 
     ``None`` or ``1`` mean serial execution; ``0`` or negative mean "one
-    per CPU"; anything else is taken literally.
+    per usable CPU"; anything else is taken literally.
     """
     if workers is None:
         return 1
     workers = int(workers)
     if workers <= 0:
-        return max(1, os.cpu_count() or 1)
+        return usable_cpus()
     return workers
 
 

@@ -10,6 +10,7 @@ journal without recomputing.
 """
 
 import json
+import os
 import shutil
 import socket
 import struct
@@ -54,6 +55,7 @@ from repro.exceptions import (
 )
 from repro.io import CheckpointJournal, append_jsonl, digest_array, digest_bytes
 from repro.io.checkpoint import digest_model
+from repro.perf.parallel import resolve_workers, usable_cpus
 from repro.resilience import CHAOS_ENV_VAR, ChaosInjector, RetryPolicy, fork_available
 
 needs_fork = pytest.mark.skipif(
@@ -237,7 +239,29 @@ def test_record_raw_adopts_bytes_verbatim(tmp_path):
 # -- executor resolution (the thread inference executor was removed) ---------
 
 
-def test_thread_executor_removed_and_auto_never_picked_it():
+def test_auto_executor_consults_the_cpus_it_may_run_on(monkeypatch):
+    """One usable CPU: auto stays serial and "one per CPU" is one worker,
+    whatever the host owns; an explicit process request is honoured."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    assert usable_cpus() == 1
+    assert resolve_workers(0) == 1
+    assert InferencePipeline._resolve_executor("auto", 4) == "serial"
+    assert InferencePipeline._resolve_executor("process", 4) == "process"
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 5}, raising=False)
+    assert resolve_workers(0) == 3
+    assert InferencePipeline._resolve_executor("auto", 4) == (
+        "process" if fork_available() else "serial"
+    )
+    # platforms without an affinity mask fall back to the host's count
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert usable_cpus() == 8
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert InferencePipeline._resolve_executor("auto", 4) == "serial"
+
+
+def test_thread_executor_removed_and_auto_never_picked_it(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     expected = "process" if fork_available() else "serial"
     assert InferencePipeline._resolve_executor("auto", 4) == expected
     assert InferencePipeline._resolve_executor("auto", 1) == "serial"
@@ -480,7 +504,8 @@ def test_distributed_rejects_chaos_and_stray_config(distrib_setup):
         )
 
 
-def test_requested_executor_recorded(distrib_setup):
+def test_requested_executor_recorded(distrib_setup, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     pipeline, fields, _, _, _ = distrib_setup
     result = pipeline.execute_chunked(
         fields, chunk_size=8, chunk_axis=1, workers=2, executor="auto"

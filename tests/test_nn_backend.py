@@ -18,13 +18,14 @@ from hypothesis import strategies as st
 from repro.core import ErrorFlowAnalyzer, InferencePipeline, TolerancePlanner
 from repro.compress import SZCompressor
 from repro.exceptions import ConfigurationError, LoweringError, ShapeError
-from repro.models import build_mlp, resnet, resnet18, unet
+from repro.models import borghesi_net, build_mlp, resnet, resnet18, unet
 from repro.nn import (
     Conv2d,
     GlobalAvgPool2d,
     Identity,
     Linear,
     Module,
+    PReLU,
     ReLU,
     Sequential,
     SpectralConv2d,
@@ -41,6 +42,7 @@ from repro.nn.backend import (
 from repro.nn.residual import ResidualBlock
 from repro.perf import CompileCache, kernel_key, reset_compile_cache, structure_key
 from repro.quant import STANDARD_FORMATS, quantize_model
+from tests.oracles.activation_reference import reference_forward
 
 requires_numba = pytest.mark.skipif(
     not numba_available(), reason="optional numba package not installed"
@@ -246,9 +248,58 @@ def test_inplace_relu_has_np_where_bytes(dtype):
     for layer in (model.layers[0], model.layers[2]):
         layer.weight.data = np.ones((1, 1), dtype=dtype)
     actual = _compiled(model)(v[:, None])
-    assert "np.fmax" in generate_fused_source(lower(model))
+    assert "_relu(v0, out=v0)" in generate_fused_source(lower(model))
     assert actual.dtype == expected.dtype
     assert actual[:, 0].tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("quantized", [False, True], ids=["fp32", "fp16-twin"])
+def test_borghesi_net_fused_interpreter_and_oracle_agree(quantized, rng):
+    """The 8-hidden-layer PReLU MLP of the Borghesi workload: fused ==
+    interpreter == the ``np.where`` walk, bit for bit, at batch 1, 7 and
+    16384 off one lowering and one compile."""
+    model = borghesi_net(rng=rng)
+    if quantized:
+        model = quantize_model(model, STANDARD_FORMATS["fp16"]).model
+    forward = CompiledForward(model.eval(), "fused", instrument=True)
+    for batch in (1, 7, 16384, 7):
+        x = rng.standard_normal((batch, 13)).astype(np.float32)
+        expected = model(x)
+        actual = forward(x)
+        assert forward.last_fallback_reason is None
+        assert actual.dtype == expected.dtype
+        assert np.array_equal(actual, expected)
+        assert np.array_equal(reference_forward(model, x), expected)
+        # the caller keeps its result: the next call (same buffer set)
+        # must not write into it
+        kept = actual.copy()
+        forward(rng.standard_normal((batch, 13)).astype(np.float32))
+        assert np.array_equal(actual, kept)
+    assert forward.stats["lowerings"] == 1 and forward.stats["compiles"] == 1
+    assert forward.stats["fallbacks"] == 0
+    assert forward.op_labels.count("prelu") == 8
+    assert forward.op_labels.count("linear") == 9
+    assert len(forward.op_labels) == 17
+
+
+def test_prelu_is_in_place_only_where_legal(rng):
+    """A PReLU that is the tail op, or whose operand is a pending residual
+    skip, takes the ``out=None`` form; elsewhere it writes its operand."""
+    tail = Sequential(Linear(4, 4, rng=rng), PReLU(), Identity())
+    assert "v1 = _prelu(v0, s1)\n" in generate_fused_source(lower(tail.eval()))
+
+    body = Sequential(PReLU(0.3), Linear(4, 4, rng=rng), PReLU(1.5))
+    model = Sequential(
+        Linear(4, 4, rng=rng), ResidualBlock(body), PReLU(0.1), Linear(4, 2, rng=rng)
+    )
+    source = generate_fused_source(lower(model.eval()))
+    assert "v1 = _prelu(v0, s2)\n" in source  # v0 is the skip operand
+    assert "v2 = _prelu(v2, s4, out=v2)\n" in source
+    assert "v3 = _prelu(v3, s5, out=v3)\n" in source  # the fresh residual sum
+    assert "np.where" not in source
+    for net in (tail, model):
+        x = rng.standard_normal((5, 4)).astype(np.float32)
+        assert np.array_equal(_compiled(net)(x), net(x))
 
 
 def test_conv_input_guard_falls_back_with_input_shape(rng):
@@ -476,6 +527,29 @@ def test_corrupt_disk_entry_is_a_miss(tmp_path, tiny_mlp):
     (tmp_path / f"{skey}.json").write_text("{not json")
     cache = CompileCache(directory=tmp_path)
     assert cache.get_source(skey, program.signature, "fused") is None
+
+
+def test_previous_format_disk_entry_is_regenerated(tmp_path, tiny_mlp, rng, monkeypatch):
+    """A source written by the previous codegen (format 2) would still be
+    correct and keep the old speed: it is regenerated, not served."""
+    import json
+
+    monkeypatch.setenv("REPRO_COMPILE_CACHE_DIR", str(tmp_path))
+    reset_compile_cache()
+    tiny_mlp.eval()
+    program = lower(tiny_mlp)
+    entry = tmp_path / f"{structure_key(program.signature, 'fused')}.json"
+    stale = "def _fused_forward(x, B):\n    raise AssertionError('stale source served')\n"
+    entry.write_text(json.dumps(
+        {"version": 2, "signature": program.signature, "backend": "fused", "source": stale}
+    ))
+    x = rng.standard_normal((3, 6)).astype(np.float32)
+    forward = CompiledForward(tiny_mlp, "fused")
+    assert np.array_equal(forward(x), tiny_mlp(x))
+    assert forward.last_fallback_reason is None
+    rewritten = json.loads(entry.read_text())
+    assert rewritten["version"] == 3
+    assert rewritten["source"] == generate_fused_source(program)
 
 
 # -- backend selection (CLI / env contract) ----------------------------------

@@ -183,9 +183,11 @@ def test_planner_sweep_one_power_iteration_per_layer_per_version(rng):
 
     # A weight update starts a new version: exactly one more pass per layer.
     x = rng.standard_normal((8, 6)).astype(np.float32)
+    model.train()  # eval forwards keep no backward state
     out = model(x)
     model.backward(np.ones_like(out))
     SGD(list(model.parameters()), lr=0.05).step()
+    model.eval()
     analyzer.quantization_bound(STANDARD_FORMATS["fp16"])
     assert memo.misses - miss0 == 2 * n_layers
     planner.plan(1e-2, norm="linf", quant_fraction=0.5)
@@ -201,9 +203,11 @@ def test_analyzer_bounds_refresh_after_step(rng):
     gain_before = analyzer.gain()
 
     x = rng.standard_normal((8, 6)).astype(np.float32)
+    model.train()  # eval forwards keep no backward state
     out = model(x)
     model.backward(np.ones_like(out))
     SGD(model.parameters(), lr=0.5).step()  # large step: bounds must move
+    model.eval()
 
     after = analyzer.quantization_bound(fmt)
     assert after != before
