@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Micro-benchmarks for the chunked-execution hot paths.
 
-Seven paths are timed and written in the unified ``benchutils`` row
+Eight paths are timed and written in the unified ``benchutils`` row
 shape (``{path, config, seconds, reps_s, throughput_mb_s}`` — record
 with ``repro bench record`` to feed the regression history; see
 docs/PERFORMANCE.md for how to read the output):
@@ -19,7 +19,12 @@ docs/PERFORMANCE.md for how to read the output):
 * ``pipeline_chunked``    — ``InferencePipeline.execute_chunked`` serial
   vs the supervised 4-worker process pool;
 * ``pipeline_checkpoint`` — the same serial run with and without the
-  durable checkpoint journal (journaling overhead).
+  durable checkpoint journal (journaling overhead);
+* ``chunk_stack``         — what stands between ``execute`` on one chunk
+  and a pool run: the per-chunk fixed cost split into Huffman table build
+  / predictor / forward / guard, the commit of one chunk, an empty pool's
+  spawn + shutdown, and a pool + journal run with the share of
+  worker-seconds in which no chunk was executing.
 
 Throughput numbers are hardware-dependent (the pool speedups in
 particular require free cores — ``config.cpu_count`` records what was
@@ -35,6 +40,7 @@ import argparse
 import os
 import sys
 import tempfile
+import time
 
 import numpy as np
 
@@ -286,6 +292,119 @@ def bench_pipeline_checkpoint(side: int, workers: int, reps: int) -> list[dict]:
     return rows
 
 
+def bench_chunk_stack(side: int, workers: int, reps: int) -> list[dict]:
+    """Per-chunk fixed costs and the pool's own, one row per part.
+
+    ``seconds`` is per chunk for the parts of ``execute`` and for
+    ``commit`` (median over the chunks of one pass), per run for the two
+    pool rows."""
+    from repro.compress import huffman
+    from repro.core.pipeline import split_chunks
+    from repro.io import CheckpointJournal, digest_array
+    from repro.resilience import SupervisedPool
+    from repro.resilience.guards import check_contract, screen_finite
+
+    pipeline, fields, chunk_size = _chunked_pipeline_setup(side, workers)
+    chunks = split_chunks(fields, chunk_size, 1)
+    results = [pipeline.execute(chunk) for chunk in chunks]
+    digests = [digest_array(chunk) for chunk in chunks]
+    codec, tolerance = pipeline.codec, pipeline.plan.input_tolerance
+    samples = [c.reshape(c.shape[0], -1).T.astype(np.float32) for c in chunks]
+
+    streams = []  # per chunk: the code stream's alphabet, counts, frequency order
+    for chunk in chunks:
+        codes = codec._encode_pass(chunk.astype(np.float64), tolerance)[1]
+        alphabet, counts = np.unique(codes, return_counts=True)
+        streams.append((alphabet, counts, np.lexsort((alphabet, counts))))
+
+    def huffman_table(index: int) -> None:
+        """Both Huffman tables of one chunk: the encoder's length-limited
+        tree and the decoder's 65536-entry prefix tables."""
+        alphabet, counts, order = streams[index]
+        lengths = np.empty(alphabet.size, dtype=np.int64)
+        lengths[order] = huffman._code_lengths(counts[order])
+        huffman._decode_tables(
+            np.bincount(lengths, minlength=17)[1:],
+            alphabet[np.lexsort((alphabet, lengths))],
+            0,
+        )
+
+    def guard(index: int) -> None:
+        screen_finite(chunks[index], stage="source", name="fields")
+        screen_finite(results[index].outputs, stage="qoi", name="outputs")
+        check_contract(
+            results[index].input_error_linf, tolerance, codec=codec.name,
+            stage="decompress", norm="linf", slack=1e-9,
+        )
+
+    def forward(index: int) -> None:
+        pipeline._forward_quant(samples[index])
+        pipeline._forward_ref(samples[index])
+
+    def per_chunk(fn) -> "tuple[float, list[float]]":
+        """Median per-chunk seconds of ``fn(index)``: best pass, all passes."""
+        passes = []
+        for _ in range(reps):
+            times = []
+            for index in range(len(chunks)):
+                start = time.perf_counter()
+                fn(index)
+                times.append(time.perf_counter() - start)
+            passes.append(float(np.median(times)))
+        return min(passes), passes
+
+    rows = []
+
+    def add(part: str, seconds: float, reps_s, **derived) -> None:
+        config = {
+            "part": part, "chunk_size": chunk_size, "workers": workers,
+            "field_shape": list(fields.shape), "reps": reps, **derived,
+        }
+        rows.append(make_row("chunk_stack", config, seconds, reps_s=reps_s))
+
+    with tempfile.TemporaryDirectory() as scratch:
+        journal = CheckpointJournal(os.path.join(scratch, "commit"))
+        journal.begin(pipeline._checkpoint_manifest(chunks, chunk_size, 1, digests))
+        for part, fn in (
+            ("execute", lambda i: pipeline.execute(chunks[i])),
+            ("huffman_table", huffman_table),
+            ("predictor", lambda i: codec._encode_pass(chunks[i].astype(np.float64), tolerance)),
+            ("forward", forward),
+            ("guard", guard),
+            ("commit", lambda i: pipeline._commit_chunk(journal, digests, i, results[i])),
+        ):
+            add(part, *per_chunk(fn))
+
+        add(
+            "pool_spawn_shutdown",
+            *best_of(lambda: SupervisedPool(abs, workers=workers).run(range(workers)), reps),
+        )
+
+        checkpoint = os.path.join(scratch, "pool")
+        idle = []
+
+        def pool_journal() -> None:
+            start = time.perf_counter()
+            pipeline.execute_chunked(
+                fields, chunk_size=chunk_size, chunk_axis=1, workers=workers,
+                executor="process", checkpoint=checkpoint,
+            )
+            wall = time.perf_counter() - start
+            busy = sum(e["task_seconds"] for e in CheckpointJournal(checkpoint).entries())
+            idle.append(1.0 - busy / (workers * wall))
+
+        seconds, reps_s = best_of(pool_journal, reps)
+        add("pool_journal", seconds, reps_s, overhead_worker_idle_share=min(idle))
+
+    for row in rows:
+        extra = row["config"].get("overhead_worker_idle_share")
+        print(
+            f"chunk_stack[{row['config']['part']}]: {row['seconds']*1e3:.3f} ms"
+            + (f" (worker idle share {extra:.2f})" if extra is not None else "")
+        )
+    return rows
+
+
 def bench_pipeline_distributed(side: int, reps: int) -> list[dict]:
     """Loopback coordinator + 2 in-thread worker agents vs serial.
 
@@ -395,6 +514,7 @@ def main(argv=None) -> int:
     rows += bench_bound_eval(reps)
     rows += bench_pipeline_chunked(side, args.workers, reps)
     rows += bench_pipeline_checkpoint(side, args.workers, reps)
+    rows += bench_chunk_stack(side, args.workers, reps)
     rows += bench_pipeline_distributed(side, reps)
     finalize_rows(rows, args.quick)
     write_rows(rows, args.out)

@@ -18,7 +18,6 @@ instead of killing it.
 
 from __future__ import annotations
 
-import io
 import threading
 import time
 from dataclasses import dataclass, field
@@ -33,7 +32,7 @@ from ..exceptions import (
     PlanningError,
     ReproError,
 )
-from ..io.checkpoint import CheckpointJournal, digest_array, digest_model
+from ..io.checkpoint import CheckpointJournal, digest_array, digest_model, read_artifact
 from ..io.serialization import blob_from_bytes, blob_to_bytes
 from ..nn.backend import CompiledForward, resolve_backend_name
 from ..nn.module import Module
@@ -55,6 +54,11 @@ from ..resilience.supervisor import SupervisedPool, fork_available
 from .planner import InferencePlan
 
 __all__ = ["PipelineResult", "InferencePipeline", "split_chunks"]
+
+
+def _field_samples(fields: np.ndarray) -> np.ndarray:
+    """Default ``samples_from_fields``: axis 0 is the variable axis."""
+    return fields.reshape(fields.shape[0], -1).T.astype(np.float32)
 
 
 def split_chunks(
@@ -105,20 +109,21 @@ class PipelineResult:
 
     def qoi_error(self, norm: str = "linf", relative: bool = True) -> float:
         """Worst per-sample QoI error of this run."""
+        if norm not in ("linf", "l2"):
+            raise ValueError(f"norm must be 'linf' or 'l2', got {norm!r}")
         delta = (self.outputs - self.reference_outputs).reshape(len(self.outputs), -1)
+        if norm == "linf":  # the largest per-sample maximum is the global one
+            worst = float(np.abs(delta).max(initial=0.0))
+        else:
+            worst = float(np.linalg.norm(delta, axis=1).max(initial=0.0))
+        if not relative:
+            return worst
         reference = self.reference_outputs.reshape(len(self.reference_outputs), -1)
         if norm == "linf":
-            errors = np.abs(delta).max(axis=1)
             scale = np.abs(reference).max()
-        elif norm == "l2":
-            errors = np.linalg.norm(delta, axis=1)
-            scale = float(np.linalg.norm(reference, axis=1).max())
         else:
-            raise ValueError(f"norm must be 'linf' or 'l2', got {norm!r}")
-        worst = float(errors.max()) if errors.size else 0.0
-        if relative:
-            return worst / scale if scale > 0 else worst
-        return worst
+            scale = float(np.linalg.norm(reference, axis=1).max())
+        return worst / scale if scale > 0 else worst
 
 
 class InferencePipeline:
@@ -342,7 +347,7 @@ class InferencePipeline:
             predicted-vs-observed record when auditing is enabled.
         """
         if samples_from_fields is None:
-            samples_from_fields = lambda f: f.reshape(f.shape[0], -1).T.astype(np.float32)  # noqa: E731
+            samples_from_fields = _field_samples
 
         tracer = get_tracer()
         metrics = get_metrics()
@@ -602,15 +607,20 @@ class InferencePipeline:
         checkpoint:
             Directory for a durable
             :class:`~repro.io.checkpoint.CheckpointJournal`: every
-            certified-complete chunk is persisted (atomic artifact +
-            journal line) as it finishes.  ``None`` disables.
+            certified-complete chunk is persisted (atomic artifact of
+            outputs + blob, then its journal line) as it finishes, by
+            the process that computed it — pool workers commit their
+            own chunks.  ``None`` disables.
         resume:
             Resume from ``checkpoint``: verify the journal belongs to
             this exact computation (plan fingerprint + per-chunk input
-            digests), replay completed chunks, recompute only the rest.
+            digests), replay completed chunks — reference outputs are
+            recomputed from the input chunk and must reproduce the
+            journaled QoI error — and compute only the rest.
         task_timeout:
-            Per-chunk deadline in seconds (process executor only);
-            expiry kills the worker and retries the chunk.
+            Per-chunk deadline in seconds (process executor only),
+            measured from the moment a worker starts the chunk; expiry
+            kills the worker and retries the chunk.
         max_task_retries:
             Retry budget per chunk before quarantine (process executor);
             a quarantined chunk re-runs serially in the parent in
@@ -702,9 +712,10 @@ class InferencePipeline:
             resumed=len(completed_entries),
         ) as root:
             results: "dict[int, PipelineResult]" = {}
-            for index in sorted(completed_entries):
-                results[index] = self._replay_chunk(
-                    journal, completed_entries[index], auditor
+            for index, entry in sorted(completed_entries.items()):
+                results[index] = self._result_from_payload(
+                    journal.load(entry), entry, chunks[index],
+                    samples_from_fields, auditor,
                 )
             pending = [i for i in range(len(chunks)) if i not in results]
 
@@ -712,37 +723,16 @@ class InferencePipeline:
             distrib_summary = None
             if pending and executor == "distributed":
                 distrib_summary, pending = self._run_chunks_distributed(
-                    chunks, pending, manifest, journal, auditor, results, distrib
+                    chunks, pending, samples_from_fields, manifest, journal,
+                    auditor, results, distrib,
                 )
-                if pending:
-                    # degradation: no (surviving) workers — finish on the
-                    # local supervised pool so the run still completes
-                    supervision = self._run_chunks_supervised(
-                        chunks,
-                        pending,
-                        samples_from_fields,
-                        journal,
-                        digests,
-                        auditor,
-                        results,
-                        n_workers=n_workers,
-                        task_timeout=task_timeout,
-                        max_task_retries=max_task_retries,
-                        chaos=None,
-                    )
-            elif pending and executor == "process":
-                supervision = self._run_chunks_supervised(
-                    chunks,
-                    pending,
-                    samples_from_fields,
-                    journal,
-                    digests,
-                    auditor,
-                    results,
-                    n_workers=n_workers,
-                    task_timeout=task_timeout,
-                    max_task_retries=max_task_retries,
-                    chaos=chaos,
+            if pending and executor != "serial":
+                # "process", or what a distributed run with no (surviving)
+                # workers left behind (chaos is None there by construction)
+                supervision, _ = self._run_chunks_supervised(
+                    chunks, pending, samples_from_fields, journal, digests,
+                    auditor, results, n_workers=n_workers, chaos=chaos,
+                    task_timeout=task_timeout, max_task_retries=max_task_retries,
                 )
             elif pending:
                 for index in pending:
@@ -754,16 +744,12 @@ class InferencePipeline:
                         result = self.execute(
                             chunk, samples_from_fields=samples_from_fields
                         )
-                    if journal is not None:
-                        # journal as each chunk completes — a crash loses
-                        # only in-flight work, never finished chunks
-                        self._journal_chunk(
-                            journal,
-                            index,
-                            result,
-                            digests[index],
-                            seconds=time.perf_counter() - started,
-                        )
+                    # commit as each chunk completes — a crash loses only
+                    # in-flight work, never finished chunks
+                    self._commit_chunk(
+                        journal, digests, index, result,
+                        seconds=time.perf_counter() - started,
+                    )
                     results[index] = result
 
             wall_seconds = time.perf_counter() - wall_start
@@ -883,28 +869,39 @@ class InferencePipeline:
             "chunk_digests": list(digests),
         }
 
-    def _journal_chunk(
+    def _screen_chunk(self, task_id: int, result: PipelineResult) -> None:
+        """Re-screen a chunk result wherever it changes hands: execute's
+        own guard ran before the chaos hooks, the commit and the queue."""
+        if self.screen:
+            screen_finite(result.outputs, stage="chunk", name="outputs")
+
+    def _commit_chunk(
         self,
-        journal: CheckpointJournal,
+        journal: "CheckpointJournal | None",
+        digests: "list[str] | None",
         index: int,
         result: PipelineResult,
-        digest: str,
         attempts: int = 1,
         quarantined: bool = False,
         seconds: "float | None" = None,
-    ) -> dict:
-        """Persist one certified-complete chunk (artifact + journal line).
+    ) -> "dict | None":
+        """Make one certified-complete chunk durable: artifact, then its
+        journal line — the commit record — in the process that computed it.
 
-        Returns the journal entry as written — the distributed worker
-        resends exactly this entry (plus the journaled artifact bytes)
-        over the wire, so local and merged journals agree bit for bit.
-        ``seconds`` is the chunk's end-to-end wall time as measured
-        where it ran (it includes retries and injected slowness the
-        per-stage timings exclude — the signal straggler detection
-        needs).
+        The single commit path of the serial loop, pool workers, the
+        quarantine rerun and distributed shard workers.  Returns the
+        journal entry as written (``None`` without a journal): a shard
+        worker resends exactly this entry plus the artifact bytes, so
+        local and merged journals agree bit for bit.  ``seconds`` is the
+        chunk's end-to-end wall time where it ran (it includes retries
+        and injected slowness the per-stage timings exclude — the signal
+        straggler detection needs).
         """
+        if journal is None:
+            return None
+        self._screen_chunk(index, result)
         entry = {
-            "input_digest": digest,
+            "input_digest": digests[index],
             "attempts": int(attempts),
             "quarantined": bool(quarantined),
             "observed_qoi_error": float(
@@ -925,46 +922,35 @@ class InferencePipeline:
         return journal.record(
             index,
             outputs=result.outputs,
-            reference_outputs=result.reference_outputs,
             blob_bytes=blob_to_bytes(result.blob),
             entry=entry,
         )
 
-    def _replay_chunk(
-        self, journal: CheckpointJournal, entry: dict, auditor
-    ) -> PipelineResult:
-        """Reconstruct a completed chunk's result from the journal.
-
-        The stored audit record (the killed run's verdicts, not a fresh
-        re-audit) is adopted into the parent auditor, so a resumed run's
-        registry matches an uninterrupted one chunk-for-chunk.
-        """
-        return self._result_from_payload(journal.load(entry), entry, auditor)
-
     def _result_from_payload(
-        self, payload: dict, entry: dict, auditor, origin: str = "replayed"
+        self,
+        payload: dict,
+        entry: dict,
+        chunk: np.ndarray,
+        samples_from_fields,
+        auditor,
+        origin: str = "replayed",
     ) -> PipelineResult:
         """A :class:`PipelineResult` from journaled/remote chunk data.
 
-        ``payload`` carries the arrays (``outputs``, ``reference_outputs``,
-        ``blob_bytes``); ``entry`` the journal metadata.  Audit records
-        riding in the entry are adopted into the live auditor, exactly as
-        for process-pool workers.
+        ``payload`` carries what the artifact stores (``outputs``,
+        ``blob_bytes``); ``entry`` the journal metadata.  The reference
+        outputs are recomputed from ``chunk`` — the input the manifest
+        digest pins — and the QoI error they give must be the one the
+        entry certifies.  The entry's audit record (the producing run's
+        verdicts, not a fresh re-audit) is adopted into the live auditor,
+        so a resumed run's registry matches an uninterrupted one.
         """
-        extra: dict = {
-            "integrity": dict(entry.get("integrity", {})),
-            origin: True,
-        }
-        audit_dict = entry.get("audit")
-        if audit_dict:
-            if auditor.enabled:
-                record = auditor.adopt(AuditRecord.from_dict(audit_dict))
-                audit_dict = record.to_dict()
-            extra["audit"] = audit_dict
         timings = entry.get("timings", {})
-        return PipelineResult(
+        result = PipelineResult(
             outputs=payload["outputs"],
-            reference_outputs=payload["reference_outputs"],
+            reference_outputs=self._forward_ref(
+                (samples_from_fields or _field_samples)(chunk)
+            ),
             blob=blob_from_bytes(payload["blob_bytes"]),
             plan=self.plan,
             compress_seconds=float(timings.get("compress", 0.0)),
@@ -972,13 +958,32 @@ class InferencePipeline:
             inference_seconds=float(timings.get("inference", 0.0)),
             input_error_linf=float(entry.get("input_error_linf", 0.0)),
             input_error_l2_max=float(entry.get("input_error_l2_max", 0.0)),
-            extra=extra,
+            extra={"integrity": dict(entry.get("integrity", {})), origin: True},
         )
+        observed = result.qoi_error(self.plan.norm, relative=False)
+        journaled = entry.get("observed_qoi_error")
+        # float round-off of a reference recomputed on another host, not
+        # a second opinion on the certificate
+        slack = 1e-5 * max(1.0, float(np.abs(result.reference_outputs).max()))
+        if not isinstance(journaled, (int, float)) or not abs(observed - journaled) <= slack:
+            raise IntegrityError(
+                f"chunk {entry.get('chunk')} replays with QoI error {observed!r} "
+                f"but its journal entry certifies {journaled!r}: the entry "
+                "and the artifact do not describe the same computation"
+            )
+        audit_dict = entry.get("audit")
+        if audit_dict:
+            if auditor.enabled:
+                record = auditor.adopt(AuditRecord.from_dict(audit_dict))
+                audit_dict = record.to_dict()
+            result.extra["audit"] = audit_dict
+        return result
 
     def _run_chunks_distributed(
         self,
         chunks,
         pending: "list[int]",
+        samples_from_fields,
         manifest: dict,
         journal: "CheckpointJournal | None",
         auditor,
@@ -1012,23 +1017,17 @@ class InferencePipeline:
 
         for index in sorted(coordinator.accepted):
             entry = coordinator.accepted[index]
-            if journal is not None:
-                # the merged journal holds the worker's artifact bytes
-                # verbatim; replaying through it re-verifies the digest
-                results[index] = self._replay_chunk(journal, entry, auditor)
-                results[index].extra["remote"] = True
-                results[index].extra.pop("replayed", None)
-            else:
-                data = coordinator.payload(index)
-                with np.load(io.BytesIO(data)) as archive:
-                    payload = {
-                        "outputs": archive["outputs"],
-                        "reference_outputs": archive["reference_outputs"],
-                        "blob_bytes": archive["blob"].tobytes(),
-                    }
-                results[index] = self._result_from_payload(
-                    payload, entry, auditor, origin="remote"
-                )
+            # the merged journal holds the worker's artifact bytes
+            # verbatim; loading through it re-verifies the digest
+            payload = (
+                journal.load(entry)
+                if journal is not None
+                else read_artifact(coordinator.payload(index))
+            )
+            results[index] = self._result_from_payload(
+                payload, entry, chunks[index], samples_from_fields, auditor,
+                origin="remote",
+            )
 
         remaining = [i for i in pending if i not in results]
         if remaining and summary.get("outcome") == "drained":
@@ -1059,28 +1058,32 @@ class InferencePipeline:
         auditor,
         results: "dict[int, PipelineResult]",
         *,
-        n_workers: int,
+        n_workers: "int | None",
         task_timeout: "float | None",
         max_task_retries: int,
         chaos,
-    ) -> dict:
+        label: str = "pipeline",
+    ) -> "tuple[dict, dict[int, dict]]":
         """Run pending chunks on the supervised process pool.
 
-        Fills ``results`` in place and returns the supervision summary.
-        Quarantined chunks are re-run serially in the parent in degraded
-        lossless mode — the run completes with every chunk certified,
-        some of them at compression ratio 1.
+        Each worker commits its own chunks (:meth:`_commit_chunk` runs in
+        the child); the parent re-screens what arrives, adopts audit
+        records and keeps the returned journal entry.  Fills ``results``
+        in place and returns the supervision summary plus the entries by
+        chunk index.  Quarantined chunks are re-run serially in the
+        parent in degraded lossless mode — the run completes with every
+        chunk certified, some of them at compression ratio 1.
         """
+        entries: "dict[int, dict]" = {}
 
         def task_fn(index: int) -> PipelineResult:
             return self.execute(chunks[index], samples_from_fields=samples_from_fields)
 
-        def validate(task_id: int, result) -> None:
-            # Workers screen internally, but a fault (or injected
-            # corruption) between the worker's guard and the parent's
-            # queue must not go unnoticed: re-screen on arrival.
-            if self.screen:
-                screen_finite(result.outputs, stage="chunk", name="outputs")
+        def commit(task_id: int, result, attempts: int, seconds: float):
+            return self._commit_chunk(
+                journal, digests, pending[task_id], result,
+                attempts=attempts, seconds=seconds,
+            )
 
         def on_result(task_id: int, result, outcome) -> None:
             index = pending[task_id]
@@ -1092,15 +1095,7 @@ class InferencePipeline:
                 record = auditor.adopt(AuditRecord.from_dict(result.extra["audit"]))
                 result.extra["audit"] = record.to_dict()
             results[index] = result
-            if journal is not None:
-                self._journal_chunk(
-                    journal,
-                    index,
-                    result,
-                    digests[index],
-                    attempts=outcome.attempts,
-                    seconds=outcome.seconds,
-                )
+            entries[index] = outcome.committed
 
         pool = SupervisedPool(
             task_fn,
@@ -1108,42 +1103,38 @@ class InferencePipeline:
             task_timeout=task_timeout,
             retry=RetryPolicy(max_retries=max_task_retries),
             chaos=chaos,
-            validate=validate if self.screen else None,
-            label="pipeline",
+            validate=self._screen_chunk,
+            commit=commit if journal is not None else None,
+            label=label,
         )
         report = pool.run(pending, on_result=on_result)
 
         quarantined_chunks = [pending[pos] for pos in report.quarantined]
-        for index in quarantined_chunks:
-            outcome = report.outcomes[pending.index(index)]
+        for position, index in zip(report.quarantined, quarantined_chunks):
+            outcome = report.outcomes[position]
             get_logger("pipeline").warning(
                 "quarantined chunk degrading to fallback-lossless in-process",
+                pool=label,
                 chunk=index,
                 attempts=outcome.attempts,
                 reason=outcome.error,
             )
             started = time.perf_counter()
-            result = self.execute(
+            results[index] = self.execute(
                 chunks[index],
                 samples_from_fields=samples_from_fields,
                 force_lossless=True,
             )
-            results[index] = result
-            if journal is not None:
-                self._journal_chunk(
-                    journal,
-                    index,
-                    result,
-                    digests[index],
-                    attempts=outcome.attempts,
-                    quarantined=True,
-                    seconds=time.perf_counter() - started,
-                )
+            entries[index] = self._commit_chunk(
+                journal, digests, index, results[index],
+                attempts=outcome.attempts, quarantined=True,
+                seconds=time.perf_counter() - started,
+            )
 
         summary = report.summary()
         summary["quarantined"] = quarantined_chunks
         summary["degraded_chunks"] = quarantined_chunks
-        return summary
+        return summary, entries
 
     def _record_telemetry(
         self,

@@ -41,14 +41,13 @@ import numpy as np
 
 from ..core.pipeline import split_chunks
 from ..exceptions import IntegrityError, ProtocolError
-from ..io.checkpoint import CheckpointJournal, digest_array, digest_bytes, digest_model
+from ..io.checkpoint import CheckpointJournal, digest_array, digest_model
 from ..obs import get_logger, get_metrics, get_profiler, get_tracer, json_default
+from ..obs.audit import NULL_AUDITOR
 from ..obs.prof import diff_rows
 from ..obs.trace import Tracer
 from ..resilience.inject import ChaosInjector, ChaosPartition
 from ..resilience.retry import RetryPolicy, retry_call
-from ..resilience.supervisor import SupervisedPool
-from ..resilience.guards import screen_finite
 from .protocol import (
     PROTOCOL_VERSION,
     FrameSocket,
@@ -516,7 +515,7 @@ class ShardWorker:
                 summary["chunks_resent"] += len(chunk_ids) - len(to_compute)
             for chunk in chunk_ids:
                 entry = self._local[chunk]
-                data = self._artifact_bytes(entry)
+                data = self._journal.artifact_bytes(entry)
                 spans = self._shipper.take() if self._shipper else None
                 conn.send(
                     msg_result(
@@ -565,71 +564,14 @@ class ShardWorker:
         return _TranslatedChaos(ChaosInjector(rules), chunk_ids)
 
     def _compute(self, chunk_ids: "list[int]") -> None:
-        """PR-6 semantics, locally: supervised pool + journal + quarantine."""
-        pipeline = self.pipeline
-
-        def task_fn(index: int):
-            return pipeline.execute(
-                self.chunks[index], samples_from_fields=self.samples_from_fields
-            )
-
-        def validate(task_id: int, result) -> None:
-            if pipeline.screen:
-                screen_finite(result.outputs, stage="chunk", name="outputs")
-
-        def on_result(task_id: int, result, outcome) -> None:
-            index = chunk_ids[task_id]
-            self._local[index] = pipeline._journal_chunk(
-                self._journal,
-                index,
-                result,
-                self.digests[index],
-                attempts=outcome.attempts,
-                seconds=outcome.seconds,
-            )
-
-        pool = SupervisedPool(
-            task_fn,
-            workers=self.workers,
-            task_timeout=self.task_timeout,
-            retry=RetryPolicy(max_retries=self.max_task_retries),
-            chaos=self._pool_chaos(chunk_ids),
-            validate=validate if pipeline.screen else None,
-            label=self.name,
+        """PR-6 semantics, locally: the pipeline's own supervised-pool
+        path (worker-side commit into the local journal, quarantine →
+        lossless rerun) over the leased chunks.  Audit records ride in
+        the journal entries to the coordinator, which adopts them."""
+        _summary, entries = self.pipeline._run_chunks_supervised(
+            self.chunks, chunk_ids, self.samples_from_fields, self._journal,
+            self.digests, NULL_AUDITOR, {}, n_workers=self.workers,
+            task_timeout=self.task_timeout, max_task_retries=self.max_task_retries,
+            chaos=self._pool_chaos(chunk_ids), label=self.name,
         )
-        report = pool.run(chunk_ids, on_result=on_result)
-        for position in report.quarantined:
-            index = chunk_ids[position]
-            outcome = report.outcomes[position]
-            _LOG.warning(
-                "quarantined chunk degrading to fallback-lossless in-process",
-                worker=self.name,
-                chunk=index,
-                attempts=outcome.attempts,
-            )
-            started = time.perf_counter()
-            result = pipeline.execute(
-                self.chunks[index],
-                samples_from_fields=self.samples_from_fields,
-                force_lossless=True,
-            )
-            self._local[index] = pipeline._journal_chunk(
-                self._journal,
-                index,
-                result,
-                self.digests[index],
-                attempts=outcome.attempts,
-                quarantined=True,
-                seconds=time.perf_counter() - started,
-            )
-
-    def _artifact_bytes(self, entry: dict) -> bytes:
-        path = os.path.join(self._journal.path, entry["artifact"])
-        with open(path, "rb") as handle:
-            data = handle.read()
-        if digest_bytes(data) != entry.get("artifact_digest"):
-            raise IntegrityError(
-                f"local artifact {path!r} digest mismatch: file changed "
-                "since it was journaled"
-            )
-        return data
+        self._local.update(entries)

@@ -7,9 +7,13 @@ A checkpoint is a directory:
   manifest.json        # run identity: plan fingerprint + chunk digests
   journal.jsonl        # one record per certified-complete chunk (append-only)
   chunks/
-    chunk-0000.npz     # outputs, reference outputs, serialized blob bytes
+    chunk-0000.npz     # outputs + serialized blob bytes, each stored once
     ...
 ```
+
+Reference outputs are not stored: they are a function of the input chunk
+(whose digest the manifest pins) and the model, so replay recomputes them
+and cross-checks the journaled ``observed_qoi_error``.
 
 Durability model, weakest link first:
 
@@ -28,6 +32,12 @@ Durability model, weakest link first:
   the signature of a writer killed mid-append — is dropped by
   :func:`~repro.io.serialization.read_jsonl_records`.  At every kill
   point the journal describes only fully-persisted work.
+* Whoever computed a chunk commits it: pool workers write their own
+  artifact and journal line (whole-line ``O_APPEND`` writes, per-process
+  temp files), so the model above holds per writer.  A chunk committed
+  twice (a retry after the parent rejected the first result) overwrites
+  the artifact; of two lines only the one whose digest still verifies
+  replays.
 
 Nothing here knows about pipelines; the journal stores arrays, bytes
 and JSON entries.  :meth:`InferencePipeline.execute_chunked
@@ -47,14 +57,14 @@ from ..exceptions import ConfigurationError, IntegrityError
 from ..obs import get_logger, get_metrics, get_tracer, json_default
 from .serialization import append_jsonl, atomic_write_bytes, atomic_write_json, read_jsonl_records
 
-__all__ = ["CheckpointJournal", "digest_bytes", "digest_array", "digest_model"]
+__all__ = ["CheckpointJournal", "digest_bytes", "digest_array", "digest_model", "read_artifact"]
 
 _LOG = get_logger("checkpoint")
 
 _MANIFEST = "manifest.json"
 _JOURNAL = "journal.jsonl"
 _CHUNK_DIR = "chunks"
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2  # 1 also kept reference outputs in the artifact
 
 
 def digest_bytes(data: bytes) -> str:
@@ -66,8 +76,16 @@ def digest_array(array: np.ndarray) -> str:
     """Digest of an array's contiguous bytes (dtype+shape prefixed, so
     identical bytes under different views don't collide)."""
     array = np.ascontiguousarray(array)
-    prefix = f"{array.dtype.str}:{array.shape}:".encode("utf-8")
-    return digest_bytes(prefix + array.tobytes())
+    state = hashlib.blake2b(digest_size=16)
+    state.update(f"{array.dtype.str}:{array.shape}:".encode("utf-8"))
+    state.update(array.reshape(-1).view(np.uint8))  # a view: no copy of the chunk
+    return state.hexdigest()
+
+
+def read_artifact(data: bytes) -> dict:
+    """What a chunk artifact stores: ``{"outputs", "blob_bytes"}``."""
+    with np.load(io.BytesIO(data)) as archive:
+        return {"outputs": archive["outputs"], "blob_bytes": archive["blob"].tobytes()}
 
 
 def digest_model(model) -> str:
@@ -95,8 +113,7 @@ class CheckpointJournal:
         journal = CheckpointJournal(path)
         completed = journal.begin(manifest, resume=True)  # {} when fresh
         for index not in completed: ...compute...
-            journal.record(index, outputs=o, reference_outputs=r,
-                           blob_bytes=b, entry={...})
+            journal.record(index, outputs=o, blob_bytes=b, entry={...})
         payload = journal.load(completed[index])          # replay arrays
     """
 
@@ -108,6 +125,9 @@ class CheckpointJournal:
         self.journal_path = os.path.join(self.path, _JOURNAL)
         self.chunk_dir = os.path.join(self.path, _CHUNK_DIR)
         self._manifest: "dict | None" = None
+        # artifact bytes _replay verified, by digest, until artifact_bytes
+        # hands them out: a resume reads and digests each file once
+        self._verified: "dict[str, bytes]" = {}
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -119,7 +139,7 @@ class CheckpointJournal:
         Fresh start (``resume=False``) discards any previous journal for
         this directory.  Resume validates the stored manifest against
         the supplied one and replays only journal entries whose artifact
-        digests verify.
+        digests verify (the first ``load`` of each is served those bytes).
         """
         if "fingerprint" not in manifest or "chunk_digests" not in manifest:
             raise ConfigurationError(
@@ -147,9 +167,8 @@ class CheckpointJournal:
             return completed
 
         # fresh start: drop stale state from any previous run
-        for stale in (self.journal_path,):
-            if os.path.exists(stale):
-                os.unlink(stale)
+        if os.path.exists(self.journal_path):
+            os.unlink(self.journal_path)
         for name in os.listdir(self.chunk_dir):
             os.unlink(os.path.join(self.chunk_dir, name))
         atomic_write_json(self.manifest_path, manifest)
@@ -218,17 +237,13 @@ class CheckpointJournal:
             ):
                 conflicts += 1
                 continue
-            artifact = os.path.join(self.path, entry.get("artifact", ""))
             try:
-                with open(artifact, "rb") as handle:
-                    data = handle.read()
-            except OSError:
-                dropped += 1
-                continue
-            if digest_bytes(data) != entry.get("artifact_digest"):
+                data = self.artifact_bytes(entry)
+            except (OSError, KeyError, IntegrityError):
                 dropped += 1
                 continue
             completed[index] = entry
+            self._verified[entry["artifact_digest"]] = data
         if dropped:
             _LOG.warning(
                 "dropped unverifiable journal entries; their chunks will be "
@@ -253,7 +268,6 @@ class CheckpointJournal:
         index: int,
         *,
         outputs: np.ndarray,
-        reference_outputs: np.ndarray,
         blob_bytes: bytes,
         entry: dict,
     ) -> dict:
@@ -266,8 +280,7 @@ class CheckpointJournal:
         np.savez(
             buffer,
             outputs=np.ascontiguousarray(outputs),
-            reference_outputs=np.ascontiguousarray(reference_outputs),
-            blob=np.frombuffer(bytes(blob_bytes), dtype=np.uint8),
+            blob=np.frombuffer(blob_bytes, dtype=np.uint8),
         )
         return self.record_raw(index, data=buffer.getvalue(), entry=entry)
 
@@ -295,11 +308,11 @@ class CheckpointJournal:
 
     # -- reads -------------------------------------------------------------
 
-    def load(self, entry: dict) -> dict:
-        """Replay one journal entry's arrays; digest-verified.
-
-        Returns ``{"outputs", "reference_outputs", "blob_bytes", "entry"}``.
-        """
+    def artifact_bytes(self, entry: dict) -> bytes:
+        """One journal entry's artifact, verbatim and digest-verified."""
+        data = self._verified.pop(entry.get("artifact_digest"), None)
+        if data is not None:
+            return data
         artifact = os.path.join(self.path, entry["artifact"])
         with open(artifact, "rb") as handle:
             data = handle.read()
@@ -308,13 +321,11 @@ class CheckpointJournal:
                 f"checkpoint artifact {artifact!r} digest mismatch: file "
                 "changed since it was journaled"
             )
-        with np.load(io.BytesIO(data)) as archive:
-            return {
-                "outputs": archive["outputs"],
-                "reference_outputs": archive["reference_outputs"],
-                "blob_bytes": archive["blob"].tobytes(),
-                "entry": entry,
-            }
+        return data
+
+    def load(self, entry: dict) -> dict:
+        """Replay one journal entry's arrays (``{"outputs", "blob_bytes"}``)."""
+        return read_artifact(self.artifact_bytes(entry))
 
     def entries(self) -> "list[dict]":
         """Every raw journal record (newest last); for inspection/tests."""

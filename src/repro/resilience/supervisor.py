@@ -7,12 +7,34 @@ worker processes** — true multi-core parallelism, zero-copy inheritance
 of the model/chunks at fork time — wrapped in the supervision a
 long-running production run needs:
 
+* **pinned workers** — the inherited affinity mask is cut into one
+  block of ``len(mask) // workers`` CPUs per slot (one CPU each once the
+  pool fills the mask; a pool that does not fill it starts at an offset
+  taken from its parent's pid, so pools of different processes spread;
+  skipped where ``sched_setaffinity`` is missing): forked children of
+  one parent otherwise share the parent's CPU for runs this short;
+* **two-deep dispatch** — each worker has one task running and one
+  already waiting in its own queue, so it never idles across done →
+  parent wakes → dispatch;
+* **synchronous reports** — every worker reports over a pipe of its
+  own with a blocking ``send``: a result is in the pipe, whole, before
+  the worker takes its next task, so a death in task N+1 cannot tear
+  task N's report, and a dead worker reads as end-of-file on its pipe;
 * **heartbeats & deadlines** — every worker beats a shared timestamp
-  slot from a daemon thread; the supervisor kills and replaces workers
-  whose task exceeded its deadline or whose heartbeat went stale;
+  slot from a daemon thread and announces each task with a ``"start"``
+  message, the anchor of that task's deadline (a queued task is not on
+  the clock); the supervisor kills and replaces workers whose running
+  task exceeded its deadline or whose heartbeat went stale;
 * **death detection & respawn** — a worker that dies (OOM-kill, crash,
-  injected SIGKILL) is detected by liveness polling, its in-flight task
-  is rescheduled, and a fresh worker is forked in its place;
+  injected SIGKILL) is detected by end-of-file on its pipe or liveness
+  polling and a fresh worker with a fresh queue and pipe is forked in
+  its place; what the dead worker had fully reported still counts, the
+  task its last ``"start"`` named is charged a failed attempt and
+  rescheduled, and a task queued behind it never started and is
+  re-readied for free;
+* **worker-side commit** — an optional ``commit`` callable makes each
+  result durable where it was computed, before it is reported (the
+  checkpoint journal hook); the parent only validates what arrives;
 * **bounded retry with backoff** — failed tasks are re-queued under a
   :class:`~repro.resilience.retry.RetryPolicy` (exponential backoff +
   deterministic jitter), never hammered;
@@ -25,11 +47,11 @@ long-running production run needs:
   so a sick host degrades to slow, never to failed.
 
 Results are reported through an ``on_result`` callback *as tasks
-complete* (the checkpoint journal hook) and collected into a
-:class:`SupervisionReport`; per-worker **metrics deltas** (counters
-incremented inside the forked children) ride back with each result and
-are merged into the parent registry, so `pipeline_executions_total`
-and friends stay accurate across process boundaries.
+complete* and collected into a :class:`SupervisionReport`; per-worker
+**metrics deltas** (counters incremented inside the forked children)
+ride back with each result and are merged into the parent registry, so
+`pipeline_executions_total` and friends stay accurate across process
+boundaries.
 
 Ordering guarantee: task ids are list indices and the report exposes
 results in id order, so supervised, threaded and serial execution
@@ -41,14 +63,14 @@ from __future__ import annotations
 import heapq
 import multiprocessing
 import os
-import queue as queue_mod
 import threading
 import time
 import traceback
 from dataclasses import dataclass, field
+from multiprocessing import connection
 from typing import Callable
 
-from ..exceptions import ConfigurationError, ReproError
+from ..exceptions import ConfigurationError
 from ..obs import get_logger, get_metrics, get_tracer
 from .retry import RetryPolicy
 
@@ -67,6 +89,10 @@ _TICK = 0.05
 
 #: worker join grace after the shutdown sentinel before a hard kill
 _JOIN_GRACE = 1.0
+
+#: tasks in flight per worker: one running, one already in its queue, so
+#: a worker never idles across done -> parent wakes -> dispatch
+_WINDOW = 2
 
 
 def fork_available() -> bool:
@@ -91,6 +117,8 @@ class TaskOutcome:
     #: (inside the forked child for pool execution) — includes injected
     #: chaos delays, which is what straggler analysis wants to see
     seconds: "float | None" = None
+    #: what the pool's ``commit`` callable returned for this attempt
+    committed: object = None
 
 
 @dataclass
@@ -125,8 +153,8 @@ class SupervisionReport:
 
 
 class CircuitBreaker:
-    """Trips after ``threshold`` pool-level faults (worker respawns,
-    queue corruption); once tripped the pool stops being trusted."""
+    """Trips after ``threshold`` pool-level faults (worker respawns);
+    once tripped the pool stops being trusted."""
 
     def __init__(self, threshold: int) -> None:
         if threshold < 1:
@@ -147,21 +175,23 @@ class CircuitBreaker:
             return True
         return False
 
-    def trip(self, reason: str) -> None:
-        self.tripped = True
-        self.reason = reason
-
 
 class _Worker:
-    """Parent-side handle: process, dedicated task queue, current task."""
+    """Parent-side handle: process, its task queue and report pipe, its
+    tasks in flight."""
 
-    __slots__ = ("process", "queue", "current")
+    __slots__ = ("process", "queue", "reports", "inflight", "running", "started_at")
 
-    def __init__(self, process, task_queue) -> None:
+    def __init__(self, process, task_queue, reports) -> None:
         self.process = process
         self.queue = task_queue
-        # (task_id, attempt, dispatched_at) or None when idle
-        self.current: "tuple[int, int, float] | None" = None
+        self.reports = reports
+        # task_id -> attempt, for every task sent and not yet reported
+        self.inflight: "dict[int, int]" = {}
+        # the task the last "start" message named and when it arrived;
+        # None between tasks
+        self.running: "int | None" = None
+        self.started_at: "float | None" = None
 
 
 class SupervisedPool:
@@ -178,8 +208,10 @@ class SupervisedPool:
         Pool size; ``<= 1`` (or a fork-less platform) runs every task
         inline in-process — supervision bookkeeping without processes.
     task_timeout:
-        Per-task deadline in seconds measured from dispatch; expiry
-        kills the worker and reschedules the task.  ``None`` disables.
+        Per-task deadline in seconds measured from the worker's
+        ``"start"`` message (a task queued behind another is not on the
+        clock); expiry kills the worker and reschedules the task.
+        ``None`` disables.
     retry:
         Backoff/budget schedule for failed tasks (default
         ``RetryPolicy()``: 2 retries, 50 ms base, 2 s cap, 10% jitter).
@@ -201,6 +233,12 @@ class SupervisedPool:
         Optional ``validate(task_id, result)`` called in the parent on
         every completed result; raising treats the result as a task
         failure (corrupt-result detection).
+    commit:
+        Optional ``commit(task_id, result, attempts, seconds)`` run where
+        the task ran — inside the worker, after the chaos hooks — to make
+        the result durable before it is reported; raising fails the
+        attempt.  What it returns rides back to the parent as
+        ``TaskOutcome.committed``.
     label:
         Metrics/trace label for this pool.
     """
@@ -217,6 +255,7 @@ class SupervisedPool:
         breaker_threshold: "int | None" = None,
         chaos=None,
         validate: "Callable | None" = None,
+        commit: "Callable | None" = None,
         label: str = "supervised",
     ) -> None:
         from ..perf.parallel import resolve_workers
@@ -238,6 +277,7 @@ class SupervisedPool:
         )
         self.chaos = chaos
         self.validate = validate
+        self.commit = commit
         self.label = label
 
     # -- public entry point ------------------------------------------------
@@ -277,31 +317,30 @@ class SupervisedPool:
         metrics = get_metrics()
         for task_id in task_ids:
             attempt = attempts_used.get(task_id, 0)
-            last_error = None
-            result = None
             while True:
                 started = time.perf_counter()
+                attempt += 1
                 try:
                     result = self.task_fn(tasks[task_id])
                     if self.validate is not None:
                         self.validate(task_id, result)
-                    last_error = None
-                except ReproError as exc:
-                    last_error = f"{type(exc).__name__}: {exc}"
+                    seconds = time.perf_counter() - started
+                    committed = None
+                    if self.commit is not None:
+                        committed = self.commit(task_id, result, attempt, seconds)
                 except Exception as exc:
-                    last_error = f"{type(exc).__name__}: {exc}"
-                attempt += 1
-                if last_error is None:
+                    error = f"{type(exc).__name__}: {exc}"
+                else:
                     outcome = TaskOutcome(
                         task_id=task_id, result=result, attempts=attempt, inline=True,
-                        seconds=time.perf_counter() - started,
+                        seconds=seconds, committed=committed,
                     )
                     report.outcomes[task_id] = outcome
                     if on_result is not None:
                         on_result(task_id, result, outcome)
                     break
                 if attempt > self.retry.max_retries:
-                    self._quarantine(report, task_id, attempt, last_error)
+                    self._quarantine(report, task_id, attempt, error)
                     break
                 report.retries += 1
                 metrics.counter("chunk_retries_total", pool=self.label).inc()
@@ -311,27 +350,20 @@ class SupervisedPool:
 
     def _run_supervised(self, tasks, report, on_result) -> None:
         ctx = multiprocessing.get_context("fork")
-        self._out_q = ctx.Queue()
         self._heartbeat = ctx.Array("d", self.workers, lock=False)
-        self._in_queues = [ctx.Queue() for _ in range(self.workers)]
-        workers: "dict[int, _Worker]" = {}
-        for slot in range(self.workers):
-            workers[slot] = self._spawn(ctx, slot)
+        workers = {slot: self._spawn(ctx, slot) for slot in range(self.workers)}
 
         n = len(tasks)
         ready: list = [(0.0, task_id, 0) for task_id in range(n)]
         heapq.heapify(ready)
         failures: "dict[int, int]" = {}
-        resolved: set = set()
         metrics = get_metrics()
         tracer = get_tracer()
 
-        def fail_task(task_id: int, attempt: int, reason: str) -> None:
-            failures[task_id] = failures.get(task_id, 0) + 1
-            count = failures[task_id]
+        def fail_task(task_id: int, reason: str) -> None:
+            failures[task_id] = count = failures.get(task_id, 0) + 1
             if count > self.retry.max_retries:
                 self._quarantine(report, task_id, count, reason)
-                resolved.add(task_id)
                 return
             delay = self.retry.delay(count - 1)
             heapq.heappush(ready, (time.monotonic() + delay, task_id, count))
@@ -342,9 +374,69 @@ class SupervisedPool:
                 task=task_id, attempt=count, backoff_s=round(delay, 4), reason=reason,
             )
 
+        def receive(slot: int, worker: _Worker, message) -> None:
+            kind, task_id = message[:2]
+            if kind == "start":
+                worker.running, worker.started_at = task_id, time.monotonic()
+                return
+            # done or error: the task is off this worker's books
+            del worker.inflight[task_id]
+            worker.running = worker.started_at = None
+            if kind == "error":
+                fail_task(task_id, message[2])
+                return
+            result, committed, delta, child_spans, seconds = message[2:]
+            if delta and metrics.enabled:
+                metrics.merge_counter_deltas(delta)
+            try:
+                if self.validate is not None:
+                    self.validate(task_id, result)
+            except Exception as exc:
+                fail_task(task_id, f"invalid result: {exc}")
+                return
+            attempts = failures.get(task_id, 0) + 1
+            outcome = TaskOutcome(
+                task_id=task_id, result=result, attempts=attempts,
+                seconds=seconds, committed=committed,
+            )
+            report.outcomes[task_id] = outcome
+            with tracer.span(
+                "supervisor.task", pool=self.label, task=task_id,
+                attempts=attempts, worker=slot,
+            ) as task_span:
+                if seconds is not None:
+                    task_span.set(task_seconds=seconds)
+                if on_result is not None:
+                    on_result(task_id, result, outcome)
+            # adopt the child's spans under the task span so the fork
+            # boundary disappears from the trace
+            if child_spans and tracer.enabled:
+                tracer.merge_remote(child_spans, parent=task_span)
+
         def respawn(slot: int, reason: str) -> None:
+            """Replace a dead or condemned worker.  Whatever it fully
+            reported first still counts; then only the task its last
+            "start" named is charged a failure — one queued behind it
+            never started and goes back to the ready heap as it was."""
+            if self.breaker.tripped:
+                return  # pool already condemned: what is left runs inline
             worker = workers[slot]
             self._kill(worker)
+            while True:
+                try:
+                    if not worker.reports.poll():
+                        break
+                    message = worker.reports.recv()
+                except Exception:
+                    break  # end of file, or a report torn by the kill
+                receive(slot, worker, message)
+            worker.reports.close()
+            for task_id, attempt in worker.inflight.items():
+                if task_id == worker.running:
+                    fail_task(task_id, reason)
+                else:
+                    heapq.heappush(ready, (0.0, task_id, attempt))
+            worker.inflight.clear()
             report.respawns += 1
             metrics.counter("worker_restarts_total", pool=self.label).inc()
             if self.breaker.record_fault(reason):
@@ -355,132 +447,73 @@ class SupervisedPool:
                 )
                 metrics.counter("circuit_breaker_trips_total", pool=self.label).inc()
                 return
-            if self.breaker.tripped:
-                return  # pool already condemned; don't refill it
             _LOG.warning("respawning worker", slot=slot, reason=reason)
             workers[slot] = self._spawn(ctx, slot)
 
         try:
+            next_sweep = 0.0
             # quarantined tasks also land in report.outcomes, so outcome
             # count alone is the terminal-task count
             while len(report.outcomes) < n and not self.breaker.tripped:
                 now = time.monotonic()
-                # dispatch ready tasks to idle live workers
-                for slot, worker in workers.items():
-                    if worker.current is not None or not worker.process.is_alive():
-                        continue
-                    while ready and ready[0][0] <= now:
-                        __, task_id, attempt = heapq.heappop(ready)
-                        if task_id in resolved or task_id in report.outcomes:
-                            continue
-                        worker.queue.put((task_id, attempt, tasks[task_id]))
-                        worker.current = (task_id, attempt, now)
-                        break
-
-                # wait for worker traffic
-                try:
-                    message = self._out_q.get(timeout=_TICK)
-                except queue_mod.Empty:
-                    message = None
-                except Exception as exc:
-                    # a killed writer can tear a queued pickle; the pool's
-                    # transport is no longer trustworthy
-                    self.breaker.trip(f"result queue corrupted: {exc}")
-                    _LOG.error("result queue corrupted; tripping breaker", error=str(exc))
-                    break
-
-                if message is not None:
-                    kind = message[0]
-                    if kind == "start":
-                        pass  # dispatch time already anchors the deadline
-                    elif kind == "done":
-                        __, slot, task_id, result, delta, child_spans, seconds = message
-                        worker = workers.get(slot)
-                        if worker is not None and worker.current is not None and (
-                            worker.current[0] == task_id
+                # fill every worker one deep before any two deep, so the
+                # tail of a run is spread over the pool
+                for depth in range(1, _WINDOW + 1):
+                    for worker in workers.values():
+                        while (
+                            ready
+                            and ready[0][0] <= now
+                            and len(worker.inflight) < depth
+                            and worker.process.is_alive()
                         ):
-                            worker.current = None
-                        if task_id in report.outcomes or task_id in resolved:
-                            continue  # late duplicate from a kill race
-                        if delta and metrics.enabled:
-                            metrics.merge_counter_deltas(delta)
-                        attempts = failures.get(task_id, 0) + 1
-                        try:
-                            if self.validate is not None:
-                                self.validate(task_id, result)
-                        except Exception as exc:
-                            fail_task(task_id, attempts, f"invalid result: {exc}")
-                            continue
-                        outcome = TaskOutcome(
-                            task_id=task_id, result=result, attempts=attempts,
-                            seconds=seconds,
-                        )
-                        report.outcomes[task_id] = outcome
-                        with tracer.span(
-                            "supervisor.task", pool=self.label, task=task_id,
-                            attempts=attempts, worker=slot,
-                        ) as task_span:
-                            if seconds is not None:
-                                task_span.set(task_seconds=seconds)
-                            if on_result is not None:
-                                on_result(task_id, result, outcome)
-                        # adopt the child's spans under the task span so
-                        # the fork boundary disappears from the trace
-                        if child_spans and tracer.enabled:
-                            tracer.merge_remote(child_spans, parent=task_span)
-                    elif kind == "error":
-                        __, slot, task_id, error_text = message
-                        worker = workers.get(slot)
-                        if worker is not None and worker.current is not None and (
-                            worker.current[0] == task_id
-                        ):
-                            worker.current = None
-                        if task_id not in report.outcomes and task_id not in resolved:
-                            fail_task(
-                                task_id, failures.get(task_id, 0) + 1, error_text
-                            )
+                            __, task_id, attempt = heapq.heappop(ready)
+                            worker.queue.put((task_id, attempt, tasks[task_id]))
+                            worker.inflight[task_id] = attempt
 
-                # liveness / deadline / heartbeat sweep
+                # wait for worker traffic; a dead worker's pipe reads EOF
+                by_pipe = {worker.reports: slot for slot, worker in workers.items()}
+                traffic = connection.wait(list(by_pipe), timeout=_TICK)
+                for pipe in traffic:
+                    slot = by_pipe[pipe]
+                    try:
+                        message = pipe.recv()
+                    except Exception:  # end of file, or an unreadable report
+                        respawn(slot, "worker died")
+                    else:
+                        receive(slot, workers[slot], message)
+
+                # liveness / deadline / heartbeat sweep, once per tick
                 now = time.monotonic()
-                for slot in list(workers):
-                    worker = workers[slot]
-                    current = worker.current
+                if traffic and now < next_sweep:
+                    continue
+                next_sweep = now + _TICK
+                for slot, worker in list(workers.items()):
                     if not worker.process.is_alive():
-                        worker.current = None
-                        if current is not None:
-                            fail_task(current[0], current[1] + 1, "worker died")
-                        respawn(slot, "worker death")
-                    elif current is not None and self.task_timeout is not None and (
-                        now - current[2] > self.task_timeout
+                        respawn(slot, "worker died")
+                    elif not worker.inflight:
+                        continue
+                    elif (
+                        self.task_timeout is not None
+                        and worker.started_at is not None
+                        and now - worker.started_at > self.task_timeout
                     ):
-                        worker.current = None
-                        fail_task(
-                            current[0],
-                            current[1] + 1,
-                            f"deadline expired after {self.task_timeout}s",
-                        )
-                        respawn(slot, "task deadline expired")
-                    elif current is not None and self.stale_after is not None and (
+                        respawn(slot, f"deadline expired after {self.task_timeout}s")
+                    elif self.stale_after is not None and (
                         now - self._heartbeat[slot] > self.stale_after
                     ):
-                        worker.current = None
-                        fail_task(current[0], current[1] + 1, "heartbeat went stale")
-                        respawn(slot, "stale heartbeat")
+                        respawn(slot, "heartbeat went stale")
         finally:
-            in_flight = [w.current[0] for w in workers.values() if w.current]
+            in_flight = sum(len(worker.inflight) for worker in workers.values())
             self._shutdown(workers)
 
         if self.breaker.tripped:
             report.breaker_tripped = True
             remaining = [
-                task_id
-                for task_id in range(n)
-                if task_id not in report.outcomes
-                and task_id not in set(report.quarantined)
+                task_id for task_id in range(n) if task_id not in report.outcomes
             ]
             _LOG.warning(
                 "executing remaining tasks serially in-process",
-                remaining=len(remaining), in_flight=len(in_flight),
+                remaining=len(remaining), in_flight=in_flight,
             )
             self._run_inline(remaining, tasks, report, on_result, dict(failures))
 
@@ -499,20 +532,31 @@ class SupervisedPool:
         )
 
     def _spawn(self, ctx, slot: int) -> _Worker:
+        """Fork a worker with a task queue and a report pipe of its own:
+        a message the previous holder of the slot never consumed must die
+        with it, not be run by its replacement as well as by whoever the
+        parent rescheduled the task to."""
         self._heartbeat[slot] = time.monotonic()
+        task_queue = ctx.Queue()
+        reports, report_end = ctx.Pipe(duplex=False)
         process = ctx.Process(
             target=self._worker_main,
-            args=(slot,),
+            args=(slot, task_queue, report_end),
             name=f"{self.label}-{slot}",
             daemon=True,
         )
         process.start()
-        return _Worker(process, self._in_queues[slot])
+        # the child holds the only write end, so its death is EOF here
+        report_end.close()
+        return _Worker(process, task_queue, reports)
 
     def _kill(self, worker: _Worker) -> None:
         if worker.process.is_alive():
             worker.process.kill()
         worker.process.join(timeout=_JOIN_GRACE)
+        # close the task queue without waiting for its feeder to flush
+        worker.queue.cancel_join_thread()
+        worker.queue.close()
 
     def _shutdown(self, workers: "dict[int, _Worker]") -> None:
         for worker in workers.values():
@@ -524,22 +568,33 @@ class SupervisedPool:
         deadline = time.monotonic() + _JOIN_GRACE
         for worker in workers.values():
             worker.process.join(timeout=max(0.0, deadline - time.monotonic()))
-            if worker.process.is_alive():
-                worker.process.kill()
-                worker.process.join(timeout=_JOIN_GRACE)
-        for q in [*self._in_queues, self._out_q]:
-            try:
-                q.cancel_join_thread()
-                q.close()
-            except Exception:
-                pass
+            self._kill(worker)
+            worker.reports.close()
 
     # -- worker side -------------------------------------------------------
 
-    def _worker_main(self, slot: int) -> None:  # pragma: no cover - forked child
-        """Forked worker loop: beat, take task, run, report, repeat."""
+    def _pin(self, slot: int) -> None:
+        """Confine this worker to slot ``slot``'s block of the inherited
+        affinity mask (see the module docstring); a block wider than one
+        CPU leaves room for threaded BLAS inside a task."""
+        try:
+            cpus = sorted(os.sched_getaffinity(0))
+            share = max(1, len(cpus) // self.workers)
+            first = slot * share
+            if self.workers * share < len(cpus):
+                first += os.getppid()
+            os.sched_setaffinity(
+                0, {cpus[(first + i) % len(cpus)] for i in range(share)}
+            )
+        except (AttributeError, OSError):
+            pass
+
+    def _worker_main(self, slot: int, in_q, reports) -> None:  # pragma: no cover - forked child
+        """Forked worker loop: pin, beat, take task, run, commit, report."""
         from ..obs import get_auditor, set_auditor, set_tracer
         from ..obs.trace import Tracer
+
+        self._pin(slot)
 
         # The child inherits the parent's live observability singletons.
         # The inherited tracer holds parent-owned spans and a shared lock,
@@ -560,8 +615,6 @@ class SupervisedPool:
         if auditor.enabled:
             set_auditor(auditor.detached())
 
-        in_q = self._in_queues[slot]
-        out_q = self._out_q
         heartbeat = self._heartbeat
         stop = threading.Event()
 
@@ -580,7 +633,9 @@ class SupervisedPool:
             if message is None:
                 break
             task_id, attempt, payload = message
-            out_q.put(("start", slot, task_id))
+            # blocking sends: a report is whole in the pipe before this
+            # worker can die in a later task
+            reports.send(("start", task_id))
             started = time.perf_counter()
             try:
                 if self.chaos is not None:
@@ -588,24 +643,24 @@ class SupervisedPool:
                 result = self.task_fn(payload)
                 if self.chaos is not None:
                     result = self.chaos.after_task(task_id, attempt, result)
+                seconds = time.perf_counter() - started
+                committed = None
+                if self.commit is not None:
+                    committed = self.commit(task_id, result, attempt + 1, seconds)
+                delta, spans = {}, []
                 if metrics.enabled:
                     current = metrics.counter_snapshot()
                     delta = metrics.counter_delta(current, baseline)
                     baseline = current
-                else:
-                    delta = {}
                 if child_tracer is not None:
                     spans, span_cursor = child_tracer.dicts_since(span_cursor)
-                else:
-                    spans = []
-                seconds = time.perf_counter() - started
-                out_q.put(("done", slot, task_id, result, delta, spans, seconds))
+                reports.send(("done", task_id, result, committed, delta, spans, seconds))
             except BaseException as exc:
                 detail = "".join(
                     traceback.format_exception_only(type(exc), exc)
                 ).strip()
                 try:
-                    out_q.put(("error", slot, task_id, detail))
+                    reports.send(("error", task_id, detail))
                 except Exception:
                     os._exit(1)
         stop.set()

@@ -196,7 +196,6 @@ def _tiny_journal(path):
     entry = journal.record(
         0,
         outputs=arr,
-        reference_outputs=arr,
         blob_bytes=b"blob-bytes",
         entry={"input_digest": digest, "attempts": 1},
     )
@@ -529,7 +528,7 @@ def test_straggler_dedup_and_result_validation(distrib_setup, tmp_path):
     entries, artifacts = {}, {}
     for index, chunk in enumerate(chunks):
         result = pipeline.execute(chunk)
-        entries[index] = pipeline._journal_chunk(local, index, result, digests[index])
+        entries[index] = pipeline._commit_chunk(local, digests, index, result)
         with open(f"{local.path}/{entries[index]['artifact']}", "rb") as handle:
             artifacts[index] = handle.read()
 
@@ -666,7 +665,7 @@ def test_merged_journal_matches_serial_under_partitions(
     """Property (satellite): wherever the partition lands, the merged
     journal certifies the same computation as the serial journal —
     same chunks, same input digests, identical replayed arrays."""
-    pipeline, fields, _, manifest, serial_dir = distrib_setup
+    pipeline, fields, serial, manifest, serial_dir = distrib_setup
     workdir = tempfile.mkdtemp(prefix="repro-distrib-prop-")
     try:
         result, _, errors = _run_distributed(
@@ -694,12 +693,97 @@ def test_merged_journal_matches_serial_under_partitions(
             assert ours["input_digest"] == theirs["input_digest"]
             mine, ref = merged.load(ours), reference.load(theirs)
             assert np.array_equal(mine["outputs"], ref["outputs"])
-            assert np.array_equal(
-                mine["reference_outputs"], ref["reference_outputs"]
-            )
             assert mine["blob_bytes"] == ref["blob_bytes"]
+        # reference outputs are no longer stored: the replayed ones are
+        # recomputed from the digest-pinned input chunks
+        assert np.array_equal(result.reference_outputs, serial.reference_outputs)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
+
+
+# -- differential: every executor certifies the same computation -------------
+
+
+def _comparable_audit(audit):
+    return {k: v for k, v in audit.items() if k not in ("run_id", "created_unix")}
+
+
+def _comparable_entries(checkpoint, manifest):
+    """Replay-visible journal entries by chunk, minus wall-time fields,
+    who computed the chunk, and the registry's run ids."""
+    entries = CheckpointJournal(checkpoint).begin(manifest, resume=True)
+    comparable = {}
+    for index, entry in entries.items():
+        entry = {
+            k: v for k, v in entry.items()
+            if k not in ("timings", "task_seconds", "worker")
+        }
+        if entry.get("audit"):
+            entry["audit"] = _comparable_audit(entry["audit"])
+        comparable[index] = entry
+    return comparable
+
+
+@needs_fork
+def test_every_executor_certifies_the_same_computation(distrib_setup, tmp_path):
+    """Differential: the same plan and fields give identical outputs,
+    reference outputs, input error, per-chunk journal entries and audit
+    records whether the chunks ran serially, serially with a journal, on
+    the pool (workers committing their own records), partly replayed
+    from a journal, or on loopback shard workers."""
+    pipeline, fields, _, manifest, _ = distrib_setup
+
+    def chunked(**kwargs):
+        return pipeline.execute_chunked(fields, chunk_size=8, chunk_axis=1, **kwargs)
+
+    def serial(_ck):
+        return chunked(executor="serial")
+
+    def serial_journal(ck):
+        return chunked(executor="serial", checkpoint=ck)
+
+    def pool_journal(ck):
+        return chunked(executor="process", workers=2, checkpoint=ck)
+
+    def resumed(ck):
+        shutil.copytree(str(tmp_path / "pool_journal"), ck)
+        journal_path = os.path.join(ck, "journal.jsonl")
+        with open(journal_path, encoding="utf-8") as handle:
+            lines = handle.readlines()
+        with open(journal_path, "w", encoding="utf-8") as handle:
+            handle.writelines(lines[:2])
+        result = chunked(executor="process", workers=2, checkpoint=ck, resume=True)
+        assert result.extra["checkpoint"]["replayed_chunks"] == 2
+        return result
+
+    def distributed(ck):
+        result, _, errors = _run_distributed(
+            pipeline, fields, n_workers=2, expect_workers=2, checkpoint=ck
+        )
+        assert errors == [] and result.extra["distrib"]["outcome"] == "complete"
+        return result
+
+    runs = {}
+    for run in (serial, serial_journal, pool_journal, resumed, distributed):
+        ck = str(tmp_path / run.__name__)
+        with obs.audit_capture() as auditor:
+            result = run(ck)
+            audits = sorted(
+                json.dumps(_comparable_audit(record.to_dict()), sort_keys=True)
+                for record in auditor.records
+            )
+        entries = _comparable_entries(ck, manifest) if run is not serial else None
+        runs[run.__name__] = (result, audits, entries)
+
+    oracle, oracle_audits, _ = runs["serial"]
+    oracle_entries = runs["serial_journal"][2]
+    assert len(oracle_audits) == 4 and set(oracle_entries) == {0, 1, 2, 3}
+    for name, (result, audits, entries) in runs.items():
+        assert np.array_equal(result.outputs, oracle.outputs), name
+        assert np.array_equal(result.reference_outputs, oracle.reference_outputs), name
+        assert result.input_error_linf == oracle.input_error_linf, name
+        assert audits == oracle_audits, name
+        assert entries is None or entries == oracle_entries, name
 
 
 # -- distributed tracing + live ops plane ------------------------------------

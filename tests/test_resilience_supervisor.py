@@ -14,6 +14,8 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -26,7 +28,13 @@ from repro.core.errorflow import ErrorFlowAnalyzer
 from repro.core.pipeline import InferencePipeline
 from repro.core.planner import TolerancePlanner
 from repro.exceptions import ConfigurationError, IntegrityError
-from repro.io import CheckpointJournal, digest_array, digest_bytes
+from repro.io import (
+    CheckpointJournal,
+    append_jsonl,
+    digest_array,
+    digest_bytes,
+    read_jsonl_records,
+)
 from repro.obs import audit_capture
 from repro.resilience import (
     CHAOS_ENV_VAR,
@@ -306,8 +314,9 @@ def test_pool_circuit_breaker_degrades_to_inline():
     assert all(outcome.inline for outcome in report.outcomes.values() if outcome.attempts)
 
 
-def test_pool_validate_rejects_corrupt_result_then_retry_succeeds():
+def test_pool_validate_rejects_corrupt_result_then_retry_succeeds(tmp_path):
     chaos = ChaosInjector.from_spec("corrupt@1")  # first attempt only
+    commit_log = str(tmp_path / "commits.log")
 
     def make_field(x):
         return np.full(32, float(x), dtype=np.float32)
@@ -316,8 +325,15 @@ def test_pool_validate_rejects_corrupt_result_then_retry_succeeds():
         if np.isnan(result).any():
             raise IntegrityError(f"NaN in task {task_id} result")
 
+    def commit(task_id, result, attempts, seconds):
+        # runs in the worker, after the chaos hooks: it sees what the
+        # parent will see, and what it returns rides back on the outcome
+        _append_line(commit_log, f"{task_id} {attempts} {int(np.isnan(result).any())}")
+        return {"task": task_id, "attempts": attempts}
+
     pool = SupervisedPool(
-        make_field, workers=2, retry=FAST_RETRY, chaos=chaos, validate=validate
+        make_field, workers=2, retry=FAST_RETRY, chaos=chaos, validate=validate,
+        commit=commit,
     )
     report = pool.run([0, 1, 2])
     assert report.retries == 1 and report.quarantined == []
@@ -325,6 +341,140 @@ def test_pool_validate_rejects_corrupt_result_then_retry_succeeds():
     for task_id, outcome in report.outcomes.items():
         assert not np.isnan(outcome.result).any()
         assert outcome.result[0] == float(task_id)
+        # the commit the parent keeps is the accepted attempt's
+        assert outcome.committed == {"task": task_id, "attempts": outcome.attempts}
+    # the rejected attempt was committed too (corrupt), then superseded
+    assert sorted(_read_lines(commit_log)) == ["0 1 0", "1 1 1", "1 2 0", "2 1 0"]
+
+
+def _append_line(path, text):
+    append_jsonl(path, {"line": text})  # one O_APPEND write: safe across workers
+
+
+def _read_lines(path):
+    return [record["line"] for record in read_jsonl_records(path)]
+
+
+def test_pool_worker_death_charges_only_the_running_task(tmp_path):
+    """Regression: worker 0 dies holding task 0 (running) and task 2
+    (queued behind it, two-deep window).  The queued message must die
+    with the worker's own queue — its replacement must not run it as
+    well as whoever the parent rescheduled it to — and only the running
+    task is charged an attempt."""
+    executions = str(tmp_path / "executions.log")
+
+    def recorded(x):
+        _append_line(executions, str(x))
+        return x * x
+
+    seen = []
+    chaos = ChaosInjector.from_spec("kill@0")
+    pool = SupervisedPool(recorded, workers=2, retry=FAST_RETRY, chaos=chaos)
+    report = pool.run(
+        list(range(6)), on_result=lambda tid, res, out: seen.append(tid)
+    )
+    assert report.results() == [x * x for x in range(6)]
+    assert sorted(seen) == list(range(6))  # on_result exactly once each
+    assert sorted(_read_lines(executions)) == [str(x) for x in range(6)]  # ran once each
+    assert report.respawns == 1 and report.retries == 1
+    assert report.outcomes[0].attempts == 2  # the running task was charged
+    assert all(report.outcomes[t].attempts == 1 for t in range(1, 6))  # nothing else
+
+
+def test_pool_survives_deaths_behind_large_results():
+    """Regression: a worker reports a result far larger than a pipe
+    buffer and dies in the task queued behind it.  The report must be
+    whole before the worker moves on — a torn one, with the dead writer
+    holding a shared lock, used to block the parent's read forever."""
+
+    def big(x):
+        return np.zeros(200_000) + x  # 1.6 MB pickled
+
+    chaos = ChaosInjector.from_spec("kill@3,kill@7,kill@12,kill@18")
+    pool = SupervisedPool(big, workers=2, retry=FAST_RETRY, chaos=chaos)
+    reports = []
+    runner = threading.Thread(
+        target=lambda: reports.append(pool.run(list(range(24)))), daemon=True
+    )
+    runner.start()
+    runner.join(timeout=60)
+    assert reports, "the pool hung behind a dead worker"
+    (report,) = reports
+    assert [int(r[0]) for r in report.results()] == list(range(24))
+    assert all(r.shape == (200_000,) for r in report.results())
+    assert report.respawns == 4 and report.retries == 4
+    assert report.quarantined == [] and not report.breaker_tripped
+    assert {t for t, o in report.outcomes.items() if o.attempts == 2} == {3, 7, 12, 18}
+
+
+def test_pool_death_is_charged_after_what_the_worker_reported():
+    """Worker 0 reports task 0 and dies in task 2 while the parent is
+    busy in ``on_result``: the unread report still counts, and the
+    failure goes to the task the last "start" named, not to task 0."""
+
+    def staggered(x):
+        if x == 0:
+            time.sleep(0.1)  # task 1's report arrives first
+        return x * x
+
+    def on_result(task_id, result, outcome):
+        if task_id == 1:
+            time.sleep(0.5)  # worker 0 finishes task 0 and dies meanwhile
+
+    chaos = ChaosInjector.from_spec("kill@2")
+    pool = SupervisedPool(staggered, workers=2, retry=FAST_RETRY, chaos=chaos)
+    report = pool.run(list(range(4)), on_result=on_result)
+    assert report.results() == [0, 1, 4, 9]
+    assert report.respawns == 1 and report.retries == 1
+    assert report.outcomes[0].attempts == 1
+    assert report.outcomes[2].attempts == 2
+
+
+@pytest.mark.parametrize(
+    "mask, workers, ppid, expected",
+    [
+        # the pool fills the mask: one CPU per slot, no offset
+        ({4, 5}, 2, 7, [{4}, {5}]),
+        # more workers than CPUs wrap around
+        ({0, 1}, 3, 7, [{0}, {1}, {0}]),
+        # room to spare: disjoint blocks, so a task's BLAS threads fit
+        (set(range(16)), 2, 7, [set(range(8)), set(range(8, 16))]),
+        # a pool that leaves CPUs over starts where its parent's pid says,
+        # so two pools on one host do not both sit on CPUs 0..2
+        (set(range(4)), 3, 5, [{1}, {2}, {3}]),
+        (set(range(4)), 3, 6, [{2}, {3}, {0}]),
+    ],
+)
+def test_pool_pins_each_slot_to_its_block_of_the_mask(
+    monkeypatch, mask, workers, ppid, expected
+):
+    pinned = []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(mask), raising=False)
+    monkeypatch.setattr(
+        os, "sched_setaffinity", lambda pid, cpus: pinned.append(set(cpus)), raising=False
+    )
+    monkeypatch.setattr(os, "getppid", lambda: ppid)
+    pool = SupervisedPool(_square, workers=workers)
+    for slot in range(workers):
+        pool._pin(slot)
+    assert pinned == expected
+
+
+def test_pool_inline_commits_after_validate():
+    committed = []
+
+    def validate(task_id, result):
+        if result == 4 and "rejected-once" not in committed:
+            committed.append("rejected-once")
+            raise IntegrityError("first look at task 2 is bad")
+
+    pool = SupervisedPool(
+        _square, workers=1, retry=FAST_RETRY, validate=validate,
+        commit=lambda tid, res, attempts, seconds: committed.append((tid, attempts)) or tid,
+    )
+    report = pool.run([1, 2, 3])
+    assert committed == [(0, 1), "rejected-once", (1, 2), (2, 1)]
+    assert [report.outcomes[t].committed for t in range(3)] == [0, 1, 2]
 
 
 def test_pool_on_result_fires_once_per_success():
@@ -474,12 +624,12 @@ def test_checkpoint_journal_roundtrip(tmp_path):
     manifest = {"fingerprint": {"plan": "p"}, "chunk_digests": [digest_array(data)]}
     assert journal.begin(manifest) == {}
     entry = journal.record(
-        0, outputs=data, reference_outputs=data + 1, blob_bytes=b"blob-bytes",
+        0, outputs=data, blob_bytes=b"blob-bytes",
         entry={"input_digest": digest_array(data)},
     )
     payload = journal.load(entry)
     assert np.array_equal(payload["outputs"], data)
-    assert np.array_equal(payload["reference_outputs"], data + 1)
+    assert set(payload) == {"outputs", "blob_bytes"}  # each stored once
     assert payload["blob_bytes"] == b"blob-bytes"
     # resume sees the completed chunk
     completed = journal.begin(manifest, resume=True)
@@ -517,7 +667,7 @@ def test_checkpoint_drops_tampered_artifact(tmp_path):
     manifest = {"fingerprint": {}, "chunk_digests": [digest_array(data)]}
     journal.begin(manifest)
     entry = journal.record(
-        0, outputs=data, reference_outputs=data, blob_bytes=b"x",
+        0, outputs=data, blob_bytes=b"x",
         entry={"input_digest": digest_array(data)},
     )
     artifact = tmp_path / "ck" / entry["artifact"]
@@ -526,6 +676,23 @@ def test_checkpoint_drops_tampered_artifact(tmp_path):
     artifact.write_bytes(bytes(blob))
     # the tampered entry is silently dropped: the chunk gets recomputed
     assert CheckpointJournal(str(tmp_path / "ck")).begin(manifest, resume=True) == {}
+
+
+def test_resume_hands_out_the_bytes_it_verified_once(tmp_path):
+    journal = CheckpointJournal(str(tmp_path / "ck"))
+    data = np.arange(8, dtype=np.float32)
+    manifest = {"fingerprint": {}, "chunk_digests": [digest_array(data)]}
+    journal.begin(manifest)
+    journal.record(0, outputs=data, blob_bytes=b"x", entry={"input_digest": digest_array(data)})
+    resumed = CheckpointJournal(str(tmp_path / "ck"))
+    (entry,) = resumed.begin(manifest, resume=True).values()
+    artifact = tmp_path / "ck" / entry["artifact"]
+    artifact.write_bytes(b"changed after begin() verified it")
+    # what begin() verified is what the first load replays, read once ...
+    assert np.array_equal(resumed.load(entry)["outputs"], data)
+    # ... and after that the file on disk is read, and checked, again
+    with pytest.raises(IntegrityError, match="digest mismatch"):
+        resumed.load(entry)
 
 
 def test_pipeline_resume_skips_completed_chunks(chunked_setup, tmp_path):
@@ -582,29 +749,38 @@ def test_pipeline_resume_requires_checkpoint(chunked_setup):
 
 @pytest.fixture(scope="module")
 def baseline_checkpoint(chunked_setup, tmp_path_factory):
-    """One uninterrupted checkpointed run with auditing: the oracle."""
+    """One uninterrupted checkpointed run with auditing: the oracle —
+    plus the same run journaled by pool workers (each commits its own
+    chunks, so the lines land in completion order)."""
     pipeline, fields, _ = chunked_setup
     ck = str(tmp_path_factory.mktemp("baseline") / "ck")
     with audit_capture() as auditor:
         full = _chunked(pipeline, fields, workers=1, checkpoint=ck)
         verdicts = [record.verdict for record in auditor.records]
-    return ck, full, verdicts
+    pool_ck = str(tmp_path_factory.mktemp("baseline-pool") / "ck")
+    with audit_capture():
+        _chunked(pipeline, fields, workers=2, executor="process", checkpoint=pool_ck)
+    return {"serial": ck, "pool": pool_ck}, full, verdicts
 
 
-@settings(max_examples=8, deadline=None)
-@given(kill_point=st.integers(min_value=0, max_value=4), torn=st.booleans())
+@settings(max_examples=12, deadline=None)
+@given(
+    kill_point=st.integers(min_value=0, max_value=4),
+    torn=st.booleans(),
+    writer=st.sampled_from(["serial", "pool"]),
+)
 def test_resume_bit_identical_across_kill_points(
-    chunked_setup, baseline_checkpoint, kill_point, torn
+    chunked_setup, baseline_checkpoint, kill_point, torn, writer
 ):
     """Property: for every prefix of the journal (any kill point, with or
-    without a torn trailing line) the resumed run reproduces the
-    uninterrupted run bit-for-bit — same outputs, same per-chunk audit
-    verdicts."""
+    without a torn trailing line), whether the parent or the pool
+    workers wrote it, the resumed run reproduces the uninterrupted run
+    bit-for-bit — same outputs, same per-chunk audit verdicts."""
     pipeline, fields, _ = chunked_setup
-    baseline_ck, full, full_verdicts = baseline_checkpoint
+    baselines, full, full_verdicts = baseline_checkpoint
     with tempfile.TemporaryDirectory() as scratch:
         ck = os.path.join(scratch, "ck")
-        shutil.copytree(baseline_ck, ck)
+        shutil.copytree(baselines[writer], ck)
         journal_path = os.path.join(ck, "journal.jsonl")
         with open(journal_path, encoding="utf-8") as handle:
             lines = handle.readlines()
@@ -618,7 +794,156 @@ def test_resume_bit_identical_across_kill_points(
     assert resumed.extra["checkpoint"]["replayed_chunks"] == kill_point
     assert np.array_equal(resumed.outputs, full.outputs)
     assert np.array_equal(resumed.reference_outputs, full.reference_outputs)
-    assert verdicts == full_verdicts  # same per-chunk audit decisions
+    if writer == "serial":
+        assert verdicts == full_verdicts  # same per-chunk audit decisions
+    else:  # replayed-then-computed order follows the pool's completion order
+        assert sorted(verdicts) == sorted(full_verdicts)
+
+
+# -- worker-side commit under faults -----------------------------------------
+
+
+def _journal_lines(ck, chunk):
+    return [e for e in CheckpointJournal(ck).entries() if e["chunk"] == chunk]
+
+
+def _resume_all(pipeline, fields, ck):
+    resumed = _chunked(pipeline, fields, workers=1, checkpoint=ck, resume=True)
+    assert resumed.extra["checkpoint"]["replayed_chunks"] == 4
+    return resumed
+
+
+def test_worker_commit_never_journals_a_corrupt_result(chunked_setup, tmp_path):
+    """chaos ``corrupt`` fires before the worker's commit: the commit
+    screens what it is about to make durable, so the poisoned attempt
+    fails in the worker and only the retry reaches the journal."""
+    pipeline, fields, serial = chunked_setup
+    ck = str(tmp_path / "ck")
+    result = _chunked(
+        pipeline, fields, workers=2, executor="process", checkpoint=ck,
+        chaos=ChaosInjector.from_spec("corrupt@1"),
+    )
+    assert result.extra["supervision"]["retries"] == 1
+    assert np.array_equal(result.outputs, serial.outputs)
+    assert [e["attempts"] for e in _journal_lines(ck, 1)] == [2]
+    assert np.array_equal(_resume_all(pipeline, fields, ck).outputs, serial.outputs)
+
+
+def test_result_corrupted_after_commit_is_rejected_and_retry_replays(
+    chunked_setup, tmp_path, monkeypatch
+):
+    """A result poisoned between the worker's commit and the parent (the
+    queue, here a patched commit) is caught by the parent's re-screen
+    and retried; of the two journal lines the retry's is replayed."""
+    pipeline, fields, serial = chunked_setup
+    real_commit = InferencePipeline._commit_chunk
+
+    def commit_then_poison(self, journal, digests, index, result, attempts=1, **kw):
+        entry = real_commit(self, journal, digests, index, result, attempts, **kw)
+        if index == 1 and attempts == 1:
+            result.outputs = corrupt_result(result.outputs)
+        return entry
+
+    monkeypatch.setattr(InferencePipeline, "_commit_chunk", commit_then_poison)
+    ck = str(tmp_path / "ck")
+    result = _chunked(pipeline, fields, workers=2, executor="process", checkpoint=ck)
+    assert result.extra["supervision"]["retries"] == 1
+    assert np.array_equal(result.outputs, serial.outputs)
+    assert [e["attempts"] for e in _journal_lines(ck, 1)] == [1, 2]
+    monkeypatch.undo()
+    journal = CheckpointJournal(ck)
+    manifest = pipeline._checkpoint_manifest(
+        [None] * 4, 8, 1, journal._read_manifest()["chunk_digests"]
+    )
+    assert journal.begin(manifest, resume=True)[1]["attempts"] == 2
+    assert np.array_equal(_resume_all(pipeline, fields, ck).outputs, serial.outputs)
+
+
+def test_more_committing_workers_than_cores_keep_the_journal_whole(chunked_setup, tmp_path):
+    """Stress: every worker appends to one journal file.  With more
+    workers than cores and 2-row chunks the appends interleave freely;
+    whole lines, one per chunk, each verifiable, must come out."""
+    pipeline, fields, _ = chunked_setup
+    serial = pipeline.execute_chunked(fields, chunk_size=2, chunk_axis=1, workers=1)
+    ck = str(tmp_path / "ck")
+    workers = 2 * (os.cpu_count() or 1) + 1
+    result = pipeline.execute_chunked(
+        fields, chunk_size=2, chunk_axis=1, workers=workers, executor="process",
+        checkpoint=ck, task_timeout=60.0,
+    )
+    assert np.array_equal(result.outputs, serial.outputs)
+    entries = CheckpointJournal(ck).entries()  # raises on a torn line mid-file
+    assert sorted(entry["chunk"] for entry in entries) == list(range(16))
+    resumed = pipeline.execute_chunked(
+        fields, chunk_size=2, chunk_axis=1, workers=1, checkpoint=ck, resume=True
+    )
+    assert resumed.extra["checkpoint"]["replayed_chunks"] == 16
+    assert np.array_equal(resumed.outputs, serial.outputs)
+
+
+def test_recommitted_chunk_replays_the_overwriting_commit(tmp_path):
+    """Two commits of one chunk with different bytes: the artifact path
+    is overwritten, so the stale line's digest no longer verifies."""
+    journal = CheckpointJournal(str(tmp_path / "ck"))
+    data = np.arange(8, dtype=np.float32)
+    manifest = {"fingerprint": {}, "chunk_digests": [digest_array(data)]}
+    journal.begin(manifest)
+    stale = journal.record(0, outputs=data * np.nan, blob_bytes=b"x", entry={"attempts": 1})
+    fresh = journal.record(0, outputs=data, blob_bytes=b"x", entry={"attempts": 2})
+    assert stale["artifact"] == fresh["artifact"]
+    assert stale["artifact_digest"] != fresh["artifact_digest"]
+    completed = CheckpointJournal(str(tmp_path / "ck")).begin(manifest, resume=True)
+    assert completed[0]["attempts"] == 2
+    assert np.array_equal(journal.load(completed[0])["outputs"], data)
+
+
+def test_replay_cross_checks_the_journaled_qoi_error(chunked_setup, tmp_path):
+    """The lean artifact stores no reference outputs; replay recomputes
+    them from the digest-pinned input chunk and the QoI error they give
+    must be the one the journal line certifies."""
+    import json
+
+    pipeline, fields, serial = chunked_setup
+    ck = str(tmp_path / "ck")
+    _chunked(pipeline, fields, workers=1, checkpoint=ck)
+    with np.load(os.path.join(ck, "chunks", "chunk-0002.npz")) as archive:
+        assert sorted(archive.files) == ["blob", "outputs"]
+    resumed = _resume_all(pipeline, fields, ck)
+    assert np.array_equal(resumed.reference_outputs, serial.reference_outputs)
+
+    journal_path = os.path.join(ck, "journal.jsonl")
+    with open(journal_path, encoding="utf-8") as handle:
+        entries = [json.loads(line) for line in handle]
+    entries[2]["observed_qoi_error"] *= 0.5  # a rosier certificate than was earned
+    with open(journal_path, "w", encoding="utf-8") as handle:
+        handle.writelines(json.dumps(entry) + "\n" for entry in entries)
+    with pytest.raises(IntegrityError, match="chunk 2 replays with QoI error"):
+        _chunked(pipeline, fields, workers=1, checkpoint=ck, resume=True)
+
+
+def test_v1_checkpoint_directory_is_refused(chunked_setup, tmp_path):
+    import json
+
+    pipeline, fields, _ = chunked_setup
+    ck = str(tmp_path / "ck")
+    _chunked(pipeline, fields, workers=1, checkpoint=ck)
+    manifest_path = os.path.join(ck, "manifest.json")
+    with open(manifest_path, encoding="utf-8") as handle:
+        manifest = json.load(handle)
+    assert manifest["format_version"] == 2
+    manifest["format_version"] = 1
+    with open(manifest_path, "w", encoding="utf-8") as handle:
+        json.dump(manifest, handle)
+    with pytest.raises(IntegrityError, match="format version"):
+        _chunked(pipeline, fields, workers=1, checkpoint=ck, resume=True)
+
+
+def test_digests_are_pinned():
+    """The commit path hashes views, not copies; the values must not move."""
+    data = np.arange(12, dtype=np.float32).reshape(3, 4)
+    assert digest_array(data) == "0b42a916719a536a67971ee5c7178489"
+    assert digest_array(data[:, ::2]) == digest_array(np.ascontiguousarray(data[:, ::2]))
+    assert digest_bytes(b"abc") == "cf4ab791c62b8d2b2109c90275287816"
 
 
 # -- hard-kill end-to-end: a really killed process resumes ------------------
