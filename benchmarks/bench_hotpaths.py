@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Micro-benchmarks for the chunked-execution hot paths.
 
-Eight paths are timed and written in the unified ``benchutils`` row
+Nine paths are timed and written in the unified ``benchutils`` row
 shape (``{path, config, seconds, reps_s, throughput_mb_s}`` — record
 with ``repro bench record`` to feed the regression history; see
 docs/PERFORMANCE.md for how to read the output):
@@ -24,7 +24,10 @@ docs/PERFORMANCE.md for how to read the output):
   and a pool run: the per-chunk fixed cost split into Huffman table build
   / predictor / forward / guard, the commit of one chunk, an empty pool's
   spawn + shutdown, and a pool + journal run with the share of
-  worker-seconds in which no chunk was executing.
+  worker-seconds in which no chunk was executing;
+* ``pipeline_execute_lanes`` — one ``execute`` in a fresh process
+  confined to one CPU and in one with the full affinity mask: what the
+  reference lane buys (``config.speedup_vs_one_cpu``).
 
 Throughput numbers are hardware-dependent (the pool speedups in
 particular require free cores — ``config.cpu_count`` records what was
@@ -185,11 +188,12 @@ def bench_bound_eval(reps: int) -> list[dict]:
     return rows
 
 
-def _chunked_pipeline_setup(side: int, workers: int):
+def _chunked_pipeline_setup(side: int, workers: int, hidden=(64,)):
     rng = np.random.default_rng(2)
-    model = Sequential(
-        SpectralLinear(5, 64, rng=rng), Tanh(), SpectralLinear(64, 1, rng=rng)
-    )
+    layers = []
+    for n_in, n_out in zip((5, *hidden), hidden):
+        layers += [SpectralLinear(n_in, n_out, rng=rng), Tanh()]
+    model = Sequential(*layers, SpectralLinear(hidden[-1], 1, rng=rng))
     model.eval()
     x = np.linspace(0, 2 * np.pi, side)
     xx, yy = np.meshgrid(x, x)
@@ -496,6 +500,66 @@ def bench_pipeline_distributed(side: int, reps: int) -> list[dict]:
     return rows
 
 
+#: wide enough that one forward costs about what compress + decompress do
+_LANES_HIDDEN = (128, 128)
+
+
+def _execute_seconds(cpus, side: int, reps: int):
+    """Child of ``bench_pipeline_execute_lanes``: confine first, so every
+    thread this process starts inherits the mask, then time ``execute``.
+    Returns ``(best, reps_s, field shape, field bytes)``."""
+    if cpus is not None:
+        os.sched_setaffinity(0, cpus)
+    pipeline, fields, _ = _chunked_pipeline_setup(side, 1, _LANES_HIDDEN)
+    for _ in range(2):  # kernels compiled, lane thread started, buffers grown
+        pipeline.execute(fields)
+    return (*best_of(lambda: pipeline.execute(fields), reps), list(fields.shape), fields.nbytes)
+
+
+def bench_pipeline_execute_lanes(side: int, reps: int) -> list[dict]:
+    """One ``execute`` in a fresh process confined to one CPU (reference
+    forward inline, after the data path) and in one with the inherited
+    mask (reference forward beside it, on the side-lane thread)."""
+    import multiprocessing
+    from unittest import mock
+
+    if not hasattr(os, "sched_setaffinity"):
+        print("pipeline_execute_lanes: skipped (no sched_setaffinity)")
+        return []
+    mask = sorted(os.sched_getaffinity(0))
+    timings = {}
+    # one BLAS thread in the children (spawned, so they read the
+    # environment before importing numpy): a threaded matmul already
+    # spreads over the mask, and the row is about the lane
+    pins = {f"{lib}_NUM_THREADS": "1" for lib in ("OMP", "OPENBLAS", "MKL")}
+    with mock.patch.dict(os.environ, pins):
+        with multiprocessing.get_context("spawn").Pool(1, maxtasksperchild=1) as pool:
+            for lanes, cpus in (("inline", {mask[0]}), ("beside", None)):
+                timings[lanes] = pool.apply(_execute_seconds, (cpus, side, reps))
+    ratio = timings["inline"][0] / timings["beside"][0]
+    print(
+        f"pipeline_execute_lanes: one CPU {timings['inline'][0]*1e3:.1f} ms, "
+        f"{len(mask)} CPUs {timings['beside'][0]*1e3:.1f} ms -> {ratio:.2f}x"
+    )
+    return [
+        make_row(
+            "pipeline_execute_lanes",
+            {
+                "lanes": lanes,
+                "usable_cpus": 1 if lanes == "inline" else len(mask),
+                "field_shape": shape,
+                "hidden": list(_LANES_HIDDEN),
+                "reps": reps,
+                "speedup_vs_one_cpu": ratio,
+            },
+            seconds,
+            reps_s=reps_s,
+            throughput_mb_s=nbytes / 1e6 / seconds,
+        )
+        for lanes, (seconds, reps_s, shape, nbytes) in timings.items()
+    ]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true",
@@ -516,6 +580,9 @@ def main(argv=None) -> int:
     rows += bench_pipeline_checkpoint(side, args.workers, reps)
     rows += bench_chunk_stack(side, args.workers, reps)
     rows += bench_pipeline_distributed(side, reps)
+    # one size in both modes: below ~100 ms an execute is interpreter-bound
+    # and the two lanes mostly wait for each other's GIL
+    rows += bench_pipeline_execute_lanes(256, 5)
     finalize_rows(rows, args.quick)
     write_rows(rows, args.out)
     return 0

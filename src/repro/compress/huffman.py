@@ -98,23 +98,59 @@ def _code_lengths(frequencies: np.ndarray) -> np.ndarray:
     m = frequencies.size
     if m == 1:
         return np.ones(1, dtype=np.int64)
-    weight = frequencies.tolist() + [0] * (m - 1)
-    parent = [0] * (2 * m - 1)
-    leaf, merged = 0, m
-    for node in range(m, 2 * m - 1):
-        total = 0
-        for __ in range(2):
-            if leaf < m and (merged == node or weight[leaf] <= weight[merged]):
-                child, leaf = leaf, leaf + 1
-            else:
-                child, merged = merged, merged + 1
-            parent[child] = node
-            total += weight[child]
-        weight[node] = total
-    depth = [0] * (2 * m - 1)
-    for node in range(2 * m - 3, -1, -1):
-        depth[node] = depth[parent[node]] + 1
-    lengths = np.minimum(np.array(depth[:m], dtype=np.int64), _MAX_CODE_LENGTH)
+    # The heads of both queues live in locals; an infinite weight stands
+    # for an exhausted leaf queue and for an empty merged queue (slots of
+    # ``merged`` not yet written), so taking a child is one comparison.
+    # Nodes are numbered leaves 0..m-1, merged m..2m-2; both queues are
+    # consumed in order, so the leaves taken so far, noted after every
+    # merge, are all the tree there is to remember.
+    leaves = frequencies.tolist()
+    leaves.append(float("inf"))
+    merged = [float("inf")] * m
+    taken = [0] * m
+    leaf = head = 0
+    leaf_weight, merged_weight = leaves[0], merged[0]
+    for made in range(m - 1):
+        if leaf_weight <= merged_weight:
+            total = leaf_weight
+            leaf += 1
+            leaf_weight = leaves[leaf]
+        else:
+            total = merged_weight
+            head += 1
+            merged_weight = merged[head]
+        if leaf_weight <= merged_weight:
+            total += leaf_weight
+            leaf += 1
+            leaf_weight = leaves[leaf]
+        else:
+            total += merged_weight
+            head += 1
+            merged_weight = merged[head]
+        merged[made] = total
+        taken[made + 1] = leaf
+        if head == made:  # the queue was empty: the new node is its head
+            merged_weight = total
+
+    # Merged node m+i adopted ``from_leaves[i]`` leaves and, the queue
+    # being FIFO, the next ``2 - from_leaves[i]`` merged nodes; the root
+    # points at itself.
+    root = 2 * m - 2
+    from_leaves = np.diff(np.array(taken))
+    nodes = np.arange(m, root + 1)
+    jump = np.concatenate(
+        (np.repeat(nodes, from_leaves), np.repeat(nodes, 2 - from_leaves), [root])
+    )
+    # Depths by pointer jumping: ``depth[v]`` is the distance from v to
+    # ``jump[v]``, doubled each round.  Parents never decrease along
+    # either queue, so depth never increases and leaf 0 is a deepest
+    # node: once its pointer reaches the root, every pointer has.
+    depth = np.ones(root + 1, dtype=np.int64)
+    depth[root] = 0
+    while jump[0] != root:
+        depth += depth[jump]
+        jump = jump[jump]
+    lengths = np.minimum(depth[:m], _MAX_CODE_LENGTH)
 
     # Clamping overlong codes overfills the Kraft sum; restore it by
     # deepening codes in ascending-frequency order, one bit per visit,

@@ -39,7 +39,7 @@ from ..nn.module import Module
 from ..obs import get_auditor, get_logger, get_metrics, get_profiler, get_tracer
 from ..obs.audit import AuditRecord
 from ..obs.prof import memory_snapshot, memory_top_diff
-from ..perf.parallel import resolve_workers, usable_cpus
+from ..perf.parallel import SideLane, resolve_workers, usable_cpus
 from ..quant.quantizer import QuantizedModel, quantize_model
 from ..resilience.guards import check_contract, screen_finite
 from ..resilience.inject import ChaosInjector
@@ -54,6 +54,18 @@ from ..resilience.supervisor import SupervisedPool, fork_available
 from .planner import InferencePlan
 
 __all__ = ["PipelineResult", "InferencePipeline", "split_chunks"]
+
+#: the one extra thread of this process: ``execute`` runs the
+#: certificate's reference forward on it, beside the data path, whenever
+#: it is free; a second concurrent ``execute`` computes its own inline
+_REFERENCE_LANE = SideLane("repro-reference")
+
+#: fields smaller than this stay inline: such an ``execute`` is a few ms
+#: of interpreter-bound calls, and waking a second CPU plus the GIL
+#: hand-offs between the two threads cost it about 0.3 ms (5.9 against
+#: 5.6 ms on an 80 KB field, 23.3 against 24.5 ms on a 330 KB one, both
+#: through the cheapest model we have, 5 -> 64 -> 1)
+_LANE_MIN_FIELD_BYTES = 256 * 1024
 
 
 def _field_samples(fields: np.ndarray) -> np.ndarray:
@@ -326,6 +338,13 @@ class InferencePipeline:
     ) -> PipelineResult:
         """Run the full pipeline on a normalized field array.
 
+        The reference forward the certificate needs depends on ``fields``
+        only; when this process may use two CPUs, the process-wide
+        side lane is free and the field is not tiny, it runs on that lane
+        while compress, decompress and the quantized forward run here,
+        and is joined before the guard.  Otherwise it runs inline after
+        them.  Results are bit-identical either way.
+
         Parameters
         ----------
         fields:
@@ -363,38 +382,57 @@ class InferencePipeline:
         ) as root:
             if self.screen:
                 screen_finite(fields, stage="source", name="fields")
-
-            mem_before = memory_snapshot() if memory_stages is not None else None
-            blob, reconstructed, compress_seconds, decompress_seconds, recoveries, spans = (
-                self._store_and_load(fields, force_lossless=force_lossless)
-            )
-            if memory_stages is not None:
-                mem_after = memory_snapshot()
-                memory_stages["store_load"] = memory_top_diff(
-                    mem_before, mem_after, top=profiler.memory_top
-                )
-                mem_before = mem_after
-
-            samples = samples_from_fields(reconstructed)
-            with tracer.span(
-                "pipeline.inference",
-                fmt=self.plan.fmt.name,
-                samples=int(len(samples)),
-                predicted_bound=float(self.plan.quant_bound),
-                backend=self.backend,
-            ) as inference_span:
-                start = time.perf_counter()
-                outputs = self._forward_quant(samples)
-                inference_seconds = time.perf_counter() - start
-            if memory_stages is not None:
-                mem_after = memory_snapshot()
-                memory_stages["inference"] = memory_top_diff(
-                    mem_before, mem_after, top=profiler.memory_top
-                )
-
             self.model.eval()
-            reference_samples = samples_from_fields(fields)
-            reference = self._forward_ref(reference_samples)
+            execute_context = tracer.inject(root)
+
+            def reference_side() -> "tuple[np.ndarray, np.ndarray]":
+                """The certificate's half: it reads ``fields`` only, so it
+                runs beside the data path when the lane is free.  On the
+                lane thread the span stack is empty and the explicit
+                parent applies; inline the span nests by itself."""
+                start = time.perf_counter()
+                with tracer.span("pipeline.reference", remote_parent=execute_context):
+                    reference_samples = samples_from_fields(fields)
+                    reference = self._forward_ref(reference_samples)
+                metrics.histogram("pipeline_reference_seconds").observe(
+                    time.perf_counter() - start
+                )
+                return reference_samples, reference
+
+            with _REFERENCE_LANE.beside(
+                reference_side,
+                worthwhile=getattr(fields, "nbytes", 0) >= _LANE_MIN_FIELD_BYTES,
+            ) as reference_result:
+                mem_before = memory_snapshot() if memory_stages is not None else None
+                blob, reconstructed, compress_seconds, decompress_seconds, recoveries, spans = (
+                    self._store_and_load(fields, force_lossless=force_lossless)
+                )
+                if memory_stages is not None:
+                    mem_after = memory_snapshot()
+                    memory_stages["store_load"] = memory_top_diff(
+                        mem_before, mem_after, top=profiler.memory_top
+                    )
+                    mem_before = mem_after
+
+                samples = samples_from_fields(reconstructed)
+                with tracer.span(
+                    "pipeline.inference",
+                    fmt=self.plan.fmt.name,
+                    samples=int(len(samples)),
+                    predicted_bound=float(self.plan.quant_bound),
+                    backend=self.backend,
+                ) as inference_span:
+                    start = time.perf_counter()
+                    outputs = self._forward_quant(samples)
+                    inference_seconds = time.perf_counter() - start
+                if memory_stages is not None:
+                    mem_after = memory_snapshot()
+                    memory_stages["inference"] = memory_top_diff(
+                        mem_before, mem_after, top=profiler.memory_top
+                    )
+
+            # the join: everything below needs both sides
+            reference_samples, reference = reference_result()
             delta = reference_samples - samples
             input_error_linf = float(np.abs(delta).max()) if delta.size else 0.0
             input_error_l2_max = (
@@ -598,12 +636,18 @@ class InferencePipeline:
             ShardCoordinator` (configured by ``distrib``), degrading to
             the local supervised pool if no worker joins; ``"auto"``
             (default) — process pool when ``workers > 1`` and fork is
-            available, else serial.  (The GIL-bound thread pool was
-            removed as an inference executor: BENCH_pr4 showed it yields
-            no speedup.  :func:`repro.perf.parallel.parallel_map` remains
-            for chunked I/O, where threads do overlap.)  The executor
-            actually used and the one requested are both recorded in
-            ``result.extra["chunked"]``.
+            available, else serial.  (There is no thread executor: N
+            threads each running a whole chunk ``execute`` measured 0.97x
+            serial in BENCH_pr4 — four threads, 16-row chunks, the
+            Python-loop codec of that PR, on a host with one CPU — and a
+            few-ms chunk is interpreter-bound today as well.  That number
+            says nothing about two *different* stages of one large
+            ``execute`` on two CPUs, which is what the reference lane of
+            :meth:`execute` overlaps: 1.4x on the conv workload, see
+            docs/PERFORMANCE.md "execute has two lanes".
+            :func:`repro.perf.parallel.parallel_map` remains for chunked
+            I/O.)  The executor actually used and the one requested are
+            both recorded in ``result.extra["chunked"]``.
         checkpoint:
             Directory for a durable
             :class:`~repro.io.checkpoint.CheckpointJournal`: every
@@ -838,11 +882,13 @@ class InferencePipeline:
             # executor="process" is still honoured there
             if n_workers <= 1 or usable_cpus() <= 1:
                 return "serial"
-            # BENCH_pr4 showed the GIL-bound thread pool yields no
-            # inference speedup, and it was removed as an executor in the
-            # backend-engine PR (the thread pool itself remains for
-            # chunked I/O in repro.perf.parallel) — process if fork
-            # exists, else serial.  "distributed" stays explicit.
+            # no thread executor: N threads running N whole chunk
+            # executes measured 0.97x serial (BENCH_pr4: 4 threads, 16-row
+            # chunks, that PR's Python-loop codec, one CPU).  Not to be
+            # read as "threads never help inference": the reference lane
+            # of execute() overlaps two different stages of one large
+            # execute and measures 1.4x (docs/PERFORMANCE.md).  Process if
+            # fork exists, else serial; "distributed" stays explicit.
             return "process" if fork_available() else "serial"
         return executor
 

@@ -82,6 +82,7 @@ class Span:
         "span_id",
         "parent_id",
         "depth",
+        "overlapped",
         "attributes",
         "start_unix",
         "duration_s",
@@ -98,12 +99,17 @@ class Span:
         tracer: "Tracer | None",
         attributes: dict,
         trace_id: str = "",
+        overlapped: bool = False,
     ) -> None:
         self.name = str(name)
         self.trace_id = trace_id
         self.span_id = span_id
         self.parent_id = parent_id
         self.depth = depth
+        #: ran on another thread of this process than its parent, beside
+        #: the parent's own children: its time is part of the parent's
+        #: wall but not of the serial sum of the parent's children
+        self.overlapped = overlapped
         self.attributes = attributes
         self.start_unix = 0.0
         self.duration_s = 0.0
@@ -136,6 +142,7 @@ class Span:
             "root": self.parent_id is None,
             "name": self.name,
             "depth": self.depth,
+            "overlapped": self.overlapped,
             "start_unix": self.start_unix,
             "duration_s": self.duration_s,
             "attributes": self.attributes,
@@ -163,6 +170,7 @@ class Span:
             tracer=tracer,
             attributes=dict(payload.get("attributes") or {}),
             trace_id=str(payload.get("trace_id") or ""),
+            overlapped=bool(payload.get("overlapped", False)),
         )
         span.start_unix = float(payload.get("start_unix") or 0.0)
         span.duration_s = float(payload.get("duration_s") or 0.0)
@@ -179,7 +187,12 @@ class Tracer:
     ``with`` block).  The active-span stack is *thread-local*: spans
     opened inside a worker thread nest under whatever that thread opened,
     and become roots otherwise — a worker-pool task therefore shows up as
-    its own root span carrying its worker's name.  The shared collections
+    its own root span carrying its worker's name — unless the thread's
+    first span names its parent explicitly (``remote_parent``): that span
+    is a child marked :attr:`Span.overlapped`, listed by
+    :meth:`overlapped` instead of :meth:`children` so that the serial
+    children of a span never sum to more than its wall time (the
+    pipeline's reference lane is the case in point).  The shared collections
     (:attr:`finished` in completion order, :attr:`roots` in start order,
     the id counter) are guarded by a lock.
     """
@@ -242,7 +255,11 @@ class Tracer:
         )
         with self._lock:
             self._seen_ids.add(span.span_id)
-            if local_root:
+            # an explicit parent that lives in this tracer is a span of
+            # another thread of this process: the new span is its child,
+            # not a root, and runs beside the parent's own children
+            span.overlapped = local_root and parent_id in self._seen_ids
+            if local_root and not span.overlapped:
                 self.roots.append(span)
         stack.append(span)
         return span
@@ -373,7 +390,20 @@ class Tracer:
         return [span for span in self.finished if span.name == name]
 
     def children(self, span: Span) -> list[Span]:
-        return [s for s in self.finished if s.parent_id == span.span_id]
+        """Finished children that ran on ``span``'s own thread, one after
+        the other: their durations sum to at most ``span``'s."""
+        return [
+            s for s in self.finished
+            if s.parent_id == span.span_id and not s.overlapped
+        ]
+
+    def overlapped(self, span: Span) -> list[Span]:
+        """Finished children that ran beside ``span``'s own children, on
+        another thread (see :attr:`Span.overlapped`)."""
+        return [
+            s for s in self.finished
+            if s.parent_id == span.span_id and s.overlapped
+        ]
 
     def total_seconds(self, name: str) -> float:
         """Summed duration of all finished spans named ``name``."""
@@ -412,7 +442,9 @@ class Tracer:
                 fraction = span.duration_s / parent_duration
                 if fraction < min_fraction:
                     return
-                share = f"  {100 * fraction:5.1f}%"
+                # an overlapped child's time is not a share of the serial
+                # total its siblings add up to
+                share = "  beside" if span.overlapped else f"  {100 * fraction:5.1f}%"
             attrs = " ".join(f"{k}={_fmt_value(v)}" for k, v in span.attributes.items())
             lines.append(
                 f"{'  ' * indent}{span.name:<{max(1, 40 - 2 * indent)}} "
@@ -484,6 +516,9 @@ class NullTracer:
         return []
 
     def children(self, span) -> list:
+        return []
+
+    def overlapped(self, span) -> list:
         return []
 
     def total_seconds(self, name: str) -> float:

@@ -19,6 +19,10 @@ Guarantees:
   roots), and the pool reports ``pool_tasks_total``,
   ``pool_task_seconds``, ``pool_workers`` and ``pool_utilization``
   through the metrics registry.
+
+:class:`SideLane` is the other shape of the same idea: not N tasks over a
+pool but one callable run beside its caller, on one kept thread — what
+``InferencePipeline.execute`` hands its reference forward to.
 """
 
 from __future__ import annotations
@@ -27,11 +31,12 @@ import os
 import threading
 import time
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+from contextlib import contextmanager
 from typing import Callable, Iterable
 
 from ..obs import get_metrics, get_tracer
 
-__all__ = ["usable_cpus", "resolve_workers", "parallel_map", "WorkerPool"]
+__all__ = ["usable_cpus", "resolve_workers", "parallel_map", "WorkerPool", "SideLane"]
 
 
 def usable_cpus() -> int:
@@ -56,6 +61,84 @@ def resolve_workers(workers: int | None) -> int:
     if workers <= 0:
         return usable_cpus()
     return workers
+
+
+def _other_cpus() -> "set[int] | None":
+    """The caller's affinity mask without the CPU it is running on right
+    now (``None`` where Linux's procfs or the mask is missing)."""
+    try:
+        with open("/proc/thread-self/stat", "rb") as handle:
+            here = int(handle.read().rsplit(b")", 1)[1].split()[36])
+        return os.sched_getaffinity(0) - {here}
+    except (AttributeError, OSError, IndexError, ValueError):
+        return None
+
+
+def _run_on(cpus: "set[int] | None", fn: Callable[[], object]):
+    """``fn()`` with the calling thread first confined to ``cpus``."""
+    if cpus:
+        try:
+            os.sched_setaffinity(0, cpus)
+        except OSError:
+            pass
+    return fn()
+
+
+class SideLane:
+    """One long-lived thread that runs a callable *beside* its caller.
+
+    ``with lane.beside(fn) as result:`` starts ``fn`` on the lane thread,
+    runs the ``with`` body on the caller's thread and joins before the
+    block is left, on an exception included, so nothing is ever orphaned;
+    ``result()`` then returns what ``fn`` returned or raises what it
+    raised.  The lane is taken without blocking: on a process confined to
+    one CPU, while another caller holds the lane, or when the caller says
+    the work is not worth a hand-off, ``result`` is ``fn`` itself and the
+    call happens inline, after the body.  Both ways the caller writes the
+    same two lines.
+
+    The thread is created by the first borrower and kept: per-thread
+    scratch (``FusedKernel`` buffers) is allocated once, and between two
+    ``beside`` blocks the thread is parked in a queue read holding
+    nothing, so the process may fork.  A forked child starts over with a
+    lane of its own (the parent's thread does not exist there).
+
+    Each run first confines the lane thread to the caller's affinity mask
+    minus the CPU the caller is on: a thread woken by the caller starts
+    on the caller's CPU, and the 2-CPU sandbox this was measured on left
+    it there, unoverlapped, for the first 6-10 runs of a process (100 ms
+    each) before its balancer moved it.  Same cause and same cure as the
+    supervised pool's pinned workers.
+    """
+
+    def __init__(self, name: str) -> None:
+        self._name = name
+        self._reset()
+        if hasattr(os, "register_at_fork"):
+            os.register_at_fork(after_in_child=self._reset)
+
+    def _reset(self) -> None:
+        # the executor starts its thread on first submit, not here
+        self._executor = ThreadPoolExecutor(max_workers=1, thread_name_prefix=self._name)
+        self._free = threading.Lock()
+
+    @contextmanager
+    def beside(self, fn: Callable[[], object], worthwhile: bool = True):
+        """Run ``fn()`` next to the ``with`` body; yields its result getter.
+
+        ``worthwhile=False`` is the caller saying the work is too small
+        to pay for a hand-off: inline, like a busy lane."""
+        if not (worthwhile and usable_cpus() > 1 and self._free.acquire(blocking=False)):
+            yield fn
+            return
+        try:
+            future = self._executor.submit(_run_on, _other_cpus(), fn)
+            try:
+                yield future.result
+            finally:
+                wait([future])
+        finally:
+            self._free.release()
 
 
 def _run_task(fn: Callable, item, index: int, label: str):

@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 
 from repro.compress.bitstream import pack_codes, peek16, window_words
 from repro.compress import MGARDCompressor, SZCompressor, ZFPCompressor
-from repro.compress.huffman import huffman_decode, huffman_encode, lane_size
+from repro.compress.huffman import _code_lengths, huffman_decode, huffman_encode, lane_size
 from repro.exceptions import CompressionError
 
 from .oracles.entropy_reference import (
     BitReader,
     canonical_codes_reference,
+    code_lengths_reference,
     huffman_decode_reference,
     huffman_encode_reference,
     lane_size_reference,
@@ -275,6 +276,34 @@ def test_encode_is_byte_identical_with_length_limit_and_escapes(rng):
     sections = _sections(blob)
     assert sum(sections["counts"]) == 4096 and sections["escape_length"] > 0
     assert sections["counts"][15] > 0 and sum(sections["counts"][:3]) > 0
+
+
+@given(
+    kind=st.sampled_from(["ties", "wide", "equal", "fibonacci", "geometric"]),
+    m=st.integers(1, 300),
+    seed=st.integers(0, 2**31 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_code_lengths_match_the_heap_reference(kind, m, seed):
+    """The two-queue merge and its pointer-jumped depths against the
+    oracle's heap, on frequency multisets where ties decide the tree and
+    on ones deep enough for the 16-bit limit."""
+    rng = np.random.default_rng(seed)
+    if kind == "ties":
+        frequencies = rng.integers(1, int(rng.integers(2, 8)), m)
+    elif kind == "wide":
+        frequencies = rng.integers(1, 10**9, m)
+    elif kind == "equal":
+        frequencies = np.full(m, int(rng.integers(1, 1000)))
+    elif kind == "fibonacci":
+        frequencies = np.rint(1.618 ** np.minimum(np.arange(m), 80)).astype(np.int64)
+    else:
+        frequencies = rng.geometric(0.01, m)
+    frequencies = np.sort(frequencies.astype(np.int64))  # rank = symbol, so (freq, symbol) order
+    expected = code_lengths_reference({rank: int(f) for rank, f in enumerate(frequencies)})
+    lengths = _code_lengths(frequencies)
+    assert lengths.dtype == np.int64
+    assert lengths.tolist() == [expected[rank] for rank in range(m)]
 
 
 @pytest.mark.parametrize("max_alphabet", [0, -1, 65536, 100_000])

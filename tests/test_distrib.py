@@ -265,8 +265,9 @@ def test_thread_executor_removed_and_auto_never_picked_it(monkeypatch):
     assert InferencePipeline._resolve_executor("auto", 4) == expected
     assert InferencePipeline._resolve_executor("auto", 1) == "serial"
     assert InferencePipeline._resolve_executor("distributed", 1) == "distributed"
-    # the GIL-bound thread pool is no longer an inference executor
-    # (BENCH_pr4 showed no speedup; threads remain for chunked I/O)
+    # there is no thread chunk executor (N whole-chunk executes on threads
+    # measured 0.97x in BENCH_pr4; threads remain for chunked I/O and for
+    # the reference lane inside one execute)
     with pytest.raises(ConfigurationError):
         InferencePipeline._resolve_executor("thread", 4)
     with pytest.raises(ConfigurationError):

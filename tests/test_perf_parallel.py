@@ -1,5 +1,7 @@
 """Tests for the worker pool and the parallel chunked paths it powers."""
 
+import os
+import sys
 import threading
 import time
 
@@ -13,7 +15,8 @@ from repro.core.pipeline import InferencePipeline
 from repro.core.planner import TolerancePlanner
 from repro.exceptions import PlanningError
 from repro.io import DatasetStore, read_chunked, write_chunked
-from repro.perf.parallel import WorkerPool, parallel_map, resolve_workers
+from repro.perf import parallel
+from repro.perf.parallel import SideLane, WorkerPool, parallel_map, resolve_workers
 
 
 # -- resolve_workers ------------------------------------------------------------
@@ -297,3 +300,131 @@ def test_execute_chunked_rejects_bad_chunk_size(pipeline_setup):
     pipeline = InferencePipeline(model, SZCompressor(), plan)
     with pytest.raises(PlanningError):
         pipeline.execute_chunked(fields, chunk_size=0)
+
+
+# -- SideLane -------------------------------------------------------------------
+
+
+def test_side_lane_runs_beside_the_body_on_two_cpus(monkeypatch):
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    lane = SideLane("unit-lane")
+    in_body = threading.Event()
+
+    def fn():
+        assert in_body.wait(timeout=10)  # only passes if the body runs meanwhile
+        return threading.current_thread().name
+
+    with lane.beside(fn) as result:
+        in_body.set()
+    assert result().startswith("unit-lane")
+    assert not lane._free.locked()
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs an affinity mask of two CPUs",
+)
+def test_side_lane_keeps_off_the_callers_cpu():
+    mask = os.sched_getaffinity(0)
+    others = parallel._other_cpus()
+    assert others < mask and len(others) == len(mask) - 1
+    lane = SideLane("unit-lane")
+    try:
+        os.sched_setaffinity(0, {min(mask), max(mask)})
+        with lane.beside(lambda: os.sched_getaffinity(0)) as lane_mask:
+            pass
+        assert len(lane_mask()) == 1 and lane_mask() < {min(mask), max(mask)}
+        # a caller confined to one CPU leaves nothing to move to
+        os.sched_setaffinity(0, {min(mask)})
+        assert parallel._other_cpus() == set()
+    finally:
+        os.sched_setaffinity(0, mask)
+    assert parallel._run_on(set(), lambda: 7) == 7 and os.sched_getaffinity(0) == mask
+
+
+def test_side_lane_is_inline_on_one_cpu_and_while_busy(monkeypatch):
+    lane = SideLane("unit-lane")
+    order = []
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
+    with lane.beside(lambda: order.append("fn") or threading.current_thread()) as result:
+        order.append("body")
+    assert result() is threading.current_thread() and order == ["body", "fn"]
+
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    with lane.beside(lambda: threading.current_thread()) as outer:
+        with lane.beside(lambda: threading.current_thread()) as inner:  # lane is taken
+            pass
+        assert inner() is threading.current_thread()
+    assert outer() is not threading.current_thread()
+
+
+def test_side_lane_joins_before_an_error_of_the_body_leaves(monkeypatch):
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    lane = SideLane("unit-lane")
+    release, done = threading.Event(), threading.Event()
+
+    def fn():
+        release.wait(timeout=10)
+        done.set()
+
+    with pytest.raises(KeyError, match="body"):
+        with lane.beside(fn):
+            threading.Timer(0.05, release.set).start()
+            raise KeyError("body")
+    assert done.is_set() and not lane._free.locked()
+
+    def failing():
+        raise LookupError("lane")
+
+    with lane.beside(failing) as result:
+        pass
+    with pytest.raises(LookupError, match="lane"):
+        result()
+    with pytest.raises(KeyError, match="body"):  # the body's error wins, the lane's is dropped
+        with lane.beside(failing):
+            raise KeyError("body")
+
+
+def test_side_lane_under_contention_runs_one_at_a_time(monkeypatch):
+    """Six callers hammer one lane under a 10 us switch interval: the
+    lane never runs two callables at once, every caller gets its own
+    result back, and nothing is left held."""
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    lane = SideLane("stress-lane")
+    running, worst, on_lane, failures = [0], [0], [0], []
+
+    def caller(key):
+        def fn(token):
+            lane_thread = threading.current_thread().name.startswith("stress-lane")
+            if lane_thread:
+                running[0] += 1
+                worst[0] = max(worst[0], running[0])
+            total = sum(range(200))  # a few switch intervals of bytecode
+            if lane_thread:
+                on_lane[0] += 1
+                running[0] -= 1
+            return token, total
+
+        try:
+            for step in range(300):
+                with lane.beside(lambda: fn((key, step))) as result:
+                    pass
+                assert result() == ((key, step), 19900)
+        except Exception as exc:
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=caller, args=(key,)) for key in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert not failures
+    assert worst[0] == 1 and on_lane[0] > 0
+    assert not lane._free.locked()
+    assert sum(t.name.startswith("stress-lane") for t in threading.enumerate()) <= 1
