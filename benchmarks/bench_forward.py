@@ -17,9 +17,7 @@ regression history):
   ufuncs;
 * ``fused_disk_warm`` — a fresh in-memory cache sharing the same disk
   directory: the cross-process cost when the generated source is served
-  from disk and only ``exec`` + bind run;
-* ``numba``           — only when the optional numba package is
-  importable (skipped row otherwise).
+  from disk and only ``exec`` + bind run.
 
 A second pair, ``conv_forward``, times the EuroSAT QoI network (PSN
 ResNet18 up to the pooled feature map, one 30x13x24x24 batch):
@@ -72,7 +70,7 @@ from tests.oracles.activation_reference import reference_forward
 from tests.oracles.conv_reference import forward_reference
 from repro.models import borghesi_net, build_mlp, model_flops, resnet18
 from repro.nn import Sequential
-from repro.nn.backend import CompiledForward, numba_available
+from repro.nn.backend import CompiledForward
 from repro.perf.compile_cache import CompileCache, get_compile_cache, reset_compile_cache
 
 
@@ -165,19 +163,6 @@ def bench_forward(reps: int, inner: int) -> list[dict]:
                                          inner_calls=1, reps=1,
                                          source_disk_hits=1),
                          disk_cold_seconds, 1))
-
-        if numba_available():
-            jitted = CompiledForward(model, "numba")
-            out = jitted(x)
-            if jitted.last_fallback_reason is None:
-                assert np.array_equal(out, expected), "numba output not bit-exact"
-                numba_seconds, numba_reps = timed_loop(jitted)
-                rows.append(_row("forward", dict(base_config, backend="numba"),
-                                 numba_seconds, 1, reps_s=numba_reps))
-            else:
-                print(f"numba fell back: {jitted.last_fallback_reason}")
-        else:
-            print("numba not installed: skipping numba row")
 
         os.environ.pop("REPRO_COMPILE_CACHE_DIR", None)
         reset_compile_cache()

@@ -303,15 +303,15 @@ def bench_chunk_stack(side: int, workers: int, reps: int) -> list[dict]:
     ``commit`` (median over the chunks of one pass), per run for the two
     pool rows."""
     from repro.compress import huffman
-    from repro.core.pipeline import split_chunks
-    from repro.io import CheckpointJournal, digest_array
+    from repro.core.chunked import ChunkRun
+    from repro.io import CheckpointJournal
     from repro.resilience import SupervisedPool
     from repro.resilience.guards import check_contract, screen_finite
 
     pipeline, fields, chunk_size = _chunked_pipeline_setup(side, workers)
-    chunks = split_chunks(fields, chunk_size, 1)
+    run = ChunkRun(pipeline, fields, chunk_size, chunk_axis=1)
+    chunks = run.chunks
     results = [pipeline.execute(chunk) for chunk in chunks]
-    digests = [digest_array(chunk) for chunk in chunks]
     codec, tolerance = pipeline.codec, pipeline.plan.input_tolerance
     samples = [c.reshape(c.shape[0], -1).T.astype(np.float32) for c in chunks]
 
@@ -368,14 +368,14 @@ def bench_chunk_stack(side: int, workers: int, reps: int) -> list[dict]:
 
     with tempfile.TemporaryDirectory() as scratch:
         journal = CheckpointJournal(os.path.join(scratch, "commit"))
-        journal.begin(pipeline._checkpoint_manifest(chunks, chunk_size, 1, digests))
+        journal.begin(run.manifest)
         for part, fn in (
             ("execute", lambda i: pipeline.execute(chunks[i])),
             ("huffman_table", huffman_table),
             ("predictor", lambda i: codec._encode_pass(chunks[i].astype(np.float64), tolerance)),
             ("forward", forward),
             ("guard", guard),
-            ("commit", lambda i: pipeline._commit_chunk(journal, digests, i, results[i])),
+            ("commit", lambda i: run.commit(journal, i, results[i])),
         ):
             add(part, *per_chunk(fn))
 

@@ -96,10 +96,10 @@ _LOG = get_logger("cli")
 
 
 def _add_plan_flags(sub) -> None:
-    """Shared plan-identity flags for the distributed commands.
+    """Plan-identity flags of every command that builds a pipeline.
 
-    Coordinator and workers must agree on all of these — they feed the
-    plan fingerprint checked at handshake, so a mismatch is refused
+    A coordinator and its workers must agree on all of these — they feed
+    the plan fingerprint checked at handshake, so a mismatch is refused
     instead of silently merging results from different computations.
     """
     sub.add_argument("workload", choices=WORKLOAD_NAMES)
@@ -108,6 +108,35 @@ def _add_plan_flags(sub) -> None:
     sub.add_argument("--codec", choices=("sz", "zfp", "mgard"), default="sz")
     sub.add_argument("--fraction", type=float, default=0.5,
                      help="share of the tolerance allocated to quantization")
+
+
+def _add_chunk_flags(sub, *, distributed: bool, workers_help: str) -> None:
+    """Chunking and supervised-pool flags of ``pipeline``, ``coordinate``
+    and ``worker`` (validated by :func:`_validate_chunk_flags`)."""
+    if distributed:
+        sub.add_argument(
+            "--chunk-size", type=int, required=True,
+            help="slab extent per chunk; coordinator and workers must pass "
+            "the same value (it is part of the handshake identity)",
+        )
+    else:
+        sub.add_argument(
+            "--chunk-size", type=int, default=None,
+            help="run chunked: split the fields into slabs of this extent "
+            "(positive integer; default: sized so every worker gets one slab)",
+        )
+    sub.add_argument("--workers", type=int, default=None, help=workers_help)
+    sub.add_argument(
+        "--task-timeout", type=float, default=None, metavar="SECONDS",
+        help="per-chunk deadline in the supervised process pool; a worker "
+        "exceeding it is killed and the chunk retried (default: none)",
+    )
+    sub.add_argument(
+        "--max-retries", type=int, default=2,
+        help="retry budget per chunk before quarantine (supervised "
+        "process pool; quarantined chunks degrade to fallback-lossless "
+        "in-process; default: 2)",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -156,9 +185,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--backend", default=None, metavar="NAME",
-        help="forward-pass execution backend: auto|reference|fused|numba "
-        "(default: env REPRO_BACKEND, else auto = fused; compiled "
-        "backends are bit-identical to reference and fall back to it "
+        help="forward-pass execution backend: auto|reference|fused "
+        "(default: env REPRO_BACKEND, else auto = fused; the compiled "
+        "backend is bit-identical to reference and falls back to it "
         "when hooks or unsupported modules appear)",
     )
     commands = parser.add_subparsers(dest="command", required=True)
@@ -178,19 +207,10 @@ def build_parser() -> argparse.ArgumentParser:
                       help="share of the tolerance allocated to quantization")
 
     pipeline = commands.add_parser("pipeline", help="run the full pipeline")
-    pipeline.add_argument("workload", choices=WORKLOAD_NAMES)
-    pipeline.add_argument("--tolerance", type=float, required=True)
-    pipeline.add_argument("--norm", choices=("linf", "l2"), default="linf")
-    pipeline.add_argument("--codec", choices=("sz", "zfp", "mgard"), default="sz")
-    pipeline.add_argument("--fraction", type=float, default=0.5)
-    pipeline.add_argument(
-        "--chunk-size", type=int, default=None,
-        help="run chunked: split the fields into slabs of this extent "
-        "(positive integer; default: sized so every worker gets one slab)",
-    )
-    pipeline.add_argument(
-        "--workers", type=int, default=None,
-        help="worker count for chunked execution (positive integer; "
+    _add_plan_flags(pipeline)
+    _add_chunk_flags(
+        pipeline, distributed=False,
+        workers_help="worker count for chunked execution (positive integer; "
         "default: 1 = serial); implies chunked mode when --chunk-size "
         "is omitted",
     )
@@ -211,27 +231,16 @@ def build_parser() -> argparse.ArgumentParser:
         "this run's plan and inputs, replay completed chunks, recompute "
         "only the rest",
     )
-    pipeline.add_argument(
-        "--task-timeout", type=float, default=None, metavar="SECONDS",
-        help="per-chunk deadline for the process executor; a worker "
-        "exceeding it is killed and the chunk retried (default: none)",
-    )
-    pipeline.add_argument(
-        "--max-retries", type=int, default=2,
-        help="retry budget per chunk before quarantine (process "
-        "executor; quarantined chunks degrade to fallback-lossless "
-        "in-process; default: 2)",
-    )
 
     coordinate = commands.add_parser(
         "coordinate",
         help="serve a chunked run's shards to remote workers over TCP",
     )
     _add_plan_flags(coordinate)
-    coordinate.add_argument(
-        "--chunk-size", type=int, required=True,
-        help="slab extent per chunk; must match every worker's "
-        "--chunk-size exactly (it is part of the handshake identity)",
+    _add_chunk_flags(
+        coordinate, distributed=True,
+        workers_help="local pool size used only if the run degrades to "
+        "single-host execution",
     )
     coordinate.add_argument(
         "--host", default="127.0.0.1",
@@ -263,11 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
         "degrading to the local supervised pool (default: 30)",
     )
     coordinate.add_argument(
-        "--workers", type=int, default=None,
-        help="local pool size used only if the run degrades to "
-        "single-host execution",
-    )
-    coordinate.add_argument(
         "--checkpoint", metavar="DIR", default=None,
         help="merge every accepted shard into this journal so a killed "
         "coordinator resumes without recomputing",
@@ -276,15 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--resume", action="store_true",
         help="resume from --checkpoint DIR: replay completed chunks, "
         "lease out only the rest",
-    )
-    coordinate.add_argument(
-        "--task-timeout", type=float, default=None, metavar="SECONDS",
-        help="per-chunk deadline for the degraded local pool",
-    )
-    coordinate.add_argument(
-        "--max-retries", type=int, default=2,
-        help="retry budget per chunk in the degraded local pool "
-        "(default: 2)",
     )
     coordinate.add_argument(
         "--metrics-port", type=int, default=None,
@@ -302,10 +297,9 @@ def build_parser() -> argparse.ArgumentParser:
         "worker", help="join a distributed run as a shard worker"
     )
     _add_plan_flags(worker)
-    worker.add_argument(
-        "--chunk-size", type=int, required=True,
-        help="slab extent per chunk; must match the coordinator's "
-        "--chunk-size exactly",
+    _add_chunk_flags(
+        worker, distributed=True,
+        workers_help="local supervised-pool size for computing leased chunks",
     )
     worker.add_argument(
         "--connect", required=True, metavar="HOST:PORT",
@@ -315,19 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--name", default=None,
         help="worker name reported to the coordinator "
         "(default: worker-<pid>)",
-    )
-    worker.add_argument(
-        "--workers", type=int, default=None,
-        help="local supervised-pool size for computing leased chunks",
-    )
-    worker.add_argument(
-        "--task-timeout", type=float, default=None, metavar="SECONDS",
-        help="per-chunk deadline in the local pool; an overdue chunk is "
-        "killed and retried (default: none)",
-    )
-    worker.add_argument(
-        "--max-retries", type=int, default=2,
-        help="retry budget per chunk before quarantine (default: 2)",
     )
     worker.add_argument(
         "--local-checkpoint", metavar="DIR", default=None,
@@ -408,12 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     record = audit_cmds.add_parser(
         "record", help="run one audited pipeline execution into a registry"
     )
-    record.add_argument("workload", choices=WORKLOAD_NAMES)
-    record.add_argument("--tolerance", type=float, required=True)
-    record.add_argument("--norm", choices=("linf", "l2"), default="linf")
-    record.add_argument("--codec", choices=("sz", "zfp", "mgard"), default="sz")
-    record.add_argument("--fraction", type=float, default=0.5,
-                        help="share of the tolerance allocated to quantization")
+    _add_plan_flags(record)
     record.add_argument("--fmt", choices=tuple(STANDARD_FORMATS), default=None,
                         help="force a weight format instead of letting the "
                         "planner rank candidates")
@@ -579,7 +555,13 @@ def _samples_reshape(workload):
     return None
 
 
-def _validate_pipeline_args(args) -> None:
+def _chunk_axis(workload) -> int:
+    """Images chunk by batch; ``(V, H, W)`` fields chunk by rows, so
+    slabs map to contiguous sample blocks."""
+    return 0 if workload.name == "eurosat" else 1
+
+
+def _validate_chunk_flags(args) -> None:
     """Reject malformed chunking flags with a clear typed error instead
     of a deep traceback from the execution layers."""
     if args.chunk_size is not None and args.chunk_size <= 0:
@@ -598,20 +580,56 @@ def _validate_pipeline_args(args) -> None:
         raise ConfigurationError(
             f"--task-timeout must be positive, got {args.task_timeout}"
         )
-    if args.resume and not args.checkpoint:
+    if getattr(args, "resume", False) and not args.checkpoint:
         raise ConfigurationError("--resume requires --checkpoint DIR")
 
 
-def _cmd_pipeline(args) -> int:
-    _validate_pipeline_args(args)
+def _build_pipeline(args):
+    """``(workload, pipeline)`` from the plan flags, the one way every
+    command builds them: a coordinator and its workers run exactly this
+    construction, so their plan fingerprints and chunk digests agree
+    whenever the flags do.  ``--fmt`` (``audit record``) forces the
+    weight format instead of letting the planner rank candidates."""
     workload = load_workload(args.workload)
     _LOG.debug("workload loaded", workload=workload.name, variant=workload.variant)
-    planner = TolerancePlanner(workload.qoi_analyzer())
-    plan = planner.plan(args.tolerance, norm=args.norm, quant_fraction=args.fraction)
+    analyzer = workload.qoi_analyzer()
+    if getattr(args, "fmt", None):
+        plan = _forced_plan(analyzer, args.tolerance, args.norm, args.fmt)
+    else:
+        plan = TolerancePlanner(analyzer).plan(
+            args.tolerance, norm=args.norm, quant_fraction=args.fraction
+        )
     pipeline = InferencePipeline(
         workload.qoi_model(), get_compressor(args.codec), plan,
         backend=args.backend, instrument_ops=_instrument_flag(args),
     )
+    return workload, pipeline
+
+
+def _log_checkpoint(result) -> None:
+    checkpoint = result.extra.get("checkpoint")
+    if checkpoint is not None:
+        _LOG.info(
+            f"checkpoint: {checkpoint['path']} "
+            f"({checkpoint['replayed_chunks']} replayed, "
+            f"{checkpoint['computed_chunks']} computed)"
+        )
+
+
+def _tolerance_verdict(result, args) -> int:
+    """Log the achieved QoI error against ``--tolerance``; the exit code."""
+    achieved = result.qoi_error(args.norm, relative=False)
+    _LOG.info(f"achieved QoI error: {achieved:.4e} (tolerance {args.tolerance:.1e})")
+    if achieved > args.tolerance:
+        _LOG.error("TOLERANCE VIOLATED")
+        return 1
+    _LOG.info("tolerance honoured")
+    return 0
+
+
+def _cmd_pipeline(args) -> int:
+    _validate_chunk_flags(args)
+    workload, pipeline = _build_pipeline(args)
     reshape = _samples_reshape(workload)
     fields = workload.dataset.fields
     chunked_mode = (
@@ -622,9 +640,7 @@ def _cmd_pipeline(args) -> int:
     if chunked_mode:
         from .perf.parallel import resolve_workers
 
-        # images chunk by batch; (V, H, W) fields chunk by rows so slabs
-        # map to contiguous sample blocks
-        chunk_axis = 0 if workload.name == "eurosat" else 1
+        chunk_axis = _chunk_axis(workload)
         extent = fields.shape[chunk_axis]
         workers = resolve_workers(args.workers)
         chunk_size = args.chunk_size or max(1, -(-extent // max(workers, 2)))
@@ -658,58 +674,14 @@ def _cmd_pipeline(args) -> int:
                 f"quarantined chunks {supervision['quarantined'] or 'none'}"
                 + (" (circuit breaker tripped)" if supervision["breaker_tripped"] else "")
             )
-        checkpoint = result.extra.get("checkpoint")
-        if checkpoint is not None:
-            _LOG.info(
-                f"checkpoint: {checkpoint['path']} "
-                f"({checkpoint['replayed_chunks']} replayed, "
-                f"{checkpoint['computed_chunks']} computed)"
-            )
+        _log_checkpoint(result)
         ratio = chunked["compression_ratio"]
     else:
         result = pipeline.execute(fields, samples_from_fields=reshape)
         ratio = result.compression_ratio
-    achieved = result.qoi_error(args.norm, relative=False)
-    _LOG.info(plan.describe())
+    _LOG.info(pipeline.plan.describe())
     _LOG.info(f"compression ratio: {ratio:.2f}x")
-    _LOG.info(f"achieved QoI error: {achieved:.4e} (tolerance {args.tolerance:.1e})")
-    if achieved > args.tolerance:
-        _LOG.error("TOLERANCE VIOLATED")
-        return 1
-    _LOG.info("tolerance honoured")
-    return 0
-
-
-def _distrib_pipeline(args):
-    """Build (pipeline, fields, reshape, chunk_axis) for coordinate/worker.
-
-    Both sides run exactly this construction, so their plan fingerprints
-    and chunk digests agree whenever the flags do."""
-    if args.chunk_size <= 0:
-        raise ConfigurationError(
-            f"--chunk-size must be a positive integer, got {args.chunk_size}"
-        )
-    if args.workers is not None and args.workers <= 0:
-        raise ConfigurationError(
-            f"--workers must be a positive integer, got {args.workers}"
-        )
-    if args.max_retries < 0:
-        raise ConfigurationError(
-            f"--max-retries must be >= 0, got {args.max_retries}"
-        )
-    if args.task_timeout is not None and args.task_timeout <= 0:
-        raise ConfigurationError(
-            f"--task-timeout must be positive, got {args.task_timeout}"
-        )
-    workload = load_workload(args.workload)
-    planner = TolerancePlanner(workload.qoi_analyzer())
-    plan = planner.plan(args.tolerance, norm=args.norm, quant_fraction=args.fraction)
-    pipeline = InferencePipeline(
-        workload.qoi_model(), get_compressor(args.codec), plan,
-        backend=args.backend, instrument_ops=_instrument_flag(args),
-    )
-    chunk_axis = 0 if workload.name == "eurosat" else 1
-    return pipeline, workload.dataset.fields, _samples_reshape(workload), chunk_axis
+    return _tolerance_verdict(result, args)
 
 
 def _cmd_coordinate(args) -> int:
@@ -717,9 +689,8 @@ def _cmd_coordinate(args) -> int:
 
     from .distrib import DistribConfig, DrainedError
 
-    if args.resume and not args.checkpoint:
-        raise ConfigurationError("--resume requires --checkpoint DIR")
-    pipeline, fields, reshape, chunk_axis = _distrib_pipeline(args)
+    _validate_chunk_flags(args)
+    workload, pipeline = _build_pipeline(args)
 
     def on_start(coordinator) -> None:
         def drain(signum, frame) -> None:
@@ -746,11 +717,11 @@ def _cmd_coordinate(args) -> int:
     )
     try:
         result = pipeline.execute_chunked(
-            fields,
+            workload.dataset.fields,
             chunk_size=args.chunk_size,
             workers=args.workers,
-            chunk_axis=chunk_axis,
-            samples_from_fields=reshape,
+            chunk_axis=_chunk_axis(workload),
+            samples_from_fields=_samples_reshape(workload),
             executor="distributed",
             distrib=config,
             checkpoint=args.checkpoint,
@@ -782,27 +753,16 @@ def _cmd_coordinate(args) -> int:
                 f"{counts['duplicate']} duplicate, {counts['conflict']} conflict, "
                 f"{counts['rejected']} rejected"
             )
-    checkpoint = result.extra.get("checkpoint")
-    if checkpoint is not None:
-        _LOG.info(
-            f"checkpoint: {checkpoint['path']} "
-            f"({checkpoint['replayed_chunks']} replayed, "
-            f"{checkpoint['computed_chunks']} computed)"
-        )
-    achieved = result.qoi_error(args.norm, relative=False)
-    _LOG.info(f"achieved QoI error: {achieved:.4e} (tolerance {args.tolerance:.1e})")
-    if achieved > args.tolerance:
-        _LOG.error("TOLERANCE VIOLATED")
-        return 1
-    _LOG.info("tolerance honoured")
-    return 0
+    _log_checkpoint(result)
+    return _tolerance_verdict(result, args)
 
 
 def _cmd_worker(args) -> int:
     from .distrib import ShardWorker
     from .resilience import ChaosInjector
 
-    pipeline, fields, reshape, chunk_axis = _distrib_pipeline(args)
+    _validate_chunk_flags(args)
+    workload, pipeline = _build_pipeline(args)
     host, _, port_text = args.connect.rpartition(":")
     if not host or not port_text.isdigit():
         raise ConfigurationError(
@@ -810,10 +770,10 @@ def _cmd_worker(args) -> int:
         )
     shard_worker = ShardWorker(
         pipeline,
-        fields,
+        workload.dataset.fields,
         args.chunk_size,
-        chunk_axis=chunk_axis,
-        samples_from_fields=reshape,
+        chunk_axis=_chunk_axis(workload),
+        samples_from_fields=_samples_reshape(workload),
         name=args.name,
         workers=args.workers,
         task_timeout=args.task_timeout,
@@ -972,20 +932,7 @@ def _forced_plan(analyzer, tolerance: float, norm: str, fmt_name: str):
 def _cmd_audit_record(args) -> int:
     from .reporting import describe_audit
 
-    workload = load_workload(args.workload)
-    if args.fmt:
-        plan = _forced_plan(
-            workload.qoi_analyzer(), args.tolerance, args.norm, args.fmt
-        )
-    else:
-        planner = TolerancePlanner(workload.qoi_analyzer())
-        plan = planner.plan(
-            args.tolerance, norm=args.norm, quant_fraction=args.fraction
-        )
-    pipeline = InferencePipeline(
-        workload.qoi_model(), get_compressor(args.codec), plan,
-        backend=args.backend, instrument_ops=_instrument_flag(args),
-    )
+    workload, pipeline = _build_pipeline(args)
     with audit_capture(
         registry=args.registry,
         loose_below=args.loose_below,

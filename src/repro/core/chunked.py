@@ -1,0 +1,531 @@
+"""Chunked execution: one run identity, one chunk path, three executors.
+
+A :class:`ChunkRun` binds a pipeline to one field array and one chunking.
+It owns what makes two chunked runs *the same computation* (split,
+per-chunk input digests, manifest fingerprint) and the single path a
+chunk takes to a :class:`~repro.core.pipeline.PipelineResult`:
+:meth:`~ChunkRun.run_chunk` computes it, :meth:`~ChunkRun.commit` makes it
+durable where it was computed, :meth:`~ChunkRun.result_from_record`
+rebuilds it from a journaled or remote record.  The serial loop, pool
+tasks, the quarantine rerun, checkpoint replay and the distributed merge
+are these three calls; :func:`run_serial`, :func:`run_supervised` and
+:func:`run_distributed` only decide *where* they run.
+``InferencePipeline.execute_chunked`` and
+:class:`~repro.distrib.worker.ShardWorker` build the same ``ChunkRun``,
+which is why a coordinator and its workers agree on the manifest.
+"""
+
+from __future__ import annotations
+
+import time
+
+import numpy as np
+
+from ..exceptions import ConfigurationError, IntegrityError, PlanningError
+from ..io.checkpoint import CheckpointJournal, digest_array, digest_model, read_artifact
+from ..io.serialization import blob_from_bytes, blob_to_bytes
+from ..obs import get_auditor, get_logger, get_metrics, get_profiler, get_tracer
+from ..obs.audit import AuditRecord
+from ..perf.parallel import resolve_workers, usable_cpus
+from ..resilience.guards import screen_finite
+from ..resilience.inject import ChaosInjector
+from ..resilience.retry import RetryPolicy
+from ..resilience.supervisor import SupervisedPool, fork_available
+from .pipeline import PipelineResult, _field_samples
+
+__all__ = [
+    "ChunkRun", "resolve_executor", "run_distributed", "run_serial", "run_supervised",
+    "split_chunks",
+]
+
+
+def split_chunks(fields: np.ndarray, chunk_size: int, chunk_axis: int = 0) -> "list[np.ndarray]":
+    """Split ``fields`` along ``chunk_axis`` into contiguous slabs.
+
+    The one canonical chunking: ``execute_chunked`` and every
+    distributed worker must produce identical slabs (and therefore
+    identical per-chunk digests) or they are not running the same
+    computation.
+    """
+    fields = np.asarray(fields)
+    chunk_size = int(chunk_size)
+    if chunk_size <= 0:
+        raise PlanningError(f"chunk_size must be positive, got {chunk_size}")
+    extent = fields.shape[chunk_axis]
+    if extent == 0:
+        raise PlanningError("cannot chunk an empty field array")
+    return [
+        np.ascontiguousarray(
+            np.take(fields, np.arange(lo, min(lo + chunk_size, extent)), axis=chunk_axis)
+        )
+        for lo in range(0, extent, chunk_size)
+    ]
+
+
+def resolve_executor(executor: str, n_workers: int) -> str:
+    """The concrete executor for a requested one.
+
+    ``auto`` is serial for one worker or one usable CPU (forked workers
+    sharing a core measured 0.52x serial), else the process pool where
+    fork exists; ``distributed`` stays explicit.  There is no thread
+    executor — docs/PERFORMANCE.md, "Worker pools and chunked
+    execution", has the measurement.
+    """
+    if executor not in ("auto", "serial", "process", "distributed"):
+        raise ConfigurationError(
+            f"executor must be auto|serial|process|distributed, got {executor!r}"
+        )
+    if executor != "auto":
+        return executor
+    if n_workers <= 1 or usable_cpus() <= 1:
+        return "serial"
+    return "process" if fork_available() else "serial"
+
+
+class ChunkRun:
+    """One pipeline over one chunked field array.
+
+    Parameters are ``execute_chunked``'s chunking arguments; whoever
+    passes the same five builds the same run — same slabs, same digests,
+    same manifest.
+    """
+
+    def __init__(
+        self, pipeline, fields: np.ndarray, chunk_size: int, chunk_axis: int = 0,
+        samples_from_fields=None,
+    ) -> None:
+        self.pipeline = pipeline
+        self.chunk_size = int(chunk_size)
+        self.chunk_axis = int(chunk_axis)
+        self.samples_from_fields = samples_from_fields
+        self.chunks = split_chunks(fields, self.chunk_size, self.chunk_axis)
+        self._digests: "list[str] | None" = None
+
+    # -- identity ----------------------------------------------------------
+
+    @property
+    def digests(self) -> "list[str]":
+        """Per-chunk input digests, computed on first use: only a journal
+        or the distributed executor reads them."""
+        if self._digests is None:
+            self._digests = [digest_array(chunk) for chunk in self.chunks]
+        return self._digests
+
+    @property
+    def manifest(self) -> dict:
+        """Run identity for the checkpoint journal and the distributed
+        handshake: every decision that makes two runs 'the same computation'
+        — plan, codec, chunking — plus per-chunk input digests."""
+        pipeline, plan = self.pipeline, self.pipeline.plan
+        return {
+            "fingerprint": {
+                "codec": pipeline.codec.name,
+                "fmt": plan.fmt.name,
+                "norm": plan.norm,
+                "qoi_tolerance": float(plan.qoi_tolerance),
+                "input_tolerance": float(plan.input_tolerance),
+                "quant_bound": float(plan.quant_bound),
+                "policy": pipeline.on_corruption.value,
+                "screen": bool(pipeline.screen),
+                "chunk_size": self.chunk_size,
+                "chunk_axis": self.chunk_axis,
+                "n_chunks": len(self.chunks),
+            },
+            "chunk_digests": list(self.digests),
+        }
+
+    # -- the chunk path ----------------------------------------------------
+
+    def run_chunk(self, index: int, force_lossless: bool = False) -> PipelineResult:
+        """Compute one chunk.  ``force_lossless`` is the degraded mode a
+        quarantined chunk falls back to."""
+        chunk = self.chunks[index]
+        with get_tracer().span("pipeline.chunk", rows=int(chunk.shape[self.chunk_axis])):
+            return self.pipeline.execute(
+                chunk, self.samples_from_fields, force_lossless=force_lossless
+            )
+
+    def screen(self, index: int, result: PipelineResult) -> None:
+        """Re-screen a chunk result wherever it changes hands: execute's
+        own guard ran before the chaos hooks, the commit and the queue."""
+        if self.pipeline.screen:
+            screen_finite(result.outputs, stage="chunk", name="outputs")
+
+    def commit(
+        self,
+        journal: "CheckpointJournal | None",
+        index: int,
+        result: PipelineResult,
+        attempts: int = 1,
+        quarantined: bool = False,
+        seconds: "float | None" = None,
+    ) -> "dict | None":
+        """Make one certified-complete chunk durable: artifact, then its
+        journal line — the commit record — in the process that computed it.
+
+        Returns the journal entry as written (``None`` without a
+        journal): a shard worker resends exactly this entry plus the
+        artifact bytes, so local and merged journals agree bit for bit.
+        ``seconds`` is the chunk's end-to-end wall time where it ran (it
+        includes retries and injected slowness the per-stage timings
+        exclude — the signal straggler detection needs).
+        """
+        if journal is None:
+            return None
+        self.screen(index, result)
+        entry = {
+            "input_digest": self.digests[index],
+            "attempts": int(attempts),
+            "quarantined": bool(quarantined),
+            "observed_qoi_error": float(result.qoi_error(self.pipeline.plan.norm, relative=False)),
+            "input_error_linf": float(result.input_error_linf),
+            "input_error_l2_max": float(result.input_error_l2_max),
+            "timings": {
+                "compress": result.compress_seconds,
+                "decompress": result.decompress_seconds,
+                "inference": result.inference_seconds,
+            },
+            "integrity": result.extra.get("integrity", {}),
+            "audit": result.extra.get("audit"),
+        }
+        if seconds is not None:
+            entry["task_seconds"] = float(seconds)
+        return journal.record(
+            index, outputs=result.outputs, blob_bytes=blob_to_bytes(result.blob), entry=entry
+        )
+
+    def result_from_record(
+        self, payload: dict, entry: dict, origin: str = "replayed"
+    ) -> PipelineResult:
+        """A :class:`PipelineResult` from journaled/remote chunk data.
+
+        ``payload`` carries what the artifact stores (``outputs``,
+        ``blob_bytes``); ``entry`` the journal metadata, which names the
+        chunk.  The reference outputs are recomputed from that chunk —
+        the input the manifest digest pins — and the QoI error they give
+        must be the one the entry certifies.  The entry's audit record
+        (the producing run's verdicts, not a fresh re-audit) is adopted
+        into the live auditor, so a resumed run's registry matches an
+        uninterrupted one.
+        """
+        pipeline = self.pipeline
+        chunk = self.chunks[int(entry["chunk"])]
+        samples = (self.samples_from_fields or _field_samples)(chunk)
+        timings = entry.get("timings", {})
+        result = PipelineResult(
+            outputs=payload["outputs"],
+            reference_outputs=pipeline._forward_ref(samples),
+            blob=blob_from_bytes(payload["blob_bytes"]),
+            plan=pipeline.plan,
+            compress_seconds=float(timings.get("compress", 0.0)),
+            decompress_seconds=float(timings.get("decompress", 0.0)),
+            inference_seconds=float(timings.get("inference", 0.0)),
+            input_error_linf=float(entry.get("input_error_linf", 0.0)),
+            input_error_l2_max=float(entry.get("input_error_l2_max", 0.0)),
+            extra={"integrity": dict(entry.get("integrity", {})), origin: True},
+        )
+        observed = result.qoi_error(pipeline.plan.norm, relative=False)
+        journaled = entry.get("observed_qoi_error")
+        # float round-off of a reference recomputed on another host, not
+        # a second opinion on the certificate
+        slack = 1e-5 * max(1.0, float(np.abs(result.reference_outputs).max()))
+        if not isinstance(journaled, (int, float)) or not abs(observed - journaled) <= slack:
+            raise IntegrityError(
+                f"chunk {entry.get('chunk')} replays with QoI error {observed!r} "
+                f"but its journal entry certifies {journaled!r}: the entry "
+                "and the artifact do not describe the same computation"
+            )
+        if entry.get("audit"):
+            result.extra["audit"] = entry["audit"]
+            _adopt_audit(result)
+        return result
+
+    # -- the whole run -----------------------------------------------------
+
+    def execute(
+        self,
+        *,
+        workers: "int | None" = None,
+        executor: str = "auto",
+        checkpoint: "str | None" = None,
+        resume: bool = False,
+        task_timeout: "float | None" = None,
+        max_task_retries: int = 2,
+        chaos=None,
+        distrib=None,
+    ) -> PipelineResult:
+        """What ``InferencePipeline.execute_chunked`` delegates to (its
+        docstring describes the arguments): replay what ``checkpoint``
+        already holds, run the rest on the resolved executor, assemble."""
+        pipeline = self.pipeline
+        n_workers = resolve_workers(workers)
+        requested_executor = executor
+        executor = resolve_executor(executor, n_workers)
+        if distrib is not None and executor != "distributed":
+            raise ConfigurationError(
+                f"distrib configuration requires executor='distributed', got {executor!r}"
+            )
+        if executor == "distributed" and chaos is not None:
+            raise ConfigurationError(
+                "chaos injection in distributed mode belongs to the "
+                "worker processes (set REPRO_CHAOS there)"
+            )
+        if executor != "distributed" and chaos is None:
+            # worker-side in distributed mode: the coordinator must not
+            # consume a REPRO_CHAOS spec meant for its workers
+            chaos = ChaosInjector.from_env()
+        if chaos is not None and executor != "process":
+            raise ConfigurationError(
+                "chaos injection simulates worker faults and requires the "
+                f"process executor (resolved executor: {executor!r})"
+            )
+        # eval() once up front: workers must not mutate module state.
+        pipeline.model.eval()
+
+        journal = None
+        completed_entries: dict = {}
+        if checkpoint is not None:
+            journal = CheckpointJournal(checkpoint)
+            completed_entries = journal.begin(self.manifest, resume=resume)
+
+        tracer = get_tracer()
+        profiler = get_profiler()
+        prof_window = profiler.begin_window() if profiler.enabled else None
+        wall_start = time.perf_counter()
+        with tracer.span(
+            "pipeline.execute_chunked",
+            codec=pipeline.codec.name,
+            chunks=len(self.chunks),
+            chunk_size=self.chunk_size,
+            workers=n_workers,
+            executor=executor,
+            resumed=len(completed_entries),
+        ) as root:
+            results: "dict[int, PipelineResult]" = {
+                index: self.result_from_record(journal.load(entry), entry)
+                for index, entry in sorted(completed_entries.items())
+            }
+            pending = [i for i in range(len(self.chunks)) if i not in results]
+
+            supervision = None
+            distrib_summary = None
+            if pending and executor == "distributed":
+                distrib_summary, remote = run_distributed(self, pending, journal, distrib)
+                results.update(remote)
+                pending = [i for i in pending if i not in results]
+            if pending and executor != "serial":
+                # "process", or what a distributed run with no (surviving)
+                # workers left behind (chaos is None there by construction)
+                supervision, outcomes = run_supervised(
+                    self, pending, journal, workers=n_workers, chaos=chaos,
+                    task_timeout=task_timeout, max_task_retries=max_task_retries,
+                )
+                for index, outcome in outcomes.items():
+                    if not outcome.inline:  # audited in a forked worker
+                        _adopt_audit(outcome.result)
+                    results[index] = outcome.result
+            elif pending:
+                results.update(run_serial(self, pending, journal))
+
+            wall_seconds = time.perf_counter() - wall_start
+            ordered = [results[index] for index in range(len(self.chunks))]
+
+            raw_total = sum(
+                int(np.prod(r.blob.shape)) * np.dtype(r.blob.dtype).itemsize for r in ordered
+            )
+            compressed_total = sum(len(r.blob.payload) for r in ordered)
+            integrity = {
+                "screened": pipeline.screen,
+                "policy": pipeline.on_corruption.value,
+                "recoveries": sum(r.extra["integrity"].get("recoveries", 0) for r in ordered),
+                "degraded": any(r.extra["integrity"].get("degraded", False) for r in ordered),
+            }
+            aggregate_ratio = raw_total / compressed_total if compressed_total else float("inf")
+            root.set(compression_ratio=aggregate_ratio, wall_seconds=wall_seconds)
+
+        extra = {
+            "integrity": integrity,
+            "chunked": {
+                "n_chunks": len(self.chunks),
+                "chunk_size": self.chunk_size,
+                "chunk_axis": self.chunk_axis,
+                "workers": n_workers,
+                "executor": executor,
+                "requested_executor": requested_executor,
+                "wall_seconds": wall_seconds,
+                "compression_ratio": aggregate_ratio,
+            },
+        }
+        if supervision is not None:
+            extra["supervision"] = supervision
+        if distrib_summary is not None:
+            extra["distrib"] = distrib_summary
+            if tracer.enabled:
+                # the same per-chunk timeline `repro trace analyze` builds
+                # from an exported trace, available without the export
+                from ..obs.timeline import analyze_spans
+
+                extra["timeline"] = analyze_spans(tracer.to_dicts())
+        if journal is not None:
+            extra["checkpoint"] = {
+                "path": journal.path,
+                "resumed": bool(resume),
+                "replayed_chunks": len(completed_entries),
+                "computed_chunks": len(self.chunks) - len(completed_entries),
+            }
+        if prof_window is not None:
+            # whole-run window: per-chunk serial execute() calls attach
+            # their own nested windows inside each chunk result
+            extra["profile"] = profiler.end_window(prof_window)
+
+        return PipelineResult(
+            outputs=np.concatenate([r.outputs for r in ordered], axis=0),
+            reference_outputs=np.concatenate([r.reference_outputs for r in ordered], axis=0),
+            blob=ordered[0].blob,
+            plan=pipeline.plan,
+            compress_seconds=sum(r.compress_seconds for r in ordered),
+            decompress_seconds=sum(r.decompress_seconds for r in ordered),
+            inference_seconds=sum(r.inference_seconds for r in ordered),
+            input_error_linf=max(r.input_error_linf for r in ordered),
+            input_error_l2_max=max(r.input_error_l2_max for r in ordered),
+            extra=extra,
+        )
+
+
+def _adopt_audit(result: PipelineResult) -> None:
+    """Register an audit record produced elsewhere (a forked worker, a
+    remote worker, the run a checkpoint replays) under the live auditor."""
+    auditor = get_auditor()
+    if auditor.enabled and result.extra.get("audit"):
+        record = auditor.adopt(AuditRecord.from_dict(result.extra["audit"]))
+        result.extra["audit"] = record.to_dict()
+
+
+# -- executors: where the chunk path runs -------------------------------------
+
+
+def run_serial(
+    run: ChunkRun, pending: "list[int]", journal: "CheckpointJournal | None" = None
+) -> "dict[int, PipelineResult]":
+    """Compute ``pending`` chunks in this process, in order."""
+    results = {}
+    for index in pending:
+        started = time.perf_counter()
+        result = run.run_chunk(index)
+        # commit as each chunk completes — a crash loses only in-flight
+        # work, never finished chunks
+        run.commit(journal, index, result, seconds=time.perf_counter() - started)
+        results[index] = result
+    return results
+
+
+def run_supervised(
+    run: ChunkRun,
+    pending: "list[int]",
+    journal: "CheckpointJournal | None" = None,
+    *,
+    workers: "int | None" = None,
+    task_timeout: "float | None" = None,
+    max_task_retries: int = 2,
+    chaos=None,
+    label: str = "pipeline",
+) -> "tuple[dict, dict]":
+    """Compute ``pending`` chunks on the supervised process pool.
+
+    Each worker commits its own chunks (:meth:`ChunkRun.commit` runs in
+    the child, which inherited the chunks by fork — only the chunk index
+    and the result cross a pipe); the parent re-screens what arrives.
+    Quarantined chunks are re-run in the parent in degraded lossless mode
+    — every chunk ends up certified, some at compression ratio 1.
+    Returns the supervision summary and one
+    :class:`~repro.resilience.supervisor.TaskOutcome` per chunk index:
+    ``result`` is the chunk's result, ``committed`` its journal entry.
+    """
+
+    def commit(task_id: int, result, attempts: int, seconds: float):
+        return run.commit(journal, pending[task_id], result, attempts=attempts, seconds=seconds)
+
+    pool = SupervisedPool(
+        run.run_chunk,
+        workers=workers,
+        task_timeout=task_timeout,
+        retry=RetryPolicy(max_retries=max_task_retries),
+        chaos=chaos,
+        validate=run.screen,
+        commit=commit if journal is not None else None,
+        label=label,
+    )
+    report = pool.run(pending)
+    outcomes = {pending[position]: outcome for position, outcome in report.outcomes.items()}
+
+    quarantined_chunks = [pending[position] for position in report.quarantined]
+    for index in quarantined_chunks:
+        outcome = outcomes[index]  # errored, quarantined: give it a result
+        get_logger("pipeline").warning(
+            "quarantined chunk degrading to fallback-lossless in-process",
+            pool=label, chunk=index, attempts=outcome.attempts, reason=outcome.error,
+        )
+        started = time.perf_counter()
+        outcome.result = run.run_chunk(index, force_lossless=True)
+        outcome.inline = True
+        outcome.seconds = time.perf_counter() - started
+        outcome.committed = run.commit(
+            journal, index, outcome.result, attempts=outcome.attempts,
+            quarantined=True, seconds=outcome.seconds,
+        )
+
+    summary = report.summary()
+    summary["quarantined"] = quarantined_chunks
+    summary["degraded_chunks"] = quarantined_chunks
+    return summary, outcomes
+
+
+def run_distributed(
+    run: ChunkRun, pending: "list[int]", journal: "CheckpointJournal | None" = None, config=None
+) -> "tuple[dict, dict[int, PipelineResult]]":
+    """Serve ``pending`` chunks as leases to remote shard workers.
+
+    Blocks until the coordinator run resolves and returns its summary
+    plus every accepted remote result; chunks missing from it are the
+    caller's to degrade to the local supervised pool.  A drain (SIGTERM)
+    that leaves work unfinished raises
+    :class:`~repro.distrib.coordinator.DrainedError` so the caller exits
+    resumable instead of silently recomputing locally.
+    """
+    from ..distrib.coordinator import DistribConfig, DrainedError, ShardCoordinator
+
+    coordinator = ShardCoordinator(
+        run.manifest,
+        weights=digest_model(run.pipeline.model),
+        journal=journal,
+        completed=set(range(len(run.chunks))) - set(pending),
+        config=config if config is not None else DistribConfig(),
+    )
+    summary = coordinator.run()
+
+    results = {}
+    for index in sorted(coordinator.accepted):
+        entry = coordinator.accepted[index]
+        # the merged journal holds the worker's artifact bytes verbatim;
+        # loading through it re-verifies the digest
+        payload = (
+            journal.load(entry)
+            if journal is not None
+            else read_artifact(coordinator.payload(index))
+        )
+        results[index] = run.result_from_record(payload, entry, origin="remote")
+
+    remaining = sum(1 for index in pending if index not in results)
+    if remaining and summary.get("outcome") == "drained":
+        raise DrainedError(
+            f"coordinator drained with {remaining} chunks unfinished; re-run "
+            "with resume=True to continue from the checkpoint journal"
+        )
+    if remaining:
+        get_logger("pipeline").warning(
+            "distributed run left chunks unfinished; degrading to the local supervised pool",
+            outcome=summary.get("outcome"),
+            remaining=remaining,
+        )
+        get_metrics().counter("distrib_degraded_local_total").inc(remaining)
+    return summary, results

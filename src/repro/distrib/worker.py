@@ -39,11 +39,10 @@ import time
 
 import numpy as np
 
-from ..core.pipeline import split_chunks
+from ..core.chunked import ChunkRun, run_supervised
 from ..exceptions import IntegrityError, ProtocolError
-from ..io.checkpoint import CheckpointJournal, digest_array, digest_model
+from ..io.checkpoint import CheckpointJournal, digest_model
 from ..obs import get_logger, get_metrics, get_profiler, get_tracer, json_default
-from ..obs.audit import NULL_AUDITOR
 from ..obs.prof import diff_rows
 from ..obs.trace import Tracer
 from ..resilience.inject import ChaosInjector, ChaosPartition
@@ -242,15 +241,11 @@ class ShardWorker:
         checkpoint: "str | None" = None,
     ) -> None:
         self.pipeline = pipeline
-        self.chunks = split_chunks(np.asarray(fields), chunk_size, chunk_axis)
-        self.digests = [digest_array(chunk) for chunk in self.chunks]
-        self.manifest = pipeline._checkpoint_manifest(
-            self.chunks, int(chunk_size), int(chunk_axis), self.digests
-        )
+        self.chunk_run = ChunkRun(pipeline, fields, chunk_size, chunk_axis, samples_from_fields)
+        self.manifest = self.chunk_run.manifest
         self.identity = manifest_identity(self.manifest)
         self.weights = digest_model(pipeline.model)
         self.name = name or f"worker-{os.getpid()}"
-        self.samples_from_fields = samples_from_fields
         self.workers = workers
         self.task_timeout = task_timeout
         self.max_task_retries = int(max_task_retries)
@@ -490,7 +485,7 @@ class ShardWorker:
         ttl = float(lease.get("ttl", 15.0))
         chunk_ids = [int(c) for c in lease.get("chunks", [])]
         for chunk in chunk_ids:
-            if not 0 <= chunk < len(self.chunks):
+            if not 0 <= chunk < len(self.chunk_run.chunks):
                 raise ProtocolError(f"leased unknown chunk {chunk}")
         heartbeat = _Heartbeat(conn, lease_id, ttl)
         try:
@@ -564,14 +559,15 @@ class ShardWorker:
         return _TranslatedChaos(ChaosInjector(rules), chunk_ids)
 
     def _compute(self, chunk_ids: "list[int]") -> None:
-        """PR-6 semantics, locally: the pipeline's own supervised-pool
-        path (worker-side commit into the local journal, quarantine →
-        lossless rerun) over the leased chunks.  Audit records ride in
-        the journal entries to the coordinator, which adopts them."""
-        _summary, entries = self.pipeline._run_chunks_supervised(
-            self.chunks, chunk_ids, self.samples_from_fields, self._journal,
-            self.digests, NULL_AUDITOR, {}, n_workers=self.workers,
+        """PR-6 semantics, locally: the single-host supervised-pool path
+        (worker-side commit into the local journal, quarantine → lossless
+        rerun) over the leased chunks.  Audit records ride in the journal
+        entries to the coordinator, which adopts them — not here."""
+        _summary, outcomes = run_supervised(
+            self.chunk_run, chunk_ids, self._journal, workers=self.workers,
             task_timeout=self.task_timeout, max_task_retries=self.max_task_retries,
             chaos=self._pool_chaos(chunk_ids), label=self.name,
         )
-        self._local.update(entries)
+        self._local.update(
+            (index, outcome.committed) for index, outcome in outcomes.items()
+        )

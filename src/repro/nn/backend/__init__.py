@@ -1,46 +1,36 @@
 """Compiled execution backends for the neural-network layer.
 
 Lower a module tree once (:mod:`~repro.nn.backend.lowering`), compile it
-to a single fused callable (:mod:`~repro.nn.backend.fused`, optional
-:mod:`~repro.nn.backend.numba_backend`), address the artifacts by
-content (:mod:`repro.perf.compile_cache`), and run everything through
-:class:`CompiledForward`, which falls back to the interpreted reference
-path whenever compiled execution could change observable behavior.
+to a single fused callable (:mod:`~repro.nn.backend.fused`), address
+the artifacts by content (:mod:`repro.perf.compile_cache`), and run
+everything through :class:`CompiledForward`, which falls back to the
+interpreted reference path whenever compiled execution could change
+observable behavior.
 """
 
 from .base import (
     BACKEND_NAMES,
     CompiledForward,
-    get_backend,
     resolve_backend_name,
 )
 from .fused import (
     FusedBackend,
     FusedKernel,
-    InstrumentedFusedBackend,
-    InstrumentedFusedKernel,
     generate_fused_source,
     instrumented_op_labels,
 )
 from .lowering import LoweredOp, LoweredProgram, constant_bindings, lower
-from .numba_backend import NumbaBackend, generate_numba_source, numba_available
 
 __all__ = [
     "BACKEND_NAMES",
     "CompiledForward",
     "FusedBackend",
     "FusedKernel",
-    "InstrumentedFusedBackend",
-    "InstrumentedFusedKernel",
     "LoweredOp",
     "LoweredProgram",
-    "NumbaBackend",
     "constant_bindings",
     "generate_fused_source",
-    "generate_numba_source",
-    "get_backend",
     "instrumented_op_labels",
     "lower",
-    "numba_available",
     "resolve_backend_name",
 ]

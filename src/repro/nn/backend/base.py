@@ -5,7 +5,6 @@ A *backend* turns a lowered program into one fused callable:
 ===========  =================================================================
 reference    the interpreted per-module dispatch (``model(x)``), unchanged
 fused        generated pure-numpy closure, preallocated buffers, in-place ops
-numba        njit-compiled kernel over the same lowered program (optional)
 ===========  =================================================================
 
 ``auto`` (the default, also via ``REPRO_BACKEND``) resolves to ``fused``.
@@ -41,27 +40,22 @@ from ...exceptions import ConfigurationError, LoweringError
 from ...obs import get_metrics, get_tracer
 from ...perf.compile_cache import get_compile_cache, kernel_key, structure_key
 from ..module import Module
-from .fused import FusedBackend, InstrumentedFusedBackend
+from .fused import FusedBackend
 from .lowering import SUPPORT_BINDINGS, constant_bindings, lower
-from .numba_backend import NumbaBackend, numba_available
 
 __all__ = [
     "BACKEND_NAMES",
     "CompiledForward",
-    "get_backend",
     "resolve_backend_name",
 ]
 
-BACKEND_NAMES = ("auto", "reference", "fused", "numba")
+BACKEND_NAMES = ("auto", "reference", "fused")
 
-_BACKENDS = {
-    "fused": FusedBackend(),
-    "numba": NumbaBackend(),
-}
-
-#: the per-op-timing codegen variant; addressed explicitly via
-#: ``CompiledForward(..., instrument=True)``, never by backend name
-_INSTRUMENTED_FUSED = InstrumentedFusedBackend()
+#: the one compiled backend and its per-op-timing codegen variant; the
+#: latter is addressed via ``CompiledForward(..., instrument=True)``,
+#: never by backend name
+_FUSED = FusedBackend()
+_INSTRUMENTED_FUSED = FusedBackend(instrument=True)
 
 _ENV_INSTRUMENT = "REPRO_INSTRUMENT_OPS"
 
@@ -75,33 +69,18 @@ def resolve_backend_name(name: "str | None" = None) -> str:
     """Validated concrete backend name for a requested one.
 
     ``None`` consults ``REPRO_BACKEND`` and defaults to ``auto``;
-    ``auto`` resolves to ``fused``.  Unknown names and ``numba`` without
-    an importable numba raise :class:`ConfigurationError`, matching the
-    CLI's validation conventions.
+    ``auto`` resolves to ``fused``.  Unknown names raise
+    :class:`ConfigurationError`, matching the CLI's validation
+    conventions.
     """
     if name is None:
         name = os.environ.get("REPRO_BACKEND") or "auto"
     if not isinstance(name, str) or name.strip().lower() not in BACKEND_NAMES:
         raise ConfigurationError(
-            f"backend must be auto|reference|fused|numba, got {name!r}"
+            f"backend must be auto|reference|fused, got {name!r}"
         )
     key = name.strip().lower()
-    if key == "auto":
-        key = "fused"
-    if key == "numba" and not numba_available():
-        raise ConfigurationError(
-            "backend 'numba' requires the optional numba package "
-            "(install the repro[numba] extra)"
-        )
-    return key
-
-
-def get_backend(name: str):
-    """The backend singleton registered under a concrete (resolved) name."""
-    try:
-        return _BACKENDS[name]
-    except KeyError:
-        raise ConfigurationError(f"no compiled backend named {name!r}") from None
+    return "fused" if key == "auto" else key
 
 
 class CompiledForward:
@@ -125,8 +104,8 @@ class CompiledForward:
         self.backend_name = resolve_backend_name(backend)
         if instrument is None:
             instrument = _instrument_default()
-        # per-op timing exists only for the fused codegen; on reference
-        # there is no kernel and numba jits one opaque function
+        # per-op timing exists only in the fused codegen; on reference
+        # there is no kernel
         self.instrument = bool(instrument) and self.backend_name == "fused"
         self._modules = list(model.modules())
         self._params = list(model.parameters())
@@ -168,12 +147,7 @@ class CompiledForward:
         reason = self._input_guard(x)
         if reason is not None:
             return self._fallback(x, reason)
-        try:
-            out = self._kernel(x)
-        except LoweringError as exc:  # lazy jit failure (numba)
-            self._kernel = None
-            self._mark_unsupported(version, str(exc))
-            return self._fallback(x, "unsupported-module", str(exc))
+        out = self._kernel(x)
         get_metrics().gauge("backend_compiled_active", backend=self.backend_name).set(1.0)
         return out
 
@@ -236,13 +210,10 @@ class CompiledForward:
 
     def _compile(self, version: int):
         cache = get_compile_cache()
-        if self.instrument:
-            # the instrumented variant caches under its own backend
-            # identity, so timed and fast kernels of one structure
-            # coexist at both cache levels
-            backend = _INSTRUMENTED_FUSED
-        else:
-            backend = get_backend(self.backend_name)
+        # the instrumented variant caches under its own backend identity,
+        # so timed and fast kernels of one structure coexist at both
+        # cache levels
+        backend = _INSTRUMENTED_FUSED if self.instrument else _FUSED
         cache_name = backend.name
         program = lower(self.model)
         self.stats["lowerings"] += 1

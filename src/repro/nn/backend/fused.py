@@ -59,8 +59,6 @@ from .lowering import LoweredOp, LoweredProgram, constant_bindings
 __all__ = [
     "FusedBackend",
     "FusedKernel",
-    "InstrumentedFusedBackend",
-    "InstrumentedFusedKernel",
     "generate_fused_source",
     "instrumented_op_labels",
 ]
@@ -339,15 +337,34 @@ class FusedKernel:
     ``threading.local`` storage: concurrent pipeline threads never share
     scratch space, and fork-based pools inherit the compiled closure
     for free.
+
+    Given ``op_labels`` the closure is the per-op-timing variant: it
+    accumulates ``perf_counter_ns`` deltas into a per-call list, which
+    is converted to seconds, retained as :attr:`last_op_seconds` and
+    mirrored into the ``backend_op_seconds{op,index}`` histogram.
     """
 
-    def __init__(self, program: LoweredProgram, fn) -> None:
+    def __init__(self, program: LoweredProgram, fn, op_labels: "list | None" = None) -> None:
         self.program = program
         self.fn = fn
+        self.op_labels = None if op_labels is None else list(op_labels)
+        self.last_op_seconds: "list | None" = None
         self._local = threading.local()
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.fn(x, self._buffers(x))
+        if self.op_labels is None:
+            return self.fn(x, self._buffers(x))
+        timings = [0] * len(self.op_labels)
+        out = self.fn(x, self._buffers(x), timings)
+        seconds = [t / 1e9 for t in timings]
+        self.last_op_seconds = seconds
+        metrics = get_metrics()
+        if metrics.enabled:
+            for index, (label, value) in enumerate(zip(self.op_labels, seconds)):
+                metrics.histogram(
+                    "backend_op_seconds", op=label, index=index
+                ).observe(value)
+        return out
 
     def _buffers(self, x: np.ndarray) -> list:
         if not self.program.slot_widths and not self.program.has_conv:
@@ -374,67 +391,30 @@ class FusedKernel:
         return buffers
 
 
-class InstrumentedFusedKernel(FusedKernel):
-    """Fused kernel variant that meters per-op wall time.
+class FusedBackend:
+    """Pure-numpy trace-and-replay linker.
 
-    The generated closure accumulates ``perf_counter_ns`` deltas into a
-    per-call ``T`` list; this wrapper converts them to seconds, retains
-    the latest vector as :attr:`last_op_seconds` and mirrors each slot
-    into the ``backend_op_seconds{op,index}`` histogram.
+    ``instrument=True`` is the opt-in per-op-timing variant: same
+    lowering, same expressions; a distinct :attr:`name` keys its source
+    and kernels separately in the compile cache, so instrumented and
+    fast kernels coexist without evicting each other.
     """
 
-    def __init__(self, program: LoweredProgram, fn, op_labels: list) -> None:
-        super().__init__(program, fn)
-        self.op_labels = list(op_labels)
-        self.last_op_seconds: "list | None" = None
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        timings = [0] * len(self.op_labels)
-        out = self.fn(x, self._buffers(x), timings)
-        seconds = [t / 1e9 for t in timings]
-        self.last_op_seconds = seconds
-        metrics = get_metrics()
-        if metrics.enabled:
-            for index, (label, value) in enumerate(zip(self.op_labels, seconds)):
-                metrics.histogram(
-                    "backend_op_seconds", op=label, index=index
-                ).observe(value)
-        return out
-
-
-class FusedBackend:
-    """Pure-numpy trace-and-replay linker."""
-
-    name = "fused"
+    def __init__(self, instrument: bool = False) -> None:
+        self.instrument = bool(instrument)
+        self.name = "fused-instr" if self.instrument else "fused"
 
     def generate(self, program: LoweredProgram) -> str:
-        return generate_fused_source(program)
+        return generate_fused_source(program, instrument=self.instrument)
 
     def bind(self, program: LoweredProgram, source: str) -> FusedKernel:
         namespace = constant_bindings(program)
-        code = compile(source, "<repro-fused-kernel>", "exec")
+        if self.instrument:
+            namespace["_pcns"] = time.perf_counter_ns
+        code = compile(source, f"<repro-{self.name}-kernel>", "exec")
         exec(code, namespace)
-        return FusedKernel(program, namespace["_fused_forward"])
-
-
-class InstrumentedFusedBackend(FusedBackend):
-    """Opt-in per-op-timing variant of the fused backend.
-
-    Same lowering, same expressions; a distinct :attr:`name` keys its
-    source and kernels separately in the compile cache so instrumented
-    and fast kernels coexist without evicting each other.
-    """
-
-    name = "fused-instr"
-
-    def generate(self, program: LoweredProgram) -> str:
-        return generate_fused_source(program, instrument=True)
-
-    def bind(self, program: LoweredProgram, source: str) -> InstrumentedFusedKernel:
-        namespace = constant_bindings(program)
-        namespace["_pcns"] = time.perf_counter_ns
-        code = compile(source, "<repro-fused-instr-kernel>", "exec")
-        exec(code, namespace)
-        return InstrumentedFusedKernel(
-            program, namespace["_fused_forward"], instrumented_op_labels(program)
+        return FusedKernel(
+            program,
+            namespace["_fused_forward"],
+            instrumented_op_labels(program) if self.instrument else None,
         )

@@ -1,17 +1,11 @@
 """Supervised process-based worker pool for chunked execution.
 
 The thread pool in :mod:`repro.perf.parallel` overlaps GIL-releasing
-I/O, but N threads each running a whole chunk ``execute`` gained nothing
-(BENCH_pr4: 0.97x with four threads on 16-row chunks, that PR's
-Python-loop codec, one CPU; a few-ms chunk is still interpreter-bound).
-That is a statement about many small identical executes, not about
-threads: ``InferencePipeline.execute`` overlaps its own reference forward
-with its data path on one side-lane thread and gains 1.4x on a large
-field (docs/PERFORMANCE.md, "execute has two lanes").  For chunks this
-module supplies the other half: a pool of **forked
-worker processes** — true multi-core parallelism, zero-copy inheritance
-of the model/chunks at fork time — wrapped in the supervision a
-long-running production run needs:
+I/O; whole chunk executes on threads gained nothing (docs/PERFORMANCE.md,
+"Worker pools and chunked execution").  For chunks this module supplies
+a pool of **forked worker processes** — true multi-core parallelism,
+zero-copy inheritance of the model/chunks at fork time — wrapped in the
+supervision a long-running production run needs:
 
 * **pinned workers** — the inherited affinity mask is cut into one
   block of ``len(mask) // workers`` CPUs per slot (one CPU each once the

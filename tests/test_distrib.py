@@ -29,7 +29,8 @@ from repro.cli import build_parser, main as cli_main
 from repro.obs.timeline import analyze_spans
 from repro.compress.sz import SZCompressor
 from repro.core.errorflow import ErrorFlowAnalyzer
-from repro.core.pipeline import InferencePipeline, split_chunks
+from repro.core.chunked import ChunkRun, resolve_executor, split_chunks
+from repro.core.pipeline import InferencePipeline
 from repro.core.planner import TolerancePlanner
 from repro.distrib import (
     DistribConfig,
@@ -245,33 +246,32 @@ def test_auto_executor_consults_the_cpus_it_may_run_on(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
     assert usable_cpus() == 1
     assert resolve_workers(0) == 1
-    assert InferencePipeline._resolve_executor("auto", 4) == "serial"
-    assert InferencePipeline._resolve_executor("process", 4) == "process"
+    assert resolve_executor("auto", 4) == "serial"
+    assert resolve_executor("process", 4) == "process"
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 5}, raising=False)
     assert resolve_workers(0) == 3
-    assert InferencePipeline._resolve_executor("auto", 4) == (
+    assert resolve_executor("auto", 4) == (
         "process" if fork_available() else "serial"
     )
     # platforms without an affinity mask fall back to the host's count
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     assert usable_cpus() == 8
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    assert InferencePipeline._resolve_executor("auto", 4) == "serial"
+    assert resolve_executor("auto", 4) == "serial"
 
 
 def test_thread_executor_removed_and_auto_never_picked_it(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     expected = "process" if fork_available() else "serial"
-    assert InferencePipeline._resolve_executor("auto", 4) == expected
-    assert InferencePipeline._resolve_executor("auto", 1) == "serial"
-    assert InferencePipeline._resolve_executor("distributed", 1) == "distributed"
-    # there is no thread chunk executor (N whole-chunk executes on threads
-    # measured 0.97x in BENCH_pr4; threads remain for chunked I/O and for
-    # the reference lane inside one execute)
+    assert resolve_executor("auto", 4) == expected
+    assert resolve_executor("auto", 1) == "serial"
+    assert resolve_executor("distributed", 1) == "distributed"
+    # there is no thread chunk executor (docs/PERFORMANCE.md has the
+    # measurement; threads remain for chunked I/O and the reference lane)
     with pytest.raises(ConfigurationError):
-        InferencePipeline._resolve_executor("thread", 4)
+        resolve_executor("thread", 4)
     with pytest.raises(ConfigurationError):
-        InferencePipeline._resolve_executor("fancy", 2)
+        resolve_executor("fancy", 2)
 
 
 # -- CLI surface -------------------------------------------------------------
@@ -319,9 +319,7 @@ def distrib_setup(trained_spectral_mlp, tmp_path_factory):
     serial = pipeline.execute_chunked(
         fields, chunk_size=8, chunk_axis=1, workers=1, checkpoint=str(serial_dir)
     )
-    chunks = split_chunks(fields, 8, 1)
-    digests = [digest_array(chunk) for chunk in chunks]
-    manifest = pipeline._checkpoint_manifest(chunks, 8, 1, digests)
+    manifest = ChunkRun(pipeline, fields, 8, chunk_axis=1).manifest
     return pipeline, fields, serial, manifest, str(serial_dir)
 
 
@@ -520,16 +518,15 @@ def test_straggler_dedup_and_result_validation(distrib_setup, tmp_path):
     re-lease), duplicates dedup first-digest-wins, and tampered or
     mixed-plan results are rejected without consuming the chunk."""
     pipeline, fields, _, manifest, _ = distrib_setup
-    chunks = split_chunks(fields, 8, 1)
+    run = ChunkRun(pipeline, fields, 8, chunk_axis=1)
     digests = list(manifest["chunk_digests"])
 
     # certified entries computed out-of-band (no network, no pool)
     local = CheckpointJournal(str(tmp_path / "local"))
     local.begin(manifest)
     entries, artifacts = {}, {}
-    for index, chunk in enumerate(chunks):
-        result = pipeline.execute(chunk)
-        entries[index] = pipeline._commit_chunk(local, digests, index, result)
+    for index in range(len(run.chunks)):
+        entries[index] = run.commit(local, index, run.run_chunk(index))
         with open(f"{local.path}/{entries[index]['artifact']}", "rb") as handle:
             artifacts[index] = handle.read()
 
@@ -725,17 +722,33 @@ def _comparable_entries(checkpoint, manifest):
     return comparable
 
 
+#: rows of the assembled outputs that chunk 2 of the 4 x 8-row split owns
+_CHUNK_2 = slice(2 * 8 * 32, 3 * 8 * 32)
+
+
 @needs_fork
 def test_every_executor_certifies_the_same_computation(distrib_setup, tmp_path):
-    """Differential: the same plan and fields give identical outputs,
-    reference outputs, input error, per-chunk journal entries and audit
-    records whether the chunks ran serially, serially with a journal, on
-    the pool (workers committing their own records), partly replayed
-    from a journal, or on loopback shard workers."""
+    """Differential over one :class:`ChunkRun` construction: the same plan
+    and fields give identical outputs, reference outputs, input errors,
+    QoI error, per-chunk journal entries and audit records whether the
+    chunks ran serially, serially with a journal, on the pool (workers
+    committing their own records), were partly or wholly replayed from a
+    journal the *other* executor wrote, or ran on loopback shard workers.
+    A chaos-quarantined chunk differs only where it must: that chunk is
+    certified losslessly, every other byte is the oracle's."""
     pipeline, fields, _, manifest, _ = distrib_setup
 
     def chunked(**kwargs):
         return pipeline.execute_chunked(fields, chunk_size=8, chunk_axis=1, **kwargs)
+
+    def copied(source, ck, keep_lines=None):
+        shutil.copytree(str(tmp_path / source), ck)
+        if keep_lines is not None:
+            journal_path = os.path.join(ck, "journal.jsonl")
+            with open(journal_path, encoding="utf-8") as handle:
+                lines = handle.readlines()
+            with open(journal_path, "w", encoding="utf-8") as handle:
+                handle.writelines(lines[:keep_lines])
 
     def serial(_ck):
         return chunked(executor="serial")
@@ -747,14 +760,21 @@ def test_every_executor_certifies_the_same_computation(distrib_setup, tmp_path):
         return chunked(executor="process", workers=2, checkpoint=ck)
 
     def resumed(ck):
-        shutil.copytree(str(tmp_path / "pool_journal"), ck)
-        journal_path = os.path.join(ck, "journal.jsonl")
-        with open(journal_path, encoding="utf-8") as handle:
-            lines = handle.readlines()
-        with open(journal_path, "w", encoding="utf-8") as handle:
-            handle.writelines(lines[:2])
+        copied("pool_journal", ck, keep_lines=2)
         result = chunked(executor="process", workers=2, checkpoint=ck, resume=True)
         assert result.extra["checkpoint"]["replayed_chunks"] == 2
+        return result
+
+    def serial_journal_resumed_by_pool(ck):
+        copied("serial_journal", ck)
+        result = chunked(executor="process", workers=2, checkpoint=ck, resume=True)
+        assert result.extra["checkpoint"]["replayed_chunks"] == 4
+        return result
+
+    def pool_journal_resumed_serially(ck):
+        copied("pool_journal", ck, keep_lines=3)
+        result = chunked(executor="serial", checkpoint=ck, resume=True)
+        assert result.extra["checkpoint"]["replayed_chunks"] == 3
         return result
 
     def distributed(ck):
@@ -764,8 +784,20 @@ def test_every_executor_certifies_the_same_computation(distrib_setup, tmp_path):
         assert errors == [] and result.extra["distrib"]["outcome"] == "complete"
         return result
 
+    def quarantined(ck):
+        result = chunked(
+            executor="process", workers=2, checkpoint=ck,
+            chaos=ChaosInjector.from_spec("raise@2:all"),
+        )
+        assert result.extra["supervision"]["quarantined"] == [2]
+        return result
+
     runs = {}
-    for run in (serial, serial_journal, pool_journal, resumed, distributed):
+    for run in (
+        serial, serial_journal, pool_journal, resumed,
+        serial_journal_resumed_by_pool, pool_journal_resumed_serially,
+        distributed, quarantined,
+    ):
         ck = str(tmp_path / run.__name__)
         with obs.audit_capture() as auditor:
             result = run(ck)
@@ -779,12 +811,86 @@ def test_every_executor_certifies_the_same_computation(distrib_setup, tmp_path):
     oracle, oracle_audits, _ = runs["serial"]
     oracle_entries = runs["serial_journal"][2]
     assert len(oracle_audits) == 4 and set(oracle_entries) == {0, 1, 2, 3}
+    degraded, degraded_audits, degraded_entries = runs.pop("quarantined")
     for name, (result, audits, entries) in runs.items():
         assert np.array_equal(result.outputs, oracle.outputs), name
         assert np.array_equal(result.reference_outputs, oracle.reference_outputs), name
         assert result.input_error_linf == oracle.input_error_linf, name
+        assert result.input_error_l2_max == oracle.input_error_l2_max, name
+        assert result.qoi_error("linf") == oracle.qoi_error("linf"), name
         assert audits == oracle_audits, name
         assert entries is None or entries == oracle_entries, name
+
+    # the quarantined chunk is stored losslessly: zero input error there,
+    # and nothing else moves
+    others = np.ones(len(oracle.outputs), dtype=bool)
+    others[_CHUNK_2] = False
+    assert np.array_equal(degraded.outputs[others], oracle.outputs[others])
+    assert np.array_equal(degraded.reference_outputs, oracle.reference_outputs)
+    assert degraded.input_error_linf <= oracle.input_error_linf
+    assert degraded.qoi_error("linf", relative=False) <= pipeline.plan.qoi_tolerance
+    assert degraded.extra["integrity"]["degraded"]
+    assert len(degraded_audits) == 4
+    for index, entry in degraded_entries.items():
+        assert set(entry) == set(oracle_entries[index]), index
+        if index != 2:
+            assert entry == oracle_entries[index], index
+    assert degraded_entries[2]["quarantined"] and degraded_entries[2]["attempts"] == 3
+    assert degraded_entries[2]["input_error_linf"] == 0.0
+
+
+def test_worker_and_coordinator_build_the_same_run_identity(distrib_setup, tmp_path):
+    """A shard worker's manifest is ``ChunkRun(...).manifest`` for the
+    coordinator's arguments, and moves with each thing the handshake
+    pins: chunk size, chunk axis, codec, tolerance."""
+    from repro.compress.zfp import ZFPCompressor
+
+    pipeline, fields, _, manifest, _ = distrib_setup
+    model, plan = pipeline.model, pipeline.plan
+    worker = ShardWorker(
+        pipeline, fields, 8, chunk_axis=1, checkpoint=str(tmp_path / "w")
+    )
+    assert worker.manifest == ChunkRun(pipeline, fields, 8, chunk_axis=1).manifest
+    assert worker.manifest == manifest
+    assert worker.identity == manifest_identity(manifest)
+
+    tighter = TolerancePlanner(ErrorFlowAnalyzer(model)).plan(
+        5e-3, norm="linf", quant_fraction=0.5
+    )
+    for other in (
+        ChunkRun(pipeline, fields, 16, chunk_axis=1),
+        ChunkRun(pipeline, fields, 8, chunk_axis=2),
+        ChunkRun(InferencePipeline(model, ZFPCompressor(), plan), fields, 8, chunk_axis=1),
+        ChunkRun(InferencePipeline(model, SZCompressor(), tighter), fields, 8, chunk_axis=1),
+    ):
+        assert other.manifest != manifest
+        assert not fingerprints_equal(
+            other.manifest["fingerprint"], manifest["fingerprint"]
+        )
+
+
+def test_checkpoint_format_is_pinned(distrib_setup):
+    """A checkpoint directory is interchangeable across versions of the
+    code that writes it: format version 2, these manifest fingerprint
+    keys, these journal entry keys — listed literally, so moving the
+    code that builds them cannot move the format."""
+    _, _, _, manifest, serial_dir = distrib_setup
+    assert set(manifest) == {"fingerprint", "chunk_digests"}
+    assert set(manifest["fingerprint"]) == {
+        "codec", "fmt", "norm", "qoi_tolerance", "input_tolerance", "quant_bound",
+        "policy", "screen", "chunk_size", "chunk_axis", "n_chunks",
+    }
+    journal = CheckpointJournal(serial_dir)
+    assert journal._read_manifest()["format_version"] == 2
+    entries = journal.entries()
+    assert len(entries) == 4
+    for entry in entries:
+        assert set(entry) == {
+            "input_digest", "attempts", "quarantined", "observed_qoi_error",
+            "input_error_linf", "input_error_l2_max", "timings", "integrity",
+            "audit", "task_seconds", "chunk", "artifact", "artifact_digest",
+        }
+        assert set(entry["timings"]) == {"compress", "decompress", "inference"}
 
 
 # -- distributed tracing + live ops plane ------------------------------------

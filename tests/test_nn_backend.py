@@ -1,8 +1,8 @@
 """Tests for the compiled multi-backend execution engine.
 
 The contract under test is *bit-exactness*: for every supported model the
-fused (and, when installed, numba) backend must return ``np.array_equal``
-outputs to the interpreted reference path — across activations, spectral
+fused backend must return ``np.array_equal`` outputs to the interpreted
+reference path — across activations, spectral
 parameterization, residual skips, and every Table-I numeric format — and
 must fall back to the interpreter, with the reason recorded, whenever
 running the kernel could change observable behavior.
@@ -21,7 +21,6 @@ from repro.exceptions import ConfigurationError, LoweringError, ShapeError
 from repro.models import borghesi_net, build_mlp, resnet, resnet18, unet
 from repro.nn import (
     Conv2d,
-    GlobalAvgPool2d,
     Identity,
     Linear,
     Module,
@@ -36,17 +35,12 @@ from repro.nn.backend import (
     CompiledForward,
     generate_fused_source,
     lower,
-    numba_available,
     resolve_backend_name,
 )
 from repro.nn.residual import ResidualBlock
 from repro.perf import CompileCache, kernel_key, reset_compile_cache, structure_key
 from repro.quant import STANDARD_FORMATS, quantize_model
 from tests.oracles.activation_reference import reference_forward
-
-requires_numba = pytest.mark.skipif(
-    not numba_available(), reason="optional numba package not installed"
-)
 
 
 @pytest.fixture(autouse=True)
@@ -126,23 +120,6 @@ def test_fused_bit_exact_nonfinite_inputs(rng):
     x[2, 2] = -np.inf
     forward = CompiledForward(model, "fused")
     assert np.array_equal(forward(x), model(x), equal_nan=True)
-
-
-@requires_numba
-@given(
-    widths=st.lists(st.integers(1, 8), min_size=0, max_size=2),
-    activation=st.sampled_from(["relu", "tanh", "sigmoid", "prelu"]),
-    seed=st.integers(0, 2**16),
-)
-@settings(max_examples=15, deadline=None)
-def test_numba_bit_exact_random_chain(widths, activation, seed):
-    rng = np.random.default_rng(seed)
-    model = build_mlp(4, widths, 3, activation=activation, spectral=False, rng=rng)
-    model.eval()
-    x = rng.standard_normal((3, 4)).astype(np.float32)
-    forward = CompiledForward(model, "numba")
-    assert np.array_equal(forward(x), model(x))
-    assert forward.last_fallback_reason is None
 
 
 # -- conv programs: PSN ResNets run compiled ----------------------------------
@@ -355,18 +332,6 @@ def test_spectral_conv_in_training_mode_is_not_lowered(rng):
         lower(model)
 
 
-def test_numba_codegen_refuses_conv_ops(rng):
-    """No conv or pool lowering for numba: the program is refused at
-    codegen (so the caller falls back), whether or not numba is installed."""
-    from repro.nn.backend import generate_numba_source
-
-    for layers in ((Conv2d(2, 2, 3, rng=rng),), (GlobalAvgPool2d(),)):
-        model = Sequential(*layers)
-        model.eval()
-        with pytest.raises(LoweringError, match="no numba lowering"):
-            generate_numba_source(lower(model))
-
-
 # -- fallback matrix ---------------------------------------------------------
 
 
@@ -561,7 +526,7 @@ def test_resolve_backend_names(monkeypatch):
     assert resolve_backend_name("auto") == "fused"
     assert resolve_backend_name("reference") == "reference"
     assert resolve_backend_name(" Fused ") == "fused"
-    assert set(BACKEND_NAMES) == {"auto", "reference", "fused", "numba"}
+    assert set(BACKEND_NAMES) == {"auto", "reference", "fused"}
 
 
 def test_resolve_backend_env(monkeypatch):
@@ -573,15 +538,10 @@ def test_resolve_backend_env(monkeypatch):
 
 
 def test_resolve_backend_rejects_unknown():
-    with pytest.raises(ConfigurationError) as excinfo:
-        resolve_backend_name("cuda")
-    assert "auto|reference|fused|numba" in str(excinfo.value)
-
-
-@pytest.mark.skipif(numba_available(), reason="numba is installed here")
-def test_numba_backend_requires_package():
-    with pytest.raises(ConfigurationError):
-        resolve_backend_name("numba")
+    for name in ("cuda", "numba"):  # the optional numba backend was deleted
+        with pytest.raises(ConfigurationError) as excinfo:
+            resolve_backend_name(name)
+        assert "auto|reference|fused, got" in str(excinfo.value)
 
 
 # -- end-to-end: pipeline, planner and audit parity --------------------------

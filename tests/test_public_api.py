@@ -80,3 +80,13 @@ def test_top_level_convenience_exports():
     assert repro.TolerancePlanner is not None
     assert repro.InferencePipeline is not None
     assert repro.ErrorFlowAnalyzer is not None
+
+
+def test_pipeline_module_stays_one_fields_execute():
+    """Ratchet: ``core/pipeline.py`` is plan + single-field ``execute``
+    (1233 lines before chunked execution moved to ``core/chunked.py``);
+    lower the ceiling when it shrinks, never raise it."""
+    from repro.core import pipeline
+
+    with open(inspect.getsourcefile(pipeline), encoding="utf-8") as handle:
+        assert sum(1 for _ in handle) <= 700

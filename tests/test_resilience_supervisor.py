@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.compress.sz import SZCompressor
+from repro.core.chunked import ChunkRun
 from repro.core.errorflow import ErrorFlowAnalyzer
 from repro.core.pipeline import InferencePipeline
 from repro.core.planner import TolerancePlanner
@@ -836,26 +837,23 @@ def test_result_corrupted_after_commit_is_rejected_and_retry_replays(
     queue, here a patched commit) is caught by the parent's re-screen
     and retried; of the two journal lines the retry's is replayed."""
     pipeline, fields, serial = chunked_setup
-    real_commit = InferencePipeline._commit_chunk
+    real_commit = ChunkRun.commit
 
-    def commit_then_poison(self, journal, digests, index, result, attempts=1, **kw):
-        entry = real_commit(self, journal, digests, index, result, attempts, **kw)
+    def commit_then_poison(self, journal, index, result, attempts=1, **kw):
+        entry = real_commit(self, journal, index, result, attempts, **kw)
         if index == 1 and attempts == 1:
             result.outputs = corrupt_result(result.outputs)
         return entry
 
-    monkeypatch.setattr(InferencePipeline, "_commit_chunk", commit_then_poison)
+    monkeypatch.setattr(ChunkRun, "commit", commit_then_poison)
     ck = str(tmp_path / "ck")
     result = _chunked(pipeline, fields, workers=2, executor="process", checkpoint=ck)
     assert result.extra["supervision"]["retries"] == 1
     assert np.array_equal(result.outputs, serial.outputs)
     assert [e["attempts"] for e in _journal_lines(ck, 1)] == [1, 2]
     monkeypatch.undo()
-    journal = CheckpointJournal(ck)
-    manifest = pipeline._checkpoint_manifest(
-        [None] * 4, 8, 1, journal._read_manifest()["chunk_digests"]
-    )
-    assert journal.begin(manifest, resume=True)[1]["attempts"] == 2
+    manifest = ChunkRun(pipeline, fields, 8, chunk_axis=1).manifest
+    assert CheckpointJournal(ck).begin(manifest, resume=True)[1]["attempts"] == 2
     assert np.array_equal(_resume_all(pipeline, fields, ck).outputs, serial.outputs)
 
 
