@@ -7,17 +7,14 @@ unified ``benchutils`` row shape (``{path, config, seconds, reps_s,
 throughput_samples_s}`` — record with ``repro bench record`` to feed the
 regression history):
 
-* ``reference``       — interpreted per-module dispatch (``model(x)``);
-* ``fused_cold``      — one cold call including lowering + codegen + bind
+* ``reference``  — interpreted per-module dispatch (``model(x)``);
+* ``fused_cold`` — one cold call including lowering + codegen + bind
   (the compile cost a first request pays);
-* ``fused_warm``      — steady state.  The win here is structural: the
+* ``fused_warm`` — steady state.  The win here is structural: the
   linker hoists the SpectralLinear weight materialization
   (``normalized.T * alpha``, recomputed per call by the interpreter)
   into a bound constant, on top of preallocated buffers and in-place
-  ufuncs;
-* ``fused_disk_warm`` — a fresh in-memory cache sharing the same disk
-  directory: the cross-process cost when the generated source is served
-  from disk and only ``exec`` + bind run.
+  ufuncs.
 
 A second pair, ``conv_forward``, times the EuroSAT QoI network (PSN
 ResNet18 up to the pooled feature map, one 30x13x24x24 batch):
@@ -58,7 +55,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import tempfile
 import time
 
 import numpy as np
@@ -71,7 +67,6 @@ from tests.oracles.conv_reference import forward_reference
 from repro.models import borghesi_net, build_mlp, model_flops, resnet18
 from repro.nn import Sequential
 from repro.nn.backend import CompiledForward
-from repro.perf.compile_cache import CompileCache, get_compile_cache, reset_compile_cache
 
 
 def _bench_model():
@@ -117,55 +112,32 @@ def bench_forward(reps: int, inner: int) -> list[dict]:
     rows.append(_row("forward", dict(base_config, backend="reference"),
                      ref_seconds, 1, reps_s=ref_reps))
 
-    with tempfile.TemporaryDirectory() as scratch:
-        os.environ["REPRO_COMPILE_CACHE_DIR"] = scratch
-        reset_compile_cache()
+    # cold: first call pays lowering + codegen + exec/bind
+    fused = CompiledForward(model, "fused")
+    start = time.perf_counter()
+    cold_out = fused(x)
+    cold_seconds = time.perf_counter() - start
+    assert np.array_equal(cold_out, expected), "fused output not bit-exact"
+    rows.append(_row("forward", dict(base_config, backend="fused_cold",
+                                     inner_calls=1, reps=1),
+                     cold_seconds, 1))
 
-        # cold: first call pays lowering + codegen + exec/bind
-        fused = CompiledForward(model, "fused")
-        start = time.perf_counter()
-        cold_out = fused(x)
-        cold_seconds = time.perf_counter() - start
-        assert np.array_equal(cold_out, expected), "fused output not bit-exact"
-        rows.append(_row("forward", dict(base_config, backend="fused_cold",
-                                         inner_calls=1, reps=1),
-                         cold_seconds, 1))
-
-        # warm steady state, exercising several batch sizes in between to
-        # prove buffer reallocation does not trigger recompiles
-        warm_seconds, warm_reps = timed_loop(fused)
-        for batch in (1, 4, 16, 1):
-            xb = np.random.default_rng(batch).standard_normal((batch, 64)).astype(np.float32)
-            assert np.array_equal(fused(xb), model(xb))
-        second_seconds, second_reps = timed_loop(fused)
-        warm_seconds = min(warm_seconds, second_seconds)
-        warm_reps = warm_reps + second_reps
-        assert fused.stats["lowerings"] == 1, fused.stats
-        assert fused.stats["compiles"] == 1, fused.stats
-        assert fused.stats["fallbacks"] == 0, fused.stats
-        rows.append(_row("forward", dict(base_config, backend="fused_warm",
-                                         lowerings=fused.stats["lowerings"],
-                                         compiles=fused.stats["compiles"]),
-                         warm_seconds, 1, reps_s=warm_reps))
-
-        # cross-process restart: fresh memory cache, same disk directory —
-        # source comes off disk, only exec + bind run
-        reset_compile_cache()
-        disk_cache = get_compile_cache()
-        assert isinstance(disk_cache, CompileCache)
-        restarted = CompiledForward(model, "fused")
-        start = time.perf_counter()
-        assert np.array_equal(restarted(x), expected)
-        disk_cold_seconds = time.perf_counter() - start
-        assert disk_cache.stats["source_disk_hits"] == 1, disk_cache.stats
-        assert disk_cache.stats["source_generated"] == 0, disk_cache.stats
-        rows.append(_row("forward", dict(base_config, backend="fused_disk_warm",
-                                         inner_calls=1, reps=1,
-                                         source_disk_hits=1),
-                         disk_cold_seconds, 1))
-
-        os.environ.pop("REPRO_COMPILE_CACHE_DIR", None)
-        reset_compile_cache()
+    # warm steady state, exercising several batch sizes in between to
+    # prove buffer reallocation does not trigger recompiles
+    warm_seconds, warm_reps = timed_loop(fused)
+    for batch in (1, 4, 16, 1):
+        xb = np.random.default_rng(batch).standard_normal((batch, 64)).astype(np.float32)
+        assert np.array_equal(fused(xb), model(xb))
+    second_seconds, second_reps = timed_loop(fused)
+    warm_seconds = min(warm_seconds, second_seconds)
+    warm_reps = warm_reps + second_reps
+    assert fused.stats["lowerings"] == 1, fused.stats
+    assert fused.stats["compiles"] == 1, fused.stats
+    assert fused.stats["fallbacks"] == 0, fused.stats
+    rows.append(_row("forward", dict(base_config, backend="fused_warm",
+                                     lowerings=fused.stats["lowerings"],
+                                     compiles=fused.stats["compiles"]),
+                     warm_seconds, 1, reps_s=warm_reps))
 
     for row in rows:
         row["config"]["speedup_vs_reference"] = ref_seconds / row["seconds"]
@@ -194,8 +166,6 @@ def bench_conv_forward(reps: int) -> list[dict]:
     config = {"model": "resnet18_w16_psn_pooled", "batch": 30, "image": 24, "reps": reps}
 
     expected = forward_reference(model, x)
-    os.environ["REPRO_COMPILE_CACHE_DIR"] = ""  # memory only: nothing to clean up
-    reset_compile_cache()
     fused = CompiledForward(model, "fused")
     actual = fused(x)
     assert fused.last_fallback_reason is None, fused.last_fallback_reason
@@ -206,8 +176,6 @@ def bench_conv_forward(reps: int) -> list[dict]:
     oracle_seconds, oracle_reps = best_of(lambda: forward_reference(model, x), reps)
     fused_seconds, fused_reps = best_of(lambda: fused(x), reps)
     assert fused.stats["fallbacks"] == 0 and fused.stats["compiles"] == 1, fused.stats
-    os.environ.pop("REPRO_COMPILE_CACHE_DIR", None)
-    reset_compile_cache()
 
     speedup = oracle_seconds / fused_seconds
     rows = [
@@ -231,8 +199,6 @@ def bench_prelu_forward(reps: int) -> list[dict]:
     config = {"model": "borghesi_net_psn_prelu", "batch": x.shape[0], "reps": reps}
 
     expected = reference_forward(model, x)
-    os.environ["REPRO_COMPILE_CACHE_DIR"] = ""  # memory only: nothing to clean up
-    reset_compile_cache()
     fused = CompiledForward(model, "fused")
     actual = fused(x)
     assert fused.last_fallback_reason is None, fused.last_fallback_reason
@@ -244,8 +210,6 @@ def bench_prelu_forward(reps: int) -> list[dict]:
     oracle_seconds, oracle_reps = best_of(lambda: reference_forward(model, x), reps)
     fused_seconds, fused_reps = best_of(lambda: fused(x), reps)
     assert fused.stats["fallbacks"] == 0 and fused.stats["compiles"] == 1, fused.stats
-    os.environ.pop("REPRO_COMPILE_CACHE_DIR", None)
-    reset_compile_cache()
 
     speedup = oracle_seconds / fused_seconds
     rows = [

@@ -536,14 +536,6 @@ def _cmd_plan(args) -> int:
     return 0
 
 
-def _instrument_flag(args) -> "bool | None":
-    """``--instrument-ops`` as the pipeline's ``instrument_ops`` value.
-
-    ``None`` when the flag is absent so the ``REPRO_INSTRUMENT_OPS``
-    environment default still applies."""
-    return True if getattr(args, "instrument_ops", False) else None
-
-
 def _samples_reshape(workload):
     """Field-to-sample mapping for a workload (None = pipeline default).
 
@@ -601,7 +593,7 @@ def _build_pipeline(args):
         )
     pipeline = InferencePipeline(
         workload.qoi_model(), get_compressor(args.codec), plan,
-        backend=args.backend, instrument_ops=_instrument_flag(args),
+        backend=args.backend, instrument_ops=args.instrument_ops,
     )
     return workload, pipeline
 

@@ -35,7 +35,6 @@ from ..exceptions import (
 from ..nn.backend import CompiledForward, resolve_backend_name
 from ..nn.module import Module
 from ..obs import get_auditor, get_logger, get_metrics, get_profiler, get_tracer
-from ..obs.prof import memory_snapshot, memory_top_diff
 from ..perf.parallel import SideLane
 from ..quant.quantizer import QuantizedModel, quantize_model
 from ..resilience.guards import check_contract, screen_finite
@@ -138,11 +137,11 @@ class InferencePipeline:
         recording the reason in ``result.extra["backend"]``.
     instrument_ops:
         Compile the fused backend's per-op timing variant
-        (``FusedBackend(instrument=True)``): forward passes additionally
-        report per-op wall time into the ``backend_op_seconds`` histogram
-        and ``result.extra["backend"]["op_seconds"]``.  ``None`` (default)
-        consults ``REPRO_INSTRUMENT_OPS``; only meaningful on the fused
-        backend.
+        (``CompiledForward(instrument=True)``): forward passes
+        additionally report per-op wall time into the
+        ``backend_op_seconds`` histogram and
+        ``result.extra["backend"]["op_seconds"]``.  ``None`` (default)
+        means off; only meaningful on the fused backend.
     """
 
     def __init__(
@@ -337,7 +336,6 @@ class InferencePipeline:
         metrics = get_metrics()
         profiler = get_profiler()
         prof_window = profiler.begin_window() if profiler.enabled else None
-        memory_stages: "dict | None" = {} if profiler.enabled and profiler.memory else None
         with tracer.span(
             "pipeline.execute",
             codec=self.codec.name,
@@ -368,16 +366,9 @@ class InferencePipeline:
                 reference_side,
                 worthwhile=getattr(fields, "nbytes", 0) >= _LANE_MIN_FIELD_BYTES,
             ) as reference_result:
-                mem_before = memory_snapshot() if memory_stages is not None else None
                 blob, reconstructed, compress_seconds, decompress_seconds, recoveries, spans = (
                     self._store_and_load(fields, force_lossless=force_lossless)
                 )
-                if memory_stages is not None:
-                    mem_after = memory_snapshot()
-                    memory_stages["store_load"] = memory_top_diff(
-                        mem_before, mem_after, top=profiler.memory_top
-                    )
-                    mem_before = mem_after
 
                 samples = samples_from_fields(reconstructed)
                 with tracer.span(
@@ -390,11 +381,6 @@ class InferencePipeline:
                     start = time.perf_counter()
                     outputs = self._forward_quant(samples)
                     inference_seconds = time.perf_counter() - start
-                if memory_stages is not None:
-                    mem_after = memory_snapshot()
-                    memory_stages["inference"] = memory_top_diff(
-                        mem_before, mem_after, top=profiler.memory_top
-                    )
 
             # the join: everything below needs both sides
             reference_samples, reference = reference_result()
@@ -469,9 +455,7 @@ class InferencePipeline:
                 extra={"integrity": integrity, "backend": backend_info},
             )
             if prof_window is not None:
-                result.extra["profile"] = profiler.end_window(
-                    prof_window, memory_stages
-                )
+                result.extra["profile"] = profiler.end_window(prof_window)
 
             if tracer.enabled or metrics.enabled:
                 self._record_telemetry(

@@ -1,11 +1,10 @@
 """Compiled execution backends for the neural-network layer.
 
-Lower a module tree once (:mod:`~repro.nn.backend.lowering`), compile it
-to a single fused callable (:mod:`~repro.nn.backend.fused`), address
-the artifacts by content (:mod:`repro.perf.compile_cache`), and run
-everything through :class:`CompiledForward`, which falls back to the
-interpreted reference path whenever compiled execution could change
-observable behavior.
+Lower a module tree once per weight version
+(:mod:`~repro.nn.backend.lowering`), compile it to a single fused
+callable (:mod:`~repro.nn.backend.fused`), and run everything through
+:class:`CompiledForward`, which falls back to the interpreted reference
+path whenever compiled execution could change observable behavior.
 """
 
 from .base import (
@@ -14,8 +13,8 @@ from .base import (
     resolve_backend_name,
 )
 from .fused import (
-    FusedBackend,
     FusedKernel,
+    compile_fused,
     generate_fused_source,
     instrumented_op_labels,
 )
@@ -24,10 +23,10 @@ from .lowering import LoweredOp, LoweredProgram, constant_bindings, lower
 __all__ = [
     "BACKEND_NAMES",
     "CompiledForward",
-    "FusedBackend",
     "FusedKernel",
     "LoweredOp",
     "LoweredProgram",
+    "compile_fused",
     "constant_bindings",
     "generate_fused_source",
     "instrumented_op_labels",

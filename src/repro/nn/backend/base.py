@@ -14,10 +14,9 @@ the kernel honest on every call:
 
 * **staleness** — the sum of cached parameter version counters is
   compared per call (a few µs); an optimizer step or re-quantization
-  changes it and forces a recompile through the content-addressed
-  cache.  In-place ``param.data[...] = ...`` writes bypass the version
-  counters — the same caveat as every version-keyed cache in
-  :mod:`repro.perf.cache`.
+  changes it and forces a recompile.  In-place
+  ``param.data[...] = ...`` writes bypass the version counters — the
+  same caveat as every version-keyed cache in :mod:`repro.perf.cache`.
 * **transparent fallback** — forward hooks (audit lockstep mode),
   training mode, unsupported modules, or inputs outside the compiled
   shape/dtype envelope route the call through the reference
@@ -25,8 +24,10 @@ the kernel honest on every call:
   ``backend_fallbacks_total{backend=,reason=}`` and
   :attr:`CompiledForward.last_fallback_reason`.
 
-Compiles are traced as ``backend.compile`` spans and timed into the
-``backend_compile_seconds`` histogram.
+A compile is ``lower`` → generate → bind, about a millisecond, so the
+only kernel kept is the wrapper's own (docs/PERFORMANCE.md, "Why there
+is no compile cache").  Compiles are traced as ``backend.compile`` spans
+and timed into the ``backend_compile_seconds`` histogram.
 """
 
 from __future__ import annotations
@@ -38,10 +39,9 @@ import numpy as np
 
 from ...exceptions import ConfigurationError, LoweringError
 from ...obs import get_metrics, get_tracer
-from ...perf.compile_cache import get_compile_cache, kernel_key, structure_key
 from ..module import Module
-from .fused import FusedBackend
-from .lowering import SUPPORT_BINDINGS, constant_bindings, lower
+from .fused import compile_fused
+from .lowering import lower
 
 __all__ = [
     "BACKEND_NAMES",
@@ -50,19 +50,6 @@ __all__ = [
 ]
 
 BACKEND_NAMES = ("auto", "reference", "fused")
-
-#: the one compiled backend and its per-op-timing codegen variant; the
-#: latter is addressed via ``CompiledForward(..., instrument=True)``,
-#: never by backend name
-_FUSED = FusedBackend()
-_INSTRUMENTED_FUSED = FusedBackend(instrument=True)
-
-_ENV_INSTRUMENT = "REPRO_INSTRUMENT_OPS"
-
-
-def _instrument_default() -> bool:
-    value = os.environ.get(_ENV_INSTRUMENT, "")
-    return value.strip().lower() not in ("", "0", "false", "no", "off")
 
 
 def resolve_backend_name(name: "str | None" = None) -> str:
@@ -89,9 +76,10 @@ class CompiledForward:
     ``backend=None`` resolves via ``REPRO_BACKEND``/``auto``.  With the
     reference backend this is a zero-overhead passthrough.  Compiled
     backends lower once per weight version (asserted by
-    ``stats["lowerings"]``), share generated source through the on-disk
-    compile cache, and fall back to the interpreter whenever running the
-    kernel could change observable behavior.
+    ``stats["lowerings"]``) and fall back to the interpreter whenever
+    running the kernel could change observable behavior.
+    ``instrument=True`` compiles the per-op-timing variant of the fused
+    kernel (``None`` means off).
     """
 
     def __init__(
@@ -102,8 +90,6 @@ class CompiledForward:
     ) -> None:
         self.model = model
         self.backend_name = resolve_backend_name(backend)
-        if instrument is None:
-            instrument = _instrument_default()
         # per-op timing exists only in the fused codegen; on reference
         # there is no kernel
         self.instrument = bool(instrument) and self.backend_name == "fused"
@@ -111,16 +97,11 @@ class CompiledForward:
         self._params = list(model.parameters())
         self._kernel = None
         self._kernel_version: "int | None" = None
-        self._unsupported_version: "int | None" = None
-        self._unsupported_detail: "str | None" = None
+        #: (weight version, detail) of the latest failed lowering
+        self._unsupported: "tuple[int, str] | None" = None
         self.last_fallback_reason: "str | None" = None
         self._reason_gauge: "str | None" = None
-        self.stats = {
-            "calls": 0,
-            "lowerings": 0,
-            "compiles": 0,
-            "fallbacks": 0,
-        }
+        self.stats = {"calls": 0, "lowerings": 0, "compiles": 0, "fallbacks": 0}
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         if self.backend_name == "reference":
@@ -135,13 +116,13 @@ class CompiledForward:
         version = 0
         for param in self._params:
             version += param.version
-        if version == self._unsupported_version:
-            return self._fallback(x, "unsupported-module", self._unsupported_detail)
+        if self._unsupported is not None and self._unsupported[0] == version:
+            return self._fallback(x, "unsupported-module", self._unsupported[1])
         if self._kernel is None or self._kernel_version != version:
             try:
                 self._kernel = self._compile(version)
             except LoweringError as exc:
-                self._mark_unsupported(version, str(exc))
+                self._unsupported = (version, str(exc))
                 return self._fallback(x, "unsupported-module", str(exc))
             self._kernel_version = version
         reason = self._input_guard(x)
@@ -162,10 +143,6 @@ class CompiledForward:
         return getattr(self._kernel, "op_labels", None)
 
     # -- internals -----------------------------------------------------
-
-    def _mark_unsupported(self, version: int, detail: str) -> None:
-        self._unsupported_version = version
-        self._unsupported_detail = detail
 
     def _fallback(self, x: np.ndarray, reason: str, detail: "str | None" = None) -> np.ndarray:
         self.last_fallback_reason = detail or reason
@@ -209,36 +186,14 @@ class CompiledForward:
         return None
 
     def _compile(self, version: int):
-        cache = get_compile_cache()
-        # the instrumented variant caches under its own backend identity,
-        # so timed and fast kernels of one structure coexist at both
-        # cache levels
-        backend = _INSTRUMENTED_FUSED if self.instrument else _FUSED
-        cache_name = backend.name
         program = lower(self.model)
         self.stats["lowerings"] += 1
-        constants = sorted(
-            (name, value)
-            for name, value in constant_bindings(program).items()
-            if name not in SUPPORT_BINDINGS  # functions, not model constants
-        )
-        kkey = kernel_key(program.signature, cache_name, constants, version)
-        kernel = cache.get_kernel(kkey)
-        if kernel is not None:
-            return kernel
-        skey = structure_key(program.signature, cache_name)
+        label = "fused-instr" if self.instrument else "fused"
         started = time.perf_counter()
-        with get_tracer().span(
-            "backend.compile", backend=cache_name, weight_version=version
-        ):
-            source = cache.get_source(skey, program.signature, cache_name)
-            if source is None:
-                source = backend.generate(program)
-                cache.put_source(skey, program.signature, cache_name, source)
-            kernel = backend.bind(program, source)
+        with get_tracer().span("backend.compile", backend=label, weight_version=version):
+            kernel = compile_fused(program, instrument=self.instrument)
         self.stats["compiles"] += 1
-        get_metrics().histogram(
-            "backend_compile_seconds", backend=cache_name
-        ).observe(time.perf_counter() - started)
-        cache.put_kernel(kkey, kernel)
+        get_metrics().histogram("backend_compile_seconds", backend=label).observe(
+            time.perf_counter() - started
+        )
         return kernel

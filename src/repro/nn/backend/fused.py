@@ -57,8 +57,8 @@ from ..functional import ACTIVATION_KERNELS, ConvWorkspace
 from .lowering import LoweredOp, LoweredProgram, constant_bindings
 
 __all__ = [
-    "FusedBackend",
     "FusedKernel",
+    "compile_fused",
     "generate_fused_source",
     "instrumented_op_labels",
 ]
@@ -260,9 +260,8 @@ def generate_fused_source(program: LoweredProgram, instrument: bool = False) -> 
 def instrumented_op_labels(program: LoweredProgram) -> list:
     """Per-slot op labels of the instrumented kernel, in ``T`` order.
 
-    Codegen is deterministic, so replaying it is the one way to get
-    labels that always match a source text — including one served from
-    the disk cache, where no codegen ran to produce the bound source.
+    Codegen is deterministic: replaying it gives the labels of any
+    kernel compiled from the same program.
     """
     codegen = _Codegen(program, instrument=True)
     codegen.run()
@@ -391,30 +390,21 @@ class FusedKernel:
         return buffers
 
 
-class FusedBackend:
-    """Pure-numpy trace-and-replay linker.
+def compile_fused(program: LoweredProgram, instrument: bool = False) -> FusedKernel:
+    """Generate the source for ``program`` and bind it to its constants.
 
     ``instrument=True`` is the opt-in per-op-timing variant: same
-    lowering, same expressions; a distinct :attr:`name` keys its source
-    and kernels separately in the compile cache, so instrumented and
-    fast kernels coexist without evicting each other.
+    lowering, same expressions, bracketed by ``perf_counter_ns`` deltas.
     """
-
-    def __init__(self, instrument: bool = False) -> None:
-        self.instrument = bool(instrument)
-        self.name = "fused-instr" if self.instrument else "fused"
-
-    def generate(self, program: LoweredProgram) -> str:
-        return generate_fused_source(program, instrument=self.instrument)
-
-    def bind(self, program: LoweredProgram, source: str) -> FusedKernel:
-        namespace = constant_bindings(program)
-        if self.instrument:
-            namespace["_pcns"] = time.perf_counter_ns
-        code = compile(source, f"<repro-{self.name}-kernel>", "exec")
-        exec(code, namespace)
-        return FusedKernel(
-            program,
-            namespace["_fused_forward"],
-            instrumented_op_labels(program) if self.instrument else None,
-        )
+    codegen = _Codegen(program, instrument=instrument)
+    source = codegen.run()
+    namespace = constant_bindings(program)
+    if instrument:
+        namespace["_pcns"] = time.perf_counter_ns
+    name = "fused-instr" if instrument else "fused"
+    exec(compile(source, f"<repro-{name}-kernel>", "exec"), namespace)
+    return FusedKernel(
+        program,
+        namespace["_fused_forward"],
+        codegen.op_labels if instrument else None,
+    )

@@ -11,16 +11,10 @@ layers use them, e.g. the transposed view ``weight.data.T`` of a linear
 gemm kernel and change the rounding — or the matricized ``(O, C*kh*kw)``
 kernel of a conv).
 
-Backends consume the program two ways:
-
-* :func:`constant_bindings` — the deterministic name → array map a
-  generated kernel closes over (``W3_t``, ``b3``, ``s5`` ...).  Names
-  depend only on traversal order, so a source cached on disk by one
-  process binds correctly in another.
-* :attr:`LoweredProgram.signature` — a structural description (op kinds,
-  widths, dtypes, layer config) that keys the compilation cache: two
-  models with the same architecture share one generated source, while
-  their weights stay in the per-process binding.
+The fused backend closes its generated kernel over
+:func:`constant_bindings` — the deterministic name → array map
+(``W3_t``, ``b3``, ``s5`` ...) whose names depend only on traversal
+order, as the generated source's do.
 
 The module set the paper's workloads exercise is lowered — the MLPs
 and the batch-norm-free (PSN) ResNets: ``Sequential``, ``Linear``,
@@ -103,10 +97,9 @@ class LoweredOp:
 
 @dataclass
 class LoweredProgram:
-    """A flattened model: ops, constants, buffer plan and cache identity."""
+    """A flattened model: ops, constants and buffer plan."""
 
     ops: "list[LoweredOp]"
-    signature: str
     slot_widths: "list[int]" = field(default_factory=list)
     weights_dtype: np.dtype = np.dtype(np.float32)
     #: ("2d", width) / ("flat", width) / ("4d", channels) / ("any", None):
@@ -224,33 +217,6 @@ def _linear_op(index, weight_t, bias, width_in, width_out, slots) -> LoweredOp:
     )
 
 
-def _op_signature(op: LoweredOp) -> str:
-    if op.kind == "linear":
-        bias = "none" if op.bias is None else str(op.bias.dtype)
-        return (
-            f"linear({op.width_in}->{op.width_out},{op.weight_t.dtype},"
-            f"bias={bias},inplace={int(op.inplace_bias_ok)})"
-        )
-    if op.kind == "conv":
-        bias = "none" if op.bias is None else str(op.bias.dtype)
-        return (
-            f"conv({op.width_in}->{op.width_out},k{op.geometry[0]}s{op.geometry[1]}"
-            f"p{op.geometry[2]},{op.weight.dtype},bias={bias})"
-        )
-    if op.kind == "leaky_relu":
-        return f"leaky_relu({op.slope!r})"
-    if op.kind == "residual":
-        body = _sig(op.body)
-        shortcut = "id" if op.shortcut is None else _sig(op.shortcut)
-        post = "none" if op.post is None else _sig(op.post)
-        return f"residual[body=({body});skip=({shortcut});post=({post})]"
-    return op.kind
-
-
-def _sig(ops: "list[LoweredOp]") -> str:
-    return ";".join(_op_signature(op) for op in ops)
-
-
 def _input_spec(ops: "list[LoweredOp]") -> tuple:
     """The cheapest check guaranteeing the kernel sees what it expects."""
     seen_flatten = False
@@ -294,7 +260,6 @@ def lower(model: Module) -> LoweredProgram:
     )
     return LoweredProgram(
         ops=ops,
-        signature=_sig(ops),
         slot_widths=slots,
         weights_dtype=np.dtype(weights_dtype),
         input_spec=_input_spec(ops),

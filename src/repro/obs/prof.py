@@ -11,9 +11,8 @@ until :func:`enable_profile` or :func:`profile_capture` installs a live
 
 Cost model, metered not promised:
 
-* **off** — zero: no sampler thread exists, ``tracemalloc`` is never
-  started, and the hot-path hooks are one attribute lookup on the null
-  singleton;
+* **off** — zero: no sampler thread exists and the hot-path hooks are
+  one attribute lookup on the null singleton;
 * **on** — every sample's own walk time is measured and the inter-sample
   sleep is stretched so the sampler's duty cycle never exceeds
   ``max_overhead`` (default 5%): on a process with many threads or deep
@@ -22,9 +21,7 @@ Cost model, metered not promised:
 
 Exports: folded-stack text (``to_folded``) and speedscope JSON
 (``to_speedscope``) — drop the latter onto https://www.speedscope.app
-for an interactive flamegraph.  Allocation tracking is opt-in
-(``memory=True``) via :mod:`tracemalloc` with top-N diffs attached to
-pipeline stages through :func:`memory_snapshot` / :func:`memory_top_diff`.
+for an interactive flamegraph.
 """
 
 from __future__ import annotations
@@ -47,8 +44,6 @@ __all__ = [
     "disable_profile",
     "enable_profile",
     "get_profiler",
-    "memory_snapshot",
-    "memory_top_diff",
     "profile_capture",
     "set_profiler",
     "write_profile",
@@ -206,9 +201,7 @@ class SamplingProfiler:
     ``hz`` is the *target* rate; the governor stretches the sleep after
     each sample so the sampler's measured duty cycle stays at or below
     ``max_overhead`` (throttled samples are counted in
-    ``stats["throttled"]``).  ``memory=True`` additionally starts
-    :mod:`tracemalloc` for allocation snapshots (substantially more
-    intrusive than sampling — it hooks every allocation).
+    ``stats["throttled"]``).
     """
 
     enabled = True
@@ -217,8 +210,6 @@ class SamplingProfiler:
         self,
         hz: float = DEFAULT_HZ,
         max_overhead: float = DEFAULT_MAX_OVERHEAD,
-        memory: bool = False,
-        memory_top: int = 10,
     ) -> None:
         if not hz > 0:
             raise ValueError(f"hz must be positive, got {hz}")
@@ -226,13 +217,10 @@ class SamplingProfiler:
             raise ValueError(f"max_overhead must be in (0, 1], got {max_overhead}")
         self.hz = float(hz)
         self.max_overhead = float(max_overhead)
-        self.memory = bool(memory)
-        self.memory_top = int(memory_top)
         self.stacks = StackAccumulator()
         self.stats = {"samples": 0, "sample_seconds": 0.0, "throttled": 0}
         self._stop = threading.Event()
         self._thread: "threading.Thread | None" = None
-        self._started_memory = False
         self._started_at: "float | None" = None
         self._wall_seconds = 0.0
 
@@ -241,12 +229,6 @@ class SamplingProfiler:
     def start(self) -> "SamplingProfiler":
         if self._thread is not None:
             return self
-        if self.memory:
-            import tracemalloc
-
-            if not tracemalloc.is_tracing():
-                tracemalloc.start()
-                self._started_memory = True
         self._stop.clear()
         self._started_at = time.perf_counter()
         self._thread = threading.Thread(
@@ -265,11 +247,6 @@ class SamplingProfiler:
         if self._started_at is not None:
             self._wall_seconds += time.perf_counter() - self._started_at
             self._started_at = None
-        if self._started_memory:
-            import tracemalloc
-
-            tracemalloc.stop()
-            self._started_memory = False
         return self
 
     @property
@@ -320,18 +297,13 @@ class SamplingProfiler:
     # -- windows (per-execution deltas for result.extra["profile"]) ----
 
     def begin_window(self) -> dict:
-        window = {
-            "counts": self.stacks.snapshot(),
-            "started": time.perf_counter(),
-            "memory": memory_snapshot() if self.memory else None,
-        }
-        return window
+        return {"counts": self.stacks.snapshot(), "started": time.perf_counter()}
 
-    def end_window(self, window: dict, memory_stages: "dict | None" = None) -> dict:
+    def end_window(self, window: dict) -> dict:
         current = self.stacks.snapshot()
         rows = diff_rows(current, window["counts"])
         total = sum(count for _, count in rows) or 1
-        out = {
+        return {
             "hz": self.hz,
             "seconds": time.perf_counter() - window["started"],
             "samples": sum(count for _, count in rows),
@@ -341,9 +313,6 @@ class SamplingProfiler:
                 for folded, count in rows[:10]
             ],
         }
-        if memory_stages:
-            out["memory"] = memory_stages
-        return out
 
     # -- rendering -----------------------------------------------------
 
@@ -369,8 +338,6 @@ class NullProfiler:
 
     enabled = False
     hz = 0.0
-    memory = False
-    memory_top = 0
     stats = {"samples": 0, "sample_seconds": 0.0, "throttled": 0}
 
     def __init__(self) -> None:
@@ -395,7 +362,7 @@ class NullProfiler:
     def begin_window(self) -> None:
         return None
 
-    def end_window(self, window, memory_stages=None) -> dict:
+    def end_window(self, window) -> dict:
         return {}
 
     def render_hot(self, limit: int = 25) -> str:
@@ -420,10 +387,9 @@ def set_profiler(profiler) -> None:
 def enable_profile(
     hz: float = DEFAULT_HZ,
     max_overhead: float = DEFAULT_MAX_OVERHEAD,
-    memory: bool = False,
 ) -> SamplingProfiler:
     """Install and start a live global profiler; returns it."""
-    profiler = SamplingProfiler(hz=hz, max_overhead=max_overhead, memory=memory)
+    profiler = SamplingProfiler(hz=hz, max_overhead=max_overhead)
     profiler.start()
     set_profiler(profiler)
     return profiler
@@ -442,11 +408,10 @@ def disable_profile():
 def profile_capture(
     hz: float = DEFAULT_HZ,
     max_overhead: float = DEFAULT_MAX_OVERHEAD,
-    memory: bool = False,
 ):
     """Scoped :func:`enable_profile`; restores the previous profiler."""
     previous = _profiler
-    profiler = SamplingProfiler(hz=hz, max_overhead=max_overhead, memory=memory)
+    profiler = SamplingProfiler(hz=hz, max_overhead=max_overhead)
     profiler.start()
     set_profiler(profiler)
     try:
@@ -454,36 +419,6 @@ def profile_capture(
     finally:
         profiler.stop()
         set_profiler(previous)
-
-
-# -- allocation snapshots (tracemalloc top-N diffs) --------------------
-
-
-def memory_snapshot():
-    """A tracemalloc snapshot, or ``None`` when tracing is off."""
-    import tracemalloc
-
-    if not tracemalloc.is_tracing():
-        return None
-    return tracemalloc.take_snapshot()
-
-
-def memory_top_diff(before, after, top: int = 10) -> list:
-    """Top-N allocation growth rows between two snapshots."""
-    if before is None or after is None:
-        return []
-    rows = []
-    for stat in after.compare_to(before, "lineno")[: max(0, int(top))]:
-        frame = stat.traceback[0] if stat.traceback else None
-        location = f"{frame.filename}:{frame.lineno}" if frame else "?"
-        rows.append(
-            {
-                "location": location,
-                "size_diff_kb": stat.size_diff / 1024.0,
-                "count_diff": stat.count_diff,
-            }
-        )
-    return rows
 
 
 # -- file export -------------------------------------------------------

@@ -1,9 +1,9 @@
 """Persistent audit-run registry: append-only JSONL with diff and drift.
 
 Every audited pipeline execution becomes one JSON line in a registry
-file (written through :func:`repro.io.serialization.append_jsonl`, a
-single ``O_APPEND`` write, so concurrent chunk workers interleave whole
-records and a crash can at worst lose its own line).  The registry is
+file (a :class:`repro.io.serialization.JsonlRegistry`: a single
+``O_APPEND`` write per record, so concurrent chunk workers interleave
+whole records and a crash can at worst lose its own line).  The registry is
 the memory the bound-tightness telemetry needs to become *regression*
 telemetry: ``diff`` compares the per-layer tightness ratios of any two
 runs, and ``detect_drift`` flags layers whose tightness regressed beyond
@@ -17,6 +17,8 @@ that already carry a ``run_id`` (re-imports, merges) keep it.
 """
 
 from __future__ import annotations
+
+from .trace import json_default
 
 __all__ = ["RunRegistry"]
 
@@ -39,55 +41,34 @@ class RunRegistry:
     """
 
     def __init__(self, path: str) -> None:
-        self.path = str(path)
+        # repro.io imports repro.obs: import the file layer here, not at module level
+        from ..io.serialization import JsonlRegistry
 
-    # -- persistence -----------------------------------------------------
+        self._file = JsonlRegistry(path, "run")
+        self.path = self._file.path
+
     def append(self, record) -> dict:
         """Persist one record (an ``AuditRecord`` or a plain dict).
 
         Assigns a sequential ``run_id`` when the record has none and
         returns the payload as written.
         """
-        from ..io.serialization import append_jsonl
-        from .trace import json_default
-
         payload = record.to_dict() if hasattr(record, "to_dict") else dict(record)
-        if not payload.get("run_id"):
-            payload["run_id"] = f"run-{len(self) + 1:04d}"
-        append_jsonl(self.path, payload, default=json_default)
-        return payload
+        return self._file.append(payload, default=json_default)
 
     def runs(self) -> list[dict]:
         """Every persisted run, oldest first."""
-        from ..io.serialization import read_jsonl_records
-
-        return read_jsonl_records(self.path)
+        return self._file.runs()
 
     def __len__(self) -> int:
-        return len(self.runs())
+        return len(self._file)
 
     def run_ids(self) -> list[str]:
-        return [run.get("run_id", "?") for run in self.runs()]
-
-    def last(self, n: int = 1) -> list[dict]:
-        """The most recent ``n`` runs, oldest of them first."""
-        return self.runs()[-n:]
+        return self._file.run_ids()
 
     def get(self, key: "str | int") -> dict:
         """Look up a run by ``run_id`` or by (possibly negative) index."""
-        runs = self.runs()
-        if isinstance(key, int):
-            try:
-                return runs[key]
-            except IndexError:
-                raise KeyError(
-                    f"registry {self.path!r} has {len(runs)} runs, no index {key}"
-                ) from None
-        for run in runs:
-            if run.get("run_id") == key:
-                return run
-        known = ", ".join(self.run_ids()) or "(empty)"
-        raise KeyError(f"no run {key!r} in registry {self.path!r}; known: {known}")
+        return self._file.get(key)
 
     # -- comparison ------------------------------------------------------
     def diff(

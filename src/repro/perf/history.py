@@ -1,12 +1,12 @@
 """Persistent benchmark history: a JSONL registry with regression gates.
 
 ``BENCH_*.json`` files used to be written once per PR and go dark; this
-module gives them a trajectory.  A :class:`BenchRegistry` appends one
-JSONL record per benchmark *run* (same atomic-append / torn-trailing-line
-discipline as :class:`repro.obs.registry.RunRegistry`), each holding the
-unified rows emitted by ``benchmarks/benchutils.py``.  Rows are keyed by
+module gives them a trajectory.  A :class:`BenchRegistry` (a
+:class:`repro.io.serialization.JsonlRegistry`, like the audit registry)
+appends one JSONL record per benchmark *run*, each holding the unified
+rows emitted by ``benchmarks/benchutils.py``.  Rows are keyed by
 a **config fingerprint** — a content hash of ``(path, config)`` with
-measured/derived keys (speedups, overheads, cache-hit counts) stripped —
+measured/derived keys (speedups, overheads, compile counts) stripped —
 so two runs are compared only where they measured the same thing on a
 comparably shaped host (``cpu_count`` stays in the fingerprint on
 purpose: cross-machine timings are not comparable evidence).
@@ -34,7 +34,7 @@ import json
 import statistics
 import time
 
-from ..io.serialization import append_jsonl, read_jsonl_records
+from ..io.serialization import JsonlRegistry
 
 __all__ = [
     "BenchRegistry",
@@ -56,7 +56,7 @@ _MAD_SCALE = 1.4826
 
 #: config keys that are measured outcomes, not run identity
 _VOLATILE_PREFIXES = ("speedup", "overhead", "endpoint_overhead", "journal_overhead")
-_VOLATILE_KEYS = frozenset({"source_disk_hits", "lowerings", "compiles"})
+_VOLATILE_KEYS = frozenset({"lowerings", "compiles"})
 
 
 def stable_config(config: dict) -> dict:
@@ -213,7 +213,7 @@ def describe_bench_diff(diff: dict) -> str:
     return "\n".join(lines)
 
 
-class BenchRegistry:
+class BenchRegistry(JsonlRegistry):
     """Append-only JSONL history of benchmark runs.
 
     One line per run: ``{"run_id": "bench-0001", "bench": ..., "label":
@@ -223,11 +223,7 @@ class BenchRegistry:
     """
 
     def __init__(self, path: str) -> None:
-        self.path = str(path)
-
-    def runs(self) -> list:
-        records = read_jsonl_records(self.path)
-        return [r for r in records if isinstance(r, dict) and r.get("run_id")]
+        super().__init__(path, "bench")
 
     def record(
         self,
@@ -241,33 +237,20 @@ class BenchRegistry:
         normalized = [r for r in (_normalize_row(row) for row in rows) if r]
         if not normalized:
             raise ValueError("bench record requires at least one row with path/seconds")
-        run = {
-            "run_id": f"bench-{len(self.runs()) + 1:04d}",
+        return self.append({
             "bench": str(bench),
             "label": str(label),
             "git_rev": str(git_rev),
             "recorded_unix": float(recorded_unix if recorded_unix is not None else time.time()),
             "rows": normalized,
-        }
-        append_jsonl(self.path, run)
-        return run
+        })
 
     def get(self, key) -> dict:
-        """A run by id (``bench-0003``) or integer index (``-1`` = latest)."""
-        runs = self.runs()
-        if isinstance(key, int) or (isinstance(key, str) and key.lstrip("-").isdigit()):
-            index = int(key)
-            try:
-                return runs[index]
-            except IndexError:
-                raise KeyError(
-                    f"no bench run at index {index} (registry holds {len(runs)})"
-                ) from None
-        for run in runs:
-            if run.get("run_id") == key:
-                return run
-        known = ", ".join(r.get("run_id", "?") for r in runs[-10:]) or "none"
-        raise KeyError(f"no bench run {key!r} in {self.path} (recent: {known})")
+        """A run by id (``bench-0003``) or index; the CLI's index
+        arrives as a string (``"-1"`` = latest)."""
+        if isinstance(key, str) and key.lstrip("-").isdigit():
+            key = int(key)
+        return super().get(key)
 
     def diff(
         self,

@@ -10,6 +10,10 @@ running the kernel could change observable behavior.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -38,18 +42,8 @@ from repro.nn.backend import (
     resolve_backend_name,
 )
 from repro.nn.residual import ResidualBlock
-from repro.perf import CompileCache, kernel_key, reset_compile_cache, structure_key
 from repro.quant import STANDARD_FORMATS, quantize_model
 from tests.oracles.activation_reference import reference_forward
-
-
-@pytest.fixture(autouse=True)
-def _memory_only_cache(monkeypatch):
-    """Isolate every test from the user's on-disk kernel cache."""
-    monkeypatch.setenv("REPRO_COMPILE_CACHE_DIR", "")
-    reset_compile_cache()
-    yield
-    reset_compile_cache()
 
 
 def _compiled(model, backend="fused"):
@@ -446,77 +440,6 @@ def test_weight_update_invalidates_kernel(tiny_mlp, rng):
     assert not np.array_equal(after, before)
 
 
-def test_kernel_key_differs_for_different_weights(rng):
-    rng2 = np.random.default_rng(999)
-    a = build_mlp(4, [5], 2, activation="relu", spectral=False, rng=rng)
-    b = build_mlp(4, [5], 2, activation="relu", spectral=False, rng=rng2)
-    a.eval(), b.eval()
-    pa, pb = lower(a), lower(b)
-    assert pa.signature == pb.signature  # same structure...
-    from repro.nn.backend.lowering import constant_bindings
-
-    ca = sorted((k, v) for k, v in constant_bindings(pa).items() if k.startswith(("W", "b")))
-    cb = sorted((k, v) for k, v in constant_bindings(pb).items() if k.startswith(("W", "b")))
-    assert kernel_key(pa.signature, "fused", ca, 0) != kernel_key(
-        pb.signature, "fused", cb, 0
-    )  # ...but content-distinct kernels
-    assert structure_key(pa.signature, "fused") == structure_key(pb.signature, "fused")
-
-
-def test_disk_source_cache_shared_across_instances(tmp_path, tiny_mlp, rng):
-    """A second process-alike cache reuses the generated source from disk."""
-    tiny_mlp.eval()
-    program = lower(tiny_mlp)
-    source = generate_fused_source(program)
-    skey = structure_key(program.signature, "fused")
-
-    writer = CompileCache(directory=tmp_path)
-    assert writer.get_source(skey, program.signature, "fused") is None
-    writer.put_source(skey, program.signature, "fused", source)
-
-    reader = CompileCache(directory=tmp_path)  # fresh memory, same disk
-    assert reader.get_source(skey, program.signature, "fused") == source
-    assert reader.stats["source_disk_hits"] == 1
-    assert reader.stats["source_generated"] == 0
-
-    # a tampered/collided entry degrades to a miss, never a wrong kernel
-    # (fresh cache: the memory level only holds keys this process validated)
-    collided = CompileCache(directory=tmp_path)
-    assert collided.get_source(skey, program.signature + "-other", "fused") is None
-
-
-def test_corrupt_disk_entry_is_a_miss(tmp_path, tiny_mlp):
-    tiny_mlp.eval()
-    program = lower(tiny_mlp)
-    skey = structure_key(program.signature, "fused")
-    (tmp_path / f"{skey}.json").write_text("{not json")
-    cache = CompileCache(directory=tmp_path)
-    assert cache.get_source(skey, program.signature, "fused") is None
-
-
-def test_previous_format_disk_entry_is_regenerated(tmp_path, tiny_mlp, rng, monkeypatch):
-    """A source written by the previous codegen (format 2) would still be
-    correct and keep the old speed: it is regenerated, not served."""
-    import json
-
-    monkeypatch.setenv("REPRO_COMPILE_CACHE_DIR", str(tmp_path))
-    reset_compile_cache()
-    tiny_mlp.eval()
-    program = lower(tiny_mlp)
-    entry = tmp_path / f"{structure_key(program.signature, 'fused')}.json"
-    stale = "def _fused_forward(x, B):\n    raise AssertionError('stale source served')\n"
-    entry.write_text(json.dumps(
-        {"version": 2, "signature": program.signature, "backend": "fused", "source": stale}
-    ))
-    x = rng.standard_normal((3, 6)).astype(np.float32)
-    forward = CompiledForward(tiny_mlp, "fused")
-    assert np.array_equal(forward(x), tiny_mlp(x))
-    assert forward.last_fallback_reason is None
-    rewritten = json.loads(entry.read_text())
-    assert rewritten["version"] == 3
-    assert rewritten["source"] == generate_fused_source(program)
-
-
 # -- backend selection (CLI / env contract) ----------------------------------
 
 
@@ -632,40 +555,21 @@ def test_instrumented_labels_match_codegen(tiny_mlp):
     assert instrumented_op_labels(program) == labels
 
 
-def test_instrumented_and_fast_kernels_coexist_in_cache(tiny_mlp, rng):
-    """Distinct backend identity = distinct cache keys at both levels:
-    enabling timing must not evict (or serve) the fast kernel."""
-    from repro.perf import get_compile_cache
-
-    x = rng.standard_normal((2, 6)).astype(np.float32)
-    fast = _compiled(tiny_mlp)
-    fast(x)
-    cache = get_compile_cache()
-    kernels_before = len(cache._kernels)
-    timed = CompiledForward(tiny_mlp, "fused", instrument=True)
-    timed(x)
-    assert len(cache._kernels) == kernels_before + 1
-    assert fast.stats["compiles"] == 1 and timed.stats["compiles"] == 1
-    # and the fast path re-resolves to its own, uninstrumented kernel
-    fast(x)
-    assert fast.last_op_seconds is None
-
-
-def test_instrument_env_default(tiny_mlp, rng, monkeypatch):
-    tiny_mlp.eval()
-    x = rng.standard_normal((1, 6)).astype(np.float32)
-    monkeypatch.setenv("REPRO_INSTRUMENT_OPS", "1")
-    timed = CompiledForward(tiny_mlp, "fused")
-    timed(x)
-    assert timed.last_op_seconds is not None
-    # explicit instrument=False beats the env
-    fast = CompiledForward(tiny_mlp, "fused", instrument=False)
-    fast(x)
-    assert fast.last_op_seconds is None
-    monkeypatch.setenv("REPRO_INSTRUMENT_OPS", "0")
-    default = CompiledForward(tiny_mlp, "fused")
-    default(x)
-    assert default.last_op_seconds is None
+def test_two_instrumented_wrappers_hold_distinct_kernels(tiny_mlp, rng):
+    """No kernel is shared between wrappers of one model: each has its
+    own scratch buffers and its own ``last_op_seconds``."""
+    x = rng.standard_normal((4, 6)).astype(np.float32)
+    expected = _compiled(tiny_mlp, "reference")(x)
+    first = CompiledForward(tiny_mlp, "fused", instrument=True)
+    second = CompiledForward(tiny_mlp, "fused", instrument=True)
+    assert np.array_equal(first(x), expected)
+    assert second.last_op_seconds is None  # first's call is not second's
+    first_seconds = first.last_op_seconds
+    assert np.array_equal(second(x), expected)
+    assert first._kernel is not second._kernel
+    assert first.last_op_seconds is first_seconds
+    assert second.last_op_seconds is not first_seconds
+    assert len(second.last_op_seconds) == len(first_seconds) == len(first.op_labels)
 
 
 def test_instrument_ignored_off_fused(tiny_mlp):
@@ -751,26 +655,20 @@ def test_last_fallback_info_gauge_switches_reason_labels(tiny_mlp, rng):
         assert info("training-mode") == 1.0
 
 
-def test_cache_hit_ratio_gauges(tmp_path, tiny_mlp, rng, monkeypatch):
-    from repro import obs
-    from repro.perf import get_compile_cache
+# -- a run leaves nothing behind ---------------------------------------------
 
-    monkeypatch.setenv("REPRO_COMPILE_CACHE_DIR", str(tmp_path))
-    reset_compile_cache()
-    x = rng.standard_normal((1, 6)).astype(np.float32)
-    with obs.capture() as (_, metrics):
-        first = _compiled(tiny_mlp)
-        first(x)  # kernel miss, disk miss, source generated
-        first(x)  # cached kernel: no cache traffic
-        memory_ratio = metrics.gauge("backend_cache_hit_ratio", level="memory")
-        disk_ratio = metrics.gauge("backend_cache_hit_ratio", level="disk")
-        assert memory_ratio.value == 0.0
-        assert disk_ratio.value == 0.0
-        reset_compile_cache()  # fresh process: same disk directory
-        second = _compiled(tiny_mlp)
-        second(x)  # kernel miss, disk hit
-        cache = get_compile_cache()
-        assert cache.stats["source_disk_hits"] == 1
-        # the same gauge instruments track the new cache's ratios
-        assert memory_ratio.value == 0.0
-        assert disk_ratio.value == 1.0
+
+@pytest.mark.integration
+def test_pipeline_run_writes_nothing_under_home(tmp_path):
+    """Compiled kernels live in the process: no per-user kernel directory."""
+    home = tmp_path / "home"
+    home.mkdir()
+    env = dict(os.environ, HOME=str(home))
+    env["PYTHONPATH"] = os.path.join(os.path.dirname(__file__), "..", "src")
+    run = subprocess.run(
+        [sys.executable, "-m", "repro", "pipeline", "h2combustion", "--tolerance", "1e-3"],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=600,
+    )
+    assert run.returncode == 0, run.stderr
+    assert "tolerance honoured" in run.stdout + run.stderr
+    assert list(home.iterdir()) == []

@@ -33,8 +33,6 @@ from repro.obs.prof import (
     disable_profile,
     enable_profile,
     get_profiler,
-    memory_snapshot,
-    memory_top_diff,
     profile_capture,
     write_profile,
 )
@@ -250,9 +248,6 @@ def test_end_window_reports_only_delta_samples():
         "main;a:f": 3,
         "main;b:g": 1,
     }
-    assert "memory" not in out
-    stages = {"inference": [{"location": "x:1", "size_diff_kb": 1.0, "count_diff": 2}]}
-    assert profiler.end_window(profiler.begin_window(), stages)["memory"] is stages
 
 
 def test_render_hot_mentions_rate_and_overhead():
@@ -261,34 +256,6 @@ def test_render_hot_mentions_rate_and_overhead():
     profiler.stacks.add("main", ("a:f",), count=2)
     text = profiler.render_hot()
     assert "123 hz" in text and "main;a:f" in text and "overhead" in text
-
-
-# -- tracemalloc stage diffs --------------------------------------------------
-
-
-def test_memory_snapshot_none_when_not_tracing():
-    assert memory_snapshot() is None
-    assert memory_top_diff(None, None) == []
-
-
-def test_memory_profiler_attaches_allocation_diffs():
-    with profile_capture(hz=50.0, memory=True) as profiler:
-        import tracemalloc
-
-        assert tracemalloc.is_tracing()
-        before = memory_snapshot()
-        keep = [bytearray(64 * 1024) for _ in range(32)]
-        after = memory_snapshot()
-        rows = memory_top_diff(before, after, top=5)
-    assert not profiler.running
-    import tracemalloc
-
-    assert not tracemalloc.is_tracing()  # capture started it, capture stops it
-    assert rows and len(rows) <= 5
-    top = rows[0]
-    assert set(top) == {"location", "size_diff_kb", "count_diff"}
-    assert any(row["size_diff_kb"] > 1000.0 for row in rows), rows
-    del keep
 
 
 # -- file export --------------------------------------------------------------
@@ -347,16 +314,6 @@ def test_execute_attaches_profile_only_when_enabled(pipeline, fields):
             profile = pipeline.execute(fields).extra["profile"]
     assert profiler.stats["samples"] >= 25
     assert 0.0 <= profile["overhead_fraction"] <= 0.05
-
-
-def test_execute_memory_stages_recorded_with_memory_profiler(pipeline, fields):
-    with profile_capture(hz=100.0, memory=True):
-        result = pipeline.execute(fields)
-    memory = result.extra["profile"].get("memory", {})
-    assert set(memory) <= {"store_load", "inference"}
-    for rows in memory.values():
-        for row in rows:
-            assert set(row) == {"location", "size_diff_kb", "count_diff"}
 
 
 def test_execute_chunked_attaches_profile_window(pipeline, fields):

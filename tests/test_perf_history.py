@@ -46,7 +46,6 @@ def test_stable_config_strips_measured_outcomes_keeps_identity():
         "overhead_vs_off": 0.05,
         "endpoint_overhead_vs_on": 0.01,
         "journal_overhead": 0.002,
-        "source_disk_hits": 1,
         "lowerings": 1,
         "compiles": 1,
     }
