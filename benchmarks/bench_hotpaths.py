@@ -14,6 +14,10 @@ docs/PERFORMANCE.md for how to read the output):
   oracle on the 1M-symbol stream (identical bytes);
 * ``sz_compress``         — ``SZCompressor.compress`` on a smooth 3-D field
   (predictor + quantizer + the encoder above);
+* ``sz_roundtrip_faults`` — steady-state minor page faults, ``sys`` seconds
+  and wall of one ``compress`` and one ``decompress`` of a 9x256x256 field
+  (``resource.getrusage``; skipped where the module is missing): what the
+  per-thread codec scratch removes;
 * ``bound_eval``          — a planner-style format x fraction sweep with
   cold caches vs warm caches;
 * ``pipeline_chunked``    — ``InferencePipeline.execute_chunked`` serial
@@ -109,13 +113,18 @@ def bench_huffman(n_symbols: int, n_small: int, reps: int) -> list[dict]:
     return rows
 
 
-def bench_sz_compress(side: int, reps: int) -> list[dict]:
+def _smooth_field(side: int) -> np.ndarray:
     x = np.linspace(0, 2 * np.pi, side)
     xx, yy = np.meshgrid(x, x)
     field = np.stack(
         [np.sin((i + 1) * xx) * np.cos(yy) * 0.8 for i in range(9)]
     ).astype(np.float32)
     field += 1e-3 * np.random.default_rng(3).standard_normal(field.shape).astype(np.float32)
+    return field
+
+
+def bench_sz_compress(side: int, reps: int) -> list[dict]:
+    field = _smooth_field(side)
     codec = SZCompressor()
     blob = codec.compress(field, 1e-4, ErrorBoundMode.ABS)
     seconds, reps_s = best_of(lambda: codec.compress(field, 1e-4, ErrorBoundMode.ABS), reps)
@@ -135,6 +144,56 @@ def bench_sz_compress(side: int, reps: int) -> list[dict]:
             throughput_mb_s=field.nbytes / 1e6 / seconds,
         )
     ]
+
+
+def bench_sz_roundtrip_faults(reps: int) -> list[dict]:
+    """One row per direction; ``seconds`` is the best wall time, the
+    medians of faults and ``sys`` time ride in the config under the
+    ``overhead_`` prefix the history layer keeps out of the fingerprint."""
+    try:
+        import resource
+    except ImportError:
+        print("sz_roundtrip_faults: skipped (no resource module)")
+        return []
+    field = _smooth_field(256)
+    codec = SZCompressor()
+    for _ in range(2):  # steady state: the scratch is grown, the allocator settled
+        blob = codec.compress(field, 1e-4, ErrorBoundMode.ABS)
+        codec.decompress(blob)
+    samples = {"compress": [], "decompress": []}
+    for _ in range(max(reps, 5)):
+        for op, call in (
+            ("compress", lambda: codec.compress(field, 1e-4, ErrorBoundMode.ABS)),
+            ("decompress", lambda: codec.decompress(blob)),
+        ):
+            before, start = resource.getrusage(resource.RUSAGE_SELF), time.perf_counter()
+            call()
+            wall, after = time.perf_counter() - start, resource.getrusage(resource.RUSAGE_SELF)
+            samples[op].append(
+                (wall, after.ru_minflt - before.ru_minflt, after.ru_stime - before.ru_stime)
+            )
+    rows = []
+    for op, taken in samples.items():
+        walls, faults, sys_s = (list(column) for column in zip(*taken))
+        print(f"sz_roundtrip_faults {op}: {min(walls)*1e3:.1f} ms, "
+              f"{int(np.median(faults))} minor faults, {np.median(sys_s)*1e3:.1f} ms sys")
+        rows.append(
+            make_row(
+                "sz_roundtrip_faults",
+                {
+                    "op": op,
+                    "field_shape": list(field.shape),
+                    "tolerance": 1e-4,
+                    "reps": len(walls),
+                    "overhead_minor_faults": int(np.median(faults)),
+                    "overhead_sys_seconds": float(np.median(sys_s)),
+                },
+                min(walls),
+                reps_s=walls,
+                throughput_mb_s=field.nbytes / 1e6 / min(walls),
+            )
+        )
+    return rows
 
 
 def bench_bound_eval(reps: int) -> list[dict]:
@@ -575,6 +634,7 @@ def main(argv=None) -> int:
     rows = []
     rows += bench_huffman(n_symbols, n_small, reps)
     rows += bench_sz_compress(2 * side, reps)
+    rows += bench_sz_roundtrip_faults(reps)
     rows += bench_bound_eval(reps)
     rows += bench_pipeline_chunked(side, args.workers, reps)
     rows += bench_pipeline_checkpoint(side, args.workers, reps)

@@ -8,7 +8,10 @@ that as a per-codec ``supported_modes`` set.
 
 from __future__ import annotations
 
+import math
+import mmap
 import struct
+import threading
 import time
 import zlib
 from dataclasses import dataclass, field
@@ -26,6 +29,78 @@ __all__ = [
     "absolute_tolerance",
     "guarded_pointwise_bound",
 ]
+
+
+class CodecScratch:
+    """The calling thread's reusable codec buffers, shared by lifetime.
+
+    A slot is one growable byte buffer (it ends up as large as the
+    biggest field's float64 image; slot 5 half that), kept from the second
+    request of a size on; what lives in it changes as a call moves through
+    its stages, and a stage that consumes an array in place takes the slot
+    that array already sits in:
+
+    ====  ================  ====================  ===============  ==============
+    slot  SZ encode pass    Huffman + bit packer  Huffman decode   SZ decode pass
+    ====  ================  ====================  ===============  ==============
+    0     float64 truth     -                     -                -
+    1     reconstruction    escape mask, then     lane positions   reconstruction
+                            code bit offsets
+    2     codes        -->  table rows, then the  symbols     -->  codes
+                            left-justified codes
+    3     linear | cubic    code per symbol       16-bit windows,  linear | cubic
+                                                  escape mask
+    4     both residuals    length per symbol     lane-major same  dequantized
+    5     abs(residual)     new-word mask         -                -
+    ====  ================  ====================  ===============  ==============
+
+    Contents are garbage between codec calls.  Nothing a codec returns
+    (payload bytes, the reconstruction) may be a view of a slot.  Not
+    thread-safe: :func:`codec_scratch` hands every thread its own, and a
+    forked child works on its copy of the forking thread's.
+    """
+
+    def __init__(self) -> None:
+        self._slots = [bytearray()] * 6
+        self._asked = [0] * 6  # the largest request, in bytes, each slot has seen
+
+    def take(self, slot: int, shape, dtype=np.float64, start: int = 0) -> np.ndarray:
+        """Uninitialised ``shape`` array of ``dtype`` in ``slot``, ``start``
+        elements in."""
+        offset = start * np.dtype(dtype).itemsize if start else 0
+        try:
+            return np.ndarray(shape, dtype, self._slots[slot], offset)
+        except TypeError:  # the slot is too small
+            pass
+        stop = offset + math.prod(shape) * np.dtype(dtype).itemsize
+        if self._asked[slot] < stop:
+            # The first request this large is served fresh, so that a
+            # one-off call leaves nothing resident; a slot keeps a buffer
+            # from the second on, which is when there is a steady state.
+            self._asked[slot] = stop
+            return np.empty(shape, dtype=dtype)
+        # A view taken earlier keeps the outgrown buffer alive and valid.
+        # Anonymous private pages where the platform has them: outside the
+        # malloc heap, where a long-lived block would pin every freed block
+        # below it, and copy-on-write across a fork.
+        if hasattr(mmap, "MAP_PRIVATE"):
+            flags = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS
+            self._slots[slot] = mmap.mmap(-1, stop, flags=flags)
+        else:
+            self._slots[slot] = bytearray(stop)
+        return np.ndarray(shape, dtype, self._slots[slot], offset)
+
+
+_thread = threading.local()
+
+
+def codec_scratch() -> CodecScratch:
+    """The calling thread's :class:`CodecScratch`."""
+    try:
+        return _thread.scratch
+    except AttributeError:
+        scratch = _thread.scratch = CodecScratch()
+        return scratch
 
 
 class ErrorBoundMode(Enum):
@@ -81,12 +156,11 @@ def guarded_pointwise_bound(data: np.ndarray, eb: float) -> float:
     data = np.asarray(data)
     if data.size == 0:
         return eb
-    if np.issubdtype(data.dtype, np.floating):
-        eps = float(np.finfo(data.dtype).eps)
-    else:
-        eps = 0.0
-    cast_slack = 0.5 * eps * float(np.max(np.abs(data.astype(np.float64))))
-    return eb * (1.0 - 1e-9) - cast_slack
+    if not np.issubdtype(data.dtype, np.floating):
+        return eb * (1.0 - 1e-9)  # the cast back to an integer dtype adds nothing
+    # max|x| from the extrema, in the native dtype: widening them is exact.
+    largest = max(abs(float(data.min())), abs(float(data.max())))
+    return eb * (1.0 - 1e-9) - 0.5 * float(np.finfo(data.dtype).eps) * largest
 
 
 @dataclass

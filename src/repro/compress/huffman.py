@@ -49,6 +49,7 @@ import struct
 import numpy as np
 
 from ..exceptions import CompressionError
+from .base import codec_scratch
 from .bitstream import pack_codes, peek16, window_words
 
 __all__ = ["huffman_encode", "huffman_decode"]
@@ -185,9 +186,12 @@ def huffman_encode(symbols: np.ndarray, max_alphabet: int = 4096) -> bytes:
     # Histogram.  ``slot`` sends every symbol to its row of the per-value
     # code table: its offset from the minimum while the span is dense
     # enough to tabulate, its rank among the distinct values otherwise.
+    # It goes to scratch slot 2, where SZ's codes arrive: in place for them.
+    scratch = codec_scratch()
     n_slots = high - low + 1
-    if n_slots <= _DENSE_SPAN_PER_SYMBOL * n:
-        slot = symbols - low
+    dense = n_slots <= _DENSE_SPAN_PER_SYMBOL * n
+    if dense:
+        slot = np.subtract(symbols, low, out=scratch.take(2, (n,), np.int64))
         histogram = np.bincount(slot, minlength=n_slots)
         unique_slot = np.flatnonzero(histogram)
         unique, counts = unique_slot + low, histogram[unique_slot]
@@ -227,18 +231,19 @@ def huffman_encode(symbols: np.ndarray, max_alphabet: int = 4096) -> bytes:
     slot_code = np.full(n_slots, codes[0])
     slot_length = np.full(n_slots, lengths[0])
     slot_code[kept_slot], slot_length[kept_slot] = codes[first_kept:], lengths[first_kept:]
-    values, value_lengths = slot_code[slot], slot_length[slot]
-    lane = lane_size(n)
-    lane_bits = np.add.reduceat(value_lengths, np.arange(0, n, lane))
+    values = np.take(slot_code, slot, out=scratch.take(3, (n,), np.uint64), mode="clip")
+    value_lengths = np.take(slot_length, slot, out=scratch.take(4, (n,), np.int64), mode="clip")
     if n_escaped > 0:
-        # The raw 32-bit value follows each escape code.
+        # The raw 32-bit value follows each escape code: one longer code.
         slot_dropped = np.ones(n_slots, dtype=bool)
         slot_dropped[kept_slot] = False
-        escaped = np.flatnonzero(slot_dropped[slot])
-        lane_bits += 32 * np.bincount(escaped // lane, minlength=lane_bits.size)
-        raw = (symbols[escaped] & 0xFFFFFFFF).astype(np.uint64)
-        values = np.insert(values, escaped + 1, raw)
-        value_lengths = np.insert(value_lengths, escaped + 1, 32)
+        dropped = np.take(slot_dropped, slot, out=scratch.take(1, (n,), bool), mode="clip")
+        escaped = np.flatnonzero(dropped)
+        raw = slot[escaped] + low if dense else unique[slot[escaped]]
+        values[escaped] = (codes[0] << np.uint64(32)) | (raw & 0xFFFFFFFF).astype(np.uint64)
+        value_lengths[escaped] += 32
+    lane = lane_size(n)
+    lane_bits = np.add.reduceat(value_lengths, np.arange(0, n, lane))
 
     payload, total_bits = pack_codes(values, value_lengths)
     return b"".join(
@@ -284,6 +289,13 @@ def _decode_tables(
 
 def huffman_decode(blob: bytes) -> np.ndarray:
     """Decode a blob produced by :func:`huffman_encode`."""
+    return decode_symbols(blob, None)
+
+
+def decode_symbols(blob: bytes, slot: "int | None") -> np.ndarray:
+    """:func:`huffman_decode` into scratch ``slot`` (2, for a caller that
+    is done with the symbols before its next codec call) or, with
+    ``None``, into a fresh array."""
     if blob[:4] == b"HUF1":
         raise CompressionError("HUF1 huffman streams are no longer supported")
     if blob[:4] != _MAGIC:
@@ -318,10 +330,11 @@ def huffman_decode(blob: bytes) -> np.ndarray:
 
     # Row j holds the bit position of symbol j of every lane; the last
     # lane has ``tail`` symbols and sits out the remaining steps.
+    scratch = codec_scratch()
     steps = min(lane, n)
     tail = n - (n_lanes - 1) * lane
-    rows = np.empty((steps + 1, n_lanes), dtype=np.int64)
-    windows = np.empty((steps, n_lanes), dtype=np.uint32)
+    rows = scratch.take(1, (steps + 1, n_lanes), np.int64)
+    windows = scratch.take(3, (steps, n_lanes), np.uint32)
     lane_ends = np.cumsum(lane_bits)
     rows[0] = lane_ends - lane_bits
     word = np.empty(n_lanes, dtype=np.int64)
@@ -346,10 +359,15 @@ def huffman_decode(blob: bytes) -> np.ndarray:
     if lane_ends[-1] != total_bits or not np.array_equal(ends, lane_ends):
         raise CompressionError("huffman stream misaligned: a lane ends off its boundary")
 
-    # A window is 16 bits wide, so plain indexing cannot leave the table.
-    out = table_symbol[windows.T.reshape(-1)[:n]]
+    # A window is 16 bits wide, so it cannot leave the table.
+    # Widened to the index type on the way: a gather would otherwise do
+    # that itself, into a fresh stream-sized array.
+    lane_major = scratch.take(4, (n_lanes, steps), np.intp)
+    lane_major[...] = windows.T
+    out = np.empty(n, dtype=np.int64) if slot is None else scratch.take(slot, (n,), np.int64)
+    np.take(table_symbol, lane_major.reshape(-1)[:n], out=out, mode="clip")
     if escape_length:
-        escaped = np.flatnonzero(out == _ESCAPE)
+        escaped = np.flatnonzero(np.equal(out, _ESCAPE, out=scratch.take(3, (n,), bool)))
         raw_at = rows[escaped % lane, escaped // lane] + escape_length
         raw = (peek16(words, raw_at) << np.uint32(16)) | peek16(words, raw_at + 16)
         out[escaped] = raw.view(np.int32)

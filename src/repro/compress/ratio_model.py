@@ -42,8 +42,8 @@ def _exact_residuals(data: np.ndarray, codec: SZCompressor) -> tuple[np.ndarray,
     n_anchors = int(recon[anchor_sel].size)
     residual_parts: list[np.ndarray] = []
     for axis, stride in _refinement_plan(shape, codec.anchor_stride):
-        target, prediction, __ = codec._choose_prediction(recon, data, axis, stride)
-        residual_parts.append((data[target] - prediction).ravel())
+        residual = codec._choose_prediction(recon, data, axis, stride)[2]
+        residual_parts.append(residual.ravel().copy())  # the step's scratch is reused
     residuals = (
         np.concatenate(residual_parts) if residual_parts else np.empty(0)
     )

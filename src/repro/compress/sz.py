@@ -24,9 +24,10 @@ from .base import (
     Compressor,
     ErrorBoundMode,
     absolute_tolerance,
+    codec_scratch,
     guarded_pointwise_bound,
 )
-from .huffman import check_max_alphabet, huffman_decode, huffman_encode
+from .huffman import check_max_alphabet, decode_symbols, huffman_encode
 
 __all__ = ["SZCompressor"]
 
@@ -84,42 +85,52 @@ def _predict_both(
     interpolating cubic ``(-f[-3s] + 9 f[-s] + 9 f[+s] - f[+3s]) / 16``,
     falling back to linear (then to the left value) near boundaries;
     ``None`` when not wanted or when no target has all four neighbours
-    (it would equal the linear prediction).
+    (it would equal the linear prediction).  Both are written into scratch
+    slot 3 (slot 4 is borrowed while the cubic is built) and are valid
+    until the next step; encoder and decoder run this same kernel.
     """
+    scratch = codec_scratch()
     target, left_sel, right_sel = _target_slices(recon.shape, axis, stride)
     left, right = recon[left_sel], recon[right_sel]
     n_right = right.shape[axis]
 
-    def along(start: int, stop: int) -> tuple[slice, ...]:
+    def along(start: int, stop: "int | None") -> tuple[slice, ...]:
         return (slice(None),) * axis + (slice(start, stop),)
 
-    if n_right == left.shape[axis]:
-        linear = 0.5 * (left + right)
-    else:
-        linear = left.copy()
-        linear[along(0, n_right)] = 0.5 * (left[along(0, n_right)] + right)
+    linear = scratch.take(3, left.shape)
+    paired = linear[along(0, n_right)]
+    np.add(left[along(0, n_right)], right, out=paired)
+    paired *= 0.5
+    linear[along(n_right, None)] = left[along(n_right, None)]
 
     # Target k lies between left[k] and right[k]; its outer neighbours
     # are left[k - 1] and right[k + 1], which exist for 1 <= k <= n_right - 2.
     if not want_cubic or n_right < 3:
         return target, linear, None
     inner = along(1, n_right - 1)
-    cubic = linear.copy()
-    cubic[inner] = (
-        -left[along(0, n_right - 2)]
-        + 9.0 * left[inner]
-        + 9.0 * right[inner]
-        - right[along(2, n_right)]
-    ) / 16.0
+    cubic = scratch.take(3, left.shape, start=linear.size)
+    cubic[along(0, 1)] = linear[along(0, 1)]
+    cubic[along(n_right - 1, None)] = linear[along(n_right - 1, None)]
+    spline = cubic[inner]
+    term = scratch.take(4, spline.shape)
+    # 9 b - a is -a + 9 b to the bit (and np.negative mis-strides some
+    # (n, 1) views when given ``out``).
+    np.multiply(left[inner], 9.0, out=spline)
+    spline -= left[along(0, n_right - 2)]
+    spline += np.multiply(right[inner], 9.0, out=term)
+    spline -= right[along(2, n_right)]
+    spline /= 16.0
     return target, linear, cubic
 
 
-def _predict(
-    recon: np.ndarray, axis: int, stride: int, cubic: bool = False
-) -> tuple[tuple[slice, ...], np.ndarray]:
-    """The linear or the cubic prediction of :func:`_predict_both`."""
-    target, linear, cubic_pred = _predict_both(recon, axis, stride, cubic)
-    return target, linear if cubic_pred is None else cubic_pred
+def _dequantize(
+    prediction: np.ndarray, codes: np.ndarray, pitch: float, out: np.ndarray
+) -> np.ndarray:
+    """``prediction + codes * pitch`` into ``out`` (which may be ``codes``):
+    the one expression encoder and decoder must evaluate alike."""
+    np.multiply(codes, pitch, out=out)
+    out += prediction
+    return out
 
 
 class SZCompressor(Compressor):
@@ -157,21 +168,31 @@ class SZCompressor(Compressor):
 
     def _choose_prediction(
         self, recon: np.ndarray, data: np.ndarray, axis: int, stride: int
-    ) -> tuple[tuple[slice, ...], np.ndarray, bool]:
-        """Pick the spline per step (SZ3's dynamic selection)."""
-        if self.interpolation != "dynamic":
-            cubic = self.interpolation == "cubic"
-            target, prediction = _predict(recon, axis, stride, cubic=cubic)
-            return target, prediction, cubic
-        target, linear_pred, cubic_pred = _predict_both(recon, axis, stride, True)
-        if cubic_pred is None:
-            return target, linear_pred, False
+    ) -> tuple[tuple[slice, ...], np.ndarray, np.ndarray, bool]:
+        """Pick the spline per step (SZ3's dynamic selection).
+
+        Returns ``(target, prediction, data[target] - prediction, cubic
+        used)``; the arrays are scratch, valid until the next step.
+        """
+        scratch = codec_scratch()
+        target, linear, cubic = _predict_both(
+            recon, axis, stride, self.interpolation != "linear"
+        )
         truth = data[target]
-        linear_cost = float(np.abs(truth - linear_pred).sum())
-        cubic_cost = float(np.abs(truth - cubic_pred).sum())
+        dynamic = self.interpolation == "dynamic"
+        prediction = linear if dynamic or cubic is None else cubic
+        residual = np.subtract(truth, prediction, out=scratch.take(4, truth.shape))
+        if not dynamic or cubic is None:
+            return target, prediction, residual, self.interpolation == "cubic"
+        cubic_residual = np.subtract(
+            truth, cubic, out=scratch.take(4, truth.shape, start=truth.size)
+        )
+        magnitude = scratch.take(5, truth.shape)
+        linear_cost = float(np.abs(residual, out=magnitude).sum())
+        cubic_cost = float(np.abs(cubic_residual, out=magnitude).sum())
         if cubic_cost < linear_cost:
-            return target, cubic_pred, True
-        return target, linear_pred, False
+            return target, cubic, cubic_residual, True
+        return target, linear, residual, False
 
     # -- core quantization pass -------------------------------------------
     def _encode_pass(
@@ -179,37 +200,44 @@ class SZCompressor(Compressor):
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[bool]]:
         """One full hierarchy encode.
 
-        Returns ``(recon, codes, outliers, anchors, spline_choices)``.
+        Returns ``(recon, codes, outliers, anchors, spline_choices)``;
+        ``recon`` and ``codes`` are scratch slots 1 and 2, valid until the
+        thread's next codec call.
         """
+        scratch = codec_scratch()
         shape = data.shape
-        recon = np.zeros(shape, dtype=np.float64)
+        recon = scratch.take(1, shape)
         anchor_sel = tuple(slice(0, size, self.anchor_stride) for size in shape)
         anchors = data[anchor_sel].astype(np.float64)
         recon[anchor_sel] = anchors
         pitch = 2.0 * eb
-        codes_parts: list[np.ndarray] = []
+        all_codes = scratch.take(2, (data.size - anchors.size,), np.int64)
+        cursor = 0
         outliers: list[np.ndarray] = []
         choices: list[bool] = []
         for axis, stride in _refinement_plan(shape, self.anchor_stride):
-            target, prediction, used_cubic = self._choose_prediction(
+            target, prediction, residual, used_cubic = self._choose_prediction(
                 recon, data, axis, stride
             )
             choices.append(used_cubic)
-            truth = data[target]
-            residual = truth - prediction
-            codes = np.round(residual / pitch)
-            overflow = np.abs(codes) >= _OUTLIER_CODE
-            if np.any(overflow):
-                outliers.append(truth[overflow].ravel())
-                codes = np.where(overflow, float(_OUTLIER_CODE), codes)
-            reconstructed = prediction + codes * pitch
-            if np.any(overflow):
-                reconstructed = np.where(overflow, truth, reconstructed)
+            codes = np.divide(residual, pitch, out=residual)
+            np.rint(codes, out=codes)
+            # One min/max pair replaces the elementwise test on the common
+            # path; a NaN fails both comparisons and takes the exact test.
+            overflow = None
+            if codes.size and not (
+                codes.min() > -_OUTLIER_CODE and codes.max() < _OUTLIER_CODE
+            ):
+                overflow = np.abs(codes) >= _OUTLIER_CODE
+                truth = data[target][overflow]
+                outliers.append(truth)
+                codes[overflow] = _OUTLIER_CODE
+            all_codes[cursor : cursor + codes.size] = codes.ravel()
+            cursor += codes.size
+            reconstructed = _dequantize(prediction, codes, pitch, out=codes)
+            if overflow is not None:
+                reconstructed[overflow] = truth
             recon[target] = reconstructed
-            codes_parts.append(codes.astype(np.int64).ravel())
-        all_codes = (
-            np.concatenate(codes_parts) if codes_parts else np.empty(0, dtype=np.int64)
-        )
         all_outliers = (
             np.concatenate(outliers) if outliers else np.empty(0, dtype=np.float64)
         )
@@ -224,7 +252,9 @@ class SZCompressor(Compressor):
         self._check_mode(mode)
         data = np.asarray(data)
         dtype = str(data.dtype)
-        work = data.astype(np.float64)
+        scratch = codec_scratch()
+        work = scratch.take(0, data.shape)
+        np.copyto(work, data, casting="unsafe")
         eb = guarded_pointwise_bound(data, absolute_tolerance(work, tolerance, mode))
         if eb <= 0.0:
             return self._lossless_blob(data, tolerance, mode)
@@ -240,7 +270,9 @@ class SZCompressor(Compressor):
             eb *= 16.0
             for __ in range(16):
                 recon, codes, outliers, anchors, choices = self._encode_pass(work, eb)
-                cast_error = recon.astype(data.dtype).astype(np.float64) - work
+                stored = scratch.take(3, data.shape, data.dtype)
+                np.copyto(stored, recon, casting="unsafe")
+                cast_error = np.subtract(stored, work, out=scratch.take(4, data.shape))
                 if float(np.linalg.norm(cast_error)) <= l2_budget:
                     break
                 eb *= 0.5
@@ -258,12 +290,8 @@ class SZCompressor(Compressor):
         )
         # Anchors are stored losslessly at full precision: a lossy anchor
         # would violate the pointwise contract at the anchor grid points.
-        payload = (
-            header
-            + choice_bits.tobytes()
-            + anchors.astype(np.float64).tobytes()
-            + outliers.astype(np.float64).tobytes()
-            + entropy
+        payload = b"".join(
+            (header, choice_bits.tobytes(), anchors.tobytes(), outliers.tobytes(), entropy)
         )
         return CompressedBlob(
             codec=self.name,
@@ -299,33 +327,48 @@ class SZCompressor(Compressor):
             blob.payload, dtype=np.float64, count=n_outliers, offset=offset
         )
         offset += n_outliers * 8
-        codes = huffman_decode(blob.payload[offset:])
+        codes = decode_symbols(blob.payload[offset:], 2)
 
         shape = blob.shape
         stride = blob.metadata.get("anchor_stride", self.anchor_stride)
-        recon = np.zeros(shape, dtype=np.float64)
+        if stride < 2 or stride & (stride - 1):
+            # Anchors and steps would not cover the grid, and what they
+            # leave out would be whatever the scratch held before.
+            raise CompressionError(f"sz blob names anchor stride {stride!r}")
+        scratch = codec_scratch()
+        recon = scratch.take(1, shape)
         anchor_sel = tuple(slice(0, size, stride) for size in shape)
         recon[anchor_sel] = anchors.reshape(recon[anchor_sel].shape)
         pitch = 2.0 * eb
         code_cursor = 0
         outlier_cursor = 0
+        # No code reaches the outlier marker: no step needs the elementwise test.
+        has_outliers = codes.size > 0 and int(codes.max()) >= _OUTLIER_CODE
         for step_index, (axis, step_stride) in enumerate(
             _refinement_plan(shape, stride)
         ):
             cubic = bool(choices[step_index]) if step_index < len(choices) else False
-            target, prediction = _predict(recon, axis, step_stride, cubic=cubic)
+            target, linear, spline = _predict_both(recon, axis, step_stride, cubic)
+            prediction = linear if spline is None else spline
             count = prediction.size
             step_codes = codes[code_cursor : code_cursor + count].reshape(prediction.shape)
             code_cursor += count
-            values = prediction + step_codes * pitch
-            overflow = step_codes == _OUTLIER_CODE
-            n_over = int(overflow.sum())
-            if n_over:
-                values[overflow] = outliers[outlier_cursor : outlier_cursor + n_over]
-                outlier_cursor += n_over
+            values = _dequantize(
+                prediction, step_codes, pitch, out=scratch.take(4, prediction.shape)
+            )
+            if has_outliers:
+                overflow = step_codes == _OUTLIER_CODE
+                n_over = int(overflow.sum())
+                if n_over:
+                    values[overflow] = outliers[outlier_cursor : outlier_cursor + n_over]
+                    outlier_cursor += n_over
             recon[target] = values
         if code_cursor != codes.size:
             raise CompressionError(
                 f"sz stream misaligned: used {code_cursor} of {codes.size} codes"
+            )
+        if outlier_cursor != outliers.size:
+            raise CompressionError(
+                f"sz stream misaligned: used {outlier_cursor} of {outliers.size} outliers"
             )
         return recon.astype(blob.dtype)

@@ -399,11 +399,10 @@ class InferencePipeline:
             # The codec's contract is over the stored field array in its
             # native dtype — measure it there, not after the sample cast.
             if self.screen or tracer.enabled:
-                field_delta = np.asarray(fields, dtype=np.float64) - np.asarray(
-                    reconstructed, dtype=np.float64
-                )
+                field_delta = np.subtract(fields, reconstructed, dtype=np.float64)
                 if self._mode.is_pointwise:
-                    achieved = float(np.abs(field_delta).max()) if field_delta.size else 0.0
+                    np.abs(field_delta, out=field_delta)
+                    achieved = float(field_delta.max()) if field_delta.size else 0.0
                 else:
                     achieved = float(np.linalg.norm(field_delta))
             else:

@@ -42,8 +42,8 @@ def pack_codes_reference(values: np.ndarray, lengths: np.ndarray) -> tuple[bytes
         raise CompressionError("values and lengths must have the same shape")
     if values.size == 0:
         return b"", 0
-    if lengths.min() < 1 or lengths.max() > 32:
-        raise CompressionError("code lengths must lie in [1, 32]")
+    if lengths.min() < 1 or lengths.max() > 48:
+        raise CompressionError("code lengths must lie in [1, 48]")
     ends = np.cumsum(lengths)
     starts = ends - lengths
     total_bits = int(ends[-1])
@@ -54,6 +54,18 @@ def pack_codes_reference(values: np.ndarray, lengths: np.ndarray) -> tuple[bytes
         shift = (lengths[active] - 1 - j).astype(np.uint64)
         bits[starts[active] + j] = (values[active] >> shift) & np.uint64(1)
     return np.packbits(bits).tobytes(), total_bits
+
+
+def escapes_by_insert_reference(
+    values: np.ndarray, value_lengths: np.ndarray, escaped: np.ndarray, raw: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The array encoder's escapes while the raw 32-bit value was a code
+    of its own: two whole-stream ``np.insert`` copies.  The shipped
+    encoder packs ``(escape code << 32) | raw`` as one code of up to 48
+    bits instead; the packed bits must not differ."""
+    values = np.insert(values, escaped + 1, raw)
+    value_lengths = np.insert(value_lengths, escaped + 1, 32)
+    return values, value_lengths
 
 
 def code_lengths_reference(frequencies: dict[int, int]) -> dict[int, int]:

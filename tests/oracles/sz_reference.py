@@ -1,15 +1,32 @@
-"""The gather-based SZ predictor the slicing one must reproduce bit for bit.
+"""The SZ encoders the shipped one must reproduce bit for bit.
 
-This is ``repro.compress.sz._predict_both`` as it was while it fetched
-every neighbour with ``np.take`` over index arrays (clamped at the
-boundaries and masked afterwards).  The shipped predictor reads the same
-values through strided slices; a property test asserts the predictions
-are equal to the last bit on odd, even and non-power-of-two shapes.
+``predict_both_reference`` is ``repro.compress.sz._predict_both`` as it
+was while it fetched every neighbour with ``np.take`` over index arrays
+(clamped at the boundaries and masked afterwards).  The shipped predictor
+reads the same values through strided slices; a property test asserts the
+predictions are equal to the last bit on odd, even and non-power-of-two
+shapes.
+
+``compress_reference`` and the functions it calls are the encoder as it
+was while every intermediate was a fresh array: the slicing predictor,
+the spline choice, the quantization pass (18 ``astype`` + ``concatenate``)
+and ``_compress`` around them, expressions verbatim, with the scalar
+Huffman coder of ``entropy_reference`` as its entropy stage.  The shipped
+encoder computes the same things in place in the thread's codec scratch;
+property tests assert bytes-equal payloads.
 """
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
+
+from repro.compress.base import CompressedBlob, ErrorBoundMode, absolute_tolerance
+from repro.compress.sz import _OUTLIER_CODE, _refinement_plan, _target_slices
+from repro.exceptions import CompressionError
+
+from .entropy_reference import huffman_encode_reference
 
 
 def _gather_view(recon: np.ndarray, axis: int, stride: int) -> np.ndarray:
@@ -54,3 +71,158 @@ def predict_both_reference(
     far_right = np.take(view, np.minimum(positions + 3 * stride, size - 1), axis=axis)
     cubic = (-far_left + 9.0 * left + 9.0 * right - far_right) / 16.0
     return linear, np.where(cubic_ok.reshape(mask_shape), cubic, linear)
+
+
+def guarded_pointwise_bound_reference(data: np.ndarray, eb: float) -> float:
+    """``guarded_pointwise_bound`` over a float64 copy of the whole field."""
+    data = np.asarray(data)
+    if data.size == 0:
+        return eb
+    if np.issubdtype(data.dtype, np.floating):
+        eps = float(np.finfo(data.dtype).eps)
+    else:
+        eps = 0.0
+    cast_slack = 0.5 * eps * float(np.max(np.abs(data.astype(np.float64))))
+    return eb * (1.0 - 1e-9) - cast_slack
+
+
+def predict_both_allocating(
+    recon: np.ndarray, axis: int, stride: int, want_cubic: bool
+) -> tuple[tuple[slice, ...], np.ndarray, np.ndarray | None]:
+    """The slicing predictor, every prediction a fresh array."""
+    target, left_sel, right_sel = _target_slices(recon.shape, axis, stride)
+    left, right = recon[left_sel], recon[right_sel]
+    n_right = right.shape[axis]
+
+    def along(start: int, stop: int) -> tuple[slice, ...]:
+        return (slice(None),) * axis + (slice(start, stop),)
+
+    if n_right == left.shape[axis]:
+        linear = 0.5 * (left + right)
+    else:
+        linear = left.copy()
+        linear[along(0, n_right)] = 0.5 * (left[along(0, n_right)] + right)
+
+    if not want_cubic or n_right < 3:
+        return target, linear, None
+    inner = along(1, n_right - 1)
+    cubic = linear.copy()
+    cubic[inner] = (
+        -left[along(0, n_right - 2)]
+        + 9.0 * left[inner]
+        + 9.0 * right[inner]
+        - right[along(2, n_right)]
+    ) / 16.0
+    return target, linear, cubic
+
+
+def choose_prediction_reference(
+    interpolation: str, recon: np.ndarray, data: np.ndarray, axis: int, stride: int
+) -> tuple[tuple[slice, ...], np.ndarray, bool]:
+    """Pick the spline per step (SZ3's dynamic selection)."""
+    if interpolation != "dynamic":
+        cubic = interpolation == "cubic"
+        target, linear, cubic_pred = predict_both_allocating(recon, axis, stride, cubic)
+        return target, linear if cubic_pred is None else cubic_pred, cubic
+    target, linear_pred, cubic_pred = predict_both_allocating(recon, axis, stride, True)
+    if cubic_pred is None:
+        return target, linear_pred, False
+    truth = data[target]
+    linear_cost = float(np.abs(truth - linear_pred).sum())
+    cubic_cost = float(np.abs(truth - cubic_pred).sum())
+    if cubic_cost < linear_cost:
+        return target, cubic_pred, True
+    return target, linear_pred, False
+
+
+def encode_pass_reference(codec, data: np.ndarray, eb: float):
+    """One full hierarchy encode: ``(recon, codes, outliers, anchors, choices)``."""
+    shape = data.shape
+    recon = np.zeros(shape, dtype=np.float64)
+    anchor_sel = tuple(slice(0, size, codec.anchor_stride) for size in shape)
+    anchors = data[anchor_sel].astype(np.float64)
+    recon[anchor_sel] = anchors
+    pitch = 2.0 * eb
+    codes_parts: list[np.ndarray] = []
+    outliers: list[np.ndarray] = []
+    choices: list[bool] = []
+    for axis, stride in _refinement_plan(shape, codec.anchor_stride):
+        target, prediction, used_cubic = choose_prediction_reference(
+            codec.interpolation, recon, data, axis, stride
+        )
+        choices.append(used_cubic)
+        truth = data[target]
+        residual = truth - prediction
+        codes = np.round(residual / pitch)
+        overflow = np.abs(codes) >= _OUTLIER_CODE
+        if np.any(overflow):
+            outliers.append(truth[overflow].ravel())
+            codes = np.where(overflow, float(_OUTLIER_CODE), codes)
+        reconstructed = prediction + codes * pitch
+        if np.any(overflow):
+            reconstructed = np.where(overflow, truth, reconstructed)
+        recon[target] = reconstructed
+        codes_parts.append(codes.astype(np.int64).ravel())
+    all_codes = (
+        np.concatenate(codes_parts) if codes_parts else np.empty(0, dtype=np.int64)
+    )
+    all_outliers = (
+        np.concatenate(outliers) if outliers else np.empty(0, dtype=np.float64)
+    )
+    return recon, all_codes, all_outliers, anchors, choices
+
+
+def compress_reference(
+    codec, data: np.ndarray, tolerance: float, mode: ErrorBoundMode = ErrorBoundMode.ABS
+) -> CompressedBlob:
+    """``SZCompressor._compress`` over the functions above."""
+    codec._check_mode(mode)
+    data = np.asarray(data)
+    dtype = str(data.dtype)
+    work = data.astype(np.float64)
+    eb = guarded_pointwise_bound_reference(data, absolute_tolerance(work, tolerance, mode))
+    if eb <= 0.0:
+        return codec._lossless_blob(data, tolerance, mode)
+    if mode.is_l2:
+        l2_budget = (
+            tolerance
+            if mode is ErrorBoundMode.L2_ABS
+            else tolerance * float(np.linalg.norm(work))
+        )
+        eb *= 16.0
+        for __ in range(16):
+            recon, codes, outliers, anchors, choices = encode_pass_reference(codec, work, eb)
+            cast_error = recon.astype(data.dtype).astype(np.float64) - work
+            if float(np.linalg.norm(cast_error)) <= l2_budget:
+                break
+            eb *= 0.5
+        else:
+            raise CompressionError("could not satisfy L2 tolerance")
+    else:
+        recon, codes, outliers, anchors, choices = encode_pass_reference(codec, work, eb)
+
+    entropy = huffman_encode_reference(codes, max_alphabet=codec.max_alphabet)
+    choice_bits = np.packbits(np.asarray(choices, dtype=np.uint8)) if choices else (
+        np.empty(0, dtype=np.uint8)
+    )
+    header = struct.pack("<dIIH", eb, anchors.size, outliers.size, len(choices))
+    payload = (
+        header
+        + choice_bits.tobytes()
+        + anchors.astype(np.float64).tobytes()
+        + outliers.astype(np.float64).tobytes()
+        + entropy
+    )
+    return CompressedBlob(
+        codec=codec.name,
+        payload=payload,
+        shape=data.shape,
+        dtype=dtype,
+        mode=mode,
+        tolerance=float(tolerance),
+        metadata={
+            "anchor_stride": codec.anchor_stride,
+            "eb": eb,
+            "interpolation": codec.interpolation,
+        },
+    )

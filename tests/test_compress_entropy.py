@@ -17,6 +17,7 @@ from .oracles.entropy_reference import (
     BitReader,
     canonical_codes_reference,
     code_lengths_reference,
+    escapes_by_insert_reference,
     huffman_decode_reference,
     huffman_encode_reference,
     lane_size_reference,
@@ -53,7 +54,8 @@ def test_pack_codes_rejects_bad_lengths():
     with pytest.raises(CompressionError):
         pack_codes(np.zeros(1, dtype=np.uint64), np.array([0]))
     with pytest.raises(CompressionError):
-        pack_codes(np.zeros(1, dtype=np.uint64), np.array([40]))
+        pack_codes(np.zeros(1, dtype=np.uint64), np.array([49]))
+    assert pack_codes(np.ones(1, dtype=np.uint64), np.array([48])) == (b"\0" * 5 + b"\x01", 48)
 
 
 def test_pack_codes_drops_stray_high_bits():
@@ -96,13 +98,62 @@ def test_pack_codes_stream_ends_at_word_boundary(n_words, extra_bits):
     assert reader.read(int(lengths[-1])) == int(values[-1])
 
 
-@given(seed=st.integers(0, 2**31 - 1), n_codes=st.integers(1, 400), max_length=st.integers(1, 32))
-@settings(max_examples=80, deadline=None)
-def test_pack_codes_matches_reference(seed, n_codes, max_length):
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n_codes=st.integers(1, 400),
+    min_length=st.sampled_from([1, 33]),  # 33-48: a Huffman escape folded with its raw value
+    max_length=st.integers(1, 48),
+)
+@settings(max_examples=120, deadline=None)
+def test_pack_codes_matches_reference(seed, n_codes, min_length, max_length):
     rng = np.random.default_rng(seed)
-    lengths = rng.integers(1, max_length + 1, n_codes)
+    lengths = rng.integers(min(min_length, max_length), max_length + 1, n_codes)
     values = rng.integers(0, 2**63, n_codes).astype(np.uint64)  # stray bits included
     assert pack_codes(values, lengths) == pack_codes_reference(values, lengths)
+
+
+def _fold_escapes(values, lengths, escaped, raw):
+    """What the shipped encoder packs: escape code and raw value as one code."""
+    values, lengths = values.copy(), lengths.copy()
+    values[escaped] = (values[escaped] << np.uint64(32)) | raw
+    lengths[escaped] += 32
+    return values, lengths
+
+
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n=st.integers(1, 600),
+    escape_length=st.integers(1, 16),
+    density=st.sampled_from([0.02, 0.5, 1.0]),  # lone escapes, runs of them, nothing else
+)
+@settings(max_examples=120, deadline=None)
+def test_folded_escapes_pack_to_the_bits_of_inserted_raw_values(seed, n, escape_length, density):
+    rng = np.random.default_rng(seed)
+    lengths = rng.integers(1, 17, n)
+    values = rng.integers(0, 2**16, n).astype(np.uint64) & ((1 << lengths) - 1).astype(np.uint64)
+    escaped = np.flatnonzero(rng.random(n) < density)
+    lengths[escaped] = escape_length
+    values[escaped] = np.uint64(2**escape_length - 1)
+    raw = rng.integers(0, 2**32, escaped.size).astype(np.uint64)
+    expected = pack_codes_reference(*escapes_by_insert_reference(values, lengths, escaped, raw))
+    assert pack_codes(*_fold_escapes(values, lengths, escaped, raw)) == expected
+
+
+@pytest.mark.parametrize("escape_length", [1, 7, 16])
+def test_folded_escape_at_every_offset_of_a_word(escape_length):
+    # ``lead`` bits, then escape + raw value starting at each bit of a
+    # 64-bit word (it crosses into the next from offset 64 - length - 31
+    # on), then a second escape right behind it and a tail.
+    for lead in range(1, 65):
+        lengths = np.array([min(lead, 16)] * (lead // 16) + [lead % 16 or 16, escape_length, escape_length, 5])
+        if lead % 16 == 0:
+            lengths = np.delete(lengths, 0)
+        assert lengths[:-3].sum() == lead
+        values = np.full(lengths.size, 0b10101, dtype=np.uint64) & ((1 << lengths) - 1).astype(np.uint64)
+        escaped = np.array([lengths.size - 3, lengths.size - 2])
+        raw = np.array([0xDEADBEEF, 0x80000001], dtype=np.uint64)
+        expected = pack_codes_reference(*escapes_by_insert_reference(values, lengths, escaped, raw))
+        assert pack_codes(*_fold_escapes(values, lengths, escaped, raw)) == expected
 
 
 def test_bitreader_exhaustion():

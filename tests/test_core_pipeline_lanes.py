@@ -139,6 +139,11 @@ def test_lane_equals_inline_on_the_workload_models(case):
     assert beside.used_lane() and not inline.used_lane()
     assert inline.reference_threads == [threading.current_thread().name]
     assert_same_result(with_lane, alone)
+    # The guard's achieved error, taken without widened copies of field and
+    # reconstruction, is what the copying expression gives.
+    restored = pipe.codec.decompress(with_lane.blob)
+    delta = np.asarray(fields, dtype=np.float64) - np.asarray(restored, dtype=np.float64)
+    assert with_lane.extra["integrity"]["input_contract"]["achieved"] == float(np.abs(delta).max())
 
 
 @needs_two_cpus

@@ -95,14 +95,15 @@ def test_pipeline_module_stays_one_fields_execute():
 
 def test_package_line_count_only_goes_down():
     """Ratchet: total lines under ``src/repro`` (21,617 before the compile
-    cache went); lower the ceiling when it shrinks, never raise it."""
+    cache went; 21,170 before the codec scratch, which ISSUE 23 let raise
+    it by its exact cost); lower the ceiling when it shrinks."""
     total = 0
     for directory, _, files in os.walk(os.path.dirname(inspect.getsourcefile(repro))):
         for name in files:
             if name.endswith(".py"):
                 with open(os.path.join(directory, name), encoding="utf-8") as handle:
                     total += sum(1 for _ in handle)
-    assert total <= 21170
+    assert total <= 21309
 
 
 def test_public_surface_only_goes_down():
