@@ -33,7 +33,16 @@ A third pair, ``prelu_forward``, times the Borghesi QoI network (the
 * ``fused``        — the compiled kernel calling the branch-free
   ``repro.nn.functional.prelu`` in place, warm.
 
-Four gates are asserted (and recorded in the rows) so CI catches
+A fourth pair, ``split_forward``, times the same network and batch in a
+spawned child with one BLAS thread (a threaded matmul already spreads
+over the mask, and the probe then keeps the batch whole):
+
+* ``whole`` — the calling thread confined to one CPU, which is also how
+  the expected bytes are obtained;
+* ``split`` — the inherited mask: rows ``[:8192]`` on the caller,
+  ``[8192:]`` on the side lane, after the first-call probe kept that.
+
+Five gates are asserted (and recorded in the rows) so CI catches
 regressions:
 
 * ``fused_warm`` must be >= 2x ``reference`` at batch 1;
@@ -42,7 +51,9 @@ regressions:
 * the conv ``fused`` row must be >= 1.5x ``gather_oracle`` with no
   fallback;
 * the prelu ``fused`` row must be >= 2x ``where_oracle``, bit-exact to
-  it, with no fallback.
+  it, with no fallback;
+* the ``split`` row must be >= 1.4x ``whole`` with equal bytes, where the
+  process may use two CPUs (skipped with a message otherwise).
 
 Bit-exactness is asserted before timing: every backend output must be
 ``np.array_equal`` to the reference.  Usage::
@@ -53,20 +64,23 @@ Bit-exactness is asserted before timing: every backend output must be
 from __future__ import annotations
 
 import argparse
+import multiprocessing
 import os
 import sys
 import time
+from unittest import mock
 
 import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir))
 
-from benchutils import best_of, finalize_rows, make_row, write_rows
+from benchutils import ONE_BLAS_THREAD, best_of, finalize_rows, make_row, write_rows
 from tests.oracles.activation_reference import reference_forward
 from tests.oracles.conv_reference import forward_reference
 from repro.models import borghesi_net, build_mlp, model_flops, resnet18
 from repro.nn import Sequential
 from repro.nn.backend import CompiledForward
+from repro.perf.parallel import usable_cpus
 
 
 def _bench_model():
@@ -224,6 +238,56 @@ def bench_prelu_forward(reps: int) -> list[dict]:
     return rows
 
 
+def _split_forward_seconds(reps: int):
+    """Child of ``bench_split_forward``: ``(whole, split)`` as ``best_of``
+    pairs, then what the kernel says about the split."""
+    model = borghesi_net(rng=np.random.default_rng(7))
+    model.eval()
+    x = np.random.default_rng(11).standard_normal((16384, 13)).astype(np.float32)
+    forward = CompiledForward(model, "fused")
+    mask = os.sched_getaffinity(0)
+
+    def on_one_cpu(fn):
+        os.sched_setaffinity(0, {min(mask)})
+        try:
+            return fn()
+        finally:
+            os.sched_setaffinity(0, mask)
+
+    expected = on_one_cpu(lambda: forward(x))
+    forward(x)  # the probe
+    actual = forward(x)
+    assert actual.dtype == expected.dtype and actual.tobytes() == expected.tobytes(), (
+        "split output not bit-exact to the whole batch"
+    )
+    whole = on_one_cpu(lambda: best_of(lambda: forward(x), reps))
+    split = best_of(lambda: forward(x), reps)
+    return whole, split, forward.last_split, dict(forward._kernel.split_rejections)
+
+
+def bench_split_forward(reps: int) -> list[dict]:
+    """The Borghesi forward whole on one CPU vs as two halves on two."""
+    if not hasattr(os, "sched_setaffinity") or usable_cpus() < 2:
+        print("split_forward: skipped (the process may use one CPU)")
+        return []
+    with mock.patch.dict(os.environ, ONE_BLAS_THREAD):  # spawned: read before numpy loads
+        with multiprocessing.get_context("spawn").Pool(1) as pool:
+            whole, split, halves, rejections = pool.apply(_split_forward_seconds, (reps,))
+    speedup = whole[0] / split[0]
+    config = {"model": "borghesi_net_psn_prelu", "batch": 16384, "reps": reps,
+              "usable_cpus": usable_cpus(), "speedup_vs_whole": speedup}
+    rows = [
+        _row("split_forward", dict(config, lanes="whole"), whole[0], 16384, reps_s=whole[1]),
+        _row("split_forward", dict(config, lanes="split", halves=halves,
+                                   rejections=rejections),
+             split[0], 16384, reps_s=split[1]),
+    ]
+    print(f"split_forward: whole {whole[0]*1e3:.1f} ms, split {split[0]*1e3:.1f} ms "
+          f"-> {speedup:.2f}x (halves {halves}, rejections {rejections})")
+    assert speedup >= 1.4, f"split forward {speedup:.2f}x below the 1.4x gate"
+    return rows
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true",
@@ -236,6 +300,7 @@ def main(argv=None) -> int:
 
     many = 10 if args.quick else 30
     rows = bench_forward(reps, inner) + bench_conv_forward(many) + bench_prelu_forward(many)
+    rows += bench_split_forward(many)
     rows = finalize_rows(rows, args.quick)
     write_rows(rows, args.out)
     return 0

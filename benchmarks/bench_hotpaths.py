@@ -53,7 +53,7 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir))
 
-from benchutils import best_of, finalize_rows, make_row, write_rows
+from benchutils import ONE_BLAS_THREAD, best_of, finalize_rows, make_row, write_rows
 from tests.oracles.entropy_reference import huffman_decode_reference, huffman_encode_reference
 from repro.compress import ErrorBoundMode, huffman_decode, huffman_encode
 from repro.compress.sz import SZCompressor
@@ -590,8 +590,7 @@ def bench_pipeline_execute_lanes(side: int, reps: int) -> list[dict]:
     # one BLAS thread in the children (spawned, so they read the
     # environment before importing numpy): a threaded matmul already
     # spreads over the mask, and the row is about the lane
-    pins = {f"{lib}_NUM_THREADS": "1" for lib in ("OMP", "OPENBLAS", "MKL")}
-    with mock.patch.dict(os.environ, pins):
+    with mock.patch.dict(os.environ, ONE_BLAS_THREAD):
         with multiprocessing.get_context("spawn").Pool(1, maxtasksperchild=1) as pool:
             for lanes, cpus in (("inline", {mask[0]}), ("beside", None)):
                 timings[lanes] = pool.apply(_execute_seconds, (cpus, side, reps))

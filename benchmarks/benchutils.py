@@ -24,6 +24,11 @@ import os
 import time
 
 
+#: environment of a spawned child whose row is about the program's own
+#: threads: a threaded matmul already spreads over the affinity mask
+ONE_BLAS_THREAD = {f"{lib}_NUM_THREADS": "1" for lib in ("OMP", "OPENBLAS", "MKL")}
+
+
 def best_of(fn, reps: int) -> "tuple[float, list[float]]":
     """``(best wall time, all rep wall times)`` over ``reps`` calls.
 

@@ -216,6 +216,9 @@ class SZCompressor(Compressor):
         outliers: list[np.ndarray] = []
         choices: list[bool] = []
         for axis, stride in _refinement_plan(shape, self.anchor_stride):
+            if stride >= shape[axis]:  # no target; the step still has its bit
+                choices.append(self.interpolation == "cubic")
+                continue
             target, prediction, residual, used_cubic = self._choose_prediction(
                 recon, data, axis, stride
             )
@@ -347,6 +350,8 @@ class SZCompressor(Compressor):
         for step_index, (axis, step_stride) in enumerate(
             _refinement_plan(shape, stride)
         ):
+            if step_stride >= shape[axis]:
+                continue  # no target
             cubic = bool(choices[step_index]) if step_index < len(choices) else False
             target, linear, spline = _predict_both(recon, axis, step_stride, cubic)
             prediction = linear if spline is None else spline

@@ -35,7 +35,7 @@ from ..exceptions import (
 from ..nn.backend import CompiledForward, resolve_backend_name
 from ..nn.module import Module
 from ..obs import get_auditor, get_logger, get_metrics, get_profiler, get_tracer
-from ..perf.parallel import SideLane
+from ..perf.parallel import side_lane
 from ..quant.quantizer import QuantizedModel, quantize_model
 from ..resilience.guards import check_contract, screen_finite
 from ..resilience.policy import (
@@ -47,18 +47,6 @@ from ..resilience.policy import (
 from .planner import InferencePlan
 
 __all__ = ["PipelineResult", "InferencePipeline"]
-
-#: the one extra thread of this process: ``execute`` runs the
-#: certificate's reference forward on it, beside the data path, whenever
-#: it is free; a second concurrent ``execute`` computes its own inline
-_REFERENCE_LANE = SideLane("repro-reference")
-
-#: fields smaller than this stay inline: such an ``execute`` is a few ms
-#: of interpreter-bound calls, and waking a second CPU plus the GIL
-#: hand-offs between the two threads cost it about 0.3 ms (5.9 against
-#: 5.6 ms on an 80 KB field, 23.3 against 24.5 ms on a 330 KB one, both
-#: through the cheapest model we have, 5 -> 64 -> 1)
-_LANE_MIN_FIELD_BYTES = 256 * 1024
 
 
 def _field_samples(fields: np.ndarray) -> np.ndarray:
@@ -307,7 +295,9 @@ class InferencePipeline:
         side lane is free and the field is not tiny, it runs on that lane
         while compress, decompress and the quantized forward run here,
         and is joined before the guard.  Otherwise it runs inline after
-        them.  Results are bit-identical either way.
+        them.  The lane is free again when that forward returns, so the
+        later quantized forward may borrow it for half of its batch.
+        Results are bit-identical every way.
 
         Parameters
         ----------
@@ -362,9 +352,8 @@ class InferencePipeline:
                 )
                 return reference_samples, reference
 
-            with _REFERENCE_LANE.beside(
-                reference_side,
-                worthwhile=getattr(fields, "nbytes", 0) >= _LANE_MIN_FIELD_BYTES,
+            with side_lane().beside(
+                reference_side, nbytes=getattr(fields, "nbytes", 0)
             ) as reference_result:
                 blob, reconstructed, compress_seconds, decompress_seconds, recoveries, spans = (
                     self._store_and_load(fields, force_lossless=force_lossless)
@@ -381,6 +370,7 @@ class InferencePipeline:
                     start = time.perf_counter()
                     outputs = self._forward_quant(samples)
                     inference_seconds = time.perf_counter() - start
+                    inference_span.set(lanes=1 if self._forward_quant.last_split is None else 2)
 
             # the join: everything below needs both sides
             reference_samples, reference = reference_result()
@@ -437,6 +427,8 @@ class InferencePipeline:
                 backend_info["fallback_quant"] = self._forward_quant.last_fallback_reason
             if self._forward_ref.last_fallback_reason is not None:
                 backend_info["fallback_reference"] = self._forward_ref.last_fallback_reason
+            if self._forward_quant.last_split is not None:
+                backend_info["split"] = list(self._forward_quant.last_split)
             if self._forward_quant.last_op_seconds is not None:
                 backend_info["op_labels"] = list(self._forward_quant.op_labels or [])
                 backend_info["op_seconds"] = list(self._forward_quant.last_op_seconds)

@@ -17,6 +17,9 @@ the kernel honest on every call:
   changes it and forces a recompile.  In-place
   ``param.data[...] = ...`` writes bypass the version counters — the
   same caveat as every version-keyed cache in :mod:`repro.perf.cache`.
+* **both CPUs** — an MLP kernel runs a large batch as two halves, one
+  on the process's side lane, where a first-call probe found the same
+  bytes in less time; ``stats["splits"]`` and ``last_split`` say when.
 * **transparent fallback** — forward hooks (audit lockstep mode),
   training mode, unsupported modules, or inputs outside the compiled
   shape/dtype envelope route the call through the reference
@@ -100,14 +103,16 @@ class CompiledForward:
         #: (weight version, detail) of the latest failed lowering
         self._unsupported: "tuple[int, str] | None" = None
         self.last_fallback_reason: "str | None" = None
+        #: rows of the two halves the latest call ran as (``None``: whole)
+        self.last_split: "tuple | None" = None
         self._reason_gauge: "str | None" = None
-        self.stats = {"calls": 0, "lowerings": 0, "compiles": 0, "fallbacks": 0}
+        self.stats = {"calls": 0, "lowerings": 0, "compiles": 0, "fallbacks": 0, "splits": 0}
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         if self.backend_name == "reference":
             return self.model(x)
         self.stats["calls"] += 1
-        self.last_fallback_reason = None
+        self.last_fallback_reason = self.last_split = None
         for module in self._modules:
             if module._forward_hooks:
                 return self._fallback(x, "forward-hooks")
@@ -129,7 +134,12 @@ class CompiledForward:
         if reason is not None:
             return self._fallback(x, reason)
         out = self._kernel(x)
-        get_metrics().gauge("backend_compiled_active", backend=self.backend_name).set(1.0)
+        metrics = get_metrics()
+        metrics.gauge("backend_compiled_active", backend=self.backend_name).set(1.0)
+        self.last_split = self._kernel.last_split
+        if self.last_split is not None:
+            self.stats["splits"] += 1
+            metrics.counter("backend_split_calls_total", backend=self.backend_name).inc()
         return out
 
     @property

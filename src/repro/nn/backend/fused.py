@@ -53,6 +53,7 @@ from collections import OrderedDict
 import numpy as np
 
 from ...obs import get_metrics
+from ...perf import parallel
 from ..functional import ACTIVATION_KERNELS, ConvWorkspace
 from .lowering import LoweredOp, LoweredProgram, constant_bindings
 
@@ -65,6 +66,22 @@ __all__ = [
 
 #: buffer sets retained per thread (distinct (batch, dtype) pairs)
 _BUFFER_SETS = 8
+
+#: a split batch must take at most this share of the whole one's time to
+#: be kept: with two BLAS threads the whole batch already uses both CPUs
+#: and the split H2 forward took 31.9 ms against 11.3
+_SPLIT_KEEP_RATIO = 0.8
+
+#: the cut between the halves is a multiple of this many rows: gemm
+#: micro-kernels take rows in blocks and round their edge code otherwise
+#: (cut at ``n // 2``, 301 of 402 float64 batch sizes gave other bytes
+#: than the whole batch; at a multiple of 8 or 16, none above 31 rows)
+_SPLIT_ROW_ALIGN = 16
+
+
+def _cut(n: int) -> int:
+    half = n // 2
+    return half - half % _SPLIT_ROW_ALIGN if half >= _SPLIT_ROW_ALIGN else half
 
 
 class _Codegen:
@@ -329,6 +346,17 @@ def slot_dtypes(program: LoweredProgram, x_dtype) -> list:
     return slots
 
 
+class _BufferSet:
+    """One ``(input shape, dtype)``'s scratch and its split verdict: ``None``
+    until probed, ``False`` from the start where no split is possible."""
+
+    __slots__ = ("arrays", "split")
+
+    def __init__(self, arrays: list, splittable: bool) -> None:
+        self.arrays = arrays
+        self.split: "bool | None" = None if splittable else False
+
+
 class FusedKernel:
     """A bound fused closure plus its per-thread buffer pool.
 
@@ -337,10 +365,21 @@ class FusedKernel:
     scratch space, and fork-based pools inherit the compiled closure
     for free.
 
+    A 2-D (MLP) program's batch may run as two halves, rows ``[:cut]``
+    here and ``[cut:]`` on the process's side lane, both through ``fn``
+    into row slices of the caller's one buffer set.  Equal bytes are a
+    property of the BLAS build and a gain one of its threading, so the
+    first call of a buffer set that gets the lane runs the batch both
+    ways and keeps the split only if the bytes are equal and it took at
+    most :data:`_SPLIT_KEEP_RATIO` of the whole.  ``last_split`` holds
+    the row counts of the latest call's halves (``None``: it ran whole),
+    ``split_rejections`` the probes that said no, by reason.
+
     Given ``op_labels`` the closure is the per-op-timing variant: it
     accumulates ``perf_counter_ns`` deltas into a per-call list, which
     is converted to seconds, retained as :attr:`last_op_seconds` and
-    mirrored into the ``backend_op_seconds{op,index}`` histogram.
+    mirrored into the ``backend_op_seconds{op,index}`` histogram.  It
+    never splits: one list of timings, one thread.
     """
 
     def __init__(self, program: LoweredProgram, fn, op_labels: "list | None" = None) -> None:
@@ -348,13 +387,29 @@ class FusedKernel:
         self.fn = fn
         self.op_labels = None if op_labels is None else list(op_labels)
         self.last_op_seconds: "list | None" = None
+        self.last_split: "tuple | None" = None
+        self.split_rejections: dict = {}
+        # conv programs stay whole: their one workload has the lane busy
+        # with the reference forward for the entire quantized forward
+        self._splittable = (
+            op_labels is None and not program.has_conv and program.input_spec[0] == "2d"
+        )
         self._local = threading.local()
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
+        buffers = self._buffers(x)
+        self.last_split = None
         if self.op_labels is None:
-            return self.fn(x, self._buffers(x))
+            if buffers.split is not False:
+                if buffers.split is None:
+                    return self._probe(x, buffers)
+                out = self._halves(x, buffers.arrays)
+                if out is not None:
+                    self.last_split = (_cut(len(x)), len(x) - _cut(len(x)))
+                    return out
+            return self.fn(x, buffers.arrays)
         timings = [0] * len(self.op_labels)
-        out = self.fn(x, self._buffers(x), timings)
+        out = self.fn(x, buffers.arrays, timings)
         seconds = [t / 1e9 for t in timings]
         self.last_op_seconds = seconds
         metrics = get_metrics()
@@ -365,9 +420,42 @@ class FusedKernel:
                 ).observe(value)
         return out
 
-    def _buffers(self, x: np.ndarray) -> list:
-        if not self.program.slot_widths and not self.program.has_conv:
-            return []
+    def _halves(self, x: np.ndarray, arrays: list) -> "np.ndarray | None":
+        """``fn`` over both halves at once; ``None`` without the lane."""
+        half = _cut(len(x))
+
+        def upper() -> np.ndarray:
+            return self.fn(x[half:], [buffer[half:] for buffer in arrays])
+
+        with parallel.side_lane().beside(upper) as result:
+            if result is upper:
+                return None
+            lower = self.fn(x[:half], [buffer[:half] for buffer in arrays])
+        return np.concatenate((lower, result()))
+
+    def _probe(self, x: np.ndarray, buffers: _BufferSet) -> np.ndarray:
+        """Both ways, best of three each, taking turns so that a noisy
+        moment hits both; returns the whole result.  Without the lane there
+        is nothing to compare: the next call asks again."""
+        arrays, split_s, whole_s = buffers.arrays, [], []
+        for _ in range(3):
+            start = time.perf_counter()
+            split = self._halves(x, arrays)
+            if split is None:
+                return self.fn(x, arrays)
+            middle = time.perf_counter()
+            whole = self.fn(x, arrays)
+            split_s.append(middle - start)
+            whole_s.append(time.perf_counter() - middle)
+        same = split.dtype == whole.dtype and split.data.cast("B") == whole.data.cast("B")
+        buffers.split = same and min(split_s) <= _SPLIT_KEEP_RATIO * min(whole_s)
+        if not buffers.split:
+            reason = "slower" if same else "bytes"
+            self.split_rejections[reason] = self.split_rejections.get(reason, 0) + 1
+            get_metrics().counter("backend_split_rejected_total", reason=reason).inc()
+        return whole
+
+    def _buffers(self, x: np.ndarray) -> _BufferSet:
         cache = getattr(self._local, "buffers", None)
         if cache is None:
             cache = self._local.buffers = OrderedDict()
@@ -376,13 +464,15 @@ class FusedKernel:
         if buffers is None:
             n = x.shape[0]
             dtypes = slot_dtypes(self.program, x.dtype)
-            buffers = [
+            arrays = [
                 np.empty((n, width), dtype=dtype)
                 for width, dtype in zip(self.program.slot_widths, dtypes)
             ]
             if self.program.has_conv:
-                buffers.append(ConvWorkspace())
-            cache[key] = buffers
+                arrays.append(ConvWorkspace())
+            buffers = cache[key] = _BufferSet(
+                arrays, self._splittable and n > 1 and x.nbytes >= parallel.LANE_MIN_BYTES
+            )
             while len(cache) > _BUFFER_SETS:
                 cache.popitem(last=False)
         else:

@@ -1,9 +1,9 @@
 """Batch normalization layers.
 
 At inference time batch norm is an affine map per channel; the error-flow
-analyzer folds it into the preceding convolution via
-:func:`fold_batchnorm_scale`, so the bound sees a single effective linear
-operator per conv+BN pair.
+analyzer folds it into the preceding convolution through
+``inference_scale``, so the bound sees a single effective linear operator
+per conv+BN pair.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import numpy as np
 from ..exceptions import ShapeError
 from .module import Module, Parameter
 
-__all__ = ["BatchNorm1d", "BatchNorm2d", "fold_batchnorm_scale"]
+__all__ = ["BatchNorm1d", "BatchNorm2d"]
 
 
 class _BatchNormBase(Module):
@@ -101,19 +101,3 @@ class BatchNorm2d(_BatchNormBase):
         if x.ndim != 4:
             raise ShapeError(f"BatchNorm2d expects (N, C, H, W); got {x.shape}")
         return (0, 2, 3)
-
-
-def fold_batchnorm_scale(conv_matrix: np.ndarray, bn: _BatchNormBase) -> np.ndarray:
-    """Fold a batch norm's inference scale into a matricized conv kernel.
-
-    Each row of ``conv_matrix`` produces one output channel, so folding
-    multiplies row ``c`` by the BN scale of channel ``c``.  The result is
-    the effective linear operator seen at inference, which is what the
-    spectral analysis must measure.
-    """
-    scale = bn.inference_scale()
-    if conv_matrix.shape[0] != scale.shape[0]:
-        raise ShapeError(
-            f"conv rows {conv_matrix.shape[0]} != bn channels {scale.shape[0]}"
-        )
-    return conv_matrix * scale[:, None]

@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from ..exceptions import TrainingError
-from ..obs import attach_layer_timing, enabled as obs_enabled, get_logger, get_metrics, get_tracer
+from ..obs import get_logger, get_metrics, get_tracer
 from .losses import spectral_penalty, spectral_penalty_backward
 from .module import Module
 from .optim import Optimizer
@@ -167,57 +167,47 @@ class Trainer:
         tracer = get_tracer()
         metrics = get_metrics()
         log = get_logger("trainer")
-        # Per-layer forward/backward timing only while observability is
-        # live — the hooks wrap instance methods, so disabled runs pay
-        # nothing at all.
-        timing = attach_layer_timing(self.model) if obs_enabled() else None
-        try:
-            with tracer.span(
-                "trainer.fit", epochs=epochs, batch_size=batch_size, samples=n
-            ) as fit_span:
-                for epoch in range(epochs):
-                    with tracer.span("trainer.epoch", epoch=epoch) as epoch_span:
-                        order = rng.permutation(n)
-                        epoch_loss = 0.0
-                        batches = 0
-                        for start in range(0, n, batch_size):
-                            batch = order[start : start + batch_size]
-                            epoch_loss += self.train_step(
-                                train_inputs[batch], train_targets[batch]
-                            )
-                            batches += 1
-                        history.train_loss.append(epoch_loss / max(batches, 1))
-                        epoch_span.set(train_loss=history.train_loss[-1], batches=batches)
-                        if val_inputs is not None and val_targets is not None:
-                            val_loss, val_metric = self.evaluate(val_inputs, val_targets)
-                            history.val_loss.append(val_loss)
-                            epoch_span.set(val_loss=val_loss)
-                            if val_metric is not None:
-                                history.val_metric.append(val_metric)
-                            if self.patience is not None:
-                                if val_loss < best_val - 1e-12:
-                                    best_val = val_loss
-                                    stale_epochs = 0
-                                else:
-                                    stale_epochs += 1
-                                    if stale_epochs >= self.patience:
-                                        metrics.counter("early_stops_total").inc()
-                                        break
-                        if self.scheduler is not None:
-                            self.scheduler.step()
-                        if verbose:  # pragma: no cover - console output
-                            parts = [
-                                f"epoch {epoch + 1}/{epochs}",
-                                f"train {history.train_loss[-1]:.3e}",
-                            ]
-                            if history.val_loss:
-                                parts.append(f"val {history.val_loss[-1]:.3e}")
-                            log.info("  ".join(parts))
-                fit_span.set(epochs_run=history.epochs)
-                if history.train_loss:
-                    fit_span.set(final_train_loss=history.train_loss[-1])
-        finally:
-            if timing is not None:
-                timing.detach()
+        with tracer.span(
+            "trainer.fit", epochs=epochs, batch_size=batch_size, samples=n
+        ) as fit_span:
+            for epoch in range(epochs):
+                with tracer.span("trainer.epoch", epoch=epoch) as epoch_span:
+                    order = rng.permutation(n)
+                    epoch_loss = 0.0
+                    batches = 0
+                    for start in range(0, n, batch_size):
+                        batch = order[start : start + batch_size]
+                        epoch_loss += self.train_step(train_inputs[batch], train_targets[batch])
+                        batches += 1
+                    history.train_loss.append(epoch_loss / max(batches, 1))
+                    epoch_span.set(train_loss=history.train_loss[-1], batches=batches)
+                    if val_inputs is not None and val_targets is not None:
+                        val_loss, val_metric = self.evaluate(val_inputs, val_targets)
+                        history.val_loss.append(val_loss)
+                        epoch_span.set(val_loss=val_loss)
+                        if val_metric is not None:
+                            history.val_metric.append(val_metric)
+                        if self.patience is not None:
+                            if val_loss < best_val - 1e-12:
+                                best_val = val_loss
+                                stale_epochs = 0
+                            else:
+                                stale_epochs += 1
+                                if stale_epochs >= self.patience:
+                                    metrics.counter("early_stops_total").inc()
+                                    break
+                    if self.scheduler is not None:
+                        self.scheduler.step()
+                    if verbose:  # pragma: no cover - console output
+                        parts = [
+                            f"epoch {epoch + 1}/{epochs}",
+                            f"train {history.train_loss[-1]:.3e}",
+                        ]
+                        if history.val_loss:
+                            parts.append(f"val {history.val_loss[-1]:.3e}")
+                        log.info("  ".join(parts))
+            fit_span.set(epochs_run=history.epochs)
+            if history.train_loss:
+                fit_span.set(final_train_loss=history.train_loss[-1])
         self.model.eval()
         return history

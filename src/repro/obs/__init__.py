@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 
-from .hooks import LayerTimingHandle, attach_layer_timing
 from .log import LEVELS, Logger, get_log_level, get_logger, set_log_level
 from .metrics import (
     NULL_METRICS,
@@ -86,7 +85,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "LayerAudit",
-    "LayerTimingHandle",
     "LayerwiseErrorRecorder",
     "LEVELS",
     "Logger",
@@ -100,7 +98,6 @@ __all__ = [
     "Span",
     "StackAccumulator",
     "Tracer",
-    "attach_layer_timing",
     "audit_capture",
     "capture",
     "disable",

@@ -21,8 +21,9 @@ Guarantees:
   through the metrics registry.
 
 :class:`SideLane` is the other shape of the same idea: not N tasks over a
-pool but one callable run beside its caller, on one kept thread — what
-``InferencePipeline.execute`` hands its reference forward to.
+pool but one callable run beside its caller, on one kept thread.  The
+process has one (:func:`side_lane`): ``InferencePipeline.execute`` hands
+it the reference forward, ``FusedKernel`` the upper half of a batch.
 """
 
 from __future__ import annotations
@@ -36,7 +37,13 @@ from typing import Callable, Iterable
 
 from ..obs import get_metrics, get_tracer
 
-__all__ = ["usable_cpus", "resolve_workers", "parallel_map", "WorkerPool", "SideLane"]
+__all__ = ["usable_cpus", "resolve_workers", "parallel_map", "WorkerPool", "SideLane", "side_lane"]
+
+#: work on less than this stays on the caller's thread: waking a second
+#: CPU plus the GIL hand-offs cost a few-ms, interpreter-bound ``execute``
+#: about 0.3 ms (5.9 against 5.6 ms on an 80 KB field, 23.3 against 24.5 ms
+#: on a 330 KB one, both through the cheapest model we have, 5 -> 64 -> 1)
+LANE_MIN_BYTES = 256 * 1024
 
 
 def usable_cpus() -> int:
@@ -74,16 +81,6 @@ def _other_cpus() -> "set[int] | None":
         return None
 
 
-def _run_on(cpus: "set[int] | None", fn: Callable[[], object]):
-    """``fn()`` with the calling thread first confined to ``cpus``."""
-    if cpus:
-        try:
-            os.sched_setaffinity(0, cpus)
-        except OSError:
-            pass
-    return fn()
-
-
 class SideLane:
     """One long-lived thread that runs a callable *beside* its caller.
 
@@ -91,17 +88,18 @@ class SideLane:
     runs the ``with`` body on the caller's thread and joins before the
     block is left, on an exception included, so nothing is ever orphaned;
     ``result()`` then returns what ``fn`` returned or raises what it
-    raised.  The lane is taken without blocking: on a process confined to
-    one CPU, while another caller holds the lane, or when the caller says
-    the work is not worth a hand-off, ``result`` is ``fn`` itself and the
-    call happens inline, after the body.  Both ways the caller writes the
-    same two lines.
+    raised.  The lane is taken without blocking and is free again the
+    moment ``fn`` returns, which may be well inside the body: on a
+    process confined to one CPU, while another callable is running on the
+    lane (a borrow made *by* that callable included), or when the work is
+    smaller than :data:`LANE_MIN_BYTES`, ``result`` is ``fn`` itself and
+    the call happens inline, after the body.  Both ways the caller writes
+    the same two lines.
 
-    The thread is created by the first borrower and kept: per-thread
-    scratch (``FusedKernel`` buffers) is allocated once, and between two
-    ``beside`` blocks the thread is parked in a queue read holding
-    nothing, so the process may fork.  A forked child starts over with a
-    lane of its own (the parent's thread does not exist there).
+    The thread is created by the first borrower and kept: between two
+    callables it is parked in a queue read holding nothing, so the
+    process may fork.  A forked child starts over with a lane of its own
+    (the parent's thread does not exist there).
 
     Each run first confines the lane thread to the caller's affinity mask
     minus the CPU the caller is on: a thread woken by the caller starts
@@ -122,23 +120,47 @@ class SideLane:
         self._executor = ThreadPoolExecutor(max_workers=1, thread_name_prefix=self._name)
         self._free = threading.Lock()
 
+    def _run(self, cpus: "set[int] | None", fn: Callable[[], object]):
+        """``fn()`` with the lane thread first confined to ``cpus``."""
+        try:
+            if cpus:
+                try:
+                    os.sched_setaffinity(0, cpus)
+                except OSError:
+                    pass
+            return fn()
+        finally:
+            self._free.release()
+
     @contextmanager
-    def beside(self, fn: Callable[[], object], worthwhile: bool = True):
+    def beside(self, fn: Callable[[], object], nbytes: "int | None" = None):
         """Run ``fn()`` next to the ``with`` body; yields its result getter.
 
-        ``worthwhile=False`` is the caller saying the work is too small
-        to pay for a hand-off: inline, like a busy lane."""
-        if not (worthwhile and usable_cpus() > 1 and self._free.acquire(blocking=False)):
+        ``nbytes``: the size of what ``fn`` works on (``None``: large enough)."""
+        if not (
+            (nbytes is None or nbytes >= LANE_MIN_BYTES)
+            and usable_cpus() > 1
+            and self._free.acquire(blocking=False)
+        ):
             yield fn
             return
         try:
-            future = self._executor.submit(_run_on, _other_cpus(), fn)
-            try:
-                yield future.result
-            finally:
-                wait([future])
-        finally:
+            future = self._executor.submit(self._run, _other_cpus(), fn)
+        except BaseException:
             self._free.release()
+            raise
+        try:
+            yield future.result
+        finally:
+            wait([future])
+
+
+_LANE = SideLane("repro-lane")
+
+
+def side_lane() -> SideLane:
+    """The process's one side lane; no borrower starts a thread of its own."""
+    return _LANE
 
 
 def _run_task(fn: Callable, item, index: int, label: str):

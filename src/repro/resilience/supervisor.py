@@ -14,8 +14,9 @@ supervision a long-running production run needs:
   skipped where ``sched_setaffinity`` is missing): forked children of
   one parent otherwise share the parent's CPU for runs this short;
 * **two-deep dispatch** — each worker has one task running and one
-  already waiting in its own queue, so it never idles across done →
-  parent wakes → dispatch;
+  already waiting in its own task pipe (a plain pipe: no feeder thread
+  in the parent), so it never idles across done → parent wakes →
+  dispatch;
 * **synchronous reports** — every worker reports over a pipe of its
   own with a blocking ``send``: a result is in the pipe, whole, before
   the worker takes its next task, so a death in task N+1 cannot tear
@@ -26,8 +27,9 @@ supervision a long-running production run needs:
   the clock); the supervisor kills and replaces workers whose running
   task exceeded its deadline or whose heartbeat went stale;
 * **death detection & respawn** — a worker that dies (OOM-kill, crash,
-  injected SIGKILL) is detected by end-of-file on its pipe or liveness
-  polling and a fresh worker with a fresh queue and pipe is forked in
+  injected SIGKILL) is detected by end-of-file on its report pipe, a
+  failed send on its task pipe or liveness polling, and a fresh worker
+  with fresh pipes is forked in
   its place; what the dead worker had fully reported still counts, the
   task its last ``"start"`` named is charged a failed attempt and
   rescheduled, and a task queued behind it never started and is
@@ -90,7 +92,7 @@ _TICK = 0.05
 #: worker join grace after the shutdown sentinel before a hard kill
 _JOIN_GRACE = 1.0
 
-#: tasks in flight per worker: one running, one already in its queue, so
+#: tasks in flight per worker: one running, one already in its pipe, so
 #: a worker never idles across done -> parent wakes -> dispatch
 _WINDOW = 2
 
@@ -177,14 +179,14 @@ class CircuitBreaker:
 
 
 class _Worker:
-    """Parent-side handle: process, its task queue and report pipe, its
+    """Parent-side handle: process, its task pipe and report pipe, its
     tasks in flight."""
 
-    __slots__ = ("process", "queue", "reports", "inflight", "running", "started_at")
+    __slots__ = ("process", "tasks", "reports", "inflight", "running", "started_at")
 
-    def __init__(self, process, task_queue, reports) -> None:
+    def __init__(self, process, tasks, reports) -> None:
         self.process = process
-        self.queue = task_queue
+        self.tasks = tasks
         self.reports = reports
         # task_id -> attempt, for every task sent and not yet reported
         self.inflight: "dict[int, int]" = {}
@@ -459,7 +461,7 @@ class SupervisedPool:
                 # fill every worker one deep before any two deep, so the
                 # tail of a run is spread over the pool
                 for depth in range(1, _WINDOW + 1):
-                    for worker in workers.values():
+                    for slot, worker in list(workers.items()):
                         while (
                             ready
                             and ready[0][0] <= now
@@ -467,8 +469,12 @@ class SupervisedPool:
                             and worker.process.is_alive()
                         ):
                             __, task_id, attempt = heapq.heappop(ready)
-                            worker.queue.put((task_id, attempt, tasks[task_id]))
                             worker.inflight[task_id] = attempt
+                            try:
+                                worker.tasks.send((task_id, attempt, tasks[task_id]))
+                            except OSError:  # the death the next sweep would find
+                                respawn(slot, "worker died")
+                                break
 
                 # wait for worker traffic; a dead worker's pipe reads EOF
                 by_pipe = {worker.reports: slot for slot, worker in workers.items()}
@@ -532,38 +538,39 @@ class SupervisedPool:
         )
 
     def _spawn(self, ctx, slot: int) -> _Worker:
-        """Fork a worker with a task queue and a report pipe of its own:
+        """Fork a worker with a task pipe and a report pipe of its own:
         a message the previous holder of the slot never consumed must die
         with it, not be run by its replacement as well as by whoever the
-        parent rescheduled the task to."""
+        parent rescheduled the task to.  A two-deep window of small task
+        tuples never fills a pipe, so ``send`` does not block."""
         self._heartbeat[slot] = time.monotonic()
-        task_queue = ctx.Queue()
+        task_end, tasks = ctx.Pipe(duplex=False)
         reports, report_end = ctx.Pipe(duplex=False)
         process = ctx.Process(
             target=self._worker_main,
-            args=(slot, task_queue, report_end),
+            args=(slot, task_end, report_end),
             name=f"{self.label}-{slot}",
             daemon=True,
         )
         process.start()
-        # the child holds the only write end, so its death is EOF here
+        # the child holds the only write end of its reports (its death is
+        # EOF here) and the only read end of its tasks (a send then raises)
         report_end.close()
-        return _Worker(process, task_queue, reports)
+        task_end.close()
+        return _Worker(process, tasks, reports)
 
     def _kill(self, worker: _Worker) -> None:
         if worker.process.is_alive():
             worker.process.kill()
         worker.process.join(timeout=_JOIN_GRACE)
-        # close the task queue without waiting for its feeder to flush
-        worker.queue.cancel_join_thread()
-        worker.queue.close()
+        worker.tasks.close()
 
     def _shutdown(self, workers: "dict[int, _Worker]") -> None:
         for worker in workers.values():
             if worker.process.is_alive():
                 try:
-                    worker.queue.put(None)
-                except Exception:
+                    worker.tasks.send(None)
+                except OSError:
                     pass
         deadline = time.monotonic() + _JOIN_GRACE
         for worker in workers.values():
@@ -589,7 +596,7 @@ class SupervisedPool:
         except (AttributeError, OSError):
             pass
 
-    def _worker_main(self, slot: int, in_q, reports) -> None:  # pragma: no cover - forked child
+    def _worker_main(self, slot: int, tasks, reports) -> None:  # pragma: no cover - forked child
         """Forked worker loop: pin, beat, take task, run, commit, report."""
         from ..obs import get_auditor, set_auditor, set_tracer
         from ..obs.trace import Tracer
@@ -629,7 +636,7 @@ class SupervisedPool:
         baseline = metrics.counter_snapshot() if metrics.enabled else {}
         span_cursor = 0
         while True:
-            message = in_q.get()
+            message = tasks.recv()
             if message is None:
                 break
             task_id, attempt, payload = message

@@ -2,10 +2,25 @@
 
 from __future__ import annotations
 
+import os
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
 from repro.nn import Identity, Linear, MSELoss, SGD, Sequential, SpectralLinear, Tanh, Trainer
+
+
+@contextmanager
+def one_cpu():
+    """Confine the calling thread to one CPU: nothing borrows the side
+    lane, so ``execute`` stays inline and every forward whole."""
+    mask = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(mask)})
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, mask)
 
 
 @pytest.fixture

@@ -2,14 +2,17 @@
 
 The certificate's reference forward runs on the process's one side-lane
 thread while compress -> decompress -> quantized forward runs on the
-caller's.  Every result must be, bit for bit, what the inline order
-gives; inline is what a process confined to one CPU gets, so the tests
-obtain it by cutting the calling thread's affinity to one CPU.
+caller's, and the quantized forward of an MLP borrows the lane again,
+once that forward has returned, for the upper half of its batch.  Every
+result must be, bit for bit, what the inline order gives; inline is what
+a process confined to one CPU gets, so the tests obtain it by cutting
+the calling thread's affinity to one CPU.
 """
 
 import os
 import threading
-from contextlib import contextmanager, nullcontext
+import time
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -19,42 +22,36 @@ from hypothesis import strategies as st
 from repro import load_workload, obs
 from repro.compress import SZCompressor
 from repro.core import ErrorFlowAnalyzer, InferencePipeline, TolerancePlanner
-from repro.core import pipeline as pipeline_module
 from repro.datasets import make_eurosat
 from repro.exceptions import IntegrityError
 from repro.io import CheckpointJournal, blob_from_bytes, blob_to_bytes
 from repro.models import resnet18
 from repro.nn import Sequential
-from repro.perf.parallel import SideLane, usable_cpus
+from repro.nn.backend import fused
+from repro.perf import parallel
+from repro.perf.parallel import SideLane, side_lane, usable_cpus
 from repro.resilience import corrupt_payload_byte
 from repro.resilience.supervisor import fork_available
+from tests.conftest import one_cpu
 
 needs_two_cpus = pytest.mark.skipif(
     not hasattr(os, "sched_setaffinity") or usable_cpus() < 2,
     reason="the lane needs two usable CPUs and an affinity mask to cut",
 )
 
-_LANE_THREAD = "repro-reference"
+_LANE_THREAD = "repro-lane"
 
 
 @pytest.fixture(scope="module", autouse=True)
 def lane_for_any_size():
     """The tests use fields of a few KB; take the size floor away so
-    that they reach the lane (the floor has a test of its own)."""
+    that they reach the lane (the floor has a test of its own), and the
+    probe's time condition, which a small batch or a threaded BLAS fails:
+    every split whose bytes are equal is kept and checked."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(pipeline_module, "_LANE_MIN_FIELD_BYTES", 0)
+        patch.setattr(parallel, "LANE_MIN_BYTES", 0)
+        patch.setattr(fused, "_SPLIT_KEEP_RATIO", float("inf"))
         yield
-
-
-@contextmanager
-def one_cpu():
-    """Confine the calling thread to one CPU: ``execute`` stays inline."""
-    mask = os.sched_getaffinity(0)
-    os.sched_setaffinity(0, {min(mask)})
-    try:
-        yield
-    finally:
-        os.sched_setaffinity(0, mask)
 
 
 class Reshape:
@@ -147,6 +144,58 @@ def test_lane_equals_inline_on_the_workload_models(case):
 
 
 @needs_two_cpus
+@pytest.mark.parametrize("case", ["h2combustion", "borghesi", "eurosat"])
+def test_split_quantized_forward_equals_the_one_cpu_execute(case):
+    """The second ``execute`` of a pipeline (the first compiled and probed)
+    runs its quantized forward as two halves, one of them on the lane the
+    reference forward has left by then; the conv model stays whole."""
+    model, plan, fields, reshape = (
+        _eurosat_case() if case == "eurosat" else _workload_case(case)
+    )
+    mapping = reshape or (lambda f: f.reshape(f.shape[0], -1).T.astype(np.float32))
+
+    def after_the_reference(f):
+        if f is not fields:  # the data side: let the reference side finish first
+            deadline = time.monotonic() + 30
+            while side_lane()._free.locked() and time.monotonic() < deadline:
+                time.sleep(0.001)
+        return mapping(f)
+
+    pipe = InferencePipeline(model, SZCompressor(), plan)
+    pipe.execute(fields, samples_from_fields=after_the_reference)
+    kernel = pipe._forward_quant._kernel
+    fn, calls = kernel.fn, []
+
+    def spy(x, buffers):
+        calls.append((threading.current_thread().name, len(x)))
+        return fn(x, buffers)
+
+    kernel.fn = spy
+    with obs.capture() as (tracer, metrics):
+        both = pipe.execute(fields, samples_from_fields=after_the_reference)
+        on_two = sorted(calls)
+        del calls[:]
+        with one_cpu():
+            alone = pipe.execute(fields, samples_from_fields=after_the_reference)
+    assert_same_result(both, alone)
+    n, main = len(both.outputs), threading.current_thread().name
+    assert calls == [(main, n)] and "split" not in alone.extra["backend"]
+    two_lanes, one_lane = tracer.find("pipeline.inference")
+    assert one_lane.attributes["lanes"] == 1
+    if case == "eurosat":
+        assert on_two == [(main, n)] and "split" not in both.extra["backend"]
+        assert two_lanes.attributes["lanes"] == 1
+        assert pipe._forward_quant.stats["splits"] == 0
+        return
+    cut = fused._cut(n)
+    assert both.extra["backend"]["split"] == [cut, n - cut]
+    assert on_two == sorted([(main, cut), (_LANE_THREAD + "_0", n - cut)])
+    assert two_lanes.attributes["lanes"] == 2
+    assert pipe._forward_quant.stats["splits"] == 1
+    assert metrics.value("backend_split_calls_total", backend="fused") == 1
+
+
+@needs_two_cpus
 @given(
     height=st.integers(1, 24),
     width=st.integers(1, 24),
@@ -205,10 +254,14 @@ def test_chunked_serial_with_the_lane_commits_what_inline_commits(small, tmp_pat
 @needs_two_cpus
 def test_small_fields_stay_inline(small, monkeypatch):
     pipe, fields = small
-    monkeypatch.setattr(pipeline_module, "_LANE_MIN_FIELD_BYTES", fields.nbytes + 1)
+    monkeypatch.setattr(parallel, "LANE_MIN_BYTES", fields.nbytes + 1)
     below = Reshape(fields)
     pipe.execute(fields, samples_from_fields=below)
-    monkeypatch.setattr(pipeline_module, "_LANE_MIN_FIELD_BYTES", fields.nbytes)
+    # one floor for both borrowers: the forward of a small batch is never probed
+    kernel = pipe._forward_quant._kernel
+    assert [b.split for b in kernel._local.buffers.values()] == [False]
+    assert kernel.split_rejections == {}
+    monkeypatch.setattr(parallel, "LANE_MIN_BYTES", fields.nbytes)
     at = Reshape(fields)
     pipe.execute(fields, samples_from_fields=at)
     assert not below.used_lane() and at.used_lane()
@@ -281,12 +334,13 @@ def test_many_executes_add_at_most_one_thread(small):
 @needs_two_cpus
 def test_two_concurrent_executes_share_one_lane(small):
     """Both callers are inside their data path at the same moment (the
-    barrier sits in the data side's reshape), so exactly one of them can
-    hold the lane; the other computes its reference inline, as before."""
+    barrier sits in the data side's reshape) and the reference side that
+    got the lane stays on it until then, so exactly one of them can hold
+    the lane; the other computes its reference inline, as before."""
     pipe, fields = small
     with one_cpu():
         expected = pipe.execute(fields)
-    barrier = threading.Barrier(2, timeout=30)
+    barrier, met = threading.Barrier(2, timeout=30), threading.Event()
     reshapes, results, errors = {}, {}, []
 
     def caller(key):
@@ -295,6 +349,9 @@ def test_two_concurrent_executes_share_one_lane(small):
         def meet(f):
             if f is not own:
                 barrier.wait()
+                met.set()
+            elif threading.current_thread().name.startswith(_LANE_THREAD):
+                assert met.wait(timeout=30)
             return f.reshape(f.shape[0], -1).T.astype(np.float32)
 
         reshapes[key] = Reshape(own, meet)
@@ -335,7 +392,7 @@ def test_reference_side_failure_surfaces_as_itself(small, confined):
     with one_cpu() if confined else nullcontext():
         with pytest.raises(ReferenceBoom, match="reference side"):
             pipe.execute(fields, samples_from_fields=reshape)
-    assert not pipeline_module._REFERENCE_LANE._free.locked()
+    assert not side_lane()._free.locked()
     healthy = Reshape(fields)
     pipe.execute(fields, samples_from_fields=healthy)
     assert healthy.used_lane() == (usable_cpus() > 1)
@@ -371,7 +428,7 @@ def test_corrupt_blob_raises_integrity_error_with_the_lane_drained(small, monkey
         assert finished.is_set()
     else:
         assert not started.is_set()  # inline order: the data side failed first
-    assert not pipeline_module._REFERENCE_LANE._free.locked()
+    assert not side_lane()._free.locked()
 
 
 @needs_two_cpus

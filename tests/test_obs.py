@@ -1,9 +1,9 @@
-"""Tests for the observability layer: tracing, metrics, logging, hooks.
+"""Tests for the observability layer: tracing, metrics, logging.
 
 Covers span nesting and ordering, JSONL round-trips, histogram
 percentiles, the Prometheus exposition format, the structured logger,
-per-layer timing hooks, the global enable/disable switchboard, and the
-near-zero cost of the disabled (null) mode.
+the global enable/disable switchboard, and the near-zero cost of the
+disabled (null) mode.
 """
 
 import json
@@ -28,7 +28,6 @@ from repro.obs import (
     NULL_METRICS,
     NULL_TRACER,
     Tracer,
-    attach_layer_timing,
     get_logger,
     get_metrics,
     get_tracer,
@@ -395,34 +394,6 @@ def test_logger_registry_and_validation():
     assert set(LEVELS) == {"debug", "info", "warning", "error"}
 
 
-# -- layer timing hooks -----------------------------------------------------
-
-
-def test_attach_layer_timing_records_and_detaches(tiny_mlp, rng):
-    registry = MetricsRegistry()
-    batch = rng.uniform(-1, 1, (8, 6)).astype(np.float32)
-    with attach_layer_timing(tiny_mlp, metrics=registry) as handle:
-        assert handle.n_wrapped > 0
-        tiny_mlp(batch)
-    forward_series = [
-        row for row in registry.to_json()["metrics"]
-        if row["name"] == "nn_layer_forward_seconds"
-    ]
-    assert len(forward_series) >= 6  # one series per leaf layer
-    assert all(row["count"] == 1 for row in forward_series)
-    # detach restored the class methods: no instance attribute remains
-    for __, module in tiny_mlp.named_modules():
-        assert "forward" not in vars(module)
-    assert handle.n_wrapped == 0
-
-
-def test_attach_layer_timing_null_metrics_is_untouched(tiny_mlp):
-    handle = attach_layer_timing(tiny_mlp, metrics=NULL_METRICS)
-    assert handle.n_wrapped == 0
-    for __, module in tiny_mlp.named_modules():
-        assert "forward" not in vars(module)
-
-
 # -- instrumented subsystems ------------------------------------------------
 
 
@@ -468,7 +439,7 @@ def test_pipeline_spans_carry_bounds_and_observed_errors(trained_spectral_mlp, r
     }
 
 
-def test_trainer_spans_and_layer_timing(tiny_mlp, rng):
+def test_trainer_spans(tiny_mlp, rng):
     inputs = rng.uniform(-1, 1, (64, 6)).astype(np.float32)
     targets = rng.uniform(-1, 1, (64, 4)).astype(np.float32)
     trainer = Trainer(tiny_mlp, MSELoss(), SGD(tiny_mlp.parameters(), lr=0.01))
@@ -480,14 +451,6 @@ def test_trainer_spans_and_layer_timing(tiny_mlp, rng):
     assert [s.attributes["epoch"] for s in epochs] == [0, 1]
     assert all(s.parent_id == fit.span_id for s in epochs)
     assert metrics.value("train_steps_total") == 4  # 2 epochs x 2 batches
-    layer_rows = [
-        row for row in metrics.to_json()["metrics"]
-        if row["name"] == "nn_layer_forward_seconds"
-    ]
-    assert layer_rows and all(row["count"] > 0 for row in layer_rows)
-    # hooks were detached after fit: plain training leaves no shims
-    for __, module in tiny_mlp.named_modules():
-        assert "forward" not in vars(module)
 
 
 # -- histogram sample cap (reservoir degradation) ---------------------------

@@ -324,7 +324,7 @@ def test_side_lane_runs_beside_the_body_on_two_cpus(monkeypatch):
     not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
     reason="needs an affinity mask of two CPUs",
 )
-def test_side_lane_keeps_off_the_callers_cpu():
+def test_side_lane_keeps_off_the_callers_cpu(monkeypatch):
     mask = os.sched_getaffinity(0)
     others = parallel._other_cpus()
     assert others < mask and len(others) == len(mask) - 1
@@ -339,7 +339,11 @@ def test_side_lane_keeps_off_the_callers_cpu():
         assert parallel._other_cpus() == set()
     finally:
         os.sched_setaffinity(0, mask)
-    assert parallel._run_on(set(), lambda: 7) == 7 and os.sched_getaffinity(0) == mask
+    # nowhere to move to (or no procfs to ask): the lane thread stays as it is
+    monkeypatch.setattr(parallel, "_other_cpus", lambda: set())
+    with SideLane("unit-lane").beside(lambda: os.sched_getaffinity(0)) as unmoved:
+        pass
+    assert unmoved() == mask
 
 
 def test_side_lane_is_inline_on_one_cpu_and_while_busy(monkeypatch):
@@ -350,12 +354,64 @@ def test_side_lane_is_inline_on_one_cpu_and_while_busy(monkeypatch):
         order.append("body")
     assert result() is threading.current_thread() and order == ["body", "fn"]
 
+    # busy is "a callable is running on it", not "a body is open"
     monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
-    with lane.beside(lambda: threading.current_thread()) as outer:
-        with lane.beside(lambda: threading.current_thread()) as inner:  # lane is taken
+    started, release = threading.Event(), threading.Event()
+
+    def blocked():
+        started.set()
+        assert release.wait(timeout=10)
+        return threading.current_thread()
+
+    with lane.beside(blocked) as outer:
+        assert started.wait(timeout=10)
+        with lane.beside(threading.current_thread) as inner:  # lane is taken
             pass
         assert inner() is threading.current_thread()
-    assert outer() is not threading.current_thread()
+        release.set()
+        assert outer() is not threading.current_thread()
+        # the callable has returned: free again, well inside the body
+        assert not lane._free.locked()
+        with lane.beside(threading.current_thread) as second:
+            pass
+        assert second() is outer()
+    assert not lane._free.locked()
+
+
+def test_side_lane_borrowed_from_its_own_thread_goes_inline(monkeypatch):
+    """What runs on the lane finds the lane taken (by itself): its own
+    borrow is an inline call, not a wait for a thread that is waiting."""
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    lane = SideLane("unit-lane")
+
+    def nested():
+        with lane.beside(threading.current_thread) as inner:
+            pass
+        return inner(), threading.current_thread()
+
+    with lane.beside(nested) as result:
+        pass
+    inner_thread, lane_thread = result()
+    assert inner_thread is lane_thread is not threading.current_thread()
+    assert not lane._free.locked()
+
+
+def test_side_lane_floor_and_thread_count(monkeypatch):
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    lane = SideLane("unit-lane")
+    main = threading.current_thread()
+    for nbytes, on_lane in (
+        (parallel.LANE_MIN_BYTES - 1, False), (parallel.LANE_MIN_BYTES, True), (None, True)
+    ):
+        with lane.beside(threading.current_thread, nbytes=nbytes) as result:
+            pass
+        assert (result() is not main) == on_lane
+    baseline = threading.active_count()
+    for _ in range(300):
+        with lane.beside(threading.current_thread) as result:
+            pass
+    assert threading.active_count() == baseline
+    assert parallel.side_lane() is parallel.side_lane()
 
 
 def test_side_lane_joins_before_an_error_of_the_body_leaves(monkeypatch):

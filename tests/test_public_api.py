@@ -90,24 +90,25 @@ def test_pipeline_module_stays_one_fields_execute():
     from repro.core import pipeline
 
     with open(inspect.getsourcefile(pipeline), encoding="utf-8") as handle:
-        assert sum(1 for _ in handle) <= 682
+        assert sum(1 for _ in handle) <= 674
 
 
 def test_package_line_count_only_goes_down():
     """Ratchet: total lines under ``src/repro`` (21,617 before the compile
     cache went; 21,170 before the codec scratch, which ISSUE 23 let raise
-    it by its exact cost); lower the ceiling when it shrinks."""
+    it by its exact cost, 21,309; the split forward of ISSUE 24 was paid
+    for by ``obs/hooks.py``); lower the ceiling when it shrinks."""
     total = 0
     for directory, _, files in os.walk(os.path.dirname(inspect.getsourcefile(repro))):
         for name in files:
             if name.endswith(".py"):
                 with open(os.path.join(directory, name), encoding="utf-8") as handle:
                     total += sum(1 for _ in handle)
-    assert total <= 21309
+    assert total <= 21308
 
 
 def test_public_surface_only_goes_down():
     """Ratchet: summed length of the subpackages' ``__all__`` (229 before
-    the compile cache went); lower the ceiling when it shrinks, never
-    raise it."""
-    assert sum(len(importlib.import_module(m).__all__) for m in _SUBPACKAGES) <= 225
+    the compile cache went, 225 before ``fold_batchnorm_scale``, which
+    nothing called); lower the ceiling when it shrinks, never raise it."""
+    assert sum(len(importlib.import_module(m).__all__) for m in _SUBPACKAGES) <= 224

@@ -359,7 +359,7 @@ def _read_lines(path):
 def test_pool_worker_death_charges_only_the_running_task(tmp_path):
     """Regression: worker 0 dies holding task 0 (running) and task 2
     (queued behind it, two-deep window).  The queued message must die
-    with the worker's own queue — its replacement must not run it as
+    with the worker's own pipe — its replacement must not run it as
     well as whoever the parent rescheduled it to — and only the running
     task is charged an attempt."""
     executions = str(tmp_path / "executions.log")
@@ -380,6 +380,35 @@ def test_pool_worker_death_charges_only_the_running_task(tmp_path):
     assert report.respawns == 1 and report.retries == 1
     assert report.outcomes[0].attempts == 2  # the running task was charged
     assert all(report.outcomes[t].attempts == 1 for t in range(1, 6))  # nothing else
+
+
+def test_pool_send_to_a_dead_workers_pipe_is_a_respawn():
+    """A worker that died between the liveness check and the dispatch
+    shows as ``OSError`` on its task pipe: the death the next sweep would
+    find.  The task never started, so it is re-readied, not charged."""
+    pool = SupervisedPool(lambda x: x * x, workers=2, retry=FAST_RETRY)
+    spawn, broken = pool._spawn, []
+
+    class Hungup:
+        def send(self, message):
+            raise BrokenPipeError("worker hung up")
+
+        def close(self):
+            pass
+
+    def first_worker_hangs_up(ctx, slot):
+        worker = spawn(ctx, slot)
+        if not broken:
+            broken.append(worker.tasks)
+            worker.tasks = Hungup()
+        return worker
+
+    pool._spawn = first_worker_hangs_up
+    report = pool.run(list(range(6)))
+    broken[0].close()
+    assert report.results() == [x * x for x in range(6)]
+    assert report.respawns == 1 and report.retries == 0
+    assert all(outcome.attempts == 1 for outcome in report.outcomes.values())
 
 
 def test_pool_survives_deaths_behind_large_results():
