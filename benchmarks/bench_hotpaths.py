@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Micro-benchmarks for the chunked-execution hot paths.
 
-Nine paths are timed and written in the unified ``benchutils`` row
+Ten paths are timed and written in the unified ``benchutils`` row
 shape (``{path, config, seconds, reps_s, throughput_mb_s}`` — record
 with ``repro bench record`` to feed the regression history; see
 docs/PERFORMANCE.md for how to read the output):
@@ -14,6 +14,9 @@ docs/PERFORMANCE.md for how to read the output):
   oracle on the 1M-symbol stream (identical bytes);
 * ``sz_compress``         — ``SZCompressor.compress`` on a smooth 3-D field
   (predictor + quantizer + the encoder above);
+* ``sz_precision``        — one seeded float32 9x256x256 field against its
+  float64 copy: ``compress`` and ``decompress`` in float32 and in float64
+  arithmetic, with stored bytes and worst error / tolerance in the config;
 * ``sz_roundtrip_faults`` — steady-state minor page faults, ``sys`` seconds
   and wall of one ``compress`` and one ``decompress`` of a 9x256x256 field
   (``resource.getrusage``; skipped where the module is missing): what the
@@ -144,6 +147,66 @@ def bench_sz_compress(side: int, reps: int) -> list[dict]:
             throughput_mb_s=field.nbytes / 1e6 / seconds,
         )
     ]
+
+
+def bench_sz_precision(reps: int) -> list[dict]:
+    """One row per precision and direction (best wall time of alternating
+    reps).  SZ works in the field's precision, so the float32 field runs
+    float32 arithmetic and its float64 copy the float64 path."""
+    field = _smooth_field(256)
+    tolerance = 1e-4
+    codec = SZCompressor()
+    cases = {}
+    for precision, data in (("float32", field), ("float64", field.astype(np.float64))):
+        blob = codec.compress(data, tolerance)
+        assert blob.metadata.get("precision", "float64") == precision
+        restored = codec.decompress(codec.compress(data, tolerance))  # scratch grown
+        error = float(np.abs(restored.astype(np.float64) - field).max()) / tolerance
+        assert error <= 1.0, (precision, error)
+        cases[precision] = (data, blob, error)
+    times = {(precision, op): [] for precision in cases for op in ("compress", "decompress")}
+    for _ in range(max(reps, 7)):
+        for precision, (data, blob, _) in cases.items():
+            for op, call in (
+                ("compress", lambda: codec.compress(data, tolerance)),
+                ("decompress", lambda: codec.decompress(blob)),
+            ):
+                start = time.perf_counter()
+                call()
+                times[precision, op].append(time.perf_counter() - start)
+    rows = []
+    for (precision, op), reps_s in times.items():
+        data, blob, error = cases[precision]
+        rows.append(
+            make_row(
+                "sz_precision",
+                {
+                    "precision": precision,
+                    "op": op,
+                    "field_shape": list(field.shape),
+                    "tolerance": tolerance,
+                    "reps": len(reps_s),
+                    "stored_bytes": len(blob.payload),
+                    "error_over_tolerance": error,
+                    "speedup_vs_float64": min(times["float64", op]) / min(reps_s),
+                },
+                min(reps_s),
+                reps_s=reps_s,
+                throughput_mb_s=field.nbytes / 1e6 / min(reps_s),
+            )
+        )
+    grown = cases["float32"][1].nbytes / cases["float64"][1].nbytes - 1.0
+    print(
+        "sz_precision: "
+        + ", ".join(
+            f"{op} {min(times['float64', op])*1e3:.1f} -> {min(times['float32', op])*1e3:.1f} ms"
+            f" ({min(times['float64', op]) / min(times['float32', op]):.2f}x)"
+            for op in ("compress", "decompress")
+        )
+        + f", stored bytes {grown * 100:+.2f} %, worst error / tolerance "
+        f"{cases['float64'][2]:.4f} -> {cases['float32'][2]:.4f}"
+    )
+    return rows
 
 
 def bench_sz_roundtrip_faults(reps: int) -> list[dict]:
@@ -376,7 +439,7 @@ def bench_chunk_stack(side: int, workers: int, reps: int) -> list[dict]:
 
     streams = []  # per chunk: the code stream's alphabet, counts, frequency order
     for chunk in chunks:
-        codes = codec._encode_pass(chunk.astype(np.float64), tolerance)[1]
+        codes = codec._encode_pass(chunk, tolerance)[1]
         alphabet, counts = np.unique(codes, return_counts=True)
         streams.append((alphabet, counts, np.lexsort((alphabet, counts))))
 
@@ -431,7 +494,7 @@ def bench_chunk_stack(side: int, workers: int, reps: int) -> list[dict]:
         for part, fn in (
             ("execute", lambda i: pipeline.execute(chunks[i])),
             ("huffman_table", huffman_table),
-            ("predictor", lambda i: codec._encode_pass(chunks[i].astype(np.float64), tolerance)),
+            ("predictor", lambda i: codec._encode_pass(chunks[i], tolerance)),
             ("forward", forward),
             ("guard", guard),
             ("commit", lambda i: run.commit(journal, i, results[i])),
@@ -633,6 +696,7 @@ def main(argv=None) -> int:
     rows = []
     rows += bench_huffman(n_symbols, n_small, reps)
     rows += bench_sz_compress(2 * side, reps)
+    rows += bench_sz_precision(reps)
     rows += bench_sz_roundtrip_faults(reps)
     rows += bench_bound_eval(reps)
     rows += bench_pipeline_chunked(side, args.workers, reps)

@@ -38,21 +38,26 @@ class CodecScratch:
     biggest field's float64 image; slot 5 half that), kept from the second
     request of a size on; what lives in it changes as a call moves through
     its stages, and a stage that consumes an array in place takes the slot
-    that array already sits in:
+    that array already sits in.  SZ's arrays are in its working dtype *w*
+    (float32 for a float32 field, else float64):
 
-    ====  ================  ====================  ===============  ==============
-    slot  SZ encode pass    Huffman + bit packer  Huffman decode   SZ decode pass
-    ====  ================  ====================  ===============  ==============
-    0     float64 truth     -                     -                -
-    1     reconstruction    escape mask, then     lane positions   reconstruction
-                            code bit offsets
-    2     codes        -->  table rows, then the  symbols     -->  codes
-                            left-justified codes
-    3     linear | cubic    code per symbol       16-bit windows,  linear | cubic
-                                                  escape mask
-    4     both residuals    length per symbol     lane-major same  dequantized
-    5     abs(residual)     new-word mask         -                -
-    ====  ================  ====================  ===============  ==============
+    ====  ======  ================  ====================  ===============  ==============
+    slot  dtype   SZ encode pass    Huffman + bit packer  Huffman decode   SZ decode pass
+    ====  ======  ================  ====================  ===============  ==============
+    0     w       the field, in w   -                     -                -
+    1     w       reconstruction    escape mask, then     lane positions   reconstruction
+                                    code bit offsets
+    2     int64   codes        -->  table rows, then the  symbols     -->  codes
+                                    left-justified codes
+    3     w       linear | cubic    code per symbol       16-bit windows,  linear | cubic
+                                                          escape mask
+    4     w       both residuals    length per symbol     lane-major same  dequantized
+    5     w       abs(residual)     new-word mask         -                -
+    ====  ======  ================  ====================  ===============  ==============
+
+    The dtype column is SZ's (the entropy stage types its own views); in
+    the L2 modes slots 3 and 4 also hold a pass's reconstruction in the
+    field's dtype and its error in float64.
 
     Contents are garbage between codec calls.  Nothing a codec returns
     (payload bytes, the reconstruction) may be a view of a slot.  Not
@@ -135,7 +140,8 @@ def absolute_tolerance(
     if mode is ErrorBoundMode.ABS:
         return float(tolerance)
     if mode is ErrorBoundMode.REL:
-        value_range = float(data.max() - data.min()) if data.size else 0.0
+        # in float64: a narrower dtype would round (or wrap) the range
+        value_range = float(data.max()) - float(data.min()) if data.size else 0.0
         return float(tolerance) * (value_range if value_range > 0 else 1.0)
     if mode is ErrorBoundMode.L2_ABS:
         return float(tolerance) / np.sqrt(max(data.size, 1))
@@ -282,6 +288,7 @@ class Compressor:
                 ratio=blob.compression_ratio,
                 payload_bytes=blob.nbytes,
                 lossless=bool(blob.metadata.get("lossless", False)),
+                precision=blob.metadata.get("precision", "float64"),
             )
         elapsed = time.perf_counter() - start
         metrics.histogram("codec_compress_seconds", codec=self.name).observe(elapsed)
@@ -301,12 +308,19 @@ class Compressor:
             codec=self.name,
             payload_bytes=blob.nbytes,
             lossless=bool(blob.metadata.get("lossless", False)),
+            precision=blob.metadata.get("precision", "float64"),
         ):
             data = self._decompress(blob)
         elapsed = time.perf_counter() - start
         metrics.histogram("codec_decompress_seconds", codec=self.name).observe(elapsed)
         metrics.counter("codec_decompress_total", codec=self.name).inc()
         return data
+
+    def stream_precision(self, dtype) -> str:
+        """The arithmetic this codec's streams for a ``dtype`` field are
+        computed in (a blob's ``metadata["precision"]``, float64 where it
+        is absent); part of a chunked run's identity."""
+        return "float64"
 
     # -- shared helpers --------------------------------------------------
     def _check_mode(self, mode: ErrorBoundMode) -> None:

@@ -10,6 +10,10 @@ codes are entropy coded with canonical Huffman.
 Key property shared with real SZ: predictions are computed from
 *reconstructed* values, so compressor and decompressor stay in lockstep
 and the pointwise error bound is exact by construction, not statistical.
+
+Like SZ3, a float32 field is predicted, quantized and reconstructed in
+float32 (``metadata["precision"] == "float32"``); anything else is worked,
+and every blob without that key decoded, in float64.
 """
 
 from __future__ import annotations
@@ -32,6 +36,27 @@ from .huffman import check_max_alphabet, decode_symbols, huffman_encode
 __all__ = ["SZCompressor"]
 
 _OUTLIER_CODE = 2**30  # residual too large for a 32-bit quantization code
+_PRECISIONS = ("float64", "float32")  # blob.metadata["precision"], float64 when absent
+_EPS32 = float(np.finfo(np.float32).eps)
+
+
+def _working_precision(data: np.ndarray, tol: float) -> tuple[type, float]:
+    """The dtype SZ works ``data`` in, and the pointwise bound ``tol`` guarded for it.
+
+    float32 for a float32 field well inside float32's exponent range (so no
+    intermediate overflows or goes subnormal).  The final cast is then
+    exact; instead the guard covers the quantizer's own float32 roundings,
+    u (7.75 M + 6.75 tol) for M = max|x|, u = eps32 / 2, derived in
+    docs/PERFORMANCE.md ("SZ works in the field's precision"); a bound it
+    leaves below float32's normal range counts as none.  Anything else is
+    float64 behind the half-ulp cast guard.
+    """
+    if data.dtype == np.float32 and data.size:
+        largest = max(abs(float(data.min())), abs(float(data.max())))
+        if largest + tol < 2.0**100 and tol > 2.0**-100:  # a NaN fails both
+            eb = tol * (1.0 - 1e-9) - 4.0 * _EPS32 * (largest + tol)
+            return np.float32, eb if eb > 2.0**-126 else 0.0
+    return np.float64, guarded_pointwise_bound(data, tol)
 
 
 def _refinement_plan(shape: tuple[int, ...], anchor_stride: int):
@@ -86,7 +111,7 @@ def _predict_both(
     falling back to linear (then to the left value) near boundaries;
     ``None`` when not wanted or when no target has all four neighbours
     (it would equal the linear prediction).  Both are written into scratch
-    slot 3 (slot 4 is borrowed while the cubic is built) and are valid
+    slot 3 (slot 4 is borrowed for the cubic) in ``recon``'s dtype, valid
     until the next step; encoder and decoder run this same kernel.
     """
     scratch = codec_scratch()
@@ -97,7 +122,7 @@ def _predict_both(
     def along(start: int, stop: "int | None") -> tuple[slice, ...]:
         return (slice(None),) * axis + (slice(start, stop),)
 
-    linear = scratch.take(3, left.shape)
+    linear = scratch.take(3, left.shape, recon.dtype)
     paired = linear[along(0, n_right)]
     np.add(left[along(0, n_right)], right, out=paired)
     paired *= 0.5
@@ -108,11 +133,11 @@ def _predict_both(
     if not want_cubic or n_right < 3:
         return target, linear, None
     inner = along(1, n_right - 1)
-    cubic = scratch.take(3, left.shape, start=linear.size)
+    cubic = scratch.take(3, left.shape, recon.dtype, start=linear.size)
     cubic[along(0, 1)] = linear[along(0, 1)]
     cubic[along(n_right - 1, None)] = linear[along(n_right - 1, None)]
     spline = cubic[inner]
-    term = scratch.take(4, spline.shape)
+    term = scratch.take(4, spline.shape, recon.dtype)
     # 9 b - a is -a + 9 b to the bit (and np.negative mis-strides some
     # (n, 1) views when given ``out``).
     np.multiply(left[inner], 9.0, out=spline)
@@ -124,11 +149,12 @@ def _predict_both(
 
 
 def _dequantize(
-    prediction: np.ndarray, codes: np.ndarray, pitch: float, out: np.ndarray
+    prediction: np.ndarray, codes: np.ndarray, pitch: np.floating, out: np.ndarray
 ) -> np.ndarray:
-    """``prediction + codes * pitch`` into ``out`` (which may be ``codes``):
-    the one expression encoder and decoder must evaluate alike."""
-    np.multiply(codes, pitch, out=out)
+    """``prediction + codes * pitch`` into ``out`` (which may be ``codes``), in
+    its dtype, int64 codes converted first: the one expression encoder and
+    decoder must evaluate alike."""
+    np.multiply(codes, pitch, out=out, dtype=out.dtype)
     out += prediction
     return out
 
@@ -172,7 +198,7 @@ class SZCompressor(Compressor):
         """Pick the spline per step (SZ3's dynamic selection).
 
         Returns ``(target, prediction, data[target] - prediction, cubic
-        used)``; the arrays are scratch, valid until the next step.
+        used)``; the arrays are ``recon``-typed scratch, valid until the next step.
         """
         scratch = codec_scratch()
         target, linear, cubic = _predict_both(
@@ -181,13 +207,13 @@ class SZCompressor(Compressor):
         truth = data[target]
         dynamic = self.interpolation == "dynamic"
         prediction = linear if dynamic or cubic is None else cubic
-        residual = np.subtract(truth, prediction, out=scratch.take(4, truth.shape))
+        residual = np.subtract(truth, prediction, out=scratch.take(4, truth.shape, recon.dtype))
         if not dynamic or cubic is None:
             return target, prediction, residual, self.interpolation == "cubic"
         cubic_residual = np.subtract(
-            truth, cubic, out=scratch.take(4, truth.shape, start=truth.size)
+            truth, cubic, out=scratch.take(4, truth.shape, recon.dtype, start=truth.size)
         )
-        magnitude = scratch.take(5, truth.shape)
+        magnitude = scratch.take(5, truth.shape, recon.dtype)
         linear_cost = float(np.abs(residual, out=magnitude).sum())
         cubic_cost = float(np.abs(cubic_residual, out=magnitude).sum())
         if cubic_cost < linear_cost:
@@ -198,7 +224,7 @@ class SZCompressor(Compressor):
     def _encode_pass(
         self, data: np.ndarray, eb: float
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[bool]]:
-        """One full hierarchy encode.
+        """One full hierarchy encode, in ``data``'s dtype.
 
         Returns ``(recon, codes, outliers, anchors, spline_choices)``;
         ``recon`` and ``codes`` are scratch slots 1 and 2, valid until the
@@ -206,11 +232,11 @@ class SZCompressor(Compressor):
         """
         scratch = codec_scratch()
         shape = data.shape
-        recon = scratch.take(1, shape)
+        recon = scratch.take(1, shape, data.dtype)
         anchor_sel = tuple(slice(0, size, self.anchor_stride) for size in shape)
         anchors = data[anchor_sel].astype(np.float64)
         recon[anchor_sel] = anchors
-        pitch = 2.0 * eb
+        pitch = data.dtype.type(2.0 * eb)
         all_codes = scratch.take(2, (data.size - anchors.size,), np.int64)
         cursor = 0
         outliers: list[np.ndarray] = []
@@ -242,7 +268,7 @@ class SZCompressor(Compressor):
                 reconstructed[overflow] = truth
             recon[target] = reconstructed
         all_outliers = (
-            np.concatenate(outliers) if outliers else np.empty(0, dtype=np.float64)
+            np.concatenate(outliers, dtype=np.float64) if outliers else np.empty(0)
         )
         return recon, all_codes, all_outliers, anchors, choices
 
@@ -255,27 +281,29 @@ class SZCompressor(Compressor):
         self._check_mode(mode)
         data = np.asarray(data)
         dtype = str(data.dtype)
-        scratch = codec_scratch()
-        work = scratch.take(0, data.shape)
-        np.copyto(work, data, casting="unsafe")
-        eb = guarded_pointwise_bound(data, absolute_tolerance(work, tolerance, mode))
+        work_dtype, eb = _working_precision(data, absolute_tolerance(data, tolerance, mode))
         if eb <= 0.0:
             return self._lossless_blob(data, tolerance, mode)
+        scratch = codec_scratch()
+        work = scratch.take(0, data.shape, work_dtype)
+        np.copyto(work, data, casting="unsafe")
         if mode.is_l2:
             # The sqrt(N) conversion is worst-case; most reconstructions
             # use far less of the L2 budget.  Start loose and tighten until
-            # the measured L2 error honours the budget.
+            # the measured L2 error honours the budget, measured in float64.
             l2_budget = (
                 tolerance
                 if mode is ErrorBoundMode.L2_ABS
-                else tolerance * float(np.linalg.norm(work))
+                else tolerance * float(np.linalg.norm(work.astype(np.float64, copy=False)))
             )
             eb *= 16.0
             for __ in range(16):
                 recon, codes, outliers, anchors, choices = self._encode_pass(work, eb)
                 stored = scratch.take(3, data.shape, data.dtype)
                 np.copyto(stored, recon, casting="unsafe")
-                cast_error = np.subtract(stored, work, out=scratch.take(4, data.shape))
+                cast_error = np.subtract(
+                    stored, work, out=scratch.take(4, data.shape), dtype=np.float64
+                )
                 if float(np.linalg.norm(cast_error)) <= l2_budget:
                     break
                 eb *= 0.5
@@ -296,6 +324,11 @@ class SZCompressor(Compressor):
         payload = b"".join(
             (header, choice_bits.tobytes(), anchors.tobytes(), outliers.tobytes(), entropy)
         )
+        metadata = {
+            "anchor_stride": self.anchor_stride, "eb": eb, "interpolation": self.interpolation
+        }
+        if work_dtype is np.float32:  # float64 blobs stay as they always were
+            metadata["precision"] = "float32"
         return CompressedBlob(
             codec=self.name,
             payload=payload,
@@ -303,12 +336,11 @@ class SZCompressor(Compressor):
             dtype=dtype,
             mode=mode,
             tolerance=float(tolerance),
-            metadata={
-                "anchor_stride": self.anchor_stride,
-                "eb": eb,
-                "interpolation": self.interpolation,
-            },
+            metadata=metadata,
         )
+
+    def stream_precision(self, dtype) -> str:
+        return "float32" if np.dtype(dtype) == np.float32 else "float64"
 
     def _decompress(self, blob: CompressedBlob) -> np.ndarray:
         self._check_blob(blob)
@@ -338,11 +370,15 @@ class SZCompressor(Compressor):
             # Anchors and steps would not cover the grid, and what they
             # leave out would be whatever the scratch held before.
             raise CompressionError(f"sz blob names anchor stride {stride!r}")
+        precision = blob.metadata.get("precision", "float64")
+        if precision not in _PRECISIONS:
+            raise CompressionError(f"sz blob names precision {precision!r}")
+        work_dtype = np.dtype(precision)
         scratch = codec_scratch()
-        recon = scratch.take(1, shape)
+        recon = scratch.take(1, shape, work_dtype)
         anchor_sel = tuple(slice(0, size, stride) for size in shape)
         recon[anchor_sel] = anchors.reshape(recon[anchor_sel].shape)
-        pitch = 2.0 * eb
+        pitch = work_dtype.type(2.0 * eb)
         code_cursor = 0
         outlier_cursor = 0
         # No code reaches the outlier marker: no step needs the elementwise test.
@@ -359,7 +395,7 @@ class SZCompressor(Compressor):
             step_codes = codes[code_cursor : code_cursor + count].reshape(prediction.shape)
             code_cursor += count
             values = _dequantize(
-                prediction, step_codes, pitch, out=scratch.take(4, prediction.shape)
+                prediction, step_codes, pitch, out=scratch.take(4, prediction.shape, work_dtype)
             )
             if has_outliers:
                 overflow = step_codes == _OUTLIER_CODE

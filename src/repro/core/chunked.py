@@ -115,11 +115,13 @@ class ChunkRun:
     def manifest(self) -> dict:
         """Run identity for the checkpoint journal and the distributed
         handshake: every decision that makes two runs 'the same computation'
-        — plan, codec, chunking — plus per-chunk input digests."""
+        — plan, codec and the arithmetic of its streams, chunking — plus
+        per-chunk input digests."""
         pipeline, plan = self.pipeline, self.pipeline.plan
         return {
             "fingerprint": {
                 "codec": pipeline.codec.name,
+                "precision": pipeline.codec.stream_precision(self.chunks[0].dtype),
                 "fmt": plan.fmt.name,
                 "norm": plan.norm,
                 "qoi_tolerance": float(plan.qoi_tolerance),

@@ -14,6 +14,11 @@ and ``_compress`` around them, expressions verbatim, with the scalar
 Huffman coder of ``entropy_reference`` as its entropy stage.  The shipped
 encoder computes the same things in place in the thread's codec scratch;
 property tests assert bytes-equal payloads.
+
+The precision rule is the shipped one (``working_precision_reference``):
+a float32 field is worked in float32, anything else in float64.  Only the
+dtype of the working copy, the reconstruction and ``pitch`` follows the
+field; every expression is the one written for float64.
 """
 
 from __future__ import annotations
@@ -86,6 +91,18 @@ def guarded_pointwise_bound_reference(data: np.ndarray, eb: float) -> float:
     return eb * (1.0 - 1e-9) - cast_slack
 
 
+def working_precision_reference(data: np.ndarray, tol: float) -> tuple[type, float]:
+    """``_working_precision`` over a float64 copy of the whole field."""
+    data = np.asarray(data)
+    if data.dtype == np.float32 and data.size:
+        largest = float(np.max(np.abs(data.astype(np.float64))))
+        if largest + tol < 2.0**100 and tol > 2.0**-100:
+            eps32 = float(np.finfo(np.float32).eps)
+            eb = tol * (1.0 - 1e-9) - 4.0 * eps32 * (largest + tol)
+            return np.float32, eb if eb > 2.0**-126 else 0.0
+    return np.float64, guarded_pointwise_bound_reference(data, tol)
+
+
 def predict_both_allocating(
     recon: np.ndarray, axis: int, stride: int, want_cubic: bool
 ) -> tuple[tuple[slice, ...], np.ndarray, np.ndarray | None]:
@@ -136,13 +153,14 @@ def choose_prediction_reference(
 
 
 def encode_pass_reference(codec, data: np.ndarray, eb: float):
-    """One full hierarchy encode: ``(recon, codes, outliers, anchors, choices)``."""
+    """One full hierarchy encode in ``data``'s dtype:
+    ``(recon, codes, outliers, anchors, choices)``."""
     shape = data.shape
-    recon = np.zeros(shape, dtype=np.float64)
+    recon = np.zeros(shape, dtype=data.dtype)
     anchor_sel = tuple(slice(0, size, codec.anchor_stride) for size in shape)
     anchors = data[anchor_sel].astype(np.float64)
     recon[anchor_sel] = anchors
-    pitch = 2.0 * eb
+    pitch = data.dtype.type(2.0 * eb)
     codes_parts: list[np.ndarray] = []
     outliers: list[np.ndarray] = []
     choices: list[bool] = []
@@ -179,15 +197,17 @@ def compress_reference(
     codec._check_mode(mode)
     data = np.asarray(data)
     dtype = str(data.dtype)
-    work = data.astype(np.float64)
-    eb = guarded_pointwise_bound_reference(data, absolute_tolerance(work, tolerance, mode))
+    work_dtype, eb = working_precision_reference(
+        data, absolute_tolerance(data.astype(np.float64), tolerance, mode)
+    )
     if eb <= 0.0:
         return codec._lossless_blob(data, tolerance, mode)
+    work = data.astype(work_dtype)
     if mode.is_l2:
         l2_budget = (
             tolerance
             if mode is ErrorBoundMode.L2_ABS
-            else tolerance * float(np.linalg.norm(work))
+            else tolerance * float(np.linalg.norm(work.astype(np.float64)))
         )
         eb *= 16.0
         for __ in range(16):
@@ -213,6 +233,13 @@ def compress_reference(
         + outliers.astype(np.float64).tobytes()
         + entropy
     )
+    metadata = {
+        "anchor_stride": codec.anchor_stride,
+        "eb": eb,
+        "interpolation": codec.interpolation,
+    }
+    if work_dtype is np.float32:
+        metadata["precision"] = "float32"
     return CompressedBlob(
         codec=codec.name,
         payload=payload,
@@ -220,9 +247,5 @@ def compress_reference(
         dtype=dtype,
         mode=mode,
         tolerance=float(tolerance),
-        metadata={
-            "anchor_stride": codec.anchor_stride,
-            "eb": eb,
-            "interpolation": codec.interpolation,
-        },
+        metadata=metadata,
     )

@@ -194,18 +194,22 @@ _PINNED_PAYLOADS = {
     #   blake2b-128 of the HUF2 payload, blake2b-128 of the decompressed array)}
     # The last column was recorded with the HUF1 coder before the entropy
     # stage changed format: the reconstructions did not move by a bit.
+    # SZ's last three columns were re-pinned when float32 fields began to
+    # be predicted and quantized in float32 (a smaller guarded bound, other
+    # roundings); blobs written before still decode to the bit
+    # (tests/test_compress_precision.py).
     (0, (96, 96), 1 / 32): {
-        "sz": (4247, 4470, "61b88521c99dd9bc7e3b54953393abbf", "3c52da1c97b561b6e655fd3ea439eae1"),
+        "sz": (4247, 4473, "52ca87269991f70dd3b7e3f7e0f15150", "a40d5f3d9718430bbe8c76fb4e95bdf0"),
         "zfp": (8538, 7405, "dd7fb169f94f8d253351f3d897ebd457", "de36d8a1b7c2d6319b9900ffe92d1288"),
         "mgard": (8842, 8564, "7e98b74bf4984ba202e86a0d88641f0a", "e0f5f169ee552ac06f40279d3ee254a7"),
     },
     (1, (5, 40, 40), 1 / 8): {
-        "sz": (2206, 2692, "9f468b57c78a64144d88aac836769278", "79d1b7e787470edde7aa55e41ba017c3"),
+        "sz": (2206, 2692, "49351940b3b3d3e067e50f20d9037c7a", "27982362b814cd7933de18831d03d1ee"),
         "zfp": (7009, 6483, "fb5902db6b1adc1bd206a30737efb63c", "7f8852702c9ae1f5f4df702068ad1c0b"),
         "mgard": (7035, 7110, "808ff68ba03f2c9501ec64b53597b513", "012929c511001bcdf0426ae89faa4464"),
     },
     (2, (4096,), 1 / 256): {
-        "sz": (2970, 3088, "0940bfbc5e8beea3d448d0cf3181aca3", "8c35aaca6bea1879fa81130132b9b525"),
+        "sz": (2970, 3088, "071befc5c10d338a88660ed946998d6c", "6eff6949c949ca75a11560c5b1882ea4"),
         "zfp": (5273, 4369, "ac56270b1c119c9c16541f9dfca26ab2", "488cb0a514e158c9c2c0831f62c1d787"),
         "mgard": (4552, 4274, "e169681ee01cead4368cddc2b7c1994a", "d9f79c499f0246aa4fca1b05bdfe9772"),
     },

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from repro.compress import ErrorBoundMode, SZCompressor
 from repro.compress.base import CodecScratch, codec_scratch, guarded_pointwise_bound
 from repro.compress.huffman import huffman_decode, huffman_encode
+from repro.compress.sz import _working_precision
 from repro.exceptions import CompressionError
 
 from .oracles.sz_reference import (
@@ -28,6 +29,7 @@ from .oracles.sz_reference import (
     compress_reference,
     encode_pass_reference,
     guarded_pointwise_bound_reference,
+    working_precision_reference,
 )
 
 _MODES = [ErrorBoundMode.ABS, ErrorBoundMode.REL, ErrorBoundMode.L2_ABS]
@@ -39,10 +41,16 @@ def _field(shape, dtype, seed, spike=False):
     data = sum(np.sin((k + 1.3) * g) for k, g in enumerate(grids)) + 0.05 * rng.standard_normal(shape)
     if spike and data.size:
         # No spline predicts it.  As float64 under a tolerance <= 1e-4 its
-        # code passes 2**30: the outlier path (float32's cast guard turns
-        # such a tolerance lossless first).
+        # code passes 2**30: the outlier path (float32's rounding guard
+        # turns such a tolerance lossless first).
         data.flat[int(rng.integers(data.size))] = 1e6
     return data.astype(dtype)
+
+
+def _encoder_recon(codec, data, blob):
+    """The allocating encoder's reconstruction for ``blob``, in its precision."""
+    work = data.astype(blob.metadata.get("precision", "float64"))
+    return encode_pass_reference(codec, work, blob.metadata["eb"])[0]
 
 
 def _in_slot(array, slot) -> bool:
@@ -81,8 +89,9 @@ def test_blobs_are_bytes_equal_to_the_allocating_encoder(
     assert restored.dtype == data.dtype and restored.shape == data.shape
     if not blob.metadata.get("lossless"):
         # The decoder's reconstruction is the encoder's, cast to the field's dtype.
-        recon = encode_pass_reference(codec, data.astype(np.float64), blob.metadata["eb"])[0]
+        recon = _encoder_recon(codec, data, blob)
         assert np.array_equal(restored, recon.astype(data.dtype), equal_nan=True)
+        assert blob.metadata.get("precision", "float64") == codec.stream_precision(dtype)
     assert not _aliases_scratch(restored)
 
 
@@ -105,9 +114,7 @@ def test_blobs_are_bytes_equal_on_boundary_shapes(shape, dtype):
             blob = codec.compress(data, 1e-3, mode)
             assert blob == compress_reference(codec, data, 1e-3, mode)
             if not blob.metadata.get("lossless"):
-                recon = encode_pass_reference(
-                    codec, data.astype(np.float64), blob.metadata["eb"]
-                )[0]
+                recon = _encoder_recon(codec, data, blob)
                 assert np.array_equal(codec.decompress(blob), recon.astype(dtype))
 
 
@@ -332,3 +339,39 @@ def test_guarded_bound_equals_the_copying_expression_bit_for_bit(dtype, rng):
             got = guarded_pointwise_bound(values, 1e-3)
             expected = guarded_pointwise_bound_reference(values, 1e-3)
             assert struct.pack("<d", got) == struct.pack("<d", expected)
+
+
+@pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64, np.int32], ids=str)
+def test_working_precision_equals_the_copying_expression_bit_for_bit(dtype, rng):
+    for shape in [(0,), (1,), (5, 7), (4, 3, 2)]:
+        for scale in (1e-3, 1.0, 1e3):
+            values = (rng.standard_normal(shape) * scale).astype(dtype)
+            for eb in (1e-9, 1e-3, 0.5, 7.0):
+                got = _working_precision(values, eb)
+                expected = working_precision_reference(values, eb)
+                assert got[0] is expected[0]
+                assert struct.pack("<d", got[1]) == struct.pack("<d", expected[1])
+                assert got[0] is (np.float32 if dtype is np.float32 and values.size else np.float64)
+
+
+def test_a_float32_field_outside_float32s_comfortable_range_works_in_float64():
+    """Non-finite values, magnitudes whose cubic sums could overflow and
+    bounds whose roundings could go subnormal keep today's float64 path."""
+    for values, eb in (
+        ([1.0, np.nan], 1e-3), ([1.0, np.inf], 1e-3), ([2.0**100], 1.0), ([1.0], 2.0**-101)
+    ):
+        values = np.array(values, dtype=np.float32)
+        got, expected = _working_precision(values, eb), working_precision_reference(values, eb)
+        assert got[0] is expected[0] is np.float64
+        assert struct.pack("<d", got[1]) == struct.pack("<d", expected[1])
+        assert got[1] == guarded_pointwise_bound(values, eb) or np.isnan(got[1])
+    # inside it, a guarded bound below float32's normal range counts as none
+    values = np.array([1e-23, -5e-24], dtype=np.float32)
+    eps32 = float(np.finfo(np.float32).eps)
+    tol = 4.0 * eps32 * float(values[0]) / (1.0 - 1e-9 - 4.0 * eps32)  # the guard eats it
+    for scale in (1.0, 1.0 + 1e-9):  # nothing left, then a subnormal sliver
+        left = tol * scale * (1.0 - 1e-9) - 4.0 * eps32 * (float(values[0]) + tol * scale)
+        assert left < 2.0**-126 and (scale == 1.0 or left > 0.0)
+        got = _working_precision(values, tol * scale)
+        assert got[0] is np.float32 and got[1] == 0.0
+        assert SZCompressor().compress(values, tol * scale).metadata["lossless"]

@@ -877,9 +877,10 @@ def test_checkpoint_format_is_pinned(distrib_setup):
     _, _, _, manifest, serial_dir = distrib_setup
     assert set(manifest) == {"fingerprint", "chunk_digests"}
     assert set(manifest["fingerprint"]) == {
-        "codec", "fmt", "norm", "qoi_tolerance", "input_tolerance", "quant_bound",
-        "policy", "screen", "chunk_size", "chunk_axis", "n_chunks",
+        "codec", "precision", "fmt", "norm", "qoi_tolerance", "input_tolerance",
+        "quant_bound", "policy", "screen", "chunk_size", "chunk_axis", "n_chunks",
     }
+    assert manifest["fingerprint"]["precision"] == "float32"  # SZ on float32 fields
     journal = CheckpointJournal(serial_dir)
     assert journal._read_manifest()["format_version"] == 2
     entries = journal.entries()
@@ -891,6 +892,30 @@ def test_checkpoint_format_is_pinned(distrib_setup):
             "audit", "task_seconds", "chunk", "artifact", "artifact_digest",
         }
         assert set(entry["timings"]) == {"compress", "decompress", "inference"}
+
+
+def test_a_checkpoint_from_before_streams_had_a_precision_is_refused(distrib_setup, tmp_path):
+    """Its chunks were float64 SZ streams of float32 fields; resuming it
+    would mix them with float32 ones.  Its manifest is today's without the
+    ``precision`` key, and resume refuses it rather than replaying it."""
+    pipeline, fields, serial, _, serial_dir = distrib_setup
+    old_dir = tmp_path / "before"
+    shutil.copytree(serial_dir, old_dir)
+    manifest_path = old_dir / "manifest.json"
+    stored = json.loads(manifest_path.read_text())
+    del stored["fingerprint"]["precision"]
+    manifest_path.write_text(json.dumps(stored))
+    with pytest.raises(IntegrityError, match="fingerprint"):
+        pipeline.execute_chunked(
+            fields, chunk_size=8, chunk_axis=1, workers=1,
+            checkpoint=str(old_dir), resume=True,
+        )
+    # the same directory with today's manifest replays every chunk
+    shutil.copy(os.path.join(serial_dir, "manifest.json"), manifest_path)
+    resumed = pipeline.execute_chunked(
+        fields, chunk_size=8, chunk_axis=1, workers=1, checkpoint=str(old_dir), resume=True
+    )
+    np.testing.assert_array_equal(resumed.outputs, serial.outputs)
 
 
 # -- distributed tracing + live ops plane ------------------------------------
