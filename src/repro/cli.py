@@ -281,17 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="resume from --checkpoint DIR: replay completed chunks, "
         "lease out only the rest",
     )
-    coordinate.add_argument(
-        "--metrics-port", type=int, default=None,
-        help="serve live /metrics, /status and /healthz over HTTP on "
-        "this port while the run is active (0 = ephemeral, printed at "
-        "startup; default: no endpoint)",
-    )
-    coordinate.add_argument(
-        "--metrics-host", default="127.0.0.1",
-        help="interface for the live telemetry endpoint "
-        "(default: 127.0.0.1)",
-    )
 
     worker = commands.add_parser(
         "worker", help="join a distributed run as a shard worker"
@@ -336,50 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
         "metrics", help="render a metrics export written by --metrics"
     )
     metrics.add_argument("file", help="metrics JSON produced by --metrics")
-
-    serve_metrics = commands.add_parser(
-        "serve-metrics",
-        help="serve a saved --metrics JSON export over HTTP "
-        "(/metrics, /healthz)",
-    )
-    serve_metrics.add_argument("file", help="metrics JSON produced by --metrics")
-    serve_metrics.add_argument(
-        "--host", default="127.0.0.1",
-        help="interface to bind (default: 127.0.0.1)",
-    )
-    serve_metrics.add_argument(
-        "--port", type=int, default=0,
-        help="TCP port (default: 0 = ephemeral, printed at startup)",
-    )
-    serve_metrics.add_argument(
-        "--duration", type=float, default=None, metavar="SECONDS",
-        help="serve for this long then exit (default: until interrupted)",
-    )
-
-    trace = commands.add_parser(
-        "trace", help="analyze span traces written by --trace"
-    )
-    trace_cmds = trace.add_subparsers(dest="trace_command", required=True)
-    trace_analyze = trace_cmds.add_parser(
-        "analyze",
-        help="reconstruct the per-chunk lease timeline of a distributed "
-        "run: critical path, per-worker utilization, stragglers, "
-        "queue/run/transfer breakdown",
-    )
-    trace_analyze.add_argument("file", help="JSONL trace written by --trace")
-    trace_analyze.add_argument(
-        "--straggler-k", type=float, default=2.0, metavar="K",
-        help="flag chunks whose run time exceeds K x the median "
-        "(default: 2.0)",
-    )
-    trace_analyze.add_argument(
-        "--json", metavar="OUT", default=None,
-        help="also write the full analysis report as JSON",
-    )
-    trace_analyze.add_argument(
-        "--width", type=int, default=72,
-        help="character width of the text Gantt chart (default: 72)",
-    )
 
     audit = commands.add_parser(
         "audit", help="predicted-vs-observed error audits and drift reports"
@@ -689,12 +634,6 @@ def _cmd_coordinate(args) -> int:
             coordinator.request_drain("SIGTERM")
 
         signal_module.signal(signal_module.SIGTERM, drain)
-        if coordinator.metrics_address is not None:
-            mhost, mport = coordinator.metrics_address
-            _LOG.info(
-                f"telemetry: http://{mhost}:{mport}/status "
-                f"(/metrics, /healthz)"
-            )
 
     config = DistribConfig(
         host=args.host,
@@ -704,8 +643,6 @@ def _cmd_coordinate(args) -> int:
         expect_workers=args.expect_workers,
         worker_wait=args.worker_wait,
         on_start=on_start,
-        metrics_host=args.metrics_host,
-        metrics_port=args.metrics_port,
     )
     try:
         result = pipeline.execute_chunked(
@@ -832,63 +769,6 @@ def _cmd_metrics(args) -> int:
         return 1
     _LOG.info(render_metrics_json(payload))
     return 0
-
-
-def _cmd_serve_metrics(args) -> int:
-    import time as time_module
-
-    from .obs.server import MetricsServer, prometheus_from_json_export
-
-    try:
-        with open(args.file) as handle:
-            payload = json.load(handle)
-    except OSError as exc:
-        _LOG.error(f"error (OSError): cannot read metrics file: {exc}")
-        return 1
-    except json.JSONDecodeError as exc:
-        _LOG.error(f"error (JSONDecodeError): {args.file} is not a metrics export: {exc}")
-        return 1
-    body = prometheus_from_json_export(payload)
-    server = MetricsServer(
-        host=args.host, port=args.port, metrics_fn=lambda: body
-    )
-    host, port = server.start()
-    _LOG.info(f"serving {args.file} at http://{host}:{port}/metrics")
-    try:
-        if args.duration is not None:
-            time_module.sleep(max(0.0, args.duration))
-        else:  # pragma: no cover - interactive mode
-            while True:
-                time_module.sleep(3600.0)
-    except KeyboardInterrupt:  # pragma: no cover - interactive mode
-        pass
-    finally:
-        server.stop()
-    return 0
-
-
-def _cmd_trace_analyze(args) -> int:
-    from .obs import json_default
-    from .obs.timeline import analyze_trace, render_gantt, render_report
-
-    try:
-        report = analyze_trace(args.file, straggler_k=args.straggler_k)
-    except OSError as exc:
-        _LOG.error(f"error (OSError): cannot read trace file: {exc}")
-        return 1
-    _LOG.info(render_report(report))
-    _LOG.info("")
-    _LOG.info(render_gantt(report, width=args.width))
-    if args.json:
-        with open(args.json, "w") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True, default=json_default)
-            handle.write("\n")
-        _LOG.info(f"report written -> {args.json}")
-    return 1 if report["orphans"]["count"] else 0
-
-
-def _cmd_trace(args) -> int:
-    return {"analyze": _cmd_trace_analyze}[args.trace_command](args)
 
 
 def _forced_plan(analyzer, tolerance: float, norm: str, fmt_name: str):
@@ -1141,8 +1021,6 @@ _HANDLERS = {
     "decompress": _cmd_decompress,
     "store": _cmd_store,
     "metrics": _cmd_metrics,
-    "serve-metrics": _cmd_serve_metrics,
-    "trace": _cmd_trace,
     "audit": _cmd_audit,
     "profile": _cmd_profile,
     "bench": _cmd_bench,

@@ -362,12 +362,6 @@ class ChunkRun:
             extra["supervision"] = supervision
         if distrib_summary is not None:
             extra["distrib"] = distrib_summary
-            if tracer.enabled:
-                # the same per-chunk timeline `repro trace analyze` builds
-                # from an exported trace, available without the export
-                from ..obs.timeline import analyze_spans
-
-                extra["timeline"] = analyze_spans(tracer.to_dicts())
         if journal is not None:
             extra["checkpoint"] = {
                 "path": journal.path,

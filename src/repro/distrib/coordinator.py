@@ -41,8 +41,7 @@ from typing import Callable, Optional
 
 from ..exceptions import ConfigurationError, IntegrityError, ProtocolError, ReproError
 from ..io.checkpoint import digest_bytes
-from ..obs import get_logger, get_metrics, get_profiler, get_tracer
-from ..obs.metrics import decode_counter_delta
+from ..obs import get_logger, get_metrics, get_tracer
 from .protocol import (
     PROTOCOL_VERSION,
     FrameSocket,
@@ -55,7 +54,6 @@ from .protocol import (
     msg_result_ack,
     msg_wait,
     msg_welcome,
-    registry_token,
 )
 
 __all__ = ["DistribConfig", "DrainedError", "ShardCoordinator"]
@@ -90,12 +88,6 @@ class DistribConfig:
     fires after the listening socket is bound, with the live
     :class:`ShardCoordinator` — callers use it to learn the ephemeral
     port, launch workers, or install signal handlers.
-
-    ``metrics_port`` (``None`` = off) starts the live telemetry endpoint
-    (:class:`~repro.obs.server.MetricsServer`) next to the coordinator:
-    ``/metrics``, ``/status`` (live lease table) and ``/healthz`` on
-    ``metrics_host``; ``0`` binds an ephemeral port, readable from
-    ``coordinator.metrics_address`` inside ``on_start``.
     """
 
     host: str = "127.0.0.1"
@@ -105,8 +97,6 @@ class DistribConfig:
     expect_workers: int = 0
     worker_wait: float = 30.0
     on_start: "Optional[Callable]" = None
-    metrics_host: str = "127.0.0.1"
-    metrics_port: "Optional[int]" = None
 
     def __post_init__(self) -> None:
         if self.lease_ttl <= 0:
@@ -125,22 +115,14 @@ class DistribConfig:
             raise ConfigurationError(
                 f"worker_wait must be >= 0, got {self.worker_wait}"
             )
-        if self.metrics_port is not None and not 0 <= self.metrics_port <= 65535:
-            raise ConfigurationError(
-                f"metrics_port must be in [0, 65535], got {self.metrics_port}"
-            )
 
 
 @dataclass
 class _Lease:
-    lease_id: int
     worker: str
     conn_id: int
     outstanding: set
-    granted_at: float
     deadline: float
-    chunks: "tuple[int, ...]" = ()
-    reassignment: bool = False
 
 
 class ShardCoordinator:
@@ -204,26 +186,14 @@ class ShardCoordinator:
         self._drain_reason = ""
         self._closing = False
         self._started_at = 0.0
-        self._started_unix = 0.0
         self._last_activity = 0.0
         self._listener: "socket.socket | None" = None
         self.address: "tuple[str, int] | None" = None
-
-        # -- telemetry state (all guarded by self._lock) -------------------
         #: trace context anchoring this run (captured in start(), where
         #: the caller's pipeline.execute_chunked span is still current)
         self._trace_ctx: "dict | None" = None
         #: context of the live distrib.serve span, once serve() opens it
         self._serve_ctx: "dict | None" = None
-        #: unix time each chunk (re)entered the pending queue / was granted
-        self._enqueued_unix: "dict[int, float]" = {}
-        self._granted_unix: "dict[int, float]" = {}
-        #: grants per chunk — the /status "attempt" count
-        self._attempts: "dict[int, int]" = {}
-        #: worker that produced each accepted chunk
-        self._chunk_worker: "dict[int, str]" = {}
-        self._server = None
-        self.metrics_address: "tuple[str, int] | None" = None
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -234,37 +204,15 @@ class ShardCoordinator:
         )
         self.address = self._listener.getsockname()[:2]
         self._started_at = self._last_activity = time.monotonic()
-        self._started_unix = time.time()
         # Anchor the run's trace here: the caller's pipeline span (if
         # any) is still current on this thread, so every span emitted
         # later from connection threads can parent under it.
         self._trace_ctx = get_tracer().inject()
-        with self._lock:
-            now = time.time()
-            for chunk in self._pending:
-                self._enqueued_unix[chunk] = now
         metrics = get_metrics()
         metrics.describe(
             "distrib_workers_connected", "workers currently connected to the coordinator"
         )
         metrics.describe("distrib_leases_active", "leases currently in flight")
-        metrics.describe(
-            "distrib_chunk_seconds", "per-chunk wall seconds split by phase"
-        )
-        if self.config.metrics_port is not None:
-            from ..obs.server import MetricsServer
-
-            self._server = MetricsServer(
-                host=self.config.metrics_host,
-                port=self.config.metrics_port,
-                status_fn=self.status,
-            )
-            self.metrics_address = self._server.start()
-            _LOG.info(
-                "telemetry endpoint up",
-                host=self.metrics_address[0],
-                port=self.metrics_address[1],
-            )
         threading.Thread(
             target=self._accept_loop, name="distrib-accept", daemon=True
         ).start()
@@ -381,60 +329,6 @@ class ShardCoordinator:
                 "handshake_refused": self._counts["handshake_refused"],
             }
 
-    def status(self) -> dict:
-        """Live run state for the ``/status`` endpoint (JSON-safe).
-
-        Per-chunk state (``done`` / ``leased`` / ``pending``) with owner
-        and grant count, the in-flight lease table with ages and TTL
-        remainders, and the same counters :meth:`summary` reports — all
-        under one lock acquisition so the document is a consistent cut.
-        """
-        with self._lock:
-            now = time.monotonic()
-            leases = [
-                {
-                    "lease": lease.lease_id,
-                    "worker": lease.worker,
-                    "chunks": sorted(lease.outstanding),
-                    "age_s": round(now - lease.granted_at, 3),
-                    "ttl_remaining_s": round(lease.deadline - now, 3),
-                    "reassignment": lease.reassignment,
-                }
-                for lease in self._leases.values()
-            ]
-            chunk_to_lease = dict(self._chunk_lease)
-            chunks = []
-            for index in range(self.n_chunks):
-                if index in self._done:
-                    state, owner = "done", self._chunk_worker.get(index)
-                elif index in chunk_to_lease:
-                    lease = self._leases.get(chunk_to_lease[index])
-                    state, owner = "leased", (lease.worker if lease else None)
-                else:
-                    state, owner = "pending", None
-                chunks.append(
-                    {
-                        "chunk": index,
-                        "state": state,
-                        "owner": owner,
-                        "attempts": self._attempts.get(index, 0),
-                    }
-                )
-            return {
-                "address": list(self.address) if self.address else None,
-                "uptime_s": round(now - self._started_at, 3) if self._started_at else 0.0,
-                "draining": self._drain,
-                "workers_connected": self._live_workers,
-                "workers_joined": self._joined_ever,
-                "chunks_total": self.n_chunks,
-                "chunks_done": len(self._done),
-                "chunks_pending": len(self._pending),
-                "leases_active": len(self._leases),
-                "leases": leases,
-                "chunks": chunks,
-                "counts": dict(self._counts),
-            }
-
     def payload(self, index: int) -> bytes:
         """Raw artifact bytes for an accepted chunk (journal-less mode)."""
         with self._lock:
@@ -474,7 +368,6 @@ class ShardCoordinator:
             self._joined_ever += 1
             self._last_activity = time.monotonic()
             live = self._live_workers
-        metrics.gauge("distrib_workers").inc()
         metrics.gauge("distrib_workers_connected").set(live)
         _LOG.info("worker joined", worker=worker, peer=conn.peer)
         rejects = 0
@@ -493,8 +386,6 @@ class ShardCoordinator:
                     conn.send(self._grant(worker, conn_id))
                 elif kind == "heartbeat":
                     self._renew(message.get("lease"))
-                elif kind == "metrics":
-                    self._handle_metrics(worker, message)
                 elif kind == "result":
                     spans = message.get("spans")
                     if spans and tracer.enabled:
@@ -540,28 +431,9 @@ class ShardCoordinator:
                 # dead-worker detection: no reason to wait out the TTL
                 self._expire_conn_leases(conn_id)
                 live = self._live_workers
-            metrics.gauge("distrib_workers").dec()
             metrics.gauge("distrib_workers_connected").set(live)
             conn.close()
             _LOG.info("worker left", worker=worker)
-
-    def _handle_metrics(self, worker: str, message: dict) -> None:
-        """One-way worker telemetry push: counter deltas + finished spans."""
-        metrics = get_metrics()
-        tracer = get_tracer()
-        delta = message.get("delta")
-        remote = message.get("registry") != registry_token()
-        if delta and metrics.enabled and remote:
-            metrics.merge_counter_deltas(decode_counter_delta(delta))
-        spans = message.get("spans")
-        if spans and tracer.enabled:
-            tracer.merge_remote(spans)
-        profile = message.get("profile")
-        profiler = get_profiler()
-        if profile and profiler.enabled and remote:
-            # same double-count guard as counters: thread-harness workers
-            # share this process's profiler, their samples are already here
-            profiler.stacks.merge_rows(profile)
 
     def _handshake(self, conn: FrameSocket) -> "str | None":
         """Validate a HELLO; returns the worker name, or None if refused."""
@@ -639,22 +511,14 @@ class ShardCoordinator:
                 chunks.append(self._pending.popleft())
             lease_id = next(self._lease_ids)
             reassignment = any(c in self._expired_chunks for c in chunks)
-            lease = _Lease(
-                lease_id=lease_id,
+            self._leases[lease_id] = _Lease(
                 worker=worker,
                 conn_id=conn_id,
                 outstanding=set(chunks),
-                granted_at=now,
                 deadline=now + self.config.lease_ttl,
-                chunks=tuple(chunks),
-                reassignment=reassignment,
             )
-            self._leases[lease_id] = lease
-            granted_unix = time.time()
             for chunk in chunks:
                 self._chunk_lease[chunk] = lease_id
-                self._granted_unix[chunk] = granted_unix
-                self._attempts[chunk] = self._attempts.get(chunk, 0) + 1
             self._counts["leases_granted"] += 1
             if reassignment:
                 self._counts["leases_reassigned"] += 1
@@ -695,19 +559,14 @@ class ShardCoordinator:
     def _expire_lease(self, lease_id: int, reason: str) -> None:
         lease = self._leases.pop(lease_id)
         returned = sorted(c for c in lease.outstanding if c not in self._done)
-        requeued_unix = time.time()
         for chunk in reversed(returned):
             self._pending.appendleft(chunk)
             self._expired_chunks.add(chunk)
             self._chunk_lease.pop(chunk, None)
-            # queue time restarts: the chunk is waiting again
-            self._enqueued_unix[chunk] = requeued_unix
-            self._granted_unix.pop(chunk, None)
         self._counts["leases_expired"] += 1
         metrics = get_metrics()
         metrics.counter("distrib_leases_expired_total").inc()
         metrics.gauge("distrib_leases_active").set(len(self._leases))
-        self._emit_lease_span(lease, f"expired: {reason}")
         _LOG.warning(
             "lease expired",
             lease=lease_id,
@@ -715,26 +574,6 @@ class ShardCoordinator:
             reason=reason,
             returned=returned,
         )
-
-    def _emit_lease_span(self, lease: _Lease, outcome: str) -> None:
-        tracer = get_tracer()
-        if not tracer.enabled:
-            return
-        # Leases start and resolve on different threads, and Span's
-        # active stack is thread-local — so emit one instant span at
-        # resolution carrying the full lease lifetime as attributes,
-        # parented under the live serve span via its trace context.
-        with tracer.span(
-            "distrib.lease",
-            remote_parent=self._serve_ctx or self._trace_ctx,
-            lease=lease.lease_id,
-            worker=lease.worker,
-            chunks=list(lease.chunks),
-            outcome=outcome,
-            reassignment=lease.reassignment,
-            lease_seconds=round(time.monotonic() - lease.granted_at, 6),
-        ):
-            pass
 
     # -- result intake -----------------------------------------------------
 
@@ -755,7 +594,12 @@ class ShardCoordinator:
                 "different input bytes (mixed-plan or stale data)"
             )
         declared = entry.get("artifact_digest")
-        if declared is not None and declared != digest:
+        if declared is None:
+            raise IntegrityError(
+                f"chunk {chunk} result from {worker!r} declares no artifact "
+                "digest, so its bytes cannot be verified"
+            )
+        if declared != digest:
             raise IntegrityError(
                 f"chunk {chunk} artifact from {worker!r} does not match its "
                 "declared digest (tampered or corrupted in transit)"
@@ -797,7 +641,6 @@ class ShardCoordinator:
                 self._artifacts[chunk] = data
             self.accepted[chunk] = recorded
             self._done.add(chunk)
-            self._chunk_worker[chunk] = worker
             try:
                 self._pending.remove(chunk)
             except ValueError:
@@ -809,72 +652,18 @@ class ShardCoordinator:
                     lease.outstanding.discard(chunk)
                     if not lease.outstanding:
                         del self._leases[lease_id]
-                        self._emit_lease_span(lease, "completed")
             self._counts["accepted"] += 1
             active = len(self._leases)
-            phases = self._chunk_phases(chunk, entry, lease_id, worker)
         metrics = get_metrics()
         metrics.counter("distrib_results_total", status="accepted").inc()
         metrics.gauge("distrib_leases_active").set(active)
-        for phase in ("queue", "run", "transfer"):
-            metrics.histogram("distrib_chunk_seconds", phase=phase).observe(
-                phases[f"{phase}_s"]
-            )
         _LOG.debug("result accepted", chunk=chunk, worker=worker)
         return "accepted"
-
-    def _chunk_phases(self, chunk: int, entry: dict, lease_id, worker: str) -> dict:
-        """Queue/run/transfer split for one accepted chunk (lock held).
-
-        *queue* is pending-to-grant wait, *run* is the worker-measured
-        task wall (``task_seconds``, falling back to the summed stage
-        timings), *transfer* is whatever remains of grant-to-accept after
-        the run — serialization, base64 and the wire.  Also emits the
-        ``distrib.chunk`` instant span the timeline analyzer consumes.
-        """
-        accepted_unix = time.time()
-        enqueued = self._enqueued_unix.get(chunk, self._started_unix)
-        granted = self._granted_unix.get(chunk, accepted_unix)
-        run_s = entry.get("task_seconds")
-        if not isinstance(run_s, (int, float)) or run_s < 0:
-            timings = entry.get("timings") or {}
-            run_s = sum(
-                v for v in timings.values() if isinstance(v, (int, float))
-            )
-        queue_s = max(0.0, granted - enqueued)
-        transfer_s = max(0.0, (accepted_unix - granted) - run_s)
-        phases = {
-            "chunk": chunk,
-            "worker": worker,
-            "lease": lease_id,
-            "queue_s": queue_s,
-            "run_s": float(run_s),
-            "transfer_s": transfer_s,
-            "enqueued_unix": enqueued,
-            "granted_unix": granted,
-            "accepted_unix": accepted_unix,
-            "attempts": self._attempts.get(chunk, 1),
-        }
-        tracer = get_tracer()
-        if tracer.enabled:
-            with tracer.span(
-                "distrib.chunk",
-                remote_parent=self._serve_ctx or self._trace_ctx,
-                **phases,
-            ):
-                pass
-        return phases
 
     # -- shutdown ----------------------------------------------------------
 
     def _shutdown(self) -> None:
         self._closing = True
-        if self._server is not None:
-            try:
-                self._server.stop()
-            except Exception:  # pragma: no cover - telemetry teardown
-                pass
-            self._server = None
         if self._listener is not None:
             try:
                 self._listener.close()

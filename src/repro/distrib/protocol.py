@@ -15,7 +15,6 @@ Message flow (worker-initiated, one request in flight per worker)::
       | -- LEASE_REQUEST -->            |
       | <-- LEASE / WAIT / DRAIN --     |
       | -- HEARTBEAT(lease) -->         |    one-way, no reply
-      | -- METRICS(delta, spans) -->    |    one-way, no reply
       | -- RESULT(chunk, entry) -->     |
       | <-- RESULT_ACK(status) --       |
       | ...                             |
@@ -24,10 +23,11 @@ Message flow (worker-initiated, one request in flight per worker)::
 Trace context rides the same frames: HELLO carries the worker's local
 context (diagnostic), WELCOME and LEASE carry the coordinator's
 ``{"trace_id", "parent_span_id"}`` so worker-side spans parent under the
-coordinator's serve span, and RESULT/METRICS carry finished worker span
-dicts back for :meth:`~repro.obs.trace.Tracer.merge_remote` to stitch
-into the coordinator's trace.  All telemetry fields are optional —
-an untraced peer simply omits them.
+coordinator's serve span, and RESULT carries the worker's spans finished
+since its last delivered RESULT back for
+:meth:`~repro.obs.trace.Tracer.merge_remote` to stitch into the
+coordinator's trace.  All telemetry fields are optional — an untraced
+peer simply omits them.
 
 The HELLO carries the plan fingerprint, the manifest digest (fingerprint
 + per-chunk input digests) and the model-weights digest, so two peers
@@ -48,14 +48,12 @@ from __future__ import annotations
 import base64
 import binascii
 import json
-import os
 import socket
 import struct
 import threading
 
 from ..exceptions import ProtocolError
 from ..obs import get_metrics, json_default
-from ..obs.metrics import encode_counter_delta
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -72,16 +70,14 @@ __all__ = [
     "msg_lease",
     "msg_wait",
     "msg_heartbeat",
-    "msg_metrics",
     "msg_result",
     "msg_result_ack",
     "msg_drain",
-    "registry_token",
 ]
 
 #: bump on any incompatible message-shape change; HELLO/WELCOME carry it
-#: (v2: METRICS frames + optional trace/spans telemetry fields)
-PROTOCOL_VERSION = 2
+#: (v2: optional trace/spans telemetry fields; v3: no METRICS frame)
+PROTOCOL_VERSION = 3
 
 _LENGTH = struct.Struct("!I")
 
@@ -98,23 +94,11 @@ _MESSAGE_TYPES = frozenset(
         "lease",
         "wait",
         "heartbeat",
-        "metrics",
         "result",
         "result_ack",
         "drain",
     }
 )
-
-
-def registry_token() -> str:
-    """Identity of this process's live metrics registry.
-
-    Stamped on METRICS frames so a receiver can recognise a delta that
-    originated from its *own* registry (worker threads sharing the
-    process-global registry in tests) and skip merging it — a registry's
-    delta folded back into itself double-counts every series.
-    """
-    return f"{os.getpid()}:{id(get_metrics())}"
 
 
 def encode_artifact(data: bytes) -> str:
@@ -331,35 +315,6 @@ def msg_wait(seconds: float) -> dict:
 
 def msg_heartbeat(lease_id: int) -> dict:
     return {"type": "heartbeat", "lease": int(lease_id)}
-
-
-def msg_metrics(
-    worker: str,
-    delta: "dict | None" = None,
-    spans: "list | None" = None,
-    registry: "str | None" = None,
-    profile: "list | None" = None,
-) -> dict:
-    """One-way worker telemetry push: counter deltas plus finished spans.
-
-    ``registry`` identifies the sending process's metrics registry
-    (``"pid:objectid"``); the coordinator skips merging deltas that came
-    from its *own* registry — the in-process test harness runs workers as
-    threads sharing the registry, and folding a shared registry's delta
-    back into itself would double-count.  ``profile`` ships fresh
-    folded-stack sample rows (``[[folded, count], ...]``) when the worker
-    is running a sampling profiler; same double-count guard applies.
-    """
-    message: dict = {"type": "metrics", "worker": worker}
-    if delta:
-        message["delta"] = encode_counter_delta(delta)
-    if spans:
-        message["spans"] = spans
-    if registry:
-        message["registry"] = registry
-    if profile:
-        message["profile"] = profile
-    return message
 
 
 def msg_result(

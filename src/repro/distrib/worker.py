@@ -18,7 +18,10 @@ leased chunk through the PR-6 machinery it already trusts:
   first-digest-wins);
 * connects and reconnects go through :func:`~repro.resilience.retry.
   retry_call` under a :class:`~repro.resilience.retry.RetryPolicy`, so
-  backoff schedules stay deterministic under test seeds.
+  backoff schedules stay deterministic under test seeds;
+* finished spans ride each RESULT frame, and the span cursor advances
+  only once that frame is sent, so spans finished before a partition go
+  out on the next RESULT after the reconnect.
 
 Chaos: ``kill`` and ``disconnect`` rules are fired by the agent itself
 (SIGKILL the whole process / sever the coordinator connection), keyed by
@@ -29,7 +32,6 @@ also match chunk indices rather than shard-relative positions.
 
 from __future__ import annotations
 
-import json
 import os
 import signal
 import socket
@@ -42,8 +44,7 @@ import numpy as np
 from ..core.chunked import ChunkRun, run_supervised
 from ..exceptions import IntegrityError, ProtocolError
 from ..io.checkpoint import CheckpointJournal, digest_model
-from ..obs import get_logger, get_metrics, get_profiler, get_tracer, json_default
-from ..obs.prof import diff_rows
+from ..obs import get_logger, get_metrics, get_tracer
 from ..obs.trace import Tracer
 from ..resilience.inject import ChaosInjector, ChaosPartition
 from ..resilience.retry import RetryPolicy, retry_call
@@ -55,9 +56,7 @@ from .protocol import (
     msg_heartbeat,
     msg_hello,
     msg_lease_request,
-    msg_metrics,
     msg_result,
-    registry_token,
 )
 
 __all__ = ["ShardWorker"]
@@ -69,110 +68,6 @@ _MAX_CONSECUTIVE_FAILURES = 10
 
 #: cap on server-suggested wait naps, so drain is never far away
 _MAX_WAIT_NAP = 1.0
-
-#: period of the one-way METRICS telemetry push, per connection
-_TELEMETRY_INTERVAL = 1.0
-
-
-class _SpanShipper:
-    """Cursor over the tracer's finished spans for incremental shipping.
-
-    ``take()`` hands out each finished span exactly once (across the
-    result path and the telemetry pusher thread, hence the lock).  Spans
-    taken but never delivered are re-buffered via ``requeue`` so a
-    partition flushes them to the local trace file instead of dropping
-    them silently.
-    """
-
-    def __init__(self) -> None:
-        tracer = get_tracer()
-        self._lock = threading.Lock()
-        self._cursor = len(tracer.finished)
-        self._unsent: list = []
-
-    def take(self) -> list:
-        tracer = get_tracer()
-        with self._lock:
-            fresh, self._cursor = tracer.dicts_since(self._cursor)
-            batch = self._unsent + fresh
-            self._unsent = []
-            return batch
-
-    def requeue(self, spans: list) -> None:
-        if not spans:
-            return
-        with self._lock:
-            self._unsent = list(spans) + self._unsent
-
-    def drain_unsent(self) -> list:
-        """Everything taken-or-finished but not yet delivered."""
-        return self.take()
-
-
-class _TelemetryPusher:
-    """Per-connection METRICS push thread: counter deltas + spans.
-
-    One-way frames (no reply), so interleaving with the main loop's
-    request/reply traffic is safe — FrameSocket serializes sends.  Send
-    failures requeue the spans and stop the thread; the main loop
-    notices the dead connection on its own.
-    """
-
-    def __init__(self, conn: FrameSocket, worker: str, shipper: _SpanShipper) -> None:
-        self._conn = conn
-        self._worker = worker
-        self._shipper = shipper
-        self._baseline = get_metrics().counter_snapshot()
-        profiler = get_profiler()
-        self._prof_baseline = profiler.stacks.snapshot() if profiler.enabled else {}
-        self._stop = threading.Event()
-        # push() is callable from the main loop (final flush) while the
-        # pusher thread is live; serialize so the delta baseline advances
-        # exactly once per shipped window
-        self._push_lock = threading.Lock()
-        self._thread = threading.Thread(
-            target=self._run, name="distrib-telemetry", daemon=True
-        )
-        self._thread.start()
-
-    def push(self) -> None:
-        """One immediate push (also used for the final pre-drain flush)."""
-        with self._push_lock:
-            metrics = get_metrics()
-            current = metrics.counter_snapshot()
-            delta = metrics.counter_delta(current, self._baseline)
-            spans = self._shipper.take()
-            profiler = get_profiler()
-            prof_current = profiler.stacks.snapshot() if profiler.enabled else {}
-            profile_rows = diff_rows(prof_current, self._prof_baseline)
-            if not delta and not spans and not profile_rows:
-                return
-            try:
-                self._conn.send(
-                    msg_metrics(
-                        self._worker,
-                        delta=delta,
-                        spans=spans,
-                        registry=registry_token(),
-                        profile=profile_rows,
-                    )
-                )
-                self._baseline = current
-                self._prof_baseline = prof_current
-            except OSError:
-                self._shipper.requeue(spans)
-                raise
-
-    def _run(self) -> None:
-        while not self._stop.wait(_TELEMETRY_INTERVAL):
-            try:
-                self.push()
-            except OSError:
-                return  # connection died; the main loop will notice
-
-    def stop(self) -> None:
-        self._stop.set()
-        self._thread.join(timeout=2.0)
 
 
 class _TranslatedChaos:
@@ -260,11 +155,10 @@ class ShardWorker:
         self._local: "dict[int, dict]" = self._journal.begin(
             self.manifest, resume=checkpoint is not None
         )
-        #: spans that could not reach the coordinator survive here
-        self.trace_buffer_path = os.path.join(directory, "trace-buffer.jsonl")
         self._welcome_trace: "dict | None" = None
-        self._shipper: "_SpanShipper | None" = None
-        self._pusher: "_TelemetryPusher | None" = None
+        #: index into the tracer's finished spans of the first span no
+        #: RESULT frame has carried yet
+        self._span_cursor = 0
 
     # -- main loop ---------------------------------------------------------
 
@@ -289,8 +183,8 @@ class ShardWorker:
             "drained": None,
         }
         failures = 0
-        self._shipper = _SpanShipper()
-        conn = self._open(host, port)
+        self._span_cursor = len(get_tracer().finished)
+        conn = self._connect(host, port)
         try:
             while True:
                 try:
@@ -299,11 +193,6 @@ class ShardWorker:
                     kind = reply["type"]
                     if kind == "drain":
                         summary["drained"] = reply.get("reason", "")
-                        if self._pusher is not None:
-                            try:
-                                self._pusher.push()
-                            except OSError:
-                                pass  # flushed locally at close
                         break
                     if kind == "wait":
                         time.sleep(
@@ -325,9 +214,9 @@ class ShardWorker:
                         worker=self.name,
                         error=str(exc),
                     )
-                    self._close(conn, flush_reason="partition")
+                    conn.close()
                     summary["reconnects"] += 1
-                    conn = self._open(host, port)
+                    conn = self._connect(host, port)
                 except (TimeoutError, OSError, ProtocolError) as exc:
                     failures += 1
                     if failures >= _MAX_CONSECUTIVE_FAILURES:
@@ -340,11 +229,11 @@ class ShardWorker:
                         worker=self.name,
                         error=str(exc),
                     )
-                    self._close(conn, flush_reason="connection lost")
+                    conn.close()
                     summary["reconnects"] += 1
-                    conn = self._open(host, port)
+                    conn = self._connect(host, port)
         finally:
-            self._close(conn)
+            conn.close()
         _LOG.info(
             "worker drained",
             worker=self.name,
@@ -362,51 +251,6 @@ class ShardWorker:
         return message
 
     # -- connection --------------------------------------------------------
-
-    def _open(self, host: str, port: int) -> FrameSocket:
-        """Connect and attach the per-connection telemetry pusher."""
-        conn = self._connect(host, port)
-        if get_tracer().enabled or get_metrics().enabled:
-            self._pusher = _TelemetryPusher(conn, self.name, self._shipper)
-        return conn
-
-    def _close(self, conn: FrameSocket, flush_reason: "str | None" = None) -> None:
-        """Tear down a connection; on abnormal closes (``flush_reason``)
-        spill undelivered spans to the local trace buffer instead of
-        dropping them silently (they survive for post-mortem stitching,
-        and ``trace_spans_dropped_total`` counts the loss)."""
-        if self._pusher is not None:
-            self._pusher.stop()
-            self._pusher = None
-        if flush_reason and self._shipper is not None:
-            spans = self._shipper.drain_unsent()
-            if spans:
-                self._flush_spans_locally(spans, flush_reason)
-        conn.close()
-
-    def _flush_spans_locally(self, spans: list, reason: str) -> None:
-        get_metrics().counter("trace_spans_dropped_total").inc(len(spans))
-        try:
-            with open(self.trace_buffer_path, "a", encoding="utf-8") as handle:
-                for span in spans:
-                    handle.write(
-                        json.dumps(span, sort_keys=True, default=json_default)
-                    )
-                    handle.write("\n")
-        except OSError as exc:  # pragma: no cover - disk loss is best-effort
-            _LOG.warning(
-                "could not buffer undelivered spans locally",
-                worker=self.name,
-                error=str(exc),
-            )
-            return
-        _LOG.warning(
-            "buffered undelivered spans locally",
-            worker=self.name,
-            spans=len(spans),
-            reason=reason,
-            path=self.trace_buffer_path,
-        )
 
     def _connect(self, host: str, port: int) -> FrameSocket:
         """Connect + handshake under the retry policy (satellite: no
@@ -511,12 +355,13 @@ class ShardWorker:
             for chunk in chunk_ids:
                 entry = self._local[chunk]
                 data = self._journal.artifact_bytes(entry)
-                spans = self._shipper.take() if self._shipper else None
+                spans, cursor = tracer.dicts_since(self._span_cursor)
                 conn.send(
                     msg_result(
                         lease_id, chunk, entry, encode_artifact(data), spans=spans
                     )
                 )
+                self._span_cursor = cursor
                 ack = self._recv(conn)
                 if ack["type"] != "result_ack" or ack.get("chunk") != chunk:
                     raise ProtocolError(

@@ -27,51 +27,8 @@ __all__ = [
     "MetricsRegistry",
     "NullMetrics",
     "NULL_METRICS",
-    "decode_counter_delta",
-    "encode_counter_delta",
     "render_metrics_json",
 ]
-
-
-def encode_counter_delta(delta: dict) -> list:
-    """JSON-safe wire form of a :meth:`MetricsRegistry.counter_delta`.
-
-    Deltas key each series by a tuple of label pairs — picklable for the
-    fork seam, but not JSON-encodable for the distributed wire. The wire
-    form is a flat row list: ``[{"name", "labels": [[k, v], ...],
-    "value"}, ...]``.
-    """
-    return [
-        {"name": name, "labels": [list(pair) for pair in key], "value": change}
-        for name, series in delta.items()
-        for key, change in series.items()
-    ]
-
-
-def decode_counter_delta(payload) -> dict:
-    """Inverse of :func:`encode_counter_delta`; drops malformed rows.
-
-    Rows arrive over the network, so anything mis-shapen is evidence to
-    skip, not an exception: a telemetry frame must never be able to take
-    the coordinator down.
-    """
-    delta: dict = {}
-    if not isinstance(payload, list):
-        return delta
-    for row in payload:
-        if not isinstance(row, dict):
-            continue
-        name = row.get("name")
-        value = row.get("value")
-        labels = row.get("labels", [])
-        if not isinstance(name, str) or not isinstance(value, (int, float)):
-            continue
-        try:
-            key = tuple((str(k), str(v)) for k, v in labels)
-        except (TypeError, ValueError):
-            continue
-        delta.setdefault(name, {})[key] = float(value)
-    return delta
 
 
 class Counter:

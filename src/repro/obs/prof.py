@@ -95,10 +95,7 @@ class StackAccumulator:
     """Thread-safe folded-stack aggregation.
 
     Keys are folded strings ``thread;frame;...;frame`` (root first);
-    values are sample counts.  Aggregation is a pure multiset sum, so it
-    is invariant to sample order and to how batches were partitioned
-    before merging — the property remote shipping relies on (and the
-    hypothesis suite asserts).
+    values are sample counts.
     """
 
     def __init__(self) -> None:
@@ -110,19 +107,6 @@ class StackAccumulator:
         with self._lock:
             self._counts[folded] = self._counts.get(folded, 0) + int(count)
 
-    def merge_rows(self, rows) -> None:
-        """Fold ``[[folded, count], ...]`` (a remote delta) into this one."""
-        if not rows:
-            return
-        with self._lock:
-            for row in rows:
-                try:
-                    folded, count = str(row[0]), int(row[1])
-                except (TypeError, ValueError, IndexError):
-                    continue  # telemetry is evidence, not a contract
-                if count > 0:
-                    self._counts[folded] = self._counts.get(folded, 0) + count
-
     def snapshot(self) -> dict:
         with self._lock:
             return dict(self._counts)
@@ -133,14 +117,6 @@ class StackAccumulator:
 
     def rows(self) -> list:
         return diff_rows(self.snapshot(), {})
-
-    def top(self, limit: int = 20) -> list:
-        rows = self.rows()[: max(0, int(limit))]
-        total = self.total() or 1
-        return [
-            {"stack": folded, "samples": count, "fraction": count / total}
-            for folded, count in rows
-        ]
 
     # -- exports -------------------------------------------------------
 
@@ -314,24 +290,6 @@ class SamplingProfiler:
             ],
         }
 
-    # -- rendering -----------------------------------------------------
-
-    def render_hot(self, limit: int = 25) -> str:
-        rows = self.stacks.top(limit)
-        if not rows:
-            return "(no samples yet)\n"
-        lines = [f"{'samples':>8} {'share':>7}  hottest stacks (root;...;leaf)"]
-        for row in rows:
-            stack = row["stack"]
-            if len(stack) > 160:
-                stack = "..." + stack[-157:]
-            lines.append(f"{row['samples']:>8} {100 * row['fraction']:>6.1f}%  {stack}")
-        lines.append(
-            f"total {self.stacks.total()} samples @ {self.hz:g} hz, "
-            f"measured overhead {100 * self.overhead_fraction():.2f}%"
-        )
-        return "\n".join(lines) + "\n"
-
 
 class NullProfiler:
     """No-op stand-in: profiling off costs one attribute lookup."""
@@ -364,9 +322,6 @@ class NullProfiler:
 
     def end_window(self, window) -> dict:
         return {}
-
-    def render_hot(self, limit: int = 25) -> str:
-        return "(profiling off)\n"
 
 
 NULL_PROFILER = NullProfiler()

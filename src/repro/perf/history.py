@@ -55,7 +55,7 @@ DEFAULT_MAD_K = 3.0
 _MAD_SCALE = 1.4826
 
 #: config keys that are measured outcomes, not run identity
-_VOLATILE_PREFIXES = ("speedup", "overhead", "endpoint_overhead", "journal_overhead")
+_VOLATILE_PREFIXES = ("speedup", "overhead", "journal_overhead")
 _VOLATILE_KEYS = frozenset({"lowerings", "compiles"})
 
 

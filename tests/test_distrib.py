@@ -9,6 +9,7 @@ killed or partitioned worker costs a lease (reassigned), never a chunk
 journal without recomputing.
 """
 
+import argparse
 import json
 import os
 import shutil
@@ -17,7 +18,6 @@ import struct
 import tempfile
 import threading
 import time
-import urllib.request
 
 import numpy as np
 import pytest
@@ -25,14 +25,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
-from repro.cli import build_parser, main as cli_main
-from repro.obs.timeline import analyze_spans
+from repro.cli import build_parser
 from repro.compress.sz import SZCompressor
 from repro.core.errorflow import ErrorFlowAnalyzer
 from repro.core.chunked import ChunkRun, resolve_executor, split_chunks
 from repro.core.pipeline import InferencePipeline
 from repro.core.planner import TolerancePlanner
 from repro.distrib import (
+    PROTOCOL_VERSION,
     DistribConfig,
     DrainedError,
     FrameSocket,
@@ -44,6 +44,7 @@ from repro.distrib import (
     manifest_identity,
 )
 from repro.distrib.protocol import (
+    _MESSAGE_TYPES,
     msg_hello,
     msg_lease_request,
     msg_result,
@@ -151,6 +152,99 @@ def test_manifest_identity_covers_digests():
     assert manifest_identity(base) != manifest_identity(
         {"fingerprint": {"codec": "sz"}, "chunk_digests": ["aa", "cc"]}
     )
+
+
+#: a two-chunk manifest and one certified RESULT for chunk 0, built
+#: without a pipeline: the coordinator checks digests, not arrays
+_ARTIFACT = bytes(range(48)) * 2
+_FUZZ_MANIFEST = {
+    "fingerprint": {"codec": "test"},
+    "chunk_digests": [digest_bytes(b"chunk-0"), digest_bytes(b"chunk-1")],
+}
+_RESULT = msg_result(
+    7, 0,
+    {
+        "input_digest": _FUZZ_MANIFEST["chunk_digests"][0],
+        "attempts": 1,
+        "artifact_digest": digest_bytes(_ARTIFACT),
+    },
+    encode_artifact(_ARTIFACT),
+)
+_RESULT_BYTES = json.dumps(_RESULT, separators=(",", ":")).encode("utf-8")
+_RESULT_FRAME = struct.pack("!I", len(_RESULT_BYTES)) + _RESULT_BYTES
+
+
+def test_wire_protocol_is_pinned():
+    """Protocol v3: these message types, listed literally.  The v2
+    METRICS frame is now an unknown type, and a v2 HELLO is refused with
+    both versions named."""
+    assert PROTOCOL_VERSION == 3
+    assert _MESSAGE_TYPES == {
+        "hello", "welcome", "refuse", "lease_request", "lease", "wait",
+        "heartbeat", "result", "result_ack", "drain",
+    }
+    framed, raw = _framed_pair()
+    payload = b'{"type": "metrics", "worker": "w0"}'
+    raw.sendall(struct.pack("!I", len(payload)) + payload)
+    with pytest.raises(ProtocolError, match="unknown message type 'metrics'"):
+        framed.recv()
+    framed.close()
+    raw.close()
+
+    coordinator = ShardCoordinator(_FUZZ_MANIFEST)
+    worker_end, coordinator_end = socket.socketpair()
+    worker = FrameSocket(worker_end, role="worker")
+    worker.settimeout(5.0)
+    hello = msg_hello(
+        "old", _FUZZ_MANIFEST["fingerprint"], manifest_identity(_FUZZ_MANIFEST), None
+    )
+    worker.send(dict(hello, proto=2))
+    assert coordinator._handshake(FrameSocket(coordinator_end)) is None
+    reply = worker.recv()
+    assert reply == {"type": "refuse", "reason": "protocol version 2 != 3"}
+    assert coordinator.summary("refused")["handshake_refused"] == 1
+    worker.close()
+    coordinator_end.close()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    cut=st.one_of(st.none(), st.integers(0, len(_RESULT_FRAME))),
+    flips=st.lists(st.integers(0, 8 * len(_RESULT_FRAME) - 1), max_size=4),
+)
+def test_a_damaged_result_frame_never_journals_other_bytes(cut, flips):
+    """A RESULT frame truncated and bit-flipped on its way through
+    ``FrameSocket.recv`` into the coordinator's result intake ends in a
+    ``ProtocolError``, an ``IntegrityError``, a clean end of stream at a
+    frame boundary, or chunk 0 accepted with its own bytes — never in
+    other bytes journaled."""
+    frame = bytearray(_RESULT_FRAME)
+    for bit in flips:
+        frame[bit // 8] ^= 1 << (bit % 8)
+    if cut is not None:
+        frame = frame[:cut]
+    sender, receiver = socket.socketpair()
+    receiver.settimeout(5.0)
+    sender.sendall(bytes(frame))
+    sender.close()
+    framed = FrameSocket(receiver, role="coordinator")
+    with tempfile.TemporaryDirectory() as directory:
+        journal = CheckpointJournal(directory)
+        journal.begin(_FUZZ_MANIFEST)
+        coordinator = ShardCoordinator(_FUZZ_MANIFEST, journal=journal)
+        try:
+            while (message := framed.recv()) is not None:
+                if message["type"] != "result":
+                    raise ProtocolError(f"unexpected {message['type']!r}")
+                assert coordinator._handle_result("fuzz", message) == "accepted"
+        except (ProtocolError, IntegrityError):
+            pass
+        finally:
+            framed.close()
+        assert set(coordinator.accepted) <= {0}
+        for entry in journal.entries():
+            assert entry["chunk"] == 0
+            assert journal.artifact_bytes(entry) == _ARTIFACT
 
 
 # -- split_chunks / config validation ---------------------------------------
@@ -302,6 +396,30 @@ def test_cli_parses_worker_command():
     assert args.connect == "127.0.0.1:5000"
 
 
+def test_cli_commands_and_coordinate_flags_are_pinned():
+    """The CLI's commands and ``coordinate``'s flags, listed literally:
+    the HTTP metrics server, the trace analyzer and the coordinator's
+    telemetry-endpoint flags are gone."""
+    commands = next(
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    assert set(commands.choices) == {
+        "analyze", "audit", "bench", "compress", "coordinate", "decompress",
+        "metrics", "pipeline", "plan", "profile", "store", "worker",
+    }
+    flags = {
+        flag for action in commands.choices["coordinate"]._actions
+        for flag in action.option_strings
+    }
+    assert flags == {
+        "-h", "--help", "--tolerance", "--norm", "--codec", "--fraction",
+        "--chunk-size", "--workers", "--max-retries", "--task-timeout",
+        "--host", "--port", "--lease-ttl", "--shard-size", "--expect-workers",
+        "--worker-wait", "--checkpoint", "--resume",
+    }
+
+
 # -- coordinator + worker integration ---------------------------------------
 
 
@@ -335,16 +453,12 @@ def _run_distributed(
     worker_wait=15.0,
     expect_workers=0,
     worker_checkpoints=None,
-    metrics_port=None,
-    on_coordinator=None,
 ):
     """Distributed run with in-thread worker agents launched on start."""
     summaries, errors, threads = [], [], []
 
     def launch(coordinator):
         host, port = coordinator.address
-        if on_coordinator is not None:
-            on_coordinator(coordinator)
 
         def run_one(index):
             spec = (chaos_specs or {}).get(index)
@@ -375,7 +489,6 @@ def _run_distributed(
         worker_wait=worker_wait,
         expect_workers=expect_workers,
         on_start=launch,
-        metrics_port=metrics_port,
     )
     result = pipeline.execute_chunked(
         fields,
@@ -586,6 +699,29 @@ def test_straggler_dedup_and_result_validation(distrib_setup, tmp_path):
         # wrong input digest: computed on different bytes (mixed plan)
         stale = dict(entries[1], input_digest=digests[0])
         assert submit(1, stale, artifacts[1]) == "rejected"
+        # no declared digest: nothing vouches for the bytes, however right
+        # they are (on a second connection: a third rejection on this one
+        # would drain it)
+        other = FrameSocket(socket.create_connection((host, port)), role="worker")
+        other.settimeout(5.0)
+        try:
+            other.send(
+                msg_hello(
+                    "undeclared",
+                    manifest["fingerprint"],
+                    manifest_identity(manifest),
+                    digest_model(pipeline.model),
+                )
+            )
+            assert other.recv()["type"] == "welcome"
+            undeclared = dict(entries[1])
+            del undeclared["artifact_digest"]
+            other.send(
+                msg_result(release["lease"], 1, undeclared, encode_artifact(artifacts[1]))
+            )
+            assert other.recv() == {"type": "result_ack", "chunk": 1, "status": "rejected"}
+        finally:
+            other.close()
         # valid submissions finish the run (results need no live lease)
         for index in (1, 2, 3):
             assert submit(index, entries[index], artifacts[index]) == "accepted"
@@ -598,7 +734,7 @@ def test_straggler_dedup_and_result_validation(distrib_setup, tmp_path):
     assert summary["outcome"] == "complete"
     assert summary["completed_chunks"] == 4
     assert summary["results"] == {
-        "accepted": 4, "duplicate": 1, "conflict": 1, "rejected": 2,
+        "accepted": 4, "duplicate": 1, "conflict": 1, "rejected": 3,
     }
     assert summary["leases_expired"] == 1
     assert summary["leases_reassigned"] == 1
@@ -918,216 +1054,31 @@ def test_a_checkpoint_from_before_streams_had_a_precision_is_refused(distrib_set
     np.testing.assert_array_equal(resumed.outputs, serial.outputs)
 
 
-# -- distributed tracing + live ops plane ------------------------------------
+# -- distributed tracing -----------------------------------------------------
 
 
 @needs_fork
 def test_distributed_trace_stitches_one_trace_across_chaos(distrib_setup):
-    """The observability tentpole, end to end: a chaos-partitioned
-    2-worker run — one disconnect mid-lease, one artificially slow
-    chunk — still lands every span in ONE trace (zero orphans), and
-    the timeline analyzer names the slow chunk as the straggler."""
+    """A partitioned 2-worker run still lands every span in ONE trace:
+    one trace id, every parent link resolving inside the export, and the
+    workers' lease spans in it (shipped on RESULT frames, including the
+    lease the partition cut short)."""
     pipeline, fields, serial, _, _ = distrib_setup
     with obs.capture() as (tracer, _):
         result, summaries, errors = _run_distributed(
             pipeline,
             fields,
             expect_workers=2,
-            chaos_specs={
-                0: "disconnect@1,slow@2:all=1.5",
-                1: "slow@2:all=1.5",
-            },
+            chaos_specs={0: "disconnect@1", 1: "disconnect@1"},
         )
         spans = tracer.to_dicts()
     assert errors == []
     np.testing.assert_array_equal(result.outputs, serial.outputs)
+    assert sum(s["partitions"] for s in summaries) >= 1
 
-    # one stitched trace: every span shares the run's trace id and is
-    # reachable from a root — nothing orphaned by the partition
     assert {span["trace_id"] for span in spans} == {tracer.trace_id}
-    report = analyze_spans(spans)
-    assert report["orphans"]["count"] == 0
-    assert report["n_spans"] == len(spans) > 0
-
-    # the lease schedule was reconstructed: all four chunks accounted
-    # for, with per-worker utilization over the run wall
-    assert sum(w["chunks"] for w in report["workers"].values()) == 4
-    assert set(report["workers"]) <= {"w0", "w1"}
-    for stats in report["workers"].values():
-        assert stats["busy_s"] > 0.0 and 0.0 < stats["utilization"] <= 1.0
-
-    # the chaos-slowed chunk shows up as the straggler
-    straggler_chunks = [s["chunk"] for s in report["stragglers"]]
-    assert 2 in straggler_chunks
-    slow = next(s for s in report["stragglers"] if s["chunk"] == 2)
-    assert slow["run_s"] >= 1.5 and slow["ratio_to_median"] > 2.0
-
-    assert report["critical_path"], "critical path must be non-empty"
-    assert report["phase_seconds"]["run"] >= 1.5
-
-    # the same analysis rides back on the result itself
-    timeline = result.extra["timeline"]
-    assert timeline["orphans"]["count"] == 0
-    assert 2 in [s["chunk"] for s in timeline["stragglers"]]
-
-    # worker spans made it over the wire (or through the fork seam)
+    span_ids = {span["span_id"] for span in spans}
+    dangling = [s for s in spans if s["parent_id"] is not None and s["parent_id"] not in span_ids]
+    assert dangling == []
     names = {span["name"] for span in spans}
-    assert {"distrib.serve", "distrib.chunk", "worker.lease"} <= names
-
-
-@needs_fork
-def test_live_endpoints_respond_during_run(distrib_setup):
-    """/status and /metrics answer while the run is in flight and see
-    both connected workers."""
-    pipeline, fields, serial, _, _ = distrib_setup
-    statuses, metric_bodies = [], []
-    stop = threading.Event()
-    pollers = []
-
-    def poll(address):
-        host, port = address
-        base = f"http://{host}:{port}"
-        while not stop.is_set():
-            try:
-                with urllib.request.urlopen(f"{base}/status", timeout=2.0) as r:
-                    statuses.append(json.loads(r.read()))
-                with urllib.request.urlopen(f"{base}/metrics", timeout=2.0) as r:
-                    metric_bodies.append(r.read().decode())
-            except OSError:
-                pass  # run may finish between polls
-            time.sleep(0.05)
-
-    def watch(coordinator):
-        assert coordinator.metrics_address is not None
-        thread = threading.Thread(
-            target=poll, args=(coordinator.metrics_address,), daemon=True
-        )
-        pollers.append(thread)
-        thread.start()
-
-    with obs.capture():
-        result, _, errors = _run_distributed(
-            pipeline,
-            fields,
-            expect_workers=2,
-            chaos_specs={0: "slow@*:all=0.25", 1: "slow@*:all=0.25"},
-            metrics_port=0,
-            on_coordinator=watch,
-        )
-    stop.set()
-    for thread in pollers:
-        thread.join(timeout=5.0)
-    assert errors == []
-    np.testing.assert_array_equal(result.outputs, serial.outputs)
-
-    assert statuses, "poller never reached /status"
-    assert any(s["workers_connected"] == 2 for s in statuses)
-    assert any(s["leases_active"] >= 1 for s in statuses)
-    # the lease table exposes per-chunk state while chunks are leased
-    leased = [
-        c for s in statuses for c in s["chunks"] if c["state"] == "leased"
-    ]
-    assert leased and all(c["owner"] in ("w0", "w1") for c in leased)
-    assert any("distrib_workers_connected 2" in body for body in metric_bodies)
-    assert any("distrib_chunk_seconds" in body for body in metric_bodies)
-
-
-def test_coordinator_endpoints_without_workers():
-    """Raw endpoint contract: a freshly started coordinator answers
-    /status, /metrics and /healthz before any worker joins."""
-    manifest = {
-        "fingerprint": {"codec": "sz"},
-        "chunk_digests": [digest_array(np.zeros((2, 2), dtype=np.float32))],
-    }
-    config = DistribConfig(port=0, metrics_port=0, worker_wait=5.0)
-    coordinator = ShardCoordinator(manifest, config=config)
-    with obs.capture():
-        coordinator.start()
-        try:
-            host, port = coordinator.metrics_address
-            base = f"http://{host}:{port}"
-            with urllib.request.urlopen(f"{base}/status", timeout=5.0) as r:
-                status = json.loads(r.read())
-            assert status["workers_connected"] == 0
-            assert status["chunks_total"] == 1
-            assert status["chunks_pending"] == 1
-            assert [c["state"] for c in status["chunks"]] == ["pending"]
-            with urllib.request.urlopen(f"{base}/healthz", timeout=5.0) as r:
-                assert r.read() == b"ok\n"
-            with urllib.request.urlopen(f"{base}/metrics", timeout=5.0) as r:
-                assert "text/plain" in r.headers["Content-Type"]
-        finally:
-            coordinator.request_drain()
-            assert coordinator.serve()["outcome"] == "drained"
-
-
-def test_cli_parses_telemetry_flags_and_trace_command():
-    args = build_parser().parse_args(
-        [
-            "coordinate", "h2combustion", "--tolerance", "1e-2",
-            "--chunk-size", "16",
-            "--metrics-port", "9100", "--metrics-host", "0.0.0.0",
-        ]
-    )
-    assert args.metrics_port == 9100
-    assert args.metrics_host == "0.0.0.0"
-
-    args = build_parser().parse_args(
-        ["trace", "analyze", "t.jsonl", "--straggler-k", "3", "--json", "o.json"]
-    )
-    assert args.command == "trace" and args.trace_command == "analyze"
-    assert args.file == "t.jsonl" and args.straggler_k == 3.0
-
-    args = build_parser().parse_args(
-        ["serve-metrics", "m.json", "--port", "9100", "--duration", "0.5"]
-    )
-    assert args.command == "serve-metrics" and args.duration == 0.5
-
-
-def test_cli_trace_analyze_exit_codes(tmp_path):
-    from repro.obs import Tracer
-
-    tracer = Tracer()
-    with tracer.span("root"):
-        with tracer.span("child"):
-            pass
-    clean = str(tmp_path / "clean.jsonl")
-    tracer.export_jsonl(clean)
-    out = str(tmp_path / "report.json")
-    assert cli_main(["trace", "analyze", clean, "--json", out]) == 0
-    report = json.loads(open(out).read())
-    assert report["orphans"]["count"] == 0
-    assert [p["name"] for p in report["critical_path"]] == ["root", "child"]
-
-    orphaned = str(tmp_path / "orphaned.jsonl")
-    shutil.copy(clean, orphaned)
-    with open(orphaned, "a") as handle:
-        handle.write(json.dumps({
-            "span_id": "a" * 16, "parent_id": "b" * 16, "root": False,
-            "name": "lost", "start_unix": 0.0, "duration_s": 0.1,
-        }) + "\n")
-    # orphaned spans flip the exit code: CI can assert a fully
-    # stitched trace with nothing but `repro trace analyze`
-    assert cli_main(["trace", "analyze", orphaned]) == 1
-    assert cli_main(["trace", "analyze", str(tmp_path / "missing.jsonl")]) == 1
-
-
-def test_cli_serve_metrics_serves_saved_export(tmp_path):
-    with obs.capture() as (_, metrics):
-        metrics.counter("events_total").inc(5)
-        payload = metrics.to_json()
-    path = str(tmp_path / "metrics.json")
-    with open(path, "w") as handle:
-        json.dump(payload, handle)
-
-    results = {}
-
-    def run():
-        results["code"] = cli_main(
-            ["serve-metrics", path, "--port", "0", "--duration", "1.0"]
-        )
-
-    thread = threading.Thread(target=run, daemon=True)
-    thread.start()
-    thread.join(timeout=10.0)
-    assert results.get("code") == 0
+    assert {"distrib.serve", "distrib.result", "worker.lease"} <= names

@@ -1,24 +1,16 @@
 """Distributed observability suite: trace context propagation, remote
-span merging, the live telemetry endpoint and timeline analysis.
+span merging and the Prometheus exposition.
 
-The contract under test is the observability tentpole: spans minted in
-coordinator threads, TCP workers and forked pool children stitch into
-ONE trace (same trace id, zero orphans); the coordinator exposes live
-``/metrics`` + ``/status``; and the timeline analyzer reconstructs the
-per-chunk lease schedule — critical path, per-worker utilization and
-straggler detection — from nothing but the exported spans.
+The contract under test: spans minted in coordinator threads, TCP
+workers and forked pool children stitch into ONE trace (same trace id,
+every parent link resolving inside it).
 """
 
-import json
 import re
-import urllib.request
 
 import pytest
 
-from repro import obs
 from repro.obs import MetricsRegistry, Tracer, new_span_id, new_trace_id, read_jsonl
-from repro.obs.server import MetricsServer, prometheus_from_json_export
-from repro.obs.timeline import analyze_spans, analyze_trace, render_gantt, render_report
 from repro.obs.trace import NULL_TRACER, Span
 
 
@@ -259,317 +251,3 @@ def test_prometheus_help_escapes_newlines_and_backslashes():
     text = registry.to_prometheus()
     assert "# HELP weird line one\\nline two \\\\ slash" in text
     _assert_valid_exposition(text)
-
-
-def test_prometheus_from_json_export_round_trip():
-    registry = MetricsRegistry()
-    registry.counter("events_total", kind="a").inc(3)
-    registry.gauge("ratio").set(2.5)
-    registry.histogram("latency_seconds", stage="z").observe(0.5)
-    text = prometheus_from_json_export(registry.to_json())
-    assert 'events_total{kind="a"} 3' in text
-    assert "# TYPE latency_seconds summary" in text
-    assert 'latency_seconds{stage="z",quantile="0.5"} 0.5' in text
-    assert 'latency_seconds_count{stage="z"} 1' in text
-    _assert_valid_exposition(text)
-    assert prometheus_from_json_export({"metrics": []}) == ""
-
-
-# -- live telemetry endpoint ------------------------------------------------
-
-
-def _get(url: str):
-    with urllib.request.urlopen(url, timeout=5.0) as response:
-        return response.status, response.read(), response.headers
-
-
-def test_metrics_server_serves_metrics_status_healthz():
-    status_doc = {"workers_connected": 2, "chunks_done": 1}
-    with obs.capture() as (_, metrics):
-        metrics.counter("events_total").inc(3)
-        with MetricsServer(status_fn=lambda: dict(status_doc)) as server:
-            host, port = server.address
-            base = f"http://{host}:{port}"
-            code, body, headers = _get(f"{base}/metrics")
-            assert code == 200
-            assert "text/plain" in headers["Content-Type"]
-            assert b"events_total 3" in body
-            code, body, _ = _get(f"{base}/status")
-            assert code == 200 and json.loads(body) == status_doc
-            code, body, _ = _get(f"{base}/healthz")
-            assert code == 200 and body == b"ok\n"
-            with pytest.raises(urllib.error.HTTPError) as excinfo:
-                _get(f"{base}/nope")
-            assert excinfo.value.code == 404
-
-
-def test_metrics_server_tracks_registry_installed_after_start():
-    """Per-request registry lookup: enable order must not matter."""
-    server = MetricsServer()
-    host, port = server.start()
-    try:
-        code, body, _ = _get(f"http://{host}:{port}/metrics")
-        assert code == 200 and body == b""  # NullMetrics: empty exposition
-        with obs.capture() as (_, metrics):
-            metrics.counter("late_total").inc()
-            _, body, _ = _get(f"http://{host}:{port}/metrics")
-            assert b"late_total 1" in body
-    finally:
-        server.stop()
-
-
-def test_metrics_server_failing_status_fn_degrades_to_500():
-    def boom():
-        raise RuntimeError("status exploded")
-
-    with MetricsServer(status_fn=boom) as server:
-        host, port = server.address
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            _get(f"http://{host}:{port}/status")
-        assert excinfo.value.code == 500
-
-
-# -- timeline analysis ------------------------------------------------------
-
-
-def _chunk_span(chunk, worker, enqueued, granted, accepted, run_s, lease=1):
-    return {
-        "span_id": new_span_id(),
-        "parent_id": "r" * 16,
-        "root": False,
-        "name": "distrib.chunk",
-        "start_unix": accepted,
-        "duration_s": 0.0,
-        "trace_id": "t" * 32,
-        "attributes": {
-            "chunk": chunk,
-            "worker": worker,
-            "lease": lease,
-            "queue_s": granted - enqueued,
-            "run_s": run_s,
-            "transfer_s": max(0.0, (accepted - granted) - run_s),
-            "enqueued_unix": enqueued,
-            "granted_unix": granted,
-            "accepted_unix": accepted,
-        },
-    }
-
-
-def _synthetic_trace():
-    root = {
-        "span_id": "r" * 16,
-        "parent_id": None,
-        "root": True,
-        "name": "distrib.serve",
-        "start_unix": 100.0,
-        "duration_s": 10.0,
-        "trace_id": "t" * 32,
-        "attributes": {},
-    }
-    chunks = [
-        _chunk_span(0, "w0", 100.0, 100.1, 101.2, 1.0),
-        _chunk_span(1, "w1", 100.0, 100.1, 101.3, 1.1),
-        _chunk_span(2, "w0", 100.0, 101.3, 107.5, 6.0),  # straggler
-        _chunk_span(3, "w1", 100.0, 101.4, 102.7, 1.2),
-    ]
-    return [root] + chunks
-
-
-def test_analyze_spans_builds_timeline_report():
-    report = analyze_spans(_synthetic_trace())
-    assert report["trace_id"] == "t" * 32
-    assert report["n_spans"] == 5 and report["n_roots"] == 1
-    assert report["orphans"]["count"] == 0
-    assert report["root"]["name"] == "distrib.serve"
-    assert report["wall_seconds"] == pytest.approx(10.0)
-    # per-worker utilization over the run wall
-    assert report["workers"]["w0"]["chunks"] == 2
-    assert report["workers"]["w0"]["busy_s"] == pytest.approx(7.0)
-    assert report["workers"]["w0"]["utilization"] == pytest.approx(0.7)
-    assert report["workers"]["w1"]["utilization"] == pytest.approx(0.23)
-    # phase aggregate
-    assert report["phase_seconds"]["run"] == pytest.approx(9.3)
-    # straggler: 6.0s vs median 1.15s
-    assert [s["chunk"] for s in report["stragglers"]] == [2]
-    assert report["stragglers"][0]["ratio_to_median"] == pytest.approx(6.0 / 1.15)
-    # critical path starts at the dominant root
-    assert report["critical_path"][0]["name"] == "distrib.serve"
-    # the whole report survives JSON
-    assert json.loads(json.dumps(report)) == report
-
-
-def test_analyze_spans_detects_orphans():
-    spans = _synthetic_trace()
-    spans.append(
-        {
-            "span_id": "o" * 16,
-            "parent_id": "z" * 16,  # parent never shipped
-            "root": False,
-            "name": "lost.child",
-            "start_unix": 101.0,
-            "duration_s": 0.1,
-            "attributes": {},
-        }
-    )
-    report = analyze_spans(spans)
-    assert report["orphans"]["count"] == 1
-    assert report["orphans"]["spans"][0]["name"] == "lost.child"
-
-
-def test_analyze_spans_straggler_threshold_is_tunable():
-    report = analyze_spans(_synthetic_trace(), straggler_k=10.0)
-    assert report["stragglers"] == []
-    with pytest.raises(ValueError):
-        analyze_spans(_synthetic_trace(), straggler_k=0.0)
-
-
-def test_analyze_spans_empty_and_malformed_input():
-    report = analyze_spans([])
-    assert report["n_spans"] == 0 and report["critical_path"] == []
-    assert report["orphans"]["count"] == 0 and report["workers"] == {}
-    # non-dict and id-less entries are evidence to skip, not errors
-    assert analyze_spans([None, "x", {"name": "no-id"}])["n_spans"] == 0
-
-
-def test_analyze_trace_reads_exported_file(tmp_path):
-    tracer = Tracer()
-    with tracer.span("pipeline.execute_chunked"):
-        with tracer.span("distrib.serve"):
-            pass
-    path = str(tmp_path / "trace.jsonl")
-    tracer.export_jsonl(path)
-    report = analyze_trace(path)
-    assert report["n_spans"] == 2 and report["orphans"]["count"] == 0
-    assert report["trace_id"] == tracer.trace_id
-    assert [p["name"] for p in report["critical_path"]] == [
-        "pipeline.execute_chunked",
-        "distrib.serve",
-    ]
-
-
-def test_render_gantt_and_report_shapes():
-    report = analyze_spans(_synthetic_trace())
-    gantt = render_gantt(report, width=40)
-    lines = gantt.splitlines()
-    assert len(lines) == 5  # header + 4 chunks
-    assert "w0" in lines[1] and "=" in lines[1]
-    assert all(len(line) == len(lines[0]) for line in lines[1:])
-    with pytest.raises(ValueError):
-        render_gantt(report, width=8)
-    assert render_gantt({"chunks": []}) == "(no distrib.chunk spans in trace)"
-    text = render_report(report)
-    assert "orphans: 0" in text
-    assert "straggler: chunk 2 on w0" in text
-    assert "critical path: distrib.serve" in text
-
-
-def test_render_report_without_chunks_says_no_stragglers():
-    text = render_report(analyze_spans([]))
-    assert "stragglers: none" in text
-
-
-# -- timeline robustness: degenerate spans from merged traces ---------------
-
-
-def test_analyze_spans_clamps_negative_durations():
-    """Clock skew in merged remote spans can yield duration_s < 0; a span
-    must never end before it starts (and never drag the wall negative)."""
-    spans = _synthetic_trace()
-    spans.append(
-        {
-            "span_id": "n" * 16,
-            "parent_id": "r" * 16,
-            "root": False,
-            "name": "skewed.child",
-            "start_unix": 105.0,
-            "duration_s": -3.0,
-            "trace_id": "t" * 32,
-            "attributes": {},
-        }
-    )
-    report = analyze_spans(spans)
-    assert report["wall_seconds"] == pytest.approx(10.0)
-    assert all(0.0 <= w["utilization"] <= 1.0 for w in report["workers"].values())
-
-
-def test_analyze_spans_zero_duration_instant_spans():
-    """A trace of only instant spans (duration 0) has a well-defined wall."""
-    spans = [
-        {
-            "span_id": f"{i}" * 16,
-            "parent_id": None,
-            "root": True,
-            "name": f"instant.{i}",
-            "start_unix": 100.0 + i,
-            "duration_s": 0.0,
-            "trace_id": "t" * 32,
-            "attributes": {},
-        }
-        for i in range(3)
-    ]
-    report = analyze_spans(spans)
-    assert report["wall_seconds"] == pytest.approx(2.0)
-    assert report["start_unix"] == pytest.approx(100.0)
-
-
-def test_analyze_spans_ignores_epoch_zero_spans_for_wall():
-    """Merged spans missing start_unix decode as 0.0; letting epoch zero
-    into the origin would inflate the wall by decades and zero every
-    utilization figure."""
-    spans = _synthetic_trace()
-    spans.append(
-        {
-            "span_id": "u" * 16,
-            "parent_id": "r" * 16,
-            "root": False,
-            "name": "undated.merged",
-            "start_unix": 0.0,
-            "duration_s": 0.5,
-            "trace_id": "t" * 32,
-            "attributes": {},
-        }
-    )
-    report = analyze_spans(spans)
-    assert report["wall_seconds"] == pytest.approx(10.0)
-    assert report["start_unix"] == pytest.approx(100.0)
-    assert report["workers"]["w0"]["utilization"] == pytest.approx(0.7)
-
-
-def test_analyze_spans_all_undated_falls_back_gracefully():
-    spans = [
-        {
-            "span_id": "z" * 16,
-            "parent_id": None,
-            "root": True,
-            "name": "undated.root",
-            "start_unix": 0.0,
-            "duration_s": 1.5,
-            "trace_id": "t" * 32,
-            "attributes": {},
-        }
-    ]
-    report = analyze_spans(spans)
-    assert report["wall_seconds"] == pytest.approx(1.5)
-
-
-def test_render_gantt_end_before_start_rows_stay_monotonic():
-    """Accepted-before-granted timestamps (skewed clocks) and negative
-    run_s must not let the transfer loop walk backwards over the bar."""
-    root = _synthetic_trace()[0]
-    weird = [
-        root,
-        # accepted before granted: transfer range must be empty, not negative
-        _chunk_span(0, "w0", 100.0, 109.0, 101.0, 0.5),
-        # negative run phase from a skewed phase split
-        _chunk_span(1, "w1", 100.0, 100.5, 103.0, -2.0),
-        # zero-duration chunk at the very end of the axis
-        _chunk_span(2, "w0", 110.0, 110.0, 110.0, 0.0),
-    ]
-    report = analyze_spans(weird)
-    gantt = render_gantt(report, width=40)
-    lines = gantt.splitlines()
-    assert len(lines) == 4
-    assert all(len(line) == len(lines[0]) for line in lines[1:])
-    # every row still paints at least one run cell
-    for line in lines[1:]:
-        assert "=" in line

@@ -3,11 +3,10 @@
 The contract under test is the cost model the module docstring promises:
 **exactly zero** when profiling is off (no sampler thread, no
 tracemalloc, the null singleton) and a **metered** duty cycle at or
-below ``max_overhead`` when on.  On top of that: folded-stack
-aggregation must be a pure multiset sum (order/partition invariant —
-the property remote shipping relies on), speedscope exports must be
-structurally valid, and pipeline executions must attach their profile
-window only when a profiler is live.
+below ``max_overhead`` when on.  On top of that: folded stacks must
+aggregate by count, speedscope exports must be structurally valid, and
+pipeline executions must attach their profile window only when a
+profiler is live.
 """
 
 from __future__ import annotations
@@ -15,14 +14,10 @@ from __future__ import annotations
 import json
 import threading
 import time
-import urllib.request
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro import obs
 from repro.compress import SZCompressor
 from repro.core import ErrorFlowAnalyzer, InferencePipeline, TolerancePlanner
 from repro.obs.prof import (
@@ -36,7 +31,6 @@ from repro.obs.prof import (
     profile_capture,
     write_profile,
 )
-from repro.obs.server import MetricsServer
 
 _SAMPLER = "repro-prof-sampler"
 
@@ -63,34 +57,6 @@ def _busy(stop: threading.Event) -> None:
 # -- folded-stack aggregation ------------------------------------------------
 
 
-ROW_STRATEGY = st.lists(
-    st.tuples(
-        st.sampled_from(["main;a:f", "main;a:f;b:g", "w0;c:h", "w1;c:h;d:i"]),
-        st.integers(1, 50),
-    ),
-    max_size=30,
-)
-
-
-@given(rows=ROW_STRATEGY, seed=st.integers(0, 2**16))
-@settings(max_examples=60, deadline=None)
-def test_merge_rows_is_order_and_partition_invariant(rows, seed):
-    """Aggregation is a multiset sum: any shuffle, any batching, one answer."""
-    rng = np.random.default_rng(seed)
-    direct = StackAccumulator()
-    direct.merge_rows([list(r) for r in rows])
-
-    shuffled = [list(rows[i]) for i in rng.permutation(len(rows))]
-    pieces = StackAccumulator()
-    while shuffled:
-        take = int(rng.integers(1, len(shuffled) + 1))
-        pieces.merge_rows(shuffled[:take])
-        shuffled = shuffled[take:]
-
-    assert direct.snapshot() == pieces.snapshot()
-    assert direct.total() == sum(count for _, count in rows)
-
-
 def test_add_and_rows_roundtrip():
     acc = StackAccumulator()
     acc.add("main", ("mod:f", "mod:g"), count=2)
@@ -98,14 +64,7 @@ def test_add_and_rows_roundtrip():
     acc.add("w0", ("mod:h",))
     assert acc.snapshot() == {"main;mod:f;mod:g": 3, "w0;mod:h": 1}
     assert acc.rows() == [["main;mod:f;mod:g", 3], ["w0;mod:h", 1]]
-    top = acc.top(1)
-    assert top[0]["samples"] == 3 and top[0]["fraction"] == pytest.approx(0.75)
-
-
-def test_merge_rows_skips_malformed_evidence():
-    acc = StackAccumulator()
-    acc.merge_rows([["main;a:f", 2], None, ["x"], ["main;a:f", "NaNish"], ["b;c", 0]])
-    assert acc.snapshot() == {"main;a:f": 2}
+    assert acc.total() == 4
 
 
 def test_diff_rows_returns_only_fresh_samples():
@@ -157,7 +116,6 @@ def test_off_by_default_is_null_and_spawns_nothing():
     assert NULL_PROFILER.end_window(None) == {}
     assert NULL_PROFILER.overhead_fraction() == 0.0
     assert NULL_PROFILER.start() is NULL_PROFILER
-    assert "off" in NULL_PROFILER.render_hot()
 
 
 def test_profile_capture_installs_and_restores():
@@ -250,14 +208,6 @@ def test_end_window_reports_only_delta_samples():
     }
 
 
-def test_render_hot_mentions_rate_and_overhead():
-    profiler = SamplingProfiler(hz=123.0)
-    assert profiler.render_hot() == "(no samples yet)\n"
-    profiler.stacks.add("main", ("a:f",), count=2)
-    text = profiler.render_hot()
-    assert "123 hz" in text and "main;a:f" in text and "overhead" in text
-
-
 # -- file export --------------------------------------------------------------
 
 
@@ -334,64 +284,3 @@ def test_fused_kernel_frames_attributed_in_folded_export(pipeline, fields):
             if "_fused_forward" in folded:
                 break
     assert "_fused_forward" in folded, folded[-2000:]
-
-
-# -- /profile endpoint --------------------------------------------------------
-
-
-def _get(url: str):
-    with urllib.request.urlopen(url, timeout=5.0) as response:
-        return response.status, response.read()
-
-
-def test_metrics_server_serves_profile_route():
-    with MetricsServer() as server:
-        host, port = server.address
-        base = f"http://{host}:{port}"
-        code, body = _get(f"{base}/profile")
-        assert code == 200 and b"profiling off" in body
-        with profile_capture(hz=100.0) as profiler:
-            profiler.stacks.add("main", ("mod:hotspot",), count=9)
-            code, body = _get(f"{base}/profile")
-            assert code == 200 and b"mod:hotspot" in body
-
-
-def test_metrics_server_profile_fn_override():
-    with MetricsServer(profile_fn=lambda: "custom profile body\n") as server:
-        host, port = server.address
-        code, body = _get(f"http://{host}:{port}/profile")
-        assert code == 200 and body == b"custom profile body\n"
-
-
-# -- distributed shipping: METRICS frames carry folded-stack deltas -----------
-
-
-def test_worker_metrics_frames_carry_profile_deltas():
-    from repro.distrib.protocol import msg_metrics
-
-    message = msg_metrics("w0", profile=[["w0;a:f", 2]])
-    assert message["profile"] == [["w0;a:f", 2]]
-    assert "profile" not in msg_metrics("w0")
-
-
-def test_coordinator_merges_remote_profile_rows_with_registry_guard():
-    """Cross-process rows merge; same-registry (thread-harness) rows do
-    not — those samples are already in this process's accumulator."""
-    from repro.distrib.coordinator import ShardCoordinator
-    from repro.distrib.protocol import msg_metrics, registry_token
-
-    with profile_capture(hz=50.0) as profiler:
-        local = msg_metrics(
-            "w-local", registry=registry_token(), profile=[["w;a:f", 5]]
-        )
-        remote = msg_metrics(
-            "w-remote", registry="other-process", profile=[["w;a:f", 5]]
-        )
-        handle = ShardCoordinator._handle_metrics
-        handle(object(), "w-local", local)
-        assert profiler.stacks.snapshot().get("w;a:f") is None
-        handle(object(), "w-remote", remote)
-        assert profiler.stacks.snapshot().get("w;a:f") == 5
-    # profiling off: remote rows are dropped, not accumulated
-    ShardCoordinator._handle_metrics(object(), "w-remote", remote)
-    assert get_profiler() is NULL_PROFILER

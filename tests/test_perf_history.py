@@ -44,7 +44,6 @@ def test_stable_config_strips_measured_outcomes_keeps_identity():
         "quick": True,
         "speedup_vs_reference": 3.2,
         "overhead_vs_off": 0.05,
-        "endpoint_overhead_vs_on": 0.01,
         "journal_overhead": 0.002,
         "lowerings": 1,
         "compiles": 1,
