@@ -20,9 +20,6 @@ Commands mirror the paper's workflow:
                     an audited pipeline execution into a registry,
                     ``report`` summarizes a registry and checks drift,
                     ``diff`` compares the bound tightness of two runs;
-* ``profile``     — run any other command under the sampling profiler
-                    and write a flamegraph-ready export (also available
-                    as the global ``--profile FILE`` flag);
 * ``bench``       — persistent benchmark history: ``record`` appends a
                     ``benchmarks/*.py`` rows file to a JSONL registry,
                     ``report`` lists it, ``diff`` gates two runs against
@@ -63,21 +60,15 @@ from .obs import (
     audit_capture,
     disable as obs_disable,
     disable_audit,
-    disable_profile,
     enable as obs_enable,
     enable_audit,
-    enable_profile,
     get_auditor,
     get_logger,
     get_metrics,
-    get_profiler,
     get_tracer,
-    profile_capture,
     render_metrics_json,
     set_log_level,
-    write_profile,
 )
-from .obs.prof import DEFAULT_HZ
 from .obs.audit import DEFAULT_LOOSE_BELOW
 from .obs.registry import DEFAULT_DRIFT_THRESHOLD
 from .perf.history import (
@@ -161,17 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--audit", metavar="FILE", default=None,
         help="audit every pipeline execution (predicted-vs-observed "
         "layerwise bounds) into this JSONL run registry",
-    )
-    parser.add_argument(
-        "--profile", metavar="FILE", default=None,
-        help="sample the run with the wall-clock profiler and write the "
-        "result (.json = speedscope, .folded/.txt = folded stacks)",
-    )
-    parser.add_argument(
-        "--profile-hz", type=float, default=DEFAULT_HZ, metavar="HZ",
-        help=f"target sampling rate for --profile (default: {DEFAULT_HZ:g}; "
-        "the overhead governor throttles below this when sampling costs "
-        "more than 5%% of wall time)",
     )
     parser.add_argument(
         "--instrument-ops", action="store_true",
@@ -367,27 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="relative tightness increase flagged as regression "
                       f"(default: {DEFAULT_DRIFT_THRESHOLD})")
 
-    profile = commands.add_parser(
-        "profile",
-        help="run another repro command under the sampling profiler "
-        "and write a flamegraph-ready export",
-    )
-    profile.add_argument(
-        "--out", metavar="FILE", default="profile.speedscope.json",
-        help="export path (.json = speedscope, .folded/.txt = folded "
-        "stacks; default: profile.speedscope.json)",
-    )
-    profile.add_argument(
-        "--hz", type=float, default=DEFAULT_HZ,
-        help=f"target sampling rate (default: {DEFAULT_HZ:g})",
-    )
-    profile.add_argument(
-        "profiled_argv", nargs=argparse.REMAINDER, metavar="command",
-        help="the repro command to profile, e.g. "
-        "'repro profile -- pipeline heat3d --tolerance 1e-3'",
-    )
-
-    bench = commands.add_parser(
+    bench =commands.add_parser(
         "bench",
         help="persistent benchmark history: record bench rows into a "
         "JSONL registry, report it, diff two runs with regression gates",
@@ -879,28 +839,6 @@ def _cmd_audit(args) -> int:
     return handlers[args.audit_command](args)
 
 
-def _cmd_profile(args) -> int:
-    command = list(args.profiled_argv)
-    if command and command[0] == "--":
-        command = command[1:]
-    if not command:
-        raise ConfigurationError(
-            "profile requires a command to run, e.g. "
-            "repro profile -- pipeline heat3d --tolerance 1e-3"
-        )
-    if command[0] == "profile":
-        raise ConfigurationError("profile cannot profile itself")
-    with profile_capture(hz=args.hz) as profiler:
-        code = main(command)
-    fmt = write_profile(profiler, args.out)
-    _LOG.info(
-        f"profile written -> {args.out} ({fmt}, "
-        f"{profiler.stacks.total()} samples @ {profiler.hz:g} hz, "
-        f"overhead {100 * profiler.overhead_fraction():.2f}%)"
-    )
-    return code
-
-
 def _git_rev() -> str:
     import subprocess
 
@@ -1022,7 +960,6 @@ _HANDLERS = {
     "store": _cmd_store,
     "metrics": _cmd_metrics,
     "audit": _cmd_audit,
-    "profile": _cmd_profile,
     "bench": _cmd_bench,
 }
 
@@ -1074,9 +1011,6 @@ def main(argv: list[str] | None = None) -> int:
         obs_enable()
     if args.audit:
         enable_audit(registry=args.audit)
-    profiling = bool(args.profile) and args.command != "profile"
-    if profiling:
-        enable_profile(hz=args.profile_hz)
     try:
         try:
             # validate eagerly so a typo fails before any work starts,
@@ -1091,28 +1025,19 @@ def main(argv: list[str] | None = None) -> int:
         # command) must still restore the no-op singletons and must not
         # lose the other telemetry files.
         try:
-            if profiling:
-                stopped = disable_profile()
-                fmt = write_profile(stopped, args.profile)
-                _LOG.debug(
-                    "profile written", file=args.profile, format=fmt,
-                    samples=stopped.stacks.total(),
-                )
+            if observing:
+                _flush_observability(args)
         finally:
-            try:
-                if observing:
-                    _flush_observability(args)
-            finally:
-                auditor = get_auditor()
-                if args.audit and auditor.enabled:
-                    _LOG.debug(
-                        "audit registry written",
-                        file=args.audit,
-                        runs=len(auditor.records),
-                        violations=auditor.violation_count,
-                    )
-                disable_audit()
-                obs_disable()
+            auditor = get_auditor()
+            if args.audit and auditor.enabled:
+                _LOG.debug(
+                    "audit registry written",
+                    file=args.audit,
+                    runs=len(auditor.records),
+                    violations=auditor.violation_count,
+                )
+            disable_audit()
+            obs_disable()
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

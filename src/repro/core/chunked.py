@@ -24,7 +24,7 @@ import numpy as np
 from ..exceptions import ConfigurationError, IntegrityError, PlanningError
 from ..io.checkpoint import CheckpointJournal, digest_array, digest_model, read_artifact
 from ..io.serialization import blob_from_bytes, blob_to_bytes
-from ..obs import get_auditor, get_logger, get_metrics, get_profiler, get_tracer
+from ..obs import get_auditor, get_logger, get_metrics, get_tracer
 from ..obs.audit import AuditRecord
 from ..perf.parallel import resolve_workers, usable_cpus
 from ..resilience.guards import screen_finite
@@ -291,8 +291,6 @@ class ChunkRun:
             completed_entries = journal.begin(self.manifest, resume=resume)
 
         tracer = get_tracer()
-        profiler = get_profiler()
-        prof_window = profiler.begin_window() if profiler.enabled else None
         wall_start = time.perf_counter()
         with tracer.span(
             "pipeline.execute_chunked",
@@ -369,10 +367,6 @@ class ChunkRun:
                 "replayed_chunks": len(completed_entries),
                 "computed_chunks": len(self.chunks) - len(completed_entries),
             }
-        if prof_window is not None:
-            # whole-run window: per-chunk serial execute() calls attach
-            # their own nested windows inside each chunk result
-            extra["profile"] = profiler.end_window(prof_window)
 
         return PipelineResult(
             outputs=np.concatenate([r.outputs for r in ordered], axis=0),

@@ -34,7 +34,7 @@ from ..exceptions import (
 )
 from ..nn.backend import CompiledForward, resolve_backend_name
 from ..nn.module import Module
-from ..obs import get_auditor, get_logger, get_metrics, get_profiler, get_tracer
+from ..obs import get_auditor, get_logger, get_metrics, get_tracer
 from ..perf.parallel import side_lane
 from ..quant.quantizer import QuantizedModel, quantize_model
 from ..resilience.guards import check_contract, screen_finite
@@ -324,8 +324,6 @@ class InferencePipeline:
 
         tracer = get_tracer()
         metrics = get_metrics()
-        profiler = get_profiler()
-        prof_window = profiler.begin_window() if profiler.enabled else None
         with tracer.span(
             "pipeline.execute",
             codec=self.codec.name,
@@ -445,8 +443,6 @@ class InferencePipeline:
                 input_error_l2_max=input_error_l2_max,
                 extra={"integrity": integrity, "backend": backend_info},
             )
-            if prof_window is not None:
-                result.extra["profile"] = profiler.end_window(prof_window)
 
             if tracer.enabled or metrics.enabled:
                 self._record_telemetry(

@@ -8,12 +8,10 @@ an independent error-bounded blob in a :class:`~repro.io.store.DatasetStore`,
 and reassemble on read — each chunk individually honours the pointwise
 tolerance, so the assembled array does too.
 
-Both directions accept a ``workers`` count: chunk compression
-(``store.put``) and decompression (``store.get``) run on a thread pool
-(the codecs' numpy kernels release the GIL).  Chunk *numbering* and
-manifest order are fixed at ``append`` time, and reads assemble in
-manifest order, so parallel and serial round-trips produce identical
-arrays.
+Both directions are serial: ``append`` stores its slab before it
+returns and ``read`` loads the chunks one after another in manifest
+order: two threads lost on every read and were a toss-up on writes
+(docs/PERFORMANCE.md, "Worker pools and chunked execution").
 """
 
 from __future__ import annotations
@@ -25,7 +23,6 @@ import numpy as np
 
 from ..compress import Compressor, ErrorBoundMode
 from ..exceptions import CompressionError
-from ..perf.parallel import WorkerPool, parallel_map
 from .serialization import atomic_write_bytes
 from .store import DatasetStore
 
@@ -46,12 +43,11 @@ class ChunkedArrayWriter:
         JSON manifest.
     tolerance, mode, codec:
         Error contract applied to every chunk.
-    workers:
-        ``None``/1 = compress chunks inline; otherwise ``append`` only
-        enqueues and a pool of this many threads compresses concurrently.
-        ``close`` waits for every pending chunk (re-raising the first
-        failure) before the manifest is written, so a manifest on disk
-        always describes fully stored chunks.
+
+    ``append`` stores each slab before it returns.  Once one store
+    failed the writer is spent: every later ``append`` and ``close``
+    raises :class:`~repro.exceptions.CompressionError`, so no manifest
+    can describe an array with a slab missing.
     """
 
     def __init__(
@@ -61,7 +57,6 @@ class ChunkedArrayWriter:
         tolerance: float,
         mode: ErrorBoundMode = ErrorBoundMode.ABS,
         codec: Compressor | str | None = None,
-        workers: int | None = None,
     ) -> None:
         if not mode.is_pointwise:
             raise CompressionError(
@@ -73,19 +68,23 @@ class ChunkedArrayWriter:
         self.tolerance = float(tolerance)
         self.mode = mode
         self.codec = codec
-        self._pool = WorkerPool(workers, label="chunked_write")
         self._chunks: list[dict] = []
         self._dtype: str | None = None
         self._closed = False
+        self._failed: str | None = None  # the entry whose store raised
 
-    def _store_chunk(self, job: tuple[str, np.ndarray]) -> None:
-        entry, chunk = job
-        self.store.put(entry, chunk, self.tolerance, self.mode, codec=self.codec)
+    def _check_usable(self) -> None:
+        if self._failed is not None:
+            raise CompressionError(
+                f"storing chunk {self._failed!r} failed; the writer writes "
+                "no manifest for an array with a slab missing"
+            )
 
     def append(self, chunk: np.ndarray) -> None:
         """Write one chunk (a slab along the final array's leading axis)."""
         if self._closed:
             raise CompressionError("writer already closed")
+        self._check_usable()
         chunk = np.asarray(chunk)
         if self._chunks and tuple(chunk.shape[1:]) != tuple(self._chunks[0]["shape"][1:]):
             raise CompressionError(
@@ -94,18 +93,19 @@ class ChunkedArrayWriter:
             )
         index = len(self._chunks)
         entry = f"{self.name}.c{index:04d}"
-        self._pool.submit(self._store_chunk, (entry, chunk))
+        try:
+            self.store.put(entry, chunk, self.tolerance, self.mode, codec=self.codec)
+        except BaseException:
+            self._failed = entry
+            raise
         self._chunks.append({"entry": entry, "shape": list(chunk.shape)})
         self._dtype = str(chunk.dtype)
 
     def close(self) -> None:
-        """Finalize: drain pending chunk stores, then write the manifest."""
+        """Finalize: write the manifest of every stored chunk."""
         if self._closed:
             return
-        try:
-            self._pool.drain()
-        finally:
-            self._pool.shutdown()
+        self._check_usable()
         if not self._chunks:
             raise CompressionError("no chunks were written")
         manifest = {
@@ -124,11 +124,8 @@ class ChunkedArrayWriter:
         return self
 
     def __exit__(self, exc_type, *exc_info) -> None:
-        if exc_type is None:
+        if exc_type is None:  # an error exit never writes a manifest
             self.close()
-        else:
-            # error exit: abandon pending work, never write a manifest
-            self._pool.shutdown()
 
 
 class ChunkedArrayReader:
@@ -158,12 +155,9 @@ class ChunkedArrayReader:
             raise CompressionError(f"chunk index {index} out of range")
         return self.store.get(self.manifest["chunks"][index]["entry"])
 
-    def read(self, workers: int | None = None) -> np.ndarray:
+    def read(self) -> np.ndarray:
         """Load and concatenate every chunk (in manifest order)."""
-        parts = parallel_map(
-            self.read_chunk, range(self.n_chunks), workers=workers, label="chunked_read"
-        )
-        return np.concatenate(parts)
+        return np.concatenate([self.read_chunk(index) for index in range(self.n_chunks)])
 
 
 def write_chunked(
@@ -174,7 +168,6 @@ def write_chunked(
     chunk_size: int,
     mode: ErrorBoundMode = ErrorBoundMode.ABS,
     codec: Compressor | str | None = None,
-    workers: int | None = None,
 ) -> int:
     """Split ``array`` along axis 0 into ``chunk_size`` slabs and store.
 
@@ -182,15 +175,13 @@ def write_chunked(
     """
     if chunk_size < 1:
         raise CompressionError("chunk_size must be >= 1")
-    with ChunkedArrayWriter(store, name, tolerance, mode, codec, workers=workers) as writer:
+    with ChunkedArrayWriter(store, name, tolerance, mode, codec) as writer:
         for start in range(0, len(array), chunk_size):
             writer.append(array[start : start + chunk_size])
         n_chunks = len(writer._chunks)
     return n_chunks
 
 
-def read_chunked(
-    store: DatasetStore, name: str, workers: int | None = None
-) -> np.ndarray:
+def read_chunked(store: DatasetStore, name: str) -> np.ndarray:
     """Load a chunked array written by :func:`write_chunked`."""
-    return ChunkedArrayReader(store, name).read(workers=workers)
+    return ChunkedArrayReader(store, name).read()

@@ -51,18 +51,6 @@ from .trace import (
     new_trace_id,
     read_jsonl,
 )
-from .prof import (
-    NULL_PROFILER,
-    NullProfiler,
-    SamplingProfiler,
-    StackAccumulator,
-    disable_profile,
-    enable_profile,
-    get_profiler,
-    profile_capture,
-    set_profiler,
-    write_profile,
-)
 from .registry import RunRegistry
 from .audit import (
     NULL_AUDITOR,
@@ -91,40 +79,31 @@ __all__ = [
     "MetricsRegistry",
     "NullAuditor",
     "NullMetrics",
-    "NullProfiler",
     "NullTracer",
     "RunRegistry",
-    "SamplingProfiler",
     "Span",
-    "StackAccumulator",
     "Tracer",
     "audit_capture",
     "capture",
     "disable",
     "disable_audit",
-    "disable_profile",
     "enable",
     "enable_audit",
-    "enable_profile",
     "enabled",
     "get_auditor",
     "get_log_level",
     "get_logger",
     "get_metrics",
-    "get_profiler",
     "get_tracer",
     "json_default",
     "new_span_id",
     "new_trace_id",
-    "profile_capture",
     "read_jsonl",
     "render_metrics_json",
     "set_auditor",
     "set_log_level",
     "set_metrics",
-    "set_profiler",
     "set_tracer",
-    "write_profile",
 ]
 
 _tracer = NULL_TRACER

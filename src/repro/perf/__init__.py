@@ -4,8 +4,10 @@
   planner's Fig. 10 trade-off;
 * :mod:`~repro.perf.cache` memoizes the repeatedly evaluated analysis
   kernels (spectral norms, step sizes, Huffman decode tables);
-* :mod:`~repro.perf.parallel` provides the order-preserving worker pool
-  behind chunked I/O and ``InferencePipeline.execute_chunked``.
+* :mod:`~repro.perf.parallel` counts the CPUs a run may use (the size of
+  ``execute_chunked``'s supervised process pool) and keeps the side lane
+  that ``InferencePipeline.execute`` and the split forward run beside
+  their caller.
 """
 
 from .cache import (
@@ -20,7 +22,7 @@ from .cache import (
 from .execmodel import ExecutionModel, StageBreakdown, measure_inference_seconds
 from .hardware import GPU_PROFILES, MI250X, RTX3080TI, V100, GPUProfile, get_gpu
 from .iomodel import DEFAULT_CODEC_SPEEDS, CodecSpeed, IOModel
-from .parallel import WorkerPool, parallel_map, resolve_workers
+from .parallel import resolve_workers
 from .timer import Stopwatch, Timer
 
 
@@ -43,7 +45,6 @@ __all__ = [
     "Stopwatch",
     "Timer",
     "V100",
-    "WorkerPool",
     "array_fingerprint",
     "cached_average_step_size",
     "cached_spectral_norm",
@@ -51,7 +52,6 @@ __all__ = [
     "get_gpu",
     "get_memo",
     "measure_inference_seconds",
-    "parallel_map",
     "registered_memos",
     "reset_compile_cache",
     "resolve_workers",

@@ -1,7 +1,6 @@
 """Supervised process-based worker pool for chunked execution.
 
-The thread pool in :mod:`repro.perf.parallel` overlaps GIL-releasing
-I/O; whole chunk executes on threads gained nothing (docs/PERFORMANCE.md,
+Whole chunk executes on threads gained nothing (docs/PERFORMANCE.md,
 "Worker pools and chunked execution").  For chunks this module supplies
 a pool of **forked worker processes** — true multi-core parallelism,
 zero-copy inheritance of the model/chunks at fork time — wrapped in the
@@ -56,8 +55,8 @@ ride back with each result and are merged into the parent registry, so
 boundaries.
 
 Ordering guarantee: task ids are list indices and the report exposes
-results in id order, so supervised, threaded and serial execution
-produce identical assembled outputs.
+results in id order, so supervised and serial execution produce
+identical assembled outputs.
 """
 
 from __future__ import annotations

@@ -361,7 +361,7 @@ def test_thread_executor_removed_and_auto_never_picked_it(monkeypatch):
     assert resolve_executor("auto", 1) == "serial"
     assert resolve_executor("distributed", 1) == "distributed"
     # there is no thread chunk executor (docs/PERFORMANCE.md has the
-    # measurement; threads remain for chunked I/O and the reference lane)
+    # measurement; the one thread left is the reference lane)
     with pytest.raises(ConfigurationError):
         resolve_executor("thread", 4)
     with pytest.raises(ConfigurationError):
@@ -397,16 +397,23 @@ def test_cli_parses_worker_command():
 
 
 def test_cli_commands_and_coordinate_flags_are_pinned():
-    """The CLI's commands and ``coordinate``'s flags, listed literally:
-    the HTTP metrics server, the trace analyzer and the coordinator's
-    telemetry-endpoint flags are gone."""
+    """The CLI's commands, its global flags and ``coordinate``'s flags,
+    listed literally: the HTTP metrics server, the trace analyzer, the
+    coordinator's telemetry-endpoint flags and the sampling profiler's
+    command and global flags are gone."""
+    parser = build_parser()
     commands = next(
-        action for action in build_parser()._actions
+        action for action in parser._actions
         if isinstance(action, argparse._SubParsersAction)
     )
     assert set(commands.choices) == {
         "analyze", "audit", "bench", "compress", "coordinate", "decompress",
-        "metrics", "pipeline", "plan", "profile", "store", "worker",
+        "metrics", "pipeline", "plan", "store", "worker",
+    }
+    global_flags = {flag for action in parser._actions for flag in action.option_strings}
+    assert global_flags == {
+        "-h", "--help", "--version", "--trace", "--metrics", "--trace-summary",
+        "--audit", "--instrument-ops", "--log-level", "--backend",
     }
     flags = {
         flag for action in commands.choices["coordinate"]._actions
