@@ -445,7 +445,7 @@ def bench_chunk_stack(side: int, workers: int, reps: int) -> list[dict]:
 
     def huffman_table(index: int) -> None:
         """Both Huffman tables of one chunk: the encoder's length-limited
-        tree and the decoder's 65536-entry prefix tables."""
+        tree and the decoder's 2**L-entry prefix tables."""
         alphabet, counts, order = streams[index]
         lengths = np.empty(alphabet.size, dtype=np.int64)
         lengths[order] = huffman._code_lengths(counts[order])

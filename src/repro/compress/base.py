@@ -13,7 +13,6 @@ import mmap
 import struct
 import threading
 import time
-import zlib
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -28,6 +27,7 @@ __all__ = [
     "Compressor",
     "absolute_tolerance",
     "guarded_pointwise_bound",
+    "l2_norm",
 ]
 
 
@@ -49,7 +49,8 @@ class CodecScratch:
                                     code bit offsets
     2     int64   codes        -->  table rows, then the  symbols     -->  codes
                                     left-justified codes
-    3     w       linear | cubic    code per symbol       16-bit windows,  linear | cubic
+    3     w       linear | cubic    code per symbol       L-bit windows,   linear | cubic
+                                                          int32 symbols,
                                                           escape mask
     4     w       both residuals    length per symbol     lane-major same  dequantized
     5     w       abs(residual)     new-word mask         -                -
@@ -146,9 +147,15 @@ def absolute_tolerance(
     if mode is ErrorBoundMode.L2_ABS:
         return float(tolerance) / np.sqrt(max(data.size, 1))
     if mode is ErrorBoundMode.L2_REL:
-        norm = float(np.linalg.norm(data.astype(np.float64)))
+        norm = l2_norm(data)
         return float(tolerance) * (norm if norm > 0 else 1.0) / np.sqrt(max(data.size, 1))
     raise ToleranceError(f"unknown mode {mode!r}")
+
+
+def l2_norm(values: np.ndarray, out: "np.ndarray | None" = None) -> float:
+    """``||values||_2`` from numpy's pairwise sum of the float64 squares
+    (written to ``out``), not BLAS ``ddot``, which rounds by thread count."""
+    return math.sqrt(float(np.add.reduce(np.square(values, out=out, dtype=np.float64).ravel())))
 
 
 def guarded_pointwise_bound(data: np.ndarray, eb: float) -> float:
@@ -208,11 +215,6 @@ class CompressedBlob:
         if self.nbytes == 0:
             return float("inf")
         return self.original_nbytes / self.nbytes
-
-    @property
-    def payload_crc32(self) -> int:
-        """CRC32 of the payload bytes (used by the v2 wire format)."""
-        return zlib.crc32(self.payload)
 
     def validate(self) -> "CompressedBlob":
         """Cheap structural sanity checks; raises a typed error on failure.

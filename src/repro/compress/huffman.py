@@ -6,8 +6,9 @@ Design points:
 * **canonical codes, written canonically** — the header carries how many
   codes there are of each length and the symbols in ``(length, symbol)``
   order (int16 when they fit); codes are re-derived on decode;
-* **length-limited to 16 bits** — decoding uses a single 65536-entry
-  lookup table, one table hit per symbol;
+* **length-limited to 16 bits** — decoding uses one lookup table of
+  ``2**L`` entries for the stream's longest code length ``L``, one table
+  hit per symbol;
 * **escape symbol** — alphabets are capped (quantization codes follow a
   sharply peaked distribution); rare symbols are emitted as an escape code
   followed by a raw 32-bit value, so pathological inputs cannot blow up
@@ -21,7 +22,7 @@ Design points:
   frequency-sorted alphabet, canonical codes by ``lexsort``/``cumsum``
   and word-accumulated packing (:func:`~repro.compress.bitstream.pack_codes`);
 * **lockstep decode** — all lanes are walked together: ``lane`` steps of
-  *16-bit window gather, advance-table lookup, ``pos += advance``* over
+  *L-bit window gather, advance-table lookup, ``pos += advance``* over
   vectors with one entry per lane, then one symbol-table gather and a
   masked pass for the escapes.  Work and transient memory are O(symbols),
   whatever the code lengths.  Every lane must end exactly where the index
@@ -55,7 +56,6 @@ from .bitstream import pack_codes, peek16, window_words
 __all__ = ["huffman_encode", "huffman_decode"]
 
 _MAX_CODE_LENGTH = 16
-_TABLE_SIZE = 1 << _MAX_CODE_LENGTH
 _MAGIC = b"HUF2"
 _ESCAPE = -(2**31)  # sentinel symbol id for escaped values
 _HEADER = struct.Struct("<4sIQHBB")
@@ -261,22 +261,24 @@ def huffman_encode(symbols: np.ndarray, max_alphabet: int = 4096) -> bytes:
 
 def _decode_tables(
     counts: np.ndarray, stored: np.ndarray, escape_length: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """65536-entry prefix tables: symbol and fused position advance.
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Prefix tables over the stream's longest code length ``L``: int32
+    symbol and fused position advance, ``2**L`` entries each, and ``L``.
 
     In canonical order the code of length ``l`` covers the next
-    ``2**(16 - l)`` prefixes, so both tables are one ``np.repeat``.
+    ``2**(L - l)`` prefixes, so both tables are one ``np.repeat``.
     ``advance`` folds the escape's trailing 32 raw bits into its code
     length, so one lookup per symbol yields the next position.  Prefixes
     no code covers (a single-symbol alphabet, a corrupt table) advance by
     zero: a walk that reaches one stalls and fails the lane check.
     """
-    lengths = np.repeat(np.arange(1, _MAX_CODE_LENGTH + 1), counts)
-    span = np.left_shift(1, _MAX_CODE_LENGTH - lengths)
-    uncovered = _TABLE_SIZE - int(span.sum())
+    longest = int(np.flatnonzero(counts).max(initial=0)) + 1
+    lengths = np.repeat(np.arange(1, longest + 1), counts[:longest])
+    span = np.left_shift(1, longest - lengths)
+    uncovered = (1 << longest) - int(span.sum())
     if uncovered < 0:
         raise CompressionError("huffman code table is over-subscribed")
-    symbols = stored.astype(np.int64)
+    symbols = stored.astype(np.int32)
     step = lengths.astype(np.uint8)
     if escape_length:
         # The escape id sorts below every symbol: first of its length.
@@ -284,7 +286,8 @@ def _decode_tables(
         symbols = np.insert(symbols, at, _ESCAPE)
         step[at] += 32
     span = np.append(span, uncovered)
-    return np.repeat(np.append(symbols, 0), span), np.repeat(np.append(step, 0), span)
+    table_symbol = np.repeat(np.append(symbols, np.int32(0)), span)
+    return table_symbol, np.repeat(np.append(step, np.uint8(0)), span), longest
 
 
 def huffman_decode(blob: bytes) -> np.ndarray:
@@ -325,19 +328,23 @@ def decode_symbols(blob: bytes, slot: "int | None") -> np.ndarray:
         raise CompressionError("huffman payload truncated")
     stored = np.frombuffer(blob, f"<i{symbol_bytes}", n_stored, _STORED_AT)
     lane_bits = np.frombuffer(blob, _COUNTS, n_lanes, index_at).astype(np.int64)
-    table_symbol, advance = _decode_tables(counts, stored, escape_length)
+    lane_ends = np.cumsum(lane_bits)
+    if lane_ends[-1] != total_bits:
+        raise CompressionError("huffman stream misaligned: a lane ends off its boundary")
+    table_symbol, advance, longest = _decode_tables(counts, stored, escape_length)
     words = window_words(blob, payload_at, total_bits)
 
     # Row j holds the bit position of symbol j of every lane; the last
-    # lane has ``tail`` symbols and sits out the remaining steps.
+    # lane has ``tail`` symbols and sits out the remaining steps.  No
+    # walk passes its lane's start by more than 48 bits a step.
     scratch = codec_scratch()
     steps = min(lane, n)
     tail = n - (n_lanes - 1) * lane
-    rows = scratch.take(1, (steps + 1, n_lanes), np.int64)
+    position_type = np.int32 if total_bits + 48 * steps < 2**31 else np.int64
+    rows = scratch.take(1, (steps + 1, n_lanes), position_type)
     windows = scratch.take(3, (steps, n_lanes), np.uint32)
-    lane_ends = np.cumsum(lane_bits)
     rows[0] = lane_ends - lane_bits
-    word = np.empty(n_lanes, dtype=np.int64)
+    word = np.empty(n_lanes, dtype=position_type)
     shift = np.empty(n_lanes, dtype=np.uint32)
     step = np.empty(n_lanes, dtype=np.uint8)
     # Gathers use mode="clip": a corrupt stream may walk anywhere, and
@@ -351,21 +358,23 @@ def decode_symbols(blob: bytes, slot: "int | None") -> np.ndarray:
             np.bitwise_and(position, 15, out=shift_a, casting="unsafe")
             words.take(word_a, out=window, mode="clip")
             np.left_shift(window, shift_a, out=window)
-            np.right_shift(window, 16, out=window)
+            np.right_shift(window, 32 - longest, out=window)
             advance.take(window, out=step_a, mode="clip")
             np.add(position, step_a, out=rows[j + 1, :active])
     ends = rows[steps]
     ends[-1] = rows[tail, -1]
-    if lane_ends[-1] != total_bits or not np.array_equal(ends, lane_ends):
+    if not np.array_equal(ends, lane_ends):
         raise CompressionError("huffman stream misaligned: a lane ends off its boundary")
 
-    # A window is 16 bits wide, so it cannot leave the table.
+    # A window is ``longest`` bits wide, so it cannot leave the table.
     # Widened to the index type on the way: a gather would otherwise do
     # that itself, into a fresh stream-sized array.
     lane_major = scratch.take(4, (n_lanes, steps), np.intp)
     lane_major[...] = windows.T
+    symbols = scratch.take(3, (n,), np.int32)
+    np.take(table_symbol, lane_major.reshape(-1)[:n], out=symbols, mode="clip")
     out = np.empty(n, dtype=np.int64) if slot is None else scratch.take(slot, (n,), np.int64)
-    np.take(table_symbol, lane_major.reshape(-1)[:n], out=out, mode="clip")
+    out[...] = symbols
     if escape_length:
         escaped = np.flatnonzero(np.equal(out, _ESCAPE, out=scratch.take(3, (n,), bool)))
         raw_at = rows[escaped % lane, escaped // lane] + escape_length

@@ -30,6 +30,7 @@ from .base import (
     absolute_tolerance,
     codec_scratch,
     guarded_pointwise_bound,
+    l2_norm,
 )
 from .huffman import check_max_alphabet, decode_symbols, huffman_encode
 
@@ -294,7 +295,7 @@ class SZCompressor(Compressor):
             l2_budget = (
                 tolerance
                 if mode is ErrorBoundMode.L2_ABS
-                else tolerance * float(np.linalg.norm(work.astype(np.float64, copy=False)))
+                else tolerance * l2_norm(work, out=scratch.take(4, data.shape))
             )
             eb *= 16.0
             for __ in range(16):
@@ -304,7 +305,7 @@ class SZCompressor(Compressor):
                 cast_error = np.subtract(
                     stored, work, out=scratch.take(4, data.shape), dtype=np.float64
                 )
-                if float(np.linalg.norm(cast_error)) <= l2_budget:
+                if l2_norm(cast_error, out=cast_error) <= l2_budget:
                     break
                 eb *= 0.5
             else:

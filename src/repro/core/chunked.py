@@ -2,14 +2,16 @@
 
 A :class:`ChunkRun` binds a pipeline to one field array and one chunking.
 It owns what makes two chunked runs *the same computation* (split,
-per-chunk input digests, manifest fingerprint) and the single path a
-chunk takes to a :class:`~repro.core.pipeline.PipelineResult`:
-:meth:`~ChunkRun.run_chunk` computes it, :meth:`~ChunkRun.commit` makes it
-durable where it was computed, :meth:`~ChunkRun.result_from_record`
-rebuilds it from a journaled or remote record.  The serial loop, pool
-tasks, the quarantine rerun, checkpoint replay and the distributed merge
-are these three calls; :func:`run_serial`, :func:`run_supervised` and
-:func:`run_distributed` only decide *where* they run.
+per-chunk input digests, manifest fingerprint), the run's output slab
+and the single path a chunk takes to a
+:class:`~repro.core.pipeline.PipelineResult`: :meth:`~ChunkRun.run_chunk`
+computes it, :meth:`~ChunkRun.commit` makes it durable where it was
+computed, :meth:`~ChunkRun.place` lands its rows in the slab and
+:meth:`~ChunkRun.result_from_record` rebuilds it from a journaled or
+remote record.  The serial loop, pool tasks, the quarantine rerun,
+checkpoint replay and the distributed merge are these calls;
+:func:`run_serial`, :func:`run_supervised` and :func:`run_distributed`
+only decide *where* they run, and the run's outputs are the slab itself.
 ``InferencePipeline.execute_chunked`` and
 :class:`~repro.distrib.worker.ShardWorker` build the same ``ChunkRun``,
 which is why a coordinator and its workers agree on the manifest.
@@ -17,6 +19,9 @@ which is why a coordinator and its workers agree on the manifest.
 
 from __future__ import annotations
 
+import dataclasses
+import math
+import mmap
 import time
 
 import numpy as np
@@ -98,8 +103,11 @@ class ChunkRun:
         self.chunk_size = int(chunk_size)
         self.chunk_axis = int(chunk_axis)
         self.samples_from_fields = samples_from_fields
-        self.chunks = split_chunks(fields, self.chunk_size, self.chunk_axis)
+        with get_tracer().span("chunked.prepare", step="split"):
+            self.chunks = split_chunks(fields, self.chunk_size, self.chunk_axis)
         self._digests: "list[str] | None" = None
+        self._slab: "tuple[np.ndarray, np.ndarray] | None" = None
+        self._offsets: "list[int]" = []
 
     # -- identity ----------------------------------------------------------
 
@@ -136,6 +144,55 @@ class ChunkRun:
             "chunk_digests": list(self.digests),
         }
 
+    # -- the output slab ---------------------------------------------------
+
+    @property
+    def slab(self) -> "tuple[np.ndarray, np.ndarray]":
+        """The run's ``outputs`` and ``reference_outputs`` in anonymous
+        shared mappings made on first use, chunk ``i`` in rows
+        ``offsets[i]:offsets[i + 1]``: a pool worker forked after that
+        writes its rows where the parent reads them.  Sizes come from the
+        chunks' sample counts and both models' output for one sample."""
+        if self._slab is None:
+            to_samples = self.samples_from_fields or _field_samples
+            first, last = self.chunks[0], self.chunks[-1]
+            probe = to_samples(first)
+            rows = [len(probe)] * (len(self.chunks) - 1)
+            rows.append(len(probe if last.shape == first.shape else to_samples(last)))
+            self._offsets = [0, *np.cumsum(rows).tolist()]
+            self._slab = tuple(
+                np.ndarray(shape, out.dtype, mmap.mmap(-1, max(1, out.itemsize * math.prod(shape))))
+                for out in (self.pipeline.quantized.model(probe[:1]), self.pipeline.model(probe[:1]))
+                for shape in [(self._offsets[-1], *out.shape[1:])]
+            )
+        return self._slab
+
+    def rows(self, index: int) -> "tuple[np.ndarray, np.ndarray]":
+        """Chunk ``index``'s rows of the slab: outputs, reference outputs."""
+        outputs, reference = self.slab
+        lo, hi = self._offsets[index], self._offsets[index + 1]
+        return outputs[lo:hi], reference[lo:hi]
+
+    def place(self, index: int, result: PipelineResult) -> PipelineResult:
+        """Land chunk ``index``'s rows in the slab; returns ``result`` over
+        them.  A pool worker's report carries none (:meth:`pack` wrote
+        them), so its rows are only attached."""
+        outputs, reference = self.rows(index)
+        if result.outputs is not None:
+            for rows, values in ((outputs, result.outputs), (reference, result.reference_outputs)):
+                if values.shape != rows.shape or values.dtype != rows.dtype:
+                    raise PlanningError(f"chunk {index} rows are {values.dtype}{values.shape}, "
+                                        f"its slab rows {rows.dtype}{rows.shape}")
+                rows[...] = values
+        return dataclasses.replace(result, outputs=outputs, reference_outputs=reference)
+
+    def pack(self, index: int, result: PipelineResult) -> PipelineResult:
+        """What a pool worker reports for chunk ``index``: ``result``
+        without its rows, which go to the slab here — behind the chaos
+        hooks and the commit, so the parent screens what landed."""
+        self.place(index, result)
+        return dataclasses.replace(result, outputs=None, reference_outputs=None)
+
     # -- the chunk path ----------------------------------------------------
 
     def run_chunk(self, index: int, force_lossless: bool = False) -> PipelineResult:
@@ -149,9 +206,11 @@ class ChunkRun:
 
     def screen(self, index: int, result: PipelineResult) -> None:
         """Re-screen a chunk result wherever it changes hands: execute's
-        own guard ran before the chaos hooks, the commit and the queue."""
+        own guard ran before the chaos hooks, the commit and the pipe.  A
+        packed result is screened in the slab rows its worker wrote."""
         if self.pipeline.screen:
-            screen_finite(result.outputs, stage="chunk", name="outputs")
+            outputs = self.rows(index)[0] if result.outputs is None else result.outputs
+            screen_finite(outputs, stage="chunk", name="outputs")
 
     def commit(
         self,
@@ -208,10 +267,11 @@ class ChunkRun:
         must be the one the entry certifies.  The entry's audit record
         (the producing run's verdicts, not a fresh re-audit) is adopted
         into the live auditor, so a resumed run's registry matches an
-        uninterrupted one.
+        uninterrupted one.  The rows land in the slab.
         """
         pipeline = self.pipeline
-        chunk = self.chunks[int(entry["chunk"])]
+        index = int(entry["chunk"])
+        chunk = self.chunks[index]
         samples = (self.samples_from_fields or _field_samples)(chunk)
         timings = entry.get("timings", {})
         result = PipelineResult(
@@ -240,7 +300,7 @@ class ChunkRun:
         if entry.get("audit"):
             result.extra["audit"] = entry["audit"]
             _adopt_audit(result)
-        return result
+        return self.place(index, result)
 
     # -- the whole run -----------------------------------------------------
 
@@ -284,13 +344,14 @@ class ChunkRun:
         # eval() once up front: workers must not mutate module state.
         pipeline.model.eval()
 
+        tracer = get_tracer()
         journal = None
         completed_entries: dict = {}
-        if checkpoint is not None:
-            journal = CheckpointJournal(checkpoint)
-            completed_entries = journal.begin(self.manifest, resume=resume)
-
-        tracer = get_tracer()
+        with tracer.span("chunked.prepare", step="journal" if checkpoint else "slab"):
+            if checkpoint is not None:
+                journal = CheckpointJournal(checkpoint)
+                completed_entries = journal.begin(self.manifest, resume=resume)
+            outputs, reference = self.slab
         wall_start = time.perf_counter()
         with tracer.span(
             "pipeline.execute_chunked",
@@ -369,8 +430,8 @@ class ChunkRun:
             }
 
         return PipelineResult(
-            outputs=np.concatenate([r.outputs for r in ordered], axis=0),
-            reference_outputs=np.concatenate([r.reference_outputs for r in ordered], axis=0),
+            outputs=outputs,
+            reference_outputs=reference,
             blob=ordered[0].blob,
             plan=pipeline.plan,
             compress_seconds=sum(r.compress_seconds for r in ordered),
@@ -405,7 +466,7 @@ def run_serial(
         # commit as each chunk completes — a crash loses only in-flight
         # work, never finished chunks
         run.commit(journal, index, result, seconds=time.perf_counter() - started)
-        results[index] = result
+        results[index] = run.place(index, result)
     return results
 
 
@@ -423,13 +484,15 @@ def run_supervised(
     """Compute ``pending`` chunks on the supervised process pool.
 
     Each worker commits its own chunks (:meth:`ChunkRun.commit` runs in
-    the child, which inherited the chunks by fork — only the chunk index
-    and the result cross a pipe); the parent re-screens what arrives.
-    Quarantined chunks are re-run in the parent in degraded lossless mode
-    — every chunk ends up certified, some at compression ratio 1.
-    Returns the supervision summary and one
-    :class:`~repro.resilience.supervisor.TaskOutcome` per chunk index:
-    ``result`` is the chunk's result, ``committed`` its journal entry.
+    the child, which inherited the chunks and the slab by fork), then
+    writes their rows to the slab: only the chunk index and the packed
+    result — blob, scalars, audit — cross a pipe, and the parent
+    re-screens the rows where they landed.  Quarantined chunks are re-run
+    in the parent in degraded lossless mode — every chunk ends up
+    certified, some at compression ratio 1.  Returns the supervision
+    summary and one :class:`~repro.resilience.supervisor.TaskOutcome` per
+    chunk index: ``result`` is the chunk's result over its slab rows,
+    ``committed`` its journal entry.
     """
 
     def commit(task_id: int, result, attempts: int, seconds: float):
@@ -441,12 +504,17 @@ def run_supervised(
         task_timeout=task_timeout,
         retry=RetryPolicy(max_retries=max_task_retries),
         chaos=chaos,
-        validate=run.screen,
+        validate=lambda task_id, result: run.screen(pending[task_id], result),
         commit=commit if journal is not None else None,
+        pack=lambda task_id, result: run.pack(pending[task_id], result),
         label=label,
     )
+    run.slab  # mapped before the pool forks
     report = pool.run(pending)
     outcomes = {pending[position]: outcome for position, outcome in report.outcomes.items()}
+    for index, outcome in outcomes.items():
+        if not outcome.quarantined:
+            outcome.result = run.place(index, outcome.result)
 
     quarantined_chunks = [pending[position] for position in report.quarantined]
     for index in quarantined_chunks:
@@ -456,7 +524,7 @@ def run_supervised(
             pool=label, chunk=index, attempts=outcome.attempts, reason=outcome.error,
         )
         started = time.perf_counter()
-        outcome.result = run.run_chunk(index, force_lossless=True)
+        outcome.result = run.place(index, run.run_chunk(index, force_lossless=True))
         outcome.inline = True
         outcome.seconds = time.perf_counter() - started
         outcome.committed = run.commit(

@@ -244,15 +244,6 @@ class ErrorFlowAnalyzer:
         )
         return [state.delta for state in trajectory]
 
-    def layer_bounds_linf(
-        self,
-        input_error_linf: float,
-        fmt: NumericFormat | Sequence[NumericFormat] | None,
-    ) -> list[float]:
-        """Per-layer envelope with an L-infinity input error."""
-        input_l2 = float(input_error_linf) * np.sqrt(self.n_input)
-        return self.layer_bounds(input_l2, fmt)
-
     # -- L-infinity bounds ----------------------------------------------------
     def combined_bound_linf(
         self,

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..compress.base import CompressedBlob, Compressor, ErrorBoundMode
+from ..compress.base import CompressedBlob, Compressor, ErrorBoundMode, l2_norm
 from ..exceptions import (
     CompressionError,
     ConfigurationError,
@@ -392,7 +392,7 @@ class InferencePipeline:
                     np.abs(field_delta, out=field_delta)
                     achieved = float(field_delta.max()) if field_delta.size else 0.0
                 else:
-                    achieved = float(np.linalg.norm(field_delta))
+                    achieved = l2_norm(field_delta, out=field_delta)
             else:
                 achieved = float("nan")
             with tracer.span(

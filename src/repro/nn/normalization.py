@@ -32,10 +32,6 @@ class _BatchNormBase(Module):
         """Per-channel multiplicative factor applied at inference."""
         return self.gamma.data / np.sqrt(self.running_var + self.eps)
 
-    def inference_shift(self) -> np.ndarray:
-        """Per-channel additive offset applied at inference."""
-        return self.beta.data - self.running_mean * self.inference_scale()
-
     def _axes(self, x: np.ndarray) -> tuple[int, ...]:
         raise NotImplementedError
 

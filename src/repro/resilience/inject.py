@@ -392,12 +392,6 @@ class FaultInjector:
     def flip_random_bit(self, data: bytes) -> bytes:
         return flip_bit(data, int(self._rng.integers(0, 8 * len(data))))
 
-    def truncate_randomly(self, data: bytes) -> bytes:
-        return truncate(data, int(self._rng.integers(0, len(data))))
-
     def poison(self, array: np.ndarray, fraction: float = 0.01) -> np.ndarray:
         value = float(self._rng.choice([np.nan, np.inf, -np.inf]))
         return _poison(array, value, fraction, int(self._rng.integers(0, 2**31)))
-
-    def corrupt_file_randomly(self, path: str) -> None:
-        corrupt_file(path, self.flip_random_bit)

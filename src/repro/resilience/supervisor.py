@@ -35,7 +35,9 @@ supervision a long-running production run needs:
   re-readied for free;
 * **worker-side commit** — an optional ``commit`` callable makes each
   result durable where it was computed, before it is reported (the
-  checkpoint journal hook); the parent only validates what arrives;
+  checkpoint journal hook), and an optional ``pack`` then shrinks what
+  crosses the pipe (chunk rows go to memory shared with the parent); the
+  parent only validates what arrives;
 * **bounded retry with backoff** — failed tasks are re-queued under a
   :class:`~repro.resilience.retry.RetryPolicy` (exponential backoff +
   deterministic jitter), never hammered;
@@ -240,6 +242,11 @@ class SupervisedPool:
         the result durable before it is reported; raising fails the
         attempt.  What it returns rides back to the parent as
         ``TaskOutcome.committed``.
+    pack:
+        Optional ``pack(task_id, result)`` run inside the worker after
+        ``commit``: what it returns is reported in place of ``result``, so
+        ``validate``, ``on_result`` and ``TaskOutcome.result`` see it.
+        Inline execution has no pipe and reports ``result`` itself.
     label:
         Metrics/trace label for this pool.
     """
@@ -257,6 +264,7 @@ class SupervisedPool:
         chaos=None,
         validate: "Callable | None" = None,
         commit: "Callable | None" = None,
+        pack: "Callable | None" = None,
         label: str = "supervised",
     ) -> None:
         from ..perf.parallel import resolve_workers
@@ -279,6 +287,7 @@ class SupervisedPool:
         self.chaos = chaos
         self.validate = validate
         self.commit = commit
+        self.pack = pack
         self.label = label
 
     # -- public entry point ------------------------------------------------
@@ -551,7 +560,8 @@ class SupervisedPool:
             name=f"{self.label}-{slot}",
             daemon=True,
         )
-        process.start()
+        with get_tracer().span("supervisor.spawn", pool=self.label, slot=slot):
+            process.start()
         # the child holds the only write end of its reports (its death is
         # EOF here) and the only read end of its tasks (a send then raises)
         report_end.close()
@@ -565,17 +575,18 @@ class SupervisedPool:
         worker.tasks.close()
 
     def _shutdown(self, workers: "dict[int, _Worker]") -> None:
-        for worker in workers.values():
-            if worker.process.is_alive():
-                try:
-                    worker.tasks.send(None)
-                except OSError:
-                    pass
-        deadline = time.monotonic() + _JOIN_GRACE
-        for worker in workers.values():
-            worker.process.join(timeout=max(0.0, deadline - time.monotonic()))
-            self._kill(worker)
-            worker.reports.close()
+        with get_tracer().span("supervisor.shutdown", pool=self.label, workers=len(workers)):
+            for worker in workers.values():
+                if worker.process.is_alive():
+                    try:
+                        worker.tasks.send(None)
+                    except OSError:
+                        pass
+            deadline = time.monotonic() + _JOIN_GRACE
+            for worker in workers.values():
+                worker.process.join(timeout=max(0.0, deadline - time.monotonic()))
+                self._kill(worker)
+                worker.reports.close()
 
     # -- worker side -------------------------------------------------------
 
@@ -606,10 +617,10 @@ class SupervisedPool:
         # The inherited tracer holds parent-owned spans and a shared lock,
         # so it is replaced: with tracing live the child gets its *own*
         # tracer carrying the inherited trace context (the parent's
-        # ``supervisor.run`` span is still on this thread's stack, so
+        # ``supervisor.spawn`` span is still on this thread's stack, so
         # ``inject()`` anchors there), and its finished spans ship back
-        # with each result for ``merge_remote`` to adopt.  A
-        # registry-backed auditor would race the parent on run-id
+        # with each result for ``merge_remote`` to adopt under the task's
+        # span.  A registry-backed auditor would race the parent on run-id
         # assignment — detach it; metrics stay live so counter deltas
         # can be measured and shipped back with each result.
         parent_tracer = get_tracer()
@@ -653,6 +664,8 @@ class SupervisedPool:
                 committed = None
                 if self.commit is not None:
                     committed = self.commit(task_id, result, attempt + 1, seconds)
+                if self.pack is not None:
+                    result = self.pack(task_id, result)
                 delta, spans = {}, []
                 if metrics.enabled:
                     current = metrics.counter_snapshot()

@@ -437,6 +437,34 @@ def test_vectorized_decode_matches_reference_large_peaked(rng):
     assert np.array_equal(huffman_decode(blob), huffman_decode_reference(blob))
 
 
+@given(
+    longest=st.integers(1, 16),
+    escaped=st.booleans(),
+    wide=st.booleans(),
+    seed=st.integers(0, 2**31 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_decode_tables_follow_the_longest_code(longest, escaped, wide, seed):
+    """The decoder tabulates ``2**L`` prefixes for a stream whose longest
+    code is ``L`` bits.  Fibonacci counts over ``L + 1`` values build a
+    chain whose two deepest codes are ``L`` bits long; capping the
+    alphabet at ``L + 1`` turns one of them into the escape."""
+    rng = np.random.default_rng(seed)
+    counts = [1, 1]
+    while len(counts) < longest + 1:
+        counts.append(counts[-1] + counts[-2])
+    span = 2**30 if wide else 2**14
+    values = rng.choice(2 * span, longest + 1, replace=False) - span
+    symbols = np.repeat(values, counts)[rng.permutation(sum(counts))]
+    blob = huffman_encode(symbols, max_alphabet=longest + 1 if escaped else 4096)
+    sections = _sections(blob)
+    assert max(i + 1 for i, count in enumerate(sections["counts"]) if count) == longest
+    assert (sections["escape_length"] == longest) == escaped
+    decoded = huffman_decode(blob)
+    assert decoded.dtype == np.int64 and np.array_equal(decoded, symbols)
+    assert np.array_equal(decoded, huffman_decode_reference(blob))
+
+
 def test_vectorized_decode_shorter_than_one_block(rng):
     # Fewer symbols than the smallest lane: one lane, cut short.
     for n in (1, 2, 15, 16, 17):

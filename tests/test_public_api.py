@@ -110,9 +110,11 @@ def test_package_line_count_only_goes_down():
     for by ``obs/hooks.py``; SZ in the field's precision raised it by the
     float32 guard, the precision key and its manifest entry, 21,308 ->
     21,360; deleting the distributed tier's live ops plane took it to
-    20,243, the sampling profiler and the thread pool to 19,555); lower
-    the ceiling when it shrinks."""
-    assert _python_lines(os.path.dirname(inspect.getsourcefile(repro))) <= 19555
+    20,243, the sampling profiler and the thread pool to 19,555; the
+    shared output slab with the pool's ``pack`` hook raised it to 19,629,
+    the rest of that change paid for by five unreferenced methods);
+    lower the ceiling when it shrinks."""
+    assert _python_lines(os.path.dirname(inspect.getsourcefile(repro))) <= 19629
 
 
 def test_obs_line_count_only_goes_down():

@@ -507,6 +507,18 @@ def test_pool_inline_commits_after_validate():
     assert [report.outcomes[t].committed for t in range(3)] == [0, 1, 2]
 
 
+def test_pool_reports_what_pack_returns_from_a_worker():
+    """``pack`` shapes what crosses the pipe; inline there is no pipe."""
+
+    def negate(task_id, result):
+        return -result
+
+    pool = SupervisedPool(_square, workers=2, retry=FAST_RETRY, pack=negate)
+    assert pool.run([1, 2, 3]).results() == [-1, -4, -9]
+    inline = SupervisedPool(_square, workers=1, retry=FAST_RETRY, pack=negate)
+    assert inline.run([1, 2, 3]).results() == [1, 4, 9]
+
+
 def test_pool_on_result_fires_once_per_success():
     seen = []
     chaos = ChaosInjector.from_spec("raise@1,raise@3:all")
@@ -643,6 +655,131 @@ def test_pipeline_audit_adopted_across_faults(chunked_setup, tmp_path):
     assert sorted(record.run_id for record in records) == [
         f"run-{i:04d}" for i in range(1, 5)
     ]
+
+
+# -- the output slab: pool workers write rows, reports carry the rest -------
+
+
+_ROWS = 8 * 32  # samples per 8-row chunk of the 5 x 32 x 32 fields
+
+
+def test_killed_worker_leaves_no_rows_behind(chunked_setup, monkeypatch, tmp_path):
+    """A worker SIGKILLed halfway through writing chunk 1's rows: the
+    retry elsewhere writes every row again, so the slab holds the serial
+    run's bytes."""
+    pipeline, fields, serial = chunked_setup
+    real_pack, marker = ChunkRun.pack, str(tmp_path / "killed")
+
+    def pack_then_die(self, index, result):
+        if index == 1 and not os.path.exists(marker):
+            open(marker, "w").close()
+            outputs, reference = self.rows(index)
+            outputs[: len(outputs) // 2] = np.nan
+            reference[: len(reference) // 2] = -1.0
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real_pack(self, index, result)
+
+    monkeypatch.setattr(ChunkRun, "pack", pack_then_die)
+    result = _chunked(pipeline, fields, workers=2, executor="process")
+    assert os.path.exists(marker)
+    supervision = result.extra["supervision"]
+    assert supervision["respawns"] == 1 and supervision["retries"] == 1
+    assert np.array_equal(result.outputs, serial.outputs)
+    assert np.array_equal(result.reference_outputs, serial.reference_outputs)
+
+
+def test_corrupt_rows_are_caught_in_the_slab(chunked_setup, monkeypatch):
+    """Without a journal nothing screens in the worker: the NaN rows a
+    ``corrupt`` rule puts in the slab are caught by the parent's screen
+    of the rows where they landed, and the retry overwrites them."""
+    pipeline, fields, serial = chunked_setup
+    real_screen, rejected = ChunkRun.screen, []
+
+    def screen(self, index, result):
+        try:
+            real_screen(self, index, result)
+        except IntegrityError:
+            rejected.append((index, result.outputs is None))
+            raise
+
+    monkeypatch.setattr(ChunkRun, "screen", screen)
+    result = _chunked(
+        pipeline, fields, workers=2, executor="process",
+        chaos=ChaosInjector.from_spec("corrupt@1"),
+    )
+    assert rejected == [(1, True)]  # a packed report, screened in the slab
+    assert result.extra["supervision"]["retries"] == 1
+    assert np.array_equal(result.outputs, serial.outputs)
+
+
+def test_quarantined_chunk_writes_its_rows_inline(chunked_setup):
+    pipeline, fields, serial = chunked_setup
+    result = _chunked(
+        pipeline, fields, workers=2, executor="process", max_task_retries=1,
+        chaos=ChaosInjector.from_spec("raise@1:all"),
+    )
+    assert result.extra["supervision"]["quarantined"] == [1]
+    lossless = pipeline.execute(
+        np.ascontiguousarray(fields[:, 8:16]), force_lossless=True
+    )
+    chunk = slice(_ROWS, 2 * _ROWS)
+    assert np.array_equal(result.outputs[chunk], lossless.outputs)
+    assert np.array_equal(result.reference_outputs[chunk], lossless.reference_outputs)
+    others = np.ones(len(serial.outputs), dtype=bool)
+    others[chunk] = False
+    assert np.array_equal(result.outputs[others], serial.outputs[others])
+
+
+def test_breaker_tripped_chunks_write_their_rows_inline(chunked_setup):
+    """Every worker dies on every task: the breaker trips and what is left
+    runs in the parent, whose rows land in the same slab."""
+    pipeline, fields, serial = chunked_setup
+    result = _chunked(
+        pipeline, fields, workers=2, executor="process", max_task_retries=8,
+        chaos=ChaosInjector.from_spec("kill@*:all"),
+    )
+    supervision = result.extra["supervision"]
+    assert supervision["breaker_tripped"] and supervision["quarantined"] == []
+    assert np.array_equal(result.outputs, serial.outputs)
+    assert np.array_equal(result.reference_outputs, serial.reference_outputs)
+
+
+def test_worker_reports_carry_the_blob_not_the_rows(chunked_setup, monkeypatch, tmp_path):
+    """A pool worker's pickled report is the blob bytes plus at most 4 KB:
+    its rows (6 KB here, ~160 KB on a production chunk) are in the slab."""
+    import pickle
+    from multiprocessing import connection
+
+    pipeline, fields, serial = chunked_setup
+    real_recv, reports = connection.Connection.recv, []
+
+    def recv(self):
+        message = real_recv(self)
+        if isinstance(message, tuple) and message[0] == "done":
+            reports.append((len(pickle.dumps(message)), message[2]))
+        return message
+
+    monkeypatch.setattr(connection.Connection, "recv", recv)
+    result = _chunked(
+        pipeline, fields, workers=2, executor="process", checkpoint=str(tmp_path / "ck")
+    )
+    assert np.array_equal(result.outputs, serial.outputs)
+    assert len(reports) == 4
+    for size, packed in reports:
+        assert packed.outputs is None and packed.reference_outputs is None
+        assert size <= len(packed.blob.payload) + 4096
+    assert serial.outputs[:_ROWS].nbytes + serial.reference_outputs[:_ROWS].nbytes > 4096
+
+
+def test_chunked_run_spans_cover_the_parents_serial_time(chunked_setup, tmp_path):
+    pipeline, fields, _ = chunked_setup
+    with obs.capture() as (tracer, _):
+        _chunked(pipeline, fields, workers=2, executor="process", checkpoint=str(tmp_path / "ck"))
+        prepare = tracer.find("chunked.prepare")
+        spawns, shutdowns = tracer.find("supervisor.spawn"), tracer.find("supervisor.shutdown")
+    assert [span.attributes["step"] for span in prepare] == ["split", "journal"]
+    assert sorted(span.attributes["slot"] for span in spawns) == [0, 1]
+    assert len(shutdowns) == 1 and shutdowns[0].attributes["workers"] == 2
 
 
 # -- checkpoint / resume ----------------------------------------------------
