@@ -155,9 +155,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--instrument-ops", action="store_true",
-        help="compile the fused backend's per-op timing variant: forward "
-        "passes report per-op wall time into the backend_op_seconds "
-        "histogram (fused backend only)",
+        help="compile the fused backend's per-op timing variant: the "
+        "pipeline.inference span carries op_labels and op_seconds "
+        "(fused backend only)",
     )
     parser.add_argument(
         "--log-level", choices=("debug", "info", "warning", "error"), default="info",

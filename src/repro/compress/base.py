@@ -12,7 +12,6 @@ import math
 import mmap
 import struct
 import threading
-import time
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -245,7 +244,7 @@ class Compressor:
     Subclasses implement :meth:`_compress` / :meth:`_decompress`; the
     public :meth:`compress` / :meth:`decompress` are template methods
     that add observability (a ``codec.compress``/``codec.decompress``
-    span plus per-codec timing histograms) around the implementation.
+    span plus a per-codec call counter) around the implementation.
     With observability disabled the wrappers delegate immediately.
     """
 
@@ -278,7 +277,6 @@ class Compressor:
         metrics = get_metrics()
         if not (tracer.enabled or metrics.enabled):
             return self._compress(data, tolerance, mode)
-        start = time.perf_counter()
         with tracer.span(
             "codec.compress",
             codec=self.name,
@@ -292,10 +290,7 @@ class Compressor:
                 lossless=bool(blob.metadata.get("lossless", False)),
                 precision=blob.metadata.get("precision", "float64"),
             )
-        elapsed = time.perf_counter() - start
-        metrics.histogram("codec_compress_seconds", codec=self.name).observe(elapsed)
         metrics.counter("codec_compress_total", codec=self.name).inc()
-        metrics.gauge("codec_compression_ratio", codec=self.name).set(blob.compression_ratio)
         return blob
 
     def decompress(self, blob: CompressedBlob) -> np.ndarray:
@@ -304,7 +299,6 @@ class Compressor:
         metrics = get_metrics()
         if not (tracer.enabled or metrics.enabled):
             return self._decompress(blob)
-        start = time.perf_counter()
         with tracer.span(
             "codec.decompress",
             codec=self.name,
@@ -313,8 +307,6 @@ class Compressor:
             precision=blob.metadata.get("precision", "float64"),
         ):
             data = self._decompress(blob)
-        elapsed = time.perf_counter() - start
-        metrics.histogram("codec_decompress_seconds", codec=self.name).observe(elapsed)
         metrics.counter("codec_decompress_total", codec=self.name).inc()
         return data
 

@@ -125,11 +125,12 @@ class InferencePipeline:
         recording the reason in ``result.extra["backend"]``.
     instrument_ops:
         Compile the fused backend's per-op timing variant
-        (``CompiledForward(instrument=True)``): forward passes
-        additionally report per-op wall time into the
-        ``backend_op_seconds`` histogram and
-        ``result.extra["backend"]["op_seconds"]``.  ``None`` (default)
-        means off; only meaningful on the fused backend.
+        (``CompiledForward(instrument=True)``): the quantized forward
+        additionally reports per-op wall time as
+        ``result.extra["backend"]["op_labels"/"op_seconds"]`` and as the
+        same-named attributes of the ``pipeline.inference`` span.
+        ``None`` (default) means off; only meaningful on the fused
+        backend.
     """
 
     def __init__(
@@ -341,13 +342,9 @@ class InferencePipeline:
                 runs beside the data path when the lane is free.  On the
                 lane thread the span stack is empty and the explicit
                 parent applies; inline the span nests by itself."""
-                start = time.perf_counter()
                 with tracer.span("pipeline.reference", remote_parent=execute_context):
                     reference_samples = samples_from_fields(fields)
                     reference = self._forward_ref(reference_samples)
-                metrics.histogram("pipeline_reference_seconds").observe(
-                    time.perf_counter() - start
-                )
                 return reference_samples, reference
 
             with side_lane().beside(
@@ -430,6 +427,9 @@ class InferencePipeline:
             if self._forward_quant.last_op_seconds is not None:
                 backend_info["op_labels"] = list(self._forward_quant.op_labels or [])
                 backend_info["op_seconds"] = list(self._forward_quant.last_op_seconds)
+                inference_span.set(
+                    op_labels=backend_info["op_labels"], op_seconds=backend_info["op_seconds"]
+                )
 
             result = PipelineResult(
                 outputs=outputs,
@@ -629,7 +629,8 @@ class InferencePipeline:
         root,
         observed_input_error: float,
     ) -> None:
-        """Post-hoc span enrichment + counters (observability on only).
+        """Post-hoc span enrichment + the execution counter (observability
+        on only).
 
         Observed errors are only known once the reconstruction and the
         reference outputs exist, so the stage spans created earlier are
@@ -657,13 +658,3 @@ class InferencePipeline:
             degraded=result.extra["integrity"]["degraded"],
         )
         metrics.counter("pipeline_executions_total", codec=self.codec.name).inc()
-        for stage, seconds in (
-            ("compress", result.compress_seconds),
-            ("decompress", result.decompress_seconds),
-            ("inference", result.inference_seconds),
-        ):
-            metrics.histogram("pipeline_stage_seconds", stage=stage).observe(seconds)
-        metrics.gauge("pipeline_compression_ratio", codec=self.codec.name).set(
-            result.compression_ratio
-        )
-        metrics.gauge("pipeline_qoi_error", norm=self.plan.norm).set(qoi_error)

@@ -208,11 +208,6 @@ class ShardCoordinator:
         # any) is still current on this thread, so every span emitted
         # later from connection threads can parent under it.
         self._trace_ctx = get_tracer().inject()
-        metrics = get_metrics()
-        metrics.describe(
-            "distrib_workers_connected", "workers currently connected to the coordinator"
-        )
-        metrics.describe("distrib_leases_active", "leases currently in flight")
         threading.Thread(
             target=self._accept_loop, name="distrib-accept", daemon=True
         ).start()
@@ -367,8 +362,6 @@ class ShardCoordinator:
             self._live_workers += 1
             self._joined_ever += 1
             self._last_activity = time.monotonic()
-            live = self._live_workers
-        metrics.gauge("distrib_workers_connected").set(live)
         _LOG.info("worker joined", worker=worker, peer=conn.peer)
         rejects = 0
         try:
@@ -430,8 +423,6 @@ class ShardCoordinator:
                 self._last_activity = time.monotonic()
                 # dead-worker detection: no reason to wait out the TTL
                 self._expire_conn_leases(conn_id)
-                live = self._live_workers
-            metrics.gauge("distrib_workers_connected").set(live)
             conn.close()
             _LOG.info("worker left", worker=worker)
 
@@ -522,11 +513,9 @@ class ShardCoordinator:
             self._counts["leases_granted"] += 1
             if reassignment:
                 self._counts["leases_reassigned"] += 1
-            active = len(self._leases)
             trace_ctx = self._serve_ctx or self._trace_ctx
         metrics = get_metrics()
         metrics.counter("distrib_leases_granted_total").inc()
-        metrics.gauge("distrib_leases_active").set(active)
         if reassignment:
             metrics.counter("distrib_leases_reassigned_total").inc()
         _LOG.debug(
@@ -564,9 +553,7 @@ class ShardCoordinator:
             self._expired_chunks.add(chunk)
             self._chunk_lease.pop(chunk, None)
         self._counts["leases_expired"] += 1
-        metrics = get_metrics()
-        metrics.counter("distrib_leases_expired_total").inc()
-        metrics.gauge("distrib_leases_active").set(len(self._leases))
+        get_metrics().counter("distrib_leases_expired_total").inc()
         _LOG.warning(
             "lease expired",
             lease=lease_id,
@@ -653,10 +640,7 @@ class ShardCoordinator:
                     if not lease.outstanding:
                         del self._leases[lease_id]
             self._counts["accepted"] += 1
-            active = len(self._leases)
-        metrics = get_metrics()
-        metrics.counter("distrib_results_total", status="accepted").inc()
-        metrics.gauge("distrib_leases_active").set(active)
+        get_metrics().counter("distrib_results_total", status="accepted").inc()
         _LOG.debug("result accepted", chunk=chunk, worker=worker)
         return "accepted"
 

@@ -28,9 +28,11 @@ Durability model, weakest link first:
   and each journal line carries the artifact's digest.  The journal is
   therefore the commit record: an artifact without a journal line is
   invisible (recomputed), a journal line whose artifact is missing or
-  corrupt is ignored (recomputed), and a torn trailing journal line —
-  the signature of a writer killed mid-append — is dropped by
-  :func:`~repro.io.serialization.read_jsonl_records`.  At every kill
+  corrupt is ignored (recomputed), and so is one that is not an object,
+  names another artifact than ``chunks/chunk-NNNN.npz`` of its own chunk
+  or another input digest than the manifest's for that chunk.  A torn
+  trailing journal line — the signature of a writer killed mid-append —
+  is dropped by :func:`~repro.io.serialization.read_jsonl_records`.  At every kill
   point the journal describes only fully-persisted work.
 * Whoever computed a chunk commits it: pool workers write their own
   artifact and journal line (whole-line ``O_APPEND`` writes, per-process
@@ -82,6 +84,11 @@ def digest_array(array: np.ndarray) -> str:
     return state.hexdigest()
 
 
+def _artifact_rel(index: int) -> str:
+    """Where chunk ``index``'s artifact lives, relative to the checkpoint."""
+    return os.path.join(_CHUNK_DIR, f"chunk-{index:04d}.npz")
+
+
 def read_artifact(data: bytes) -> dict:
     """What a chunk artifact stores: ``{"outputs", "blob_bytes"}``."""
     with np.load(io.BytesIO(data)) as archive:
@@ -125,9 +132,10 @@ class CheckpointJournal:
         self.journal_path = os.path.join(self.path, _JOURNAL)
         self.chunk_dir = os.path.join(self.path, _CHUNK_DIR)
         self._manifest: "dict | None" = None
-        # artifact bytes _replay verified, by digest, until artifact_bytes
-        # hands them out: a resume reads and digests each file once
-        self._verified: "dict[str, bytes]" = {}
+        # artifact bytes _replay verified, by (chunk, digest), until
+        # artifact_bytes hands them out: a resume reads and digests each
+        # file once, and a line naming another chunk's digest is no hit
+        self._verified: "dict[tuple, bytes]" = {}
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -224,11 +232,14 @@ class CheckpointJournal:
         dropped = 0
         conflicts = 0
         for entry in read_jsonl_records(self.journal_path):
-            index = entry.get("chunk")
-            if not isinstance(index, int) or not 0 <= index < len(digests):
-                dropped += 1
-                continue
-            if entry.get("input_digest") not in (None, digests[index]):
+            index = entry.get("chunk") if isinstance(entry, dict) else None
+            if (
+                type(index) is not int  # a JSON integer; true is no chunk
+                or not 0 <= index < len(digests)
+                or entry.get("input_digest") != digests[index]
+                or entry.get("artifact") != _artifact_rel(index)
+                or not isinstance(entry.get("artifact_digest"), str)
+            ):
                 dropped += 1
                 continue
             previous = completed.get(index)
@@ -239,11 +250,11 @@ class CheckpointJournal:
                 continue
             try:
                 data = self.artifact_bytes(entry)
-            except (OSError, KeyError, IntegrityError):
+            except (OSError, IntegrityError):
                 dropped += 1
                 continue
             completed[index] = entry
-            self._verified[entry["artifact_digest"]] = data
+            self._verified[index, entry["artifact_digest"]] = data
         if dropped:
             _LOG.warning(
                 "dropped unverifiable journal entries; their chunks will be "
@@ -296,7 +307,7 @@ class CheckpointJournal:
             raise ConfigurationError("CheckpointJournal.record before begin()")
         tracer = get_tracer()
         with tracer.span("checkpoint.record", chunk=index):
-            artifact_rel = os.path.join(_CHUNK_DIR, f"chunk-{index:04d}.npz")
+            artifact_rel = _artifact_rel(index)
             atomic_write_bytes(os.path.join(self.path, artifact_rel), data)
             entry = dict(entry)
             entry["chunk"] = int(index)
@@ -309,11 +320,13 @@ class CheckpointJournal:
     # -- reads -------------------------------------------------------------
 
     def artifact_bytes(self, entry: dict) -> bytes:
-        """One journal entry's artifact, verbatim and digest-verified."""
-        data = self._verified.pop(entry.get("artifact_digest"), None)
+        """One journal entry's artifact, verbatim and digest-verified; it
+        is read from where :meth:`record_raw` writes the entry's chunk,
+        never from a path the entry names."""
+        data = self._verified.pop((entry["chunk"], entry.get("artifact_digest")), None)
         if data is not None:
             return data
-        artifact = os.path.join(self.path, entry["artifact"])
+        artifact = os.path.join(self.path, _artifact_rel(entry["chunk"]))
         with open(artifact, "rb") as handle:
             data = handle.read()
         if digest_bytes(data) != entry.get("artifact_digest"):

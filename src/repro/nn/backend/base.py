@@ -29,14 +29,12 @@ the kernel honest on every call:
 
 A compile is ``lower`` → generate → bind, about a millisecond, so the
 only kernel kept is the wrapper's own (docs/PERFORMANCE.md, "Why there
-is no compile cache").  Compiles are traced as ``backend.compile`` spans
-and timed into the ``backend_compile_seconds`` histogram.
+is no compile cache").  Compiles are traced as ``backend.compile`` spans.
 """
 
 from __future__ import annotations
 
 import os
-import time
 
 import numpy as np
 
@@ -105,7 +103,6 @@ class CompiledForward:
         self.last_fallback_reason: "str | None" = None
         #: rows of the two halves the latest call ran as (``None``: whole)
         self.last_split: "tuple | None" = None
-        self._reason_gauge: "str | None" = None
         self.stats = {"calls": 0, "lowerings": 0, "compiles": 0, "fallbacks": 0, "splits": 0}
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
@@ -134,12 +131,10 @@ class CompiledForward:
         if reason is not None:
             return self._fallback(x, reason)
         out = self._kernel(x)
-        metrics = get_metrics()
-        metrics.gauge("backend_compiled_active", backend=self.backend_name).set(1.0)
         self.last_split = self._kernel.last_split
         if self.last_split is not None:
             self.stats["splits"] += 1
-            metrics.counter("backend_split_calls_total", backend=self.backend_name).inc()
+            get_metrics().counter("backend_split_calls_total", backend=self.backend_name).inc()
         return out
 
     @property
@@ -157,25 +152,9 @@ class CompiledForward:
     def _fallback(self, x: np.ndarray, reason: str, detail: "str | None" = None) -> np.ndarray:
         self.last_fallback_reason = detail or reason
         self.stats["fallbacks"] += 1
-        metrics = get_metrics()
-        metrics.counter(
+        get_metrics().counter(
             "backend_fallbacks_total", backend=self.backend_name, reason=reason
         ).inc()
-        if metrics.enabled:
-            # a serving box silently on the interpreter is an ops-plane
-            # fact: 0/1 activity gauge plus an info-style gauge whose
-            # ``reason`` label names the *latest* fallback cause
-            metrics.gauge("backend_compiled_active", backend=self.backend_name).set(0.0)
-            if self._reason_gauge is not None and self._reason_gauge != reason:
-                metrics.gauge(
-                    "backend_last_fallback_info",
-                    backend=self.backend_name,
-                    reason=self._reason_gauge,
-                ).set(0.0)
-            self._reason_gauge = reason
-            metrics.gauge(
-                "backend_last_fallback_info", backend=self.backend_name, reason=reason
-            ).set(1.0)
         return self.model(x)
 
     def _input_guard(self, x: np.ndarray) -> "str | None":
@@ -199,11 +178,7 @@ class CompiledForward:
         program = lower(self.model)
         self.stats["lowerings"] += 1
         label = "fused-instr" if self.instrument else "fused"
-        started = time.perf_counter()
         with get_tracer().span("backend.compile", backend=label, weight_version=version):
             kernel = compile_fused(program, instrument=self.instrument)
         self.stats["compiles"] += 1
-        get_metrics().histogram("backend_compile_seconds", backend=label).observe(
-            time.perf_counter() - started
-        )
         return kernel

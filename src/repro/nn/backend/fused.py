@@ -377,9 +377,9 @@ class FusedKernel:
 
     Given ``op_labels`` the closure is the per-op-timing variant: it
     accumulates ``perf_counter_ns`` deltas into a per-call list, which
-    is converted to seconds, retained as :attr:`last_op_seconds` and
-    mirrored into the ``backend_op_seconds{op,index}`` histogram.  It
-    never splits: one list of timings, one thread.
+    is converted to seconds and retained as :attr:`last_op_seconds` (the
+    pipeline puts them on its ``pipeline.inference`` span).  It never
+    splits: one list of timings, one thread.
     """
 
     def __init__(self, program: LoweredProgram, fn, op_labels: "list | None" = None) -> None:
@@ -410,14 +410,7 @@ class FusedKernel:
             return self.fn(x, buffers.arrays)
         timings = [0] * len(self.op_labels)
         out = self.fn(x, buffers.arrays, timings)
-        seconds = [t / 1e9 for t in timings]
-        self.last_op_seconds = seconds
-        metrics = get_metrics()
-        if metrics.enabled:
-            for index, (label, value) in enumerate(zip(self.op_labels, seconds)):
-                metrics.histogram(
-                    "backend_op_seconds", op=label, index=index
-                ).observe(value)
+        self.last_op_seconds = [t / 1e9 for t in timings]
         return out
 
     def _halves(self, x: np.ndarray, arrays: list) -> "np.ndarray | None":

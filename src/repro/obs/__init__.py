@@ -35,8 +35,6 @@ from .log import LEVELS, Logger, get_log_level, get_logger, set_log_level
 from .metrics import (
     NULL_METRICS,
     Counter,
-    Gauge,
-    Histogram,
     MetricsRegistry,
     NullMetrics,
     render_metrics_json,
@@ -70,8 +68,6 @@ __all__ = [
     "AuditRecord",
     "Auditor",
     "Counter",
-    "Gauge",
-    "Histogram",
     "LayerAudit",
     "LayerwiseErrorRecorder",
     "LEVELS",

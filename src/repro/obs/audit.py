@@ -22,11 +22,11 @@ executions:
   through the same null-object pattern as tracing/metrics: pipeline hot
   paths pay one attribute check when auditing is disabled.  When
   enabled it appends every record to a
-  :class:`~repro.obs.registry.RunRegistry`, emits
-  ``audit_runs_total`` / ``audit_violations_total`` /
-  ``audit_tightness_ratio`` / ``audit_layer_tightness`` metrics, and
-  mirrors violations into the resilience layer's
-  ``contract_violations_total`` family.
+  :class:`~repro.obs.registry.RunRegistry`, counts
+  ``audit_runs_total`` / ``audit_violations_total``, and mirrors
+  violations into the resilience layer's ``contract_violations_total``
+  family.  Tightness lives on the record itself
+  (:attr:`AuditRecord.qoi_tightness`, :attr:`LayerAudit.tightness`).
 
 Verdicts per comparison point: ``VIOLATION`` when observed error exceeds
 the predicted bound beyond numerical slack (the theory failed — this
@@ -518,13 +518,6 @@ class Auditor:
 
         metrics = get_metrics()
         metrics.counter("audit_runs_total").inc()
-        metrics.gauge(
-            "audit_tightness_ratio",
-            fmt=record.fmt or "?",
-            codec=record.codec or "?",
-        ).set(record.qoi_tightness)
-        for layer in record.layers:
-            metrics.histogram("audit_layer_tightness").observe(layer.tightness)
         violations = record.violations
         if violations:
             metrics.counter("audit_violations_total").inc(len(violations))

@@ -1,13 +1,16 @@
-"""Metrics registry: counters, gauges and percentile histograms.
+"""Metrics registry: event counters.
 
-Counters track monotone event totals (``integrity_failures_total``),
-gauges track last-written values (``compression_ratio``), histograms
-collect raw observations and summarize them as percentiles
-(``codec_compress_seconds``).  Every instrument is identified by a name
-plus a sorted label set, so ``recoveries_total{policy="fallback-lossless"}``
-and ``recoveries_total{policy="recompress-from-source"}`` are distinct
+A counter tracks a monotone event total (``integrity_failures_total``).
+Every counter is identified by a name plus a sorted label set, so
+``recoveries_total{policy="fallback-lossless"}`` and
+``recoveries_total{policy="recompress-from-source"}`` are distinct
 series — the same data model Prometheus uses, and the registry exports
 both a JSON document and the Prometheus text exposition format.
+
+Measurements (stage times, compression ratios, QoI errors, step sizes)
+are not metrics: each is recorded once, on a span, in an audit record or
+in ``PipelineResult.extra`` (docs/OBSERVABILITY.md, "Where each number
+lives").
 
 The :class:`NullMetrics` registry backs the disabled mode: it hands out
 shared no-op instruments so hot-path ``counter(...).inc()`` calls cost
@@ -16,14 +19,10 @@ two cheap method calls and no allocation.
 
 from __future__ import annotations
 
-import math
-import random
 import threading
 
 __all__ = [
     "Counter",
-    "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "NullMetrics",
     "NULL_METRICS",
@@ -45,111 +44,6 @@ class Counter:
         self.value += amount
 
 
-class Gauge:
-    """Last-written value (may go up or down)."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
-
-
-class Histogram:
-    """Raw-sample histogram with exact percentile summaries.
-
-    Observation counts in this codebase are usually small (per-stage
-    timings, per-layer step sizes), so the histogram keeps the raw
-    samples and computes exact percentiles by sorting on demand — no
-    bucket-boundary error, no pre-declared bucket layout.
-
-    Long chunked runs are the exception: a per-chunk timing series grows
-    with the data, so retained samples are capped at ``cap`` (default
-    :data:`DEFAULT_CAP`).  Below the cap percentiles stay exact; beyond
-    it the retained set degrades gracefully to a uniform reservoir
-    (Vitter's Algorithm R) and percentiles become estimates over it.
-    ``sum``, ``count``, ``min`` and ``max`` remain exact regardless.
-    Pass ``cap=None`` for the old unbounded behavior.
-    """
-
-    __slots__ = ("samples", "sum", "cap", "_count", "_min", "_max", "_random")
-
-    #: default retained-sample budget; at 8 bytes a float this bounds a
-    #: series at ~32 KiB no matter how many chunks a run observes
-    DEFAULT_CAP = 4096
-
-    def __init__(self, cap: int | None = DEFAULT_CAP) -> None:
-        if cap is not None and cap <= 0:
-            raise ValueError(f"histogram cap must be positive or None, got {cap}")
-        self.samples: list[float] = []
-        self.sum = 0.0
-        self.cap = cap
-        self._count = 0
-        self._min = math.inf
-        self._max = -math.inf
-        # deterministic per-instance stream so exports are reproducible
-        self._random = random.Random(0x5EED)
-
-    def observe(self, value: float) -> None:
-        value = float(value)
-        self.sum += value
-        self._count += 1
-        if value < self._min:
-            self._min = value
-        if value > self._max:
-            self._max = value
-        if self.cap is None or len(self.samples) < self.cap:
-            self.samples.append(value)
-        else:
-            # reservoir replacement: every observation so far retained
-            # with equal probability cap / count
-            slot = self._random.randrange(self._count)
-            if slot < self.cap:
-                self.samples[slot] = value
-
-    @property
-    def count(self) -> int:
-        return self._count
-
-    def percentile(self, p: float) -> float:
-        """Exact percentile (linear interpolation), ``p`` in [0, 100]."""
-        if not 0.0 <= p <= 100.0:
-            raise ValueError(f"percentile must be in [0, 100], got {p}")
-        if not self.samples:
-            return math.nan
-        ordered = sorted(self.samples)
-        if len(ordered) == 1:
-            return ordered[0]
-        rank = p / 100.0 * (len(ordered) - 1)
-        low = int(math.floor(rank))
-        high = int(math.ceil(rank))
-        if low == high:
-            return ordered[low]
-        weight = rank - low
-        return ordered[low] * (1.0 - weight) + ordered[high] * weight
-
-    def summary(self) -> dict:
-        if not self.samples:
-            return {"count": 0, "sum": 0.0}
-        return {
-            "count": self.count,
-            "sum": self.sum,
-            "min": self._min,
-            "max": self._max,
-            "p50": self.percentile(50),
-            "p90": self.percentile(90),
-            "p99": self.percentile(99),
-        }
-
-
 def _label_key(labels: dict) -> tuple:
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
@@ -162,65 +56,32 @@ def _label_suffix(label_key: tuple) -> str:
 
 
 class MetricsRegistry:
-    """Name+labels keyed collection of counters, gauges and histograms.
-
-    ``histogram_cap`` bounds the raw samples each histogram retains (see
-    :class:`Histogram`); ``None`` disables the cap.
-    """
+    """Name+labels keyed collection of counters."""
 
     enabled = True
 
-    def __init__(self, histogram_cap: int | None = Histogram.DEFAULT_CAP) -> None:
+    def __init__(self) -> None:
+        #: name -> {label key -> Counter}
         self._series: dict[str, dict] = {}
-        self._help: dict[str, str] = {}
-        self.histogram_cap = histogram_cap
         # Guards series creation so worker threads (parallel chunked
-        # execution) can request instruments concurrently.  Increments on
-        # the instruments themselves stay lock-free.
+        # execution) can request counters concurrently.  Increments on
+        # the counters themselves stay lock-free.
         self._register_lock = threading.Lock()
 
-    def describe(self, name: str, help_text: str) -> None:
-        """Attach a ``# HELP`` line to a metric name (idempotent)."""
-        with self._register_lock:
-            self._help[name] = str(help_text)
-
-    def _instrument(self, kind: str, factory, name: str, labels: dict):
-        with self._register_lock:
-            entry = self._series.get(name)
-            if entry is None:
-                entry = {"kind": kind, "series": {}}
-                self._series[name] = entry
-            elif entry["kind"] != kind:
-                raise ValueError(
-                    f"metric {name!r} already registered as {entry['kind']}, "
-                    f"cannot re-register as {kind}"
-                )
-            key = _label_key(labels)
-            instrument = entry["series"].get(key)
-            if instrument is None:
-                instrument = factory()
-                entry["series"][key] = instrument
-            return instrument
-
     def counter(self, name: str, **labels) -> Counter:
-        return self._instrument("counter", Counter, name, labels)
-
-    def gauge(self, name: str, **labels) -> Gauge:
-        return self._instrument("gauge", Gauge, name, labels)
-
-    def histogram(self, name: str, **labels) -> Histogram:
-        return self._instrument(
-            "histogram", lambda: Histogram(cap=self.histogram_cap), name, labels
-        )
+        key = _label_key(labels)
+        with self._register_lock:
+            series = self._series.setdefault(name, {})
+            counter = series.get(key)
+            if counter is None:
+                counter = series[key] = Counter()
+            return counter
 
     # -- reads ----------------------------------------------------------
     def value(self, name: str, **labels) -> float:
-        """Current value of a counter/gauge series (0 if never touched)."""
-        entry = self._series.get(name)
-        if entry is None:
-            return 0.0
-        instrument = entry["series"].get(_label_key(labels))
-        return 0.0 if instrument is None else instrument.value
+        """Current value of a counter series (0 if never touched)."""
+        counter = self._series.get(name, {}).get(_label_key(labels))
+        return 0.0 if counter is None else counter.value
 
     def names(self) -> list[str]:
         return sorted(self._series)
@@ -237,12 +98,8 @@ class MetricsRegistry:
         """
         with self._register_lock:
             return {
-                name: {
-                    key: instrument.value
-                    for key, instrument in entry["series"].items()
-                }
-                for name, entry in self._series.items()
-                if entry["kind"] == "counter"
+                name: {key: counter.value for key, counter in series.items()}
+                for name, series in self._series.items()
             }
 
     @staticmethod
@@ -266,44 +123,26 @@ class MetricsRegistry:
     # -- export ----------------------------------------------------------
     def to_json(self) -> dict:
         """JSON-serializable snapshot of every series."""
-        out: dict = {"metrics": []}
-        for name in sorted(self._series):
-            entry = self._series[name]
-            for key in sorted(entry["series"]):
-                instrument = entry["series"][key]
-                row: dict = {"name": name, "kind": entry["kind"], "labels": dict(key)}
-                if entry["kind"] == "histogram":
-                    row.update(instrument.summary())
-                else:
-                    row["value"] = instrument.value
-                out["metrics"].append(row)
-        return out
+        return {
+            "metrics": [
+                {"name": name, "kind": "counter", "labels": dict(key), "value": counter.value}
+                for name in sorted(self._series)
+                for key, counter in sorted(self._series[name].items())
+            ]
+        }
 
     def to_prometheus(self) -> str:
-        """Prometheus text exposition format (histograms as summaries).
+        """Prometheus text exposition format.
 
-        Per the exposition grammar each metric name gets its ``# HELP``
-        and ``# TYPE`` header exactly once, before all of its series —
-        regardless of how many label sets the name carries.
+        Per the exposition grammar each metric name gets its ``# TYPE``
+        header exactly once, before all of its series — regardless of how
+        many label sets the name carries.
         """
         lines: list[str] = []
         for name in sorted(self._series):
-            entry = self._series[name]
-            kind = entry["kind"]
-            help_text = self._help.get(name) or f"repro runtime metric {name}"
-            lines.append(f"# HELP {name} {_escape_help(help_text)}")
-            lines.append(f"# TYPE {name} {'summary' if kind == 'histogram' else kind}")
-            for key in sorted(entry["series"]):
-                instrument = entry["series"][key]
-                if kind == "histogram":
-                    for quantile in (0.5, 0.9, 0.99):
-                        labels = key + (("quantile", f"{quantile}"),)
-                        value = instrument.percentile(100 * quantile)
-                        lines.append(f"{name}{_label_suffix(labels)} {_fmt(value)}")
-                    lines.append(f"{name}_sum{_label_suffix(key)} {_fmt(instrument.sum)}")
-                    lines.append(f"{name}_count{_label_suffix(key)} {instrument.count}")
-                else:
-                    lines.append(f"{name}{_label_suffix(key)} {_fmt(instrument.value)}")
+            lines.append(f"# TYPE {name} counter")
+            for key, counter in sorted(self._series[name].items()):
+                lines.append(f"{name}{_label_suffix(key)} {_fmt(counter.value)}")
         return "\n".join(lines) + ("\n" if lines else "")
 
     def render(self) -> str:
@@ -311,17 +150,8 @@ class MetricsRegistry:
         return render_metrics_json(self.to_json())
 
 
-def _escape_help(text: str) -> str:
-    # HELP values escape backslash and newline per the exposition format
-    return text.replace("\\", "\\\\").replace("\n", "\\n")
-
-
 def _fmt(value: float) -> str:
-    if isinstance(value, float) and math.isnan(value):
-        return "NaN"
-    if float(value) == int(value):
-        return str(int(value))
-    return repr(float(value))
+    return str(int(value)) if float(value).is_integer() else repr(float(value))
 
 
 def render_metrics_json(payload: dict) -> str:
@@ -336,40 +166,19 @@ def render_metrics_json(payload: dict) -> str:
     lines = [f"{'metric':<44} {'kind':<9} {'value':>12}"]
     for row in rows:
         label = row["name"] + _label_suffix(_label_key(row.get("labels", {})))
-        if row["kind"] == "histogram":
-            count = row.get("count", 0)
-            if count:
-                value = (
-                    f"n={count} p50={row['p50']:.3g} "
-                    f"p90={row['p90']:.3g} max={row['max']:.3g}"
-                )
-            else:
-                value = "n=0"
-            lines.append(f"{label:<44} {row['kind']:<9} {value}")
-        else:
-            lines.append(f"{label:<44} {row['kind']:<9} {row['value']:>12g}")
+        # an older export's histogram rows carry no value: shown as nan
+        value = row.get("value", float("nan"))
+        lines.append(f"{label:<44} {row['kind']:<9} {value:>12g}")
     return "\n".join(lines)
 
 
 class _NullInstrument:
-    """Shared do-nothing counter/gauge/histogram."""
+    """Shared do-nothing counter."""
 
     __slots__ = ()
     value = 0.0
-    count = 0
-    sum = 0.0
-    samples: tuple = ()
 
     def inc(self, amount: float = 1.0) -> None:
-        return None
-
-    def dec(self, amount: float = 1.0) -> None:
-        return None
-
-    def set(self, value: float) -> None:
-        return None
-
-    def observe(self, value: float) -> None:
         return None
 
 
@@ -381,16 +190,7 @@ class NullMetrics:
 
     enabled = False
 
-    def describe(self, name: str, help_text: str) -> None:
-        return None
-
     def counter(self, name: str, **labels) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def gauge(self, name: str, **labels) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def histogram(self, name: str, **labels) -> _NullInstrument:
         return _NULL_INSTRUMENT
 
     def value(self, name: str, **labels) -> float:

@@ -49,9 +49,9 @@ supervision a long-running production run needs:
   pool is abandoned and every remaining task runs serially in-process,
   so a sick host degrades to slow, never to failed.
 
-Results are reported through an ``on_result`` callback *as tasks
-complete* and collected into a :class:`SupervisionReport`; per-worker
-**metrics deltas** (counters incremented inside the forked children)
+Results are checked by an optional ``validate`` hook in the parent *as
+tasks complete* and collected into a :class:`SupervisionReport`;
+per-worker **metrics deltas** (counters incremented inside the forked children)
 ride back with each result and are merged into the parent registry, so
 `pipeline_executions_total` and friends stay accurate across process
 boundaries.
@@ -96,6 +96,13 @@ _JOIN_GRACE = 1.0
 #: tasks in flight per worker: one running, one already in its pipe, so
 #: a worker never idles across done -> parent wakes -> dispatch
 _WINDOW = 2
+
+#: period of each worker's heartbeat thread (seconds)
+_HEARTBEAT_INTERVAL = 0.1
+
+#: a busy worker whose heartbeat is older than this is frozen (alive but
+#: not making progress, e.g. SIGSTOP) and is killed (seconds)
+_STALE_AFTER = 30.0
 
 
 def fork_available() -> bool:
@@ -218,12 +225,6 @@ class SupervisedPool:
     retry:
         Backoff/budget schedule for failed tasks (default
         ``RetryPolicy()``: 2 retries, 50 ms base, 2 s cap, 10% jitter).
-    heartbeat_interval:
-        Period of the worker heartbeat thread.
-    stale_after:
-        Kill a busy worker whose heartbeat is older than this many
-        seconds (a frozen process — e.g. SIGSTOP — that is alive but
-        not making progress).  ``None`` disables.
     breaker_threshold:
         Pool faults before the circuit breaker trips (default
         ``2 * workers + 1``).
@@ -245,7 +246,7 @@ class SupervisedPool:
     pack:
         Optional ``pack(task_id, result)`` run inside the worker after
         ``commit``: what it returns is reported in place of ``result``, so
-        ``validate``, ``on_result`` and ``TaskOutcome.result`` see it.
+        ``validate`` and ``TaskOutcome.result`` see it.
         Inline execution has no pipe and reports ``result`` itself.
     label:
         Metrics/trace label for this pool.
@@ -258,8 +259,6 @@ class SupervisedPool:
         *,
         task_timeout: "float | None" = None,
         retry: "RetryPolicy | None" = None,
-        heartbeat_interval: float = 0.1,
-        stale_after: "float | None" = 30.0,
         breaker_threshold: "int | None" = None,
         chaos=None,
         validate: "Callable | None" = None,
@@ -277,8 +276,6 @@ class SupervisedPool:
             )
         self.task_timeout = task_timeout
         self.retry = retry if retry is not None else RetryPolicy()
-        self.heartbeat_interval = float(heartbeat_interval)
-        self.stale_after = stale_after
         self.breaker = CircuitBreaker(
             breaker_threshold
             if breaker_threshold is not None
@@ -292,12 +289,10 @@ class SupervisedPool:
 
     # -- public entry point ------------------------------------------------
 
-    def run(self, payloads, on_result: "Callable | None" = None) -> SupervisionReport:
+    def run(self, payloads) -> SupervisionReport:
         """Execute every payload under supervision.
 
-        ``on_result(task_id, result, outcome)`` fires in completion
-        order for each successful task — the journaling hook.  Returns
-        a :class:`SupervisionReport`; quarantined tasks appear in
+        Returns a :class:`SupervisionReport`; quarantined tasks appear in
         ``report.quarantined`` with an errored :class:`TaskOutcome`.
         """
         tasks = list(payloads)
@@ -307,19 +302,19 @@ class SupervisedPool:
         if self.workers <= 1 or not fork_available():
             report.executor = "inline"
             report.workers = 1
-            self._run_inline(range(len(tasks)), tasks, report, on_result, {})
+            self._run_inline(range(len(tasks)), tasks, report, {})
             return report
         tracer = get_tracer()
         with tracer.span(
             "supervisor.run", pool=self.label, tasks=len(tasks), workers=self.workers
         ) as span:
-            self._run_supervised(tasks, report, on_result)
+            self._run_supervised(tasks, report)
             span.set(**report.summary())
         return report
 
     # -- inline (serial / degraded) execution ------------------------------
 
-    def _run_inline(self, task_ids, tasks, report, on_result, attempts_used) -> None:
+    def _run_inline(self, task_ids, tasks, report, attempts_used) -> None:
         """Serial in-process execution with the same retry/quarantine
         semantics; used for ``workers <= 1`` and after a breaker trip.
         Chaos is never applied here — it models *worker* faults, and the
@@ -341,13 +336,10 @@ class SupervisedPool:
                 except Exception as exc:
                     error = f"{type(exc).__name__}: {exc}"
                 else:
-                    outcome = TaskOutcome(
+                    report.outcomes[task_id] = TaskOutcome(
                         task_id=task_id, result=result, attempts=attempt, inline=True,
                         seconds=seconds, committed=committed,
                     )
-                    report.outcomes[task_id] = outcome
-                    if on_result is not None:
-                        on_result(task_id, result, outcome)
                     break
                 if attempt > self.retry.max_retries:
                     self._quarantine(report, task_id, attempt, error)
@@ -358,7 +350,7 @@ class SupervisedPool:
 
     # -- supervised process-pool execution ---------------------------------
 
-    def _run_supervised(self, tasks, report, on_result) -> None:
+    def _run_supervised(self, tasks, report) -> None:
         ctx = multiprocessing.get_context("fork")
         self._heartbeat = ctx.Array("d", self.workers, lock=False)
         workers = {slot: self._spawn(ctx, slot) for slot in range(self.workers)}
@@ -405,19 +397,16 @@ class SupervisedPool:
                 fail_task(task_id, f"invalid result: {exc}")
                 return
             attempts = failures.get(task_id, 0) + 1
-            outcome = TaskOutcome(
+            report.outcomes[task_id] = TaskOutcome(
                 task_id=task_id, result=result, attempts=attempts,
                 seconds=seconds, committed=committed,
             )
-            report.outcomes[task_id] = outcome
             with tracer.span(
                 "supervisor.task", pool=self.label, task=task_id,
                 attempts=attempts, worker=slot,
             ) as task_span:
                 if seconds is not None:
                     task_span.set(task_seconds=seconds)
-                if on_result is not None:
-                    on_result(task_id, result, outcome)
             # adopt the child's spans under the task span so the fork
             # boundary disappears from the trace
             if child_spans and tracer.enabled:
@@ -512,9 +501,7 @@ class SupervisedPool:
                         and now - worker.started_at > self.task_timeout
                     ):
                         respawn(slot, f"deadline expired after {self.task_timeout}s")
-                    elif self.stale_after is not None and (
-                        now - self._heartbeat[slot] > self.stale_after
-                    ):
+                    elif now - self._heartbeat[slot] > _STALE_AFTER:
                         respawn(slot, "heartbeat went stale")
         finally:
             in_flight = sum(len(worker.inflight) for worker in workers.values())
@@ -529,7 +516,7 @@ class SupervisedPool:
                 "executing remaining tasks serially in-process",
                 remaining=len(remaining), in_flight=in_flight,
             )
-            self._run_inline(remaining, tasks, report, on_result, dict(failures))
+            self._run_inline(remaining, tasks, report, dict(failures))
 
     # -- helpers -----------------------------------------------------------
 
@@ -539,7 +526,7 @@ class SupervisedPool:
         )
         report.outcomes[task_id] = outcome
         report.quarantined.append(task_id)
-        get_metrics().gauge("quarantined_chunks", pool=self.label).inc()
+        get_metrics().counter("quarantined_chunks_total", pool=self.label).inc()
         _LOG.error(
             "task quarantined after exhausting its retry budget",
             task=task_id, attempts=attempts, reason=reason,
@@ -638,7 +625,7 @@ class SupervisedPool:
         def beat() -> None:
             while not stop.is_set():
                 heartbeat[slot] = time.monotonic()
-                stop.wait(self.heartbeat_interval)
+                stop.wait(_HEARTBEAT_INTERVAL)
 
         threading.Thread(target=beat, daemon=True, name="heartbeat").start()
 

@@ -456,7 +456,7 @@ def test_audit_hooks_attach_only_after_the_join(small):
 def test_reference_span_is_an_overlapped_child_of_execute(small):
     pipe, fields = small
     pipe.execute(fields)
-    with obs.capture() as (tracer, metrics):
+    with obs.capture() as (tracer, _):
         pipe.execute(fields)
         with one_cpu():
             pipe.execute(fields)
@@ -484,4 +484,4 @@ def test_reference_span_is_an_overlapped_child_of_execute(small):
     assert "beside" in reference_lines[0] and "%" in reference_lines[1]
     exported = [d for d in tracer.to_dicts() if d["name"] == "pipeline.reference"]
     assert [d["overlapped"] for d in exported] == [True, False]
-    assert metrics.histogram("pipeline_reference_seconds").count == 2
+    assert all(span.duration_s > 0 for span in (lane_span, inline_span))

@@ -1,13 +1,12 @@
 """Tests for the observability layer: tracing, metrics, logging.
 
-Covers span nesting and ordering, JSONL round-trips, histogram
-percentiles, the Prometheus exposition format, the structured logger,
-the global enable/disable switchboard, and the near-zero cost of the
-disabled (null) mode.
+Covers span nesting and ordering, JSONL round-trips, the counter
+registry and its Prometheus exposition format, the structured logger,
+the global enable/disable switchboard, the near-zero cost of the
+disabled (null) mode, and that every measurement lives on a span.
 """
 
 import json
-import math
 import time
 
 import numpy as np
@@ -21,8 +20,6 @@ from repro.nn import MSELoss, SGD, Trainer
 from repro.obs import (
     LEVELS,
     Counter,
-    Gauge,
-    Histogram,
     Logger,
     MetricsRegistry,
     NULL_METRICS,
@@ -169,39 +166,6 @@ def test_counter_monotone():
         counter.inc(-1)
 
 
-def test_gauge_set_inc_dec():
-    gauge = Gauge()
-    gauge.set(10)
-    gauge.inc(5)
-    gauge.dec(2)
-    assert gauge.value == 13.0
-
-
-def test_histogram_exact_percentiles():
-    histogram = Histogram()
-    for value in range(1, 101):  # 1..100
-        histogram.observe(value)
-    assert histogram.count == 100
-    assert histogram.percentile(0) == 1
-    assert histogram.percentile(100) == 100
-    assert histogram.percentile(50) == pytest.approx(50.5)  # interpolated
-    assert histogram.percentile(90) == pytest.approx(90.1)
-    summary = histogram.summary()
-    assert summary["count"] == 100 and summary["min"] == 1 and summary["max"] == 100
-    assert summary["sum"] == pytest.approx(5050)
-
-
-def test_histogram_edge_cases():
-    empty = Histogram()
-    assert math.isnan(empty.percentile(50))
-    assert empty.summary() == {"count": 0, "sum": 0.0}
-    single = Histogram()
-    single.observe(7.0)
-    assert single.percentile(0) == single.percentile(100) == 7.0
-    with pytest.raises(ValueError):
-        single.percentile(101)
-
-
 def test_registry_label_series_are_distinct():
     registry = MetricsRegistry()
     registry.counter("recoveries_total", policy="fallback-lossless").inc()
@@ -219,23 +183,15 @@ def test_registry_same_series_is_same_instrument():
     assert a is b
 
 
-def test_registry_kind_conflict_raises():
-    registry = MetricsRegistry()
-    registry.counter("x_total")
-    with pytest.raises(ValueError, match="already registered"):
-        registry.gauge("x_total")
-
-
 def test_registry_to_json_shape():
     registry = MetricsRegistry()
     registry.counter("events_total", kind="a").inc(3)
-    registry.histogram("latency_seconds").observe(0.5)
+    registry.counter("events_total", kind="b").inc()
     payload = registry.to_json()
-    rows = {row["name"]: row for row in payload["metrics"]}
-    assert rows["events_total"]["value"] == 3
-    assert rows["events_total"]["labels"] == {"kind": "a"}
-    assert rows["latency_seconds"]["count"] == 1
-    assert rows["latency_seconds"]["p50"] == 0.5
+    assert payload["metrics"] == [
+        {"name": "events_total", "kind": "counter", "labels": {"kind": "a"}, "value": 3},
+        {"name": "events_total", "kind": "counter", "labels": {"kind": "b"}, "value": 1},
+    ]
     # the document survives a JSON round-trip
     assert json.loads(json.dumps(payload)) == payload
 
@@ -243,29 +199,25 @@ def test_registry_to_json_shape():
 def test_prometheus_exposition_format():
     registry = MetricsRegistry()
     registry.counter("events_total", kind="a").inc(3)
-    registry.gauge("ratio").set(2.5)
-    histogram = registry.histogram("latency_seconds", stage="compress")
-    histogram.observe(0.1)
-    histogram.observe(0.3)
+    registry.counter("retries_total").inc(1.5)
     text = registry.to_prometheus()
-    assert "# TYPE events_total counter" in text
-    assert 'events_total{kind="a"} 3' in text
-    assert "# TYPE ratio gauge" in text
-    assert "ratio 2.5" in text
-    assert "# TYPE latency_seconds summary" in text
-    assert 'latency_seconds{stage="compress",quantile="0.5"}' in text
-    assert 'latency_seconds_sum{stage="compress"}' in text
-    assert 'latency_seconds_count{stage="compress"} 2' in text
-    assert text.endswith("\n")
+    assert text == (
+        "# TYPE events_total counter\n"
+        'events_total{kind="a"} 3\n'
+        "# TYPE retries_total counter\n"
+        "retries_total 1.5\n"
+    )
 
 
 def test_render_matches_saved_export():
     registry = MetricsRegistry()
     registry.counter("events_total").inc()
-    registry.histogram("latency_seconds").observe(0.25)
     assert registry.render() == render_metrics_json(registry.to_json())
     assert "events_total" in registry.render()
     assert render_metrics_json({"metrics": []}) == "(no metrics recorded)"
+    # an export written while histograms existed still renders
+    older = {"name": "latency_seconds", "kind": "histogram", "labels": {}, "count": 1}
+    assert "nan" in render_metrics_json({"metrics": [older]})
 
 
 # -- global switchboard -----------------------------------------------------
@@ -325,10 +277,8 @@ def test_null_tracer_is_allocation_free_and_cheap(tmp_path):
 
 def test_null_metrics_absorbs_everything():
     instrument = NULL_METRICS.counter("a", k="v")
-    assert instrument is NULL_METRICS.histogram("b")
+    assert instrument is NULL_METRICS.counter("b")
     instrument.inc()
-    instrument.observe(1.0)
-    instrument.set(2.0)
     assert instrument.value == 0.0
     assert NULL_METRICS.to_json() == {"metrics": []}
     assert NULL_METRICS.to_prometheus() == ""
@@ -431,12 +381,36 @@ def test_pipeline_spans_carry_bounds_and_observed_errors(trained_spectral_mlp, r
     assert guard.attributes["observed_error"] <= guard.attributes["predicted_bound"]
     assert guard.attributes["contract_slack"] >= 0
     assert metrics.value("pipeline_executions_total", codec="sz") == 1
-    stage_rows = [
-        row for row in metrics.to_json()["metrics"] if row["name"] == "pipeline_stage_seconds"
-    ]
-    assert {row["labels"]["stage"] for row in stage_rows} == {
-        "compress", "decompress", "inference",
-    }
+    # stage times are the stage spans' durations, recorded nowhere else
+    for stage in ("compress", "decompress", "inference"):
+        assert tracer.find(f"pipeline.{stage}")[0].duration_s > 0
+    assert {row["kind"] for row in metrics.to_json()["metrics"]} == {"counter"}
+
+
+def test_every_measurement_lives_on_a_span(trained_spectral_mlp, rng):
+    """Each number docs/OBSERVABILITY.md's "Where each number lives" table
+    sends to a span is there after one traced ``--instrument-ops`` run."""
+    analyzer = ErrorFlowAnalyzer(trained_spectral_mlp, n_input=5)
+    plan = TolerancePlanner(analyzer).plan(1e-2, norm="linf", quant_fraction=0.5)
+    fields = rng.uniform(-1, 1, (5, 16, 16)).astype(np.float32)
+    with obs.capture() as (tracer, _):
+        pipe = InferencePipeline(
+            trained_spectral_mlp, SZCompressor(), plan, backend="fused", instrument_ops=True
+        )
+        result = pipe.execute(fields)
+    (root,) = tracer.find("pipeline.execute")
+    assert root.attributes["compression_ratio"] == result.compression_ratio
+    assert root.attributes["observed_error"] == result.qoi_error("linf", relative=False)
+    (compress,) = tracer.find("codec.compress")
+    assert compress.attributes["ratio"] == result.blob.compression_ratio
+    (inference,) = tracer.find("pipeline.inference")
+    backend = result.extra["backend"]
+    assert inference.attributes["op_labels"] == backend["op_labels"]
+    assert inference.attributes["op_seconds"] == backend["op_seconds"]
+    assert len(backend["op_seconds"]) == len(backend["op_labels"]) > 0
+    (quantize,) = tracer.find("quant.quantize_model")
+    assert quantize.attributes["step_sizes"] == list(pipe.quantized.step_sizes)
+    assert tracer.find("pipeline.reference") and tracer.find("backend.compile")
 
 
 def test_trainer_spans(tiny_mlp, rng):
@@ -451,65 +425,6 @@ def test_trainer_spans(tiny_mlp, rng):
     assert [s.attributes["epoch"] for s in epochs] == [0, 1]
     assert all(s.parent_id == fit.span_id for s in epochs)
     assert metrics.value("train_steps_total") == 4  # 2 epochs x 2 batches
-
-
-# -- histogram sample cap (reservoir degradation) ---------------------------
-
-
-def test_histogram_caps_retained_samples():
-    histogram = Histogram(cap=100)
-    for value in range(10_000):
-        histogram.observe(float(value))
-    assert len(histogram.samples) == 100
-    # aggregate statistics stay exact past the cap
-    assert histogram.count == 10_000
-    assert histogram.sum == pytest.approx(sum(range(10_000)))
-    summary = histogram.summary()
-    assert summary["min"] == 0.0 and summary["max"] == 9999.0
-    assert summary["count"] == 10_000
-    # the reservoir is a uniform subsample: the median estimate must land
-    # in the bulk of the distribution, not at an extreme
-    assert 2000 < summary["p50"] < 8000
-
-
-def test_histogram_below_cap_is_exact():
-    histogram = Histogram(cap=100)
-    for value in range(1, 51):
-        histogram.observe(value)
-    assert len(histogram.samples) == 50
-    assert histogram.percentile(50) == pytest.approx(25.5)
-
-
-def test_histogram_reservoir_is_deterministic():
-    first, second = Histogram(cap=16), Histogram(cap=16)
-    for value in range(1000):
-        first.observe(value)
-        second.observe(value)
-    assert first.samples == second.samples
-
-
-def test_histogram_unbounded_with_none_cap():
-    histogram = Histogram(cap=None)
-    for value in range(10_000):
-        histogram.observe(value)
-    assert len(histogram.samples) == 10_000
-
-
-def test_histogram_rejects_non_positive_cap():
-    with pytest.raises(ValueError):
-        Histogram(cap=0)
-    with pytest.raises(ValueError):
-        Histogram(cap=-5)
-
-
-def test_registry_histogram_cap_flows_to_instruments():
-    registry = MetricsRegistry(histogram_cap=8)
-    histogram = registry.histogram("pipeline_stage_seconds", stage="compress")
-    for value in range(100):
-        histogram.observe(value)
-    assert len(histogram.samples) == 8 and histogram.count == 100
-    # default registries use the class default
-    assert MetricsRegistry().histogram("x").cap == Histogram.DEFAULT_CAP
 
 
 # -- telemetry export hardening (numpy attribute values) --------------------
@@ -543,11 +458,11 @@ def test_metrics_json_export_survives_numpy_values(tmp_path):
     from repro.cli import _export_metrics
 
     registry = MetricsRegistry()
-    registry.gauge("compression_ratio").set(np.float32(3.5))
+    registry.counter("bytes_total").inc(np.float32(3.5))
     registry.counter("events_total").inc(np.int64(2))
     path = tmp_path / "metrics.json"
     _export_metrics(registry, str(path))
     payload = json.loads(path.read_text())
     values = {row["name"]: row["value"] for row in payload["metrics"]}
-    assert values["compression_ratio"] == pytest.approx(3.5)
+    assert values["bytes_total"] == pytest.approx(3.5)
     assert values["events_total"] == 2

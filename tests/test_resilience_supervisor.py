@@ -7,6 +7,8 @@ certification, and a killed run resumes bit-identically from its
 checkpoint journal at *any* kill point.
 """
 
+import io
+import json
 import os
 import shutil
 import signal
@@ -19,7 +21,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import obs
@@ -370,12 +372,13 @@ def test_pool_worker_death_charges_only_the_running_task(tmp_path):
 
     seen = []
     chaos = ChaosInjector.from_spec("kill@0")
-    pool = SupervisedPool(recorded, workers=2, retry=FAST_RETRY, chaos=chaos)
-    report = pool.run(
-        list(range(6)), on_result=lambda tid, res, out: seen.append(tid)
+    pool = SupervisedPool(
+        recorded, workers=2, retry=FAST_RETRY, chaos=chaos,
+        validate=lambda tid, res: seen.append(tid),
     )
+    report = pool.run(list(range(6)))
     assert report.results() == [x * x for x in range(6)]
-    assert sorted(seen) == list(range(6))  # on_result exactly once each
+    assert sorted(seen) == list(range(6))  # validated exactly once each
     assert sorted(_read_lines(executions)) == [str(x) for x in range(6)]  # ran once each
     assert report.respawns == 1 and report.retries == 1
     assert report.outcomes[0].attempts == 2  # the running task was charged
@@ -439,7 +442,7 @@ def test_pool_survives_deaths_behind_large_results():
 
 def test_pool_death_is_charged_after_what_the_worker_reported():
     """Worker 0 reports task 0 and dies in task 2 while the parent is
-    busy in ``on_result``: the unread report still counts, and the
+    busy in ``validate``: the unread report still counts, and the
     failure goes to the task the last "start" named, not to task 0."""
 
     def staggered(x):
@@ -447,13 +450,15 @@ def test_pool_death_is_charged_after_what_the_worker_reported():
             time.sleep(0.1)  # task 1's report arrives first
         return x * x
 
-    def on_result(task_id, result, outcome):
+    def validate(task_id, result):
         if task_id == 1:
             time.sleep(0.5)  # worker 0 finishes task 0 and dies meanwhile
 
     chaos = ChaosInjector.from_spec("kill@2")
-    pool = SupervisedPool(staggered, workers=2, retry=FAST_RETRY, chaos=chaos)
-    report = pool.run(list(range(4)), on_result=on_result)
+    pool = SupervisedPool(
+        staggered, workers=2, retry=FAST_RETRY, chaos=chaos, validate=validate
+    )
+    report = pool.run(list(range(4)))
     assert report.results() == [0, 1, 4, 9]
     assert report.respawns == 1 and report.retries == 1
     assert report.outcomes[0].attempts == 1
@@ -519,12 +524,15 @@ def test_pool_reports_what_pack_returns_from_a_worker():
     assert inline.run([1, 2, 3]).results() == [1, 4, 9]
 
 
-def test_pool_on_result_fires_once_per_success():
-    seen = []
+def test_pool_reports_one_outcome_per_task_and_counts_quarantines():
     chaos = ChaosInjector.from_spec("raise@1,raise@3:all")
     pool = SupervisedPool(_square, workers=2, retry=FAST_RETRY, chaos=chaos)
-    pool.run(list(range(5)), on_result=lambda tid, res, out: seen.append((tid, res)))
-    assert sorted(seen) == [(0, 0), (1, 1), (2, 4), (4, 16)]  # 3 quarantined
+    with obs.capture() as (_, metrics):
+        report = pool.run(list(range(5)))
+    succeeded = {t: o.result for t, o in report.outcomes.items() if not o.quarantined}
+    assert succeeded == {0: 0, 1: 1, 2: 4, 4: 16}
+    assert report.quarantined == [3]
+    assert metrics.value("quarantined_chunks_total", pool="supervised") == 1
 
 
 def test_pool_merges_worker_counter_deltas():
@@ -1052,13 +1060,129 @@ def test_recommitted_chunk_replays_the_overwriting_commit(tmp_path):
     data = np.arange(8, dtype=np.float32)
     manifest = {"fingerprint": {}, "chunk_digests": [digest_array(data)]}
     journal.begin(manifest)
-    stale = journal.record(0, outputs=data * np.nan, blob_bytes=b"x", entry={"attempts": 1})
-    fresh = journal.record(0, outputs=data, blob_bytes=b"x", entry={"attempts": 2})
+    input_digest = digest_array(data)
+    stale = journal.record(
+        0, outputs=data * np.nan, blob_bytes=b"x",
+        entry={"attempts": 1, "input_digest": input_digest},
+    )
+    fresh = journal.record(
+        0, outputs=data, blob_bytes=b"x", entry={"attempts": 2, "input_digest": input_digest}
+    )
     assert stale["artifact"] == fresh["artifact"]
     assert stale["artifact_digest"] != fresh["artifact_digest"]
     completed = CheckpointJournal(str(tmp_path / "ck")).begin(manifest, resume=True)
     assert completed[0]["attempts"] == 2
     assert np.array_equal(journal.load(completed[0])["outputs"], data)
+
+
+# -- journal replay trusts no line -------------------------------------------
+
+
+def _two_chunk_journal(tmp_path):
+    """A committed two-chunk checkpoint: its path, manifest and lines."""
+    ck = str(tmp_path / "ck")
+    chunks = [np.arange(8, dtype=np.float32) + offset for offset in (0, 8)]
+    manifest = {"fingerprint": {}, "chunk_digests": [digest_array(c) for c in chunks]}
+    journal = CheckpointJournal(ck)
+    journal.begin(manifest)
+    for index, chunk in enumerate(chunks):
+        journal.record(
+            index, outputs=chunk, blob_bytes=b"x", entry={"input_digest": digest_array(chunk)}
+        )
+    return ck, manifest, journal.entries()
+
+
+def _rewrite_journal(ck, lines):
+    with open(os.path.join(ck, "journal.jsonl"), "w", encoding="utf-8") as handle:
+        handle.writelines(json.dumps(line) + "\n" for line in lines)
+
+
+def _replayed(ck, manifest):
+    return set(CheckpointJournal(ck).begin(manifest, resume=True))
+
+
+def test_replay_drops_a_journal_line_that_is_not_an_object(tmp_path):
+    ck, manifest, (first, second) = _two_chunk_journal(tmp_path)
+    _rewrite_journal(ck, [[first], second])
+    assert _replayed(ck, manifest) == {1}
+
+
+def test_replay_drops_a_line_whose_artifact_is_not_a_path(tmp_path):
+    ck, manifest, (first, second) = _two_chunk_journal(tmp_path)
+    _rewrite_journal(ck, [dict(first, artifact=0), second])
+    assert _replayed(ck, manifest) == {1}
+
+
+def test_replay_never_reads_an_artifact_outside_the_checkpoint(tmp_path):
+    """A line naming an absolute path, with the digest of what is there:
+    replay reads only ``chunks/chunk-0000.npz``, so the line is dropped."""
+    ck, manifest, (first, second) = _two_chunk_journal(tmp_path)
+    forged = io.BytesIO()
+    np.savez(forged, outputs=np.zeros(8, np.float32), blob=np.frombuffer(b"x", np.uint8))
+    elsewhere = tmp_path / "elsewhere.npz"
+    elsewhere.write_bytes(forged.getvalue())
+    _rewrite_journal(ck, [
+        dict(first, artifact=str(elsewhere), artifact_digest=digest_bytes(forged.getvalue())),
+        second,
+    ])
+    assert _replayed(ck, manifest) == {1}
+
+
+def test_replay_drops_an_entry_without_input_digest(tmp_path):
+    """Chunk 0's line relabelled as chunk 1 with no input digest must not
+    replay chunk 0's artifact as chunk 1's; the distributed coordinator
+    refuses the same result on the wire."""
+    ck, manifest, (first, _) = _two_chunk_journal(tmp_path)
+    stolen = dict(first, chunk=1)
+    del stolen["input_digest"]
+    _rewrite_journal(ck, [first, stolen])
+    assert _replayed(ck, manifest) == {0}
+
+
+_JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 5), st.floats(allow_nan=False),
+    st.text(max_size=12), st.sampled_from(["/etc/hostname", "chunks/chunk-0000.npz", "../ck"]),
+    st.lists(st.integers(0, 3), max_size=2),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    line=st.integers(0, 3),
+    key=st.sampled_from(["chunk", "artifact", "artifact_digest", "input_digest", None]),
+    value=st.one_of(_JSON_VALUES, st.just("<delete>"), st.just("<other line>")),
+)
+# the last line names the first line's digest, whose bytes replay has
+# already verified: they belong to chunk 0 and must not replay as chunk 3
+@example(line=3, key="artifact_digest", value="<other line>")
+def test_resume_survives_any_mutation_of_one_journal_line(
+    chunked_setup, baseline_checkpoint, line, key, value
+):
+    """Property: rewrite one identity field of one line of a real run's
+    journal (or the whole line, ``key=None``) to any JSON value, delete
+    it, or copy it from another line.  Resume never crashes, a changed
+    line's chunk is recomputed, and the outputs are the uninterrupted
+    run's bit for bit."""
+    pipeline, fields, _ = chunked_setup
+    baselines, full, _ = baseline_checkpoint
+    with tempfile.TemporaryDirectory() as scratch:
+        ck = os.path.join(scratch, "ck")
+        shutil.copytree(baselines["serial"], ck)
+        entries = CheckpointJournal(ck).entries()
+        original = json.dumps(entries[line], sort_keys=True)
+        other = entries[(line + 1) % len(entries)]
+        if key is None:
+            entries[line] = other if value == "<other line>" else value
+        elif value == "<delete>":
+            del entries[line][key]
+        else:
+            entries[line][key] = other[key] if value == "<other line>" else value
+        _rewrite_journal(ck, entries)
+        changed = json.dumps(entries[line], sort_keys=True) != original
+        resumed = _chunked(pipeline, fields, workers=1, checkpoint=ck, resume=True)
+    assert resumed.extra["checkpoint"]["replayed_chunks"] == (3 if changed else 4)
+    assert np.array_equal(resumed.outputs, full.outputs)
+    assert np.array_equal(resumed.reference_outputs, full.reference_outputs)
 
 
 def test_replay_cross_checks_the_journaled_qoi_error(chunked_setup, tmp_path):
