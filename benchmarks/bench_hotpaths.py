@@ -1,11 +1,14 @@
 #!/usr/bin/env python
 """Micro-benchmarks for the chunked-execution hot paths.
 
-Ten paths are timed and written in the unified ``benchutils`` row
+Eleven paths are timed and written in the unified ``benchutils`` row
 shape (``{path, config, seconds, reps_s, throughput_mb_s}`` — record
 with ``repro bench record`` to feed the regression history; see
 docs/PERFORMANCE.md for how to read the output):
 
+* ``cold_start``          — median of 7 fresh ``import repro`` and
+  ``python -m repro --help`` processes, with the resident set after the
+  import, ``src/repro``'s line count and the summed subpackage ``__all__``;
 * ``huffman_decode``      — lockstep lane decoder vs the scalar oracle in
   ``tests/oracles`` on a peaked 1M-symbol stream;
 * ``huffman_decode_small`` — the same pair on an 18k-symbol stream, the
@@ -681,6 +684,56 @@ def bench_pipeline_execute_lanes(side: int, reps: int) -> list[dict]:
     ]
 
 
+#: the subpackages whose summed ``__all__`` tests/test_public_api.py ratchets
+_PUBLIC_SUBPACKAGES = ("nn", "quant", "compress", "core", "physics", "datasets", "models",
+                       "perf", "io", "resilience", "distrib")
+
+
+def bench_cold_start(runs: int) -> list[dict]:
+    """Fresh processes running ``import repro`` and ``python -m repro
+    --help``, alternated, ``runs`` of each; ``seconds`` is the median.
+    The ``import repro`` row also carries the resident set after the
+    import, and both carry the package's size: lines under ``src/repro``
+    and the summed subpackage ``__all__`` (what the size ratchets count)."""
+    import importlib
+    import statistics
+    import subprocess
+
+    import repro
+
+    package = os.path.dirname(os.path.abspath(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(package))
+    size = {
+        "src_lines": sum(
+            sum(1 for _ in open(os.path.join(root, name), encoding="utf-8"))
+            for root, _, names in os.walk(package) for name in names if name.endswith(".py")
+        ),
+        "public_names": sum(
+            len(importlib.import_module(f"repro.{name}").__all__) for name in _PUBLIC_SUBPACKAGES
+        ),
+    }
+    commands = {"import repro": ["-c", "import repro"], "repro --help": ["-m", "repro", "--help"]}
+    times = {command: [] for command in commands}
+    for _ in range(runs):
+        for command, argv in commands.items():
+            start = time.perf_counter()
+            subprocess.run([sys.executable, *argv], env=env, check=True, stdout=subprocess.DEVNULL)
+            times[command].append(time.perf_counter() - start)
+    probe = "import resource, repro; print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
+    rss_kb = subprocess.run(
+        [sys.executable, "-c", probe], env=env, check=True, capture_output=True, text=True
+    ).stdout
+    rows = []
+    for command, reps_s in times.items():
+        config = {"command": command, "runs": runs, **size}
+        if command == "import repro":
+            config["rss_mb"] = int(rss_kb) / 1024
+        rows.append(make_row("cold_start", config, statistics.median(reps_s), reps_s=reps_s))
+        print(f"cold_start: {command} median {rows[-1]['seconds']*1e3:.0f} ms over {runs} processes")
+    print(f"cold_start: {size['src_lines']} lines, {size['public_names']} public names")
+    return rows
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true",
@@ -694,6 +747,7 @@ def main(argv=None) -> int:
     side = 64 if args.quick else 128
 
     rows = []
+    rows += bench_cold_start(7)
     rows += bench_huffman(n_symbols, n_small, reps)
     rows += bench_sz_compress(2 * side, reps)
     rows += bench_sz_precision(reps)

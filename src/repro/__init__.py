@@ -21,44 +21,41 @@ Quick start::
     assert result.qoi_error("linf", relative=False) <= 1e-3
 """
 
-from . import (
-    compress,
-    core,
-    datasets,
-    distrib,
-    io,
-    models,
-    nn,
-    obs,
-    perf,
-    physics,
-    quant,
-    resilience,
-)
-from .core import (
-    ErrorFlowAnalyzer,
-    InferencePipeline,
-    InferencePlan,
-    PipelineResult,
-    TolerancePlanner,
-    probe_sensitivity,
-)
-from .exceptions import (
-    CompressionError,
-    ConfigurationError,
-    ContractViolation,
-    IntegrityError,
-    PlanningError,
-    QuantizationError,
-    ReproError,
-    ShapeError,
-    ToleranceError,
-    TrainingError,
-)
-from .resilience import CorruptionPolicy
-from .workloads import VARIANTS, WORKLOAD_NAMES, TrainedWorkload, load_workload
+import importlib
 
 __version__ = "1.0.0"
+
+# Subpackages and re-exported names load on first access (PEP 562), so
+# ``import repro`` costs nothing and a process imports only what it runs.
+_SUBPACKAGES = frozenset(
+    {"compress", "core", "datasets", "distrib", "io", "models", "nn", "obs", "perf",
+     "physics", "quant", "resilience"}
+)
+_EXPORTS = {
+    ".core": ("ErrorFlowAnalyzer", "InferencePipeline", "InferencePlan", "PipelineResult",
+              "TolerancePlanner", "probe_sensitivity"),
+    ".exceptions": ("CompressionError", "ConfigurationError", "ContractViolation",
+                    "IntegrityError", "PlanningError", "QuantizationError", "ReproError",
+                    "ShapeError", "ToleranceError", "TrainingError"),
+    ".resilience": ("CorruptionPolicy",),
+    ".workloads": ("VARIANTS", "WORKLOAD_NAMES", "TrainedWorkload", "load_workload"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+
+def __getattr__(name: str):
+    if name in _SUBPACKAGES:
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(_HOME[name], __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))
+
 
 __all__ = [
     "CompressionError",

@@ -16,7 +16,6 @@ layer spectra, not image resolution).
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
 
 from .loaders import MinMaxNormalizer, ScientificDataset
 
@@ -80,11 +79,29 @@ _TEXTURES: tuple[tuple[float, float, float], ...] = (
 )
 
 
+def _gaussian_wrap(image: np.ndarray, sigmas: tuple[float, ...]) -> np.ndarray:
+    """Periodic Gaussian blur, bit-identical to scipy.ndimage's
+    ``gaussian_filter(mode="wrap")``: its kernel (radius ``int(4 sigma +
+    0.5)``), one axis after another, and its symmetric fold, ``x[i] * w0``
+    plus each ``(x[i - k] + x[i + k]) * w_k`` from the farthest tap in."""
+    out = image
+    for axis, sigma in enumerate(sigmas):
+        radius = int(4.0 * sigma + 0.5)
+        phi = np.exp(-0.5 / (sigma * sigma) * np.arange(-radius, radius + 1) ** 2)
+        weights = (phi / phi.sum())[np.r_[radius, :radius]]  # w0, then far to near
+        line = np.moveaxis(out, axis, -1)
+        at, far_to_near = np.arange(line.shape[-1])[:, None], np.arange(radius, 0, -1)
+        taps = line[..., np.hstack([at, at - far_to_near, at + far_to_near]) % line.shape[-1]]
+        taps[..., 1 : radius + 1] += taps[..., radius + 1 :]
+        out = np.moveaxis(np.cumsum(taps[..., : radius + 1] * weights, axis=-1)[..., -1], -1, axis)
+    return out
+
+
 def _texture(
     size: int, corr: float, anisotropy: float, blockiness: float, rng: np.random.Generator
 ) -> np.ndarray:
     noise = rng.standard_normal((size, size))
-    smooth = ndimage.gaussian_filter(noise, sigma=(corr, corr / anisotropy), mode="wrap")
+    smooth = _gaussian_wrap(noise, (corr, corr / anisotropy))
     std = smooth.std()
     if std > 0:
         smooth = smooth / std

@@ -22,7 +22,7 @@ from .conv import Conv2d, SpectralConv2d
 from .linear import Linear, SpectralLinear
 from .losses import CrossEntropyLoss, MSELoss, spectral_penalty, spectral_penalty_backward
 from .module import HookHandle, Module, Parameter
-from .normalization import BatchNorm1d, BatchNorm2d
+from .normalization import BatchNorm2d
 from .optim import SGD, Adam, Optimizer
 from .pooling import AvgPool2d, Flatten, GlobalAvgPool2d, MaxPool2d
 from .residual import BasicBlock, ResidualBlock
@@ -46,7 +46,6 @@ __all__ = [
     "Adam",
     "AvgPool2d",
     "BasicBlock",
-    "BatchNorm1d",
     "BatchNorm2d",
     "Conv2d",
     "CrossEntropyLoss",

@@ -13,7 +13,7 @@ import numpy as np
 from ..exceptions import ShapeError
 from .module import Module, Parameter
 
-__all__ = ["BatchNorm1d", "BatchNorm2d"]
+__all__ = ["BatchNorm2d"]
 
 
 class _BatchNormBase(Module):
@@ -79,15 +79,6 @@ class _BatchNormBase(Module):
         return (grad_x_hat - mean_g - x_hat * mean_gx) * self._reshape(
             inv_std, grad_output.ndim
         )
-
-
-class BatchNorm1d(_BatchNormBase):
-    """Batch norm over ``(N, C)`` feature batches."""
-
-    def _axes(self, x: np.ndarray) -> tuple[int, ...]:
-        if x.ndim != 2:
-            raise ShapeError(f"BatchNorm1d expects (N, C); got {x.shape}")
-        return (0,)
 
 
 class BatchNorm2d(_BatchNormBase):

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 
-from .log import LEVELS, Logger, get_log_level, get_logger, set_log_level
+from .log import LEVELS, Logger, get_logger, set_log_level
 from .metrics import (
     NULL_METRICS,
     Counter,
@@ -87,7 +87,6 @@ __all__ = [
     "enable_audit",
     "enabled",
     "get_auditor",
-    "get_log_level",
     "get_logger",
     "get_metrics",
     "get_tracer",

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import sys
 
-__all__ = ["Logger", "get_logger", "set_log_level", "get_log_level", "LEVELS"]
+__all__ = ["Logger", "get_logger", "set_log_level", "LEVELS"]
 
 LEVELS = {"debug": 10, "info": 20, "warning": 30, "error": 40}
 
@@ -41,10 +41,6 @@ def set_log_level(level: "int | str") -> None:
     """Set the process-wide threshold (affects every logger)."""
     global _global_level
     _global_level = _resolve_level(level)
-
-
-def get_log_level() -> int:
-    return _global_level
 
 
 def _fmt_value(value) -> str:

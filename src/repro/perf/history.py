@@ -56,7 +56,7 @@ _MAD_SCALE = 1.4826
 
 #: config keys that are measured outcomes, not run identity
 _VOLATILE_PREFIXES = ("speedup", "overhead", "journal_overhead")
-_VOLATILE_KEYS = frozenset({"lowerings", "compiles"})
+_VOLATILE_KEYS = frozenset({"lowerings", "compiles", "src_lines", "public_names", "rss_mb"})
 
 
 def stable_config(config: dict) -> dict:

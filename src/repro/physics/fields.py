@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
 
 __all__ = ["lamb_oseen_vortex", "advect_scalar", "box_filter", "mixture_fraction_jet"]
 
@@ -46,26 +45,52 @@ def advect_scalar(
     """Semi-Lagrangian advection of a scalar by a static velocity field.
 
     Cheap but stable: each step traces characteristics backwards and
-    samples with bilinear interpolation (``scipy.ndimage.map_coordinates``).
-    Used to wrap a mixture-fraction interface around the central vortex.
+    samples with bilinear interpolation, reading the nearest edge value
+    off the grid.  The arithmetic is ``scipy.ndimage.map_coordinates(
+    order=1, mode="nearest")``'s, term for term, so the result is
+    bit-identical to it; since the velocity is static, the corners and
+    weights are computed once.  Used to wrap a mixture-fraction interface
+    around the central vortex.
     """
     ny, nx = scalar.shape
     yy, xx = np.meshgrid(np.arange(ny, dtype=np.float64), np.arange(nx, dtype=np.float64), indexing="ij")
+    taps = []  # per axis: (index, weight) below and above the departure point
+    for coord, size in ((yy - dt * v * ny, ny), (xx - dt * u * nx, nx)):
+        low = np.floor(coord)
+        weight = 1.0 - (coord - low)
+        low = low.astype(np.intp)
+        taps.append([(np.clip(low, 0, size - 1), weight), (np.clip(low + 1, 0, size - 1), 1.0 - weight)])
+    corners = [(iy * nx + ix, wy, wx) for iy, wy in taps[0] for ix, wx in taps[1]]
     out = scalar.astype(np.float64)
     for __ in range(steps):
-        depart_y = yy - dt * v * ny
-        depart_x = xx - dt * u * nx
-        out = ndimage.map_coordinates(
-            out, [depart_y, depart_x], order=1, mode="nearest"
-        )
+        flat, out = out.ravel(), 0.0
+        for index, wy, wx in corners:
+            out = out + flat[index] * wy * wx
     return out
 
 
 def box_filter(field: np.ndarray, width: int) -> np.ndarray:
-    """Top-hat (box) filter, the standard LES filtering operation."""
+    """Top-hat (box) filter, the standard LES filtering operation.
+
+    Bit-identical to ``scipy.ndimage.uniform_filter(mode="nearest")``:
+    along each axis in turn, the edge-padded running sum starts from the
+    sequential sum of the first window and then adds each ``entering -
+    leaving`` in order, which is one ``cumsum``, divided by ``width``.
+    """
+    out = field.astype(np.float64)
     if width <= 1:
-        return field.astype(np.float64)
-    return ndimage.uniform_filter(field.astype(np.float64), size=width, mode="nearest")
+        return out
+    for axis in range(out.ndim):
+        line = np.moveaxis(out, axis, -1)
+        n = line.shape[-1]
+        padded = line[..., np.clip(np.arange(-(width // 2), n + (width - 1) // 2), 0, n - 1)]
+        steps = np.zeros(line.shape)
+        for k in range(width):
+            steps[..., 0] += padded[..., k]
+        np.subtract(padded[..., width:], padded[..., :-width], out=steps[..., 1:])
+        np.cumsum(steps, axis=-1, out=steps)
+        out = np.moveaxis(steps / width, -1, axis)
+    return out
 
 
 def mixture_fraction_jet(

@@ -1,5 +1,7 @@
 """Tests for the three workload datasets and the loader utilities."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from repro.datasets import (
     train_test_split,
 )
 from repro.exceptions import ShapeError
+from repro.workloads import _make_dataset
 
 
 # -- loaders ------------------------------------------------------------------
@@ -165,3 +168,48 @@ def test_eurosat_images_in_normalized_range(rng):
     dataset = make_eurosat(n_per_class=3, image_size=16, rng=rng)
     assert dataset.train_inputs.min() >= -1.0
     assert dataset.train_inputs.max() <= 1.0
+
+
+# -- pinned generators ------------------------------------------------------------
+
+# blake2b digests of every generated array, recorded before the generators'
+# filters were written in numpy (they were scipy.ndimage calls).  The workload
+# weight cache is keyed by file name only, so a generator that drifted by one
+# ulp would pair cached weights with other data; these pins catch that.
+_PINNED_DATASETS = {
+    "h2-256": "cff3062124e5715d00be5bc2102af36d",
+    "borghesi-128": "57239ffae65ffc8b06838a5194f7da80",
+    "eurosat-3-24": "e34808f579a4d967946f3807d29fee2e",
+    "h2combustion-small1": "cdd3b8dc5ff2bb7a3d676fb92b45faea",
+    "h2combustion-small0": "07f69ccba0ce8a309ea921355e6c84b0",
+    "borghesi-small1": "69b3911699c66c1a4c977114ea1b0046",
+    "borghesi-small0": "c1e6ed7b9330ef6cb4623d423105aa0a",
+    "eurosat-small1": "9d044fdedf5e4405ecf4efd08b088d33",
+    "eurosat-small0": "b6b084e5bc5d715cb99f8bb504f9e66b",
+}
+
+
+def _dataset_digest(dataset) -> str:
+    digest = hashlib.blake2b(digest_size=16)
+    for name in ("fields", "train_inputs", "train_targets", "test_inputs", "test_targets"):
+        array = np.ascontiguousarray(getattr(dataset, name))
+        digest.update(f"{name}:{array.dtype.str}:{array.shape}".encode())
+        digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
+def _pinned_dataset(key: str):
+    builders = {  # the benchmark's inputs, all seed 1
+        "h2-256": lambda rng: make_h2_combustion(grid=256, rng=rng),
+        "borghesi-128": lambda rng: make_borghesi_flame(grid=128, rng=rng),
+        "eurosat-3-24": lambda rng: make_eurosat(n_per_class=3, image_size=24, rng=rng),
+    }
+    if key in builders:
+        return builders[key](np.random.default_rng(1))
+    name, small = key.rsplit("-small", 1)
+    return _make_dataset(name, np.random.default_rng(0), small == "1")
+
+
+@pytest.mark.parametrize("key", sorted(_PINNED_DATASETS))
+def test_generated_datasets_are_pinned(key):
+    assert _dataset_digest(_pinned_dataset(key)) == _PINNED_DATASETS[key]

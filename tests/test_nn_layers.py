@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-from scipy import signal
 
 from repro.exceptions import ShapeError
 from repro.nn import (
@@ -182,6 +181,7 @@ def test_col2im_is_adjoint_of_im2col(rng):
 
 
 def test_conv2d_matches_scipy_correlate(rng):
+    signal = pytest.importorskip("scipy.signal")
     layer = Conv2d(2, 4, 3, stride=1, padding=1, rng=rng)
     x = rng.standard_normal((1, 2, 9, 9)).astype(np.float64)
     out = layer(x)

@@ -58,7 +58,9 @@ def test_stable_config_strips_measured_outcomes_keeps_identity():
 
 def test_fingerprint_invariant_to_volatile_keys_sensitive_to_identity():
     base = _row(1.0)
-    noisy = _row(1.0, speedup_vs_reference=9.9, lowerings=3)
+    noisy = _row(
+        1.0, speedup_vs_reference=9.9, lowerings=3, src_lines=19351, public_names=222, rss_mb=38.0
+    )
     key = config_fingerprint(base["path"], base["config"])
     assert config_fingerprint(noisy["path"], noisy["config"]) == key
     # identity-bearing changes move the fingerprint

@@ -113,23 +113,28 @@ def test_package_line_count_only_goes_down():
     20,243, the sampling profiler and the thread pool to 19,555; the
     shared output slab with the pool's ``pack`` hook raised it to 19,629,
     the rest of that change paid for by five unreferenced methods;
-    deleting gauges and histograms took it to 19,351); lower the
+    deleting gauges and histograms took it to 19,351; the numpy ports of
+    the three ``scipy.ndimage`` calls in the data generators cost 42 lines,
+    of which the lazy package ``__init__`` and deleting the unused
+    ``BatchNorm1d`` and ``get_log_level`` paid 18, so 19,375); lower the
     ceiling when it shrinks."""
-    assert _python_lines(os.path.dirname(inspect.getsourcefile(repro))) <= 19351
+    assert _python_lines(os.path.dirname(inspect.getsourcefile(repro))) <= 19375
 
 
 def test_obs_line_count_only_goes_down():
     """Ratchet: lines under ``src/repro/obs`` (2,443 with the sampling
-    profiler, 2,025 without it, 1,814 without gauges and histograms);
+    profiler, 2,025 without it, 1,814 without gauges and histograms,
+    1,809 without ``get_log_level``);
     lower the ceiling when it shrinks."""
     from repro import obs
 
-    assert _python_lines(os.path.dirname(inspect.getsourcefile(obs))) <= 1814
+    assert _python_lines(os.path.dirname(inspect.getsourcefile(obs))) <= 1809
 
 
 def test_public_surface_only_goes_down():
     """Ratchet: summed length of the subpackages' ``__all__`` (229 before
     the compile cache went, 225 before ``fold_batchnorm_scale``, which
-    nothing called, 224 before the thread pool's two names); lower
-    the ceiling when it shrinks, never raise it."""
-    assert sum(len(importlib.import_module(m).__all__) for m in _SUBPACKAGES) <= 222
+    nothing called, 224 before the thread pool's two names, 222 before
+    the unused ``BatchNorm1d``); lower the ceiling when it shrinks, never
+    raise it."""
+    assert sum(len(importlib.import_module(m).__all__) for m in _SUBPACKAGES) <= 221
