@@ -690,8 +690,9 @@ _PUBLIC_SUBPACKAGES = ("nn", "quant", "compress", "core", "physics", "datasets",
 
 
 def bench_cold_start(runs: int) -> list[dict]:
-    """Fresh processes running ``import repro`` and ``python -m repro
-    --help``, alternated, ``runs`` of each; ``seconds`` is the median.
+    """Fresh processes running ``import repro``, ``python -m repro --help``
+    and ``python -m repro worker --help``, alternated, ``runs`` of each;
+    ``seconds`` is the median.
     The ``import repro`` row also carries the resident set after the
     import, and both carry the package's size: lines under ``src/repro``
     and the summed subpackage ``__all__`` (what the size ratchets count)."""
@@ -712,7 +713,11 @@ def bench_cold_start(runs: int) -> list[dict]:
             len(importlib.import_module(f"repro.{name}").__all__) for name in _PUBLIC_SUBPACKAGES
         ),
     }
-    commands = {"import repro": ["-c", "import repro"], "repro --help": ["-m", "repro", "--help"]}
+    commands = {
+        "import repro": ["-c", "import repro"],
+        "repro --help": ["-m", "repro", "--help"],
+        "repro worker --help": ["-m", "repro", "worker", "--help"],
+    }
     times = {command: [] for command in commands}
     for _ in range(runs):
         for command, argv in commands.items():

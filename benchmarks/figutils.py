@@ -16,13 +16,6 @@ CODECS = {
 N_BATCHES = 5
 
 
-def samples_from_fields(workload: TrainedWorkload, fields: np.ndarray) -> np.ndarray:
-    """Reshape stored fields into per-sample network inputs."""
-    if workload.name == "eurosat":
-        return fields.astype(np.float32)
-    return fields.reshape(fields.shape[0], -1).T.astype(np.float32)
-
-
 def batch_slices(n_samples: int, n_batches: int = N_BATCHES) -> list[slice]:
     """Split sample rows into independent evaluation batches."""
     edges = np.linspace(0, n_samples, n_batches + 1, dtype=int)
@@ -33,7 +26,7 @@ def reference_output_scales(workload: TrainedWorkload) -> tuple[np.ndarray, floa
     """Full-precision QoI reference and its Linf / per-sample-L2 scales."""
     model = workload.qoi_model()
     model.eval()
-    samples = samples_from_fields(workload, workload.dataset.fields)
+    samples = workload.dataset.fields_as_samples()
     reference = model(samples)
     flat = reference.reshape(len(reference), -1)
     return reference, float(np.abs(flat).max()), float(np.linalg.norm(flat, axis=1).max())
@@ -53,7 +46,7 @@ def compression_error_sweep(
     model = workload.qoi_model()
     model.eval()
     fields = workload.dataset.fields
-    samples_ref = samples_from_fields(workload, fields)
+    samples_ref = workload.dataset.fields_as_samples(fields)
     reference, ref_linf, ref_l2 = reference_output_scales(workload)
     reference = reference.reshape(len(reference), -1)
     input_scale = float(np.abs(samples_ref).max())
@@ -66,7 +59,7 @@ def compression_error_sweep(
             codec = codec_cls()
             blob = codec.compress(fields, float(tolerance), ErrorBoundMode.ABS)
             reconstruction = codec.decompress(blob)
-            samples_new = samples_from_fields(workload, reconstruction)
+            samples_new = workload.dataset.fields_as_samples(reconstruction)
             outputs = model(samples_new).reshape(len(reference), -1)
             delta_in = (samples_new - samples_ref).reshape(len(samples_ref), -1)
             delta_out = outputs - reference
@@ -94,7 +87,7 @@ def compression_error_sweep(
 
 def input_output_scales(workload: TrainedWorkload) -> dict[str, float]:
     """Global normalizing constants for relative-error axes."""
-    samples = samples_from_fields(workload, workload.dataset.fields)
+    samples = workload.dataset.fields_as_samples()
     flat = samples.reshape(len(samples), -1)
     __, ref_linf, ref_l2 = reference_output_scales(workload)
     return {

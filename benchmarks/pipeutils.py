@@ -36,8 +36,6 @@ def pipeline_sweep(
     predicted Eq. (3) bound, the achieved QoI error, the measured
     compression ratio, and modeled I/O / execution / total throughput.
     """
-    from figutils import samples_from_fields
-
     planner = TolerancePlanner(workload.qoi_analyzer())
     io_model = IOModel()
     records = []
@@ -49,7 +47,7 @@ def pipeline_sweep(
             )
             result = pipeline.execute(
                 workload.dataset.fields,
-                samples_from_fields=lambda f: samples_from_fields(workload, f),
+                samples_from_fields=workload.dataset.fields_as_samples,
             )
             io_gbps = io_model.throughput_gbps(codec_name, result.compression_ratio)
             exec_gbps = exec_throughput_gbps(workload, plan.fmt.name)

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from conftest import print_table, run_once
-from figutils import samples_from_fields
 from repro.core import ErrorFlowAnalyzer
 from repro.quant import BF16, FP16, INT8, TF32, materialize, quantize_model
 
@@ -23,7 +22,7 @@ def test_calibration_tightens_without_undercutting(benchmark, workloads, workloa
     workload = workloads[workload_name]
     model = workload.qoi_model()
     model.eval()
-    samples = samples_from_fields(workload, workload.dataset.fields)
+    samples = workload.dataset.fields_as_samples()
     if workload_name == "eurosat":
         samples = samples[:32]
 

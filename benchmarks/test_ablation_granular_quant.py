@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from conftest import print_table, run_once
-from figutils import samples_from_fields
 from repro.quant import Granularity, granular_quantize, materialize
 
 _GRANULARITIES = (
@@ -24,7 +23,7 @@ _GRANULARITIES = (
 def _granular_error(workload, granularity):
     model = materialize(workload.qoi_model())
     model.eval()
-    samples = samples_from_fields(workload, workload.dataset.fields)
+    samples = workload.dataset.fields_as_samples()
     if workload.name == "eurosat":
         samples = samples[:32]
     reference = model(samples)

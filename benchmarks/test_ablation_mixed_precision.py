@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from conftest import print_table, run_once
-from figutils import samples_from_fields
 from repro.quant import FP16, FP32, INT8, materialize, quantize_model
 
 _LADDER = (FP32, FP16, INT8)  # increasingly cheap per-layer options
@@ -58,7 +57,7 @@ def test_mixed_precision_beats_uniform_memory(benchmark, workloads, workload_nam
         uniform = quantize_model(workload.qoi_model(), FP16)
         model = materialize(workload.qoi_model())
         model.eval()
-        samples = samples_from_fields(workload, workload.dataset.fields)
+        samples = workload.dataset.fields_as_samples()
         reference = model(samples)
         achieved = float(np.abs(mixed(samples) - reference).max())
         return mixed_formats, mixed, uniform, achieved

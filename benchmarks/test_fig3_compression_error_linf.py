@@ -15,7 +15,6 @@ from figutils import (
     bound_line,
     compression_error_sweep,
     input_output_scales,
-    samples_from_fields,
     variant_analyzers,
 )
 
@@ -82,14 +81,14 @@ def test_fig3_per_feature_error(benchmark, workloads, workload_name):
         codec = SZCompressor()
         blob = codec.compress(fields, epsilon, ErrorBoundMode.ABS)
         reconstruction = codec.decompress(blob)
-        reference = model(samples_from_fields(workload, fields))
-        outputs = model(samples_from_fields(workload, reconstruction))
+        reference = model(workload.dataset.fields_as_samples(fields))
+        outputs = model(workload.dataset.fields_as_samples(reconstruction))
         achieved = np.abs(outputs - reference).max(axis=0)
         bounds = analyzer.per_feature_bounds_linf(epsilon, None)
         return achieved, bounds
 
     achieved, bounds = run_once(benchmark, compute)
-    scale = np.abs(model(samples_from_fields(workload, workload.dataset.fields))).max()
+    scale = np.abs(model(workload.dataset.fields_as_samples())).max()
     rows = [
         [feature, achieved[feature] / scale, bounds[feature] / scale]
         for feature in range(len(achieved))

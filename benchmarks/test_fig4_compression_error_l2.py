@@ -11,7 +11,6 @@ from figutils import (
     bound_line,
     compression_error_sweep,
     input_output_scales,
-    samples_from_fields,
     variant_analyzers,
 )
 
@@ -71,8 +70,8 @@ def test_fig4_per_feature_error(benchmark, workloads, workload_name):
         codec = MGARDCompressor()
         blob = codec.compress(fields, epsilon, ErrorBoundMode.ABS)
         reconstruction = codec.decompress(blob)
-        samples_ref = samples_from_fields(workload, fields)
-        samples_new = samples_from_fields(workload, reconstruction)
+        samples_ref = workload.dataset.fields_as_samples(fields)
+        samples_new = workload.dataset.fields_as_samples(reconstruction)
         delta_out = model(samples_new) - model(samples_ref)
         achieved = np.linalg.norm(delta_out, axis=0)  # per-feature L2 over samples
         input_l2 = float(

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from conftest import print_table, run_once
-from figutils import samples_from_fields
 from repro.perf import GPU_PROFILES
 from repro.quant import STANDARD_FORMATS, materialize, quantize_model
 
@@ -22,7 +21,7 @@ _NORM = "linf"
 def _quant_errors(workload, norm):
     model = workload.qoi_model()
     model.eval()
-    samples = samples_from_fields(workload, workload.dataset.fields)
+    samples = workload.dataset.fields_as_samples()
     if workload.name == "eurosat":
         samples = samples[:64]
     reference = materialize(model)(samples).reshape(len(samples), -1)

@@ -41,49 +41,35 @@ leaves its trace, metrics and audit records on disk and the process
 never exits with live observability singletons installed.
 """
 
-from __future__ import annotations
-
 import argparse
-import json
 import sys
 
-import numpy as np
-
 from . import __version__
-from .compress import ErrorBoundMode, get_compressor
-from .core import InferencePipeline, TolerancePlanner
-from .exceptions import ConfigurationError, ReproError
-from .io import DatasetStore, blob_from_bytes, blob_to_bytes
-from .nn.backend import resolve_backend_name
-from .obs import (
-    RunRegistry,
-    audit_capture,
-    disable as obs_disable,
-    disable_audit,
-    enable as obs_enable,
-    enable_audit,
-    get_auditor,
-    get_logger,
-    get_metrics,
-    get_tracer,
-    render_metrics_json,
-    set_log_level,
-)
-from .obs.audit import DEFAULT_LOOSE_BELOW
-from .obs.registry import DEFAULT_DRIFT_THRESHOLD
-from .perf.history import (
-    DEFAULT_BENCH_THRESHOLD,
-    DEFAULT_MAD_K,
-    DEFAULT_MIN_REPS,
-    BenchRegistry,
-    describe_bench_diff,
-)
-from .quant import STANDARD_FORMATS
-from .workloads import WORKLOAD_NAMES, load_workload
 
 __all__ = ["main", "build_parser"]
 
-_LOG = get_logger("cli")
+
+class _CliLogger:
+    """The ``cli`` logger, resolved on first use, so that ``--help`` and
+    ``--version`` load no telemetry."""
+
+    def __getattr__(self, name: str):
+        from .obs import get_logger
+
+        return getattr(get_logger("cli"), name)
+
+
+_LOG = _CliLogger()
+
+# Choices and defaults whose homes import numpy or the telemetry layer, as
+# literals, so building the parser imports neither; tests/test_cold_start.py
+# pins each to its home (workloads, quant, compress, obs.audit, obs.registry,
+# perf.history).
+_WORKLOADS = tuple("h2combustion borghesi eurosat".split())
+_FORMATS = tuple("fp32 tf32 fp16 bf16 int8".split())
+_BOUND_MODES = tuple("abs rel l2_abs l2_rel".split())
+_LOOSE_BELOW, _DRIFT_THRESHOLD = 0.05, 0.2
+_BENCH_THRESHOLD, _BENCH_MIN_REPS, _BENCH_MAD_K = 0.20, 3, 3.0
 
 
 def _add_plan_flags(sub) -> None:
@@ -93,7 +79,7 @@ def _add_plan_flags(sub) -> None:
     the plan fingerprint checked at handshake, so a mismatch is refused
     instead of silently merging results from different computations.
     """
-    sub.add_argument("workload", choices=WORKLOAD_NAMES)
+    sub.add_argument("workload", choices=_WORKLOADS)
     sub.add_argument("--tolerance", type=float, required=True)
     sub.add_argument("--norm", choices=("linf", "l2"), default="linf")
     sub.add_argument("--codec", choices=("sz", "zfp", "mgard"), default="sz")
@@ -173,20 +159,23 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     analyze = commands.add_parser("analyze", help="error-flow analysis of a workload")
-    analyze.add_argument("workload", choices=WORKLOAD_NAMES)
+    analyze.set_defaults(handler=_cmd_analyze)
+    analyze.add_argument("workload", choices=_WORKLOADS)
     analyze.add_argument("--calibrate", action="store_true",
                          help="tighten bounds with measured signal norms")
     analyze.add_argument("--verbose", action="store_true",
                          help="include the per-layer model report")
 
     plan = commands.add_parser("plan", help="allocate a QoI tolerance")
-    plan.add_argument("workload", choices=WORKLOAD_NAMES)
+    plan.set_defaults(handler=_cmd_plan)
+    plan.add_argument("workload", choices=_WORKLOADS)
     plan.add_argument("--tolerance", type=float, required=True)
     plan.add_argument("--norm", choices=("linf", "l2"), default="linf")
     plan.add_argument("--fraction", type=float, default=0.5,
                       help="share of the tolerance allocated to quantization")
 
     pipeline = commands.add_parser("pipeline", help="run the full pipeline")
+    pipeline.set_defaults(handler=_cmd_pipeline)
     _add_plan_flags(pipeline)
     _add_chunk_flags(
         pipeline, distributed=False,
@@ -216,6 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
         "coordinate",
         help="serve a chunked run's shards to remote workers over TCP",
     )
+    coordinate.set_defaults(handler=_cmd_coordinate)
     _add_plan_flags(coordinate)
     _add_chunk_flags(
         coordinate, distributed=True,
@@ -265,6 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     worker = commands.add_parser(
         "worker", help="join a distributed run as a shard worker"
     )
+    worker.set_defaults(handler=_cmd_worker)
     _add_plan_flags(worker)
     _add_chunk_flags(
         worker, distributed=True,
@@ -286,24 +277,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     compress = commands.add_parser("compress", help="compress a .npy array")
+    compress.set_defaults(handler=_cmd_compress)
     compress.add_argument("input", help="path to a .npy file")
     compress.add_argument("--out", required=True, help="output .rblob path")
     compress.add_argument("--codec", choices=("sz", "zfp", "mgard"), default="sz")
     compress.add_argument("--tolerance", type=float, required=True)
     compress.add_argument(
-        "--mode", choices=[m.value for m in ErrorBoundMode], default="abs"
+        "--mode", choices=_BOUND_MODES, default="abs"
     )
 
     decompress = commands.add_parser("decompress", help="decompress an .rblob")
+    decompress.set_defaults(handler=_cmd_decompress)
     decompress.add_argument("input", help="path to an .rblob file")
     decompress.add_argument("--out", required=True, help="output .npy path")
 
     store = commands.add_parser("store", help="summarize a DatasetStore directory")
+    store.set_defaults(handler=_cmd_store)
     store.add_argument("directory")
 
     metrics = commands.add_parser(
         "metrics", help="render a metrics export written by --metrics"
     )
+    metrics.set_defaults(handler=_cmd_metrics)
     metrics.add_argument("file", help="metrics JSON produced by --metrics")
 
     audit = commands.add_parser(
@@ -314,38 +309,41 @@ def build_parser() -> argparse.ArgumentParser:
     record = audit_cmds.add_parser(
         "record", help="run one audited pipeline execution into a registry"
     )
+    record.set_defaults(handler=_cmd_audit_record)
     _add_plan_flags(record)
-    record.add_argument("--fmt", choices=tuple(STANDARD_FORMATS), default=None,
+    record.add_argument("--fmt", choices=_FORMATS, default=None,
                         help="force a weight format instead of letting the "
                         "planner rank candidates")
     record.add_argument("--registry", metavar="FILE", default=None,
                         help="append the audit record to this JSONL registry")
     record.add_argument("--label", default="",
                         help="free-form label stored with the run")
-    record.add_argument("--loose-below", type=float, default=DEFAULT_LOOSE_BELOW,
+    record.add_argument("--loose-below", type=float, default=_LOOSE_BELOW,
                         help="tightness below this is flagged 'loose' "
-                        f"(default: {DEFAULT_LOOSE_BELOW})")
+                        f"(default: {_LOOSE_BELOW})")
 
     report = audit_cmds.add_parser(
         "report", help="summarize a run registry and detect tightness drift"
     )
+    report.set_defaults(handler=_cmd_audit_report)
     report.add_argument("registry", help="JSONL registry written by 'audit record'")
     report.add_argument("--last", type=int, default=10,
                         help="number of most recent runs to list")
-    report.add_argument("--threshold", type=float, default=DEFAULT_DRIFT_THRESHOLD,
+    report.add_argument("--threshold", type=float, default=_DRIFT_THRESHOLD,
                         help="relative tightness increase flagged as drift "
-                        f"(default: {DEFAULT_DRIFT_THRESHOLD})")
+                        f"(default: {_DRIFT_THRESHOLD})")
 
     diff = audit_cmds.add_parser(
         "diff", help="compare the bound tightness of two registered runs"
     )
+    diff.set_defaults(handler=_cmd_audit_diff)
     diff.add_argument("run_a", help="baseline run id (e.g. run-0001) or index")
     diff.add_argument("run_b", help="candidate run id or index")
     diff.add_argument("--registry", required=True,
                       help="JSONL registry holding both runs")
-    diff.add_argument("--threshold", type=float, default=DEFAULT_DRIFT_THRESHOLD,
+    diff.add_argument("--threshold", type=float, default=_DRIFT_THRESHOLD,
                       help="relative tightness increase flagged as regression "
-                      f"(default: {DEFAULT_DRIFT_THRESHOLD})")
+                      f"(default: {_DRIFT_THRESHOLD})")
 
     bench =commands.add_parser(
         "bench",
@@ -357,6 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench_record = bench_cmds.add_parser(
         "record", help="append a benchmarks/*.py rows file to the history"
     )
+    bench_record.set_defaults(handler=_cmd_bench_record)
     bench_record.add_argument(
         "rows_file",
         help="bench JSON written by benchmarks/*.py (a row list, or an "
@@ -375,6 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench_report = bench_cmds.add_parser(
         "report", help="list the recorded benchmark runs"
     )
+    bench_report.set_defaults(handler=_cmd_bench_report)
     bench_report.add_argument("registry", help="JSONL history written by 'bench record'")
     bench_report.add_argument("--last", type=int, default=10,
                               help="number of most recent runs to list")
@@ -384,6 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="regression gate between two recorded runs "
         "(exits nonzero when a row regressed)",
     )
+    bench_diff.set_defaults(handler=_cmd_bench_diff)
     bench_diff.add_argument("run_a", nargs="?", default=None,
                             help="baseline run id (e.g. bench-0001) or index "
                             "(default: second-latest run)")
@@ -392,25 +393,28 @@ def build_parser() -> argparse.ArgumentParser:
     bench_diff.add_argument("--registry", required=True, metavar="FILE",
                             help="JSONL history holding both runs")
     bench_diff.add_argument(
-        "--threshold", type=float, default=DEFAULT_BENCH_THRESHOLD,
+        "--threshold", type=float, default=_BENCH_THRESHOLD,
         help="relative slowdown flagged as regression "
-        f"(default: {DEFAULT_BENCH_THRESHOLD}; doubled when either side "
+        f"(default: {_BENCH_THRESHOLD}; doubled when either side "
         "has sparse reps)",
     )
     bench_diff.add_argument(
-        "--min-reps", type=int, default=DEFAULT_MIN_REPS,
+        "--min-reps", type=int, default=_BENCH_MIN_REPS,
         help="reps below this widen the gate to 2x the threshold "
-        f"(default: {DEFAULT_MIN_REPS})",
+        f"(default: {_BENCH_MIN_REPS})",
     )
     bench_diff.add_argument(
-        "--mad-k", type=float, default=DEFAULT_MAD_K,
+        "--mad-k", type=float, default=_BENCH_MAD_K,
         help="absolute change must clear this many scaled MADs of the "
-        f"noisier run (default: {DEFAULT_MAD_K})",
+        f"noisier run (default: {_BENCH_MAD_K})",
     )
     return parser
 
 
 def _cmd_analyze(args) -> int:
+    from .quant import STANDARD_FORMATS
+    from .workloads import load_workload
+
     workload = load_workload(args.workload)
     analyzer = workload.qoi_analyzer()
     if args.calibrate:
@@ -433,6 +437,9 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_plan(args) -> int:
+    from .core import TolerancePlanner
+    from .workloads import load_workload
+
     workload = load_workload(args.workload)
     planner = TolerancePlanner(workload.qoi_analyzer())
     plan = planner.plan(args.tolerance, norm=args.norm, quant_fraction=args.fraction)
@@ -441,26 +448,11 @@ def _cmd_plan(args) -> int:
     return 0
 
 
-def _samples_reshape(workload):
-    """Field-to-sample mapping for a workload (None = pipeline default).
-
-    Image workloads feed the batch straight through; ``(V, H, W)`` field
-    workloads use the pipeline's default variables-to-columns reshape.
-    """
-    if workload.name == "eurosat":
-        return lambda f: f.astype(np.float32)
-    return None
-
-
-def _chunk_axis(workload) -> int:
-    """Images chunk by batch; ``(V, H, W)`` fields chunk by rows, so
-    slabs map to contiguous sample blocks."""
-    return 0 if workload.name == "eurosat" else 1
-
-
 def _validate_chunk_flags(args) -> None:
-    """Reject malformed chunking flags with a clear typed error instead
-    of a deep traceback from the execution layers."""
+    """Reject malformed chunking and address flags with a clear typed
+    error instead of a deep traceback from the execution layers."""
+    from .exceptions import ConfigurationError
+
     if args.chunk_size is not None and args.chunk_size <= 0:
         raise ConfigurationError(
             f"--chunk-size must be a positive integer, got {args.chunk_size}"
@@ -479,6 +471,15 @@ def _validate_chunk_flags(args) -> None:
         )
     if getattr(args, "resume", False) and not args.checkpoint:
         raise ConfigurationError("--resume requires --checkpoint DIR")
+    # socket calls wrap a port modulo 2**16 or overflow, so range-check here
+    if getattr(args, "port", None) is not None and not 0 <= args.port <= 65535:
+        raise ConfigurationError(f"--port must be in 0-65535, got {args.port}")
+    if getattr(args, "connect", None) is not None:
+        host, _, port = args.connect.rpartition(":")
+        if not host or not port.isdigit():
+            raise ConfigurationError(f"--connect must be HOST:PORT, got {args.connect!r}")
+        if not 1 <= int(port) <= 65535:
+            raise ConfigurationError(f"--connect port must be in 1-65535, got {port}")
 
 
 def _build_pipeline(args):
@@ -486,15 +487,34 @@ def _build_pipeline(args):
     command builds them: a coordinator and its workers run exactly this
     construction, so their plan fingerprints and chunk digests agree
     whenever the flags do.  ``--fmt`` (``audit record``) forces the
-    weight format instead of letting the planner rank candidates."""
+    weight format: the planner may rank only that one, and falling back
+    to another is refused, because an audit of a format the planner
+    would have rejected is exactly the point of forcing it."""
+    from .compress import get_compressor
+    from .core import InferencePipeline, TolerancePlanner
+    from .nn.backend import resolve_backend_name
+    from .workloads import load_workload
+
+    # validate eagerly so a typo fails before any work starts, with the
+    # same typed error the execution layers would raise
+    resolve_backend_name(args.backend)
     workload = load_workload(args.workload)
     _LOG.debug("workload loaded", workload=workload.name, variant=workload.variant)
     analyzer = workload.qoi_analyzer()
-    if getattr(args, "fmt", None):
-        plan = _forced_plan(analyzer, args.tolerance, args.norm, args.fmt)
+    fmt = getattr(args, "fmt", None)
+    if fmt is None:
+        planner, fraction = TolerancePlanner(analyzer), args.fraction
     else:
-        plan = TolerancePlanner(analyzer).plan(
-            args.tolerance, norm=args.norm, quant_fraction=args.fraction
+        planner, fraction = TolerancePlanner(analyzer, format_ranking=(fmt,)), 1.0
+    plan = planner.plan(args.tolerance, norm=args.norm, quant_fraction=fraction)
+    if fmt is not None and plan.fmt.name != fmt:  # the planner fell back to fp32
+        from .exceptions import ToleranceError
+        from .quant import STANDARD_FORMATS
+
+        bound = analyzer.quantization_bound(STANDARD_FORMATS[fmt])
+        raise ToleranceError(
+            f"quantization bound {bound:.3e} exceeds the QoI tolerance "
+            f"{args.tolerance:.3e}; no compression budget remains"
         )
     pipeline = InferencePipeline(
         workload.qoi_model(), get_compressor(args.codec), plan,
@@ -527,8 +547,7 @@ def _tolerance_verdict(result, args) -> int:
 def _cmd_pipeline(args) -> int:
     _validate_chunk_flags(args)
     workload, pipeline = _build_pipeline(args)
-    reshape = _samples_reshape(workload)
-    fields = workload.dataset.fields
+    dataset = workload.dataset
     chunked_mode = (
         args.chunk_size is not None
         or args.workers is not None
@@ -537,16 +556,15 @@ def _cmd_pipeline(args) -> int:
     if chunked_mode:
         from .perf.parallel import resolve_workers
 
-        chunk_axis = _chunk_axis(workload)
-        extent = fields.shape[chunk_axis]
+        extent = dataset.fields.shape[dataset.chunk_axis]
         workers = resolve_workers(args.workers)
         chunk_size = args.chunk_size or max(1, -(-extent // max(workers, 2)))
         result = pipeline.execute_chunked(
-            fields,
+            dataset.fields,
             chunk_size=chunk_size,
             workers=args.workers,
-            chunk_axis=chunk_axis,
-            samples_from_fields=reshape,
+            chunk_axis=dataset.chunk_axis,
+            samples_from_fields=dataset.fields_as_samples,
             executor=args.executor,
             checkpoint=args.checkpoint,
             resume=args.resume,
@@ -574,7 +592,7 @@ def _cmd_pipeline(args) -> int:
         _log_checkpoint(result)
         ratio = chunked["compression_ratio"]
     else:
-        result = pipeline.execute(fields, samples_from_fields=reshape)
+        result = pipeline.execute(dataset.fields, samples_from_fields=dataset.fields_as_samples)
         ratio = result.compression_ratio
     _LOG.info(pipeline.plan.describe())
     _LOG.info(f"compression ratio: {ratio:.2f}x")
@@ -609,8 +627,8 @@ def _cmd_coordinate(args) -> int:
             workload.dataset.fields,
             chunk_size=args.chunk_size,
             workers=args.workers,
-            chunk_axis=_chunk_axis(workload),
-            samples_from_fields=_samples_reshape(workload),
+            chunk_axis=workload.dataset.chunk_axis,
+            samples_from_fields=workload.dataset.fields_as_samples,
             executor="distributed",
             distrib=config,
             checkpoint=args.checkpoint,
@@ -652,17 +670,12 @@ def _cmd_worker(args) -> int:
 
     _validate_chunk_flags(args)
     workload, pipeline = _build_pipeline(args)
-    host, _, port_text = args.connect.rpartition(":")
-    if not host or not port_text.isdigit():
-        raise ConfigurationError(
-            f"--connect must be HOST:PORT, got {args.connect!r}"
-        )
     shard_worker = ShardWorker(
         pipeline,
         workload.dataset.fields,
         args.chunk_size,
-        chunk_axis=_chunk_axis(workload),
-        samples_from_fields=_samples_reshape(workload),
+        chunk_axis=workload.dataset.chunk_axis,
+        samples_from_fields=workload.dataset.fields_as_samples,
         name=args.name,
         workers=args.workers,
         task_timeout=args.task_timeout,
@@ -670,7 +683,8 @@ def _cmd_worker(args) -> int:
         chaos=ChaosInjector.from_env(),
         checkpoint=args.local_checkpoint,
     )
-    summary = shard_worker.run(host, int(port_text))
+    host, _, port = args.connect.rpartition(":")
+    summary = shard_worker.run(host, int(port))
     _LOG.info(
         f"worker {summary['worker']}: {summary['leases']} leases, "
         f"{summary['chunks_computed']} computed, "
@@ -682,6 +696,11 @@ def _cmd_worker(args) -> int:
 
 
 def _cmd_compress(args) -> int:
+    import numpy as np
+
+    from .compress import ErrorBoundMode, get_compressor
+    from .io import blob_to_bytes
+
     array = np.load(args.input)
     codec = get_compressor(args.codec)
     blob = codec.compress(array, args.tolerance, ErrorBoundMode(args.mode))
@@ -696,6 +715,11 @@ def _cmd_compress(args) -> int:
 
 
 def _cmd_decompress(args) -> int:
+    import numpy as np
+
+    from .compress import get_compressor
+    from .io import blob_from_bytes
+
     with open(args.input, "rb") as handle:
         blob = blob_from_bytes(handle.read())
     codec = get_compressor(blob.codec)
@@ -706,6 +730,8 @@ def _cmd_decompress(args) -> int:
 
 
 def _cmd_store(args) -> int:
+    from .io import DatasetStore
+
     store = DatasetStore(args.directory)
     rows = store.summary()
     if not rows:
@@ -718,6 +744,10 @@ def _cmd_store(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
+    import json
+
+    from .obs import render_metrics_json
+
     try:
         with open(args.file) as handle:
             payload = json.load(handle)
@@ -731,37 +761,8 @@ def _cmd_metrics(args) -> int:
     return 0
 
 
-def _forced_plan(analyzer, tolerance: float, norm: str, fmt_name: str):
-    """An :class:`InferencePlan` for one *required* weight format.
-
-    Unlike :meth:`TolerancePlanner.plan` there is no fallback: if the
-    format's own quantization bound exceeds the tolerance the resulting
-    :class:`~repro.exceptions.ToleranceError` propagates, because an
-    audit of a format the planner would have rejected is exactly the
-    point of forcing it.
-    """
-    from .core.planner import InferencePlan
-
-    fmt = STANDARD_FORMATS[fmt_name]
-    effective = None if fmt.is_identity else fmt
-    quant_bound = 0.0 if effective is None else analyzer.quantization_bound(effective)
-    input_l2 = analyzer.invert_compression_tolerance(tolerance, effective)
-    input_tolerance = (
-        input_l2 / np.sqrt(analyzer.n_input) if norm == "linf" else input_l2
-    )
-    return InferencePlan(
-        qoi_tolerance=float(tolerance),
-        norm=norm,
-        fmt=fmt,
-        quant_bound=float(quant_bound),
-        input_tolerance=float(input_tolerance),
-        compression_budget=float(tolerance - quant_bound),
-        quant_fraction=float(quant_bound / tolerance),
-        metadata={"forced_fmt": fmt_name},
-    )
-
-
 def _cmd_audit_record(args) -> int:
+    from .obs import audit_capture
     from .reporting import describe_audit
 
     workload, pipeline = _build_pipeline(args)
@@ -771,7 +772,7 @@ def _cmd_audit_record(args) -> int:
         label=args.label or args.workload,
     ) as auditor:
         pipeline.execute(
-            workload.dataset.fields, samples_from_fields=_samples_reshape(workload)
+            workload.dataset.fields, samples_from_fields=workload.dataset.fields_as_samples
         )
         if not auditor.records:
             _LOG.error("error: the pipeline run produced no audit record")
@@ -791,6 +792,7 @@ def _cmd_audit_record(args) -> int:
 
 
 def _cmd_audit_report(args) -> int:
+    from .obs import RunRegistry
     from .reporting import describe_audit_diff
 
     registry = RunRegistry(args.registry)
@@ -818,6 +820,7 @@ def _cmd_audit_report(args) -> int:
 
 
 def _cmd_audit_diff(args) -> int:
+    from .obs import RunRegistry
     from .reporting import describe_audit_diff
 
     registry = RunRegistry(args.registry)
@@ -828,15 +831,6 @@ def _cmd_audit_diff(args) -> int:
         return 1
     _LOG.info(describe_audit_diff(diff))
     return 1 if diff["regressions"] or diff["new_violations"] else 0
-
-
-def _cmd_audit(args) -> int:
-    handlers = {
-        "record": _cmd_audit_record,
-        "report": _cmd_audit_report,
-        "diff": _cmd_audit_diff,
-    }
-    return handlers[args.audit_command](args)
 
 
 def _git_rev() -> str:
@@ -853,7 +847,10 @@ def _git_rev() -> str:
 
 
 def _cmd_bench_record(args) -> int:
+    import json
     import os
+
+    from .perf.history import BenchRegistry
 
     try:
         with open(args.rows_file) as handle:
@@ -889,6 +886,8 @@ def _cmd_bench_record(args) -> int:
 
 
 def _cmd_bench_report(args) -> int:
+    from .perf.history import BenchRegistry
+
     registry = BenchRegistry(args.registry)
     runs = registry.runs()
     if not runs:
@@ -907,6 +906,8 @@ def _cmd_bench_report(args) -> int:
 
 
 def _cmd_bench_diff(args) -> int:
+    from .perf.history import BenchRegistry, describe_bench_diff
+
     registry = BenchRegistry(args.registry)
     run_a, run_b = args.run_a, args.run_b
     if run_a is None or run_b is None:
@@ -940,31 +941,9 @@ def _cmd_bench_diff(args) -> int:
     return 1 if report["regressions"] else 0
 
 
-def _cmd_bench(args) -> int:
-    handlers = {
-        "record": _cmd_bench_record,
-        "report": _cmd_bench_report,
-        "diff": _cmd_bench_diff,
-    }
-    return handlers[args.bench_command](args)
-
-
-_HANDLERS = {
-    "analyze": _cmd_analyze,
-    "plan": _cmd_plan,
-    "pipeline": _cmd_pipeline,
-    "coordinate": _cmd_coordinate,
-    "worker": _cmd_worker,
-    "compress": _cmd_compress,
-    "decompress": _cmd_decompress,
-    "store": _cmd_store,
-    "metrics": _cmd_metrics,
-    "audit": _cmd_audit,
-    "bench": _cmd_bench,
-}
-
-
 def _export_metrics(registry, path: str) -> None:
+    import json
+
     from .obs import json_default
 
     if path.endswith((".prom", ".txt")):
@@ -986,6 +965,8 @@ def _flush_observability(args) -> None:
     written under its own ``finally`` chain; the first failure is
     re-raised after every export was attempted.
     """
+    from .obs import get_metrics, get_tracer
+
     tracer, registry = get_tracer(), get_metrics()
     try:
         if args.trace:
@@ -1005,18 +986,18 @@ def _flush_observability(args) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    set_log_level(args.log_level)
+    from . import obs
+    from .exceptions import ReproError
+
+    obs.set_log_level(args.log_level)
     observing = bool(args.trace or args.metrics or args.trace_summary)
     if observing:
-        obs_enable()
+        obs.enable()
     if args.audit:
-        enable_audit(registry=args.audit)
+        obs.enable_audit(registry=args.audit)
     try:
         try:
-            # validate eagerly so a typo fails before any work starts,
-            # with the same typed error the execution layers would raise
-            resolve_backend_name(args.backend)
-            return _HANDLERS[args.command](args)
+            return args.handler(args)
         except ReproError as exc:
             _LOG.error(f"error ({type(exc).__name__}): {exc}")
             return 1
@@ -1028,16 +1009,17 @@ def main(argv: list[str] | None = None) -> int:
             if observing:
                 _flush_observability(args)
         finally:
-            auditor = get_auditor()
-            if args.audit and auditor.enabled:
-                _LOG.debug(
-                    "audit registry written",
-                    file=args.audit,
-                    runs=len(auditor.records),
-                    violations=auditor.violation_count,
-                )
-            disable_audit()
-            obs_disable()
+            if args.audit:
+                auditor = obs.get_auditor()
+                if auditor.enabled:
+                    _LOG.debug(
+                        "audit registry written",
+                        file=args.audit,
+                        runs=len(auditor.records),
+                        violations=auditor.violation_count,
+                    )
+                obs.disable_audit()
+            obs.disable()
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -1,7 +1,6 @@
 """The paper's contribution: error-flow analysis, planning, pipelines."""
 
 from .bounds import (
-    ErrorState,
     compression_gain,
     mlp_combined_bound,
     propagate,
@@ -11,21 +10,18 @@ from .bounds import (
 from .errorflow import ErrorFlowAnalyzer
 from .graph import ChainSpec, LinearSpec, NetworkSpec, ResidualSpec, extract_spec
 from .pipeline import InferencePipeline, PipelineResult
-from .planner import DEFAULT_FORMAT_RANKING, InferencePlan, TolerancePlanner
-from .sensitivity import SensitivityReport, probe_sensitivity
+from .planner import InferencePlan, TolerancePlanner
+from .sensitivity import probe_sensitivity
 
 __all__ = [
     "ChainSpec",
-    "DEFAULT_FORMAT_RANKING",
     "ErrorFlowAnalyzer",
-    "ErrorState",
     "InferencePipeline",
     "InferencePlan",
     "LinearSpec",
     "NetworkSpec",
     "PipelineResult",
     "ResidualSpec",
-    "SensitivityReport",
     "TolerancePlanner",
     "compression_gain",
     "extract_spec",

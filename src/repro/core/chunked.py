@@ -38,10 +38,7 @@ from ..resilience.retry import RetryPolicy
 from ..resilience.supervisor import SupervisedPool, fork_available
 from .pipeline import PipelineResult, _field_samples
 
-__all__ = [
-    "ChunkRun", "resolve_executor", "run_distributed", "run_serial", "run_supervised",
-    "split_chunks",
-]
+__all__ = ["ChunkRun", "resolve_executor", "run_supervised", "split_chunks"]
 
 
 def split_chunks(fields: np.ndarray, chunk_size: int, chunk_axis: int = 0) -> "list[np.ndarray]":

@@ -176,4 +176,5 @@ def make_eurosat(
             "n_bands": N_BANDS,
             "bit_depth": 16,
         },
+        images=True,
     )

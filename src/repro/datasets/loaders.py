@@ -74,6 +74,9 @@ class ScientificDataset:
         ``"regression"`` or ``"classification"``.
     input_normalizer, target_normalizer:
         Fitted normalizers (targets only for regression).
+    images:
+        ``fields`` is a batch of images, one sample per leading index,
+        rather than ``(V, *grid)`` variable planes.
     """
 
     name: str
@@ -86,6 +89,7 @@ class ScientificDataset:
     input_normalizer: MinMaxNormalizer | None = None
     target_normalizer: MinMaxNormalizer | None = None
     metadata: dict = field(default_factory=dict)
+    images: bool = False
 
     @property
     def n_inputs(self) -> int:
@@ -97,16 +101,25 @@ class ScientificDataset:
             return int(self.train_targets.max()) + 1
         return int(self.train_targets.shape[-1])
 
-    def fields_as_samples(self) -> np.ndarray:
-        """Reshape the stored fields into network-input rows.
+    @property
+    def chunk_axis(self) -> int:
+        """The axis of ``fields`` a chunked run splits: images by batch,
+        ``(V, *grid)`` fields by the first grid axis, so slabs map to
+        contiguous sample blocks."""
+        return 0 if self.images else 1
 
-        For field workloads ``(V, *grid) -> (prod(grid), V)``; for imagery
-        the fields are already per-sample and are returned unchanged.
+    def fields_as_samples(self, fields: np.ndarray | None = None) -> np.ndarray:
+        """Network-input rows of ``fields`` (default: the stored fields),
+        laid out like :attr:`fields` — the ``samples_from_fields`` of a
+        pipeline run on this dataset.
+
+        For field workloads ``(V, *grid) -> (prod(grid), V)``; images are
+        already per-sample.
         """
-        if self.fields.ndim >= 2 and self.name != "eurosat":
-            n_vars = self.fields.shape[0]
-            return self.fields.reshape(n_vars, -1).T.astype(np.float32)
-        return self.fields
+        fields = self.fields if fields is None else fields
+        if self.images:
+            return fields.astype(np.float32)
+        return fields.reshape(fields.shape[0], -1).T.astype(np.float32)
 
 
 def train_test_split(

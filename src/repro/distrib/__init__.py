@@ -18,7 +18,6 @@ CLI.
 
 from .coordinator import DistribConfig, DrainedError, ShardCoordinator
 from .protocol import (
-    MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
     FrameSocket,
     decode_artifact,
@@ -32,7 +31,6 @@ __all__ = [
     "DistribConfig",
     "DrainedError",
     "FrameSocket",
-    "MAX_FRAME_BYTES",
     "PROTOCOL_VERSION",
     "ShardCoordinator",
     "ShardWorker",

@@ -1,7 +1,6 @@
 """Persistent storage of compressed arrays (the disk side of Fig. 1)."""
 
 from .checkpoint import CheckpointJournal, digest_array, digest_bytes, digest_model
-from .chunked import ChunkedArrayReader, ChunkedArrayWriter, read_chunked, write_chunked
 from .serialization import (
     append_jsonl,
     atomic_write_bytes,
@@ -14,8 +13,6 @@ from .store import DatasetStore
 
 __all__ = [
     "CheckpointJournal",
-    "ChunkedArrayReader",
-    "ChunkedArrayWriter",
     "DatasetStore",
     "append_jsonl",
     "atomic_write_bytes",
@@ -25,7 +22,5 @@ __all__ = [
     "digest_array",
     "digest_bytes",
     "digest_model",
-    "read_chunked",
     "read_jsonl_records",
-    "write_chunked",
 ]

@@ -10,8 +10,8 @@ from .mlp import (
     mlp_small,
 )
 from .registry import MODEL_REGISTRY, ZOO_INPUT_SHAPES, build_model
-from .resnet import conv_flops, model_flops, resnet, resnet18
-from .unet import UNet, UNetLevel, unet
+from .resnet import model_flops, resnet, resnet18
+from .unet import UNetLevel, unet
 
 __all__ = [
     "MODEL_REGISTRY",
@@ -19,7 +19,6 @@ __all__ = [
     "borghesi_net",
     "build_mlp",
     "build_model",
-    "conv_flops",
     "h2_reaction_net",
     "mlp_flops",
     "mlp_large",
@@ -28,7 +27,6 @@ __all__ = [
     "model_flops",
     "resnet",
     "resnet18",
-    "UNet",
     "UNetLevel",
     "unet",
 ]

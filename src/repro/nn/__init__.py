@@ -21,7 +21,7 @@ from .activations import (
 from .conv import Conv2d, SpectralConv2d
 from .linear import Linear, SpectralLinear
 from .losses import CrossEntropyLoss, MSELoss, spectral_penalty, spectral_penalty_backward
-from .module import HookHandle, Module, Parameter
+from .module import Module, Parameter
 from .normalization import BatchNorm2d
 from .optim import SGD, Adam, Optimizer
 from .pooling import AvgPool2d, Flatten, GlobalAvgPool2d, MaxPool2d
@@ -29,7 +29,7 @@ from .residual import BasicBlock, ResidualBlock
 from .schedulers import CosineAnnealingLR, Scheduler, StepLR
 from .sequential import Sequential
 from .spectral import PowerIterationState, spectral_norm, spectral_norm_exact
-from .trainer import Trainer, TrainingHistory
+from .trainer import Trainer
 from .upsample import ConcatChannels, Upsample2d
 
 __all__ = [
@@ -57,7 +57,6 @@ __all__ = [
     "Linear",
     "MSELoss",
     "MaxPool2d",
-    "HookHandle",
     "Module",
     "Optimizer",
     "PReLU",
@@ -72,7 +71,6 @@ __all__ = [
     "SpectralLinear",
     "Tanh",
     "Trainer",
-    "TrainingHistory",
     "make_activation",
     "spectral_norm",
     "spectral_norm_exact",

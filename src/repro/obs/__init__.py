@@ -32,13 +32,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 
 from .log import LEVELS, Logger, get_logger, set_log_level
-from .metrics import (
-    NULL_METRICS,
-    Counter,
-    MetricsRegistry,
-    NullMetrics,
-    render_metrics_json,
-)
+from .metrics import NULL_METRICS, Counter, MetricsRegistry, NullMetrics, render_metrics_json
 from .trace import (
     NULL_TRACER,
     NullTracer,
@@ -50,19 +44,22 @@ from .trace import (
     read_jsonl,
 )
 from .registry import RunRegistry
-from .audit import (
-    NULL_AUDITOR,
-    AuditRecord,
-    Auditor,
-    LayerAudit,
-    LayerwiseErrorRecorder,
-    NullAuditor,
-    audit_capture,
-    disable_audit,
-    enable_audit,
-    get_auditor,
-    set_auditor,
+
+# The audit layer is the one part that needs numpy: its names load on
+# first access (PEP 562), so ``import repro.obs`` stays numpy-free.
+_AUDIT_NAMES = frozenset(
+    "NULL_AUDITOR AuditRecord Auditor LayerAudit LayerwiseErrorRecorder NullAuditor "
+    "audit_capture disable_audit enable_audit get_auditor set_auditor".split()
 )
+
+
+def __getattr__(name: str):
+    if name not in _AUDIT_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import audit
+
+    return getattr(audit, name)
+
 
 __all__ = [
     "AuditRecord",

@@ -21,7 +21,7 @@ from .cache import (
 )
 from .execmodel import ExecutionModel, StageBreakdown, measure_inference_seconds
 from .hardware import GPU_PROFILES, MI250X, RTX3080TI, V100, GPUProfile, get_gpu
-from .iomodel import DEFAULT_CODEC_SPEEDS, CodecSpeed, IOModel
+from .iomodel import CodecSpeed, IOModel
 from .parallel import resolve_workers
 from .timer import Stopwatch, Timer
 
@@ -32,7 +32,6 @@ def reset_compile_cache() -> None:
 
 
 __all__ = [
-    "DEFAULT_CODEC_SPEEDS",
     "CodecSpeed",
     "ExecutionModel",
     "GPUProfile",

@@ -13,7 +13,7 @@ from .formats import (
     NumericFormat,
     get_format,
 )
-from .granular import Granularity, GranularResult, granular_quantize, granular_step_size
+from .granular import Granularity, granular_quantize, granular_step_size
 from .quantizer import QuantizedModel, materialize, quantizable_layers, quantize_model
 from .stepsize import average_step_size, elementwise_step_size
 
@@ -27,7 +27,6 @@ __all__ = [
     "AffineParams",
     "FloatFormat",
     "Granularity",
-    "GranularResult",
     "IntFormat",
     "NumericFormat",
     "QuantizedModel",

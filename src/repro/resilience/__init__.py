@@ -50,7 +50,6 @@ from .retry import RetryPolicy, retry_call
 from .supervisor import (
     CircuitBreaker,
     SupervisedPool,
-    SupervisionReport,
     TaskOutcome,
     fork_available,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "CorruptionPolicy",
     "RetryPolicy",
     "SupervisedPool",
-    "SupervisionReport",
     "TaskOutcome",
     "corrupt_result",
     "fork_available",

@@ -374,3 +374,53 @@ def test_pipeline_chunked_checkpoint_and_resume(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "0 computed" in out
     assert "tolerance honoured" in out
+
+
+# A port outside 0-65535 must be refused before any socket call: getaddrinfo
+# wraps it modulo 2**16 (73616 connects to 8080) and bind overflows.
+@pytest.mark.parametrize(
+    ("argv", "fragment"),
+    [
+        (["coordinate", "--port", "70000"], "--port must be in 0-65535"),
+        (["coordinate", "--port", "-1"], "--port must be in 0-65535"),
+        (["worker", "--connect", "127.0.0.1:73616"], "--connect port must be in 1-65535"),
+        (["worker", "--connect", "127.0.0.1:0"], "--connect port must be in 1-65535"),
+        (["worker", "--connect", "127.0.0.1:"], "--connect must be HOST:PORT"),
+    ],
+)
+def test_distributed_commands_reject_out_of_range_ports(argv, fragment):
+    from repro.cli import _validate_chunk_flags
+    from repro.exceptions import ConfigurationError
+
+    command, *flags = argv
+    args = build_parser().parse_args(
+        [command, "h2combustion", "--tolerance", "1e-2", "--chunk-size", "16", *flags]
+    )
+    with pytest.raises(ConfigurationError, match=fragment):
+        _validate_chunk_flags(args)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coordinate", "--port", "0"],
+        ["coordinate", "--port", "65535"],
+        ["worker", "--connect", "localhost:1"],
+        ["worker", "--connect", "127.0.0.1:65535"],
+    ],
+)
+def test_distributed_commands_accept_the_port_range_ends(argv):
+    from repro.cli import _validate_chunk_flags
+
+    command, *flags = argv
+    _validate_chunk_flags(build_parser().parse_args(
+        [command, "h2combustion", "--tolerance", "1e-2", "--chunk-size", "16", *flags]
+    ))
+
+
+def test_coordinate_out_of_range_port_exits_with_typed_error(capsys):
+    assert main(
+        ["coordinate", "h2combustion", "--tolerance", "1e-2", "--chunk-size", "16",
+         "--port", "70000"]
+    ) == 1
+    assert "error (ConfigurationError): --port must be in 0-65535" in capsys.readouterr().err

@@ -1,4 +1,5 @@
-"""Cold start: ``import repro`` loads nothing, and the runtime needs no scipy."""
+"""Cold start: ``import repro`` loads nothing, the runtime needs no scipy,
+and ``python -m repro --help`` imports no more than argparse."""
 
 import os
 import subprocess
@@ -37,14 +38,65 @@ print("runtime ok without scipy")
 """
 
 
-def test_the_runtime_imports_lazily_and_runs_without_scipy():
+def _run(script: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(os.path.dirname(__file__), "..", "src")
-    run = subprocess.run(
-        [sys.executable, "-c", _SCRIPT], env=env, capture_output=True, text=True, timeout=300
+    return subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
     )
+
+
+def test_the_runtime_imports_lazily_and_runs_without_scipy():
+    run = _run(_SCRIPT)
     assert run.returncode == 0, run.stderr
     assert "runtime ok without scipy" in run.stdout
+
+
+# ``python -m repro ARGS``, then the heavy modules the process loaded
+_CLI_SCRIPT = """
+import runpy, sys
+sys.argv = ["repro", *{argv!r}]
+try:
+    runpy.run_module("repro", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+heavy = ("numpy", "repro.core", "repro.workloads", "repro.distrib", "repro.obs")
+print("loaded:", [name for name in heavy if name in sys.modules])
+"""
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["worker", "--help"]])
+def test_cli_help_and_version_import_no_numpy(argv):
+    run = _run(_CLI_SCRIPT.format(argv=argv))
+    assert run.returncode == 0, run.stderr
+    assert "loaded: []" in run.stdout, run.stdout[-300:]
+
+
+def test_import_repro_obs_loads_no_numpy():
+    run = _run("import sys, repro.obs; print('numpy' in sys.modules)")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "False"
+
+
+def test_cli_parser_literals_equal_their_homes():
+    """The parser carries these as literals so that ``--help`` imports no
+    numpy; each must equal the value in the module that owns it."""
+    from repro import cli
+    from repro.compress import ErrorBoundMode
+    from repro.obs.audit import DEFAULT_LOOSE_BELOW
+    from repro.obs.registry import DEFAULT_DRIFT_THRESHOLD
+    from repro.perf.history import DEFAULT_BENCH_THRESHOLD, DEFAULT_MAD_K, DEFAULT_MIN_REPS
+    from repro.quant import STANDARD_FORMATS
+    from repro.workloads import WORKLOAD_NAMES
+
+    assert cli._WORKLOADS == WORKLOAD_NAMES
+    assert cli._FORMATS == tuple(STANDARD_FORMATS)
+    assert cli._BOUND_MODES == tuple(mode.value for mode in ErrorBoundMode)
+    assert cli._LOOSE_BELOW == DEFAULT_LOOSE_BELOW
+    assert cli._DRIFT_THRESHOLD == DEFAULT_DRIFT_THRESHOLD
+    assert cli._BENCH_THRESHOLD == DEFAULT_BENCH_THRESHOLD
+    assert cli._BENCH_MIN_REPS == DEFAULT_MIN_REPS
+    assert cli._BENCH_MAD_K == DEFAULT_MAD_K
 
 
 def test_every_top_level_name_resolves_on_first_access():

@@ -11,8 +11,7 @@ from repro.compress.sz import SZCompressor
 from repro.core.errorflow import ErrorFlowAnalyzer
 from repro.core.pipeline import InferencePipeline
 from repro.core.planner import TolerancePlanner
-from repro.exceptions import CompressionError, PlanningError
-from repro.io import ChunkedArrayWriter, DatasetStore, write_chunked
+from repro.exceptions import PlanningError
 from repro.perf import parallel
 from repro.perf.parallel import SideLane, resolve_workers
 
@@ -26,50 +25,6 @@ def test_resolve_workers():
     assert resolve_workers(3) == 3
     assert resolve_workers(0) >= 1  # one per CPU
     assert resolve_workers(-1) >= 1
-
-
-# -- chunked store writer ------------------------------------------------------
-
-
-@pytest.fixture
-def snapshots(rng):
-    grid = np.linspace(0, 2 * np.pi, 24)
-    frames = [
-        np.sin(grid[None, :] + 0.2 * t) * np.cos(grid[:, None]) for t in range(10)
-    ]
-    return np.stack(frames).astype(np.float32)
-
-
-def test_chunked_writer_failure_leaves_no_manifest(tmp_path, snapshots, monkeypatch):
-    """A slab whose store raised is missing from the store, so a caller
-    that swallows the error can neither append on nor close: either
-    would leave a manifest that reads back a shorter array."""
-    store = DatasetStore(str(tmp_path))
-    put, stored = store.put, []
-
-    def put_failing_second(entry, *args, **kwargs):
-        if len(stored) == 1:
-            stored.append(None)
-            raise OSError("disk full")
-        stored.append(entry)
-        return put(entry, *args, **kwargs)
-
-    monkeypatch.setattr(store, "put", put_failing_second)
-    writer = ChunkedArrayWriter(store, "bad", tolerance=1e-3)
-    writer.append(snapshots[:3])
-    with pytest.raises(OSError, match="disk full"):
-        writer.append(snapshots[3:6])
-    with pytest.raises(CompressionError, match="bad.c0001"):
-        writer.append(snapshots[6:9])
-    with pytest.raises(CompressionError, match="bad.c0001"):
-        writer.close()
-    assert stored == ["bad.c0000", None]
-    assert not (tmp_path / "bad.manifest.json").exists()
-
-    stored.clear()
-    with pytest.raises(OSError, match="disk full"):
-        write_chunked(store, "bad", snapshots, 1e-3, chunk_size=3)
-    assert not (tmp_path / "bad.manifest.json").exists()
 
 
 # -- InferencePipeline.execute_chunked ------------------------------------------
