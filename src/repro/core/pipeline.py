@@ -292,12 +292,12 @@ class InferencePipeline:
         """Run the full pipeline on a normalized field array.
 
         The reference forward the certificate needs depends on ``fields``
-        only; when this process may use two CPUs, the process-wide
-        side lane is free and the field is not tiny, it runs on that lane
-        while compress, decompress and the quantized forward run here,
-        and is joined before the guard.  Otherwise it runs inline after
-        them.  The lane is free again when that forward returns, so the
-        later quantized forward may borrow it for half of its batch.
+        only; when this process may use two CPUs and the field is not
+        tiny, it is handed to the process-wide side lane while compress,
+        decompress and the quantized forward run here, and is joined
+        before the guard.  Otherwise (or if the lane, busy with another
+        caller's work, has not started it by then) it runs inline after
+        them.  The quantized forward queues half of its batch behind it.
         Results are bit-identical every way.
 
         Parameters
@@ -339,7 +339,7 @@ class InferencePipeline:
 
             def reference_side() -> "tuple[np.ndarray, np.ndarray]":
                 """The certificate's half: it reads ``fields`` only, so it
-                runs beside the data path when the lane is free.  On the
+                runs beside the data path when the lane takes it.  On the
                 lane thread the span stack is empty and the explicit
                 parent applies; inline the span nests by itself."""
                 with tracer.span("pipeline.reference", remote_parent=execute_context):

@@ -38,18 +38,12 @@ __all__ = [
     "atomic_write_bytes",
     "atomic_write_json",
     "read_jsonl_records",
-    "BLOB_MAGIC",
-    "BLOB_VERSION",
 ]
 
 _MAGIC = b"RBLB"
 _VERSION = 2
 _PRELUDE_V1 = struct.Struct("<HI")  # version, header length
 _PRELUDE_V2 = struct.Struct("<HII")  # version, header length, crc32(header+payload)
-
-#: public aliases (used by the fault-injection harness and docs)
-BLOB_MAGIC = _MAGIC
-BLOB_VERSION = _VERSION
 
 _REQUIRED_HEADER_KEYS = ("codec", "shape", "dtype", "mode", "tolerance")
 

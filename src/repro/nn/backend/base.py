@@ -17,9 +17,9 @@ the kernel honest on every call:
   changes it and forces a recompile.  In-place
   ``param.data[...] = ...`` writes bypass the version counters — the
   same caveat as every version-keyed cache in :mod:`repro.perf.cache`.
-* **both CPUs** — an MLP kernel runs a large batch as two halves, one
-  on the process's side lane, where a first-call probe found the same
-  bytes in less time; ``stats["splits"]`` and ``last_split`` say when.
+* **both CPUs** — a kernel runs a large batch as two halves, one on the
+  process's side lane, where a first-call probe found the same bytes in
+  no more time; ``stats["splits"]`` and ``last_split`` say when.
 * **transparent fallback** — forward hooks (audit lockstep mode),
   training mode, unsupported modules, or inputs outside the compiled
   shape/dtype envelope route the call through the reference

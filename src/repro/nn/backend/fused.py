@@ -45,6 +45,7 @@ next call would overwrite them).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import threading
 import time
@@ -68,9 +69,9 @@ __all__ = [
 _BUFFER_SETS = 8
 
 #: a split batch must take at most this share of the whole one's time to
-#: be kept: with two BLAS threads the whole batch already uses both CPUs
-#: and the split H2 forward took 31.9 ms against 11.3
-_SPLIT_KEEP_RATIO = 0.8
+#: be kept: with two BLAS threads the whole batch already uses both CPUs,
+#: and a split H2 forward took 31.9 ms against 11.3, EuroSAT's 49 against 35
+_SPLIT_KEEP_RATIO = 1.0
 
 #: the cut between the halves is a multiple of this many rows: gemm
 #: micro-kernels take rows in blocks and round their edge code otherwise
@@ -365,14 +366,17 @@ class FusedKernel:
     scratch space, and fork-based pools inherit the compiled closure
     for free.
 
-    A 2-D (MLP) program's batch may run as two halves, rows ``[:cut]``
-    here and ``[cut:]`` on the process's side lane, both through ``fn``
-    into row slices of the caller's one buffer set.  Equal bytes are a
+    A 2-D (MLP) or 4-D (conv) batch may run as two halves through ``fn``,
+    the lower one here and the upper one queued on the process's side
+    lane (taken back if the lane has not started it by then): an MLP half
+    into row slices of the caller's one buffer set, a conv half (images
+    ``[:n // 2]`` or ``[n // 2:]``; a ``ConvWorkspace`` does not slice)
+    with the buffer set of the thread that runs it.  Equal bytes are a
     property of the BLAS build and a gain one of its threading, so the
     first call of a buffer set that gets the lane runs the batch both
     ways and keeps the split only if the bytes are equal and it took at
     most :data:`_SPLIT_KEEP_RATIO` of the whole.  ``last_split`` holds
-    the row counts of the latest call's halves (``None``: it ran whole),
+    the sizes of the latest call's halves when the lane ran one,
     ``split_rejections`` the probes that said no, by reason.
 
     Given ``op_labels`` the closure is the per-op-timing variant: it
@@ -389,11 +393,7 @@ class FusedKernel:
         self.last_op_seconds: "list | None" = None
         self.last_split: "tuple | None" = None
         self.split_rejections: dict = {}
-        # conv programs stay whole: their one workload has the lane busy
-        # with the reference forward for the entire quantized forward
-        self._splittable = (
-            op_labels is None and not program.has_conv and program.input_spec[0] == "2d"
-        )
+        self._splittable = op_labels is None and program.input_spec[0] in ("2d", "4d")
         self._local = threading.local()
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
@@ -403,9 +403,9 @@ class FusedKernel:
             if buffers.split is not False:
                 if buffers.split is None:
                     return self._probe(x, buffers)
-                out = self._halves(x, buffers.arrays)
-                if out is not None:
-                    self.last_split = (_cut(len(x)), len(x) - _cut(len(x)))
+                halves = self._halves(x, buffers.arrays)
+                if halves is not None:
+                    out, self.last_split, _ = halves
                     return out
             return self.fn(x, buffers.arrays)
         timings = [0] * len(self.op_labels)
@@ -413,35 +413,48 @@ class FusedKernel:
         self.last_op_seconds = [t / 1e9 for t in timings]
         return out
 
-    def _halves(self, x: np.ndarray, arrays: list) -> "np.ndarray | None":
-        """``fn`` over both halves at once; ``None`` without the lane."""
-        half = _cut(len(x))
+    def _halves(self, x: np.ndarray, arrays: list) -> "tuple | None":
+        """``fn`` over both halves: the result, the sizes if the lane ran the
+        upper one and the seconds since its start; ``None`` where the lane takes nothing."""
+        conv, caller = self.program.has_conv, threading.get_ident()
+        half = len(x) // 2 if conv else _cut(len(x))
 
-        def upper() -> np.ndarray:
-            return self.fn(x[half:], [buffer[half:] for buffer in arrays])
+        def run(rows: slice) -> "tuple[float, bool, np.ndarray]":
+            own = self._buffers(x[rows]).arrays if conv else [b[rows] for b in arrays]
+            return time.perf_counter(), threading.get_ident() != caller, self.fn(x[rows], own)
 
+        upper = functools.partial(run, slice(half, None))
         with parallel.side_lane().beside(upper) as result:
             if result is upper:
                 return None
-            lower = self.fn(x[:half], [buffer[:half] for buffer in arrays])
-        return np.concatenate((lower, result()))
+            *_, lower = run(slice(None, half))
+        start, on_lane, upper_out = result()
+        sizes = (half, len(x) - half) if on_lane else None
+        return np.concatenate((lower, upper_out)), sizes, time.perf_counter() - start
 
     def _probe(self, x: np.ndarray, buffers: _BufferSet) -> np.ndarray:
-        """Both ways, best of three each, taking turns so that a noisy
-        moment hits both; returns the whole result.  Without the lane there
-        is nothing to compare: the next call asks again."""
-        arrays, split_s, whole_s = buffers.arrays, [], []
-        for _ in range(3):
-            start = time.perf_counter()
-            split = self._halves(x, arrays)
-            if split is None:
+        """Both ways, taking turns so that a noisy moment hits both, best of
+        three each (a conv program: one round); returns the whole result.
+        A split is timed from its upper half's start (the lane may have been
+        busy before).  A round whose upper half the caller took back has no
+        time: an MLP asks again on the next call, a conv decides on bytes."""
+        conv, arrays, split_s, whole_s = self.program.has_conv, buffers.arrays, [], []
+        for _ in range(1 if conv else 3):
+            halves = self._halves(x, arrays)
+            if halves is None:
                 return self.fn(x, arrays)
-            middle = time.perf_counter()
+            split, sizes, seconds = halves
+            start = time.perf_counter()
             whole = self.fn(x, arrays)
-            split_s.append(middle - start)
-            whole_s.append(time.perf_counter() - middle)
-        same = split.dtype == whole.dtype and split.data.cast("B") == whole.data.cast("B")
-        buffers.split = same and min(split_s) <= _SPLIT_KEEP_RATIO * min(whole_s)
+            if sizes is not None:
+                split_s.append(seconds)
+                whole_s.append(time.perf_counter() - start)
+            elif not conv:
+                return whole
+        same = split.dtype == whole.dtype and np.array_equal(
+            split.view(f"u{split.itemsize}"), whole.view(f"u{whole.itemsize}")
+        )
+        buffers.split = same and not (split_s and min(split_s) > _SPLIT_KEEP_RATIO * min(whole_s))
         if not buffers.split:
             reason = "slower" if same else "bytes"
             self.split_rejections[reason] = self.split_rejections.get(reason, 0) + 1

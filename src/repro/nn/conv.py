@@ -89,9 +89,10 @@ class Conv2d(Module):
     def forward(self, x: np.ndarray) -> np.ndarray:
         kernel = (self.kernel_size, self.kernel_size)
         bias = None if self.bias is None else self.bias.data
-        out, cols = conv2d(x, self._forward_weight(), bias, kernel, self.stride, self.padding)
+        weight = self._forward_weight()
+        out, cols = conv2d(x, weight, bias, kernel, self.stride, self.padding, whole=self.training)
         # the patch columns are many times the input; only a backward
-        # pass needs them
+        # pass needs them, so only a training forward unfolds them whole
         self._cols = cols if self.training else None
         self._x_shape = x.shape
         return out

@@ -4,6 +4,7 @@ activations and the channel-major convolution."""
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -234,9 +235,9 @@ def _fold(
 class ConvWorkspace:
     """Reusable buffers for :func:`conv2d` calls on one input shape.
 
-    One flat patch scratch grown to the largest conv, zero-bordered pad
-    buffers (the border is written once, the interior on every call) and
-    one output buffer per slot.  Not thread-safe: one per thread.  A
+    One flat patch scratch grown to the largest unfold block, zero-bordered
+    pad buffers (the border is written once, the interior on every call)
+    and one output buffer per slot.  Not thread-safe: one per thread.  A
     fresh instance just allocates, which is what a call without one does.
     """
 
@@ -271,6 +272,12 @@ class ConvWorkspace:
         return out
 
 
+#: patch columns are unfolded and multiplied a block of whole images at a
+#: time, as many as fit this: the block stays in cache between the copies
+#: that write it and the matmul that reads it
+_BLOCK_BYTES, _BLOCK_ALIGN = 3 << 19, 16  # 1.5 MiB, columns
+
+
 def conv2d(
     x: np.ndarray,
     weight: np.ndarray,
@@ -280,7 +287,8 @@ def conv2d(
     padding: int,
     work: "ConvWorkspace | None" = None,
     slot=None,
-) -> tuple[np.ndarray, np.ndarray]:
+    whole: bool = False,
+) -> tuple[np.ndarray, "np.ndarray | None"]:
     """Channel-major convolution shared by the interpreter and the fused kernel.
 
     ``x`` is ``(N, C, H, W)`` in any memory layout and ``weight`` the
@@ -291,13 +299,19 @@ def conv2d(
     channel-major memory — which the next conv unfolds without a
     transposing copy.  A 1x1 stride-1 conv multiplies the input as it is.
 
+    The unfold runs in even blocks of whole images whose columns fit
+    :data:`_BLOCK_BYTES`, cut after a multiple of ``_BLOCK_ALIGN`` columns
+    (gemm kernels round a ragged group of columns by other code), each
+    product written straight into its columns of the one output;
+    ``whole=True`` (a backward pass needs every column) is one block.
+
     With ``work`` the pad buffer and patch scratch are recycled, and with
     a ``slot`` the result too (the caller must consume it before the next
     call with that slot); both paths run the identical ``np.matmul`` on
     identical contiguous operands, so they agree to the bit.
 
-    Returns ``(out, cols)``; ``cols`` is what a backward pass needs and is
-    only valid until ``work`` is used again.
+    Returns ``(out, cols)``; ``cols`` is what a backward pass needs (``None``
+    after more than one block) and is only valid until ``work`` is used again.
     """
     if x.ndim != 4 or x.shape[1] * kernel[0] * kernel[1] != weight.shape[1]:
         raise ShapeError(
@@ -307,16 +321,26 @@ def conv2d(
     n, c, h, w = x.shape
     out_hw = _output_hw((h, w), kernel, stride, padding)
     x = x.transpose(1, 0, 2, 3)
+    pixels = out_hw[0] * out_hw[1]
+    shape, dtype = (weight.shape[0], n * pixels), np.result_type(weight.dtype, x.dtype)
+    out = np.empty(shape, dtype) if slot is None else work.output(slot, shape, dtype)
     if kernel == (1, 1) and stride == 1 and padding == 0:
-        cols = x
+        cols = x.reshape(weight.shape[1], -1)
+        np.matmul(weight, cols, out=out)
     else:
-        cols = _unfold(x, kernel, stride, padding, out_hw, work or ConvWorkspace())
-    cols = cols.reshape(weight.shape[1], -1)
-    buffer = None
-    if slot is not None:
-        shape = (weight.shape[0], cols.shape[1])
-        buffer = work.output(slot, shape, np.result_type(weight.dtype, cols.dtype))
-    out = np.matmul(weight, cols, out=buffer)
+        bounds, image_bytes = [0, n], weight.shape[1] * pixels * x.itemsize
+        if not whole and n * image_bytes > _BLOCK_BYTES:
+            unit = _BLOCK_ALIGN // math.gcd(pixels, _BLOCK_ALIGN)  # images per aligned cut
+            units = -(-n // unit)
+            blocks = -(-units // max(1, _BLOCK_BYTES // (image_bytes * unit)))
+            bounds = [min(n, k * units // blocks * unit) for k in range(blocks + 1)]
+        work = work or ConvWorkspace()
+        for lo, hi in itertools.pairwise(bounds):
+            cols = _unfold(x[:, lo:hi], kernel, stride, padding, out_hw, work)
+            cols = cols.reshape(weight.shape[1], -1)
+            np.matmul(weight, cols, out=out[:, lo * pixels : hi * pixels])
+        if len(bounds) > 2:
+            cols = None
     if bias is not None:
         if np.result_type(out.dtype, bias.dtype) == out.dtype:
             np.add(out, bias[:, None], out=out)

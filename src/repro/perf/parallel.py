@@ -63,17 +63,19 @@ def _other_cpus() -> "set[int] | None":
 class SideLane:
     """One long-lived thread that runs a callable *beside* its caller.
 
-    ``with lane.beside(fn) as result:`` starts ``fn`` on the lane thread,
+    ``with lane.beside(fn) as result:`` hands ``fn`` to the lane thread,
     runs the ``with`` body on the caller's thread and joins before the
     block is left, on an exception included, so nothing is ever orphaned;
     ``result()`` then returns what ``fn`` returned or raises what it
     raised.  The lane is taken without blocking and is free again the
-    moment ``fn`` returns, which may be well inside the body: on a
-    process confined to one CPU, while another callable is running on the
-    lane (a borrow made *by* that callable included), or when the work is
+    moment ``fn`` returns, which may be well inside the body; a taken
+    lane queues ``fn`` behind the callable that took it, and if the lane
+    has not started ``fn`` when the body ends, ``result()`` calls it on
+    the caller, as the inline order would.  On a process confined to one
+    CPU, for a borrow from the lane thread itself, or when the work is
     smaller than :data:`LANE_MIN_BYTES`, ``result`` is ``fn`` itself and
-    the call happens inline, after the body.  Both ways the caller writes
-    the same two lines.
+    the call happens inline, after the body.  Every way, the caller
+    writes the same two lines.
 
     The thread is created by the first borrower and kept: between two
     callables it is parked in a queue read holding nothing, so the
@@ -98,9 +100,11 @@ class SideLane:
         # the executor starts its thread on first submit, not here
         self._executor = ThreadPoolExecutor(max_workers=1, thread_name_prefix=self._name)
         self._free = threading.Lock()
+        self._thread: "int | None" = None
 
-    def _run(self, cpus: "set[int] | None", fn: Callable[[], object]):
-        """``fn()`` with the lane thread first confined to ``cpus``."""
+    def _run(self, cpus: "set[int] | None", fn: Callable[[], object], holds: bool):
+        """``fn()`` on the lane thread confined to ``cpus``; frees the lane if ``holds``."""
+        self._thread = threading.get_ident()
         try:
             if cpus:
                 try:
@@ -109,7 +113,8 @@ class SideLane:
                     pass
             return fn()
         finally:
-            self._free.release()
+            if holds:
+                self._free.release()
 
     @contextmanager
     def beside(self, fn: Callable[[], object], nbytes: "int | None" = None):
@@ -119,19 +124,22 @@ class SideLane:
         if not (
             (nbytes is None or nbytes >= LANE_MIN_BYTES)
             and usable_cpus() > 1
-            and self._free.acquire(blocking=False)
+            and threading.get_ident() != self._thread
         ):
             yield fn
             return
+        queued = not self._free.acquire(blocking=False)
         try:
-            future = self._executor.submit(self._run, _other_cpus(), fn)
+            future = self._executor.submit(self._run, _other_cpus(), fn, not queued)
         except BaseException:
-            self._free.release()
+            if not queued:
+                self._free.release()
             raise
         try:
-            yield future.result
+            yield lambda: fn() if future.cancelled() else future.result()
         finally:
-            wait([future])
+            if not (queued and future.cancel()):
+                wait([future])
 
 
 _LANE = SideLane("repro-lane")

@@ -335,8 +335,9 @@ def test_many_executes_add_at_most_one_thread(small):
 def test_two_concurrent_executes_share_one_lane(small):
     """Both callers are inside their data path at the same moment (the
     barrier sits in the data side's reshape) and the reference side that
-    got the lane stays on it until then, so exactly one of them can hold
-    the lane; the other computes its reference inline, as before."""
+    got the lane stays on it until then, so the other reference side is
+    queued behind it: it runs on the lane after the first, or on its own
+    caller's thread if that caller's data path ends first."""
     pipe, fields = small
     with one_cpu():
         expected = pipe.execute(fields)
@@ -367,9 +368,10 @@ def test_two_concurrent_executes_share_one_lane(small):
         thread.join(timeout=60)
         assert not thread.is_alive()
     assert not errors
-    assert sorted(r.used_lane() for r in reshapes.values()) == [False, True]
-    inline = next(r for r in reshapes.values() if not r.used_lane())
-    assert inline.reference_threads[0].startswith("caller-")
+    assert any(r.used_lane() for r in reshapes.values())
+    for key, reshape in reshapes.items():
+        assert len(reshape.reference_threads) == 1
+        assert reshape.used_lane() or reshape.reference_threads == [f"caller-{key}"]
     for result in results.values():
         assert_same_result(result, expected)
 

@@ -20,6 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import load_workload, obs
+from repro.datasets import make_eurosat
 from repro.models import borghesi_net, resnet18
 from repro.nn import Sequential
 from repro.nn.backend import CompiledForward, fused
@@ -138,6 +139,54 @@ def test_returned_arrays_survive_later_calls(rng):
         assert np.array_equal(out, copy) and out.flags.c_contiguous and out.flags.owndata
 
 
+def _resnet18(rng, in_channels=3, base_width=8):
+    """A PSN ResNet18 without its head, in eval mode."""
+    model = resnet18(
+        in_channels=in_channels, base_width=base_width, rng=rng, spectral=True, alpha_init=0.8
+    )
+    model = Sequential(*list(model)[:-1])
+    model.eval()
+    return model
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("case", ["eurosat", "resnet18"])
+def test_conv_split_equals_whole(case, rng):
+    """A conv batch runs as two halves of images, each with the buffer set
+    of the thread that runs it, after a probe of one round: the EuroSAT
+    QoI network on the end-to-end benchmark's 30 images (the weights do
+    not decide which bytes a split gives) and a narrower ResNet18 on 16
+    small images, full precision and fp16."""
+    if case == "eurosat":
+        model = _resnet18(np.random.default_rng(3), in_channels=13, base_width=16)
+        data = make_eurosat(n_per_class=3, image_size=24, rng=np.random.default_rng(1))
+        x = np.concatenate([data.train_inputs, data.test_inputs]).astype(np.float32)
+    else:
+        model = _resnet18(rng)
+        x = rng.uniform(-1, 1, (16, 3, 16, 16)).astype(np.float32)
+    n, half, main = len(x), len(x) // 2, threading.current_thread()
+    for network in (model, quantize_model(model, STANDARD_FORMATS["fp16"]).model):
+        forward = CompiledForward(network)
+        with one_cpu():
+            whole = forward(x)
+        assert whole.tobytes() == network(x).tobytes()  # fused == interpreter
+        kernel, calls = forward._kernel, []
+        fn = kernel.fn
+
+        def spy(batch, buffers):
+            calls.append((threading.current_thread() is main, len(batch)))
+            return fn(batch, buffers)
+
+        kernel.fn = spy
+        probed, split = forward(x), forward(x)
+        assert forward.last_split == (half, n - half) and kernel.split_rejections == {}
+        halves = [(True, half), (False, n - half)]
+        assert sorted(calls) == sorted(halves + [(True, n)] + halves)  # one extra whole
+        assert [key[0][0] for key in kernel._local.buffers] == [n, half]
+        for out in (probed, split):
+            assert out.dtype == whole.dtype and out.tobytes() == whole.tobytes()
+
+
 # -- the probe ------------------------------------------------------------------
 
 
@@ -185,25 +234,93 @@ def test_probe_rejects_and_counts_the_reason(reason, half_fn, ratio, rng, monkey
     assert forward._kernel is not kernel and forward.last_split == _halves(len(x))
 
 
+def _held_lane():
+    """``side_lane().beside`` of a callable that holds the lane from
+    ``started`` until ``release`` is set, with the two events."""
+    started, release = threading.Event(), threading.Event()
+    held = side_lane().beside(lambda: started.set() or release.wait(timeout=10))
+    return held, started, release
+
+
 @needs_two_cpus
 def test_a_busy_lane_leaves_the_call_whole_and_the_probe_open(rng):
+    """The upper half is queued behind the callable on the lane; when the
+    lower half is done first, the caller takes it back: the call ran on
+    one lane, and a probe it was part of decides nothing."""
     forward = CompiledForward(_pair()[1])
     x = rng.uniform(-1, 1, (400, 13)).astype(np.float32)
     with one_cpu():
         whole = forward(x)
-    started, release = threading.Event(), threading.Event()
-    with side_lane().beside(lambda: started.set() and release.wait(timeout=10)):
+    held, started, release = _held_lane()
+    with held:
+        assert started.wait(timeout=10)
+        probing = forward(x)
+        release.set()
+    assert forward.last_split is None and probing.tobytes() == whole.tobytes()
+    verdicts = [s.split for s in forward._kernel._local.buffers.values()]
+    assert verdicts == [None] and forward._kernel.split_rejections == {}
+    forward(x), forward(x)  # the lane is free: probe, then split
+    assert forward.last_split == _halves(len(x))
+    # a kept split behind a busy lane: the same bytes, both halves here
+    held, started, release = _held_lane()
+    with held:
         assert started.wait(timeout=10)
         busy = forward(x)
         release.set()
     assert forward.last_split is None and busy.tobytes() == whole.tobytes()
+    # ... and once the lane is free before the lower half ends, it runs the upper
+    kernel, main = forward._kernel, threading.current_thread()
+    fn, upper_started = kernel.fn, threading.Event()
+
+    def half(batch, buffers):
+        if threading.current_thread() is main:
+            release.set()
+            assert upper_started.wait(timeout=10)
+        else:
+            upper_started.set()
+        return fn(batch, buffers)
+
+    kernel.fn = half
+    held, started, release = _held_lane()
+    with held:
+        assert started.wait(timeout=10)
+        freed = forward(x)
+    assert forward.last_split == _halves(len(x)) and freed.tobytes() == whole.tobytes()
+    kernel.fn = fn
     # a forward running *on* the lane finds it taken by itself
     with side_lane().beside(lambda: (forward(x), forward.last_split)) as result:
         pass
     assert result()[1] is None and result()[0].tobytes() == whole.tobytes()
     assert forward._kernel.split_rejections == {}
-    forward(x), forward(x)  # the lane is free: probe, then split
-    assert forward.last_split == _halves(len(x))
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("lane", ["busy", "free"])
+def test_a_conv_probe_is_one_round_timed_only_where_the_lane_ran_a_half(lane, rng, monkeypatch):
+    """Behind a busy lane the caller takes the upper half back and the one
+    round decides on the bytes; on a free lane it is timed, and halves
+    slower than the whole batch (as under a threaded BLAS) are refused."""
+    monkeypatch.setattr(fused, "_SPLIT_KEEP_RATIO", 1.0)
+    forward = CompiledForward(_resnet18(rng))
+    x = rng.uniform(-1, 1, (16, 3, 16, 16)).astype(np.float32)
+    kernel = _patched(forward, x, lambda out: time.sleep(0.05) or out)
+    with one_cpu():
+        whole = forward(x)
+    if lane == "busy":
+        held, started, release = _held_lane()
+        with held:
+            assert started.wait(timeout=10)
+            probed = forward(x)
+            release.set()
+    else:
+        probed = forward(x)
+    verdict = kernel._local.buffers[(x.shape, x.dtype)].split
+    assert probed.tobytes() == whole.tobytes() and forward.last_split is None
+    assert verdict is (lane == "busy")
+    assert kernel.split_rejections == ({} if lane == "busy" else {"slower": 1})
+    again = forward(x)
+    assert again.tobytes() == whole.tobytes()
+    assert forward.last_split == ((8, 8) if lane == "busy" else None)
 
 
 @needs_two_cpus
@@ -241,14 +358,28 @@ def test_conv_instrumented_reference_hooked_and_training_calls_stay_whole(rng, m
     x = rng.uniform(-1, 1, (400, 13)).astype(np.float32)
     model, twin = _pair()
 
-    conv = resnet18(in_channels=3, base_width=8, rng=rng, spectral=True, alpha_init=0.8)
-    conv = Sequential(*list(conv)[:-1])
-    conv.eval()
+    # a conv program splits too, unless its one-round probe finds other
+    # bytes in the halves than in the whole batch
+    conv = _resnet18(rng)
     images = rng.uniform(-1, 1, (8, 3, 16, 16)).astype(np.float32)
     assert images.nbytes >= _FLOOR
     conv_forward = CompiledForward(conv)
-    conv_forward(images), conv_forward(images)
+    with one_cpu():
+        conv_whole = conv_forward(images)
+    conv_kernel, calls = conv_forward._kernel, []
+    conv_fn = conv_kernel.fn
+
+    def off_by_one_ulp(batch, buffers):
+        calls.append(len(batch))
+        out = conv_fn(batch, buffers)
+        return np.nextafter(out, np.float32(np.inf)) if len(batch) < len(images) else out
+
+    conv_kernel.fn = off_by_one_ulp
+    outs = conv_forward(images), conv_forward(images)
     assert conv_forward.last_fallback_reason is None and conv_forward.stats["splits"] == 0
+    assert sorted(calls) == [4, 4, 8, 8]  # two halves and one whole, then whole
+    assert conv_kernel.split_rejections == {"bytes": 1}
+    assert all(out.tobytes() == conv_whole.tobytes() for out in outs)
 
     instrumented = CompiledForward(twin, instrument=True)
     instrumented(x), instrumented(x)
@@ -273,9 +404,7 @@ def test_conv_instrumented_reference_hooked_and_training_calls_stay_whole(rng, m
     model.eval()
     forward(x)
     assert forward.last_split == _halves(len(x)) and forward.stats["splits"] == 2
-    assert all(kernel.split_rejections == {} for kernel in (
-        conv_forward._kernel, instrumented._kernel, forward._kernel
-    ))
+    assert instrumented._kernel.split_rejections == forward._kernel.split_rejections == {}
 
 
 def test_one_cpu_never_asks(rng):

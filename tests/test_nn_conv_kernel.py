@@ -30,6 +30,8 @@ from repro.nn import (
     SpectralLinear,
     Tanh,
 )
+from repro.nn import functional
+from repro.nn.backend import CompiledForward
 from repro.nn.functional import (
     ConvWorkspace,
     col2im,
@@ -268,3 +270,85 @@ def test_model_forward_matches_gather_oracle(rng):
     actual = model(x)
     assert actual.shape == expected.shape == (6, 10)
     np.testing.assert_allclose(actual, expected, rtol=1e-4, atol=1e-5)
+
+
+# -- unfold blocks ----------------------------------------------------------------
+
+#: a budget no batch reaches: every unfold is one block
+_ONE_BLOCK = 1 << 62
+_DEFAULT_BLOCK_BYTES = functional._BLOCK_BYTES
+
+
+@pytest.mark.parametrize("kernel,stride,padding", [
+    (k, s, p) for k in (1, 3) for s in (1, 2) for p in (0, 1)
+])
+@pytest.mark.parametrize("shape", [(30, 16, 16, 24), (11, 16, 8, 22)])
+def test_blocked_conv2d_equals_one_block(kernel, stride, padding, shape, rng, monkeypatch):
+    """Blocks of whole images, each multiplied straight into its columns
+    of the one output, give the bytes of the batch unfolded at once, with
+    and without a workspace: the EuroSAT network's first convs (30 images
+    of 16 x 24 x 24, 16 out) and a ragged 22 x 22 one with 8 out, batches
+    that cross the default budget under a 3x3 stride-1 kernel.  float32,
+    the dtype of every workload model, at budgets of 0.5 to 2 MiB;
+    float64 bit for bit at the default budget only, because below it
+    OpenBLAS's dgemm rounded the ragged last columns of some blocks by
+    other code than in the one product."""
+    n, c, o, size = shape
+    for dtype, budgets in (
+        (np.float32, (1 << 19, 1 << 20, _DEFAULT_BLOCK_BYTES, 1 << 21)),
+        (np.float64, (_DEFAULT_BLOCK_BYTES,)),
+    ):
+        x = rng.standard_normal((n, c, size, size)).astype(dtype)
+        weight = rng.standard_normal((o, c * kernel * kernel)).astype(dtype)
+        bias = rng.standard_normal(o).astype(dtype)
+        args = (weight, bias, (kernel, kernel), stride, padding)
+        one_block, all_cols = conv2d(x, *args, whole=True)
+        assert all_cols.shape == (c * kernel**2, n * one_block.shape[2] * one_block.shape[3])
+        for budget in budgets:
+            monkeypatch.setattr(functional, "_BLOCK_BYTES", budget)
+            recycled = ConvWorkspace()  # used twice: its buffers are reused
+            for work, slot in ((None, None), (recycled, 0), (recycled, 0)):
+                out, cols = conv2d(x, *args, work=work, slot=slot)
+                assert out.dtype == one_block.dtype and out.tobytes() == one_block.tobytes()
+                assert cols is None or cols.tobytes() == all_cols.tobytes()
+            if (kernel, stride) == (3, 1):
+                assert cols is None  # the batch crossed the budget
+        monkeypatch.setattr(functional, "_BLOCK_BYTES", 1 << 19)
+        np.testing.assert_allclose(conv2d(x, *args)[0], one_block, rtol=_RTOL[dtype])
+
+
+def test_fused_and_interpreted_resnet_equal_the_one_block_forward(rng, monkeypatch):
+    """The EuroSAT QoI network's shape, whose first convs cross the
+    budget: both backends at the default budget and at one image per
+    block give the one-block forward's bytes."""
+    model = resnet18(in_channels=13, base_width=16, rng=rng, spectral=True, alpha_init=0.8)
+    model.eval()
+    x = rng.uniform(-1, 1, (12, 13, 24, 24)).astype(np.float32)
+    monkeypatch.setattr(functional, "_BLOCK_BYTES", _ONE_BLOCK)
+    one_block = model(x)
+    for budget in (_DEFAULT_BLOCK_BYTES, 1):
+        monkeypatch.setattr(functional, "_BLOCK_BYTES", budget)
+        forward = CompiledForward(model)
+        assert forward(x).tobytes() == one_block.tobytes()
+        assert forward.last_fallback_reason is None
+        assert model(x).tobytes() == one_block.tobytes()
+
+
+@pytest.mark.parametrize("layer_cls", [Conv2d, SpectralConv2d])
+def test_training_forward_unfolds_whole_whatever_the_budget(layer_cls, rng, monkeypatch):
+    """A training forward keeps every patch column for its backward, so
+    its output and the weight, bias and input gradients do not depend on
+    the block budget."""
+    x = rng.standard_normal((11, 16, 24, 24)).astype(np.float32)
+    grad_out = rng.standard_normal((11, 8, 24, 24)).astype(np.float32)
+    runs = []
+    for budget in (_ONE_BLOCK, 1):
+        monkeypatch.setattr(functional, "_BLOCK_BYTES", budget)
+        layer = layer_cls(16, 8, 3, padding=1, rng=np.random.default_rng(0))
+        layer.train()
+        out = layer(x)
+        assert layer._cols.shape == (16 * 9, 11 * 24 * 24)
+        grad_input = layer.backward(grad_out)
+        params = [p.grad for p in layer.parameters()]
+        runs.append([a.tobytes() for a in (out, grad_input, *params)])
+    assert runs[0] == runs[1]

@@ -3,6 +3,7 @@
 import os
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -185,6 +186,83 @@ def test_side_lane_borrowed_from_its_own_thread_goes_inline(monkeypatch):
         pass
     inner_thread, lane_thread = result()
     assert inner_thread is lane_thread is not threading.current_thread()
+    assert not lane._free.locked()
+
+
+def _hold(lane):
+    """``lane.beside`` of a callable that holds the lane from ``started``
+    until ``release`` is set, with the two events."""
+    started, release = threading.Event(), threading.Event()
+    return lane.beside(lambda: started.set() or release.wait(timeout=10)), started, release
+
+
+def test_side_lane_queues_behind_a_busy_lane_and_takes_back_what_it_did_not_start(
+    monkeypatch,
+):
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    lane = SideLane("unit-lane")
+    held, started, release = _hold(lane)
+    calls = []
+
+    def fn():
+        calls.append(threading.current_thread())
+        return len(calls)
+
+    with held as holder:
+        assert started.wait(timeout=10)
+        with lane.beside(fn) as queued:
+            assert queued is not fn  # queued behind the holder, not inline
+        # the body ended before the lane got to it: handed back, not run yet
+        assert calls == [] and lane._free.locked()
+        assert queued() == 1 and calls == [threading.current_thread()]
+        release.set()
+    assert holder() is True and not lane._free.locked()
+
+
+def test_side_lane_waits_for_a_queued_callable_it_started(monkeypatch):
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    lane = SideLane("unit-lane")
+    held, started, release = _hold(lane)
+    running, finished = threading.Event(), threading.Event()
+
+    def fn():
+        running.set()
+        time.sleep(0.05)
+        finished.set()
+        return threading.current_thread().name
+
+    with held:
+        assert started.wait(timeout=10)
+        with lane.beside(fn) as queued:
+            release.set()
+            assert running.wait(timeout=10)
+        assert finished.is_set()  # joined before the block was left
+    assert queued().startswith("unit-lane") and not lane._free.locked()
+
+
+@pytest.mark.parametrize("started_on_lane", [False, True])
+def test_an_error_of_a_queued_callable_surfaces_after_the_join(started_on_lane, monkeypatch):
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    lane = SideLane("unit-lane")
+    held, started, release = _hold(lane)
+    threads = []
+
+    def failing():
+        threads.append(threading.current_thread())
+        raise LookupError("queued")
+
+    with held:
+        assert started.wait(timeout=10)
+        with lane.beside(failing) as queued:
+            if started_on_lane:
+                release.set()
+                while not threads:
+                    time.sleep(0.001)
+        release.set()
+    with pytest.raises(LookupError, match="queued"):
+        queued()
+    assert len(threads) == 1
+    assert (threads[0] is threading.current_thread()) != started_on_lane
     assert not lane._free.locked()
 
 
