@@ -110,9 +110,9 @@ def _add_chunk_flags(sub, *, distributed: bool, workers_help: str) -> None:
     )
     sub.add_argument(
         "--max-retries", type=int, default=2,
-        help="retry budget per chunk before quarantine (supervised "
-        "process pool; quarantined chunks degrade to fallback-lossless "
-        "in-process; default: 2)",
+        help="retry budget per chunk before quarantine, on every executor "
+        "(quarantined chunks degrade to fallback-lossless in-process; "
+        "default: 2)",
     )
 
 

@@ -8,10 +8,13 @@ and the single path a chunk takes to a
 computes it, :meth:`~ChunkRun.commit` makes it durable where it was
 computed, :meth:`~ChunkRun.place` lands its rows in the slab and
 :meth:`~ChunkRun.result_from_record` rebuilds it from a journaled or
-remote record.  The serial loop, pool tasks, the quarantine rerun,
-checkpoint replay and the distributed merge are these calls;
-:func:`run_serial`, :func:`run_supervised` and :func:`run_distributed`
-only decide *where* they run, and the run's outputs are the slab itself.
+remote record.  Pool tasks, the quarantine rerun, checkpoint replay and
+the distributed merge are these calls; :func:`run_supervised` (inline
+for the serial executor, forked workers for the process one) and
+:func:`run_distributed` only decide *where* they run, and the run's
+outputs are the slab itself.  Every chunk computed on this host goes
+through the supervised pool, so retry and quarantine are the same on
+every single-host executor.
 ``InferencePipeline.execute_chunked`` and
 :class:`~repro.distrib.worker.ShardWorker` build the same ``ChunkRun``,
 which is why a coordinator and its workers agree on the manifest.
@@ -132,7 +135,9 @@ class ChunkRun:
                 "qoi_tolerance": float(plan.qoi_tolerance),
                 "input_tolerance": float(plan.input_tolerance),
                 "quant_bound": float(plan.quant_bound),
-                "policy": pipeline.on_corruption.value,
+                # pinned: recovery left the pipeline for the pool, and
+                # journals written before that must still resume
+                "policy": "raise",
                 "screen": bool(pipeline.screen),
                 "chunk_size": self.chunk_size,
                 "chunk_axis": self.chunk_axis,
@@ -371,19 +376,19 @@ class ChunkRun:
                 distrib_summary, remote = run_distributed(self, pending, journal, distrib)
                 results.update(remote)
                 pending = [i for i in pending if i not in results]
-            if pending and executor != "serial":
-                # "process", or what a distributed run with no (surviving)
-                # workers left behind (chaos is None there by construction)
+            if pending or executor != "distributed":
+                # serial, process, or what a distributed run with no
+                # (surviving) workers left behind (chaos is None there by
+                # construction)
                 supervision, outcomes = run_supervised(
-                    self, pending, journal, workers=n_workers, chaos=chaos,
-                    task_timeout=task_timeout, max_task_retries=max_task_retries,
+                    self, pending, journal, workers=1 if executor == "serial" else n_workers,
+                    chaos=chaos, task_timeout=task_timeout,
+                    max_task_retries=max_task_retries,
                 )
                 for index, outcome in outcomes.items():
                     if not outcome.inline:  # audited in a forked worker
                         _adopt_audit(outcome.result)
                     results[index] = outcome.result
-            elif pending:
-                results.update(run_serial(self, pending, journal))
 
             wall_seconds = time.perf_counter() - wall_start
             ordered = [results[index] for index in range(len(self.chunks))]
@@ -394,8 +399,6 @@ class ChunkRun:
             compressed_total = sum(len(r.blob.payload) for r in ordered)
             integrity = {
                 "screened": pipeline.screen,
-                "policy": pipeline.on_corruption.value,
-                "recoveries": sum(r.extra["integrity"].get("recoveries", 0) for r in ordered),
                 "degraded": any(r.extra["integrity"].get("degraded", False) for r in ordered),
             }
             aggregate_ratio = raw_total / compressed_total if compressed_total else float("inf")
@@ -452,21 +455,6 @@ def _adopt_audit(result: PipelineResult) -> None:
 # -- executors: where the chunk path runs -------------------------------------
 
 
-def run_serial(
-    run: ChunkRun, pending: "list[int]", journal: "CheckpointJournal | None" = None
-) -> "dict[int, PipelineResult]":
-    """Compute ``pending`` chunks in this process, in order."""
-    results = {}
-    for index in pending:
-        started = time.perf_counter()
-        result = run.run_chunk(index)
-        # commit as each chunk completes — a crash loses only in-flight
-        # work, never finished chunks
-        run.commit(journal, index, result, seconds=time.perf_counter() - started)
-        results[index] = run.place(index, result)
-    return results
-
-
 def run_supervised(
     run: ChunkRun,
     pending: "list[int]",
@@ -478,22 +466,24 @@ def run_supervised(
     chaos=None,
     label: str = "pipeline",
 ) -> "tuple[dict, dict]":
-    """Compute ``pending`` chunks on the supervised process pool.
+    """Compute ``pending`` chunks on the supervised pool, keyed by chunk
+    index: inline for ``workers <= 1``, else on forked workers.
 
     Each worker commits its own chunks (:meth:`ChunkRun.commit` runs in
     the child, which inherited the chunks and the slab by fork), then
     writes their rows to the slab: only the chunk index and the packed
     result — blob, scalars, audit — cross a pipe, and the parent
-    re-screens the rows where they landed.  Quarantined chunks are re-run
-    in the parent in degraded lossless mode — every chunk ends up
-    certified, some at compression ratio 1.  Returns the supervision
-    summary and one :class:`~repro.resilience.supervisor.TaskOutcome` per
-    chunk index: ``result`` is the chunk's result over its slab rows,
-    ``committed`` its journal entry.
+    re-screens the rows where they landed.  A failed chunk is retried
+    under ``max_task_retries``; a quarantined one re-runs in the parent
+    in degraded lossless mode — every chunk ends up certified, some at
+    compression ratio 1.  Returns the supervision summary and one
+    :class:`~repro.resilience.supervisor.TaskOutcome` per chunk index:
+    ``result`` is the chunk's result over its slab rows, ``committed``
+    its journal entry.
     """
 
-    def commit(task_id: int, result, attempts: int, seconds: float):
-        return run.commit(journal, pending[task_id], result, attempts=attempts, seconds=seconds)
+    def commit(index: int, result, attempts: int, seconds: float):
+        return run.commit(journal, index, result, attempts=attempts, seconds=seconds)
 
     pool = SupervisedPool(
         run.run_chunk,
@@ -501,20 +491,19 @@ def run_supervised(
         task_timeout=task_timeout,
         retry=RetryPolicy(max_retries=max_task_retries),
         chaos=chaos,
-        validate=lambda task_id, result: run.screen(pending[task_id], result),
+        validate=run.screen,
         commit=commit if journal is not None else None,
-        pack=lambda task_id, result: run.pack(pending[task_id], result),
+        pack=run.pack,
         label=label,
     )
     run.slab  # mapped before the pool forks
     report = pool.run(pending)
-    outcomes = {pending[position]: outcome for position, outcome in report.outcomes.items()}
+    outcomes = report.outcomes
     for index, outcome in outcomes.items():
         if not outcome.quarantined:
             outcome.result = run.place(index, outcome.result)
 
-    quarantined_chunks = [pending[position] for position in report.quarantined]
-    for index in quarantined_chunks:
+    for index in report.quarantined:
         outcome = outcomes[index]  # errored, quarantined: give it a result
         get_logger("pipeline").warning(
             "quarantined chunk degrading to fallback-lossless in-process",
@@ -529,10 +518,7 @@ def run_supervised(
             quarantined=True, seconds=outcome.seconds,
         )
 
-    summary = report.summary()
-    summary["quarantined"] = quarantined_chunks
-    summary["degraded_chunks"] = quarantined_chunks
-    return summary, outcomes
+    return report.summary(), outcomes
 
 
 def run_distributed(

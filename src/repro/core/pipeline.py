@@ -10,10 +10,10 @@ the user's tolerance — the paper's central claim.
 Runtime guards make that claim *checked*, not assumed: decompressed
 inputs and QoI outputs are screened for NaN/Inf, and the achieved input
 error is compared against the planned tolerance, raising a structured
-:class:`~repro.exceptions.ContractViolation` on breach.  A configurable
-``on_corruption`` policy (``raise`` / ``recompress-from-source`` /
-``fallback-lossless``) lets one corrupt decompression degrade a run
-instead of killing it.
+:class:`~repro.exceptions.ContractViolation` on breach.  ``execute``
+makes one attempt and raises the typed error; recovery — retry, then a
+lossless rerun of the chunk — is the supervised pool's, which is what
+``execute_chunked`` runs on every single-host executor.
 """
 
 from __future__ import annotations
@@ -25,25 +25,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..compress.base import CompressedBlob, Compressor, ErrorBoundMode, l2_norm
-from ..exceptions import (
-    CompressionError,
-    ConfigurationError,
-    IntegrityError,
-    PlanningError,
-    ReproError,
-)
+from ..exceptions import ConfigurationError, PlanningError, ReproError
 from ..nn.backend import CompiledForward, resolve_backend_name
 from ..nn.module import Module
 from ..obs import get_auditor, get_logger, get_metrics, get_tracer
 from ..perf.parallel import side_lane
 from ..quant.quantizer import QuantizedModel, quantize_model
 from ..resilience.guards import check_contract, screen_finite
-from ..resilience.policy import (
-    CorruptionPolicy,
-    record_recovery,
-    record_retry,
-    resolve_policy,
-)
+from ..resilience.policy import CorruptionPolicy, record_recovery
 from .planner import InferencePlan
 
 __all__ = ["PipelineResult", "InferencePipeline"]
@@ -104,15 +93,6 @@ class InferencePipeline:
     plan:
         Allocation produced by the planner; fixes the weight format and
         the compressor tolerance.
-    on_corruption:
-        Reaction when a decompressed input fails integrity screening:
-        ``"raise"`` (default) propagates the typed error;
-        ``"recompress-from-source"`` re-compresses the source fields and
-        retries (bounded by ``max_retries``); ``"fallback-lossless"``
-        swaps in a lossless blob of the source fields.
-    max_retries:
-        Recompression attempts before falling through to a lossless blob
-        (recompress policy) or the error (raise policy).
     screen:
         Disable to skip NaN/Inf screening and contract checking
         (measurement-only runs on data known to be dirty).
@@ -138,8 +118,6 @@ class InferencePipeline:
         model: Module,
         codec: Compressor,
         plan: InferencePlan,
-        on_corruption: "CorruptionPolicy | str" = CorruptionPolicy.RAISE,
-        max_retries: int = 1,
         screen: bool = True,
         backend: "str | None" = None,
         instrument_ops: "bool | None" = None,
@@ -147,8 +125,6 @@ class InferencePipeline:
         self.model = model
         self.codec = codec
         self.plan = plan
-        self.on_corruption = resolve_policy(on_corruption)
-        self.max_retries = int(max_retries)
         self.screen = screen
         self.backend = resolve_backend_name(backend)
         self.instrument_ops = instrument_ops
@@ -196,92 +172,43 @@ class InferencePipeline:
 
     def _store_and_load(
         self, fields: np.ndarray, force_lossless: bool = False
-    ) -> tuple[CompressedBlob, np.ndarray, float, float, int, dict]:
-        """Compress + decompress under the degradation policy.
+    ) -> tuple[CompressedBlob, np.ndarray, float, float, dict]:
+        """Compress + decompress once; a failed screen raises.
 
         Returns ``(blob, reconstruction, compress_s, decompress_s,
-        recoveries, spans)`` where ``recoveries`` counts policy
-        activations and ``spans`` holds the compress/decompress trace
-        spans for post-hoc attribute enrichment (observed errors are only
+        spans)``; ``spans`` holds the compress/decompress trace spans for
+        post-hoc attribute enrichment (observed errors are only
         measurable once the reconstruction is compared to the source).
 
-        ``force_lossless`` skips the codec entirely and goes straight to
-        the degraded lossless blob — the quarantine path for a chunk the
-        supervised pool gave up on.
+        ``force_lossless`` skips the codec entirely and stores the fields
+        losslessly — the rerun of a chunk the supervised pool quarantined,
+        counted as a ``fallback-lossless`` recovery.
         """
         tracer = get_tracer()
         predicted = float(self.plan.input_tolerance)
-        recoveries = 0
-        failure: Exception | None = None
         spans: dict = {}
-        for attempt in range(0 if force_lossless else self.max_retries + 1):
-            if attempt:
-                record_retry("pipeline")
+        compress_seconds = 0.0
+        if force_lossless:
+            blob = self._lossless_blob(fields)
+        else:
             start = time.perf_counter()
             with tracer.span(
-                "pipeline.compress",
-                codec=self.codec.name,
-                attempt=attempt,
-                predicted_bound=predicted,
+                "pipeline.compress", codec=self.codec.name, predicted_bound=predicted
             ) as span:
                 blob = self.store(fields)
                 span.set(compression_ratio=blob.compression_ratio)
             spans["compress"] = span
             compress_seconds = time.perf_counter() - start
-            start = time.perf_counter()
-            span = tracer.span(
-                "pipeline.decompress",
-                codec=self.codec.name,
-                attempt=attempt,
-                predicted_bound=predicted,
-            )
-            try:
-                with span:
-                    reconstructed = self.load(blob)
-                spans["decompress"] = span
-                if recoveries:
-                    record_recovery(self.on_corruption, "pipeline")
-                return (
-                    blob,
-                    reconstructed,
-                    compress_seconds,
-                    time.perf_counter() - start,
-                    recoveries,
-                    spans,
-                )
-            except (IntegrityError, CompressionError) as exc:
-                spans["decompress"] = span
-                if self.on_corruption is CorruptionPolicy.RAISE:
-                    raise
-                failure = exc
-                recoveries += 1
-                if self.on_corruption is CorruptionPolicy.FALLBACK_LOSSLESS:
-                    break
-        # recompression kept failing (or the policy is lossless): degrade.
-        if not force_lossless:
-            record_retry("pipeline")
-        blob = self._lossless_blob(fields)
         start = time.perf_counter()
-        span = tracer.span(
-            "pipeline.decompress",
-            codec=self.codec.name,
-            degraded=True,
-            predicted_bound=predicted,
-        )
-        try:
-            with span:
-                reconstructed = self.load(blob)
-        except (IntegrityError, CompressionError) as exc:
-            raise IntegrityError(
-                "pipeline could not recover a clean reconstruction even "
-                f"losslessly (policy {self.on_corruption.value!r}): {exc}"
-            ) from (failure or exc)
+        with tracer.span(
+            "pipeline.decompress", codec=self.codec.name, predicted_bound=predicted,
+            degraded=force_lossless,
+        ) as span:
+            reconstructed = self.load(blob)
         spans["decompress"] = span
-        record_recovery(
-            CorruptionPolicy.FALLBACK_LOSSLESS if force_lossless else self.on_corruption,
-            "pipeline",
-        )
-        return blob, reconstructed, 0.0, time.perf_counter() - start, recoveries, spans
+        if force_lossless:
+            record_recovery(CorruptionPolicy.FALLBACK_LOSSLESS, "pipeline")
+        return blob, reconstructed, compress_seconds, time.perf_counter() - start, spans
 
     def execute(
         self,
@@ -310,7 +237,8 @@ class InferencePipeline:
             to treating axis 0 as the variable axis of a field workload.
         force_lossless:
             Skip the lossy codec and store the fields losslessly — the
-            degraded mode quarantined chunks fall back to.
+            degraded mode quarantined chunks fall back to.  Without it a
+            corrupt decompression raises its typed error.
 
         Returns
         -------
@@ -330,7 +258,6 @@ class InferencePipeline:
             codec=self.codec.name,
             norm=self.plan.norm,
             fmt=self.plan.fmt.name,
-            policy=self.on_corruption.value,
         ) as root:
             if self.screen:
                 screen_finite(fields, stage="source", name="fields")
@@ -350,7 +277,7 @@ class InferencePipeline:
             with side_lane().beside(
                 reference_side, nbytes=getattr(fields, "nbytes", 0)
             ) as reference_result:
-                blob, reconstructed, compress_seconds, decompress_seconds, recoveries, spans = (
+                blob, reconstructed, compress_seconds, decompress_seconds, spans = (
                     self._store_and_load(fields, force_lossless=force_lossless)
                 )
 
@@ -377,8 +304,6 @@ class InferencePipeline:
 
             integrity: dict = {
                 "screened": self.screen,
-                "policy": self.on_corruption.value,
-                "recoveries": recoveries,
                 "degraded": bool(blob.metadata.get("degraded", False)),
             }
             # The codec's contract is over the stored field array in its
@@ -486,7 +411,6 @@ class InferencePipeline:
             record.metadata = {
                 "compression_ratio": float(result.compression_ratio),
                 "degraded": bool(integrity.get("degraded", False)),
-                "recoveries": int(integrity.get("recoveries", 0)),
                 "samples": int(len(samples)),
             }
             auditor.record_run(record)
@@ -561,9 +485,10 @@ class InferencePipeline:
         samples_from_fields:
             Same reshaping callable as :meth:`execute`, applied per chunk.
         executor:
-            ``"serial"`` — in-process loop; ``"process"`` — fork-based
-            :class:`~repro.resilience.supervisor.SupervisedPool`
-            (deadlines, respawn, retry/backoff, quarantine, breaker);
+            ``"serial"`` — the :class:`~repro.resilience.supervisor.
+            SupervisedPool`'s in-process loop (retry/backoff,
+            quarantine); ``"process"`` — the same pool over forked
+            workers (plus deadlines, respawn, breaker);
             ``"distributed"`` — chunks leased to remote workers by a
             :class:`~repro.distrib.coordinator.ShardCoordinator`,
             degrading to the local pool if no worker joins; ``"auto"``
@@ -580,10 +505,10 @@ class InferencePipeline:
             chunks — reference outputs are recomputed and must reproduce
             the journaled QoI error — and compute only the rest.
         task_timeout:
-            Per-chunk deadline in seconds (process executor), from when
+            Per-chunk deadline in seconds (forked workers only), from when
             a worker starts the chunk; expiry kills it and retries the chunk.
         max_task_retries:
-            Retry budget per chunk before quarantine (process executor);
+            Retry budget per chunk before quarantine, on every executor;
             a quarantined chunk re-runs in the parent in degraded
             lossless mode instead of failing the run.
         chaos:
@@ -600,8 +525,9 @@ class InferencePipeline:
             Concatenated outputs; stage timings summed over chunks, input
             errors slab-wise maxima (exact for pointwise norms), ``blob``
             the first chunk's, and ``extra`` with ``"chunked"`` (pool
-            configuration + aggregate ratio), ``"supervision"``,
-            ``"distrib"`` and ``"checkpoint"`` (path + replay counts).
+            configuration + aggregate ratio), ``"supervision"`` (whenever
+            a chunk was computed here), ``"distrib"`` and ``"checkpoint"``
+            (path + replay counts).
         """
         if not self._mode.is_pointwise:
             raise PlanningError(
@@ -654,7 +580,6 @@ class InferencePipeline:
             predicted_bound=float(self.plan.qoi_tolerance),
             observed_error=qoi_error,
             input_error=input_error,
-            recoveries=result.extra["integrity"]["recoveries"],
             degraded=result.extra["integrity"]["degraded"],
         )
         metrics.counter("pipeline_executions_total", codec=self.codec.name).inc()

@@ -26,8 +26,8 @@ leased chunk through the PR-6 machinery it already trusts:
 Chaos: ``kill`` and ``disconnect`` rules are fired by the agent itself
 (SIGKILL the whole process / sever the coordinator connection), keyed by
 *chunk index* with one attempt counted per lease of that chunk.  All
-other rules are forwarded to the supervised pool, translated so they
-also match chunk indices rather than shard-relative positions.
+other rules are forwarded to the supervised pool, whose task ids are
+chunk indices too.
 """
 
 from __future__ import annotations
@@ -68,21 +68,6 @@ _MAX_CONSECUTIVE_FAILURES = 10
 
 #: cap on server-suggested wait naps, so drain is never far away
 _MAX_WAIT_NAP = 1.0
-
-
-class _TranslatedChaos:
-    """Adapter mapping pool task positions back to chunk indices, so a
-    ``raise@2`` rule means "chunk 2" in a distributed worker too."""
-
-    def __init__(self, inner: ChaosInjector, chunk_ids: "list[int]") -> None:
-        self._inner = inner
-        self._chunk_ids = chunk_ids
-
-    def before_task(self, task_id: int, attempt: int) -> None:
-        self._inner.before_task(self._chunk_ids[task_id], attempt)
-
-    def after_task(self, task_id: int, attempt: int, result):
-        return self._inner.after_task(self._chunk_ids[task_id], attempt, result)
 
 
 class _Heartbeat:
@@ -325,9 +310,16 @@ class ShardWorker:
     # -- lease handling ----------------------------------------------------
 
     def _serve_lease(self, conn: FrameSocket, lease: dict, summary: dict) -> None:
-        lease_id = int(lease["lease"])
-        ttl = float(lease.get("ttl", 15.0))
-        chunk_ids = [int(c) for c in lease.get("chunks", [])]
+        # a malformed lease is the coordinator's protocol fault: the
+        # worker reconnects, as for any other, instead of dying
+        try:
+            lease_id = int(lease["lease"])
+            ttl = float(lease.get("ttl", 15.0))
+            chunk_ids = [int(c) for c in lease.get("chunks", [])]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ProtocolError(f"malformed lease {lease!r}: {exc!r}") from None
+        if len(set(chunk_ids)) != len(chunk_ids):
+            raise ProtocolError(f"lease {lease_id} names a chunk twice: {chunk_ids}")
         for chunk in chunk_ids:
             if not 0 <= chunk < len(self.chunk_run.chunks):
                 raise ProtocolError(f"leased unknown chunk {chunk}")
@@ -391,7 +383,7 @@ class ShardWorker:
                     f"injected partition on chunk {chunk} attempt {attempt}"
                 )
 
-    def _pool_chaos(self, chunk_ids: "list[int]"):
+    def _pool_chaos(self):
         if self.chaos is None:
             return None
         rules = [
@@ -399,9 +391,7 @@ class ShardWorker:
             for rule in self.chaos.rules
             if rule.action not in ("kill", "disconnect")
         ]
-        if not rules:
-            return None
-        return _TranslatedChaos(ChaosInjector(rules), chunk_ids)
+        return ChaosInjector(rules) if rules else None
 
     def _compute(self, chunk_ids: "list[int]") -> None:
         """PR-6 semantics, locally: the single-host supervised-pool path
@@ -411,7 +401,7 @@ class ShardWorker:
         _summary, outcomes = run_supervised(
             self.chunk_run, chunk_ids, self._journal, workers=self.workers,
             task_timeout=self.task_timeout, max_task_retries=self.max_task_retries,
-            chaos=self._pool_chaos(chunk_ids), label=self.name,
+            chaos=self._pool_chaos(), label=self.name,
         )
         self._local.update(
             (index, outcome.committed) for index, outcome in outcomes.items()

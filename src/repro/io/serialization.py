@@ -93,20 +93,21 @@ def atomic_write_bytes(path: str, data: bytes) -> None:
     """Write ``data`` to ``path`` atomically (temp file + fsync + rename).
 
     A reader never observes a half-written file: it sees either the old
-    content or the new, which is what checkpoint manifests rely on when
-    a run is killed mid-write.
+    content or the new, which is what checkpoint manifests and store
+    entries rely on when a run is killed mid-write.  A failed write,
+    sync or rename leaves ``path`` untouched and removes the temp file.
     """
     directory = os.path.dirname(os.path.abspath(path))
     tmp_path = os.path.join(directory, f".{os.path.basename(path)}.tmp.{os.getpid()}")
     fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
     try:
-        os.write(fd, data)
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-    try:
+        try:
+            os.write(fd, data)
+            os.fsync(fd)
+        finally:
+            os.close(fd)
         os.replace(tmp_path, path)
-    except OSError:
+    except BaseException:
         try:
             os.unlink(tmp_path)
         finally:

@@ -19,7 +19,6 @@ provider with :meth:`attach_source`.
 from __future__ import annotations
 
 import os
-import tempfile
 from dataclasses import dataclass
 from typing import Callable
 
@@ -34,7 +33,7 @@ from ..resilience.policy import (
     record_retry,
     resolve_policy,
 )
-from .serialization import blob_from_bytes, blob_to_bytes
+from .serialization import atomic_write_bytes, blob_from_bytes, blob_to_bytes
 
 __all__ = ["DatasetStore"]
 
@@ -120,7 +119,7 @@ class DatasetStore:
             "store.put", entry=name, codec=codec.name, tolerance=float(tolerance)
         ) as span:
             blob = codec.compress(array, tolerance, mode)
-            self._write_blob(path, blob)
+            atomic_write_bytes(path, blob_to_bytes(blob))
             span.set(compression_ratio=blob.compression_ratio, payload_bytes=blob.nbytes)
         self._contracts[name] = _Contract(float(tolerance), mode, codec.name)
         if keep_source:
@@ -128,18 +127,6 @@ class DatasetStore:
             frozen.setflags(write=False)
             self._sources[name] = lambda: frozen
         return blob
-
-    def _write_blob(self, path: str, blob: CompressedBlob) -> None:
-        payload = blob_to_bytes(blob)
-        fd, temp_path = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(payload)
-            os.replace(temp_path, path)
-        except BaseException:
-            if os.path.exists(temp_path):
-                os.unlink(temp_path)
-            raise
 
     def attach_source(self, name: str, provider: Callable[[], np.ndarray]) -> None:
         """Register a zero-argument callable reproducing ``name``'s data.
@@ -218,7 +205,7 @@ class DatasetStore:
             )
         else:  # RECOMPRESS
             blob = codec.compress(array, contract.tolerance, contract.mode)
-        self._write_blob(self._path(name), blob)
+        atomic_write_bytes(self._path(name), blob_to_bytes(blob))
         self._contracts[name] = contract
         return True
 

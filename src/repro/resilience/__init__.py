@@ -9,9 +9,8 @@ subsystem makes the pipeline's error contract *enforceable at runtime*:
 * :mod:`~repro.resilience.guards` — runtime checks (finite screening,
   achieved-error-vs-contract) raising structured typed errors;
 * :mod:`~repro.resilience.policy` — graceful-degradation policies
-  (``raise`` / ``recompress-from-source`` / ``fallback-lossless``)
-  shared by :class:`~repro.io.store.DatasetStore` and
-  :class:`~repro.core.pipeline.InferencePipeline`;
+  (``raise`` / ``recompress-from-source`` / ``fallback-lossless``) of
+  :class:`~repro.io.store.DatasetStore`, and the recovery counters;
 * :mod:`~repro.resilience.retry` — bounded exponential backoff with
   deterministic jitter (:class:`RetryPolicy`, :func:`retry_call`);
 * :mod:`~repro.resilience.supervisor` — fault-tolerant process-based

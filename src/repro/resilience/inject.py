@@ -21,7 +21,6 @@ import copy
 import os
 import signal
 import struct
-import tempfile
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterator
@@ -29,6 +28,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from ..exceptions import ConfigurationError
+from ..io.serialization import atomic_write_bytes
 
 __all__ = [
     "flip_bit",
@@ -140,17 +140,7 @@ def corrupt_file(path: str, injector: Callable[[bytes], bytes]) -> None:
     """Apply a byte-level injector to a file in place (atomic rewrite)."""
     with open(path, "rb") as handle:
         data = handle.read()
-    corrupted = injector(data)
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, temp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(corrupted)
-        os.replace(temp_path, path)
-    except BaseException:
-        if os.path.exists(temp_path):
-            os.unlink(temp_path)
-        raise
+    atomic_write_bytes(path, injector(data))
 
 
 # -- corruption matrix ------------------------------------------------------

@@ -43,8 +43,8 @@ supervision a long-running production run needs:
   deterministic jitter), never hammered;
 * **poison-task quarantine** — a task that keeps failing after its
   retry budget is quarantined instead of sinking the run; the caller
-  decides how to degrade it (the pipeline falls back to lossless,
-  serial execution via :mod:`repro.resilience.policy`);
+  decides how to degrade it (a chunked run re-runs the chunk losslessly
+  in-process);
 * **circuit breaker** — too many worker deaths trip the breaker: the
   pool is abandoned and every remaining task runs serially in-process,
   so a sick host degrades to slow, never to failed.
@@ -56,9 +56,10 @@ ride back with each result and are merged into the parent registry, so
 `pipeline_executions_total` and friends stay accurate across process
 boundaries.
 
-Ordering guarantee: task ids are list indices and the report exposes
-results in id order, so supervised and serial execution produce
-identical assembled outputs.
+Task ids are the caller's own (a chunked run's are chunk indices): the
+pool hands each id itself to ``task_fn``, the chaos hooks, ``validate``,
+``commit`` and ``pack``, keys its report by it, and exposes results in
+id order, so supervised and inline execution assemble identical outputs.
 """
 
 from __future__ import annotations
@@ -210,10 +211,10 @@ class SupervisedPool:
     Parameters
     ----------
     task_fn:
-        Callable executed as ``task_fn(payload)`` inside a worker.
+        Callable executed as ``task_fn(task_id)`` inside a worker.
         Thanks to fork inheritance it may be a closure over arbitrarily
         heavy state (models, chunk arrays) — nothing is pickled except
-        task payloads and results.
+        task ids and results.
     workers:
         Pool size; ``<= 1`` (or a fork-less platform) runs every task
         inline in-process — supervision bookkeeping without processes.
@@ -289,20 +290,25 @@ class SupervisedPool:
 
     # -- public entry point ------------------------------------------------
 
-    def run(self, payloads) -> SupervisionReport:
-        """Execute every payload under supervision.
+    def run(self, task_ids) -> SupervisionReport:
+        """Execute every task under supervision.
 
-        Returns a :class:`SupervisionReport`; quarantined tasks appear in
-        ``report.quarantined`` with an errored :class:`TaskOutcome`.
+        ``task_ids`` must be distinct; a duplicate is refused with
+        :class:`~repro.exceptions.ConfigurationError`.  Returns a
+        :class:`SupervisionReport` keyed by task id; quarantined tasks
+        appear in ``report.quarantined`` with an errored
+        :class:`TaskOutcome`.
         """
-        tasks = list(payloads)
+        tasks = list(task_ids)
+        if len(set(tasks)) != len(tasks):
+            raise ConfigurationError(f"task ids must be distinct, got {tasks}")
         report = SupervisionReport(workers=self.workers)
         if not tasks:
             return report
         if self.workers <= 1 or not fork_available():
             report.executor = "inline"
             report.workers = 1
-            self._run_inline(range(len(tasks)), tasks, report, {})
+            self._run_inline(tasks, report, {})
             return report
         tracer = get_tracer()
         with tracer.span(
@@ -314,7 +320,7 @@ class SupervisedPool:
 
     # -- inline (serial / degraded) execution ------------------------------
 
-    def _run_inline(self, task_ids, tasks, report, attempts_used) -> None:
+    def _run_inline(self, task_ids, report, attempts_used) -> None:
         """Serial in-process execution with the same retry/quarantine
         semantics; used for ``workers <= 1`` and after a breaker trip.
         Chaos is never applied here — it models *worker* faults, and the
@@ -326,7 +332,7 @@ class SupervisedPool:
                 started = time.perf_counter()
                 attempt += 1
                 try:
-                    result = self.task_fn(tasks[task_id])
+                    result = self.task_fn(task_id)
                     if self.validate is not None:
                         self.validate(task_id, result)
                     seconds = time.perf_counter() - started
@@ -356,7 +362,7 @@ class SupervisedPool:
         workers = {slot: self._spawn(ctx, slot) for slot in range(self.workers)}
 
         n = len(tasks)
-        ready: list = [(0.0, task_id, 0) for task_id in range(n)]
+        ready: list = [(0.0, task_id, 0) for task_id in tasks]
         heapq.heapify(ready)
         failures: "dict[int, int]" = {}
         metrics = get_metrics()
@@ -468,7 +474,7 @@ class SupervisedPool:
                             __, task_id, attempt = heapq.heappop(ready)
                             worker.inflight[task_id] = attempt
                             try:
-                                worker.tasks.send((task_id, attempt, tasks[task_id]))
+                                worker.tasks.send((task_id, attempt))
                             except OSError:  # the death the next sweep would find
                                 respawn(slot, "worker died")
                                 break
@@ -509,14 +515,12 @@ class SupervisedPool:
 
         if self.breaker.tripped:
             report.breaker_tripped = True
-            remaining = [
-                task_id for task_id in range(n) if task_id not in report.outcomes
-            ]
+            remaining = [task_id for task_id in tasks if task_id not in report.outcomes]
             _LOG.warning(
                 "executing remaining tasks serially in-process",
                 remaining=len(remaining), in_flight=in_flight,
             )
-            self._run_inline(remaining, tasks, report, dict(failures))
+            self._run_inline(remaining, report, dict(failures))
 
     # -- helpers -----------------------------------------------------------
 
@@ -636,7 +640,7 @@ class SupervisedPool:
             message = tasks.recv()
             if message is None:
                 break
-            task_id, attempt, payload = message
+            task_id, attempt = message
             # blocking sends: a report is whole in the pipe before this
             # worker can die in a later task
             reports.send(("start", task_id))
@@ -644,7 +648,7 @@ class SupervisedPool:
             try:
                 if self.chaos is not None:
                     self.chaos.before_task(task_id, attempt)
-                result = self.task_fn(payload)
+                result = self.task_fn(task_id)
                 if self.chaos is not None:
                     result = self.chaos.after_task(task_id, attempt, result)
                 seconds = time.perf_counter() - started

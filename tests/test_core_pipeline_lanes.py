@@ -148,7 +148,8 @@ def test_lane_equals_inline_on_the_workload_models(case):
 def test_split_quantized_forward_equals_the_one_cpu_execute(case):
     """The second ``execute`` of a pipeline (the first compiled and probed)
     runs its quantized forward as two halves, one of them on the lane the
-    reference forward has left by then; the conv model stays whole."""
+    reference forward has left by then; the conv model's split is kept or
+    refused for its bytes."""
     model, plan, fields, reshape = (
         _eurosat_case() if case == "eurosat" else _workload_case(case)
     )
@@ -182,15 +183,20 @@ def test_split_quantized_forward_equals_the_one_cpu_execute(case):
     assert calls == [(main, n)] and "split" not in alone.extra["backend"]
     two_lanes, one_lane = tracer.find("pipeline.inference")
     assert one_lane.attributes["lanes"] == 1
-    if case == "eurosat":
-        assert on_two == [(main, n)] and "split" not in both.extra["backend"]
-        assert two_lanes.attributes["lanes"] == 1
+    if case == "eurosat" and "split" not in both.extra["backend"]:
+        # the conv probe keeps a split on equal bytes only: a BLAS whose
+        # 3 + 3 images round otherwise than 6 refuses it, and the call
+        # stays whole
+        assert kernel.split_rejections.get("bytes", 0) >= 1
+        assert on_two == [(main, n)] and two_lanes.attributes["lanes"] == 1
         assert pipe._forward_quant.stats["splits"] == 0
+        return
+    assert two_lanes.attributes["lanes"] == 2
+    if case == "eurosat":  # kept: ``assert_same_result`` checked its bytes
         return
     cut = fused._cut(n)
     assert both.extra["backend"]["split"] == [cut, n - cut]
     assert on_two == sorted([(main, cut), (_LANE_THREAD + "_0", n - cut)])
-    assert two_lanes.attributes["lanes"] == 2
     assert pipe._forward_quant.stats["splits"] == 1
     assert metrics.value("backend_split_calls_total", backend="fused") == 1
 

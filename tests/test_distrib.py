@@ -982,6 +982,26 @@ def test_every_executor_certifies_the_same_computation(distrib_setup, tmp_path):
     assert degraded_entries[2]["input_error_linf"] == 0.0
 
 
+@pytest.mark.parametrize(
+    "lease",
+    [
+        {"type": "lease", "chunks": [0]},
+        {"type": "lease", "lease": 1, "chunks": ["x"]},
+        {"type": "lease", "lease": 1, "chunks": [0], "ttl": None},
+        {"type": "lease", "lease": 1, "chunks": [1, 1]},
+    ],
+    ids=["no-lease-id", "non-integer-chunk", "non-numeric-ttl", "repeated-chunk"],
+)
+def test_worker_rejects_a_malformed_lease_as_a_protocol_error(distrib_setup, tmp_path, lease):
+    """Coordinator input the worker cannot serve is a protocol fault, which
+    ``run`` answers with a reconnect: not a KeyError, ValueError or
+    TypeError that kills the worker, nor a lease that reaches the pool."""
+    pipeline, fields, _, _, _ = distrib_setup
+    worker = ShardWorker(pipeline, fields, 8, chunk_axis=1, checkpoint=str(tmp_path / "w"))
+    with pytest.raises(ProtocolError, match="lease"):
+        worker._serve_lease(None, lease, {})
+
+
 def test_worker_and_coordinator_build_the_same_run_identity(distrib_setup, tmp_path):
     """A shard worker's manifest is ``ChunkRun(...).manifest`` for the
     coordinator's arguments, and moves with each thing the handshake

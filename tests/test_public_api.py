@@ -120,9 +120,12 @@ def test_package_line_count_only_goes_down():
     chunked store and the CLI's re-derived plan, sample layout and
     dispatch took it to 19,158; the conv forward's half batch on the side
     lane, the lane's queue and the conv unfold blocks cost 46 lines, of
-    which deleting the two dead blob aliases paid 6, so 19,198); lower the
-    ceiling when it shrinks."""
-    assert _python_lines(os.path.dirname(inspect.getsourcefile(repro))) <= 19198
+    which deleting the two dead blob aliases paid 6, so 19,198; one
+    recovery layer — the pipeline's retry policy, the separate serial
+    chunk loop, the pool's position-to-chunk translations and the store's
+    and the injector's private atomic writers deleted — took it to
+    19,080); lower the ceiling when it shrinks."""
+    assert _python_lines(os.path.dirname(inspect.getsourcefile(repro))) <= 19080
 
 
 def test_obs_line_count_only_goes_down():

@@ -24,7 +24,7 @@ from repro.exceptions import (
     ContractViolation,
     IntegrityError,
 )
-from repro.io import DatasetStore, blob_from_bytes, blob_to_bytes
+from repro.io import DatasetStore, atomic_write_bytes, blob_from_bytes, blob_to_bytes
 from repro.resilience import (
     CorruptionPolicy,
     FaultInjector,
@@ -302,9 +302,35 @@ def test_store_crash_safety_no_torn_file(tmp_path, smooth_field_2d, monkeypatch)
     monkeypatch.undo()
     assert "f" not in store
     assert store.names() == []
-    assert not [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
+    assert not [p for p in tmp_path.iterdir() if ".tmp" in p.name]
     # the store still works afterwards
     store.put("f", smooth_field_2d, tolerance=1e-3)
+    assert store.verify("f")
+
+
+def test_failed_fsync_leaves_the_target_and_no_temp_file(tmp_path, smooth_field_2d, monkeypatch):
+    """Store writes and the corruption injector share the one atomic
+    writer: a failed ``fsync`` leaves the entry as it was, and the temp
+    file is gone."""
+    store = DatasetStore(str(tmp_path))
+    store.put("f", smooth_field_2d, tolerance=1e-3)
+    path = _rblob_path(store, "f")
+    before = open(path, "rb").read()
+
+    def failing_fsync(fd):
+        raise OSError("simulated fsync failure")
+
+    monkeypatch.setattr(os, "fsync", failing_fsync)
+    for write in (
+        lambda: atomic_write_bytes(path, b"new bytes"),
+        lambda: store.put("f", smooth_field_2d * 2, tolerance=1e-3),
+        lambda: corrupt_file(path, lambda b: corrupt_payload_byte(b, 0)),
+    ):
+        with pytest.raises(OSError, match="fsync"):
+            write()
+        assert open(path, "rb").read() == before
+        assert not [p.name for p in tmp_path.iterdir() if ".tmp" in p.name]
+    monkeypatch.undo()
     assert store.verify("f")
 
 
@@ -345,8 +371,9 @@ def test_pipeline_records_integrity_report(planned, field_batch):
     pipe = InferencePipeline(model, SZCompressor(), plan)
     result = pipe.execute(field_batch)
     report = result.extra["integrity"]
-    assert report["screened"] is True
-    assert report["recoveries"] == 0 and report["degraded"] is False
+    assert report["screened"] is True and report["degraded"] is False
+    # recovery is the supervised pool's: the pipeline keeps no policy
+    assert "policy" not in report and "recoveries" not in report
     contract = report["input_contract"]
     assert contract["achieved"] <= contract["expected"]
 
@@ -365,68 +392,68 @@ def test_pipeline_screens_poisoned_decompression(planned, field_batch, monkeypat
         pipe.execute(field_batch)
 
 
-def test_pipeline_fallback_lossless_recovers(planned, field_batch, monkeypatch):
-    model, plan = planned
+# A chunk whose decompression fails is the supervised pool's to recover:
+# retried, then quarantined and re-run losslessly.  A one-chunk serial
+# execute_chunked is that recovery for a whole field.
+def _one_chunk(pipe, fields, **kwargs):
+    return pipe.execute_chunked(
+        fields, chunk_size=fields.shape[1], chunk_axis=1, executor="serial", **kwargs
+    )
+
+
+def _poisoned_lossy_decompress(monkeypatch, fails=None):
+    """Poison every lossy decompression (or the first ``fails``); the
+    lossless rerun reads clean.  Returns the count of lossy decodes."""
     original = SZCompressor.decompress
+    lossy = {"n": 0}
 
     def poisoning(self, blob):
         data = original(self, blob)
         if blob.metadata.get("lossless"):
-            return data  # the degraded path reads clean
-        return poison_nan(data, fraction=0.02, seed=5)
-
-    monkeypatch.setattr(SZCompressor, "decompress", poisoning)
-    pipe = InferencePipeline(
-        model, SZCompressor(), plan, on_corruption="fallback-lossless"
-    )
-    result = pipe.execute(field_batch)
-    report = result.extra["integrity"]
-    assert report["degraded"] is True and report["recoveries"] == 1
-    assert result.input_error_linf == 0.0  # lossless blob: exact inputs
-    assert np.isfinite(result.outputs).all()
-
-
-def test_pipeline_recompress_retries_transient_fault(planned, field_batch, monkeypatch):
-    model, plan = planned
-    original = SZCompressor.decompress
-    state = {"fails": 1}
-
-    def flaky(self, blob):
-        data = original(self, blob)
-        if state["fails"] > 0 and not blob.metadata.get("lossless"):
-            state["fails"] -= 1
-            return poison_inf(data, fraction=0.01, seed=2)
+            return data
+        lossy["n"] += 1
+        if fails is None or lossy["n"] <= fails:
+            return poison_nan(data, fraction=0.02, seed=5)
         return data
 
-    monkeypatch.setattr(SZCompressor, "decompress", flaky)
-    pipe = InferencePipeline(
-        model, SZCompressor(), plan, on_corruption="recompress-from-source"
-    )
-    result = pipe.execute(field_batch)
-    report = result.extra["integrity"]
-    assert report["recoveries"] == 1
-    assert report["degraded"] is False  # the retry succeeded lossily
+    monkeypatch.setattr(SZCompressor, "decompress", poisoning)
+    return lossy
+
+
+def test_serial_chunked_run_quarantines_a_poisoned_chunk(planned, field_batch, monkeypatch):
+    model, plan = planned
+    lossy = _poisoned_lossy_decompress(monkeypatch)
+    result = _one_chunk(InferencePipeline(model, SZCompressor(), plan), field_batch)
+    assert lossy["n"] == 3  # the first attempt and two retries
+    assert result.extra["supervision"]["quarantined"] == [0]
+    assert result.extra["supervision"]["retries"] == 2
+    assert result.extra["integrity"]["degraded"] is True
+    assert result.input_error_linf == 0.0  # lossless blob: exact inputs
+    assert np.isfinite(result.outputs).all()
+    assert result.qoi_error("linf", relative=False) <= plan.qoi_tolerance
+
+
+def test_serial_chunked_run_retries_a_transient_fault(planned, field_batch, monkeypatch):
+    model, plan = planned
+    lossy = _poisoned_lossy_decompress(monkeypatch, fails=1)
+    result = _one_chunk(InferencePipeline(model, SZCompressor(), plan), field_batch)
+    assert lossy["n"] == 2
+    supervision = result.extra["supervision"]
+    assert supervision["retries"] == 1 and supervision["quarantined"] == []
+    assert result.extra["integrity"]["degraded"] is False  # the retry succeeded lossily
     assert result.qoi_error("linf", relative=False) <= 1e-2
 
 
-def test_pipeline_recompress_degrades_after_budget(planned, field_batch, monkeypatch):
-    """When every lossy attempt fails, recompression degrades to lossless."""
+def test_serial_chunked_run_without_retries_degrades_at_once(planned, field_batch, monkeypatch):
     model, plan = planned
-    original = SZCompressor.decompress
-
-    def always_poisoned(self, blob):
-        data = original(self, blob)
-        if blob.metadata.get("lossless"):
-            return data
-        return poison_nan(data, fraction=0.01, seed=4)
-
-    monkeypatch.setattr(SZCompressor, "decompress", always_poisoned)
-    pipe = InferencePipeline(
-        model, SZCompressor(), plan, on_corruption="recompress-from-source", max_retries=2
+    lossy = _poisoned_lossy_decompress(monkeypatch)
+    result = _one_chunk(
+        InferencePipeline(model, SZCompressor(), plan), field_batch, max_task_retries=0
     )
-    result = pipe.execute(field_batch)
+    assert lossy["n"] == 1
+    assert result.extra["supervision"]["quarantined"] == [0]
     assert result.extra["integrity"]["degraded"] is True
-    assert result.extra["integrity"]["recoveries"] == 3
+    assert result.input_error_linf == 0.0
 
 
 def test_pipeline_contract_violation_is_structured(planned, field_batch, monkeypatch):
@@ -498,61 +525,31 @@ def test_counters_raise_policy_counts_integrity_failure(planned, field_batch, mo
     ) == 0
 
 
-def test_counters_fallback_lossless_recovery(planned, field_batch, monkeypatch):
-    from repro import obs
-
-    model, plan = planned
-    original = SZCompressor.decompress
-
-    def poisoning(self, blob):
-        data = original(self, blob)
-        if blob.metadata.get("lossless"):
-            return data
-        return poison_nan(data, fraction=0.02, seed=5)
-
-    monkeypatch.setattr(SZCompressor, "decompress", poisoning)
-    pipe = InferencePipeline(
-        model, SZCompressor(), plan, on_corruption="fallback-lossless"
-    )
-    with obs.capture() as (__, metrics):
-        pipe.execute(field_batch)
-    assert metrics.value("integrity_failures_total", stage="decompress") == 1
-    assert metrics.value("retries_total", component="pipeline") == 1
-    assert metrics.value(
-        "recoveries_total", policy="fallback-lossless", component="pipeline"
-    ) == 1
-
-
-def test_counters_recompress_transient_then_budget_exhaustion(
-    planned, field_batch, monkeypatch
+@pytest.mark.parametrize(
+    "fails, retries, quarantined, recoveries",
+    [(1, 1, 0, 0), (None, 2, 1, 1)],
+    ids=["transient", "persistent"],
+)
+def test_counters_serial_chunk_recovery(
+    planned, field_batch, monkeypatch, fails, retries, quarantined, recoveries
 ):
     from repro import obs
 
     model, plan = planned
-    original = SZCompressor.decompress
-
-    def always_poisoned(self, blob):
-        data = original(self, blob)
-        if blob.metadata.get("lossless"):
-            return data
-        return poison_nan(data, fraction=0.01, seed=4)
-
-    monkeypatch.setattr(SZCompressor, "decompress", always_poisoned)
-    pipe = InferencePipeline(
-        model, SZCompressor(), plan, on_corruption="recompress-from-source", max_retries=2
-    )
+    _poisoned_lossy_decompress(monkeypatch, fails=fails)
+    pipe = InferencePipeline(model, SZCompressor(), plan)
     with obs.capture() as (__, metrics):
-        result = pipe.execute(field_batch)
-    assert result.extra["integrity"]["recoveries"] == 3
-    # every lossy attempt failed the finite screen...
-    assert metrics.value("integrity_failures_total", stage="decompress") == 3
-    # ...each re-attempt (2 lossy retries + the lossless rescue) was counted...
-    assert metrics.value("retries_total", component="pipeline") == 3
-    # ...but only the attempt that finally produced clean data counts as
-    # a successful policy activation
+        _one_chunk(pipe, field_batch)
+    # every lossy attempt that failed the finite screen...
+    assert metrics.value("integrity_failures_total", stage="decompress") == retries + quarantined
+    # ...was retried by the pool, or quarantined once the budget ran out...
+    assert metrics.value("chunk_retries_total", pool="pipeline") == retries
+    assert metrics.value("quarantined_chunks_total", pool="pipeline") == quarantined
+    # ...and only the lossless rerun counts as a policy activation
     assert metrics.value(
-        "recoveries_total", policy="recompress-from-source", component="pipeline"
-    ) == 1
+        "recoveries_total", policy="fallback-lossless", component="pipeline"
+    ) == recoveries
+    assert metrics.value("retries_total", component="pipeline") == 0
 
 
 def test_counters_contract_violation(planned, field_batch, monkeypatch):

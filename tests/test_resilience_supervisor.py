@@ -248,6 +248,28 @@ def test_pool_empty_payloads():
     assert report.results() == [] and report.outcomes == {}
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_pool_refuses_duplicate_task_ids(workers):
+    ran = []
+    pool = SupervisedPool(ran.append, workers=workers, retry=FAST_RETRY)
+    with pytest.raises(ConfigurationError, match="distinct"):
+        pool.run([3, 1, 3])
+    assert ran == []
+
+
+def test_pool_keys_everything_by_task_id():
+    """Ids are not positions: each hook and the report see the id itself."""
+    seen = []
+    pool = SupervisedPool(
+        _square, workers=2, retry=FAST_RETRY, chaos=ChaosInjector.from_spec("raise@7:all"),
+        validate=lambda task_id, result: seen.append((task_id, result)),
+    )
+    report = pool.run([7, 2, 5])
+    assert sorted(seen) == [(2, 4), (5, 25)]
+    assert report.quarantined == [7] and sorted(report.outcomes) == [2, 5, 7]
+    assert report.results() == [4, 25, None]
+
+
 def test_pool_respawns_after_worker_kill():
     chaos = ChaosInjector.from_spec("kill@1")
     with obs.capture() as (_, metrics):
@@ -263,7 +285,7 @@ def test_pool_respawns_after_worker_kill():
 
 
 def test_pool_retries_transient_exception():
-    chaos = ChaosInjector.from_spec("raise@0")
+    chaos = ChaosInjector.from_spec("raise@3")  # a rule names a task id
     report = SupervisedPool(_square, workers=2, retry=FAST_RETRY, chaos=chaos).run(
         [3, 4]
     )
@@ -287,14 +309,14 @@ def test_pool_quarantines_poison_task():
 
 
 def test_pool_deadline_kills_hung_worker():
-    chaos = ChaosInjector.from_spec("hang@0=60")
+    chaos = ChaosInjector.from_spec("hang@5=60")
     pool = SupervisedPool(
         _square, workers=2, retry=FAST_RETRY, chaos=chaos, task_timeout=0.5
     )
     report = pool.run([5, 6])
     assert report.results() == [25, 36]
     assert report.respawns == 1  # the hung worker was killed and replaced
-    assert report.outcomes[0].attempts == 2
+    assert report.outcomes[5].attempts == 2
 
 
 def test_pool_circuit_breaker_degrades_to_inline():
@@ -508,8 +530,8 @@ def test_pool_inline_commits_after_validate():
         commit=lambda tid, res, attempts, seconds: committed.append((tid, attempts)) or tid,
     )
     report = pool.run([1, 2, 3])
-    assert committed == [(0, 1), "rejected-once", (1, 2), (2, 1)]
-    assert [report.outcomes[t].committed for t in range(3)] == [0, 1, 2]
+    assert committed == [(1, 1), "rejected-once", (2, 2), (3, 1)]
+    assert [report.outcomes[t].committed for t in (1, 2, 3)] == [1, 2, 3]
 
 
 def test_pool_reports_what_pack_returns_from_a_worker():
@@ -629,7 +651,6 @@ def test_pipeline_quarantine_degrades_to_lossless(chunked_setup):
     )
     supervision = result.extra["supervision"]
     assert supervision["quarantined"] == [1]
-    assert supervision["degraded_chunks"] == [1]
     assert result.extra["integrity"]["degraded"]
     # the quarantined chunk re-ran losslessly in the parent: outputs are
     # finite, complete, and the tolerance still holds
@@ -888,6 +909,28 @@ def test_pipeline_resume_skips_completed_chunks(chunked_setup, tmp_path):
     assert np.array_equal(resumed.outputs, full.outputs)
     assert np.array_equal(resumed.reference_outputs, full.reference_outputs)
     assert np.array_equal(resumed.outputs, serial.outputs)
+
+
+def test_chaos_names_a_chunk_on_a_resumed_pool_run(chunked_setup, tmp_path):
+    """A chaos task is a chunk index on every path: resumed from the first
+    two lines of a serial journal, the pool computes chunks 2 and 3 and
+    ``raise@3:all`` quarantines chunk 3, not a position in that list."""
+    pipeline, fields, serial = chunked_setup
+    ck = str(tmp_path / "ck")
+    _chunked(pipeline, fields, executor="serial", checkpoint=ck)
+    journal_path = os.path.join(ck, "journal.jsonl")
+    with open(journal_path, encoding="utf-8") as handle:
+        lines = handle.readlines()
+    with open(journal_path, "w", encoding="utf-8") as handle:
+        handle.writelines(lines[:2])
+    resumed = _chunked(
+        pipeline, fields, workers=2, executor="process", checkpoint=ck, resume=True,
+        max_task_retries=1, chaos=ChaosInjector.from_spec("raise@3:all"),
+    )
+    assert resumed.extra["checkpoint"]["replayed_chunks"] == 2
+    assert resumed.extra["supervision"]["quarantined"] == [3]
+    kept = slice(0, 3 * _ROWS)
+    assert np.array_equal(resumed.outputs[kept], serial.outputs[kept])
 
 
 def test_pipeline_resume_tolerates_torn_journal_tail(chunked_setup, tmp_path):
