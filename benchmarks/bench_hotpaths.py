@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Micro-benchmarks for the chunked-execution hot paths.
 
-Eleven paths are timed and written in the unified ``benchutils`` row
+Thirteen paths are timed and written in the unified ``benchutils`` row
 shape (``{path, config, seconds, reps_s, throughput_mb_s}`` — record
 with ``repro bench record`` to feed the regression history; see
 docs/PERFORMANCE.md for how to read the output):
@@ -13,6 +13,10 @@ docs/PERFORMANCE.md for how to read the output):
   ``tests/oracles`` on a peaked 1M-symbol stream;
 * ``huffman_decode_small`` — the same pair on an 18k-symbol stream, the
   size of one pool chunk, where per-call and per-step overhead shows;
+* ``huffman_decode_field`` — the same pair on a 590k-symbol stream at
+  8-9 bits a symbol with a 3 % escape tail, a whole H2 field's SZ codes,
+  with the stream's ``lane`` and ``index_share`` (index bytes / stream
+  bytes) in the config;
 * ``huffman_encode``      — word-accumulating array encoder vs the scalar
   oracle on the 1M-symbol stream (identical bytes);
 * ``sz_compress``         — ``SZCompressor.compress`` on a smooth 3-D field
@@ -51,6 +55,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import struct
 import sys
 import tempfile
 import time
@@ -73,24 +78,32 @@ from repro.perf.cache import clear_all_caches
 from repro.quant.formats import STANDARD_FORMATS
 
 
-def bench_huffman(n_symbols: int, n_small: int, reps: int) -> list[dict]:
+def bench_huffman(n_symbols: int, n_small: int, n_field: int, reps: int) -> list[dict]:
     """Decode and encode rows, scalar oracle vs vectorized."""
     rng = np.random.default_rng(0)
     # Peaked residual-like distribution: what the predictor stages emit.
     symbols = np.round(rng.normal(0.0, 0.7, size=n_symbols)).astype(np.int32)
     # One pool chunk: few symbols, a few hundred distinct values.
     small = np.round(rng.normal(0.0, 40.0, size=n_small)).astype(np.int32)
-    blob, small_blob = huffman_encode(symbols), huffman_encode(small)
+    # A whole field's SZ codes: 8-9 bits a symbol and a 3 % tail of values
+    # far outside the alphabet cap, each one escaped.
+    field = np.round(rng.laplace(0.0, 40.0, size=n_field)).astype(np.int32)
+    tail = rng.random(n_field) < 0.03
+    field[tail] = rng.integers(-(2**20), 2**20, int(tail.sum()))
+    blob, small_blob, field_blob = huffman_encode(symbols), huffman_encode(small), huffman_encode(field)
 
     assert blob == huffman_encode_reference(symbols)
-    for stream, encoded in ((symbols, blob), (small, small_blob)):
+    for stream, encoded in ((symbols, blob), (small, small_blob), (field, field_blob)):
         assert np.array_equal(huffman_decode(encoded), stream)
         assert np.array_equal(huffman_decode_reference(encoded), stream)
+    lane = struct.unpack_from("<H", field_blob, 16)[0]
+    field_config = {"lane": lane, "index_share": 2 * -(-n_field // lane) / len(field_blob)}
 
     rows = []
     for path, stream, encoded, argument, scalar, vectorized in (
         ("huffman_decode", symbols, blob, blob, huffman_decode_reference, huffman_decode),
         ("huffman_decode_small", small, small_blob, small_blob, huffman_decode_reference, huffman_decode),
+        ("huffman_decode_field", field, field_blob, field_blob, huffman_decode_reference, huffman_decode),
         ("huffman_encode", symbols, blob, symbols, huffman_encode_reference, huffman_encode),
     ):
         pair = []
@@ -104,6 +117,7 @@ def bench_huffman(n_symbols: int, n_small: int, reps: int) -> list[dict]:
                         "n_symbols": stream.size,
                         "reps": reps,
                         "compressed_bytes": len(encoded),
+                        **(field_config if stream is field else {}),
                     },
                     seconds,
                     reps_s=reps_s,
@@ -748,12 +762,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     reps = 2 if args.quick else 3
-    n_symbols, n_small = 1_000_000, 18_432
+    n_symbols, n_small, n_field = 1_000_000, 18_432, 589_824
     side = 64 if args.quick else 128
 
     rows = []
     rows += bench_cold_start(7)
-    rows += bench_huffman(n_symbols, n_small, reps)
+    rows += bench_huffman(n_symbols, n_small, n_field, reps)
     rows += bench_sz_compress(2 * side, reps)
     rows += bench_sz_precision(reps)
     rows += bench_sz_roundtrip_faults(reps)

@@ -33,7 +33,7 @@ __all__ = [
 class CodecScratch:
     """The calling thread's reusable codec buffers, shared by lifetime.
 
-    A slot is one growable byte buffer (it ends up as large as the
+    A slot is one growable byte buffer (it ends up about as large as the
     biggest field's float64 image; slot 5 half that), kept from the second
     request of a size on; what lives in it changes as a call moves through
     its stages, and a stage that consumes an array in place takes the slot
@@ -44,14 +44,12 @@ class CodecScratch:
     slot  dtype   SZ encode pass    Huffman + bit packer  Huffman decode   SZ decode pass
     ====  ======  ================  ====================  ===============  ==============
     0     w       the field, in w   -                     -                -
-    1     w       reconstruction    escape mask, then     lane positions   reconstruction
-                                    code bit offsets
-    2     int64   codes        -->  table rows, then the  symbols     -->  codes
-                                    left-justified codes
-    3     w       linear | cubic    code per symbol       L-bit windows,   linear | cubic
-                                                          int32 symbols,
-                                                          escape mask
-    4     w       both residuals    length per symbol     lane-major same  dequantized
+    1     w       reconstruction    code bit offsets      lane positions   reconstruction
+    2     int64   codes        -->  table rows, then      int32       -->  codes (int32)
+                                    word indices          symbols
+    3     w       linear | cubic    left-justified code   step-major       linear | cubic
+                                    per symbol            symbols
+    4     w       both residuals    length per symbol     escape mask      dequantized
     5     w       abs(residual)     new-word mask         -                -
     ====  ======  ================  ====================  ===============  ==============
 

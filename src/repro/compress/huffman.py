@@ -1,32 +1,26 @@
 """Canonical Huffman coding over integer symbols, with a lane index.
 
-This is the entropy stage shared by the SZ-, ZFP- and MGARD-like codecs.
-Design points:
+The entropy stage shared by the SZ-, ZFP- and MGARD-like codecs:
 
-* **canonical codes, written canonically** — the header carries how many
-  codes there are of each length and the symbols in ``(length, symbol)``
-  order (int16 when they fit); codes are re-derived on decode;
-* **length-limited to 16 bits** — decoding uses one lookup table of
-  ``2**L`` entries for the stream's longest code length ``L``, one table
-  hit per symbol;
-* **escape symbol** — alphabets are capped (quantization codes follow a
-  sharply peaked distribution); rare symbols are emitted as an escape code
-  followed by a raw 32-bit value, so pathological inputs cannot blow up
-  the table;
-* **lane index** — the stream records the bit length of every run of
-  ``lane`` symbols, so the decoder knows where each run starts instead of
-  having to discover symbol boundaries bit by bit.  ``lane`` is about
-  ``sqrt(n) / 2``, which keeps the index near ``4 * sqrt(n)`` bytes;
-* **vectorized encode** — a ``bincount`` histogram (a sort when the value
-  span dwarfs the stream), code lengths from a two-queue merge over the
-  frequency-sorted alphabet, canonical codes by ``lexsort``/``cumsum``
-  and word-accumulated packing (:func:`~repro.compress.bitstream.pack_codes`);
-* **lockstep decode** — all lanes are walked together: ``lane`` steps of
-  *L-bit window gather, advance-table lookup, ``pos += advance``* over
-  vectors with one entry per lane, then one symbol-table gather and a
-  masked pass for the escapes.  Work and transient memory are O(symbols),
-  whatever the code lengths.  Every lane must end exactly where the index
-  says the next one starts, so a flipped bit anywhere is an error.
+* **canonical, length-limited codes** — at most 16 bits; the header
+  carries the count of codes of each length and the symbols in
+  ``(length, symbol)`` order (int16 when they fit);
+* **escapes** — the alphabet is capped; any other value is the escape
+  code followed by its raw 32 bits, one code of up to 48 bits;
+* **lane index** — the bit length of every run of ``lane`` symbols, so
+  the decoder knows where each run starts.  ``lane`` is the smallest power
+  of two whose index is at most 1/64 of the code bits, between 16 and the
+  power of two nearest ``sqrt(n) / 2``, and is written in the header;
+* **encode** — a ``bincount`` histogram (a sort when the value span
+  dwarfs the stream), code lengths from a two-queue merge, canonical codes
+  by ``lexsort``/``cumsum``, then one gather of each symbol's whole
+  left-justified code and length and word-accumulated packing
+  (:mod:`~repro.compress.bitstream`), which also yields the index;
+* **lockstep decode** — ``lane`` steps over vectors with one entry per
+  lane (window gather, advance and symbol lookups, ``pos += advance``),
+  one masked pass for the escapes and one transposing copy.  Every lane
+  must end where the index says the next one starts, so a flipped bit
+  anywhere is an error.
 
 Stream layout (``HUF2``, little endian)::
 
@@ -51,7 +45,7 @@ import numpy as np
 
 from ..exceptions import CompressionError
 from .base import codec_scratch
-from .bitstream import pack_codes, peek16, window_words
+from .bitstream import pack_justified, peek16, window_words
 
 __all__ = ["huffman_encode", "huffman_decode"]
 
@@ -81,10 +75,13 @@ def check_max_alphabet(max_alphabet: int) -> int:
     return int(max_alphabet)
 
 
-def lane_size(n: int) -> int:
-    """Symbols per lane: the power of two nearest ``sqrt(n) / 2`` (on a
-    log scale), clamped to [16, 1024]."""
-    return 1 << min(max((n.bit_length() - 2) // 2, 4), 10)
+def lane_size(n: int, total_bits: int) -> int:
+    """The smallest power of two whose index (16 bits a lane) is at most
+    1/64 of the code bits, ``lane >= 1024 * n / total_bits``, in [16, the
+    power of two nearest ``sqrt(n) / 2`` on a log scale, at most 1024]."""
+    cap = 1 << min(max((n.bit_length() - 2) // 2, 4), 10)
+    need = -(-1024 * n // total_bits)
+    return min(max(1 << (need - 1).bit_length(), 16), cap)
 
 
 def _code_lengths(frequencies: np.ndarray) -> np.ndarray:
@@ -224,28 +221,27 @@ def huffman_encode(symbols: np.ndarray, max_alphabet: int = 4096) -> bytes:
     stored = stored[stored != _ESCAPE]
     narrow = stored.size == 0 or (stored.min() >= -(2**15) and stored.max() < 2**15)
 
-    # Per-slot (code, length).  Entry 0 is the escape whenever a value was
-    # dropped, so it is the fill; with nothing dropped every slot that
-    # occurs is overwritten.
+    # Per-slot code, left-justified in 64 bits, and its length.  A slot is
+    # one value, so a dropped value's slot holds the escape code and the
+    # value's raw 32 bits: one gather per symbol yields its whole code.
     first_kept = alphabet.size - keep.size
-    slot_code = np.full(n_slots, codes[0])
-    slot_length = np.full(n_slots, lengths[0])
-    slot_code[kept_slot], slot_length[kept_slot] = codes[first_kept:], lengths[first_kept:]
-    values = np.take(slot_code, slot, out=scratch.take(3, (n,), np.uint64), mode="clip")
-    value_lengths = np.take(slot_length, slot, out=scratch.take(4, (n,), np.int64), mode="clip")
+    slot_length = np.full(n_slots, lengths[0] + 32 * (n_escaped > 0), dtype=np.uint8)
+    slot_length[kept_slot] = lengths[first_kept:]
     if n_escaped > 0:
-        # The raw 32-bit value follows each escape code: one longer code.
-        slot_dropped = np.ones(n_slots, dtype=bool)
-        slot_dropped[kept_slot] = False
-        dropped = np.take(slot_dropped, slot, out=scratch.take(1, (n,), bool), mode="clip")
-        escaped = np.flatnonzero(dropped)
-        raw = slot[escaped] + low if dense else unique[slot[escaped]]
-        values[escaped] = (codes[0] << np.uint64(32)) | (raw & 0xFFFFFFFF).astype(np.uint64)
-        value_lengths[escaped] += 32
-    lane = lane_size(n)
-    lane_bits = np.add.reduceat(value_lengths, np.arange(0, n, lane))
+        raw = (np.arange(low, high + 1) if dense else unique) & 0xFFFFFFFF
+        slot_code = (codes[0] << np.uint64(32)) | raw.astype(np.uint64)
+    else:
+        slot_code = np.empty(n_slots, dtype=np.uint64)
+    slot_code[kept_slot] = codes[first_kept:]
+    slot_code <<= np.uint64(64) - slot_length
 
-    payload, total_bits = pack_codes(values, value_lengths)
+    # The lane follows from the code bits, which the alphabet already
+    # knows; the index comes from the packer's own running offsets.
+    total_bits = int(np.dot(frequencies, lengths)) + 32 * n_escaped
+    lane = lane_size(n, total_bits)
+    justified = np.take(slot_code, slot, out=scratch.take(3, (n,), np.uint64), mode="clip")
+    code_lengths = np.take(slot_length, slot, out=scratch.take(4, (n,), np.uint8), mode="clip")
+    payload, lane_ends = pack_justified(justified, code_lengths, lane)
     return b"".join(
         (
             _HEADER.pack(
@@ -253,7 +249,7 @@ def huffman_encode(symbols: np.ndarray, max_alphabet: int = 4096) -> bytes:
             ),
             np.bincount(lengths, minlength=_MAX_CODE_LENGTH + 1)[1:].astype(_COUNTS).tobytes(),
             stored.astype("<i2" if narrow else "<i4").tobytes(),
-            lane_bits.astype(_COUNTS).tobytes(),
+            np.diff(lane_ends, prepend=0).astype(_COUNTS).tobytes(),
             payload,
         )
     )
@@ -296,9 +292,9 @@ def huffman_decode(blob: bytes) -> np.ndarray:
 
 
 def decode_symbols(blob: bytes, slot: "int | None") -> np.ndarray:
-    """:func:`huffman_decode` into scratch ``slot`` (2, for a caller that
-    is done with the symbols before its next codec call) or, with
-    ``None``, into a fresh array."""
+    """:func:`huffman_decode` into scratch ``slot`` as int32 (2, for a
+    caller that is done with the symbols before its next codec call) or,
+    with ``None``, into a fresh int64 array."""
     if blob[:4] == b"HUF1":
         raise CompressionError("HUF1 huffman streams are no longer supported")
     if blob[:4] != _MAGIC:
@@ -334,50 +330,48 @@ def decode_symbols(blob: bytes, slot: "int | None") -> np.ndarray:
     table_symbol, advance, longest = _decode_tables(counts, stored, escape_length)
     words = window_words(blob, payload_at, total_bits)
 
-    # Row j holds the bit position of symbol j of every lane; the last
-    # lane has ``tail`` symbols and sits out the remaining steps.  No
-    # walk passes its lane's start by more than 48 bits a step.
+    # Row j holds the bit position of symbol j of every lane, and the
+    # symbol; the last lane has ``tail`` symbols and sits out the other
+    # steps.  Positions and windows are int64: no gather converts indices.
     scratch = codec_scratch()
     steps = min(lane, n)
     tail = n - (n_lanes - 1) * lane
-    position_type = np.int32 if total_bits + 48 * steps < 2**31 else np.int64
-    rows = scratch.take(1, (steps + 1, n_lanes), position_type)
-    windows = scratch.take(3, (steps, n_lanes), np.uint32)
+    rows = scratch.take(1, (steps + 1, n_lanes), np.int64)
+    symbols = scratch.take(3, (steps, n_lanes), np.int32)
     rows[0] = lane_ends - lane_bits
-    word = np.empty(n_lanes, dtype=position_type)
-    shift = np.empty(n_lanes, dtype=np.uint32)
-    step = np.empty(n_lanes, dtype=np.uint8)
+    lanes, step = np.empty((3, n_lanes), dtype=np.int64), np.empty(n_lanes, dtype=np.uint8)
+    drop = np.uint64(64 - longest)
     # Gathers use mode="clip": a corrupt stream may walk anywhere, and
     # clamping keeps it in bounds (and is faster than bounds checking)
-    # until the lane check below rejects it.
+    # until the lane check below rejects it.  A window is ``longest``
+    # bits wide, so it cannot leave the tables.
     for first, last, active in ((0, tail, n_lanes), (tail, steps, n_lanes - 1)):
-        word_a, shift_a, step_a = word[:active], shift[:active], step[:active]
+        (word_a, shift_a, index_a), step_a = lanes[:, :active], step[:active]
+        window_a, by = index_a.view(np.uint64), shift_a.view(np.uint64)
         for j in range(first, last):
-            position, window = rows[j, :active], windows[j, :active]
+            position = rows[j, :active]
             np.right_shift(position, 4, out=word_a)
-            np.bitwise_and(position, 15, out=shift_a, casting="unsafe")
-            words.take(word_a, out=window, mode="clip")
-            np.left_shift(window, shift_a, out=window)
-            np.right_shift(window, 32 - longest, out=window)
-            advance.take(window, out=step_a, mode="clip")
+            np.bitwise_and(position, 15, out=shift_a)
+            words.take(word_a, out=window_a, mode="clip")
+            np.left_shift(window_a, by, out=window_a)
+            np.right_shift(window_a, drop, out=window_a)
+            advance.take(index_a, out=step_a, mode="clip")
+            table_symbol.take(index_a, out=symbols[j, :active], mode="clip")
             np.add(position, step_a, out=rows[j + 1, :active])
     ends = rows[steps]
     ends[-1] = rows[tail, -1]
     if not np.array_equal(ends, lane_ends):
         raise CompressionError("huffman stream misaligned: a lane ends off its boundary")
 
-    # A window is ``longest`` bits wide, so it cannot leave the table.
-    # Widened to the index type on the way: a gather would otherwise do
-    # that itself, into a fresh stream-sized array.
-    lane_major = scratch.take(4, (n_lanes, steps), np.intp)
-    lane_major[...] = windows.T
-    symbols = scratch.take(3, (n,), np.int32)
-    np.take(table_symbol, lane_major.reshape(-1)[:n], out=symbols, mode="clip")
-    out = np.empty(n, dtype=np.int64) if slot is None else scratch.take(slot, (n,), np.int64)
-    out[...] = symbols
     if escape_length:
-        escaped = np.flatnonzero(np.equal(out, _ESCAPE, out=scratch.take(3, (n,), bool)))
-        raw_at = rows[escaped % lane, escaped // lane] + escape_length
-        raw = (peek16(words, raw_at) << np.uint32(16)) | peek16(words, raw_at + 16)
-        out[escaped] = raw.view(np.int32)
+        symbols[tail:, -1] = 0  # the steps the last lane sat out
+        escaped = np.flatnonzero(np.equal(symbols, _ESCAPE, out=scratch.take(4, symbols.shape, bool)))
+        raw_at = rows.reshape(-1)[escaped] + escape_length
+        raw = (peek16(words, raw_at) << np.uint64(16)) | peek16(words, raw_at + 16)
+        symbols.reshape(-1)[escaped] = raw.astype(np.uint32).view(np.int32)
+    # Stream order is lane-major: one transposing copy.
+    out = np.empty(n, dtype=np.int64) if slot is None else scratch.take(slot, (n,), np.int32)
+    full = (n_lanes - 1) * lane
+    out[:full].reshape(n_lanes - 1, steps)[...] = symbols[:, :-1].T
+    out[full:] = symbols[:tail, -1]
     return out

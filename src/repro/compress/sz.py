@@ -153,7 +153,8 @@ def _dequantize(
     prediction: np.ndarray, codes: np.ndarray, pitch: np.floating, out: np.ndarray
 ) -> np.ndarray:
     """``prediction + codes * pitch`` into ``out`` (which may be ``codes``), in
-    its dtype, int64 codes converted first: the one expression encoder and
+    its dtype, the integer codes converted first (int64 when encoding, int32
+    when decoding: both convert exactly): the one expression encoder and
     decoder must evaluate alike."""
     np.multiply(codes, pitch, out=out, dtype=out.dtype)
     out += prediction

@@ -154,7 +154,8 @@ class ChunkRun:
         shared mappings made on first use, chunk ``i`` in rows
         ``offsets[i]:offsets[i + 1]``: a pool worker forked after that
         writes its rows where the parent reads them.  Sizes come from the
-        chunks' sample counts and both models' output for one sample."""
+        chunks' sample counts and both compiled forwards' output for one
+        sample: both kernels compile here, before any pool worker forks."""
         if self._slab is None:
             to_samples = self.samples_from_fields or _field_samples
             first, last = self.chunks[0], self.chunks[-1]
@@ -164,7 +165,8 @@ class ChunkRun:
             self._offsets = [0, *np.cumsum(rows).tolist()]
             self._slab = tuple(
                 np.ndarray(shape, out.dtype, mmap.mmap(-1, max(1, out.itemsize * math.prod(shape))))
-                for out in (self.pipeline.quantized.model(probe[:1]), self.pipeline.model(probe[:1]))
+                for forward in (self.pipeline._forward_quant, self.pipeline._forward_ref)
+                for out in [forward(probe[:1])]
                 for shape in [(self._offsets[-1], *out.shape[1:])]
             )
         return self._slab

@@ -114,17 +114,28 @@ def canonical_codes_reference(lengths: dict[int, int]) -> dict[int, tuple[int, i
     return table
 
 
-def lane_size_reference(n: int) -> int:
-    """The power of two nearest ``sqrt(n) / 2`` on a log scale, in [16, 1024]."""
+def lane_size_reference(n: int, total_bits: int) -> int:
+    """The smallest power of two from 16 up whose index, 16 bits a lane,
+    is at most 1/64 of the ``total_bits`` code bits, but no more than the
+    power of two nearest ``sqrt(n) / 2`` on a log scale (in [16, 1024])."""
+    cap = 16
+    while cap < 1024 and 8 * cap * cap <= n:
+        cap *= 2
     lane = 16
-    while lane < 1024 and 8 * lane * lane <= n:
+    while lane < cap and 64 * (16 * n) > total_bits * lane:  # 16 n / lane > total / 64
         lane *= 2
     return lane
 
 
-def huffman_encode_reference(symbols: np.ndarray, max_alphabet: int = 4096) -> bytes:
+def huffman_encode_reference(
+    symbols: np.ndarray, max_alphabet: int = 4096, lane: "int | None" = None
+) -> bytes:
     """Dict-and-loop ``huffman_encode`` (no ``max_alphabet`` validation:
-    it hangs above 65536 symbols, which is why the shipped one checks)."""
+    it hangs above 65536 symbols, which is why the shipped one checks).
+
+    ``lane`` writes the stream with that many symbols per lane instead of
+    the one :func:`lane_size_reference` picks: streams written under an
+    earlier lane rule, which every decoder must go on reading."""
     symbols = np.asarray(symbols, dtype=np.int64).ravel()
     n = symbols.size
     if n == 0:
@@ -156,8 +167,9 @@ def huffman_encode_reference(symbols: np.ndarray, max_alphabet: int = 4096) -> b
     escaped_mask = ~kept_unique[inverse]
 
     # Lane index: the bits of every run of ``lane`` symbols, raw values included.
-    lane = lane_size_reference(n)
     symbol_bits = value_lengths + 32 * escaped_mask
+    if lane is None:
+        lane = lane_size_reference(n, int(symbol_bits.sum()))
     lane_bits = [int(symbol_bits[at : at + lane].sum()) for at in range(0, n, lane)]
 
     if n_escaped > 0:

@@ -478,14 +478,52 @@ def test_vectorized_decode_shorter_than_one_block(rng):
 
 
 def test_lane_size_follows_sqrt_n_and_its_clamps():
-    sizes = list(range(0, 3000)) + [2**k + d for k in range(11, 33) for d in (-1, 0, 1)]
+    # The smallest power of two whose index (16 bits a lane) is at most
+    # 1/64 of the code bits, in [16, the power of two nearest sqrt(n)/2].
+    sizes = list(range(1, 3000)) + [2**k + d for k in range(11, 33) for d in (-1, 0, 1)]
     for n in sizes:
-        lane = lane_size(n)
-        assert lane == lane_size_reference(n)
-        assert 16 <= lane <= 1024 and lane & (lane - 1) == 0
-        if 16 < lane < 1024:
-            assert lane / 2**0.5 <= n**0.5 / 2 < lane * 2**0.5
-    assert lane_size(18_432) == 64 and lane_size(589_808) == 512
+        cap = lane_size(n, n)  # one bit a symbol asks for 1024: the cap shows
+        assert cap == lane_size_reference(n, n)
+        assert 16 <= cap <= 1024 and cap & (cap - 1) == 0
+        if 16 < cap < 1024:
+            assert cap / 2**0.5 <= n**0.5 / 2 < cap * 2**0.5
+        for bits_per_symbol in (1.6, 4.3, 8.66, 14.3, 48):
+            total_bits = max(n, round(n * bits_per_symbol))
+            lane = lane_size(n, total_bits)
+            assert lane == lane_size_reference(n, total_bits)
+            assert 16 <= lane <= cap and lane & (lane - 1) == 0
+            if 16 < lane < cap:  # the index rule decides: half the lane would break it
+                assert 16 * n / lane <= total_bits / 64 < 16 * n / (lane // 2)
+    # a pool chunk, the H2 and EuroSAT SZ streams, Borghesi's SZ stream
+    assert lane_size(18_428, 78_736) == 64
+    assert lane_size(589_808, 5_109_696) == 128 and lane_size(224_639, 3_220_182) == 128
+    assert lane_size(212_988, 1_348_196) == 256
+
+
+def _field_like_stream(rng, n: int) -> np.ndarray:
+    """SZ-like codes at 8-9 bits a symbol: a peaked body and a 3 % tail of
+    values far outside the alphabet cap, each one escaped."""
+    symbols = np.round(rng.laplace(0.0, 40.0, n)).astype(np.int64)
+    tail = rng.random(n) < 0.03
+    symbols[tail] = rng.integers(-(2**20), 2**20, int(tail.sum()))
+    return symbols
+
+
+@pytest.mark.parametrize("lane", [1024, 512, 256])
+def test_streams_written_at_an_earlier_lane_still_decode(lane, rng):
+    # The lane is in the header: a stream the sqrt(n)/2 rule wrote at 512
+    # (or any lane from 1 to 1024) decodes as it always did.
+    symbols = _field_like_stream(rng, 2**18)
+    blob = huffman_encode_reference(symbols, lane=lane)
+    sections = _sections(blob)
+    assert sections["lane"] == lane and sections["escape_length"] > 0
+    assert 8 <= sections["total_bits"] / symbols.size <= 9
+    decoded = huffman_decode(blob)
+    assert decoded.dtype == np.int64 and np.array_equal(decoded, symbols)
+    # today's encoder writes the same code bits at a shorter lane
+    shipped = huffman_encode(symbols)
+    assert _sections(shipped)["lane"] == 128
+    assert shipped[_sections(shipped)["payload_at"] :] == blob[sections["payload_at"] :]
 
 
 @pytest.mark.parametrize("lane_count", [1, 2, 7])
@@ -506,13 +544,14 @@ def test_escapes_at_lane_edges(where, value, rng):
     # symbol of a lane they run up to the boundary, as the first they start
     # on it.  2**30 is SZ's outlier code; the others are the int32 edges.
     n = 5000
-    lane = lane_size(n)
+    lane = lane_size(n, n)  # sqrt(n)/2 caps every 5000-symbol stream at 32
     symbols = np.round(rng.standard_normal(n) * 2).astype(np.int64)
     at = np.arange(lane, n, lane) + where
     symbols[at] = value
     symbols[-1] = value  # and as the last symbol of the stream
     blob = _check_against_oracle(symbols, max_alphabet=8)
     sections = _sections(blob)
+    assert sections["lane"] == lane
     assert sections["escape_length"] > 0 and sections["symbol_bytes"] == 2
     # every lane's bit length counts its escapes' raw bits
     lane_bits = np.frombuffer(blob, "<u2", sections["n_lanes"], sections["index_at"])

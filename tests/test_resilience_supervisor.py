@@ -31,6 +31,7 @@ from repro.core.errorflow import ErrorFlowAnalyzer
 from repro.core.pipeline import InferencePipeline
 from repro.core.planner import TolerancePlanner
 from repro.exceptions import ConfigurationError, IntegrityError
+from repro.nn.backend import CompiledForward
 from repro.io import (
     CheckpointJournal,
     append_jsonl,
@@ -662,6 +663,30 @@ def test_pipeline_quarantine_degrades_to_lossless(chunked_setup):
     assert np.array_equal(
         result.outputs[:rows_per_chunk], serial.outputs[:rows_per_chunk]
     )
+
+
+def test_both_kernels_compile_in_the_parent_before_the_pool_forks(
+    chunked_setup, monkeypatch
+):
+    """A kernel a pool worker compiles dies with the run, so the slab's
+    shape probe runs both compiled forwards in the parent: with compiling
+    refused anywhere else, a pooled run of a fresh pipeline still computes
+    every chunk in its workers."""
+    pipeline, fields, serial = chunked_setup
+    parent, compile_ = os.getpid(), CompiledForward._compile
+
+    def parent_only(self, version):
+        if os.getpid() != parent:
+            raise RuntimeError("kernel compiled in a pool worker")
+        return compile_(self, version)
+
+    monkeypatch.setattr(CompiledForward, "_compile", parent_only)
+    fresh = InferencePipeline(pipeline.model, SZCompressor(), pipeline.plan)
+    result = _chunked(fresh, fields, workers=2, executor="process", max_task_retries=1)
+    assert result.extra["supervision"]["quarantined"] == []
+    assert not result.extra["integrity"]["degraded"]
+    assert fresh._forward_quant.stats["compiles"] == fresh._forward_ref.stats["compiles"] == 1
+    assert np.array_equal(result.outputs, serial.outputs)
 
 
 def test_pipeline_chaos_requires_process_executor(chunked_setup):
