@@ -37,7 +37,6 @@ _EXPORTS = {
     ".exceptions": ("CompressionError", "ConfigurationError", "ContractViolation",
                     "IntegrityError", "PlanningError", "QuantizationError", "ReproError",
                     "ShapeError", "ToleranceError", "TrainingError"),
-    ".resilience": ("CorruptionPolicy",),
     ".workloads": ("VARIANTS", "WORKLOAD_NAMES", "TrainedWorkload", "load_workload"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
@@ -61,7 +60,6 @@ __all__ = [
     "CompressionError",
     "ConfigurationError",
     "ContractViolation",
-    "CorruptionPolicy",
     "ErrorFlowAnalyzer",
     "IntegrityError",
     "InferencePipeline",

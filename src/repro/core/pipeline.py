@@ -32,7 +32,6 @@ from ..obs import get_auditor, get_logger, get_metrics, get_tracer
 from ..perf.parallel import side_lane
 from ..quant.quantizer import QuantizedModel, quantize_model
 from ..resilience.guards import check_contract, screen_finite
-from ..resilience.policy import CorruptionPolicy, record_recovery
 from .planner import InferencePlan
 
 __all__ = ["PipelineResult", "InferencePipeline"]
@@ -207,7 +206,9 @@ class InferencePipeline:
             reconstructed = self.load(blob)
         spans["decompress"] = span
         if force_lossless:
-            record_recovery(CorruptionPolicy.FALLBACK_LOSSLESS, "pipeline")
+            get_metrics().counter(
+                "recoveries_total", policy="fallback-lossless", component="pipeline"
+            ).inc()
         return blob, reconstructed, compress_seconds, time.perf_counter() - start, spans
 
     def execute(

@@ -69,6 +69,9 @@ _MAX_CONSECUTIVE_FAILURES = 10
 #: cap on server-suggested wait naps, so drain is never far away
 _MAX_WAIT_NAP = 1.0
 
+#: seconds one connection attempt may take before it counts as failed
+_CONNECT_TIMEOUT = 5.0
+
 
 class _Heartbeat:
     """Background lease renewal; one per in-flight lease."""
@@ -116,7 +119,6 @@ class ShardWorker:
         task_timeout: "float | None" = None,
         max_task_retries: int = 2,
         connect_retry: "RetryPolicy | None" = None,
-        connect_timeout: float = 5.0,
         chaos: "ChaosInjector | None" = None,
         checkpoint: "str | None" = None,
     ) -> None:
@@ -132,7 +134,6 @@ class ShardWorker:
         self.retry = connect_retry or RetryPolicy(
             max_retries=5, base_delay=0.2, max_delay=5.0
         )
-        self.connect_timeout = float(connect_timeout)
         self.chaos = chaos
         self._chaos_attempts: "dict[int, int]" = {}
         directory = checkpoint or tempfile.mkdtemp(prefix="repro-worker-")
@@ -244,7 +245,7 @@ class ShardWorker:
 
         def attempt() -> FrameSocket:
             sock = socket.create_connection(
-                (host, int(port)), timeout=self.connect_timeout
+                (host, int(port)), timeout=_CONNECT_TIMEOUT
             )
             conn = FrameSocket(sock, role="worker")
             conn.settimeout(30.0)

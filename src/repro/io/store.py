@@ -7,47 +7,26 @@ bandwidth.  Each array becomes one ``<name>.rblob`` file written
 atomically; codecs are resolved from the blob itself on read.
 
 Every read is verified: the v2 wire format carries a CRC32 over
-header+payload, decompressed arrays are screened for NaN/Inf, and a
-configurable ``on_corruption`` policy decides what happens when
-verification fails — ``raise`` the typed error, ``recompress-from-source``
-under the original contract, or ``fallback-lossless`` (store the source
-uncompressed, trivially inside any tolerance).  Recovery needs a source:
-either keep one at :meth:`put` time (``keep_source=True``) or register a
-provider with :meth:`attach_source`.
+header+payload and decompressed arrays are screened for NaN/Inf.  A
+failed check raises its typed error; recovering from it is the
+supervised pool's job, not the store's.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from ..compress import CompressedBlob, Compressor, ErrorBoundMode, get_compressor
-from ..exceptions import CompressionError, IntegrityError
+from ..exceptions import CompressionError
 from ..obs import get_tracer
-from ..resilience.policy import (
-    CorruptionPolicy,
-    record_recovery,
-    record_retry,
-    resolve_policy,
-)
 from .serialization import atomic_write_bytes, blob_from_bytes, blob_to_bytes
 
 __all__ = ["DatasetStore"]
 
 _SUFFIX = ".rblob"
 _FORBIDDEN_FRAGMENTS = ("/", "\\", "..")
-
-
-@dataclass
-class _Contract:
-    """The compression contract one entry was written under."""
-
-    tolerance: float
-    mode: ErrorBoundMode
-    codec: str
 
 
 class DatasetStore:
@@ -59,28 +38,12 @@ class DatasetStore:
         Storage root; created if missing.
     default_codec:
         Codec used by :meth:`put` when none is given.
-    on_corruption:
-        Degradation policy applied when a read fails verification:
-        ``"raise"`` (default), ``"recompress-from-source"`` or
-        ``"fallback-lossless"``.
-    max_retries:
-        Recovery attempts per read before the original error propagates.
     """
 
-    def __init__(
-        self,
-        directory: str,
-        default_codec: str = "sz",
-        on_corruption: "CorruptionPolicy | str" = CorruptionPolicy.RAISE,
-        max_retries: int = 2,
-    ) -> None:
+    def __init__(self, directory: str, default_codec: str = "sz") -> None:
         self.directory = str(directory)
         os.makedirs(self.directory, exist_ok=True)
         self.default_codec = default_codec
-        self.on_corruption = resolve_policy(on_corruption)
-        self.max_retries = int(max_retries)
-        self._sources: dict[str, Callable[[], np.ndarray]] = {}
-        self._contracts: dict[str, _Contract] = {}
 
     def _path(self, name: str) -> str:
         bad = (
@@ -102,14 +65,11 @@ class DatasetStore:
         tolerance: float,
         mode: ErrorBoundMode = ErrorBoundMode.ABS,
         codec: Compressor | str | None = None,
-        keep_source: bool = False,
     ) -> CompressedBlob:
         """Compress and persist ``array`` under the given error contract.
 
         The file write is atomic (temp file + rename), so a crashed
-        writer can never leave a torn blob behind.  With
-        ``keep_source=True`` the store retains the (uncompressed) array
-        in memory so recovery policies can repair this entry later.
+        writer can never leave a torn blob behind.
         """
         path = self._path(name)  # validate before compressing
         if isinstance(codec, str) or codec is None:
@@ -121,21 +81,7 @@ class DatasetStore:
             blob = codec.compress(array, tolerance, mode)
             atomic_write_bytes(path, blob_to_bytes(blob))
             span.set(compression_ratio=blob.compression_ratio, payload_bytes=blob.nbytes)
-        self._contracts[name] = _Contract(float(tolerance), mode, codec.name)
-        if keep_source:
-            frozen = array.copy()
-            frozen.setflags(write=False)
-            self._sources[name] = lambda: frozen
         return blob
-
-    def attach_source(self, name: str, provider: Callable[[], np.ndarray]) -> None:
-        """Register a zero-argument callable reproducing ``name``'s data.
-
-        Recovery policies call it when the stored blob fails
-        verification — e.g. a loader that re-reads simulation output.
-        """
-        self._path(name)  # validate the name
-        self._sources[name] = provider
 
     # -- read --------------------------------------------------------------
     def get(self, name: str, screen: bool = True) -> np.ndarray:
@@ -143,71 +89,12 @@ class DatasetStore:
 
         Checksum verification happens in :func:`blob_from_bytes`; the
         reconstruction is screened for NaN/Inf unless ``screen=False``.
-        On verification failure the configured ``on_corruption`` policy
-        runs, bounded by ``max_retries``.
+        A corrupt entry raises :class:`~repro.exceptions.IntegrityError`,
+        a missing one :class:`~repro.exceptions.CompressionError`.
         """
-        failure: CompressionError | None = None
-        with get_tracer().span("store.get", entry=name, policy=self.on_corruption.value) as span:
-            for attempt in range(self.max_retries + 1):
-                try:
-                    blob = self.get_blob(name)
-                    codec = get_compressor(blob.codec)
-                    data = codec.safe_decompress(blob, screen=screen)
-                    span.set(attempts=attempt + 1, recovered=attempt > 0)
-                    if attempt:
-                        record_recovery(self.on_corruption, "store")
-                    return data
-                except IntegrityError as exc:
-                    failure = exc
-                except CompressionError as exc:
-                    if not os.path.exists(self._path(name)):
-                        raise  # missing entry: not a corruption event
-                    failure = exc
-                if self.on_corruption is CorruptionPolicy.RAISE or attempt >= self.max_retries:
-                    break
-                record_retry("store")
-                if not self._repair(name):
-                    break
-        assert failure is not None
-        if self.on_corruption.recovers:
-            raise IntegrityError(
-                f"array {name!r} failed verification and could not be "
-                f"recovered under policy {self.on_corruption.value!r} "
-                f"(source attached: {name in self._sources}): {failure}"
-            ) from failure
-        raise failure
-
-    def _repair(self, name: str) -> bool:
-        """Rewrite a corrupt entry from its source; False if impossible."""
-        provider = self._sources.get(name)
-        contract = self._contracts.get(name)
-        if provider is None:
-            return False
-        if contract is None:
-            # Last resort: the on-disk header may still be readable even
-            # if the payload is corrupt — recover the contract from it.
-            try:
-                blob = self.get_blob(name)
-                contract = _Contract(blob.tolerance, blob.mode, blob.codec)
-            except CompressionError:
-                return False
-        array = np.asarray(provider())
-        codec = get_compressor(contract.codec)
-        if self.on_corruption is CorruptionPolicy.FALLBACK_LOSSLESS:
-            blob = CompressedBlob(
-                codec=contract.codec,
-                payload=np.ascontiguousarray(array).tobytes(),
-                shape=array.shape,
-                dtype=str(array.dtype),
-                mode=contract.mode,
-                tolerance=contract.tolerance,
-                metadata={"lossless": True, "degraded": True},
-            )
-        else:  # RECOMPRESS
-            blob = codec.compress(array, contract.tolerance, contract.mode)
-        atomic_write_bytes(self._path(name), blob_to_bytes(blob))
-        self._contracts[name] = contract
-        return True
+        with get_tracer().span("store.get", entry=name):
+            blob = self.get_blob(name)
+            return get_compressor(blob.codec).safe_decompress(blob, screen=screen)
 
     def get_blob(self, name: str) -> CompressedBlob:
         """Load the raw blob without decompressing (checksum-verified)."""
@@ -241,8 +128,6 @@ class DatasetStore:
         path = self._path(name)
         if os.path.exists(path):
             os.unlink(path)
-        self._sources.pop(name, None)
-        self._contracts.pop(name, None)
 
     def stored_bytes(self, name: str) -> int:
         """On-disk size of one entry."""

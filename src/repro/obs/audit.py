@@ -521,9 +521,9 @@ class Auditor:
         violations = record.violations
         if violations:
             metrics.counter("audit_violations_total").inc(len(violations))
-            from ..resilience.policy import record_audit_violation
-
-            record_audit_violation(record.codec or "pipeline", count=len(violations))
+            metrics.counter(
+                "contract_violations_total", stage="audit", codec=record.codec or "pipeline"
+            ).inc(len(violations))
             _LOG.warning(
                 "audit bound VIOLATION: observed error exceeded the predicted envelope",
                 run_id=record.run_id or "-",

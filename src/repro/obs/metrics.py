@@ -2,10 +2,10 @@
 
 A counter tracks a monotone event total (``integrity_failures_total``).
 Every counter is identified by a name plus a sorted label set, so
-``recoveries_total{policy="fallback-lossless"}`` and
-``recoveries_total{policy="recompress-from-source"}`` are distinct
-series — the same data model Prometheus uses, and the registry exports
-both a JSON document and the Prometheus text exposition format.
+``contract_violations_total{stage="decompress"}`` and
+``contract_violations_total{stage="audit"}`` are distinct series — the
+same data model Prometheus uses, and the registry exports both a JSON
+document and the Prometheus text exposition format.
 
 Measurements (stage times, compression ratios, QoI errors, step sizes)
 are not metrics: each is recorded once, on a span, in an audit record or

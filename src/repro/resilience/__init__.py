@@ -1,4 +1,4 @@
-"""Data-integrity layer: fault injection, runtime guards, degradation.
+"""Data-integrity layer: fault injection, runtime guards, recovery.
 
 On real HPC storage, silent data corruption is an expected event.  This
 subsystem makes the pipeline's error contract *enforceable at runtime*:
@@ -8,14 +8,13 @@ subsystem makes the pipeline's error contract *enforceable at runtime*:
   the test suite to prove detection coverage;
 * :mod:`~repro.resilience.guards` — runtime checks (finite screening,
   achieved-error-vs-contract) raising structured typed errors;
-* :mod:`~repro.resilience.policy` — graceful-degradation policies
-  (``raise`` / ``recompress-from-source`` / ``fallback-lossless``) of
-  :class:`~repro.io.store.DatasetStore`, and the recovery counters;
 * :mod:`~repro.resilience.retry` — bounded exponential backoff with
   deterministic jitter (:class:`RetryPolicy`, :func:`retry_call`);
 * :mod:`~repro.resilience.supervisor` — fault-tolerant process-based
   worker pool (heartbeats, deadlines, respawn, quarantine, circuit
-  breaker) powering ``InferencePipeline.execute_chunked``.
+  breaker) powering ``InferencePipeline.execute_chunked``: the one
+  place a failed chunk is retried or degraded.  Everything else —
+  :class:`~repro.io.store.DatasetStore` included — verifies and raises.
 """
 
 from .guards import check_contract, screen_finite
@@ -38,20 +37,8 @@ from .inject import (
     poison_nan,
     truncate,
 )
-from .policy import (
-    CorruptionPolicy,
-    record_audit_violation,
-    record_recovery,
-    record_retry,
-    resolve_policy,
-)
 from .retry import RetryPolicy, retry_call
-from .supervisor import (
-    CircuitBreaker,
-    SupervisedPool,
-    TaskOutcome,
-    fork_available,
-)
+from .supervisor import SupervisedPool, TaskOutcome, fork_available
 
 __all__ = [
     "CHAOS_ENV_VAR",
@@ -59,16 +46,11 @@ __all__ = [
     "ChaosInjector",
     "ChaosPartition",
     "ChaosRule",
-    "CircuitBreaker",
-    "CorruptionPolicy",
     "RetryPolicy",
     "SupervisedPool",
     "TaskOutcome",
     "corrupt_result",
     "fork_available",
-    "record_audit_violation",
-    "record_recovery",
-    "record_retry",
     "retry_call",
     "FaultInjector",
     "blob_corruptions",
@@ -81,7 +63,6 @@ __all__ = [
     "flip_bit",
     "poison_inf",
     "poison_nan",
-    "resolve_policy",
     "screen_finite",
     "truncate",
 ]

@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 from ..exceptions import ConfigurationError
 
@@ -73,11 +73,6 @@ class RetryPolicy:
             return base
         fraction = random.Random(f"{self.seed}:{attempt}").random()
         return base * (1.0 + self.jitter * fraction)
-
-    def delays(self) -> Iterator[float]:
-        """The full schedule: one delay per allowed retry."""
-        for attempt in range(self.max_retries):
-            yield self.delay(attempt)
 
 
 def retry_call(

@@ -45,9 +45,10 @@ supervision a long-running production run needs:
   retry budget is quarantined instead of sinking the run; the caller
   decides how to degrade it (a chunked run re-runs the chunk losslessly
   in-process);
-* **circuit breaker** — too many worker deaths trip the breaker: the
-  pool is abandoned and every remaining task runs serially in-process,
-  so a sick host degrades to slow, never to failed.
+* **circuit breaker** — ``2 * workers + 1`` worker respawns in one
+  :meth:`SupervisedPool.run` trip the breaker: the pool is abandoned and
+  every remaining task runs serially in-process, so a sick host degrades
+  to slow, never to failed.
 
 Results are checked by an optional ``validate`` hook in the parent *as
 tasks complete* and collected into a :class:`SupervisionReport`;
@@ -79,7 +80,6 @@ from ..obs import get_logger, get_metrics, get_tracer
 from .retry import RetryPolicy
 
 __all__ = [
-    "CircuitBreaker",
     "SupervisedPool",
     "SupervisionReport",
     "TaskOutcome",
@@ -163,30 +163,6 @@ class SupervisionReport:
         }
 
 
-class CircuitBreaker:
-    """Trips after ``threshold`` pool-level faults (worker respawns);
-    once tripped the pool stops being trusted."""
-
-    def __init__(self, threshold: int) -> None:
-        if threshold < 1:
-            raise ConfigurationError(
-                f"breaker threshold must be >= 1, got {threshold}"
-            )
-        self.threshold = threshold
-        self.faults = 0
-        self.tripped = False
-        self.reason = ""
-
-    def record_fault(self, reason: str) -> bool:
-        """Count one fault; returns True when this one tripped the breaker."""
-        self.faults += 1
-        if not self.tripped and self.faults >= self.threshold:
-            self.tripped = True
-            self.reason = reason
-            return True
-        return False
-
-
 class _Worker:
     """Parent-side handle: process, its task pipe and report pipe, its
     tasks in flight."""
@@ -226,9 +202,6 @@ class SupervisedPool:
     retry:
         Backoff/budget schedule for failed tasks (default
         ``RetryPolicy()``: 2 retries, 50 ms base, 2 s cap, 10% jitter).
-    breaker_threshold:
-        Pool faults before the circuit breaker trips (default
-        ``2 * workers + 1``).
     chaos:
         Optional :class:`~repro.resilience.inject.ChaosInjector`
         executed *inside workers* around each task (never inline in the
@@ -260,7 +233,6 @@ class SupervisedPool:
         *,
         task_timeout: "float | None" = None,
         retry: "RetryPolicy | None" = None,
-        breaker_threshold: "int | None" = None,
         chaos=None,
         validate: "Callable | None" = None,
         commit: "Callable | None" = None,
@@ -277,11 +249,6 @@ class SupervisedPool:
             )
         self.task_timeout = task_timeout
         self.retry = retry if retry is not None else RetryPolicy()
-        self.breaker = CircuitBreaker(
-            breaker_threshold
-            if breaker_threshold is not None
-            else 2 * self.workers + 1
-        )
         self.chaos = chaos
         self.validate = validate
         self.commit = commit
@@ -423,7 +390,7 @@ class SupervisedPool:
             reported first still counts; then only the task its last
             "start" named is charged a failure — one queued behind it
             never started and goes back to the ready heap as it was."""
-            if self.breaker.tripped:
+            if report.breaker_tripped:
                 return  # pool already condemned: what is left runs inline
             worker = workers[slot]
             self._kill(worker)
@@ -444,11 +411,12 @@ class SupervisedPool:
             worker.inflight.clear()
             report.respawns += 1
             metrics.counter("worker_restarts_total", pool=self.label).inc()
-            if self.breaker.record_fault(reason):
+            if report.respawns >= 2 * self.workers + 1:
+                report.breaker_tripped = True
                 _LOG.error(
                     "circuit breaker tripped: pool unhealthy, degrading to "
                     "serial in-process execution",
-                    faults=self.breaker.faults, reason=reason,
+                    respawns=report.respawns, reason=reason,
                 )
                 metrics.counter("circuit_breaker_trips_total", pool=self.label).inc()
                 return
@@ -459,7 +427,7 @@ class SupervisedPool:
             next_sweep = 0.0
             # quarantined tasks also land in report.outcomes, so outcome
             # count alone is the terminal-task count
-            while len(report.outcomes) < n and not self.breaker.tripped:
+            while len(report.outcomes) < n and not report.breaker_tripped:
                 now = time.monotonic()
                 # fill every worker one deep before any two deep, so the
                 # tail of a run is spread over the pool
@@ -513,8 +481,7 @@ class SupervisedPool:
             in_flight = sum(len(worker.inflight) for worker in workers.values())
             self._shutdown(workers)
 
-        if self.breaker.tripped:
-            report.breaker_tripped = True
+        if report.breaker_tripped:
             remaining = [task_id for task_id in tasks if task_id not in report.outcomes]
             _LOG.warning(
                 "executing remaining tasks serially in-process",

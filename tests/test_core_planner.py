@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core import ErrorFlowAnalyzer, TolerancePlanner
 from repro.exceptions import PlanningError
@@ -31,6 +33,37 @@ def test_plan_respects_quant_fraction(planner):
     # a larger fraction can only admit an equally fast or faster format
     ranking = [fmt.name for fmt in planner.formats]
     assert ranking.index(large.fmt.name) <= ranking.index(small.fmt.name)
+
+
+@pytest.fixture(scope="module")
+def ranked_planner(trained_spectral_mlp):
+    return TolerancePlanner(ErrorFlowAnalyzer(trained_spectral_mlp))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    exponents=st.tuples(st.floats(-4.0, 0.5), st.floats(-4.0, 0.5)).filter(
+        lambda pair: pair[0] != pair[1]
+    ),
+    quant_fraction=st.floats(0.0, 1.0),
+    norm=st.sampled_from(["linf", "l2"]),
+)
+# at half the budget, each pair straddles one format's bound (fp16's, int8's)
+@example(exponents=(-2.31, -2.30), quant_fraction=0.5, norm="linf")
+@example(exponents=(-0.95, -0.94), quant_fraction=0.5, norm="l2")
+def test_tighter_tolerance_never_chooses_looser_format(
+    ranked_planner, exponents, quant_fraction, norm
+):
+    """Property: for ``t1 < t2`` at the same fraction and norm, the plan
+    for ``t1`` spends no more on quantization than the plan for ``t2``,
+    and its format ranks no faster.  It holds by first fit over a fixed
+    ranking: every format that fits ``t1``'s allocation fits ``t2``'s."""
+    t1, t2 = sorted(10.0 ** e for e in exponents)
+    tight = ranked_planner.plan(t1, norm=norm, quant_fraction=quant_fraction)
+    loose = ranked_planner.plan(t2, norm=norm, quant_fraction=quant_fraction)
+    assert tight.quant_bound <= loose.quant_bound
+    ranking = [fmt.name for fmt in ranked_planner.formats]
+    assert ranking.index(tight.fmt.name) >= ranking.index(loose.fmt.name)
 
 
 def test_plan_total_budget_is_conserved(planner):

@@ -85,12 +85,13 @@ def test_top_level_convenience_exports():
 
 def test_pipeline_module_stays_one_fields_execute():
     """Ratchet: ``core/pipeline.py`` is plan + single-field ``execute``
-    (1233 lines before chunked execution moved to ``core/chunked.py``);
-    lower the ceiling when it shrinks, never raise it."""
+    (1233 lines before chunked execution moved to ``core/chunked.py``,
+    586 once the recovery counter became the one metrics call at its
+    site); lower the ceiling when it shrinks, never raise it."""
     from repro.core import pipeline
 
     with open(inspect.getsourcefile(pipeline), encoding="utf-8") as handle:
-        assert sum(1 for _ in handle) <= 660
+        assert sum(1 for _ in handle) <= 586
 
 
 def _python_lines(directory: str) -> int:
@@ -125,8 +126,10 @@ def test_package_line_count_only_goes_down():
     chunk loop, the pool's position-to-chunk translations and the store's
     and the injector's private atomic writers deleted — took it to
     19,080; the entropy stage's lane rule, one-gather encode and int64
-    lockstep walk took it to 19,074); lower the ceiling when it shrinks."""
-    assert _python_lines(os.path.dirname(inspect.getsourcefile(repro))) <= 19074
+    lockstep walk took it to 19,074; deleting the store's recovery layer,
+    the corruption policies and the circuit breaker class took it to
+    18,813); lower the ceiling when it shrinks."""
+    assert _python_lines(os.path.dirname(inspect.getsourcefile(repro))) <= 18813
 
 
 def test_obs_line_count_only_goes_down():
@@ -144,6 +147,7 @@ def test_public_surface_only_goes_down():
     the compile cache went, 225 before ``fold_batchnorm_scale``, which
     nothing called, 224 before the thread pool's two names, 222 before
     the unused ``BatchNorm1d``, 221 before the chunked store's four and
-    twelve names no other file used); lower the ceiling when it shrinks,
-    never raise it."""
-    assert sum(len(importlib.import_module(m).__all__) for m in _SUBPACKAGES) <= 205
+    twelve names no other file used, 205 before the corruption policies'
+    five names and the circuit breaker class); lower the ceiling when it
+    shrinks, never raise it."""
+    assert sum(len(importlib.import_module(m).__all__) for m in _SUBPACKAGES) <= 199

@@ -3,7 +3,7 @@
 Proves the data-integrity layer's central claim — between the store and
 the model, no corrupted byte passes silently.  Covers the v2 checksummed
 blob format, the fault injectors themselves, the runtime guards, the
-DatasetStore degradation policies, pipeline-level recovery, and v1
+DatasetStore's verified reads, pipeline-level recovery, and v1
 backward compatibility.
 """
 
@@ -26,7 +26,6 @@ from repro.exceptions import (
 )
 from repro.io import DatasetStore, atomic_write_bytes, blob_from_bytes, blob_to_bytes
 from repro.resilience import (
-    CorruptionPolicy,
     FaultInjector,
     blob_corruptions,
     check_contract,
@@ -38,7 +37,6 @@ from repro.resilience import (
     flip_bit,
     poison_inf,
     poison_nan,
-    resolve_policy,
     screen_finite,
     truncate,
 )
@@ -199,16 +197,7 @@ def test_check_contract_structured_diagnostic():
         check_contract(float("nan"), 1e-3, codec="sz", stage="s")
 
 
-def test_resolve_policy():
-    assert resolve_policy("raise") is CorruptionPolicy.RAISE
-    assert resolve_policy(CorruptionPolicy.RECOMPRESS) is CorruptionPolicy.RECOMPRESS
-    assert CorruptionPolicy.FALLBACK_LOSSLESS.recovers
-    assert not CorruptionPolicy.RAISE.recovers
-    with pytest.raises(ConfigurationError):
-        resolve_policy("ignore")
-
-
-# -- DatasetStore degradation ----------------------------------------------
+# -- DatasetStore verification ---------------------------------------------
 def _rblob_path(store, name):
     return os.path.join(store.directory, name + ".rblob")
 
@@ -221,62 +210,8 @@ def test_store_detects_on_disk_corruption(tmp_path, smooth_field_2d):
         store.get("f")
 
 
-def test_store_recompress_from_source_recovers(tmp_path, smooth_field_2d):
-    store = DatasetStore(str(tmp_path), on_corruption="recompress-from-source")
-    store.put("f", smooth_field_2d, tolerance=1e-3, keep_source=True)
-    corrupt_file(_rblob_path(store, "f"), lambda b: truncate(b, len(b) // 3))
-    recovered = store.get("f")
-    assert np.abs(recovered - smooth_field_2d).max() <= 1e-3
-    assert store.verify("f")  # on-disk entry was repaired too
-
-
-def test_store_fallback_lossless_recovers_exactly(tmp_path, smooth_field_2d):
-    store = DatasetStore(str(tmp_path), on_corruption="fallback-lossless")
-    store.put("f", smooth_field_2d, tolerance=1e-3, keep_source=True)
-    corrupt_file(_rblob_path(store, "f"), lambda b: corrupt_payload_byte(b, 0))
-    recovered = store.get("f")
-    assert np.array_equal(recovered, smooth_field_2d)
-    assert store.get_blob("f").metadata.get("degraded") is True
-
-
-def test_store_attach_source_provider(tmp_path, smooth_field_2d):
-    store = DatasetStore(str(tmp_path), on_corruption="recompress-from-source")
-    store.put("f", smooth_field_2d, tolerance=1e-3)
-    store.attach_source("f", lambda: smooth_field_2d)
-    corrupt_file(_rblob_path(store, "f"), lambda b: truncate(b, 20))
-    assert np.abs(store.get("f") - smooth_field_2d).max() <= 1e-3
-
-
-def test_store_recovery_without_source_raises(tmp_path, smooth_field_2d):
-    store = DatasetStore(str(tmp_path), on_corruption="recompress-from-source")
-    store.put("f", smooth_field_2d, tolerance=1e-3)
-    corrupt_file(_rblob_path(store, "f"), lambda b: truncate(b, 20))
-    with pytest.raises(IntegrityError, match="could not be recovered"):
-        store.get("f")
-
-
-def test_store_retries_are_bounded(tmp_path, smooth_field_2d, monkeypatch):
-    """A persistently corrupting medium fails loudly, not forever."""
-    store = DatasetStore(
-        str(tmp_path), on_corruption="recompress-from-source", max_retries=2
-    )
-    store.put("f", smooth_field_2d, tolerance=1e-3, keep_source=True)
-    calls = {"n": 0}
-    original = DatasetStore.get_blob
-
-    def always_corrupt(self, name):
-        calls["n"] += 1
-        blob = original(self, name)
-        raise IntegrityError("medium keeps flipping bits")
-
-    monkeypatch.setattr(DatasetStore, "get_blob", always_corrupt)
-    with pytest.raises(IntegrityError):
-        store.get("f")
-    assert calls["n"] == 3  # initial read + max_retries
-
-
 def test_store_missing_entry_is_not_a_corruption_event(tmp_path):
-    store = DatasetStore(str(tmp_path), on_corruption="fallback-lossless")
+    store = DatasetStore(str(tmp_path))
     with pytest.raises(CompressionError, match="not found"):
         store.get("absent")
 
@@ -572,23 +507,6 @@ def test_counters_contract_violation(planned, field_batch, monkeypatch):
     assert metrics.value(
         "contract_violations_total", stage="decompress", codec="sz"
     ) == 1
-
-
-def test_counters_store_recovery(tmp_path, smooth_field_2d):
-    from repro import obs
-
-    store = DatasetStore(str(tmp_path), on_corruption="fallback-lossless")
-    store.put("f", smooth_field_2d, tolerance=1e-3, keep_source=True)
-    corrupt_file(_rblob_path(store, "f"), lambda b: corrupt_payload_byte(b, 0))
-    with obs.capture() as (tracer, metrics):
-        store.get("f")
-    assert metrics.value("retries_total", component="store") == 1
-    assert metrics.value(
-        "recoveries_total", policy="fallback-lossless", component="store"
-    ) == 1
-    get_span = tracer.find("store.get")[0]
-    assert get_span.attributes["recovered"] is True
-    assert get_span.attributes["attempts"] == 2  # failed read + clean re-read
 
 
 # -- safe_decompress --------------------------------------------------------
