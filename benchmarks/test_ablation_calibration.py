@@ -27,9 +27,9 @@ def test_calibration_tightens_without_undercutting(benchmark, workloads, workloa
         samples = samples[:32]
 
     def compute():
-        n_input = int(np.prod(workload.dataset.train_inputs.shape[1:]))
-        paper = ErrorFlowAnalyzer(model, n_input=n_input)
-        calibrated = ErrorFlowAnalyzer(model, n_input=n_input).calibrate(samples)
+        input_shape = workload.dataset.train_inputs.shape[1:]
+        paper = ErrorFlowAnalyzer(model, input_shape)
+        calibrated = ErrorFlowAnalyzer(model, input_shape).calibrate(samples)
         reference = materialize(model)(samples).reshape(len(samples), -1)
         rows = []
         for fmt in _FORMATS:

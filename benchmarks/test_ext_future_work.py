@@ -1,21 +1,16 @@
-"""Extension benches: the paper's Section VI future-work items, measured.
+"""Extension bench: the paper's Section VI future-work item, measured.
 
-* U-Net error flow — Eq. (3)-style bounds on a trained spectral U-Net
-  (nested skip connections handled by the concat-join algebra);
-* transformer local Lipschitz — the empirical estimator standing in for
-  the not-yet-derived attention bound;
-* compression-ratio prediction (ref. [28]) — model vs measured ratios.
+U-Net error flow — Eq. (3)-style bounds on a trained spectral U-Net
+(nested skip connections handled by the concat-join algebra).
 """
 
 import numpy as np
 import pytest
 
 from conftest import print_table, run_once
-from repro.compress import ErrorBoundMode, RatioEstimator, SZCompressor
 from repro.core import ErrorFlowAnalyzer
-from repro.core.sensitivity import empirical_lipschitz
 from repro.models import unet
-from repro.nn import Adam, MSELoss, Sequential, Trainer, TransformerBlock
+from repro.nn import Adam, MSELoss, Trainer
 from repro.quant import BF16, FP16, INT8, TF32, materialize, quantize_model
 
 
@@ -41,7 +36,7 @@ def denoising_unet():
 
 def test_unet_error_bounds(benchmark, denoising_unet):
     model, noisy = denoising_unet
-    analyzer = ErrorFlowAnalyzer(model, n_input=24 * 24)
+    analyzer = ErrorFlowAnalyzer(model, (1, 24, 24))
     x = noisy[:16]
 
     def compute():
@@ -66,48 +61,3 @@ def test_unet_error_bounds(benchmark, denoising_unet):
     by_format = {r[0]: r for r in rows}
     assert np.isclose(by_format["tf32"][2], by_format["fp16"][2], rtol=1e-6)
     assert by_format["int8"][2] > by_format["bf16"][2] > by_format["fp16"][2]
-
-
-def test_transformer_empirical_lipschitz(benchmark):
-    rng = np.random.default_rng(6)
-    model = Sequential(TransformerBlock(16, 4, rng=rng))
-    inputs = rng.uniform(-1, 1, (32, 8, 16)).astype(np.float32)
-    targets = (0.5 * inputs + 0.5 * inputs.mean(axis=1, keepdims=True)).astype(np.float32)
-    trainer = Trainer(model, MSELoss(), Adam(model.parameters(), lr=2e-3))
-    trainer.fit(inputs, targets, epochs=15, batch_size=16, rng=rng)
-    model.eval()
-
-    def compute():
-        return empirical_lipschitz(model, inputs[:8], rng=rng, n_probes=16)
-
-    lipschitz = run_once(benchmark, compute)
-    print(f"\ntrained transformer local Lipschitz estimate: {lipschitz:.3f}")
-    # a residual pre-LN block should sit near gain ~1 on this task
-    assert 0.2 < lipschitz < 50.0
-
-
-@pytest.mark.parametrize("workload_name", ["h2combustion", "borghesi"])
-def test_ratio_model_vs_actual(benchmark, workloads, workload_name):
-    workload = workloads[workload_name]
-    fields = workload.dataset.fields
-
-    def compute():
-        estimator = RatioEstimator(fields)
-        codec = SZCompressor()
-        rows = []
-        for tolerance in np.logspace(-5, -2, 6):
-            predicted = estimator.ratio(float(tolerance))
-            actual = codec.compress(
-                fields, float(tolerance), ErrorBoundMode.ABS
-            ).compression_ratio
-            rows.append([float(tolerance), predicted, actual, predicted / actual])
-        return rows
-
-    rows = run_once(benchmark, compute)
-    print_table(
-        f"Extension ({workload_name}): ratio model (ref. [28]) vs measured SZ",
-        ["tolerance", "predicted", "actual", "pred/actual"],
-        rows,
-    )
-    for __, predicted, actual, ratio in rows:
-        assert 0.5 < ratio < 2.0, "prediction off by more than 2x"

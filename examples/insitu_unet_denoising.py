@@ -54,7 +54,7 @@ def main() -> None:
           f"{history.train_loss[-1]:.3f}")
 
     # --- certify the pipeline before running it ------------------------------
-    analyzer = ErrorFlowAnalyzer(model, n_input=GRID * GRID)
+    analyzer = ErrorFlowAnalyzer(model, (1, GRID, GRID))
     analyzer.calibrate(noisy[:16])
     quant_bound = analyzer.quantization_bound(FP16)
     input_budget_l2 = analyzer.invert_compression_tolerance(QOI_TOLERANCE, FP16)

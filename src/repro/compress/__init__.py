@@ -10,7 +10,6 @@ from .base import CompressedBlob, Compressor, ErrorBoundMode, absolute_tolerance
 from .huffman import huffman_decode, huffman_encode
 from .metrics import achieved_error, compression_ratio, psnr, verify_tolerance
 from .mgard import MGARDCompressor
-from .ratio_model import RatioEstimator
 from .sz import SZCompressor
 from .zfp import ZFPCompressor
 
@@ -19,7 +18,6 @@ __all__ = [
     "Compressor",
     "ErrorBoundMode",
     "MGARDCompressor",
-    "RatioEstimator",
     "SZCompressor",
     "ZFPCompressor",
     "absolute_tolerance",

@@ -8,9 +8,10 @@ Calibration measures the actual per-layer signal norms on representative
 data and caps the recurrence with them (plus a safety margin), the
 standard practice for data-driven quantization error models.
 
-The traversal mirrors :func:`repro.core.graph.extract_spec` exactly, so
-the recorded caps align one-to-one with the spec's linear layers
-(residual bodies before shortcuts).
+The norms are read from one observed forward (:meth:`Module.observe`),
+whose operator order is the spec's order (residual bodies before
+shortcuts), so the recorded caps align one-to-one with the spec's linear
+layers.
 """
 
 from __future__ import annotations
@@ -19,11 +20,9 @@ import numpy as np
 
 from ..exceptions import ConfigurationError
 from ..obs import get_metrics, get_tracer
-from ..nn.conv import Conv2d, SpectralConv2d
-from ..nn.linear import Linear, SpectralLinear
 from ..nn.module import Module
-from ..nn.residual import ResidualBlock
 from ..nn.sequential import Sequential
+from .graph import LINEAR_OPERATORS
 
 __all__ = ["collect_signal_norms"]
 
@@ -31,32 +30,6 @@ __all__ = ["collect_signal_norms"]
 def _max_sample_norm(tensor: np.ndarray) -> float:
     flat = tensor.reshape(len(tensor), -1)
     return float(np.linalg.norm(flat, axis=1).max())
-
-
-def _walk(module: Module, x: np.ndarray, norms: list[float]) -> np.ndarray:
-    if hasattr(module, "calibration_walk"):
-        # Extension hook: composites (e.g. U-Net levels) define their own
-        # traversal, mirroring their error_flow_spec layer order.
-        return module.calibration_walk(_walk, x, norms)
-    if isinstance(module, Sequential):
-        for layer in module:
-            x = _walk(layer, x, norms)
-        return x
-    if isinstance(module, ResidualBlock):
-        branch = _walk(module.body, x, norms)
-        if module.shortcut is None:
-            skip = x
-        else:
-            skip = _walk(module.shortcut, x, norms)
-        out = branch + skip
-        if module.post_activation is not None:
-            out = module.post_activation(out)
-        return out
-    if isinstance(module, (Linear, SpectralLinear, Conv2d, SpectralConv2d)):
-        # record the signal *entering* this linear operator — the h^(l-1)
-        # of the quantization term
-        norms.append(_max_sample_norm(x))
-    return module(x)
 
 
 def collect_signal_norms(
@@ -83,12 +56,17 @@ def collect_signal_norms(
         raise ConfigurationError("calibration expects a Sequential model")
     if margin < 1.0:
         raise ConfigurationError(f"margin must be >= 1, got {margin}")
-    model.eval()
     norms: list[float] = []
     with get_tracer().span(
         "quant.calibrate", samples=int(len(inputs)), margin=float(margin)
     ) as span:
-        _walk(model, np.asarray(inputs, dtype=np.float32), norms)
+        # record the signal *entering* each linear operator — the h^(l-1)
+        # of the quantization term
+        model.observe(
+            np.asarray(inputs, dtype=np.float32),
+            lambda module, x, output: norms.append(_max_sample_norm(x)),
+            [module for module in model.modules() if isinstance(module, LINEAR_OPERATORS)],
+        )
         span.set(layers=len(norms))
     get_metrics().counter("calibrations_total").inc()
     return [norm * margin for norm in norms]

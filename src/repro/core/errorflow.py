@@ -53,9 +53,10 @@ class ErrorFlowAnalyzer:
     ----------
     model:
         Trained :class:`~repro.nn.sequential.Sequential` network.
-    n_input:
-        Total input dimensionality per sample (``prod`` of the input
-        shape).  Defaults to the first layer's fan-in (correct for MLPs).
+    input_shape:
+        Per-sample input shape (see :func:`~repro.core.graph.extract_spec`);
+        defaults to ``(in_features,)`` of a dense first layer and is
+        required for a conv-first model.
     quant_safety:
         Multiplier on the per-layer quantization steps ``q_l``.  The
         paper's quantization term is a Central-Limit-Theorem
@@ -71,22 +72,25 @@ class ErrorFlowAnalyzer:
     All bound methods return *absolute* error bounds on the QoI in the
     requested norm; divide by a reference output norm for the relative
     errors plotted in the paper's figures.  The compression term (Eq. 5)
-    is a deterministic operator-norm bound and is never exceeded.
+    is a deterministic operator-norm bound, never exceeded through dense
+    layers.  A conv is charged the sigma of its matricized kernel, which
+    can read the conv operator's norm up to ``ceil(k / s)`` times low, and
+    each pool is charged 1, so on conv models the term is the paper's
+    estimate rather than a guarantee (DESIGN.md section 7).
     """
 
     def __init__(
         self,
         model: Module,
-        n_input: int | None = None,
+        input_shape: tuple[int, ...] | None = None,
         quant_safety: float = 1.0,
     ) -> None:
         if quant_safety <= 0:
             raise ToleranceError(f"quant_safety must be positive, got {quant_safety}")
-        self.spec: NetworkSpec = extract_spec(model, n_input=n_input)
+        self.spec: NetworkSpec = extract_spec(model, input_shape)
         self.quant_safety = float(quant_safety)
         self._model = model
         self._signal_caps: dict[int, float] | None = None
-        self._n_input_arg = n_input
         self._token = next(_ANALYZER_TOKENS)
         self._weight_version = model.weight_version()
         self._cache_epoch = 0
@@ -102,7 +106,7 @@ class ErrorFlowAnalyzer:
         """
         current = self._model.weight_version()
         if current != self._weight_version:
-            self.spec = extract_spec(self._model, n_input=self._n_input_arg)
+            self.spec = extract_spec(self._model, self.spec.input_shape)
             self._signal_caps = None
             self._weight_version = current
             self._cache_epoch += 1

@@ -12,6 +12,9 @@ step ``q``.  This module walks a trained model and produces a
 * residual blocks become :class:`ResidualSpec` nodes carrying the
   shortcut spectral norm ``sigma_s`` of Eq. (1).
 
+Each operator's per-sample input shape comes from one observed forward
+of a zero sample (:meth:`~repro.nn.module.Module.observe`).
+
 Spectral norms come from the layer's own ``alpha`` when it is trained with
 parameterized spectral normalization (exact by construction) and from
 power iteration otherwise.  Power iterations are memoized on weight
@@ -22,6 +25,7 @@ run exactly one iteration pass per layer per weight version.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +43,9 @@ from ..perf.cache import cached_spectral_norm
 
 __all__ = ["LinearSpec", "ChainSpec", "ResidualSpec", "NetworkSpec", "extract_spec"]
 
+#: the modules the spec charges as linear operators (one LinearSpec each)
+LINEAR_OPERATORS = (Linear, SpectralLinear, Conv2d, SpectralConv2d)
+
 
 @dataclass
 class LinearSpec:
@@ -46,7 +53,8 @@ class LinearSpec:
 
     ``weights`` is the effective matrix (BN folded) used for quantization
     step sizes; ``n_in`` / ``n_out`` are the effective dimensions entering
-    the ``sqrt(n)`` factors (for convs: ``C * k^2`` and ``C_out * k^2``).
+    the ``sqrt(n)`` factors (for convs: ``C * k^2`` and ``C_out * k^2``);
+    ``in_shape`` is the per-sample shape of the operator's input.
     """
 
     name: str
@@ -56,6 +64,7 @@ class LinearSpec:
     weights: np.ndarray
     lipschitz_after: float = 1.0
     is_conv: bool = False
+    in_shape: tuple[int, ...] = ()
 
     @property
     def out_features(self) -> int:
@@ -95,10 +104,15 @@ class ResidualSpec:
 
 @dataclass
 class NetworkSpec:
-    """Root of the error-flow graph plus global input metadata."""
+    """Root of the error-flow graph plus the per-sample input shape."""
 
     chain: ChainSpec
-    n_input: int
+    input_shape: tuple[int, ...]
+
+    @property
+    def n_input(self) -> int:
+        """Values per input sample, the ``n_0`` of the L-infinity bound."""
+        return math.prod(self.input_shape)
 
     def linear_specs(self) -> list[LinearSpec]:
         return self.chain.linear_specs()
@@ -126,37 +140,21 @@ def _layer_sigma(layer: Module, effective: np.ndarray) -> float:
     return cached_spectral_norm(effective)
 
 
-def _dense_spec(layer: Linear | SpectralLinear, name: str, bn_scale: np.ndarray | None) -> LinearSpec:
+def _linear_spec(layer: Module, name: str, bn_scale: np.ndarray | None) -> LinearSpec:
     effective = np.asarray(layer.effective_weight(), dtype=np.float64)
     if bn_scale is not None:
         effective = effective * bn_scale[:, None]
         sigma = cached_spectral_norm(effective)
     else:
         sigma = _layer_sigma(layer, effective)
-    return LinearSpec(
-        name=name,
-        sigma=sigma,
-        n_in=layer.in_features,
-        n_out=layer.out_features,
-        weights=effective,
-    )
-
-
-def _conv_spec(layer: Conv2d | SpectralConv2d, name: str, bn_scale: np.ndarray | None) -> LinearSpec:
-    effective = np.asarray(layer.effective_weight(), dtype=np.float64)
-    if bn_scale is not None:
-        effective = effective * bn_scale[:, None]
-        sigma = cached_spectral_norm(effective)
+    is_conv = isinstance(layer, Conv2d)
+    if is_conv:
+        k_sq = layer.kernel_size**2
+        n_in, n_out = layer.in_channels * k_sq, layer.out_channels * k_sq
     else:
-        sigma = _layer_sigma(layer, effective)
-    k_sq = layer.kernel_size**2
+        n_in, n_out = layer.in_features, layer.out_features
     return LinearSpec(
-        name=name,
-        sigma=sigma,
-        n_in=layer.in_channels * k_sq,
-        n_out=layer.out_channels * k_sq,
-        weights=effective,
-        is_conv=True,
+        name=name, sigma=sigma, n_in=n_in, n_out=n_out, weights=effective, is_conv=is_conv
     )
 
 
@@ -167,17 +165,13 @@ def _extract_chain(model: Sequential, prefix: str) -> ChainSpec:
     while index < len(layers):
         layer = layers[index]
         name = f"{prefix}{index}"
-        if isinstance(layer, (Linear, SpectralLinear, Conv2d, SpectralConv2d)):
+        if isinstance(layer, LINEAR_OPERATORS):
             bn_scale = None
             if index + 1 < len(layers) and isinstance(layers[index + 1], _BatchNormBase):
                 bn = layers[index + 1]
                 bn_scale = np.asarray(bn.inference_scale(), dtype=np.float64)
                 index += 1  # consume the fused batch norm
-            if isinstance(layer, (Conv2d, SpectralConv2d)):
-                spec = _conv_spec(layer, name, bn_scale)
-            else:
-                spec = _dense_spec(layer, name, bn_scale)
-            chain.items.append(spec)
+            chain.items.append(_linear_spec(layer, name, bn_scale))
         elif isinstance(layer, Activation):
             if chain.items and isinstance(chain.items[-1], (LinearSpec, ResidualSpec)):
                 chain.items[-1].lipschitz_after *= layer.lipschitz
@@ -228,7 +222,7 @@ def _extract_block(block: ResidualBlock, prefix: str) -> ResidualSpec:
     return ResidualSpec(body=body, shortcut=shortcut, lipschitz_after=lipschitz)
 
 
-def extract_spec(model: Module, n_input: int | None = None) -> NetworkSpec:
+def extract_spec(model: Module, input_shape: tuple[int, ...] | None = None) -> NetworkSpec:
     """Build the error-flow graph of a trained model.
 
     Parameters
@@ -236,18 +230,39 @@ def extract_spec(model: Module, n_input: int | None = None) -> NetworkSpec:
     model:
         A :class:`Sequential` model built from the layers of
         :mod:`repro.nn` (possibly containing residual blocks).
-    n_input:
-        Total input dimensionality (``prod`` of the per-sample input
-        shape).  Defaults to the first layer's ``n_in`` — correct for
-        MLPs; pass it explicitly for convolutional models.
+    input_shape:
+        Per-sample input shape, e.g. ``(13, 24, 24)`` for an image.  One
+        forward of a zero sample of this shape records every operator's
+        ``in_shape``.  Defaults to ``(in_features,)`` when the first
+        operator is dense; a conv-first model must pass it
+        (:class:`ConfigurationError`), and a shape the model cannot take
+        raises :class:`~repro.exceptions.ShapeError`.
     """
     if not isinstance(model, Sequential):
         raise ConfigurationError("extract_spec expects a Sequential model")
+    operators = [module for module in model.modules() if isinstance(module, LINEAR_OPERATORS)]
+    if not operators:
+        raise ConfigurationError("model contains no linear layers")
+    if input_shape is None:
+        if isinstance(operators[0], Conv2d):
+            raise ConfigurationError(
+                "extract_spec needs the per-sample input_shape of a conv-first model"
+            )
+        input_shape = (operators[0].in_features,)
+    input_shape = tuple(int(size) for size in input_shape)
+    in_shapes: list[tuple[int, ...]] = []
+    model.observe(
+        np.zeros((1,) + input_shape, dtype=np.float32),
+        lambda module, x, output: in_shapes.append(x.shape[1:]),
+        operators,
+    )
     chain = _extract_chain(model, "")
     specs = chain.linear_specs()
-    if not specs:
-        raise ConfigurationError("model contains no linear layers")
-    if n_input is None:
-        first = specs[0]
-        n_input = first.weights.shape[1] if not first.is_conv else first.n_in
-    return NetworkSpec(chain=chain, n_input=int(n_input))
+    if len(in_shapes) != len(specs):
+        raise ConfigurationError(
+            f"the forward applied {len(in_shapes)} linear operators, the spec has {len(specs)}"
+        )
+    # forward order is the spec's order (residual bodies before shortcuts)
+    for spec, shape in zip(specs, in_shapes):
+        spec.in_shape = shape
+    return NetworkSpec(chain=chain, input_shape=input_shape)

@@ -428,11 +428,10 @@ class InferencePipeline:
         if self._audit_recorder is None:
             from ..obs.audit import LayerwiseErrorRecorder
 
-            n_input = int(np.prod(np.asarray(reference_samples).shape[1:]))
             self._audit_recorder = LayerwiseErrorRecorder(
                 self.model,
                 self.quantized,
-                n_input=n_input or None,
+                np.shape(reference_samples)[1:],
                 quant_safety=auditor.quant_safety,
             )
         return self._audit_recorder

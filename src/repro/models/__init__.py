@@ -4,7 +4,6 @@ from .mlp import (
     borghesi_net,
     build_mlp,
     h2_reaction_net,
-    mlp_flops,
     mlp_large,
     mlp_medium,
     mlp_small,
@@ -20,7 +19,6 @@ __all__ = [
     "build_mlp",
     "build_model",
     "h2_reaction_net",
-    "mlp_flops",
     "mlp_large",
     "mlp_medium",
     "mlp_small",

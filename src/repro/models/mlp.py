@@ -24,7 +24,6 @@ __all__ = [
     "mlp_small",
     "mlp_medium",
     "mlp_large",
-    "mlp_flops",
 ]
 
 
@@ -111,11 +110,6 @@ def borghesi_net(
         rng=rng,
         alpha_init=1.3,
     )
-
-
-def mlp_flops(widths: list[int]) -> int:
-    """Multiply-accumulate FLOPs per sample for a dense stack."""
-    return int(sum(2 * a * b for a, b in zip(widths[:-1], widths[1:])))
 
 
 def mlp_small(rng: np.random.Generator | None = None, spectral: bool = False) -> Sequential:

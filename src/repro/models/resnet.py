@@ -22,11 +22,11 @@ from ..nn.activations import ReLU
 from ..nn.conv import Conv2d, SpectralConv2d
 from ..nn.linear import Linear, SpectralLinear
 from ..nn.normalization import BatchNorm2d
-from ..nn.pooling import GlobalAvgPool2d
+from ..nn.pooling import Flatten, GlobalAvgPool2d
 from ..nn.residual import BasicBlock
 from ..nn.sequential import Sequential
 
-__all__ = ["resnet", "resnet18", "conv_flops", "model_flops"]
+__all__ = ["resnet", "resnet18", "model_flops"]
 
 
 def _stage(
@@ -138,61 +138,23 @@ def resnet18(
     return Sequential(*layers)
 
 
-def conv_flops(layer: Conv2d, spatial: tuple[int, int]) -> tuple[int, tuple[int, int]]:
-    """Multiply-accumulate FLOPs of one conv and its output spatial size."""
-    h, w = spatial
-    out_h = (h + 2 * layer.padding - layer.kernel_size) // layer.stride + 1
-    out_w = (w + 2 * layer.padding - layer.kernel_size) // layer.stride + 1
-    flops = (
-        2
-        * layer.in_channels
-        * layer.kernel_size**2
-        * layer.out_channels
-        * out_h
-        * out_w
-    )
-    return int(flops), (out_h, out_w)
-
-
 def model_flops(model, input_shape: tuple[int, ...]) -> int:
-    """FLOPs per sample via a shape-tracking traversal.
+    """FLOPs per sample, counted over one forward of a zero sample.
 
-    Supports the containers and leaves used by the builders in this
-    package (convs, linears, pooling, residual blocks).
+    Convs and dense layers cost two per multiply-accumulate; flattening
+    is free; every other leaf (activations, batch norm, pooling) one per
+    input element.
     """
-    from ..nn.pooling import AvgPool2d, Flatten, MaxPool2d
-    from ..nn.residual import ResidualBlock
+    flops: list[int] = []
 
-    def walk(module, shape) -> tuple[int, tuple[int, ...]]:
-        total = 0
-        if isinstance(module, Sequential):
-            for child in module:
-                flops, shape = walk(child, shape)
-                total += flops
-            return total, shape
-        if isinstance(module, ResidualBlock):
-            body_flops, out_shape = walk(module.body, shape)
-            total += body_flops
-            if module.shortcut is not None:
-                skip_flops, __ = walk(module.shortcut, shape)
-                total += skip_flops
-            return total, out_shape
-        if isinstance(module, (Conv2d, SpectralConv2d)):
-            flops, spatial = conv_flops(module, shape[1:])
-            return flops, (module.out_channels,) + spatial
-        if isinstance(module, (Linear, SpectralLinear)):
-            return 2 * module.in_features * module.out_features, (module.out_features,)
-        if isinstance(module, GlobalAvgPool2d):
-            return int(np.prod(shape)), (shape[0],)
-        if isinstance(module, (MaxPool2d, AvgPool2d)):
-            h, w = shape[1:]
-            out_h = (h + 2 * module.padding - module.kernel_size) // module.stride + 1
-            out_w = (w + 2 * module.padding - module.kernel_size) // module.stride + 1
-            return int(np.prod(shape)), (shape[0], out_h, out_w)
-        if isinstance(module, Flatten):
-            return 0, (int(np.prod(shape)),)
-        # activations / batch norm: one op per element
-        return int(np.prod(shape)), shape
+    def count(module, x: np.ndarray, output: np.ndarray) -> None:
+        if isinstance(module, Conv2d):
+            flops.append(2 * module.in_channels * module.kernel_size**2 * output.size)
+        elif isinstance(module, (Linear, SpectralLinear)):
+            flops.append(2 * module.in_features * output.size)
+        elif not isinstance(module, Flatten):
+            flops.append(x.size)
 
-    total, __ = walk(model, input_shape)
-    return total
+    leaves = [module for module in model.modules() if not list(module.children())]
+    model.observe(np.zeros((1,) + tuple(input_shape), dtype=np.float32), count, leaves)
+    return int(sum(flops))

@@ -87,16 +87,10 @@ class UNetLevel(Module):
         grad_skip_pool = self.pool.backward(grad_pooled)
         return self.down.backward(grad_skip_direct + grad_skip_pool)
 
-    def calibration_walk(self, walk, x: np.ndarray, norms: list) -> np.ndarray:
-        """Signal-norm traversal mirroring :meth:`error_flow_spec` order."""
-        skip = walk(self.down, x, norms)
-        inner_out = walk(self.inner, self.pool(skip), norms)
-        upsampled = self.upsample(inner_out)
-        return walk(self.fuse, self.concat(skip, upsampled), norms)
-
     # -- error-flow extension hook (consumed by repro.core.graph) ---------
     def error_flow_spec(self, extract_chain, prefix: str):
-        """Spec for the bound: down -> concat-join(inner path) -> fuse.
+        """Spec for the bound: down -> concat-join(inner path) -> fuse,
+        the order in which :meth:`forward` applies the convs.
 
         The concat join is additive in L2 (like a residual with identity
         shortcut); the inner branch carries the pool (1-Lipschitz) and

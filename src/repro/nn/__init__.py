@@ -5,7 +5,6 @@ scientific surrogate models evaluated in the paper (MLPs and ResNets),
 including the parameterized spectral normalization of Section III-C.
 """
 
-from .attention import LayerNorm, MultiHeadSelfAttention, TransformerBlock
 from .activations import (
     ACTIVATIONS,
     GELU,
@@ -38,9 +37,6 @@ __all__ = [
     "StepLR",
     "Upsample2d",
     "ConcatChannels",
-    "TransformerBlock",
-    "MultiHeadSelfAttention",
-    "LayerNorm",
     "ACTIVATIONS",
     "Activation",
     "Adam",

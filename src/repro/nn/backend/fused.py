@@ -347,6 +347,18 @@ def slot_dtypes(program: LoweredProgram, x_dtype) -> list:
     return slots
 
 
+def _split_verdict(same_bytes: bool, split_s: list, whole_s: list) -> "str | None":
+    """The probe's rule: ``None`` keeps the split, else the reason it is
+    refused.  Other bytes refuse it; so do halves whose best time exceeds
+    :data:`_SPLIT_KEEP_RATIO` of the whole batch's best.  Rounds the lane
+    took no half of carry no time, and without one the bytes decide."""
+    if not same_bytes:
+        return "bytes"
+    if split_s and min(split_s) > _SPLIT_KEEP_RATIO * min(whole_s):
+        return "slower"
+    return None
+
+
 class _BufferSet:
     """One ``(input shape, dtype)``'s scratch and its split verdict: ``None``
     until probed, ``False`` from the start where no split is possible."""
@@ -454,9 +466,9 @@ class FusedKernel:
         same = split.dtype == whole.dtype and np.array_equal(
             split.view(f"u{split.itemsize}"), whole.view(f"u{whole.itemsize}")
         )
-        buffers.split = same and not (split_s and min(split_s) > _SPLIT_KEEP_RATIO * min(whole_s))
-        if not buffers.split:
-            reason = "slower" if same else "bytes"
+        reason = _split_verdict(same, split_s, whole_s)
+        buffers.split = reason is None
+        if reason is not None:
             self.split_rejections[reason] = self.split_rejections.get(reason, 0) + 1
             get_metrics().counter("backend_split_rejected_total", reason=reason).inc()
         return whole

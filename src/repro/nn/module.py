@@ -15,7 +15,7 @@ input, caching whatever it needs from the forward pass.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -249,6 +249,31 @@ class Module:
         key = next(_HOOK_IDS)
         self._forward_hooks[key] = hook
         return HookHandle(self._forward_hooks, key)
+
+    def observe(
+        self,
+        x: np.ndarray,
+        hook: Callable[["Module", np.ndarray, np.ndarray], None],
+        modules: Iterable["Module"] | None = None,
+    ) -> np.ndarray:
+        """Run ``self(x)`` in eval mode, calling ``hook(module, input,
+        output)`` after each forward of ``modules`` (default: the whole
+        tree) in call order; restore the training flags, remove the hooks
+        and return the output.  Spec extraction, calibration, FLOP
+        counting and the audit all read the model through it."""
+        flags = [(module, module.training) for module in self.modules()]
+        handles = [
+            module.register_forward_hook(hook)
+            for module in (self.modules() if modules is None else modules)
+        ]
+        self.eval()
+        try:
+            return self(x)
+        finally:
+            for handle in handles:
+                handle.remove()
+            for module, training in flags:
+                object.__setattr__(module, "training", training)
 
     # -- compute --------------------------------------------------------
     def forward(self, x: np.ndarray) -> np.ndarray:

@@ -243,26 +243,14 @@ def _max_errors(clean: np.ndarray, perturbed: np.ndarray) -> tuple[float, float]
     )
 
 
-def _collect_child_outputs(sequential, samples: np.ndarray):
-    """Forward ``samples`` once, capturing every top-level child output.
-
-    Uses :meth:`~repro.nn.module.Module.register_forward_hook`, so the
-    model's forward logic is untouched; outputs arrive in execution
-    order, which for a ``Sequential`` is child order.
-    """
+def _collect_child_outputs(sequential, samples: np.ndarray) -> list:
+    """Every top-level child output of one observed forward of ``samples``,
+    in execution order, which for a ``Sequential`` is child order."""
     outputs: list[np.ndarray] = []
-    handles = [
-        child.register_forward_hook(
-            lambda module, inputs, output: outputs.append(output)
-        )
-        for child in sequential
-    ]
-    try:
-        final = sequential(samples)
-    finally:
-        for handle in handles:
-            handle.remove()
-    return outputs, final
+    sequential.observe(
+        samples, lambda module, inputs, output: outputs.append(output), sequential
+    )
+    return outputs
 
 
 def _weight_positions(sequential) -> list[int]:
@@ -289,10 +277,9 @@ class LayerwiseErrorRecorder:
         Its :class:`~repro.quant.quantizer.QuantizedModel` — supplies the
         per-layer formats for the predicted envelope and the perturbed
         forward path.
-    n_input:
-        Input dimensionality per sample; defaults to the analyzer's
-        first-layer fan-in (pass ``prod(sample.shape[1:])`` for conv
-        models).
+    input_shape:
+        Per-sample input shape; defaults to the first dense layer's
+        ``(in_features,)`` (pass ``samples.shape[1:]`` for conv models).
     quant_safety:
         Forwarded to :class:`~repro.core.errorflow.ErrorFlowAnalyzer`.
     """
@@ -301,12 +288,12 @@ class LayerwiseErrorRecorder:
         self,
         model,
         quantized,
-        n_input: "int | None" = None,
+        input_shape: "tuple[int, ...] | None" = None,
         quant_safety: float = 1.0,
     ) -> None:
         self.model = model
         self.quantized = quantized
-        self.n_input = n_input
+        self.input_shape = input_shape
         self.quant_safety = float(quant_safety)
         self._analyzer = None
 
@@ -318,7 +305,7 @@ class LayerwiseErrorRecorder:
             from ..core.errorflow import ErrorFlowAnalyzer
 
             self._analyzer = ErrorFlowAnalyzer(
-                self.model, n_input=self.n_input, quant_safety=self.quant_safety
+                self.model, self.input_shape, quant_safety=self.quant_safety
             )
         return self._analyzer
 
@@ -406,8 +393,8 @@ class LayerwiseErrorRecorder:
         loose_below: float,
     ) -> list[LayerAudit]:
         bounds = self.analyzer.layer_bounds(input_l2, self.quantized.formats)
-        clean_outputs, _ = _collect_child_outputs(self.model, clean)
-        quant_outputs, _ = _collect_child_outputs(self.quantized.model, perturbed)
+        clean_outputs = _collect_child_outputs(self.model, clean)
+        quant_outputs = _collect_child_outputs(self.quantized.model, perturbed)
         positions = _weight_positions(self.model)
         # The trajectory state after linear spec l bounds the activation
         # error at the *segment end*: the output feeding the next weight

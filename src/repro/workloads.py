@@ -22,6 +22,7 @@ import tempfile
 import warnings
 import zipfile
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,14 +50,19 @@ def _cache_dir() -> str:
 
 @dataclass
 class TrainedWorkload:
-    """A dataset, its trained surrogate and the pre-built analyzer."""
+    """A dataset, its trained surrogate and its analyzer, built on first
+    access (spec extraction runs a forward)."""
 
     name: str
     variant: str
     dataset: ScientificDataset
     model: Sequential
-    analyzer: ErrorFlowAnalyzer
     final_train_loss: float
+
+    @cached_property
+    def analyzer(self) -> ErrorFlowAnalyzer:
+        """Error-flow analyzer of the full :attr:`model`."""
+        return ErrorFlowAnalyzer(self.model, self.dataset.train_inputs.shape[1:])
 
     def reference_outputs(self, inputs: np.ndarray | None = None) -> np.ndarray:
         """Full-precision model outputs on (default: test) inputs."""
@@ -80,8 +86,7 @@ class TrainedWorkload:
     def qoi_analyzer(self) -> ErrorFlowAnalyzer:
         """Error-flow analyzer matching :meth:`qoi_model`."""
         if self.name == "eurosat":
-            n_input = int(np.prod(self.dataset.train_inputs.shape[1:]))
-            return ErrorFlowAnalyzer(self.qoi_model(), n_input=n_input)
+            return ErrorFlowAnalyzer(self.qoi_model(), self.dataset.train_inputs.shape[1:])
         return self.analyzer
 
 
@@ -251,13 +256,10 @@ def load_workload(
             payload["__loss__"] = np.asarray(final_loss)
             _save_cached_state(cache_file, payload)
     model.eval()
-    n_input = int(np.prod(dataset.train_inputs.shape[1:]))
-    analyzer = ErrorFlowAnalyzer(model, n_input=n_input)
     return TrainedWorkload(
         name=name,
         variant=variant,
         dataset=dataset,
         model=model,
-        analyzer=analyzer,
         final_train_loss=final_loss,
     )

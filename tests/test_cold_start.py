@@ -28,7 +28,7 @@ make_borghesi_flame(grid=32, rng=np.random.default_rng(0))
 make_eurosat(n_per_class=1, image_size=16, rng=np.random.default_rng(0))
 model = h2_reaction_net(rng=np.random.default_rng(1))
 model.eval()
-plan = repro.TolerancePlanner(repro.ErrorFlowAnalyzer(model, n_input=9)).plan(1e-2, norm="linf")
+plan = repro.TolerancePlanner(repro.ErrorFlowAnalyzer(model, (9,))).plan(1e-2, norm="linf")
 result = repro.InferencePipeline(model, SZCompressor(), plan).execute(h2.fields)
 assert result.qoi_error("linf", relative=False) <= 1e-2
 assert sys.modules["scipy"] is None

@@ -15,7 +15,8 @@ from repro.core import (
     step_sizes_for,
 )
 from repro.core.graph import LinearSpec, ResidualSpec
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, ShapeError
+from repro.models import resnet18, unet
 from repro.nn import (
     BasicBlock,
     BatchNorm2d,
@@ -25,6 +26,7 @@ from repro.nn import (
     Linear,
     ReLU,
     Sequential,
+    SpectralConv2d,
     SpectralLinear,
     Tanh,
 )
@@ -53,7 +55,7 @@ def test_extract_spec_folds_batchnorm(rng):
     bn = BatchNorm2d(4)
     bn.running_var[:] = 0.25  # scale 1/sqrt(0.25) = 2
     model = Sequential(conv, bn, ReLU(), GlobalAvgPool2d(), Linear(4, 2, rng=rng))
-    spec = extract_spec(model, n_input=3 * 8 * 8)
+    spec = extract_spec(model, (3, 8, 8))
     folded_sigma = spec.linear_specs()[0].sigma
     from repro.nn import spectral_norm
 
@@ -63,7 +65,7 @@ def test_extract_spec_folds_batchnorm(rng):
 
 def test_extract_spec_residual_block(rng):
     model = Sequential(BasicBlock(4, 8, stride=2, rng=rng), GlobalAvgPool2d(), Linear(8, 2, rng=rng))
-    spec = extract_spec(model, n_input=4 * 8 * 8)
+    spec = extract_spec(model, (4, 8, 8))
     kinds = [type(item).__name__ for item in spec.chain.items]
     assert kinds == ["ResidualSpec", "LinearSpec"]
     block = spec.chain.items[0]
@@ -87,6 +89,77 @@ def test_extract_spec_rejects_non_sequential(rng):
 def test_extract_spec_rejects_model_without_linears():
     with pytest.raises(ConfigurationError):
         extract_spec(Sequential(ReLU()))
+
+
+def test_extract_spec_needs_the_shape_of_a_conv_first_model(rng):
+    model = Sequential(Conv2d(3, 4, 3, rng=rng), GlobalAvgPool2d(), Linear(4, 2, rng=rng))
+    with pytest.raises(ConfigurationError, match="input_shape"):
+        extract_spec(model)
+    for wrong in ((4, 8, 8), (3, 2, 2), (8, 8)):
+        with pytest.raises(ShapeError):
+            extract_spec(model, wrong)
+    with pytest.raises(ShapeError):
+        extract_spec(Sequential(Linear(3, 2, rng=rng)), (4,))
+    spec = extract_spec(model, (3, 8, 8))
+    assert spec.input_shape == (3, 8, 8) and spec.n_input == 3 * 8 * 8
+
+
+@pytest.mark.parametrize("case", ["resnet18", "unet"])
+def test_every_operator_knows_the_input_shape_a_hook_sees(case, rng):
+    """The spec's per-operator ``in_shape`` against a hook on each operator
+    of a real forward, matched by qualified name (spec order aside):
+    strided stages, 1x1 shortcuts, U-Net levels and the dense head."""
+    if case == "resnet18":
+        model, shape = resnet18(in_channels=5, base_width=4, rng=rng), (5, 12, 12)
+    else:
+        model, shape = unet(in_channels=2, out_channels=1, base_width=4, depth=2, rng=rng), (2, 8, 8)
+    model.eval()
+    seen = {}
+    handles = [
+        module.register_forward_hook(lambda m, x, out, name=name: seen.setdefault(name, x.shape[1:]))
+        for name, module in model.named_modules()
+        if isinstance(module, (Conv2d, Linear, SpectralLinear))
+    ]
+    model(rng.standard_normal((2,) + shape).astype(np.float32))
+    for handle in handles:
+        handle.remove()
+    spec = extract_spec(model, shape)
+    assert {linear.name: linear.in_shape for linear in spec.linear_specs()} == seen
+    assert spec.n_input == int(np.prod(shape))
+
+
+def _observable_state(model) -> dict:
+    """Everything a forward could move: parameters and their versions, BN
+    running statistics, PSN power-iteration vectors, training flags and hooks."""
+    state = {name: (p.version, p.data.tobytes()) for name, p in model.named_parameters()}
+    for name, module in model.named_modules():
+        state[f"{name}/flags"] = (module.training, len(module._forward_hooks))
+        if hasattr(module, "running_var"):
+            state[f"{name}/stats"] = module.running_mean.tobytes() + module.running_var.tobytes()
+        if hasattr(module, "_power"):
+            state[f"{name}/power"] = module._power.u.tobytes() + module._power.v.tobytes()
+    return state
+
+
+@pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+def test_extraction_and_calibration_leave_the_model_untouched(training, rng):
+    model = Sequential(
+        SpectralConv2d(3, 4, 3, padding=1, rng=rng),
+        BatchNorm2d(4),
+        ReLU(),
+        BasicBlock(4, 6, stride=2, rng=rng),
+        GlobalAvgPool2d(),
+        SpectralLinear(6, 2, rng=rng),
+    )
+    model.train()
+    model(rng.standard_normal((4, 3, 8, 8)).astype(np.float32))  # BN stats move once
+    if not training:
+        model.eval()
+    before = _observable_state(model)
+    analyzer = ErrorFlowAnalyzer(model, (3, 8, 8))
+    assert _observable_state(model) == before
+    analyzer.calibrate(rng.standard_normal((4, 3, 8, 8)).astype(np.float32))
+    assert analyzer.is_calibrated and _observable_state(model) == before
 
 
 # -- Eq. (3) literal vs recurrence --------------------------------------------------

@@ -35,7 +35,7 @@ def test_collect_signal_norms_residual_model(rng):
     model.eval()
     inputs = rng.standard_normal((4, 3, 8, 8)).astype(np.float32)
     norms = collect_signal_norms(model, inputs)
-    analyzer = ErrorFlowAnalyzer(model, n_input=3 * 8 * 8)
+    analyzer = ErrorFlowAnalyzer(model, (3, 8, 8))
     assert len(norms) == len(analyzer.spec.linear_specs())
 
 

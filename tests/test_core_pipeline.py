@@ -104,3 +104,18 @@ def test_sensitivity_below_analyzer_gain(trained_spectral_mlp, rng):
     report = probe_sensitivity(trained_spectral_mlp, inputs, 1e-4, rng=rng)
     eps_l2 = 1e-4 * np.sqrt(5)
     assert report.qoi_change_l2_max <= analyzer.compression_bound(eps_l2)
+
+
+def test_empirical_lipschitz_matches_gain_on_linear_model(rng):
+    """On a pure linear map, the probe approaches the spectral norm."""
+    from repro.core.sensitivity import empirical_lipschitz
+    from repro.nn import Identity, Linear, Sequential
+
+    layer = Linear(6, 6, bias=False, rng=rng)
+    model = Sequential(layer, Identity())
+    model.eval()
+    sigma = np.linalg.svd(layer.weight.data, compute_uv=False)[0]
+    inputs = rng.uniform(-1, 1, (4, 6)).astype(np.float32)
+    estimate = empirical_lipschitz(model, inputs, rng=rng, n_probes=200)
+    assert estimate <= sigma * (1 + 1e-3)
+    assert estimate > 0.5 * sigma

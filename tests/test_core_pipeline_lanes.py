@@ -101,7 +101,7 @@ def _eurosat_case():
     qoi = Sequential(*list(model)[:-1])
     qoi.eval()
     images = make_eurosat(n_per_class=1, image_size=16, rng=rng).train_inputs[:6]
-    analyzer = ErrorFlowAnalyzer(qoi, n_input=int(np.prod(images.shape[1:])))
+    analyzer = ErrorFlowAnalyzer(qoi, images.shape[1:])
     return qoi, TolerancePlanner(analyzer).plan(1e-1, norm="linf"), images, _images
 
 

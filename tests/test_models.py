@@ -11,7 +11,6 @@ from repro.models import (
     build_mlp,
     build_model,
     h2_reaction_net,
-    mlp_flops,
     mlp_large,
     mlp_medium,
     mlp_small,
@@ -54,8 +53,11 @@ def test_mlp_zoo_flops_match_paper():
     assert 28e6 < large < 40e6
 
 
-def test_mlp_flops_formula():
-    assert mlp_flops([4, 8, 2]) == 2 * (4 * 8 + 8 * 2)
+def test_model_flops_of_a_dense_stack(rng):
+    from repro.nn import ReLU, Sequential
+
+    model = Sequential(Linear(4, 8, rng=rng), ReLU(), Linear(8, 2, rng=rng))
+    assert model_flops(model, (4,)) == 2 * (4 * 8 + 8 * 2) + 8
 
 
 def test_resnet_depth_validation(rng):
@@ -100,6 +102,17 @@ def test_model_flops_counts_conv_layers(rng):
     layer = Conv2d(3, 8, 3, stride=1, padding=1, rng=rng)
     flops = model_flops(Sequential(layer), (3, 16, 16))
     assert flops == 2 * 3 * 9 * 8 * 16 * 16
+
+
+def test_model_flops_of_one_basic_block(rng):
+    """Every leaf of one forward: the two 3x3 convs and the 1x1 projection,
+    three batch norms and two ReLUs, the block's post-activation included."""
+    from repro.nn import BasicBlock, Sequential
+
+    out = 8 * 4 * 4
+    convs = 2 * out * (4 * 9 + 8 * 9 + 4 * 1)
+    block = Sequential(BasicBlock(4, 8, stride=2, rng=rng))
+    assert model_flops(block, (4, 8, 8)) == convs + 5 * out
 
 
 def test_registry_builds_every_model(rng):

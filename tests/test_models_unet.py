@@ -92,7 +92,7 @@ def test_unet_training_reduces_loss(trained_unet):
 
 def test_unet_extraction_counts_all_convs(trained_unet):
     model, __, __ = trained_unet
-    analyzer = ErrorFlowAnalyzer(model, n_input=16 * 16)
+    analyzer = ErrorFlowAnalyzer(model, (1, 16, 16))
     # depth 2: down x2, bottleneck, fuse x2, head = 6 convolutions
     assert len(analyzer.spec.linear_specs()) == 6
     assert analyzer.gain() > 0
@@ -101,7 +101,7 @@ def test_unet_extraction_counts_all_convs(trained_unet):
 @pytest.mark.parametrize("fmt", [FP16, INT8], ids=lambda f: f.name)
 def test_unet_quantization_bound_holds(trained_unet, fmt, rng):
     model, noisy, __ = trained_unet
-    analyzer = ErrorFlowAnalyzer(model, n_input=16 * 16)
+    analyzer = ErrorFlowAnalyzer(model, (1, 16, 16))
     x = noisy[:8]
     reference = materialize(model)(x)
     quantized = quantize_model(model, fmt)
@@ -111,7 +111,7 @@ def test_unet_quantization_bound_holds(trained_unet, fmt, rng):
 
 def test_unet_compression_bound_holds(trained_unet, rng):
     model, noisy, __ = trained_unet
-    analyzer = ErrorFlowAnalyzer(model, n_input=16 * 16)
+    analyzer = ErrorFlowAnalyzer(model, (1, 16, 16))
     x = noisy[:8]
     epsilon = 1e-3
     delta = rng.uniform(-epsilon, epsilon, x.shape).astype(np.float32)
@@ -123,7 +123,7 @@ def test_unet_compression_bound_holds(trained_unet, rng):
 
 def test_unet_calibration(trained_unet):
     model, noisy, __ = trained_unet
-    analyzer = ErrorFlowAnalyzer(model, n_input=16 * 16)
+    analyzer = ErrorFlowAnalyzer(model, (1, 16, 16))
     paper = analyzer.quantization_bound(INT8)
     analyzer.calibrate(noisy[:8])
     assert analyzer.quantization_bound(INT8) < paper

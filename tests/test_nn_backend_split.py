@@ -294,16 +294,42 @@ def test_a_busy_lane_leaves_the_call_whole_and_the_probe_open(rng):
     assert forward._kernel.split_rejections == {}
 
 
+@pytest.mark.parametrize(
+    "same,split_s,whole_s,reason",
+    [
+        (True, [0.012, 0.004, 0.009], [0.010, 0.008, 0.011], None),  # best half vs best whole
+        (True, [0.060, 0.055, 0.070], [0.010, 0.012, 0.011], "slower"),
+        (False, [0.004, 0.003, 0.005], [0.010, 0.008, 0.011], "bytes"),
+        (True, [], [], None),  # a conv round the lane took no half of: the bytes decide
+        (False, [], [], "bytes"),
+    ],
+)
+def test_the_probe_rule_on_injected_timings(same, split_s, whole_s, reason, monkeypatch):
+    monkeypatch.setattr(fused, "_SPLIT_KEEP_RATIO", 1.0)
+    assert fused._split_verdict(same, split_s, whole_s) == reason
+
+
 @needs_two_cpus
 @pytest.mark.parametrize("lane", ["busy", "free"])
 def test_a_conv_probe_is_one_round_timed_only_where_the_lane_ran_a_half(lane, rng, monkeypatch):
     """Behind a busy lane the caller takes the upper half back and the one
-    round decides on the bytes; on a free lane it is timed, and halves
-    slower than the whole batch (as under a threaded BLAS) are refused."""
-    monkeypatch.setattr(fused, "_SPLIT_KEEP_RATIO", 1.0)
+    round goes untimed; on a free lane the one round is timed.  Either way
+    an unpatched probe keeps the split, or refuses it for bytes, as the
+    rule (tested on injected timings above) says on what it measured."""
+    asked, rule = [], fused._split_verdict
+    monkeypatch.setattr(fused, "_split_verdict", lambda *times: asked.append(times) or rule(*times))
     forward = CompiledForward(_resnet18(rng))
     x = rng.uniform(-1, 1, (16, 3, 16, 16)).astype(np.float32)
-    kernel = _patched(forward, x, lambda out: time.sleep(0.05) or out)
+    main, upper_ran, lane_free = threading.current_thread(), threading.Event(), [lane == "free"]
+
+    def lower_waits_for_a_free_lane(out):
+        if threading.current_thread() is not main:
+            upper_ran.set()
+        elif lane_free[0]:
+            assert upper_ran.wait(timeout=10)
+        return out
+
+    kernel = _patched(forward, x, lower_waits_for_a_free_lane)
     with one_cpu():
         whole = forward(x)
     if lane == "busy":
@@ -312,15 +338,19 @@ def test_a_conv_probe_is_one_round_timed_only_where_the_lane_ran_a_half(lane, rn
             assert started.wait(timeout=10)
             probed = forward(x)
             release.set()
+        lane_free[0] = True
     else:
         probed = forward(x)
+    [(same, split_s, whole_s)] = asked
     verdict = kernel._local.buffers[(x.shape, x.dtype)].split
     assert probed.tobytes() == whole.tobytes() and forward.last_split is None
-    assert verdict is (lane == "busy")
-    assert kernel.split_rejections == ({} if lane == "busy" else {"slower": 1})
+    assert len(split_s) == len(whole_s) == (1 if lane == "free" else 0)
+    assert verdict is same
+    assert kernel.split_rejections == ({} if same else {"bytes": 1})
+    upper_ran.clear()
     again = forward(x)
     assert again.tobytes() == whole.tobytes()
-    assert forward.last_split == ((8, 8) if lane == "busy" else None)
+    assert forward.last_split == ((8, 8) if verdict else None)
 
 
 @needs_two_cpus

@@ -361,7 +361,7 @@ def test_codec_spans_and_metrics(smooth_field_2d):
 
 
 def test_pipeline_spans_carry_bounds_and_observed_errors(trained_spectral_mlp, rng):
-    analyzer = ErrorFlowAnalyzer(trained_spectral_mlp, n_input=5)
+    analyzer = ErrorFlowAnalyzer(trained_spectral_mlp, (5,))
     plan = TolerancePlanner(analyzer).plan(1e-2, norm="linf", quant_fraction=0.5)
     pipe = InferencePipeline(trained_spectral_mlp, SZCompressor(), plan)
     fields = rng.uniform(-1, 1, (5, 16, 16)).astype(np.float32)
@@ -390,7 +390,7 @@ def test_pipeline_spans_carry_bounds_and_observed_errors(trained_spectral_mlp, r
 def test_every_measurement_lives_on_a_span(trained_spectral_mlp, rng):
     """Each number docs/OBSERVABILITY.md's "Where each number lives" table
     sends to a span is there after one traced ``--instrument-ops`` run."""
-    analyzer = ErrorFlowAnalyzer(trained_spectral_mlp, n_input=5)
+    analyzer = ErrorFlowAnalyzer(trained_spectral_mlp, (5,))
     plan = TolerancePlanner(analyzer).plan(1e-2, norm="linf", quant_fraction=0.5)
     fields = rng.uniform(-1, 1, (5, 16, 16)).astype(np.float32)
     with obs.capture() as (tracer, _):

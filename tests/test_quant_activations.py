@@ -80,7 +80,7 @@ def test_activation_bound_rejects_residual_specs(rng):
     model = Sequential(
         BasicBlock(3, 3, rng=rng), GlobalAvgPool2d(), Linear(3, 2, rng=rng)
     )
-    analyzer = ErrorFlowAnalyzer(model, n_input=3 * 16 * 16)
+    analyzer = ErrorFlowAnalyzer(model, (3, 16, 16))
     with pytest.raises(ToleranceError):
         analyzer.activation_quantization_bound(FP16)
 

@@ -290,7 +290,7 @@ def test_store_crash_during_payload_write(tmp_path, smooth_field_2d, monkeypatch
 # -- pipeline guards --------------------------------------------------------
 @pytest.fixture(scope="module")
 def planned(trained_spectral_mlp):
-    analyzer = ErrorFlowAnalyzer(trained_spectral_mlp, n_input=5)
+    analyzer = ErrorFlowAnalyzer(trained_spectral_mlp, (5,))
     plan = TolerancePlanner(analyzer).plan(1e-2, norm="linf", quant_fraction=0.5)
     return trained_spectral_mlp, plan
 
