@@ -28,8 +28,6 @@ docs/PERFORMANCE.md for how to read the output):
   and wall of one ``compress`` and one ``decompress`` of a 9x256x256 field
   (``resource.getrusage``; skipped where the module is missing): what the
   per-thread codec scratch removes;
-* ``bound_eval``          — a planner-style format x fraction sweep with
-  cold caches vs warm caches;
 * ``pipeline_chunked``    — ``InferencePipeline.execute_chunked`` serial
   vs the supervised 4-worker process pool;
 * ``pipeline_checkpoint`` — the same serial run with and without the
@@ -72,10 +70,8 @@ from repro.core.errorflow import ErrorFlowAnalyzer
 from repro.core.pipeline import InferencePipeline
 from repro.core.planner import TolerancePlanner
 from repro.nn.activations import Tanh
-from repro.nn.linear import Linear, SpectralLinear
+from repro.nn.linear import SpectralLinear
 from repro.nn.sequential import Sequential
-from repro.perf.cache import clear_all_caches
-from repro.quant.formats import STANDARD_FORMATS
 
 
 def bench_huffman(n_symbols: int, n_small: int, n_field: int, reps: int) -> list[dict]:
@@ -273,57 +269,6 @@ def bench_sz_roundtrip_faults(reps: int) -> list[dict]:
                 throughput_mb_s=field.nbytes / 1e6 / min(walls),
             )
         )
-    return rows
-
-
-def bench_bound_eval(reps: int) -> list[dict]:
-    rng = np.random.default_rng(1)
-    # Plain Linear layers: sigma comes from power iteration (the cached
-    # kernel) rather than a SpectralLinear's exact alpha.
-    model = Sequential(
-        Linear(256, 1024, rng=rng), Tanh(),
-        Linear(1024, 1024, rng=rng), Tanh(),
-        Linear(1024, 8, rng=rng),
-    )
-    model.eval()
-    formats = [STANDARD_FORMATS[name] for name in ("tf32", "fp16", "bf16", "int8")]
-    fractions = [0.1 * k for k in range(1, 10)]
-
-    def sweep() -> None:
-        analyzer = ErrorFlowAnalyzer(model)
-        planner = TolerancePlanner(analyzer)
-        for fraction in fractions:
-            planner.plan(1e-2, norm="linf", quant_fraction=fraction)
-        for fmt in formats:
-            analyzer.quantization_bound(fmt)
-            analyzer.gain()
-
-    def cold() -> None:
-        clear_all_caches()
-        sweep()
-
-    def warm() -> None:
-        sweep()
-
-    n_evals = len(fractions) + 2 * len(formats)
-    rows = []
-    clear_all_caches()
-    for state, fn in (("cold", cold), ("warm", warm)):
-        seconds, reps_s = best_of(fn, reps)
-        rows.append(
-            make_row(
-                "bound_eval",
-                {"cache": state, "evaluations": n_evals, "reps": reps},
-                seconds,
-                reps_s=reps_s,
-                throughput_mb_s=None,
-            )
-        )
-    speedup = rows[0]["seconds"] / rows[1]["seconds"]
-    for row in rows:
-        row["config"]["speedup_vs_cold"] = speedup
-    print(f"bound_eval: cold {rows[0]['seconds']*1e3:.1f} ms, "
-          f"warm {rows[1]['seconds']*1e3:.1f} ms -> {speedup:.1f}x")
     return rows
 
 
@@ -771,7 +716,6 @@ def main(argv=None) -> int:
     rows += bench_sz_compress(2 * side, reps)
     rows += bench_sz_precision(reps)
     rows += bench_sz_roundtrip_faults(reps)
-    rows += bench_bound_eval(reps)
     rows += bench_pipeline_chunked(side, args.workers, reps)
     rows += bench_pipeline_checkpoint(side, args.workers, reps)
     rows += bench_chunk_stack(side, args.workers, reps)

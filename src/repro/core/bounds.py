@@ -34,8 +34,8 @@ from typing import Sequence
 import numpy as np
 
 from ..exceptions import ConfigurationError
-from ..perf.cache import cached_average_step_size
 from ..quant.formats import NumericFormat
+from ..quant.stepsize import average_step_size
 from .graph import ChainSpec, LinearSpec, NetworkSpec, ResidualSpec
 
 __all__ = [
@@ -114,9 +114,8 @@ def step_sizes_for(
 ) -> dict[int, float]:
     """Table-I step per linear spec (keyed by ``id`` of the spec node).
 
-    Steps are memoized on (format, weight content), so planner sweeps
-    that evaluate the same spec under many formats and fractions compute
-    each rounding pass once.
+    One rounding pass per layer and format; the analyzer memoizes the
+    result per format and weight version.
     """
     linears = spec.linear_specs()
     if fmt is None:
@@ -134,7 +133,7 @@ def step_sizes_for(
         if layer_fmt is None or layer_fmt.is_identity:
             steps[id(linear)] = 0.0
         else:
-            steps[id(linear)] = cached_average_step_size(linear.weights, layer_fmt)
+            steps[id(linear)] = average_step_size(linear.weights, layer_fmt)
     return steps
 
 

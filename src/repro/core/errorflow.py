@@ -15,14 +15,12 @@ quantization or compression happens*:
 
 from __future__ import annotations
 
-import itertools
 from typing import Sequence
 
 import numpy as np
 
 from ..exceptions import ToleranceError
 from ..nn.module import Module
-from ..perf.cache import get_memo
 from ..quant.formats import NumericFormat
 from .bounds import (
     compression_gain,
@@ -33,10 +31,6 @@ from .bounds import (
 from .graph import LinearSpec, NetworkSpec, extract_spec
 
 __all__ = ["ErrorFlowAnalyzer"]
-
-#: distinguishes analyzers in the shared bound-evaluation memo; a plain
-#: monotone counter, never reused (unlike ``id()``)
-_ANALYZER_TOKENS = itertools.count()
 
 
 def _format_memo_key(fmt) -> object:
@@ -77,6 +71,9 @@ class ErrorFlowAnalyzer:
     can read the conv operator's norm up to ``ceil(k / s)`` times low, and
     each pool is charged 1, so on conv models the term is the paper's
     estimate rather than a guarantee (DESIGN.md section 7).
+
+    One dict memoizes steps and :meth:`quantization_bound` per format and
+    :meth:`gain`; a new weight version and (de)calibration empty it.
     """
 
     def __init__(
@@ -91,9 +88,8 @@ class ErrorFlowAnalyzer:
         self.quant_safety = float(quant_safety)
         self._model = model
         self._signal_caps: dict[int, float] | None = None
-        self._token = next(_ANALYZER_TOKENS)
         self._weight_version = model.weight_version()
-        self._cache_epoch = 0
+        self._memo: dict = {}
 
     def _refresh_spec(self) -> None:
         """Re-extract the spec when the model's weights have changed.
@@ -101,21 +97,23 @@ class ErrorFlowAnalyzer:
         Staleness is detected through :meth:`Module.weight_version` (each
         ``Parameter.data`` assignment bumps a counter — e.g. an optimizer
         step).  A refresh drops calibration caps (they were measured
-        against the old weights) and advances the memo epoch so stale
-        bound evaluations can never be served.
+        against the old weights) and the memo.
         """
         current = self._model.weight_version()
         if current != self._weight_version:
             self.spec = extract_spec(self._model, self.spec.input_shape)
             self._signal_caps = None
             self._weight_version = current
-            self._cache_epoch += 1
+            self._memo.clear()
 
     def _steps(self, fmt) -> dict[int, float]:
-        steps = step_sizes_for(self.spec, fmt)
-        if self.quant_safety != 1.0:
-            steps = {key: value * self.quant_safety for key, value in steps.items()}
-        return steps
+        key = ("steps", _format_memo_key(fmt))
+        if key not in self._memo:
+            steps = step_sizes_for(self.spec, fmt)
+            if self.quant_safety != 1.0:
+                steps = {node: value * self.quant_safety for node, value in steps.items()}
+            self._memo[key] = steps
+        return self._memo[key]
 
     # -- calibration (data-driven tightening) --------------------------------
     def calibrate(self, inputs: np.ndarray, margin: float = 1.25) -> "ErrorFlowAnalyzer":
@@ -136,13 +134,13 @@ class ErrorFlowAnalyzer:
                 f"calibration walked {len(norms)} linears, spec has {len(linears)}"
             )
         self._signal_caps = {id(spec): norm for spec, norm in zip(linears, norms)}
-        self._cache_epoch += 1  # cached bounds were computed without caps
+        self._memo.clear()  # memoized bounds were computed without caps
         return self
 
     def decalibrate(self) -> None:
         """Drop calibration and return to the paper's worst-case signals."""
         self._signal_caps = None
-        self._cache_epoch += 1
+        self._memo.clear()
 
     @property
     def is_calibrated(self) -> bool:
@@ -161,13 +159,13 @@ class ErrorFlowAnalyzer:
     def gain(self) -> float:
         """Eq. (5) amplification ``sigma_s + prod sigma`` of the network.
 
-        Memoized per (analyzer, weight version): planner sweeps call this
-        for every candidate configuration but only pay the graph walk
-        once per weight state.
+        Memoized per weight version: planner sweeps call this for every
+        candidate configuration but pay the graph walk once.
         """
         self._refresh_spec()
-        key = (self._token, "gain", self._weight_version, self._cache_epoch)
-        return get_memo("bound_eval").get(key, lambda: compression_gain(self.spec))
+        if "gain" not in self._memo:
+            self._memo["gain"] = compression_gain(self.spec)
+        return self._memo["gain"]
 
     def step_sizes(self, fmt: NumericFormat | Sequence[NumericFormat]) -> list[float]:
         """Table-I steps ``q_l`` per layer for a format choice."""
@@ -183,30 +181,19 @@ class ErrorFlowAnalyzer:
     def quantization_bound(self, fmt: NumericFormat | Sequence[NumericFormat]) -> float:
         """Eq. (3) with ``||Delta x|| = 0``: weight-quantization error alone.
 
-        Memoized per (analyzer, format, weight version, calibration
-        epoch, safety factor) — the planner evaluates the same formats
+        Memoized per format — the planner evaluates the same formats
         against many error-budget splits.
         """
         self._refresh_spec()
-        key = (
-            self._token,
-            "quant",
-            _format_memo_key(fmt),
-            self._weight_version,
-            self._cache_epoch,
-            self.quant_safety,
-        )
-
-        def compute() -> float:
-            steps = self._steps(fmt)
-            return propagate(
+        key = ("quant", _format_memo_key(fmt))
+        if key not in self._memo:
+            self._memo[key] = propagate(
                 self.spec,
                 input_error_l2=0.0,
-                steps=steps,
+                steps=self._steps(fmt),
                 signal_caps=self._signal_caps,
             ).delta
-
-        return get_memo("bound_eval").get(key, compute)
+        return self._memo[key]
 
     def combined_bound(
         self,

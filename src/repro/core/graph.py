@@ -15,12 +15,12 @@ step ``q``.  This module walks a trained model and produces a
 Each operator's per-sample input shape comes from one observed forward
 of a zero sample (:meth:`~repro.nn.module.Module.observe`).
 
-Spectral norms come from the layer's own ``alpha`` when it is trained with
-parameterized spectral normalization (exact by construction) and from
-power iteration otherwise.  Power iterations are memoized on weight
-content (:func:`repro.perf.cache.cached_spectral_norm`), so repeated
-extractions over unchanged weights — planner sweeps, re-built analyzers —
-run exactly one iteration pass per layer per weight version.
+Every operator is charged the exact spectral norm (a full SVD,
+:func:`~repro.nn.spectral.spectral_norm_exact`) of its effective matrix:
+the deployed weight, batch norm folded.  A PSN layer is no exception: its
+deployed weight is ``alpha * V / sigma_hat`` with a power-iteration
+``sigma_hat``, whose norm can sit above ``alpha`` when the top singular
+values cluster.  An analyzer extracts once per weight version.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from ..nn.normalization import _BatchNormBase
 from ..nn.pooling import AvgPool2d, Flatten, GlobalAvgPool2d, MaxPool2d
 from ..nn.residual import ResidualBlock
 from ..nn.sequential import Sequential
-from ..perf.cache import cached_spectral_norm
+from ..nn.spectral import spectral_norm_exact
 
 __all__ = ["LinearSpec", "ChainSpec", "ResidualSpec", "NetworkSpec", "extract_spec"]
 
@@ -133,20 +133,10 @@ class NetworkSpec:
         return all(isinstance(item, LinearSpec) for item in self.chain.items)
 
 
-def _layer_sigma(layer: Module, effective: np.ndarray) -> float:
-    alpha = getattr(layer, "spectral_alpha", None)
-    if alpha is not None:
-        return float(alpha)
-    return cached_spectral_norm(effective)
-
-
 def _linear_spec(layer: Module, name: str, bn_scale: np.ndarray | None) -> LinearSpec:
     effective = np.asarray(layer.effective_weight(), dtype=np.float64)
     if bn_scale is not None:
         effective = effective * bn_scale[:, None]
-        sigma = cached_spectral_norm(effective)
-    else:
-        sigma = _layer_sigma(layer, effective)
     is_conv = isinstance(layer, Conv2d)
     if is_conv:
         k_sq = layer.kernel_size**2
@@ -154,12 +144,15 @@ def _linear_spec(layer: Module, name: str, bn_scale: np.ndarray | None) -> Linea
     else:
         n_in, n_out = layer.in_features, layer.out_features
     return LinearSpec(
-        name=name, sigma=sigma, n_in=n_in, n_out=n_out, weights=effective, is_conv=is_conv
+        name=name, sigma=spectral_norm_exact(effective), n_in=n_in, n_out=n_out,
+        weights=effective, is_conv=is_conv,
     )
 
 
-def _extract_chain(model: Sequential, prefix: str) -> ChainSpec:
-    chain = ChainSpec()
+def _extract_chain(model: Sequential, prefix: str, chain: ChainSpec | None = None) -> ChainSpec:
+    """Append ``model``'s spec to ``chain`` (a new one if None); a nested
+    Sequential extends it in place, so a head activation is charged."""
+    chain = ChainSpec() if chain is None else chain
     layers = list(model)
     index = 0
     while index < len(layers):
@@ -173,11 +166,13 @@ def _extract_chain(model: Sequential, prefix: str) -> ChainSpec:
                 index += 1  # consume the fused batch norm
             chain.items.append(_linear_spec(layer, name, bn_scale))
         elif isinstance(layer, Activation):
-            if chain.items and isinstance(chain.items[-1], (LinearSpec, ResidualSpec)):
+            if chain.items:
                 chain.items[-1].lipschitz_after *= layer.lipschitz
-            # Leading activations are Lipschitz-1 no-ops for the bound
-            # unless they exceed 1; fold them into the next linear via a
-            # conservative pre-multiplier is unnecessary for C <= 1.
+            elif layer.lipschitz > 1.0:  # nothing to charge it to
+                raise ConfigurationError(
+                    f"activation {name} ({type(layer).__name__}, Lipschitz "
+                    f"{layer.lipschitz:.3g} > 1) precedes every operator of its chain"
+                )
         elif isinstance(layer, ResidualBlock):
             chain.items.append(_extract_block(layer, name))
         elif hasattr(layer, "error_flow_spec"):
@@ -189,8 +184,7 @@ def _extract_chain(model: Sequential, prefix: str) -> ChainSpec:
             else:
                 chain.items.append(node)
         elif isinstance(layer, Sequential):
-            nested = _extract_chain(layer, f"{name}.")
-            chain.items.extend(nested.items)
+            _extract_chain(layer, f"{name}.", chain)
         elif isinstance(layer, (MaxPool2d, AvgPool2d, GlobalAvgPool2d, Flatten, _BatchNormBase)):
             # Pooling and flattening are 1-Lipschitz in L2 (max/avg pools
             # do not increase the L2 norm of a perturbation); a standalone

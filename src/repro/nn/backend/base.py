@@ -16,7 +16,8 @@ the kernel honest on every call:
   compared per call (a few µs); an optimizer step or re-quantization
   changes it and forces a recompile.  In-place
   ``param.data[...] = ...`` writes bypass the version counters — the
-  same caveat as every version-keyed cache in :mod:`repro.perf.cache`.
+  same caveat as every version-keyed memo (the error-flow analyzer's,
+  a PSN layer's deployed weight).
 * **both CPUs** — a kernel runs a large batch as two halves, one on the
   process's side lane, where a first-call probe found the same bytes in
   no more time; ``stats["splits"]`` and ``last_split`` say when.

@@ -156,31 +156,32 @@ class SpectralConv2d(Conv2d):
 
     @property
     def spectral_alpha(self) -> float:
-        """Spectral norm of the effective matricized kernel (= |alpha|)."""
+        """``|alpha|``; the deployed kernel's norm is ``|alpha| * sigma / sigma_hat``."""
         return abs(float(self.alpha.data[0]))
 
     def effective_weight(self) -> np.ndarray:
-        sigma = max(spectral_norm(self.matricized_weight()), 1e-12)
-        return (self.matricized_weight() / sigma) * self.alpha.data[0]
+        """``alpha * mat(K) / sigma``, the matrix the eval forward applies."""
+        normalized, _sigma = self._deployed()
+        return normalized * self.alpha.data[0]
 
-    def _sigma_and_normalized(self) -> tuple[np.ndarray, float]:
-        """Training: one power-iteration step; eval: converged sigma.
-
-        The error bound assumes the deployed kernel's matricized spectral
-        norm is exactly ``|alpha|``, so evaluation normalizes by the fully
-        converged estimate (cached until the weights change).
-        """
-        raw = self.matricized_weight()
-        if self.training:
-            sigma = max(self._power.step(raw, n_steps=1), 1e-12)
-            return raw / sigma, sigma
+    def _deployed(self) -> tuple[np.ndarray, float]:
+        """``(mat(K) / sigma, sigma)``, as :meth:`SpectralLinear._deployed`."""
         # the version counter, not id(): a freed array's id can be reused
         key = (self.weight.version, self.weight.data.shape)
         if self._eval_key != key:
+            raw = self.matricized_weight()
             sigma = max(spectral_norm(raw), 1e-12)
             self._eval_cache = (raw / sigma, sigma)
             self._eval_key = key
         return self._eval_cache
+
+    def _sigma_and_normalized(self) -> tuple[np.ndarray, float]:
+        """Training: one power-iteration step; eval: :meth:`_deployed`."""
+        if self.training:
+            raw = self.matricized_weight()
+            sigma = max(self._power.step(raw, n_steps=1), 1e-12)
+            return raw / sigma, sigma
+        return self._deployed()
 
     def _forward_weight(self) -> np.ndarray:
         normalized, sigma = self._sigma_and_normalized()

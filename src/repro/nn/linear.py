@@ -142,19 +142,13 @@ class SpectralLinear(Module):
         self._eval_cache: tuple[np.ndarray, float] | None = None
 
     # -- weight materialization ------------------------------------------
-    def _sigma_and_normalized(self) -> tuple[np.ndarray, float]:
-        """Return ``(V / sigma, sigma)``.
+    def _deployed(self) -> tuple[np.ndarray, float]:
+        """``(V / sigma, sigma)`` with the converged power-iteration sigma,
+        computed once per weight version.
 
-        Training uses one cheap power-iteration step (the estimate tracks
-        the slowly-moving weights).  Evaluation must normalize by the
-        *converged* spectral norm: the error bound assumes the deployed
-        weight has spectral norm exactly ``|alpha|``, so an approximate
-        sigma here would silently break the guarantee.  The converged
-        result is cached until the weights change.
+        The eval forward, the lowering and :meth:`effective_weight` all
+        read this, so they apply one matrix by construction.
         """
-        if self.training:
-            sigma = max(self._power.step(self.raw_weight.data, n_steps=1), 1e-12)
-            return self.raw_weight.data / sigma, sigma
         # the version counter, not id(): a freed array's id can be reused
         key = (self.raw_weight.version, self.raw_weight.data.shape)
         if self._eval_key != key:
@@ -163,17 +157,24 @@ class SpectralLinear(Module):
             self._eval_key = key
         return self._eval_cache
 
+    def _sigma_and_normalized(self) -> tuple[np.ndarray, float]:
+        """Training: one power-iteration step; eval: :meth:`_deployed`."""
+        if self.training:
+            sigma = max(self._power.step(self.raw_weight.data, n_steps=1), 1e-12)
+            return self.raw_weight.data / sigma, sigma
+        return self._deployed()
+
     def effective_weight(self) -> np.ndarray:
-        """``alpha * V / sigma(V)`` with a converged sigma estimate."""
-        sigma = max(spectral_norm(self.raw_weight.data), 1e-12)
-        return (self.raw_weight.data / sigma) * self.alpha.data[0]
+        """``alpha * V / sigma(V)``, the matrix the eval forward applies."""
+        normalized, _sigma = self._deployed()
+        return normalized * self.alpha.data[0]
 
     def effective_bias(self) -> np.ndarray | None:
         return None if self.bias is None else self.bias.data
 
     @property
     def spectral_alpha(self) -> float:
-        """The layer's spectral norm after normalization (= |alpha|)."""
+        """``|alpha|``; the deployed matrix's norm is ``|alpha| * sigma / sigma_hat``."""
         return abs(float(self.alpha.data[0]))
 
     # -- compute ----------------------------------------------------------

@@ -198,8 +198,9 @@ class Module:
 
         The sum of all :attr:`Parameter.version` counters: any optimizer
         step, ``load_state_dict`` or quantization pass increases it, so it
-        serves as a cheap staleness key for weight-derived caches (see
-        :mod:`repro.perf.cache`).  It never decreases.
+        serves as a cheap staleness key for weight-derived memos (the
+        error-flow analyzer's, a compiled forward's kernel).  It never
+        decreases.
         """
         return sum(param.version for param in self.parameters())
 

@@ -30,10 +30,10 @@ def describe_model(model: Module) -> str:
     """Layer-by-layer report of a trained network.
 
     Includes every weight-bearing layer's qualified name, class, weight
-    shape, parameter count, effective spectral norm and FP16/INT8 step
-    sizes, plus model totals.
+    shape, parameter count, the exact spectral norm of its deployed matrix
+    and FP16/INT8 step sizes, plus model totals.
     """
-    from .nn.spectral import spectral_norm
+    from .nn.spectral import spectral_norm_exact
 
     lines = [
         f"{'layer':<28} {'type':<16} {'weight shape':<16} "
@@ -42,9 +42,7 @@ def describe_model(model: Module) -> str:
     total_params = 0
     for name, layer in quantizable_layers(model):
         weights = np.asarray(layer.effective_weight(), dtype=np.float64)
-        sigma = getattr(layer, "spectral_alpha", None)
-        if sigma is None:
-            sigma = spectral_norm(weights)
+        sigma = spectral_norm_exact(weights)
         weight_param = getattr(layer, "weight", None) or layer.raw_weight
         params = weight_param.size + (layer.bias.size if layer.bias is not None else 0)
         total_params += params

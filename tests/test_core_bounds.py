@@ -45,6 +45,8 @@ def test_extract_spec_mlp(tiny_mlp):
 
 
 def test_extract_spec_uses_alpha_for_psn(rng):
+    """A PSN layer's sigma is the exact norm of its deployed matrix, which
+    is alpha where the power iteration converged."""
     model = Sequential(SpectralLinear(4, 4, rng=rng, alpha_init=1.5), Tanh())
     spec = extract_spec(model)
     assert spec.linear_specs()[0].sigma == pytest.approx(1.5)
@@ -79,6 +81,45 @@ def test_extract_spec_records_activation_lipschitz(rng):
     spec = extract_spec(model)
     assert spec.linear_specs()[0].lipschitz_after == 2.0
     assert spec.linear_specs()[1].lipschitz_after == 1.0
+
+
+def test_nested_sequential_extends_the_enclosing_chain(rng):
+    """An activation at the head of a nested Sequential multiplies the
+    operator before it, exactly as in the flat model."""
+    from repro.nn import LeakyReLU
+
+    a, b = Linear(3, 5, rng=rng), Linear(5, 2, rng=rng)
+    nested = extract_spec(Sequential(a, Sequential(LeakyReLU(3.0), b)))
+    flat = extract_spec(Sequential(a, LeakyReLU(3.0), b))
+    assert [spec.name for spec in nested.linear_specs()] == ["0", "1.1"]
+    assert nested.linear_specs()[0].lipschitz_after == 3.0
+    assert compression_gain(nested) == pytest.approx(compression_gain(flat), rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "head",
+    [
+        lambda nn: nn.LeakyReLU(3.0),
+        lambda nn: nn.PReLU(-2.0),
+        lambda nn: nn.GELU(),
+    ],
+    ids=["leaky_relu", "prelu", "gelu"],
+)
+@pytest.mark.parametrize("where", ["model", "residual_body"])
+def test_leading_activation_above_one_is_refused(head, where, rng):
+    """Nothing precedes a leading activation to charge its Lipschitz
+    constant to, so one above 1 is refused instead of dropped."""
+    import repro.nn as nn
+
+    if where == "model":
+        model = Sequential(head(nn), Linear(4, 4, rng=rng))
+    else:
+        body = Sequential(head(nn), Linear(4, 4, rng=rng))
+        model = Sequential(Linear(4, 4, rng=rng), nn.ResidualBlock(body))
+    with pytest.raises(ConfigurationError, match="precedes every operator"):
+        extract_spec(model)
+    # a 1-Lipschitz head cannot raise the gain, so it still extracts
+    extract_spec(Sequential(Tanh(), Linear(4, 4, rng=rng)))
 
 
 def test_extract_spec_rejects_non_sequential(rng):

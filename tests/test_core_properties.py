@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import ErrorFlowAnalyzer, mlp_combined_bound, sigma_tilde
-from repro.nn import Identity, Linear, Sequential, Tanh
+from repro.nn import Identity, Linear, Sequential, SpectralLinear, Tanh
 from repro.nn.spectral import spectral_norm_exact
 from repro.quant import BF16, FP16, INT8
 
@@ -77,6 +77,40 @@ def test_sigma_tilde_covers_actual_quantized_sigma(seed, fmt_index):
     assert actual <= hard_cover * (1 + 1e-9)
     predicted = sigma_tilde(sigma, q, cols, rows)
     assert actual <= predicted * 1.01
+
+
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n_in=st.integers(4, 32),
+    n_out=st.integers(4, 32),
+    gap=st.floats(5e-4, 1e-2),
+)
+@settings(max_examples=40, deadline=None)
+def test_compression_bound_covers_a_psn_layer_with_a_clustered_spectrum(
+    seed, n_in, n_out, gap
+):
+    """Eq. (5) is an operator-norm bound, so the deployed matrix's own top
+    right singular vector must not exceed it.  PSN's raw spectrum clusters
+    (s2/s1 >= 0.99 here), which stops the power iteration early: the
+    deployed alpha * V / sigma_hat then has norm above alpha, so the bound
+    must charge that norm, not alpha.  The slack covers float32 forward
+    rounding."""
+    rng = np.random.default_rng(seed)
+    k = min(n_in, n_out)
+    ratio = 1.0 - gap
+    tail = np.sort(rng.uniform(0.1, 0.9, size=k - 2))[::-1] * ratio
+    spectrum = np.concatenate([[1.0, ratio], tail]) * rng.uniform(0.5, 3.0)
+    u, __ = np.linalg.qr(rng.standard_normal((n_out, k)))
+    v, __ = np.linalg.qr(rng.standard_normal((n_in, k)))
+    layer = SpectralLinear(n_in, n_out, rng=rng, alpha_init=float(rng.uniform(0.5, 2.0)))
+    layer.raw_weight.data = ((u * spectrum) @ v.T).astype(np.float32)
+    model = Sequential(layer).eval()
+
+    direction = np.linalg.svd(layer.effective_weight())[2][0]
+    dx = (direction * 1e-2).astype(np.float32)
+    observed = np.linalg.norm(model(dx[None, :]) - model(np.zeros((1, n_in), np.float32)))
+    bound = ErrorFlowAnalyzer(model).compression_bound(float(np.linalg.norm(dx)))
+    assert observed <= bound * (1 + 1e-6)
 
 
 def test_quant_safety_scales_linearly(trained_spectral_mlp):

@@ -5,7 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn import PowerIterationState, spectral_norm, spectral_norm_exact
+from repro.nn import conv as conv_module
+from repro.nn import linear as linear_module
+from repro.nn import PowerIterationState, Sequential, spectral_norm, spectral_norm_exact
+from repro.nn.backend.lowering import lower
+from repro.nn.conv import SpectralConv2d
 from repro.nn.linear import SpectralLinear
 
 
@@ -87,3 +91,37 @@ def test_spectral_linear_invariant_survives_training(trained_spectral_mlp):
         if isinstance(layer, SpectralLinear):
             sigma = spectral_norm_exact(layer.effective_weight())
             assert np.isclose(sigma, layer.spectral_alpha, rtol=1e-5)
+
+
+@pytest.mark.parametrize(
+    "module, make",
+    [
+        (linear_module, lambda rng: SpectralLinear(16, 12, rng=rng)),
+        (conv_module, lambda rng: SpectralConv2d(3, 4, 3, padding=1, rng=rng)),
+    ],
+    ids=["linear", "conv"],
+)
+def test_psn_effective_weight_is_the_lowered_one_normalized_once_per_version(
+    rng, monkeypatch, module, make
+):
+    """effective_weight(), in either mode, reads the eval forward's cached
+    sigma_hat: the bytes the lowering binds, one power iteration per
+    weight version."""
+    layer = make(rng)
+    calls = []
+    real = module.spectral_norm
+    monkeypatch.setattr(module, "spectral_norm", lambda m: calls.append(m) or real(m))
+    raw = layer.raw_weight if isinstance(layer, SpectralLinear) else layer.weight
+
+    effective = layer.train().effective_weight()
+    assert layer.eval().effective_weight().tobytes() == effective.tobytes()
+    op = lower(Sequential(layer)).ops[0]
+    lowered = op.weight_t.T if op.kind == "linear" else op.weight
+    assert lowered.dtype == effective.dtype
+    assert lowered.tobytes() == effective.tobytes()
+    assert len(calls) == 1
+
+    raw.data = raw.data * 1.5
+    layer.effective_weight()
+    layer.train().effective_weight()
+    assert len(calls) == 2

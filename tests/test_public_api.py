@@ -130,8 +130,10 @@ def test_package_line_count_only_goes_down():
     the corruption policies and the circuit breaker class took it to
     18,813; one observed forward in place of four model walkers, and
     deleting the attention layers, the ratio estimator and ``mlp_flops``,
-    took it to 18,507); lower the ceiling when it shrinks."""
-    assert _python_lines(os.path.dirname(inspect.getsourcefile(repro))) <= 18507
+    took it to 18,507; the exact SVD sigma in place of the PSN alpha
+    shortcut and the ``perf/cache.py`` memo layer, with the analyzer's own
+    memo, took it to 18,297); lower the ceiling when it shrinks."""
+    assert _python_lines(os.path.dirname(inspect.getsourcefile(repro))) <= 18297
 
 
 def test_obs_line_count_only_goes_down():
@@ -152,6 +154,7 @@ def test_public_surface_only_goes_down():
     the unused ``BatchNorm1d``, 221 before the chunked store's four and
     twelve names no other file used, 205 before the corruption policies'
     five names and the circuit breaker class, 199 before the three
-    attention layers, ``RatioEstimator`` and ``mlp_flops``); lower the
-    ceiling when it shrinks, never raise it."""
-    assert sum(len(importlib.import_module(m).__all__) for m in _SUBPACKAGES) <= 194
+    attention layers, ``RatioEstimator`` and ``mlp_flops``, 194 before
+    the seven names of ``perf/cache.py``); lower the ceiling when it
+    shrinks, never raise it."""
+    assert sum(len(importlib.import_module(m).__all__) for m in _SUBPACKAGES) <= 187
