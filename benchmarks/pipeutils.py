@@ -54,15 +54,15 @@ def pipeline_sweep(
             fmt = None if plan.fmt.is_identity else plan.fmt
             analyzer = workload.qoi_analyzer()
             if norm == "linf":
-                input_l2 = plan.input_tolerance * np.sqrt(analyzer.n_input)
-            else:
-                input_l2 = plan.input_tolerance
+                predicted = analyzer.combined_bound_linf(plan.input_tolerance, fmt)
+            else:  # the plan's per-sample L2 budget
+                predicted = analyzer.combined_bound(plan.input_tolerance, fmt)
             records.append(
                 {
                     "tolerance": float(tolerance),
                     "fraction": float(fraction),
                     "fmt": plan.fmt.name,
-                    "predicted_bound": analyzer.combined_bound(input_l2, fmt),
+                    "predicted_bound": predicted,
                     "achieved": result.qoi_error(norm, relative=False),
                     "ratio": result.compression_ratio,
                     "io_gbps": io_gbps,

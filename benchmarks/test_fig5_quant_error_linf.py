@@ -40,7 +40,7 @@ def _quant_errors(workload, norm):
             achieved = float(np.abs(delta).max()) / scale
         else:
             achieved = float(np.linalg.norm(delta, axis=1).max()) / scale
-        bound = analyzer.quantization_bound(fmt) / scale
+        bound = analyzer.quantization_bound(fmt, norm) / scale
         devices = [name for name, gpu in GPU_PROFILES.items() if gpu.supports(fmt_name)]
         rows.append([fmt_name, achieved, bound, "+".join(sorted(devices))])
     return rows

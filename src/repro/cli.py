@@ -511,7 +511,7 @@ def _build_pipeline(args):
         from .exceptions import ToleranceError
         from .quant import STANDARD_FORMATS
 
-        bound = analyzer.quantization_bound(STANDARD_FORMATS[fmt])
+        bound = analyzer.quantization_bound(STANDARD_FORMATS[fmt], args.norm)
         raise ToleranceError(
             f"quantization bound {bound:.3e} exceeds the QoI tolerance "
             f"{args.tolerance:.3e}; no compression budget remains"

@@ -9,8 +9,8 @@ coefficients are quantized.  Two deliberate fidelity choices:
   pointwise error guarantee (``max|e| <= ||e||_2 = ||coef err||_2``) with
   a closed-form step size, no verify loop needed;
 * like real ZFP, only pointwise (fixed-accuracy) tolerances are
-  supported; the paper's Fig. 8 notes ZFP has no L2 tolerance mode and the
-  framework enforces the same restriction here.
+  supported (the paper's Fig. 8 notes ZFP has no L2 tolerance mode); an
+  L2 pipeline plan reaches it as the pointwise budget ``tau / sqrt(n_0)``.
 
 Blocks are processed fully vectorized, which also reproduces ZFP's
 operational profile: stable throughput across tolerance levels.

@@ -2,7 +2,6 @@
 
 from .bounds import (
     compression_gain,
-    mlp_combined_bound,
     propagate,
     sigma_tilde,
     step_sizes_for,
@@ -25,7 +24,6 @@ __all__ = [
     "TolerancePlanner",
     "compression_gain",
     "extract_spec",
-    "mlp_combined_bound",
     "probe_sensitivity",
     "propagate",
     "sigma_tilde",

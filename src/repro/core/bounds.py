@@ -1,13 +1,10 @@
 """The paper's error bounds (Eq. 3 and Eq. 5) and their evaluation.
 
-Two equivalent implementations are provided:
-
-* :func:`mlp_combined_bound` — the *literal* Inequality (3) for an
-  L-layer chain, used as the reference in tests;
-* :func:`propagate` — a recurrence over the :class:`NetworkSpec` tree
-  that reduces to Eq. (3) on chains and extends it compositionally to
-  residual networks (each block contributes ``sigma_s + prod sigma`` to
-  the gain, exactly Eq. (1)'s structure).
+:func:`propagate` is a recurrence over the :class:`NetworkSpec` tree
+that reduces to Eq. (3) on chains (``tests/oracles/bound_reference.py``
+holds the literal inequality the tests compare it with) and extends it
+compositionally to residual networks (each block contributes
+``sigma_s + prod sigma`` to the gain, exactly Eq. (1)'s structure).
 
 The recurrence tracks two scalars through the graph:
 
@@ -24,6 +21,12 @@ Per layer ``l`` with spectral norm ``sigma_l`` and step ``q_l``:
     signal <- C * sigma~_l * signal,   sigma~_l = sigma_l + q_l sqrt(min(n_{l-1}, n_l)) / sqrt(3)
 
 Unrolling this on a chain yields Inequality (3) term by term.
+
+An L-infinity QoI needs less of the final operator: each output is one
+row, ``|w_i . dh| <= ||w_i||_2 ||dh||_2``, so :func:`linf_head` charges
+it the largest row norm ``||W_L||_{2->inf}`` in place of ``sigma_L`` and
+keeps the full matrix's quantization coefficient (a single row is the
+narrowest layer there is, where the CLT estimate is weakest).
 """
 
 from __future__ import annotations
@@ -40,8 +43,9 @@ from .graph import ChainSpec, LinearSpec, NetworkSpec, ResidualSpec
 
 __all__ = [
     "ErrorState",
+    "Head",
+    "linf_head",
     "sigma_tilde",
-    "mlp_combined_bound",
     "compression_gain",
     "propagate",
     "propagate_chain_trajectory",
@@ -56,48 +60,6 @@ def sigma_tilde(sigma: float, q: float, n_in: int, n_out: int) -> float:
     return sigma + q * np.sqrt(min(n_in, n_out)) / _SQRT3
 
 
-def mlp_combined_bound(
-    sigmas: Sequence[float],
-    steps: Sequence[float],
-    dims: Sequence[int],
-    input_error_l2: float,
-    sigma_shortcut: float = 0.0,
-) -> float:
-    """Literal Inequality (3) for an L-layer dense chain.
-
-    Parameters
-    ----------
-    sigmas:
-        Spectral norms ``sigma_W^(l)`` for ``l = 1..L``.
-    steps:
-        Quantization steps ``q_l`` (0 for unquantized layers).
-    dims:
-        Layer widths ``n_0, n_1, ..., n_L`` (length ``L + 1``).
-    input_error_l2:
-        ``||Delta x||_2``.
-    sigma_shortcut:
-        ``sigma_s`` of the block's projection shortcut (0 for an MLP).
-    """
-    n_layers = len(sigmas)
-    if len(steps) != n_layers or len(dims) != n_layers + 1:
-        raise ConfigurationError(
-            f"inconsistent bound inputs: {n_layers} sigmas, {len(steps)} steps, "
-            f"{len(dims)} dims"
-        )
-    gain = sigma_shortcut + float(np.prod(sigmas))
-    total = gain * input_error_l2
-    n0 = dims[0]
-    for l in range(1, n_layers + 1):
-        before = 1.0
-        for i in range(1, l):
-            before *= sigma_tilde(sigmas[i - 1], steps[i - 1], dims[i - 1], dims[i])
-        after = 1.0
-        for j in range(l + 1, n_layers + 1):
-            after *= sigmas[j - 1]
-        total += before * after * steps[l - 1] * np.sqrt(n0 * dims[l]) / (2.0 * _SQRT3)
-    return float(total)
-
-
 @dataclass
 class ErrorState:
     """The ``(delta, signal)`` pair tracked through the graph."""
@@ -107,6 +69,22 @@ class ErrorState:
 
     def copy(self) -> "ErrorState":
         return ErrorState(self.delta, self.signal)
+
+
+@dataclass(frozen=True)
+class Head:
+    """What the network's final operator is charged instead of its own
+    ``(sigma, n_out)``; its step comes from the ``steps`` mapping."""
+
+    sigma: float
+    n_out: int
+
+
+def linf_head(spec: NetworkSpec) -> Head | None:
+    """The L-infinity charge of ``spec``'s final operator, ``||W_L||_{2->inf}``
+    (never above ``sigma_L``); None when the network ends in a block."""
+    last = spec.head
+    return None if last is None else Head(min(last.row_norm, last.sigma), last.n_out)
 
 
 def step_sizes_for(
@@ -142,12 +120,14 @@ def _propagate_linear(
     state: ErrorState,
     q: float,
     cap: float | None = None,
+    head: Head | None = None,
 ) -> ErrorState:
+    sigma, n_out = (node.sigma, node.n_out) if head is None else (head.sigma, head.n_out)
     lipschitz = node.lipschitz_after
     signal_in = state.signal if cap is None else min(state.signal, cap)
-    quant_noise = q * np.sqrt(node.n_out) / (2.0 * _SQRT3) * signal_in
-    delta = lipschitz * (node.sigma * state.delta + quant_noise)
-    signal = lipschitz * sigma_tilde(node.sigma, q, node.n_in, node.n_out) * signal_in
+    quant_noise = q * np.sqrt(n_out) / (2.0 * _SQRT3) * signal_in
+    delta = lipschitz * (sigma * state.delta + quant_noise)
+    signal = lipschitz * sigma_tilde(sigma, q, node.n_in, n_out) * signal_in
     return ErrorState(delta=delta, signal=signal)
 
 
@@ -195,6 +175,7 @@ def propagate(
     steps: dict[int, float],
     input_signal_l2: float | None = None,
     signal_caps: dict[int, float] | None = None,
+    head: Head | None = None,
 ) -> ErrorState:
     """Run the error recurrence over the whole graph.
 
@@ -214,16 +195,28 @@ def propagate(
         entering that layer (data-driven calibration, keyed by spec id).
         Without caps the recurrence uses the paper's worst-case
         ``prod sigma~ * sqrt(n_0)`` signal growth.
+    head:
+        What the final operator is charged in place of its own
+        ``(sigma, n_out)`` (:func:`linf_head`, or one output row for a
+        per-feature bound); requires ``spec.head``.
 
     Returns
     -------
     ErrorState
-        ``delta`` is the Eq. (3) bound on ``||Delta y||_2``.
+        ``delta`` is the Eq. (3) bound on ``||Delta y||_2``, or with a
+        head on the largest error of the outputs that head covers.
     """
     if input_signal_l2 is None:
         input_signal_l2 = float(np.sqrt(spec.n_input))
     state = ErrorState(delta=float(input_error_l2), signal=float(input_signal_l2))
-    return _propagate_chain(spec.chain, state, steps, signal_caps)
+    if head is None:
+        return _propagate_chain(spec.chain, state, steps, signal_caps)
+    last = spec.head
+    if last is None:
+        raise ConfigurationError("a head charge needs a network that ends in an operator")
+    state = _propagate_chain(ChainSpec(spec.chain.items[:-1]), state, steps, signal_caps)
+    cap = None if signal_caps is None else signal_caps.get(id(last))
+    return _propagate_linear(last, state, steps[id(last)], cap, head)
 
 
 def propagate_chain_trajectory(
@@ -264,12 +257,15 @@ def propagate_chain_trajectory(
     return trajectory
 
 
-def compression_gain(spec: NetworkSpec) -> float:
+def compression_gain(spec: NetworkSpec, head: Head | None = None) -> float:
     """Eq. (5) amplification factor: ``sigma_s + prod_l sigma_W^(l)``.
 
     Computed compositionally: a chain multiplies gains, a residual block
-    adds its shortcut gain (1 for identity skips).
+    adds its shortcut gain (1 for identity skips).  ``head`` as in
+    :func:`propagate`.
     """
     zero_steps = {id(linear): 0.0 for linear in spec.linear_specs()}
-    state = propagate(spec, input_error_l2=1.0, steps=zero_steps, input_signal_l2=0.0)
+    state = propagate(
+        spec, input_error_l2=1.0, steps=zero_steps, input_signal_l2=0.0, head=head
+    )
     return state.delta

@@ -22,8 +22,11 @@ import numpy as np
 from ..exceptions import ToleranceError
 from ..nn.module import Module
 from ..quant.formats import NumericFormat
+from ..quant.stepsize import average_step_size
 from .bounds import (
+    Head,
     compression_gain,
+    linf_head,
     propagate,
     propagate_chain_trajectory,
     step_sizes_for,
@@ -65,15 +68,19 @@ class ErrorFlowAnalyzer:
     -----
     All bound methods return *absolute* error bounds on the QoI in the
     requested norm; divide by a reference output norm for the relative
-    errors plotted in the paper's figures.  The compression term (Eq. 5)
-    is a deterministic operator-norm bound, never exceeded through dense
-    layers.  A conv is charged the sigma of its matricized kernel, which
-    can read the conv operator's norm up to ``ceil(k / s)`` times low, and
-    each pool is charged 1, so on conv models the term is the paper's
-    estimate rather than a guarantee (DESIGN.md section 7).
+    errors plotted in the paper's figures.  An L-infinity bound charges
+    the final operator its largest row norm instead of its sigma
+    (:func:`~repro.core.bounds.linf_head`) when the network ends in one.
+    The compression term (Eq. 5) is a deterministic operator-norm bound,
+    never exceeded through dense layers.  A conv is charged the sigma of
+    its matricized kernel, which can read the conv operator's norm up to
+    ``ceil(k / s)`` times low, and each pool is charged 1, so on conv
+    models the term is the paper's estimate rather than a guarantee
+    (DESIGN.md section 7).
 
     One dict memoizes steps and :meth:`quantization_bound` per format and
-    :meth:`gain`; a new weight version and (de)calibration empty it.
+    norm and :meth:`gain` per norm; a new weight version and
+    (de)calibration empty it.
     """
 
     def __init__(
@@ -105,6 +112,12 @@ class ErrorFlowAnalyzer:
             self._signal_caps = None
             self._weight_version = current
             self._memo.clear()
+
+    def _head(self, norm: str) -> Head | None:
+        """The final operator's charge for a QoI norm (None: its own sigma)."""
+        if norm not in ("linf", "l2"):
+            raise ToleranceError(f"norm must be 'linf' or 'l2', got {norm!r}")
+        return linf_head(self.spec) if norm == "linf" else None
 
     def _steps(self, fmt) -> dict[int, float]:
         key = ("steps", _format_memo_key(fmt))
@@ -156,16 +169,18 @@ class ErrorFlowAnalyzer:
         self._refresh_spec()
         return [linear.sigma for linear in self.spec.linear_specs()]
 
-    def gain(self) -> float:
-        """Eq. (5) amplification ``sigma_s + prod sigma`` of the network.
+    def gain(self, norm: str = "l2") -> float:
+        """Eq. (5) amplification ``sigma_s + prod sigma`` of the network,
+        from ``||Delta x||_2`` to the QoI error in ``norm``.
 
         Memoized per weight version: planner sweeps call this for every
         candidate configuration but pay the graph walk once.
         """
         self._refresh_spec()
-        if "gain" not in self._memo:
-            self._memo["gain"] = compression_gain(self.spec)
-        return self._memo["gain"]
+        key = ("gain", norm)
+        if key not in self._memo:
+            self._memo[key] = compression_gain(self.spec, self._head(norm))
+        return self._memo[key]
 
     def step_sizes(self, fmt: NumericFormat | Sequence[NumericFormat]) -> list[float]:
         """Table-I steps ``q_l`` per layer for a format choice."""
@@ -178,22 +193,30 @@ class ErrorFlowAnalyzer:
         """Eq. (5): QoI L2 error from input error alone."""
         return self.gain() * float(input_error_l2)
 
-    def quantization_bound(self, fmt: NumericFormat | Sequence[NumericFormat]) -> float:
-        """Eq. (3) with ``||Delta x|| = 0``: weight-quantization error alone.
+    def quantization_bound(
+        self, fmt: NumericFormat | Sequence[NumericFormat], norm: str = "l2"
+    ) -> float:
+        """Eq. (3) with ``||Delta x|| = 0``: weight-quantization error alone,
+        in ``norm``.
 
-        Memoized per format — the planner evaluates the same formats
-        against many error-budget splits.
+        Memoized per format and norm — the planner evaluates the same
+        formats against many error-budget splits.
         """
         self._refresh_spec()
-        key = ("quant", _format_memo_key(fmt))
+        key = ("quant", _format_memo_key(fmt), norm)
         if key not in self._memo:
-            self._memo[key] = propagate(
-                self.spec,
-                input_error_l2=0.0,
-                steps=self._steps(fmt),
-                signal_caps=self._signal_caps,
-            ).delta
+            self._memo[key] = self._propagate(0.0, fmt, norm)
         return self._memo[key]
+
+    def _propagate(self, input_error_l2: float, fmt, norm: str) -> float:
+        self._refresh_spec()
+        return propagate(
+            self.spec,
+            input_error_l2=float(input_error_l2),
+            steps=self._steps(fmt),
+            signal_caps=self._signal_caps,
+            head=self._head(norm),
+        ).delta
 
     def combined_bound(
         self,
@@ -201,14 +224,7 @@ class ErrorFlowAnalyzer:
         fmt: NumericFormat | Sequence[NumericFormat] | None,
     ) -> float:
         """Full Inequality (3): compression and quantization together."""
-        self._refresh_spec()
-        steps = self._steps(fmt)
-        return propagate(
-            self.spec,
-            input_error_l2=float(input_error_l2),
-            steps=steps,
-            signal_caps=self._signal_caps,
-        ).delta
+        return self._propagate(input_error_l2, fmt, "l2")
 
     def layer_bounds(
         self,
@@ -244,14 +260,14 @@ class ErrorFlowAnalyzer:
         """Inequality (3) with an L-infinity input error and output norm.
 
         Uses ``||Delta x||_2 <= sqrt(n_0) * ||Delta x||_inf`` on the way in
-        and ``||Delta y||_inf <= ||Delta y||_2`` on the way out.
+        and charges the final operator ``||W_L||_{2->inf}``, which bounds
+        ``||Delta y||_inf`` on the way out.
         """
-        input_l2 = float(input_error_linf) * np.sqrt(self.n_input)
-        return self.combined_bound(input_l2, fmt)
+        return self._propagate(float(input_error_linf) * np.sqrt(self.n_input), fmt, "linf")
 
     def compression_bound_linf(self, input_error_linf: float) -> float:
-        """Eq. (5) with L-infinity input error."""
-        return self.compression_bound(float(input_error_linf) * np.sqrt(self.n_input))
+        """Eq. (5) with L-infinity input error and output norm."""
+        return self.gain("linf") * float(input_error_linf) * np.sqrt(self.n_input)
 
     # -- per-feature bounds -----------------------------------------------------
     def per_feature_bounds(
@@ -261,43 +277,30 @@ class ErrorFlowAnalyzer:
     ) -> np.ndarray:
         """Eq. (3) restricted to each output feature.
 
-        The final layer's spectral norm is replaced by the L2 norm of the
-        corresponding weight row (the exact operator norm of a single-row
-        map), and its ``n_L`` becomes 1.
+        The final layer is charged the L2 norm of the feature's weight row
+        (the exact operator norm of a single-row map) with ``n_L = 1`` and
+        the row's own step.
         """
         self._refresh_spec()
-        linears = self.spec.linear_specs()
-        last = linears[-1]
-        if not isinstance(last, LinearSpec) or last.is_conv:
-            raise ToleranceError(
-                "per-feature bounds require a dense final layer"
-            )
+        last = self.spec.head
+        if last is None or last.is_conv:
+            raise ToleranceError("per-feature bounds require a dense final layer")
         steps = self._steps(fmt)
+        fmt_last = fmt[-1] if isinstance(fmt, (list, tuple)) else fmt
         bounds = np.empty(last.out_features, dtype=np.float64)
-        original = (last.sigma, last.n_out, last.weights)
-        try:
-            for feature in range(last.out_features):
-                row = original[2][feature : feature + 1, :]
-                last.sigma = float(np.linalg.norm(row))
-                last.n_out = 1
-                last.weights = row
-                row_steps = dict(steps)
-                if steps[id(last)] > 0.0:
-                    # Step size of the row under the same format family.
-                    from ..quant.stepsize import average_step_size
-
-                    fmt_last = fmt[-1] if isinstance(fmt, (list, tuple)) else fmt
-                    row_steps[id(last)] = (
-                        average_step_size(row, fmt_last) * self.quant_safety
-                    )
-                bounds[feature] = propagate(
-                    self.spec,
-                    input_error_l2=float(input_error_l2),
-                    steps=row_steps,
-                    signal_caps=self._signal_caps,
-                ).delta
-        finally:
-            last.sigma, last.n_out, last.weights = original
+        for feature, row in enumerate(last.weights):
+            row = row[None, :]
+            row_steps = dict(steps)
+            if steps[id(last)] > 0.0:
+                # step size of the row under the same format family
+                row_steps[id(last)] = average_step_size(row, fmt_last) * self.quant_safety
+            bounds[feature] = propagate(
+                self.spec,
+                input_error_l2=float(input_error_l2),
+                steps=row_steps,
+                signal_caps=self._signal_caps,
+                head=Head(sigma=float(np.linalg.norm(row)), n_out=1),
+            ).delta
         return bounds
 
     def per_feature_bounds_linf(
@@ -359,20 +362,22 @@ class ErrorFlowAnalyzer:
     # -- inversion (used by the planner) -------------------------------------
     def invert_compression_tolerance(
         self,
-        qoi_tolerance_l2: float,
+        qoi_tolerance: float,
         fmt: NumericFormat | Sequence[NumericFormat] | None,
+        norm: str = "l2",
     ) -> float:
-        """Largest ``||Delta x||_2`` keeping the Eq. (3) bound within budget.
+        """Largest ``||Delta x||_2`` keeping the Eq. (3) bound in ``norm``
+        within budget.
 
         The bound is affine in the input error, so the inversion is exact:
         ``(tolerance - quantization_term) / gain``.  Raises
         :class:`ToleranceError` when the format alone exceeds the budget.
         """
-        quant_term = self.quantization_bound(fmt) if fmt is not None else 0.0
-        headroom = float(qoi_tolerance_l2) - quant_term
+        quant_term = self.quantization_bound(fmt, norm) if fmt is not None else 0.0
+        headroom = float(qoi_tolerance) - quant_term
         if headroom <= 0.0:
             raise ToleranceError(
                 f"quantization bound {quant_term:.3e} exceeds the QoI tolerance "
-                f"{qoi_tolerance_l2:.3e}; no compression budget remains"
+                f"{qoi_tolerance:.3e}; no compression budget remains"
             )
-        return headroom / self.gain()
+        return headroom / self.gain(norm)

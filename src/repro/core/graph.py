@@ -20,7 +20,10 @@ Every operator is charged the exact spectral norm (a full SVD,
 the deployed weight, batch norm folded.  A PSN layer is no exception: its
 deployed weight is ``alpha * V / sigma_hat`` with a power-iteration
 ``sigma_hat``, whose norm can sit above ``alpha`` when the top singular
-values cluster.  An analyzer extracts once per weight version.
+values cluster.  Next to sigma each operator records the matrix's largest
+row norm, what an L-infinity QoI charges the network's final operator
+(:func:`~repro.core.bounds.linf_head`).  An analyzer extracts once per
+weight version.
 """
 
 from __future__ import annotations
@@ -52,13 +55,16 @@ class LinearSpec:
     """One linear operator in the error-flow graph.
 
     ``weights`` is the effective matrix (BN folded) used for quantization
-    step sizes; ``n_in`` / ``n_out`` are the effective dimensions entering
+    step sizes; ``sigma`` is its spectral norm and ``row_norm`` its
+    largest row norm (for a conv, the largest output channel's kernel
+    norm).  ``n_in`` / ``n_out`` are the effective dimensions entering
     the ``sqrt(n)`` factors (for convs: ``C * k^2`` and ``C_out * k^2``);
     ``in_shape`` is the per-sample shape of the operator's input.
     """
 
     name: str
     sigma: float
+    row_norm: float
     n_in: int
     n_out: int
     weights: np.ndarray
@@ -118,6 +124,13 @@ class NetworkSpec:
         return self.chain.linear_specs()
 
     @property
+    def head(self) -> LinearSpec | None:
+        """The operator that produces the QoI, or None when the network
+        ends in a block (its output is a sum of branches, not one map)."""
+        last = self.chain.items[-1] if self.chain.items else None
+        return last if isinstance(last, LinearSpec) else None
+
+    @property
     def n_layers(self) -> int:
         return len(self.linear_specs())
 
@@ -144,7 +157,8 @@ def _linear_spec(layer: Module, name: str, bn_scale: np.ndarray | None) -> Linea
     else:
         n_in, n_out = layer.in_features, layer.out_features
     return LinearSpec(
-        name=name, sigma=spectral_norm_exact(effective), n_in=n_in, n_out=n_out,
+        name=name, sigma=spectral_norm_exact(effective),
+        row_norm=float(np.linalg.norm(effective, axis=1).max()), n_in=n_in, n_out=n_out,
         weights=effective, is_conv=is_conv,
     )
 

@@ -9,11 +9,15 @@ the user's tolerance — the paper's central claim.
 
 Runtime guards make that claim *checked*, not assumed: decompressed
 inputs and QoI outputs are screened for NaN/Inf, and the achieved input
-error is compared against the planned tolerance, raising a structured
-:class:`~repro.exceptions.ContractViolation` on breach.  ``execute``
-makes one attempt and raises the typed error; recovery — retry, then a
-lossless rerun of the chunk — is the supervised pool's, which is what
-``execute_chunked`` runs on every single-host executor.
+error is compared against the codec's pointwise budget, raising a
+structured :class:`~repro.exceptions.ContractViolation` on breach.  Every
+plan asks the codec for a pointwise (ABS) bound: an L2 plan's per-sample
+budget ``tau`` becomes ``tau / sqrt(n_0)`` (``plan.codec_tolerance``),
+which holds ``||Delta x_i||_2 <= tau`` for every sample and so composes
+across chunks.  ``execute`` makes one attempt and raises the typed error;
+recovery — retry, then a lossless rerun of the chunk — is the supervised
+pool's, which is what ``execute_chunked`` runs on every single-host
+executor.
 """
 
 from __future__ import annotations
@@ -24,8 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..compress.base import CompressedBlob, Compressor, ErrorBoundMode, l2_norm
-from ..exceptions import ConfigurationError, PlanningError, ReproError
+from ..compress.base import CompressedBlob, Compressor, ErrorBoundMode
+from ..exceptions import ConfigurationError, ReproError
 from ..nn.backend import CompiledForward, resolve_backend_name
 from ..nn.module import Module
 from ..obs import get_auditor, get_logger, get_metrics, get_tracer
@@ -134,23 +138,12 @@ class InferencePipeline:
         self._forward_ref = CompiledForward(
             self.model, self.backend, instrument=instrument_ops
         )
-        self._mode = self._select_mode()
         self._audit_recorder = None
         self._audit_lock = threading.Lock()
 
-    def _select_mode(self) -> ErrorBoundMode:
-        if self.plan.norm == "linf":
-            return ErrorBoundMode.ABS
-        if ErrorBoundMode.L2_ABS in self.codec.supported_modes:
-            return ErrorBoundMode.L2_ABS
-        raise PlanningError(
-            f"codec {self.codec.name!r} does not support an L2 tolerance "
-            "(the paper notes the same restriction for ZFP)"
-        )
-
     def store(self, fields: np.ndarray) -> CompressedBlob:
-        """Compress normalized input fields under the planned tolerance."""
-        return self.codec.compress(fields, self.plan.input_tolerance, self._mode)
+        """Compress normalized input fields under the codec's pointwise budget."""
+        return self.codec.compress(fields, self.plan.codec_tolerance, ErrorBoundMode.ABS)
 
     def load(self, blob: CompressedBlob) -> np.ndarray:
         """Decompress fields back into network-ready arrays (screened)."""
@@ -164,8 +157,8 @@ class InferencePipeline:
             payload=np.ascontiguousarray(fields).tobytes(),
             shape=fields.shape,
             dtype=str(fields.dtype),
-            mode=self._mode,
-            tolerance=float(self.plan.input_tolerance),
+            mode=ErrorBoundMode.ABS,
+            tolerance=float(self.plan.codec_tolerance),
             metadata={"lossless": True, "degraded": True},
         )
 
@@ -184,7 +177,7 @@ class InferencePipeline:
         counted as a ``fallback-lossless`` recovery.
         """
         tracer = get_tracer()
-        predicted = float(self.plan.input_tolerance)
+        predicted = float(self.plan.codec_tolerance)
         spans: dict = {}
         compress_seconds = 0.0
         if force_lossless:
@@ -307,39 +300,38 @@ class InferencePipeline:
                 "screened": self.screen,
                 "degraded": bool(blob.metadata.get("degraded", False)),
             }
-            # The codec's contract is over the stored field array in its
-            # native dtype — measure it there, not after the sample cast.
+            # The codec's pointwise contract is over the stored field array
+            # in its native dtype — measure it there, not after the sample
+            # cast.  The certificate's per-sample error is input_error_*.
             if self.screen or tracer.enabled:
                 field_delta = np.subtract(fields, reconstructed, dtype=np.float64)
-                if self._mode.is_pointwise:
-                    np.abs(field_delta, out=field_delta)
-                    achieved = float(field_delta.max()) if field_delta.size else 0.0
-                else:
-                    achieved = l2_norm(field_delta, out=field_delta)
+                np.abs(field_delta, out=field_delta)
+                achieved = float(field_delta.max()) if field_delta.size else 0.0
             else:
                 achieved = float("nan")
+            budget = float(self.plan.codec_tolerance)
             with tracer.span(
                 "pipeline.guard",
                 codec=self.codec.name,
                 norm=self.plan.norm,
-                predicted_bound=float(self.plan.input_tolerance),
+                predicted_bound=budget,
                 observed_error=achieved,
-                contract_slack=float(self.plan.input_tolerance) - achieved,
+                contract_slack=budget - achieved,
                 screened=self.screen,
             ) as guard_span:
                 if self.screen:
                     screen_finite(outputs, stage="qoi", name="outputs")
                     integrity["input_contract"] = {
-                        "norm": self.plan.norm,
-                        "expected": float(self.plan.input_tolerance),
+                        "norm": "linf",
+                        "expected": budget,
                         "achieved": achieved,
                     }
                     check_contract(
                         achieved,
-                        self.plan.input_tolerance,
+                        budget,
                         codec=self.codec.name,
                         stage="decompress",
-                        norm=self.plan.norm,
+                        norm="linf",
                         slack=1e-9,
                     )
 
@@ -461,9 +453,9 @@ class InferencePipeline:
         Results come back in input order regardless of completion order,
         so the assembled outputs are deterministic.
 
-        Only pointwise (L-infinity) tolerances compose per chunk — the
-        max over slab-wise maxima equals the global maximum.  An L2
-        budget does not split this way, so L2 plans are rejected.
+        Both norms compose per chunk: the codec's budget is pointwise and
+        the certificate's input errors are per-sample maxima, so the max
+        over slab-wise maxima equals the global one.
 
         With auditing on (:func:`repro.obs.enable_audit`) every chunk is
         audited as its own run; records from pool workers, remote workers
@@ -523,17 +515,12 @@ class InferencePipeline:
         -------
         PipelineResult
             Concatenated outputs; stage timings summed over chunks, input
-            errors slab-wise maxima (exact for pointwise norms), ``blob``
+            errors slab-wise maxima (exact: both are per-sample), ``blob``
             the first chunk's, and ``extra`` with ``"chunked"`` (pool
             configuration + aggregate ratio), ``"supervision"`` (whenever
             a chunk was computed here), ``"distrib"`` and ``"checkpoint"``
             (path + replay counts).
         """
-        if not self._mode.is_pointwise:
-            raise PlanningError(
-                "chunked execution requires a pointwise (linf) tolerance: "
-                "an L2 error budget does not decompose across chunks"
-            )
         if resume and checkpoint is None:
             raise ConfigurationError("resume=True requires a checkpoint directory")
         from .chunked import ChunkRun
@@ -565,9 +552,7 @@ class InferencePipeline:
         """
         qoi_error = result.qoi_error(self.plan.norm, relative=False)
         input_error = (
-            result.input_error_linf
-            if self._mode.is_pointwise
-            else result.input_error_l2_max
+            result.input_error_linf if self.plan.norm == "linf" else result.input_error_l2_max
         )
         if "compress" in spans:
             spans["compress"].set(observed_error=observed_input_error)

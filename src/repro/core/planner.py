@@ -49,8 +49,12 @@ class InferencePlan:
     quant_bound:
         Predicted Eq. (3) quantization-only bound for ``fmt`` (QoI units).
     input_tolerance:
-        Tolerance handed to the compressor, in the same norm applied to
-        the *input*: pointwise for ``linf``, per-sample L2 for ``l2``.
+        The input error the certificate allows, in the same norm applied
+        to the *input*: pointwise for ``linf``, per-sample L2 for ``l2``.
+    codec_tolerance:
+        The pointwise (ABS) budget handed to the codec: ``input_tolerance``
+        for ``linf``; ``input_tolerance / sqrt(n_0)`` for ``l2``, since
+        ``||Delta x_i||_2 <= sqrt(n_0) ||Delta x_i||_inf`` for every sample.
     compression_budget:
         QoI-level budget left for compression after quantization.
     """
@@ -60,15 +64,19 @@ class InferencePlan:
     fmt: NumericFormat
     quant_bound: float
     input_tolerance: float
+    codec_tolerance: float
     compression_budget: float
     quant_fraction: float
     metadata: dict = field(default_factory=dict)
 
     def describe(self) -> str:
-        return (
+        text = (
             f"tol={self.qoi_tolerance:.2e} ({self.norm}) -> format={self.fmt.name} "
             f"(bound {self.quant_bound:.2e}), input tol {self.input_tolerance:.2e}"
         )
+        if self.norm == "l2":
+            text += f" (codec pointwise {self.codec_tolerance:.2e})"
+        return text
 
 
 class TolerancePlanner:
@@ -92,11 +100,6 @@ class TolerancePlanner:
         self.formats: list[NumericFormat] = [
             STANDARD_FORMATS[name] for name in format_ranking
         ]
-
-    def _quant_bound(self, fmt: NumericFormat, norm: str) -> float:
-        bound_l2 = self.analyzer.quantization_bound(fmt)
-        # ||.||_inf <= ||.||_2: the L2 bound also bounds the Linf error.
-        return bound_l2
 
     def plan(
         self,
@@ -122,7 +125,7 @@ class TolerancePlanner:
         chosen = FP32
         chosen_bound = 0.0
         for fmt in self.formats:
-            bound = 0.0 if fmt.is_identity else self._quant_bound(fmt, norm)
+            bound = 0.0 if fmt.is_identity else self.analyzer.quantization_bound(fmt, norm)
             if bound <= quant_allocation:
                 chosen, chosen_bound = fmt, bound
                 break
@@ -135,21 +138,19 @@ class TolerancePlanner:
             # flows to compression (paper Section IV-D: "all unutilized
             # tolerance are allocated for data reduction").
             input_l2 = self.analyzer.invert_compression_tolerance(
-                qoi_tolerance, chosen if not chosen.is_identity else None
+                qoi_tolerance, chosen if not chosen.is_identity else None, norm
             )
         except ToleranceError as exc:  # pragma: no cover - fits by construction
             raise PlanningError(str(exc)) from exc
-        if norm == "linf":
-            # Pointwise input tolerance: ||dx||_2 <= sqrt(n0) * ||dx||_inf.
-            input_tolerance = input_l2 / np.sqrt(self.analyzer.n_input)
-        else:
-            input_tolerance = input_l2
+        # ||dx||_2 <= sqrt(n0) * ||dx||_inf, per sample
+        pointwise = input_l2 / np.sqrt(self.analyzer.n_input)
         return InferencePlan(
             qoi_tolerance=float(qoi_tolerance),
             norm=norm,
             fmt=chosen,
             quant_bound=chosen_bound,
-            input_tolerance=float(input_tolerance),
+            input_tolerance=float(pointwise if norm == "linf" else input_l2),
+            codec_tolerance=float(pointwise),
             compression_budget=float(compression_budget),
             quant_fraction=float(quant_fraction),
         )

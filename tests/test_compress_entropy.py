@@ -741,3 +741,82 @@ def test_bitreader_read_zero_bits():
     assert reader.read(0) == 0
     assert reader.position == 0
     assert reader.read(3) == 0b101
+
+
+# -- the lane index inside SZ blobs --------------------------------------------------
+
+
+@given(
+    kind=st.sampled_from(["skewed", "flat", "escape_heavy", "int32_edge", "single"]),
+    seed=st.integers(0, 2**31 - 1),
+    bit=st.integers(0, 15),
+)
+@settings(max_examples=200, deadline=None)
+def test_a_flipped_lane_field_is_refused_or_names_the_same_stream(kind, seed, bit):
+    """A stream of one lane decodes the same under any lane at least its
+    length; every other flip of the header's lane field is refused."""
+    rng = np.random.default_rng(seed)
+    symbols = _stream(kind, int(rng.integers(1, 5000)), rng)
+    corrupt = bytearray(huffman_encode(symbols))
+    corrupt[16 + bit // 8] ^= 1 << (bit % 8)
+    try:
+        decoded = huffman_decode(bytes(corrupt))
+    except CompressionError:
+        return
+    assert np.array_equal(decoded, symbols)
+
+
+def _sz_entropy_offset(payload: bytes) -> int:
+    """Where the HUF2 stream starts in an SZ payload (parsed as SZ does)."""
+    __, n_anchors, n_outliers, n_choices = struct.unpack_from("<dIIH", payload, 0)
+    return struct.calcsize("<dIIH") + (n_choices + 7) // 8 + 8 * (n_anchors + n_outliers)
+
+
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    target=st.sampled_from(["lane", "index", "cut"]),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    data=st.data(),
+)
+@settings(max_examples=120, deadline=None)
+def test_sz_blobs_refuse_a_damaged_lane_index(seed, target, dtype, data):
+    """A single-bit flip of the lane field or of a lane's bit length, or a
+    payload cut inside them, ends in ``CompressionError`` from
+    ``safe_decompress`` on the blob in memory and in ``IntegrityError``
+    from the wire (CRC32), never in another array."""
+    import dataclasses
+
+    from repro.exceptions import IntegrityError
+    from repro.io.serialization import blob_from_bytes, blob_to_bytes
+
+    rng = np.random.default_rng(seed)
+    shape = (int(rng.integers(4, 40)), int(rng.integers(4, 60)))
+    field = np.cumsum(rng.standard_normal(shape), axis=1).astype(dtype)
+    codec = SZCompressor()
+    blob = codec.compress(field, float(10.0 ** rng.uniform(-4, -1)))
+    expected = codec.decompress(blob)
+    start = _sz_entropy_offset(blob.payload)
+    sections = _sections(blob.payload[start:])
+    if target == "cut":
+        byte, mask = data.draw(st.integers(start + 16, start + sections["payload_at"])), 0
+    else:
+        lo, hi = {"lane": (16, 18), "index": (sections["index_at"], sections["payload_at"])}[target]
+        byte, mask = start + data.draw(st.integers(lo, hi - 1)), 1 << data.draw(st.integers(0, 7))
+
+    def damage(raw: bytes, at: int) -> bytes:
+        """``raw`` cut at, or with one bit flipped at, payload byte ``byte``;
+        the payload starts at ``at``."""
+        if not mask:
+            return raw[: at + byte]
+        raw = bytearray(raw)
+        raw[at + byte] ^= mask
+        return bytes(raw)
+
+    damaged = dataclasses.replace(blob, payload=damage(blob.payload, 0))
+    try:
+        assert np.array_equal(codec.safe_decompress(damaged), expected)
+    except CompressionError:
+        pass
+    wire = blob_to_bytes(blob)
+    with pytest.raises((IntegrityError, CompressionError)):
+        blob_from_bytes(damage(wire, len(wire) - len(blob.payload)))

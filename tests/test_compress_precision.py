@@ -110,6 +110,47 @@ def test_an_unknown_precision_is_refused():
     assert np.array_equal(codec.decompress(blob_from_bytes(blob_to_bytes(blob))), expected)
 
 
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    where=st.sampled_from(["memory", "wire"]),
+    cut=st.booleans(),
+    data=st.data(),
+)
+@settings(max_examples=120, deadline=None)
+def test_a_damaged_precision_key_never_decodes_to_another_array(seed, where, cut, data):
+    """Single-bit flips and truncations of a float32 blob's ``precision``
+    key: in memory every damaged value is refused by name (one bit never
+    turns ``float32`` into ``float64``); on the wire the CRC32 refuses the
+    blob, whether the key's bytes were flipped or cut out."""
+    from repro.exceptions import IntegrityError
+
+    codec = SZCompressor(anchor_stride=4)
+    blob = codec.compress(_walk(seed, (6, 10), np.float32), 1e-2)
+    if where == "memory":
+        value = bytearray(b"float32")
+        if cut:
+            value = value[: data.draw(st.integers(0, len(value) - 1))]
+        else:
+            at = data.draw(st.integers(0, len(value) * 8 - 1))
+            value[at // 8] ^= 1 << (at % 8)
+        blob.metadata["precision"] = value.decode("latin-1")
+        with pytest.raises(CompressionError, match="precision"):
+            codec.safe_decompress(blob)
+        return
+    wire = bytearray(blob_to_bytes(blob))
+    start = wire.index(b'"precision":"float32"')
+    stop = start + len(b'"precision":"float32"')
+    if cut:  # drop bytes of the key, keep the rest of the blob
+        lo = data.draw(st.integers(start, stop - 1))
+        hi = data.draw(st.integers(lo + 1, stop))
+        del wire[lo:hi]
+    else:
+        at = data.draw(st.integers(start * 8, stop * 8 - 1))
+        wire[at // 8] ^= 1 << (at % 8)
+    with pytest.raises(IntegrityError):
+        blob_from_bytes(bytes(wire))
+
+
 def test_only_a_float32_field_runs_in_float32():
     codec = SZCompressor(anchor_stride=4)
     field = _walk(5, (7, 9), np.float64)

@@ -9,7 +9,6 @@ from repro.core import (
     ErrorFlowAnalyzer,
     compression_gain,
     extract_spec,
-    mlp_combined_bound,
     propagate,
     sigma_tilde,
     step_sizes_for,
@@ -31,6 +30,8 @@ from repro.nn import (
     Tanh,
 )
 from repro.quant import BF16, FP16, FP32, INT8, TF32
+
+from .oracles.bound_reference import mlp_combined_bound
 
 
 # -- graph extraction ------------------------------------------------------------

@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.compress import MGARDCompressor, SZCompressor, ZFPCompressor
+from repro.compress import ErrorBoundMode, MGARDCompressor, SZCompressor, ZFPCompressor
 from repro.core import ErrorFlowAnalyzer, InferencePipeline, TolerancePlanner, probe_sensitivity
-from repro.exceptions import PlanningError
 
 
 @pytest.fixture
@@ -33,19 +34,47 @@ def test_pipeline_honours_linf_tolerance(codec_cls, trained_spectral_mlp, planne
     assert result.compression_ratio > 1.0
 
 
-@pytest.mark.parametrize("codec_cls", [SZCompressor, MGARDCompressor])
+@pytest.mark.parametrize("codec_cls", [SZCompressor, MGARDCompressor, ZFPCompressor])
 def test_pipeline_honours_l2_tolerance(codec_cls, trained_spectral_mlp, planner, fields):
+    """An L2 plan asks every codec, ZFP included, for the pointwise budget
+    tau / sqrt(n_0), which holds each sample's L2 error within tau."""
     tolerance = 5e-2
     plan = planner.plan(tolerance, norm="l2", quant_fraction=0.5)
     pipeline = InferencePipeline(trained_spectral_mlp, codec_cls(), plan)
     result = pipeline.execute(fields)
+    assert result.blob.mode is ErrorBoundMode.ABS
+    assert result.blob.tolerance == plan.codec_tolerance
+    assert result.input_error_linf <= plan.codec_tolerance
+    assert result.input_error_l2_max <= plan.input_tolerance
     assert result.qoi_error("l2", relative=False) <= tolerance
 
 
-def test_pipeline_zfp_rejects_l2(trained_spectral_mlp, planner):
-    plan = planner.plan(1e-2, norm="l2")
-    with pytest.raises(PlanningError):
-        InferencePipeline(trained_spectral_mlp, ZFPCompressor(), plan)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    codec_index=st.integers(0, 2),
+    log_tolerance=st.floats(-3.0, -1.0),
+    roughness=st.floats(0.0, 1.0),
+)
+@settings(max_examples=30, deadline=None)
+def test_l2_plans_hold_every_sample_on_every_codec(
+    trained_spectral_mlp, seed, codec_index, log_tolerance, roughness
+):
+    """Property: on random fields, an L2 plan's codec run keeps every
+    sample's input error within the plan's per-sample budget, and the
+    QoI's per-sample L2 error within the tolerance."""
+    rng = np.random.default_rng(seed)
+    x = np.linspace(0, 2 * np.pi, 24)
+    xx, yy = np.meshgrid(x, x)
+    phases = rng.uniform(0, 2 * np.pi, (5, 1, 1))
+    smooth = np.sin(xx + phases) * np.cos(yy - phases)
+    noise = rng.uniform(-1, 1, smooth.shape)
+    fields = np.clip((1 - roughness) * smooth + roughness * noise, -1, 1).astype(np.float32)
+    tolerance = 10.0**log_tolerance
+    plan = TolerancePlanner(ErrorFlowAnalyzer(trained_spectral_mlp)).plan(tolerance, norm="l2")
+    codec = (SZCompressor, ZFPCompressor, MGARDCompressor)[codec_index]()
+    result = InferencePipeline(trained_spectral_mlp, codec, plan).execute(fields)
+    assert result.input_error_l2_max <= plan.input_tolerance
+    assert result.qoi_error("l2", relative=False) <= tolerance
 
 
 def test_pipeline_records_timings(trained_spectral_mlp, planner, fields):

@@ -201,6 +201,44 @@ def test_split_quantized_forward_equals_the_one_cpu_execute(case):
     assert metrics.value("backend_split_calls_total", backend="fused") == 1
 
 
+@pytest.mark.parametrize("case", ["h2combustion", "borghesi", "eurosat"])
+def test_fused_and_reference_backends_certify_alike(case):
+    """One pipeline per workload through the fused backend and through the
+    reference interpreter (``CompiledForward(model, "reference")``): the
+    fused pipeline's second ``execute`` runs the split MLP or conv forward
+    where two CPUs allow it, and every run gives the interpreter's bytes,
+    blob and certificate ratios."""
+    model, plan, fields, reshape = (
+        _eurosat_case() if case == "eurosat" else _workload_case(case)
+    )
+    mapping = reshape or (lambda f: f.reshape(f.shape[0], -1).T.astype(np.float32))
+
+    def after_the_reference(f):
+        if f is not fields:  # the data side: the lane is free for a half once this returns
+            deadline = time.monotonic() + 30
+            while side_lane()._free.locked() and time.monotonic() < deadline:
+                time.sleep(0.001)
+        return mapping(f)
+
+    runs, pipes = {}, {}
+    for backend in ("fused", "reference"):
+        pipe = pipes[backend] = InferencePipeline(model, SZCompressor(), plan, backend=backend)
+        runs[backend] = [
+            pipe.execute(fields, samples_from_fields=after_the_reference) for _ in range(2)
+        ]
+        assert pipe._forward_quant.backend_name == backend
+    expected = runs["reference"][0]
+    assert "split" not in expected.extra["backend"]
+    for got in runs["fused"] + runs["reference"][1:]:
+        assert_same_result(got, expected)
+        for norm in ("linf", "l2"):
+            ratio = got.qoi_error(norm, relative=False) / plan.qoi_tolerance
+            assert ratio == expected.qoi_error(norm, relative=False) / plan.qoi_tolerance
+    if usable_cpus() >= 2:  # a conv split is kept on equal bytes only
+        refused = pipes["fused"]._forward_quant._kernel.split_rejections.get("bytes", 0)
+        assert "split" in runs["fused"][1].extra["backend"] or (case == "eurosat" and refused)
+
+
 @needs_two_cpus
 @given(
     height=st.integers(1, 24),

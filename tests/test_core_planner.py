@@ -67,24 +67,30 @@ def test_tighter_tolerance_never_chooses_looser_format(
 
 
 def test_plan_total_budget_is_conserved(planner):
-    plan = planner.plan(qoi_tolerance=1e-1, quant_fraction=0.5)
-    assert plan.quant_bound + plan.compression_budget == pytest.approx(1e-1)
-    # predicted combined bound at the planned input tolerance == tolerance
+    """The bound in the plan's own norm at the planned input tolerance is
+    the tolerance: ``combined_bound_linf`` (head charged its largest row
+    norm) for L-infinity plans, ``combined_bound`` for L2 plans."""
     analyzer = planner.analyzer
-    input_l2 = plan.input_tolerance if plan.norm == "l2" else (
-        plan.input_tolerance * np.sqrt(analyzer.n_input)
-    )
-    fmt = None if plan.fmt.is_identity else plan.fmt
-    assert analyzer.combined_bound(input_l2, fmt) == pytest.approx(plan.qoi_tolerance, rel=1e-9)
+    for norm, bound in (
+        ("linf", analyzer.combined_bound_linf), ("l2", analyzer.combined_bound)
+    ):
+        plan = planner.plan(qoi_tolerance=1e-1, norm=norm, quant_fraction=0.5)
+        assert plan.quant_bound + plan.compression_budget == pytest.approx(1e-1)
+        fmt = None if plan.fmt.is_identity else plan.fmt
+        assert bound(plan.input_tolerance, fmt) == pytest.approx(plan.qoi_tolerance, rel=1e-9)
 
 
 def test_plan_l2_norm_units(planner):
     linf_plan = planner.plan(1e-2, norm="linf")
     l2_plan = planner.plan(1e-2, norm="l2")
-    # pointwise tolerance is the L2 one shrunk by sqrt(n0)
-    assert linf_plan.input_tolerance == pytest.approx(
+    # the codec's pointwise budget is the per-sample L2 one shrunk by sqrt(n0)
+    assert l2_plan.codec_tolerance == pytest.approx(
         l2_plan.input_tolerance / np.sqrt(planner.analyzer.n_input)
     )
+    assert linf_plan.codec_tolerance == linf_plan.input_tolerance
+    # an L-infinity QoI charges the head no more than sigma_L
+    assert linf_plan.fmt == l2_plan.fmt
+    assert linf_plan.input_tolerance >= l2_plan.codec_tolerance
 
 
 def test_plan_validation(planner):

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core import ErrorFlowAnalyzer, mlp_combined_bound, sigma_tilde
+from repro.core import ErrorFlowAnalyzer, sigma_tilde
 from repro.nn import Identity, Linear, Sequential, SpectralLinear, Tanh
 from repro.nn.spectral import spectral_norm_exact
 from repro.quant import BF16, FP16, INT8
+
+from .oracles.bound_reference import mlp_combined_bound
 
 
 @given(

@@ -79,12 +79,19 @@ def test_execute_chunked_output_shape_matches_unchunked(pipeline_setup):
     )
 
 
-def test_execute_chunked_rejects_l2_plans(pipeline_setup):
+def test_execute_chunked_holds_l2_plans(pipeline_setup):
+    """An L2 plan's budget is per sample, so it holds chunk by chunk: the
+    chunked run certifies like the whole one."""
     model, fields, planner = pipeline_setup
-    plan = planner.plan(5e-2, norm="l2", quant_fraction=0.5)
+    tolerance = 5e-2
+    plan = planner.plan(tolerance, norm="l2", quant_fraction=0.5)
     pipeline = InferencePipeline(model, SZCompressor(), plan)
-    with pytest.raises(PlanningError):
-        pipeline.execute_chunked(fields, chunk_size=8, chunk_axis=1)
+    chunked = pipeline.execute_chunked(fields, chunk_size=8, chunk_axis=1, workers=2)
+    whole = pipeline.execute(fields)
+    assert chunked.outputs.shape == whole.outputs.shape
+    assert chunked.input_error_linf <= plan.codec_tolerance
+    assert chunked.input_error_l2_max <= plan.input_tolerance
+    assert chunked.qoi_error("l2", relative=False) <= tolerance
 
 
 def test_execute_chunked_rejects_bad_chunk_size(pipeline_setup):

@@ -132,8 +132,11 @@ def test_package_line_count_only_goes_down():
     deleting the attention layers, the ratio estimator and ``mlp_flops``,
     took it to 18,507; the exact SVD sigma in place of the PSN alpha
     shortcut and the ``perf/cache.py`` memo layer, with the analyzer's own
-    memo, took it to 18,297); lower the ceiling when it shrinks."""
-    assert _python_lines(os.path.dirname(inspect.getsourcefile(repro))) <= 18297
+    memo, took it to 18,297; the L-infinity head and the L2 plans'
+    pointwise budget took it to 18,296, their cost paid for by the literal
+    Inequality (3), which only tests read, moving into ``tests/oracles``);
+    lower the ceiling when it shrinks."""
+    assert _python_lines(os.path.dirname(inspect.getsourcefile(repro))) <= 18296
 
 
 def test_obs_line_count_only_goes_down():
@@ -155,6 +158,7 @@ def test_public_surface_only_goes_down():
     twelve names no other file used, 205 before the corruption policies'
     five names and the circuit breaker class, 199 before the three
     attention layers, ``RatioEstimator`` and ``mlp_flops``, 194 before
-    the seven names of ``perf/cache.py``); lower the ceiling when it
-    shrinks, never raise it."""
-    assert sum(len(importlib.import_module(m).__all__) for m in _SUBPACKAGES) <= 187
+    the seven names of ``perf/cache.py``, 187 before the literal
+    Inequality (3) moved into ``tests/oracles``); lower the ceiling when
+    it shrinks, never raise it."""
+    assert sum(len(importlib.import_module(m).__all__) for m in _SUBPACKAGES) <= 186

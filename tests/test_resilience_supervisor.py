@@ -629,6 +629,31 @@ def test_pipeline_survives_sigkill_and_hang(chunked_setup):
     assert result.qoi_error("linf", relative=False) <= pipeline.plan.qoi_tolerance
 
 
+def test_l2_plan_runs_chunked_on_a_pool_journals_and_resumes(
+    chunked_setup, trained_spectral_mlp, tmp_path
+):
+    """An L2 plan's budget is per sample, so a chunked ZFP run on the
+    process pool certifies, and its resume replays every chunk and
+    reproduces the outputs and the certificate byte for byte."""
+    from repro.compress import ZFPCompressor
+
+    _, fields, _ = chunked_setup
+    tolerance = 1e-2
+    plan = TolerancePlanner(ErrorFlowAnalyzer(trained_spectral_mlp)).plan(tolerance, norm="l2")
+    pipeline = InferencePipeline(trained_spectral_mlp, ZFPCompressor(), plan)
+    checkpoint = str(tmp_path / "l2")
+    first = _chunked(pipeline, fields, workers=2, executor="process", checkpoint=checkpoint)
+    again = _chunked(
+        pipeline, fields, workers=2, executor="process", checkpoint=checkpoint, resume=True
+    )
+    assert again.extra["checkpoint"]["replayed_chunks"] == first.extra["chunked"]["n_chunks"]
+    assert np.array_equal(again.outputs, first.outputs)
+    for result in (first, again):
+        assert result.input_error_l2_max <= plan.input_tolerance
+        assert result.qoi_error("l2", relative=False) <= tolerance
+    assert again.qoi_error("l2", relative=False) == first.qoi_error("l2", relative=False)
+
+
 def test_pipeline_quarantine_degrades_to_lossless(chunked_setup):
     pipeline, fields, serial = chunked_setup
     chaos = ChaosInjector.from_spec("raise@1:all")  # chunk 1 is a poison pill
