@@ -11,7 +11,7 @@ import numpy as np
 from conftest import print_table, run_once
 from repro import obs
 from repro.models import ZOO_INPUT_SHAPES, build_model, model_flops
-from repro.perf import ExecutionModel, RTX3080TI, StageBreakdown, Stopwatch, measure_inference_seconds
+from repro.perf import ExecutionModel, RTX3080TI, StageBreakdown, measure_inference_seconds
 
 _ZOO = ("resnet8", "resnet14", "resnet20", "mlp_s", "mlp_m", "mlp_l")
 
@@ -62,8 +62,8 @@ def test_fig2_measured_numpy_execution(benchmark):
     """Real wall-clock of the numpy substrate (the measured data point).
 
     The measurement is trace-backed: ``measure_inference_seconds`` emits
-    spans, a :class:`Stopwatch` is rebuilt from those spans, and the
-    figure's :class:`StageBreakdown` is derived from the stopwatch — the
+    one ``execute`` span per repeat, and the figure's
+    :class:`StageBreakdown` is built from their summed duration — the
     paper figure and production telemetry read the same span data.
     """
     rng = np.random.default_rng(0)
@@ -85,8 +85,8 @@ def test_fig2_measured_numpy_execution(benchmark):
     ) or abs(seconds - np.median([s.duration_s for s in execute_spans])) < 5e-3
 
     # ...and rebuild into the Fig. 2 data structures without re-timing.
-    watch = Stopwatch.from_spans(tracer)
-    assert watch.phases["execute"] > 0
-    breakdown = StageBreakdown.from_phases(watch.phases)
-    assert breakdown.execute_seconds == watch.phases["execute"]
+    execute = tracer.total_seconds("execute")
+    assert execute > 0
+    breakdown = StageBreakdown.from_phases({"execute": execute})
+    assert breakdown.execute_seconds == execute
     assert breakdown.fractions()["execute"] == 1.0  # pure-execution microbench

@@ -149,19 +149,6 @@ class InferencePipeline:
         """Decompress fields back into network-ready arrays (screened)."""
         return self.codec.safe_decompress(blob, screen=self.screen)
 
-    def _lossless_blob(self, fields: np.ndarray) -> CompressedBlob:
-        """Degraded-mode blob: source fields stored uncompressed."""
-        fields = np.asarray(fields)
-        return CompressedBlob(
-            codec=self.codec.name,
-            payload=np.ascontiguousarray(fields).tobytes(),
-            shape=fields.shape,
-            dtype=str(fields.dtype),
-            mode=ErrorBoundMode.ABS,
-            tolerance=float(self.plan.codec_tolerance),
-            metadata={"lossless": True, "degraded": True},
-        )
-
     def _store_and_load(
         self, fields: np.ndarray, force_lossless: bool = False
     ) -> tuple[CompressedBlob, np.ndarray, float, float, dict]:
@@ -181,7 +168,10 @@ class InferencePipeline:
         spans: dict = {}
         compress_seconds = 0.0
         if force_lossless:
-            blob = self._lossless_blob(fields)
+            blob = self.codec._lossless_blob(
+                np.asarray(fields), predicted, ErrorBoundMode.ABS
+            )
+            blob.metadata["degraded"] = True
         else:
             start = time.perf_counter()
             with tracer.span(

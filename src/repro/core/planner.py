@@ -155,15 +155,6 @@ class TolerancePlanner:
             quant_fraction=float(quant_fraction),
         )
 
-    def plan_sweep(
-        self,
-        tolerances: list[float],
-        norm: str = "linf",
-        quant_fraction: float = 0.5,
-    ) -> list[InferencePlan]:
-        """Plans across a tolerance sweep (one per figure x-axis point)."""
-        return [self.plan(tol, norm=norm, quant_fraction=quant_fraction) for tol in tolerances]
-
     def auto_plan(
         self,
         qoi_tolerance: float,

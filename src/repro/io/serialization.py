@@ -8,8 +8,8 @@ the file, so blobs written by one process decode anywhere.
 Two wire versions exist:
 
 * **v1** (legacy): ``RBLB | u16 version | u32 header_len | header | payload``.
-  No integrity protection; still readable for backward compatibility.
-* **v2** (default): ``RBLB | u16 version | u32 header_len | u32 crc32 |
+  No integrity protection; still read, no longer written.
+* **v2** (written): ``RBLB | u16 version | u32 header_len | u32 crc32 |
   header | payload`` where the CRC32 covers ``header + payload``.  Any
   bit flip or truncation anywhere after the prelude is detected on read
   and surfaced as :class:`~repro.exceptions.IntegrityError` — corrupted
@@ -59,12 +59,11 @@ def _jsonable_metadata(metadata: dict) -> dict:
     return out
 
 
-def blob_to_bytes(blob: CompressedBlob, version: int = _VERSION) -> bytes:
-    """Serialize a blob into a self-contained byte string.
+def blob_to_bytes(blob: CompressedBlob) -> bytes:
+    """Serialize a blob into a self-contained v2 byte string.
 
-    ``version=2`` (the default) embeds a CRC32 over header+payload so
-    readers detect corruption; ``version=1`` writes the legacy
-    unprotected layout (useful for compatibility testing).
+    A CRC32 over header+payload lets readers detect corruption; v1
+    blobs are read (see :func:`blob_from_bytes`) but never written.
     """
     header = {
         "codec": blob.codec,
@@ -75,14 +74,8 @@ def blob_to_bytes(blob: CompressedBlob, version: int = _VERSION) -> bytes:
         "metadata": _jsonable_metadata(blob.metadata),
     }
     header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    if version == 1:
-        prelude = _PRELUDE_V1.pack(1, len(header_bytes))
-    elif version == 2:
-        crc = zlib.crc32(header_bytes)
-        crc = zlib.crc32(blob.payload, crc)
-        prelude = _PRELUDE_V2.pack(2, len(header_bytes), crc)
-    else:
-        raise CompressionError(f"cannot write blob version {version}")
+    crc = zlib.crc32(blob.payload, zlib.crc32(header_bytes))
+    prelude = _PRELUDE_V2.pack(_VERSION, len(header_bytes), crc)
     return _MAGIC + prelude + header_bytes + blob.payload
 
 

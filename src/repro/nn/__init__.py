@@ -25,16 +25,12 @@ from .normalization import BatchNorm2d
 from .optim import SGD, Adam, Optimizer
 from .pooling import AvgPool2d, Flatten, GlobalAvgPool2d, MaxPool2d
 from .residual import BasicBlock, ResidualBlock
-from .schedulers import CosineAnnealingLR, Scheduler, StepLR
 from .sequential import Sequential
 from .spectral import PowerIterationState, spectral_norm, spectral_norm_exact
 from .trainer import Trainer
 from .upsample import ConcatChannels, Upsample2d
 
 __all__ = [
-    "CosineAnnealingLR",
-    "Scheduler",
-    "StepLR",
     "Upsample2d",
     "ConcatChannels",
     "ACTIVATIONS",

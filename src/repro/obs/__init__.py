@@ -41,7 +41,6 @@ from .trace import (
     json_default,
     new_span_id,
     new_trace_id,
-    read_jsonl,
 )
 from .registry import RunRegistry
 
@@ -90,7 +89,6 @@ __all__ = [
     "json_default",
     "new_span_id",
     "new_trace_id",
-    "read_jsonl",
     "render_metrics_json",
     "set_auditor",
     "set_log_level",

@@ -464,13 +464,15 @@ class Auditor:
         )
 
     def adopt(self, record: AuditRecord) -> AuditRecord:
-        """Register a record produced in another process under this auditor.
+        """Store a record under this auditor without emitting its metrics.
 
-        Pool workers audit with a :meth:`detached` clone and ship the
-        record back to the parent; resumed checkpoints replay records
-        the killed run already persisted.  Either way the record gets a
-        fresh sequential run id here and is stored in memory + registry,
-        but its metrics are **not** re-emitted — the producing process
+        This is the one storing body; :meth:`record_run` adds the metrics
+        for a record produced here.  Pool workers audit with a
+        :meth:`detached` clone and ship the record back to the parent;
+        resumed checkpoints replay records the killed run already
+        persisted.  Either way the record gets a fresh sequential run id
+        here and is stored in memory + registry, but its metrics are
+        **not** re-emitted — the producing process
         emitted them once (worker counter deltas merge separately).
         """
         record.run_id = ""
@@ -486,18 +488,10 @@ class Auditor:
         return record
 
     def record_run(self, record: AuditRecord) -> AuditRecord:
-        """Persist one record and emit its metrics; returns the record
-        with its registry-assigned ``run_id`` backfilled."""
-        if not record.created_unix:
-            record.created_unix = time.time()
-        if not record.label:
-            record.label = self.label
-        with self._lock:
-            if self.registry is not None:
-                payload = self.registry.append(record)
-                record.run_id = payload["run_id"]
-            self.records.append(record)
-        self._emit(record)
+        """Persist one record produced here (:meth:`adopt`) and emit its
+        metrics; returns the record with its registry-assigned ``run_id``
+        backfilled."""
+        self._emit(self.adopt(record))
         return record
 
     def _emit(self, record: AuditRecord) -> None:

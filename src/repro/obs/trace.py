@@ -28,7 +28,6 @@ __all__ = [
     "json_default",
     "new_span_id",
     "new_trace_id",
-    "read_jsonl",
 ]
 
 
@@ -536,14 +535,3 @@ class NullTracer:
 
 
 NULL_TRACER = NullTracer()
-
-
-def read_jsonl(path: str) -> list[dict]:
-    """Load spans exported by :meth:`Tracer.export_jsonl`."""
-    spans: list[dict] = []
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                spans.append(json.loads(line))
-    return spans

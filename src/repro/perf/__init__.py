@@ -1,8 +1,7 @@
-"""Performance layer: hardware models, timers and parallel execution.
+"""Performance layer: hardware models and parallel execution.
 
 * throughput models (:class:`IOModel`, :class:`ExecutionModel`) feed the
   planner's Fig. 10 trade-off;
-* :class:`Timer` and :class:`Stopwatch` time phases as spans;
 * :mod:`~repro.perf.parallel` counts the CPUs a run may use (the size of
   ``execute_chunked``'s supervised process pool) and keeps the side lane
   that ``InferencePipeline.execute`` and the split forward run beside
@@ -10,10 +9,9 @@
 """
 
 from .execmodel import ExecutionModel, StageBreakdown, measure_inference_seconds
-from .hardware import GPU_PROFILES, MI250X, RTX3080TI, V100, GPUProfile, get_gpu
+from .hardware import GPU_PROFILES, MI250X, RTX3080TI, V100, GPUProfile
 from .iomodel import CodecSpeed, IOModel
 from .parallel import resolve_workers
-from .timer import Stopwatch, Timer
 
 
 def reset_compile_cache() -> None:
@@ -30,10 +28,7 @@ __all__ = [
     "MI250X",
     "RTX3080TI",
     "StageBreakdown",
-    "Stopwatch",
-    "Timer",
     "V100",
-    "get_gpu",
     "measure_inference_seconds",
     "reset_compile_cache",
     "resolve_workers",

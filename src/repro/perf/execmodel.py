@@ -48,10 +48,10 @@ class StageBreakdown:
     def from_phases(cls, phases: dict[str, float]) -> "StageBreakdown":
         """Build a breakdown from measured phase durations.
 
-        Accepts the ``phases`` dict of a :class:`~repro.perf.timer.Stopwatch`
-        (possibly built via ``Stopwatch.from_spans``), so the Fig. 2
-        figure path can consume real telemetry instead of only the
-        analytic model.  Missing stages count as zero.
+        ``phases`` maps a stage name to seconds, e.g. summed span
+        durations (``{"execute": tracer.total_seconds("execute")}``), so
+        the Fig. 2 figure path can consume real telemetry instead of only
+        the analytic model.  Missing stages count as zero.
         """
         return cls(
             load_seconds=float(phases.get("load", 0.0)),

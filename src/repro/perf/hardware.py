@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from ..exceptions import ConfigurationError
 
-__all__ = ["GPUProfile", "V100", "RTX3080TI", "MI250X", "GPU_PROFILES", "get_gpu"]
+__all__ = ["GPUProfile", "V100", "RTX3080TI", "MI250X", "GPU_PROFILES"]
 
 
 @dataclass(frozen=True)
@@ -84,12 +84,3 @@ MI250X = GPUProfile(
 GPU_PROFILES: dict[str, GPUProfile] = {
     profile.name.lower(): profile for profile in (V100, RTX3080TI, MI250X)
 }
-
-
-def get_gpu(name: str) -> GPUProfile:
-    """Look up a profile by name (case-insensitive)."""
-    try:
-        return GPU_PROFILES[name.lower()]
-    except KeyError:
-        known = ", ".join(sorted(GPU_PROFILES))
-        raise ConfigurationError(f"unknown GPU {name!r}; known: {known}") from None

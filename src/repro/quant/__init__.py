@@ -11,7 +11,6 @@ from .formats import (
     FloatFormat,
     IntFormat,
     NumericFormat,
-    get_format,
 )
 from .granular import Granularity, granular_quantize, granular_step_size
 from .quantizer import QuantizedModel, materialize, quantizable_layers, quantize_model
@@ -34,7 +33,6 @@ __all__ = [
     "calibrate_minmax",
     "dequantize_affine",
     "elementwise_step_size",
-    "get_format",
     "granular_quantize",
     "granular_step_size",
     "materialize",

@@ -38,7 +38,6 @@ __all__ = [
     "BF16",
     "INT8",
     "STANDARD_FORMATS",
-    "get_format",
 ]
 
 
@@ -163,12 +162,3 @@ INT8 = IntFormat(name="int8", storage_bits=8, bits=8)
 STANDARD_FORMATS: dict[str, NumericFormat] = {
     fmt.name: fmt for fmt in (FP32, TF32, FP16, BF16, INT8)
 }
-
-
-def get_format(name: str) -> NumericFormat:
-    """Look up a standard format by name (case-insensitive)."""
-    try:
-        return STANDARD_FORMATS[name.lower()]
-    except KeyError:
-        known = ", ".join(sorted(STANDARD_FORMATS))
-        raise QuantizationError(f"unknown format {name!r}; known: {known}") from None

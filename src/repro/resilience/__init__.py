@@ -24,7 +24,6 @@ from .inject import (
     ChaosInjector,
     ChaosPartition,
     ChaosRule,
-    FaultInjector,
     blob_corruptions,
     corrupt_file,
     corrupt_header_byte,
@@ -52,7 +51,6 @@ __all__ = [
     "corrupt_result",
     "fork_available",
     "retry_call",
-    "FaultInjector",
     "blob_corruptions",
     "check_contract",
     "corrupt_file",

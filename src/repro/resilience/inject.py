@@ -46,7 +46,6 @@ __all__ = [
     "ChaosPartition",
     "ChaosRule",
     "ChaosInjector",
-    "FaultInjector",
     "CHAOS_ENV_VAR",
 ]
 
@@ -364,24 +363,3 @@ class ChaosInjector:
             if rule.action == "corrupt":
                 result = corrupt_result(result, seed=task_id)
         return result
-
-
-class FaultInjector:
-    """Seeded convenience wrapper choosing corruption sites pseudo-randomly.
-
-    Where the module-level functions take explicit offsets, the injector
-    draws them from a deterministic :class:`numpy.random.Generator`, so a
-    stress loop can hammer many distinct corruption sites while staying
-    reproducible from a single seed.
-    """
-
-    def __init__(self, seed: int = 0) -> None:
-        self.seed = seed
-        self._rng = np.random.default_rng(seed)
-
-    def flip_random_bit(self, data: bytes) -> bytes:
-        return flip_bit(data, int(self._rng.integers(0, 8 * len(data))))
-
-    def poison(self, array: np.ndarray, fraction: float = 0.01) -> np.ndarray:
-        value = float(self._rng.choice([np.nan, np.inf, -np.inf]))
-        return _poison(array, value, fraction, int(self._rng.integers(0, 2**31)))

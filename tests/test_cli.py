@@ -103,7 +103,7 @@ def test_unknown_workload_rejected():
 
 
 def test_traced_pipeline_writes_spans_and_metrics(tmp_path, capsys):
-    from repro.obs import read_jsonl
+    from repro.io import read_jsonl_records
 
     trace_path = tmp_path / "trace.jsonl"
     metrics_path = tmp_path / "metrics.json"
@@ -114,13 +114,13 @@ def test_traced_pipeline_writes_spans_and_metrics(tmp_path, capsys):
         ]
     ) == 0
     assert "tolerance honoured" in capsys.readouterr().out
-    spans = {row["name"] for row in read_jsonl(str(trace_path))}
+    spans = {row["name"] for row in read_jsonl_records(str(trace_path))}
     assert {
         "pipeline.execute", "pipeline.compress", "pipeline.decompress",
         "pipeline.inference", "pipeline.guard", "codec.compress",
     } <= spans
     guard = next(
-        row for row in read_jsonl(str(trace_path)) if row["name"] == "pipeline.guard"
+        row for row in read_jsonl_records(str(trace_path)) if row["name"] == "pipeline.guard"
     )
     assert "predicted_bound" in guard["attributes"]
     assert "observed_error" in guard["attributes"]
@@ -200,7 +200,7 @@ def test_log_level_error_silences_stdout(capsys):
 
 
 def test_audit_record_command(tmp_path, capsys):
-    from repro.obs import read_jsonl
+    from repro.io import read_jsonl_records
 
     registry_path = tmp_path / "runs.jsonl"
     assert main(
@@ -212,7 +212,7 @@ def test_audit_record_command(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "tightness" in out
     assert "recorded run-0001" in out
-    (record,) = read_jsonl(str(registry_path))
+    (record,) = read_jsonl_records(str(registry_path))
     assert record["run_id"] == "run-0001"
     assert record["verdict"] in ("ok", "loose")
     assert record["layers"], "PSN MLP audits must carry per-layer rows"
@@ -278,7 +278,8 @@ def test_audit_diff_unknown_run(tmp_path, capsys):
 
 
 def test_audit_flag_on_pipeline_command(tmp_path, capsys):
-    from repro.obs import NULL_AUDITOR, get_auditor, read_jsonl
+    from repro.io import read_jsonl_records
+    from repro.obs import NULL_AUDITOR, get_auditor
 
     registry_path = tmp_path / "runs.jsonl"
     assert main(
@@ -288,7 +289,7 @@ def test_audit_flag_on_pipeline_command(tmp_path, capsys):
         ]
     ) == 0
     capsys.readouterr()
-    (record,) = read_jsonl(str(registry_path))
+    (record,) = read_jsonl_records(str(registry_path))
     assert record["codec"] == "sz"
     assert get_auditor() is NULL_AUDITOR  # switched off after main
 

@@ -102,12 +102,6 @@ def test_plan_validation(planner):
         planner.plan(1e-3, norm="l7")
 
 
-def test_plan_sweep_length(planner):
-    plans = planner.plan_sweep([1e-4, 1e-3, 1e-2])
-    assert len(plans) == 3
-    assert plans[0].qoi_tolerance < plans[-1].qoi_tolerance
-
-
 def test_plan_describe(planner):
     text = planner.plan(1e-2).describe()
     assert "tol=" in text and "format=" in text

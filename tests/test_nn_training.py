@@ -13,7 +13,6 @@ from repro.nn import (
     Linear,
     MSELoss,
     Parameter,
-    ReLU,
     ResidualBlock,
     SGD,
     Sequential,
@@ -147,25 +146,6 @@ def test_trainer_reduces_loss(rng):
     assert history.epochs == 20
 
 
-def test_trainer_validation_and_metric(rng):
-    model = Sequential(Linear(3, 8, rng=rng), ReLU(), Linear(8, 2, rng=rng))
-    inputs = rng.standard_normal((64, 3)).astype(np.float32)
-    labels = rng.integers(0, 2, size=64)
-
-    def accuracy(pred, target):
-        return float((pred.argmax(axis=1) == target).mean())
-
-    trainer = Trainer(
-        model, CrossEntropyLoss(), SGD(model.parameters(), lr=0.1), metric=accuracy
-    )
-    history = trainer.fit(
-        inputs, labels, epochs=3, batch_size=16, val_inputs=inputs, val_targets=labels, rng=rng
-    )
-    assert len(history.val_loss) == 3
-    assert len(history.val_metric) == 3
-    assert history.best_val_loss() == min(history.val_loss)
-
-
 def test_trainer_rejects_mismatched_data(rng, tiny_mlp):
     trainer = Trainer(tiny_mlp, MSELoss(), SGD(tiny_mlp.parameters(), lr=0.1))
     with pytest.raises(TrainingError):
@@ -176,16 +156,6 @@ def test_trainer_rejects_bad_epochs(rng, tiny_mlp):
     trainer = Trainer(tiny_mlp, MSELoss(), SGD(tiny_mlp.parameters(), lr=0.1))
     with pytest.raises(TrainingError):
         trainer.fit(np.zeros((4, 6)), np.zeros((4, 4)), epochs=0, batch_size=2)
-
-
-def test_history_without_validation_raises(rng, tiny_mlp):
-    trainer = Trainer(tiny_mlp, MSELoss(), SGD(tiny_mlp.parameters(), lr=0.1))
-    history = trainer.fit(
-        np.zeros((4, 6), dtype=np.float32), np.zeros((4, 4), dtype=np.float32),
-        epochs=1, batch_size=2,
-    )
-    with pytest.raises(TrainingError):
-        history.best_val_loss()
 
 
 # -- residual blocks ----------------------------------------------------------

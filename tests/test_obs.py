@@ -16,6 +16,7 @@ from repro import obs
 from repro.compress import ErrorBoundMode, SZCompressor
 from repro.core import InferencePipeline, TolerancePlanner
 from repro.core.errorflow import ErrorFlowAnalyzer
+from repro.io import read_jsonl_records
 from repro.nn import MSELoss, SGD, Trainer
 from repro.obs import (
     LEVELS,
@@ -28,7 +29,6 @@ from repro.obs import (
     get_logger,
     get_metrics,
     get_tracer,
-    read_jsonl,
     render_metrics_json,
     set_log_level,
 )
@@ -126,7 +126,7 @@ def test_jsonl_round_trip(tmp_path):
             child.set(ratio=2.0)
     path = str(tmp_path / "trace.jsonl")
     tracer.export_jsonl(path)
-    rows = read_jsonl(path)
+    rows = read_jsonl_records(path)
     assert rows == tracer.to_dicts()
     child_row = next(r for r in rows if r["name"] == "child")
     assert child_row["attributes"] == {"ratio": 2.0}
@@ -136,6 +136,23 @@ def test_jsonl_round_trip(tmp_path):
     # each line is independently parseable JSON
     with open(path) as handle:
         assert all(json.loads(line) for line in handle if line.strip())
+
+
+def test_torn_trace_rereads_its_intact_spans(tmp_path):
+    """A trace whose last line a kill cut mid-write still loads the spans
+    written before it."""
+    tracer = Tracer()
+    with tracer.span("intact"):
+        pass
+    with tracer.span("torn"):
+        pass
+    path = tmp_path / "trace.jsonl"
+    tracer.export_jsonl(str(path))
+    data = path.read_bytes()
+    path.write_bytes(data[: data.rindex(b'"torn"')])
+    (row,) = read_jsonl_records(str(path))
+    assert row == tracer.to_dicts()[0]
+    assert row["name"] == "intact"
 
 
 def test_render_tree_structure_and_pruning():
@@ -265,7 +282,9 @@ def test_null_tracer_is_allocation_free_and_cheap(tmp_path):
     assert NULL_TRACER.render_tree() == ""
     path = str(tmp_path / "empty.jsonl")
     NULL_TRACER.export_jsonl(path)
-    assert read_jsonl(path) == []
+    with open(path) as fh:
+        assert fh.read() == ""  # the export writes an empty file
+    assert read_jsonl_records(path) == []
     # the disabled hot path must stay near-zero: well under 5us per span
     n = 20_000
     start = time.perf_counter()
@@ -444,7 +463,7 @@ def test_export_jsonl_survives_numpy_attributes(tmp_path):
         pass
     path = tmp_path / "trace.jsonl"
     tracer.export_jsonl(str(path))
-    (record,) = read_jsonl(str(path))
+    (record,) = read_jsonl_records(str(path))
     assert record["attributes"]["error"] == 1.5
     assert record["attributes"]["rows"] == 42
     assert record["attributes"]["shape"] == [2, 3]

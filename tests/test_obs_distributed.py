@@ -10,7 +10,8 @@ import re
 
 import pytest
 
-from repro.obs import MetricsRegistry, Tracer, new_span_id, new_trace_id, read_jsonl
+from repro.io import read_jsonl_records
+from repro.obs import MetricsRegistry, Tracer, new_span_id, new_trace_id
 from repro.obs.trace import NULL_TRACER, Span
 
 
@@ -53,10 +54,10 @@ def test_span_round_trips_through_export_and_from_dict(tmp_path):
             child.set(ratio=2.0)
     path = str(tmp_path / "trace.jsonl")
     tracer.export_jsonl(path)
-    for row in read_jsonl(path):
+    for row in read_jsonl_records(path):
         span = Span.from_dict(row)
         assert span.to_dict() == row  # exact structural round-trip
-    rebuilt = Span.from_dict(next(r for r in read_jsonl(path) if r["name"] == "root"))
+    rebuilt = Span.from_dict(next(r for r in read_jsonl_records(path) if r["name"] == "root"))
     assert rebuilt.parent_id is None and rebuilt.trace_id == tracer.trace_id
 
 

@@ -12,10 +12,7 @@ from repro.perf import (
     IOModel,
     MI250X,
     RTX3080TI,
-    Stopwatch,
-    Timer,
     V100,
-    get_gpu,
     measure_inference_seconds,
 )
 
@@ -48,12 +45,6 @@ def test_fp16_speedup_up_to_4_5x():
 def test_speedup_unknown_format_raises():
     with pytest.raises(ConfigurationError):
         V100.speedup("fp4")
-
-
-def test_get_gpu_lookup():
-    assert get_gpu("v100") is V100
-    with pytest.raises(ConfigurationError):
-        get_gpu("h100")
 
 
 # -- I/O model ---------------------------------------------------------------------
@@ -153,108 +144,3 @@ def test_measure_inference_seconds_positive(rng):
     model = mlp_small(rng=rng)
     seconds = measure_inference_seconds(model, (256,), batch_size=8, repeats=2, rng=rng)
     assert seconds > 0
-
-
-# -- timers -----------------------------------------------------------------------------
-
-
-def test_timer_measures_elapsed():
-    with Timer() as timer:
-        sum(range(1000))
-    assert timer.seconds >= 0
-
-
-def test_stopwatch_accumulates():
-    watch = Stopwatch()
-    with watch.lap("a"):
-        pass
-    with watch.lap("a"):
-        pass
-    with watch.lap("b"):
-        pass
-    assert set(watch.phases) == {"a", "b"}
-    assert watch.total() == pytest.approx(sum(watch.phases.values()))
-    fractions = watch.fractions()
-    assert sum(fractions.values()) == pytest.approx(1.0)
-
-
-def test_timer_zero_duration_and_reuse():
-    timer = Timer()
-    assert timer.seconds == 0.0  # unused timer reads zero
-    with timer:
-        pass
-    assert timer.seconds >= 0
-    with timer:  # reusable: the second run overwrites the first
-        sum(range(10000))
-    assert timer.seconds > 0
-
-
-def test_timer_records_on_exception():
-    timer = Timer()
-    with pytest.raises(ValueError):
-        with timer:
-            raise ValueError("boom")
-    assert timer.seconds >= 0
-
-
-def test_stopwatch_nested_same_phase_counts_once():
-    """Reentrant laps must not double-count the outer lap's time."""
-    import time as _time
-
-    watch = Stopwatch()
-    with watch.lap("phase"):
-        with watch.lap("phase"):  # nested lap of the SAME phase
-            _time.sleep(0.01)
-    # without the depth guard this would be >= 0.02 (outer + inner)
-    assert 0.01 <= watch.phases["phase"] < 0.02
-    # the depth bookkeeping resets, so later laps still accumulate
-    with watch.lap("phase"):
-        pass
-    assert watch.phases["phase"] >= 0.01
-
-
-def test_stopwatch_lap_exception_still_records():
-    watch = Stopwatch()
-    with pytest.raises(RuntimeError):
-        with watch.lap("risky"):
-            raise RuntimeError("boom")
-    assert watch.phases["risky"] >= 0
-    assert watch._depths == {}  # no leaked depth state
-
-
-def test_stopwatch_zero_duration_fractions():
-    watch = Stopwatch(phases={"a": 0.0, "b": 0.0})
-    assert watch.total() == 0.0
-    assert watch.fractions() == {"a": 0.0, "b": 0.0}
-
-
-def test_stopwatch_laps_become_spans():
-    from repro.obs import Tracer
-
-    tracer = Tracer()
-    watch = Stopwatch(tracer=tracer)
-    with watch.lap("load"):
-        with watch.lap("execute"):
-            pass
-    names = [span.name for span in tracer.finished]
-    assert names == ["execute", "load"]
-    execute = tracer.find("execute")[0]
-    assert execute.parent_id == tracer.find("load")[0].span_id
-
-
-def test_stopwatch_from_spans_skips_shadowed_descendants():
-    from repro.obs import Tracer
-
-    tracer = Tracer()
-    with tracer.span("phase"):
-        with tracer.span("phase"):  # same-name descendant: already counted
-            pass
-        with tracer.span("other"):
-            pass
-    watch = Stopwatch.from_spans(tracer)
-    outer = [s for s in tracer.find("phase") if s.parent_id is None][0]
-    assert watch.phases["phase"] == pytest.approx(outer.duration_s)
-    assert set(watch.phases) == {"phase", "other"}
-    # dict rows (JSONL export shape) behave identically
-    rebuilt = Stopwatch.from_spans(tracer.to_dicts())
-    assert rebuilt.phases == watch.phases

@@ -17,7 +17,6 @@ from repro.quant import (
     IntFormat,
     average_step_size,
     elementwise_step_size,
-    get_format,
 )
 
 _FLOAT_FORMATS = (TF32, FP16, BF16)
@@ -103,13 +102,6 @@ def test_degenerate_formats_rejected():
         FloatFormat(name="bad", storage_bits=8, exponent_bits=1, mantissa_bits=4)
     with pytest.raises(QuantizationError):
         IntFormat(name="bad", storage_bits=1, bits=1)
-
-
-def test_get_format_lookup():
-    assert get_format("FP16") is FP16
-    assert get_format("int8") is INT8
-    with pytest.raises(QuantizationError):
-        get_format("fp8")
 
 
 def test_memory_ratio():
