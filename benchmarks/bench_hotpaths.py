@@ -415,6 +415,7 @@ def bench_chunk_stack(side: int, workers: int, reps: int) -> list[dict]:
             np.bincount(lengths, minlength=17)[1:],
             alphabet[np.lexsort((alphabet, lengths))],
             0,
+            0,
         )
 
     def guard(index: int) -> None:

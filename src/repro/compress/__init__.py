@@ -8,7 +8,7 @@ real codec (and the paper's Fig. 8 note).
 
 from .base import CompressedBlob, Compressor, ErrorBoundMode, absolute_tolerance
 from .huffman import huffman_decode, huffman_encode
-from .metrics import achieved_error, compression_ratio, psnr, verify_tolerance
+from .metrics import achieved_error, compression_ratio
 from .mgard import MGARDCompressor
 from .sz import SZCompressor
 from .zfp import ZFPCompressor
@@ -26,8 +26,6 @@ __all__ = [
     "get_compressor",
     "huffman_decode",
     "huffman_encode",
-    "psnr",
-    "verify_tolerance",
 ]
 
 _COMPRESSORS = {

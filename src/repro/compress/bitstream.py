@@ -4,7 +4,7 @@ Codes are accumulated straight into 64-bit big-endian destination words:
 every code, left-justified in 64 bits, is shifted to its place in the word
 it starts in and added to that word with one ``np.add.at`` (the bits of a
 word's codes are disjoint, so add = or).  A code is at most 48 bits long
-(a Huffman escape and its raw 32 bits), so it crosses at most one word
+(a Huffman escape code and up to 32 raw bits), so it crosses at most one word
 boundary and no boundary is crossed twice; the crossing tails are or-ed in
 by one masked pass.  The stream-sized intermediates are slots 1, 2 and 5
 of the thread's :class:`~repro.compress.base.CodecScratch`.

@@ -6,10 +6,11 @@ The entropy stage shared by the SZ-, ZFP- and MGARD-like codecs:
   carries the count of codes of each length and the symbols in
   ``(length, symbol)`` order (int16 when they fit);
 * **escapes** — the alphabet is capped; any other value is the escape
-  code followed by its raw 32 bits, one code of up to 48 bits;
+  code followed by its raw ``W`` bits, one code of up to 48 bits; ``W``
+  is the two's-complement width of the widest escaped value (at most 32);
 * **lane index** — the bit length of every run of ``lane`` symbols, so
   the decoder knows where each run starts.  ``lane`` is the smallest power
-  of two whose index is at most 1/64 of the code bits, between 16 and the
+  of two whose index is at most 1/56 of the code bits, between 16 and the
   power of two nearest ``sqrt(n) / 2``, and is written in the header;
 * **encode** — a ``bincount`` histogram (a sort when the value span
   dwarfs the stream), code lengths from a two-queue merge, canonical codes
@@ -22,16 +23,19 @@ The entropy stage shared by the SZ-, ZFP- and MGARD-like codecs:
   must end where the index says the next one starts, so a flipped bit
   anywhere is an error.
 
-Stream layout (``HUF2``, little endian)::
+Stream layout (little endian)::
 
     4s  magic            I   n symbols          Q   total code bits
     H   lane             B   escape code length (0: no escape)
     B   bytes per stored symbol (2 or 4)
+    B   raw width W of an escaped value, bit 7 even parity (``HUF3`` only)
     16H codes per length 1..16 (the escape included)
     symbols in (length, symbol) order, the escape left out
     ceil(n / lane) x H   bit length of each lane
     packed code bits, MSB first
 
+``HUF2`` is the same without the width byte: a stream with no escape, or
+one written when every escape took 32 raw bits (read with ``W = 32``).
 The scalar coder in ``tests/oracles/entropy_reference.py`` writes and
 reads the same format one symbol at a time; property tests assert
 byte-identical blobs and equal decodes.
@@ -50,11 +54,12 @@ from .bitstream import pack_justified, peek16, window_words
 __all__ = ["huffman_encode", "huffman_decode"]
 
 _MAX_CODE_LENGTH = 16
-_MAGIC = b"HUF2"
+_MAGIC = b"HUF2"  # no escape
+_MAGIC_ESCAPED = b"HUF3"  # escapes, their raw width in the byte after the header
 _ESCAPE = -(2**31)  # sentinel symbol id for escaped values
 _HEADER = struct.Struct("<4sIQHBB")
 _COUNTS = np.dtype("<u2")  # per-length code counts and lane bit lengths
-_STORED_AT = _HEADER.size + _MAX_CODE_LENGTH * _COUNTS.itemsize
+_TABLE_BYTES = _MAX_CODE_LENGTH * _COUNTS.itemsize
 #: a lane of 1024 symbols is at most 1024 * (16 + 32) bits, which fits
 #: the index's uint16 entries
 _MAX_LANE = 1024
@@ -77,10 +82,10 @@ def check_max_alphabet(max_alphabet: int) -> int:
 
 def lane_size(n: int, total_bits: int) -> int:
     """The smallest power of two whose index (16 bits a lane) is at most
-    1/64 of the code bits, ``lane >= 1024 * n / total_bits``, in [16, the
+    1/56 of the code bits, ``lane >= 896 * n / total_bits``, in [16, the
     power of two nearest ``sqrt(n) / 2`` on a log scale, at most 1024]."""
     cap = 1 << min(max((n.bit_length() - 2) // 2, 4), 10)
-    need = -(-1024 * n // total_bits)
+    need = -(-896 * n // total_bits)
     return min(max(1 << (need - 1).bit_length(), 16), cap)
 
 
@@ -169,7 +174,7 @@ def huffman_encode(symbols: np.ndarray, max_alphabet: int = 4096) -> bytes:
     """Encode an integer array into a self-contained blob.
 
     Symbols outside the ``max_alphabet`` most frequent values are escaped
-    (raw 32-bit two's complement after an escape code).
+    (the escape code, then raw two's complement as wide as the widest).
     """
     max_alphabet = check_max_alphabet(max_alphabet)
     symbols = np.asarray(symbols, dtype=np.int64).ravel()
@@ -202,9 +207,11 @@ def huffman_encode(symbols: np.ndarray, max_alphabet: int = 4096) -> bytes:
     keep = np.argsort(counts)[::-1][: max_alphabet - 1]
     alphabet, frequencies, kept_slot = unique[keep], counts[keep], unique_slot[keep]
     n_escaped = n - int(frequencies.sum())
+    width = 0  # raw bits of an escaped value
     if n_escaped > 0:
         alphabet = np.concatenate(([_ESCAPE], alphabet))
         frequencies = np.concatenate(([n_escaped], frequencies))
+        width = max(_signed_width(int(v)) for v in np.delete(unique, keep)[[0, -1]])
 
     by_frequency = np.lexsort((alphabet, frequencies))
     lengths = np.empty(alphabet.size, dtype=np.int64)
@@ -223,13 +230,13 @@ def huffman_encode(symbols: np.ndarray, max_alphabet: int = 4096) -> bytes:
 
     # Per-slot code, left-justified in 64 bits, and its length.  A slot is
     # one value, so a dropped value's slot holds the escape code and the
-    # value's raw 32 bits: one gather per symbol yields its whole code.
+    # value's raw ``width`` bits: one gather per symbol yields its whole code.
     first_kept = alphabet.size - keep.size
-    slot_length = np.full(n_slots, lengths[0] + 32 * (n_escaped > 0), dtype=np.uint8)
+    slot_length = np.full(n_slots, lengths[0] + width, dtype=np.uint8)
     slot_length[kept_slot] = lengths[first_kept:]
     if n_escaped > 0:
-        raw = (np.arange(low, high + 1) if dense else unique) & 0xFFFFFFFF
-        slot_code = (codes[0] << np.uint64(32)) | raw.astype(np.uint64)
+        raw = (np.arange(low, high + 1) if dense else unique) & ((1 << width) - 1)
+        slot_code = (codes[0] << np.uint64(width)) | raw.astype(np.uint64)
     else:
         slot_code = np.empty(n_slots, dtype=np.uint64)
     slot_code[kept_slot] = codes[first_kept:]
@@ -237,16 +244,16 @@ def huffman_encode(symbols: np.ndarray, max_alphabet: int = 4096) -> bytes:
 
     # The lane follows from the code bits, which the alphabet already
     # knows; the index comes from the packer's own running offsets.
-    total_bits = int(np.dot(frequencies, lengths)) + 32 * n_escaped
+    total_bits = int(np.dot(frequencies, lengths)) + width * n_escaped
     lane = lane_size(n, total_bits)
     justified = np.take(slot_code, slot, out=scratch.take(3, (n,), np.uint64), mode="clip")
     code_lengths = np.take(slot_length, slot, out=scratch.take(4, (n,), np.uint8), mode="clip")
     payload, lane_ends = pack_justified(justified, code_lengths, lane)
+    magic, escape_length = (_MAGIC_ESCAPED, lengths[0]) if n_escaped > 0 else (_MAGIC, 0)
     return b"".join(
         (
-            _HEADER.pack(
-                _MAGIC, n, total_bits, lane, lengths[0] if n_escaped > 0 else 0, 2 if narrow else 4
-            ),
+            _HEADER.pack(magic, n, total_bits, lane, escape_length, 2 if narrow else 4),
+            bytes([_width_byte(width)] if n_escaped > 0 else []),
             np.bincount(lengths, minlength=_MAX_CODE_LENGTH + 1)[1:].astype(_COUNTS).tobytes(),
             stored.astype("<i2" if narrow else "<i4").tobytes(),
             np.diff(lane_ends, prepend=0).astype(_COUNTS).tobytes(),
@@ -255,16 +262,27 @@ def huffman_encode(symbols: np.ndarray, max_alphabet: int = 4096) -> bytes:
     )
 
 
+def _signed_width(value: int) -> int:
+    """Bits of ``value`` in two's complement: 1 for 0 and -1, 32 for 2**30."""
+    return (value if value >= 0 else ~value).bit_length() + 1
+
+
+def _width_byte(width: int) -> int:
+    """Width and an even-parity bit 7: a lane can end on its boundary after
+    a parse at another width, so one flipped bit must be caught here."""
+    return width | (width.bit_count() & 1) << 7
+
+
 def _decode_tables(
-    counts: np.ndarray, stored: np.ndarray, escape_length: int
+    counts: np.ndarray, stored: np.ndarray, escape_length: int, width: int
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Prefix tables over the stream's longest code length ``L``: int32
     symbol and fused position advance, ``2**L`` entries each, and ``L``.
 
     In canonical order the code of length ``l`` covers the next
     ``2**(L - l)`` prefixes, so both tables are one ``np.repeat``.
-    ``advance`` folds the escape's trailing 32 raw bits into its code
-    length, so one lookup per symbol yields the next position.  Prefixes
+    ``advance`` folds the escape's trailing ``width`` raw bits into its
+    code length, so one lookup per symbol yields the next position.  Prefixes
     no code covers (a single-symbol alphabet, a corrupt table) advance by
     zero: a walk that reaches one stalls and fails the lane check.
     """
@@ -280,7 +298,7 @@ def _decode_tables(
         # The escape id sorts below every symbol: first of its length.
         at = int(counts[: escape_length - 1].sum())
         symbols = np.insert(symbols, at, _ESCAPE)
-        step[at] += 32
+        step[at] += width
     span = np.append(span, uncovered)
     table_symbol = np.repeat(np.append(symbols, np.int32(0)), span)
     return table_symbol, np.repeat(np.append(step, np.uint8(0)), span), longest
@@ -297,37 +315,46 @@ def decode_symbols(blob: bytes, slot: "int | None") -> np.ndarray:
     with ``None``, into a fresh int64 array."""
     if blob[:4] == b"HUF1":
         raise CompressionError("HUF1 huffman streams are no longer supported")
-    if blob[:4] != _MAGIC:
+    if blob[:4] not in (_MAGIC, _MAGIC_ESCAPED):
         raise CompressionError("bad huffman magic")
-    if len(blob) < _HEADER.size:
+    has_width = blob[:4] == _MAGIC_ESCAPED
+    counts_at = _HEADER.size + has_width
+    if len(blob) < counts_at:
         raise CompressionError("huffman header truncated")
     __, n, total_bits, lane, escape_length, symbol_bytes = _HEADER.unpack_from(blob)
-    if n == 0:
+    if n == 0 and not has_width:
         return np.empty(0, dtype=np.int64)
+    # HUF2 escapes (the encoder writes none any more) carry 32 raw bits.
+    width_byte = blob[_HEADER.size] if has_width else _width_byte(32)
+    width = width_byte & 0x7F
     if not (
         1 <= lane <= _MAX_LANE
         and escape_length <= _MAX_CODE_LENGTH
+        and (escape_length > 0 or not has_width)
+        and 1 <= width <= 32
+        and width_byte.bit_count() % 2 == 0
         and symbol_bytes in (2, 4)
-        and n <= total_bits  # every symbol takes at least one bit
+        and 0 < n <= total_bits  # every symbol takes at least one bit
     ):
         raise CompressionError("huffman header is corrupt")
-    if len(blob) < _STORED_AT:
+    stored_at = counts_at + _TABLE_BYTES
+    if len(blob) < stored_at:
         raise CompressionError("huffman code table truncated")
-    counts = np.frombuffer(blob, _COUNTS, _MAX_CODE_LENGTH, _HEADER.size).astype(np.int64)
+    counts = np.frombuffer(blob, _COUNTS, _MAX_CODE_LENGTH, counts_at).astype(np.int64)
     n_stored = int(counts.sum()) - (escape_length > 0)
     if n_stored < 0 or (escape_length and counts[escape_length - 1] == 0):
         raise CompressionError("huffman code table lacks its escape code")
     n_lanes = -(-n // lane)
-    index_at = _STORED_AT + n_stored * symbol_bytes
+    index_at = stored_at + n_stored * symbol_bytes
     payload_at = index_at + n_lanes * _COUNTS.itemsize
     if len(blob) < payload_at + ((total_bits + 7) >> 3):
         raise CompressionError("huffman payload truncated")
-    stored = np.frombuffer(blob, f"<i{symbol_bytes}", n_stored, _STORED_AT)
+    stored = np.frombuffer(blob, f"<i{symbol_bytes}", n_stored, stored_at)
     lane_bits = np.frombuffer(blob, _COUNTS, n_lanes, index_at).astype(np.int64)
     lane_ends = np.cumsum(lane_bits)
     if lane_ends[-1] != total_bits:
         raise CompressionError("huffman stream misaligned: a lane ends off its boundary")
-    table_symbol, advance, longest = _decode_tables(counts, stored, escape_length)
+    table_symbol, advance, longest = _decode_tables(counts, stored, escape_length, width)
     words = window_words(blob, payload_at, total_bits)
 
     # Row j holds the bit position of symbol j of every lane, and the
@@ -368,7 +395,8 @@ def decode_symbols(blob: bytes, slot: "int | None") -> np.ndarray:
         escaped = np.flatnonzero(np.equal(symbols, _ESCAPE, out=scratch.take(4, symbols.shape, bool)))
         raw_at = rows.reshape(-1)[escaped] + escape_length
         raw = (peek16(words, raw_at) << np.uint64(16)) | peek16(words, raw_at + 16)
-        symbols.reshape(-1)[escaped] = raw.astype(np.uint32).view(np.int32)
+        # The raw field leads the 32 bits read: a shift sign-extends it.
+        symbols.reshape(-1)[escaped] = raw.astype(np.uint32).view(np.int32) >> (32 - width)
     # Stream order is lane-major: one transposing copy.
     out = np.empty(n, dtype=np.int64) if slot is None else scratch.take(slot, (n,), np.int32)
     full = (n_lanes - 1) * lane

@@ -6,7 +6,7 @@ import numpy as np
 
 from .base import CompressedBlob, ErrorBoundMode
 
-__all__ = ["achieved_error", "verify_tolerance", "psnr", "compression_ratio"]
+__all__ = ["achieved_error", "compression_ratio"]
 
 
 def achieved_error(
@@ -28,30 +28,6 @@ def achieved_error(
         norm = float(np.linalg.norm(original))
         return float(np.linalg.norm(error)) / norm if norm > 0 else float(np.linalg.norm(error))
     raise ValueError(f"unknown mode {mode!r}")
-
-
-def verify_tolerance(
-    original: np.ndarray,
-    reconstruction: np.ndarray,
-    tolerance: float,
-    mode: ErrorBoundMode,
-    slack: float = 1.0 + 1e-9,
-) -> bool:
-    """True when the reconstruction honours the tolerance contract."""
-    return achieved_error(original, reconstruction, mode) <= tolerance * slack
-
-
-def psnr(original: np.ndarray, reconstruction: np.ndarray) -> float:
-    """Peak signal-to-noise ratio in dB (inf for exact reconstructions)."""
-    original = np.asarray(original, dtype=np.float64)
-    reconstruction = np.asarray(reconstruction, dtype=np.float64)
-    mse = float(np.mean((original - reconstruction) ** 2))
-    if mse == 0.0:
-        return float("inf")
-    value_range = float(original.max() - original.min())
-    if value_range == 0.0:
-        return float("inf")
-    return 20.0 * np.log10(value_range) - 10.0 * np.log10(mse)
 
 
 def compression_ratio(original: np.ndarray, blob: CompressedBlob) -> float:

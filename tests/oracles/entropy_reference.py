@@ -5,11 +5,14 @@ was before it was rewritten as array code: a ``(freq, tiebreak)`` heap
 over symbol groups, dict-based canonical codes, per-entry header packing,
 a per-bit ``pack_codes`` and a decoder that walks the stream one symbol at
 a time.  The code lengths, the codes and the packed bits are as they
-always were; the header around them is ``HUF2`` (per-length counts, the
-symbols in canonical order, a lane index - see ``repro.compress.huffman``),
-written here with ``struct`` one field at a time.  The blobs these write
-*are* the format: property tests assert the shipped encoder emits
-identical bytes and the shipped decoder returns what
+always were, except that an escaped value's raw field is as wide as the
+widest escaped value instead of 32 bits; the header around them is
+``HUF2``, or ``HUF3`` with the width byte when there are escapes
+(per-length counts, the symbols in canonical order, a lane index - see
+``repro.compress.huffman``), written here with ``struct`` one field at a
+time.  The decoder reads both, a ``HUF2`` escape with 32 raw bits.  The
+blobs these write *are* the format: property tests assert the shipped
+encoder emits identical bytes and the shipped decoder returns what
 ``huffman_decode_reference`` returns, which never looks at the lane index.
 ``BitReader`` is the cursor-based reader the tests use to pull codes back
 out of a packed stream; nothing in ``src/`` reads bit by bit any more.
@@ -26,6 +29,7 @@ from repro.exceptions import CompressionError
 
 _MAX_CODE_LENGTH = 16
 _MAGIC = b"HUF2"
+_MAGIC_ESCAPED = b"HUF3"
 _HEADER = "<4sIQHBB"
 _ESCAPE = -(2**31)
 
@@ -57,15 +61,27 @@ def pack_codes_reference(values: np.ndarray, lengths: np.ndarray) -> tuple[bytes
 
 
 def escapes_by_insert_reference(
-    values: np.ndarray, value_lengths: np.ndarray, escaped: np.ndarray, raw: np.ndarray
+    values: np.ndarray,
+    value_lengths: np.ndarray,
+    escaped: np.ndarray,
+    raw: np.ndarray,
+    width: int = 32,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The array encoder's escapes while the raw 32-bit value was a code
-    of its own: two whole-stream ``np.insert`` copies.  The shipped
-    encoder packs ``(escape code << 32) | raw`` as one code of up to 48
+    """The array encoder's escapes while the raw ``width``-bit value was
+    a code of its own: two whole-stream ``np.insert`` copies.  The shipped
+    encoder packs ``(escape code << width) | raw`` as one code of up to 48
     bits instead; the packed bits must not differ."""
     values = np.insert(values, escaped + 1, raw)
-    value_lengths = np.insert(value_lengths, escaped + 1, 32)
+    value_lengths = np.insert(value_lengths, escaped + 1, width)
     return values, value_lengths
+
+
+def signed_width_reference(value: int) -> int:
+    """The fewest bits that hold ``value`` in two's complement."""
+    width = 1
+    while not -(2 ** (width - 1)) <= value < 2 ** (width - 1):
+        width += 1
+    return width
 
 
 def code_lengths_reference(frequencies: dict[int, int]) -> dict[int, int]:
@@ -116,13 +132,13 @@ def canonical_codes_reference(lengths: dict[int, int]) -> dict[int, tuple[int, i
 
 def lane_size_reference(n: int, total_bits: int) -> int:
     """The smallest power of two from 16 up whose index, 16 bits a lane,
-    is at most 1/64 of the ``total_bits`` code bits, but no more than the
+    is at most 1/56 of the ``total_bits`` code bits, but no more than the
     power of two nearest ``sqrt(n) / 2`` on a log scale (in [16, 1024])."""
     cap = 16
     while cap < 1024 and 8 * cap * cap <= n:
         cap *= 2
     lane = 16
-    while lane < cap and 64 * (16 * n) > total_bits * lane:  # 16 n / lane > total / 64
+    while lane < cap and 56 * (16 * n) > total_bits * lane:  # 16 n / lane > total / 56
         lane *= 2
     return lane
 
@@ -165,15 +181,16 @@ def huffman_encode_reference(
     values = unique_code[inverse]
     value_lengths = unique_length[inverse]
     escaped_mask = ~kept_unique[inverse]
+    width = max((signed_width_reference(int(v)) for v in unique[~kept_unique]), default=0)
 
     # Lane index: the bits of every run of ``lane`` symbols, raw values included.
-    symbol_bits = value_lengths + 32 * escaped_mask
+    symbol_bits = value_lengths + width * escaped_mask
     if lane is None:
         lane = lane_size_reference(n, int(symbol_bits.sum()))
     lane_bits = [int(symbol_bits[at : at + lane].sum()) for at in range(0, n, lane)]
 
     if n_escaped > 0:
-        raw = (symbols[escaped_mask].astype(np.int64) & 0xFFFFFFFF).astype(np.uint64)
+        raw = (symbols[escaped_mask].astype(np.int64) & (2**width - 1)).astype(np.uint64)
         merged_values = np.empty(n + int(escaped_mask.sum()), dtype=np.uint64)
         merged_lengths = np.empty_like(merged_values, dtype=np.int64)
         positions = np.arange(n) + np.cumsum(escaped_mask) - escaped_mask
@@ -181,7 +198,7 @@ def huffman_encode_reference(
         merged_lengths[positions] = value_lengths
         raw_positions = positions[escaped_mask] + 1
         merged_values[raw_positions] = raw
-        merged_lengths[raw_positions] = 32
+        merged_lengths[raw_positions] = width
         values, value_lengths = merged_values, merged_lengths
 
     payload, total_bits = pack_codes_reference(values, value_lengths)
@@ -191,9 +208,10 @@ def huffman_encode_reference(
         if symbol != _ESCAPE
     ]
     narrow = all(-(2**15) <= symbol < 2**15 for symbol in stored)
-    header = [
-        struct.pack(_HEADER, _MAGIC, n, total_bits, lane, escape_length, 2 if narrow else 4)
-    ]
+    magic = _MAGIC_ESCAPED if n_escaped > 0 else _MAGIC
+    header = [struct.pack(_HEADER, magic, n, total_bits, lane, escape_length, 2 if narrow else 4)]
+    if n_escaped > 0:  # the width, and bit 7 to make the byte's bit count even
+        header.append(struct.pack("<B", width + 128 * (bin(width).count("1") % 2)))
     for length in range(1, _MAX_CODE_LENGTH + 1):
         header.append(struct.pack("<H", sum(1 for l in lengths.values() if l == length)))
     for symbol in stored:
@@ -210,12 +228,19 @@ def huffman_decode_reference(blob: bytes) -> np.ndarray:
     one ended, and the only check is that the last one ends on
     ``total_bits``.
     """
-    if blob[:4] != _MAGIC:
+    if blob[:4] not in (_MAGIC, _MAGIC_ESCAPED):
         raise CompressionError("bad huffman magic")
     __, n, total_bits, lane, escape_length, symbol_bytes = struct.unpack_from(_HEADER, blob, 0)
     if n == 0:
         return np.empty(0, dtype=np.int64)
     offset = struct.calcsize(_HEADER)
+    width = 32  # HUF2
+    if blob[:4] == _MAGIC_ESCAPED:
+        (width_byte,) = struct.unpack_from("<B", blob, offset)
+        offset += 1
+        width = width_byte % 128
+        if bin(width_byte).count("1") % 2 or not 1 <= width <= 32 or not escape_length:
+            raise CompressionError("huffman header is corrupt")
     lengths: dict[int, int] = {}
     if escape_length:
         lengths[_ESCAPE] = escape_length
@@ -256,10 +281,12 @@ def huffman_decode_reference(blob: bytes) -> np.ndarray:
         symbol = table_symbol[prefix]
         position += table_length[prefix]
         if symbol == _ESCAPE:
-            raw = (int(window[position]) << 16) | int(window[position + 16])
-            position += 32
-            if raw >= 2**31:
-                raw -= 2**32
+            raw = int(window[position]) >> max(16 - width, 0)  # the first 16 raw bits
+            if width > 16:
+                raw = (raw << (width - 16)) | (int(window[position + 16]) >> (32 - width))
+            position += width
+            if raw >= 2 ** (width - 1):
+                raw -= 2**width
             symbol = raw
         out[i] = symbol
     if position != total_bits:

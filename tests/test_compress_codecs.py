@@ -15,8 +15,6 @@ from repro.compress import (
     achieved_error,
     compression_ratio,
     get_compressor,
-    psnr,
-    verify_tolerance,
 )
 from repro.exceptions import CompressionError, ToleranceError
 
@@ -149,23 +147,6 @@ def test_achieved_error_modes(smooth_field_2d):
     rel = achieved_error(smooth_field_2d, noisy, ErrorBoundMode.REL)
     value_range = smooth_field_2d.max() - smooth_field_2d.min()
     assert rel == pytest.approx(0.01 / value_range, rel=1e-3)
-
-
-def test_verify_tolerance(smooth_field_2d):
-    assert verify_tolerance(smooth_field_2d, smooth_field_2d, 1e-12, ErrorBoundMode.ABS)
-    assert not verify_tolerance(
-        smooth_field_2d, smooth_field_2d + 1.0, 1e-3, ErrorBoundMode.ABS
-    )
-
-
-def test_psnr_exact_reconstruction_is_infinite(smooth_field_2d):
-    assert psnr(smooth_field_2d, smooth_field_2d) == np.inf
-
-
-def test_psnr_decreases_with_noise(smooth_field_2d, rng):
-    small = psnr(smooth_field_2d, smooth_field_2d + 1e-4 * rng.standard_normal(smooth_field_2d.shape))
-    large = psnr(smooth_field_2d, smooth_field_2d + 1e-2 * rng.standard_normal(smooth_field_2d.shape))
-    assert small > large
 
 
 def test_compression_ratio_metric(smooth_field_2d):

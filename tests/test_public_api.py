@@ -139,8 +139,10 @@ def test_package_line_count_only_goes_down():
     deleting the test-only timers, schedulers, trainer options, lookups,
     sweep, seeded injector, v1 writer and span reader, with the
     pipeline's second lossless-blob builder and the auditor's second
-    storing body, took it to 17,899); lower the ceiling when it shrinks."""
-    assert _python_lines(os.path.dirname(inspect.getsourcefile(repro))) <= 17899
+    storing body, took it to 17,899; escapes as wide as the widest escaped
+    value, paid for by deleting the PSNR and tolerance-check helpers only
+    tests called, took it to 17,898); lower the ceiling when it shrinks."""
+    assert _python_lines(os.path.dirname(inspect.getsourcefile(repro))) <= 17898
 
 
 def test_obs_line_count_only_goes_down():
@@ -166,6 +168,7 @@ def test_public_surface_only_goes_down():
     the seven names of ``perf/cache.py``, 187 before the literal
     Inequality (3) moved into ``tests/oracles``, 186 before the two
     timer classes, the GPU and format lookups, the three scheduler
-    names and the seeded fault injector, which only tests called);
+    names and the seeded fault injector, which only tests called, 178
+    before the PSNR and tolerance-check helpers, which only tests called);
     lower the ceiling when it shrinks, never raise it."""
-    assert sum(len(importlib.import_module(m).__all__) for m in _SUBPACKAGES) <= 178
+    assert sum(len(importlib.import_module(m).__all__) for m in _SUBPACKAGES) <= 176
