@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import struct
 import sys
 import tempfile
 import time
@@ -63,7 +62,11 @@ import numpy as np
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir))
 
 from benchutils import ONE_BLAS_THREAD, best_of, finalize_rows, make_row, write_rows
-from tests.oracles.entropy_reference import huffman_decode_reference, huffman_encode_reference
+from tests.oracles.entropy_reference import (
+    huffman_decode_reference,
+    huffman_encode_reference,
+    read_sections_reference,
+)
 from repro.compress import ErrorBoundMode, huffman_decode, huffman_encode
 from repro.compress.sz import SZCompressor
 from repro.core.errorflow import ErrorFlowAnalyzer
@@ -92,8 +95,9 @@ def bench_huffman(n_symbols: int, n_small: int, n_field: int, reps: int) -> list
     for stream, encoded in ((symbols, blob), (small, small_blob), (field, field_blob)):
         assert np.array_equal(huffman_decode(encoded), stream)
         assert np.array_equal(huffman_decode_reference(encoded), stream)
-    lane = struct.unpack_from("<H", field_blob, 16)[0]
-    field_config = {"lane": lane, "index_share": 2 * -(-n_field // lane) / len(field_blob)}
+    sections = read_sections_reference(field_blob)
+    index_bytes = sections["payload_at"] - sections["index_at"]
+    field_config = {"lane": sections["lane"], "index_share": index_bytes / len(field_blob)}
 
     rows = []
     for path, stream, encoded, argument, scalar, vectorized in (

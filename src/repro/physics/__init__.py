@@ -2,7 +2,7 @@
 
 from .fields import advect_scalar, box_filter, lamb_oseen_vortex, mixture_fraction_jet
 from .h2chem import MOLAR_MASS, SPECIES, H2Mechanism
-from .turbulence import gradient, synthesize_scalar, synthesize_velocity
+from .turbulence import gradient, synthesize_scalar
 
 __all__ = [
     "H2Mechanism",
@@ -14,5 +14,4 @@ __all__ = [
     "lamb_oseen_vortex",
     "mixture_fraction_jet",
     "synthesize_scalar",
-    "synthesize_velocity",
 ]

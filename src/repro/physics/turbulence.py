@@ -13,7 +13,7 @@ import numpy as np
 
 from ..exceptions import ConfigurationError
 
-__all__ = ["synthesize_scalar", "synthesize_velocity", "gradient"]
+__all__ = ["synthesize_scalar", "gradient"]
 
 
 def _radial_wavenumbers(shape: tuple[int, ...]) -> np.ndarray:
@@ -63,25 +63,6 @@ def synthesize_scalar(
     """
     cutoff = cutoff_fraction * min(shape) / 2.0
     return _spectral_noise(shape, slope, cutoff, rng)
-
-
-def synthesize_velocity(
-    shape: tuple[int, int],
-    rng: np.random.Generator,
-    slope: float = 5.0 / 3.0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """2-D divergence-free velocity field from a random streamfunction.
-
-    ``u = d(psi)/dy, v = -d(psi)/dx`` is exactly solenoidal, which is the
-    property that matters for advected-scalar realism.
-    """
-    streamfunction = synthesize_scalar(shape, rng, slope=slope + 2.0)
-    # With axis 0 = y and axis 1 = x: u = dpsi/dy, v = -dpsi/dx, so the
-    # discrete divergence du/dx + dv/dy cancels exactly in the interior
-    # (central differences commute).
-    u = np.gradient(streamfunction, axis=0)
-    v = -np.gradient(streamfunction, axis=1)
-    return u, v
 
 
 def gradient(field: np.ndarray, spacing: float = 1.0) -> list[np.ndarray]:

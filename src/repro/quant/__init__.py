@@ -12,9 +12,9 @@ from .formats import (
     IntFormat,
     NumericFormat,
 )
-from .granular import Granularity, granular_quantize, granular_step_size
+from .granular import Granularity, granular_quantize
 from .quantizer import QuantizedModel, materialize, quantizable_layers, quantize_model
-from .stepsize import average_step_size, elementwise_step_size
+from .stepsize import average_step_size
 
 __all__ = [
     "BF16",
@@ -32,9 +32,7 @@ __all__ = [
     "average_step_size",
     "calibrate_minmax",
     "dequantize_affine",
-    "elementwise_step_size",
     "granular_quantize",
-    "granular_step_size",
     "materialize",
     "quantizable_layers",
     "quantize_model",

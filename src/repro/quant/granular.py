@@ -5,7 +5,7 @@ natural refinement of per-tensor affine quantization: grouping weights and
 giving each group its own scale captures the local dynamic range, cutting
 the effective step size.  This module implements those schemes for the
 ablation benchmark; the error bound consumes the RMS of the per-group
-steps via :func:`granular_step_size`.
+steps, :attr:`GranularResult.step_rms`.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 from ..exceptions import QuantizationError
 from .affine import AffineParams, calibrate_minmax, dequantize_affine, quantize_affine
 
-__all__ = ["Granularity", "GranularResult", "granular_quantize", "granular_step_size"]
+__all__ = ["Granularity", "GranularResult", "granular_quantize"]
 
 
 class Granularity(Enum):
@@ -93,20 +93,3 @@ def granular_quantize(
         weighted_sq += group_params.scale**2 * group.size
     step_rms = float(np.sqrt(weighted_sq / matrix.size))
     return GranularResult(reconstructed=reconstructed, group_params=params, step_rms=step_rms)
-
-
-def granular_step_size(
-    matrix: np.ndarray,
-    bits: int = 8,
-    granularity: Granularity = Granularity.PER_TENSOR,
-    block_size: int = 32,
-) -> float:
-    """RMS quantization step of a granular scheme without reconstructing."""
-    matrix = np.asarray(matrix, dtype=np.float64)
-    weighted_sq = 0.0
-    for row_slice, col_slice in _group_slices(matrix.shape, granularity, block_size):
-        group = matrix[row_slice, col_slice]
-        low, high = float(group.min()), float(group.max())
-        scale = (high - low) / (2**bits - 1) if high > low else 0.0
-        weighted_sq += scale**2 * group.size
-    return float(np.sqrt(weighted_sq / matrix.size))

@@ -6,14 +6,17 @@ over symbol groups, dict-based canonical codes, per-entry header packing,
 a per-bit ``pack_codes`` and a decoder that walks the stream one symbol at
 a time.  The code lengths, the codes and the packed bits are as they
 always were, except that an escaped value's raw field is as wide as the
-widest escaped value instead of 32 bits; the header around them is
-``HUF2``, or ``HUF3`` with the width byte when there are escapes
-(per-length counts, the symbols in canonical order, a lane index - see
-``repro.compress.huffman``), written here with ``struct`` one field at a
-time.  The decoder reads both, a ``HUF2`` escape with 32 raw bits.  The
-blobs these write *are* the format: property tests assert the shipped
-encoder emits identical bytes and the shipped decoder returns what
-``huffman_decode_reference`` returns, which never looks at the lane index.
+widest escaped value instead of 32 bits; the sections around them are
+``HUF4`` (see ``repro.compress.huffman``): a code table and a lane index,
+each in the smaller of two layouts, written here with ``struct`` one
+field, bit or nibble at a time, and a five-bit check folded from their
+bytes.  :func:`read_sections_reference` parses ``HUF2``, ``HUF3`` and
+``HUF4`` the same way, and :func:`legacy_layout_reference` re-lays a
+``HUF4`` stream as the ``HUF2`` / ``HUF3`` stream the previous encoder
+wrote for the same symbols.  The blobs these write *are* the format:
+property tests assert the shipped encoder emits identical bytes and the
+shipped decoder returns what ``huffman_decode_reference`` returns, which
+never looks at the lane index.
 ``BitReader`` is the cursor-based reader the tests use to pull codes back
 out of a packed stream; nothing in ``src/`` reads bit by bit any more.
 """
@@ -28,9 +31,10 @@ import numpy as np
 from repro.exceptions import CompressionError
 
 _MAX_CODE_LENGTH = 16
-_MAGIC = b"HUF2"
-_MAGIC_ESCAPED = b"HUF3"
+_MAGIC = b"HUF4"
+_LEGACY = (b"HUF2", b"HUF3")  # no escape / escapes with their raw width
 _HEADER = "<4sIQHBB"
+_TABLE_B, _INDEX_B, _WIDE = 1, 2, 4  # HUF4 layout bits; bits 3-7 are the check
 _ESCAPE = -(2**31)
 
 #: descending powers of two: _POW2[64 - k:] is [2^(k-1), ..., 2, 1], so a
@@ -208,17 +212,164 @@ def huffman_encode_reference(
         if symbol != _ESCAPE
     ]
     narrow = all(-(2**15) <= symbol < 2**15 for symbol in stored)
-    magic = _MAGIC_ESCAPED if n_escaped > 0 else _MAGIC
-    header = [struct.pack(_HEADER, magic, n, total_bits, lane, escape_length, 2 if narrow else 4)]
-    if n_escaped > 0:  # the width, and bit 7 to make the byte's bit count even
-        header.append(struct.pack("<B", width + 128 * (bin(width).count("1") % 2)))
-    for length in range(1, _MAX_CODE_LENGTH + 1):
-        header.append(struct.pack("<H", sum(1 for l in lengths.values() if l == length)))
+    table_b, layout = struct.pack("<16H", *_counts_reference(lengths)), _TABLE_B
     for symbol in stored:
-        header.append(struct.pack("<h" if narrow else "<i", symbol))
+        table_b += struct.pack("<h" if narrow else "<i", symbol)
+    if not narrow:
+        layout |= _WIDE
+    # Table (a) costs the bitmap over [lowest, highest]: sized before it is
+    # built, since a sparse alphabet may span 2**31 values.
+    ascending = sorted(stored)
+    span = ascending[-1] - ascending[0] if ascending else 0
+    if 8 + (span + 8) // 8 + (len(ascending) + 1) // 2 < len(table_b):
+        table, layout = _table_a_reference(ascending, lengths), 0
+    else:
+        table = table_b
+    index, index_b = lane_index_reference(lane_bits)
+    layout |= _INDEX_B * index_b
+    layout |= check_reference(table + index, layout) << 3
+    header = struct.pack(_HEADER, _MAGIC, n, total_bits, lane, escape_length, layout)
+    if n_escaped > 0:  # the width, and bit 7 to make the byte's bit count even
+        header += struct.pack("<B", width + 128 * (bin(width).count("1") % 2))
+    return header + table + index + payload
+
+
+def lane_index_reference(lane_bits: list[int]) -> tuple[bytes, bool]:
+    """The smaller lane index for these bit lengths, and whether it is
+    layout (b): one ``<H`` a lane, against (a)'s int8 deltas from the
+    previous lane, -128 standing for a ``<H`` after the deltas."""
+    deltas, escaped = b"", b""
+    previous = 0
     for bits in lane_bits:
-        header.append(struct.pack("<H", bits))
-    return b"".join(header) + payload
+        if -127 <= bits - previous <= 127:
+            deltas += struct.pack("<b", bits - previous)
+        else:
+            deltas += struct.pack("<b", -128)
+            escaped += struct.pack("<H", bits)
+        previous = bits
+    index_b = b"".join(struct.pack("<H", bits) for bits in lane_bits)
+    if len(deltas) + len(escaped) < len(index_b):
+        return deltas + escaped, False
+    return index_b, True
+
+
+def _counts_reference(lengths: dict[int, int]) -> list[int]:
+    """Codes of each length 1..16, the escape included."""
+    return [sum(1 for l in lengths.values() if l == length) for length in range(1, 17)]
+
+
+def _table_a_reference(ascending: list[int], lengths: dict[int, int]) -> bytes:
+    """Lowest symbol and span, the presence bitmap (LSB first) and a nibble
+    ``length - 1`` per symbol in ascending order, high nibble first."""
+    low = ascending[0] if ascending else 0
+    span = ascending[-1] - low if ascending else 0
+    bitmap = bytearray((span + 8) // 8)
+    for symbol in ascending:
+        bitmap[(symbol - low) // 8] |= 1 << ((symbol - low) % 8)
+    nibbles = [lengths[symbol] - 1 for symbol in ascending] + [0] * (len(ascending) % 2)
+    packed = bytes(16 * high + low_nibble for high, low_nibble in zip(nibbles[::2], nibbles[1::2]))
+    return struct.pack("<ii", low, span) + bytes(bitmap) + packed
+
+
+def check_reference(sections: bytes, layout: int) -> int:
+    """The HUF4 check: the XOR of every table and index byte and the three
+    layout bits, bits 5-7 folded onto bits 0-2."""
+    folded = layout & 7
+    for byte in sections:
+        folded ^= byte
+    return (folded & 31) ^ (folded >> 5)
+
+
+def read_sections_reference(blob: bytes) -> dict:
+    """Every field of a ``HUF2`` / ``HUF3`` / ``HUF4`` stream, read one at
+    a time, with the offset of each section.  ``layout`` is the HUF4
+    layout bits (a legacy stream is tables and index (b)); ``lengths`` maps
+    each stored symbol to its code length, the escape included."""
+    magic, n, total_bits, lane, escape_length, last = struct.unpack_from(_HEADER, blob, 0)
+    if magic not in _LEGACY + (_MAGIC,):
+        raise CompressionError("bad huffman magic")
+    at = struct.calcsize(_HEADER)
+    fields = dict(magic=magic, n=n, total_bits=total_bits, lane=lane, escape_length=escape_length)
+    fields.update(width=32, check=None, layout=last & 7, symbol_bytes=None)
+    if magic in _LEGACY:
+        fields.update(layout=_TABLE_B | _INDEX_B | _WIDE * (last == 4), symbol_bytes=last)
+    else:
+        fields["check"] = last >> 3
+    if n == 0:  # the header alone
+        empty = dict(lengths={}, lane_bits=[], n_lanes=0, counts=[0] * 16, stored=[])
+        return {**fields, **empty, **{key: at for key in ("table_at", "stored_at", "index_at", "payload_at")}}
+    if magic == b"HUF3" or (magic == _MAGIC and escape_length > 0):
+        (width_byte,) = struct.unpack_from("<B", blob, at)
+        at += 1
+        fields["width"] = width_byte % 128
+        if bin(width_byte).count("1") % 2 or not 1 <= width_byte % 128 <= 32 or not escape_length:
+            raise CompressionError("huffman header is corrupt")
+    fields["table_at"] = at
+    lengths: dict[int, int] = {_ESCAPE: escape_length} if escape_length else {}
+    if fields["layout"] & _TABLE_B:
+        counts = struct.unpack_from("<16H", blob, at)
+        at += 32
+        fields["stored_at"] = at
+        symbol_bytes = 4 if fields["layout"] & _WIDE else 2
+        fields["symbol_bytes"] = symbol_bytes
+        for length, count in enumerate(counts, start=1):
+            for __ in range(count - (length == escape_length)):
+                (symbol,) = struct.unpack_from("<h" if symbol_bytes == 2 else "<i", blob, at)
+                lengths[symbol] = length
+                at += symbol_bytes
+    else:
+        low, span = struct.unpack_from("<ii", blob, at)
+        at += 8
+        fields["stored_at"] = at
+        ascending = [low + bit for bit in range(span + 1) if blob[at + bit // 8] >> (bit % 8) & 1]
+        at += (span + 8) // 8
+        fields["nibbles_at"] = at
+        for rank, symbol in enumerate(ascending):
+            lengths[symbol] = (blob[at + rank // 2] >> (0 if rank % 2 else 4) & 15) + 1
+        at += (len(ascending) + 1) // 2
+    fields["index_at"] = at
+    n_lanes = -(-n // lane) if n else 0
+    if fields["layout"] & _INDEX_B:
+        lane_bits = list(struct.unpack_from(f"<{n_lanes}H", blob, at))
+        at += 2 * n_lanes
+    else:
+        deltas = struct.unpack_from(f"<{n_lanes}b", blob, at)
+        at += n_lanes
+        fields["escapes_at"] = at
+        lane_bits, previous = [], 0
+        for delta in deltas:
+            if delta == -128:
+                (previous,) = struct.unpack_from("<H", blob, at)
+                at += 2
+            else:
+                previous += delta
+            lane_bits.append(previous)
+    fields.update(lengths=lengths, lane_bits=lane_bits, n_lanes=n_lanes, payload_at=at)
+    fields["counts"] = _counts_reference(lengths)
+    fields["stored"] = sorted((s for s in lengths if s != _ESCAPE), key=lambda s: (lengths[s], s))
+    return fields
+
+
+def legacy_layout_reference(blob: bytes) -> bytes:
+    """A ``HUF4`` stream as the encoder before it wrote it: ``HUF3`` (the
+    width byte, then both sections in layout (b)) when it escapes,
+    ``HUF2`` otherwise, the same code bits behind them."""
+    fields = read_sections_reference(blob)
+    assert fields["magic"] == _MAGIC
+    if fields["n"] == 0:
+        return struct.pack(_HEADER, b"HUF2", 0, 0, 0, 0, 0)
+    narrow = all(-(2**15) <= symbol < 2**15 for symbol in fields["stored"])
+    escaped = fields["escape_length"] > 0
+    header = struct.pack(
+        _HEADER, _LEGACY[escaped], fields["n"], fields["total_bits"], fields["lane"],
+        fields["escape_length"], 2 if narrow else 4,
+    )
+    if escaped:
+        header += blob[struct.calcsize(_HEADER) : fields["table_at"]]
+    symbols = b"".join(struct.pack("<h" if narrow else "<i", s) for s in fields["stored"])
+    index = b"".join(struct.pack("<H", bits) for bits in fields["lane_bits"])
+    counts = struct.pack("<16H", *fields["counts"])
+    return header + counts + symbols + index + blob[fields["payload_at"] :]
 
 
 def huffman_decode_reference(blob: bytes) -> np.ndarray:
@@ -226,33 +377,20 @@ def huffman_decode_reference(blob: bytes) -> np.ndarray:
 
     It skips the lane index: where a symbol starts is where the previous
     one ended, and the only check is that the last one ends on
-    ``total_bits``.
+    ``total_bits``.  A ``HUF4`` stream's check must hold.
     """
-    if blob[:4] not in (_MAGIC, _MAGIC_ESCAPED):
+    if blob[:4] not in _LEGACY + (_MAGIC,):
         raise CompressionError("bad huffman magic")
-    __, n, total_bits, lane, escape_length, symbol_bytes = struct.unpack_from(_HEADER, blob, 0)
+    __, n, total_bits, __, __, last = struct.unpack_from(_HEADER, blob, 0)
     if n == 0:
         return np.empty(0, dtype=np.int64)
-    offset = struct.calcsize(_HEADER)
-    width = 32  # HUF2
-    if blob[:4] == _MAGIC_ESCAPED:
-        (width_byte,) = struct.unpack_from("<B", blob, offset)
-        offset += 1
-        width = width_byte % 128
-        if bin(width_byte).count("1") % 2 or not 1 <= width <= 32 or not escape_length:
-            raise CompressionError("huffman header is corrupt")
-    lengths: dict[int, int] = {}
-    if escape_length:
-        lengths[_ESCAPE] = escape_length
-    per_length = struct.unpack_from("<16H", blob, offset)
-    offset += 32
-    for length, count in enumerate(per_length, start=1):
-        for __ in range(count - (length == escape_length)):
-            (symbol,) = struct.unpack_from("<h" if symbol_bytes == 2 else "<i", blob, offset)
-            lengths[symbol] = length
-            offset += symbol_bytes
-    offset += 2 * -(-n // lane)
-    codes = canonical_codes_reference(lengths)
+    fields = read_sections_reference(blob)
+    if fields["check"] is not None and fields["check"] != check_reference(
+        blob[fields["table_at"] : fields["payload_at"]], last
+    ):
+        raise CompressionError("huffman code table or lane index is corrupt")
+    width, offset = fields["width"], fields["payload_at"]
+    codes = canonical_codes_reference(fields["lengths"])
 
     # 16-bit prefix lookup table: prefix -> (symbol, length).
     table_symbol = np.zeros(2**_MAX_CODE_LENGTH, dtype=np.int64)
@@ -294,6 +432,18 @@ def huffman_decode_reference(blob: bytes) -> np.ndarray:
             f"huffman stream misaligned: consumed {position} of {total_bits} bits"
         )
     return out
+
+
+def stream_offset_reference(codec: str, payload: bytes) -> int:
+    """Where the Huffman stream starts in an SZ, ZFP or MGARD payload,
+    parsed as each codec does; it runs to the payload's end."""
+    if codec == "zfp":
+        return struct.calcsize("<dB")
+    if codec == "mgard":
+        (n_coarse,) = struct.unpack_from("<I", payload, 9)
+        return struct.calcsize("<dBI") + 8 * n_coarse
+    __, n_anchors, n_outliers, n_choices = struct.unpack_from("<dIIH", payload, 0)
+    return struct.calcsize("<dIIH") + (n_choices + 7) // 8 + 8 * (n_anchors + n_outliers)
 
 
 class BitReader:

@@ -18,6 +18,8 @@ from repro.compress import (
 )
 from repro.exceptions import CompressionError, ToleranceError
 
+from .oracles.entropy_reference import legacy_layout_reference, stream_offset_reference
+
 _ALL_CODECS = [SZCompressor, ZFPCompressor, MGARDCompressor]
 
 
@@ -171,36 +173,37 @@ def _integer_walk(seed, shape):
 
 
 _PINNED_PAYLOADS = {
-    # (seed, shape, tolerance): {codec: (HUF1 payload bytes, HUF2 payload bytes,
-    #   blake2b-128 of the HUF2 payload, blake2b-128 of the decompressed array)}
+    # (seed, shape, tolerance): {codec: (HUF2 payload bytes, blake2b-128 of
+    #   the HUF2 payload, HUF4 payload bytes, blake2b-128 of the HUF4
+    #   payload, blake2b-128 of the decompressed array)}
     # The last column was recorded with the HUF1 coder before the entropy
     # stage changed format: the reconstructions did not move by a bit.
-    # SZ's last three columns were re-pinned when float32 fields began to
-    # be predicted and quantized in float32 (a smaller guarded bound, other
-    # roundings); blobs written before still decode to the bit
-    # (tests/test_compress_precision.py).
+    # SZ's HUF2 and reconstruction columns were re-pinned when float32
+    # fields began to be predicted and quantized in float32 (a smaller
+    # guarded bound, other roundings); blobs written before still decode to
+    # the bit (tests/test_compress_precision.py).  The HUF4 columns were
+    # added when the code table became a nibble a symbol and the lane index
+    # a byte a lane; the HUF2 columns are that stream re-laid as before.
     (0, (96, 96), 1 / 32): {
-        "sz": (4247, 4473, "52ca87269991f70dd3b7e3f7e0f15150", "a40d5f3d9718430bbe8c76fb4e95bdf0"),
-        "zfp": (8538, 7405, "dd7fb169f94f8d253351f3d897ebd457", "de36d8a1b7c2d6319b9900ffe92d1288"),
-        "mgard": (8842, 8564, "7e98b74bf4984ba202e86a0d88641f0a", "e0f5f169ee552ac06f40279d3ee254a7"),
+        "sz": (4473, "52ca87269991f70dd3b7e3f7e0f15150", 4270, "0792b621942b8d0dd407b0c21c5db087", "a40d5f3d9718430bbe8c76fb4e95bdf0"),
+        "zfp": (7405, "dd7fb169f94f8d253351f3d897ebd457", 6688, "1cb7d8f602f5ab4c6a8572762b03c2c6", "de36d8a1b7c2d6319b9900ffe92d1288"),
+        "mgard": (8564, "7e98b74bf4984ba202e86a0d88641f0a", 8140, "96634dd45129314093f66cd85b2bf6f4", "e0f5f169ee552ac06f40279d3ee254a7"),
     },
     (1, (5, 40, 40), 1 / 8): {
-        "sz": (2206, 2692, "49351940b3b3d3e067e50f20d9037c7a", "27982362b814cd7933de18831d03d1ee"),
-        "zfp": (7009, 6483, "fb5902db6b1adc1bd206a30737efb63c", "7f8852702c9ae1f5f4df702068ad1c0b"),
-        "mgard": (7035, 7110, "808ff68ba03f2c9501ec64b53597b513", "012929c511001bcdf0426ae89faa4464"),
+        "sz": (2692, "49351940b3b3d3e067e50f20d9037c7a", 2397, "318693f1dbea68d7d1b464c4f8ccb6a4", "27982362b814cd7933de18831d03d1ee"),
+        "zfp": (6483, "fb5902db6b1adc1bd206a30737efb63c", 5875, "9bffdd5dc1ceaf54c1d39280c2033277", "7f8852702c9ae1f5f4df702068ad1c0b"),
+        "mgard": (7110, "808ff68ba03f2c9501ec64b53597b513", 6631, "26a25629637aee94468d3e4d38b5a105", "012929c511001bcdf0426ae89faa4464"),
     },
     (2, (4096,), 1 / 256): {
-        "sz": (2970, 3088, "071befc5c10d338a88660ed946998d6c", "6eff6949c949ca75a11560c5b1882ea4"),
-        "zfp": (5273, 4369, "ac56270b1c119c9c16541f9dfca26ab2", "488cb0a514e158c9c2c0831f62c1d787"),
-        "mgard": (4552, 4274, "e169681ee01cead4368cddc2b7c1994a", "d9f79c499f0246aa4fca1b05bdfe9772"),
+        "sz": (3088, "071befc5c10d338a88660ed946998d6c", 2866, "a40474ecef267289edca05274ec6fb4e", "6eff6949c949ca75a11560c5b1882ea4"),
+        "zfp": (4369, "ac56270b1c119c9c16541f9dfca26ab2", 3785, "eccc9ff777ea48769281b76c7933d78f", "488cb0a514e158c9c2c0831f62c1d787"),
+        "mgard": (4274, "e169681ee01cead4368cddc2b7c1994a", 3873, "481590d9193b70ce366e802231ce1d95", "d9f79c499f0246aa4fca1b05bdfe9772"),
     },
 }
 
-#: Streams of 4-13 k symbols over 16-153 distinct values: the 5-byte table
-#: entries HUF2 shrinks to 2 bytes save less than the lane index
-#: (2 bytes per 32-64 symbols at this size) costs.  Everywhere else the
-#: payload must not have grown.
-_INDEX_OUTWEIGHS_TABLE = {(0, "sz"), (1, "sz"), (1, "mgard"), (2, "sz")}
+
+def _digest(data: bytes) -> str:
+    return hashlib.blake2b(data, digest_size=16).hexdigest()
 
 
 @pytest.mark.parametrize("codec", _codec_instances(), ids=lambda c: c.name)
@@ -211,10 +214,14 @@ def test_payload_bytes_are_pinned(codec, case):
     seed, shape, tolerance = case
     field = _integer_walk(seed, shape)
     blob = codec.compress(field, tolerance, ErrorBoundMode.ABS)
-    old_len, new_len, digest, recon_digest = _PINNED_PAYLOADS[case][codec.name]
-    assert len(blob.payload) == new_len
-    assert hashlib.blake2b(blob.payload, digest_size=16).hexdigest() == digest
-    assert (new_len <= old_len) == ((seed, codec.name) not in _INDEX_OUTWEIGHS_TABLE)
+    old_len, old_digest, new_len, digest, recon_digest = _PINNED_PAYLOADS[case][codec.name]
+    assert len(blob.payload) == new_len and _digest(blob.payload) == digest
+    # the HUF2 payload is the same code bits under the earlier sections,
+    # and every HUF4 payload is smaller
+    at = stream_offset_reference(codec.name, blob.payload)
+    before = blob.payload[:at] + legacy_layout_reference(blob.payload[at:])
+    assert (len(before), _digest(before)) == (old_len, old_digest)
+    assert new_len < old_len
     recon = codec.decompress(blob)
-    assert hashlib.blake2b(recon.tobytes(), digest_size=16).hexdigest() == recon_digest
+    assert _digest(recon.tobytes()) == recon_digest
     assert achieved_error(field, recon, ErrorBoundMode.ABS) <= tolerance

@@ -14,7 +14,6 @@ from repro.physics import (
     lamb_oseen_vortex,
     mixture_fraction_jet,
     synthesize_scalar,
-    synthesize_velocity,
 )
 from repro.datasets.combustion import mass_fractions_from_mixture
 
@@ -98,14 +97,6 @@ def test_scalar_field_has_decaying_spectrum(rng):
     low = spectrum[(kk > 1) & (kk < 4)].mean()
     high = spectrum[(kk > 16) & (kk < 32)].mean()
     assert low > 10 * high  # energy concentrated at large scales
-
-
-def test_velocity_field_is_divergence_free(rng):
-    u, v = synthesize_velocity((96, 96), rng)
-    divergence = np.gradient(u, axis=1) + np.gradient(v, axis=0)
-    # interior divergence is zero to discretization accuracy
-    inner = divergence[2:-2, 2:-2]
-    assert np.abs(inner).max() < 0.1 * max(np.abs(u).max(), np.abs(v).max())
 
 
 def test_gradient_matches_numpy(rng):

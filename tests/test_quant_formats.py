@@ -16,8 +16,8 @@ from repro.quant import (
     FloatFormat,
     IntFormat,
     average_step_size,
-    elementwise_step_size,
 )
+from repro.quant.stepsize import elementwise_step_size
 
 _FLOAT_FORMATS = (TF32, FP16, BF16)
 

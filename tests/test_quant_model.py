@@ -16,7 +16,6 @@ from repro.quant import (
     calibrate_minmax,
     dequantize_affine,
     granular_quantize,
-    granular_step_size,
     materialize,
     quantizable_layers,
     quantize_affine,
@@ -168,13 +167,6 @@ def test_granular_rejects_non_2d():
 def test_granular_rejects_bad_block_size(rng):
     with pytest.raises(QuantizationError):
         granular_quantize(np.zeros((4, 4)), granularity=Granularity.BLOCK, block_size=0)
-
-
-def test_granular_step_size_matches_quantize(rng):
-    matrix = rng.standard_normal((12, 12))
-    estimated = granular_step_size(matrix, granularity=Granularity.PER_ROW)
-    actual = granular_quantize(matrix, granularity=Granularity.PER_ROW).step_rms
-    assert estimated == pytest.approx(actual)
 
 
 def test_granular_reconstruction_error_bounded(rng):
