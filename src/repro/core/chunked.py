@@ -30,7 +30,7 @@ import time
 import numpy as np
 
 from ..exceptions import ConfigurationError, IntegrityError, PlanningError
-from ..io.checkpoint import CheckpointJournal, digest_array, digest_model, read_artifact
+from ..io.checkpoint import CheckpointJournal, digest_array, digest_model
 from ..io.serialization import blob_from_bytes, blob_to_bytes
 from ..obs import get_auditor, get_logger, get_metrics, get_tracer
 from ..obs.audit import AuditRecord
@@ -255,41 +255,30 @@ class ChunkRun:
         }
         if seconds is not None:
             entry["task_seconds"] = float(seconds)
-        return journal.record(
-            index, outputs=result.outputs, blob_bytes=blob_to_bytes(result.blob), entry=entry
-        )
+        return journal.record(index, blob_bytes=blob_to_bytes(result.blob), entry=entry)
 
     def result_from_record(
-        self, payload: dict, entry: dict, origin: str = "replayed"
+        self, blob_bytes: bytes, entry: dict, origin: str = "replayed"
     ) -> PipelineResult:
-        """A :class:`PipelineResult` from journaled/remote chunk data.
+        """A :class:`PipelineResult` from a journaled or remote chunk.
 
-        ``payload`` carries what the artifact stores (``outputs``,
-        ``blob_bytes``); ``entry`` the journal metadata, which names the
-        chunk.  The reference outputs are recomputed from that chunk —
-        the input the manifest digest pins — and the QoI error they give
-        must be the one the entry certifies.  The entry's audit record
-        (the producing run's verdicts, not a fresh re-audit) is adopted
-        into the live auditor, so a resumed run's registry matches an
-        uninterrupted one.  The rows land in the slab.
+        ``blob_bytes`` is what the artifact stores, the chunk's serialized
+        blob; ``entry`` the journal metadata, which names the chunk.  The
+        blob runs through ``execute``'s post-store half on that chunk —
+        the input the manifest digest pins: decode (CRC check, screen),
+        quantized and reference forwards, input errors, contract guard —
+        and the QoI error it gives must be the one the entry certifies.
+        Its timings are this replay's (no compress).  The entry's audit
+        record (the producing run's verdicts, not a fresh re-audit) is
+        adopted into the live auditor, so a resumed run's registry
+        matches an uninterrupted one.  The rows land in the slab.
         """
         pipeline = self.pipeline
         index = int(entry["chunk"])
-        chunk = self.chunks[index]
-        samples = (self.samples_from_fields or _field_samples)(chunk)
-        timings = entry.get("timings", {})
-        result = PipelineResult(
-            outputs=payload["outputs"],
-            reference_outputs=pipeline._forward_ref(samples),
-            blob=blob_from_bytes(payload["blob_bytes"]),
-            plan=pipeline.plan,
-            compress_seconds=float(timings.get("compress", 0.0)),
-            decompress_seconds=float(timings.get("decompress", 0.0)),
-            inference_seconds=float(timings.get("inference", 0.0)),
-            input_error_linf=float(entry.get("input_error_linf", 0.0)),
-            input_error_l2_max=float(entry.get("input_error_l2_max", 0.0)),
-            extra={"integrity": dict(entry.get("integrity", {})), origin: True},
+        result = pipeline.execute(
+            self.chunks[index], self.samples_from_fields, stored=blob_from_bytes(blob_bytes)
         )
+        result.extra[origin] = True
         observed = result.qoi_error(pipeline.plan.norm, relative=False)
         journaled = entry.get("observed_qoi_error")
         # float round-off of a reference recomputed on another host, not
@@ -549,14 +538,10 @@ def run_distributed(
     results = {}
     for index in sorted(coordinator.accepted):
         entry = coordinator.accepted[index]
-        # the merged journal holds the worker's artifact bytes verbatim;
+        # the merged journal holds the worker's blob bytes verbatim;
         # loading through it re-verifies the digest
-        payload = (
-            journal.load(entry)
-            if journal is not None
-            else read_artifact(coordinator.payload(index))
-        )
-        results[index] = run.result_from_record(payload, entry, origin="remote")
+        blob_bytes = journal.load(entry) if journal is not None else coordinator.payload(index)
+        results[index] = run.result_from_record(blob_bytes, entry, origin="remote")
 
     remaining = sum(1 for index in pending if index not in results)
     if remaining and summary.get("outcome") == "drained":

@@ -150,9 +150,11 @@ class InferencePipeline:
         return self.codec.safe_decompress(blob, screen=self.screen)
 
     def _store_and_load(
-        self, fields: np.ndarray, force_lossless: bool = False
+        self, fields: np.ndarray, force_lossless: bool = False,
+        blob: "CompressedBlob | None" = None,
     ) -> tuple[CompressedBlob, np.ndarray, float, float, dict]:
-        """Compress + decompress once; a failed screen raises.
+        """Compress (unless ``blob`` is the one already stored) +
+        decompress once; a failed screen raises.
 
         Returns ``(blob, reconstruction, compress_s, decompress_s,
         spans)``; ``spans`` holds the compress/decompress trace spans for
@@ -172,7 +174,7 @@ class InferencePipeline:
                 np.asarray(fields), predicted, ErrorBoundMode.ABS
             )
             blob.metadata["degraded"] = True
-        else:
+        elif blob is None:
             start = time.perf_counter()
             with tracer.span(
                 "pipeline.compress", codec=self.codec.name, predicted_bound=predicted
@@ -184,7 +186,7 @@ class InferencePipeline:
         start = time.perf_counter()
         with tracer.span(
             "pipeline.decompress", codec=self.codec.name, predicted_bound=predicted,
-            degraded=force_lossless,
+            degraded=bool(blob.metadata.get("degraded", False)),
         ) as span:
             reconstructed = self.load(blob)
         spans["decompress"] = span
@@ -199,6 +201,7 @@ class InferencePipeline:
         fields: np.ndarray,
         samples_from_fields=None,
         force_lossless: bool = False,
+        stored: "CompressedBlob | None" = None,
     ) -> PipelineResult:
         """Run the full pipeline on a normalized field array.
 
@@ -223,6 +226,10 @@ class InferencePipeline:
             Skip the lossy codec and store the fields losslessly — the
             degraded mode quarantined chunks fall back to.  Without it a
             corrupt decompression raises its typed error.
+        stored:
+            The blob a run already stored for ``fields`` (a journaled or
+            remote chunk): it is decoded in place of a fresh compress, and
+            no fresh audit runs — the run that stored it audited it.
 
         Returns
         -------
@@ -262,7 +269,7 @@ class InferencePipeline:
                 reference_side, nbytes=getattr(fields, "nbytes", 0)
             ) as reference_result:
                 blob, reconstructed, compress_seconds, decompress_seconds, spans = (
-                    self._store_and_load(fields, force_lossless=force_lossless)
+                    self._store_and_load(fields, force_lossless, stored)
                 )
 
                 samples = samples_from_fields(reconstructed)
@@ -358,7 +365,7 @@ class InferencePipeline:
                     observed_input_error=achieved,
                 )
             auditor = get_auditor()
-            if auditor.enabled:
+            if auditor.enabled and stored is None:
                 self._audit_execution(auditor, result, reference_samples, samples)
         return result
 
@@ -382,7 +389,14 @@ class InferencePipeline:
             # the shared model, so concurrent chunk workers would observe
             # each other's activations.
             with self._audit_lock:
-                record = self._audit_recorder_for(reference_samples, auditor).audit(
+                if self._audit_recorder is None:  # spec extraction pays once per pipeline
+                    from ..obs.audit import LayerwiseErrorRecorder
+
+                    self._audit_recorder = LayerwiseErrorRecorder(
+                        self.model, self.quantized, np.shape(reference_samples)[1:],
+                        quant_safety=auditor.quant_safety,
+                    )
+                record = self._audit_recorder.audit(
                     reference_samples, samples, loose_below=auditor.loose_below
                 )
             record.codec = self.codec.name
@@ -403,20 +417,6 @@ class InferencePipeline:
                 "audit skipped: could not evaluate the layerwise envelope",
                 error=str(exc),
             )
-
-    def _audit_recorder_for(self, reference_samples: np.ndarray, auditor):
-        """Cached lockstep recorder (spec extraction pays once per
-        pipeline).  Caller must hold ``_audit_lock``."""
-        if self._audit_recorder is None:
-            from ..obs.audit import LayerwiseErrorRecorder
-
-            self._audit_recorder = LayerwiseErrorRecorder(
-                self.model,
-                self.quantized,
-                np.shape(reference_samples)[1:],
-                quant_safety=auditor.quant_safety,
-            )
-        return self._audit_recorder
 
     def execute_chunked(
         self,
@@ -479,13 +479,13 @@ class InferencePipeline:
         checkpoint:
             Directory of a :class:`~repro.io.checkpoint.CheckpointJournal`:
             every certified-complete chunk is persisted (atomic artifact
-            of outputs + blob, then its journal line) as it finishes, by
-            the process that computed it.  ``None`` disables.
+            of its serialized blob, then its journal line) as it finishes,
+            by the process that computed it.  ``None`` disables.
         resume:
             Verify that ``checkpoint`` journals this exact computation
             (plan fingerprint + per-chunk input digests), replay its
-            chunks — reference outputs are recomputed and must reproduce
-            the journaled QoI error — and compute only the rest.
+            chunks — each blob is decoded through both forwards and must
+            reproduce the journaled QoI error — and compute only the rest.
         task_timeout:
             Per-chunk deadline in seconds (forked workers only), from when
             a worker starts the chunk; expiry kills it and retries the chunk.
@@ -546,8 +546,7 @@ class InferencePipeline:
         )
         if "compress" in spans:
             spans["compress"].set(observed_error=observed_input_error)
-        if "decompress" in spans:
-            spans["decompress"].set(observed_error=observed_input_error)
+        spans["decompress"].set(observed_error=observed_input_error)
         inference_span.set(observed_error=qoi_error)
         guard_span.set(qoi_predicted_bound=float(self.plan.qoi_tolerance), qoi_observed_error=qoi_error)
         root.set(

@@ -15,8 +15,8 @@ one or more chunk indices.  Robustness is lease-shaped end to end:
   own declared artifact digest before it is accepted, so a mixed-plan or
   tampered result is rejected with :class:`~repro.exceptions.IntegrityError`
   semantics rather than merged;
-* accepted results are journaled durably (``record_raw`` adopts the
-  worker's artifact bytes verbatim), so a coordinator that is itself
+* accepted results are journaled durably (``CheckpointJournal.record``
+  writes the worker's blob bytes verbatim), so a coordinator that is itself
   killed resumes from its journal without recomputing;
 * SIGTERM maps to :meth:`ShardCoordinator.request_drain`: stop granting,
   let in-flight leases finish or expire, exit with a resumable journal;
@@ -413,9 +413,10 @@ class ShardCoordinator:
                         f"unexpected {kind!r} from worker {worker!r}"
                     )
         except (ProtocolError, OSError) as exc:
-            _LOG.warning(
-                "worker connection lost", worker=worker, error=str(exc)
-            )
+            if not self._closing:  # else _shutdown closed it under our recv
+                _LOG.warning(
+                    "worker connection lost", worker=worker, error=str(exc)
+                )
         finally:
             with self._lock:
                 self._conns.pop(conn_id, None)
@@ -621,8 +622,8 @@ class ShardCoordinator:
             recorded["artifact_digest"] = digest
             recorded["worker"] = worker
             if self._journal is not None:
-                recorded = self._journal.record_raw(
-                    chunk, data=data, entry=recorded
+                recorded = self._journal.record(
+                    chunk, blob_bytes=data, entry=recorded
                 )
             else:
                 self._artifacts[chunk] = data

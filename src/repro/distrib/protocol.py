@@ -37,7 +37,8 @@ enforces on resume.  Heartbeats are deliberately fire-and-forget: every
 other request gets exactly one reply, so the client never has to
 demultiplex interleaved responses.
 
-Chunk artifacts (npz bytes) travel base64-encoded inside RESULT frames.
+Chunk artifacts (a chunk's serialized blob, the bytes its journal
+stores) travel base64-encoded inside RESULT frames.
 That is a ~33 % size tax, accepted for single-format simplicity; the
 coordinator re-digests the decoded bytes, so transport corruption is
 caught end-to-end regardless of encoding.
@@ -76,8 +77,9 @@ __all__ = [
 ]
 
 #: bump on any incompatible message-shape change; HELLO/WELCOME carry it
-#: (v2: optional trace/spans telemetry fields; v3: no METRICS frame)
-PROTOCOL_VERSION = 3
+#: (v2: optional trace/spans telemetry fields; v3: no METRICS frame;
+#: v4: RESULT artifacts are blob bytes, not npz archives of outputs + blob)
+PROTOCOL_VERSION = 4
 
 _LENGTH = struct.Struct("!I")
 

@@ -347,7 +347,7 @@ class ShardWorker:
                 summary["chunks_resent"] += len(chunk_ids) - len(to_compute)
             for chunk in chunk_ids:
                 entry = self._local[chunk]
-                data = self._journal.artifact_bytes(entry)
+                data = self._journal.load(entry)
                 spans, cursor = tracer.dicts_since(self._span_cursor)
                 conn.send(
                     msg_result(

@@ -7,13 +7,14 @@ A checkpoint is a directory:
   manifest.json        # run identity: plan fingerprint + chunk digests
   journal.jsonl        # one record per certified-complete chunk (append-only)
   chunks/
-    chunk-0000.npz     # outputs + serialized blob bytes, each stored once
+    chunk-0000.rblob   # the chunk's serialized blob (CRC32-sealed), nothing else
     ...
 ```
 
-Reference outputs are not stored: they are a function of the input chunk
-(whose digest the manifest pins) and the model, so replay recomputes them
-and cross-checks the journaled ``observed_qoi_error``.
+Outputs and reference outputs are not stored: they are a function of
+the blob, the input chunk (whose digest the manifest pins) and the model,
+so replay decodes the blob, runs both forwards and cross-checks the
+journaled ``observed_qoi_error``.
 
 Durability model, weakest link first:
 
@@ -29,7 +30,7 @@ Durability model, weakest link first:
   therefore the commit record: an artifact without a journal line is
   invisible (recomputed), a journal line whose artifact is missing or
   corrupt is ignored (recomputed), and so is one that is not an object,
-  names another artifact than ``chunks/chunk-NNNN.npz`` of its own chunk
+  names another artifact than ``chunks/chunk-NNNN.rblob`` of its own chunk
   or another input digest than the manifest's for that chunk.  A torn
   trailing journal line — the signature of a writer killed mid-append —
   is dropped by :func:`~repro.io.serialization.read_jsonl_records`.  At every kill
@@ -41,15 +42,14 @@ Durability model, weakest link first:
   the artifact; of two lines only the one whose digest still verifies
   replays.
 
-Nothing here knows about pipelines; the journal stores arrays, bytes
-and JSON entries.  :meth:`InferencePipeline.execute_chunked
+Nothing here knows about pipelines; the journal stores bytes and JSON
+entries.  :meth:`InferencePipeline.execute_chunked
 <repro.core.pipeline.InferencePipeline.execute_chunked>` composes it.
 """
 
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import os
 
@@ -59,14 +59,14 @@ from ..exceptions import ConfigurationError, IntegrityError
 from ..obs import get_logger, get_metrics, get_tracer, json_default
 from .serialization import append_jsonl, atomic_write_bytes, atomic_write_json, read_jsonl_records
 
-__all__ = ["CheckpointJournal", "digest_bytes", "digest_array", "digest_model", "read_artifact"]
+__all__ = ["CheckpointJournal", "digest_bytes", "digest_array", "digest_model"]
 
 _LOG = get_logger("checkpoint")
 
 _MANIFEST = "manifest.json"
 _JOURNAL = "journal.jsonl"
 _CHUNK_DIR = "chunks"
-_FORMAT_VERSION = 2  # 1 also kept reference outputs in the artifact
+_FORMAT_VERSION = 3  # 2 also kept outputs, 1 reference outputs too
 
 
 def digest_bytes(data: bytes) -> str:
@@ -86,13 +86,7 @@ def digest_array(array: np.ndarray) -> str:
 
 def _artifact_rel(index: int) -> str:
     """Where chunk ``index``'s artifact lives, relative to the checkpoint."""
-    return os.path.join(_CHUNK_DIR, f"chunk-{index:04d}.npz")
-
-
-def read_artifact(data: bytes) -> dict:
-    """What a chunk artifact stores: ``{"outputs", "blob_bytes"}``."""
-    with np.load(io.BytesIO(data)) as archive:
-        return {"outputs": archive["outputs"], "blob_bytes": archive["blob"].tobytes()}
+    return os.path.join(_CHUNK_DIR, f"chunk-{index:04d}.rblob")
 
 
 def digest_model(model) -> str:
@@ -115,13 +109,17 @@ def digest_model(model) -> str:
 class CheckpointJournal:
     """Append-only journal of certified-complete chunks in a directory.
 
+    A chunk's artifact is its serialized blob and nothing else (format
+    version 3; a directory of an earlier version is refused on resume):
+    whoever replays it decodes the blob and recomputes the outputs.
+
     Lifecycle::
 
         journal = CheckpointJournal(path)
         completed = journal.begin(manifest, resume=True)  # {} when fresh
         for index not in completed: ...compute...
-            journal.record(index, outputs=o, blob_bytes=b, entry={...})
-        payload = journal.load(completed[index])          # replay arrays
+            journal.record(index, blob_bytes=b, entry={...})
+        blob_bytes = journal.load(completed[index])       # replay input
     """
 
     def __init__(self, path: str) -> None:
@@ -133,7 +131,7 @@ class CheckpointJournal:
         self.chunk_dir = os.path.join(self.path, _CHUNK_DIR)
         self._manifest: "dict | None" = None
         # artifact bytes _replay verified, by (chunk, digest), until
-        # artifact_bytes hands them out: a resume reads and digests each
+        # load hands them out: a resume reads and digests each
         # file once, and a line naming another chunk's digest is no hit
         self._verified: "dict[tuple, bytes]" = {}
 
@@ -249,7 +247,7 @@ class CheckpointJournal:
                 conflicts += 1
                 continue
             try:
-                data = self.artifact_bytes(entry)
+                data = self.load(entry)
             except (OSError, IntegrityError):
                 dropped += 1
                 continue
@@ -274,55 +272,35 @@ class CheckpointJournal:
 
     # -- writes ------------------------------------------------------------
 
-    def record(
-        self,
-        index: int,
-        *,
-        outputs: np.ndarray,
-        blob_bytes: bytes,
-        entry: dict,
-    ) -> dict:
+    def record(self, index: int, *, blob_bytes: bytes, entry: dict) -> dict:
         """Persist one completed chunk: artifact first, then journal line.
 
-        Returns the journal entry as written (with artifact paths and
-        digests filled in).
-        """
-        buffer = io.BytesIO()
-        np.savez(
-            buffer,
-            outputs=np.ascontiguousarray(outputs),
-            blob=np.frombuffer(blob_bytes, dtype=np.uint8),
-        )
-        return self.record_raw(index, data=buffer.getvalue(), entry=entry)
-
-    def record_raw(self, index: int, *, data: bytes, entry: dict) -> dict:
-        """Persist one completed chunk from already-serialized npz bytes.
-
-        The journal-merge path: a coordinator adopting a remote worker's
-        artifact writes the bytes *verbatim*, so the merged journal is
-        bit-identical to one the worker would have written locally —
-        digests computed on either side agree by construction.
+        The artifact is ``blob_bytes`` verbatim, so a coordinator adopting
+        a remote worker's bytes writes the journal the worker wrote
+        locally — digests computed on either side agree by construction.
+        Returns the journal entry as written (with artifact path and
+        digest filled in).
         """
         if self._manifest is None:
             raise ConfigurationError("CheckpointJournal.record before begin()")
         tracer = get_tracer()
         with tracer.span("checkpoint.record", chunk=index):
             artifact_rel = _artifact_rel(index)
-            atomic_write_bytes(os.path.join(self.path, artifact_rel), data)
+            atomic_write_bytes(os.path.join(self.path, artifact_rel), blob_bytes)
             entry = dict(entry)
             entry["chunk"] = int(index)
             entry["artifact"] = artifact_rel
-            entry["artifact_digest"] = digest_bytes(data)
+            entry["artifact_digest"] = digest_bytes(blob_bytes)
             append_jsonl(self.journal_path, entry, default=json_default)
         get_metrics().counter("checkpoint_chunks_recorded_total").inc()
         return entry
 
     # -- reads -------------------------------------------------------------
 
-    def artifact_bytes(self, entry: dict) -> bytes:
-        """One journal entry's artifact, verbatim and digest-verified; it
-        is read from where :meth:`record_raw` writes the entry's chunk,
-        never from a path the entry names."""
+    def load(self, entry: dict) -> bytes:
+        """One journal entry's blob bytes, verbatim and digest-verified; they
+        are read from where :meth:`record` writes the entry's chunk, never
+        from a path the entry names."""
         data = self._verified.pop((entry["chunk"], entry.get("artifact_digest")), None)
         if data is not None:
             return data
@@ -335,10 +313,6 @@ class CheckpointJournal:
                 "changed since it was journaled"
             )
         return data
-
-    def load(self, entry: dict) -> dict:
-        """Replay one journal entry's arrays (``{"outputs", "blob_bytes"}``)."""
-        return read_artifact(self.artifact_bytes(entry))
 
     def entries(self) -> "list[dict]":
         """Every raw journal record (newest last); for inspection/tests."""

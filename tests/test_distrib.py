@@ -55,7 +55,14 @@ from repro.exceptions import (
     PlanningError,
     ProtocolError,
 )
-from repro.io import CheckpointJournal, append_jsonl, digest_array, digest_bytes
+from repro.io import (
+    CheckpointJournal,
+    append_jsonl,
+    blob_from_bytes,
+    blob_to_bytes,
+    digest_array,
+    digest_bytes,
+)
 from repro.io.checkpoint import digest_model
 from repro.perf.parallel import resolve_workers, usable_cpus
 from repro.resilience import CHAOS_ENV_VAR, ChaosInjector, RetryPolicy, fork_available
@@ -175,10 +182,9 @@ _RESULT_FRAME = struct.pack("!I", len(_RESULT_BYTES)) + _RESULT_BYTES
 
 
 def test_wire_protocol_is_pinned():
-    """Protocol v3: these message types, listed literally.  The v2
-    METRICS frame is now an unknown type, and a v2 HELLO is refused with
-    both versions named."""
-    assert PROTOCOL_VERSION == 3
+    """Protocol v4: these message types, listed literally.  The v2
+    METRICS frame is now an unknown type."""
+    assert PROTOCOL_VERSION == 4
     assert _MESSAGE_TYPES == {
         "hello", "welcome", "refuse", "lease_request", "lease", "wait",
         "heartbeat", "result", "result_ack", "drain",
@@ -191,6 +197,12 @@ def test_wire_protocol_is_pinned():
     framed.close()
     raw.close()
 
+
+@pytest.mark.parametrize("proto", [2, 3])
+def test_an_older_worker_is_refused_at_hello(proto):
+    """A v2 worker may send METRICS frames and a v3 worker sends npz
+    artifacts of outputs + blob, which a v4 coordinator would journal as
+    blobs: either HELLO is refused, both versions named, before any RESULT."""
     coordinator = ShardCoordinator(_FUZZ_MANIFEST)
     worker_end, coordinator_end = socket.socketpair()
     worker = FrameSocket(worker_end, role="worker")
@@ -198,10 +210,9 @@ def test_wire_protocol_is_pinned():
     hello = msg_hello(
         "old", _FUZZ_MANIFEST["fingerprint"], manifest_identity(_FUZZ_MANIFEST), None
     )
-    worker.send(dict(hello, proto=2))
+    worker.send(dict(hello, proto=proto))
     assert coordinator._handshake(FrameSocket(coordinator_end)) is None
-    reply = worker.recv()
-    assert reply == {"type": "refuse", "reason": "protocol version 2 != 3"}
+    assert worker.recv() == {"type": "refuse", "reason": f"protocol version {proto} != 4"}
     assert coordinator.summary("refused")["handshake_refused"] == 1
     worker.close()
     coordinator_end.close()
@@ -244,7 +255,7 @@ def test_a_damaged_result_frame_never_journals_other_bytes(cut, flips):
         assert set(coordinator.accepted) <= {0}
         for entry in journal.entries():
             assert entry["chunk"] == 0
-            assert journal.artifact_bytes(entry) == _ARTIFACT
+            assert journal.load(entry) == _ARTIFACT
 
 
 # -- split_chunks / config validation ---------------------------------------
@@ -289,10 +300,7 @@ def _tiny_journal(path):
     journal = CheckpointJournal(str(path))
     journal.begin(manifest)
     entry = journal.record(
-        0,
-        outputs=arr,
-        blob_bytes=b"blob-bytes",
-        entry={"input_digest": digest, "attempts": 1},
+        0, blob_bytes=b"blob-bytes", entry={"input_digest": digest, "attempts": 1}
     )
     return journal, manifest, entry
 
@@ -316,14 +324,17 @@ def test_replay_conflicting_duplicate_keeps_first_verified(tmp_path):
     assert completed[0]["artifact_digest"] == entry["artifact_digest"]
 
 
-def test_record_raw_adopts_bytes_verbatim(tmp_path):
+def test_a_merged_record_adopts_bytes_verbatim(tmp_path):
+    """The coordinator journals a worker's artifact bytes with the same
+    ``record`` the worker used, so both journals hold the same bytes."""
     journal, manifest, entry = _tiny_journal(tmp_path / "a")
     with open(f"{journal.path}/{entry['artifact']}", "rb") as handle:
         data = handle.read()
+    assert data == b"blob-bytes"
     other = CheckpointJournal(str(tmp_path / "b"))
     other.begin(manifest)
-    merged = other.record_raw(
-        0, data=data, entry={"input_digest": manifest["chunk_digests"][0]}
+    merged = other.record(
+        0, blob_bytes=data, entry={"input_digest": manifest["chunk_digests"][0]}
     )
     assert merged["artifact_digest"] == entry["artifact_digest"]
     with open(f"{other.path}/{merged['artifact']}", "rb") as handle:
@@ -534,6 +545,19 @@ def test_distributed_matches_serial(distrib_setup):
     assert sum(s["chunks_computed"] for s in summaries) == 4
     assert all(s["drained"] for s in summaries)
     assert result.qoi_error("linf", relative=False) <= pipeline.plan.qoi_tolerance
+
+
+@needs_fork
+def test_a_clean_loopback_run_loses_no_worker_connection(distrib_setup, capsys):
+    """The coordinator's shutdown closes connections whose serve threads
+    are blocked in ``recv``; the error that wakes them is its own doing,
+    not a lost worker, and a clean run logs none."""
+    pipeline, fields, serial, _, _ = distrib_setup
+    for _ in range(3):
+        result, _, errors = _run_distributed(pipeline, fields, n_workers=2, expect_workers=2)
+        assert errors == [] and result.extra["distrib"]["outcome"] == "complete"
+        assert np.array_equal(result.outputs, serial.outputs)
+    assert "worker connection lost" not in capsys.readouterr().err
 
 
 @needs_fork
@@ -805,7 +829,7 @@ def test_merged_journal_matches_serial_under_partitions(
 ):
     """Property (satellite): wherever the partition lands, the merged
     journal certifies the same computation as the serial journal —
-    same chunks, same input digests, identical replayed arrays."""
+    same chunks, same input digests, identical blobs and replayed arrays."""
     pipeline, fields, serial, manifest, serial_dir = distrib_setup
     workdir = tempfile.mkdtemp(prefix="repro-distrib-prop-")
     try:
@@ -832,11 +856,10 @@ def test_merged_journal_matches_serial_under_partitions(
         for index in range(4):
             ours, theirs = merged_entries[index], serial_entries[index]
             assert ours["input_digest"] == theirs["input_digest"]
-            mine, ref = merged.load(ours), reference.load(theirs)
-            assert np.array_equal(mine["outputs"], ref["outputs"])
-            assert mine["blob_bytes"] == ref["blob_bytes"]
-        # reference outputs are no longer stored: the replayed ones are
-        # recomputed from the digest-pinned input chunks
+            assert merged.load(ours) == reference.load(theirs)
+        # no outputs are stored: the replayed ones are recomputed
+        # from the blobs and the digest-pinned input chunks
+        assert np.array_equal(result.outputs, serial.outputs)
         assert np.array_equal(result.reference_outputs, serial.reference_outputs)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
@@ -1034,9 +1057,11 @@ def test_worker_and_coordinator_build_the_same_run_identity(distrib_setup, tmp_p
 
 def test_checkpoint_format_is_pinned(distrib_setup):
     """A checkpoint directory is interchangeable across versions of the
-    code that writes it: format version 2, these manifest fingerprint
-    keys, these journal entry keys — listed literally, so moving the
-    code that builds them cannot move the format."""
+    code that writes it: format version 3, these manifest fingerprint
+    keys, these journal entry keys and ``chunks/chunk-NNNN.rblob``
+    artifacts that hold the chunk's serialized blob and nothing else —
+    listed literally, so moving the code that builds them cannot move the
+    format."""
     _, _, _, manifest, serial_dir = distrib_setup
     assert set(manifest) == {"fingerprint", "chunk_digests"}
     assert set(manifest["fingerprint"]) == {
@@ -1045,7 +1070,7 @@ def test_checkpoint_format_is_pinned(distrib_setup):
     }
     assert manifest["fingerprint"]["precision"] == "float32"  # SZ on float32 fields
     journal = CheckpointJournal(serial_dir)
-    assert journal._read_manifest()["format_version"] == 2
+    assert journal._read_manifest()["format_version"] == 3
     entries = journal.entries()
     assert len(entries) == 4
     for entry in entries:
@@ -1055,6 +1080,9 @@ def test_checkpoint_format_is_pinned(distrib_setup):
             "audit", "task_seconds", "chunk", "artifact", "artifact_digest",
         }
         assert set(entry["timings"]) == {"compress", "decompress", "inference"}
+        assert entry["artifact"] == f"chunks/chunk-{entry['chunk']:04d}.rblob"
+        data = journal.load(entry)
+        assert blob_to_bytes(blob_from_bytes(data)) == data
 
 
 def test_a_checkpoint_from_before_streams_had_a_precision_is_refused(distrib_setup, tmp_path):

@@ -7,7 +7,7 @@ certification, and a killed run resumes bit-identically from its
 checkpoint journal at *any* kill point.
 """
 
-import io
+import base64
 import json
 import os
 import shutil
@@ -30,11 +30,13 @@ from repro.core.chunked import ChunkRun
 from repro.core.errorflow import ErrorFlowAnalyzer
 from repro.core.pipeline import InferencePipeline
 from repro.core.planner import TolerancePlanner
-from repro.exceptions import ConfigurationError, IntegrityError
+from repro.exceptions import ConfigurationError, IntegrityError, ReproError
 from repro.nn.backend import CompiledForward
 from repro.io import (
     CheckpointJournal,
     append_jsonl,
+    blob_from_bytes,
+    blob_to_bytes,
     digest_array,
     digest_bytes,
     read_jsonl_records,
@@ -856,13 +858,12 @@ def test_checkpoint_journal_roundtrip(tmp_path):
     manifest = {"fingerprint": {"plan": "p"}, "chunk_digests": [digest_array(data)]}
     assert journal.begin(manifest) == {}
     entry = journal.record(
-        0, outputs=data, blob_bytes=b"blob-bytes",
-        entry={"input_digest": digest_array(data)},
+        0, blob_bytes=b"blob-bytes", entry={"input_digest": digest_array(data)},
     )
-    payload = journal.load(entry)
-    assert np.array_equal(payload["outputs"], data)
-    assert set(payload) == {"outputs", "blob_bytes"}  # each stored once
-    assert payload["blob_bytes"] == b"blob-bytes"
+    assert entry["artifact"] == os.path.join("chunks", "chunk-0000.rblob")
+    assert journal.load(entry) == b"blob-bytes"
+    # the artifact is the blob and nothing else
+    assert (tmp_path / "ck" / entry["artifact"]).read_bytes() == b"blob-bytes"
     # resume sees the completed chunk
     completed = journal.begin(manifest, resume=True)
     assert set(completed) == {0}
@@ -937,8 +938,7 @@ def test_checkpoint_drops_tampered_artifact(tmp_path):
     manifest = {"fingerprint": {}, "chunk_digests": [digest_array(data)]}
     journal.begin(manifest)
     entry = journal.record(
-        0, outputs=data, blob_bytes=b"x",
-        entry={"input_digest": digest_array(data)},
+        0, blob_bytes=b"blob-bytes", entry={"input_digest": digest_array(data)},
     )
     artifact = tmp_path / "ck" / entry["artifact"]
     blob = bytearray(artifact.read_bytes())
@@ -953,13 +953,13 @@ def test_resume_hands_out_the_bytes_it_verified_once(tmp_path):
     data = np.arange(8, dtype=np.float32)
     manifest = {"fingerprint": {}, "chunk_digests": [digest_array(data)]}
     journal.begin(manifest)
-    journal.record(0, outputs=data, blob_bytes=b"x", entry={"input_digest": digest_array(data)})
+    journal.record(0, blob_bytes=b"x", entry={"input_digest": digest_array(data)})
     resumed = CheckpointJournal(str(tmp_path / "ck"))
     (entry,) = resumed.begin(manifest, resume=True).values()
     artifact = tmp_path / "ck" / entry["artifact"]
     artifact.write_bytes(b"changed after begin() verified it")
     # what begin() verified is what the first load replays, read once ...
-    assert np.array_equal(resumed.load(entry)["outputs"], data)
+    assert resumed.load(entry) == b"x"
     # ... and after that the file on disk is read, and checked, again
     with pytest.raises(IntegrityError, match="digest mismatch"):
         resumed.load(entry)
@@ -1179,17 +1179,16 @@ def test_recommitted_chunk_replays_the_overwriting_commit(tmp_path):
     journal.begin(manifest)
     input_digest = digest_array(data)
     stale = journal.record(
-        0, outputs=data * np.nan, blob_bytes=b"x",
-        entry={"attempts": 1, "input_digest": input_digest},
+        0, blob_bytes=b"stale", entry={"attempts": 1, "input_digest": input_digest},
     )
     fresh = journal.record(
-        0, outputs=data, blob_bytes=b"x", entry={"attempts": 2, "input_digest": input_digest}
+        0, blob_bytes=b"fresh", entry={"attempts": 2, "input_digest": input_digest}
     )
     assert stale["artifact"] == fresh["artifact"]
     assert stale["artifact_digest"] != fresh["artifact_digest"]
     completed = CheckpointJournal(str(tmp_path / "ck")).begin(manifest, resume=True)
     assert completed[0]["attempts"] == 2
-    assert np.array_equal(journal.load(completed[0])["outputs"], data)
+    assert journal.load(completed[0]) == b"fresh"
 
 
 # -- journal replay trusts no line -------------------------------------------
@@ -1204,7 +1203,7 @@ def _two_chunk_journal(tmp_path):
     journal.begin(manifest)
     for index, chunk in enumerate(chunks):
         journal.record(
-            index, outputs=chunk, blob_bytes=b"x", entry={"input_digest": digest_array(chunk)}
+            index, blob_bytes=chunk.tobytes(), entry={"input_digest": digest_array(chunk)}
         )
     return ck, manifest, journal.entries()
 
@@ -1232,14 +1231,13 @@ def test_replay_drops_a_line_whose_artifact_is_not_a_path(tmp_path):
 
 def test_replay_never_reads_an_artifact_outside_the_checkpoint(tmp_path):
     """A line naming an absolute path, with the digest of what is there:
-    replay reads only ``chunks/chunk-0000.npz``, so the line is dropped."""
+    replay reads only ``chunks/chunk-0000.rblob``, so the line is dropped."""
     ck, manifest, (first, second) = _two_chunk_journal(tmp_path)
-    forged = io.BytesIO()
-    np.savez(forged, outputs=np.zeros(8, np.float32), blob=np.frombuffer(b"x", np.uint8))
-    elsewhere = tmp_path / "elsewhere.npz"
-    elsewhere.write_bytes(forged.getvalue())
+    forged = b"forged blob bytes"
+    elsewhere = tmp_path / "elsewhere.rblob"
+    elsewhere.write_bytes(forged)
     _rewrite_journal(ck, [
-        dict(first, artifact=str(elsewhere), artifact_digest=digest_bytes(forged.getvalue())),
+        dict(first, artifact=str(elsewhere), artifact_digest=digest_bytes(forged)),
         second,
     ])
     assert _replayed(ck, manifest) == {1}
@@ -1258,7 +1256,7 @@ def test_replay_drops_an_entry_without_input_digest(tmp_path):
 
 _JSON_VALUES = st.one_of(
     st.none(), st.booleans(), st.integers(-2, 5), st.floats(allow_nan=False),
-    st.text(max_size=12), st.sampled_from(["/etc/hostname", "chunks/chunk-0000.npz", "../ck"]),
+    st.text(max_size=12), st.sampled_from(["/etc/hostname", "chunks/chunk-0000.rblob", "../ck"]),
     st.lists(st.integers(0, 3), max_size=2),
 )
 
@@ -1303,17 +1301,22 @@ def test_resume_survives_any_mutation_of_one_journal_line(
 
 
 def test_replay_cross_checks_the_journaled_qoi_error(chunked_setup, tmp_path):
-    """The lean artifact stores no reference outputs; replay recomputes
-    them from the digest-pinned input chunk and the QoI error they give
-    must be the one the journal line certifies."""
+    """The artifact stores the blob alone; replay decodes it, recomputes
+    both outputs from it and the digest-pinned input chunk, and the QoI
+    error they give must be the one the journal line certifies."""
     import json
 
     pipeline, fields, serial = chunked_setup
     ck = str(tmp_path / "ck")
     _chunked(pipeline, fields, workers=1, checkpoint=ck)
-    with np.load(os.path.join(ck, "chunks", "chunk-0002.npz")) as archive:
-        assert sorted(archive.files) == ["blob", "outputs"]
+    assert sorted(os.listdir(os.path.join(ck, "chunks"))) == [
+        f"chunk-{index:04d}.rblob" for index in range(4)
+    ]
+    with open(os.path.join(ck, "chunks", "chunk-0002.rblob"), "rb") as handle:
+        data = handle.read()
+    assert blob_to_bytes(blob_from_bytes(data)) == data
     resumed = _resume_all(pipeline, fields, ck)
+    assert np.array_equal(resumed.outputs, serial.outputs)
     assert np.array_equal(resumed.reference_outputs, serial.reference_outputs)
 
     journal_path = os.path.join(ck, "journal.jsonl")
@@ -1335,12 +1338,130 @@ def test_v1_checkpoint_directory_is_refused(chunked_setup, tmp_path):
     manifest_path = os.path.join(ck, "manifest.json")
     with open(manifest_path, encoding="utf-8") as handle:
         manifest = json.load(handle)
-    assert manifest["format_version"] == 2
+    assert manifest["format_version"] == 3
     manifest["format_version"] = 1
     with open(manifest_path, "w", encoding="utf-8") as handle:
         json.dump(manifest, handle)
     with pytest.raises(IntegrityError, match="format version"):
         _chunked(pipeline, fields, workers=1, checkpoint=ck, resume=True)
+
+
+#: a checkpoint directory as the format-2 writer left it: one chunk of
+#: ``np.arange(4, dtype=np.float32)`` whose npz artifact held the chunk's
+#: outputs beside a four-byte blob
+_V2_CHECKPOINT = {
+    "manifest.json": (
+        "ewogICJjaHVua19kaWdlc3RzIjogWwogICAgIjZmZDIzMmI1N2YzZTlmYzVhYjg0MGI1M2ExMzllZWMxIgogIF0s"
+        "CiAgImZpbmdlcnByaW50IjogewogICAgInBsYW4iOiAidjIiCiAgfSwKICAiZm9ybWF0X3ZlcnNpb24iOiAyCn0K"
+    ),
+    "journal.jsonl": (
+        "eyJhcnRpZmFjdCI6ICJjaHVua3MvY2h1bmstMDAwMC5ucHoiLCAiYXJ0aWZhY3RfZGlnZXN0IjogIjgzMTMzMDYz"
+        "NDI1MGI5MWExYmY0NWE1YTJhNDU3NGEwIiwgImNodW5rIjogMCwgImlucHV0X2RpZ2VzdCI6ICI2ZmQyMzJiNTdm"
+        "M2U5ZmM1YWI4NDBiNTNhMTM5ZWVjMSJ9Cg=="
+    ),
+    "chunks/chunk-0000.npz": (
+        "UEsDBC0AAAAAAAAAIQBSMxP7//////////8LABQAb3V0cHV0cy5ucHkBABAAkAAAAAAAAACQAAAAAAAAAJNOVU1Q"
+        "WQEAdgB7J2Rlc2NyJzogJzxmNCcsICdmb3J0cmFuX29yZGVyJzogRmFsc2UsICdzaGFwZSc6ICg0LCksIH0gICAg"
+        "ICAgICAgICAgICAgICAgICAgICAgICAgICAgICAgICAgICAgICAgICAgICAgICAgICAgICAgICAgICAKAAAAAAAA"
+        "gD8AAABAAABAQFBLAwQtAAAAAAAAACEA+yAYY///////////CAAUAGJsb2IubnB5AQAQAIQAAAAAAAAAhAAAAAAA"
+        "AACTTlVNUFkBAHYAeydkZXNjcic6ICd8dTEnLCAnZm9ydHJhbl9vcmRlcic6IEZhbHNlLCAnc2hhcGUnOiAoNCwp"
+        "LCB9ICAgICAgICAgICAgICAgICAgICAgICAgICAgICAgICAgICAgICAgICAgICAgICAgICAgICAgICAgICAgCmJs"
+        "b2JQSwECLQMtAAAAAAAAACEAUjMT+5AAAACQAAAACwAAAAAAAAAAAAAAgAEAAAAAb3V0cHV0cy5ucHlQSwECLQMt"
+        "AAAAAAAAACEA+yAYY4QAAACEAAAACAAAAAAAAAAAAAAAgAHNAAAAYmxvYi5ucHlQSwUGAAAAAAIAAgBvAAAAiwEA"
+        "AAAA"
+    ),
+}
+
+
+def test_v2_checkpoint_directory_is_refused(tmp_path):
+    """A pinned format-2 directory, whose artifact kept the outputs in an
+    npz, is refused on resume by an error naming both versions, and the
+    refusal leaves it as it was."""
+    ck = tmp_path / "ck"
+    for name, text in _V2_CHECKPOINT.items():
+        (ck / name).parent.mkdir(parents=True, exist_ok=True)
+        (ck / name).write_bytes(base64.b64decode(text))
+    data = np.arange(4, dtype=np.float32)
+    manifest = {"fingerprint": {"plan": "v2"}, "chunk_digests": [digest_array(data)]}
+    with pytest.raises(IntegrityError, match="format version 2 does not match 3"):
+        CheckpointJournal(str(ck)).begin(manifest, resume=True)
+    for name, text in _V2_CHECKPOINT.items():
+        assert (ck / name).read_bytes() == base64.b64decode(text)
+
+
+@pytest.mark.parametrize("writer, reader", [("fused", "reference"), ("reference", "fused")])
+def test_a_journal_resumes_on_the_other_backend(chunked_setup, tmp_path, writer, reader):
+    """One computation in two modes: a journal the ``writer`` backend wrote
+    replays on the ``reader`` backend.  Replay recomputes the outputs
+    there, so the resumed run is the reader's uninterrupted run bit for
+    bit, and each chunk's certificate is the journaled one within the
+    replay slack."""
+    pipeline, fields, _ = chunked_setup
+
+    def on(backend):
+        return InferencePipeline(pipeline.model, pipeline.codec, pipeline.plan, backend=backend)
+
+    ck = str(tmp_path / "ck")
+    _chunked(on(writer), fields, workers=1, checkpoint=ck)
+    reading = on(reader)
+    oracle = _chunked(reading, fields, workers=1)
+    resumed = _resume_all(reading, fields, ck)
+    assert np.array_equal(resumed.outputs, oracle.outputs)
+    assert np.array_equal(resumed.reference_outputs, oracle.reference_outputs)
+    rows = len(resumed.outputs) // 4
+    for entry in CheckpointJournal(ck).entries():
+        chunk = slice(rows * entry["chunk"], rows * (entry["chunk"] + 1))
+        reference = resumed.reference_outputs[chunk]
+        observed = float(np.abs(resumed.outputs[chunk] - reference).max())
+        slack = 1e-5 * max(1.0, float(np.abs(reference).max()))
+        assert abs(observed - entry["observed_qoi_error"]) <= slack
+        assert observed <= pipeline.plan.qoi_tolerance
+
+
+@pytest.mark.parametrize("resealed", [False, True])
+@settings(max_examples=40, deadline=None)
+@given(chunk=st.integers(0, 3), data=st.data())
+def test_a_damaged_artifact_is_never_adopted(
+    chunked_setup, baseline_checkpoint, resealed, chunk, data
+):
+    """Property: flip any bit of one chunk's artifact or cut it anywhere.
+    As journaled, its line no longer verifies, so that chunk is recomputed
+    and the resumed run is the uninterrupted one bit for bit.  With the
+    line's digest rewritten to the damaged bytes (a writer that journaled
+    bad bytes) the blob's CRC32 and length checks, the decoder and the QoI
+    cross-check stand behind the digest: resume either refuses with a
+    typed error or replays the uninterrupted run bit for bit — it never
+    adopts a different result."""
+    pipeline, fields, _ = chunked_setup
+    baselines, full, _ = baseline_checkpoint
+    with tempfile.TemporaryDirectory() as scratch:
+        ck = os.path.join(scratch, "ck")
+        shutil.copytree(baselines["serial"], ck)
+        path = os.path.join(ck, "chunks", f"chunk-{chunk:04d}.rblob")
+        with open(path, "rb") as handle:
+            raw = handle.read()
+        if data.draw(st.booleans(), label="truncate"):
+            damaged = truncate(raw, data.draw(st.integers(0, len(raw) - 1), label="length"))
+        else:
+            damaged = flip_bit(raw, data.draw(st.integers(0, 8 * len(raw) - 1), label="bit"))
+        with open(path, "wb") as handle:
+            handle.write(damaged)
+        if resealed:
+            entries = CheckpointJournal(ck).entries()
+            for entry in entries:
+                if entry["chunk"] == chunk:
+                    entry["artifact_digest"] = digest_bytes(damaged)
+            _rewrite_journal(ck, entries)
+        try:
+            resumed = _chunked(pipeline, fields, workers=1, checkpoint=ck, resume=True)
+        except ReproError:
+            if resealed:
+                return
+            raise
+    if not resealed:
+        assert resumed.extra["checkpoint"]["replayed_chunks"] == 3
+    assert np.array_equal(resumed.outputs, full.outputs)
+    assert np.array_equal(resumed.reference_outputs, full.reference_outputs)
 
 
 def test_digests_are_pinned():
