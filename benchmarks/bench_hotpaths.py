@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Micro-benchmarks for the chunked-execution hot paths.
 
-Thirteen paths are timed and written in the unified ``benchutils`` row
+Fourteen paths are timed and written in the unified ``benchutils`` row
 shape (``{path, config, seconds, reps_s, throughput_mb_s}`` — record
 with ``repro bench record`` to feed the regression history; see
 docs/PERFORMANCE.md for how to read the output):
@@ -24,6 +24,9 @@ docs/PERFORMANCE.md for how to read the output):
 * ``sz_precision``        — one seeded float32 9x256x256 field against its
   float64 copy: ``compress`` and ``decompress`` in float32 and in float64
   arithmetic, with stored bytes and worst error / tolerance in the config;
+* ``codec_decode``        — SZ, ZFP and MGARD ``decompress`` of one smooth
+  3-D field at 1e-4, best of alternating reps, with each codec's
+  ``speedup_vs_sz`` in the config;
 * ``sz_roundtrip_faults`` — steady-state minor page faults, ``sys`` seconds
   and wall of one ``compress`` and one ``decompress`` of a 9x256x256 field
   (``resource.getrusage``; skipped where the module is missing): what the
@@ -67,7 +70,7 @@ from tests.oracles.entropy_reference import (
     huffman_encode_reference,
     read_sections_reference,
 )
-from repro.compress import ErrorBoundMode, huffman_decode, huffman_encode
+from repro.compress import ErrorBoundMode, get_compressor, huffman_decode, huffman_encode
 from repro.compress.sz import SZCompressor
 from repro.core.errorflow import ErrorFlowAnalyzer
 from repro.core.pipeline import InferencePipeline
@@ -223,6 +226,42 @@ def bench_sz_precision(reps: int) -> list[dict]:
         + f", stored bytes {grown * 100:+.2f} %, worst error / tolerance "
         f"{cases['float64'][2]:.4f} -> {cases['float32'][2]:.4f}"
     )
+    return rows
+
+
+def bench_codec_decode(side: int, reps: int) -> list[dict]:
+    """One row per codec: best ``decompress`` wall time of one smooth field
+    at 1e-4, the codecs timed in alternation; ``speedup_vs_sz`` is SZ's time
+    over the codec's."""
+    field = _smooth_field(side)
+    tolerance = 1e-4
+    codecs = {name: get_compressor(name) for name in ("sz", "zfp", "mgard")}
+    blobs = {name: codec.compress(field, tolerance) for name, codec in codecs.items()}
+    times = {name: [] for name in codecs}
+    for _ in range(max(reps, 7)):
+        for name, codec in codecs.items():
+            start = time.perf_counter()
+            codec.decompress(blobs[name])
+            times[name].append(time.perf_counter() - start)
+    rows = [
+        make_row(
+            "codec_decode",
+            {
+                "codec": name,
+                "field_shape": list(field.shape),
+                "tolerance": tolerance,
+                "reps": len(reps_s),
+                "stored_bytes": blobs[name].nbytes,
+                "speedup_vs_sz": min(times["sz"]) / min(reps_s),
+            },
+            min(reps_s),
+            reps_s=reps_s,
+            throughput_mb_s=field.nbytes / 1e6 / min(reps_s),
+        )
+        for name, reps_s in times.items()
+    ]
+    print("codec_decode: " + ", ".join(f"{name} {min(t)*1e3:.1f} ms" for name, t in times.items())
+          + f" ({field.shape}, zfp / sz {min(times['zfp']) / min(times['sz']):.2f}x)")
     return rows
 
 
@@ -720,6 +759,7 @@ def main(argv=None) -> int:
     rows += bench_huffman(n_symbols, n_small, n_field, reps)
     rows += bench_sz_compress(2 * side, reps)
     rows += bench_sz_precision(reps)
+    rows += bench_codec_decode(2 * side, reps)
     rows += bench_sz_roundtrip_faults(reps)
     rows += bench_pipeline_chunked(side, args.workers, reps)
     rows += bench_pipeline_checkpoint(side, args.workers, reps)

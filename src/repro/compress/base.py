@@ -55,7 +55,9 @@ class CodecScratch:
 
     The dtype column is SZ's (the entropy stage types its own views); in
     the L2 modes slots 3 and 4 also hold a pass's reconstruction in the
-    field's dtype and its error in float64.
+    field's dtype and its error in float64.  ZFP's decode follows the
+    Huffman decode with its float64 codes in slot 0, blocks in 1 and the
+    padded field in 3.
 
     Contents are garbage between codec calls.  Nothing a codec returns
     (payload bytes, the reconstruction) may be a view of a slot.  Not

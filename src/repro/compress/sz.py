@@ -349,6 +349,8 @@ class SZCompressor(Compressor):
         if blob.metadata.get("lossless"):
             return self._decompress_lossless(blob)
         eb, n_anchors, n_outliers, n_choices = struct.unpack_from("<dIIH", blob.payload, 0)
+        if not 0.0 < eb < np.inf:
+            raise CompressionError(f"sz blob names error bound {eb!r}")
         offset = struct.calcsize("<dIIH")
         n_choice_bytes = (n_choices + 7) // 8
         choice_bits = np.frombuffer(

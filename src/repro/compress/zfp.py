@@ -12,8 +12,11 @@ coefficients are quantized.  Two deliberate fidelity choices:
   supported (the paper's Fig. 8 notes ZFP has no L2 tolerance mode); an
   L2 pipeline plan reaches it as the pointwise budget ``tau / sqrt(n_0)``.
 
-Blocks are processed fully vectorized, which also reproduces ZFP's
-operational profile: stable throughput across tolerance levels.
+The separable transform of a flattened 4^d block is one Kronecker
+matrix, built once per block rank, so each direction is a single float64
+GEMM over all blocks; decode folds the step into the matrix and works in
+the codec scratch.  This also reproduces ZFP's operational profile:
+stable throughput across tolerance levels.
 """
 
 from __future__ import annotations
@@ -28,9 +31,10 @@ from .base import (
     Compressor,
     ErrorBoundMode,
     absolute_tolerance,
+    codec_scratch,
     guarded_pointwise_bound,
 )
-from .huffman import check_max_alphabet, huffman_decode, huffman_encode
+from .huffman import check_max_alphabet, decode_symbols, huffman_encode
 
 __all__ = ["ZFPCompressor"]
 
@@ -47,7 +51,18 @@ def _dct_matrix(n: int = _BLOCK) -> np.ndarray:
 
 
 _DCT = _dct_matrix()
-_IDCT = _DCT.T
+# one Kronecker matrix per block rank; the 3-D one is 64x64, 32 KB
+_KRON = {1: _DCT, 2: np.kron(_DCT, _DCT), 3: np.kron(_DCT, np.kron(_DCT, _DCT))}
+
+
+def _blocked(shape: tuple[int, ...], block_dims: int) -> tuple[tuple[int, ...], list[int]]:
+    """``shape`` padded to whole blocks as interleaved ``(count, 4)`` axes,
+    and the transpose that orders those as leading axes, counts, then 4s."""
+    n_lead = len(shape) - block_dims
+    counts = [-(-size // _BLOCK) for size in shape[n_lead:]]
+    interleaved = tuple(shape[:n_lead]) + sum(((count, _BLOCK) for count in counts), ())
+    axes = [n_lead + 2 * i + j for j in (0, 1) for i in range(block_dims)]
+    return interleaved, list(range(n_lead)) + axes
 
 
 def _block_split(data: np.ndarray, block_dims: int) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -57,48 +72,24 @@ def _block_split(data: np.ndarray, block_dims: int) -> tuple[np.ndarray, tuple[i
     as batch.  Edge padding replicates border values so padding is cheap
     to encode and cannot violate the error bound.
     """
-    trailing = data.shape[-block_dims:]
-    pad = [(0, 0)] * (data.ndim - block_dims) + [
-        (0, (-size) % _BLOCK) for size in trailing
-    ]
+    n_lead = data.ndim - block_dims
+    pad = [(0, 0)] * n_lead + [(0, -size % _BLOCK) for size in data.shape[n_lead:]]
     padded = np.pad(data, pad, mode="edge")
-    lead = padded.shape[: data.ndim - block_dims]
-    counts = [size // _BLOCK for size in padded.shape[-block_dims:]]
-    # interleave (count, 4) pairs then move the 4s last
-    interleaved_shape = list(lead)
-    for count in counts:
-        interleaved_shape.extend([count, _BLOCK])
-    reshaped = padded.reshape(interleaved_shape)
-    lead_axes = list(range(len(lead)))
-    count_axes = [len(lead) + 2 * i for i in range(block_dims)]
-    block_axes = [len(lead) + 2 * i + 1 for i in range(block_dims)]
-    transposed = reshaped.transpose(lead_axes + count_axes + block_axes)
-    blocks = transposed.reshape((-1,) + (_BLOCK,) * block_dims)
+    interleaved, axes = _blocked(data.shape, block_dims)
+    blocks = padded.reshape(interleaved).transpose(axes).reshape((-1,) + (_BLOCK,) * block_dims)
     return np.ascontiguousarray(blocks), padded.shape
 
 
-def _block_join(
-    blocks: np.ndarray, padded_shape: tuple[int, ...], original_shape: tuple[int, ...], block_dims: int
-) -> np.ndarray:
-    """Inverse of :func:`_block_split`."""
-    lead = padded_shape[: len(padded_shape) - block_dims]
-    counts = [size // _BLOCK for size in padded_shape[-block_dims:]]
-    shaped = blocks.reshape(tuple(lead) + tuple(counts) + (_BLOCK,) * block_dims)
-    n_lead = len(lead)
-    axes = list(range(n_lead))
-    for i in range(block_dims):
-        axes.extend([n_lead + i, n_lead + block_dims + i])
-    padded = shaped.transpose(axes).reshape(padded_shape)
-    crop = tuple(slice(0, size) for size in original_shape)
-    return padded[crop]
-
-
-def _transform(blocks: np.ndarray, matrix: np.ndarray, block_dims: int) -> np.ndarray:
-    """Apply ``matrix`` along each of the trailing block axes."""
-    out = blocks
-    for axis in range(1, block_dims + 1):
-        out = np.moveaxis(np.tensordot(out, matrix, axes=([axis], [1])), -1, axis)
-    return out
+def _block_join(blocks: np.ndarray, shape: tuple[int, ...], block_dims: int) -> np.ndarray:
+    """Inverse of :func:`_block_split`: the array of ``shape``, padding
+    cropped, as a view of scratch slot 3."""
+    interleaved, axes = _blocked(shape, block_dims)
+    padded = codec_scratch().take(3, interleaved, blocks.dtype)
+    ordered = padded.transpose(axes)
+    ordered[...] = blocks.reshape(ordered.shape)
+    n_lead = len(shape) - block_dims
+    whole = interleaved[:n_lead] + tuple(_BLOCK * count for count in interleaved[n_lead::2])
+    return padded.reshape(whole)[tuple(map(slice, shape))]
 
 
 class ZFPCompressor(Compressor):
@@ -174,10 +165,10 @@ class ZFPCompressor(Compressor):
             return self._lossless_blob(data, tolerance, mode)
         block_dims = self._block_dims(work.ndim)
         blocks, padded_shape = _block_split(work, block_dims)
-        coefficients = _transform(blocks, _DCT, block_dims)
+        k = _BLOCK**block_dims
+        coefficients = blocks.reshape(-1, k) @ _KRON[block_dims].T
         # Orthonormal transform: pointwise error <= l2 coefficient error
         # <= sqrt(K) * step / 2 with K coefficients per block.
-        k = _BLOCK**block_dims
         step = 2.0 * eb / np.sqrt(k)
         codes = np.round(coefficients / step).astype(np.int64)
         entropy = huffman_encode(codes.ravel(), max_alphabet=self.max_alphabet)
@@ -197,15 +188,16 @@ class ZFPCompressor(Compressor):
         if blob.metadata.get("lossless"):
             return self._decompress_lossless(blob)
         step, block_dims = struct.unpack_from("<dB", blob.payload, 0)
-        offset = struct.calcsize("<dB")
-        codes = huffman_decode(blob.payload[offset:])
-        original_shape = blob.shape
-        trailing = original_shape[len(original_shape) - block_dims :]
-        padded_trailing = tuple(size + (-size) % _BLOCK for size in trailing)
-        padded_shape = original_shape[: len(original_shape) - block_dims] + padded_trailing
-        n_blocks = int(np.prod(padded_shape)) // (_BLOCK**block_dims)
-        coefficients = (
-            codes.astype(np.float64).reshape((n_blocks,) + (_BLOCK,) * block_dims) * step
-        )
-        blocks = _transform(coefficients, _IDCT, block_dims)
-        return _block_join(blocks, padded_shape, original_shape, block_dims).astype(blob.dtype)
+        if not 0.0 < step < np.inf:
+            raise CompressionError(f"zfp blob names step {step!r}")
+        if block_dims != self._block_dims(len(blob.shape)):
+            raise CompressionError(f"zfp blob names block rank {block_dims}")
+        # in scratch slots (see CodecScratch): only the returned copy is new
+        scratch = codec_scratch()
+        codes = decode_symbols(blob.payload[struct.calcsize("<dB") :], 2)
+        k = _BLOCK**block_dims
+        coefficients = scratch.take(0, (codes.size // k, k))
+        coefficients[...] = codes.reshape(-1, k)
+        blocks = scratch.take(1, coefficients.shape)
+        np.matmul(coefficients, _KRON[block_dims] * step, out=blocks)
+        return _block_join(blocks, blob.shape, block_dims).astype(blob.dtype)

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compress import ErrorBoundMode, SZCompressor
+from repro.compress import ErrorBoundMode, SZCompressor, ZFPCompressor
 from repro.compress.base import CodecScratch, codec_scratch, guarded_pointwise_bound
 from repro.compress.huffman import huffman_decode, huffman_encode
 from repro.compress.sz import _working_precision
@@ -318,6 +318,36 @@ def test_steady_state_round_trip_allocates_at_most_twice_the_field():
         tracemalloc.stop()
     assert np.abs(restored - data).max() <= 1e-3
     assert compress_peak <= budget and decompress_peak <= budget
+
+
+def test_zfp_decode_returns_a_fresh_field_and_allocates_little_else():
+    """ZFP's decode keeps its codes, blocks and padded field in slots 0-3:
+    other fields decoded in between change nothing, nothing returned is a
+    slot, and in steady state the returned field is nearly the whole
+    allocation (13x the field's bytes before)."""
+    codec = ZFPCompressor()
+    a, b = _field((9, 40, 40), np.float32, seed=1), _field((33, 17), np.float64, seed=2)
+    blob_a, blob_b = codec.compress(a, 1e-3), codec.compress(b, 1e-4)
+    first = codec.decompress(blob_a)
+    kept = first.copy()
+    restored_b = codec.decompress(blob_b)
+    assert np.array_equal(codec.decompress(blob_a), kept) and np.array_equal(first, kept)
+    assert not _aliases_scratch(first) and not _aliases_scratch(restored_b)
+    assert not _aliases_scratch(codec.safe_decompress(blob_b))
+
+    data = _field((9, 256, 256), np.float32, seed=8)
+    blob = codec.compress(data, 1e-3)
+    for __ in range(2):
+        codec.decompress(blob)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        restored = codec.decompress(blob)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert np.abs(restored - data).max() <= 1e-3
+    assert peak <= 3 * data.nbytes
 
 
 # -- the bound guard without its float64 copy ------------------------------------

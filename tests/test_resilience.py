@@ -7,6 +7,7 @@ DatasetStore's verified reads, pipeline-level recovery, and v1
 backward compatibility.
 """
 
+import dataclasses
 import os
 import struct
 
@@ -522,6 +523,46 @@ def test_safe_decompress_wrong_codec_rejected(smooth_field_2d):
     blob = SZCompressor().compress(smooth_field_2d, 1e-3, ErrorBoundMode.ABS)
     with pytest.raises(CompressionError):
         ZFPCompressor().safe_decompress(blob)
+
+
+def _seeded_field(shape):
+    grids = np.meshgrid(*(np.linspace(0, 2 * np.pi, size) for size in shape), indexing="ij")
+    field = sum(np.sin((axis + 1) * grid) for axis, grid in enumerate(grids))
+    noise = 1e-3 * np.random.default_rng(5).standard_normal(shape)
+    return (field + noise).astype(np.float32)
+
+
+def _with_header(blob, offset, raw):
+    """``blob`` with the payload bytes at ``offset`` replaced by ``raw``."""
+    payload = blob.payload[:offset] + raw + blob.payload[offset + len(raw) :]
+    return dataclasses.replace(blob, payload=payload)
+
+
+@pytest.mark.parametrize("codec", ["sz", "zfp", "mgard"])
+@pytest.mark.parametrize("value", ["sign", 0.0, -0.0, np.inf, -np.inf, np.nan])
+def test_an_impossible_header_step_is_refused(codec, value):
+    """The first header double is SZ's ``eb``, MGARD's ``base`` and ZFP's
+    ``step``.  With its sign bit flipped each codec decoded a field 8 off
+    at tolerance 1e-2; a step that is not finite and positive is refused."""
+    compressor = get_compressor(codec)
+    blob = compressor.compress(_seeded_field((4, 16, 16)), 1e-2, ErrorBoundMode.ABS)
+    (step,) = struct.unpack_from("<d", blob.payload, 0)
+    assert 0.0 < step < np.inf
+    raw = struct.pack("<d", -step if value == "sign" else value)
+    with pytest.raises(CompressionError, match="blob names"):
+        compressor.safe_decompress(_with_header(blob, 0, raw))
+
+
+@pytest.mark.parametrize("block_dims", [0, 1, 2, 4, 255])
+def test_zfp_refuses_a_block_rank_other_than_the_shapes(block_dims):
+    """A block-aligned (4, 8, 8) field decodes under any block rank that
+    divides its extents, 4-5 off at tolerance 1e-2: the rank byte must be
+    ``min(ndim, 3)``."""
+    compressor = ZFPCompressor()
+    blob = compressor.compress(_seeded_field((4, 8, 8)), 1e-2, ErrorBoundMode.ABS)
+    assert blob.payload[8] == 3
+    with pytest.raises(CompressionError, match="block rank"):
+        compressor.safe_decompress(_with_header(blob, 8, bytes([block_dims])))
 
 
 # -- .rblob v2 fuzz ---------------------------------------------------------------
