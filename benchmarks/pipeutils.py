@@ -63,7 +63,7 @@ def pipeline_sweep(
                     "fraction": float(fraction),
                     "fmt": plan.fmt.name,
                     "predicted_bound": predicted,
-                    "achieved": result.qoi_error(norm, relative=False),
+                    "achieved": result.certificate.qoi_error,
                     "ratio": result.compression_ratio,
                     "io_gbps": io_gbps,
                     "exec_gbps": exec_gbps,

@@ -40,7 +40,7 @@ def main() -> None:
             plan = planner.plan(float(tolerance), norm="linf", quant_fraction=0.5)
             pipeline = InferencePipeline(workload.model, codec, plan)
             result = pipeline.execute(workload.dataset.fields)
-            achieved = result.qoi_error("linf", relative=False)
+            achieved = result.certificate.qoi_error
             io_gbps = io_model.throughput_gbps(codec_name, result.compression_ratio)
             exec_gbps = exec_model.data_throughput_gbps(flops, 36, plan.fmt.name)
             total = min(io_gbps, exec_gbps)

@@ -53,7 +53,7 @@ def main() -> None:
     # --- 4. execute and verify -------------------------------------------------
     pipeline = InferencePipeline(borghesi.model, MGARDCompressor(), plans["borghesi"])
     result = pipeline.execute(borghesi.dataset.fields)
-    achieved = result.qoi_error("linf", relative=False)
+    achieved = result.certificate.qoi_error
     print(f"\nborghesi pipeline: ratio {result.compression_ratio:.2f}x, "
           f"achieved {achieved:.3e} <= {QOI_TOLERANCE:.0e}")
     assert achieved <= QOI_TOLERANCE

@@ -47,7 +47,7 @@ def main() -> None:
           f"inference {result.inference_seconds * 1e3:.1f} ms")
 
     # --- 5. the contract ------------------------------------------------------
-    achieved = result.qoi_error("linf", relative=False)
+    achieved = result.certificate.qoi_error
     print(f"\nachieved QoI error {achieved:.3e} <= tolerance {TOLERANCE:.1e}: "
           f"{achieved <= TOLERANCE}")
     assert achieved <= TOLERANCE

@@ -533,11 +533,11 @@ def _log_checkpoint(result) -> None:
         )
 
 
-def _tolerance_verdict(result, args) -> int:
-    """Log the achieved QoI error against ``--tolerance``; the exit code."""
-    achieved = result.qoi_error(args.norm, relative=False)
-    _LOG.info(f"achieved QoI error: {achieved:.4e} (tolerance {args.tolerance:.1e})")
-    if achieved > args.tolerance:
+def _tolerance_verdict(result) -> int:
+    """Log the run's certificate against ``--tolerance``; the exit code."""
+    cert = result.certificate
+    _LOG.info(f"achieved QoI error: {cert.qoi_error:.4e} (tolerance {cert.qoi_tolerance:.1e})")
+    if not cert.holds:
         _LOG.error("TOLERANCE VIOLATED")
         return 1
     _LOG.info("tolerance honoured")
@@ -596,7 +596,7 @@ def _cmd_pipeline(args) -> int:
         ratio = result.compression_ratio
     _LOG.info(pipeline.plan.describe())
     _LOG.info(f"compression ratio: {ratio:.2f}x")
-    return _tolerance_verdict(result, args)
+    return _tolerance_verdict(result)
 
 
 def _cmd_coordinate(args) -> int:
@@ -661,7 +661,7 @@ def _cmd_coordinate(args) -> int:
                 f"{counts['rejected']} rejected"
             )
     _log_checkpoint(result)
-    return _tolerance_verdict(result, args)
+    return _tolerance_verdict(result)
 
 
 def _cmd_worker(args) -> int:

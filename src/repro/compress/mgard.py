@@ -222,7 +222,8 @@ class MGARDCompressor(Compressor):
         if blob.metadata.get("lossless"):
             return self._decompress_lossless(blob)
         base, n_levels, n_coarse = struct.unpack_from("<dBI", blob.payload, 0)
-        if not 0.0 < base < np.inf:
+        # the header repeats the payload's step: a flipped bit is refused here
+        if not 0.0 < base < np.inf or base != blob.metadata.get("base_step", base):
             raise CompressionError(f"mgard blob names base step {base!r}")
         offset = struct.calcsize("<dBI")
         coarse = np.frombuffer(blob.payload, dtype=np.float64, count=n_coarse, offset=offset)

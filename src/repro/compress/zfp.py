@@ -188,14 +188,16 @@ class ZFPCompressor(Compressor):
         if blob.metadata.get("lossless"):
             return self._decompress_lossless(blob)
         step, block_dims = struct.unpack_from("<dB", blob.payload, 0)
-        if not 0.0 < step < np.inf:
-            raise CompressionError(f"zfp blob names step {step!r}")
         if block_dims != self._block_dims(len(blob.shape)):
             raise CompressionError(f"zfp blob names block rank {block_dims}")
+        k = _BLOCK**block_dims
+        # the header's bound fixes the payload's step: a flipped bit is refused here
+        eb = blob.metadata.get("eb")
+        if not 0.0 < step < np.inf or (eb is not None and step != 2.0 * eb / np.sqrt(k)):
+            raise CompressionError(f"zfp blob names step {step!r}")
         # in scratch slots (see CodecScratch): only the returned copy is new
         scratch = codec_scratch()
         codes = decode_symbols(blob.payload[struct.calcsize("<dB") :], 2)
-        k = _BLOCK**block_dims
         coefficients = scratch.take(0, (codes.size // k, k))
         coefficients[...] = codes.reshape(-1, k)
         blocks = scratch.take(1, coefficients.shape)

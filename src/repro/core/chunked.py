@@ -39,7 +39,7 @@ from ..resilience.guards import screen_finite
 from ..resilience.inject import ChaosInjector
 from ..resilience.retry import RetryPolicy
 from ..resilience.supervisor import SupervisedPool, fork_available
-from .pipeline import PipelineResult, _field_samples
+from .pipeline import Certificate, PipelineResult, _field_samples, _plan_terms
 
 __all__ = ["ChunkRun", "resolve_executor", "run_supervised", "split_chunks"]
 
@@ -125,20 +125,12 @@ class ChunkRun:
         handshake: every decision that makes two runs 'the same computation'
         — plan, codec and the arithmetic of its streams, chunking — plus
         per-chunk input digests."""
-        pipeline, plan = self.pipeline, self.pipeline.plan
+        codec = self.pipeline.codec
         return {
             "fingerprint": {
-                "codec": pipeline.codec.name,
-                "precision": pipeline.codec.stream_precision(self.chunks[0].dtype),
-                "fmt": plan.fmt.name,
-                "norm": plan.norm,
-                "qoi_tolerance": float(plan.qoi_tolerance),
-                "input_tolerance": float(plan.input_tolerance),
-                "quant_bound": float(plan.quant_bound),
-                # pinned: recovery left the pipeline for the pool, and
-                # journals written before that must still resume
-                "policy": "raise",
-                "screen": bool(pipeline.screen),
+                "codec": codec.name,
+                "precision": codec.stream_precision(self.chunks[0].dtype),
+                **_plan_terms(self.pipeline.plan),
                 "chunk_size": self.chunk_size,
                 "chunk_axis": self.chunk_axis,
                 "n_chunks": len(self.chunks),
@@ -212,9 +204,8 @@ class ChunkRun:
         """Re-screen a chunk result wherever it changes hands: execute's
         own guard ran before the chaos hooks, the commit and the pipe.  A
         packed result is screened in the slab rows its worker wrote."""
-        if self.pipeline.screen:
-            outputs = self.rows(index)[0] if result.outputs is None else result.outputs
-            screen_finite(outputs, stage="chunk", name="outputs")
+        outputs = self.rows(index)[0] if result.outputs is None else result.outputs
+        screen_finite(outputs, stage="chunk", name="outputs")
 
     def commit(
         self,
@@ -242,15 +233,12 @@ class ChunkRun:
             "input_digest": self.digests[index],
             "attempts": int(attempts),
             "quarantined": bool(quarantined),
-            "observed_qoi_error": float(result.qoi_error(self.pipeline.plan.norm, relative=False)),
-            "input_error_linf": float(result.input_error_linf),
-            "input_error_l2_max": float(result.input_error_l2_max),
+            "certificate": result.certificate.to_dict(),
             "timings": {
                 "compress": result.compress_seconds,
                 "decompress": result.decompress_seconds,
                 "inference": result.inference_seconds,
             },
-            "integrity": result.extra.get("integrity", {}),
             "audit": result.extra.get("audit"),
         }
         if seconds is not None:
@@ -267,28 +255,29 @@ class ChunkRun:
         blob runs through ``execute``'s post-store half on that chunk —
         the input the manifest digest pins: decode (CRC check, screen),
         quantized and reference forwards, input errors, contract guard —
-        and the QoI error it gives must be the one the entry certifies.
-        Its timings are this replay's (no compress).  The entry's audit
+        and its certificate must be the entry's: the QoI error within the
+        round-off of a reference recomputed on another host or backend,
+        every other field exactly.  Its timings are this replay's.  The entry's audit
         record (the producing run's verdicts, not a fresh re-audit) is
         adopted into the live auditor, so a resumed run's registry
         matches an uninterrupted one.  The rows land in the slab.
         """
-        pipeline = self.pipeline
         index = int(entry["chunk"])
-        result = pipeline.execute(
+        journaled = Certificate.from_dict(entry.get("certificate"))
+        result = self.pipeline.execute(
             self.chunks[index], self.samples_from_fields, stored=blob_from_bytes(blob_bytes)
         )
         result.extra[origin] = True
-        observed = result.qoi_error(pipeline.plan.norm, relative=False)
-        journaled = entry.get("observed_qoi_error")
-        # float round-off of a reference recomputed on another host, not
-        # a second opinion on the certificate
+        replayed = result.certificate
         slack = 1e-5 * max(1.0, float(np.abs(result.reference_outputs).max()))
-        if not isinstance(journaled, (int, float)) or not abs(observed - journaled) <= slack:
+        if (
+            dataclasses.replace(replayed, qoi_error=journaled.qoi_error) != journaled
+            or not abs(replayed.qoi_error - journaled.qoi_error) <= slack
+        ):
             raise IntegrityError(
-                f"chunk {entry.get('chunk')} replays with QoI error {observed!r} "
-                f"but its journal entry certifies {journaled!r}: the entry "
-                "and the artifact do not describe the same computation"
+                f"chunk {index} replays with certificate {replayed} but its "
+                f"journal entry certifies {journaled}: the entry and the "
+                "artifact do not describe the same computation"
             )
         if entry.get("audit"):
             result.extra["audit"] = entry["audit"]
@@ -309,9 +298,49 @@ class ChunkRun:
         chaos=None,
         distrib=None,
     ) -> PipelineResult:
-        """What ``InferencePipeline.execute_chunked`` delegates to (its
-        docstring describes the arguments): replay what ``checkpoint``
-        already holds, run the rest on the resolved executor, assemble."""
+        """What ``InferencePipeline.execute_chunked`` delegates to: replay
+        what ``checkpoint`` already holds, run the rest on the resolved
+        executor, assemble: outputs over the slab, stage timings summed
+        over chunks, the chunks' :meth:`Certificate.combine`, ``blob`` the
+        first chunk's, and ``extra`` with ``"chunked"``, ``"supervision"``
+        (whenever a chunk was computed here), ``"distrib"`` and
+        ``"checkpoint"``.  With auditing on every chunk is audited as its
+        own run, and records from pool workers, remote workers or a replay
+        are adopted into the parent auditor: one registry entry per chunk.
+
+        Parameters
+        ----------
+        workers:
+            ``None``/1 = serial, ``0`` = one per usable CPU, else literal.
+        executor:
+            ``"serial"`` — the :class:`~repro.resilience.supervisor.
+            SupervisedPool`'s in-process loop (retry/backoff, quarantine);
+            ``"process"`` — the same pool over forked workers (plus
+            deadlines, respawn, breaker); ``"distributed"`` — chunks leased
+            to remote workers by a :class:`~repro.distrib.coordinator.
+            ShardCoordinator`, degrading to the local pool if no worker
+            joins; ``"auto"`` (default) — :func:`resolve_executor`.
+        checkpoint:
+            Directory of a :class:`~repro.io.checkpoint.CheckpointJournal`:
+            each certified-complete chunk is persisted (its serialized
+            blob, then its journal line) by the process that computed it.
+        resume:
+            Verify that ``checkpoint`` journals this exact computation,
+            replay its chunks (:meth:`result_from_record`) and compute only
+            the rest.
+        task_timeout:
+            Per-chunk deadline in seconds (forked workers only), from when
+            a worker starts the chunk; expiry kills it and retries it.
+        max_task_retries:
+            Retry budget per chunk before quarantine, on every executor; a
+            quarantined chunk re-runs in the parent in degraded lossless mode.
+        chaos:
+            Optional :class:`~repro.resilience.inject.ChaosInjector` for the
+            pool workers (default: the ``REPRO_CHAOS`` spec); in
+            distributed mode chaos belongs to the worker processes.
+        distrib:
+            Optional :class:`~repro.distrib.coordinator.DistribConfig`.
+        """
         pipeline = self.pipeline
         n_workers = resolve_workers(workers)
         requested_executor = executor
@@ -388,15 +417,11 @@ class ChunkRun:
                 int(np.prod(r.blob.shape)) * np.dtype(r.blob.dtype).itemsize for r in ordered
             )
             compressed_total = sum(len(r.blob.payload) for r in ordered)
-            integrity = {
-                "screened": pipeline.screen,
-                "degraded": any(r.extra["integrity"].get("degraded", False) for r in ordered),
-            }
             aggregate_ratio = raw_total / compressed_total if compressed_total else float("inf")
             root.set(compression_ratio=aggregate_ratio, wall_seconds=wall_seconds)
 
         extra = {
-            "integrity": integrity,
+            "integrity": {"degraded": any(r.extra["integrity"]["degraded"] for r in ordered)},
             "chunked": {
                 "n_chunks": len(self.chunks),
                 "chunk_size": self.chunk_size,
@@ -428,8 +453,7 @@ class ChunkRun:
             compress_seconds=sum(r.compress_seconds for r in ordered),
             decompress_seconds=sum(r.decompress_seconds for r in ordered),
             inference_seconds=sum(r.inference_seconds for r in ordered),
-            input_error_linf=max(r.input_error_linf for r in ordered),
-            input_error_l2_max=max(r.input_error_l2_max for r in ordered),
+            certificate=Certificate.combine(r.certificate for r in ordered),
             extra=extra,
         )
 

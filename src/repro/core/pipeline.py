@@ -10,7 +10,10 @@ the user's tolerance — the paper's central claim.
 Runtime guards make that claim *checked*, not assumed: decompressed
 inputs and QoI outputs are screened for NaN/Inf, and the achieved input
 error is compared against the codec's pointwise budget, raising a
-structured :class:`~repro.exceptions.ContractViolation` on breach.  Every
+structured :class:`~repro.exceptions.ContractViolation` on breach.  What
+a run certifies is one :class:`Certificate` on ``result.certificate``:
+the plan's tolerances and bound beside the errors measured once, in
+``execute``, on the one reconstruction it stored.  Every
 plan asks the codec for a pointwise (ABS) bound: an L2 plan's per-sample
 budget ``tau`` becomes ``tau / sqrt(n_0)`` (``plan.codec_tolerance``),
 which holds ``||Delta x_i||_2 <= tau`` for every sample and so composes
@@ -22,6 +25,7 @@ executor.
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 import time
 from dataclasses import dataclass, field
@@ -29,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..compress.base import CompressedBlob, Compressor, ErrorBoundMode
-from ..exceptions import ConfigurationError, ReproError
+from ..exceptions import ConfigurationError, IntegrityError, ReproError
 from ..nn.backend import CompiledForward, resolve_backend_name
 from ..nn.module import Module
 from ..obs import get_auditor, get_logger, get_metrics, get_tracer
@@ -46,6 +50,88 @@ def _field_samples(fields: np.ndarray) -> np.ndarray:
     return fields.reshape(fields.shape[0], -1).T.astype(np.float32)
 
 
+_NORMS = ("linf", "l2")
+_MEASURED = ("qoi_error", "input_error_linf", "input_error_l2_max", "codec_error")
+
+
+def _plan_terms(plan: InferencePlan) -> dict:
+    """A plan's promise, as a certificate and a run fingerprint name it."""
+    return {
+        "norm": plan.norm,
+        "qoi_tolerance": float(plan.qoi_tolerance),
+        "fmt": plan.fmt.name,
+        "quant_bound": float(plan.quant_bound),
+        "input_tolerance": float(plan.input_tolerance),
+        "codec_tolerance": float(plan.codec_tolerance),
+    }
+
+
+def _qoi_error(outputs: np.ndarray, reference: np.ndarray, norm: str) -> float:
+    """Worst per-sample absolute QoI error in ``norm``, reduced in one buffer."""
+    if norm not in _NORMS:
+        raise ValueError(f"norm must be 'linf' or 'l2', got {norm!r}")
+    delta = np.subtract(outputs, reference)
+    if norm == "linf" or not delta.size:  # the largest per-sample maximum is the global one
+        return float(np.abs(delta, out=delta).max(initial=0.0))
+    return float(np.linalg.norm(delta.reshape(len(delta), -1), axis=1).max(initial=0.0))
+
+
+@dataclass(frozen=True)
+class Certificate:
+    """What one run certifies: the plan's terms (:func:`_plan_terms`) and
+    the errors ``execute`` measured on the reconstruction it stored — the
+    worst per-sample QoI error in ``norm``, the worst per-sample input
+    errors and the largest pointwise field error, which ``codec_tolerance``
+    bounds.  Each is a maximum, so :meth:`combine` of a run's chunks is
+    exactly the whole run's."""
+
+    norm: str
+    qoi_tolerance: float
+    fmt: str
+    quant_bound: float
+    input_tolerance: float
+    codec_tolerance: float
+    qoi_error: float
+    input_error_linf: float
+    input_error_l2_max: float
+    codec_error: float
+
+    @property
+    def holds(self) -> bool:
+        return self.qoi_error <= self.qoi_tolerance
+
+    def to_dict(self) -> dict:
+        return dataclasses.asdict(self)
+
+    @classmethod
+    def from_dict(cls, payload) -> "Certificate":
+        """The one reader: exactly the fields, ``norm`` linf or l2, ``fmt``
+        a name and finite non-negative floats, or :class:`IntegrityError`."""
+        names = [f.name for f in dataclasses.fields(cls)]
+        if not isinstance(payload, dict) or set(payload) != set(names):
+            raise IntegrityError(f"certificate {payload!r} does not name exactly {names}")
+        for name, value in payload.items():
+            if name == "norm":
+                valid = value in _NORMS
+            elif name == "fmt":
+                valid = isinstance(value, str) and value != ""
+            else:  # NaN compares false
+                valid = isinstance(value, float) and 0.0 <= value < np.inf
+            if not valid:
+                raise IntegrityError(f"certificate field {name} is {value!r}")
+        return cls(**payload)
+
+    @classmethod
+    def combine(cls, certificates) -> "Certificate":
+        """A run's certificate from its chunks': one plan, each largest error."""
+        certificates = list(certificates)
+        worst = {name: max(getattr(c, name) for c in certificates) for name in _MEASURED}
+        combined = dataclasses.replace(certificates[0], **worst)
+        if any(dataclasses.replace(c, **worst) != combined for c in certificates):
+            raise IntegrityError("chunk certificates name different plans")
+        return combined
+
+
 @dataclass
 class PipelineResult:
     """Everything measured in one pipeline execution."""
@@ -57,31 +143,20 @@ class PipelineResult:
     compress_seconds: float
     decompress_seconds: float
     inference_seconds: float
-    input_error_linf: float
-    input_error_l2_max: float
+    certificate: Certificate
     extra: dict = field(default_factory=dict)
 
     @property
     def compression_ratio(self) -> float:
         return self.blob.compression_ratio
 
-    def qoi_error(self, norm: str = "linf", relative: bool = True) -> float:
-        """Worst per-sample QoI error of this run."""
-        if norm not in ("linf", "l2"):
-            raise ValueError(f"norm must be 'linf' or 'l2', got {norm!r}")
-        delta = (self.outputs - self.reference_outputs).reshape(len(self.outputs), -1)
-        if norm == "linf":  # the largest per-sample maximum is the global one
-            worst = float(np.abs(delta).max(initial=0.0))
-        else:
-            worst = float(np.linalg.norm(delta, axis=1).max(initial=0.0))
-        if not relative:
-            return worst
-        reference = self.reference_outputs.reshape(len(self.reference_outputs), -1)
-        if norm == "linf":
-            scale = np.abs(reference).max()
-        else:
-            scale = float(np.linalg.norm(reference, axis=1).max())
-        return worst / scale if scale > 0 else worst
+    @property
+    def input_error_linf(self) -> float:
+        return self.certificate.input_error_linf
+
+    def qoi_error(self, norm: str = "linf") -> float:
+        """Worst per-sample absolute QoI error of this run."""
+        return _qoi_error(self.outputs, self.reference_outputs, norm)
 
 
 class InferencePipeline:
@@ -96,9 +171,6 @@ class InferencePipeline:
     plan:
         Allocation produced by the planner; fixes the weight format and
         the compressor tolerance.
-    screen:
-        Disable to skip NaN/Inf screening and contract checking
-        (measurement-only runs on data known to be dirty).
     backend:
         Execution backend for the forward passes: ``"auto"`` (default,
         resolves to ``"fused"``), ``"reference"`` or ``"fused"``; ``None``
@@ -121,14 +193,12 @@ class InferencePipeline:
         model: Module,
         codec: Compressor,
         plan: InferencePlan,
-        screen: bool = True,
         backend: "str | None" = None,
         instrument_ops: "bool | None" = None,
     ) -> None:
         self.model = model
         self.codec = codec
         self.plan = plan
-        self.screen = screen
         self.backend = resolve_backend_name(backend)
         self.instrument_ops = instrument_ops
         self.quantized: QuantizedModel = quantize_model(model, plan.fmt)
@@ -147,7 +217,7 @@ class InferencePipeline:
 
     def load(self, blob: CompressedBlob) -> np.ndarray:
         """Decompress fields back into network-ready arrays (screened)."""
-        return self.codec.safe_decompress(blob, screen=self.screen)
+        return self.codec.safe_decompress(blob)
 
     def _store_and_load(
         self, fields: np.ndarray, force_lossless: bool = False,
@@ -235,23 +305,22 @@ class InferencePipeline:
         -------
         PipelineResult
             Outputs, reference (uncompressed FP32) outputs, timings and
-            achieved input errors.  ``extra["integrity"]`` records what
-            the guards observed; ``extra["audit"]`` holds the layerwise
-            predicted-vs-observed record when auditing is enabled.
+            the run's :class:`Certificate`.  ``extra["integrity"]``
+            records whether the blob is a degraded lossless one;
+            ``extra["audit"]`` holds the layerwise predicted-vs-observed
+            record when auditing is enabled.
         """
         if samples_from_fields is None:
             samples_from_fields = _field_samples
 
-        tracer = get_tracer()
-        metrics = get_metrics()
+        tracer, metrics = get_tracer(), get_metrics()
         with tracer.span(
             "pipeline.execute",
             codec=self.codec.name,
             norm=self.plan.norm,
             fmt=self.plan.fmt.name,
         ) as root:
-            if self.screen:
-                screen_finite(fields, stage="source", name="fields")
+            screen_finite(fields, stage="source", name="fields")
             self.model.eval()
             execute_context = tracer.inject(root)
 
@@ -287,25 +356,20 @@ class InferencePipeline:
 
             # the join: everything below needs both sides
             reference_samples, reference = reference_result()
+            # before the field delta, so its buffer is free again by then
+            qoi_error = _qoi_error(outputs, reference, self.plan.norm)
             delta = reference_samples - samples
-            input_error_linf = float(np.abs(delta).max()) if delta.size else 0.0
             input_error_l2_max = (
                 float(np.linalg.norm(delta, axis=1).max()) if delta.size else 0.0
             )
+            input_error_linf = float(np.abs(delta, out=delta).max()) if delta.size else 0.0
 
-            integrity: dict = {
-                "screened": self.screen,
-                "degraded": bool(blob.metadata.get("degraded", False)),
-            }
             # The codec's pointwise contract is over the stored field array
             # in its native dtype — measure it there, not after the sample
             # cast.  The certificate's per-sample error is input_error_*.
-            if self.screen or tracer.enabled:
-                field_delta = np.subtract(fields, reconstructed, dtype=np.float64)
-                np.abs(field_delta, out=field_delta)
-                achieved = float(field_delta.max()) if field_delta.size else 0.0
-            else:
-                achieved = float("nan")
+            field_delta = np.subtract(fields, reconstructed, dtype=np.float64)
+            np.abs(field_delta, out=field_delta)
+            achieved = float(field_delta.max()) if field_delta.size else 0.0
             budget = float(self.plan.codec_tolerance)
             with tracer.span(
                 "pipeline.guard",
@@ -314,23 +378,16 @@ class InferencePipeline:
                 predicted_bound=budget,
                 observed_error=achieved,
                 contract_slack=budget - achieved,
-                screened=self.screen,
             ) as guard_span:
-                if self.screen:
-                    screen_finite(outputs, stage="qoi", name="outputs")
-                    integrity["input_contract"] = {
-                        "norm": "linf",
-                        "expected": budget,
-                        "achieved": achieved,
-                    }
-                    check_contract(
-                        achieved,
-                        budget,
-                        codec=self.codec.name,
-                        stage="decompress",
-                        norm="linf",
-                        slack=1e-9,
-                    )
+                screen_finite(outputs, stage="qoi", name="outputs")
+                check_contract(
+                    achieved,
+                    budget,
+                    codec=self.codec.name,
+                    stage="decompress",
+                    norm="linf",
+                    slack=1e-9,
+                )
 
             backend_info: dict = {"name": self.backend}
             if self._forward_quant.last_fallback_reason is not None:
@@ -354,16 +411,39 @@ class InferencePipeline:
                 compress_seconds=compress_seconds,
                 decompress_seconds=decompress_seconds,
                 inference_seconds=inference_seconds,
-                input_error_linf=input_error_linf,
-                input_error_l2_max=input_error_l2_max,
-                extra={"integrity": integrity, "backend": backend_info},
+                certificate=Certificate(
+                    **_plan_terms(self.plan),
+                    qoi_error=qoi_error,
+                    input_error_linf=input_error_linf,
+                    input_error_l2_max=input_error_l2_max,
+                    codec_error=achieved,
+                ),
+                extra={
+                    "integrity": {"degraded": bool(blob.metadata.get("degraded", False))},
+                    "backend": backend_info,
+                },
             )
 
             if tracer.enabled or metrics.enabled:
-                self._record_telemetry(
-                    tracer, metrics, result, spans, inference_span, guard_span, root,
-                    observed_input_error=achieved,
+                # the observed errors complete the stage spans opened before them
+                certificate = result.certificate
+                for span in spans.values():  # compress (if it ran), decompress
+                    span.set(observed_error=achieved)
+                inference_span.set(observed_error=certificate.qoi_error)
+                guard_span.set(
+                    qoi_predicted_bound=certificate.qoi_tolerance,
+                    qoi_observed_error=certificate.qoi_error,
                 )
+                root.set(
+                    compression_ratio=result.compression_ratio,
+                    predicted_bound=certificate.qoi_tolerance,
+                    observed_error=certificate.qoi_error,
+                    input_error=(
+                        input_error_linf if self.plan.norm == "linf" else input_error_l2_max
+                    ),
+                    degraded=result.extra["integrity"]["degraded"],
+                )
+                metrics.counter("pipeline_executions_total", codec=self.codec.name).inc()
             auditor = get_auditor()
             if auditor.enabled and stored is None:
                 self._audit_execution(auditor, result, reference_samples, samples)
@@ -404,10 +484,9 @@ class InferencePipeline:
             record.norm = self.plan.norm
             record.qoi_tolerance = float(self.plan.qoi_tolerance)
             record.input_tolerance = float(self.plan.input_tolerance)
-            integrity = result.extra.get("integrity", {})
             record.metadata = {
                 "compression_ratio": float(result.compression_ratio),
-                "degraded": bool(integrity.get("degraded", False)),
+                "degraded": result.extra["integrity"]["degraded"],
                 "samples": int(len(samples)),
             }
             auditor.record_run(record)
@@ -434,82 +513,16 @@ class InferencePipeline:
         chaos=None,
         distrib=None,
     ) -> PipelineResult:
-        """Run the pipeline over chunks of ``fields``, optionally in parallel.
-
-        ``fields`` is split along ``chunk_axis`` into slabs of
-        ``chunk_size``; each slab runs the full compress → decompress →
-        infer path independently (a :class:`~repro.core.chunked.ChunkRun`
-        owns the split, the run's identity and the path a chunk takes).
-        Results come back in input order regardless of completion order,
-        so the assembled outputs are deterministic.
-
-        Both norms compose per chunk: the codec's budget is pointwise and
-        the certificate's input errors are per-sample maxima, so the max
-        over slab-wise maxima equals the global one.
-
-        With auditing on (:func:`repro.obs.enable_audit`) every chunk is
-        audited as its own run; records from pool workers, remote workers
-        or a replayed checkpoint are adopted into the parent auditor, so
-        record list and run registry end up with one entry per chunk.
-
-        Parameters
-        ----------
-        fields:
-            Input data as stored (same contract as :meth:`execute`).
-        chunk_size:
-            Slab extent along ``chunk_axis``.
-        workers:
-            ``None``/1 = serial, ``0`` = one per usable CPU, else literal.
-        chunk_axis:
-            Axis to split: the one whose slabs map to contiguous blocks
-            of model samples under ``samples_from_fields`` (axis 1 for
-            the default ``(V, H, W)`` mapping, axis 0 for image batches).
-        samples_from_fields:
-            Same reshaping callable as :meth:`execute`, applied per chunk.
-        executor:
-            ``"serial"`` — the :class:`~repro.resilience.supervisor.
-            SupervisedPool`'s in-process loop (retry/backoff,
-            quarantine); ``"process"`` — the same pool over forked
-            workers (plus deadlines, respawn, breaker);
-            ``"distributed"`` — chunks leased to remote workers by a
-            :class:`~repro.distrib.coordinator.ShardCoordinator`,
-            degrading to the local pool if no worker joins; ``"auto"``
-            (default) — :func:`~repro.core.chunked.resolve_executor`.
-            ``extra["chunked"]`` records the one requested and the one used.
-        checkpoint:
-            Directory of a :class:`~repro.io.checkpoint.CheckpointJournal`:
-            every certified-complete chunk is persisted (atomic artifact
-            of its serialized blob, then its journal line) as it finishes,
-            by the process that computed it.  ``None`` disables.
-        resume:
-            Verify that ``checkpoint`` journals this exact computation
-            (plan fingerprint + per-chunk input digests), replay its
-            chunks — each blob is decoded through both forwards and must
-            reproduce the journaled QoI error — and compute only the rest.
-        task_timeout:
-            Per-chunk deadline in seconds (forked workers only), from when
-            a worker starts the chunk; expiry kills it and retries the chunk.
-        max_task_retries:
-            Retry budget per chunk before quarantine, on every executor;
-            a quarantined chunk re-runs in the parent in degraded
-            lossless mode instead of failing the run.
-        chaos:
-            Optional :class:`~repro.resilience.inject.ChaosInjector` for
-            the pool workers (tests/CI; default: the ``REPRO_CHAOS`` spec).
-            In distributed mode chaos belongs to the worker processes.
-        distrib:
-            Optional :class:`~repro.distrib.coordinator.DistribConfig`
-            for the distributed executor.
-
-        Returns
-        -------
-        PipelineResult
-            Concatenated outputs; stage timings summed over chunks, input
-            errors slab-wise maxima (exact: both are per-sample), ``blob``
-            the first chunk's, and ``extra`` with ``"chunked"`` (pool
-            configuration + aggregate ratio), ``"supervision"`` (whenever
-            a chunk was computed here), ``"distrib"`` and ``"checkpoint"``
-            (path + replay counts).
+        """Run the pipeline over chunks of ``fields``, optionally in parallel:
+        a :class:`~repro.core.chunked.ChunkRun` splits ``fields`` along
+        ``chunk_axis`` into slabs of ``chunk_size`` and
+        :meth:`~repro.core.chunked.ChunkRun.execute` (which documents the
+        other arguments) runs each through :meth:`execute`'s path on the
+        chosen executor.  ``chunk_axis`` must map slabs to contiguous blocks
+        of samples under ``samples_from_fields``: axis 1 for the default
+        ``(V, H, W)`` mapping, axis 0 for image batches.  The result holds
+        the assembled outputs, in input order whatever the completion
+        order, and the chunks' combined :class:`Certificate`.
         """
         if resume and checkpoint is None:
             raise ConfigurationError("resume=True requires a checkpoint directory")
@@ -520,40 +533,3 @@ class InferencePipeline:
             task_timeout=task_timeout, max_task_retries=max_task_retries, chaos=chaos,
             distrib=distrib,
         )
-
-    def _record_telemetry(
-        self,
-        tracer,
-        metrics,
-        result: PipelineResult,
-        spans: dict,
-        inference_span,
-        guard_span,
-        root,
-        observed_input_error: float,
-    ) -> None:
-        """Post-hoc span enrichment + the execution counter (observability
-        on only).
-
-        Observed errors are only known once the reconstruction and the
-        reference outputs exist, so the stage spans created earlier are
-        completed here — every stage span carries both its predicted
-        bound and the error actually observed.
-        """
-        qoi_error = result.qoi_error(self.plan.norm, relative=False)
-        input_error = (
-            result.input_error_linf if self.plan.norm == "linf" else result.input_error_l2_max
-        )
-        if "compress" in spans:
-            spans["compress"].set(observed_error=observed_input_error)
-        spans["decompress"].set(observed_error=observed_input_error)
-        inference_span.set(observed_error=qoi_error)
-        guard_span.set(qoi_predicted_bound=float(self.plan.qoi_tolerance), qoi_observed_error=qoi_error)
-        root.set(
-            compression_ratio=result.compression_ratio,
-            predicted_bound=float(self.plan.qoi_tolerance),
-            observed_error=qoi_error,
-            input_error=input_error,
-            degraded=result.extra["integrity"]["degraded"],
-        )
-        metrics.counter("pipeline_executions_total", codec=self.codec.name).inc()

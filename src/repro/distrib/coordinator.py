@@ -11,10 +11,11 @@ one or more chunk indices.  Robustness is lease-shaped end to end:
 * a worker that hangs stops heartbeating — its leases expire when their
   TTL lapses (straggler re-lease), and a late result from the original
   worker is deduplicated first-digest-wins;
-* every RESULT is validated against the manifest (input digest) and its
-  own declared artifact digest before it is accepted, so a mixed-plan or
-  tampered result is rejected with :class:`~repro.exceptions.IntegrityError`
-  semantics rather than merged;
+* every RESULT is validated against the manifest (input digest), for a
+  well-formed certificate and against its own declared artifact digest
+  before it is accepted, so a mixed-plan, malformed or tampered result is
+  rejected with :class:`~repro.exceptions.IntegrityError` semantics rather
+  than merged;
 * accepted results are journaled durably (``CheckpointJournal.record``
   writes the worker's blob bytes verbatim), so a coordinator that is itself
   killed resumes from its journal without recomputing;
@@ -39,6 +40,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+from ..core.pipeline import Certificate
 from ..exceptions import ConfigurationError, IntegrityError, ProtocolError, ReproError
 from ..io.checkpoint import digest_bytes
 from ..obs import get_logger, get_metrics, get_tracer
@@ -581,6 +583,7 @@ class ShardCoordinator:
                 f"chunk {chunk} result from {worker!r} was computed on "
                 "different input bytes (mixed-plan or stale data)"
             )
+        Certificate.from_dict(entry.get("certificate"))  # a malformed one is refused here
         declared = entry.get("artifact_digest")
         if declared is None:
             raise IntegrityError(

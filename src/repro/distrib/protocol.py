@@ -78,8 +78,9 @@ __all__ = [
 
 #: bump on any incompatible message-shape change; HELLO/WELCOME carry it
 #: (v2: optional trace/spans telemetry fields; v3: no METRICS frame;
-#: v4: RESULT artifacts are blob bytes, not npz archives of outputs + blob)
-PROTOCOL_VERSION = 4
+#: v4: RESULT artifacts are blob bytes, not npz archives of outputs + blob;
+#: v5: a RESULT entry carries one ``certificate``, not loose error keys)
+PROTOCOL_VERSION = 5
 
 _LENGTH = struct.Struct("!I")
 

@@ -14,7 +14,7 @@ A checkpoint is a directory:
 Outputs and reference outputs are not stored: they are a function of
 the blob, the input chunk (whose digest the manifest pins) and the model,
 so replay decodes the blob, runs both forwards and cross-checks the
-journaled ``observed_qoi_error``.
+journaled ``certificate``.
 
 Durability model, weakest link first:
 
@@ -66,7 +66,7 @@ _LOG = get_logger("checkpoint")
 _MANIFEST = "manifest.json"
 _JOURNAL = "journal.jsonl"
 _CHUNK_DIR = "chunks"
-_FORMAT_VERSION = 3  # 2 also kept outputs, 1 reference outputs too
+_FORMAT_VERSION = 4  # 3 kept loose error keys, 2 also outputs, 1 reference outputs too
 
 
 def digest_bytes(data: bytes) -> str:
@@ -110,7 +110,7 @@ class CheckpointJournal:
     """Append-only journal of certified-complete chunks in a directory.
 
     A chunk's artifact is its serialized blob and nothing else (format
-    version 3; a directory of an earlier version is refused on resume):
+    version 4; a directory of an earlier version is refused on resume):
     whoever replays it decodes the blob and recomputes the outputs.
 
     Lifecycle::

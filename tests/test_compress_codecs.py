@@ -1,5 +1,6 @@
 """Tests shared across the SZ/ZFP/MGARD codecs: the error-bound contract."""
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -117,6 +118,34 @@ def test_rejects_foreign_blob(codec, smooth_field_2d):
     blob = other.compress(smooth_field_2d, 1e-3, ErrorBoundMode.ABS)
     with pytest.raises(CompressionError):
         codec.decompress(blob)
+
+
+_HEADER_KEY = {"sz": "eb", "zfp": "eb", "mgard": "base_step"}
+
+
+@pytest.mark.parametrize("codec", _codec_instances(), ids=lambda c: c.name)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_every_flip_of_the_payload_header_float_is_refused(codec, dtype):
+    """The payload's first float64 (SZ's bound, ZFP's step, MGARD's base
+    step) repeats what the blob header carries, so each single-bit flip of
+    its 64 bits is refused before the stream decodes under another
+    epsilon; through a serialization round trip the blob decodes as it
+    was, and a blob without the header key decodes as before the check."""
+    from repro.io.serialization import blob_from_bytes, blob_to_bytes
+
+    field = _smooth((4, 16, 16)).astype(dtype)
+    blob = codec.compress(field, 1e-2, ErrorBoundMode.ABS)
+    expected = codec.safe_decompress(blob)
+    assert np.array_equal(codec.safe_decompress(blob_from_bytes(blob_to_bytes(blob))), expected)
+    for bit in range(64):
+        flipped = bytearray(blob.payload)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        with pytest.raises(CompressionError, match="blob names"):
+            codec.safe_decompress(dataclasses.replace(blob, payload=bytes(flipped)))
+    older = dataclasses.replace(
+        blob, metadata={k: v for k, v in blob.metadata.items() if k != _HEADER_KEY[codec.name]}
+    )
+    assert np.array_equal(codec.safe_decompress(older), expected)
 
 
 @given(

@@ -29,7 +29,7 @@ def test_pipeline_honours_linf_tolerance(codec_cls, trained_spectral_mlp, planne
     plan = planner.plan(tolerance, norm="linf", quant_fraction=0.5)
     pipeline = InferencePipeline(trained_spectral_mlp, codec_cls(), plan)
     result = pipeline.execute(fields)
-    assert result.qoi_error("linf", relative=False) <= tolerance
+    assert result.qoi_error("linf") <= tolerance
     assert result.input_error_linf <= plan.input_tolerance
     assert result.compression_ratio > 1.0
 
@@ -45,8 +45,8 @@ def test_pipeline_honours_l2_tolerance(codec_cls, trained_spectral_mlp, planner,
     assert result.blob.mode is ErrorBoundMode.ABS
     assert result.blob.tolerance == plan.codec_tolerance
     assert result.input_error_linf <= plan.codec_tolerance
-    assert result.input_error_l2_max <= plan.input_tolerance
-    assert result.qoi_error("l2", relative=False) <= tolerance
+    assert result.certificate.input_error_l2_max <= plan.input_tolerance
+    assert result.qoi_error("l2") <= tolerance
 
 
 @given(
@@ -73,8 +73,8 @@ def test_l2_plans_hold_every_sample_on_every_codec(
     plan = TolerancePlanner(ErrorFlowAnalyzer(trained_spectral_mlp)).plan(tolerance, norm="l2")
     codec = (SZCompressor, ZFPCompressor, MGARDCompressor)[codec_index]()
     result = InferencePipeline(trained_spectral_mlp, codec, plan).execute(fields)
-    assert result.input_error_l2_max <= plan.input_tolerance
-    assert result.qoi_error("l2", relative=False) <= tolerance
+    assert result.certificate.input_error_l2_max <= plan.input_tolerance
+    assert result.qoi_error("l2") <= tolerance
 
 
 def test_pipeline_records_timings(trained_spectral_mlp, planner, fields):
@@ -94,8 +94,8 @@ def test_pipeline_tighter_tolerance_lower_ratio(trained_spectral_mlp, planner, f
         trained_spectral_mlp, SZCompressor(), planner.plan(1e-4)
     ).execute(fields)
     assert loose.compression_ratio >= tight.compression_ratio
-    assert loose.qoi_error("linf", relative=False) <= 3e-2
-    assert tight.qoi_error("linf", relative=False) <= 1e-4
+    assert loose.qoi_error("linf") <= 3e-2
+    assert tight.qoi_error("linf") <= 1e-4
 
 
 def test_pipeline_store_load_roundtrip(trained_spectral_mlp, planner, fields):

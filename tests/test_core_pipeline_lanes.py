@@ -78,8 +78,7 @@ def assert_same_result(got, expected):
         assert a.dtype == b.dtype and a.shape == b.shape
         assert a.tobytes() == b.tobytes(), name
     assert got.blob.payload == expected.blob.payload
-    assert got.input_error_linf == expected.input_error_linf
-    assert got.input_error_l2_max == expected.input_error_l2_max
+    assert got.certificate == expected.certificate
     assert got.extra["integrity"] == expected.extra["integrity"]
 
 
@@ -140,7 +139,7 @@ def test_lane_equals_inline_on_the_workload_models(case):
     # reconstruction, is what the copying expression gives.
     restored = pipe.codec.decompress(with_lane.blob)
     delta = np.asarray(fields, dtype=np.float64) - np.asarray(restored, dtype=np.float64)
-    assert with_lane.extra["integrity"]["input_contract"]["achieved"] == float(np.abs(delta).max())
+    assert with_lane.certificate.codec_error == float(np.abs(delta).max())
 
 
 @needs_two_cpus
@@ -232,8 +231,8 @@ def test_fused_and_reference_backends_certify_alike(case):
     for got in runs["fused"] + runs["reference"][1:]:
         assert_same_result(got, expected)
         for norm in ("linf", "l2"):
-            ratio = got.qoi_error(norm, relative=False) / plan.qoi_tolerance
-            assert ratio == expected.qoi_error(norm, relative=False) / plan.qoi_tolerance
+            ratio = got.qoi_error(norm) / plan.qoi_tolerance
+            assert ratio == expected.qoi_error(norm) / plan.qoi_tolerance
     if usable_cpus() >= 2:  # a conv split is kept on equal bytes only
         refused = pipes["fused"]._forward_quant._kernel.split_rejections.get("bytes", 0)
         assert "split" in runs["fused"][1].extra["backend"] or (case == "eurosat" and refused)
@@ -288,8 +287,7 @@ def test_chunked_serial_with_the_lane_commits_what_inline_commits(small, tmp_pat
     assert sorted(lane_entries) == sorted(inline_entries) == list(range(8))
     for index, entry in lane_entries.items():
         reference = inline_entries[index]
-        assert entry["observed_qoi_error"] == reference["observed_qoi_error"]
-        assert entry["input_error_linf"] == reference["input_error_linf"]
+        assert entry["certificate"] == reference["certificate"]
         assert lane_journal.load(entry) == inline_journal.load(reference)
 
 

@@ -21,7 +21,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import obs
@@ -173,6 +173,11 @@ _RESULT = msg_result(
     {
         "input_digest": _FUZZ_MANIFEST["chunk_digests"][0],
         "attempts": 1,
+        "certificate": {
+            "norm": "linf", "qoi_tolerance": 0.01, "fmt": "fp16", "quant_bound": 0.002,
+            "input_tolerance": 0.001, "codec_tolerance": 0.001, "qoi_error": 0.004,
+            "input_error_linf": 0.0009, "input_error_l2_max": 0.002, "codec_error": 0.0009,
+        },
         "artifact_digest": digest_bytes(_ARTIFACT),
     },
     encode_artifact(_ARTIFACT),
@@ -182,9 +187,9 @@ _RESULT_FRAME = struct.pack("!I", len(_RESULT_BYTES)) + _RESULT_BYTES
 
 
 def test_wire_protocol_is_pinned():
-    """Protocol v4: these message types, listed literally.  The v2
+    """Protocol v5: these message types, listed literally.  The v2
     METRICS frame is now an unknown type."""
-    assert PROTOCOL_VERSION == 4
+    assert PROTOCOL_VERSION == 5
     assert _MESSAGE_TYPES == {
         "hello", "welcome", "refuse", "lease_request", "lease", "wait",
         "heartbeat", "result", "result_ack", "drain",
@@ -198,11 +203,13 @@ def test_wire_protocol_is_pinned():
     raw.close()
 
 
-@pytest.mark.parametrize("proto", [2, 3])
+@pytest.mark.parametrize("proto", [2, 3, 4])
 def test_an_older_worker_is_refused_at_hello(proto):
-    """A v2 worker may send METRICS frames and a v3 worker sends npz
-    artifacts of outputs + blob, which a v4 coordinator would journal as
-    blobs: either HELLO is refused, both versions named, before any RESULT."""
+    """A v2 worker may send METRICS frames, a v3 worker sends npz
+    artifacts of outputs + blob, which a v5 coordinator would journal as
+    blobs, and a v4 worker's RESULT entries carry loose error keys where a
+    v5 one carries a certificate: each HELLO is refused, both versions
+    named, before any RESULT."""
     coordinator = ShardCoordinator(_FUZZ_MANIFEST)
     worker_end, coordinator_end = socket.socketpair()
     worker = FrameSocket(worker_end, role="worker")
@@ -212,7 +219,7 @@ def test_an_older_worker_is_refused_at_hello(proto):
     )
     worker.send(dict(hello, proto=proto))
     assert coordinator._handshake(FrameSocket(coordinator_end)) is None
-    assert worker.recv() == {"type": "refuse", "reason": f"protocol version {proto} != 4"}
+    assert worker.recv() == {"type": "refuse", "reason": f"protocol version {proto} != 5"}
     assert coordinator.summary("refused")["handshake_refused"] == 1
     worker.close()
     coordinator_end.close()
@@ -223,12 +230,13 @@ def test_an_older_worker_is_refused_at_hello(proto):
     cut=st.one_of(st.none(), st.integers(0, len(_RESULT_FRAME))),
     flips=st.lists(st.integers(0, 8 * len(_RESULT_FRAME) - 1), max_size=4),
 )
+@example(cut=None, flips=[])
 def test_a_damaged_result_frame_never_journals_other_bytes(cut, flips):
     """A RESULT frame truncated and bit-flipped on its way through
     ``FrameSocket.recv`` into the coordinator's result intake ends in a
     ``ProtocolError``, an ``IntegrityError``, a clean end of stream at a
     frame boundary, or chunk 0 accepted with its own bytes — never in
-    other bytes journaled."""
+    other bytes journaled.  The undamaged frame is accepted."""
     frame = bytearray(_RESULT_FRAME)
     for bit in flips:
         frame[bit // 8] ^= 1 << (bit % 8)
@@ -253,6 +261,8 @@ def test_a_damaged_result_frame_never_journals_other_bytes(cut, flips):
         finally:
             framed.close()
         assert set(coordinator.accepted) <= {0}
+        if cut is None and not flips:
+            assert set(coordinator.accepted) == {0}
         for entry in journal.entries():
             assert entry["chunk"] == 0
             assert journal.load(entry) == _ARTIFACT
@@ -544,7 +554,7 @@ def test_distributed_matches_serial(distrib_setup):
     assert len(summaries) == 2
     assert sum(s["chunks_computed"] for s in summaries) == 4
     assert all(s["drained"] for s in summaries)
-    assert result.qoi_error("linf", relative=False) <= pipeline.plan.qoi_tolerance
+    assert result.qoi_error("linf") <= pipeline.plan.qoi_tolerance
 
 
 @needs_fork
@@ -745,6 +755,13 @@ def test_straggler_dedup_and_result_validation(distrib_setup, tmp_path):
                 )
             )
             assert other.recv()["type"] == "welcome"
+            # a certificate no run can hold: refused before it is journaled
+            negative = dict(entries[1]["certificate"], qoi_error=-1.0)
+            other.send(msg_result(
+                release["lease"], 1, dict(entries[1], certificate=negative),
+                encode_artifact(artifacts[1]),
+            ))
+            assert other.recv() == {"type": "result_ack", "chunk": 1, "status": "rejected"}
             undeclared = dict(entries[1])
             del undeclared["artifact_digest"]
             other.send(
@@ -765,7 +782,7 @@ def test_straggler_dedup_and_result_validation(distrib_setup, tmp_path):
     assert summary["outcome"] == "complete"
     assert summary["completed_chunks"] == 4
     assert summary["results"] == {
-        "accepted": 4, "duplicate": 1, "conflict": 1, "rejected": 3,
+        "accepted": 4, "duplicate": 1, "conflict": 1, "rejected": 4,
     }
     assert summary["leases_expired"] == 1
     assert summary["leases_reassigned"] == 1
@@ -981,9 +998,7 @@ def test_every_executor_certifies_the_same_computation(distrib_setup, tmp_path):
     for name, (result, audits, entries) in runs.items():
         assert np.array_equal(result.outputs, oracle.outputs), name
         assert np.array_equal(result.reference_outputs, oracle.reference_outputs), name
-        assert result.input_error_linf == oracle.input_error_linf, name
-        assert result.input_error_l2_max == oracle.input_error_l2_max, name
-        assert result.qoi_error("linf") == oracle.qoi_error("linf"), name
+        assert result.certificate == oracle.certificate, name
         assert audits == oracle_audits, name
         assert entries is None or entries == oracle_entries, name
 
@@ -994,7 +1009,7 @@ def test_every_executor_certifies_the_same_computation(distrib_setup, tmp_path):
     assert np.array_equal(degraded.outputs[others], oracle.outputs[others])
     assert np.array_equal(degraded.reference_outputs, oracle.reference_outputs)
     assert degraded.input_error_linf <= oracle.input_error_linf
-    assert degraded.qoi_error("linf", relative=False) <= pipeline.plan.qoi_tolerance
+    assert degraded.certificate.holds
     assert degraded.extra["integrity"]["degraded"]
     assert len(degraded_audits) == 4
     for index, entry in degraded_entries.items():
@@ -1002,7 +1017,7 @@ def test_every_executor_certifies_the_same_computation(distrib_setup, tmp_path):
         if index != 2:
             assert entry == oracle_entries[index], index
     assert degraded_entries[2]["quarantined"] and degraded_entries[2]["attempts"] == 3
-    assert degraded_entries[2]["input_error_linf"] == 0.0
+    assert degraded_entries[2]["certificate"]["input_error_linf"] == 0.0
 
 
 @pytest.mark.parametrize(
@@ -1057,7 +1072,7 @@ def test_worker_and_coordinator_build_the_same_run_identity(distrib_setup, tmp_p
 
 def test_checkpoint_format_is_pinned(distrib_setup):
     """A checkpoint directory is interchangeable across versions of the
-    code that writes it: format version 3, these manifest fingerprint
+    code that writes it: format version 4, these manifest fingerprint
     keys, these journal entry keys and ``chunks/chunk-NNNN.rblob``
     artifacts that hold the chunk's serialized blob and nothing else —
     listed literally, so moving the code that builds them cannot move the
@@ -1065,19 +1080,23 @@ def test_checkpoint_format_is_pinned(distrib_setup):
     _, _, _, manifest, serial_dir = distrib_setup
     assert set(manifest) == {"fingerprint", "chunk_digests"}
     assert set(manifest["fingerprint"]) == {
-        "codec", "precision", "fmt", "norm", "qoi_tolerance", "input_tolerance",
-        "quant_bound", "policy", "screen", "chunk_size", "chunk_axis", "n_chunks",
+        "codec", "precision", "norm", "qoi_tolerance", "fmt", "quant_bound",
+        "input_tolerance", "codec_tolerance", "chunk_size", "chunk_axis", "n_chunks",
     }
     assert manifest["fingerprint"]["precision"] == "float32"  # SZ on float32 fields
     journal = CheckpointJournal(serial_dir)
-    assert journal._read_manifest()["format_version"] == 3
+    assert journal._read_manifest()["format_version"] == 4
     entries = journal.entries()
     assert len(entries) == 4
     for entry in entries:
         assert set(entry) == {
-            "input_digest", "attempts", "quarantined", "observed_qoi_error",
-            "input_error_linf", "input_error_l2_max", "timings", "integrity",
+            "input_digest", "attempts", "quarantined", "certificate", "timings",
             "audit", "task_seconds", "chunk", "artifact", "artifact_digest",
+        }
+        assert set(entry["certificate"]) == {
+            "norm", "qoi_tolerance", "fmt", "quant_bound", "input_tolerance",
+            "codec_tolerance", "qoi_error", "input_error_linf", "input_error_l2_max",
+            "codec_error",
         }
         assert set(entry["timings"]) == {"compress", "decompress", "inference"}
         assert entry["artifact"] == f"chunks/chunk-{entry['chunk']:04d}.rblob"

@@ -493,9 +493,7 @@ def test_pipeline_identical_across_backends(trained_spectral_mlp):
     # and so is every observable output bit
     assert np.array_equal(ref.outputs, fused.outputs)
     assert np.array_equal(ref.reference_outputs, fused.reference_outputs)
-    assert ref.qoi_error("linf", relative=False) == fused.qoi_error(
-        "linf", relative=False
-    )
+    assert ref.qoi_error("linf") == fused.qoi_error("linf")
     assert fused.extra["backend"]["name"] == "fused"
     assert "fallback_quant" not in fused.extra["backend"]
     assert ref.extra["backend"]["name"] == "reference"

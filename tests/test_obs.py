@@ -419,7 +419,7 @@ def test_every_measurement_lives_on_a_span(trained_spectral_mlp, rng):
         result = pipe.execute(fields)
     (root,) = tracer.find("pipeline.execute")
     assert root.attributes["compression_ratio"] == result.compression_ratio
-    assert root.attributes["observed_error"] == result.qoi_error("linf", relative=False)
+    assert root.attributes["observed_error"] == result.qoi_error("linf")
     (compress,) = tracer.find("codec.compress")
     assert compress.attributes["ratio"] == result.blob.compression_ratio
     (inference,) = tracer.find("pipeline.inference")

@@ -507,11 +507,11 @@ def test_the_places_that_report_a_qoi_error_agree(case):
         result = pipeline.execute(fields, samples_from_fields=reshape)
     (record,) = auditor.records
     assert record.qoi_observed == pytest.approx(
-        result.qoi_error("l2", relative=False), rel=1e-6
+        result.qoi_error("l2"), rel=1e-6
     )
     assert record.input_error_linf == result.input_error_linf
     (root,) = tracer.find("pipeline.execute")
-    assert root.attributes["observed_error"] == result.qoi_error(plan.norm, relative=False)
+    assert root.attributes["observed_error"] == result.qoi_error(plan.norm)
 
 
 def test_registry_append_handles_numpy_values(tmp_path):

@@ -61,7 +61,7 @@ def test_execute_chunked_honours_tolerance(pipeline_setup):
     pipeline = InferencePipeline(model, SZCompressor(), plan)
     result = pipeline.execute_chunked(fields, chunk_size=8, chunk_axis=1, workers=2)
     assert result.outputs.shape == (32 * 32, 3)
-    assert result.qoi_error("linf", relative=False) <= tolerance
+    assert result.qoi_error("linf") <= tolerance
     assert result.input_error_linf <= plan.input_tolerance
     assert result.extra["chunked"]["compression_ratio"] > 1.0
 
@@ -90,8 +90,8 @@ def test_execute_chunked_holds_l2_plans(pipeline_setup):
     whole = pipeline.execute(fields)
     assert chunked.outputs.shape == whole.outputs.shape
     assert chunked.input_error_linf <= plan.codec_tolerance
-    assert chunked.input_error_l2_max <= plan.input_tolerance
-    assert chunked.qoi_error("l2", relative=False) <= tolerance
+    assert chunked.certificate.input_error_l2_max <= plan.input_tolerance
+    assert chunked.qoi_error("l2") <= tolerance
 
 
 def test_execute_chunked_rejects_bad_chunk_size(pipeline_setup):

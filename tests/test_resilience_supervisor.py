@@ -628,7 +628,7 @@ def test_pipeline_survives_sigkill_and_hang(chunked_setup):
     assert supervision["retries"] == 2
     assert supervision["quarantined"] == []
     # no loss of certification
-    assert result.qoi_error("linf", relative=False) <= pipeline.plan.qoi_tolerance
+    assert result.qoi_error("linf") <= pipeline.plan.qoi_tolerance
 
 
 def test_l2_plan_runs_chunked_on_a_pool_journals_and_resumes(
@@ -651,9 +651,9 @@ def test_l2_plan_runs_chunked_on_a_pool_journals_and_resumes(
     assert again.extra["checkpoint"]["replayed_chunks"] == first.extra["chunked"]["n_chunks"]
     assert np.array_equal(again.outputs, first.outputs)
     for result in (first, again):
-        assert result.input_error_l2_max <= plan.input_tolerance
-        assert result.qoi_error("l2", relative=False) <= tolerance
-    assert again.qoi_error("l2", relative=False) == first.qoi_error("l2", relative=False)
+        assert result.certificate.input_error_l2_max <= plan.input_tolerance
+        assert result.qoi_error("l2") <= tolerance
+    assert again.certificate == first.certificate
 
 
 def test_pipeline_quarantine_degrades_to_lossless(chunked_setup):
@@ -670,7 +670,7 @@ def test_pipeline_quarantine_degrades_to_lossless(chunked_setup):
     # finite, complete, and the tolerance still holds
     assert result.outputs.shape == serial.outputs.shape
     assert np.isfinite(result.outputs).all()
-    assert result.qoi_error("linf", relative=False) <= pipeline.plan.qoi_tolerance
+    assert result.qoi_error("linf") <= pipeline.plan.qoi_tolerance
     # untouched chunks match the serial run exactly
     rows_per_chunk = serial.outputs.shape[0] // 4
     assert np.array_equal(
@@ -1302,10 +1302,8 @@ def test_resume_survives_any_mutation_of_one_journal_line(
 
 def test_replay_cross_checks_the_journaled_qoi_error(chunked_setup, tmp_path):
     """The artifact stores the blob alone; replay decodes it, recomputes
-    both outputs from it and the digest-pinned input chunk, and the QoI
-    error they give must be the one the journal line certifies."""
-    import json
-
+    both outputs from it and the digest-pinned input chunk, and the
+    certificate they give must be the one the journal line certifies."""
     pipeline, fields, serial = chunked_setup
     ck = str(tmp_path / "ck")
     _chunked(pipeline, fields, workers=1, checkpoint=ck)
@@ -1318,15 +1316,61 @@ def test_replay_cross_checks_the_journaled_qoi_error(chunked_setup, tmp_path):
     resumed = _resume_all(pipeline, fields, ck)
     assert np.array_equal(resumed.outputs, serial.outputs)
     assert np.array_equal(resumed.reference_outputs, serial.reference_outputs)
+    assert resumed.certificate == serial.certificate
 
-    journal_path = os.path.join(ck, "journal.jsonl")
-    with open(journal_path, encoding="utf-8") as handle:
-        entries = [json.loads(line) for line in handle]
-    entries[2]["observed_qoi_error"] *= 0.5  # a rosier certificate than was earned
-    with open(journal_path, "w", encoding="utf-8") as handle:
-        handle.writelines(json.dumps(entry) + "\n" for entry in entries)
-    with pytest.raises(IntegrityError, match="chunk 2 replays with QoI error"):
+    entries = CheckpointJournal(ck).entries()
+    entries[2]["certificate"]["qoi_error"] *= 0.5  # a rosier certificate than was earned
+    _rewrite_journal(ck, entries)
+    with pytest.raises(IntegrityError, match="chunk 2 replays with certificate"):
         _chunked(pipeline, fields, workers=1, checkpoint=ck, resume=True)
+
+
+_CERTIFICATE_FIELDS = (
+    "norm", "qoi_tolerance", "fmt", "quant_bound", "input_tolerance", "codec_tolerance",
+    "qoi_error", "input_error_linf", "input_error_l2_max", "codec_error",
+)
+
+
+def _rewrites(name, value):
+    """For one certificate field: a well-formed value the run did not earn,
+    then values no certificate may hold."""
+    if name == "norm":
+        return ["l2", "L2", None]
+    if name == "fmt":
+        return ["int8", "", 16]
+    # 1e-3 is far outside the replay's round-off slack
+    return [value + 1e-3, value * 0.5 if value else 1e-3, -value - 1.0, float("nan"),
+            float("inf"), str(value), 1, None, True]
+
+
+@pytest.mark.parametrize("name", [*_CERTIFICATE_FIELDS, "<missing>", "<extra>"])
+def test_resume_refuses_any_rewrite_of_a_journaled_certificate(
+    chunked_setup, baseline_checkpoint, name
+):
+    """Per-field fuzz over a real journal: rewrite one field of line 2's
+    certificate (or drop one, or add one) and the resumed run raises
+    :class:`IntegrityError` naming that chunk, rather than adopting a
+    certificate the blob does not earn."""
+    pipeline, fields, _ = chunked_setup
+    baselines, _, _ = baseline_checkpoint
+    entries = CheckpointJournal(baselines["serial"]).entries()
+    assert [entry["chunk"] for entry in entries] == [0, 1, 2, 3]
+    certificate = entries[2]["certificate"]
+    if name == "<missing>":
+        variants = [{k: v for k, v in certificate.items() if k != field}
+                    for field in _CERTIFICATE_FIELDS]
+    elif name == "<extra>":
+        variants = [dict(certificate, margin=0.0), dict(certificate, kind="verified")]
+    else:
+        variants = [dict(certificate, **{name: value})
+                    for value in _rewrites(name, certificate[name])]
+    for variant in variants:
+        with tempfile.TemporaryDirectory() as scratch:
+            ck = os.path.join(scratch, "ck")
+            shutil.copytree(baselines["serial"], ck)
+            _rewrite_journal(ck, [*entries[:2], dict(entries[2], certificate=variant), entries[3]])
+            with pytest.raises(IntegrityError, match="certificate"):
+                _chunked(pipeline, fields, workers=1, checkpoint=ck, resume=True)
 
 
 def test_v1_checkpoint_directory_is_refused(chunked_setup, tmp_path):
@@ -1338,7 +1382,7 @@ def test_v1_checkpoint_directory_is_refused(chunked_setup, tmp_path):
     manifest_path = os.path.join(ck, "manifest.json")
     with open(manifest_path, encoding="utf-8") as handle:
         manifest = json.load(handle)
-    assert manifest["format_version"] == 3
+    assert manifest["format_version"] == 4
     manifest["format_version"] = 1
     with open(manifest_path, "w", encoding="utf-8") as handle:
         json.dump(manifest, handle)
@@ -1373,20 +1417,56 @@ _V2_CHECKPOINT = {
 }
 
 
-def test_v2_checkpoint_directory_is_refused(tmp_path):
-    """A pinned format-2 directory, whose artifact kept the outputs in an
-    npz, is refused on resume by an error naming both versions, and the
-    refusal leaves it as it was."""
+#: a checkpoint directory as the format-3 writer left it: one chunk of
+#: ``np.arange(4, dtype=np.float32)`` whose journal line held loose error
+#: keys and an integrity dict where a format-4 line holds a certificate
+_V3_CHECKPOINT = {
+    "manifest.json": (
+        "ewogICJjaHVua19kaWdlc3RzIjogWwogICAgIjZmZDIzMmI1N2YzZTlmYzVhYjg0MGI1M2ExMzllZWMxIgogIF0s"
+        "CiAgImZpbmdlcnByaW50IjogewogICAgInBsYW4iOiAidjMiCiAgfSwKICAiZm9ybWF0X3ZlcnNpb24iOiAzCn0K"
+    ),
+    "journal.jsonl": (
+        "eyJhcnRpZmFjdCI6ICJjaHVua3MvY2h1bmstMDAwMC5yYmxvYiIsICJhcnRpZmFjdF9kaWdlc3QiOiAiOGFlNzg2"
+        "OTgxMjBlOTIyZGNmMjhmZGE0NzJjZjA1MmYiLCAiYXR0ZW1wdHMiOiAxLCAiYXVkaXQiOiBudWxsLCAiY2h1bmsi"
+        "OiAwLCAiaW5wdXRfZGlnZXN0IjogIjZmZDIzMmI1N2YzZTlmYzVhYjg0MGI1M2ExMzllZWMxIiwgImlucHV0X2Vy"
+        "cm9yX2wyX21heCI6IDAuMDEsICJpbnB1dF9lcnJvcl9saW5mIjogMC4wMDUsICJpbnRlZ3JpdHkiOiB7ImRlZ3Jh"
+        "ZGVkIjogZmFsc2UsICJzY3JlZW5lZCI6IHRydWV9LCAib2JzZXJ2ZWRfcW9pX2Vycm9yIjogMC4wMDEsICJxdWFy"
+        "YW50aW5lZCI6IGZhbHNlLCAidGltaW5ncyI6IHsiY29tcHJlc3MiOiAwLjAsICJkZWNvbXByZXNzIjogMC4wLCAi"
+        "aW5mZXJlbmNlIjogMC4wfX0K"
+    ),
+    "chunks/chunk-0000.rblob": (
+        "UkJMQgIAswAAAJejdLJ7ImNvZGVjIjoic3oiLCJzaGFwZSI6WzRdLCJkdHlwZSI6ImZsb2F0MzIiLCJtb2RlIjoi"
+        "YWJzIiwidG9sZXJhbmNlIjowLjAxLCJtZXRhZGF0YSI6eyJhbmNob3Jfc3RyaWRlIjo2NCwiZWIiOjAuMDA5OTk4"
+        "NTY0NzEwMTUzODEsImludGVycG9sYXRpb24iOiJkeW5hbWljIiwicHJlY2lzaW9uIjoiZmxvYXQzMiJ9fT8Uf6Mg"
+        "eoQ/AQAAAAAAAAAGAAAAAAAAAAAAAEhVRjQDAAAABQAAAAAAAAAQAAAwAAAAAGQAAAABAAAAAAAEAAAAAAAQEQAF"
+        "WA=="
+    ),
+}
+
+
+def _refuse_pinned_checkpoint(tmp_path, pinned, version):
+    """Resume a pinned directory of format ``version``: refused by an error
+    naming both versions, and the refusal leaves it as it was."""
     ck = tmp_path / "ck"
-    for name, text in _V2_CHECKPOINT.items():
+    for name, text in pinned.items():
         (ck / name).parent.mkdir(parents=True, exist_ok=True)
         (ck / name).write_bytes(base64.b64decode(text))
     data = np.arange(4, dtype=np.float32)
-    manifest = {"fingerprint": {"plan": "v2"}, "chunk_digests": [digest_array(data)]}
-    with pytest.raises(IntegrityError, match="format version 2 does not match 3"):
+    manifest = {"fingerprint": {"plan": f"v{version}"}, "chunk_digests": [digest_array(data)]}
+    with pytest.raises(IntegrityError, match=f"format version {version} does not match 4"):
         CheckpointJournal(str(ck)).begin(manifest, resume=True)
-    for name, text in _V2_CHECKPOINT.items():
+    for name, text in pinned.items():
         assert (ck / name).read_bytes() == base64.b64decode(text)
+
+
+def test_v2_checkpoint_directory_is_refused(tmp_path):
+    """A pinned format-2 directory, whose artifact kept the outputs in an npz."""
+    _refuse_pinned_checkpoint(tmp_path, _V2_CHECKPOINT, 2)
+
+
+def test_v3_checkpoint_directory_is_refused(tmp_path):
+    """A pinned format-3 directory, whose journal line held no certificate."""
+    _refuse_pinned_checkpoint(tmp_path, _V3_CHECKPOINT, 3)
 
 
 @pytest.mark.parametrize("writer, reader", [("fused", "reference"), ("reference", "fused")])
@@ -1414,7 +1494,7 @@ def test_a_journal_resumes_on_the_other_backend(chunked_setup, tmp_path, writer,
         reference = resumed.reference_outputs[chunk]
         observed = float(np.abs(resumed.outputs[chunk] - reference).max())
         slack = 1e-5 * max(1.0, float(np.abs(reference).max()))
-        assert abs(observed - entry["observed_qoi_error"]) <= slack
+        assert abs(observed - entry["certificate"]["qoi_error"]) <= slack
         assert observed <= pipeline.plan.qoi_tolerance
 
 

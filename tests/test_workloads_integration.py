@@ -90,7 +90,7 @@ def test_end_to_end_pipeline_within_tolerance(h2, codec_cls):
     plan = TolerancePlanner(h2.analyzer).plan(tolerance, norm="linf", quant_fraction=0.5)
     pipeline = InferencePipeline(h2.model, codec_cls(), plan)
     result = pipeline.execute(h2.dataset.fields)
-    assert result.qoi_error("linf", relative=False) <= tolerance
+    assert result.qoi_error("linf") <= tolerance
     assert result.compression_ratio > 1.0
 
 
@@ -99,7 +99,7 @@ def test_pipeline_l2_mode_end_to_end(borghesi):
     plan = TolerancePlanner(borghesi.analyzer).plan(tolerance, norm="l2", quant_fraction=0.3)
     pipeline = InferencePipeline(borghesi.model, SZCompressor(), plan)
     result = pipeline.execute(borghesi.dataset.fields)
-    assert result.qoi_error("l2", relative=False) <= tolerance
+    assert result.qoi_error("l2") <= tolerance
 
 
 def test_compression_bound_holds_on_real_codec_errors(h2):
