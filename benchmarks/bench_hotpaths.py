@@ -429,6 +429,7 @@ def bench_chunk_stack(side: int, workers: int, reps: int) -> list[dict]:
     ``seconds`` is per chunk for the parts of ``execute`` and for
     ``commit`` (median over the chunks of one pass), per run for the two
     pool rows."""
+    from repro import obs
     from repro.compress import huffman
     from repro.core.chunked import ChunkRun
     from repro.io import CheckpointJournal
@@ -516,13 +517,15 @@ def bench_chunk_stack(side: int, workers: int, reps: int) -> list[dict]:
         idle = []
 
         def pool_journal() -> None:
-            start = time.perf_counter()
-            pipeline.execute_chunked(
-                fields, chunk_size=chunk_size, chunk_axis=1, workers=workers,
-                executor="process", checkpoint=checkpoint,
-            )
-            wall = time.perf_counter() - start
-            busy = sum(e["task_seconds"] for e in CheckpointJournal(checkpoint).entries())
+            # the workers' measured seconds ride back onto the task spans
+            with obs.capture() as (tracer, _):
+                start = time.perf_counter()
+                pipeline.execute_chunked(
+                    fields, chunk_size=chunk_size, chunk_axis=1, workers=workers,
+                    executor="process", checkpoint=checkpoint,
+                )
+                wall = time.perf_counter() - start
+            busy = sum(s.attributes["worker_seconds"] for s in tracer.find("supervisor.task"))
             idle.append(1.0 - busy / (workers * wall))
 
         seconds, reps_s = best_of(pool_journal, reps)

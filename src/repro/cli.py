@@ -807,7 +807,7 @@ def _cmd_audit_report(args) -> int:
     for run in runs[-args.last:]:
         _LOG.info(
             f"{run.get('run_id', '?'):10s} {run.get('label', '')[:16]:16s} "
-            f"{run.get('fmt', '?'):>5s} {run.get('codec', '?'):>6s} "
+            f"{(run.get('certificate') or {}).get('fmt', '?'):>5s} {run.get('codec', '?'):>6s} "
             f"{run.get('qoi_tightness', 0.0):10.3f} {run.get('verdict', '?'):>9s}"
         )
     drift = registry.detect_drift(threshold=args.threshold)

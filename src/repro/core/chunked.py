@@ -23,6 +23,7 @@ which is why a coordinator and its workers agree on the manifest.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import mmap
 import time
@@ -214,17 +215,16 @@ class ChunkRun:
         result: PipelineResult,
         attempts: int = 1,
         quarantined: bool = False,
-        seconds: "float | None" = None,
     ) -> "dict | None":
         """Make one certified-complete chunk durable: artifact, then its
         journal line — the commit record — in the process that computed it.
 
+        The line holds what replay reads and nothing else: the input
+        digest, attempts, quarantine flag and certificate, plus the chunk,
+        artifact path and digest :meth:`CheckpointJournal.record` adds.
         Returns the journal entry as written (``None`` without a
         journal): a shard worker resends exactly this entry plus the
         artifact bytes, so local and merged journals agree bit for bit.
-        ``seconds`` is the chunk's end-to-end wall time where it ran (it
-        includes retries and injected slowness the per-stage timings
-        exclude — the signal straggler detection needs).
         """
         if journal is None:
             return None
@@ -234,40 +234,29 @@ class ChunkRun:
             "attempts": int(attempts),
             "quarantined": bool(quarantined),
             "certificate": result.certificate.to_dict(),
-            "timings": {
-                "compress": result.compress_seconds,
-                "decompress": result.decompress_seconds,
-                "inference": result.inference_seconds,
-            },
-            "audit": result.extra.get("audit"),
         }
-        if seconds is not None:
-            entry["task_seconds"] = float(seconds)
         return journal.record(index, blob_bytes=blob_to_bytes(result.blob), entry=entry)
 
-    def result_from_record(
-        self, blob_bytes: bytes, entry: dict, origin: str = "replayed"
-    ) -> PipelineResult:
+    def result_from_record(self, blob_bytes: bytes, entry: dict) -> PipelineResult:
         """A :class:`PipelineResult` from a journaled or remote chunk.
 
         ``blob_bytes`` is what the artifact stores, the chunk's serialized
         blob; ``entry`` the journal metadata, which names the chunk.  The
         blob runs through ``execute``'s post-store half on that chunk —
         the input the manifest digest pins: decode (CRC check, screen),
-        quantized and reference forwards, input errors, contract guard —
-        and its certificate must be the entry's: the QoI error within the
-        round-off of a reference recomputed on another host or backend,
-        every other field exactly.  Its timings are this replay's.  The entry's audit
-        record (the producing run's verdicts, not a fresh re-audit) is
-        adopted into the live auditor, so a resumed run's registry
-        matches an uninterrupted one.  The rows land in the slab.
+        quantized and reference forwards, input errors, contract guard,
+        and the audit when one is live — and its certificate must be the
+        entry's: the QoI error within the round-off of a reference
+        recomputed on another host or backend, every other field exactly.
+        Its timings and audit record are this replay's, so a resumed
+        run's registry holds what an uninterrupted one measured.  The
+        rows land in the slab.
         """
         index = int(entry["chunk"])
         journaled = Certificate.from_dict(entry.get("certificate"))
         result = self.pipeline.execute(
             self.chunks[index], self.samples_from_fields, stored=blob_from_bytes(blob_bytes)
         )
-        result.extra[origin] = True
         replayed = result.certificate
         slack = 1e-5 * max(1.0, float(np.abs(result.reference_outputs).max()))
         if (
@@ -279,9 +268,6 @@ class ChunkRun:
                 f"journal entry certifies {journaled}: the entry and the "
                 "artifact do not describe the same computation"
             )
-        if entry.get("audit"):
-            result.extra["audit"] = entry["audit"]
-            _adopt_audit(result)
         return self.place(index, result)
 
     # -- the whole run -----------------------------------------------------
@@ -305,8 +291,9 @@ class ChunkRun:
         first chunk's, and ``extra`` with ``"chunked"``, ``"supervision"``
         (whenever a chunk was computed here), ``"distrib"`` and
         ``"checkpoint"``.  With auditing on every chunk is audited as its
-        own run, and records from pool workers, remote workers or a replay
-        are adopted into the parent auditor: one registry entry per chunk.
+        own run where it is computed or replayed, and records from forked
+        pool workers are adopted into the parent auditor: one registry
+        entry per chunk.
 
         Parameters
         ----------
@@ -405,9 +392,14 @@ class ChunkRun:
                     chaos=chaos, task_timeout=task_timeout,
                     max_task_retries=max_task_retries,
                 )
+                auditor = get_auditor()
                 for index, outcome in outcomes.items():
-                    if not outcome.inline:  # audited in a forked worker
-                        _adopt_audit(outcome.result)
+                    audit = outcome.result.extra.get("audit")
+                    if auditor.enabled and audit and not outcome.inline:
+                        # audited in a forked worker: register it here
+                        outcome.result.extra["audit"] = auditor.adopt(
+                            AuditRecord.from_dict(audit)
+                        ).to_dict()
                     results[index] = outcome.result
 
             wall_seconds = time.perf_counter() - wall_start
@@ -458,15 +450,6 @@ class ChunkRun:
         )
 
 
-def _adopt_audit(result: PipelineResult) -> None:
-    """Register an audit record produced elsewhere (a forked worker, a
-    remote worker, the run a checkpoint replays) under the live auditor."""
-    auditor = get_auditor()
-    if auditor.enabled and result.extra.get("audit"):
-        record = auditor.adopt(AuditRecord.from_dict(result.extra["audit"]))
-        result.extra["audit"] = record.to_dict()
-
-
 # -- executors: where the chunk path runs -------------------------------------
 
 
@@ -497,9 +480,6 @@ def run_supervised(
     its journal entry.
     """
 
-    def commit(index: int, result, attempts: int, seconds: float):
-        return run.commit(journal, index, result, attempts=attempts, seconds=seconds)
-
     pool = SupervisedPool(
         run.run_chunk,
         workers=workers,
@@ -507,7 +487,7 @@ def run_supervised(
         retry=RetryPolicy(max_retries=max_task_retries),
         chaos=chaos,
         validate=run.screen,
-        commit=commit if journal is not None else None,
+        commit=functools.partial(run.commit, journal) if journal is not None else None,
         pack=run.pack,
         label=label,
     )
@@ -524,13 +504,10 @@ def run_supervised(
             "quarantined chunk degrading to fallback-lossless in-process",
             pool=label, chunk=index, attempts=outcome.attempts, reason=outcome.error,
         )
-        started = time.perf_counter()
         outcome.result = run.place(index, run.run_chunk(index, force_lossless=True))
         outcome.inline = True
-        outcome.seconds = time.perf_counter() - started
         outcome.committed = run.commit(
-            journal, index, outcome.result, attempts=outcome.attempts,
-            quarantined=True, seconds=outcome.seconds,
+            journal, index, outcome.result, attempts=outcome.attempts, quarantined=True
         )
 
     return report.summary(), outcomes
@@ -565,7 +542,7 @@ def run_distributed(
         # the merged journal holds the worker's blob bytes verbatim;
         # loading through it re-verifies the digest
         blob_bytes = journal.load(entry) if journal is not None else coordinator.payload(index)
-        results[index] = run.result_from_record(blob_bytes, entry, origin="remote")
+        results[index] = run.result_from_record(blob_bytes, entry)
 
     remaining = sum(1 for index in pending if index not in results)
     if remaining and summary.get("outcome") == "drained":

@@ -298,8 +298,7 @@ class InferencePipeline:
             corrupt decompression raises its typed error.
         stored:
             The blob a run already stored for ``fields`` (a journaled or
-            remote chunk): it is decoded in place of a fresh compress, and
-            no fresh audit runs — the run that stored it audited it.
+            remote chunk): it is decoded in place of a fresh compress.
 
         Returns
         -------
@@ -445,7 +444,7 @@ class InferencePipeline:
                 )
                 metrics.counter("pipeline_executions_total", codec=self.codec.name).inc()
             auditor = get_auditor()
-            if auditor.enabled and stored is None:
+            if auditor.enabled:
                 self._audit_execution(auditor, result, reference_samples, samples)
         return result
 
@@ -480,10 +479,7 @@ class InferencePipeline:
                     reference_samples, samples, loose_below=auditor.loose_below
                 )
             record.codec = self.codec.name
-            record.fmt = self.plan.fmt.name
-            record.norm = self.plan.norm
-            record.qoi_tolerance = float(self.plan.qoi_tolerance)
-            record.input_tolerance = float(self.plan.input_tolerance)
+            record.certificate = result.certificate
             record.metadata = {
                 "compression_ratio": float(result.compression_ratio),
                 "degraded": result.extra["integrity"]["degraded"],

@@ -623,7 +623,6 @@ class ShardCoordinator:
             recorded = dict(entry)
             recorded["chunk"] = chunk
             recorded["artifact_digest"] = digest
-            recorded["worker"] = worker
             if self._journal is not None:
                 recorded = self._journal.record(
                     chunk, blob_bytes=data, entry=recorded

@@ -79,8 +79,9 @@ __all__ = [
 #: bump on any incompatible message-shape change; HELLO/WELCOME carry it
 #: (v2: optional trace/spans telemetry fields; v3: no METRICS frame;
 #: v4: RESULT artifacts are blob bytes, not npz archives of outputs + blob;
-#: v5: a RESULT entry carries one ``certificate``, not loose error keys)
-PROTOCOL_VERSION = 5
+#: v5: a RESULT entry carries one ``certificate``, not loose error keys;
+#: v6: a RESULT entry holds only what replay reads, no audit or timings)
+PROTOCOL_VERSION = 6
 
 _LENGTH = struct.Struct("!I")
 

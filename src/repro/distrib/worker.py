@@ -4,7 +4,7 @@ A :class:`ShardWorker` is the remote half of distributed chunked
 execution.  It holds the *same* fields, plan and model as the
 coordinator (verified at handshake via the plan fingerprint, manifest
 digest and weights digest), pulls leases over the wire, and runs each
-leased chunk through the PR-6 machinery it already trusts:
+leased chunk through the single-host machinery it already trusts:
 
 * compute happens on a local :class:`~repro.resilience.supervisor.
   SupervisedPool`, so respawn / bounded retry / quarantine→lossless
@@ -395,10 +395,10 @@ class ShardWorker:
         return ChaosInjector(rules) if rules else None
 
     def _compute(self, chunk_ids: "list[int]") -> None:
-        """PR-6 semantics, locally: the single-host supervised-pool path
+        """The single-host supervised-pool path, locally
         (worker-side commit into the local journal, quarantine → lossless
-        rerun) over the leased chunks.  Audit records ride in the journal
-        entries to the coordinator, which adopts them — not here."""
+        rerun) over the leased chunks.  No audit record leaves this
+        process: the coordinator audits each chunk as it replays it."""
         _summary, outcomes = run_supervised(
             self.chunk_run, chunk_ids, self._journal, workers=self.workers,
             task_timeout=self.task_timeout, max_task_retries=self.max_task_retries,

@@ -66,7 +66,9 @@ _LOG = get_logger("checkpoint")
 _MANIFEST = "manifest.json"
 _JOURNAL = "journal.jsonl"
 _CHUNK_DIR = "chunks"
-_FORMAT_VERSION = 4  # 3 kept loose error keys, 2 also outputs, 1 reference outputs too
+#: 4 also kept the audit record, timings and task seconds, 3 loose error
+#: keys, 2 also outputs, 1 reference outputs too
+_FORMAT_VERSION = 5
 
 
 def digest_bytes(data: bytes) -> str:
@@ -110,7 +112,7 @@ class CheckpointJournal:
     """Append-only journal of certified-complete chunks in a directory.
 
     A chunk's artifact is its serialized blob and nothing else (format
-    version 4; a directory of an earlier version is refused on resume):
+    version 5; a directory of an earlier version is refused on resume):
     whoever replays it decodes the blob and recomputes the outputs.
 
     Lifecycle::

@@ -84,17 +84,17 @@ class DatasetStore:
         return blob
 
     # -- read --------------------------------------------------------------
-    def get(self, name: str, screen: bool = True) -> np.ndarray:
+    def get(self, name: str) -> np.ndarray:
         """Load, verify and decompress one array.
 
         Checksum verification happens in :func:`blob_from_bytes`; the
-        reconstruction is screened for NaN/Inf unless ``screen=False``.
+        reconstruction is screened for NaN/Inf.
         A corrupt entry raises :class:`~repro.exceptions.IntegrityError`,
         a missing one :class:`~repro.exceptions.CompressionError`.
         """
         with get_tracer().span("store.get", entry=name):
             blob = self.get_blob(name)
-            return get_compressor(blob.codec).safe_decompress(blob, screen=screen)
+            return get_compressor(blob.codec).safe_decompress(blob)
 
     def get_blob(self, name: str) -> CompressedBlob:
         """Load the raw blob without decompressing (checksum-verified)."""

@@ -16,8 +16,9 @@ executions:
   from :meth:`~repro.core.errorflow.ErrorFlowAnalyzer.layer_bounds`,
   seeded with the *observed* per-sample input error.
 * :class:`AuditRecord` aggregates one run's per-layer verdicts plus a
-  QoI-level verdict with full provenance (codec, format, norm, plan
-  tolerances, weight version) for persistence and diffing.
+  QoI-level verdict with full provenance (codec, the run's
+  :class:`~repro.core.pipeline.Certificate`, weight version) for
+  persistence and diffing.
 * :class:`Auditor` is the process-global switchboard, off by default
   through the same null-object pattern as tracing/metrics: pipeline hot
   paths pay one attribute check when auditing is disabled.  When
@@ -150,7 +151,7 @@ class AuditRecord:
 
     The measurement fields (errors, bounds, verdicts) are filled by
     :meth:`LayerwiseErrorRecorder.audit`; the provenance fields (codec,
-    format, plan tolerances, label) by whoever owns the run context —
+    label, the run's certificate) by whoever owns the run context —
     :meth:`~repro.core.pipeline.InferencePipeline.execute` or the CLI.
     """
 
@@ -166,10 +167,7 @@ class AuditRecord:
     run_id: str = ""
     label: str = ""
     codec: str = ""
-    fmt: str = ""
-    norm: str = ""
-    qoi_tolerance: float = 0.0
-    input_tolerance: float = 0.0
+    certificate: "Certificate | None" = None
     created_unix: float = 0.0
     metadata: dict = field(default_factory=dict)
 
@@ -186,10 +184,7 @@ class AuditRecord:
             "run_id": self.run_id,
             "label": self.label,
             "codec": self.codec,
-            "fmt": self.fmt,
-            "norm": self.norm,
-            "qoi_tolerance": self.qoi_tolerance,
-            "input_tolerance": self.input_tolerance,
+            "certificate": None if self.certificate is None else self.certificate.to_dict(),
             "weight_version": self.weight_version,
             "input_error_l2": self.input_error_l2,
             "input_error_linf": self.input_error_linf,
@@ -205,6 +200,11 @@ class AuditRecord:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "AuditRecord":
+        """The inverse of :meth:`to_dict`; a malformed certificate is an
+        :class:`~repro.exceptions.IntegrityError`."""
+        from ..core.pipeline import Certificate  # obs imports before core
+
+        certificate = payload.get("certificate")
         return cls(
             qoi_predicted=float(payload["qoi_predicted"]),
             qoi_observed=float(payload["qoi_observed"]),
@@ -218,10 +218,7 @@ class AuditRecord:
             run_id=str(payload.get("run_id", "")),
             label=str(payload.get("label", "")),
             codec=str(payload.get("codec", "")),
-            fmt=str(payload.get("fmt", "")),
-            norm=str(payload.get("norm", "")),
-            qoi_tolerance=float(payload.get("qoi_tolerance", 0.0)),
-            input_tolerance=float(payload.get("input_tolerance", 0.0)),
+            certificate=None if certificate is None else Certificate.from_dict(certificate),
             created_unix=float(payload.get("created_unix", 0.0)),
             metadata=dict(payload.get("metadata", {})),
         )
@@ -467,13 +464,13 @@ class Auditor:
         """Store a record under this auditor without emitting its metrics.
 
         This is the one storing body; :meth:`record_run` adds the metrics
-        for a record produced here.  Pool workers audit with a
-        :meth:`detached` clone and ship the record back to the parent;
-        resumed checkpoints replay records the killed run already
-        persisted.  Either way the record gets a fresh sequential run id
-        here and is stored in memory + registry, but its metrics are
-        **not** re-emitted — the producing process
-        emitted them once (worker counter deltas merge separately).
+        for a record produced here.  Its one other caller is a chunked
+        run's parent: forked pool workers audit with a :meth:`detached`
+        clone and ship the record back, and it gets a fresh sequential run
+        id here and is stored in memory + registry, but its metrics are
+        **not** re-emitted — the worker emitted them once (its counter
+        deltas merge separately).  Replay adopts nothing: a journaled or
+        remote chunk is audited afresh as ``execute`` replays it.
         """
         record.run_id = ""
         if not record.created_unix:
@@ -510,7 +507,7 @@ class Auditor:
                 run_id=record.run_id or "-",
                 at=",".join(violations),
                 qoi_tightness=record.qoi_tightness,
-                fmt=record.fmt or "?",
+                fmt=record.certificate.fmt if record.certificate else "?",
             )
 
     @property

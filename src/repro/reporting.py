@@ -93,12 +93,14 @@ def describe_audit(record: dict) -> str:
     Per-layer rows show the observed L2 error at each segment end, the
     predicted cumulative Inequality (3) envelope, their ratio
     (*tightness*: 1.0 = bound exactly attained, >1 = violated) and the
-    verdict; a summary line carries the QoI-level result and provenance.
+    verdict; a summary line carries the QoI-level result and provenance,
+    format and norm read from the record's certificate.
     """
+    certificate = record.get("certificate") or {}
     lines = [
         f"audit {record.get('run_id') or '(unregistered)'}"
-        f"  codec={record.get('codec', '?')} fmt={record.get('fmt', '?')}"
-        f" norm={record.get('norm', '?')}"
+        f"  codec={record.get('codec', '?')} fmt={certificate.get('fmt', '?')}"
+        f" norm={certificate.get('norm', '?')}"
         f" weights=v{record.get('weight_version', '?')}"
     ]
     if record.get("layers"):

@@ -124,10 +124,6 @@ class TaskOutcome:
     quarantined: bool = False
     error: "str | None" = None
     inline: bool = False
-    #: wall seconds of the successful attempt as measured where it ran
-    #: (inside the forked child for pool execution) — includes injected
-    #: chaos delays, which is what straggler analysis wants to see
-    seconds: "float | None" = None
     #: what the pool's ``commit`` callable returned for this attempt
     committed: object = None
 
@@ -212,7 +208,7 @@ class SupervisedPool:
         every completed result; raising treats the result as a task
         failure (corrupt-result detection).
     commit:
-        Optional ``commit(task_id, result, attempts, seconds)`` run where
+        Optional ``commit(task_id, result, attempts)`` run where
         the task ran — inside the worker, after the chaos hooks — to make
         the result durable before it is reported; raising fails the
         attempt.  What it returns rides back to the parent as
@@ -296,22 +292,20 @@ class SupervisedPool:
         for task_id in task_ids:
             attempt = attempts_used.get(task_id, 0)
             while True:
-                started = time.perf_counter()
                 attempt += 1
                 try:
                     result = self.task_fn(task_id)
                     if self.validate is not None:
                         self.validate(task_id, result)
-                    seconds = time.perf_counter() - started
                     committed = None
                     if self.commit is not None:
-                        committed = self.commit(task_id, result, attempt, seconds)
+                        committed = self.commit(task_id, result, attempt)
                 except Exception as exc:
                     error = f"{type(exc).__name__}: {exc}"
                 else:
                     report.outcomes[task_id] = TaskOutcome(
                         task_id=task_id, result=result, attempts=attempt, inline=True,
-                        seconds=seconds, committed=committed,
+                        committed=committed,
                     )
                     break
                 if attempt > self.retry.max_retries:
@@ -371,15 +365,15 @@ class SupervisedPool:
                 return
             attempts = failures.get(task_id, 0) + 1
             report.outcomes[task_id] = TaskOutcome(
-                task_id=task_id, result=result, attempts=attempts,
-                seconds=seconds, committed=committed,
+                task_id=task_id, result=result, attempts=attempts, committed=committed,
             )
             with tracer.span(
                 "supervisor.task", pool=self.label, task=task_id,
                 attempts=attempts, worker=slot,
             ) as task_span:
-                if seconds is not None:
-                    task_span.set(task_seconds=seconds)
+                # the wall the worker measured, injected chaos delays
+                # included: what straggler analysis wants to see
+                task_span.set(worker_seconds=seconds)
             # adopt the child's spans under the task span so the fork
             # boundary disappears from the trace
             if child_spans and tracer.enabled:
@@ -621,7 +615,7 @@ class SupervisedPool:
                 seconds = time.perf_counter() - started
                 committed = None
                 if self.commit is not None:
-                    committed = self.commit(task_id, result, attempt + 1, seconds)
+                    committed = self.commit(task_id, result, attempt + 1)
                 if self.pack is not None:
                     result = self.pack(task_id, result)
                 delta, spans = {}, []

@@ -187,9 +187,9 @@ _RESULT_FRAME = struct.pack("!I", len(_RESULT_BYTES)) + _RESULT_BYTES
 
 
 def test_wire_protocol_is_pinned():
-    """Protocol v5: these message types, listed literally.  The v2
+    """Protocol v6: these message types, listed literally.  The v2
     METRICS frame is now an unknown type."""
-    assert PROTOCOL_VERSION == 5
+    assert PROTOCOL_VERSION == 6
     assert _MESSAGE_TYPES == {
         "hello", "welcome", "refuse", "lease_request", "lease", "wait",
         "heartbeat", "result", "result_ack", "drain",
@@ -203,13 +203,14 @@ def test_wire_protocol_is_pinned():
     raw.close()
 
 
-@pytest.mark.parametrize("proto", [2, 3, 4])
+@pytest.mark.parametrize("proto", [2, 3, 4, 5])
 def test_an_older_worker_is_refused_at_hello(proto):
     """A v2 worker may send METRICS frames, a v3 worker sends npz
-    artifacts of outputs + blob, which a v5 coordinator would journal as
-    blobs, and a v4 worker's RESULT entries carry loose error keys where a
-    v5 one carries a certificate: each HELLO is refused, both versions
-    named, before any RESULT."""
+    artifacts of outputs + blob, which a v6 coordinator would journal as
+    blobs, a v4 worker's RESULT entries carry loose error keys where a
+    v6 one carries a certificate, and a v5 worker's carry an audit record
+    and timings a v6 coordinator would journal unread: each HELLO is
+    refused, both versions named, before any RESULT."""
     coordinator = ShardCoordinator(_FUZZ_MANIFEST)
     worker_end, coordinator_end = socket.socketpair()
     worker = FrameSocket(worker_end, role="worker")
@@ -219,7 +220,7 @@ def test_an_older_worker_is_refused_at_hello(proto):
     )
     worker.send(dict(hello, proto=proto))
     assert coordinator._handshake(FrameSocket(coordinator_end)) is None
-    assert worker.recv() == {"type": "refuse", "reason": f"protocol version {proto} != 5"}
+    assert worker.recv() == {"type": "refuse", "reason": f"protocol version {proto} != 6"}
     assert coordinator.summary("refused")["handshake_refused"] == 1
     worker.close()
     coordinator_end.close()
@@ -890,19 +891,9 @@ def _comparable_audit(audit):
 
 
 def _comparable_entries(checkpoint, manifest):
-    """Replay-visible journal entries by chunk, minus wall-time fields,
-    who computed the chunk, and the registry's run ids."""
-    entries = CheckpointJournal(checkpoint).begin(manifest, resume=True)
-    comparable = {}
-    for index, entry in entries.items():
-        entry = {
-            k: v for k, v in entry.items()
-            if k not in ("timings", "task_seconds", "worker")
-        }
-        if entry.get("audit"):
-            entry["audit"] = _comparable_audit(entry["audit"])
-        comparable[index] = entry
-    return comparable
+    """Replay-visible journal entries by chunk: a line holds nothing else,
+    so whoever wrote it, the lines of one computation are equal."""
+    return CheckpointJournal(checkpoint).begin(manifest, resume=True)
 
 
 #: rows of the assembled outputs that chunk 2 of the 4 x 8-row split owns
@@ -1072,7 +1063,7 @@ def test_worker_and_coordinator_build_the_same_run_identity(distrib_setup, tmp_p
 
 def test_checkpoint_format_is_pinned(distrib_setup):
     """A checkpoint directory is interchangeable across versions of the
-    code that writes it: format version 4, these manifest fingerprint
+    code that writes it: format version 5, these manifest fingerprint
     keys, these journal entry keys and ``chunks/chunk-NNNN.rblob``
     artifacts that hold the chunk's serialized blob and nothing else —
     listed literally, so moving the code that builds them cannot move the
@@ -1085,20 +1076,19 @@ def test_checkpoint_format_is_pinned(distrib_setup):
     }
     assert manifest["fingerprint"]["precision"] == "float32"  # SZ on float32 fields
     journal = CheckpointJournal(serial_dir)
-    assert journal._read_manifest()["format_version"] == 4
+    assert journal._read_manifest()["format_version"] == 5
     entries = journal.entries()
     assert len(entries) == 4
     for entry in entries:
         assert set(entry) == {
-            "input_digest", "attempts", "quarantined", "certificate", "timings",
-            "audit", "task_seconds", "chunk", "artifact", "artifact_digest",
+            "input_digest", "attempts", "quarantined", "certificate", "chunk",
+            "artifact", "artifact_digest",
         }
         assert set(entry["certificate"]) == {
             "norm", "qoi_tolerance", "fmt", "quant_bound", "input_tolerance",
             "codec_tolerance", "qoi_error", "input_error_linf", "input_error_l2_max",
             "codec_error",
         }
-        assert set(entry["timings"]) == {"compress", "decompress", "inference"}
         assert entry["artifact"] == f"chunks/chunk-{entry['chunk']:04d}.rblob"
         data = journal.load(entry)
         assert blob_to_bytes(blob_from_bytes(data)) == data

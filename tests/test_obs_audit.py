@@ -14,6 +14,7 @@ import pytest
 from repro import obs
 from repro.compress import SZCompressor
 from repro.core import ErrorFlowAnalyzer, InferencePipeline, TolerancePlanner
+from repro.core.pipeline import Certificate
 from repro.exceptions import IntegrityError, ShapeError
 from repro.nn import Identity, Linear, ReLU, Sequential, Tanh
 from repro.obs.audit import (
@@ -41,6 +42,13 @@ def _pristine_auditor():
     obs.disable_audit()
 
 
+_CERTIFICATE = Certificate(
+    norm="linf", qoi_tolerance=1e-2, fmt="fp16", quant_bound=2e-3, input_tolerance=1e-3,
+    codec_tolerance=1e-3, qoi_error=4e-3, input_error_linf=9e-4, input_error_l2_max=2e-3,
+    codec_error=9e-4,
+)
+
+
 def _record(
     qoi_tightness=0.5,
     verdict=VERDICT_OK,
@@ -59,8 +67,7 @@ def _record(
         layers=list(layers),
         run_id=run_id,
         codec="sz",
-        fmt="fp16",
-        norm="linf",
+        certificate=_CERTIFICATE,
     )
 
 
@@ -185,6 +192,23 @@ def test_audit_record_round_trip():
     record.metadata = {"compression_ratio": 3.5}
     clone = AuditRecord.from_dict(record.to_dict())
     assert clone == record
+    bare = AuditRecord.from_dict(dict(record.to_dict(), certificate=None))
+    assert bare.certificate is None and bare.to_dict()["certificate"] is None
+
+
+@pytest.mark.parametrize("certificate", [
+    {**_CERTIFICATE.to_dict(), "qoi_error": "0.004"},
+    {**_CERTIFICATE.to_dict(), "norm": "l1"},
+    {**_CERTIFICATE.to_dict(), "codec_error": float("nan")},
+    {k: v for k, v in _CERTIFICATE.to_dict().items() if k != "fmt"},
+    {**_CERTIFICATE.to_dict(), "kind": "verified"},
+    "linf", [], 0.01,
+])
+def test_audit_record_refuses_a_malformed_certificate(certificate):
+    """The record's certificate goes through the strict reader."""
+    payload = dict(_record().to_dict(), certificate=certificate)
+    with pytest.raises(IntegrityError, match="certificate"):
+        AuditRecord.from_dict(payload)
 
 
 def test_violations_property():
@@ -424,7 +448,7 @@ def test_pipeline_audit_records_run(trained_spectral_mlp, rng, tmp_path):
     assert len(auditor.records) == 1
     record = auditor.records[0]
     assert record.run_id == "run-0001"
-    assert record.codec == "sz" and record.norm == "linf"
+    assert record.codec == "sz" and record.certificate == result.certificate
     assert record.label == "unit"
     assert record.layerwise and len(record.layers) == 3
     assert record.metadata["samples"] == 192

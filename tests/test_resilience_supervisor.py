@@ -42,6 +42,8 @@ from repro.io import (
     read_jsonl_records,
 )
 from repro.obs import audit_capture
+from repro.obs.audit import LayerwiseErrorRecorder
+from repro.obs.registry import RunRegistry
 from repro.resilience import (
     CHAOS_ENV_VAR,
     ChaosError,
@@ -339,7 +341,7 @@ def test_pool_validate_rejects_corrupt_result_then_retry_succeeds(tmp_path):
         if np.isnan(result).any():
             raise IntegrityError(f"NaN in task {task_id} result")
 
-    def commit(task_id, result, attempts, seconds):
+    def commit(task_id, result, attempts):
         # runs in the worker, after the chaos hooks: it sees what the
         # parent will see, and what it returns rides back on the outcome
         _append_line(commit_log, f"{task_id} {attempts} {int(np.isnan(result).any())}")
@@ -516,7 +518,7 @@ def test_pool_inline_commits_after_validate():
 
     pool = SupervisedPool(
         _square, workers=1, retry=FAST_RETRY, validate=validate,
-        commit=lambda tid, res, attempts, seconds: committed.append((tid, attempts)) or tid,
+        commit=lambda tid, res, attempts: committed.append((tid, attempts)) or tid,
     )
     report = pool.run([1, 2, 3])
     assert committed == [(1, 1), "rejected-once", (2, 2), (3, 1)]
@@ -579,10 +581,12 @@ def test_pool_stitches_child_spans_into_parent_trace():
     for task in task_spans:
         assert task.trace_id == root.trace_id
     assert sorted(span.attributes["value"] for span in child_spans) == [1, 2, 3]
-    # the child-measured wall rides back on the outcome
+    # the child-measured wall rides back onto the task span
+    assert sorted(task.attributes["task"] for task in task_spans) == sorted(report.outcomes)
     assert all(
-        isinstance(outcome.seconds, float) and outcome.seconds >= 0.0
-        for outcome in report.outcomes.values()
+        isinstance(task.attributes["worker_seconds"], float)
+        and task.attributes["worker_seconds"] >= 0.0
+        for task in task_spans
     )
 
 
@@ -1092,6 +1096,54 @@ def test_resume_bit_identical_across_kill_points(
         assert sorted(verdicts) == sorted(full_verdicts)
 
 
+def _comparable_runs(path):
+    """A registry's records, run ids and creation times aside, in a
+    canonical order (a pool registers chunks as they complete)."""
+    return sorted(
+        json.dumps({k: v for k, v in run.items() if k not in ("run_id", "created_unix")},
+                   sort_keys=True)
+        for run in RunRegistry(path).runs()
+    )
+
+
+@pytest.mark.parametrize("writer", ["serial", "pool"])
+def test_resume_re_audits_every_replayed_chunk(chunked_setup, tmp_path, monkeypatch, writer):
+    """The audit is re-derived as the certificate is: a journal line
+    carries no audit record, and one forged into a line (a violation with
+    tightness 123 and no layers) never reaches the registry.  Resumed
+    from a journal the parent or the pool workers wrote, the run registers
+    the uninterrupted run's records field for field, each from one
+    recorder pass per replayed chunk."""
+    pipeline, fields, _ = chunked_setup
+    with audit_capture(registry=str(tmp_path / "full.jsonl")):
+        _chunked(pipeline, fields, workers=1)
+    ck = str(tmp_path / "ck")
+    with audit_capture(registry=str(tmp_path / "written.jsonl")):
+        if writer == "serial":
+            _chunked(pipeline, fields, workers=1, checkpoint=ck)
+        else:
+            _chunked(pipeline, fields, workers=2, executor="process", checkpoint=ck)
+    full = _comparable_runs(str(tmp_path / "full.jsonl"))
+    assert len(full) == 4 and _comparable_runs(str(tmp_path / "written.jsonl")) == full
+    entries = CheckpointJournal(ck).entries()
+    assert not any("audit" in entry for entry in entries)
+    forged = dict(json.loads(full[0]), verdict="VIOLATION", qoi_tightness=123.0, layers=[])
+    _rewrite_journal(ck, [dict(entries[0], audit=forged), *entries[1:]])
+
+    passes = []
+    real_audit = LayerwiseErrorRecorder.audit
+    monkeypatch.setattr(
+        LayerwiseErrorRecorder, "audit",
+        lambda self, *args, **kw: passes.append(1) or real_audit(self, *args, **kw),
+    )
+    with audit_capture(registry=str(tmp_path / "resumed.jsonl")) as auditor:
+        resumed = _chunked(pipeline, fields, workers=1, checkpoint=ck, resume=True)
+    assert resumed.extra["checkpoint"]["replayed_chunks"] == 4
+    assert len(passes) == 4
+    assert 123.0 not in [record.qoi_tightness for record in auditor.records]
+    assert _comparable_runs(str(tmp_path / "resumed.jsonl")) == full
+
+
 # -- worker-side commit under faults -----------------------------------------
 
 
@@ -1382,7 +1434,7 @@ def test_v1_checkpoint_directory_is_refused(chunked_setup, tmp_path):
     manifest_path = os.path.join(ck, "manifest.json")
     with open(manifest_path, encoding="utf-8") as handle:
         manifest = json.load(handle)
-    assert manifest["format_version"] == 4
+    assert manifest["format_version"] == 5
     manifest["format_version"] = 1
     with open(manifest_path, "w", encoding="utf-8") as handle:
         json.dump(manifest, handle)
@@ -1444,6 +1496,35 @@ _V3_CHECKPOINT = {
 }
 
 
+#: a checkpoint directory as the format-4 writer left it: the format-3
+#: chunk, its line holding a certificate beside the audit record, timings
+#: and task seconds a format-5 line drops — the record rewritten to a
+#: verdict nobody earned (VIOLATION, tightness 123, no layers)
+_V4_CHECKPOINT = {
+    "manifest.json": (
+        "ewogICJjaHVua19kaWdlc3RzIjogWwogICAgIjZmZDIzMmI1N2YzZTlmYzVhYjg0MGI1M2ExMzllZWMxIgogIF0s"
+        "CiAgImZpbmdlcnByaW50IjogewogICAgInBsYW4iOiAidjQiCiAgfSwKICAiZm9ybWF0X3ZlcnNpb24iOiA0Cn0K"
+    ),
+    "journal.jsonl": (
+        "eyJhcnRpZmFjdCI6ICJjaHVua3MvY2h1bmstMDAwMC5yYmxvYiIsICJhcnRpZmFjdF9kaWdlc3QiOiAiOGFlNzg2"
+        "OTgxMjBlOTIyZGNmMjhmZGE0NzJjZjA1MmYiLCAiYXR0ZW1wdHMiOiAxLCAiYXVkaXQiOiB7ImNvZGVjIjogInN6"
+        "IiwgImNyZWF0ZWRfdW5peCI6IDAuMCwgImZtdCI6ICJmcDE2IiwgImlucHV0X2Vycm9yX2wyIjogMC4wMSwgImlu"
+        "cHV0X2Vycm9yX2xpbmYiOiAwLjAwNSwgImlucHV0X3RvbGVyYW5jZSI6IDAuMDEsICJsYWJlbCI6ICIiLCAibGF5"
+        "ZXJzIjogW10sICJsYXllcndpc2UiOiB0cnVlLCAibWV0YWRhdGEiOiB7fSwgIm5vcm0iOiAibGluZiIsICJxb2lf"
+        "b2JzZXJ2ZWQiOiAwLjAwMSwgInFvaV9wcmVkaWN0ZWQiOiAwLjAwNCwgInFvaV90aWdodG5lc3MiOiAxMjMuMCwg"
+        "InFvaV90b2xlcmFuY2UiOiAwLjAxLCAicnVuX2lkIjogInJ1bi0wMDAxIiwgInZlcmRpY3QiOiAiVklPTEFUSU9O"
+        "IiwgIndlaWdodF92ZXJzaW9uIjogMX0sICJjZXJ0aWZpY2F0ZSI6IHsiY29kZWNfZXJyb3IiOiAwLjAwNSwgImNv"
+        "ZGVjX3RvbGVyYW5jZSI6IDAuMDEsICJmbXQiOiAiZnAxNiIsICJpbnB1dF9lcnJvcl9sMl9tYXgiOiAwLjAxLCAi"
+        "aW5wdXRfZXJyb3JfbGluZiI6IDAuMDA1LCAiaW5wdXRfdG9sZXJhbmNlIjogMC4wMSwgIm5vcm0iOiAibGluZiIs"
+        "ICJxb2lfZXJyb3IiOiAwLjAwMSwgInFvaV90b2xlcmFuY2UiOiAwLjAxLCAicXVhbnRfYm91bmQiOiAwLjAwMn0s"
+        "ICJjaHVuayI6IDAsICJpbnB1dF9kaWdlc3QiOiAiNmZkMjMyYjU3ZjNlOWZjNWFiODQwYjUzYTEzOWVlYzEiLCAi"
+        "cXVhcmFudGluZWQiOiBmYWxzZSwgInRhc2tfc2Vjb25kcyI6IDAuMCwgInRpbWluZ3MiOiB7ImNvbXByZXNzIjog"
+        "MC4wLCAiZGVjb21wcmVzcyI6IDAuMCwgImluZmVyZW5jZSI6IDAuMH19Cg=="
+    ),
+    "chunks/chunk-0000.rblob": _V3_CHECKPOINT["chunks/chunk-0000.rblob"],
+}
+
+
 def _refuse_pinned_checkpoint(tmp_path, pinned, version):
     """Resume a pinned directory of format ``version``: refused by an error
     naming both versions, and the refusal leaves it as it was."""
@@ -1453,7 +1534,7 @@ def _refuse_pinned_checkpoint(tmp_path, pinned, version):
         (ck / name).write_bytes(base64.b64decode(text))
     data = np.arange(4, dtype=np.float32)
     manifest = {"fingerprint": {"plan": f"v{version}"}, "chunk_digests": [digest_array(data)]}
-    with pytest.raises(IntegrityError, match=f"format version {version} does not match 4"):
+    with pytest.raises(IntegrityError, match=f"format version {version} does not match 5"):
         CheckpointJournal(str(ck)).begin(manifest, resume=True)
     for name, text in pinned.items():
         assert (ck / name).read_bytes() == base64.b64decode(text)
@@ -1467,6 +1548,13 @@ def test_v2_checkpoint_directory_is_refused(tmp_path):
 def test_v3_checkpoint_directory_is_refused(tmp_path):
     """A pinned format-3 directory, whose journal line held no certificate."""
     _refuse_pinned_checkpoint(tmp_path, _V3_CHECKPOINT, 3)
+
+
+def test_v4_checkpoint_with_a_tampered_audit_is_refused(tmp_path):
+    """Its lines carry an audit record that replay would have adopted."""
+    line = json.loads(base64.b64decode(_V4_CHECKPOINT["journal.jsonl"]))
+    assert line["audit"]["verdict"] == "VIOLATION" and line["audit"]["layers"] == []
+    _refuse_pinned_checkpoint(tmp_path, _V4_CHECKPOINT, 4)
 
 
 @pytest.mark.parametrize("writer, reader", [("fused", "reference"), ("reference", "fused")])
