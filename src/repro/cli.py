@@ -16,10 +16,9 @@ Commands mirror the paper's workflow:
   ``decompress``  — error-bounded (de)compression of ``.npy`` arrays;
 * ``store``       — summarize a :class:`~repro.io.DatasetStore` directory;
 * ``metrics``     — render a metrics export produced with ``--metrics``;
-* ``audit``       — predicted-vs-observed error audits: ``record`` runs
-                    an audited pipeline execution into a registry,
-                    ``report`` summarizes a registry and checks drift,
-                    ``diff`` compares the bound tightness of two runs;
+* ``audit``       — predicted-vs-observed error audits: ``report``
+                    summarizes a registry and checks drift, ``diff``
+                    compares the bound tightness of two runs;
 * ``bench``       — persistent benchmark history: ``record`` appends a
                     ``benchmarks/*.py`` rows file to a JSONL registry,
                     ``report`` lists it, ``diff`` gates two runs against
@@ -30,14 +29,15 @@ Observability is wired through global flags: ``--trace FILE`` writes a
 JSONL span trace of the run, ``--metrics FILE`` a metrics snapshot
 (JSON, or Prometheus text when the file ends in ``.prom``/``.txt``),
 ``--trace-summary`` prints the span tree to stderr, ``--audit FILE``
-audits every pipeline execution into a JSONL run registry, and
+audits every pipeline execution into a JSONL run registry (``pipeline``
+then logs each record's verdict and exits 1 on a violation), and
 ``--log-level`` adjusts verbosity.  All human-readable output goes
 through the structured logger; at the default level its ``plain``
 format matches the historical ``print()`` output byte for byte.
 
 Telemetry files are flushed even when a command raises: export and
 teardown run in nested ``finally`` blocks, so a crashed run still
-leaves its trace, metrics and audit records on disk and the process
+leaves its trace, metrics and audit registry on disk and the process
 never exits with live observability singletons installed.
 """
 
@@ -63,12 +63,12 @@ _LOG = _CliLogger()
 
 # Choices and defaults whose homes import numpy or the telemetry layer, as
 # literals, so building the parser imports neither; tests/test_cold_start.py
-# pins each to its home (workloads, quant, compress, obs.audit, obs.registry,
+# pins each to its home (workloads, quant, compress, obs.registry,
 # perf.history).
 _WORKLOADS = tuple("h2combustion borghesi eurosat".split())
 _FORMATS = tuple("fp32 tf32 fp16 bf16 int8".split())
 _BOUND_MODES = tuple("abs rel l2_abs l2_rel".split())
-_LOOSE_BELOW, _DRIFT_THRESHOLD = 0.05, 0.2
+_DRIFT_THRESHOLD = 0.2
 _BENCH_THRESHOLD, _BENCH_MIN_REPS, _BENCH_MAD_K = 0.20, 3, 3.0
 
 
@@ -137,7 +137,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--audit", metavar="FILE", default=None,
         help="audit every pipeline execution (predicted-vs-observed "
-        "layerwise bounds) into this JSONL run registry",
+        "layerwise bounds) into this JSONL run registry, labelled with "
+        "the workload; a violated bound exits 1",
     )
     parser.add_argument(
         "--instrument-ops", action="store_true",
@@ -177,6 +178,9 @@ def build_parser() -> argparse.ArgumentParser:
     pipeline = commands.add_parser("pipeline", help="run the full pipeline")
     pipeline.set_defaults(handler=_cmd_pipeline)
     _add_plan_flags(pipeline)
+    pipeline.add_argument("--fmt", choices=_FORMATS, default=None,
+                          help="force a weight format instead of letting the "
+                          "planner rank candidates")
     _add_chunk_flags(
         pipeline, distributed=False,
         workers_help="worker count for chunked execution (positive integer; "
@@ -306,27 +310,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     audit_cmds = audit.add_subparsers(dest="audit_command", required=True)
 
-    record = audit_cmds.add_parser(
-        "record", help="run one audited pipeline execution into a registry"
-    )
-    record.set_defaults(handler=_cmd_audit_record)
-    _add_plan_flags(record)
-    record.add_argument("--fmt", choices=_FORMATS, default=None,
-                        help="force a weight format instead of letting the "
-                        "planner rank candidates")
-    record.add_argument("--registry", metavar="FILE", default=None,
-                        help="append the audit record to this JSONL registry")
-    record.add_argument("--label", default="",
-                        help="free-form label stored with the run")
-    record.add_argument("--loose-below", type=float, default=_LOOSE_BELOW,
-                        help="tightness below this is flagged 'loose' "
-                        f"(default: {_LOOSE_BELOW})")
-
     report = audit_cmds.add_parser(
         "report", help="summarize a run registry and detect tightness drift"
     )
     report.set_defaults(handler=_cmd_audit_report)
-    report.add_argument("registry", help="JSONL registry written by 'audit record'")
+    report.add_argument("registry", help="JSONL registry written by --audit")
     report.add_argument("--last", type=int, default=10,
                         help="number of most recent runs to list")
     report.add_argument("--threshold", type=float, default=_DRIFT_THRESHOLD,
@@ -486,7 +474,7 @@ def _build_pipeline(args):
     """``(workload, pipeline)`` from the plan flags, the one way every
     command builds them: a coordinator and its workers run exactly this
     construction, so their plan fingerprints and chunk digests agree
-    whenever the flags do.  ``--fmt`` (``audit record``) forces the
+    whenever the flags do.  ``--fmt`` (``pipeline``) forces the
     weight format: the planner may rank only that one, and falling back
     to another is refused, because an audit of a format the planner
     would have rejected is exactly the point of forcing it."""
@@ -596,7 +584,26 @@ def _cmd_pipeline(args) -> int:
         ratio = result.compression_ratio
     _LOG.info(pipeline.plan.describe())
     _LOG.info(f"compression ratio: {ratio:.2f}x")
-    return _tolerance_verdict(result)
+    return max(_tolerance_verdict(result), _audit_verdict())
+
+
+def _audit_verdict() -> int:
+    """Log each record the live auditor holds; 1 on any violated bound."""
+    from .obs import get_auditor
+
+    violated = 0
+    for record in get_auditor().records:
+        _LOG.info(
+            f"audit {record.run_id or '(unregistered)'}: {record.verdict} "
+            f"(fmt={record.certificate.fmt}, qoi tightness {record.qoi_tightness:.3f})"
+        )
+        if record.violations:
+            violated = 1
+            _LOG.error(
+                f"AUDIT VIOLATION: observed error exceeded the predicted bound "
+                f"at {', '.join(record.violations)}"
+            )
+    return violated
 
 
 def _cmd_coordinate(args) -> int:
@@ -758,36 +765,6 @@ def _cmd_metrics(args) -> int:
         _LOG.error(f"error (JSONDecodeError): {args.file} is not a metrics export: {exc}")
         return 1
     _LOG.info(render_metrics_json(payload))
-    return 0
-
-
-def _cmd_audit_record(args) -> int:
-    from .obs import audit_capture
-    from .reporting import describe_audit
-
-    workload, pipeline = _build_pipeline(args)
-    with audit_capture(
-        registry=args.registry,
-        loose_below=args.loose_below,
-        label=args.label or args.workload,
-    ) as auditor:
-        pipeline.execute(
-            workload.dataset.fields, samples_from_fields=workload.dataset.fields_as_samples
-        )
-        if not auditor.records:
-            _LOG.error("error: the pipeline run produced no audit record")
-            return 1
-        record = auditor.records[-1]
-        violations = record.violations
-    _LOG.info(describe_audit(record.to_dict()))
-    if args.registry:
-        _LOG.info(f"recorded {record.run_id} -> {args.registry}")
-    if violations:
-        _LOG.error(
-            f"AUDIT VIOLATION: observed error exceeded the predicted bound "
-            f"at {', '.join(violations)}"
-        )
-        return 1
     return 0
 
 
@@ -994,7 +971,7 @@ def main(argv: list[str] | None = None) -> int:
     if observing:
         obs.enable()
     if args.audit:
-        obs.enable_audit(registry=args.audit)
+        obs.enable_audit(registry=args.audit, label=getattr(args, "workload", ""))
     try:
         try:
             return args.handler(args)

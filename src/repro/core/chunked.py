@@ -248,7 +248,7 @@ class ChunkRun:
         and the audit when one is live — and its certificate must be the
         entry's: the QoI error within the round-off of a reference
         recomputed on another host or backend, every other field exactly.
-        Its timings and audit record are this replay's, so a resumed
+        Its timings and ``AuditRecord`` are this replay's, so a resumed
         run's registry holds what an uninterrupted one measured.  The
         rows land in the slab.
         """

@@ -358,8 +358,9 @@ class InferencePipeline:
             # before the field delta, so its buffer is free again by then
             qoi_error = _qoi_error(outputs, reference, self.plan.norm)
             delta = reference_samples - samples
-            input_error_l2_max = (
-                float(np.linalg.norm(delta, axis=1).max()) if delta.size else 0.0
+            input_error_l2_max = (  # one norm per sample, whatever its shape
+                float(np.linalg.norm(delta.reshape(len(delta), -1), axis=1).max())
+                if delta.size else 0.0
             )
             input_error_linf = float(np.abs(delta, out=delta).max()) if delta.size else 0.0
 
@@ -455,13 +456,13 @@ class InferencePipeline:
         reference_samples: np.ndarray,
         samples: np.ndarray,
     ) -> None:
-        """Layerwise predicted-vs-observed audit of one execution.
+        """Predicted-vs-observed audit of one execution, read from its result.
 
         Only reached when a live auditor is installed (the disabled cost
-        is one attribute check in :meth:`execute`).  Runs both models
-        again with capture hooks — roughly doubling inference cost for
-        the audited run — and never kills the run it observes: audit
-        failures degrade to a warning.
+        is one attribute check in :meth:`execute`).  A layerwise audit runs
+        both models again with capture hooks; a QoI-only one runs no
+        forward.  Audit failures degrade to a warning: the audit never
+        kills the run it observes.
         """
         try:
             # One audit at a time: the recorder attaches capture hooks to
@@ -472,19 +473,10 @@ class InferencePipeline:
                     from ..obs.audit import LayerwiseErrorRecorder
 
                     self._audit_recorder = LayerwiseErrorRecorder(
-                        self.model, self.quantized, np.shape(reference_samples)[1:],
-                        quant_safety=auditor.quant_safety,
+                        self.model, self.quantized, np.shape(reference_samples)[1:]
                     )
-                record = self._audit_recorder.audit(
-                    reference_samples, samples, loose_below=auditor.loose_below
-                )
+                record = self._audit_recorder.audit(result, reference_samples, samples)
             record.codec = self.codec.name
-            record.certificate = result.certificate
-            record.metadata = {
-                "compression_ratio": float(result.compression_ratio),
-                "degraded": result.extra["integrity"]["degraded"],
-                "samples": int(len(samples)),
-            }
             auditor.record_run(record)
             result.extra["audit"] = record.to_dict()
         except ReproError as exc:

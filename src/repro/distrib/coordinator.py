@@ -71,6 +71,13 @@ _WAIT_SECONDS = 0.25
 #: result rejections tolerated per connection before it is cut off
 _MAX_REJECTS_PER_CONNECTION = 3
 
+#: a RESULT entry is the worker's journal line: what ``ChunkRun.commit``
+#: writes plus the three keys ``CheckpointJournal.record`` adds
+_ENTRY_KEYS = frozenset({
+    "input_digest", "attempts", "quarantined", "certificate",
+    "chunk", "artifact", "artifact_digest",
+})
+
 
 class DrainedError(ReproError):
     """The coordinator drained (SIGTERM) before every chunk completed.
@@ -578,19 +585,24 @@ class ShardCoordinator:
         digest = digest_bytes(data)
         # Validation happens before any state change: a bad result must
         # not consume the chunk, and the sender sees a typed rejection.
-        if entry.get("input_digest") != self._digests[chunk]:
+        if set(entry) != _ENTRY_KEYS:
+            raise IntegrityError(
+                f"chunk {chunk} result from {worker!r} names {sorted(entry)}, "
+                f"not exactly {sorted(_ENTRY_KEYS)}"
+            )
+        attempts, quarantined = entry["attempts"], entry["quarantined"]
+        if type(attempts) is not int or attempts < 1 or type(quarantined) is not bool:
+            raise IntegrityError(
+                f"chunk {chunk} result from {worker!r} declares attempts "
+                f"{attempts!r} and quarantined {quarantined!r}"
+            )
+        if entry["input_digest"] != self._digests[chunk]:
             raise IntegrityError(
                 f"chunk {chunk} result from {worker!r} was computed on "
                 "different input bytes (mixed-plan or stale data)"
             )
-        Certificate.from_dict(entry.get("certificate"))  # a malformed one is refused here
-        declared = entry.get("artifact_digest")
-        if declared is None:
-            raise IntegrityError(
-                f"chunk {chunk} result from {worker!r} declares no artifact "
-                "digest, so its bytes cannot be verified"
-            )
-        if declared != digest:
+        Certificate.from_dict(entry["certificate"])  # a malformed one is refused here
+        if entry["artifact_digest"] != digest:
             raise IntegrityError(
                 f"chunk {chunk} artifact from {worker!r} does not match its "
                 "declared digest (tampered or corrupted in transit)"

@@ -80,8 +80,9 @@ __all__ = [
 #: (v2: optional trace/spans telemetry fields; v3: no METRICS frame;
 #: v4: RESULT artifacts are blob bytes, not npz archives of outputs + blob;
 #: v5: a RESULT entry carries one ``certificate``, not loose error keys;
-#: v6: a RESULT entry holds only what replay reads, no audit or timings)
-PROTOCOL_VERSION = 6
+#: v6: a RESULT entry holds only what replay reads, no audit or timings;
+#: v7: an image sample's certified input L2 error is its own, not per pixel)
+PROTOCOL_VERSION = 7
 
 _LENGTH = struct.Struct("!I")
 

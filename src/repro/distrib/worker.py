@@ -397,7 +397,7 @@ class ShardWorker:
     def _compute(self, chunk_ids: "list[int]") -> None:
         """The single-host supervised-pool path, locally
         (worker-side commit into the local journal, quarantine → lossless
-        rerun) over the leased chunks.  No audit record leaves this
+        rerun) over the leased chunks.  No ``AuditRecord`` leaves this
         process: the coordinator audits each chunk as it replays it."""
         _summary, outcomes = run_supervised(
             self.chunk_run, chunk_ids, self._journal, workers=self.workers,

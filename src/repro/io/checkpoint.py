@@ -66,9 +66,10 @@ _LOG = get_logger("checkpoint")
 _MANIFEST = "manifest.json"
 _JOURNAL = "journal.jsonl"
 _CHUNK_DIR = "chunks"
-#: 4 also kept the audit record, timings and task seconds, 3 loose error
-#: keys, 2 also outputs, 1 reference outputs too
-_FORMAT_VERSION = 5
+#: 5 measured an image sample's input L2 error per pixel, 4 also kept the
+#: audit's record, timings and task seconds, 3 loose error keys, 2 also
+#: outputs, 1 reference outputs too
+_FORMAT_VERSION = 6
 
 
 def digest_bytes(data: bytes) -> str:
@@ -112,7 +113,7 @@ class CheckpointJournal:
     """Append-only journal of certified-complete chunks in a directory.
 
     A chunk's artifact is its serialized blob and nothing else (format
-    version 5; a directory of an earlier version is refused on resume):
+    version 6; a directory of an earlier version is refused on resume):
     whoever replays it decodes the blob and recomputes the outputs.
 
     Lifecycle::

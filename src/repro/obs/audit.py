@@ -14,7 +14,8 @@ executions:
   the recurrence of :func:`~repro.core.bounds.propagate_chain_trajectory`
   bounds — and compares each against the predicted cumulative envelope
   from :meth:`~repro.core.errorflow.ErrorFlowAnalyzer.layer_bounds`,
-  seeded with the *observed* per-sample input error.
+  seeded with the worst per-sample input L2 error the run's
+  :class:`~repro.core.pipeline.Certificate` measured.
 * :class:`AuditRecord` aggregates one run's per-layer verdicts plus a
   QoI-level verdict with full provenance (codec, the run's
   :class:`~repro.core.pipeline.Certificate`, weight version) for
@@ -33,12 +34,13 @@ Verdicts per comparison point: ``VIOLATION`` when observed error exceeds
 the predicted bound beyond numerical slack (the theory failed — this
 should never happen for the deterministic compression term and is a
 red-alert for the CLT quantization estimate), ``loose`` when the bound
-overshoots reality by more than ``1/loose_below`` (tightness below 5 %
-by default — the bound is sound but wasteful), ``ok`` otherwise.
+overshoots reality by more than 20x (tightness below
+:data:`LOOSE_BELOW` — the bound is sound but wasteful), ``ok`` otherwise.
 
 Residual/graph models (no pure chain of linears) fall back to a
-QoI-only audit: the end-to-end bound is still checked, the per-layer
-table is empty and ``layerwise`` is ``False``.
+QoI-only audit, which reads the run's outputs and runs no forward: the
+end-to-end bound is still checked, the per-layer table is empty and
+``layerwise`` is ``False``.
 """
 
 from __future__ import annotations
@@ -81,14 +83,12 @@ VIOLATION_REL_EPS = 1e-6
 #: absolute floor below which observed error counts as zero
 VIOLATION_ABS_EPS = 1e-12
 #: tightness below this is flagged "loose" (bound > 20x reality)
-DEFAULT_LOOSE_BELOW = 0.05
+LOOSE_BELOW = 0.05
 
 _LOG = get_logger("audit")
 
 
-def classify(
-    observed: float, predicted: float, loose_below: float = DEFAULT_LOOSE_BELOW
-) -> tuple[float, str]:
+def classify(observed: float, predicted: float) -> tuple[float, str]:
     """``(tightness, verdict)`` for one observed-vs-predicted comparison.
 
     Tightness is ``observed / predicted`` — 1.0 means the bound is
@@ -104,7 +104,7 @@ def classify(
     tightness = observed / predicted
     if tightness > 1.0 + VIOLATION_REL_EPS:
         return tightness, VERDICT_VIOLATION
-    if tightness < loose_below:
+    if tightness < LOOSE_BELOW:
         return tightness, VERDICT_LOOSE
     return tightness, VERDICT_OK
 
@@ -147,20 +147,18 @@ class LayerAudit:
 
 @dataclass
 class AuditRecord:
-    """One audited pipeline execution: measurements plus provenance.
+    """One audited pipeline execution: verdicts plus provenance.
 
-    The measurement fields (errors, bounds, verdicts) are filled by
-    :meth:`LayerwiseErrorRecorder.audit`; the provenance fields (codec,
-    label, the run's certificate) by whoever owns the run context —
-    :meth:`~repro.core.pipeline.InferencePipeline.execute` or the CLI.
+    :meth:`LayerwiseErrorRecorder.audit` fills the bounds, verdicts and
+    the run's certificate, which holds the plan and the input errors the
+    run measured; :meth:`~repro.core.pipeline.InferencePipeline.execute`
+    adds the codec, the :class:`Auditor` the label and run id.
     """
 
     qoi_predicted: float
     qoi_observed: float
     qoi_tightness: float
     verdict: str
-    input_error_l2: float
-    input_error_linf: float
     weight_version: int = 0
     layers: list[LayerAudit] = field(default_factory=list)
     layerwise: bool = True
@@ -169,7 +167,6 @@ class AuditRecord:
     codec: str = ""
     certificate: "Certificate | None" = None
     created_unix: float = 0.0
-    metadata: dict = field(default_factory=dict)
 
     @property
     def violations(self) -> list[str]:
@@ -186,8 +183,6 @@ class AuditRecord:
             "codec": self.codec,
             "certificate": None if self.certificate is None else self.certificate.to_dict(),
             "weight_version": self.weight_version,
-            "input_error_l2": self.input_error_l2,
-            "input_error_linf": self.input_error_linf,
             "qoi_predicted": self.qoi_predicted,
             "qoi_observed": self.qoi_observed,
             "qoi_tightness": self.qoi_tightness,
@@ -195,7 +190,6 @@ class AuditRecord:
             "layerwise": self.layerwise,
             "layers": [layer.to_dict() for layer in self.layers],
             "created_unix": self.created_unix,
-            "metadata": dict(self.metadata),
         }
 
     @classmethod
@@ -210,8 +204,6 @@ class AuditRecord:
             qoi_observed=float(payload["qoi_observed"]),
             qoi_tightness=float(payload["qoi_tightness"]),
             verdict=str(payload["verdict"]),
-            input_error_l2=float(payload["input_error_l2"]),
-            input_error_linf=float(payload["input_error_linf"]),
             weight_version=int(payload.get("weight_version", 0)),
             layers=[LayerAudit.from_dict(l) for l in payload.get("layers", [])],
             layerwise=bool(payload.get("layerwise", True)),
@@ -220,7 +212,6 @@ class AuditRecord:
             codec=str(payload.get("codec", "")),
             certificate=None if certificate is None else Certificate.from_dict(certificate),
             created_unix=float(payload.get("created_unix", 0.0)),
-            metadata=dict(payload.get("metadata", {})),
         )
 
 
@@ -277,21 +268,14 @@ class LayerwiseErrorRecorder:
     input_shape:
         Per-sample input shape; defaults to the first dense layer's
         ``(in_features,)`` (pass ``samples.shape[1:]`` for conv models).
-    quant_safety:
-        Forwarded to :class:`~repro.core.errorflow.ErrorFlowAnalyzer`.
     """
 
     def __init__(
-        self,
-        model,
-        quantized,
-        input_shape: "tuple[int, ...] | None" = None,
-        quant_safety: float = 1.0,
+        self, model, quantized, input_shape: "tuple[int, ...] | None" = None
     ) -> None:
         self.model = model
         self.quantized = quantized
         self.input_shape = input_shape
-        self.quant_safety = float(quant_safety)
         self._analyzer = None
 
     @property
@@ -301,9 +285,7 @@ class LayerwiseErrorRecorder:
         if self._analyzer is None:
             from ..core.errorflow import ErrorFlowAnalyzer
 
-            self._analyzer = ErrorFlowAnalyzer(
-                self.model, self.input_shape, quant_safety=self.quant_safety
-            )
+            self._analyzer = ErrorFlowAnalyzer(self.model, self.input_shape)
         return self._analyzer
 
     def supports_layerwise(self) -> bool:
@@ -328,20 +310,48 @@ class LayerwiseErrorRecorder:
         )
 
     def audit(
-        self,
-        clean_samples: np.ndarray,
-        perturbed_samples: np.ndarray,
-        loose_below: float = DEFAULT_LOOSE_BELOW,
+        self, result, clean_samples: np.ndarray, perturbed_samples: np.ndarray
     ) -> AuditRecord:
-        """Run both paths on one batch and score every comparison point.
+        """Score one execution's :class:`~repro.core.pipeline.PipelineResult`.
 
-        ``clean_samples`` are the reference model inputs, ``perturbed_samples``
-        the same batch after the lossy round-trip; their difference seeds
-        the predicted envelope, so the comparison isolates *propagation*
-        (did the recurrence cover how the network amplified this exact
-        input error?) from the codec's own contract, which the
-        resilience guards check separately.
+        The envelope is seeded with the worst per-sample input L2 error
+        of ``result.certificate``, so the comparison isolates
+        *propagation* (did the recurrence cover how the network amplified
+        this run's input error?) from the codec's own contract, which the
+        resilience guards check.  A layerwise audit runs both paths on
+        ``clean_samples`` (the reference model inputs) and
+        ``perturbed_samples`` (the same batch after the lossy round-trip)
+        to observe every segment end; a QoI-only audit reads the run's
+        L2 QoI error and runs no forward.
         """
+        certificate = result.certificate
+        input_l2 = certificate.input_error_l2_max
+        if self.supports_layerwise():
+            layers = self._audit_layerwise(clean_samples, perturbed_samples, input_l2)
+            qoi_predicted = layers[-1].predicted_bound
+            qoi_observed = layers[-1].observed_l2
+        else:
+            layers = []
+            qoi_predicted = float(
+                self.analyzer.combined_bound(input_l2, self.quantized.formats)
+            )
+            qoi_observed = result.qoi_error("l2")
+
+        tightness, verdict = classify(qoi_observed, qoi_predicted)
+        return AuditRecord(
+            qoi_predicted=qoi_predicted,
+            qoi_observed=qoi_observed,
+            qoi_tightness=tightness,
+            verdict=verdict,
+            weight_version=int(self.model.weight_version()),
+            layers=layers,
+            layerwise=bool(layers),
+            certificate=certificate,
+        )
+
+    def _audit_layerwise(
+        self, clean_samples: np.ndarray, perturbed_samples: np.ndarray, input_l2: float
+    ) -> list[LayerAudit]:
         clean = np.asarray(clean_samples, dtype=np.float32)
         perturbed = np.asarray(perturbed_samples, dtype=np.float32)
         if clean.shape != perturbed.shape:
@@ -351,44 +361,8 @@ class LayerwiseErrorRecorder:
                 f"audit batches disagree: clean {clean.shape} vs "
                 f"perturbed {perturbed.shape}"
             )
-        input_l2, input_linf = _max_errors(clean, perturbed)
-        formats = self.quantized.formats
-
         self.model.eval()
         self.quantized.model.eval()
-        if self.supports_layerwise():
-            layers = self._audit_layerwise(clean, perturbed, input_l2, loose_below)
-            qoi_predicted = layers[-1].predicted_bound
-            qoi_observed = layers[-1].observed_l2
-            layerwise = True
-        else:
-            layers = []
-            qoi_predicted = float(self.analyzer.combined_bound(input_l2, formats))
-            reference = self.model(clean)
-            outputs = self.quantized(perturbed)
-            qoi_observed, _ = _max_errors(reference, outputs)
-            layerwise = False
-
-        tightness, verdict = classify(qoi_observed, qoi_predicted, loose_below)
-        return AuditRecord(
-            qoi_predicted=qoi_predicted,
-            qoi_observed=qoi_observed,
-            qoi_tightness=tightness,
-            verdict=verdict,
-            input_error_l2=input_l2,
-            input_error_linf=input_linf,
-            weight_version=int(self.model.weight_version()),
-            layers=layers,
-            layerwise=layerwise,
-        )
-
-    def _audit_layerwise(
-        self,
-        clean: np.ndarray,
-        perturbed: np.ndarray,
-        input_l2: float,
-        loose_below: float,
-    ) -> list[LayerAudit]:
         bounds = self.analyzer.layer_bounds(input_l2, self.quantized.formats)
         clean_outputs = _collect_child_outputs(self.model, clean)
         quant_outputs = _collect_child_outputs(self.quantized.model, perturbed)
@@ -404,7 +378,7 @@ class LayerwiseErrorRecorder:
             observed_l2, observed_linf = _max_errors(
                 clean_outputs[point], quant_outputs[point]
             )
-            tightness, verdict = classify(observed_l2, bound, loose_below)
+            tightness, verdict = classify(observed_l2, bound)
             layers.append(
                 LayerAudit(
                     index=index,
@@ -430,22 +404,14 @@ class Auditor:
 
     enabled = True
 
-    def __init__(
-        self,
-        registry: "RunRegistry | None" = None,
-        loose_below: float = DEFAULT_LOOSE_BELOW,
-        quant_safety: float = 1.0,
-        label: str = "",
-    ) -> None:
+    def __init__(self, registry: "RunRegistry | None" = None, label: str = "") -> None:
         self.registry = registry
-        self.loose_below = float(loose_below)
-        self.quant_safety = float(quant_safety)
         self.label = label
         self.records: list[AuditRecord] = []
         self._lock = threading.Lock()
 
     def detached(self) -> "Auditor":
-        """A registry-less clone with the same thresholds.
+        """A registry-less clone with the same label.
 
         Forked workers must keep auditing (the per-chunk record rides
         back to the parent inside ``PipelineResult.extra``) but must not
@@ -453,12 +419,7 @@ class Auditor:
         processes would race on run-id assignment.  The parent re-records
         each reconstructed record through its own auditor instead.
         """
-        return Auditor(
-            registry=None,
-            loose_below=self.loose_below,
-            quant_safety=self.quant_safety,
-            label=self.label,
-        )
+        return Auditor(registry=None, label=self.label)
 
     def adopt(self, record: AuditRecord) -> AuditRecord:
         """Store a record under this auditor without emitting its metrics.
@@ -522,8 +483,6 @@ class NullAuditor:
 
     enabled = False
     registry = None
-    loose_below = DEFAULT_LOOSE_BELOW
-    quant_safety = 1.0
     label = ""
 
     @property
@@ -553,12 +512,7 @@ def set_auditor(auditor) -> None:
     _auditor = auditor if auditor is not None else NULL_AUDITOR
 
 
-def enable_audit(
-    registry: "RunRegistry | str | None" = None,
-    loose_below: float = DEFAULT_LOOSE_BELOW,
-    quant_safety: float = 1.0,
-    label: str = "",
-) -> Auditor:
+def enable_audit(registry: "RunRegistry | str | None" = None, label: str = "") -> Auditor:
     """Install a live auditor globally; returns it.
 
     ``registry`` may be a :class:`~repro.obs.registry.RunRegistry` or a
@@ -567,12 +521,7 @@ def enable_audit(
     """
     if isinstance(registry, str):
         registry = RunRegistry(registry)
-    auditor = Auditor(
-        registry=registry,
-        loose_below=loose_below,
-        quant_safety=quant_safety,
-        label=label,
-    )
+    auditor = Auditor(registry=registry, label=label)
     set_auditor(auditor)
     return auditor
 
@@ -583,20 +532,10 @@ def disable_audit() -> None:
 
 
 @contextmanager
-def audit_capture(
-    registry: "RunRegistry | str | None" = None,
-    loose_below: float = DEFAULT_LOOSE_BELOW,
-    quant_safety: float = 1.0,
-    label: str = "",
-):
+def audit_capture(registry: "RunRegistry | str | None" = None, label: str = ""):
     """Scoped :func:`enable_audit`; restores the previous auditor."""
     previous = _auditor
     try:
-        yield enable_audit(
-            registry=registry,
-            loose_below=loose_below,
-            quant_safety=quant_safety,
-            label=label,
-        )
+        yield enable_audit(registry=registry, label=label)
     finally:
         set_auditor(previous)

@@ -8,7 +8,7 @@ same data model Prometheus uses, and the registry exports both a JSON
 document and the Prometheus text exposition format.
 
 Measurements (stage times, compression ratios, QoI errors, step sizes)
-are not metrics: each is recorded once, on a span, in an audit record or
+are not metrics: each is recorded once, on a span, in an ``AuditRecord`` or
 in ``PipelineResult.extra`` (docs/OBSERVABILITY.md, "Where each number
 lives").
 

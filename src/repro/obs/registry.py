@@ -102,7 +102,7 @@ def _layer_map(run: dict) -> dict:
 def diff_runs(
     run_a: dict, run_b: dict, threshold: float = DEFAULT_DRIFT_THRESHOLD
 ) -> dict:
-    """Structural diff of two persisted audit records (A = baseline)."""
+    """Structural diff of two persisted ``AuditRecord`` payloads (A = baseline)."""
     layers_a, layers_b = _layer_map(run_a), _layer_map(run_b)
     shared = [name for name in layers_a if name in layers_b]
     rows = []

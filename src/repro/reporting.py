@@ -4,8 +4,8 @@
 before reduction: per-layer type, shape, parameter count, spectral norm
 and the Table-I step sizes; :func:`describe_analysis` summarizes what the
 error-flow analyzer would answer for every standard format;
-:func:`describe_audit` and :func:`describe_audit_diff` render one audit
-record and the tightness comparison of two registered runs.
+:func:`describe_audit_diff` renders the tightness comparison of two
+registered audit runs.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .quant.stepsize import average_step_size
 
 __all__ = [
     "describe_analysis",
-    "describe_audit",
     "describe_audit_diff",
     "describe_model",
 ]
@@ -84,44 +83,6 @@ def describe_analysis(
         if reference_norm:
             row += f" {bound / reference_norm:>10.3e}"
         lines.append(row)
-    return "\n".join(lines)
-
-
-def describe_audit(record: dict) -> str:
-    """Render one audit record (an ``AuditRecord.to_dict()`` payload).
-
-    Per-layer rows show the observed L2 error at each segment end, the
-    predicted cumulative Inequality (3) envelope, their ratio
-    (*tightness*: 1.0 = bound exactly attained, >1 = violated) and the
-    verdict; a summary line carries the QoI-level result and provenance,
-    format and norm read from the record's certificate.
-    """
-    certificate = record.get("certificate") or {}
-    lines = [
-        f"audit {record.get('run_id') or '(unregistered)'}"
-        f"  codec={record.get('codec', '?')} fmt={certificate.get('fmt', '?')}"
-        f" norm={certificate.get('norm', '?')}"
-        f" weights=v{record.get('weight_version', '?')}"
-    ]
-    if record.get("layers"):
-        lines.append(
-            f"{'layer':<12} {'observed L2':>12} {'bound':>12} "
-            f"{'tightness':>10} {'verdict':>10}"
-        )
-        for layer in record["layers"]:
-            lines.append(
-                f"{layer['name']:<12} {layer['observed_l2']:>12.4e} "
-                f"{layer['predicted_bound']:>12.4e} "
-                f"{layer['tightness']:>10.3f} {layer['verdict']:>10}"
-            )
-    else:
-        lines.append("(no per-layer envelope: QoI-only audit)")
-    lines.append(
-        f"QoI: observed {record.get('qoi_observed', 0.0):.4e}"
-        f" / predicted {record.get('qoi_predicted', 0.0):.4e}"
-        f" = tightness {record.get('qoi_tightness', 0.0):.3f}"
-        f"  [{record.get('verdict', '?')}]"
-    )
     return "\n".join(lines)
 
 

@@ -199,60 +199,77 @@ def test_log_level_error_silences_stdout(capsys):
     assert capsys.readouterr().out == ""
 
 
-def test_audit_record_command(tmp_path, capsys):
+def _audited_pipeline(registry_path, *flags):
+    return main(
+        ["--audit", str(registry_path), "pipeline", "h2combustion", "--tolerance", *flags]
+    )
+
+
+def test_audit_flag_records_a_run(tmp_path, capsys):
     from repro.io import read_jsonl_records
 
     registry_path = tmp_path / "runs.jsonl"
-    assert main(
-        [
-            "audit", "record", "h2combustion", "--tolerance", "1e-2",
-            "--registry", str(registry_path),
-        ]
-    ) == 0
+    assert _audited_pipeline(registry_path, "1e-2") == 0
     out = capsys.readouterr().out
-    assert "tightness" in out
-    assert "recorded run-0001" in out
     (record,) = read_jsonl_records(str(registry_path))
     assert record["run_id"] == "run-0001"
+    assert record["label"] == "h2combustion"
     assert record["verdict"] in ("ok", "loose")
     assert record["layers"], "PSN MLP audits must carry per-layer rows"
+    assert f"audit run-0001: {record['verdict']}" in out
 
 
-def test_audit_record_forced_format(tmp_path, capsys):
+def test_audit_flag_on_pipeline_command(tmp_path, capsys):
+    from repro.io import read_jsonl_records
+    from repro.obs import NULL_AUDITOR, get_auditor
+
     registry_path = tmp_path / "runs.jsonl"
-    assert main(
-        [
-            "audit", "record", "h2combustion", "--tolerance", "2e-1",
-            "--fmt", "int8", "--registry", str(registry_path),
-        ]
-    ) == 0
+    assert _audited_pipeline(registry_path, "1e-2") == 0
+    capsys.readouterr()
+    (record,) = read_jsonl_records(str(registry_path))
+    assert record["codec"] == "sz"
+    assert get_auditor() is NULL_AUDITOR  # switched off after main
+
+
+def test_audit_flag_forced_format(tmp_path, capsys):
+    from repro.io import read_jsonl_records
+
+    registry_path = tmp_path / "runs.jsonl"
+    assert _audited_pipeline(registry_path, "2e-1", "--fmt", "int8") == 0
     assert "fmt=int8" in capsys.readouterr().out
+    (record,) = read_jsonl_records(str(registry_path))
+    assert record["certificate"]["fmt"] == "int8"
 
 
-def test_audit_record_rejects_infeasible_format(tmp_path, capsys):
-    assert main(
-        [
-            "audit", "record", "h2combustion", "--tolerance", "1e-6",
-            "--fmt", "int8", "--registry", str(tmp_path / "runs.jsonl"),
-        ]
-    ) == 1
+def test_audit_flag_rejects_infeasible_format(tmp_path, capsys):
+    registry_path = tmp_path / "runs.jsonl"
+    assert _audited_pipeline(registry_path, "1e-6", "--fmt", "int8") == 1
     assert "error (ToleranceError)" in capsys.readouterr().err
+    assert not registry_path.exists()
+
+
+def test_audit_flag_exits_one_on_a_violation(tmp_path, capsys, monkeypatch):
+    """A violated bound fails the command even when the tolerance holds."""
+    from repro.obs import audit
+
+    monkeypatch.setattr(audit, "classify", lambda observed, predicted: (2.0, "VIOLATION"))
+    assert _audited_pipeline(tmp_path / "runs.jsonl", "1e-2") == 1
+    captured = capsys.readouterr()
+    assert "tolerance honoured" in captured.out
+    assert "audit run-0001: VIOLATION" in captured.out
+    assert "AUDIT VIOLATION" in captured.err
 
 
 def test_audit_report_and_diff(tmp_path, capsys):
     registry_path = tmp_path / "runs.jsonl"
     for _ in range(2):
-        assert main(
-            [
-                "audit", "record", "h2combustion", "--tolerance", "1e-2",
-                "--registry", str(registry_path),
-            ]
-        ) == 0
+        assert _audited_pipeline(registry_path, "1e-2") == 0
     capsys.readouterr()
 
     assert main(["audit", "report", str(registry_path)]) == 0
     out = capsys.readouterr().out
     assert "run-0001" in out and "run-0002" in out
+    assert "h2combustion" in out
 
     assert main(
         ["audit", "diff", "run-0001", "run-0002", "--registry", str(registry_path)]
@@ -264,12 +281,7 @@ def test_audit_report_and_diff(tmp_path, capsys):
 
 def test_audit_diff_unknown_run(tmp_path, capsys):
     registry_path = tmp_path / "runs.jsonl"
-    assert main(
-        [
-            "audit", "record", "h2combustion", "--tolerance", "1e-2",
-            "--registry", str(registry_path),
-        ]
-    ) == 0
+    assert _audited_pipeline(registry_path, "1e-2") == 0
     capsys.readouterr()
     assert main(
         ["audit", "diff", "run-0001", "run-0099", "--registry", str(registry_path)]
@@ -277,21 +289,10 @@ def test_audit_diff_unknown_run(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_audit_flag_on_pipeline_command(tmp_path, capsys):
-    from repro.io import read_jsonl_records
-    from repro.obs import NULL_AUDITOR, get_auditor
-
-    registry_path = tmp_path / "runs.jsonl"
-    assert main(
-        [
-            "--audit", str(registry_path),
-            "pipeline", "h2combustion", "--tolerance", "1e-2",
-        ]
-    ) == 0
-    capsys.readouterr()
-    (record,) = read_jsonl_records(str(registry_path))
-    assert record["codec"] == "sz"
-    assert get_auditor() is NULL_AUDITOR  # switched off after main
+def test_audit_record_is_not_a_command(capsys):
+    with pytest.raises(SystemExit):
+        main(["audit", "record", "h2combustion", "--tolerance", "1e-2"])
+    assert "invalid choice: 'record'" in capsys.readouterr().err
 
 
 def test_observability_flushes_when_command_raises(tmp_path, capsys):

@@ -83,7 +83,6 @@ def test_cli_parser_literals_equal_their_homes():
     numpy; each must equal the value in the module that owns it."""
     from repro import cli
     from repro.compress import ErrorBoundMode
-    from repro.obs.audit import DEFAULT_LOOSE_BELOW
     from repro.obs.registry import DEFAULT_DRIFT_THRESHOLD
     from repro.perf.history import DEFAULT_BENCH_THRESHOLD, DEFAULT_MAD_K, DEFAULT_MIN_REPS
     from repro.quant import STANDARD_FORMATS
@@ -92,7 +91,6 @@ def test_cli_parser_literals_equal_their_homes():
     assert cli._WORKLOADS == WORKLOAD_NAMES
     assert cli._FORMATS == tuple(STANDARD_FORMATS)
     assert cli._BOUND_MODES == tuple(mode.value for mode in ErrorBoundMode)
-    assert cli._LOOSE_BELOW == DEFAULT_LOOSE_BELOW
     assert cli._DRIFT_THRESHOLD == DEFAULT_DRIFT_THRESHOLD
     assert cli._BENCH_THRESHOLD == DEFAULT_BENCH_THRESHOLD
     assert cli._BENCH_MIN_REPS == DEFAULT_MIN_REPS

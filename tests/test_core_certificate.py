@@ -25,6 +25,7 @@ from repro.core.errorflow import ErrorFlowAnalyzer
 from repro.core.pipeline import Certificate, InferencePipeline
 from repro.core.planner import TolerancePlanner
 from repro.exceptions import IntegrityError
+from repro.nn import Conv2d, Flatten, Linear, Sequential, Tanh
 from repro.resilience.supervisor import fork_available
 
 needs_fork = pytest.mark.skipif(not fork_available(), reason="the process pool forks")
@@ -154,20 +155,27 @@ def field():
     )
 
 
-def _measured(pipeline, fields, outputs, reference, chunk_size):
+def _variable_planes(fields):
+    return fields.reshape(len(fields), -1).T.astype(np.float32)
+
+
+def _measured(
+    pipeline, fields, outputs, reference, chunk_size, chunk_axis=1, as_samples=_variable_planes
+):
     """The certificate of a chunked run, measured without the pipeline:
     each chunk compressed and decoded by the codec alone, the errors taken
-    over the assembled field, samples and outputs."""
+    over the assembled field, samples and outputs, each sample flattened
+    whatever its shape."""
     codec, plan = pipeline.codec, pipeline.plan
     restored = np.concatenate(
         [
             codec.decompress(codec.compress(chunk, plan.codec_tolerance, ErrorBoundMode.ABS))
-            for chunk in split_chunks(fields, chunk_size, chunk_axis=1)
+            for chunk in split_chunks(fields, chunk_size, chunk_axis=chunk_axis)
         ],
-        axis=1,
+        axis=chunk_axis,
     )
-    samples = fields.reshape(5, -1).T.astype(np.float32)
-    delta = samples - restored.reshape(5, -1).T.astype(np.float32)
+    delta = as_samples(fields) - as_samples(restored)
+    delta = delta.reshape(len(delta), -1)
     qoi_delta = (outputs - reference).reshape(len(outputs), -1)
     qoi_error = (
         np.abs(qoi_delta).max() if plan.norm == "linf"
@@ -233,3 +241,31 @@ def test_every_mode_certifies_what_the_assembled_outputs_measure(
         assert whole.certificate == _measured(
             pipeline, field, whole.outputs, whole.reference_outputs, 32
         ), backend
+
+
+def _images(fields):
+    return fields.astype(np.float32)
+
+
+@pytest.mark.parametrize("norm", ["linf", "l2"])
+def test_an_image_sample_is_certified_by_its_own_input_error(rng, norm):
+    """Image samples ``(N, C, H, W)``: the certified input L2 error is
+    each sample's norm over all its pixels, as the oracle measures it on
+    the flattened sample, not a norm per pixel across channels."""
+    model = Sequential(
+        Conv2d(3, 4, 3, padding=1, rng=rng), Tanh(), Flatten(), Linear(4 * 8 * 8, 3, rng=rng),
+    )
+    model.eval()
+    images = rng.uniform(-1, 1, (6, 3, 8, 8)).astype(np.float32)
+    plan = TolerancePlanner(ErrorFlowAnalyzer(model, images.shape[1:])).plan(
+        1e-1, norm=norm, quant_fraction=0.5
+    )
+    pipeline = InferencePipeline(model, SZCompressor(), plan)
+    result = pipeline.execute(images, samples_from_fields=_images)
+    measured = _measured(
+        pipeline, images, result.outputs, result.reference_outputs, len(images),
+        chunk_axis=0, as_samples=_images,
+    )
+    assert result.certificate == measured
+    per_pixel = np.linalg.norm(_images(images) - pipeline.load(result.blob), axis=1).max()
+    assert result.certificate.input_error_l2_max > per_pixel

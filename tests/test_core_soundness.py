@@ -170,6 +170,7 @@ def test_layer_envelope_covers_observed_layerwise_error(
     runtime, across all Table-I formats and perturbation magnitudes.
     """
     from repro.obs.audit import LayerwiseErrorRecorder, VERDICT_VIOLATION
+    from tests.test_obs_audit import _audit_batch
 
     fmt = _FORMATS[fmt_index]
     quantized = quantize_model(trained_spectral_mlp, fmt)
@@ -180,7 +181,7 @@ def test_layer_envelope_covers_observed_layerwise_error(
     amplitude = 10.0**log_noise
     noise = rng.uniform(-amplitude, amplitude, x.shape).astype(np.float32)
 
-    record = recorder.audit(x, x + noise)
+    record = _audit_batch(recorder, x, x + noise)
     assert record.layerwise and len(record.layers) == 3
     for layer in record.layers:
         assert layer.verdict != VERDICT_VIOLATION

@@ -173,11 +173,14 @@ _RESULT = msg_result(
     {
         "input_digest": _FUZZ_MANIFEST["chunk_digests"][0],
         "attempts": 1,
+        "quarantined": False,
         "certificate": {
             "norm": "linf", "qoi_tolerance": 0.01, "fmt": "fp16", "quant_bound": 0.002,
             "input_tolerance": 0.001, "codec_tolerance": 0.001, "qoi_error": 0.004,
             "input_error_linf": 0.0009, "input_error_l2_max": 0.002, "codec_error": 0.0009,
         },
+        "chunk": 0,
+        "artifact": "chunks/chunk-0000.rblob",
         "artifact_digest": digest_bytes(_ARTIFACT),
     },
     encode_artifact(_ARTIFACT),
@@ -187,9 +190,9 @@ _RESULT_FRAME = struct.pack("!I", len(_RESULT_BYTES)) + _RESULT_BYTES
 
 
 def test_wire_protocol_is_pinned():
-    """Protocol v6: these message types, listed literally.  The v2
+    """Protocol v7: these message types, listed literally.  The v2
     METRICS frame is now an unknown type."""
-    assert PROTOCOL_VERSION == 6
+    assert PROTOCOL_VERSION == 7
     assert _MESSAGE_TYPES == {
         "hello", "welcome", "refuse", "lease_request", "lease", "wait",
         "heartbeat", "result", "result_ack", "drain",
@@ -203,13 +206,14 @@ def test_wire_protocol_is_pinned():
     raw.close()
 
 
-@pytest.mark.parametrize("proto", [2, 3, 4, 5])
+@pytest.mark.parametrize("proto", [2, 3, 4, 5, 6])
 def test_an_older_worker_is_refused_at_hello(proto):
     """A v2 worker may send METRICS frames, a v3 worker sends npz
-    artifacts of outputs + blob, which a v6 coordinator would journal as
+    artifacts of outputs + blob, which a v7 coordinator would journal as
     blobs, a v4 worker's RESULT entries carry loose error keys where a
-    v6 one carries a certificate, and a v5 worker's carry an audit record
-    and timings a v6 coordinator would journal unread: each HELLO is
+    v7 one carries a certificate, a v5 worker's carry the audit's record
+    and timings a v7 coordinator would journal unread, and a v6 worker
+    certifies an image sample's input L2 error per pixel: each HELLO is
     refused, both versions named, before any RESULT."""
     coordinator = ShardCoordinator(_FUZZ_MANIFEST)
     worker_end, coordinator_end = socket.socketpair()
@@ -220,7 +224,7 @@ def test_an_older_worker_is_refused_at_hello(proto):
     )
     worker.send(dict(hello, proto=proto))
     assert coordinator._handshake(FrameSocket(coordinator_end)) is None
-    assert worker.recv() == {"type": "refuse", "reason": f"protocol version {proto} != 6"}
+    assert worker.recv() == {"type": "refuse", "reason": f"protocol version {proto} != 7"}
     assert coordinator.summary("refused")["handshake_refused"] == 1
     worker.close()
     coordinator_end.close()
@@ -267,6 +271,31 @@ def test_a_damaged_result_frame_never_journals_other_bytes(cut, flips):
         for entry in journal.entries():
             assert entry["chunk"] == 0
             assert journal.load(entry) == _ARTIFACT
+
+
+@pytest.mark.parametrize("entry", [
+    dict(_RESULT["entry"], audit={"verdict": "VIOLATION", "qoi_tightness": 123.0}),
+    dict(_RESULT["entry"], note="computed elsewhere"),
+    {key: value for key, value in _RESULT["entry"].items() if key != "attempts"},
+    dict(_RESULT["entry"], attempts=0),
+    dict(_RESULT["entry"], attempts=True),
+    dict(_RESULT["entry"], attempts=1.0),
+    dict(_RESULT["entry"], quarantined=0),
+], ids=["audit", "note", "no-attempts", "zero-attempts", "bool-attempts", "float-attempts",
+        "int-quarantined"])
+def test_a_result_entry_names_exactly_what_a_commit_writes(tmp_path, entry):
+    """A RESULT entry is a worker's journal line: exactly the keys
+    ``ChunkRun.commit`` and ``CheckpointJournal.record`` write, attempts a
+    positive int and quarantined a bool.  Anything else is refused before
+    it is journaled, and the well-formed entry is journaled key for key."""
+    journal = CheckpointJournal(str(tmp_path))
+    journal.begin(_FUZZ_MANIFEST)
+    coordinator = ShardCoordinator(_FUZZ_MANIFEST, journal=journal)
+    with pytest.raises(IntegrityError, match="chunk 0 result from 'peer'"):
+        coordinator._handle_result("peer", dict(_RESULT, entry=entry))
+    assert journal.entries() == [] and not coordinator.accepted
+    assert coordinator._handle_result("peer", _RESULT) == "accepted"
+    assert journal.entries() == [_RESULT["entry"]]
 
 
 # -- split_chunks / config validation ---------------------------------------
@@ -771,6 +800,28 @@ def test_straggler_dedup_and_result_validation(distrib_setup, tmp_path):
             assert other.recv() == {"type": "result_ack", "chunk": 1, "status": "rejected"}
         finally:
             other.close()
+        # keys a commit does not write, or one it does left out: refused
+        # (a third connection, for the same reason as the second)
+        third = FrameSocket(socket.create_connection((host, port)), role="worker")
+        third.settimeout(5.0)
+        try:
+            third.send(
+                msg_hello(
+                    "extra-keys",
+                    manifest["fingerprint"],
+                    manifest_identity(manifest),
+                    digest_model(pipeline.model),
+                )
+            )
+            assert third.recv()["type"] == "welcome"
+            no_attempts = {k: v for k, v in entries[1].items() if k != "attempts"}
+            for entry in (dict(entries[1], audit={}, note="x"), no_attempts):
+                third.send(
+                    msg_result(release["lease"], 1, entry, encode_artifact(artifacts[1]))
+                )
+                assert third.recv() == {"type": "result_ack", "chunk": 1, "status": "rejected"}
+        finally:
+            third.close()
         # valid submissions finish the run (results need no live lease)
         for index in (1, 2, 3):
             assert submit(index, entries[index], artifacts[index]) == "accepted"
@@ -783,7 +834,7 @@ def test_straggler_dedup_and_result_validation(distrib_setup, tmp_path):
     assert summary["outcome"] == "complete"
     assert summary["completed_chunks"] == 4
     assert summary["results"] == {
-        "accepted": 4, "duplicate": 1, "conflict": 1, "rejected": 4,
+        "accepted": 4, "duplicate": 1, "conflict": 1, "rejected": 6,
     }
     assert summary["leases_expired"] == 1
     assert summary["leases_reassigned"] == 1
@@ -904,7 +955,7 @@ _CHUNK_2 = slice(2 * 8 * 32, 3 * 8 * 32)
 def test_every_executor_certifies_the_same_computation(distrib_setup, tmp_path):
     """Differential over one :class:`ChunkRun` construction: the same plan
     and fields give identical outputs, reference outputs, input errors,
-    QoI error, per-chunk journal entries and audit records whether the
+    QoI error, per-chunk journal entries and ``AuditRecord``s whether the
     chunks ran serially, serially with a journal, on the pool (workers
     committing their own records), were partly or wholly replayed from a
     journal the *other* executor wrote, or ran on loopback shard workers.
@@ -1063,7 +1114,7 @@ def test_worker_and_coordinator_build_the_same_run_identity(distrib_setup, tmp_p
 
 def test_checkpoint_format_is_pinned(distrib_setup):
     """A checkpoint directory is interchangeable across versions of the
-    code that writes it: format version 5, these manifest fingerprint
+    code that writes it: format version 6, these manifest fingerprint
     keys, these journal entry keys and ``chunks/chunk-NNNN.rblob``
     artifacts that hold the chunk's serialized blob and nothing else —
     listed literally, so moving the code that builds them cannot move the
@@ -1076,7 +1127,7 @@ def test_checkpoint_format_is_pinned(distrib_setup):
     }
     assert manifest["fingerprint"]["precision"] == "float32"  # SZ on float32 fields
     journal = CheckpointJournal(serial_dir)
-    assert journal._read_manifest()["format_version"] == 5
+    assert journal._read_manifest()["format_version"] == 6
     entries = journal.entries()
     assert len(entries) == 4
     for entry in entries:

@@ -501,6 +501,7 @@ def test_pipeline_identical_across_backends(trained_spectral_mlp):
 
 def test_audit_verdicts_identical_across_backends(trained_spectral_mlp, rng, monkeypatch):
     from repro.obs.audit import LayerwiseErrorRecorder
+    from tests.test_obs_audit import _audit_batch
 
     clean = rng.uniform(-1, 1, (64, 5)).astype(np.float32)
     perturbed = clean + rng.uniform(-1e-3, 1e-3, clean.shape).astype(np.float32)
@@ -510,7 +511,7 @@ def test_audit_verdicts_identical_across_backends(trained_spectral_mlp, rng, mon
     for backend in ("reference", "fused"):
         monkeypatch.setenv("REPRO_BACKEND", backend)
         recorder = LayerwiseErrorRecorder(trained_spectral_mlp, quantized)
-        records[backend] = recorder.audit(clean, perturbed)
+        records[backend] = _audit_batch(recorder, clean, perturbed)
 
     ref, fused = records["reference"], records["fused"]
     assert ref.verdict == fused.verdict

@@ -6,6 +6,7 @@ JSONL registry, diffing/drift detection, the pipeline wiring behind the
 off-by-default null-object switch, and the audit metrics.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 from repro import obs
 from repro.compress import SZCompressor
 from repro.core import ErrorFlowAnalyzer, InferencePipeline, TolerancePlanner
-from repro.core.pipeline import Certificate
+from repro.core.pipeline import Certificate, PipelineResult
 from repro.exceptions import IntegrityError, ShapeError
 from repro.nn import Identity, Linear, ReLU, Sequential, Tanh
 from repro.obs.audit import (
@@ -61,8 +62,6 @@ def _record(
         qoi_observed=qoi_tightness,
         qoi_tightness=qoi_tightness,
         verdict=verdict,
-        input_error_l2=1e-4,
-        input_error_linf=1e-5,
         weight_version=weight_version,
         layers=list(layers),
         run_id=run_id,
@@ -106,6 +105,27 @@ def test_classify_zero_bound_edges():
 # -- lockstep recorder -------------------------------------------------------
 
 
+def _batch_result(recorder, clean, perturbed):
+    """The result ``execute`` would hand the recorder for one batch run
+    outside a pipeline: both forwards and the batch's worst per-sample
+    input errors in the certificate."""
+    delta = (clean - perturbed).reshape(len(clean), -1)
+    certificate = dataclasses.replace(
+        _CERTIFICATE,
+        input_error_linf=float(np.abs(delta).max()),
+        input_error_l2_max=float(np.linalg.norm(delta, axis=1).max()),
+    )
+    return PipelineResult(
+        outputs=recorder.quantized(perturbed), reference_outputs=recorder.model(clean),
+        blob=None, plan=None, compress_seconds=0.0, decompress_seconds=0.0,
+        inference_seconds=0.0, certificate=certificate,
+    )
+
+
+def _audit_batch(recorder, clean, perturbed):
+    return recorder.audit(_batch_result(recorder, clean, perturbed), clean, perturbed)
+
+
 @pytest.mark.parametrize("name", sorted(_FORMATS))
 def test_layerwise_observed_never_exceeds_envelope(trained_spectral_mlp, name):
     """Acceptance criterion: per-layer tightness <= 1.0 on a PSN MLP with
@@ -121,7 +141,7 @@ def test_layerwise_observed_never_exceeds_envelope(trained_spectral_mlp, name):
     blob = codec.compress(clean, 1e-3)
     perturbed = codec.decompress(blob)
 
-    record = recorder.audit(clean, perturbed)
+    record = _audit_batch(recorder, clean, perturbed)
     assert record.layerwise
     assert len(record.layers) == 3
     for layer in record.layers:
@@ -150,7 +170,7 @@ def test_recorder_detects_tampered_model(trained_spectral_mlp):
     recorder = LayerwiseErrorRecorder(trained_spectral_mlp, quantized)
     rng = np.random.default_rng(5)
     clean = rng.uniform(-1, 1, (32, 5)).astype(np.float32)
-    record = recorder.audit(clean, clean)
+    record = _audit_batch(recorder, clean, clean)
     assert record.verdict == VERDICT_VIOLATION
     assert record.violations
 
@@ -158,30 +178,71 @@ def test_recorder_detects_tampered_model(trained_spectral_mlp):
 def test_recorder_shape_mismatch_raises(trained_spectral_mlp):
     quantized = quantize_model(trained_spectral_mlp, FP16)
     recorder = LayerwiseErrorRecorder(trained_spectral_mlp, quantized)
+    batch = np.zeros((4, 5), dtype=np.float32)
     with pytest.raises(ShapeError):
-        recorder.audit(np.zeros((4, 5)), np.zeros((3, 5)))
+        recorder.audit(_batch_result(recorder, batch, batch), batch, batch[:3])
 
 
-def test_recorder_falls_back_to_qoi_for_residual_models(rng):
+def _residual_case(rng):
     from repro.nn.residual import ResidualBlock
 
     model = Sequential(
-        Linear(6, 6, rng=rng),
+        Linear(5, 6, rng=rng),
         ReLU(),
         ResidualBlock(Sequential(Linear(6, 6, rng=rng), Tanh())),
         Linear(6, 2, rng=rng),
         Identity(),
     )
     model.eval()
-    quantized = quantize_model(model, FP16)
-    recorder = LayerwiseErrorRecorder(model, quantized, quant_safety=2.0)
-    assert not recorder.supports_layerwise()
-    x = rng.uniform(-1, 1, (8, 6)).astype(np.float32)
-    record = recorder.audit(x, x)
-    assert not record.layerwise
-    assert record.layers == []
-    assert record.qoi_predicted > 0
+    plan = TolerancePlanner(ErrorFlowAnalyzer(model)).plan(1e-2, norm="linf")
+    return model, plan, _fields(rng), None
+
+
+@pytest.mark.parametrize("case", ["residual", "eurosat"])
+def test_a_qoi_only_audit_reads_the_result_and_runs_no_forward(rng, monkeypatch, case):
+    """On a model that is not a flat chain (a residual block, a conv
+    ResNet) the audit scores the run's own outputs: once the recorder
+    exists (its spec extraction traces the model once per pipeline), an
+    audited ``execute`` makes exactly the module calls an unaudited one
+    makes, and the record's observed error is the result's L2 QoI error,
+    bit for bit."""
+    from repro.nn.module import Module
+    from tests.conftest import one_cpu
+    from tests.test_core_pipeline_lanes import _eurosat_case
+
+    model, plan, fields, reshape = _eurosat_case() if case == "eurosat" else _residual_case(rng)
+    pipeline = InferencePipeline(model, SZCompressor(), plan)
+    calls = []
+    real_call = Module.__call__
+    monkeypatch.setattr(
+        Module, "__call__", lambda self, *a, **kw: calls.append(1) or real_call(self, *a, **kw)
+    )
+    with one_cpu():  # every forward whole, so the call count is exact
+        pipeline.execute(fields, samples_from_fields=reshape)
+        unaudited = len(calls)
+        with obs.audit_capture() as auditor:
+            pipeline.execute(fields, samples_from_fields=reshape)
+            del calls[:]
+            result = pipeline.execute(fields, samples_from_fields=reshape)
+    assert len(calls) == unaudited
+    record = auditor.records[-1]
+    assert not record.layerwise and record.layers == []
+    assert record.qoi_observed == result.qoi_error("l2")
+    assert record.qoi_predicted == pipeline._audit_recorder.analyzer.combined_bound(
+        result.certificate.input_error_l2_max, pipeline.quantized.formats
+    )
     assert record.verdict != VERDICT_VIOLATION
+
+
+def test_a_layerwise_envelope_is_seeded_with_the_certified_input_error(trained_spectral_mlp, rng):
+    pipeline = _pipeline(trained_spectral_mlp)
+    with obs.audit_capture() as auditor:
+        result = pipeline.execute(_fields(rng))
+    (record,) = auditor.records
+    analyzer = pipeline._audit_recorder.analyzer
+    assert [layer.predicted_bound for layer in record.layers] == analyzer.layer_bounds(
+        result.certificate.input_error_l2_max, pipeline.quantized.formats
+    )
 
 
 # -- record serialization ----------------------------------------------------
@@ -189,9 +250,10 @@ def test_recorder_falls_back_to_qoi_for_residual_models(rng):
 
 def test_audit_record_round_trip():
     record = _record(layers=[_layer(0, "0", 0.4), _layer(1, "2", 0.6)])
-    record.metadata = {"compression_ratio": 3.5}
     clone = AuditRecord.from_dict(record.to_dict())
     assert clone == record
+    # the run's errors are the certificate's, never copied beside it
+    assert not set(record.to_dict()) & set(_CERTIFICATE.to_dict())
     bare = AuditRecord.from_dict(dict(record.to_dict(), certificate=None))
     assert bare.certificate is None and bare.to_dict()["certificate"] is None
 
@@ -451,7 +513,6 @@ def test_pipeline_audit_records_run(trained_spectral_mlp, rng, tmp_path):
     assert record.codec == "sz" and record.certificate == result.certificate
     assert record.label == "unit"
     assert record.layerwise and len(record.layers) == 3
-    assert record.metadata["samples"] == 192
     payload = result.extra["audit"]
     assert payload["run_id"] == "run-0001"
     assert payload["qoi_tightness"] <= 1.0 + 1e-6
@@ -517,10 +578,10 @@ def test_pipeline_audit_weight_version_tracks_model(
 
 @pytest.mark.parametrize("case", ["h2combustion", "borghesi", "eurosat"])
 def test_the_places_that_report_a_qoi_error_agree(case):
-    """One traced, audited ``execute``: the audit record, the result and
-    the ``pipeline.execute`` span report the same QoI and input errors.
-    The audit measures the QoI error on its own hooked forwards, so it
-    agrees with the result to rounding, not bit for bit."""
+    """One traced, audited ``execute``: the ``AuditRecord``, the result and
+    the ``pipeline.execute`` span report the same QoI error.  A layerwise
+    audit measures it on its own hooked forwards, so it agrees with the
+    result to rounding; a QoI-only one (EuroSAT) reads the result's."""
     from tests.test_core_pipeline_lanes import _eurosat_case, _workload_case
 
     model, plan, fields, reshape = (
@@ -533,18 +594,18 @@ def test_the_places_that_report_a_qoi_error_agree(case):
     assert record.qoi_observed == pytest.approx(
         result.qoi_error("l2"), rel=1e-6
     )
-    assert record.input_error_linf == result.input_error_linf
+    assert record.certificate == result.certificate
     (root,) = tracer.find("pipeline.execute")
     assert root.attributes["observed_error"] == result.qoi_error(plan.norm)
 
 
 def test_registry_append_handles_numpy_values(tmp_path):
-    """Provenance metadata often carries numpy scalars; the registry's
+    """Measured errors often arrive as numpy scalars; the registry's
     JSON encoding must absorb them."""
     registry = RunRegistry(str(tmp_path / "reg.jsonl"))
     record = _record()
-    record.metadata = {"ratio": np.float32(3.5), "rows": np.int64(12)}
+    record.qoi_observed, record.weight_version = np.float32(0.5), np.int64(12)
     registry.append(record)
     loaded = registry.get(0)
-    assert loaded["metadata"] == {"ratio": 3.5, "rows": 12}
+    assert (loaded["qoi_observed"], loaded["weight_version"]) == (0.5, 12)
     json.dumps(loaded)  # fully JSON-native after the round trip

@@ -89,17 +89,18 @@ def test_pipeline_module_stays_one_fields_execute():
     586 once the recovery counter became the one metrics call at its
     site, 560 once the quarantine rerun called the codec's lossless-blob
     builder, 559 once replay decoded a stored blob through ``execute``,
-    paid for by inlining the audit recorder's one-caller builder, 535
+    paid for by inlining the recorder's one-caller builder, 535
     with the run's ``Certificate`` in, the ``screen`` knob, the relative
     QoI error and the post-hoc telemetry method out, and the chunked
     arguments documented where ``ChunkRun.execute`` reads them, 531 with
-    the audit record taking the certificate in place of four copied plan
-    fields and replay audited like any run); lower the ceiling when it
-    shrinks, never raise it."""
+    the ``AuditRecord`` taking the certificate in place of four copied plan
+    fields and replay audited like any run, 523 with the audit reading the
+    result it audits, its metadata and ``quant_safety`` pass-through gone);
+    lower the ceiling when it shrinks, never raise it."""
     from repro.core import pipeline
 
     with open(inspect.getsourcefile(pipeline), encoding="utf-8") as handle:
-        assert sum(1 for _ in handle) <= 531
+        assert sum(1 for _ in handle) <= 523
 
 
 def _python_lines(directory: str) -> int:
@@ -171,10 +172,14 @@ def test_package_line_count_only_goes_down():
     re-derives the certificate took it to 17,822 (the journal's audit,
     timings and task seconds, the replay's audit adoption and its helper,
     the pool's task seconds, the replay origin flags, the coordinator's
-    worker key and the store's ``screen`` knob gone, the audit record's
-    four plan fields folded into its certificate); lower the ceiling
-    when it shrinks."""
-    assert _python_lines(os.path.dirname(inspect.getsourcefile(repro))) <= 17822
+    worker key and the store's ``screen`` knob gone, the ``AuditRecord``'s
+    four plan fields folded into its certificate); the audit reading the
+    run it audits took it to 17,705 (the QoI-only audit's two forwards,
+    the record's copied input errors and metadata, the ``quant_safety``
+    and loose-verdict threshold pass-throughs, the CLI's second audited-run
+    command and ``describe_audit`` gone, the coordinator's strict RESULT
+    intake in); lower the ceiling when it shrinks."""
+    assert _python_lines(os.path.dirname(inspect.getsourcefile(repro))) <= 17705
 
 
 def test_obs_line_count_only_goes_down():
@@ -183,12 +188,14 @@ def test_obs_line_count_only_goes_down():
     1,809 without ``get_log_level``, 1,806 with the audit names loaded on
     first access, 1,793 with the audit reading child outputs through
     ``Module.observe``, 1,773 without the second JSONL reader and with
-    one audit-storing body, 1,770 with the audit record's four plan
-    fields folded into the run's certificate); lower the ceiling when it
-    shrinks."""
+    one audit-storing body, 1,770 with the ``AuditRecord``'s four plan
+    fields folded into the run's certificate, 1,709 with the audit reading
+    its errors from the certificate and the result, no forward on the
+    QoI-only path, and no ``quant_safety`` or loose-threshold knob); lower
+    the ceiling when it shrinks."""
     from repro import obs
 
-    assert _python_lines(os.path.dirname(inspect.getsourcefile(obs))) <= 1770
+    assert _python_lines(os.path.dirname(inspect.getsourcefile(obs))) <= 1709
 
 
 def test_public_surface_only_goes_down():

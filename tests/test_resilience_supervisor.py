@@ -1109,7 +1109,7 @@ def _comparable_runs(path):
 @pytest.mark.parametrize("writer", ["serial", "pool"])
 def test_resume_re_audits_every_replayed_chunk(chunked_setup, tmp_path, monkeypatch, writer):
     """The audit is re-derived as the certificate is: a journal line
-    carries no audit record, and one forged into a line (a violation with
+    carries no ``AuditRecord``, and one forged into a line (a violation with
     tightness 123 and no layers) never reaches the registry.  Resumed
     from a journal the parent or the pool workers wrote, the run registers
     the uninterrupted run's records field for field, each from one
@@ -1434,7 +1434,7 @@ def test_v1_checkpoint_directory_is_refused(chunked_setup, tmp_path):
     manifest_path = os.path.join(ck, "manifest.json")
     with open(manifest_path, encoding="utf-8") as handle:
         manifest = json.load(handle)
-    assert manifest["format_version"] == 5
+    assert manifest["format_version"] == 6
     manifest["format_version"] = 1
     with open(manifest_path, "w", encoding="utf-8") as handle:
         json.dump(manifest, handle)
@@ -1497,7 +1497,7 @@ _V3_CHECKPOINT = {
 
 
 #: a checkpoint directory as the format-4 writer left it: the format-3
-#: chunk, its line holding a certificate beside the audit record, timings
+#: chunk, its line holding a certificate beside the audit's record, timings
 #: and task seconds a format-5 line drops — the record rewritten to a
 #: verdict nobody earned (VIOLATION, tightness 123, no layers)
 _V4_CHECKPOINT = {
@@ -1534,7 +1534,7 @@ def _refuse_pinned_checkpoint(tmp_path, pinned, version):
         (ck / name).write_bytes(base64.b64decode(text))
     data = np.arange(4, dtype=np.float32)
     manifest = {"fingerprint": {"plan": f"v{version}"}, "chunk_digests": [digest_array(data)]}
-    with pytest.raises(IntegrityError, match=f"format version {version} does not match 5"):
+    with pytest.raises(IntegrityError, match=f"format version {version} does not match 6"):
         CheckpointJournal(str(ck)).begin(manifest, resume=True)
     for name, text in pinned.items():
         assert (ck / name).read_bytes() == base64.b64decode(text)
@@ -1551,10 +1551,29 @@ def test_v3_checkpoint_directory_is_refused(tmp_path):
 
 
 def test_v4_checkpoint_with_a_tampered_audit_is_refused(tmp_path):
-    """Its lines carry an audit record that replay would have adopted."""
+    """Its lines carry an ``AuditRecord`` that replay would have adopted."""
     line = json.loads(base64.b64decode(_V4_CHECKPOINT["journal.jsonl"]))
     assert line["audit"]["verdict"] == "VIOLATION" and line["audit"]["layers"] == []
     _refuse_pinned_checkpoint(tmp_path, _V4_CHECKPOINT, 4)
+
+
+def test_v5_checkpoint_directory_is_refused(tmp_path):
+    """A format-5 directory: the format-4 line less its audit, timings and
+    task seconds.  Its writer certified an image sample's input L2 error
+    per pixel, so its certificates cannot be replayed against this one's."""
+    line = json.loads(base64.b64decode(_V4_CHECKPOINT["journal.jsonl"]))
+    line = {key: line[key] for key in (
+        "input_digest", "attempts", "quarantined", "certificate", "chunk", "artifact",
+        "artifact_digest",
+    )}
+    manifest = json.loads(base64.b64decode(_V4_CHECKPOINT["manifest.json"]))
+    manifest.update(fingerprint={"plan": "v5"}, format_version=5)
+    encoded = {
+        "manifest.json": json.dumps(manifest), "journal.jsonl": json.dumps(line) + "\n",
+    }
+    pinned = {name: base64.b64encode(text.encode()).decode() for name, text in encoded.items()}
+    pinned["chunks/chunk-0000.rblob"] = _V4_CHECKPOINT["chunks/chunk-0000.rblob"]
+    _refuse_pinned_checkpoint(tmp_path, pinned, 5)
 
 
 @pytest.mark.parametrize("writer, reader", [("fused", "reference"), ("reference", "fused")])
