@@ -4,8 +4,7 @@
 Times a single-sample (batch=1) forward pass — the serving-latency case
 — of a 4x1024-wide spectral PReLU MLP under each backend and writes the
 unified ``benchutils`` row shape (``{path, config, seconds, reps_s,
-throughput_samples_s}`` — record with ``repro bench record`` to feed the
-regression history):
+throughput_samples_s}``, which CI's backend gates read):
 
 * ``reference``  — interpreted per-module dispatch (``model(x)``);
 * ``fused_cold`` — one cold call including lowering + codegen + bind

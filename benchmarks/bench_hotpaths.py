@@ -2,9 +2,9 @@
 """Micro-benchmarks for the chunked-execution hot paths.
 
 Fourteen paths are timed and written in the unified ``benchutils`` row
-shape (``{path, config, seconds, reps_s, throughput_mb_s}`` — record
-with ``repro bench record`` to feed the regression history; see
-docs/PERFORMANCE.md for how to read the output):
+shape (``{path, config, seconds, reps_s, throughput_mb_s}``, which CI's
+hot-path gates read; see docs/PERFORMANCE.md for how to read the
+output):
 
 * ``cold_start``          — median of 7 fresh ``import repro`` and
   ``python -m repro --help`` processes, with the resident set after the
@@ -268,7 +268,7 @@ def bench_codec_decode(side: int, reps: int) -> list[dict]:
 def bench_sz_roundtrip_faults(reps: int) -> list[dict]:
     """One row per direction; ``seconds`` is the best wall time, the
     medians of faults and ``sys`` time ride in the config under the
-    ``overhead_`` prefix the history layer keeps out of the fingerprint."""
+    ``overhead_`` prefix."""
     try:
         import resource
     except ImportError:

@@ -5,16 +5,13 @@ Every benchmark in this directory emits the same JSON row shape::
     {"path": ..., "config": {...}, "seconds": best,
      "reps_s": [per-rep wall times], "throughput_*": ...}
 
-``seconds`` stays the historical best-of-reps number (robust to
-scheduler noise, what the per-PR gates assert), while ``reps_s`` keeps
-the individual rep times: :mod:`repro.perf.history` computes its
-median/MAD regression statistics from them, so a recorded run carries
-its own noise floor instead of a single point estimate.
+``seconds`` is the best-of-reps number (robust to scheduler noise,
+what CI's hot-path and backend gates assert), while ``reps_s`` keeps
+the individual rep times, so a row carries its own spread instead of a
+single point estimate.
 
 ``config`` holds the *identity* of what was measured plus derived
-outcomes (speedups, overheads).  The history layer strips the derived
-keys before fingerprinting — see ``_VOLATILE_PREFIXES`` there — so only
-add new measured-outcome keys under those prefixes.
+outcomes (speedups, overheads) that the gates read.
 """
 
 from __future__ import annotations
@@ -33,7 +30,7 @@ def best_of(fn, reps: int) -> "tuple[float, list[float]]":
     """``(best wall time, all rep wall times)`` over ``reps`` calls.
 
     Best-of is robust to scheduler noise for gating; the full rep list
-    feeds the bench history's median/MAD regression detector.
+    shows the spread behind it.
     """
     times: list[float] = []
     for _ in range(reps):

@@ -19,11 +19,6 @@ Commands mirror the paper's workflow:
 * ``audit``       — predicted-vs-observed error audits: ``report``
                     summarizes a registry and checks drift, ``diff``
                     compares the bound tightness of two runs;
-* ``bench``       — persistent benchmark history: ``record`` appends a
-                    ``benchmarks/*.py`` rows file to a JSONL registry,
-                    ``report`` lists it, ``diff`` gates two runs against
-                    the robust regression detector (nonzero exit on a
-                    flagged slowdown — the CI perf gate).
 
 Observability is wired through global flags: ``--trace FILE`` writes a
 JSONL span trace of the run, ``--metrics FILE`` a metrics snapshot
@@ -63,13 +58,11 @@ _LOG = _CliLogger()
 
 # Choices and defaults whose homes import numpy or the telemetry layer, as
 # literals, so building the parser imports neither; tests/test_cold_start.py
-# pins each to its home (workloads, quant, compress, obs.registry,
-# perf.history).
+# pins each to its home (workloads, quant, compress, obs.registry).
 _WORKLOADS = tuple("h2combustion borghesi eurosat".split())
 _FORMATS = tuple("fp32 tf32 fp16 bf16 int8".split())
 _BOUND_MODES = tuple("abs rel l2_abs l2_rel".split())
 _DRIFT_THRESHOLD = 0.2
-_BENCH_THRESHOLD, _BENCH_MIN_REPS, _BENCH_MAD_K = 0.20, 3, 3.0
 
 
 def _add_plan_flags(sub) -> None:
@@ -333,69 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="relative tightness increase flagged as regression "
                       f"(default: {_DRIFT_THRESHOLD})")
 
-    bench =commands.add_parser(
-        "bench",
-        help="persistent benchmark history: record bench rows into a "
-        "JSONL registry, report it, diff two runs with regression gates",
-    )
-    bench_cmds = bench.add_subparsers(dest="bench_command", required=True)
-
-    bench_record = bench_cmds.add_parser(
-        "record", help="append a benchmarks/*.py rows file to the history"
-    )
-    bench_record.set_defaults(handler=_cmd_bench_record)
-    bench_record.add_argument(
-        "rows_file",
-        help="bench JSON written by benchmarks/*.py (a row list, or an "
-        "object with a 'rows' list)",
-    )
-    bench_record.add_argument("--registry", required=True, metavar="FILE",
-                              help="JSONL bench history to append to")
-    bench_record.add_argument("--label", default="",
-                              help="free-form label stored with the run")
-    bench_record.add_argument("--bench", default=None,
-                              help="bench name (default: rows file stem)")
-    bench_record.add_argument("--git-rev", default=None,
-                              help="source revision recorded with the run "
-                              "(default: git rev-parse, empty outside a repo)")
-
-    bench_report = bench_cmds.add_parser(
-        "report", help="list the recorded benchmark runs"
-    )
-    bench_report.set_defaults(handler=_cmd_bench_report)
-    bench_report.add_argument("registry", help="JSONL history written by 'bench record'")
-    bench_report.add_argument("--last", type=int, default=10,
-                              help="number of most recent runs to list")
-
-    bench_diff = bench_cmds.add_parser(
-        "diff",
-        help="regression gate between two recorded runs "
-        "(exits nonzero when a row regressed)",
-    )
-    bench_diff.set_defaults(handler=_cmd_bench_diff)
-    bench_diff.add_argument("run_a", nargs="?", default=None,
-                            help="baseline run id (e.g. bench-0001) or index "
-                            "(default: second-latest run)")
-    bench_diff.add_argument("run_b", nargs="?", default=None,
-                            help="candidate run id or index (default: latest run)")
-    bench_diff.add_argument("--registry", required=True, metavar="FILE",
-                            help="JSONL history holding both runs")
-    bench_diff.add_argument(
-        "--threshold", type=float, default=_BENCH_THRESHOLD,
-        help="relative slowdown flagged as regression "
-        f"(default: {_BENCH_THRESHOLD}; doubled when either side "
-        "has sparse reps)",
-    )
-    bench_diff.add_argument(
-        "--min-reps", type=int, default=_BENCH_MIN_REPS,
-        help="reps below this widen the gate to 2x the threshold "
-        f"(default: {_BENCH_MIN_REPS})",
-    )
-    bench_diff.add_argument(
-        "--mad-k", type=float, default=_BENCH_MAD_K,
-        help="absolute change must clear this many scaled MADs of the "
-        f"noisier run (default: {_BENCH_MAD_K})",
-    )
     return parser
 
 
@@ -808,114 +738,6 @@ def _cmd_audit_diff(args) -> int:
         return 1
     _LOG.info(describe_audit_diff(diff))
     return 1 if diff["regressions"] or diff["new_violations"] else 0
-
-
-def _git_rev() -> str:
-    import subprocess
-
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            capture_output=True, text=True, timeout=10,
-        )
-    except (OSError, subprocess.SubprocessError):
-        return ""
-    return out.stdout.strip() if out.returncode == 0 else ""
-
-
-def _cmd_bench_record(args) -> int:
-    import json
-    import os
-
-    from .perf.history import BenchRegistry
-
-    try:
-        with open(args.rows_file) as handle:
-            payload = json.load(handle)
-    except OSError as exc:
-        _LOG.error(f"error (OSError): cannot read rows file: {exc}")
-        return 1
-    except json.JSONDecodeError as exc:
-        _LOG.error(f"error (JSONDecodeError): {args.rows_file} is not bench JSON: {exc}")
-        return 1
-    rows = payload if isinstance(payload, list) else payload.get("rows")
-    if not isinstance(rows, list):
-        _LOG.error(
-            f"error: {args.rows_file} holds neither a row list nor a "
-            "'rows' object"
-        )
-        return 1
-    bench = args.bench or os.path.splitext(os.path.basename(args.rows_file))[0]
-    git_rev = args.git_rev if args.git_rev is not None else _git_rev()
-    registry = BenchRegistry(args.registry)
-    try:
-        run = registry.record(rows, bench=bench, label=args.label, git_rev=git_rev)
-    except ValueError as exc:
-        _LOG.error(f"error (ValueError): {exc}")
-        return 1
-    _LOG.info(
-        f"recorded {run['run_id']} ({len(run['rows'])} row(s), "
-        f"bench {run['bench']}"
-        + (f", rev {run['git_rev']}" if run["git_rev"] else "")
-        + f") -> {args.registry}"
-    )
-    return 0
-
-
-def _cmd_bench_report(args) -> int:
-    from .perf.history import BenchRegistry
-
-    registry = BenchRegistry(args.registry)
-    runs = registry.runs()
-    if not runs:
-        _LOG.info(f"{args.registry}: empty bench history")
-        return 0
-    _LOG.info(
-        f"{'run':12s} {'bench':24s} {'label':16s} {'rev':>8s} {'rows':>5s}"
-    )
-    for run in runs[-args.last:]:
-        _LOG.info(
-            f"{run.get('run_id', '?'):12s} {run.get('bench', '?')[:24]:24s} "
-            f"{run.get('label', '')[:16]:16s} {run.get('git_rev', '')[:8]:>8s} "
-            f"{len(run.get('rows', [])):>5d}"
-        )
-    return 0
-
-
-def _cmd_bench_diff(args) -> int:
-    from .perf.history import BenchRegistry, describe_bench_diff
-
-    registry = BenchRegistry(args.registry)
-    run_a, run_b = args.run_a, args.run_b
-    if run_a is None or run_b is None:
-        runs = registry.runs()
-        if len(runs) < 2:
-            _LOG.error(
-                f"error: bench diff needs two runs, {args.registry} holds "
-                f"{len(runs)}"
-            )
-            return 1
-        run_a = run_a if run_a is not None else runs[-2]["run_id"]
-        run_b = run_b if run_b is not None else runs[-1]["run_id"]
-    try:
-        report = registry.diff(
-            run_a, run_b,
-            threshold=args.threshold,
-            min_reps=args.min_reps,
-            mad_k=args.mad_k,
-        )
-    except (KeyError, ValueError) as exc:
-        _LOG.error(f"error ({type(exc).__name__}): {exc.args[0]}")
-        return 1
-    _LOG.info(f"bench diff {report['run_a']} -> {report['run_b']}")
-    _LOG.info(describe_bench_diff(report))
-    if not report["compared"]:
-        _LOG.info(
-            "no comparable rows (different benches or host shapes); "
-            "nothing to gate"
-        )
-        return 0
-    return 1 if report["regressions"] else 0
 
 
 def _export_metrics(registry, path: str) -> None:

@@ -167,8 +167,8 @@ class JsonlRegistry:
     through :func:`read_jsonl_records`: concurrent appenders interleave
     whole lines, reads tolerate a missing file (empty registry) and a
     torn trailing line, and a crashed writer loses at most its own
-    record.  The audit and bench registries bring the record type and
-    the comparisons.
+    record.  The audit registry brings the record type and the
+    comparisons.
     """
 
     def __init__(self, path: str, prefix: str) -> None:
@@ -195,7 +195,10 @@ class JsonlRegistry:
         return payload
 
     def get(self, key: "str | int") -> dict:
-        """Look up a run by ``run_id`` or by (possibly negative) index."""
+        """Look up a run by ``run_id`` or by (possibly negative) index; an
+        index given as a string (the CLI's ``"-1"``) counts as an index."""
+        if isinstance(key, str) and key.lstrip("-").isdigit():
+            key = int(key)
         runs = self.runs()
         if isinstance(key, int):
             try:

@@ -18,7 +18,7 @@ executions:
   :class:`~repro.core.pipeline.Certificate` measured.
 * :class:`AuditRecord` aggregates one run's per-layer verdicts plus a
   QoI-level verdict with full provenance (codec, the run's
-  :class:`~repro.core.pipeline.Certificate`, weight version) for
+  :class:`~repro.core.pipeline.Certificate`, weight digest) for
   persistence and diffing.
 * :class:`Auditor` is the process-global switchboard, off by default
   through the same null-object pattern as tracing/metrics: pipeline hot
@@ -149,9 +149,9 @@ class LayerAudit:
 class AuditRecord:
     """One audited pipeline execution: verdicts plus provenance.
 
-    :meth:`LayerwiseErrorRecorder.audit` fills the bounds, verdicts and
-    the run's certificate, which holds the plan and the input errors the
-    run measured; :meth:`~repro.core.pipeline.InferencePipeline.execute`
+    :meth:`LayerwiseErrorRecorder.audit` fills the bounds, verdicts, the
+    model's parameter digest and the run's certificate, which holds the
+    plan and the input errors the run measured; :meth:`~repro.core.pipeline.InferencePipeline.execute`
     adds the codec, the :class:`Auditor` the label and run id.
     """
 
@@ -159,7 +159,7 @@ class AuditRecord:
     qoi_observed: float
     qoi_tightness: float
     verdict: str
-    weight_version: int = 0
+    weights: str = ""
     layers: list[LayerAudit] = field(default_factory=list)
     layerwise: bool = True
     run_id: str = ""
@@ -182,7 +182,7 @@ class AuditRecord:
             "label": self.label,
             "codec": self.codec,
             "certificate": None if self.certificate is None else self.certificate.to_dict(),
-            "weight_version": self.weight_version,
+            "weights": self.weights,
             "qoi_predicted": self.qoi_predicted,
             "qoi_observed": self.qoi_observed,
             "qoi_tightness": self.qoi_tightness,
@@ -204,7 +204,7 @@ class AuditRecord:
             qoi_observed=float(payload["qoi_observed"]),
             qoi_tightness=float(payload["qoi_tightness"]),
             verdict=str(payload["verdict"]),
-            weight_version=int(payload.get("weight_version", 0)),
+            weights=str(payload.get("weights", "")),
             layers=[LayerAudit.from_dict(l) for l in payload.get("layers", [])],
             layerwise=bool(payload.get("layerwise", True)),
             run_id=str(payload.get("run_id", "")),
@@ -215,16 +215,12 @@ class AuditRecord:
         )
 
 
-def _flat(samples: np.ndarray) -> np.ndarray:
-    samples = np.asarray(samples, dtype=np.float64)
-    return samples.reshape(len(samples), -1)
-
-
 def _max_errors(clean: np.ndarray, perturbed: np.ndarray) -> tuple[float, float]:
     """Worst per-sample ``(L2, L-infinity)`` difference of two batches."""
-    delta = _flat(clean) - _flat(perturbed)
+    delta = np.asarray(clean, np.float64) - np.asarray(perturbed, np.float64)
     if not delta.size:
         return 0.0, 0.0
+    delta = delta.reshape(len(delta), -1)
     return (
         float(np.linalg.norm(delta, axis=1).max()),
         float(np.abs(delta).max()),
@@ -324,6 +320,8 @@ class LayerwiseErrorRecorder:
         to observe every segment end; a QoI-only audit reads the run's
         L2 QoI error and runs no forward.
         """
+        from ..io.checkpoint import digest_model  # repro.io imports repro.obs
+
         certificate = result.certificate
         input_l2 = certificate.input_error_l2_max
         if self.supports_layerwise():
@@ -343,7 +341,7 @@ class LayerwiseErrorRecorder:
             qoi_observed=qoi_observed,
             qoi_tightness=tightness,
             verdict=verdict,
-            weight_version=int(self.model.weight_version()),
+            weights=digest_model(self.model),
             layers=layers,
             layerwise=bool(layers),
             certificate=certificate,

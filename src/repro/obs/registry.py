@@ -135,9 +135,9 @@ def diff_runs(
     return {
         "run_a": run_a.get("run_id"),
         "run_b": run_b.get("run_id"),
-        "weight_version_a": run_a.get("weight_version"),
-        "weight_version_b": run_b.get("weight_version"),
-        "weights_changed": run_a.get("weight_version") != run_b.get("weight_version"),
+        "weights_a": run_a.get("weights"),
+        "weights_b": run_b.get("weights"),
+        "weights_changed": run_a.get("weights") != run_b.get("weights"),
         "threshold": float(threshold),
         "qoi": {
             "tightness_a": qoi_a,

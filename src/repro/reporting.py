@@ -90,14 +90,15 @@ def describe_audit_diff(diff: dict) -> str:
     """Render a registry diff (:meth:`~repro.obs.registry.RunRegistry.diff`).
 
     Flags every layer whose tightness regressed more than the diff's
-    threshold and every newly violated bound; the weight-version line
-    distinguishes "the model changed" from "the bound quality changed".
+    threshold and every newly violated bound; the weights line (short
+    parameter digests) distinguishes "the model changed" from "the bound
+    quality changed".
     """
     changed = "changed" if diff.get("weights_changed") else "unchanged"
     lines = [
         f"audit diff {diff.get('run_a', '?')} -> {diff.get('run_b', '?')}"
         f"  (weights {changed}:"
-        f" v{diff.get('weight_version_a', '?')} -> v{diff.get('weight_version_b', '?')})"
+        f" {(diff.get('weights_a') or '?')[:8]} -> {(diff.get('weights_b') or '?')[:8]})"
     ]
     if diff.get("layers"):
         lines.append(

@@ -276,7 +276,12 @@ def test_audit_report_and_diff(tmp_path, capsys):
     ) == 0
     out = capsys.readouterr().out
     assert "audit diff run-0001 -> run-0002" in out
+    assert "weights unchanged" in out
     assert "no drift" in out
+
+    # a run given by index, as the help says
+    assert main(["audit", "diff", "0", "-1", "--registry", str(registry_path)]) == 0
+    assert "audit diff run-0001 -> run-0002" in capsys.readouterr().out
 
 
 def test_audit_diff_unknown_run(tmp_path, capsys):
@@ -293,6 +298,13 @@ def test_audit_record_is_not_a_command(capsys):
     with pytest.raises(SystemExit):
         main(["audit", "record", "h2combustion", "--tolerance", "1e-2"])
     assert "invalid choice: 'record'" in capsys.readouterr().err
+
+
+def test_bench_is_not_a_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
 def test_observability_flushes_when_command_raises(tmp_path, capsys):

@@ -84,7 +84,6 @@ def test_cli_parser_literals_equal_their_homes():
     from repro import cli
     from repro.compress import ErrorBoundMode
     from repro.obs.registry import DEFAULT_DRIFT_THRESHOLD
-    from repro.perf.history import DEFAULT_BENCH_THRESHOLD, DEFAULT_MAD_K, DEFAULT_MIN_REPS
     from repro.quant import STANDARD_FORMATS
     from repro.workloads import WORKLOAD_NAMES
 
@@ -92,9 +91,6 @@ def test_cli_parser_literals_equal_their_homes():
     assert cli._FORMATS == tuple(STANDARD_FORMATS)
     assert cli._BOUND_MODES == tuple(mode.value for mode in ErrorBoundMode)
     assert cli._DRIFT_THRESHOLD == DEFAULT_DRIFT_THRESHOLD
-    assert cli._BENCH_THRESHOLD == DEFAULT_BENCH_THRESHOLD
-    assert cli._BENCH_MIN_REPS == DEFAULT_MIN_REPS
-    assert cli._BENCH_MAD_K == DEFAULT_MAD_K
 
 
 def test_every_top_level_name_resolves_on_first_access():

@@ -450,15 +450,15 @@ def test_cli_parses_worker_command():
 def test_cli_commands_and_coordinate_flags_are_pinned():
     """The CLI's commands, its global flags and ``coordinate``'s flags,
     listed literally: the HTTP metrics server, the trace analyzer, the
-    coordinator's telemetry-endpoint flags and the sampling profiler's
-    command and global flags are gone."""
+    coordinator's telemetry-endpoint flags, the sampling profiler's
+    command and global flags and the bench history's command are gone."""
     parser = build_parser()
     commands = next(
         action for action in parser._actions
         if isinstance(action, argparse._SubParsersAction)
     )
     assert set(commands.choices) == {
-        "analyze", "audit", "bench", "compress", "coordinate", "decompress",
+        "analyze", "audit", "compress", "coordinate", "decompress",
         "metrics", "pipeline", "plan", "store", "worker",
     }
     global_flags = {flag for action in parser._actions for flag in action.option_strings}

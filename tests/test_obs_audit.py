@@ -54,7 +54,7 @@ def _record(
     qoi_tightness=0.5,
     verdict=VERDICT_OK,
     layers=(),
-    weight_version=1,
+    weights="a1",
     run_id="",
 ):
     return AuditRecord(
@@ -62,7 +62,7 @@ def _record(
         qoi_observed=qoi_tightness,
         qoi_tightness=qoi_tightness,
         verdict=verdict,
-        weight_version=weight_version,
+        weights=weights,
         layers=list(layers),
         run_id=run_id,
         codec="sz",
@@ -308,6 +308,9 @@ def test_registry_get_by_id_and_index(tmp_path):
     assert registry.get("run-0002")["qoi_tightness"] == 0.2
     assert registry.get(0)["qoi_tightness"] == 0.1
     assert registry.get(-1)["qoi_tightness"] == 0.2
+    # the CLI hands an index over as a string
+    assert registry.get("0")["qoi_tightness"] == 0.1
+    assert registry.get("-1")["qoi_tightness"] == 0.2
     with pytest.raises(KeyError):
         registry.get("run-9999")
     with pytest.raises(KeyError):
@@ -347,18 +350,18 @@ def test_registry_rejects_mid_file_corruption(tmp_path):
 # -- diff / drift ------------------------------------------------------------
 
 
-def _two_run_registry(tmp_path, tightness_a, tightness_b, versions=(1, 2)):
+def _two_run_registry(tmp_path, tightness_a, tightness_b, weights=("a1", "b2")):
     registry = RunRegistry(str(tmp_path / "reg.jsonl"))
     registry.append(
         _record(
             layers=[_layer(i, str(i), t) for i, t in enumerate(tightness_a)],
-            weight_version=versions[0],
+            weights=weights[0],
         )
     )
     registry.append(
         _record(
             layers=[_layer(i, str(i), t) for i, t in enumerate(tightness_b)],
-            weight_version=versions[1],
+            weights=weights[1],
         )
     )
     return registry
@@ -368,7 +371,7 @@ def test_diff_reports_tightness_delta_and_weight_versions(tmp_path):
     registry = _two_run_registry(tmp_path, [0.4, 0.5], [0.45, 0.8])
     diff = registry.diff("run-0001", "run-0002", threshold=0.2)
     assert diff["weights_changed"]
-    assert diff["weight_version_a"] == 1 and diff["weight_version_b"] == 2
+    assert diff["weights_a"] == "a1" and diff["weights_b"] == "b2"
     rows = {row["name"]: row for row in diff["layers"]}
     assert rows["0"]["delta"] == pytest.approx(0.05)
     assert not rows["0"]["regressed"]  # +12.5% < 20% threshold
@@ -380,7 +383,7 @@ def test_diff_flags_new_violations(tmp_path):
     registry = RunRegistry(str(tmp_path / "reg.jsonl"))
     registry.append(_record(layers=[_layer(0, "0", 0.9)]))
     registry.append(
-        _record(layers=[_layer(0, "0", 1.5, VERDICT_VIOLATION)], weight_version=2)
+        _record(layers=[_layer(0, "0", 1.5, VERDICT_VIOLATION)], weights="b2")
     )
     diff = registry.diff(0, 1)
     assert diff["new_violations"] == ["0"]
@@ -559,21 +562,37 @@ def test_pipeline_audit_failure_degrades_to_warning(
 def test_pipeline_audit_weight_version_tracks_model(
     trained_spectral_mlp, rng, tmp_path
 ):
-    """Registry diff between runs with different weight versions reports
-    the version change (acceptance criterion)."""
+    """The record's ``weights`` is the model's parameter digest, not
+    ``Module.weight_version()``: reloading the same state dict bumps the
+    counter but reads as unchanged weights in the registry diff, and one
+    changed weight reads as changed."""
+    from repro.io.checkpoint import digest_model
+    from repro.reporting import describe_audit_diff
+
     path = tmp_path / "reg.jsonl"
     pipeline = _pipeline(trained_spectral_mlp)
     fields = _fields(rng)
-    with obs.audit_capture(registry=str(path)):
-        pipeline.execute(fields)
-        # a weight update (e.g. fine-tuning step) bumps the version
-        layer = trained_spectral_mlp[0]
-        layer.raw_weight.data = layer.raw_weight.data * 1.001
-        pipeline.execute(fields)
-    registry = RunRegistry(str(path))
-    diff = registry.diff("run-0001", "run-0002")
-    assert diff["weights_changed"]
-    assert diff["weight_version_b"] > diff["weight_version_a"]
+    state = trained_spectral_mlp.state_dict()
+    version = trained_spectral_mlp.weight_version()
+    changed = {name: value.copy() for name, value in state.items()}
+    changed["0.raw_weight"].flat[0] += 1e-3
+    try:
+        with obs.audit_capture(registry=str(path)):
+            pipeline.execute(fields)
+            trained_spectral_mlp.load_state_dict(state)
+            assert trained_spectral_mlp.weight_version() > version
+            pipeline.execute(fields)
+            trained_spectral_mlp.load_state_dict(changed)
+            pipeline.execute(fields)
+        registry = RunRegistry(str(path))
+        same, moved = registry.diff(0, 1), registry.diff(1, 2)
+        assert not same["weights_changed"] and same["weights_a"] == same["weights_b"]
+        assert moved["weights_changed"]
+        assert moved["weights_b"] == digest_model(trained_spectral_mlp)
+        assert "weights unchanged" in describe_audit_diff(same)
+        assert "weights changed" in describe_audit_diff(moved)
+    finally:
+        trained_spectral_mlp.load_state_dict(state)
 
 
 @pytest.mark.parametrize("case", ["h2combustion", "borghesi", "eurosat"])
@@ -604,8 +623,9 @@ def test_registry_append_handles_numpy_values(tmp_path):
     JSON encoding must absorb them."""
     registry = RunRegistry(str(tmp_path / "reg.jsonl"))
     record = _record()
-    record.qoi_observed, record.weight_version = np.float32(0.5), np.int64(12)
+    record.qoi_observed = np.float32(0.5)
+    record.layers = [_layer(np.int64(12), "12", 0.25)]
     registry.append(record)
     loaded = registry.get(0)
-    assert (loaded["qoi_observed"], loaded["weight_version"]) == (0.5, 12)
+    assert (loaded["qoi_observed"], loaded["layers"][0]["index"]) == (0.5, 12)
     json.dumps(loaded)  # fully JSON-native after the round trip

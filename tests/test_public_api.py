@@ -178,8 +178,12 @@ def test_package_line_count_only_goes_down():
     the record's copied input errors and metadata, the ``quant_safety``
     and loose-verdict threshold pass-throughs, the CLI's second audited-run
     command and ``describe_audit`` gone, the coordinator's strict RESULT
-    intake in); lower the ceiling when it shrinks."""
-    assert _python_lines(os.path.dirname(inspect.getsourcefile(repro))) <= 17705
+    intake in); deleting the bench history took it to 17,253
+    (``perf/history.py`` with its registry, fingerprints and median/MAD
+    detector, and the CLI's ``bench`` command with its three handlers
+    gone, the string-index lookup moved into ``JsonlRegistry.get`` and the
+    audit's weight digest in); lower the ceiling when it shrinks."""
+    assert _python_lines(os.path.dirname(inspect.getsourcefile(repro))) <= 17253
 
 
 def test_obs_line_count_only_goes_down():
@@ -191,11 +195,12 @@ def test_obs_line_count_only_goes_down():
     one audit-storing body, 1,770 with the ``AuditRecord``'s four plan
     fields folded into the run's certificate, 1,709 with the audit reading
     its errors from the certificate and the result, no forward on the
-    QoI-only path, and no ``quant_safety`` or loose-threshold knob); lower
+    QoI-only path, and no ``quant_safety`` or loose-threshold knob, 1,707
+    with the record's weight digest in place of the weight counter); lower
     the ceiling when it shrinks."""
     from repro import obs
 
-    assert _python_lines(os.path.dirname(inspect.getsourcefile(obs))) <= 1709
+    assert _python_lines(os.path.dirname(inspect.getsourcefile(obs))) <= 1707
 
 
 def test_public_surface_only_goes_down():
