@@ -70,7 +70,7 @@ def test_fig2_measured_numpy_execution(benchmark):
     model = build_model("mlp_s", rng=rng)
 
     def measured():
-        with obs.capture() as (tracer, __metrics):
+        with obs.capture() as (tracer, _):
             seconds = measure_inference_seconds(model, (256,), batch_size=64, repeats=2)
         return seconds, tracer
 

@@ -15,25 +15,23 @@ Commands mirror the paper's workflow:
 * ``compress`` /
   ``decompress``  — error-bounded (de)compression of ``.npy`` arrays;
 * ``store``       — summarize a :class:`~repro.io.DatasetStore` directory;
-* ``metrics``     — render a metrics export produced with ``--metrics``;
 * ``audit``       — predicted-vs-observed error audits: ``report``
                     summarizes a registry and checks drift, ``diff``
                     compares the bound tightness of two runs;
 
 Observability is wired through global flags: ``--trace FILE`` writes a
-JSONL span trace of the run, ``--metrics FILE`` a metrics snapshot
-(JSON, or Prometheus text when the file ends in ``.prom``/``.txt``),
-``--trace-summary`` prints the span tree to stderr, ``--audit FILE``
-audits every pipeline execution into a JSONL run registry (``pipeline``
-then logs each record's verdict and exits 1 on a violation), and
-``--log-level`` adjusts verbosity.  All human-readable output goes
-through the structured logger; at the default level its ``plain``
-format matches the historical ``print()`` output byte for byte.
+JSONL span trace of the run, ``--trace-summary`` prints the span tree to
+stderr, ``--audit FILE`` audits every pipeline execution into a JSONL
+run registry (``pipeline`` then logs each record's verdict and exits 1
+on a violation), and ``--log-level`` adjusts verbosity.  All
+human-readable output goes through the structured logger; at the default
+level its ``plain`` format matches the historical ``print()`` output
+byte for byte.
 
 Telemetry files are flushed even when a command raises: export and
 teardown run in nested ``finally`` blocks, so a crashed run still
-leaves its trace, metrics and audit registry on disk and the process
-never exits with live observability singletons installed.
+leaves its trace and audit registry on disk and the process never exits
+with live observability singletons installed.
 """
 
 import argparse
@@ -118,10 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--trace", metavar="FILE", default=None,
         help="record a span trace of the run and write it as JSONL",
-    )
-    parser.add_argument(
-        "--metrics", metavar="FILE", default=None,
-        help="write a metrics snapshot (JSON; Prometheus text for .prom/.txt)",
     )
     parser.add_argument(
         "--trace-summary", action="store_true",
@@ -291,12 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     store = commands.add_parser("store", help="summarize a DatasetStore directory")
     store.set_defaults(handler=_cmd_store)
     store.add_argument("directory")
-
-    metrics = commands.add_parser(
-        "metrics", help="render a metrics export written by --metrics"
-    )
-    metrics.set_defaults(handler=_cmd_metrics)
-    metrics.add_argument("file", help="metrics JSON produced by --metrics")
 
     audit = commands.add_parser(
         "audit", help="predicted-vs-observed error audits and drift reports"
@@ -680,24 +668,6 @@ def _cmd_store(args) -> int:
     return 0
 
 
-def _cmd_metrics(args) -> int:
-    import json
-
-    from .obs import render_metrics_json
-
-    try:
-        with open(args.file) as handle:
-            payload = json.load(handle)
-    except OSError as exc:
-        _LOG.error(f"error (OSError): cannot read metrics file: {exc}")
-        return 1
-    except json.JSONDecodeError as exc:
-        _LOG.error(f"error (JSONDecodeError): {args.file} is not a metrics export: {exc}")
-        return 1
-    _LOG.info(render_metrics_json(payload))
-    return 0
-
-
 def _cmd_audit_report(args) -> int:
     from .obs import RunRegistry
     from .reporting import describe_audit_diff
@@ -740,47 +710,21 @@ def _cmd_audit_diff(args) -> int:
     return 1 if diff["regressions"] or diff["new_violations"] else 0
 
 
-def _export_metrics(registry, path: str) -> None:
-    import json
-
-    from .obs import json_default
-
-    if path.endswith((".prom", ".txt")):
-        with open(path, "w") as handle:
-            handle.write(registry.to_prometheus())
-    else:
-        with open(path, "w") as handle:
-            json.dump(
-                registry.to_json(), handle, indent=2, sort_keys=True,
-                default=json_default,
-            )
-            handle.write("\n")
-
-
 def _flush_observability(args) -> None:
-    """Export every requested telemetry file, attempting all of them.
+    """Write the trace file and print the span tree; the tree is printed
+    even when writing the trace raises."""
+    from .obs import get_tracer
 
-    One failing export must not swallow the others, so each file is
-    written under its own ``finally`` chain; the first failure is
-    re-raised after every export was attempted.
-    """
-    from .obs import get_metrics, get_tracer
-
-    tracer, registry = get_tracer(), get_metrics()
+    tracer = get_tracer()
     try:
         if args.trace:
             tracer.export_jsonl(args.trace)
             _LOG.debug("trace written", file=args.trace, spans=len(tracer.finished))
     finally:
-        try:
-            if args.metrics:
-                _export_metrics(registry, args.metrics)
-                _LOG.debug("metrics written", file=args.metrics)
-        finally:
-            if args.trace_summary:
-                tree = tracer.render_tree()
-                if tree:
-                    sys.stderr.write(tree + "\n")
+        if args.trace_summary:
+            tree = tracer.render_tree()
+            if tree:
+                sys.stderr.write(tree + "\n")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -789,7 +733,7 @@ def main(argv: list[str] | None = None) -> int:
     from .exceptions import ReproError
 
     obs.set_log_level(args.log_level)
-    observing = bool(args.trace or args.metrics or args.trace_summary)
+    observing = bool(args.trace or args.trace_summary)
     if observing:
         obs.enable()
     if args.audit:

@@ -18,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from ..exceptions import CompressionError, IntegrityError, ToleranceError
-from ..obs import get_metrics, get_tracer
+from ..obs import get_tracer
 
 __all__ = [
     "ErrorBoundMode",
@@ -243,9 +243,9 @@ class Compressor:
 
     Subclasses implement :meth:`_compress` / :meth:`_decompress`; the
     public :meth:`compress` / :meth:`decompress` are template methods
-    that add observability (a ``codec.compress``/``codec.decompress``
-    span plus a per-codec call counter) around the implementation.
-    With observability disabled the wrappers delegate immediately.
+    that add a ``codec.compress``/``codec.decompress`` span around the
+    implementation.  With tracing disabled the wrappers delegate
+    immediately.
     """
 
     #: codec registry name
@@ -274,8 +274,7 @@ class Compressor:
     ) -> CompressedBlob:
         """Compress ``data`` so the reconstruction honours the tolerance."""
         tracer = get_tracer()
-        metrics = get_metrics()
-        if not (tracer.enabled or metrics.enabled):
+        if not tracer.enabled:
             return self._compress(data, tolerance, mode)
         with tracer.span(
             "codec.compress",
@@ -290,14 +289,12 @@ class Compressor:
                 lossless=bool(blob.metadata.get("lossless", False)),
                 precision=blob.metadata.get("precision", "float64"),
             )
-        metrics.counter("codec_compress_total", codec=self.name).inc()
         return blob
 
     def decompress(self, blob: CompressedBlob) -> np.ndarray:
         """Reconstruct the array from a blob produced by this codec."""
         tracer = get_tracer()
-        metrics = get_metrics()
-        if not (tracer.enabled or metrics.enabled):
+        if not tracer.enabled:
             return self._decompress(blob)
         with tracer.span(
             "codec.decompress",
@@ -306,9 +303,7 @@ class Compressor:
             lossless=bool(blob.metadata.get("lossless", False)),
             precision=blob.metadata.get("precision", "float64"),
         ):
-            data = self._decompress(blob)
-        metrics.counter("codec_decompress_total", codec=self.name).inc()
-        return data
+            return self._decompress(blob)
 
     def stream_precision(self, dtype) -> str:
         """The arithmetic this codec's streams for a ``dtype`` field are

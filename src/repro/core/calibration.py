@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..exceptions import ConfigurationError
-from ..obs import get_metrics, get_tracer
+from ..obs import get_tracer
 from ..nn.module import Module
 from ..nn.sequential import Sequential
 from .graph import LINEAR_OPERATORS
@@ -68,5 +68,4 @@ def collect_signal_norms(
             [module for module in model.modules() if isinstance(module, LINEAR_OPERATORS)],
         )
         span.set(layers=len(norms))
-    get_metrics().counter("calibrations_total").inc()
     return [norm * margin for norm in norms]

@@ -33,7 +33,7 @@ import numpy as np
 from ..exceptions import ConfigurationError, IntegrityError, PlanningError
 from ..io.checkpoint import CheckpointJournal, digest_array, digest_model
 from ..io.serialization import blob_from_bytes, blob_to_bytes
-from ..obs import get_auditor, get_logger, get_metrics, get_tracer
+from ..obs import get_auditor, get_logger, get_tracer
 from ..obs.audit import AuditRecord
 from ..perf.parallel import resolve_workers, usable_cpus
 from ..resilience.guards import screen_finite
@@ -292,8 +292,8 @@ class ChunkRun:
         (whenever a chunk was computed here), ``"distrib"`` and
         ``"checkpoint"``.  With auditing on every chunk is audited as its
         own run where it is computed or replayed, and records from forked
-        pool workers are adopted into the parent auditor: one registry
-        entry per chunk.
+        pool workers are stored by the parent auditor: one registry entry
+        per chunk.
 
         Parameters
         ----------
@@ -397,7 +397,7 @@ class ChunkRun:
                     audit = outcome.result.extra.get("audit")
                     if auditor.enabled and audit and not outcome.inline:
                         # audited in a forked worker: register it here
-                        outcome.result.extra["audit"] = auditor.adopt(
+                        outcome.result.extra["audit"] = auditor.record_run(
                             AuditRecord.from_dict(audit)
                         ).to_dict()
                     results[index] = outcome.result
@@ -556,5 +556,4 @@ def run_distributed(
             outcome=summary.get("outcome"),
             remaining=remaining,
         )
-        get_metrics().counter("distrib_degraded_local_total").inc(remaining)
     return summary, results

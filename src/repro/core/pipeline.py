@@ -36,7 +36,7 @@ from ..compress.base import CompressedBlob, Compressor, ErrorBoundMode
 from ..exceptions import ConfigurationError, IntegrityError, ReproError
 from ..nn.backend import CompiledForward, resolve_backend_name
 from ..nn.module import Module
-from ..obs import get_auditor, get_logger, get_metrics, get_tracer
+from ..obs import get_auditor, get_logger, get_tracer
 from ..perf.parallel import side_lane
 from ..quant.quantizer import QuantizedModel, quantize_model
 from ..resilience.guards import check_contract, screen_finite
@@ -260,10 +260,6 @@ class InferencePipeline:
         ) as span:
             reconstructed = self.load(blob)
         spans["decompress"] = span
-        if force_lossless:
-            get_metrics().counter(
-                "recoveries_total", policy="fallback-lossless", component="pipeline"
-            ).inc()
         return blob, reconstructed, compress_seconds, time.perf_counter() - start, spans
 
     def execute(
@@ -312,7 +308,7 @@ class InferencePipeline:
         if samples_from_fields is None:
             samples_from_fields = _field_samples
 
-        tracer, metrics = get_tracer(), get_metrics()
+        tracer = get_tracer()
         with tracer.span(
             "pipeline.execute",
             codec=self.codec.name,
@@ -424,7 +420,7 @@ class InferencePipeline:
                 },
             )
 
-            if tracer.enabled or metrics.enabled:
+            if tracer.enabled:
                 # the observed errors complete the stage spans opened before them
                 certificate = result.certificate
                 for span in spans.values():  # compress (if it ran), decompress
@@ -443,7 +439,6 @@ class InferencePipeline:
                     ),
                     degraded=result.extra["integrity"]["degraded"],
                 )
-                metrics.counter("pipeline_executions_total", codec=self.codec.name).inc()
             auditor = get_auditor()
             if auditor.enabled:
                 self._audit_execution(auditor, result, reference_samples, samples)

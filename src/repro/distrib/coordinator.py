@@ -43,7 +43,7 @@ from typing import Callable, Optional
 from ..core.pipeline import Certificate
 from ..exceptions import ConfigurationError, IntegrityError, ProtocolError, ReproError
 from ..io.checkpoint import digest_bytes
-from ..obs import get_logger, get_metrics, get_tracer
+from ..obs import get_logger, get_tracer
 from .protocol import (
     PROTOCOL_VERSION,
     FrameSocket,
@@ -92,8 +92,8 @@ class DistribConfig:
     """Tunables for one coordinator run.
 
     ``shard_size`` defaults to 1 chunk per lease: the smallest
-    reassignment unit, and the setting that makes chaos-test counters
-    exact (one killed worker loses exactly one lease).  ``on_start``
+    reassignment unit, and the setting that makes the chaos test's lease
+    counts exact (one killed worker loses exactly one lease).  ``on_start``
     fires after the listening socket is bound, with the live
     :class:`ShardCoordinator` — callers use it to learn the ephemeral
     port, launch workers, or install signal handlers.
@@ -304,6 +304,7 @@ class ShardCoordinator:
                 leases_granted=summary["leases_granted"],
                 leases_expired=summary["leases_expired"],
                 leases_reassigned=summary["leases_reassigned"],
+                results=summary["results"],
             )
         _LOG.info(
             "coordinator finished",
@@ -354,7 +355,7 @@ class ShardCoordinator:
             ).start()
 
     def _serve_connection(self, client: socket.socket) -> None:
-        conn = FrameSocket(client, role="coordinator")
+        conn = FrameSocket(client)
         # Generous read deadline: heartbeats arrive every ttl/4, so a
         # silent connection this long is a hung worker, and dropping it
         # routes its chunks through the normal lease-expiry path.
@@ -364,7 +365,6 @@ class ShardCoordinator:
             conn.close()
             return
         conn_id = next(self._conn_ids)
-        metrics = get_metrics()
         tracer = get_tracer()
         with self._lock:
             self._conns[conn_id] = conn
@@ -407,9 +407,6 @@ class ShardCoordinator:
                         rejects += 1
                         with self._lock:
                             self._counts["rejected"] += 1
-                        metrics.counter(
-                            "distrib_results_total", status="rejected"
-                        ).inc()
                         _LOG.error(
                             "rejected result", worker=worker, error=str(exc)
                         )
@@ -465,7 +462,6 @@ class ShardCoordinator:
         if reason is not None:
             with self._lock:
                 self._counts["handshake_refused"] += 1
-            get_metrics().counter("distrib_handshakes_refused_total").inc()
             _LOG.warning("refused worker", worker=worker, reason=reason)
             try:
                 conn.send(msg_refuse(reason))
@@ -524,10 +520,6 @@ class ShardCoordinator:
             if reassignment:
                 self._counts["leases_reassigned"] += 1
             trace_ctx = self._serve_ctx or self._trace_ctx
-        metrics = get_metrics()
-        metrics.counter("distrib_leases_granted_total").inc()
-        if reassignment:
-            metrics.counter("distrib_leases_reassigned_total").inc()
         _LOG.debug(
             "lease granted", lease=lease_id, worker=worker, chunks=chunks
         )
@@ -563,7 +555,6 @@ class ShardCoordinator:
             self._expired_chunks.add(chunk)
             self._chunk_lease.pop(chunk, None)
         self._counts["leases_expired"] += 1
-        get_metrics().counter("distrib_leases_expired_total").inc()
         _LOG.warning(
             "lease expired",
             lease=lease_id,
@@ -618,9 +609,6 @@ class ShardCoordinator:
                     # first-digest-wins: the straggler's bytes disagree
                     # with what was already certified and journaled
                     self._counts["conflict"] += 1
-                    get_metrics().counter(
-                        "distrib_results_total", status="conflict"
-                    ).inc()
                     _LOG.warning(
                         "conflicting duplicate result dropped",
                         chunk=chunk,
@@ -628,9 +616,6 @@ class ShardCoordinator:
                     )
                     return "conflict"
                 self._counts["duplicate"] += 1
-                get_metrics().counter(
-                    "distrib_results_total", status="duplicate"
-                ).inc()
                 return "duplicate"
             recorded = dict(entry)
             recorded["chunk"] = chunk
@@ -655,7 +640,6 @@ class ShardCoordinator:
                     if not lease.outstanding:
                         del self._leases[lease_id]
             self._counts["accepted"] += 1
-        get_metrics().counter("distrib_results_total", status="accepted").inc()
         _LOG.debug("result accepted", chunk=chunk, worker=worker)
         return "accepted"
 

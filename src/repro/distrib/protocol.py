@@ -54,7 +54,7 @@ import struct
 import threading
 
 from ..exceptions import ProtocolError
-from ..obs import get_metrics, json_default
+from ..obs import json_default
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -152,14 +152,11 @@ class FrameSocket:
 
     Sends are serialized under a lock so the heartbeat thread and the
     result-submitting thread can share the connection; receives are
-    single-threaded by construction (one reader per connection).  Byte
-    counters land in ``distrib_bytes_sent_total`` /
-    ``distrib_bytes_received_total`` labelled by role.
+    single-threaded by construction (one reader per connection).
     """
 
-    def __init__(self, sock: socket.socket, role: str = "coordinator") -> None:
+    def __init__(self, sock: socket.socket) -> None:
         self._sock = sock
-        self._role = role
         self._send_lock = threading.Lock()
         try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -191,9 +188,6 @@ class FrameSocket:
         frame = _LENGTH.pack(len(data)) + data
         with self._send_lock:
             self._sock.sendall(frame)
-        get_metrics().counter("distrib_bytes_sent_total", role=self._role).inc(
-            len(frame)
-        )
 
     def recv(self) -> "dict | None":
         """One message, or ``None`` on a clean EOF between frames.
@@ -212,9 +206,6 @@ class FrameSocket:
                 f"peer announced a {length}-byte frame (limit {MAX_FRAME_BYTES})"
             )
         data = self._recv_exact(length, eof_ok=False)
-        get_metrics().counter(
-            "distrib_bytes_received_total", role=self._role
-        ).inc(_LENGTH.size + length)
         try:
             message = json.loads(data.decode("utf-8"))
         except (UnicodeDecodeError, ValueError) as exc:

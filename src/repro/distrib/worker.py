@@ -16,9 +16,9 @@ leased chunk through the single-host machinery it already trusts:
 * a re-leased chunk the worker already computed is resent from the
   local journal, never recomputed (the coordinator dedups
   first-digest-wins);
-* connects and reconnects go through :func:`~repro.resilience.retry.
-  retry_call` under a :class:`~repro.resilience.retry.RetryPolicy`, so
-  backoff schedules stay deterministic under test seeds;
+* connects and reconnects back off on the schedule of a
+  :class:`~repro.resilience.retry.RetryPolicy`, so backoff schedules
+  stay deterministic under test seeds;
 * finished spans ride each RESULT frame, and the span cursor advances
   only once that frame is sent, so spans finished before a partition go
   out on the next RESULT after the reconnect.
@@ -44,10 +44,10 @@ import numpy as np
 from ..core.chunked import ChunkRun, run_supervised
 from ..exceptions import IntegrityError, ProtocolError
 from ..io.checkpoint import CheckpointJournal, digest_model
-from ..obs import get_logger, get_metrics, get_tracer
+from ..obs import get_logger, get_tracer
 from ..obs.trace import Tracer
 from ..resilience.inject import ChaosInjector, ChaosPartition
-from ..resilience.retry import RetryPolicy, retry_call
+from ..resilience.retry import RetryPolicy
 from .protocol import (
     PROTOCOL_VERSION,
     FrameSocket,
@@ -194,7 +194,6 @@ class ShardWorker:
                     failures = 0
                 except ChaosPartition as exc:
                     summary["partitions"] += 1
-                    get_metrics().counter("distrib_partitions_total").inc()
                     _LOG.warning(
                         "injected partition; dropping connection",
                         worker=self.name,
@@ -239,15 +238,14 @@ class ShardWorker:
     # -- connection --------------------------------------------------------
 
     def _connect(self, host: str, port: int) -> FrameSocket:
-        """Connect + handshake under the retry policy (satellite: no
-        ad-hoc sleeps — the backoff schedule is the deterministic
-        :class:`RetryPolicy` one)."""
+        """Connect + handshake, backing off between attempts on the
+        deterministic :class:`RetryPolicy` schedule."""
 
         def attempt() -> FrameSocket:
             sock = socket.create_connection(
                 (host, int(port)), timeout=_CONNECT_TIMEOUT
             )
-            conn = FrameSocket(sock, role="worker")
+            conn = FrameSocket(sock)
             conn.settimeout(30.0)
             try:
                 conn.send(
@@ -284,29 +282,23 @@ class ShardWorker:
             self._welcome_trace = Tracer.extract(reply)
             return conn
 
-        def on_retry(attempt_no: int, exc: BaseException) -> None:
-            get_metrics().counter("distrib_connect_retries_total").inc()
-            _LOG.debug(
-                "coordinator unreachable; backing off",
-                worker=self.name,
-                attempt=attempt_no,
-                error=str(exc),
-            )
-
-        try:
-            return retry_call(
-                attempt,
-                self.retry,
-                retry_on=(OSError, ProtocolError),
-                on_retry=on_retry,
-            )
-        except IntegrityError:
-            raise
-        except (OSError, ProtocolError) as exc:
-            raise ProtocolError(
-                f"could not reach coordinator at {host}:{port} after "
-                f"{self.retry.max_retries + 1} attempts: {exc}"
-            ) from exc
+        for attempt_no in range(self.retry.max_retries + 1):
+            try:
+                return attempt()
+            except (OSError, ProtocolError) as exc:
+                if attempt_no == self.retry.max_retries:
+                    raise ProtocolError(
+                        f"could not reach coordinator at {host}:{port} after "
+                        f"{self.retry.max_retries + 1} attempts: {exc}"
+                    ) from exc
+                _LOG.debug(
+                    "coordinator unreachable; backing off",
+                    worker=self.name,
+                    attempt=attempt_no,
+                    error=str(exc),
+                )
+                time.sleep(self.retry.delay(attempt_no))
+        raise AssertionError("unreachable")  # pragma: no cover
 
     # -- lease handling ----------------------------------------------------
 

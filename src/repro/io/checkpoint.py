@@ -56,7 +56,7 @@ import os
 import numpy as np
 
 from ..exceptions import ConfigurationError, IntegrityError
-from ..obs import get_logger, get_metrics, get_tracer, json_default
+from ..obs import get_logger, get_tracer, json_default
 from .serialization import append_jsonl, atomic_write_bytes, atomic_write_json, read_jsonl_records
 
 __all__ = ["CheckpointJournal", "digest_bytes", "digest_array", "digest_model"]
@@ -166,7 +166,6 @@ class CheckpointJournal:
                 self._manifest = stored
                 completed = self._replay()
                 span.set(completed=len(completed))
-            get_metrics().counter("checkpoint_resumes_total").inc()
             _LOG.info(
                 "resuming from checkpoint",
                 path=self.path,
@@ -263,9 +262,6 @@ class CheckpointJournal:
                 dropped=dropped,
             )
         if conflicts:
-            get_metrics().counter("checkpoint_conflicting_entries_total").inc(
-                conflicts
-            )
             _LOG.warning(
                 "journal holds conflicting duplicate entries; kept the first "
                 "verified entry per chunk",
@@ -295,7 +291,6 @@ class CheckpointJournal:
             entry["artifact"] = artifact_rel
             entry["artifact_digest"] = digest_bytes(blob_bytes)
             append_jsonl(self.journal_path, entry, default=json_default)
-        get_metrics().counter("checkpoint_chunks_recorded_total").inc()
         return entry
 
     # -- reads -------------------------------------------------------------

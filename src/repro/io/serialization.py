@@ -33,7 +33,6 @@ from ..exceptions import CompressionError, IntegrityError
 __all__ = [
     "blob_to_bytes",
     "blob_from_bytes",
-    "JsonlRegistry",
     "append_jsonl",
     "atomic_write_bytes",
     "atomic_write_json",
@@ -113,7 +112,7 @@ def atomic_write_json(path: str, payload: dict, default=None) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
-# -- append-only JSONL (checkpoint journal, audit and bench registries) ------
+# -- append-only JSONL (checkpoint journal, audit registry) -------------------
 
 
 def append_jsonl(path: str, payload: dict, default=None) -> None:
@@ -158,60 +157,6 @@ def read_jsonl_records(path: str) -> list[dict]:
                 f"corrupt JSONL record at line {index + 1} of {path!r}: {exc}"
             ) from exc
     return records
-
-
-class JsonlRegistry:
-    """Append-only JSONL file of runs with ``<prefix>-NNNN`` ids.
-
-    One line per run, written through :func:`append_jsonl` and read
-    through :func:`read_jsonl_records`: concurrent appenders interleave
-    whole lines, reads tolerate a missing file (empty registry) and a
-    torn trailing line, and a crashed writer loses at most its own
-    record.  The audit registry brings the record type and the
-    comparisons.
-    """
-
-    def __init__(self, path: str, prefix: str) -> None:
-        self.path = str(path)
-        #: run ids are assigned at append time as ``<prefix>-0001``, ...
-        self.prefix = prefix
-
-    def runs(self) -> list[dict]:
-        """Every persisted run, oldest first."""
-        records = read_jsonl_records(self.path)
-        return [r for r in records if isinstance(r, dict) and r.get("run_id")]
-
-    def __len__(self) -> int:
-        return len(self.runs())
-
-    def run_ids(self) -> list[str]:
-        return [run["run_id"] for run in self.runs()]
-
-    def append(self, payload: dict, default=None) -> dict:
-        """Persist ``payload``, assigning the next id when it has none."""
-        if not payload.get("run_id"):
-            payload["run_id"] = f"{self.prefix}-{len(self) + 1:04d}"
-        append_jsonl(self.path, payload, default=default)
-        return payload
-
-    def get(self, key: "str | int") -> dict:
-        """Look up a run by ``run_id`` or by (possibly negative) index; an
-        index given as a string (the CLI's ``"-1"``) counts as an index."""
-        if isinstance(key, str) and key.lstrip("-").isdigit():
-            key = int(key)
-        runs = self.runs()
-        if isinstance(key, int):
-            try:
-                return runs[key]
-            except IndexError:
-                raise KeyError(
-                    f"registry {self.path!r} has {len(runs)} runs, no index {key}"
-                ) from None
-        for run in runs:
-            if run["run_id"] == key:
-                return run
-        recent = ", ".join(run["run_id"] for run in runs[-10:]) or "(empty)"
-        raise KeyError(f"no run {key!r} in registry {self.path!r}; recent: {recent}")
 
 
 def _parse_header(raw: bytes) -> dict:

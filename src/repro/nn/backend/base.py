@@ -24,9 +24,8 @@ the kernel honest on every call:
 * **transparent fallback** — forward hooks (audit lockstep mode),
   training mode, unsupported modules, or inputs outside the compiled
   shape/dtype envelope route the call through the reference
-  interpreter, recording the reason in
-  ``backend_fallbacks_total{backend=,reason=}`` and
-  :attr:`CompiledForward.last_fallback_reason`.
+  interpreter, counting it in ``stats["fallbacks"]`` and recording the
+  reason in :attr:`CompiledForward.last_fallback_reason`.
 
 A compile is ``lower`` → generate → bind, about a millisecond, so the
 only kernel kept is the wrapper's own (docs/PERFORMANCE.md, "Why there
@@ -40,7 +39,7 @@ import os
 import numpy as np
 
 from ...exceptions import ConfigurationError, LoweringError
-from ...obs import get_metrics, get_tracer
+from ...obs import get_tracer
 from ..module import Module
 from .fused import compile_fused
 from .lowering import lower
@@ -135,7 +134,6 @@ class CompiledForward:
         self.last_split = self._kernel.last_split
         if self.last_split is not None:
             self.stats["splits"] += 1
-            get_metrics().counter("backend_split_calls_total", backend=self.backend_name).inc()
         return out
 
     @property
@@ -153,9 +151,6 @@ class CompiledForward:
     def _fallback(self, x: np.ndarray, reason: str, detail: "str | None" = None) -> np.ndarray:
         self.last_fallback_reason = detail or reason
         self.stats["fallbacks"] += 1
-        get_metrics().counter(
-            "backend_fallbacks_total", backend=self.backend_name, reason=reason
-        ).inc()
         return self.model(x)
 
     def _input_guard(self, x: np.ndarray) -> "str | None":

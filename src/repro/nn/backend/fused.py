@@ -53,7 +53,6 @@ from collections import OrderedDict
 
 import numpy as np
 
-from ...obs import get_metrics
 from ...perf import parallel
 from ..functional import ACTIVATION_KERNELS, ConvWorkspace
 from .lowering import LoweredOp, LoweredProgram, constant_bindings
@@ -470,7 +469,6 @@ class FusedKernel:
         buffers.split = reason is None
         if reason is not None:
             self.split_rejections[reason] = self.split_rejections.get(reason, 0) + 1
-            get_metrics().counter("backend_split_rejected_total", reason=reason).inc()
         return whole
 
     def _buffers(self, x: np.ndarray) -> _BufferSet:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..exceptions import TrainingError
-from ..obs import get_metrics, get_tracer
+from ..obs import get_tracer
 from .losses import spectral_penalty, spectral_penalty_backward
 from .module import Module
 from .optim import Optimizer
@@ -67,9 +67,7 @@ class Trainer:
         self.optimizer.zero_grad()
         predictions = self.model(inputs)
         value = self.loss(predictions, targets)
-        get_metrics().counter("train_steps_total").inc()
         if not np.isfinite(value):
-            get_metrics().counter("train_divergences_total").inc()
             raise TrainingError(f"loss diverged to {value!r}")
         grad = self.loss.backward()
         self.model.backward(grad)

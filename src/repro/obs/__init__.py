@@ -1,30 +1,30 @@
-"""Observability: tracing, metrics and structured logging.
+"""Observability: tracing, auditing and structured logging.
 
 An always-available, **off-by-default** telemetry layer.  Hot paths are
-instrumented unconditionally but route through process-global singletons
-that default to no-op implementations (:class:`~repro.obs.trace.NullTracer`,
-:class:`~repro.obs.metrics.NullMetrics`), so the disabled cost is one
-attribute lookup and a couple of no-op method calls per stage — no
-allocation, no branching in user code.
+instrumented unconditionally but route through a process-global tracer
+that defaults to the no-op :class:`~repro.obs.trace.NullTracer`, so the
+disabled cost is one attribute lookup and a couple of no-op method calls
+per stage — no allocation, no branching in user code.  Every count a run
+has lives in one record: a span attribute, a result summary or the
+checkpoint journal (docs/OBSERVABILITY.md, "Where each number lives").
 
 Usage::
 
     from repro import obs
 
-    tracer, metrics = obs.enable()
+    tracer = obs.enable()
     pipeline.execute(fields)
     print(tracer.render_tree())
-    print(metrics.render())
     tracer.export_jsonl("trace.jsonl")
     obs.disable()
 
-or scoped (restores the previous state, used throughout the tests)::
+or scoped (restores the previous tracer, used throughout the tests)::
 
-    with obs.capture() as (tracer, metrics):
+    with obs.capture() as (tracer, _):
         pipeline.execute(fields)
 
 The CLI exposes the same switchboard via ``repro --trace FILE
---metrics FILE --log-level LEVEL <command>``.
+--log-level LEVEL <command>``.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from __future__ import annotations
 from contextlib import contextmanager
 
 from .log import LEVELS, Logger, get_logger, set_log_level
-from .metrics import NULL_METRICS, Counter, MetricsRegistry, NullMetrics, render_metrics_json
 from .trace import (
     NULL_TRACER,
     NullTracer,
@@ -63,14 +62,11 @@ def __getattr__(name: str):
 __all__ = [
     "AuditRecord",
     "Auditor",
-    "Counter",
     "LayerAudit",
     "LayerwiseErrorRecorder",
     "LEVELS",
     "Logger",
-    "MetricsRegistry",
     "NullAuditor",
-    "NullMetrics",
     "NullTracer",
     "RunRegistry",
     "Span",
@@ -84,20 +80,16 @@ __all__ = [
     "enabled",
     "get_auditor",
     "get_logger",
-    "get_metrics",
     "get_tracer",
     "json_default",
     "new_span_id",
     "new_trace_id",
-    "render_metrics_json",
     "set_auditor",
     "set_log_level",
-    "set_metrics",
     "set_tracer",
 ]
 
 _tracer = NULL_TRACER
-_metrics = NULL_METRICS
 
 
 def get_tracer():
@@ -105,48 +97,37 @@ def get_tracer():
     return _tracer
 
 
-def get_metrics():
-    """The process-global metrics registry (no-op unless enabled)."""
-    return _metrics
-
-
 def set_tracer(tracer) -> None:
     global _tracer
     _tracer = tracer if tracer is not None else NULL_TRACER
 
 
-def set_metrics(metrics) -> None:
-    global _metrics
-    _metrics = metrics if metrics is not None else NULL_METRICS
-
-
 def enabled() -> bool:
-    """True when either tracing or metrics collection is live."""
-    return _tracer.enabled or _metrics.enabled
+    """True when tracing is live."""
+    return _tracer.enabled
 
 
-def enable(tracer=None, metrics=None):
-    """Install live observability globally; returns ``(tracer, metrics)``.
-
-    Fresh instances are created unless explicit ones are passed.
-    """
+def enable(tracer=None):
+    """Install a live tracer globally (a fresh one unless ``tracer`` is
+    given); returns it."""
     set_tracer(tracer if tracer is not None else Tracer())
-    set_metrics(metrics if metrics is not None else MetricsRegistry())
-    return _tracer, _metrics
+    return _tracer
 
 
 def disable() -> None:
-    """Restore the no-op tracer and registry."""
+    """Restore the no-op tracer."""
     set_tracer(NULL_TRACER)
-    set_metrics(NULL_METRICS)
 
 
 @contextmanager
-def capture(tracer=None, metrics=None):
-    """Scoped :func:`enable`; restores whatever was installed before."""
-    previous = (_tracer, _metrics)
+def capture(tracer=None):
+    """Scoped :func:`enable`; restores whatever tracer was installed before.
+
+    Yields ``(tracer, None)``: the second item is kept only because
+    ``benchmarks/e2e/e2e_ledger.py`` unpacks two items.
+    """
+    previous = _tracer
     try:
-        yield enable(tracer=tracer, metrics=metrics)
+        yield enable(tracer=tracer), None
     finally:
-        set_tracer(previous[0])
-        set_metrics(previous[1])
+        set_tracer(previous)

@@ -21,13 +21,12 @@ executions:
   :class:`~repro.core.pipeline.Certificate`, weight digest) for
   persistence and diffing.
 * :class:`Auditor` is the process-global switchboard, off by default
-  through the same null-object pattern as tracing/metrics: pipeline hot
-  paths pay one attribute check when auditing is disabled.  When
-  enabled it appends every record to a
-  :class:`~repro.obs.registry.RunRegistry`, counts
-  ``audit_runs_total`` / ``audit_violations_total``, and mirrors
-  violations into the resilience layer's ``contract_violations_total``
-  family.  Tightness lives on the record itself
+  through the same null-object pattern as tracing: pipeline hot paths
+  pay one attribute check when auditing is disabled.  When enabled it
+  keeps every record (:attr:`Auditor.records`, whose violations
+  :attr:`Auditor.violation_count` sums), appends it to a
+  :class:`~repro.obs.registry.RunRegistry` and logs a violation.
+  Tightness lives on the record itself
   (:attr:`AuditRecord.qoi_tightness`, :attr:`LayerAudit.tightness`).
 
 Verdicts per comparison point: ``VIOLATION`` when observed error exceeds
@@ -419,17 +418,16 @@ class Auditor:
         """
         return Auditor(registry=None, label=self.label)
 
-    def adopt(self, record: AuditRecord) -> AuditRecord:
-        """Store a record under this auditor without emitting its metrics.
+    def record_run(self, record: AuditRecord) -> AuditRecord:
+        """Store one record in memory and in the registry, and log a
+        violation; returns the record with its registry-assigned
+        ``run_id`` backfilled.
 
-        This is the one storing body; :meth:`record_run` adds the metrics
-        for a record produced here.  Its one other caller is a chunked
-        run's parent: forked pool workers audit with a :meth:`detached`
-        clone and ship the record back, and it gets a fresh sequential run
-        id here and is stored in memory + registry, but its metrics are
-        **not** re-emitted — the worker emitted them once (its counter
-        deltas merge separately).  Replay adopts nothing: a journaled or
-        remote chunk is audited afresh as ``execute`` replays it.
+        A chunked run's parent calls this too for a record a forked pool
+        worker made with a :meth:`detached` clone and shipped back: the
+        record gets a fresh sequential run id here.  Replay stores
+        nothing: a journaled or remote chunk is audited afresh as
+        ``execute`` replays it.
         """
         record.run_id = ""
         if not record.created_unix:
@@ -438,36 +436,17 @@ class Auditor:
             record.label = self.label
         with self._lock:
             if self.registry is not None:
-                payload = self.registry.append(record)
-                record.run_id = payload["run_id"]
+                record.run_id = self.registry.append(record)["run_id"]
             self.records.append(record)
-        return record
-
-    def record_run(self, record: AuditRecord) -> AuditRecord:
-        """Persist one record produced here (:meth:`adopt`) and emit its
-        metrics; returns the record with its registry-assigned ``run_id``
-        backfilled."""
-        self._emit(self.adopt(record))
-        return record
-
-    def _emit(self, record: AuditRecord) -> None:
-        from . import get_metrics
-
-        metrics = get_metrics()
-        metrics.counter("audit_runs_total").inc()
-        violations = record.violations
-        if violations:
-            metrics.counter("audit_violations_total").inc(len(violations))
-            metrics.counter(
-                "contract_violations_total", stage="audit", codec=record.codec or "pipeline"
-            ).inc(len(violations))
+        if record.violations:
             _LOG.warning(
                 "audit bound VIOLATION: observed error exceeded the predicted envelope",
                 run_id=record.run_id or "-",
-                at=",".join(violations),
+                at=",".join(record.violations),
                 qoi_tightness=record.qoi_tightness,
                 fmt=record.certificate.fmt if record.certificate else "?",
             )
+        return record
 
     @property
     def violation_count(self) -> int:

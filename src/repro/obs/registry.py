@@ -1,7 +1,7 @@
 """Persistent audit-run registry: append-only JSONL with diff and drift.
 
 Every audited pipeline execution becomes one JSON line in a registry
-file (a :class:`repro.io.serialization.JsonlRegistry`: a single
+file, written by :func:`repro.io.serialization.append_jsonl` (a single
 ``O_APPEND`` write per record, so concurrent chunk workers interleave
 whole records and a crash can at worst lose its own line).  The registry is
 the memory the bound-tightness telemetry needs to become *regression*
@@ -36,39 +36,60 @@ class RunRegistry:
     Parameters
     ----------
     path:
-        Registry file; created on first append.  Reads tolerate a
+        Registry file; created on first append.  Reads (through
+        :func:`repro.io.serialization.read_jsonl_records`) tolerate a
         missing file (empty registry) and a torn trailing line.
     """
 
     def __init__(self, path: str) -> None:
-        # repro.io imports repro.obs: import the file layer here, not at module level
-        from ..io.serialization import JsonlRegistry
-
-        self._file = JsonlRegistry(path, "run")
-        self.path = self._file.path
+        self.path = str(path)
 
     def append(self, record) -> dict:
         """Persist one record (an ``AuditRecord`` or a plain dict).
 
-        Assigns a sequential ``run_id`` when the record has none and
-        returns the payload as written.
+        Assigns the next sequential ``run_id`` when the record has none
+        and returns the payload as written.
         """
+        # repro.io imports repro.obs: the file layer is imported per call
+        from ..io.serialization import append_jsonl
+
         payload = record.to_dict() if hasattr(record, "to_dict") else dict(record)
-        return self._file.append(payload, default=json_default)
+        if not payload.get("run_id"):
+            payload["run_id"] = f"run-{len(self) + 1:04d}"
+        append_jsonl(self.path, payload, default=json_default)
+        return payload
 
     def runs(self) -> list[dict]:
         """Every persisted run, oldest first."""
-        return self._file.runs()
+        from ..io.serialization import read_jsonl_records
+
+        records = read_jsonl_records(self.path)
+        return [r for r in records if isinstance(r, dict) and r.get("run_id")]
 
     def __len__(self) -> int:
-        return len(self._file)
+        return len(self.runs())
 
     def run_ids(self) -> list[str]:
-        return self._file.run_ids()
+        return [run["run_id"] for run in self.runs()]
 
     def get(self, key: "str | int") -> dict:
-        """Look up a run by ``run_id`` or by (possibly negative) index."""
-        return self._file.get(key)
+        """Look up a run by ``run_id`` or by (possibly negative) index; an
+        index given as a string (the CLI's ``"-1"``) counts as an index."""
+        if isinstance(key, str) and key.lstrip("-").isdigit():
+            key = int(key)
+        runs = self.runs()
+        if isinstance(key, int):
+            try:
+                return runs[key]
+            except IndexError:
+                raise KeyError(
+                    f"registry {self.path!r} has {len(runs)} runs, no index {key}"
+                ) from None
+        for run in runs:
+            if run["run_id"] == key:
+                return run
+        recent = ", ".join(run["run_id"] for run in runs[-10:]) or "(empty)"
+        raise KeyError(f"no run {key!r} in registry {self.path!r}; recent: {recent}")
 
     # -- comparison ------------------------------------------------------
     def diff(

@@ -72,7 +72,8 @@ class Span:
     Spans are context managers handed out by :meth:`Tracer.span`;
     attributes may be attached at creation, inside the block via
     :meth:`set`, or after exit (post-hoc enrichment, e.g. an observed
-    error that is only measurable later in the pipeline).
+    error that is only measurable later in the pipeline).  A block that
+    raises leaves ``error=<exception type name>`` on its span.
     """
 
     __slots__ = (
@@ -125,8 +126,11 @@ class Span:
         self._t0 = time.perf_counter()
         return self
 
-    def __exit__(self, *exc_info) -> None:
+    def __exit__(self, exc_type, exc, tb) -> None:
         self.duration_s = time.perf_counter() - self._t0
+        if exc_type is not None:
+            # the stage a failure crossed, named by its exception type
+            self.attributes["error"] = exc_type.__name__
         if self._tracer is not None:
             self._tracer._finish(self)
 

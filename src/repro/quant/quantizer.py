@@ -19,13 +19,13 @@ from typing import Sequence
 import numpy as np
 
 from ..exceptions import QuantizationError
-from ..obs import get_metrics, get_tracer
+from ..obs import get_tracer
 from ..nn.conv import Conv2d, SpectralConv2d
 from ..nn.linear import Linear, SpectralLinear
 from ..nn.module import Module
 from ..nn.residual import ResidualBlock
 from ..nn.sequential import Sequential
-from .formats import FP32, NumericFormat
+from .formats import NumericFormat
 from .stepsize import average_step_size
 
 __all__ = ["QuantizedModel", "materialize", "quantizable_layers", "quantize_model"]
@@ -145,7 +145,6 @@ class QuantizedModel:
 def quantize_model(
     model: Module,
     fmt: NumericFormat | Sequence[NumericFormat],
-    quantize_shortcuts: bool = True,
 ) -> QuantizedModel:
     """Weight-only post-training quantization.
 
@@ -156,10 +155,8 @@ def quantize_model(
         materialized first).  Left untouched.
     fmt:
         A single format for every layer, or one format per quantizable
-        layer in forward order (mixed precision).
-    quantize_shortcuts:
-        When ``False``, 1x1 projection shortcuts stay in FP32 (ablation
-        knob; the paper quantizes everything).
+        layer in forward order (mixed precision); an ``FP32`` entry
+        keeps that layer (a 1x1 projection shortcut, say) unquantized.
 
     Returns
     -------
@@ -167,7 +164,7 @@ def quantize_model(
         Independent inference model plus step-size metadata for the bound.
     """
     with get_tracer().span("quant.quantize_model") as span:
-        quantized = _quantize_model_impl(model, fmt, quantize_shortcuts)
+        quantized = _quantize_model_impl(model, fmt)
         span.set(
             layers=len(quantized.layer_names),
             formats=",".join(sorted({f.name for f in quantized.formats})),
@@ -175,14 +172,12 @@ def quantize_model(
             quantized_bytes=quantized.quantized_bytes,
             step_sizes=[float(step) for step in quantized.step_sizes],
         )
-    get_metrics().counter("quantizations_total").inc()
     return quantized
 
 
 def _quantize_model_impl(
     model: Module,
     fmt: NumericFormat | Sequence[NumericFormat],
-    quantize_shortcuts: bool,
 ) -> QuantizedModel:
     frozen = materialize(model)
     frozen.eval()
@@ -206,9 +201,6 @@ def _quantize_model_impl(
     for (name, layer), layer_fmt in zip(layers, per_layer):
         weights = layer.weight.data
         original_bytes += weights.size * 4
-        in_shortcut = ".shortcut." in f".{name}." or name.startswith("shortcut")
-        if not quantize_shortcuts and in_shortcut:
-            layer_fmt = FP32
         quantized_bytes += int(weights.size * layer_fmt.storage_bits / 8)
         if not layer_fmt.is_identity:
             layer.weight.data = layer_fmt.quantize(weights).astype(np.float32)

@@ -9,7 +9,7 @@ subsystem makes the pipeline's error contract *enforceable at runtime*:
 * :mod:`~repro.resilience.guards` — runtime checks (finite screening,
   achieved-error-vs-contract) raising structured typed errors;
 * :mod:`~repro.resilience.retry` — bounded exponential backoff with
-  deterministic jitter (:class:`RetryPolicy`, :func:`retry_call`);
+  deterministic jitter (:class:`RetryPolicy`);
 * :mod:`~repro.resilience.supervisor` — fault-tolerant process-based
   worker pool (heartbeats, deadlines, respawn, quarantine, circuit
   breaker) powering ``InferencePipeline.execute_chunked``: the one
@@ -36,7 +36,7 @@ from .inject import (
     poison_nan,
     truncate,
 )
-from .retry import RetryPolicy, retry_call
+from .retry import RetryPolicy
 from .supervisor import SupervisedPool, TaskOutcome, fork_available
 
 __all__ = [
@@ -50,7 +50,6 @@ __all__ = [
     "TaskOutcome",
     "corrupt_result",
     "fork_available",
-    "retry_call",
     "blob_corruptions",
     "check_contract",
     "corrupt_file",

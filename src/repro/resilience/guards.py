@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..exceptions import ContractViolation, IntegrityError
-from ..obs import get_metrics
 
 __all__ = ["screen_finite", "check_contract"]
 
@@ -33,7 +32,6 @@ def screen_finite(
     bad = int(array.size - int(finite.sum()))
     nan_count = int(np.isnan(array).sum())
     label = f" in {name!r}" if name else ""
-    get_metrics().counter("integrity_failures_total", stage=stage).inc()
     raise IntegrityError(
         f"non-finite values detected at stage {stage!r}{label}: "
         f"{bad}/{array.size} entries ({nan_count} NaN, {bad - nan_count} Inf)"
@@ -59,7 +57,6 @@ def check_contract(
     achieved = float(achieved)
     expected = float(expected)
     if not achieved <= expected * (1.0 + slack):
-        get_metrics().counter("contract_violations_total", stage=stage, codec=codec).inc()
         raise ContractViolation(
             f"error contract violated at stage {stage!r}: codec {codec!r} "
             f"achieved {norm} error {achieved:.6e} exceeds the negotiated "

@@ -3,10 +3,9 @@
 Every recoverable-failure path in this codebase follows the same
 discipline: a bounded number of re-attempts, spaced out so a struggling
 resource (a sick worker, a contended disk) is not hammered, with jitter
-so a fleet of retriers does not thunder in lockstep.  PR 1 hard-coded
-that discipline into the corruption policies; this module lifts it into
-a reusable value object so the supervised worker pool, the checkpoint
-layer and tests all share one schedule.
+so a fleet of retriers does not thunder in lockstep.  This module holds
+that discipline as one value object, so the supervised worker pool and
+the distributed worker's reconnects share one schedule.
 
 Jitter is *deterministic*: the delay for ``(seed, attempt)`` is a pure
 function, so a failing run replays with exactly the same backoff
@@ -17,13 +16,11 @@ schedule — the same reproducibility contract as
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass
-from typing import Callable
 
 from ..exceptions import ConfigurationError
 
-__all__ = ["RetryPolicy", "retry_call"]
+__all__ = ["RetryPolicy"]
 
 
 @dataclass(frozen=True)
@@ -74,26 +71,3 @@ class RetryPolicy:
         fraction = random.Random(f"{self.seed}:{attempt}").random()
         return base * (1.0 + self.jitter * fraction)
 
-
-def retry_call(
-    fn: Callable,
-    policy: RetryPolicy,
-    retry_on: tuple = (Exception,),
-    on_retry: "Callable[[int, BaseException], None] | None" = None,
-    sleep: Callable[[float], None] = time.sleep,
-):
-    """Call ``fn()`` under ``policy``, re-raising the final failure.
-
-    ``on_retry(attempt, exc)`` fires before each backoff sleep (metrics,
-    logging); ``sleep`` is injectable so tests run instantly.
-    """
-    for attempt in range(policy.max_retries + 1):
-        try:
-            return fn()
-        except retry_on as exc:
-            if attempt >= policy.max_retries:
-                raise
-            if on_retry is not None:
-                on_retry(attempt, exc)
-            sleep(policy.delay(attempt))
-    raise AssertionError("unreachable")  # pragma: no cover

@@ -51,11 +51,10 @@ supervision a long-running production run needs:
   to slow, never to failed.
 
 Results are checked by an optional ``validate`` hook in the parent *as
-tasks complete* and collected into a :class:`SupervisionReport`;
-per-worker **metrics deltas** (counters incremented inside the forked children)
-ride back with each result and are merged into the parent registry, so
-`pipeline_executions_total` and friends stay accurate across process
-boundaries.
+tasks complete* and collected into a :class:`SupervisionReport`, whose
+summary (retries, respawns, quarantined tasks) the ``supervisor.run``
+span carries; a worker's spans ride back with each result and are
+adopted under the parent's ``supervisor.task`` span.
 
 Task ids are the caller's own (a chunked run's are chunk indices): the
 pool hands each id itself to ``task_fn``, the chaos hooks, ``validate``,
@@ -76,7 +75,7 @@ from multiprocessing import connection
 from typing import Callable
 
 from ..exceptions import ConfigurationError
-from ..obs import get_logger, get_metrics, get_tracer
+from ..obs import get_logger, get_tracer
 from .retry import RetryPolicy
 
 __all__ = [
@@ -219,7 +218,7 @@ class SupervisedPool:
         ``validate`` and ``TaskOutcome.result`` see it.
         Inline execution has no pipe and reports ``result`` itself.
     label:
-        Metrics/trace label for this pool.
+        Trace and log label for this pool.
     """
 
     def __init__(
@@ -288,7 +287,6 @@ class SupervisedPool:
         semantics; used for ``workers <= 1`` and after a breaker trip.
         Chaos is never applied here — it models *worker* faults, and the
         parent must survive them."""
-        metrics = get_metrics()
         for task_id in task_ids:
             attempt = attempts_used.get(task_id, 0)
             while True:
@@ -312,7 +310,6 @@ class SupervisedPool:
                     self._quarantine(report, task_id, attempt, error)
                     break
                 report.retries += 1
-                metrics.counter("chunk_retries_total", pool=self.label).inc()
                 time.sleep(self.retry.delay(attempt - 1))
 
     # -- supervised process-pool execution ---------------------------------
@@ -326,7 +323,6 @@ class SupervisedPool:
         ready: list = [(0.0, task_id, 0) for task_id in tasks]
         heapq.heapify(ready)
         failures: "dict[int, int]" = {}
-        metrics = get_metrics()
         tracer = get_tracer()
 
         def fail_task(task_id: int, reason: str) -> None:
@@ -337,7 +333,6 @@ class SupervisedPool:
             delay = self.retry.delay(count - 1)
             heapq.heappush(ready, (time.monotonic() + delay, task_id, count))
             report.retries += 1
-            metrics.counter("chunk_retries_total", pool=self.label).inc()
             _LOG.warning(
                 "task failed; retrying with backoff",
                 task=task_id, attempt=count, backoff_s=round(delay, 4), reason=reason,
@@ -354,9 +349,7 @@ class SupervisedPool:
             if kind == "error":
                 fail_task(task_id, message[2])
                 return
-            result, committed, delta, child_spans, seconds = message[2:]
-            if delta and metrics.enabled:
-                metrics.merge_counter_deltas(delta)
+            result, committed, child_spans, seconds = message[2:]
             try:
                 if self.validate is not None:
                     self.validate(task_id, result)
@@ -404,7 +397,6 @@ class SupervisedPool:
                     heapq.heappush(ready, (0.0, task_id, attempt))
             worker.inflight.clear()
             report.respawns += 1
-            metrics.counter("worker_restarts_total", pool=self.label).inc()
             if report.respawns >= 2 * self.workers + 1:
                 report.breaker_tripped = True
                 _LOG.error(
@@ -412,7 +404,6 @@ class SupervisedPool:
                     "serial in-process execution",
                     respawns=report.respawns, reason=reason,
                 )
-                metrics.counter("circuit_breaker_trips_total", pool=self.label).inc()
                 return
             _LOG.warning("respawning worker", slot=slot, reason=reason)
             workers[slot] = self._spawn(ctx, slot)
@@ -491,7 +482,6 @@ class SupervisedPool:
         )
         report.outcomes[task_id] = outcome
         report.quarantined.append(task_id)
-        get_metrics().counter("quarantined_chunks_total", pool=self.label).inc()
         _LOG.error(
             "task quarantined after exhausting its retry budget",
             task=task_id, attempts=attempts, reason=reason,
@@ -573,8 +563,7 @@ class SupervisedPool:
         # ``inject()`` anchors there), and its finished spans ship back
         # with each result for ``merge_remote`` to adopt under the task's
         # span.  A registry-backed auditor would race the parent on run-id
-        # assignment — detach it; metrics stay live so counter deltas
-        # can be measured and shipped back with each result.
+        # assignment — detach it.
         parent_tracer = get_tracer()
         child_tracer = None
         if parent_tracer.enabled:
@@ -594,8 +583,6 @@ class SupervisedPool:
 
         threading.Thread(target=beat, daemon=True, name="heartbeat").start()
 
-        metrics = get_metrics()
-        baseline = metrics.counter_snapshot() if metrics.enabled else {}
         span_cursor = 0
         while True:
             message = tasks.recv()
@@ -618,14 +605,10 @@ class SupervisedPool:
                     committed = self.commit(task_id, result, attempt + 1)
                 if self.pack is not None:
                     result = self.pack(task_id, result)
-                delta, spans = {}, []
-                if metrics.enabled:
-                    current = metrics.counter_snapshot()
-                    delta = metrics.counter_delta(current, baseline)
-                    baseline = current
+                spans = []
                 if child_tracer is not None:
                     spans, span_cursor = child_tracer.dicts_since(span_cursor)
-                reports.send(("done", task_id, result, committed, delta, spans, seconds))
+                reports.send(("done", task_id, result, committed, spans, seconds))
             except BaseException as exc:
                 detail = "".join(
                     traceback.format_exception_only(type(exc), exc)

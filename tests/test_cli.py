@@ -103,33 +103,31 @@ def test_unknown_workload_rejected():
 
 
 def test_traced_pipeline_writes_spans_and_metrics(tmp_path, capsys):
+    """The trace holds the run's measurements and its counts: one
+    ``pipeline.execute`` and one ``codec.compress`` span per call."""
+    from collections import Counter
+
     from repro.io import read_jsonl_records
 
     trace_path = tmp_path / "trace.jsonl"
-    metrics_path = tmp_path / "metrics.json"
     assert main(
         [
-            "--trace", str(trace_path), "--metrics", str(metrics_path),
+            "--trace", str(trace_path),
             "pipeline", "h2combustion", "--tolerance", "1e-2",
         ]
     ) == 0
     assert "tolerance honoured" in capsys.readouterr().out
-    spans = {row["name"] for row in read_jsonl_records(str(trace_path))}
+    rows = read_jsonl_records(str(trace_path))
+    spans = Counter(row["name"] for row in rows)
     assert {
         "pipeline.execute", "pipeline.compress", "pipeline.decompress",
         "pipeline.inference", "pipeline.guard", "codec.compress",
-    } <= spans
-    guard = next(
-        row for row in read_jsonl_records(str(trace_path)) if row["name"] == "pipeline.guard"
-    )
+    } <= set(spans)
+    assert spans["pipeline.execute"] == spans["codec.compress"] == 1
+    guard = next(row for row in rows if row["name"] == "pipeline.guard")
     assert "predicted_bound" in guard["attributes"]
     assert "observed_error" in guard["attributes"]
-    import json
-
-    payload = json.loads(metrics_path.read_text())
-    names = {row["name"] for row in payload["metrics"]}
-    assert {"pipeline_executions_total", "codec_compress_total"} <= names
-    assert {row["kind"] for row in payload["metrics"]} == {"counter"}
+    assert not any("error" in row["attributes"] for row in rows)
 
 
 def test_trace_disabled_after_main():
@@ -139,20 +137,6 @@ def test_trace_disabled_after_main():
     assert get_tracer() is NULL_TRACER
 
 
-def test_metrics_prometheus_extension(tmp_path, capsys):
-    prom_path = tmp_path / "metrics.prom"
-    assert main(
-        [
-            "--metrics", str(prom_path),
-            "pipeline", "h2combustion", "--tolerance", "1e-2",
-        ]
-    ) == 0
-    capsys.readouterr()
-    text = prom_path.read_text()
-    assert "# TYPE pipeline_executions_total counter" in text
-    assert 'pipeline_executions_total{codec="sz"} 1' in text
-
-
 def test_trace_summary_goes_to_stderr(capsys):
     assert main(
         ["--trace-summary", "pipeline", "h2combustion", "--tolerance", "1e-2"]
@@ -160,27 +144,6 @@ def test_trace_summary_goes_to_stderr(capsys):
     captured = capsys.readouterr()
     assert "pipeline.execute" in captured.err
     assert "pipeline.execute" not in captured.out
-
-
-def test_metrics_command_renders_export(tmp_path, capsys):
-    metrics_path = tmp_path / "metrics.json"
-    assert main(
-        [
-            "--metrics", str(metrics_path),
-            "plan", "h2combustion", "--tolerance", "1e-2",
-        ]
-    ) == 0
-    capsys.readouterr()
-    assert main(["metrics", str(metrics_path)]) == 0
-    out = capsys.readouterr().out
-    # the plan command records no metrics, but the export still renders
-    assert "no metrics recorded" in out or "metric" in out
-
-
-def test_metrics_command_missing_file(tmp_path, capsys):
-    assert main(["metrics", str(tmp_path / "absent.json")]) == 1
-    captured = capsys.readouterr()
-    assert "error (OSError)" in captured.err
 
 
 def test_log_level_debug_adds_context_lines(capsys):
@@ -307,16 +270,36 @@ def test_bench_is_not_a_command(capsys):
     assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    ("argv", "fragment"),
+    [
+        (
+            ["--metrics", "m.json", "pipeline", "h2combustion", "--tolerance", "1e-3"],
+            # the unknown flag leaves its file name where the command goes
+            "invalid choice: 'm.json'",
+        ),
+        (["metrics", "m.json"], "invalid choice: 'metrics'"),
+    ],
+    ids=["flag", "command"],
+)
+def test_metrics_is_not_a_flag_or_command(capsys, argv, fragment):
+    """Counts are read from the trace, the result and the journal; there
+    is no metrics export to write or render."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert fragment in capsys.readouterr().err
+
+
 def test_observability_flushes_when_command_raises(tmp_path, capsys):
     from repro.obs import NULL_TRACER, get_auditor, get_tracer, NULL_AUDITOR
 
     trace_path = tmp_path / "trace.jsonl"
-    metrics_path = tmp_path / "metrics.json"
     audit_path = tmp_path / "runs.jsonl"
     with pytest.raises(FileNotFoundError):
         main(
             [
-                "--trace", str(trace_path), "--metrics", str(metrics_path),
+                "--trace", str(trace_path),
                 "--audit", str(audit_path),
                 "compress", str(tmp_path / "missing.npy"),
                 "--out", str(tmp_path / "out.rblob"), "--tolerance", "1e-3",
@@ -325,29 +308,26 @@ def test_observability_flushes_when_command_raises(tmp_path, capsys):
     capsys.readouterr()
     # partial telemetry still lands on disk and the globals are reset
     assert trace_path.exists()
-    assert metrics_path.exists()
     assert get_tracer() is NULL_TRACER
     assert get_auditor() is NULL_AUDITOR
 
 
-def test_metrics_flush_survives_trace_export_failure(tmp_path, capsys, monkeypatch):
+def test_trace_summary_survives_trace_export_failure(tmp_path, capsys, monkeypatch):
     from repro.obs import NULL_TRACER, Tracer, get_tracer
 
     def _boom(self, path):
         raise OSError("disk full")
 
     monkeypatch.setattr(Tracer, "export_jsonl", _boom)
-    metrics_path = tmp_path / "metrics.json"
     with pytest.raises(OSError, match="disk full"):
         main(
             [
-                "--trace", str(tmp_path / "trace.jsonl"),
-                "--metrics", str(metrics_path),
+                "--trace", str(tmp_path / "trace.jsonl"), "--trace-summary",
                 "pipeline", "h2combustion", "--tolerance", "1e-2",
             ]
         )
-    capsys.readouterr()
-    assert metrics_path.exists()  # later exports ran despite the failure
+    # the span tree is printed despite the failed export
+    assert "pipeline.execute" in capsys.readouterr().err
     assert get_tracer() is NULL_TRACER
 
 

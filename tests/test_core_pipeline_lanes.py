@@ -171,7 +171,7 @@ def test_split_quantized_forward_equals_the_one_cpu_execute(case):
         return fn(x, buffers)
 
     kernel.fn = spy
-    with obs.capture() as (tracer, metrics):
+    with obs.capture() as (tracer, _):
         both = pipe.execute(fields, samples_from_fields=after_the_reference)
         on_two = sorted(calls)
         del calls[:]
@@ -197,7 +197,6 @@ def test_split_quantized_forward_equals_the_one_cpu_execute(case):
     assert both.extra["backend"]["split"] == [cut, n - cut]
     assert on_two == sorted([(main, cut), (_LANE_THREAD + "_0", n - cut)])
     assert pipe._forward_quant.stats["splits"] == 1
-    assert metrics.value("backend_split_calls_total", backend="fused") == 1
 
 
 @pytest.mark.parametrize("case", ["h2combustion", "borghesi", "eurosat"])

@@ -89,12 +89,12 @@ def _framed_pair():
     left, right = socket.socketpair()
     left.settimeout(5.0)
     right.settimeout(5.0)
-    return FrameSocket(left, role="worker"), right
+    return FrameSocket(left), right
 
 
 def test_frame_roundtrip():
     a_sock, b_sock = socket.socketpair()
-    a, b = FrameSocket(a_sock, role="worker"), FrameSocket(b_sock, role="coordinator")
+    a, b = FrameSocket(a_sock), FrameSocket(b_sock)
     message = msg_result(3, 1, {"input_digest": "ab"}, encode_artifact(b"\x00\x01"))
     a.send(message)
     assert b.recv() == message
@@ -217,7 +217,7 @@ def test_an_older_worker_is_refused_at_hello(proto):
     refused, both versions named, before any RESULT."""
     coordinator = ShardCoordinator(_FUZZ_MANIFEST)
     worker_end, coordinator_end = socket.socketpair()
-    worker = FrameSocket(worker_end, role="worker")
+    worker = FrameSocket(worker_end)
     worker.settimeout(5.0)
     hello = msg_hello(
         "old", _FUZZ_MANIFEST["fingerprint"], manifest_identity(_FUZZ_MANIFEST), None
@@ -251,7 +251,7 @@ def test_a_damaged_result_frame_never_journals_other_bytes(cut, flips):
     receiver.settimeout(5.0)
     sender.sendall(bytes(frame))
     sender.close()
-    framed = FrameSocket(receiver, role="coordinator")
+    framed = FrameSocket(receiver)
     with tempfile.TemporaryDirectory() as directory:
         journal = CheckpointJournal(directory)
         journal.begin(_FUZZ_MANIFEST)
@@ -451,7 +451,8 @@ def test_cli_commands_and_coordinate_flags_are_pinned():
     """The CLI's commands, its global flags and ``coordinate``'s flags,
     listed literally: the HTTP metrics server, the trace analyzer, the
     coordinator's telemetry-endpoint flags, the sampling profiler's
-    command and global flags and the bench history's command are gone."""
+    command and global flags, the bench history's command and the
+    metrics export's command and flag are gone."""
     parser = build_parser()
     commands = next(
         action for action in parser._actions
@@ -459,11 +460,11 @@ def test_cli_commands_and_coordinate_flags_are_pinned():
     )
     assert set(commands.choices) == {
         "analyze", "audit", "compress", "coordinate", "decompress",
-        "metrics", "pipeline", "plan", "store", "worker",
+        "pipeline", "plan", "store", "worker",
     }
     global_flags = {flag for action in parser._actions for flag in action.option_strings}
     assert global_flags == {
-        "-h", "--help", "--version", "--trace", "--metrics", "--trace-summary",
+        "-h", "--help", "--version", "--trace", "--trace-summary",
         "--audit", "--instrument-ops", "--log-level", "--backend",
     }
     flags = {
@@ -726,7 +727,7 @@ def test_straggler_dedup_and_result_validation(distrib_setup, tmp_path):
     )
     server.start()
 
-    conn = FrameSocket(socket.create_connection((host, port)), role="worker")
+    conn = FrameSocket(socket.create_connection((host, port)))
     conn.settimeout(5.0)
     try:
         conn.send(
@@ -773,7 +774,7 @@ def test_straggler_dedup_and_result_validation(distrib_setup, tmp_path):
         # no declared digest: nothing vouches for the bytes, however right
         # they are (on a second connection: a third rejection on this one
         # would drain it)
-        other = FrameSocket(socket.create_connection((host, port)), role="worker")
+        other = FrameSocket(socket.create_connection((host, port)))
         other.settimeout(5.0)
         try:
             other.send(
@@ -802,7 +803,7 @@ def test_straggler_dedup_and_result_validation(distrib_setup, tmp_path):
             other.close()
         # keys a commit does not write, or one it does left out: refused
         # (a third connection, for the same reason as the second)
-        third = FrameSocket(socket.create_connection((host, port)), role="worker")
+        third = FrameSocket(socket.create_connection((host, port)))
         third.settimeout(5.0)
         try:
             third.send(

@@ -577,20 +577,21 @@ def test_instrument_ignored_off_fused(tiny_mlp):
 
 def test_instrumented_call_keeps_its_op_seconds_off_the_registry(tiny_mlp, rng):
     """Per-op times are a measurement: each call's list replaces the last
-    one on the kernel, and the metrics registry records none of them."""
+    one on the kernel, and a trace records none of them outside the
+    pipeline's inference span."""
     from repro import obs
 
     tiny_mlp.eval()
     x = rng.standard_normal((2, 6)).astype(np.float32)
     timed = CompiledForward(tiny_mlp, "fused", instrument=True)
-    with obs.capture() as (_, metrics):
+    with obs.capture() as (tracer, _):
         timed(x)
         first = timed.last_op_seconds
         timed(x)
     assert timed.last_op_seconds is not first
     assert len(timed.last_op_seconds) == len(timed.op_labels) > 0
     assert all(seconds >= 0 for seconds in timed.last_op_seconds)
-    assert metrics.to_json() == {"metrics": []}
+    assert all("op_seconds" not in span.attributes for span in tracer.finished)
 
 
 def test_pipeline_instrument_ops_lands_in_result_extra(trained_spectral_mlp, rng):
@@ -620,22 +621,23 @@ def test_pipeline_instrument_ops_lands_in_result_extra(trained_spectral_mlp, rng
 
 
 def test_fallbacks_are_counted_by_reason(tiny_mlp, rng):
-    from repro import obs
-
+    """``stats["fallbacks"]`` counts the interpreter calls and
+    ``last_fallback_reason`` names the latest one's reason."""
     x = rng.standard_normal((2, 6)).astype(np.float32)
-    with obs.capture() as (_, metrics):
-        compiled = _compiled(tiny_mlp)
-        compiled(x)
-        compiled(x.astype(np.int64))  # dtype guard: interpreter fallback
-        tiny_mlp.train()
-        compiled(x)
-        tiny_mlp.eval()
-        compiled(x)  # back on the kernel
-    counted = lambda reason: metrics.value(
-        "backend_fallbacks_total", backend="fused", reason=reason
-    )
-    assert counted("input-dtype") == 1 and counted("training-mode") == 1
-    assert compiled.stats["fallbacks"] == 2 and compiled.last_fallback_reason is None
+    compiled = _compiled(tiny_mlp)
+    reasons = []
+    compiled(x)
+    reasons.append(compiled.last_fallback_reason)
+    compiled(x.astype(np.int64))  # dtype guard: interpreter fallback
+    reasons.append(compiled.last_fallback_reason)
+    tiny_mlp.train()
+    compiled(x)
+    reasons.append(compiled.last_fallback_reason)
+    tiny_mlp.eval()
+    compiled(x)  # back on the kernel
+    reasons.append(compiled.last_fallback_reason)
+    assert reasons == [None, "input-dtype", "training-mode", None]
+    assert compiled.stats["fallbacks"] == 2
 
 
 # -- a run leaves nothing behind ---------------------------------------------

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro import load_workload, obs
+from repro import load_workload
 from repro.datasets import make_eurosat
 from repro.models import borghesi_net, resnet18
 from repro.nn import Sequential
@@ -220,13 +220,10 @@ def test_probe_rejects_and_counts_the_reason(reason, half_fn, ratio, rng, monkey
     kernel = _patched(forward, x, half_fn)
     with one_cpu():
         whole = forward(x)
-    with obs.capture() as (_, metrics):
-        outs = [forward(x) for _ in range(3)]
+    outs = [forward(x) for _ in range(3)]
     assert all(out.tobytes() == whole.tobytes() for out in outs)
     assert forward.stats["splits"] == 0 and forward.last_split is None
     assert kernel.split_rejections == {reason: 1}  # asked once, then it sticks
-    assert metrics.value("backend_split_rejected_total", reason=reason) == 1
-    assert metrics.value("backend_split_calls_total", backend="fused") == 0
     # ... until the kernel recompiles: the new one asks again
     monkeypatch.setattr(fused, "_SPLIT_KEEP_RATIO", float("inf"))
     next(iter(forward.model.parameters())).bump_version()

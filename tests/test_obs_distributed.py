@@ -1,5 +1,5 @@
-"""Distributed observability suite: trace context propagation, remote
-span merging and the Prometheus exposition.
+"""Distributed observability suite: trace context propagation and remote
+span merging.
 
 The contract under test: spans minted in coordinator threads, TCP
 workers and forked pool children stitch into ONE trace (same trace id,
@@ -11,7 +11,7 @@ import re
 import pytest
 
 from repro.io import read_jsonl_records
-from repro.obs import MetricsRegistry, Tracer, new_span_id, new_trace_id
+from repro.obs import Tracer, new_span_id, new_trace_id
 from repro.obs.trace import NULL_TRACER, Span
 
 
@@ -200,34 +200,3 @@ def test_null_tracer_propagation_api_is_inert():
     assert NULL_TRACER.dicts_since(5) == ([], 0)
     with NULL_TRACER.span("x", remote_parent={"trace_id": "t"}):
         pass
-
-
-# -- Prometheus exposition (satellite: header dedupe + grammar) -------------
-
-#: one exposition line: a TYPE comment or a sample, per the text format
-_EXPOSITION_LINE = re.compile(
-    r"^(#\sTYPE\s[a-zA-Z_:][a-zA-Z0-9_:]*\scounter"
-    r"|[a-zA-Z_:][a-zA-Z0-9_:]*(\{[a-zA-Z_][a-zA-Z0-9_]*=\"[^\"]*\""
-    r"(,[a-zA-Z_][a-zA-Z0-9_]*=\"[^\"]*\")*\})?\s[0-9eE+\-.]+)$"
-)
-
-
-def _assert_valid_exposition(text: str) -> None:
-    assert text.endswith("\n")
-    for line in text.rstrip("\n").split("\n"):
-        assert _EXPOSITION_LINE.match(line), f"invalid exposition line: {line!r}"
-
-
-def test_prometheus_headers_emitted_once_per_name():
-    registry = MetricsRegistry()
-    registry.counter("events_total", kind="a").inc(1)
-    registry.counter("events_total", kind="b").inc(2)
-    registry.counter("retries_total").inc(0.5)
-    text = registry.to_prometheus()
-    assert text.count("# TYPE events_total counter") == 1
-    assert text.count("# TYPE retries_total counter") == 1
-    assert "# HELP" not in text
-    assert 'events_total{kind="a"} 1' in text
-    assert 'events_total{kind="b"} 2' in text
-    assert "retries_total 0.5" in text
-    _assert_valid_exposition(text)

@@ -417,7 +417,12 @@ def test_pipeline_zfp_also_guarded(planned, field_batch):
     assert result.certificate.codec_error <= plan.input_tolerance
 
 
-# -- resilience event counters ------------------------------------------------
+# -- resilience event counts: spans with ``error`` and the run's summary -------
+def _failed(tracer, error):
+    """Names of the finished spans a raised ``error`` crossed."""
+    return [span.name for span in tracer.finished if span.attributes.get("error") == error]
+
+
 def test_counters_raise_policy_counts_integrity_failure(planned, field_batch, monkeypatch):
     from repro import obs
 
@@ -429,14 +434,13 @@ def test_counters_raise_policy_counts_integrity_failure(planned, field_batch, mo
 
     monkeypatch.setattr(SZCompressor, "decompress", poisoning)
     pipe = InferencePipeline(model, SZCompressor(), plan)
-    with obs.capture() as (__, metrics):
+    with obs.capture() as (tracer, _):
         with pytest.raises(IntegrityError):
             pipe.execute(field_batch)
-    assert metrics.value("integrity_failures_total", stage="decompress") == 1
-    assert metrics.value("retries_total", component="pipeline") == 0
-    assert metrics.value(
-        "recoveries_total", policy="raise", component="pipeline"
-    ) == 0
+    # the failure is recorded once at its stage, and on the run it ended
+    assert _failed(tracer, "IntegrityError") == ["pipeline.decompress", "pipeline.execute"]
+    # nothing retried or degraded it
+    assert not any(span.attributes["degraded"] for span in tracer.find("pipeline.decompress"))
 
 
 @pytest.mark.parametrize(
@@ -452,18 +456,17 @@ def test_counters_serial_chunk_recovery(
     model, plan = planned
     _poisoned_lossy_decompress(monkeypatch, fails=fails)
     pipe = InferencePipeline(model, SZCompressor(), plan)
-    with obs.capture() as (__, metrics):
-        _one_chunk(pipe, field_batch)
+    with obs.capture() as (tracer, _):
+        result = _one_chunk(pipe, field_batch)
     # every lossy attempt that failed the finite screen...
-    assert metrics.value("integrity_failures_total", stage="decompress") == retries + quarantined
+    assert _failed(tracer, "IntegrityError").count("pipeline.decompress") == retries + quarantined
     # ...was retried by the pool, or quarantined once the budget ran out...
-    assert metrics.value("chunk_retries_total", pool="pipeline") == retries
-    assert metrics.value("quarantined_chunks_total", pool="pipeline") == quarantined
-    # ...and only the lossless rerun counts as a policy activation
-    assert metrics.value(
-        "recoveries_total", policy="fallback-lossless", component="pipeline"
-    ) == recoveries
-    assert metrics.value("retries_total", component="pipeline") == 0
+    supervision = result.extra["supervision"]
+    assert supervision["retries"] == retries
+    assert len(supervision["quarantined"]) == quarantined
+    # ...and only the lossless rerun decodes a degraded blob
+    degraded = [span for span in tracer.find("pipeline.decompress") if span.attributes["degraded"]]
+    assert len(degraded) == recoveries
 
 
 def test_counters_contract_violation(planned, field_batch, monkeypatch):
@@ -480,12 +483,12 @@ def test_counters_contract_violation(planned, field_batch, monkeypatch):
 
     monkeypatch.setattr(SZCompressor, "decompress", overshooting)
     pipe = InferencePipeline(model, SZCompressor(), plan)
-    with obs.capture() as (__, metrics):
-        with pytest.raises(ContractViolation):
+    with obs.capture() as (tracer, _):
+        with pytest.raises(ContractViolation) as raised:
             pipe.execute(field_batch)
-    assert metrics.value(
-        "contract_violations_total", stage="decompress", codec="sz"
-    ) == 1
+    # the guard span the violation crossed; the error names the codec stage
+    assert _failed(tracer, "ContractViolation") == ["pipeline.guard", "pipeline.execute"]
+    assert (raised.value.stage, raised.value.codec) == ("decompress", "sz")
 
 
 # -- safe_decompress --------------------------------------------------------

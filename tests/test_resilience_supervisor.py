@@ -54,7 +54,6 @@ from repro.resilience import (
     corrupt_result,
     flip_bit,
     fork_available,
-    retry_call,
     truncate,
 )
 
@@ -110,41 +109,6 @@ def test_retry_different_seeds_decorrelate():
 def test_retry_policy_rejects_bad_config(kwargs):
     with pytest.raises(ConfigurationError):
         RetryPolicy(**kwargs)
-
-
-def test_retry_call_recovers_from_transient_failure():
-    calls = []
-
-    def flaky():
-        calls.append(1)
-        if len(calls) < 3:
-            raise ValueError("transient")
-        return "ok"
-
-    slept = []
-    policy = RetryPolicy(max_retries=3, base_delay=0.5, jitter=0.0)
-    assert retry_call(flaky, policy, sleep=slept.append) == "ok"
-    assert len(calls) == 3
-    assert slept == [0.5, 1.0]  # exponential schedule actually consulted
-
-
-def test_retry_call_exhausts_budget_and_reraises():
-    attempts = []
-    notified = []
-
-    def always_fails():
-        attempts.append(1)
-        raise ValueError("persistent")
-
-    with pytest.raises(ValueError, match="persistent"):
-        retry_call(
-            always_fails,
-            RetryPolicy(max_retries=2, base_delay=0.0, jitter=0.0),
-            on_retry=lambda attempt, exc: notified.append(attempt),
-            sleep=lambda _: None,
-        )
-    assert len(attempts) == 3  # first try + 2 retries
-    assert notified == [0, 1]
 
 
 # -- chaos spec parsing -----------------------------------------------------
@@ -264,16 +228,16 @@ def test_pool_keys_everything_by_task_id():
 
 def test_pool_respawns_after_worker_kill():
     chaos = ChaosInjector.from_spec("kill@1")
-    with obs.capture() as (_, metrics):
+    with obs.capture() as (tracer, _):
         pool = SupervisedPool(_square, workers=2, retry=FAST_RETRY, chaos=chaos)
         report = pool.run(list(range(6)))
-        snapshot = metrics.counter_snapshot()
     assert report.results() == [x * x for x in range(6)]
     assert report.respawns == 1
     assert report.retries == 1
     assert report.outcomes[1].attempts == 2
-    assert snapshot["worker_restarts_total"][(("pool", "supervised"),)] == 1
-    assert snapshot["chunk_retries_total"][(("pool", "supervised"),)] == 1
+    # the run's span carries the same counts
+    (run,) = tracer.find("supervisor.run")
+    assert (run.attributes["respawns"], run.attributes["retries"]) == (1, 1)
 
 
 def test_pool_retries_transient_exception():
@@ -287,17 +251,17 @@ def test_pool_retries_transient_exception():
 
 def test_pool_quarantines_poison_task():
     chaos = ChaosInjector.from_spec("raise@2:all")  # fails on every attempt
-    with obs.capture() as (_, metrics):
+    with obs.capture() as (tracer, _):
         pool = SupervisedPool(_square, workers=2, retry=FAST_RETRY, chaos=chaos)
         report = pool.run(list(range(5)))
-        snapshot = metrics.counter_snapshot()
     assert report.quarantined == [2]
     outcome = report.outcomes[2]
     assert outcome.quarantined and outcome.result is None
     assert "injected failure" in outcome.error
     assert outcome.attempts == FAST_RETRY.max_retries + 1
     assert report.results() == [0, 1, None, 9, 16]
-    assert snapshot["chunk_retries_total"][(("pool", "supervised"),)] == 2
+    (run,) = tracer.find("supervisor.run")
+    assert (run.attributes["retries"], run.attributes["quarantined"]) == (2, [2])
 
 
 def test_pool_deadline_kills_hung_worker():
@@ -313,20 +277,20 @@ def test_pool_deadline_kills_hung_worker():
 
 def test_pool_circuit_breaker_degrades_to_inline():
     chaos = ChaosInjector.from_spec("kill@*:all")  # every worker dies, always
-    with obs.capture() as (_, metrics):
+    with obs.capture() as (tracer, _):
         pool = SupervisedPool(
             _square, workers=2, retry=RetryPolicy(max_retries=20, base_delay=0.0, jitter=0.0),
             chaos=chaos,
         )
         report = pool.run(list(range(8)))
-        snapshot = metrics.counter_snapshot()
     assert report.breaker_tripped
     # chaos models *worker* faults and is never applied inline, so the
     # degraded serial pass completes every task
     assert report.results() == [x * x for x in range(8)]
     # a two-worker pool trips at 2 * workers + 1 respawns
     assert report.respawns >= 5
-    assert snapshot["circuit_breaker_trips_total"][(("pool", "supervised"),)] == 1
+    (run,) = tracer.find("supervisor.run")
+    assert run.attributes["breaker_tripped"] is True
     assert all(outcome.inline for outcome in report.outcomes.values() if outcome.attempts)
 
 
@@ -540,24 +504,13 @@ def test_pool_reports_what_pack_returns_from_a_worker():
 def test_pool_reports_one_outcome_per_task_and_counts_quarantines():
     chaos = ChaosInjector.from_spec("raise@1,raise@3:all")
     pool = SupervisedPool(_square, workers=2, retry=FAST_RETRY, chaos=chaos)
-    with obs.capture() as (_, metrics):
+    with obs.capture() as (tracer, _):
         report = pool.run(list(range(5)))
     succeeded = {t: o.result for t, o in report.outcomes.items() if not o.quarantined}
     assert succeeded == {0: 0, 1: 1, 2: 4, 4: 16}
     assert report.quarantined == [3]
-    assert metrics.value("quarantined_chunks_total", pool="supervised") == 1
-
-
-def test_pool_merges_worker_counter_deltas():
-    def counting_task(x):
-        obs.get_metrics().counter("supervised_test_work_total").inc()
-        return x
-
-    with obs.capture() as (_, metrics):
-        SupervisedPool(counting_task, workers=2, retry=FAST_RETRY).run(list(range(7)))
-        snapshot = metrics.counter_snapshot()
-    # increments happened in forked children; deltas rode back with results
-    assert snapshot["supervised_test_work_total"][()] == 7
+    (run,) = tracer.find("supervisor.run")
+    assert run.attributes["quarantined"] == [3]
 
 
 def test_pool_stitches_child_spans_into_parent_trace():
