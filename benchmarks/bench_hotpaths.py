@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Micro-benchmarks for the chunked-execution hot paths.
 
-Fourteen paths are timed and written in the unified ``benchutils`` row
+Eleven paths are timed and written in the unified ``benchutils`` row
 shape (``{path, config, seconds, reps_s, throughput_mb_s}``, which CI's
 hot-path gates read; see docs/PERFORMANCE.md for how to read the
 output):
@@ -19,8 +19,6 @@ output):
   bytes) in the config;
 * ``huffman_encode``      — word-accumulating array encoder vs the scalar
   oracle on the 1M-symbol stream (identical bytes);
-* ``sz_compress``         — ``SZCompressor.compress`` on a smooth 3-D field
-  (predictor + quantizer + the encoder above);
 * ``sz_precision``        — one seeded float32 9x256x256 field against its
   float64 copy: ``compress`` and ``decompress`` in float32 and in float64
   arithmetic, with stored bytes and worst error / tolerance in the config;
@@ -33,8 +31,6 @@ output):
   per-thread codec scratch removes;
 * ``pipeline_chunked``    — ``InferencePipeline.execute_chunked`` serial
   vs the supervised 4-worker process pool;
-* ``pipeline_checkpoint`` — the same serial run with and without the
-  durable checkpoint journal (journaling overhead);
 * ``chunk_stack``         — what stands between ``execute`` on one chunk
   and a pool run: the per-chunk fixed cost split into Huffman table build
   / predictor / forward / guard, the commit of one chunk, an empty pool's
@@ -144,29 +140,6 @@ def _smooth_field(side: int) -> np.ndarray:
     ).astype(np.float32)
     field += 1e-3 * np.random.default_rng(3).standard_normal(field.shape).astype(np.float32)
     return field
-
-
-def bench_sz_compress(side: int, reps: int) -> list[dict]:
-    field = _smooth_field(side)
-    codec = SZCompressor()
-    blob = codec.compress(field, 1e-4, ErrorBoundMode.ABS)
-    seconds, reps_s = best_of(lambda: codec.compress(field, 1e-4, ErrorBoundMode.ABS), reps)
-    print(f"sz_compress: {seconds*1e3:.1f} ms for {field.nbytes/1e6:.2f} MB "
-          f"({len(blob.payload)} payload bytes)")
-    return [
-        make_row(
-            "sz_compress",
-            {
-                "field_shape": list(field.shape),
-                "tolerance": 1e-4,
-                "reps": reps,
-                "compressed_bytes": len(blob.payload),
-            },
-            seconds,
-            reps_s=reps_s,
-            throughput_mb_s=field.nbytes / 1e6 / seconds,
-        )
-    ]
 
 
 def bench_sz_precision(reps: int) -> list[dict]:
@@ -381,48 +354,6 @@ def bench_pipeline_chunked(side: int, workers: int, reps: int) -> list[dict]:
     return rows
 
 
-def bench_pipeline_checkpoint(side: int, workers: int, reps: int) -> list[dict]:
-    pipeline, fields, chunk_size = _chunked_pipeline_setup(side, workers)
-    mb = fields.nbytes / 1e6
-
-    rows = []
-    with tempfile.TemporaryDirectory() as scratch:
-        configs = [
-            ("off", dict()),
-            # resume=False every rep: fresh journal, full write cost
-            ("on", dict(checkpoint=os.path.join(scratch, "ck"))),
-        ]
-        for journal, kwargs in configs:
-            seconds, reps_s = best_of(
-                lambda kw=kwargs: pipeline.execute_chunked(
-                    fields, chunk_size=chunk_size, chunk_axis=1, workers=1, **kw
-                ),
-                reps,
-            )
-            rows.append(
-                make_row(
-                    "pipeline_checkpoint",
-                    {
-                        "journal": journal,
-                        "chunk_size": chunk_size,
-                        "field_shape": list(fields.shape),
-                        "reps": reps,
-                    },
-                    seconds,
-                    reps_s=reps_s,
-                    throughput_mb_s=mb / seconds,
-                )
-            )
-    overhead = rows[1]["seconds"] / rows[0]["seconds"] - 1.0
-    for row in rows:
-        row["config"]["journal_overhead"] = overhead
-    print(
-        f"pipeline_checkpoint: off {rows[0]['seconds']*1e3:.1f} ms, "
-        f"on {rows[1]['seconds']*1e3:.1f} ms -> {overhead*100:.1f}% overhead"
-    )
-    return rows
-
-
 def bench_chunk_stack(side: int, workers: int, reps: int) -> list[dict]:
     """Per-chunk fixed costs and the pool's own, one row per part.
 
@@ -537,97 +468,6 @@ def bench_chunk_stack(side: int, workers: int, reps: int) -> list[dict]:
             f"chunk_stack[{row['config']['part']}]: {row['seconds']*1e3:.3f} ms"
             + (f" (worker idle share {extra:.2f})" if extra is not None else "")
         )
-    return rows
-
-
-def bench_pipeline_distributed(side: int, reps: int) -> list[dict]:
-    """Loopback coordinator + 2 in-thread worker agents vs serial.
-
-    Measures the wire-protocol tax (framing, base64 artifacts, journal
-    merge) with inline single-process pools on both workers, so the
-    number is pure distribution overhead, not fork/IPC cost."""
-    import threading
-
-    from repro.distrib import DistribConfig, ShardWorker
-    from repro.resilience import RetryPolicy
-
-    pipeline, fields, chunk_size = _chunked_pipeline_setup(side, 2)
-    mb = fields.nbytes / 1e6
-
-    serial_seconds, serial_reps = best_of(
-        lambda: pipeline.execute_chunked(
-            fields, chunk_size=chunk_size, chunk_axis=1, workers=1
-        ),
-        reps,
-    )
-
-    def one_run():
-        threads = []
-
-        def launch(coordinator):
-            host, port = coordinator.address
-
-            def run_one(index):
-                ShardWorker(
-                    pipeline,
-                    fields,
-                    chunk_size,
-                    chunk_axis=1,
-                    name=f"bench-w{index}",
-                    workers=1,
-                    connect_retry=RetryPolicy(
-                        max_retries=6, base_delay=0.02, max_delay=0.2, jitter=0.0
-                    ),
-                ).run(host, port)
-
-            for index in range(2):
-                thread = threading.Thread(
-                    target=run_one, args=(index,), daemon=True
-                )
-                threads.append(thread)
-                thread.start()
-
-        pipeline.execute_chunked(
-            fields,
-            chunk_size=chunk_size,
-            chunk_axis=1,
-            executor="distributed",
-            distrib=DistribConfig(
-                port=0, lease_ttl=5.0, worker_wait=15.0,
-                expect_workers=2, on_start=launch,
-            ),
-        )
-        for thread in threads:
-            thread.join(timeout=15.0)
-
-    distributed_seconds, distributed_reps = best_of(one_run, reps)
-    rows = [
-        make_row(
-            "pipeline_distributed",
-            {
-                "executor": executor,
-                "workers": workers,
-                "chunk_size": chunk_size,
-                "field_shape": list(fields.shape),
-                "reps": reps,
-                "speedup_vs_serial": serial_seconds / seconds,
-                "overhead_vs_serial": seconds / serial_seconds - 1.0,
-            },
-            seconds,
-            reps_s=reps_s,
-            throughput_mb_s=mb / seconds,
-        )
-        for executor, workers, seconds, reps_s in (
-            ("serial", 1, serial_seconds, serial_reps),
-            ("distributed", 2, distributed_seconds, distributed_reps),
-        )
-    ]
-    overhead = distributed_seconds / serial_seconds - 1.0
-    print(
-        f"pipeline_distributed: serial {serial_seconds*1e3:.1f} ms, "
-        f"loopback 2-worker {distributed_seconds*1e3:.1f} ms "
-        f"-> {overhead*100:.1f}% overhead"
-    )
     return rows
 
 
@@ -760,14 +600,11 @@ def main(argv=None) -> int:
     rows = []
     rows += bench_cold_start(7)
     rows += bench_huffman(n_symbols, n_small, n_field, reps)
-    rows += bench_sz_compress(2 * side, reps)
     rows += bench_sz_precision(reps)
     rows += bench_codec_decode(2 * side, reps)
     rows += bench_sz_roundtrip_faults(reps)
     rows += bench_pipeline_chunked(side, args.workers, reps)
-    rows += bench_pipeline_checkpoint(side, args.workers, reps)
     rows += bench_chunk_stack(side, args.workers, reps)
-    rows += bench_pipeline_distributed(side, reps)
     # one size in both modes: below ~100 ms an execute is interpreter-bound
     # and the two lanes mostly wait for each other's GIL
     rows += bench_pipeline_execute_lanes(256, 5)

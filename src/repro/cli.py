@@ -670,6 +670,7 @@ def _cmd_store(args) -> int:
 
 def _cmd_audit_report(args) -> int:
     from .obs import RunRegistry
+    from .obs.registry import diff_runs
     from .reporting import describe_audit_diff
 
     registry = RunRegistry(args.registry)
@@ -687,8 +688,8 @@ def _cmd_audit_report(args) -> int:
             f"{(run.get('certificate') or {}).get('fmt', '?'):>5s} {run.get('codec', '?'):>6s} "
             f"{run.get('qoi_tightness', 0.0):10.3f} {run.get('verdict', '?'):>9s}"
         )
-    drift = registry.detect_drift(threshold=args.threshold)
-    if drift is not None:
+    if len(runs) >= 2:
+        drift = diff_runs(runs[-2], runs[-1], threshold=args.threshold)
         _LOG.info("")
         _LOG.info(describe_audit_diff(drift))
         if drift["regressions"] or drift["new_violations"]:
@@ -698,11 +699,14 @@ def _cmd_audit_report(args) -> int:
 
 def _cmd_audit_diff(args) -> int:
     from .obs import RunRegistry
+    from .obs.registry import diff_runs
     from .reporting import describe_audit_diff
 
     registry = RunRegistry(args.registry)
     try:
-        diff = registry.diff(args.run_a, args.run_b, threshold=args.threshold)
+        diff = diff_runs(
+            registry.get(args.run_a), registry.get(args.run_b), threshold=args.threshold
+        )
     except KeyError as exc:
         _LOG.error(f"error (KeyError): {exc.args[0]}")
         return 1

@@ -108,14 +108,12 @@ class ZFPCompressor(Compressor):
     def __init__(self, max_alphabet: int = 4096) -> None:
         self.max_alphabet = check_max_alphabet(max_alphabet)
 
-    def compress_fixed_rate(
-        self, data: np.ndarray, bits_per_value: float, tolerance_hint: float = 1e-1
-    ) -> CompressedBlob:
+    def compress_fixed_rate(self, data: np.ndarray, bits_per_value: float) -> CompressedBlob:
         """Fixed-rate compression: target a bits-per-value budget.
 
-        Searches the accuracy knob until the payload meets the requested
-        rate (like ZFP's fixed-rate mode, the achieved accuracy is
-        whatever the budget affords).  Returns a blob decodable by
+        Searches the accuracy knob, from a relative tolerance of 0.1, until
+        the payload meets the requested rate (like ZFP's fixed-rate mode,
+        the achieved accuracy is whatever the budget affords).  Returns a blob decodable by
         :meth:`decompress`; its ``metadata['achieved_bpv']`` records the
         realized rate.
         """
@@ -123,7 +121,7 @@ class ZFPCompressor(Compressor):
         if bits_per_value <= 0:
             raise CompressionError("bits_per_value must be positive")
         budget_bytes = bits_per_value * data.size / 8.0
-        tolerance = float(tolerance_hint)
+        tolerance = 1e-1
         blob = self.compress(data, tolerance, ErrorBoundMode.REL)
         for __ in range(24):
             if blob.nbytes <= budget_bytes:

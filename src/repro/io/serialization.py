@@ -115,7 +115,7 @@ def atomic_write_json(path: str, payload: dict, default=None) -> None:
 # -- append-only JSONL (checkpoint journal, audit registry) -------------------
 
 
-def append_jsonl(path: str, payload: dict, default=None) -> None:
+def append_jsonl(path: str, payload: dict, default=None) -> int:
     """Append one JSON object to ``path`` as a single atomic write.
 
     The record is serialized first, then written with one ``os.write`` on
@@ -123,12 +123,13 @@ def append_jsonl(path: str, payload: dict, default=None) -> None:
     execution auditing per chunk) interleave whole lines, never bytes,
     and a crashed writer can at worst lose its own line — readers skip a
     torn trailing line rather than failing.  ``default`` is the
-    ``json.dumps`` fallback converter for non-native values.
+    ``json.dumps`` fallback converter for non-native values.  Returns the
+    number of bytes written.
     """
     line = json.dumps(payload, sort_keys=True, default=default) + "\n"
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
     try:
-        os.write(fd, line.encode("utf-8"))
+        return os.write(fd, line.encode("utf-8"))
     finally:
         os.close(fd)
 

@@ -36,14 +36,11 @@ class DatasetStore:
     ----------
     directory:
         Storage root; created if missing.
-    default_codec:
-        Codec used by :meth:`put` when none is given.
     """
 
-    def __init__(self, directory: str, default_codec: str = "sz") -> None:
+    def __init__(self, directory: str) -> None:
         self.directory = str(directory)
         os.makedirs(self.directory, exist_ok=True)
-        self.default_codec = default_codec
 
     def _path(self, name: str) -> str:
         bad = (
@@ -64,7 +61,7 @@ class DatasetStore:
         array: np.ndarray,
         tolerance: float,
         mode: ErrorBoundMode = ErrorBoundMode.ABS,
-        codec: Compressor | str | None = None,
+        codec: Compressor | str = "sz",
     ) -> CompressedBlob:
         """Compress and persist ``array`` under the given error contract.
 
@@ -72,8 +69,8 @@ class DatasetStore:
         writer can never leave a torn blob behind.
         """
         path = self._path(name)  # validate before compressing
-        if isinstance(codec, str) or codec is None:
-            codec = get_compressor(codec or self.default_codec)
+        if isinstance(codec, str):
+            codec = get_compressor(codec)
         array = np.asarray(array)
         with get_tracer().span(
             "store.put", entry=name, codec=codec.name, tolerance=float(tolerance)

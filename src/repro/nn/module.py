@@ -204,14 +204,9 @@ class Module:
         """
         return sum(param.version for param in self.parameters())
 
-    def num_parameters(self, trainable_only: bool = False) -> int:
+    def num_parameters(self) -> int:
         """Total number of scalar parameters in the module tree."""
-        total = 0
-        for param in self.parameters():
-            if trainable_only and not param.requires_grad:
-                continue
-            total += param.size
-        return total
+        return sum(param.size for param in self.parameters())
 
     def state_dict(self) -> dict[str, np.ndarray]:
         """Copy of all parameter values keyed by qualified name."""

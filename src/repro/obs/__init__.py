@@ -77,7 +77,6 @@ __all__ = [
     "disable_audit",
     "enable",
     "enable_audit",
-    "enabled",
     "get_auditor",
     "get_logger",
     "get_tracer",
@@ -102,15 +101,9 @@ def set_tracer(tracer) -> None:
     _tracer = tracer if tracer is not None else NULL_TRACER
 
 
-def enabled() -> bool:
-    """True when tracing is live."""
-    return _tracer.enabled
-
-
-def enable(tracer=None):
-    """Install a live tracer globally (a fresh one unless ``tracer`` is
-    given); returns it."""
-    set_tracer(tracer if tracer is not None else Tracer())
+def enable() -> Tracer:
+    """Install a fresh live tracer globally; returns it."""
+    set_tracer(Tracer())
     return _tracer
 
 
@@ -120,7 +113,7 @@ def disable() -> None:
 
 
 @contextmanager
-def capture(tracer=None):
+def capture():
     """Scoped :func:`enable`; restores whatever tracer was installed before.
 
     Yields ``(tracer, None)``: the second item is kept only because
@@ -128,6 +121,6 @@ def capture(tracer=None):
     """
     previous = _tracer
     try:
-        yield enable(tracer=tracer), None
+        yield enable(), None
     finally:
         set_tracer(previous)

@@ -1,13 +1,8 @@
 """Structured, leveled logging with key=value context.
 
-Two output formats:
-
-* ``plain`` — the message followed by optional ``key=value`` pairs.
-  This is byte-identical to the ``print()`` calls it replaces when no
-  context is attached, so CLI output (and the tests asserting on it)
-  is unchanged.
-* ``logfmt`` — ``level=info logger=cli msg="..." key=value`` lines for
-  machine consumption.
+A line is the message followed by optional ``key=value`` pairs.  This is
+byte-identical to the ``print()`` calls it replaces when no context is
+attached, so CLI output (and the tests asserting on it) is unchanged.
 
 Severities ``info`` and below write to stdout, ``warning`` and above to
 stderr (the standard CLI convention).  Streams are resolved at emit
@@ -53,30 +48,18 @@ def _fmt_value(value) -> str:
 
 
 class Logger:
-    """A named logger; severity filtering is global, format is per-logger."""
+    """A named logger; severity filtering is global."""
 
-    def __init__(self, name: str, fmt: str = "plain") -> None:
-        if fmt not in ("plain", "logfmt"):
-            raise ValueError(f"fmt must be 'plain' or 'logfmt', got {fmt!r}")
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.fmt = fmt
-
-    def is_enabled_for(self, level: "int | str") -> bool:
-        return _resolve_level(level) >= _global_level
 
     def log(self, level: str, message: str, **context) -> None:
         severity = _resolve_level(level)
         if severity < _global_level:
             return
         stream = sys.stderr if severity >= LEVELS["warning"] else sys.stdout
-        if self.fmt == "plain":
-            pairs = " ".join(f"{k}={_fmt_value(v)}" for k, v in context.items())
-            line = message if not pairs else f"{message} {pairs}"
-        else:
-            parts = [f"level={level}", f"logger={self.name}", f"msg={_fmt_value(message)}"]
-            parts.extend(f"{k}={_fmt_value(v)}" for k, v in context.items())
-            line = " ".join(parts)
-        stream.write(line + "\n")
+        pairs = " ".join(f"{k}={_fmt_value(v)}" for k, v in context.items())
+        stream.write((message if not pairs else f"{message} {pairs}") + "\n")
 
     def debug(self, message: str, **context) -> None:
         self.log("debug", message, **context)
@@ -91,11 +74,9 @@ class Logger:
         self.log("error", message, **context)
 
 
-def get_logger(name: str, fmt: str = "plain") -> Logger:
-    """Shared logger instance per (name, fmt)."""
-    key = f"{name}/{fmt}"
-    logger = _loggers.get(key)
+def get_logger(name: str) -> Logger:
+    """Shared logger instance per name."""
+    logger = _loggers.get(name)
     if logger is None:
-        logger = Logger(name, fmt=fmt)
-        _loggers[key] = logger
+        logger = _loggers[name] = Logger(name)
     return logger

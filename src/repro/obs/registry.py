@@ -1,22 +1,24 @@
-"""Persistent audit-run registry: append-only JSONL with diff and drift.
+"""Persistent audit-run registry: append-only JSONL with a run diff.
 
 Every audited pipeline execution becomes one JSON line in a registry
 file, written by :func:`repro.io.serialization.append_jsonl` (a single
 ``O_APPEND`` write per record, so concurrent chunk workers interleave
 whole records and a crash can at worst lose its own line).  The registry is
 the memory the bound-tightness telemetry needs to become *regression*
-telemetry: ``diff`` compares the per-layer tightness ratios of any two
-runs, and ``detect_drift`` flags layers whose tightness regressed beyond
-a threshold since the previous run — the "did a code or weight change
-silently loosen the bound?" question the paper's Figs. 5–8 answer once,
-asked continuously.
+telemetry: :func:`diff_runs` compares the per-layer tightness ratios of
+any two runs and flags layers whose tightness regressed beyond a
+threshold — the "did a code or weight change silently loosen the bound?"
+question the paper's Figs. 5–8 answer once, asked continuously.
 
-Run ids are assigned at append time as ``run-0001``, ``run-0002``, … so
-two CI runs against the same registry are directly diffable; records
-that already carry a ``run_id`` (re-imports, merges) keep it.
+Run ids are assigned at append time as ``run-0001``, ``run-0002``, … in
+file order, so two CI runs against the same registry are directly
+diffable; records that already carry a ``run_id`` (re-imports, merges)
+keep it.
 """
 
 from __future__ import annotations
+
+import os
 
 from .trace import json_default
 
@@ -43,6 +45,11 @@ class RunRegistry:
 
     def __init__(self, path: str) -> None:
         self.path = str(path)
+        # the file size after this object's last append and the number of
+        # runs it held then: an append re-reads the file only when
+        # another writer has grown it since
+        self._size = 0
+        self._count = 0
 
     def append(self, record) -> dict:
         """Persist one record (an ``AuditRecord`` or a plain dict).
@@ -54,9 +61,13 @@ class RunRegistry:
         from ..io.serialization import append_jsonl
 
         payload = record.to_dict() if hasattr(record, "to_dict") else dict(record)
+        size = os.path.getsize(self.path) if os.path.exists(self.path) else 0
+        if size != self._size:
+            self._count = len(self)
         if not payload.get("run_id"):
-            payload["run_id"] = f"run-{len(self) + 1:04d}"
-        append_jsonl(self.path, payload, default=json_default)
+            payload["run_id"] = f"run-{self._count + 1:04d}"
+        self._size = size + append_jsonl(self.path, payload, default=json_default)
+        self._count += 1
         return payload
 
     def runs(self) -> list[dict]:
@@ -68,9 +79,6 @@ class RunRegistry:
 
     def __len__(self) -> int:
         return len(self.runs())
-
-    def run_ids(self) -> list[str]:
-        return [run["run_id"] for run in self.runs()]
 
     def get(self, key: "str | int") -> dict:
         """Look up a run by ``run_id`` or by (possibly negative) index; an
@@ -91,30 +99,6 @@ class RunRegistry:
         recent = ", ".join(run["run_id"] for run in runs[-10:]) or "(empty)"
         raise KeyError(f"no run {key!r} in registry {self.path!r}; recent: {recent}")
 
-    # -- comparison ------------------------------------------------------
-    def diff(
-        self,
-        key_a: "str | int",
-        key_b: "str | int",
-        threshold: float = DEFAULT_DRIFT_THRESHOLD,
-    ) -> dict:
-        """Layer-by-layer tightness comparison of two runs.
-
-        ``threshold`` is the relative tightness increase from A to B that
-        counts as a regression.  Layers are matched by name; a layer
-        present in only one run is reported under ``structure_changed``
-        rather than silently dropped.
-        """
-        run_a, run_b = self.get(key_a), self.get(key_b)
-        return diff_runs(run_a, run_b, threshold=threshold)
-
-    def detect_drift(self, threshold: float = DEFAULT_DRIFT_THRESHOLD) -> "dict | None":
-        """Diff the latest run against its predecessor (None if < 2 runs)."""
-        runs = self.runs()
-        if len(runs) < 2:
-            return None
-        return diff_runs(runs[-2], runs[-1], threshold=threshold)
-
 
 def _layer_map(run: dict) -> dict:
     return {layer.get("name"): layer for layer in run.get("layers", [])}
@@ -123,7 +107,13 @@ def _layer_map(run: dict) -> dict:
 def diff_runs(
     run_a: dict, run_b: dict, threshold: float = DEFAULT_DRIFT_THRESHOLD
 ) -> dict:
-    """Structural diff of two persisted ``AuditRecord`` payloads (A = baseline)."""
+    """Structural diff of two persisted ``AuditRecord`` payloads (A = baseline).
+
+    ``threshold`` is the relative tightness increase from A to B that
+    counts as a regression.  Layers are matched by name; a layer present
+    in only one run is reported under ``structure_changed`` rather than
+    silently dropped.
+    """
     layers_a, layers_b = _layer_map(run_a), _layer_map(run_b)
     shared = [name for name in layers_a if name in layers_b]
     rows = []

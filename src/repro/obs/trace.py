@@ -204,15 +204,15 @@ class Tracer:
     #: computation (the NullTracer reports False)
     enabled = True
 
-    def __init__(self, trace_id: str | None = None, remote_context: dict | None = None) -> None:
+    def __init__(self, remote_context: dict | None = None) -> None:
         self.finished: list[Span] = []
         self.roots: list[Span] = []
         self._local = threading.local()
         self._lock = threading.Lock()
         self._remote_context = Tracer.extract(remote_context) if remote_context else None
-        if trace_id is None and self._remote_context is not None:
-            trace_id = self._remote_context["trace_id"]
-        self.trace_id = trace_id or new_trace_id()
+        self.trace_id = (
+            self._remote_context["trace_id"] if self._remote_context else new_trace_id()
+        )
         #: every span id this tracer has minted or adopted — the dedup set
         #: merge_remote consults so a span shipped twice lands once
         self._seen_ids: set[str] = set()
@@ -428,12 +428,8 @@ class Tracer:
                 handle.write(json.dumps(span.to_dict(), sort_keys=True, default=json_default))
                 handle.write("\n")
 
-    def render_tree(self, min_fraction: float = 0.0) -> str:
-        """Text tree of all root spans with durations and attributes.
-
-        ``min_fraction`` prunes children consuming less than that share
-        of their parent (flame-graph style focus on the hot path).
-        """
+    def render_tree(self) -> str:
+        """Text tree of all root spans with durations and attributes."""
         by_parent: dict[str | None, list[Span]] = {}
         for span in self.finished:
             by_parent.setdefault(span.parent_id, []).append(span)
@@ -443,8 +439,6 @@ class Tracer:
             share = ""
             if parent_duration and parent_duration > 0:
                 fraction = span.duration_s / parent_duration
-                if fraction < min_fraction:
-                    return
                 # an overlapped child's time is not a share of the serial
                 # total its siblings add up to
                 share = "  beside" if span.overlapped else f"  {100 * fraction:5.1f}%"
@@ -534,7 +528,7 @@ class NullTracer:
         with open(path, "w"):
             pass
 
-    def render_tree(self, min_fraction: float = 0.0) -> str:
+    def render_tree(self) -> str:
         return ""
 
 

@@ -1,25 +1,21 @@
-"""Human-readable model and analysis reports.
+"""Human-readable model and audit reports.
 
 :func:`describe_model` renders the layer table a practitioner checks
 before reduction: per-layer type, shape, parameter count, spectral norm
-and the Table-I step sizes; :func:`describe_analysis` summarizes what the
-error-flow analyzer would answer for every standard format;
-:func:`describe_audit_diff` renders the tightness comparison of two
-registered audit runs.
+and the Table-I step sizes; :func:`describe_audit_diff` renders the
+tightness comparison of two registered audit runs.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core.errorflow import ErrorFlowAnalyzer
 from .nn.module import Module
 from .quant.formats import STANDARD_FORMATS
 from .quant.quantizer import quantizable_layers
 from .quant.stepsize import average_step_size
 
 __all__ = [
-    "describe_analysis",
     "describe_audit_diff",
     "describe_model",
 ]
@@ -56,38 +52,8 @@ def describe_model(model: Module) -> str:
     return "\n".join(lines)
 
 
-def describe_analysis(
-    analyzer: ErrorFlowAnalyzer, reference_norm: float | None = None
-) -> str:
-    """Summarize the analyzer's answers for every standard format.
-
-    Parameters
-    ----------
-    analyzer:
-        A (possibly calibrated) error-flow analyzer.
-    reference_norm:
-        Optional QoI norm to express bounds relatively.
-    """
-    lines = [
-        f"layers: {len(analyzer.layer_sigmas())}   "
-        f"Eq.(5) gain: {analyzer.gain():.4g}   "
-        f"calibrated: {analyzer.is_calibrated}"
-    ]
-    header = f"{'format':>6} {'quant bound':>12}"
-    if reference_norm:
-        header += f" {'relative':>10}"
-    lines.append(header)
-    for name in ("tf32", "fp16", "bf16", "int8"):
-        bound = analyzer.quantization_bound(STANDARD_FORMATS[name])
-        row = f"{name:>6} {bound:>12.3e}"
-        if reference_norm:
-            row += f" {bound / reference_norm:>10.3e}"
-        lines.append(row)
-    return "\n".join(lines)
-
-
 def describe_audit_diff(diff: dict) -> str:
-    """Render a registry diff (:meth:`~repro.obs.registry.RunRegistry.diff`).
+    """Render a registry diff (:func:`~repro.obs.registry.diff_runs`).
 
     Flags every layer whose tightness regressed more than the diff's
     threshold and every newly violated bound; the weights line (short

@@ -267,16 +267,17 @@ class SupervisedPool:
         report = SupervisionReport(workers=self.workers)
         if not tasks:
             return report
-        if self.workers <= 1 or not fork_available():
+        inline = self.workers <= 1 or not fork_available()
+        if inline:
             report.executor = "inline"
             report.workers = 1
-            self._run_inline(tasks, report, {})
-            return report
-        tracer = get_tracer()
-        with tracer.span(
-            "supervisor.run", pool=self.label, tasks=len(tasks), workers=self.workers
+        with get_tracer().span(
+            "supervisor.run", pool=self.label, tasks=len(tasks), workers=report.workers
         ) as span:
-            self._run_supervised(tasks, report)
+            if inline:
+                self._run_inline(tasks, report, {})
+            else:
+                self._run_supervised(tasks, report)
             span.set(**report.summary())
         return report
 

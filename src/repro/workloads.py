@@ -17,8 +17,8 @@ Figs. 3 and 4):
 
 from __future__ import annotations
 
+import io
 import os
-import tempfile
 import warnings
 import zipfile
 from dataclasses import dataclass
@@ -29,6 +29,7 @@ import numpy as np
 from .core.errorflow import ErrorFlowAnalyzer
 from .datasets import ScientificDataset, make_borghesi_flame, make_eurosat, make_h2_combustion
 from .exceptions import ConfigurationError
+from .io.serialization import atomic_write_bytes
 from .models import borghesi_net, h2_reaction_net, resnet18
 from .nn import SGD, Adam, CrossEntropyLoss, MSELoss, Sequential, Trainer
 
@@ -103,15 +104,13 @@ def _build_model(name: str, variant: str, rng: np.random.Generator) -> Sequentia
     raise ConfigurationError(f"unknown workload {name!r}; known: {WORKLOAD_NAMES}")
 
 
-def _make_dataset(name: str, rng: np.random.Generator, small: bool) -> ScientificDataset:
+def _make_dataset(name: str, rng: np.random.Generator) -> ScientificDataset:
     if name == "h2combustion":
-        return make_h2_combustion(grid=64 if small else 96, rng=rng)
+        return make_h2_combustion(grid=64, rng=rng)
     if name == "borghesi":
-        return make_borghesi_flame(grid=64 if small else 96, rng=rng)
+        return make_borghesi_flame(grid=64, rng=rng)
     if name == "eurosat":
-        return make_eurosat(
-            n_per_class=12 if small else 24, image_size=24 if small else 32, rng=rng
-        )
+        return make_eurosat(n_per_class=12, image_size=24, rng=rng)
     raise ConfigurationError(f"unknown workload {name!r}; known: {WORKLOAD_NAMES}")
 
 
@@ -182,21 +181,12 @@ def _load_cached_state(cache_file: str, model: Sequential) -> float | None:
 
 
 def _save_cached_state(cache_file: str, payload: dict) -> None:
-    """Write the weight cache atomically (temp file + ``os.replace``).
-
-    Mirrors ``DatasetStore.put``: a crashed or concurrent writer can
-    never leave a torn ``.npz`` for the next run to trip over.
-    """
-    directory = os.path.dirname(cache_file)
-    fd, temp_path = tempfile.mkstemp(dir=directory, suffix=".npz.tmp")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            np.savez(handle, **payload)
-        os.replace(temp_path, cache_file)
-    except BaseException:
-        if os.path.exists(temp_path):
-            os.unlink(temp_path)
-        raise
+    """Write the weight cache atomically, as ``DatasetStore.put`` writes a
+    blob: a crashed or concurrent writer can never leave a torn ``.npz``
+    for the next run to trip over."""
+    buffer = io.BytesIO()
+    np.savez(buffer, **payload)
+    atomic_write_bytes(cache_file, buffer.getvalue())
 
 
 def _default_epochs(name: str) -> int:
@@ -210,8 +200,6 @@ def load_workload(
     name: str,
     variant: str = "psn",
     epochs: int | None = None,
-    small: bool = True,
-    use_cache: bool = True,
     seed: int = 0,
 ) -> TrainedWorkload:
     """Load (or train and cache) one of the paper's three workloads.
@@ -225,36 +213,35 @@ def load_workload(
     epochs:
         Training epochs; defaults to a per-task setting that reaches a
         useful fit on the numpy substrate.
-    small:
-        Use reduced grids / image counts (fast enough for CI); ``False``
-        builds the larger configuration.
-    use_cache:
-        Reuse weights cached on disk from a previous identical call.
+
+    Weights are cached on disk (``REPRO_CACHE_DIR``, default ``.cache``)
+    and reused by the next identical call.  The datasets are the reduced
+    grids and image counts that keep CI fast; the ``-s1`` in the cache
+    file name marks that configuration.
     """
     if variant not in VARIANTS:
         raise ConfigurationError(f"unknown variant {variant!r}; known: {VARIANTS}")
     if epochs is None:
         epochs = _default_epochs(name)
     data_rng = np.random.default_rng(seed)
-    dataset = _make_dataset(name, data_rng, small)
+    dataset = _make_dataset(name, data_rng)
     model_rng = np.random.default_rng(seed + 1)
     model = _build_model(name, variant, model_rng)
 
     cache_file = os.path.join(
-        _cache_dir(), f"{name}-{variant}-e{epochs}-s{int(small)}-seed{seed}.npz"
+        _cache_dir(), f"{name}-{variant}-e{epochs}-s1-seed{seed}.npz"
     )
     final_loss = None
-    if use_cache and os.path.exists(cache_file):
+    if os.path.exists(cache_file):
         final_loss = _load_cached_state(cache_file, model)
     if final_loss is None:
         # Rebuild in case a partially-applied corrupt cache touched weights.
         model = _build_model(name, variant, np.random.default_rng(seed + 1))
         train_rng = np.random.default_rng(seed + 2)
         final_loss = _train(name, variant, model, dataset, epochs, train_rng)
-        if use_cache:
-            payload = dict(model.state_dict())
-            payload["__loss__"] = np.asarray(final_loss)
-            _save_cached_state(cache_file, payload)
+        payload = dict(model.state_dict())
+        payload["__loss__"] = np.asarray(final_loss)
+        _save_cached_state(cache_file, payload)
     model.eval()
     return TrainedWorkload(
         name=name,

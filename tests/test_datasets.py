@@ -181,11 +181,8 @@ _PINNED_DATASETS = {
     "borghesi-128": "57239ffae65ffc8b06838a5194f7da80",
     "eurosat-3-24": "e34808f579a4d967946f3807d29fee2e",
     "h2combustion-small1": "cdd3b8dc5ff2bb7a3d676fb92b45faea",
-    "h2combustion-small0": "07f69ccba0ce8a309ea921355e6c84b0",
     "borghesi-small1": "69b3911699c66c1a4c977114ea1b0046",
-    "borghesi-small0": "c1e6ed7b9330ef6cb4623d423105aa0a",
     "eurosat-small1": "9d044fdedf5e4405ecf4efd08b088d33",
-    "eurosat-small0": "b6b084e5bc5d715cb99f8bb504f9e66b",
 }
 
 
@@ -206,8 +203,7 @@ def _pinned_dataset(key: str):
     }
     if key in builders:
         return builders[key](np.random.default_rng(1))
-    name, small = key.rsplit("-small", 1)
-    return _make_dataset(name, np.random.default_rng(0), small == "1")
+    return _make_dataset(key.removesuffix("-small1"), np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("key", sorted(_PINNED_DATASETS))

@@ -30,7 +30,7 @@ from repro.obs.audit import (
     VERDICT_VIOLATION,
     classify,
 )
-from repro.obs.registry import RunRegistry
+from repro.obs.registry import RunRegistry, diff_runs
 from repro.quant import BF16, FP16, INT8, TF32, STANDARD_FORMATS, quantize_model
 
 _FORMATS = {"tf32": TF32, "fp16": FP16, "bf16": BF16, "int8": INT8}
@@ -289,6 +289,14 @@ def test_violations_property():
 # -- registry ----------------------------------------------------------------
 
 
+def _run_ids(registry):
+    return [run["run_id"] for run in registry.runs()]
+
+
+def _diff(registry, key_a, key_b, **kwargs):
+    return diff_runs(registry.get(key_a), registry.get(key_b), **kwargs)
+
+
 def test_registry_assigns_sequential_run_ids(tmp_path):
     registry = RunRegistry(str(tmp_path / "reg.jsonl"))
     assert len(registry) == 0
@@ -296,10 +304,46 @@ def test_registry_assigns_sequential_run_ids(tmp_path):
     second = registry.append(_record())
     assert first["run_id"] == "run-0001"
     assert second["run_id"] == "run-0002"
-    assert registry.run_ids() == ["run-0001", "run-0002"]
-    # records carrying an id keep it
+    assert _run_ids(registry) == ["run-0001", "run-0002"]
+    # records carrying an id keep it, and the next id counts them
     third = registry.append(_record(run_id="import-7"))
     assert third["run_id"] == "import-7"
+    assert registry.append(_record())["run_id"] == "run-0004"
+
+
+def test_registry_append_does_not_reread_the_file(tmp_path, monkeypatch):
+    """An audited chunked run appends once per chunk: numbering a run must
+    not send every earlier line through the JSON parser again."""
+    import builtins
+
+    path = str(tmp_path / "reg.jsonl")
+    reads = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        if str(file) == path:
+            reads.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    registry = RunRegistry(path)
+    ids = [registry.append(_record())["run_id"] for _ in range(50)]
+    assert reads == []
+    assert ids == [f"run-{n:04d}" for n in range(1, 51)]
+    assert _run_ids(registry) == ids
+
+
+def test_registry_ids_follow_file_order_across_writers(tmp_path):
+    """Two registries on one file appending in turn number their runs in
+    file order: each sees what the other wrote since its last append."""
+    path = str(tmp_path / "reg.jsonl")
+    first, second = RunRegistry(path), RunRegistry(path)
+    ids = [
+        writer.append(_record())["run_id"]
+        for writer in (first, second, first, first, second)
+    ]
+    assert ids == [f"run-{n:04d}" for n in range(1, 6)]
+    assert _run_ids(RunRegistry(path)) == ids
 
 
 def test_registry_get_by_id_and_index(tmp_path):
@@ -333,7 +377,7 @@ def test_registry_tolerates_torn_trailing_line(tmp_path):
     registry.append(_record())
     with open(path, "a") as handle:
         handle.write('{"run_id": "run-0002", "qoi_tigh')  # crashed writer
-    assert registry.run_ids() == ["run-0001"]
+    assert _run_ids(registry) == ["run-0001"]
 
 
 def test_registry_rejects_mid_file_corruption(tmp_path):
@@ -370,7 +414,7 @@ def _two_run_registry(tmp_path, tightness_a, tightness_b, weights=("a1", "b2")):
 
 def test_diff_reports_tightness_delta_and_weight_versions(tmp_path):
     registry = _two_run_registry(tmp_path, [0.4, 0.5], [0.45, 0.8])
-    diff = registry.diff("run-0001", "run-0002", threshold=0.2)
+    diff = _diff(registry, "run-0001", "run-0002", threshold=0.2)
     assert diff["weights_changed"]
     assert diff["weights_a"] == "a1" and diff["weights_b"] == "b2"
     rows = {row["name"]: row for row in diff["layers"]}
@@ -386,7 +430,7 @@ def test_diff_flags_new_violations(tmp_path):
     registry.append(
         _record(layers=[_layer(0, "0", 1.5, VERDICT_VIOLATION)], weights="b2")
     )
-    diff = registry.diff(0, 1)
+    diff = _diff(registry, 0, 1)
     assert diff["new_violations"] == ["0"]
     assert diff["regressions"] == ["0"]
 
@@ -395,18 +439,25 @@ def test_diff_reports_structure_changes(tmp_path):
     registry = RunRegistry(str(tmp_path / "reg.jsonl"))
     registry.append(_record(layers=[_layer(0, "0", 0.4), _layer(1, "extra", 0.4)]))
     registry.append(_record(layers=[_layer(0, "0", 0.4)]))
-    diff = registry.diff(0, 1)
+    diff = _diff(registry, 0, 1)
     assert diff["structure_changed"] == ["extra"]
 
 
-def test_detect_drift_needs_two_runs(tmp_path):
-    registry = RunRegistry(str(tmp_path / "reg.jsonl"))
-    assert registry.detect_drift() is None
+def test_detect_drift_needs_two_runs(tmp_path, capsys):
+    """``repro audit report`` diffs the last run against its predecessor,
+    so a registry with fewer than two runs reports no drift."""
+    from repro.cli import main
+
+    path = str(tmp_path / "reg.jsonl")
+    registry = RunRegistry(path)
     registry.append(_record())
-    assert registry.detect_drift() is None
+    assert main(["audit", "report", path]) == 0
+    assert "audit diff" not in capsys.readouterr().out
     registry.append(_record())
-    drift = registry.detect_drift()
-    assert drift is not None and drift["regressions"] == []
+    assert main(["audit", "report", path]) == 0
+    out = capsys.readouterr().out
+    assert "audit diff run-0001 -> run-0002" in out
+    assert "no drift beyond 20% threshold" in out
 
 
 # -- auditor switchboard -----------------------------------------------------
@@ -528,7 +579,7 @@ def test_pipeline_audit_chunked_one_record_per_chunk(
     assert len(auditor.records) == 3
     registry = RunRegistry(str(path))
     assert len(registry) == 3
-    assert sorted(registry.run_ids()) == ["run-0001", "run-0002", "run-0003"]
+    assert sorted(_run_ids(registry)) == ["run-0001", "run-0002", "run-0003"]
     for run in registry.runs():
         assert run["verdict"] != VERDICT_VIOLATION
 
@@ -580,7 +631,7 @@ def test_pipeline_audit_weight_version_tracks_model(
             trained_spectral_mlp.load_state_dict(changed)
             pipeline.execute(fields)
         registry = RunRegistry(str(path))
-        same, moved = registry.diff(0, 1), registry.diff(1, 2)
+        same, moved = _diff(registry, 0, 1), _diff(registry, 1, 2)
         assert not same["weights_changed"] and same["weights_a"] == same["weights_b"]
         assert moved["weights_changed"]
         assert moved["weights_b"] == digest_model(trained_spectral_mlp)

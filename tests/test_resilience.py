@@ -460,7 +460,12 @@ def test_counters_serial_chunk_recovery(
         result = _one_chunk(pipe, field_batch)
     # every lossy attempt that failed the finite screen...
     assert _failed(tracer, "IntegrityError").count("pipeline.decompress") == retries + quarantined
-    # ...was retried by the pool, or quarantined once the budget ran out...
+    # ...was retried by the pool, or quarantined once the budget ran out,
+    # as the inline pool's own span and the result's summary both record...
+    (run,) = tracer.find("supervisor.run")
+    assert run.attributes["executor"] == "inline"
+    assert run.attributes["retries"] == retries
+    assert len(run.attributes["quarantined"]) == quarantined
     supervision = result.extra["supervision"]
     assert supervision["retries"] == retries
     assert len(supervision["quarantined"]) == quarantined

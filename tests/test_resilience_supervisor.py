@@ -275,6 +275,28 @@ def test_pool_deadline_kills_hung_worker():
     assert report.outcomes[5].attempts == 2
 
 
+def test_pool_stale_heartbeat_kills_frozen_worker(tmp_path, monkeypatch):
+    """With no task deadline, a stale heartbeat is the only sign of a worker
+    that is alive but not making progress: a task that SIGSTOPs its own
+    worker on its first attempt is killed, respawned and retried once."""
+    from repro.resilience import supervisor
+
+    monkeypatch.setattr(supervisor, "_STALE_AFTER", 0.5)
+    marker = tmp_path / "stopped-once"
+
+    def freeze_first_attempt(x):
+        if x == 1 and not marker.exists():
+            marker.touch()
+            os.kill(os.getpid(), signal.SIGSTOP)
+        return x * x
+
+    pool = SupervisedPool(freeze_first_attempt, workers=2, retry=FAST_RETRY)
+    report = pool.run(list(range(4)))
+    assert report.results() == [x * x for x in range(4)]
+    assert (report.respawns, report.retries) == (1, 1)
+    assert report.outcomes[1].attempts == 2
+
+
 def test_pool_circuit_breaker_degrades_to_inline():
     chaos = ChaosInjector.from_spec("kill@*:all")  # every worker dies, always
     with obs.capture() as (tracer, _):

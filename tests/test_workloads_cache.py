@@ -67,7 +67,7 @@ def test_cache_with_nonfinite_weights_rejected(cache_dir):
 
 def test_cache_write_is_atomic(cache_dir):
     load_workload("h2combustion", epochs=1)
-    leftovers = [p for p in os.listdir(cache_dir) if p.endswith(".tmp")]
+    leftovers = [p for p in os.listdir(cache_dir) if ".tmp" in p]
     assert not leftovers
 
 
