@@ -537,7 +537,7 @@ _PUBLIC_SUBPACKAGES = ("nn", "quant", "compress", "core", "physics", "datasets",
 
 def bench_cold_start(runs: int) -> list[dict]:
     """Fresh processes running ``import repro``, ``python -m repro --help``
-    and ``python -m repro worker --help``, alternated, ``runs`` of each;
+    and ``python -m repro pipeline --help``, alternated, ``runs`` of each;
     ``seconds`` is the median.
     The ``import repro`` row also carries the resident set after the
     import, and both carry the package's size: lines under ``src/repro``
@@ -562,7 +562,7 @@ def bench_cold_start(runs: int) -> list[dict]:
     commands = {
         "import repro": ["-c", "import repro"],
         "repro --help": ["-m", "repro", "--help"],
-        "repro worker --help": ["-m", "repro", "worker", "--help"],
+        "repro pipeline --help": ["-m", "repro", "pipeline", "--help"],
     }
     times = {command: [] for command in commands}
     for _ in range(runs):

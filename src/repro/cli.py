@@ -7,11 +7,6 @@ Commands mirror the paper's workflow:
 * ``plan``        — allocate a QoI tolerance between quantization and
                     compression;
 * ``pipeline``    — run the full error-bounded inference pipeline;
-* ``coordinate`` /
-  ``worker``      — distributed chunked execution: the coordinator
-                    serves the chunk manifest as TTL leases over TCP,
-                    workers compute leased chunks on their local
-                    supervised pool and stream results back;
 * ``compress`` /
   ``decompress``  — error-bounded (de)compression of ``.npy`` arrays;
 * ``store``       — summarize a :class:`~repro.io.DatasetStore` directory;
@@ -61,50 +56,6 @@ _WORKLOADS = tuple("h2combustion borghesi eurosat".split())
 _FORMATS = tuple("fp32 tf32 fp16 bf16 int8".split())
 _BOUND_MODES = tuple("abs rel l2_abs l2_rel".split())
 _DRIFT_THRESHOLD = 0.2
-
-
-def _add_plan_flags(sub) -> None:
-    """Plan-identity flags of every command that builds a pipeline.
-
-    A coordinator and its workers must agree on all of these — they feed
-    the plan fingerprint checked at handshake, so a mismatch is refused
-    instead of silently merging results from different computations.
-    """
-    sub.add_argument("workload", choices=_WORKLOADS)
-    sub.add_argument("--tolerance", type=float, required=True)
-    sub.add_argument("--norm", choices=("linf", "l2"), default="linf")
-    sub.add_argument("--codec", choices=("sz", "zfp", "mgard"), default="sz")
-    sub.add_argument("--fraction", type=float, default=0.5,
-                     help="share of the tolerance allocated to quantization")
-
-
-def _add_chunk_flags(sub, *, distributed: bool, workers_help: str) -> None:
-    """Chunking and supervised-pool flags of ``pipeline``, ``coordinate``
-    and ``worker`` (validated by :func:`_validate_chunk_flags`)."""
-    if distributed:
-        sub.add_argument(
-            "--chunk-size", type=int, required=True,
-            help="slab extent per chunk; coordinator and workers must pass "
-            "the same value (it is part of the handshake identity)",
-        )
-    else:
-        sub.add_argument(
-            "--chunk-size", type=int, default=None,
-            help="run chunked: split the fields into slabs of this extent "
-            "(positive integer; default: sized so every worker gets one slab)",
-        )
-    sub.add_argument("--workers", type=int, default=None, help=workers_help)
-    sub.add_argument(
-        "--task-timeout", type=float, default=None, metavar="SECONDS",
-        help="per-chunk deadline in the supervised process pool; a worker "
-        "exceeding it is killed and the chunk retried (default: none)",
-    )
-    sub.add_argument(
-        "--max-retries", type=int, default=2,
-        help="retry budget per chunk before quarantine, on every executor "
-        "(quarantined chunks degrade to fallback-lossless in-process; "
-        "default: 2)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -164,15 +115,36 @@ def build_parser() -> argparse.ArgumentParser:
 
     pipeline = commands.add_parser("pipeline", help="run the full pipeline")
     pipeline.set_defaults(handler=_cmd_pipeline)
-    _add_plan_flags(pipeline)
+    pipeline.add_argument("workload", choices=_WORKLOADS)
+    pipeline.add_argument("--tolerance", type=float, required=True)
+    pipeline.add_argument("--norm", choices=("linf", "l2"), default="linf")
+    pipeline.add_argument("--codec", choices=("sz", "zfp", "mgard"), default="sz")
+    pipeline.add_argument("--fraction", type=float, default=0.5,
+                          help="share of the tolerance allocated to quantization")
     pipeline.add_argument("--fmt", choices=_FORMATS, default=None,
                           help="force a weight format instead of letting the "
                           "planner rank candidates")
-    _add_chunk_flags(
-        pipeline, distributed=False,
-        workers_help="worker count for chunked execution (positive integer; "
+    pipeline.add_argument(
+        "--chunk-size", type=int, default=None,
+        help="run chunked: split the fields into slabs of this extent "
+        "(positive integer; default: sized so every worker gets one slab)",
+    )
+    pipeline.add_argument(
+        "--workers", type=int, default=None,
+        help="worker count for chunked execution (positive integer; "
         "default: 1 = serial); implies chunked mode when --chunk-size "
         "is omitted",
+    )
+    pipeline.add_argument(
+        "--task-timeout", type=float, default=None, metavar="SECONDS",
+        help="per-chunk deadline in the supervised process pool; a worker "
+        "exceeding it is killed and the chunk retried (default: none)",
+    )
+    pipeline.add_argument(
+        "--max-retries", type=int, default=2,
+        help="retry budget per chunk before quarantine, on every executor "
+        "(quarantined chunks degrade to fallback-lossless in-process; "
+        "default: 2)",
     )
     pipeline.add_argument(
         "--executor", choices=("auto", "serial", "process"),
@@ -190,81 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="resume from --checkpoint DIR: verify the journal against "
         "this run's plan and inputs, replay completed chunks, recompute "
         "only the rest",
-    )
-
-    coordinate = commands.add_parser(
-        "coordinate",
-        help="serve a chunked run's shards to remote workers over TCP",
-    )
-    coordinate.set_defaults(handler=_cmd_coordinate)
-    _add_plan_flags(coordinate)
-    _add_chunk_flags(
-        coordinate, distributed=True,
-        workers_help="local pool size used only if the run degrades to "
-        "single-host execution",
-    )
-    coordinate.add_argument(
-        "--host", default="127.0.0.1",
-        help="interface to listen on (default: 127.0.0.1)",
-    )
-    coordinate.add_argument(
-        "--port", type=int, default=0,
-        help="TCP port to listen on (default: 0 = ephemeral, printed "
-        "at startup)",
-    )
-    coordinate.add_argument(
-        "--lease-ttl", type=float, default=15.0, metavar="SECONDS",
-        help="heartbeat-renewed lease lifetime; a silent worker's chunks "
-        "are re-leased after this (default: 15)",
-    )
-    coordinate.add_argument(
-        "--shard-size", type=int, default=1,
-        help="chunks per lease (default: 1 = smallest reassignment unit)",
-    )
-    coordinate.add_argument(
-        "--expect-workers", type=int, default=0,
-        help="hold back leases until this many workers joined, so the "
-        "first worker does not take every shard (default: 0 = grant "
-        "immediately)",
-    )
-    coordinate.add_argument(
-        "--worker-wait", type=float, default=30.0, metavar="SECONDS",
-        help="how long to wait for workers to join (or rejoin) before "
-        "degrading to the local supervised pool (default: 30)",
-    )
-    coordinate.add_argument(
-        "--checkpoint", metavar="DIR", default=None,
-        help="merge every accepted shard into this journal so a killed "
-        "coordinator resumes without recomputing",
-    )
-    coordinate.add_argument(
-        "--resume", action="store_true",
-        help="resume from --checkpoint DIR: replay completed chunks, "
-        "lease out only the rest",
-    )
-
-    worker = commands.add_parser(
-        "worker", help="join a distributed run as a shard worker"
-    )
-    worker.set_defaults(handler=_cmd_worker)
-    _add_plan_flags(worker)
-    _add_chunk_flags(
-        worker, distributed=True,
-        workers_help="local supervised-pool size for computing leased chunks",
-    )
-    worker.add_argument(
-        "--connect", required=True, metavar="HOST:PORT",
-        help="coordinator address to join",
-    )
-    worker.add_argument(
-        "--name", default=None,
-        help="worker name reported to the coordinator "
-        "(default: worker-<pid>)",
-    )
-    worker.add_argument(
-        "--local-checkpoint", metavar="DIR", default=None,
-        help="journal computed chunks here so a restarted worker resends "
-        "instead of recomputing (default: a temp directory)",
     )
 
     compress = commands.add_parser("compress", help="compress a .npy array")
@@ -355,8 +252,8 @@ def _cmd_plan(args) -> int:
 
 
 def _validate_chunk_flags(args) -> None:
-    """Reject malformed chunking and address flags with a clear typed
-    error instead of a deep traceback from the execution layers."""
+    """Reject malformed chunking flags with a clear typed error instead
+    of a deep traceback from the execution layers."""
     from .exceptions import ConfigurationError
 
     if args.chunk_size is not None and args.chunk_size <= 0:
@@ -375,24 +272,12 @@ def _validate_chunk_flags(args) -> None:
         raise ConfigurationError(
             f"--task-timeout must be positive, got {args.task_timeout}"
         )
-    if getattr(args, "resume", False) and not args.checkpoint:
+    if args.resume and not args.checkpoint:
         raise ConfigurationError("--resume requires --checkpoint DIR")
-    # socket calls wrap a port modulo 2**16 or overflow, so range-check here
-    if getattr(args, "port", None) is not None and not 0 <= args.port <= 65535:
-        raise ConfigurationError(f"--port must be in 0-65535, got {args.port}")
-    if getattr(args, "connect", None) is not None:
-        host, _, port = args.connect.rpartition(":")
-        if not host or not port.isdigit():
-            raise ConfigurationError(f"--connect must be HOST:PORT, got {args.connect!r}")
-        if not 1 <= int(port) <= 65535:
-            raise ConfigurationError(f"--connect port must be in 1-65535, got {port}")
 
 
 def _build_pipeline(args):
-    """``(workload, pipeline)`` from the plan flags, the one way every
-    command builds them: a coordinator and its workers run exactly this
-    construction, so their plan fingerprints and chunk digests agree
-    whenever the flags do.  ``--fmt`` (``pipeline``) forces the
+    """``(workload, pipeline)`` from the plan flags.  ``--fmt`` forces the
     weight format: the planner may rank only that one, and falling back
     to another is refused, because an audit of a format the planner
     would have rejected is exactly the point of forcing it."""
@@ -407,7 +292,7 @@ def _build_pipeline(args):
     workload = load_workload(args.workload)
     _LOG.debug("workload loaded", workload=workload.name, variant=workload.variant)
     analyzer = workload.qoi_analyzer()
-    fmt = getattr(args, "fmt", None)
+    fmt = args.fmt
     if fmt is None:
         planner, fraction = TolerancePlanner(analyzer), args.fraction
     else:
@@ -427,16 +312,6 @@ def _build_pipeline(args):
         backend=args.backend, instrument_ops=args.instrument_ops,
     )
     return workload, pipeline
-
-
-def _log_checkpoint(result) -> None:
-    checkpoint = result.extra.get("checkpoint")
-    if checkpoint is not None:
-        _LOG.info(
-            f"checkpoint: {checkpoint['path']} "
-            f"({checkpoint['replayed_chunks']} replayed, "
-            f"{checkpoint['computed_chunks']} computed)"
-        )
 
 
 def _tolerance_verdict(result) -> int:
@@ -495,7 +370,13 @@ def _cmd_pipeline(args) -> int:
                 f"quarantined chunks {supervision['quarantined'] or 'none'}"
                 + (" (circuit breaker tripped)" if supervision["breaker_tripped"] else "")
             )
-        _log_checkpoint(result)
+        checkpoint = result.extra.get("checkpoint")
+        if checkpoint is not None:
+            _LOG.info(
+                f"checkpoint: {checkpoint['path']} "
+                f"({checkpoint['replayed_chunks']} replayed, "
+                f"{checkpoint['computed_chunks']} computed)"
+            )
         ratio = chunked["compression_ratio"]
     else:
         result = pipeline.execute(dataset.fields, samples_from_fields=dataset.fields_as_samples)
@@ -522,102 +403,6 @@ def _audit_verdict() -> int:
                 f"at {', '.join(record.violations)}"
             )
     return violated
-
-
-def _cmd_coordinate(args) -> int:
-    import signal as signal_module
-
-    from .distrib import DistribConfig, DrainedError
-
-    _validate_chunk_flags(args)
-    workload, pipeline = _build_pipeline(args)
-
-    def on_start(coordinator) -> None:
-        def drain(signum, frame) -> None:
-            coordinator.request_drain("SIGTERM")
-
-        signal_module.signal(signal_module.SIGTERM, drain)
-
-    config = DistribConfig(
-        host=args.host,
-        port=args.port,
-        lease_ttl=args.lease_ttl,
-        shard_size=args.shard_size,
-        expect_workers=args.expect_workers,
-        worker_wait=args.worker_wait,
-        on_start=on_start,
-    )
-    try:
-        result = pipeline.execute_chunked(
-            workload.dataset.fields,
-            chunk_size=args.chunk_size,
-            workers=args.workers,
-            chunk_axis=workload.dataset.chunk_axis,
-            samples_from_fields=workload.dataset.fields_as_samples,
-            executor="distributed",
-            distrib=config,
-            checkpoint=args.checkpoint,
-            resume=args.resume,
-            task_timeout=args.task_timeout,
-            max_task_retries=args.max_retries,
-        )
-    except DrainedError as exc:
-        # a drain is a clean, resumable stop, not a failure
-        _LOG.info(f"coordinator drained: {exc}")
-        _LOG.info("resume with the same flags plus --resume")
-        return 0
-    distrib = result.extra.get("distrib")
-    if distrib is None:
-        # every chunk replayed from the journal: no coordinator ran
-        _LOG.info("nothing to distribute: all chunks replayed from the checkpoint")
-    else:
-        counts = distrib["results"]
-        _LOG.info(
-            f"distributed run [{distrib['outcome']}]: "
-            f"{distrib['completed_chunks']} chunks via {distrib['workers_joined']} "
-            f"worker(s), {distrib['leases_granted']} leases "
-            f"({distrib['leases_expired']} expired, "
-            f"{distrib['leases_reassigned']} reassigned)"
-        )
-        if counts["duplicate"] or counts["conflict"] or counts["rejected"]:
-            _LOG.info(
-                f"results: {counts['accepted']} accepted, "
-                f"{counts['duplicate']} duplicate, {counts['conflict']} conflict, "
-                f"{counts['rejected']} rejected"
-            )
-    _log_checkpoint(result)
-    return _tolerance_verdict(result)
-
-
-def _cmd_worker(args) -> int:
-    from .distrib import ShardWorker
-    from .resilience import ChaosInjector
-
-    _validate_chunk_flags(args)
-    workload, pipeline = _build_pipeline(args)
-    shard_worker = ShardWorker(
-        pipeline,
-        workload.dataset.fields,
-        args.chunk_size,
-        chunk_axis=workload.dataset.chunk_axis,
-        samples_from_fields=workload.dataset.fields_as_samples,
-        name=args.name,
-        workers=args.workers,
-        task_timeout=args.task_timeout,
-        max_task_retries=args.max_retries,
-        chaos=ChaosInjector.from_env(),
-        checkpoint=args.local_checkpoint,
-    )
-    host, _, port = args.connect.rpartition(":")
-    summary = shard_worker.run(host, int(port))
-    _LOG.info(
-        f"worker {summary['worker']}: {summary['leases']} leases, "
-        f"{summary['chunks_computed']} computed, "
-        f"{summary['chunks_resent']} resent, "
-        f"{summary['reconnects']} reconnects "
-        f"(drained: {summary['drained'] or 'n/a'})"
-    )
-    return 0
 
 
 def _cmd_compress(args) -> int:

@@ -9,7 +9,7 @@ computes it, :meth:`~ChunkRun.commit` makes it durable where it was
 computed, :meth:`~ChunkRun.place` lands its rows in the slab and
 :meth:`~ChunkRun.result_from_record` rebuilds it from a journaled or
 remote record.  Pool tasks, the quarantine rerun, checkpoint replay and
-the distributed merge are these calls; :func:`run_supervised` (inline
+the replay of remote results are these calls; :func:`run_supervised` (inline
 for the serial executor, forked workers for the process one) and
 :func:`run_distributed` only decide *where* they run, and the run's
 outputs are the slab itself.  Every chunk computed on this host goes
@@ -224,7 +224,7 @@ class ChunkRun:
         artifact path and digest :meth:`CheckpointJournal.record` adds.
         Returns the journal entry as written (``None`` without a
         journal): a shard worker resends exactly this entry plus the
-        artifact bytes, so local and merged journals agree bit for bit.
+        artifact bytes.
         """
         if journal is None:
             return None
@@ -311,6 +311,8 @@ class ChunkRun:
             Directory of a :class:`~repro.io.checkpoint.CheckpointJournal`:
             each certified-complete chunk is persisted (its serialized
             blob, then its journal line) by the process that computed it.
+            The distributed executor refuses one: each shard worker
+            journals what it computes.
         resume:
             Verify that ``checkpoint`` journals this exact computation,
             replay its chunks (:meth:`result_from_record`) and compute only
@@ -323,8 +325,8 @@ class ChunkRun:
             quarantined chunk re-runs in the parent in degraded lossless mode.
         chaos:
             Optional :class:`~repro.resilience.inject.ChaosInjector` for the
-            pool workers (default: the ``REPRO_CHAOS`` spec); in
-            distributed mode chaos belongs to the worker processes.
+            pool workers (default: the ``REPRO_CHAOS`` spec); process
+            executor only.
         distrib:
             Optional :class:`~repro.distrib.coordinator.DistribConfig`.
         """
@@ -336,14 +338,12 @@ class ChunkRun:
             raise ConfigurationError(
                 f"distrib configuration requires executor='distributed', got {executor!r}"
             )
-        if executor == "distributed" and chaos is not None:
+        if executor == "distributed" and checkpoint is not None:
             raise ConfigurationError(
-                "chaos injection in distributed mode belongs to the "
-                "worker processes (set REPRO_CHAOS there)"
+                "the distributed executor keeps no checkpoint journal: each "
+                "shard worker journals what it computes"
             )
-        if executor != "distributed" and chaos is None:
-            # worker-side in distributed mode: the coordinator must not
-            # consume a REPRO_CHAOS spec meant for its workers
+        if chaos is None:
             chaos = ChaosInjector.from_env()
         if chaos is not None and executor != "process":
             raise ConfigurationError(
@@ -379,8 +379,8 @@ class ChunkRun:
 
             supervision = None
             distrib_summary = None
-            if pending and executor == "distributed":
-                distrib_summary, remote = run_distributed(self, pending, journal, distrib)
+            if executor == "distributed":
+                distrib_summary, remote = run_distributed(self, distrib)
                 results.update(remote)
                 pending = [i for i in pending if i not in results]
             if pending or executor != "distributed":
@@ -513,43 +513,27 @@ def run_supervised(
     return report.summary(), outcomes
 
 
-def run_distributed(
-    run: ChunkRun, pending: "list[int]", journal: "CheckpointJournal | None" = None, config=None
-) -> "tuple[dict, dict[int, PipelineResult]]":
-    """Serve ``pending`` chunks as leases to remote shard workers.
+def run_distributed(run: ChunkRun, config=None) -> "tuple[dict, dict[int, PipelineResult]]":
+    """Serve every chunk of ``run`` as leases to shard workers.
 
     Blocks until the coordinator run resolves and returns its summary
-    plus every accepted remote result; chunks missing from it are the
-    caller's to degrade to the local supervised pool.  A drain (SIGTERM)
-    that leaves work unfinished raises
-    :class:`~repro.distrib.coordinator.DrainedError` so the caller exits
-    resumable instead of silently recomputing locally.
+    plus every accepted remote result, replayed from the coordinator's
+    in-memory artifacts; chunks missing from it are the caller's to
+    degrade to the local supervised pool.
     """
-    from ..distrib.coordinator import DistribConfig, DrainedError, ShardCoordinator
+    from ..distrib.coordinator import DistribConfig, ShardCoordinator
 
     coordinator = ShardCoordinator(
         run.manifest,
         weights=digest_model(run.pipeline.model),
-        journal=journal,
-        completed=set(range(len(run.chunks))) - set(pending),
         config=config if config is not None else DistribConfig(),
     )
     summary = coordinator.run()
-
-    results = {}
-    for index in sorted(coordinator.accepted):
-        entry = coordinator.accepted[index]
-        # the merged journal holds the worker's blob bytes verbatim;
-        # loading through it re-verifies the digest
-        blob_bytes = journal.load(entry) if journal is not None else coordinator.payload(index)
-        results[index] = run.result_from_record(blob_bytes, entry)
-
-    remaining = sum(1 for index in pending if index not in results)
-    if remaining and summary.get("outcome") == "drained":
-        raise DrainedError(
-            f"coordinator drained with {remaining} chunks unfinished; re-run "
-            "with resume=True to continue from the checkpoint journal"
-        )
+    results = {
+        index: run.result_from_record(coordinator.payload(index), entry)
+        for index, entry in sorted(coordinator.accepted.items())
+    }
+    remaining = len(run.chunks) - len(results)
     if remaining:
         get_logger("pipeline").warning(
             "distributed run left chunks unfinished; degrading to the local supervised pool",

@@ -1,22 +1,22 @@
 """Distributed chunked execution: lease-based shard scheduling over TCP.
 
-The single-host story (PR 6) made chunked execution fault-tolerant and
-resumable; this package shards it across machines without weakening a
-single guarantee.  A :class:`~repro.distrib.coordinator.ShardCoordinator`
+Chunked execution is fault-tolerant and resumable on the supervised
+pool; this package shards it over TCP to worker agents without weakening
+a single guarantee.  A :class:`~repro.distrib.coordinator.ShardCoordinator`
 serves the chunk manifest as TTL leases over length-prefixed JSON frames
 (:mod:`~repro.distrib.protocol`); each
 :class:`~repro.distrib.worker.ShardWorker` runs its leased chunks on the
-existing supervised pool and local checkpoint journal, and the
-coordinator merges the journals — validating every result against the
-plan fingerprint and per-chunk input digests, so mixed-plan or tampered
-results are structurally impossible to merge.
+existing supervised pool and its own checkpoint journal, and the
+coordinator validates every result against the plan fingerprint and
+per-chunk input digests before the caller replays it, so mixed-plan or
+tampered results are structurally impossible to merge.
 
 Entry points: ``InferencePipeline.execute_chunked(executor="distributed")``
-on the coordinator side, ``repro coordinate`` / ``repro worker`` on the
-CLI.
+on the coordinator side and :meth:`ShardWorker.run` on each worker; both
+run on one host (the coordinator listens on the loopback interface).
 """
 
-from .coordinator import DistribConfig, DrainedError, ShardCoordinator
+from .coordinator import DistribConfig, ShardCoordinator
 from .protocol import (
     PROTOCOL_VERSION,
     FrameSocket,
@@ -29,7 +29,6 @@ from .worker import ShardWorker
 
 __all__ = [
     "DistribConfig",
-    "DrainedError",
     "FrameSocket",
     "PROTOCOL_VERSION",
     "ShardCoordinator",

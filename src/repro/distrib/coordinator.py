@@ -4,11 +4,11 @@ The coordinator owns the chunk manifest of exactly one computation
 (plan fingerprint + per-chunk input digests, the same identity a
 :class:`~repro.io.checkpoint.CheckpointJournal` enforces) and serves it
 to remote workers as *leases*: short-lived, heartbeat-renewed claims on
-one or more chunk indices.  Robustness is lease-shaped end to end:
+a chunk index.  Robustness is lease-shaped end to end:
 
-* a worker that crashes or partitions loses its connection — its leases
-  are expired immediately and the chunks return to the pending queue;
-* a worker that hangs stops heartbeating — its leases expire when their
+* a worker that crashes or partitions loses its connection — its lease
+  is expired immediately and its chunk returns to the pending queue;
+* a worker that hangs stops heartbeating — its lease expires when its
   TTL lapses (straggler re-lease), and a late result from the original
   worker is deduplicated first-digest-wins;
 * every RESULT is validated against the manifest (input digest), for a
@@ -16,18 +16,14 @@ one or more chunk indices.  Robustness is lease-shaped end to end:
   before it is accepted, so a mixed-plan, malformed or tampered result is
   rejected with :class:`~repro.exceptions.IntegrityError` semantics rather
   than merged;
-* accepted results are journaled durably (``CheckpointJournal.record``
-  writes the worker's blob bytes verbatim), so a coordinator that is itself
-  killed resumes from its journal without recomputing;
-* SIGTERM maps to :meth:`ShardCoordinator.request_drain`: stop granting,
-  let in-flight leases finish or expire, exit with a resumable journal;
 * if no worker ever joins within ``worker_wait`` (or all workers
   abandon the run), the coordinator returns the unfinished chunks to the
   caller, which degrades to the local supervised pool.
 
-The coordinator keeps accepted artifacts in memory only when running
-without a journal (tests, small runs); with a checkpoint directory the
-journal is the source of truth and memory stays flat.
+The coordinator keeps no journal: accepted artifacts stay in memory
+(:meth:`ShardCoordinator.payload`) until the caller replays them, and
+each worker keeps its own journal of what it computed.  A lease holds
+one chunk, the smallest reassignment unit.
 """
 
 from __future__ import annotations
@@ -41,7 +37,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from ..core.pipeline import Certificate
-from ..exceptions import ConfigurationError, IntegrityError, ProtocolError, ReproError
+from ..exceptions import ConfigurationError, IntegrityError, ProtocolError
 from ..io.checkpoint import digest_bytes
 from ..obs import get_logger, get_tracer
 from .protocol import (
@@ -58,11 +54,18 @@ from .protocol import (
     msg_welcome,
 )
 
-__all__ = ["DistribConfig", "DrainedError", "ShardCoordinator"]
+__all__ = ["DistribConfig", "ShardCoordinator"]
 
 _LOG = get_logger("distrib.coordinator")
 
-#: scheduler poll period; bounds drain/expiry latency, not throughput
+#: interface the coordinator listens on: workers run on this host
+_HOST = "127.0.0.1"
+
+#: heartbeat-renewed lease lifetime; a silent worker's chunk is re-leased
+#: after this
+_LEASE_TTL = 15.0
+
+#: scheduler poll period; bounds expiry latency, not throughput
 _TICK_SECONDS = 0.05
 
 #: suggested client backoff when no shard is grantable right now
@@ -79,43 +82,21 @@ _ENTRY_KEYS = frozenset({
 })
 
 
-class DrainedError(ReproError):
-    """The coordinator drained (SIGTERM) before every chunk completed.
-
-    The journal holds everything that finished; re-running with
-    ``--resume`` continues from there.
-    """
-
-
 @dataclass
 class DistribConfig:
     """Tunables for one coordinator run.
 
-    ``shard_size`` defaults to 1 chunk per lease: the smallest
-    reassignment unit, and the setting that makes the chaos test's lease
-    counts exact (one killed worker loses exactly one lease).  ``on_start``
-    fires after the listening socket is bound, with the live
+    ``on_start`` fires after the listening socket is bound, with the live
     :class:`ShardCoordinator` — callers use it to learn the ephemeral
-    port, launch workers, or install signal handlers.
+    port and launch workers.
     """
 
-    host: str = "127.0.0.1"
     port: int = 0
-    lease_ttl: float = 15.0
-    shard_size: int = 1
     expect_workers: int = 0
     worker_wait: float = 30.0
     on_start: "Optional[Callable]" = None
 
     def __post_init__(self) -> None:
-        if self.lease_ttl <= 0:
-            raise ConfigurationError(
-                f"lease_ttl must be positive, got {self.lease_ttl}"
-            )
-        if self.shard_size < 1:
-            raise ConfigurationError(
-                f"shard_size must be >= 1, got {self.shard_size}"
-            )
         if self.expect_workers < 0:
             raise ConfigurationError(
                 f"expect_workers must be >= 0, got {self.expect_workers}"
@@ -130,16 +111,16 @@ class DistribConfig:
 class _Lease:
     worker: str
     conn_id: int
-    outstanding: set
+    chunk: int
     deadline: float
 
 
 class ShardCoordinator:
-    """Serve one chunk manifest as leases over TCP; merge the results.
+    """Serve one chunk manifest as leases over TCP; collect the results.
 
     Thread model: an accept thread spawns one daemon thread per worker
     connection; :meth:`serve` runs the scheduler loop (lease expiry,
-    completion/drain/degradation detection) in the calling thread.  All
+    completion/degradation detection) in the calling thread.  All
     shared state lives behind one lock; connection threads do their
     blocking socket I/O outside it.
     """
@@ -149,8 +130,6 @@ class ShardCoordinator:
         manifest: dict,
         *,
         weights: "str | None" = None,
-        journal=None,
-        completed: "dict[int, dict] | set | None" = None,
         config: "DistribConfig | None" = None,
     ) -> None:
         if "fingerprint" not in manifest or "chunk_digests" not in manifest:
@@ -163,16 +142,13 @@ class ShardCoordinator:
         self._digests = list(manifest["chunk_digests"])
         self._identity = manifest_identity(manifest)
         self._weights = weights
-        self._journal = journal
 
         self._lock = threading.Lock()
         self.n_chunks = len(self._digests)
-        already = set(completed or ())
-        #: entries accepted *this run* (resumed chunks replay elsewhere)
+        #: the journal entry of every accepted chunk
         self.accepted: "dict[int, dict]" = {}
         self._artifacts: "dict[int, bytes]" = {}
-        self._done = set(already)
-        self._pending = deque(i for i in range(self.n_chunks) if i not in already)
+        self._pending = deque(range(self.n_chunks))
         self._leases: "dict[int, _Lease]" = {}
         self._chunk_lease: "dict[int, int]" = {}
         self._expired_chunks: set = set()
@@ -191,8 +167,6 @@ class ShardCoordinator:
             "rejected": 0,
             "handshake_refused": 0,
         }
-        self._drain = False
-        self._drain_reason = ""
         self._closing = False
         self._started_at = 0.0
         self._last_activity = 0.0
@@ -209,7 +183,7 @@ class ShardCoordinator:
     def start(self) -> "tuple[str, int]":
         """Bind, start accepting workers, return ``(host, port)``."""
         self._listener = socket.create_server(
-            (self.config.host, self.config.port), reuse_port=False
+            (_HOST, self.config.port), reuse_port=False
         )
         self.address = self._listener.getsockname()[:2]
         self._started_at = self._last_activity = time.monotonic()
@@ -225,8 +199,7 @@ class ShardCoordinator:
             host=self.address[0],
             port=self.address[1],
             chunks=self.n_chunks,
-            completed=len(self._done),
-            lease_ttl=self.config.lease_ttl,
+            lease_ttl=_LEASE_TTL,
         )
         if self.config.on_start is not None:
             self.config.on_start(self)
@@ -237,18 +210,10 @@ class ShardCoordinator:
         self.start()
         return self.serve()
 
-    def request_drain(self, reason: str = "drain requested") -> None:
-        """Graceful stop: no new leases; in-flight leases finish or expire."""
-        with self._lock:
-            self._drain = True
-            self._drain_reason = reason
-        _LOG.info("coordinator draining", reason=reason)
-
     def serve(self) -> dict:
         """Scheduler loop; returns the run summary when the run resolves.
 
         Resolution outcomes: ``complete`` (every chunk accepted),
-        ``drained`` (drain requested and no lease is in flight),
         ``no_workers`` (nobody joined within ``worker_wait``) and
         ``abandoned`` (workers joined but all left and stayed away for
         ``worker_wait``) — the last two hand the unfinished chunks back
@@ -273,11 +238,8 @@ class ShardCoordinator:
                     with self._lock:
                         now = time.monotonic()
                         self._expire_stale_leases(now)
-                        if len(self._done) == self.n_chunks:
+                        if len(self.accepted) == self.n_chunks:
                             outcome = "complete"
-                            break
-                        if self._drain and not self._leases:
-                            outcome = "drained"
                             break
                         if (
                             self._joined_ever == 0
@@ -317,12 +279,12 @@ class ShardCoordinator:
 
     def summary(self, outcome: str) -> dict:
         with self._lock:
-            remaining = sorted(set(range(self.n_chunks)) - self._done)
+            remaining = sorted(set(range(self.n_chunks)) - self.accepted.keys())
             return {
                 "outcome": outcome,
                 "address": list(self.address) if self.address else None,
                 "workers_joined": self._joined_ever,
-                "completed_chunks": len(self._done),
+                "completed_chunks": len(self.accepted),
                 "remaining_chunks": remaining,
                 "results": {
                     key: self._counts[key]
@@ -335,7 +297,7 @@ class ShardCoordinator:
             }
 
     def payload(self, index: int) -> bytes:
-        """Raw artifact bytes for an accepted chunk (journal-less mode)."""
+        """Raw artifact bytes for an accepted chunk."""
         with self._lock:
             return self._artifacts[index]
 
@@ -359,7 +321,7 @@ class ShardCoordinator:
         # Generous read deadline: heartbeats arrive every ttl/4, so a
         # silent connection this long is a hung worker, and dropping it
         # routes its chunks through the normal lease-expiry path.
-        conn.settimeout(max(5.0, 4.0 * self.config.lease_ttl))
+        conn.settimeout(max(5.0, 4.0 * _LEASE_TTL))
         worker = self._handshake(conn)
         if worker is None:
             conn.close()
@@ -475,7 +437,7 @@ class ShardCoordinator:
                 msg_welcome(
                     self._identity,
                     self.n_chunks,
-                    self.config.lease_ttl,
+                    _LEASE_TTL,
                     trace=trace_ctx,
                 )
             )
@@ -497,39 +459,28 @@ class ShardCoordinator:
     def _grant(self, worker: str, conn_id: int) -> dict:
         with self._lock:
             now = time.monotonic()
-            if self._drain:
-                return msg_drain(self._drain_reason or "draining")
-            if len(self._done) == self.n_chunks:
+            if len(self.accepted) == self.n_chunks:
                 return msg_drain("run complete")
             if not self._gate_open(now) or not self._pending:
                 return msg_wait(_WAIT_SECONDS)
-            chunks = []
-            while self._pending and len(chunks) < self.config.shard_size:
-                chunks.append(self._pending.popleft())
+            chunk = self._pending.popleft()
             lease_id = next(self._lease_ids)
-            reassignment = any(c in self._expired_chunks for c in chunks)
             self._leases[lease_id] = _Lease(
-                worker=worker,
-                conn_id=conn_id,
-                outstanding=set(chunks),
-                deadline=now + self.config.lease_ttl,
+                worker=worker, conn_id=conn_id, chunk=chunk, deadline=now + _LEASE_TTL
             )
-            for chunk in chunks:
-                self._chunk_lease[chunk] = lease_id
+            self._chunk_lease[chunk] = lease_id
             self._counts["leases_granted"] += 1
-            if reassignment:
+            if chunk in self._expired_chunks:
                 self._counts["leases_reassigned"] += 1
             trace_ctx = self._serve_ctx or self._trace_ctx
-        _LOG.debug(
-            "lease granted", lease=lease_id, worker=worker, chunks=chunks
-        )
-        return msg_lease(lease_id, chunks, self.config.lease_ttl, trace=trace_ctx)
+        _LOG.debug("lease granted", lease=lease_id, worker=worker, chunk=chunk)
+        return msg_lease(lease_id, [chunk], _LEASE_TTL, trace=trace_ctx)
 
     def _renew(self, lease_id) -> None:
         with self._lock:
             lease = self._leases.get(lease_id)
             if lease is not None:
-                lease.deadline = time.monotonic() + self.config.lease_ttl
+                lease.deadline = time.monotonic() + _LEASE_TTL
 
     def _expire_stale_leases(self, now: float) -> None:
         """TTL sweep (caller holds the lock)."""
@@ -549,18 +500,17 @@ class ShardCoordinator:
 
     def _expire_lease(self, lease_id: int, reason: str) -> None:
         lease = self._leases.pop(lease_id)
-        returned = sorted(c for c in lease.outstanding if c not in self._done)
-        for chunk in reversed(returned):
-            self._pending.appendleft(chunk)
-            self._expired_chunks.add(chunk)
-            self._chunk_lease.pop(chunk, None)
+        self._chunk_lease.pop(lease.chunk, None)
+        if lease.chunk not in self.accepted:
+            self._pending.appendleft(lease.chunk)
+            self._expired_chunks.add(lease.chunk)
         self._counts["leases_expired"] += 1
         _LOG.warning(
             "lease expired",
             lease=lease_id,
             worker=lease.worker,
             reason=reason,
-            returned=returned,
+            chunk=lease.chunk,
         )
 
     # -- result intake -----------------------------------------------------
@@ -599,15 +549,10 @@ class ShardCoordinator:
                 "declared digest (tampered or corrupted in transit)"
             )
         with self._lock:
-            if chunk in self._done:
-                known = (
-                    self.accepted[chunk].get("artifact_digest")
-                    if chunk in self.accepted
-                    else None
-                )
-                if known is not None and known != digest:
+            if chunk in self.accepted:
+                if self.accepted[chunk]["artifact_digest"] != digest:
                     # first-digest-wins: the straggler's bytes disagree
-                    # with what was already certified and journaled
+                    # with what was already certified and accepted
                     self._counts["conflict"] += 1
                     _LOG.warning(
                         "conflicting duplicate result dropped",
@@ -617,28 +562,15 @@ class ShardCoordinator:
                     return "conflict"
                 self._counts["duplicate"] += 1
                 return "duplicate"
-            recorded = dict(entry)
-            recorded["chunk"] = chunk
-            recorded["artifact_digest"] = digest
-            if self._journal is not None:
-                recorded = self._journal.record(
-                    chunk, blob_bytes=data, entry=recorded
-                )
-            else:
-                self._artifacts[chunk] = data
-            self.accepted[chunk] = recorded
-            self._done.add(chunk)
+            self._artifacts[chunk] = data
+            self.accepted[chunk] = dict(entry, chunk=chunk)
             try:
                 self._pending.remove(chunk)
             except ValueError:
                 pass
             lease_id = self._chunk_lease.pop(chunk, None)
             if lease_id is not None:
-                lease = self._leases.get(lease_id)
-                if lease is not None:
-                    lease.outstanding.discard(chunk)
-                    if not lease.outstanding:
-                        del self._leases[lease_id]
+                self._leases.pop(lease_id, None)
             self._counts["accepted"] += 1
         _LOG.debug("result accepted", chunk=chunk, worker=worker)
         return "accepted"

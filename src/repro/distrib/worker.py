@@ -9,10 +9,10 @@ leased chunk through the single-host machinery it already trusts:
 * compute happens on a local :class:`~repro.resilience.supervisor.
   SupervisedPool`, so respawn / bounded retry / quarantine→lossless
   semantics apply per worker exactly as they do single-host;
-* every completed chunk is journaled into a *local*
+* every completed chunk is journaled into the worker's own
   :class:`~repro.io.checkpoint.CheckpointJournal` before its RESULT is
-  sent — the artifact bytes on the wire are the journaled bytes, so the
-  coordinator's merged journal is bit-identical to the worker's;
+  sent — the artifact bytes and entry on the wire are the journaled
+  ones;
 * a re-leased chunk the worker already computed is resent from the
   local journal, never recomputed (the coordinator dedups
   first-digest-wins);
@@ -20,20 +20,13 @@ leased chunk through the single-host machinery it already trusts:
   :class:`~repro.resilience.retry.RetryPolicy`, so backoff schedules
   stay deterministic under test seeds;
 * finished spans ride each RESULT frame, and the span cursor advances
-  only once that frame is sent, so spans finished before a partition go
-  out on the next RESULT after the reconnect.
-
-Chaos: ``kill`` and ``disconnect`` rules are fired by the agent itself
-(SIGKILL the whole process / sever the coordinator connection), keyed by
-*chunk index* with one attempt counted per lease of that chunk.  All
-other rules are forwarded to the supervised pool, whose task ids are
-chunk indices too.
+  only once that frame is sent, so spans finished before a lost
+  connection go out on the next RESULT after the reconnect.
 """
 
 from __future__ import annotations
 
 import os
-import signal
 import socket
 import tempfile
 import threading
@@ -46,7 +39,6 @@ from ..exceptions import IntegrityError, ProtocolError
 from ..io.checkpoint import CheckpointJournal, digest_model
 from ..obs import get_logger, get_tracer
 from ..obs.trace import Tracer
-from ..resilience.inject import ChaosInjector, ChaosPartition
 from ..resilience.retry import RetryPolicy
 from .protocol import (
     PROTOCOL_VERSION,
@@ -66,7 +58,7 @@ _LOG = get_logger("distrib.worker")
 #: consecutive connection losses tolerated before the agent gives up
 _MAX_CONSECUTIVE_FAILURES = 10
 
-#: cap on server-suggested wait naps, so drain is never far away
+#: cap on server-suggested wait naps, so the run's end is never far away
 _MAX_WAIT_NAP = 1.0
 
 #: seconds one connection attempt may take before it counts as failed
@@ -116,10 +108,7 @@ class ShardWorker:
         samples_from_fields=None,
         name: "str | None" = None,
         workers: "int | None" = None,
-        task_timeout: "float | None" = None,
-        max_task_retries: int = 2,
         connect_retry: "RetryPolicy | None" = None,
-        chaos: "ChaosInjector | None" = None,
         checkpoint: "str | None" = None,
     ) -> None:
         self.pipeline = pipeline
@@ -129,13 +118,9 @@ class ShardWorker:
         self.weights = digest_model(pipeline.model)
         self.name = name or f"worker-{os.getpid()}"
         self.workers = workers
-        self.task_timeout = task_timeout
-        self.max_task_retries = int(max_task_retries)
         self.retry = connect_retry or RetryPolicy(
             max_retries=5, base_delay=0.2, max_delay=5.0
         )
-        self.chaos = chaos
-        self._chaos_attempts: "dict[int, int]" = {}
         directory = checkpoint or tempfile.mkdtemp(prefix="repro-worker-")
         self._journal = CheckpointJournal(directory)
         self._local: "dict[int, dict]" = self._journal.begin(
@@ -164,7 +149,6 @@ class ShardWorker:
             "chunks_computed": 0,
             "chunks_resent": 0,
             "reconnects": 0,
-            "partitions": 0,
             "results": {},
             "drained": None,
         }
@@ -192,16 +176,6 @@ class ShardWorker:
                     summary["leases"] += 1
                     self._serve_lease(conn, reply, summary)
                     failures = 0
-                except ChaosPartition as exc:
-                    summary["partitions"] += 1
-                    _LOG.warning(
-                        "injected partition; dropping connection",
-                        worker=self.name,
-                        error=str(exc),
-                    )
-                    conn.close()
-                    summary["reconnects"] += 1
-                    conn = self._connect(host, port)
                 except (TimeoutError, OSError, ProtocolError) as exc:
                     failures += 1
                     if failures >= _MAX_CONSECUTIVE_FAILURES:
@@ -327,11 +301,6 @@ class ShardWorker:
                 lease=lease_id,
                 chunks=chunk_ids,
             ):
-                # agent-level chaos first: a killed/partitioned worker
-                # never reaches compute, exactly like the fault it
-                # simulates
-                for chunk in chunk_ids:
-                    self._fire_agent_chaos(chunk)
                 to_compute = [c for c in chunk_ids if c not in self._local]
                 if to_compute:
                     self._compute(to_compute)
@@ -363,38 +332,14 @@ class ShardWorker:
         finally:
             heartbeat.stop()
 
-    def _fire_agent_chaos(self, chunk: int) -> None:
-        if self.chaos is None:
-            return
-        attempt = self._chaos_attempts.get(chunk, 0)
-        self._chaos_attempts[chunk] = attempt + 1
-        for rule in self.chaos.active_rules(chunk, attempt):
-            if rule.action == "kill":
-                os.kill(os.getpid(), signal.SIGKILL)
-            elif rule.action == "disconnect":
-                raise ChaosPartition(
-                    f"injected partition on chunk {chunk} attempt {attempt}"
-                )
-
-    def _pool_chaos(self):
-        if self.chaos is None:
-            return None
-        rules = [
-            rule
-            for rule in self.chaos.rules
-            if rule.action not in ("kill", "disconnect")
-        ]
-        return ChaosInjector(rules) if rules else None
-
     def _compute(self, chunk_ids: "list[int]") -> None:
         """The single-host supervised-pool path, locally
         (worker-side commit into the local journal, quarantine → lossless
-        rerun) over the leased chunks.  No ``AuditRecord`` leaves this
+        rerun) over the leased chunks, with the pool's default retry
+        budget and no per-chunk deadline.  No ``AuditRecord`` leaves this
         process: the coordinator audits each chunk as it replays it."""
         _summary, outcomes = run_supervised(
-            self.chunk_run, chunk_ids, self._journal, workers=self.workers,
-            task_timeout=self.task_timeout, max_task_retries=self.max_task_retries,
-            chaos=self._pool_chaos(), label=self.name,
+            self.chunk_run, chunk_ids, self._journal, workers=self.workers, label=self.name
         )
         self._local.update(
             (index, outcome.committed) for index, outcome in outcomes.items()

@@ -32,9 +32,10 @@ Durability model, weakest link first:
   corrupt is ignored (recomputed), and so is one that is not an object,
   names another artifact than ``chunks/chunk-NNNN.rblob`` of its own chunk
   or another input digest than the manifest's for that chunk.  A torn
-  trailing journal line — the signature of a writer killed mid-append —
-  is dropped by :func:`~repro.io.serialization.read_jsonl_records`.  At every kill
-  point the journal describes only fully-persisted work.
+  journal line — the signature of a writer killed mid-append — is
+  dropped by :func:`~repro.io.serialization.read_jsonl_records`, also
+  once a resumed run has appended after it.  At every kill point the
+  journal describes only fully-persisted work.
 * Whoever computed a chunk commits it: pool workers write their own
   artifact and journal line (whole-line ``O_APPEND`` writes, per-process
   temp files), so the model above holds per writer.  A chunk committed

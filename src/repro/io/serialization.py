@@ -5,15 +5,13 @@ byte string: magic, JSON header (codec, shape, dtype, mode, tolerance,
 metadata) and the raw payload.  Everything a decoder needs travels inside
 the file, so blobs written by one process decode anywhere.
 
-Two wire versions exist:
-
-* **v1** (legacy): ``RBLB | u16 version | u32 header_len | header | payload``.
-  No integrity protection; still read, no longer written.
-* **v2** (written): ``RBLB | u16 version | u32 header_len | u32 crc32 |
-  header | payload`` where the CRC32 covers ``header + payload``.  Any
-  bit flip or truncation anywhere after the prelude is detected on read
-  and surfaced as :class:`~repro.exceptions.IntegrityError` — corrupted
-  bytes can never silently reach a codec.
+The wire format is version 2: ``RBLB | u16 version | u32 header_len |
+u32 crc32 | header | payload`` where the CRC32 covers ``header +
+payload``.  Any bit flip or truncation anywhere after the prelude is
+detected on read and surfaced as :class:`~repro.exceptions.IntegrityError`
+— corrupted bytes can never silently reach a codec.  Version 1 carried
+no CRC and is refused: every v1 blob ever written holds HUF1 entropy
+streams, which no decoder reads any more.
 
 Every malformed input raises a typed :class:`CompressionError` (or its
 :class:`IntegrityError` subclass); ``struct.error``/``KeyError``/
@@ -41,8 +39,7 @@ __all__ = [
 
 _MAGIC = b"RBLB"
 _VERSION = 2
-_PRELUDE_V1 = struct.Struct("<HI")  # version, header length
-_PRELUDE_V2 = struct.Struct("<HII")  # version, header length, crc32(header+payload)
+_PRELUDE = struct.Struct("<HII")  # version, header length, crc32(header+payload)
 
 _REQUIRED_HEADER_KEYS = ("codec", "shape", "dtype", "mode", "tolerance")
 
@@ -61,8 +58,7 @@ def _jsonable_metadata(metadata: dict) -> dict:
 def blob_to_bytes(blob: CompressedBlob) -> bytes:
     """Serialize a blob into a self-contained v2 byte string.
 
-    A CRC32 over header+payload lets readers detect corruption; v1
-    blobs are read (see :func:`blob_from_bytes`) but never written.
+    A CRC32 over header+payload lets readers detect corruption.
     """
     header = {
         "codec": blob.codec,
@@ -74,7 +70,7 @@ def blob_to_bytes(blob: CompressedBlob) -> bytes:
     }
     header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
     crc = zlib.crc32(blob.payload, zlib.crc32(header_bytes))
-    prelude = _PRELUDE_V2.pack(_VERSION, len(header_bytes), crc)
+    prelude = _PRELUDE.pack(_VERSION, len(header_bytes), crc)
     return _MAGIC + prelude + header_bytes + blob.payload
 
 
@@ -114,6 +110,10 @@ def atomic_write_json(path: str, payload: dict, default=None) -> None:
 
 # -- append-only JSONL (checkpoint journal, audit registry) -------------------
 
+#: ends a torn line before the next record: ``json.dumps`` escapes every
+#: control character, so no record it wrote contains a raw NUL
+_TORN = "\x00"
+
 
 def append_jsonl(path: str, payload: dict, default=None) -> int:
     """Append one JSON object to ``path`` as a single atomic write.
@@ -121,15 +121,20 @@ def append_jsonl(path: str, payload: dict, default=None) -> int:
     The record is serialized first, then written with one ``os.write`` on
     an ``O_APPEND`` descriptor: concurrent appenders (parallel chunked
     execution auditing per chunk) interleave whole lines, never bytes,
-    and a crashed writer can at worst lose its own line — readers skip a
-    torn trailing line rather than failing.  ``default`` is the
-    ``json.dumps`` fallback converter for non-native values.  Returns the
-    number of bytes written.
+    and a crashed writer can at worst lose its own line.  Every writer
+    appends whole lines, so a file that does not end in a newline ends in
+    a torn append: the record then first ends that line with ``_TORN``,
+    which :func:`read_jsonl_records` skips wherever it sits.  ``default``
+    is the ``json.dumps`` fallback converter for non-native values.
+    Returns the number of bytes written.
     """
-    line = json.dumps(payload, sort_keys=True, default=default) + "\n"
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
+    line = (json.dumps(payload, sort_keys=True, default=default) + "\n").encode("utf-8")
+    fd = os.open(path, os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o644)
     try:
-        return os.write(fd, line.encode("utf-8"))
+        size = os.fstat(fd).st_size
+        if size and os.pread(fd, 1, size - 1) != b"\n":
+            line = f"{_TORN}\n".encode("ascii") + line
+        return os.write(fd, line)
     finally:
         os.close(fd)
 
@@ -137,10 +142,11 @@ def append_jsonl(path: str, payload: dict, default=None) -> int:
 def read_jsonl_records(path: str) -> list[dict]:
     """Load every well-formed record from an append-only JSONL file.
 
-    Blank lines are skipped; a malformed *final* line (a torn append from
-    a crashed writer) is dropped silently, but corruption anywhere else
-    raises :class:`IntegrityError` — that indicates real file damage, not
-    an interrupted append.
+    Blank lines are skipped, and so are torn appends: a malformed *final*
+    line (its writer crashed) and a malformed line a later append ended
+    with ``_TORN`` (a line that lost only its newline still loads).  A
+    malformed line anywhere else raises :class:`IntegrityError` — that
+    indicates real file damage, not an interrupted append.
     """
     if not os.path.exists(path):
         return []
@@ -150,10 +156,10 @@ def read_jsonl_records(path: str) -> list[dict]:
     records: list[dict] = []
     for index, line in enumerate(lines):
         try:
-            records.append(json.loads(line))
+            records.append(json.loads(line.removesuffix(_TORN)))
         except ValueError as exc:
-            if index == len(lines) - 1:
-                break  # torn trailing append: recoverable by design
+            if index == len(lines) - 1 or line.endswith(_TORN):
+                continue  # torn append: recoverable by design
             raise IntegrityError(
                 f"corrupt JSONL record at line {index + 1} of {path!r}: {exc}"
             ) from exc
@@ -197,8 +203,8 @@ def _parse_header(raw: bytes) -> dict:
 def blob_from_bytes(data: bytes) -> CompressedBlob:
     """Reconstruct a blob from :func:`blob_to_bytes` output.
 
-    Reads both wire versions; v2 blobs are checksum-verified and raise
-    :class:`IntegrityError` on any mismatch.
+    The blob is checksum-verified and raises :class:`IntegrityError` on
+    any mismatch; a version other than 2 is a :class:`CompressionError`.
     """
     data = bytes(data)
     if len(data) < 4 or data[:4] != _MAGIC:
@@ -208,22 +214,15 @@ def blob_from_bytes(data: bytes) -> CompressedBlob:
             f"truncated blob: {len(data)} bytes is too short for a version field"
         )
     (version,) = struct.unpack_from("<H", data, 4)
-    if version == 1:
-        prelude, checksum = _PRELUDE_V1, None
-    elif version == 2:
-        prelude, checksum = _PRELUDE_V2, 0
-    else:
+    if version != _VERSION:
         raise CompressionError(f"unsupported blob version {version}")
-    offset = 4 + prelude.size
+    offset = 4 + _PRELUDE.size
     if len(data) < offset:
         raise IntegrityError(
             f"truncated blob: {len(data)} bytes is too short for a "
             f"v{version} prelude ({offset} bytes)"
         )
-    if version == 1:
-        __, header_length = prelude.unpack_from(data, 4)
-    else:
-        __, header_length, checksum = prelude.unpack_from(data, 4)
+    __, header_length, checksum = _PRELUDE.unpack_from(data, 4)
     if offset + header_length > len(data):
         raise IntegrityError(
             f"truncated blob: header claims {header_length} bytes but only "
@@ -231,14 +230,12 @@ def blob_from_bytes(data: bytes) -> CompressedBlob:
         )
     header_bytes = data[offset : offset + header_length]
     payload = data[offset + header_length :]
-    if checksum is not None:
-        actual = zlib.crc32(header_bytes)
-        actual = zlib.crc32(payload, actual)
-        if actual != checksum:
-            raise IntegrityError(
-                f"blob checksum mismatch: stored {checksum:#010x}, "
-                f"computed {actual:#010x} — data corrupted on disk or in transit"
-            )
+    actual = zlib.crc32(payload, zlib.crc32(header_bytes))
+    if actual != checksum:
+        raise IntegrityError(
+            f"blob checksum mismatch: stored {checksum:#010x}, "
+            f"computed {actual:#010x} — data corrupted on disk or in transit"
+        )
     header = _parse_header(header_bytes)
     metadata = header["metadata"]
     if "padded_shape" in metadata:

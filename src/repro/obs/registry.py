@@ -40,7 +40,7 @@ class RunRegistry:
     path:
         Registry file; created on first append.  Reads (through
         :func:`repro.io.serialization.read_jsonl_records`) tolerate a
-        missing file (empty registry) and a torn trailing line.
+        missing file (empty registry) and torn lines, wherever they sit.
     """
 
     def __init__(self, path: str) -> None:

@@ -22,7 +22,6 @@ from .inject import (
     CHAOS_ENV_VAR,
     ChaosError,
     ChaosInjector,
-    ChaosPartition,
     ChaosRule,
     blob_corruptions,
     corrupt_file,
@@ -43,7 +42,6 @@ __all__ = [
     "CHAOS_ENV_VAR",
     "ChaosError",
     "ChaosInjector",
-    "ChaosPartition",
     "ChaosRule",
     "RetryPolicy",
     "SupervisedPool",

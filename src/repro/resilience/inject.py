@@ -43,7 +43,6 @@ __all__ = [
     "blob_corruptions",
     "corrupt_result",
     "ChaosError",
-    "ChaosPartition",
     "ChaosRule",
     "ChaosInjector",
     "CHAOS_ENV_VAR",
@@ -168,7 +167,7 @@ def blob_corruptions(
 #: environment variable the CLI/CI reads a chaos spec from
 CHAOS_ENV_VAR = "REPRO_CHAOS"
 
-_CHAOS_ACTIONS = ("kill", "hang", "slow", "raise", "corrupt", "disconnect")
+_CHAOS_ACTIONS = ("kill", "hang", "slow", "raise", "corrupt")
 
 #: default stall for ``hang`` rules — far past any sane task deadline
 _HANG_SECONDS = 3600.0
@@ -180,16 +179,6 @@ class ChaosError(RuntimeError):
     Deliberately *not* a :class:`~repro.exceptions.ReproError`: injected
     faults must look like the arbitrary worker crashes they simulate,
     not like typed library failures.
-    """
-
-
-class ChaosPartition(ChaosError):
-    """Signal raised by a ``disconnect`` chaos rule.
-
-    Consumed by the distributed worker agent, which reacts by abruptly
-    closing its coordinator connection — simulating a network partition
-    rather than a compute fault.  Inside a process-pool worker (where
-    there is no connection to sever) ``disconnect`` rules are inert.
     """
 
 
@@ -247,9 +236,7 @@ class ChaosInjector:
     * ``action`` — ``kill`` (SIGKILL own process), ``hang`` (sleep
       ``param`` seconds, default far past any deadline), ``slow``
       (sleep ``param`` seconds, default 0.1), ``raise`` (raise
-      :class:`ChaosError`), ``corrupt`` (NaN-poison the task result),
-      ``disconnect`` (sever the coordinator connection — distributed
-      worker agents only, inert in a process pool);
+      :class:`ChaosError`), ``corrupt`` (NaN-poison the task result);
     * ``task`` — a task index, or ``*`` for every task;
     * ``attempts`` — how many attempts the rule fires on: an integer
       (default 1 = first attempt only) or ``all`` (every attempt — the
@@ -333,20 +320,8 @@ class ChaosInjector:
     def _active(self, task_id: int, attempt: int) -> "list[ChaosRule]":
         return [rule for rule in self.rules if rule.matches(task_id, attempt)]
 
-    def active_rules(self, task_id: int, attempt: int) -> "list[ChaosRule]":
-        """Rules matching this (task, attempt) — for external consumers
-        (the distributed worker agent fires ``kill``/``disconnect``
-        itself, at the transport layer where they mean something)."""
-        return self._active(task_id, attempt)
-
     def before_task(self, task_id: int, attempt: int) -> None:
-        """Fire pre-execution rules (kill/hang/slow/raise) for this attempt.
-
-        ``disconnect`` is deliberately skipped: severing a network
-        connection is a transport-level fault the distributed worker
-        agent injects via :meth:`active_rules`; a pool worker has
-        nothing to disconnect from.
-        """
+        """Fire pre-execution rules (kill/hang/slow/raise) for this attempt."""
         for rule in self._active(task_id, attempt):
             if rule.action == "kill":
                 os.kill(os.getpid(), signal.SIGKILL)

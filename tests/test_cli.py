@@ -1,5 +1,10 @@
 """Tests for the command-line interface."""
 
+import argparse
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -370,51 +375,41 @@ def test_pipeline_chunked_checkpoint_and_resume(tmp_path, capsys):
     assert "tolerance honoured" in out
 
 
-# A port outside 0-65535 must be refused before any socket call: getaddrinfo
-# wraps it modulo 2**16 (73616 connects to 8080) and bind overflows.
-@pytest.mark.parametrize(
-    ("argv", "fragment"),
-    [
-        (["coordinate", "--port", "70000"], "--port must be in 0-65535"),
-        (["coordinate", "--port", "-1"], "--port must be in 0-65535"),
-        (["worker", "--connect", "127.0.0.1:73616"], "--connect port must be in 1-65535"),
-        (["worker", "--connect", "127.0.0.1:0"], "--connect port must be in 1-65535"),
-        (["worker", "--connect", "127.0.0.1:"], "--connect must be HOST:PORT"),
-    ],
-)
-def test_distributed_commands_reject_out_of_range_ports(argv, fragment):
-    from repro.cli import _validate_chunk_flags
-    from repro.exceptions import ConfigurationError
-
-    command, *flags = argv
-    args = build_parser().parse_args(
-        [command, "h2combustion", "--tolerance", "1e-2", "--chunk-size", "16", *flags]
+def test_cli_command_set_is_pinned():
+    """The CLI's commands, its global flags and ``pipeline``'s flags,
+    listed literally: the HTTP metrics server, the trace analyzer, the
+    sampling profiler, the bench history, the metrics export and the
+    ``coordinate`` / ``worker`` commands are gone (a distributed run is
+    ``execute_chunked(executor="distributed")`` with in-process shard
+    workers).  ``python -m repro`` given ``coordinate`` exits 2 as an
+    invalid choice."""
+    parser = build_parser()
+    commands = next(
+        action for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
     )
-    with pytest.raises(ConfigurationError, match=fragment):
-        _validate_chunk_flags(args)
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["coordinate", "--port", "0"],
-        ["coordinate", "--port", "65535"],
-        ["worker", "--connect", "localhost:1"],
-        ["worker", "--connect", "127.0.0.1:65535"],
-    ],
-)
-def test_distributed_commands_accept_the_port_range_ends(argv):
-    from repro.cli import _validate_chunk_flags
-
-    command, *flags = argv
-    _validate_chunk_flags(build_parser().parse_args(
-        [command, "h2combustion", "--tolerance", "1e-2", "--chunk-size", "16", *flags]
-    ))
-
-
-def test_coordinate_out_of_range_port_exits_with_typed_error(capsys):
-    assert main(
-        ["coordinate", "h2combustion", "--tolerance", "1e-2", "--chunk-size", "16",
-         "--port", "70000"]
-    ) == 1
-    assert "error (ConfigurationError): --port must be in 0-65535" in capsys.readouterr().err
+    assert set(commands.choices) == {
+        "analyze", "plan", "pipeline", "compress", "decompress", "store", "audit",
+    }
+    global_flags = {flag for action in parser._actions for flag in action.option_strings}
+    assert global_flags == {
+        "-h", "--help", "--version", "--trace", "--trace-summary",
+        "--audit", "--instrument-ops", "--log-level", "--backend",
+    }
+    flags = {
+        flag for action in commands.choices["pipeline"]._actions
+        for flag in action.option_strings
+    }
+    assert flags == {
+        "-h", "--help", "--tolerance", "--norm", "--codec", "--fraction", "--fmt",
+        "--chunk-size", "--workers", "--task-timeout", "--max-retries",
+        "--executor", "--checkpoint", "--resume",
+    }
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    run = subprocess.run(
+        [sys.executable, "-m", "repro", "coordinate", "h2combustion",
+         "--tolerance", "1e-2", "--chunk-size", "16"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert run.returncode == 2
+    assert "invalid choice: 'coordinate'" in run.stderr

@@ -65,7 +65,7 @@ print("loaded:", [name for name in heavy if name in sys.modules])
 """
 
 
-@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["worker", "--help"]])
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["pipeline", "--help"]])
 def test_cli_help_and_version_import_no_numpy(argv):
     run = _run(_CLI_SCRIPT.format(argv=argv))
     assert run.returncode == 0, run.stderr

@@ -380,6 +380,21 @@ def test_registry_tolerates_torn_trailing_line(tmp_path):
     assert _run_ids(registry) == ["run-0001"]
 
 
+def test_registry_appends_after_a_torn_line_are_kept(tmp_path):
+    """An append after a crashed writer's torn line starts on a line of
+    its own: the runs it and later appends register are read back, and
+    the torn bytes never make the registry unreadable."""
+    path = tmp_path / "reg.jsonl"
+    registry = RunRegistry(str(path))
+    registry.append(_record())
+    with open(path, "a") as handle:
+        handle.write('{"run_id": "run-0002", "qoi_tigh')  # crashed writer
+    assert registry.append(_record())["run_id"] == "run-0002"
+    assert _run_ids(registry) == ["run-0001", "run-0002"]
+    assert registry.append(_record())["run_id"] == "run-0003"
+    assert _run_ids(RunRegistry(str(path))) == ["run-0001", "run-0002", "run-0003"]
+
+
 def test_registry_rejects_mid_file_corruption(tmp_path):
     path = tmp_path / "reg.jsonl"
     registry = RunRegistry(str(path))

@@ -197,9 +197,14 @@ def test_package_line_count_only_goes_down():
     codec, the workloads' larger grids and cache switch, ZFP's fixed-rate
     starting tolerance, ``describe_analysis`` and
     ``num_parameters(trainable_only=)`` gone, the inline pool's
-    ``supervisor.run`` span and the registry's append count in); lower the
+    ``supervisor.run`` span and the registry's append count in); keeping
+    only the distributed configuration the loopback benchmark runs took it
+    to 16,314 (the ``coordinate`` and ``worker`` commands, the
+    coordinator's drain, journal and multi-chunk leases, agent-level
+    chaos, the unset coordinator and worker options and the v1 blob
+    reader gone, the torn-line marker of ``append_jsonl`` in); lower the
     ceiling when it shrinks."""
-    assert _python_lines(os.path.dirname(inspect.getsourcefile(repro))) <= 16698
+    assert _python_lines(os.path.dirname(inspect.getsourcefile(repro))) <= 16314
 
 
 def test_obs_line_count_only_goes_down():
@@ -241,6 +246,7 @@ def test_public_surface_only_goes_down():
     ``mass_fractions_from_mixture`` left their subpackages' ``__all__``,
     each used only in its own module, 172 before ``retry_call``, which no
     program code called; 171 measured again after the unset options went,
-    none of which was a subpackage export);
+    none of which was a subpackage export; 169 without the coordinator's
+    drain error and the injector's partition signal);
     lower the ceiling when it shrinks, never raise it."""
-    assert sum(len(importlib.import_module(m).__all__) for m in _SUBPACKAGES) <= 171
+    assert sum(len(importlib.import_module(m).__all__) for m in _SUBPACKAGES) <= 169

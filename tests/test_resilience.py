@@ -3,13 +3,14 @@
 Proves the data-integrity layer's central claim — between the store and
 the model, no corrupted byte passes silently.  Covers the v2 checksummed
 blob format, the fault injectors themselves, the runtime guards, the
-DatasetStore's verified reads, pipeline-level recovery, and v1
-backward compatibility.
+DatasetStore's verified reads, pipeline-level recovery, and the refusal
+of the unchecksummed v1 format.
 """
 
 import dataclasses
 import os
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -93,19 +94,24 @@ def test_random_bitflip_storm_detected(blob_bytes):
             blob_from_bytes(flip_bit(blob_bytes, int(rng.integers(0, 8 * len(blob_bytes)))))
 
 
+def _sealed_v2(header: bytes, payload: bytes = b"") -> bytes:
+    """A v2 blob around ``header`` whose CRC matches, so the header checks
+    are what rejects it."""
+    crc = zlib.crc32(payload, zlib.crc32(header))
+    return b"RBLB" + struct.pack("<HII", 2, len(header), crc) + header + payload
+
+
 def test_header_missing_keys_rejected(smooth_field_2d):
-    """A structurally valid v1 blob whose header lacks required keys."""
-    header = b'{"codec":"sz"}'
-    data = b"RBLB" + struct.pack("<HI", 1, len(header)) + header + b"\x00" * 16
+    """A structurally valid v2 blob whose header lacks required keys."""
+    data = _sealed_v2(b'{"codec":"sz"}', b"\x00" * 16)
     with pytest.raises(CompressionError, match="missing required keys"):
         blob_from_bytes(data)
 
 
 def test_header_invalid_shape_rejected():
     header = b'{"codec":"sz","shape":[-1],"dtype":"float32","mode":"abs","tolerance":1e-4}'
-    data = b"RBLB" + struct.pack("<HI", 1, len(header)) + header
     with pytest.raises(CompressionError, match="invalid shape"):
-        blob_from_bytes(data)
+        blob_from_bytes(_sealed_v2(header))
 
 
 def test_short_inputs_raise_typed_errors():
@@ -114,25 +120,23 @@ def test_short_inputs_raise_typed_errors():
             blob_from_bytes(data)
 
 
-# -- v1 backward compatibility ---------------------------------------------
-def test_v1_blob_still_loads(smooth_field_2d):
-    """Blobs written before the integrity layer must keep decoding."""
+# -- blob versions -----------------------------------------------------------
+def test_v1_blob_is_refused(smooth_field_2d):
+    """Version 1 carried no CRC, so a cut or flipped v1 blob could decode
+    to a wrong array; every v1 blob ever written holds HUF1 streams no
+    decoder reads.  One is refused by version, before any header check."""
     codec = SZCompressor()
-    blob = codec.compress(smooth_field_2d, 1e-4, ErrorBoundMode.ABS)
-    v2 = blob_to_bytes(blob)
+    v2 = blob_to_bytes(codec.compress(smooth_field_2d, 1e-4, ErrorBoundMode.ABS))
     # A v1 stream is the v2 one without its CRC, under version 1.
     (header_length,) = struct.unpack_from("<I", v2, 6)
     legacy = v2[:4] + struct.pack("<HI", 1, header_length) + v2[14:]
-    restored = blob_from_bytes(legacy)
-    assert restored.codec == blob.codec
-    assert np.abs(codec.decompress(restored) - smooth_field_2d).max() <= 1e-4
+    with pytest.raises(CompressionError, match="unsupported blob version 1"):
+        blob_from_bytes(legacy)
 
 
 def test_v2_is_default_and_checksummed(blob_bytes):
     version, __, stored_crc = struct.unpack_from("<HII", blob_bytes, 4)
     assert version == 2
-    import zlib
-
     assert stored_crc == zlib.crc32(blob_bytes[14:])
 
 
@@ -583,8 +587,9 @@ def test_a_truncated_or_bit_flipped_v2_blob_never_decodes(v2_blobs, codec, data)
     """Read back through ``blob_from_bytes`` and ``safe_decompress``, a v2
     blob cut short or with one bit flipped ends in a typed error, never in
     an array.  The CRC32 over header and payload is what holds this up:
-    v1 blobs carry none, and of 600 such mutations per codec (half cuts,
-    half flips) 138-262 decoded to a wrong array, so v1 cannot have it."""
+    v1 blobs carried none, and of 600 such mutations per codec (half cuts,
+    half flips) 138-262 decoded to a wrong array, which is why v1 is
+    refused."""
     compressor, wire = v2_blobs[codec]
     if data.draw(st.booleans(), label="truncate"):
         mutated = truncate(wire, data.draw(st.integers(0, len(wire) - 1), label="length"))

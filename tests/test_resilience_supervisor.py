@@ -126,9 +126,12 @@ def test_chaos_spec_grammar():
 
 @pytest.mark.parametrize(
     "spec",
-    ["kill", "explode@1", "kill@x", "kill@1:maybe", "kill@1:0", "hang@1=soon"],
+    ["kill", "explode@1", "kill@x", "kill@1:maybe", "kill@1:0", "hang@1=soon",
+     "disconnect@1"],
 )
 def test_chaos_spec_rejects_malformed(spec):
+    """Malformed rules and unknown actions are refused; ``disconnect`` is
+    unknown (there is no coordinator connection for a pool to sever)."""
     with pytest.raises(ConfigurationError):
         ChaosInjector.from_spec(spec)
 
@@ -996,6 +999,27 @@ def test_pipeline_resume_tolerates_torn_journal_tail(chunked_setup, tmp_path):
     resumed = _chunked(pipeline, fields, workers=1, checkpoint=ck, resume=True)
     assert resumed.extra["checkpoint"]["replayed_chunks"] == 4
     assert np.array_equal(resumed.outputs, full.outputs)
+
+
+def test_a_chunk_recorded_after_a_torn_journal_line_replays(tmp_path):
+    """A run killed mid-append leaves a torn line; the resumed run's next
+    record starts on a line of its own, so a second resume replays that
+    chunk and every later one instead of losing it to the torn bytes or
+    failing on them."""
+    manifest = {"fingerprint": {"codec": "test"}, "chunk_digests": ["d0", "d1", "d2"]}
+    journal = CheckpointJournal(str(tmp_path))
+    journal.begin(manifest)
+    journal.record(0, blob_bytes=b"blob-0", entry={"input_digest": "d0"})
+    with open(journal.journal_path, "ab") as handle:
+        handle.write(b'{"chunk": 1, "artifact": "chu')  # writer died mid-append
+    resumed = CheckpointJournal(str(tmp_path))
+    assert set(resumed.begin(manifest, resume=True)) == {0}
+    resumed.record(1, blob_bytes=b"blob-1", entry={"input_digest": "d1"})
+    assert set(CheckpointJournal(str(tmp_path)).begin(manifest, resume=True)) == {0, 1}
+    resumed.record(2, blob_bytes=b"blob-2", entry={"input_digest": "d2"})
+    completed = CheckpointJournal(str(tmp_path)).begin(manifest, resume=True)
+    assert set(completed) == {0, 1, 2}
+    assert [resumed.load(completed[i]) for i in range(3)] == [b"blob-0", b"blob-1", b"blob-2"]
 
 
 def test_pipeline_resume_rejects_different_plan(chunked_setup, tmp_path):
